@@ -17,9 +17,7 @@
 //! Records are synthesized directly (deterministic signatures, non-zero
 //! runtime stats) rather than run through the engine: the bench times the
 //! analyzer, not the executor, and needs enough history to matter.
-//! `BENCH_QUICK=1` shrinks the sizes for CI. Not a criterion harness: the
-//! phases must be timed wall-clock as units, so the bench times itself and
-//! writes its own artifact.
+//! `BENCH_QUICK=1` shrinks the sizes for CI.
 
 use std::sync::Arc;
 use std::time::Instant;

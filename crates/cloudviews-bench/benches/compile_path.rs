@@ -13,9 +13,7 @@
 //!    comparison is recorded but the target is marked not applicable.
 //!
 //! `BENCH_QUICK=1` shrinks the workload for CI (the artifact notes which
-//! variant produced it). Not a criterion harness: the two sides share
-//! warmed state and the pool run must happen exactly once, so the bench
-//! times itself and writes its own artifact.
+//! variant produced it).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -14,9 +14,7 @@
 //!    speedup is worthless if the columnar path drifts the statistics that
 //!    feed the CloudViews analyzer and the EXPERIMENTS.md figures.
 //!
-//! `BENCH_QUICK=1` shrinks the data sizes for CI. Not a criterion harness:
-//! the two executors must be timed as whole-plan units against identical
-//! inputs, so the bench times itself and writes its own artifact.
+//! `BENCH_QUICK=1` shrinks the data sizes for CI.
 
 use std::time::Instant;
 

@@ -15,9 +15,7 @@
 //!    thread per worker, no pacing, quota off. Gated: completed lookups
 //!    per second at the plateau.
 //!
-//! `BENCH_QUICK=1` shrinks the request counts for CI. Not a criterion
-//! harness: the server, the senders, and the wall clock are one unit, so
-//! the bench times itself and writes its own artifact.
+//! `BENCH_QUICK=1` shrinks the request counts for CI.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -19,15 +19,13 @@
 //!    once the GC horizon lapses.
 //!
 //! `BENCH_QUICK=1` shrinks the op counts for CI (the artifact notes which
-//! variant produced it). Not a criterion harness: the thread pools must be
-//! timed wall-clock as one unit, so the bench times itself and writes its
-//! own artifact.
+//! variant produced it).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use cloudviews::analyzer::SelectedView;
-use cloudviews::{MetadataService, ReportRequest};
+use cloudviews::{LookupRequest, MetadataService, ProposeRequest, ReportRequest};
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::time::{SimClock, SimDuration};
@@ -85,14 +83,15 @@ fn worker(m: &MetadataService, selected: &[SelectedView], tid: usize, ops: usize
             s.input_tags[0],
             selected[(k + GROUP) % ANNOTATIONS].input_tags[1],
         ];
-        let r = m.relevant_views_for(job, &tags).unwrap();
+        let r = m.lookup(&LookupRequest::new(job, &tags, now)).unwrap();
         assert!(!r.annotations.is_empty(), "fixture lookup must hit");
         if i % 2 == 0 {
             let precise = Sig128::new(
                 (tid as u64) * 1_000_003 + i as u64,
                 (i as u64) * 2_654_435_761 + tid as u64,
             );
-            m.propose_now(precise, job, SimDuration::from_secs(60))
+            let ttl = SimDuration::from_secs(60);
+            m.propose(&ProposeRequest::new(precise, job, ttl, now))
                 .unwrap();
             m.register(ReportRequest::new(
                 AvailableView {

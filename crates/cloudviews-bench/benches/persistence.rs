@@ -18,10 +18,7 @@
 //!    (simulating a crash mid-write) must be dropped at the last clean
 //!    record boundary without panicking or perturbing the fingerprints.
 //!
-//! `BENCH_QUICK=1` shrinks the workload for CI. Not a criterion harness:
-//! recovery must be timed as a whole-service cold start against on-disk
-//! state staged by earlier phases, so the bench times itself and writes
-//! its own artifact.
+//! `BENCH_QUICK=1` shrinks the workload for CI.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -18,8 +18,7 @@
 //! The hit counts and simulated latencies are deterministic, so the gated
 //! metrics are noise-free; wall-clock totals are recorded as context only.
 //! `BENCH_QUICK=1` shrinks the family count for CI (the artifact notes
-//! which variant produced it). Not a criterion harness: the bench drives
-//! whole service instances end to end and writes its own artifact.
+//! which variant produced it).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -16,12 +16,12 @@
 use std::process::ExitCode;
 
 use cloudviews_bench::gates::{self, GateStatus, TOLERANCE};
-use cloudviews_bench::jsonlite::{parse, Value};
+use scope_common::telemetry::json::{parse, JsonValue};
 
-fn load(path: &str) -> Result<Value, String> {
+fn load(path: &str) -> Result<JsonValue, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("bench_diff: read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("bench_diff: parse {path}: {e}"))
+    parse(&text).ok_or_else(|| format!("bench_diff: {path}: malformed JSON"))
 }
 
 fn run() -> Result<bool, String> {
@@ -34,10 +34,13 @@ fn run() -> Result<bool, String> {
 
     let bench = baseline
         .get("bench")
-        .and_then(Value::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or_else(|| format!("{baseline_path}: missing \"bench\" field"))?
         .to_string();
-    let fresh_bench = fresh.get("bench").and_then(Value::as_str).unwrap_or("?");
+    let fresh_bench = fresh
+        .get("bench")
+        .and_then(JsonValue::as_str)
+        .unwrap_or("?");
     if bench != fresh_bench {
         return Err(format!(
             "bench mismatch: baseline is {bench:?}, fresh is {fresh_bench:?}"

@@ -14,7 +14,7 @@
 //! host reports itself inapplicable, and a boolean gate whose *baseline*
 //! is `false` cannot regress (it only binds once a baseline achieved it).
 
-use crate::jsonlite::Value;
+use scope_common::telemetry::json::JsonValue;
 
 /// Direction of improvement for a numeric gate.
 #[derive(Clone, Copy, Debug)]
@@ -192,7 +192,7 @@ pub fn bool_gates(bench: &str) -> &'static [&'static str] {
 }
 
 /// Resolves a dotted path inside a parsed artifact.
-pub fn lookup<'a>(root: &'a Value, path: &str) -> Option<&'a Value> {
+pub fn lookup<'a>(root: &'a JsonValue, path: &str) -> Option<&'a JsonValue> {
     path.split('.').try_fold(root, |v, key| v.get(key))
 }
 
@@ -219,7 +219,7 @@ impl GateResult {
 
 /// Reads a gated numeric value, distinguishing the failure modes so the
 /// report can say *why* the artifact is malformed.
-fn numeric(artifact: &Value, path: &str, which: &str) -> Result<f64, String> {
+fn numeric(artifact: &JsonValue, path: &str, which: &str) -> Result<f64, String> {
     let Some(v) = lookup(artifact, path) else {
         return Err(format!("metric missing in {which} artifact"));
     };
@@ -235,7 +235,7 @@ fn numeric(artifact: &Value, path: &str, which: &str) -> Result<f64, String> {
     Ok(n)
 }
 
-fn boolean(artifact: &Value, path: &str, which: &str) -> Result<bool, String> {
+fn boolean(artifact: &JsonValue, path: &str, which: &str) -> Result<bool, String> {
     let Some(v) = lookup(artifact, path) else {
         return Err(format!("metric missing in {which} artifact"));
     };
@@ -248,10 +248,10 @@ fn boolean(artifact: &Value, path: &str, which: &str) -> Result<bool, String> {
 /// Returns one [`GateResult`] per gate; the run passes iff every result
 /// [`passed`](GateResult::passed). Benches with no registered gates
 /// return an empty list.
-pub fn evaluate(bench: &str, baseline: &Value, fresh: &Value) -> Vec<GateResult> {
-    let multi_core = |v: &Value| {
+pub fn evaluate(bench: &str, baseline: &JsonValue, fresh: &JsonValue) -> Vec<GateResult> {
+    let multi_core = |v: &JsonValue| {
         lookup(v, "multi_core_target_applicable")
-            .and_then(Value::as_bool)
+            .and_then(JsonValue::as_bool)
             .unwrap_or(false)
     };
     let both_multi_core = multi_core(baseline) && multi_core(fresh);
@@ -337,7 +337,7 @@ pub fn evaluate(bench: &str, baseline: &Value, fresh: &Value) -> Vec<GateResult>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonlite::parse;
+    use scope_common::telemetry::json::parse;
 
     fn eval(bench: &str, baseline: &str, fresh: &str) -> Vec<GateResult> {
         evaluate(bench, &parse(baseline).unwrap(), &parse(fresh).unwrap())

@@ -27,5 +27,4 @@
 pub mod compile_only;
 pub mod experiments;
 pub mod gates;
-pub mod jsonlite;
 pub mod prod32;

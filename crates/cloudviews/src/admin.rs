@@ -67,7 +67,8 @@ pub fn reclaim_storage(service: &CloudViews, bytes_needed: u64) -> Result<Reclai
     }
 
     // Metadata first, files second — the paper's required order.
-    service.metadata.unregister_views(&to_remove);
+    let now = service.clock.now();
+    service.metadata.unregister_views(&to_remove, now);
     let mut bytes_reclaimed = 0;
     for sig in &to_remove {
         bytes_reclaimed += service.storage.delete_view(*sig).unwrap_or(0);

@@ -8,12 +8,9 @@
 //! account for.
 //!
 //! All three requests are **pinned-time**: they carry the submission time
-//! (`at`) the service judges visibility and lock expiry against, making the
-//! PR-6 clock-pinning discipline the only path. Callers that genuinely want
-//! "now" use the thin default-now wrappers on the service
-//! ([`relevant_views_for`](crate::MetadataService::relevant_views_for),
-//! [`propose_now`](crate::MetadataService::propose_now)), which construct a
-//! request pinned at the service clock's current reading.
+//! (`at`) the service judges visibility and lock expiry against. There is
+//! no default-now variant: a caller that wants "now" reads its clock once
+//! and passes it.
 //!
 //! Each request also names the submitting virtual cluster (`vc`). The
 //! in-process facade ignores it; the network front door uses it as the

@@ -48,7 +48,7 @@ use scope_common::shard::Sharded;
 use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, Telemetry};
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
-use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView, ViewServices};
+use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView};
 use scope_signature::SubsumeDescriptor;
 
 use crate::analyzer::SelectedView;
@@ -469,41 +469,34 @@ impl MetadataService {
         }
     }
 
-    /// Figure 9 steps 1/2: one lookup per job, attributed to `job` so the
-    /// fault injector can fail it deterministically. Returns every
-    /// annotation whose tags intersect the job's tags (an
-    /// over-approximation the optimizer narrows by matching actual
-    /// signatures), plus the modeled service latency for the request.
+    /// Figure 9 steps 1/2: the one cascade lookup per job, attributed to
+    /// `req.job` so the fault injector can fail it deterministically and
+    /// judged at the request's pinned submission time (`req.at`).
     ///
-    /// The read path is a single pass over per-shard *read* locks: one
+    /// Tier-1 returns every annotation whose tags intersect the job's tags
+    /// (an over-approximation the optimizer narrows by matching actual
+    /// signatures), plus the modeled service latency for the request. The
+    /// read path is a single pass over per-shard *read* locks: one
     /// inverted-bucket probe per tag, then the candidate signatures grouped
     /// by annotation shard so each shard's lock is taken at most once. No
-    /// two locks are ever held together.
+    /// two locks are ever held together. Tier-1 does no time filtering
+    /// (annotation GC is the janitor's job, and the optimizer still has to
+    /// rebuild views whose files expired).
+    ///
+    /// Tier-2 walks the matched annotations' registered-view backrefs and
+    /// returns each view that (a) is live at `req.at` — **the caller's
+    /// pinned clock, not the service's** — so a job pinned to its
+    /// submission time never sees a view that expired mid-flight or was
+    /// published after it started; (b) carries a subsumption descriptor;
+    /// and (c) passes the cheap feature-vector gate against at least one of
+    /// the request's `probes`. Everything else is counted as a tier-2
+    /// reject and never reaches plan inspection.
     ///
     /// **Fault-injection contract:** when the installed injector fires
-    /// [`FaultSite::MetadataLookup`] for `job`, the call returns
+    /// [`FaultSite::MetadataLookup`] for `req.job`, the call returns
     /// `ServiceUnavailable` and the index is never consulted. The runtime
     /// retries with backoff and then falls back to the baseline plan
     /// (DESIGN.md "Fault tolerance & degradation").
-    pub fn relevant_views_for(&self, job: JobId, job_tags: &[Symbol]) -> Result<LookupResponse> {
-        self.lookup(&LookupRequest::new(job, job_tags, self.clock.now()))
-    }
-
-    /// The single pinned-time cascade lookup:
-    /// [`MetadataService::relevant_views_for`] plus the tier-2 candidate
-    /// scan, judged at the request's pinned submission time (`req.at`).
-    ///
-    /// Tier-1 is unchanged — every tag-matching annotation is returned with
-    /// no time filtering (annotation GC is the janitor's job, and the
-    /// optimizer still has to rebuild views whose files expired). Tier-2
-    /// walks the matched annotations' registered-view backrefs and returns
-    /// each view that (a) is live at `req.at` — **the caller's pinned
-    /// clock, not the service's** — so a job pinned to its submission time
-    /// never sees a view that expired mid-flight or was published after it
-    /// started; (b) carries a subsumption descriptor; and (c) passes the
-    /// cheap feature-vector gate against at least one of the request's
-    /// `probes`. Everything else is counted as a tier-2 reject and never
-    /// reaches plan inspection.
     pub fn lookup(&self, req: &LookupRequest) -> Result<LookupResponse> {
         let (job, job_tags, probes, at) = (req.job, &req.tags, &req.probes, req.at);
         if self.injected_failure(FaultSite::MetadataLookup, job) {
@@ -647,23 +640,6 @@ impl MetadataService {
     pub fn lookup_latency(&self) -> SimDuration {
         let ms = 13.12 + 5.88 / self.service_threads as f64;
         SimDuration::from_secs_f64(ms / 1e3)
-    }
-
-    /// Thin default-now wrapper over [`MetadataService::propose`]: a
-    /// proposal pinned at the service clock's current reading, for callers
-    /// outside a submission wave (admin tooling, single-job tests).
-    pub fn propose_now(
-        &self,
-        precise: Sig128,
-        job: JobId,
-        lock_ttl: SimDuration,
-    ) -> Result<LockOutcome> {
-        self.propose(&ProposeRequest::new(
-            precise,
-            job,
-            lock_ttl,
-            self.clock.now(),
-        ))
     }
 
     /// Figure 9 steps 3/4: propose to materialize `req.precise`. Grants an
@@ -948,10 +924,6 @@ impl MetadataService {
     /// View lookup as of an explicit time (used by the runtime to pin a
     /// job's visibility to its submission time under overlapped arrivals).
     pub fn view_available_at(&self, precise: Sig128, now: SimTime) -> Option<AvailableView> {
-        self.lookup_view(precise, now)
-    }
-
-    fn lookup_view(&self, precise: Sig128, now: SimTime) -> Option<AvailableView> {
         let views = self.sig_shard(precise).views.read();
         views
             .get(&precise)
@@ -983,7 +955,13 @@ impl MetadataService {
     /// future lookups forever). The storage manager purges the
     /// corresponding files.
     pub fn purge_expired(&self) -> PurgeSweep {
-        let now = self.clock.now();
+        self.purge_expired_at(self.clock.now())
+    }
+
+    /// [`MetadataService::purge_expired`] at an explicit instant, so
+    /// [`CloudViews::purge_expired`](crate::CloudViews::purge_expired) can
+    /// judge metadata and storage expiry at the same one.
+    pub(crate) fn purge_expired_at(&self, now: SimTime) -> PurgeSweep {
         let mut total = PurgeSweep::default();
         for index in 0..self.shards.len() {
             self.log_event(&WalEvent::PurgeShard {
@@ -1046,17 +1024,13 @@ impl MetadataService {
     /// The annotations that drove the removed views — and their inverted-
     /// index entries — go with them unless another live view still needs
     /// them, so a reclaimed or lost view stops matching future lookups.
-    pub fn unregister_views(&self, precise: &[Sig128]) {
-        self.unregister_views_at(precise, self.clock.now());
-    }
-
-    /// [`MetadataService::unregister_views`] at an explicit pinned time.
-    /// The time decides which *other* views still keep a swept annotation
+    ///
+    /// `now` decides which *other* views still keep a swept annotation
     /// alive, so callers that pin visibility (the runtime's dead-view
     /// fallback) and WAL replay must pass the instant they observed — a
     /// live-clock read here would let replay GC annotations that were
     /// still live at the recorded timestamp.
-    pub fn unregister_views_at(&self, precise: &[Sig128], now: SimTime) {
+    pub fn unregister_views(&self, precise: &[Sig128], now: SimTime) {
         self.log_event(&WalEvent::Unregister {
             precise: precise.to_vec(),
             now,
@@ -1413,27 +1387,6 @@ impl MetadataService {
     }
 }
 
-impl ViewServices for MetadataService {
-    fn view_available(&self, precise: Sig128) -> Option<AvailableView> {
-        self.lookup_view(precise, self.clock.now())
-    }
-
-    fn propose_materialize(
-        &self,
-        precise: Sig128,
-        _normalized: Sig128,
-        job: JobId,
-        lock_ttl: SimDuration,
-    ) -> bool {
-        // An injected propose fault surfaces as "lock not granted": the
-        // optimizer simply skips that materialization.
-        matches!(
-            self.propose_now(precise, job, lock_ttl),
-            Ok(LockOutcome::Acquired)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1639,6 +1592,7 @@ mod tests {
         // No probes → no tier-2 work, no tier-2 latency, identical answers
         // to the pre-cascade service.
         let m = service();
+        let now = m.clock().now();
         let (view_precise, view_norm, view_desc) = filter_descriptor(0);
         m.load_annotations(&[selected(view_norm, &["in/a.ss"])]);
         m.register(
@@ -1652,7 +1606,7 @@ mod tests {
             .with_descriptor(Some(view_desc)),
         );
         let r = m
-            .relevant_views_for(JobId::new(2), &["in/a.ss".into()])
+            .lookup(&LookupRequest::new(JobId::new(2), &["in/a.ss".into()], now))
             .unwrap();
         assert_eq!(r.annotations.len(), 1);
         assert!(r.tier2.is_empty());
@@ -1664,6 +1618,7 @@ mod tests {
     #[test]
     fn inverted_index_lookup() {
         let m = service();
+        let now = m.clock().now();
         let n1 = sip128(b"n1");
         let n2 = sip128(b"n2");
         m.load_annotations(&[
@@ -1671,20 +1626,21 @@ mod tests {
             selected(n2, &["in/c.ss"]),
         ]);
         assert_eq!(m.num_annotations(), 2);
-        let job = JobId::new(1);
-        let r = m.relevant_views_for(job, &["in/b.ss".into()]).unwrap();
+        let lookup = |tags: &[Symbol]| {
+            m.lookup(&LookupRequest::new(JobId::new(1), tags, now))
+                .unwrap()
+        };
+        let r = lookup(&["in/b.ss".into()]);
         assert_eq!(r.annotations.len(), 1);
         assert_eq!(r.annotations[0].normalized, n1);
         assert_eq!(r.hit_count, 1);
         assert!(r.latency > SimDuration::ZERO);
         // Multi-tag job gets the union.
-        let r = m
-            .relevant_views_for(job, &["in/a.ss".into(), "in/c.ss".into()])
-            .unwrap();
+        let r = lookup(&["in/a.ss".into(), "in/c.ss".into()]);
         assert_eq!(r.annotations.len(), 2);
         assert_eq!(r.hit_count, 2);
         // Unknown tags: empty.
-        let r = m.relevant_views_for(job, &["in/zzz.ss".into()]).unwrap();
+        let r = lookup(&["in/zzz.ss".into()]);
         assert!(r.annotations.is_empty());
         assert_eq!(r.hit_count, 0);
         assert_eq!(m.stats().lookups, 3);
@@ -1696,6 +1652,7 @@ mod tests {
         // against; it must be behaviorally identical to the sharded layout.
         for shards in [1usize, 4, 16] {
             let m = MetadataService::with_shards(Arc::new(SimClock::new()), 1, shards);
+            let now = m.clock().now();
             assert_eq!(m.num_shards(), shards);
             let views: Vec<SelectedView> = (0..64)
                 .map(|i| {
@@ -1709,9 +1666,8 @@ mod tests {
             assert_eq!(m.num_annotations(), 64);
             assert_eq!(m.num_inverted_entries(), 64);
             assert_eq!(m.num_tag_buckets(), 8);
-            let r = m
-                .relevant_views_for(JobId::new(1), &["in/s3.ss".into()])
-                .unwrap();
+            let req = LookupRequest::new(JobId::new(1), &["in/s3.ss".into()], now);
+            let r = m.lookup(&req).unwrap();
             assert_eq!(r.annotations.len(), 8, "shards={shards}");
         }
     }
@@ -1719,9 +1675,12 @@ mod tests {
     #[test]
     fn reload_replaces_annotations() {
         let m = service();
+        let now = m.clock().now();
         m.load_annotations(&[selected(sip128(b"old"), &["t"])]);
         m.load_annotations(&[selected(sip128(b"new"), &["t"])]);
-        let r = m.relevant_views_for(JobId::new(1), &["t".into()]).unwrap();
+        let r = m
+            .lookup(&LookupRequest::new(JobId::new(1), &["t".into()], now))
+            .unwrap();
         assert_eq!(r.annotations.len(), 1);
         assert_eq!(r.annotations[0].normalized, sip128(b"new"));
     }
@@ -1729,22 +1688,18 @@ mod tests {
     #[test]
     fn exclusive_lock_protocol() {
         let m = service();
+        let now = m.clock().now();
         let p = sip128(b"view");
         let ttl = SimDuration::from_secs(60);
-        assert_eq!(
-            m.propose_now(p, JobId::new(1), ttl).unwrap(),
-            LockOutcome::Acquired
-        );
+        let propose = |job| {
+            m.propose(&ProposeRequest::new(p, JobId::new(job), ttl, now))
+                .unwrap()
+        };
+        assert_eq!(propose(1), LockOutcome::Acquired);
         // Second job is refused.
-        assert_eq!(
-            m.propose_now(p, JobId::new(2), ttl).unwrap(),
-            LockOutcome::AlreadyLocked
-        );
+        assert_eq!(propose(2), LockOutcome::AlreadyLocked);
         // The holder itself may re-propose (idempotent re-acquire).
-        assert_eq!(
-            m.propose_now(p, JobId::new(1), ttl).unwrap(),
-            LockOutcome::Acquired
-        );
+        assert_eq!(propose(1), LockOutcome::Acquired);
         // After the build is reported, proposals see AlreadyMaterialized.
         m.report(ReportRequest::new(
             a_view(p),
@@ -1754,10 +1709,7 @@ mod tests {
             SimTime::MAX,
         ))
         .unwrap();
-        assert_eq!(
-            m.propose_now(p, JobId::new(3), ttl).unwrap(),
-            LockOutcome::AlreadyMaterialized
-        );
+        assert_eq!(propose(3), LockOutcome::AlreadyMaterialized);
         let stats = m.stats();
         assert_eq!(stats.lock_conflicts, 1);
         assert_eq!(stats.views_registered, 1);
@@ -1768,15 +1720,16 @@ mod tests {
         let clock = Arc::new(SimClock::new());
         let m = MetadataService::new(Arc::clone(&clock), 1);
         let p = sip128(b"crashy");
+        let ttl = SimDuration::from_secs(10);
         assert_eq!(
-            m.propose_now(p, JobId::new(1), SimDuration::from_secs(10))
+            m.propose(&ProposeRequest::new(p, JobId::new(1), ttl, clock.now()))
                 .unwrap(),
             LockOutcome::Acquired
         );
         // Builder "crashes"; 11 seconds later another job may take over.
         clock.advance(SimDuration::from_secs(11));
         assert_eq!(
-            m.propose_now(p, JobId::new(2), SimDuration::from_secs(10))
+            m.propose(&ProposeRequest::new(p, JobId::new(2), ttl, clock.now()))
                 .unwrap(),
             LockOutcome::Acquired
         );
@@ -1797,11 +1750,14 @@ mod tests {
             SimTime(10_000_000),
         ))
         .unwrap();
-        assert!(m.view_available(p).is_none(), "not yet available");
+        assert!(
+            m.view_available_at(p, clock.now()).is_none(),
+            "not yet available"
+        );
         clock.advance(SimDuration::from_secs(6));
-        assert!(m.view_available(p).is_some());
+        assert!(m.view_available_at(p, clock.now()).is_some());
         clock.advance(SimDuration::from_secs(10));
-        assert!(m.view_available(p).is_none(), "expired");
+        assert!(m.view_available_at(p, clock.now()).is_none(), "expired");
         assert_eq!(m.purge_expired().views_purged, 1);
         assert_eq!(m.num_views(), 0);
     }
@@ -1809,6 +1765,7 @@ mod tests {
     #[test]
     fn unregister_clears_metadata_first() {
         let m = service();
+        let now = m.clock().now();
         let p = sip128(b"gone");
         m.report(ReportRequest::new(
             a_view(p),
@@ -1818,8 +1775,8 @@ mod tests {
             SimTime::MAX,
         ))
         .unwrap();
-        m.unregister_views(&[p]);
-        assert!(m.view_available(p).is_none());
+        m.unregister_views(&[p], now);
+        assert!(m.view_available_at(p, now).is_none());
     }
 
     #[test]
@@ -1828,6 +1785,7 @@ mod tests {
         // must drop its driving annotation and drain the tag buckets, or
         // the entries keep matching future lookups forever.
         let m = service();
+        let now = m.clock().now();
         let n = sip128(b"norm");
         let p = sip128(b"precise");
         m.load_annotations(&[selected(n, &["in/a.ss", "in/b.ss"])]);
@@ -1841,12 +1799,12 @@ mod tests {
         assert_eq!(m.num_annotations(), 1);
         assert_eq!(m.num_inverted_entries(), 2);
 
-        m.unregister_views(&[p]);
+        m.unregister_views(&[p], now);
         assert_eq!(m.num_annotations(), 0, "annotation leaked");
         assert_eq!(m.num_inverted_entries(), 0, "inverted entries leaked");
         assert_eq!(m.num_tag_buckets(), 0, "empty tag buckets not drained");
         let r = m
-            .relevant_views_for(JobId::new(2), &["in/a.ss".into()])
+            .lookup(&LookupRequest::new(JobId::new(2), &["in/a.ss".into()], now))
             .unwrap();
         assert!(r.annotations.is_empty(), "dead view still matches lookups");
         assert_eq!(m.stats().purged_annotations, 1);
@@ -1857,6 +1815,7 @@ mod tests {
         // Two recurring instances share one normalized annotation; killing
         // one instance's view must not strand the other's reuse.
         let m = service();
+        let now = m.clock().now();
         let n = sip128(b"norm");
         let (p1, p2) = (sip128(b"inst1"), sip128(b"inst2"));
         m.load_annotations(&[selected(n, &["in/a.ss"])]);
@@ -1874,10 +1833,10 @@ mod tests {
             SimTime::ZERO,
             SimTime::MAX,
         ));
-        m.unregister_views(&[p1]);
+        m.unregister_views(&[p1], now);
         assert_eq!(m.num_annotations(), 1, "live view's annotation was swept");
         assert_eq!(m.num_inverted_entries(), 1);
-        m.unregister_views(&[p2]);
+        m.unregister_views(&[p2], now);
         assert_eq!(m.num_annotations(), 0);
         assert_eq!(m.num_inverted_entries(), 0);
     }
@@ -2020,14 +1979,16 @@ mod tests {
     fn concurrent_proposals_single_winner() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let m = Arc::new(service());
+        let now = m.clock().now();
         let p = sip128(b"contended");
+        let ttl = SimDuration::from_secs(60);
         let wins = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..16)
             .map(|i| {
                 let m = Arc::clone(&m);
                 let wins = Arc::clone(&wins);
                 std::thread::spawn(move || {
-                    if m.propose_now(p, JobId::new(i), SimDuration::from_secs(60))
+                    if m.propose(&ProposeRequest::new(p, JobId::new(i), ttl, now))
                         .unwrap()
                         == LockOutcome::Acquired
                     {
@@ -2050,19 +2011,19 @@ mod tests {
         let clock = Arc::new(SimClock::new());
         let m = Arc::new(MetadataService::new(Arc::clone(&clock), 1));
         let p = sip128(b"crashed-builder");
+        let short = SimDuration::from_secs(10);
         assert_eq!(
-            m.propose_now(p, JobId::new(99), SimDuration::from_secs(10))
+            m.propose(&ProposeRequest::new(p, JobId::new(99), short, clock.now()))
                 .unwrap(),
             LockOutcome::Acquired
         );
         clock.advance(SimDuration::from_secs(11)); // builder crashed; lock lapsed
+        let takeover =
+            |i| ProposeRequest::new(p, JobId::new(i), SimDuration::from_secs(60), clock.now());
         let handles: Vec<_> = (0..12)
             .map(|i| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    m.propose_now(p, JobId::new(i), SimDuration::from_secs(60))
-                        .unwrap()
-                })
+                let (m, req) = (Arc::clone(&m), takeover(i));
+                std::thread::spawn(move || m.propose(&req).unwrap())
             })
             .collect();
         let outcomes: Vec<LockOutcome> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -2087,13 +2048,15 @@ mod tests {
         // Acquired for the contender below is through that race window.
         for round in 0..50u64 {
             let m = Arc::new(service());
+            let now = m.clock().now();
             let p = sip128(format!("race{round}").as_bytes());
             let ttl = SimDuration::from_secs(3600);
             // Acquire before spawning the contender so the race under test
             // is propose-vs-registration, not propose-vs-propose (under
             // load the contender could otherwise win the first propose).
             assert_eq!(
-                m.propose_now(p, JobId::new(1), ttl).unwrap(),
+                m.propose(&ProposeRequest::new(p, JobId::new(1), ttl, now))
+                    .unwrap(),
                 LockOutcome::Acquired
             );
             let builder = {
@@ -2112,7 +2075,10 @@ mod tests {
             let contender = {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || loop {
-                    match m.propose_now(p, JobId::new(2), ttl).unwrap() {
+                    match m
+                        .propose(&ProposeRequest::new(p, JobId::new(2), ttl, now))
+                        .unwrap()
+                    {
                         LockOutcome::Acquired => break false,
                         LockOutcome::AlreadyMaterialized => break true,
                         LockOutcome::AlreadyLocked => std::hint::spin_loop(),
@@ -2207,6 +2173,7 @@ mod tests {
     fn injected_lookup_propose_and_report_faults() {
         use crate::faults::{FaultPlan, ScriptedFault};
         let m = service();
+        let now = m.clock().now();
         m.load_annotations(&[selected(sip128(b"n"), &["t"])]);
         let job = JobId::new(5);
         let p = sip128(b"v");
@@ -2235,20 +2202,16 @@ mod tests {
         m.set_fault_injector(Some(FaultInjector::new(plan)));
         let ttl = SimDuration::from_secs(60);
 
-        let err = m.relevant_views_for(job, &["t".into()]).unwrap_err();
+        let lookup = LookupRequest::new(job, &["t".into()], now);
+        let err = m.lookup(&lookup).unwrap_err();
         assert_eq!(err.kind(), "service_unavailable");
         assert!(err.is_degradable());
         // Retry succeeds (call index 1).
-        assert_eq!(
-            m.relevant_views_for(job, &["t".into()])
-                .unwrap()
-                .annotations
-                .len(),
-            1
-        );
+        assert_eq!(m.lookup(&lookup).unwrap().annotations.len(), 1);
 
-        assert!(m.propose_now(p, job, ttl).is_err());
-        assert_eq!(m.propose_now(p, job, ttl).unwrap(), LockOutcome::Acquired);
+        let propose = ProposeRequest::new(p, job, ttl, now);
+        assert!(m.propose(&propose).is_err());
+        assert_eq!(m.propose(&propose).unwrap(), LockOutcome::Acquired);
 
         assert!(m
             .report(ReportRequest::new(
@@ -2285,7 +2248,9 @@ mod tests {
             (1, 1, 1)
         );
         // Other jobs are untouched by the scripted plan.
-        assert!(m.relevant_views_for(JobId::new(6), &["t".into()]).is_ok());
+        assert!(m
+            .lookup(&LookupRequest::new(JobId::new(6), &["t".into()], now))
+            .is_ok());
     }
 
     #[test]

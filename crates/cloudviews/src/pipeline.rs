@@ -315,7 +315,7 @@ impl Stage for ExecuteStage {
                             // anywhere, and a wall-clock read here could GC
                             // annotations that were live at the recorded
                             // instant.
-                            cv.metadata.unregister_views_at(&[r.precise], ctx.start);
+                            cv.metadata.unregister_views(&[r.precise], ctx.start);
                             cv.storage.delete_view(r.precise);
                             ctx.faults.dead_views_unregistered += 1;
                         }
@@ -738,14 +738,11 @@ impl CloudViews {
     /// [`CloudViews::run_many`] with an explicit submission time and an
     /// optional sharing-window coordinator ([`CloudViews::run_windowed`]).
     ///
-    /// Without a window this is byte-for-byte the classic driver. With one,
-    /// two things change: scheduling is readiness-gated (a follower is not
+    /// A window changes only *where the next slot comes from*: its
+    /// readiness gate instead of the stealing deques (a follower is not
     /// dispatched until every entry it awaits is published or aborted, so a
-    /// blocked follower can never occupy a worker its producer needs), and
-    /// every job — success, error, *or caught panic* — resolves its window
-    /// entries on the way out. That resolve is the publish-or-abort signal
-    /// followers wait on: a producer that dies wakes its waiters into the
-    /// recompute fallback instead of leaving them hanging.
+    /// blocked follower can never occupy a worker its producer needs).
+    /// Every slot, however scheduled, runs through the one body below.
     pub(crate) fn run_many_inner(
         &self,
         specs: Vec<JobSpec>,
@@ -766,139 +763,89 @@ impl CloudViews {
             options.workers
         }
         .clamp(1, n);
-        let max_in_flight = if options.max_in_flight == 0 {
-            n
-        } else {
-            options.max_in_flight
-        };
-        // One effective worker needs none of the pool machinery — the
-        // queues, the admission semaphore, and the spawned thread only add
-        // overhead (the pooled path used to run ~12% slower than the serial
-        // driver on a single-core host). Run inline on the calling thread;
-        // panic isolation, result order, and the janitor cadence are
-        // identical to the pooled path. Submission order dispatches every
-        // producer before its followers (producers are the earliest job of
-        // their group), so the window's readiness gate is trivially met.
-        if workers == 1 {
-            return specs
-                .iter()
-                .enumerate()
-                .map(|(slot, spec)| {
-                    let job = spec.id;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)))
-                    }));
-                    if let Some(w) = window {
-                        w.resolve_job(slot);
-                    }
-                    let result = match outcome {
-                        Ok(result) => result,
-                        Err(payload) => Err(ScopeError::Execution(format!(
-                            "job {job} thread panicked: {}",
-                            panic_message(payload.as_ref())
-                        ))),
-                    };
-                    if options.janitor {
-                        self.metadata.purge_next_shard();
-                    }
-                    result
-                })
-                .collect();
-        }
-        let admission = Admission::new(max_in_flight);
         let results: Vec<Mutex<Option<Result<JobRunReport>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let specs = &specs;
-        let admission = &admission;
-        let results = &results;
-        if let Some(w) = window {
-            // Windowed pool: workers pull from the coordinator's readiness
-            // gate instead of the stealing deques. The admission permit is
-            // acquired only *after* a ready slot is claimed, so a parked
-            // worker never pins a permit a producer needs.
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move || {
-                        while let Some(slot) = w.next_ready() {
-                            let (_permit, waited) = admission.acquire();
-                            if waited {
-                                self.metrics.pipeline_admission_waits.inc();
-                            }
-                            let spec = &specs[slot];
-                            let job = spec.id;
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_job_shared(spec, mode, start, Some((w, slot)))
-                            }));
-                            // Publish-or-abort, on *every* exit path: any
-                            // entry this job still owes is aborted and its
-                            // waiters wake into the recompute fallback.
-                            w.resolve_job(slot);
-                            let result = match outcome {
-                                Ok(result) => result,
-                                Err(payload) => Err(ScopeError::Execution(format!(
-                                    "job {job} thread panicked: {}",
-                                    panic_message(payload.as_ref())
-                                ))),
-                            };
-                            *results[slot].lock().expect("result slot poisoned") = Some(result);
-                            if options.janitor {
-                                self.metadata.purge_next_shard();
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            let queues: Vec<Mutex<VecDeque<usize>>> =
-                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-            for idx in 0..n {
-                queues[idx % workers]
-                    .lock()
-                    .expect("queue poisoned")
-                    .push_back(idx);
+        // The per-job body — the only place a job runs.
+        let run_slot = |slot: usize| {
+            let spec = &specs[slot];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)))
+            }));
+            // Publish-or-abort, on *every* exit path — success, error, or
+            // caught panic: any entry this job still owes is aborted and
+            // its waiters wake into the recompute fallback instead of
+            // hanging on a dead producer.
+            if let Some(w) = window {
+                w.resolve_job(slot);
             }
-            let queues = &queues;
+            let result = outcome.unwrap_or_else(|payload| {
+                Err(ScopeError::Execution(format!(
+                    "job {} thread panicked: {}",
+                    spec.id,
+                    panic_message(payload.as_ref())
+                )))
+            });
+            *results[slot].lock().expect("result slot poisoned") = Some(result);
+            if options.janitor {
+                // Background janitor stage: whoever just finished a job
+                // sweeps one metadata shard.
+                self.metadata.purge_next_shard();
+            }
+        };
+        if workers == 1 {
+            // One effective worker needs none of the pool machinery — the
+            // queues, the admission semaphore, and the spawned thread only
+            // add overhead (the pooled path used to run ~12% slower than
+            // the serial driver on a single-core host). Submission order
+            // dispatches every producer before its followers (producers
+            // are the earliest job of their group), so the window's
+            // readiness gate is trivially met.
+            (0..n).for_each(run_slot);
+        } else {
+            let admission = Admission::new(match options.max_in_flight {
+                0 => n,
+                bound => bound,
+            });
+            // Without a window, jobs are dealt round-robin onto per-worker
+            // stealing deques.
+            let queues: Vec<Mutex<VecDeque<usize>>> = match window {
+                Some(_) => Vec::new(),
+                None => (0..workers)
+                    .map(|worker| Mutex::new((worker..n).step_by(workers).collect()))
+                    .collect(),
+            };
+            let next_slot = |worker: usize| match window {
+                Some(w) => w.next_ready(),
+                None => next_job(&queues, worker).map(|(slot, stolen)| {
+                    if stolen {
+                        self.metrics.pipeline_steals.inc();
+                    }
+                    slot
+                }),
+            };
+            let (admission, next_slot, run_slot) = (&admission, &next_slot, &run_slot);
             std::thread::scope(|scope| {
                 for worker in 0..workers {
                     scope.spawn(move || {
-                        while let Some((idx, stolen)) = next_job(queues, worker) {
-                            if stolen {
-                                self.metrics.pipeline_steals.inc();
-                            }
+                        // The permit is acquired only *after* a slot is
+                        // claimed, so a worker parked on the readiness gate
+                        // never pins a permit a producer needs.
+                        while let Some(slot) = next_slot(worker) {
                             let (_permit, waited) = admission.acquire();
                             if waited {
                                 self.metrics.pipeline_admission_waits.inc();
                             }
-                            let spec = &specs[idx];
-                            let job = spec.id;
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_job_at(spec, mode, start)
-                            }));
-                            let result = match outcome {
-                                Ok(result) => result,
-                                Err(payload) => Err(ScopeError::Execution(format!(
-                                    "job {job} thread panicked: {}",
-                                    panic_message(payload.as_ref())
-                                ))),
-                            };
-                            *results[idx].lock().expect("result slot poisoned") = Some(result);
-                            if options.janitor {
-                                // Background janitor stage: the worker that
-                                // just finished a job sweeps one metadata
-                                // shard.
-                                self.metadata.purge_next_shard();
-                            }
+                            run_slot(slot);
                         }
                     });
                 }
             });
         }
         results
-            .iter()
+            .into_iter()
             .map(|slot| {
-                slot.lock()
+                slot.into_inner()
                     .expect("result slot poisoned")
-                    .take()
                     .expect("every job produced a result")
             })
             .collect()
@@ -979,28 +926,76 @@ mod tests {
 
     #[test]
     fn run_many_isolates_a_panicking_job() {
-        let (cv, workload) = setup();
-        workload
-            .register_instance_data(0, 0, &cv.storage, 1.0)
-            .unwrap();
-        let mut jobs = workload.jobs_for_instance(0, 0).unwrap();
-        // Point one job at data that was never registered: it fails alone.
-        let broken = workload.jobs_for_instance(0, 1).unwrap().remove(0);
-        let broken_id = broken.id;
-        jobs.push(broken);
-        let results = cv.run_many(
-            jobs,
-            RunMode::Baseline,
-            PipelineOptions {
-                workers: 2,
-                max_in_flight: 0,
-                janitor: false,
-            },
-        );
-        let (ok, failed): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.is_ok());
-        assert_eq!(failed.len(), 1, "exactly the broken job fails");
-        assert_eq!(ok.len(), results.len() - 1);
-        let _ = broken_id;
+        for workers in [1, 2] {
+            let (cv, workload) = setup();
+            workload
+                .register_instance_data(0, 0, &cv.storage, 1.0)
+                .unwrap();
+            let mut jobs = workload.jobs_for_instance(0, 0).unwrap();
+            // Point one job at data that was never registered: it fails alone.
+            let broken_slot = jobs.len();
+            jobs.push(workload.jobs_for_instance(0, 1).unwrap().remove(0));
+            let results = cv.run_many(
+                jobs,
+                RunMode::Baseline,
+                PipelineOptions {
+                    workers,
+                    max_in_flight: 0,
+                    janitor: false,
+                },
+            );
+            let failed: Vec<usize> = (0..results.len())
+                .filter(|&slot| results[slot].is_err())
+                .collect();
+            assert_eq!(
+                failed,
+                vec![broken_slot],
+                "workers={workers}: exactly the broken job fails, in its own slot"
+            );
+        }
+    }
+
+    #[test]
+    fn janitor_sweeps_every_shard_inline_and_pooled() {
+        // One shard per finished job, whichever path ran it: a batch of at
+        // least `num_shards` jobs leaves no expired view behind.
+        for workers in [1, 3] {
+            let (cv, workload) = setup();
+            let mut jobs = Vec::new();
+            for instance in 0..2 {
+                workload
+                    .register_instance_data(0, instance, &cv.storage, 1.0)
+                    .unwrap();
+                jobs.extend(workload.jobs_for_instance(0, instance).unwrap());
+            }
+            assert!(jobs.len() >= cv.metadata.num_shards());
+            for i in 0..64u64 {
+                cv.metadata.register(ReportRequest::new(
+                    scope_engine::optimizer::AvailableView {
+                        precise: scope_common::sip128(&i.to_le_bytes()),
+                        rows: 1,
+                        bytes: 1,
+                        props: scope_plan::PhysicalProps::any(),
+                    },
+                    Sig128::ZERO,
+                    JobId::new(i),
+                    SimTime::ZERO,
+                    SimTime::ZERO, // already expired
+                ));
+            }
+            assert_eq!(cv.metadata.num_views(), 64);
+            let reports = cv.run_many(
+                jobs,
+                RunMode::Baseline,
+                PipelineOptions {
+                    workers,
+                    max_in_flight: 0,
+                    janitor: true,
+                },
+            );
+            assert!(reports.iter().all(|r| r.is_ok()));
+            assert_eq!(cv.metadata.num_views(), 0, "workers={workers}");
+        }
     }
 
     #[test]

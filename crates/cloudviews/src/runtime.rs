@@ -63,7 +63,7 @@ use crate::api::LookupRequest;
 use crate::codec::{get_sigs, get_time, put_sigs, put_time};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::metadata::MetadataService;
-use crate::pipeline::{self, PipelineOptions};
+use crate::pipeline;
 use crate::sharing::WindowContext;
 use crate::store::{DurableStore, WalEvent};
 use scope_common::codec::{CodecError, Dec, Enc};
@@ -366,9 +366,8 @@ pub struct CloudViews {
 }
 
 /// Fluent construction for [`CloudViews`]: every collaborating service
-/// (clock, fault plan, degradation policy, telemetry sink) is wired up
-/// before the service exists, so no caller can observe a half-configured
-/// runtime.
+/// (clock, telemetry sink, durable store) is wired up before the service
+/// exists, so no caller can observe a half-configured runtime.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -383,20 +382,12 @@ pub struct CloudViews {
 pub struct CloudViewsBuilder {
     storage: Arc<StorageManager>,
     clock: Arc<SimClock>,
-    metadata_threads: usize,
-    metadata_shards: usize,
-    cost: CostModel,
-    cluster: ClusterConfig,
     max_materialize_per_job: usize,
     early_materialization: bool,
     subsumption: bool,
     record_runs: bool,
-    degradation: DegradationPolicy,
-    fault_plan: Option<FaultPlan>,
     telemetry: Arc<Telemetry>,
-    templates: Arc<TemplateCache>,
     incremental_analyzer: Option<AnalyzerConfig>,
-    analyzer_workers: usize,
     durable: Option<PathBuf>,
     snapshot_threshold: u64,
 }
@@ -408,20 +399,12 @@ impl CloudViewsBuilder {
         CloudViewsBuilder {
             storage,
             clock: Arc::new(SimClock::new()),
-            metadata_threads: 5,
-            metadata_shards: 16,
-            cost: CostModel::default(),
-            cluster: ClusterConfig::default(),
             max_materialize_per_job: 1,
             early_materialization: true,
             subsumption: true,
             record_runs: true,
-            degradation: DegradationPolicy::default(),
-            fault_plan: None,
             telemetry: Telemetry::new(),
-            templates: Arc::new(TemplateCache::new()),
             incremental_analyzer: None,
-            analyzer_workers: 1,
             durable: None,
             snapshot_threshold: crate::store::DEFAULT_SNAPSHOT_THRESHOLD,
         }
@@ -451,33 +434,6 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// Metadata service thread count (affects modeled lookup latency).
-    /// `build` clamps `0` to 1; `try_build` rejects it with a typed error.
-    pub fn metadata_threads(mut self, threads: usize) -> Self {
-        self.metadata_threads = threads;
-        self
-    }
-
-    /// Metadata service shard count (clamped to a power of two in
-    /// `1..=1024`). `1` gives the pre-shard global-lock layout, useful as
-    /// a contention baseline.
-    pub fn metadata_shards(mut self, shards: usize) -> Self {
-        self.metadata_shards = shards;
-        self
-    }
-
-    /// Cost model used for execution accounting.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Cluster/VC execution parameters.
-    pub fn cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
     /// Per-job cap on materialized views.
     pub fn max_materialize_per_job(mut self, max: usize) -> Self {
         self.max_materialize_per_job = max;
@@ -502,30 +458,10 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// How to absorb failures.
-    pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = policy;
-        self
-    }
-
-    /// Installs a fault plan at construction; read the injected-fault
-    /// ledger afterwards via [`CloudViews::faults`].
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Shares a telemetry sink (e.g. one registry across services, or a
     /// disabled sink for overhead baselines).
     pub fn telemetry(mut self, sink: Arc<Telemetry>) -> Self {
         self.telemetry = sink;
-        self
-    }
-
-    /// Shares a compile-path template cache (e.g. one cache across service
-    /// instances, or a pre-warmed cache in benchmarks).
-    pub fn template_cache(mut self, templates: Arc<TemplateCache>) -> Self {
-        self.templates = templates;
         self
     }
 
@@ -538,58 +474,30 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// Worker threads for the analyzer's parallel overlap fold (`0` = one
-    /// per available core; the fold runs inline when one worker suffices).
-    pub fn analyzer_workers(mut self, workers: usize) -> Self {
-        self.analyzer_workers = workers;
-        self
-    }
-
-    /// Like [`CloudViewsBuilder::build`], but rejects configurations the
-    /// infallible path silently corrects: `metadata_threads == 0` would
-    /// make the modeled lookup latency divide by zero (the service clamps
-    /// it, but a caller setting 0 explicitly almost certainly miscomputed
-    /// a thread count and should hear about it).
-    pub fn try_build(self) -> Result<CloudViews> {
-        if self.metadata_threads == 0 {
-            return Err(ScopeError::Metadata(
-                "metadata_threads must be >= 1 (the modeled lookup latency \
-                 divides the service term by the thread count)"
-                    .into(),
-            ));
-        }
-        self.build_inner()
-    }
-
     /// Assembles the service: builds the metadata service on the shared
-    /// clock and wires the fault injector and telemetry sink into every
-    /// component.
+    /// clock and wires the telemetry sink into every component.
     ///
     /// Panics when [`CloudViewsBuilder::durable`] was set and opening or
     /// replaying the on-disk state fails; use
     /// [`CloudViewsBuilder::try_build`] to handle that as a `Result`.
     pub fn build(self) -> CloudViews {
-        self.build_inner()
+        self.try_build()
             .expect("CloudViews durable-state recovery failed")
     }
 
-    fn build_inner(self) -> Result<CloudViews> {
-        let metadata = Arc::new(MetadataService::with_shards(
-            Arc::clone(&self.clock),
-            self.metadata_threads,
-            self.metadata_shards,
-        ));
+    /// [`CloudViewsBuilder::build`] with a durable-state open or replay
+    /// failure returned instead of panicking.
+    pub fn try_build(self) -> Result<CloudViews> {
+        // 5 service threads is the paper's measured configuration (14.3 ms
+        // modeled lookups).
+        let metadata = Arc::new(MetadataService::new(Arc::clone(&self.clock), 5));
         metadata.set_telemetry(Some(Arc::clone(&self.telemetry)));
         self.storage
             .set_telemetry(Some(Arc::clone(&self.telemetry)));
-        let faults = self.fault_plan.map(FaultInjector::new);
-        if let Some(inj) = &faults {
-            metadata.set_fault_injector(Some(Arc::clone(inj)));
-        }
         let metrics = RuntimeMetrics::new(&self.telemetry);
         let analyzer = self
             .incremental_analyzer
-            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg, self.analyzer_workers)));
+            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg, 1)));
 
         let (repo, durable) = match &self.durable {
             Some(path) => {
@@ -662,16 +570,16 @@ impl CloudViewsBuilder {
             metadata,
             repo,
             clock: self.clock,
-            cost: self.cost,
-            cluster: self.cluster,
+            cost: CostModel::default(),
+            cluster: ClusterConfig::default(),
             max_materialize_per_job: self.max_materialize_per_job,
             early_materialization: self.early_materialization,
             subsumption: self.subsumption,
             record_runs: self.record_runs,
-            degradation: self.degradation,
-            faults,
+            degradation: DegradationPolicy::default(),
+            faults: None,
             telemetry: self.telemetry,
-            templates: self.templates,
+            templates: Arc::new(TemplateCache::new()),
             analyzer,
             durable,
             metrics,
@@ -1049,47 +957,13 @@ impl CloudViews {
         Ok(reports)
     }
 
-    /// Runs jobs all submitted at the same simulated time — the
-    /// concurrent-arrival scenario of Sections 6.4/6.5. Returns one
-    /// `Result` per job, in submission order: a job whose worker panics (or
-    /// errors) yields its own `Err` without aborting the driver or the
-    /// other jobs.
-    ///
-    /// This is [`CloudViews::run_many`] with one worker per job and no
-    /// admission bound (maximum contention on the build/use locks).
-    pub fn run_concurrent_results(
-        &self,
-        specs: Vec<JobSpec>,
-        mode: RunMode,
-    ) -> Vec<Result<JobRunReport>> {
-        let workers = specs.len().max(1);
-        self.run_many(
-            specs,
-            mode,
-            PipelineOptions {
-                workers,
-                max_in_flight: 0,
-                janitor: false,
-            },
-        )
-    }
-
-    /// Like [`CloudViews::run_concurrent_results`], collected into one
-    /// `Result`: the first failing job's error is returned, but only after
-    /// every job has finished (a pathological job cannot abort the driver
-    /// mid-flight).
-    pub fn run_concurrent(&self, specs: Vec<JobSpec>, mode: RunMode) -> Result<Vec<JobRunReport>> {
-        self.run_concurrent_results(specs, mode)
-            .into_iter()
-            .collect()
-    }
-
     /// Purges expired views from both the metadata service and storage
     /// (a full sweep of every metadata shard; the incremental alternative
     /// is the pipeline janitor, `PipelineOptions::janitor`).
     pub fn purge_expired(&self) -> PurgeReport {
-        let sweep = self.metadata.purge_expired();
-        let bytes_reclaimed = self.storage.purge_expired(self.clock.now());
+        let now = self.clock.now();
+        let sweep = self.metadata.purge_expired_at(now);
+        let bytes_reclaimed = self.storage.purge_expired(now);
         PurgeReport {
             views_purged: sweep.views_purged,
             annotations_purged: sweep.annotations_purged,
@@ -1213,12 +1087,18 @@ mod tests {
             .register_instance_data(0, 1, &cv.storage, 1.0)
             .unwrap();
         let day1 = workload.jobs_for_instance(0, 1).unwrap();
-        let reports = cv.run_concurrent(day1, RunMode::CloudViews).unwrap();
+        // One worker per job, unbounded admission: maximum contention on
+        // the build locks.
+        let options = crate::pipeline::PipelineOptions {
+            workers: day1.len(),
+            ..Default::default()
+        };
+        let reports = cv.run_many(day1, RunMode::CloudViews, options);
 
         // No view may be built by two jobs.
         let mut built: Vec<Sig128> = reports
             .iter()
-            .flat_map(|r| r.views_built.iter().copied())
+            .flat_map(|r| r.as_ref().unwrap().views_built.iter().copied())
             .collect();
         let before = built.len();
         built.sort_unstable();

@@ -891,6 +891,28 @@ pub mod json {
     }
 
     impl JsonValue {
+        /// Member lookup on objects; `None` on other variants or missing
+        /// keys.
+        pub fn get(&self, key: &str) -> Option<&JsonValue> {
+            self.as_object()?.get(key)
+        }
+
+        /// The value as a number, if it is one.
+        pub fn as_f64(&self) -> Option<f64> {
+            match self {
+                JsonValue::Number(n) => Some(*n),
+                _ => None,
+            }
+        }
+
+        /// The value as a boolean, if it is one.
+        pub fn as_bool(&self) -> Option<bool> {
+            match self {
+                JsonValue::Bool(b) => Some(*b),
+                _ => None,
+            }
+        }
+
         /// The value as an object, if it is one.
         pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
             match self {
@@ -1292,9 +1314,27 @@ mod tests {
         );
         assert_eq!(obj["d"], json::JsonValue::Null);
         assert_eq!(obj["e"], json::JsonValue::Bool(true));
+        // The accessors the bench gates read `BENCH_*.json` through.
+        assert_eq!(v.get("e").and_then(json::JsonValue::as_bool), Some(true));
+        assert_eq!(v.get("d"), Some(&json::JsonValue::Null));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(obj["a"].get("0"), None, "get is for objects only");
+        assert_eq!(json::parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
+        assert_eq!(json::parse("false").unwrap().as_bool(), Some(false));
+        assert_eq!(json::parse("\"1\"").unwrap().as_f64(), None);
+        assert_eq!(json::parse("[]").unwrap().as_array().unwrap().len(), 0);
         // Trailing garbage and malformed docs are rejected.
-        assert!(json::parse("{} x").is_none());
-        assert!(json::parse("{\"a\":}").is_none());
+        for bad in [
+            "{} x",
+            "{\"a\":}",
+            "{",
+            "[1,]",
+            "\"open",
+            "true false",
+            "{\"k\" 1}",
+        ] {
+            assert!(json::parse(bad).is_none(), "{bad}");
+        }
         // escape() output parses back to the original.
         let s = "weird \"chars\"\t\\ \u{1}";
         assert_eq!(json::parse(&json::escape(s)).unwrap().as_str().unwrap(), s);

@@ -9,13 +9,12 @@
 //!
 //! * [`wire`] — versioned, length-prefixed binary frames (magic, protocol
 //!   version, frame type, payload length), hand-rolled — no serde;
-//! * [`codec`] — bounds-checked encode/decode for every type that rides
-//!   the wire, sharing the exact `cloudviews::api` request structs the
-//!   in-process facade takes;
 //! * [`proto`] — typed [`Request`]/[`Response`] enums for the five
 //!   endpoints (`lookup`, `propose`, `report`, `purge`, `stats`) plus the
 //!   [`ErrorFrame`] mapping the [`ScopeError`](scope_common::ScopeError)
-//!   taxonomy;
+//!   taxonomy. Payloads are `cloudviews::codec` bytes — the same
+//!   bounds-checked encoders the durable log uses, over the exact
+//!   `cloudviews::api` request structs the in-process facade takes;
 //! * [`server`] — a threaded TCP server (`std::net`): one acceptor, a
 //!   fixed worker pool, a *bounded* pending queue that sheds `Busy` instead
 //!   of queueing without bound, and per-VC token-bucket quotas;
@@ -43,7 +42,6 @@
 //! ```
 
 pub mod client;
-pub mod codec;
 pub mod proto;
 pub mod server;
 pub mod wire;

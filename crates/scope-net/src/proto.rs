@@ -10,15 +10,15 @@
 //! (undecodable frame).
 
 use cloudviews::api::{LookupRequest, ProposeRequest, ReportRequest};
-use cloudviews::metadata::{LockOutcome, LookupResponse, MetadataStats, PurgeSweep};
-use scope_common::ScopeError;
-
-use crate::codec::{
+use cloudviews::codec::{
     get_lock_outcome, get_lookup_request, get_lookup_response, get_propose_request,
     get_purge_sweep, get_report_request, get_stats, put_lock_outcome, put_lookup_request,
-    put_lookup_response, put_propose_request, put_purge_sweep, put_report_request, put_stats, Dec,
-    Enc,
+    put_lookup_response, put_propose_request, put_purge_sweep, put_report_request, put_stats,
 };
+use cloudviews::metadata::{LockOutcome, LookupResponse, MetadataStats, PurgeSweep};
+use scope_common::codec::{Dec, Enc};
+use scope_common::ScopeError;
+
 use crate::wire::{frame_type, WireError};
 
 /// A request frame: one of the five front-door endpoints.

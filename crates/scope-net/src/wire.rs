@@ -9,7 +9,7 @@
 //! | 6      | 1    | frame type (see [`frame_type`])         |
 //! | 7      | 1    | reserved (must be 0)                    |
 //! | 8      | 4    | payload length (little-endian)          |
-//! | 12     | n    | payload ([`codec`](crate::codec) bytes) |
+//! | 12     | n    | payload (`cloudviews::codec` bytes)      |
 //!
 //! The header is fixed-size and validated before a single payload byte is
 //! read, so a malformed peer costs at most 12 bytes of buffering: bad magic,
@@ -113,6 +113,13 @@ impl fmt::Display for WireError {
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> WireError {
         WireError::Io(e)
+    }
+}
+
+/// Payload decoding keeps using `?`: a codec failure is a malformed frame.
+impl From<scope_common::codec::CodecError> for WireError {
+    fn from(e: scope_common::codec::CodecError) -> WireError {
+        WireError::Malformed(e.0)
     }
 }
 

@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
-use cloudviews::{admin, CloudViews, FaultPlan, FaultSite, RunMode, ScriptedFault};
+use cloudviews::{
+    admin, CloudViews, FaultPlan, FaultSite, PipelineOptions, RunMode, ScriptedFault,
+};
 use scope_common::telemetry::MetricsSnapshot;
 use scope_common::Result;
 use scope_engine::job::JobSpec;
@@ -75,7 +77,14 @@ fn main() -> Result<()> {
     // job's submission time, so this half builds and fights over locks);
     // the second half arrives back-to-back and reaps the reuse hits.
     let (burst, rest) = day1.split_at(day1.len() / 2);
-    let mut reports = service.run_concurrent(burst.to_vec(), RunMode::CloudViews)?;
+    let options = PipelineOptions {
+        workers: burst.len(),
+        ..Default::default()
+    };
+    let mut reports = service
+        .run_many(burst.to_vec(), RunMode::CloudViews, options)
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
     reports.extend(service.run_sequence(rest, RunMode::CloudViews)?);
     println!(
         "reuse hits: {} / {} jobs, {} views built",

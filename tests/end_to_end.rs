@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
-use cloudviews::{CloudViews, ReportRequest, RunMode};
+use cloudviews::{CloudViews, LookupRequest, PipelineOptions, ReportRequest, RunMode};
 use scope_common::time::{SimDuration, SimTime};
 use scope_engine::storage::StorageManager;
 use scope_workload::dists::LogNormal;
@@ -101,10 +101,15 @@ fn concurrent_jobs_build_each_view_once() {
 
     w.register_instance_data(0, 1, &cv.storage, 0.5).unwrap();
     let day1 = w.jobs_for_instance(0, 1).unwrap();
-    let reports = cv.run_concurrent(day1, RunMode::CloudViews).unwrap();
+    // One worker per job: maximum contention on the build locks.
+    let options = PipelineOptions {
+        workers: day1.len(),
+        ..Default::default()
+    };
+    let reports = cv.run_many(day1, RunMode::CloudViews, options);
     let mut built: Vec<_> = reports
         .iter()
-        .flat_map(|r| r.views_built.iter().copied())
+        .flat_map(|r| r.as_ref().unwrap().views_built.iter().copied())
         .collect();
     let n = built.len();
     built.sort_unstable();
@@ -198,11 +203,32 @@ fn baseline_and_enabled_interleave_safely() {
 
 #[test]
 fn offline_mode_builds_views_upfront() {
+    use cloudviews::{LockOutcome, MetadataService, ProposeRequest};
+    use scope_common::hash::Sig128;
+    use scope_common::ids::JobId;
     use scope_engine::exec::execute_plan;
     use scope_engine::job::materialize_marked_views;
-    use scope_engine::optimizer::{optimize, OptimizerConfig};
+    use scope_engine::optimizer::{optimize, AvailableView, OptimizerConfig, ViewServices};
     use scope_engine::sim::{simulate, ClusterConfig};
     use scope_signature::job_tags;
+
+    /// The admin's view oracle: the metadata service judged at one instant.
+    struct PinnedAt<'a>(&'a MetadataService, SimTime);
+    impl ViewServices for PinnedAt<'_> {
+        fn view_available(&self, precise: Sig128) -> Option<AvailableView> {
+            self.0.view_available_at(precise, self.1)
+        }
+        fn propose_materialize(
+            &self,
+            precise: Sig128,
+            _normalized: Sig128,
+            job: JobId,
+            lock_ttl: SimDuration,
+        ) -> bool {
+            let req = ProposeRequest::new(precise, job, lock_ttl, self.1);
+            matches!(self.0.propose(&req), Ok(LockOutcome::Acquired))
+        }
+    }
 
     let w = workload(71);
     let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
@@ -217,10 +243,11 @@ fn offline_mode_builds_views_upfront() {
     w.register_instance_data(0, 1, &cv.storage, 0.5).unwrap();
     let day1 = w.jobs_for_instance(0, 1).unwrap();
     let mut prebuilt = 0;
+    let now = cv.clock.now();
     for spec in &day1 {
         let annotations = cv
             .metadata
-            .relevant_views_for(spec.id, &job_tags(&spec.graph))
+            .lookup(&LookupRequest::new(spec.id, &job_tags(&spec.graph), now))
             .unwrap()
             .annotations;
         if annotations.is_empty() {
@@ -234,7 +261,7 @@ fn offline_mode_builds_views_upfront() {
         let Ok(plan) = optimize(
             &spec.graph,
             &annotations,
-            cv.metadata.as_ref(),
+            &PinnedAt(&cv.metadata, now),
             &cfg,
             spec.id,
         ) else {
@@ -245,7 +272,7 @@ fn offline_mode_builds_views_upfront() {
         for built in
             materialize_marked_views(&plan, &exec, &sim, &cv.cost, spec.id, SimTime::ZERO).unwrap()
         {
-            let view = scope_engine::optimizer::AvailableView {
+            let view = AvailableView {
                 precise: built.file.meta.precise,
                 rows: built.file.meta.rows,
                 bytes: built.file.meta.bytes,

@@ -248,7 +248,7 @@ fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
     // One job's builder dies on every attempt: the job fails (bounded
     // restarts), its exclusive build lock stays held, and — satellite of
     // the paper's Section 6.1 claim — the lock lapses at its mined expiry
-    // so a later job can take over the build. run_concurrent must report
+    // so a later job can take over the build. run_many must report
     // the dead job's error without aborting the other jobs.
     let doomed = day1[0].id;
     let scripted = (0..=cv.degradation.max_restarts as u64)
@@ -282,7 +282,12 @@ fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
     let mut wave: Vec<JobSpec> = day1[1..].to_vec();
     let broken_idx = wave.len();
     wave.push(w.jobs_for_instance(0, 2).unwrap().remove(0)); // data not registered
-    let results = cv.run_concurrent_results(wave, RunMode::CloudViews);
+    let one_worker_per_job = |n| cloudviews::PipelineOptions {
+        workers: n,
+        ..Default::default()
+    };
+    let options = one_worker_per_job(wave.len());
+    let results = cv.run_many(wave, RunMode::CloudViews, options);
     let failed: Vec<usize> = results
         .iter()
         .enumerate()
@@ -306,10 +311,11 @@ fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
             s
         })
         .collect();
-    let wave2 = cv.run_concurrent(resubmitted, RunMode::CloudViews).unwrap();
+    let options = one_worker_per_job(resubmitted.len());
+    let wave2 = cv.run_many(resubmitted, RunMode::CloudViews, options);
     let mut built: Vec<_> = wave2
         .iter()
-        .flat_map(|r| r.views_built.iter().copied())
+        .flat_map(|r| r.as_ref().unwrap().views_built.iter().copied())
         .collect();
     let n = built.len();
     built.sort_unstable();

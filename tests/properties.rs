@@ -500,7 +500,7 @@ fn shard_test_annotations(n: usize, ttl: SimDuration) -> Vec<cloudviews::analyze
 #[test]
 fn purge_never_leaks_dead_annotations() {
     for_cases("purge_never_leaks_dead_annotations", |rng| {
-        use cloudviews::{MetadataService, ReportRequest};
+        use cloudviews::{LookupRequest, MetadataService, ReportRequest};
         use scope_common::time::SimClock;
         use scope_common::Symbol;
         use scope_engine::optimizer::AvailableView;
@@ -548,7 +548,11 @@ fn purge_never_leaks_dead_annotations() {
             let expect_live = horizon > now;
             live += expect_live as usize;
             let r = m
-                .relevant_views_for(JobId::new(1_000 + i as u64), &[s.input_tags[0]])
+                .lookup(&LookupRequest::new(
+                    JobId::new(1_000 + i as u64),
+                    &[s.input_tags[0]],
+                    now,
+                ))
                 .unwrap();
             let returned = r
                 .annotations
@@ -564,10 +568,11 @@ fn purge_never_leaks_dead_annotations() {
         // the shared one. Any excess is a leaked back-reference.
         assert_eq!(m.num_inverted_entries(), 2 * live, "shards {shards}");
         let shared = m
-            .relevant_views_for(
+            .lookup(&LookupRequest::new(
                 JobId::new(9_999),
                 &[Symbol::intern("shard-prop/tag/shared")],
-            )
+                now,
+            ))
             .unwrap();
         assert_eq!(shared.annotations.len(), live, "shards {shards}");
     });
@@ -760,7 +765,7 @@ fn thousand_recurring_instances_stay_bounded() {
 /// win the lapsed lock.
 #[test]
 fn concurrent_shard_stress_with_single_takeover_winner() {
-    use cloudviews::{LockOutcome, MetadataService, ReportRequest};
+    use cloudviews::{LockOutcome, LookupRequest, MetadataService, ProposeRequest, ReportRequest};
     use scope_common::time::SimClock;
     use scope_engine::optimizer::AvailableView;
     use scope_plan::PhysicalProps;
@@ -778,8 +783,13 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
     // Seed a build lock whose TTL lapses before the threads start.
     let contested = scope_common::sip128(b"stress/contested");
     assert_eq!(
-        m.propose_now(contested, JobId::new(0), SimDuration::from_secs(10))
-            .unwrap(),
+        m.propose(&ProposeRequest::new(
+            contested,
+            JobId::new(0),
+            SimDuration::from_secs(10),
+            clock.now()
+        ))
+        .unwrap(),
         LockOutcome::Acquired
     );
     clock.advance(SimDuration::from_secs(11));
@@ -795,7 +805,12 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                 // The takeover race: every thread sees the same expired
                 // lock; the shard's lock-table mutex must elect one winner.
                 match m
-                    .propose_now(contested, JobId::new(100 + t), SimDuration::from_secs(60))
+                    .propose(&ProposeRequest::new(
+                        contested,
+                        JobId::new(100 + t),
+                        SimDuration::from_secs(60),
+                        now,
+                    ))
                     .unwrap()
                 {
                     LockOutcome::Acquired => {
@@ -813,7 +828,11 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                 for i in 0..OPS {
                     let s = &selected[((t + i) % K as u64) as usize];
                     let r = m
-                        .relevant_views_for(JobId::new(1_000 + t), &[s.input_tags[0]])
+                        .lookup(&LookupRequest::new(
+                            JobId::new(1_000 + t),
+                            &[s.input_tags[0]],
+                            now,
+                        ))
                         .unwrap();
                     assert!(
                         r.annotations
@@ -823,8 +842,13 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                     );
                     let precise = scope_common::sip128(format!("stress/{t}/{i}").as_bytes());
                     assert_eq!(
-                        m.propose_now(precise, JobId::new(1_000 + t), SimDuration::from_secs(60))
-                            .unwrap(),
+                        m.propose(&ProposeRequest::new(
+                            precise,
+                            JobId::new(1_000 + t),
+                            SimDuration::from_secs(60),
+                            now
+                        ))
+                        .unwrap(),
                         LockOutcome::Acquired,
                         "thread-unique signature must never conflict"
                     );
@@ -1245,7 +1269,7 @@ fn columnar_stats_match_row_reference_on_tpcds() {
 #[test]
 fn lock_exclusivity() {
     for_cases("lock_exclusivity", |case_rng| {
-        use cloudviews::{LockOutcome, MetadataService};
+        use cloudviews::{LockOutcome, MetadataService, ProposeRequest};
         use scope_common::time::SimClock;
         let n_jobs = case_rng.gen_range(2u64..12);
         let svc = MetadataService::new(Arc::new(SimClock::new()), 1);
@@ -1253,7 +1277,12 @@ fn lock_exclusivity() {
         let mut winners = 0;
         for j in 0..n_jobs {
             if svc
-                .propose_now(sig, JobId::new(j), SimDuration::from_secs(60))
+                .propose(&ProposeRequest::new(
+                    sig,
+                    JobId::new(j),
+                    SimDuration::from_secs(60),
+                    SimTime::ZERO,
+                ))
                 .unwrap()
                 == LockOutcome::Acquired
             {

@@ -128,7 +128,11 @@ fn concurrent_jobs_count_exactly() {
 
     let before = cv.telemetry.metrics.snapshot();
     cv.telemetry.tracer.clear();
-    let results = cv.run_concurrent_results(specs, RunMode::CloudViews);
+    let options = cloudviews::PipelineOptions {
+        workers: specs.len(),
+        ..Default::default()
+    };
+    let results = cv.run_many(specs, RunMode::CloudViews, options);
     let reports: Vec<JobRunReport> = results.into_iter().map(|r| r.unwrap()).collect();
     let after = cv.telemetry.metrics.snapshot();
 
