@@ -60,20 +60,12 @@ pub fn numeric_gates(bench: &str) -> &'static [Gate] {
                 tolerance: TOLERANCE,
             },
         ],
-        "analyzer_scale" => &[
-            Gate {
-                path: "incremental_ratio",
-                better: Better::Lower,
-                multi_core_only: false,
-                tolerance: TOLERANCE,
-            },
-            Gate {
-                path: "speedup_at_4_threads",
-                better: Better::Higher,
-                multi_core_only: true,
-                tolerance: TOLERANCE,
-            },
-        ],
+        "analyzer_scale" => &[Gate {
+            path: "incremental_ratio",
+            better: Better::Lower,
+            multi_core_only: false,
+            tolerance: TOLERANCE,
+        }],
         "subsumption" => &[
             Gate {
                 path: "tier2_hit_rate",
@@ -173,11 +165,7 @@ pub fn numeric_gates(bench: &str) -> &'static [Gate] {
 pub fn bool_gates(bench: &str) -> &'static [&'static str] {
     match bench {
         "metadata_scale" => &["single_thread_within_10pct", "leak.bounded"],
-        "analyzer_scale" => &[
-            "meets_25pct_target",
-            "incremental_matches_full",
-            "parallel_matches_serial",
-        ],
+        "analyzer_scale" => &["meets_25pct_target", "incremental_matches_full"],
         "subsumption" => &["p99_within_10pct", "uplift_positive", "results_equivalent"],
         "frontdoor" => &["shed_rate_ok"],
         "sharing" => &[

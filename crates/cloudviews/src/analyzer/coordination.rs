@@ -16,21 +16,13 @@ use std::collections::HashMap;
 
 use scope_common::ids::{JobId, TemplateId};
 use scope_common::time::SimDuration;
-use scope_engine::repo::JobRecord;
 
 use super::overlap::OverlapGroup;
 
-/// Builds the run-first template list from the selected overlap groups.
-pub fn order_hints(selected: &[OverlapGroup], records: &[&JobRecord]) -> Vec<TemplateId> {
-    order_hints_from_jobs(
-        selected,
-        records.iter().map(|r| (r.job, r.template, r.latency)),
-    )
-}
-
-/// [`order_hints`] over bare job metadata — what the incremental analyzer
-/// keeps per admitted record instead of the records themselves. Duplicate
-/// job ids resolve last-wins, matching record iteration order.
+/// Builds the run-first template list from the selected overlap groups and
+/// bare job metadata — what the incremental analyzer keeps per admitted
+/// record instead of the records themselves. Duplicate job ids resolve
+/// last-wins, matching record iteration order.
 pub fn order_hints_from_jobs(
     selected: &[OverlapGroup],
     jobs: impl IntoIterator<Item = (JobId, TemplateId, SimDuration)>,
@@ -114,24 +106,14 @@ pub fn apply_order<T, F: Fn(&T) -> TemplateId>(
 mod tests {
     use super::*;
     use scope_common::hash::sip128;
-    use scope_common::ids::{ClusterId, UserId, VcId};
-    use scope_common::time::SimTime;
     use scope_plan::{OpKind, PhysicalProps};
 
-    fn rec(job: u64, template: u64, latency_s: u64) -> JobRecord {
-        JobRecord {
-            job: JobId::new(job),
-            cluster: ClusterId::new(0),
-            vc: VcId::new(0),
-            user: UserId::new(0),
-            template: TemplateId::new(template),
-            instance: 0,
-            submitted_at: SimTime::ZERO,
-            latency: SimDuration::from_secs(latency_s),
-            cpu_time: SimDuration::from_secs(latency_s * 4),
-            tags: vec![],
-            subgraphs: vec![],
-        }
+    fn job(job: u64, template: u64, latency_s: u64) -> (JobId, TemplateId, SimDuration) {
+        (
+            JobId::new(job),
+            TemplateId::new(template),
+            SimDuration::from_secs(latency_s),
+        )
     }
 
     fn grp(name: &str, jobs: &[u64]) -> OverlapGroup {
@@ -160,9 +142,8 @@ mod tests {
     fn shortest_job_per_group_runs_first() {
         // Jobs 1 (slow) and 2 (fast) share one overlap; the fast one should
         // be hinted to build.
-        let records = [rec(1, 10, 100), rec(2, 20, 5)];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let hints = order_hints(&[grp("v", &[1, 2])], &refs);
+        let jobs = [job(1, 10, 100), job(2, 20, 5)];
+        let hints = order_hints_from_jobs(&[grp("v", &[1, 2])], jobs);
         assert_eq!(hints, vec![TemplateId::new(20)]);
     }
 
@@ -170,9 +151,8 @@ mod tests {
     fn multiple_groups_ordered_by_runtime() {
         // Group with 1 overlap: jobs 1,2 (fastest 2). Group with 2
         // overlaps: job 3 alone (in both groups).
-        let records = [rec(1, 10, 50), rec(2, 20, 5), rec(3, 30, 20)];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let hints = order_hints(&[grp("a", &[1, 2, 3]), grp("b", &[3])], &refs);
+        let jobs = [job(1, 10, 50), job(2, 20, 5), job(3, 30, 20)];
+        let hints = order_hints_from_jobs(&[grp("a", &[1, 2, 3]), grp("b", &[3])], jobs);
         // Job 2 (1 overlap, 5s) and job 3 (2 overlaps, 20s): runtime order.
         assert_eq!(hints, vec![TemplateId::new(20), TemplateId::new(30)]);
     }
@@ -191,7 +171,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(order_hints(&[], &[]).is_empty());
+        assert!(order_hints_from_jobs(&[], []).is_empty());
         let jobs: Vec<u64> = vec![1, 2];
         let out = apply_order(jobs.clone(), &[], |_| TemplateId::new(0));
         assert_eq!(out, jobs);

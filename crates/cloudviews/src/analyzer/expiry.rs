@@ -17,7 +17,6 @@ use std::collections::{BTreeMap, HashMap};
 use scope_common::ids::TemplateId;
 use scope_common::intern::Symbol;
 use scope_common::time::{SimDuration, SimTime};
-use scope_engine::repo::JobRecord;
 
 /// Safety multiplier over the observed consumer period.
 const SAFETY_FACTOR: f64 = 2.0;
@@ -32,32 +31,6 @@ pub struct LineageTracker {
 }
 
 impl LineageTracker {
-    /// Builds lineage from repository records.
-    pub fn from_records(records: &[&JobRecord]) -> LineageTracker {
-        // Observed submission times per template instance (duplicate
-        // instance observations — e.g. a baseline and an enabled run —
-        // resolve deterministically to the earliest submission).
-        let mut times: HashMap<TemplateId, BTreeMap<u64, SimTime>> = HashMap::new();
-        let mut consumers: HashMap<Symbol, Vec<TemplateId>> = HashMap::new();
-        for r in records {
-            let slot = times
-                .entry(r.template)
-                .or_default()
-                .entry(r.instance)
-                .or_insert(r.submitted_at);
-            if r.submitted_at < *slot {
-                *slot = r.submitted_at;
-            }
-            for &tag in &r.tags {
-                let list = consumers.entry(tag).or_default();
-                if !list.contains(&r.template) {
-                    list.push(r.template);
-                }
-            }
-        }
-        Self::from_observations(&times, consumers)
-    }
-
     /// Builds lineage from already-maintained observations: per-template
     /// instance→submission maps plus the tag→consumers index. This is what
     /// the incremental analyzer accumulates at ingest, so no record replay
@@ -123,22 +96,26 @@ impl LineageTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_common::ids::{ClusterId, JobId, UserId, VcId};
 
-    fn record(template: u64, instance: u64, at_secs: u64, tags: &[&str]) -> JobRecord {
-        JobRecord {
-            job: JobId::new(template * 100 + instance),
-            cluster: ClusterId::new(0),
-            vc: VcId::new(0),
-            user: UserId::new(0),
-            template: TemplateId::new(template),
-            instance,
-            submitted_at: SimTime(at_secs * 1_000_000),
-            latency: SimDuration::from_secs(1),
-            cpu_time: SimDuration::from_secs(4),
-            tags: tags.iter().map(|s| Symbol::intern(s)).collect(),
-            subgraphs: vec![],
+    /// Lineage over `(template, instance, submitted-at seconds, tags)`
+    /// observations.
+    fn lineage(observed: &[(u64, u64, u64, &[&str])]) -> LineageTracker {
+        let mut times: HashMap<TemplateId, BTreeMap<u64, SimTime>> = HashMap::new();
+        let mut consumers: HashMap<Symbol, Vec<TemplateId>> = HashMap::new();
+        for &(template, instance, at_secs, tags) in observed {
+            let template = TemplateId::new(template);
+            times
+                .entry(template)
+                .or_default()
+                .insert(instance, SimTime(at_secs * 1_000_000));
+            for tag in tags {
+                consumers
+                    .entry(Symbol::intern(tag))
+                    .or_default()
+                    .push(template);
+            }
         }
+        LineageTracker::from_observations(&times, consumers)
     }
 
     const HOUR: u64 = 3_600;
@@ -146,13 +123,11 @@ mod tests {
 
     #[test]
     fn period_mined_from_instances() {
-        let records = [
-            record(1, 0, 0, &["in/a"]),
-            record(1, 1, HOUR, &["in/a"]),
-            record(1, 2, 2 * HOUR, &["in/a"]),
-        ];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let lineage = LineageTracker::from_records(&refs);
+        let lineage = lineage(&[
+            (1, 0, 0, &["in/a"]),
+            (1, 1, HOUR, &["in/a"]),
+            (1, 2, 2 * HOUR, &["in/a"]),
+        ]);
         assert_eq!(
             lineage.template_period(TemplateId::new(1)),
             Some(SimDuration::from_secs(HOUR))
@@ -162,14 +137,12 @@ mod tests {
     #[test]
     fn ttl_uses_slowest_consumer() {
         // Hourly template 1 and daily template 2 both consume in/a.
-        let records = [
-            record(1, 0, 0, &["in/a"]),
-            record(1, 1, HOUR, &["in/a"]),
-            record(2, 0, 0, &["in/a", "in/b"]),
-            record(2, 1, DAY, &["in/a", "in/b"]),
-        ];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let lineage = LineageTracker::from_records(&refs);
+        let lineage = lineage(&[
+            (1, 0, 0, &["in/a"]),
+            (1, 1, HOUR, &["in/a"]),
+            (2, 0, 0, &["in/a", "in/b"]),
+            (2, 1, DAY, &["in/a", "in/b"]),
+        ]);
         let ttl = lineage.ttl_for_tags(&["in/a".into()], SimDuration::from_secs(HOUR));
         // Daily consumer wins: TTL = 2 days, not 2 hours.
         assert_eq!(ttl, SimDuration::from_secs(2 * DAY));
@@ -181,16 +154,14 @@ mod tests {
 
     #[test]
     fn unknown_tags_get_default() {
-        let lineage = LineageTracker::from_records(&[]);
+        let lineage = lineage(&[]);
         let ttl = lineage.ttl_for_tags(&["never/seen".into()], SimDuration::from_secs(42));
         assert_eq!(ttl, SimDuration::from_secs(42));
     }
 
     #[test]
     fn single_instance_templates_fall_back() {
-        let records = [record(1, 0, 0, &["in/a"])];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let lineage = LineageTracker::from_records(&refs);
+        let lineage = lineage(&[(1, 0, 0, &["in/a"])]);
         assert_eq!(lineage.template_period(TemplateId::new(1)), None);
         assert_eq!(
             lineage.ttl_for_tags(&["in/a".into()], SimDuration::from_secs(7)),
@@ -201,12 +172,7 @@ mod tests {
     #[test]
     fn missing_instances_normalize_gap() {
         // Instances 0 and 4 observed, 4 hours apart ⇒ hourly period.
-        let records = [
-            record(1, 0, 0, &["in/a"]),
-            record(1, 4, 4 * HOUR, &["in/a"]),
-        ];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let lineage = LineageTracker::from_records(&refs);
+        let lineage = lineage(&[(1, 0, 0, &["in/a"]), (1, 4, 4 * HOUR, &["in/a"])]);
         assert_eq!(
             lineage.template_period(TemplateId::new(1)),
             Some(SimDuration::from_secs(HOUR))
@@ -215,12 +181,8 @@ mod tests {
 
     #[test]
     fn ttl_never_below_default() {
-        let records = [
-            record(1, 0, 0, &["in/a"]),
-            record(1, 1, 60, &["in/a"]), // minutely recurrence
-        ];
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let lineage = LineageTracker::from_records(&refs);
+        // Minutely recurrence.
+        let lineage = lineage(&[(1, 0, 0, &["in/a"]), (1, 1, 60, &["in/a"])]);
         let ttl = lineage.ttl_for_tags(&["in/a".into()], SimDuration::from_secs(DAY));
         assert_eq!(ttl, SimDuration::from_secs(DAY));
     }

@@ -1,4 +1,4 @@
-//! The incremental, parallel analyzer state (DESIGN.md §11).
+//! The incremental analyzer state (DESIGN.md §11).
 //!
 //! `run_analysis` used to be a one-shot batch: every round re-enumerated
 //! every `JobRecord` ever recorded, so analysis cost grew linearly with
@@ -21,33 +21,32 @@
 //! aggregates are at all times identical to what the batch two-pass would
 //! produce over the same prefix.
 //!
-//! ## Parallel merge semantics
+//! ## Why the sequence guards stay under a serial fold
 //!
-//! Ingest is two phases. A serial *admit* phase applies the window/VC
-//! filter, assigns each record a record sequence number and each occurrence
-//! a global sequence number, and maintains the per-record metadata
-//! (lineage observations, job metas). A parallel *fold* phase then deals
-//! record batches over a work-stealing pool (the `run_many` pattern) and
-//! applies them to [`scope_common::shard::Sharded`] accumulator tables.
-//! Every normalized-accumulator update commutes: sums, sets, and vote
-//! counts are order-free, while the order-sensitive fields are guarded by
-//! the pre-assigned sequence numbers (min-seq for the "first occurrence"
-//! fields, max-seq for `sample_precise`, min-seq tie-breaks for property
-//! votes). The outcome is bit-identical whatever the thread count or the
-//! partitioning of the stream — property-tested in
+//! Ingest runs under the state's one mutex: an *admit* pass applies the
+//! window/VC filter, assigns each record a record sequence number and each
+//! occurrence a global sequence number, and maintains the per-record
+//! metadata (lineage observations, job metas); a *fold* pass then applies
+//! the admitted records to the accumulators in order. Arrival order is
+//! still not sequence order at a normalized accumulator: the transition
+//! flush folds a buffered first occurrence *after* later occurrences of a
+//! sibling precise signature. The order-sensitive fields are therefore
+//! guarded by the pre-assigned sequence numbers (min-seq for the "first
+//! occurrence" fields, max-seq for `sample_precise`, min-seq tie-breaks for
+//! property votes), which is also what makes the outcome independent of how
+//! the stream is partitioned into ingest calls — property-tested in
 //! `tests/analyzer_incremental.rs`.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use scope_common::hash::Sig128;
 use scope_common::ids::{JobId, TemplateId, UserId, VcId};
 use scope_common::intern::Symbol;
-use scope_common::shard::Sharded;
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::Result;
 use scope_engine::repo::{JobRecord, SubgraphRun, WorkloadRepository};
@@ -58,17 +57,6 @@ use super::{
     coordination, expiry, physical, selection, AnalysisOutcome, AnalysisPhaseTimes, AnalyzerConfig,
     SelectedView,
 };
-
-/// Shards for the precise-signature table (the hot, high-cardinality one).
-const PRECISE_SHARDS: usize = 64;
-/// Shards for the normalized-accumulator table.
-const NORM_SHARDS: usize = 32;
-/// Records per work-stealing chunk in the parallel fold.
-const FOLD_CHUNK: usize = 16;
-
-fn sig_key(sig: Sig128) -> u64 {
-    sig.lo ^ sig.hi
-}
 
 /// The buffered first occurrence of a precise signature — everything needed
 /// to fold it retroactively once the signature proves overlapping.
@@ -107,7 +95,7 @@ struct PropsVote {
 }
 
 /// Per-normalized-signature aggregates, maintained incrementally. All
-/// updates commute (see the module docs), so parallel folding is exact.
+/// updates commute (see the module docs).
 struct NormAcc {
     /// Sequence of the earliest overlapping occurrence: guards the
     /// "first occurrence" fields below.
@@ -169,16 +157,21 @@ struct JobMeta {
     latency: SimDuration,
 }
 
-/// Serial-phase state: everything the admit pass owns.
+/// Everything behind the state's one lock.
 #[derive(Default)]
-struct AdmitState {
+struct Aggregates {
     metas: Vec<JobMeta>,
+    /// Overlapping-occurrence count per admitted record, parallel to
+    /// `metas`.
+    rec_overlaps: Vec<u64>,
     occurrences_total: u64,
     skipped: u64,
     /// Template → instance → earliest observed submission (lineage input).
     template_times: HashMap<TemplateId, BTreeMap<u64, SimTime>>,
     /// Input tag → consuming templates, insertion-ordered.
     consumers: HashMap<Symbol, Vec<TemplateId>>,
+    precise: HashMap<Sig128, PreciseAcc>,
+    norm: HashMap<Sig128, NormAcc>,
 }
 
 /// What one [`AnalyzerState::ingest`] call did.
@@ -190,9 +183,9 @@ pub struct IngestReport {
     pub skipped: usize,
     /// Subgraph occurrences folded (admitted records × their subgraphs).
     pub occurrences: u64,
-    /// Wall time of the serial admit (filter + sequence assignment) phase.
+    /// Wall time of the admit (filter + sequence assignment) phase.
     pub filter_wall: Duration,
-    /// Wall time of the (possibly parallel) fold phase.
+    /// Wall time of the fold phase.
     pub fold_wall: Duration,
 }
 
@@ -224,11 +217,11 @@ impl<'a> OccView<'a> {
         OccView {
             seq,
             record_seq: meta.record_seq,
-            job: meta.job,
-            user: meta.user,
-            vc: meta.vc,
-            template: meta.template,
-            job_cpu: meta.job_cpu,
+            job: meta.record.job,
+            user: meta.record.user,
+            vc: meta.record.vc,
+            template: meta.record.template,
+            job_cpu: meta.record.cpu_time,
             precise: sub.precise,
             normalized: sub.normalized,
             root_kind: sub.root_kind,
@@ -287,47 +280,28 @@ impl<'a> OccView<'a> {
     }
 }
 
-/// Per-record identity shared by all of a record's occurrences during fold.
+/// An admitted record with the sequence numbers the admit pass gave it.
 struct RecordCtx<'a> {
     record: &'a JobRecord,
     record_seq: u64,
+    /// Sequence number of the record's first occurrence.
     base_seq: u64,
-    job: JobId,
-    user: UserId,
-    vc: VcId,
-    template: TemplateId,
-    job_cpu: SimDuration,
 }
 
 /// The persistent analyzer state: ingest deltas, select from aggregates.
 pub struct AnalyzerState {
     config: AnalyzerConfig,
-    /// Worker threads for the fold phase (`0` = one per available core).
-    workers: usize,
-    /// Serializes whole ingest/select rounds; the sharded tables below are
-    /// only contended *within* a parallel fold.
-    round: Mutex<()>,
-    admit: Mutex<AdmitState>,
-    precise: Sharded<Mutex<HashMap<Sig128, PreciseAcc>>>,
-    norm: Sharded<Mutex<HashMap<Sig128, NormAcc>>>,
-    /// Overlapping-occurrence count per admitted record, indexed by record
-    /// sequence (atomic so parallel folds can bump concurrently).
-    rec_overlaps: RwLock<Vec<AtomicU64>>,
+    /// The one lock: ingest, selection and every read hold it for their
+    /// whole duration, so each sees the aggregates at a record boundary.
+    agg: Mutex<Aggregates>,
 }
 
 impl AnalyzerState {
-    /// A fresh state for `config`, folding with `workers` threads
-    /// (`0` = one per available core; ingest falls back to inline folding
-    /// whenever one worker would do).
-    pub fn new(config: AnalyzerConfig, workers: usize) -> AnalyzerState {
+    /// A fresh state for `config`.
+    pub fn new(config: AnalyzerConfig) -> AnalyzerState {
         AnalyzerState {
             config,
-            workers,
-            round: Mutex::new(()),
-            admit: Mutex::new(AdmitState::default()),
-            precise: Sharded::new(PRECISE_SHARDS, |_| Mutex::new(HashMap::new())),
-            norm: Sharded::new(NORM_SHARDS, |_| Mutex::new(HashMap::new())),
-            rec_overlaps: RwLock::new(Vec::new()),
+            agg: Mutex::new(Aggregates::default()),
         }
     }
 
@@ -338,26 +312,22 @@ impl AnalyzerState {
 
     /// Records admitted so far (post window/VC filter).
     pub fn jobs_admitted(&self) -> usize {
-        let _g = self.round.lock();
-        self.admit.lock().metas.len()
+        self.agg.lock().metas.len()
     }
 
     /// Records the filter rejected so far.
     pub fn jobs_skipped(&self) -> u64 {
-        let _g = self.round.lock();
-        self.admit.lock().skipped
+        self.agg.lock().skipped
     }
 
     /// Distinct precise signatures tracked.
     pub fn distinct_subgraphs(&self) -> usize {
-        let _g = self.round.lock();
-        self.precise.iter().map(|s| s.lock().len()).sum()
+        self.agg.lock().precise.len()
     }
 
     /// Normalized overlap groups currently live.
     pub fn groups_tracked(&self) -> usize {
-        let _g = self.round.lock();
-        self.norm.iter().map(|s| s.lock().len()).sum()
+        self.agg.lock().norm.len()
     }
 
     /// 128-bit digest of the mining aggregates, canonical (maps globally
@@ -366,28 +336,28 @@ impl AnalyzerState {
     /// fingerprint select identical views under the same config; the
     /// recovery CI gate asserts that re-folding the recovered repository
     /// reproduces the pre-crash analyzer exactly. Because ingest is a
-    /// deterministic fold over the record stream (bit-identical whatever
-    /// the thread count — see the module docs), recovery does not snapshot
-    /// aggregates at all: it replays the recovered records from sequence 0.
+    /// deterministic fold over the record stream (bit-identical however
+    /// the stream is partitioned — see the module docs), recovery does not
+    /// snapshot aggregates at all: it replays the recovered records from
+    /// sequence 0.
     pub fn fingerprint(&self) -> Sig128 {
         use crate::codec::{put_opkind, put_props, put_symbol};
         use scope_common::codec::Enc;
 
-        let _g = self.round.lock();
+        let agg = self.agg.lock();
         let mut e = Enc::new();
 
-        let admit = self.admit.lock();
-        e.put_u32(admit.metas.len() as u32);
-        for m in &admit.metas {
+        e.put_u32(agg.metas.len() as u32);
+        for m in &agg.metas {
             e.put_u64(m.job.raw());
             e.put_u64(m.user.raw());
             e.put_u64(m.vc.raw());
             e.put_u64(m.template.raw());
             e.put_u64(m.latency.micros());
         }
-        e.put_u64(admit.occurrences_total);
-        e.put_u64(admit.skipped);
-        let mut templates: Vec<_> = admit.template_times.iter().collect();
+        e.put_u64(agg.occurrences_total);
+        e.put_u64(agg.skipped);
+        let mut templates: Vec<_> = agg.template_times.iter().collect();
         templates.sort_by_key(|(t, _)| t.raw());
         e.put_u32(templates.len() as u32);
         for (t, times) in templates {
@@ -398,7 +368,7 @@ impl AnalyzerState {
                 e.put_u64(at.micros());
             }
         }
-        let mut consumers: Vec<_> = admit.consumers.iter().collect();
+        let mut consumers: Vec<_> = agg.consumers.iter().collect();
         consumers.sort_by_key(|(s, _)| s.as_str());
         e.put_u32(consumers.len() as u32);
         for (tag, templates) in consumers {
@@ -408,39 +378,36 @@ impl AnalyzerState {
                 e.put_u64(t.raw());
             }
         }
-        drop(admit);
 
         let mut precise: Vec<(Sig128, u64, Option<Vec<u8>>)> = Vec::new();
-        for shard in &self.precise {
-            for (sig, acc) in shard.lock().iter() {
-                let first = acc.first.as_ref().map(|f| {
-                    let mut fe = Enc::new();
-                    fe.put_u64(f.seq);
-                    fe.put_u64(f.record_seq);
-                    fe.put_u64(f.job.raw());
-                    fe.put_u64(f.user.raw());
-                    fe.put_u64(f.vc.raw());
-                    fe.put_u64(f.template.raw());
-                    fe.put_u64(f.job_cpu.micros());
-                    fe.put_u64(f.precise.hi);
-                    fe.put_u64(f.precise.lo);
-                    fe.put_u64(f.normalized.hi);
-                    fe.put_u64(f.normalized.lo);
-                    put_opkind(&mut fe, f.root_kind);
-                    fe.put_u64(f.num_nodes as u64);
-                    fe.put_bool(f.has_user_code);
-                    fe.put_u32(f.input_tags.len() as u32);
-                    for &t in &f.input_tags {
-                        put_symbol(&mut fe, t);
-                    }
-                    put_props(&mut fe, &f.props);
-                    fe.put_u64(f.cum_cpu.micros());
-                    fe.put_u64(f.out_rows);
-                    fe.put_u64(f.out_bytes);
-                    fe.buf
-                });
-                precise.push((*sig, acc.count, first));
-            }
+        for (sig, acc) in &agg.precise {
+            let first = acc.first.as_ref().map(|f| {
+                let mut fe = Enc::new();
+                fe.put_u64(f.seq);
+                fe.put_u64(f.record_seq);
+                fe.put_u64(f.job.raw());
+                fe.put_u64(f.user.raw());
+                fe.put_u64(f.vc.raw());
+                fe.put_u64(f.template.raw());
+                fe.put_u64(f.job_cpu.micros());
+                fe.put_u64(f.precise.hi);
+                fe.put_u64(f.precise.lo);
+                fe.put_u64(f.normalized.hi);
+                fe.put_u64(f.normalized.lo);
+                put_opkind(&mut fe, f.root_kind);
+                fe.put_u64(f.num_nodes as u64);
+                fe.put_bool(f.has_user_code);
+                fe.put_u32(f.input_tags.len() as u32);
+                for &t in &f.input_tags {
+                    put_symbol(&mut fe, t);
+                }
+                put_props(&mut fe, &f.props);
+                fe.put_u64(f.cum_cpu.micros());
+                fe.put_u64(f.out_rows);
+                fe.put_u64(f.out_bytes);
+                fe.buf
+            });
+            precise.push((*sig, acc.count, first));
         }
         precise.sort_by_key(|(sig, ..)| *sig);
         e.put_u32(precise.len() as u32);
@@ -458,77 +425,75 @@ impl AnalyzerState {
         }
 
         let mut norms: Vec<(Sig128, Vec<u8>)> = Vec::new();
-        for shard in &self.norm {
-            for (sig, acc) in shard.lock().iter() {
-                let mut ne = Enc::new();
-                ne.put_u64(acc.first_seq);
-                ne.put_u64(acc.last_seq);
-                ne.put_u64(acc.sample_precise.hi);
-                ne.put_u64(acc.sample_precise.lo);
-                put_opkind(&mut ne, acc.root_kind);
-                ne.put_u64(acc.num_nodes as u64);
-                ne.put_bool(acc.has_user_code);
-                ne.put_u32(acc.input_tags.len() as u32);
-                for &t in &acc.input_tags {
-                    put_symbol(&mut ne, t);
-                }
-                ne.put_u64(acc.occurrences);
-                ne.put_u64(acc.instances);
-                for set in [
-                    {
-                        let mut v: Vec<u64> = acc.jobs.iter().map(|x| x.raw()).collect();
-                        v.sort_unstable();
-                        v
-                    },
-                    {
-                        let mut v: Vec<u64> = acc.users.iter().map(|x| x.raw()).collect();
-                        v.sort_unstable();
-                        v
-                    },
-                    {
-                        let mut v: Vec<u64> = acc.vcs.iter().map(|x| x.raw()).collect();
-                        v.sort_unstable();
-                        v
-                    },
-                    {
-                        let mut v: Vec<u64> = acc.templates.iter().map(|x| x.raw()).collect();
-                        v.sort_unstable();
-                        v
-                    },
-                ] {
-                    ne.put_u32(set.len() as u32);
-                    for raw in set {
-                        ne.put_u64(raw);
-                    }
-                }
-                for sum in [
-                    acc.cum_cpu_sum,
-                    acc.rows_sum,
-                    acc.bytes_sum,
-                    acc.job_cpu_sum,
-                ] {
-                    ne.put_u64((sum >> 64) as u64);
-                    ne.put_u64(sum as u64);
-                }
-                let mut votes: Vec<(Vec<u8>, usize, u64)> = acc
-                    .props_votes
-                    .iter()
-                    .map(|(props, vote)| {
-                        let mut pe = Enc::new();
-                        put_props(&mut pe, props);
-                        (pe.buf, vote.count, vote.first_seq)
-                    })
-                    .collect();
-                votes.sort();
-                ne.put_u32(votes.len() as u32);
-                for (props_bytes, count, first_seq) in votes {
-                    ne.put_u32(props_bytes.len() as u32);
-                    ne.buf.extend_from_slice(&props_bytes);
-                    ne.put_u64(count as u64);
-                    ne.put_u64(first_seq);
-                }
-                norms.push((*sig, ne.buf));
+        for (sig, acc) in &agg.norm {
+            let mut ne = Enc::new();
+            ne.put_u64(acc.first_seq);
+            ne.put_u64(acc.last_seq);
+            ne.put_u64(acc.sample_precise.hi);
+            ne.put_u64(acc.sample_precise.lo);
+            put_opkind(&mut ne, acc.root_kind);
+            ne.put_u64(acc.num_nodes as u64);
+            ne.put_bool(acc.has_user_code);
+            ne.put_u32(acc.input_tags.len() as u32);
+            for &t in &acc.input_tags {
+                put_symbol(&mut ne, t);
             }
+            ne.put_u64(acc.occurrences);
+            ne.put_u64(acc.instances);
+            for set in [
+                {
+                    let mut v: Vec<u64> = acc.jobs.iter().map(|x| x.raw()).collect();
+                    v.sort_unstable();
+                    v
+                },
+                {
+                    let mut v: Vec<u64> = acc.users.iter().map(|x| x.raw()).collect();
+                    v.sort_unstable();
+                    v
+                },
+                {
+                    let mut v: Vec<u64> = acc.vcs.iter().map(|x| x.raw()).collect();
+                    v.sort_unstable();
+                    v
+                },
+                {
+                    let mut v: Vec<u64> = acc.templates.iter().map(|x| x.raw()).collect();
+                    v.sort_unstable();
+                    v
+                },
+            ] {
+                ne.put_u32(set.len() as u32);
+                for raw in set {
+                    ne.put_u64(raw);
+                }
+            }
+            for sum in [
+                acc.cum_cpu_sum,
+                acc.rows_sum,
+                acc.bytes_sum,
+                acc.job_cpu_sum,
+            ] {
+                ne.put_u64((sum >> 64) as u64);
+                ne.put_u64(sum as u64);
+            }
+            let mut votes: Vec<(Vec<u8>, usize, u64)> = acc
+                .props_votes
+                .iter()
+                .map(|(props, vote)| {
+                    let mut pe = Enc::new();
+                    put_props(&mut pe, props);
+                    (pe.buf, vote.count, vote.first_seq)
+                })
+                .collect();
+            votes.sort();
+            ne.put_u32(votes.len() as u32);
+            for (props_bytes, count, first_seq) in votes {
+                ne.put_u32(props_bytes.len() as u32);
+                ne.buf.extend_from_slice(&props_bytes);
+                ne.put_u64(count as u64);
+                ne.put_u64(first_seq);
+            }
+            norms.push((*sig, ne.buf));
         }
         norms.sort_by_key(|(sig, _)| *sig);
         e.put_u32(norms.len() as u32);
@@ -538,12 +503,10 @@ impl AnalyzerState {
             e.buf.extend_from_slice(bytes);
         }
 
-        let overlaps = self.rec_overlaps.read();
-        e.put_u32(overlaps.len() as u32);
-        for c in overlaps.iter() {
-            e.put_u64(c.load(Ordering::Relaxed));
+        e.put_u32(agg.rec_overlaps.len() as u32);
+        for &c in &agg.rec_overlaps {
+            e.put_u64(c);
         }
-        drop(overlaps);
 
         scope_common::hash::sip128(&e.buf)
     }
@@ -562,86 +525,60 @@ impl AnalyzerState {
 
     /// Folds a delta of new records into the state. Only the delta is
     /// touched; history lives entirely in the aggregates.
-    pub fn ingest(&self, records: &[JobRecord]) -> IngestReport {
-        let _g = self.round.lock();
-        self.ingest_locked(records.iter())
-    }
-
-    /// [`AnalyzerState::ingest`] over borrowed records (the batch entry
-    /// points hold `&[&JobRecord]`).
-    pub fn ingest_refs<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a JobRecord>,
-    ) -> IngestReport {
-        let _g = self.round.lock();
-        self.ingest_locked(records.into_iter())
-    }
-
-    fn ingest_locked<'a>(&self, records: impl Iterator<Item = &'a JobRecord>) -> IngestReport {
+    pub fn ingest<'a>(&self, records: impl IntoIterator<Item = &'a JobRecord>) -> IngestReport {
+        let mut guard = self.agg.lock();
+        let agg = &mut *guard;
         let t_admit = std::time::Instant::now();
         let mut work: Vec<RecordCtx<'a>> = Vec::new();
         let mut skipped = 0usize;
-        {
-            let mut admit = self.admit.lock();
-            let mut overlaps = self.rec_overlaps.write();
-            for r in records {
-                if !self.admits(r) {
-                    admit.skipped += 1;
-                    skipped += 1;
-                    continue;
-                }
-                let record_seq = admit.metas.len() as u64;
-                let base_seq = admit.occurrences_total;
-                admit.occurrences_total += r.subgraphs.len() as u64;
-                admit.metas.push(JobMeta {
-                    job: r.job,
-                    user: r.user,
-                    vc: r.vc,
-                    template: r.template,
-                    latency: r.latency,
-                });
-                overlaps.push(AtomicU64::new(0));
-                // Lineage observations: earliest submission per (template,
-                // instance) — duplicate instances (baseline + enabled runs)
-                // resolve deterministically to the min.
-                let slot = admit
-                    .template_times
-                    .entry(r.template)
-                    .or_default()
-                    .entry(r.instance)
-                    .or_insert(r.submitted_at);
-                if r.submitted_at < *slot {
-                    *slot = r.submitted_at;
-                }
-                for &tag in &r.tags {
-                    let list = admit.consumers.entry(tag).or_default();
-                    if !list.contains(&r.template) {
-                        list.push(r.template);
-                    }
-                }
-                work.push(RecordCtx {
-                    record: r,
-                    record_seq,
-                    base_seq,
-                    job: r.job,
-                    user: r.user,
-                    vc: r.vc,
-                    template: r.template,
-                    job_cpu: r.cpu_time,
-                });
+        for r in records {
+            if !self.admits(r) {
+                agg.skipped += 1;
+                skipped += 1;
+                continue;
             }
+            let record_seq = agg.metas.len() as u64;
+            let base_seq = agg.occurrences_total;
+            agg.occurrences_total += r.subgraphs.len() as u64;
+            agg.metas.push(JobMeta {
+                job: r.job,
+                user: r.user,
+                vc: r.vc,
+                template: r.template,
+                latency: r.latency,
+            });
+            agg.rec_overlaps.push(0);
+            // Lineage observations: earliest submission per (template,
+            // instance) — duplicate instances (baseline + enabled runs)
+            // resolve deterministically to the min.
+            let slot = agg
+                .template_times
+                .entry(r.template)
+                .or_default()
+                .entry(r.instance)
+                .or_insert(r.submitted_at);
+            if r.submitted_at < *slot {
+                *slot = r.submitted_at;
+            }
+            for &tag in &r.tags {
+                let list = agg.consumers.entry(tag).or_default();
+                if !list.contains(&r.template) {
+                    list.push(r.template);
+                }
+            }
+            work.push(RecordCtx {
+                record: r,
+                record_seq,
+                base_seq,
+            });
         }
         let filter_wall = t_admit.elapsed();
 
         let t_fold = std::time::Instant::now();
-        let workers = self.effective_workers(work.len());
-        if workers <= 1 {
-            let overlaps = self.rec_overlaps.read();
-            for ctx in &work {
-                self.fold_record(ctx, &overlaps);
+        for ctx in &work {
+            for (i, sub) in ctx.record.subgraphs.iter().enumerate() {
+                agg.fold_occurrence(OccView::from_sub(ctx, ctx.base_seq + i as u64, sub));
             }
-        } else {
-            self.fold_parallel(&work, workers);
         }
         let fold_wall = t_fold.elapsed();
 
@@ -654,89 +591,107 @@ impl AnalyzerState {
         }
     }
 
-    fn effective_workers(&self, jobs: usize) -> usize {
-        let configured = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.workers
-        };
-        configured.clamp(1, jobs.max(1))
+    /// Materializes the current overlap groups from the aggregates,
+    /// deterministically ordered (utility descending, then signature).
+    pub fn groups(&self) -> Vec<OverlapGroup> {
+        self.agg.lock().groups()
     }
 
-    /// Parallel fold: chunks of records dealt round-robin onto per-worker
-    /// deques; idle workers steal from the back of a victim's (the
-    /// `run_many` pool shape, without admission control — folding has no
-    /// external side effects to bound).
-    fn fold_parallel(&self, work: &[RecordCtx<'_>], workers: usize) {
-        let chunks: Vec<std::ops::Range<usize>> = (0..work.len())
-            .step_by(FOLD_CHUNK)
-            .map(|lo| lo..(lo + FOLD_CHUNK).min(work.len()))
-            .collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, _) in chunks.iter().enumerate() {
-            queues[i % workers].lock().push_back(i);
+    /// Workload-wide overlap metrics from the maintained aggregates.
+    pub fn metrics(&self) -> OverlapMetrics {
+        self.agg.lock().metrics()
+    }
+
+    /// Re-runs view selection from the maintained aggregates: groups →
+    /// policy/constraints (budget-aware) → physical design → lineage TTLs →
+    /// coordination hints. No record is re-read.
+    pub fn select(&self) -> Result<AnalysisOutcome> {
+        let agg = self.agg.lock();
+        let start = std::time::Instant::now();
+        let mut phase_times = AnalysisPhaseTimes::default();
+
+        let phase = std::time::Instant::now();
+        let groups = agg.groups();
+        let metrics = agg.metrics();
+        let lineage =
+            expiry::LineageTracker::from_observations(&agg.template_times, agg.consumers.clone());
+        phase_times.mining = phase.elapsed();
+
+        let phase = std::time::Instant::now();
+        let chosen = selection::select_budgeted(
+            &groups,
+            &self.config.policy,
+            &self.config.constraints,
+            self.config.storage_budget_bytes,
+        );
+        phase_times.selection = phase.elapsed();
+
+        let phase = std::time::Instant::now();
+        let mut selected = Vec::with_capacity(chosen.len());
+        for g in &chosen {
+            let props = physical::choose_design(g);
+            let ttl = lineage.ttl_for_tags(&g.input_tags, self.config.default_ttl);
+            selected.push(SelectedView {
+                annotation: scope_engine::optimizer::Annotation {
+                    normalized: g.normalized,
+                    props,
+                    ttl,
+                    avg_cpu: g.avg_cumulative_cpu,
+                    avg_rows: g.avg_out_rows,
+                    avg_bytes: g.avg_out_bytes,
+                },
+                input_tags: g.input_tags.clone(),
+                utility: g.utility(),
+                frequency: g.per_instance_frequency(),
+                precise_last_seen: g.sample_precise,
+            });
         }
-        let chunks = &chunks;
-        let queues = &queues;
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let overlaps = self.rec_overlaps.read();
-                    while let Some(ci) = next_chunk(queues, worker) {
-                        for ctx in &work[chunks[ci].clone()] {
-                            self.fold_record(ctx, &overlaps);
-                        }
-                    }
-                });
-            }
-        });
-    }
+        let order_hints = coordination::order_hints_from_jobs(
+            &chosen,
+            agg.metas.iter().map(|m| (m.job, m.template, m.latency)),
+        );
+        phase_times.design = phase.elapsed();
 
-    fn fold_record(&self, ctx: &RecordCtx<'_>, overlaps: &[AtomicU64]) {
-        for (i, sub) in ctx.record.subgraphs.iter().enumerate() {
-            let occ = OccView::from_sub(ctx, ctx.base_seq + i as u64, sub);
-            self.fold_occurrence(occ, overlaps);
-        }
+        Ok(AnalysisOutcome {
+            selected,
+            groups,
+            metrics,
+            order_hints,
+            wall_time: start.elapsed(),
+            phase_times,
+            jobs_analyzed: agg.metas.len(),
+        })
     }
+}
 
+impl Aggregates {
     /// One occurrence through the transition-flush accumulator: buffer at
     /// count 1, flush the buffered first plus this one at count 2, fold
     /// directly afterwards.
-    fn fold_occurrence(&self, occ: OccView<'_>, overlaps: &[AtomicU64]) {
-        let flushed: Option<Box<FirstOcc>>;
-        let count;
-        {
-            let mut shard = self.precise.for_key(sig_key(occ.precise)).lock();
-            let acc = shard.entry(occ.precise).or_insert(PreciseAcc {
-                count: 0,
-                first: None,
-            });
-            acc.count += 1;
-            count = acc.count;
-            if count == 1 {
-                acc.first = Some(Box::new(occ.to_first()));
-                return;
-            }
-            flushed = acc.first.take();
+    fn fold_occurrence(&mut self, occ: OccView<'_>) {
+        let acc = self.precise.entry(occ.precise).or_insert(PreciseAcc {
+            count: 0,
+            first: None,
+        });
+        acc.count += 1;
+        if acc.count == 1 {
+            acc.first = Some(Box::new(occ.to_first()));
+            return;
         }
-        if let Some(first) = flushed {
+        if let Some(first) = acc.first.take() {
             // This occurrence just proved the signature overlapping: the
             // buffered first occurrence enters the aggregates retroactively
             // and carries the new-instance increment.
-            self.fold_norm(OccView::from_first(&first), true, overlaps);
+            self.fold_norm(OccView::from_first(&first), true);
         }
-        self.fold_norm(occ, false, overlaps);
+        self.fold_norm(occ, false);
     }
 
     /// Applies one overlapping occurrence to its normalized accumulator.
     /// Every update commutes; see the module docs for the merge rules.
-    fn fold_norm(&self, occ: OccView<'_>, new_instance: bool, overlaps: &[AtomicU64]) {
-        overlaps[occ.record_seq as usize].fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.norm.for_key(sig_key(occ.normalized)).lock();
-        let acc = shard.entry(occ.normalized).or_insert_with(NormAcc::new);
+    fn fold_norm(&mut self, occ: OccView<'_>, new_instance: bool) {
+        self.rec_overlaps[occ.record_seq as usize] += 1;
+        let acc = self.norm.entry(occ.normalized).or_insert_with(NormAcc::new);
         acc.occurrences += 1;
         if new_instance {
             acc.instances += 1;
@@ -773,57 +728,47 @@ impl AnalyzerState {
         }
     }
 
-    /// Materializes the current overlap groups from the aggregates,
-    /// deterministically ordered (utility descending, then signature).
-    pub fn groups(&self) -> Vec<OverlapGroup> {
-        let _g = self.round.lock();
-        self.groups_locked()
-    }
-
-    fn groups_locked(&self) -> Vec<OverlapGroup> {
+    fn groups(&self) -> Vec<OverlapGroup> {
         let mut groups: Vec<OverlapGroup> = Vec::new();
-        for shard in self.norm.iter() {
-            let shard = shard.lock();
-            for (&normalized, acc) in shard.iter() {
-                let n = acc.occurrences.max(1) as u128;
-                let mut props_votes: Vec<(Arc<PhysicalProps>, usize, u64)> = acc
-                    .props_votes
-                    .iter()
-                    .map(|(p, v)| (Arc::clone(p), v.count, v.first_seq))
-                    .collect();
-                props_votes
-                    .sort_by_key(|(_, count, first_seq)| (std::cmp::Reverse(*count), *first_seq));
-                let mut jobs: Vec<JobId> = acc.jobs.iter().copied().collect();
-                jobs.sort_unstable();
-                let mut users: Vec<UserId> = acc.users.iter().copied().collect();
-                users.sort_unstable();
-                let mut vcs: Vec<VcId> = acc.vcs.iter().copied().collect();
-                vcs.sort_unstable();
-                let mut templates: Vec<TemplateId> = acc.templates.iter().copied().collect();
-                templates.sort_unstable();
-                groups.push(OverlapGroup {
-                    normalized,
-                    sample_precise: acc.sample_precise,
-                    occurrences: acc.occurrences,
-                    instances: acc.instances,
-                    jobs,
-                    users,
-                    vcs,
-                    templates,
-                    root_kind: acc.root_kind,
-                    num_nodes: acc.num_nodes,
-                    has_user_code: acc.has_user_code,
-                    input_tags: acc.input_tags.clone(),
-                    avg_cumulative_cpu: SimDuration::from_micros((acc.cum_cpu_sum / n) as u64),
-                    avg_out_rows: (acc.rows_sum / n) as u64,
-                    avg_out_bytes: (acc.bytes_sum / n) as u64,
-                    avg_job_cpu: SimDuration::from_micros((acc.job_cpu_sum / n) as u64),
-                    props_votes: props_votes
-                        .into_iter()
-                        .map(|(p, count, _)| (p, count))
-                        .collect(),
-                });
-            }
+        for (&normalized, acc) in &self.norm {
+            let n = acc.occurrences.max(1) as u128;
+            let mut props_votes: Vec<(Arc<PhysicalProps>, usize, u64)> = acc
+                .props_votes
+                .iter()
+                .map(|(p, v)| (Arc::clone(p), v.count, v.first_seq))
+                .collect();
+            props_votes
+                .sort_by_key(|(_, count, first_seq)| (std::cmp::Reverse(*count), *first_seq));
+            let mut jobs: Vec<JobId> = acc.jobs.iter().copied().collect();
+            jobs.sort_unstable();
+            let mut users: Vec<UserId> = acc.users.iter().copied().collect();
+            users.sort_unstable();
+            let mut vcs: Vec<VcId> = acc.vcs.iter().copied().collect();
+            vcs.sort_unstable();
+            let mut templates: Vec<TemplateId> = acc.templates.iter().copied().collect();
+            templates.sort_unstable();
+            groups.push(OverlapGroup {
+                normalized,
+                sample_precise: acc.sample_precise,
+                occurrences: acc.occurrences,
+                instances: acc.instances,
+                jobs,
+                users,
+                vcs,
+                templates,
+                root_kind: acc.root_kind,
+                num_nodes: acc.num_nodes,
+                has_user_code: acc.has_user_code,
+                input_tags: acc.input_tags.clone(),
+                avg_cumulative_cpu: SimDuration::from_micros((acc.cum_cpu_sum / n) as u64),
+                avg_out_rows: (acc.rows_sum / n) as u64,
+                avg_out_bytes: (acc.bytes_sum / n) as u64,
+                avg_job_cpu: SimDuration::from_micros((acc.job_cpu_sum / n) as u64),
+                props_votes: props_votes
+                    .into_iter()
+                    .map(|(p, count, _)| (p, count))
+                    .collect(),
+            });
         }
         groups.sort_by(|a, b| {
             b.utility()
@@ -833,45 +778,30 @@ impl AnalyzerState {
         groups
     }
 
-    /// Workload-wide overlap metrics from the maintained aggregates.
-    pub fn metrics(&self) -> OverlapMetrics {
-        let _g = self.round.lock();
-        self.metrics_locked()
-    }
-
-    fn metrics_locked(&self) -> OverlapMetrics {
-        let admit = self.admit.lock();
-        let overlaps = self.rec_overlaps.read();
+    fn metrics(&self) -> OverlapMetrics {
         let mut m = OverlapMetrics {
-            jobs_total: admit.metas.len(),
-            occurrences_total: admit.occurrences_total,
+            jobs_total: self.metas.len(),
+            occurrences_total: self.occurrences_total,
+            subgraphs_total: self.precise.len(),
             ..Default::default()
         };
-        for shard in self.precise.iter() {
-            let shard = shard.lock();
-            m.subgraphs_total += shard.len();
-            for acc in shard.values() {
-                if acc.count >= 2 {
-                    m.subgraphs_overlapping += 1;
-                    m.overlap_frequencies.push(acc.count);
-                }
+        for acc in self.precise.values() {
+            if acc.count >= 2 {
+                m.subgraphs_overlapping += 1;
+                m.overlap_frequencies.push(acc.count);
             }
         }
-        // Deterministic regardless of shard layout and fold order.
+        // Deterministic regardless of map iteration order.
         m.overlap_frequencies.sort_unstable_by(|a, b| b.cmp(a));
-        for shard in self.norm.iter() {
-            let shard = shard.lock();
-            for acc in shard.values() {
-                m.occurrences_overlapping += acc.occurrences;
-                for &tag in &acc.input_tags {
-                    *m.per_input.entry(tag).or_default() += acc.occurrences;
-                }
+        for acc in self.norm.values() {
+            m.occurrences_overlapping += acc.occurrences;
+            for &tag in &acc.input_tags {
+                *m.per_input.entry(tag).or_default() += acc.occurrences;
             }
         }
         let mut users: HashSet<UserId> = HashSet::new();
         let mut users_overlapping: HashSet<UserId> = HashSet::new();
-        for (meta, ov) in admit.metas.iter().zip(overlaps.iter()) {
-            let job_overlaps = ov.load(Ordering::Relaxed);
+        for (meta, &job_overlaps) in self.metas.iter().zip(&self.rec_overlaps) {
             users.insert(meta.user);
             let entry = m.vc_jobs.entry(meta.vc).or_default();
             entry.0 += 1;
@@ -888,105 +818,6 @@ impl AnalyzerState {
         m.users_overlapping = users_overlapping.len();
         m
     }
-
-    fn lineage_locked(&self) -> expiry::LineageTracker {
-        let admit = self.admit.lock();
-        expiry::LineageTracker::from_observations(&admit.template_times, admit.consumers.clone())
-    }
-
-    /// Re-runs view selection from the maintained aggregates: groups →
-    /// policy/constraints (budget-aware) → physical design → lineage TTLs →
-    /// coordination hints. No record is re-read.
-    pub fn select(&self) -> Result<AnalysisOutcome> {
-        let _g = self.round.lock();
-        self.select_locked()
-    }
-
-    fn select_locked(&self) -> Result<AnalysisOutcome> {
-        let start = std::time::Instant::now();
-        let mut phase_times = AnalysisPhaseTimes::default();
-
-        let phase = std::time::Instant::now();
-        let groups = self.groups_locked();
-        let metrics = self.metrics_locked();
-        let lineage = self.lineage_locked();
-        phase_times.mining = phase.elapsed();
-
-        let phase = std::time::Instant::now();
-        let chosen = selection::select_budgeted(
-            &groups,
-            &self.config.policy,
-            &self.config.constraints,
-            self.config.storage_budget_bytes,
-        );
-        phase_times.selection = phase.elapsed();
-
-        let phase = std::time::Instant::now();
-        let mut selected = Vec::with_capacity(chosen.len());
-        for g in &chosen {
-            let props = physical::choose_design(g);
-            let ttl = lineage.ttl_for_tags(&g.input_tags, self.config.default_ttl);
-            selected.push(SelectedView {
-                annotation: scope_engine::optimizer::Annotation {
-                    normalized: g.normalized,
-                    props,
-                    ttl,
-                    avg_cpu: g.avg_cumulative_cpu,
-                    avg_rows: g.avg_out_rows,
-                    avg_bytes: g.avg_out_bytes,
-                },
-                input_tags: g.input_tags.clone(),
-                utility: g.utility(),
-                frequency: g.per_instance_frequency(),
-                precise_last_seen: g.sample_precise,
-            });
-        }
-        let order_hints = {
-            let admit = self.admit.lock();
-            coordination::order_hints_from_jobs(
-                &chosen,
-                admit.metas.iter().map(|m| (m.job, m.template, m.latency)),
-            )
-        };
-        phase_times.design = phase.elapsed();
-
-        let jobs_analyzed = self.admit.lock().metas.len();
-        Ok(AnalysisOutcome {
-            selected,
-            groups,
-            metrics,
-            order_hints,
-            wall_time: start.elapsed(),
-            phase_times,
-            jobs_analyzed,
-        })
-    }
-
-    /// One full round under a single lock acquisition: ingest the delta,
-    /// then select. Returns the ingest report alongside the outcome.
-    pub fn round(&self, records: &[JobRecord]) -> Result<(IngestReport, AnalysisOutcome)> {
-        let _g = self.round.lock();
-        let report = self.ingest_locked(records.iter());
-        let mut outcome = self.select_locked()?;
-        outcome.phase_times.filter = report.filter_wall;
-        outcome.phase_times.mining += report.fold_wall;
-        Ok((report, outcome))
-    }
-}
-
-/// Pops the next chunk index: own deque from the front, else steal from the
-/// back of the first non-empty victim.
-fn next_chunk(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
-    if let Some(idx) = queues[own].lock().pop_front() {
-        return Some(idx);
-    }
-    for offset in 1..queues.len() {
-        let victim = (own + offset) % queues.len();
-        if let Some(idx) = queues[victim].lock().pop_back() {
-            return Some(idx);
-        }
-    }
-    None
 }
 
 /// What changed between two consecutive analyzer rounds (admin drill-down).
@@ -1027,11 +858,10 @@ pub struct IncrementalAnalyzer {
 }
 
 impl IncrementalAnalyzer {
-    /// A fresh service selecting under `config`, folding with `workers`
-    /// threads (`0` = one per core).
-    pub fn new(config: AnalyzerConfig, workers: usize) -> IncrementalAnalyzer {
+    /// A fresh service selecting under `config`.
+    pub fn new(config: AnalyzerConfig) -> IncrementalAnalyzer {
         IncrementalAnalyzer {
-            state: AnalyzerState::new(config, workers),
+            state: AnalyzerState::new(config),
             cursor: Mutex::new(0),
             rounds: AtomicU64::new(0),
             last_delta: Mutex::new(None),

@@ -14,8 +14,8 @@
 //! * [`expiry`] — input-lineage-based view TTLs (Section 5.4);
 //! * [`coordination`] — job submission order hints (Section 6.5);
 //! * [`incremental`] — the persistent [`AnalyzerState`] behind all of the
-//!   above: overlap statistics folded incrementally (and in parallel) as
-//!   records arrive, so a round costs the delta, not the history.
+//!   above: overlap statistics folded incrementally as records arrive, so
+//!   a round costs the delta, not the history.
 
 pub mod coordination;
 pub mod expiry;
@@ -126,13 +126,16 @@ pub struct AnalysisOutcome {
 /// Runs the full analysis over repository records.
 ///
 /// One-shot convenience over [`AnalyzerState`]: a fresh state ingests all
-/// `records` serially and selects once. Long-lived callers should keep an
+/// `records` and selects once. Long-lived callers should keep an
 /// [`IncrementalAnalyzer`] instead and pay only for the delta each round —
 /// this entry point re-folds history every call.
 pub fn run_analysis(records: &[JobRecord], config: &AnalyzerConfig) -> Result<AnalysisOutcome> {
     let start = std::time::Instant::now();
-    let state = AnalyzerState::new(config.clone(), 1);
-    let (_report, mut outcome) = state.round(records)?;
+    let state = AnalyzerState::new(config.clone());
+    let report = state.ingest(records);
+    let mut outcome = state.select()?;
+    outcome.phase_times.filter = report.filter_wall;
+    outcome.phase_times.mining += report.fold_wall;
     outcome.wall_time = start.elapsed();
     Ok(outcome)
 }

@@ -94,12 +94,12 @@ impl OverlapGroup {
 /// overlaps; selection constraints decide what to do with them.
 ///
 /// One-shot wrapper over [`AnalyzerState`](super::AnalyzerState): a fresh
-/// state folds the records serially and materializes the groups. The
+/// state folds the records and materializes the groups. The
 /// incremental fold is the single mining implementation — batch and
 /// round-based callers see identical aggregates by construction.
 pub fn mine_overlaps(records: &[&JobRecord]) -> Vec<OverlapGroup> {
-    let state = super::AnalyzerState::new(super::AnalyzerConfig::default(), 1);
-    state.ingest_refs(records.iter().copied());
+    let state = super::AnalyzerState::new(super::AnalyzerConfig::default());
+    state.ingest(records.iter().copied());
     state.groups()
 }
 
@@ -155,11 +155,6 @@ impl OverlapMetrics {
         100.0 * self.occurrences_overlapping as f64 / self.occurrences_total.max(1) as f64
     }
 
-    /// Percentage of *distinct* subgraphs appearing at least twice.
-    pub fn pct_distinct_subgraphs_overlapping(&self) -> f64 {
-        100.0 * self.subgraphs_overlapping as f64 / self.subgraphs_total.max(1) as f64
-    }
-
     /// Per-VC (percent overlapping jobs, average overlap frequency of the
     /// VC's overlapping subgraphs) — Figure 2.
     pub fn vc_overlap_pct(&self) -> HashMap<VcId, f64> {
@@ -177,8 +172,8 @@ impl OverlapMetrics {
 /// Like [`mine_overlaps`], a one-shot wrapper over the incremental
 /// [`AnalyzerState`](super::AnalyzerState).
 pub fn overlap_metrics(records: &[&JobRecord]) -> OverlapMetrics {
-    let state = super::AnalyzerState::new(super::AnalyzerConfig::default(), 1);
-    state.ingest_refs(records.iter().copied());
+    let state = super::AnalyzerState::new(super::AnalyzerConfig::default());
+    state.ingest(records.iter().copied());
     state.metrics()
 }
 

@@ -5,9 +5,8 @@
 //! repartitioning or sorting." The analyzer therefore mines the output
 //! physical properties observed at each overlapping subgraph's root (they
 //! are what downstream operators expect) and stores views in that design.
-//! The default strategy picks the most popular property set; when there is
-//! no clear winner the caller may treat each design as a separate view
-//! ([`design_variants`]).
+//! The strategy picks the most popular property set (ties resolve to the
+//! design observed first).
 
 use scope_plan::PhysicalProps;
 
@@ -21,31 +20,6 @@ pub fn choose_design(group: &OverlapGroup) -> PhysicalProps {
         .first()
         .map(|(p, _)| (**p).clone())
         .unwrap_or_else(PhysicalProps::any)
-}
-
-/// True when one design clearly dominates (strictly more votes than every
-/// other observed design).
-pub fn has_clear_choice(group: &OverlapGroup) -> bool {
-    match group.props_votes.as_slice() {
-        [] | [_] => true,
-        [first, second, ..] => first.1 > second.1,
-    }
-}
-
-/// All observed designs worth materializing separately when there is no
-/// clear choice ("we treat multiple physical designs of the same view as
-/// different views and feed them to the view selection routine"): every
-/// design tied with the most popular one.
-pub fn design_variants(group: &OverlapGroup) -> Vec<PhysicalProps> {
-    let Some(top) = group.props_votes.first().map(|(_, c)| *c) else {
-        return vec![PhysicalProps::any()];
-    };
-    group
-        .props_votes
-        .iter()
-        .filter(|(_, c)| *c == top)
-        .map(|(p, _)| (**p).clone())
-        .collect()
 }
 
 #[cfg(test)]
@@ -88,24 +62,11 @@ mod tests {
         let b = PhysicalProps::hashed(vec![1], 8);
         let g = group_with_votes(vec![(a.clone(), 5), (b, 2)]);
         assert_eq!(choose_design(&g), a);
-        assert!(has_clear_choice(&g));
-        assert_eq!(design_variants(&g).len(), 1);
-    }
-
-    #[test]
-    fn tie_produces_variants() {
-        let a = PhysicalProps::hashed(vec![0], 8);
-        let b = PhysicalProps::hashed(vec![1], 8);
-        let g = group_with_votes(vec![(a, 3), (b, 3)]);
-        assert!(!has_clear_choice(&g));
-        assert_eq!(design_variants(&g).len(), 2);
     }
 
     #[test]
     fn no_observations_fall_back_to_any() {
         let g = group_with_votes(vec![]);
         assert_eq!(choose_design(&g), PhysicalProps::any());
-        assert!(has_clear_choice(&g));
-        assert_eq!(design_variants(&g), vec![PhysicalProps::any()]);
     }
 }

@@ -129,20 +129,12 @@ impl SelectionConstraints {
 }
 
 /// Runs the selection policy over mined groups, returning the chosen groups
-/// (cloned) ranked by the policy's objective.
-pub fn select(
-    groups: &[OverlapGroup],
-    policy: &SelectionPolicy,
-    constraints: &SelectionConstraints,
-) -> Vec<OverlapGroup> {
-    select_budgeted(groups, policy, constraints, None)
-}
-
-/// [`select`] with an optional storage budget layered on top of the top-k
-/// policies: the policy ranks, then the ranked list is packed under
-/// `budget` with an exchange-improvement pass. `None` = unbounded (pure
-/// top-k). `Packing` uses its own budget (intersected with `budget` when
-/// both are set); `MinUtility` ranks for eviction and ignores the budget.
+/// (cloned) ranked by the policy's objective, with an optional storage
+/// budget layered on top of the top-k policies: the policy ranks, then the
+/// ranked list is packed under `budget` with an exchange-improvement pass.
+/// `None` = unbounded (pure top-k). `Packing` uses its own budget
+/// (intersected with `budget` when both are set); `MinUtility` ranks for
+/// eviction and ignores the budget.
 pub fn select_budgeted(
     groups: &[OverlapGroup],
     policy: &SelectionPolicy,
@@ -380,10 +372,11 @@ mod tests {
             group("big", 5, 10, 100, &[3, 4, 5], OpKind::Sort),
             group("medium", 3, 5, 100, &[6, 7], OpKind::Exchange),
         ];
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::TopKUtility { k: 2 },
             &SelectionConstraints::default(),
+            None,
         );
         assert_eq!(sel.len(), 2);
         assert_eq!(sel[0].normalized, sip128(b"big"));
@@ -396,10 +389,11 @@ mod tests {
             group("fat", 5, 10, 1_000_000, &[1], OpKind::Sort), // 40s / MB
             group("dense", 3, 5, 1_000, &[2], OpKind::Filter),  // 10s / KB
         ];
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::TopKUtilityPerByte { k: 1 },
             &SelectionConstraints::default(),
+            None,
         );
         assert_eq!(sel[0].normalized, sip128(b"dense"));
     }
@@ -414,7 +408,7 @@ mod tests {
             min_frequency: 3,
             ..Default::default()
         };
-        let sel = select(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c, None);
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].normalized, sip128(b"frequent"));
     }
@@ -422,19 +416,21 @@ mod tests {
     #[test]
     fn outputs_excluded_by_default_but_optional() {
         let groups = vec![group("out", 4, 100, 100, &[1], OpKind::Write)];
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::TopKUtility { k: 10 },
             &SelectionConstraints::default(),
+            None,
         );
         assert!(sel.is_empty());
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::TopKUtility { k: 10 },
             &SelectionConstraints {
                 exclude_outputs: false,
                 ..Default::default()
             },
+            None,
         );
         assert_eq!(sel.len(), 1);
     }
@@ -450,7 +446,7 @@ mod tests {
             per_job_cap: Some(1),
             ..Default::default()
         };
-        let sel = select(&groups, &SelectionPolicy::TopKUtility { k: 3 }, &c);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 3 }, &c, None);
         let names: Vec<_> = sel.iter().map(|g| g.normalized).collect();
         assert!(names.contains(&sip128(b"a")));
         assert!(!names.contains(&sip128(b"b")), "job 2 already covered");
@@ -464,12 +460,13 @@ mod tests {
             group("g2", 5, 9, 600, &[2], OpKind::Sort),
             group("g3", 5, 8, 600, &[3], OpKind::Sort),
         ];
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::Packing {
                 storage_budget_bytes: 1_300,
             },
             &SelectionConstraints::default(),
+            None,
         );
         assert_eq!(sel.len(), 2);
         let total: u64 = sel.iter().map(|g| g.avg_out_bytes).sum();
@@ -487,12 +484,13 @@ mod tests {
         // Make dense strictly denser.
         let mut groups = groups;
         groups[0].avg_out_bytes = 5;
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::Packing {
                 storage_budget_bytes: 100,
             },
             &SelectionConstraints::default(),
+            None,
         );
         // Local search should end with the fat one (utility 40 > 4).
         let total_utility: u64 = sel.iter().map(|g| g.utility().micros()).sum();
@@ -505,10 +503,11 @@ mod tests {
             group("keep", 5, 10, 100, &[1], OpKind::Sort),
             group("evict", 2, 1, 100, &[2], OpKind::Sort),
         ];
-        let sel = select(
+        let sel = select_budgeted(
             &groups,
             &SelectionPolicy::MinUtility { k: 1 },
             &SelectionConstraints::default(),
+            None,
         );
         assert_eq!(sel[0].normalized, sip128(b"evict"));
     }
@@ -523,7 +522,7 @@ mod tests {
             custom: Some(|g| g.root_kind == OpKind::Sort),
             ..Default::default()
         };
-        let sel = select(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c, None);
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].root_kind, OpKind::Sort);
     }

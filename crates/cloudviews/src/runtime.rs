@@ -497,7 +497,7 @@ impl CloudViewsBuilder {
         let metrics = RuntimeMetrics::new(&self.telemetry);
         let analyzer = self
             .incremental_analyzer
-            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg, 1)));
+            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg)));
 
         let (repo, durable) = match &self.durable {
             Some(path) => {

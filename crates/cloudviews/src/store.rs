@@ -252,7 +252,7 @@ impl DurableStore {
         let mut records = Vec::new();
         // Keys are big-endian sequence numbers, so the sorted scan is
         // append order.
-        for (_, val) in repo_kv.scan() {
+        for (_, val) in repo_kv.scan()? {
             let mut d = Dec::new(&val);
             let rec = get_job_record(&mut d).map_err(|e| corrupt("job record", e))?;
             records.push(rec);
@@ -260,7 +260,7 @@ impl DurableStore {
 
         let views_kv = SegmentStore::open(&root.join("views"), KV_FLUSH_THRESHOLD)?;
         let mut views = Vec::new();
-        for (_, val) in views_kv.scan() {
+        for (_, val) in views_kv.scan()? {
             let mut d = Dec::new(&val);
             let vf = get_view_file(&mut d).map_err(|e| corrupt("view file", e))?;
             views.push(vf);

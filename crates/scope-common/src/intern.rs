@@ -80,11 +80,6 @@ impl Symbol {
     pub fn raw(self) -> u32 {
         self.0
     }
-
-    /// Number of distinct strings interned so far, process-wide.
-    pub fn interned_count() -> usize {
-        interner().strings.read().len()
-    }
 }
 
 impl fmt::Display for Symbol {

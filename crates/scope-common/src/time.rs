@@ -179,13 +179,6 @@ impl SimClock {
         }
     }
 
-    /// A clock starting at `t`.
-    pub fn starting_at(t: SimTime) -> Self {
-        SimClock {
-            now_us: AtomicU64::new(t.0),
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         SimTime(self.now_us.load(Ordering::SeqCst))

@@ -236,16 +236,6 @@ impl WorkloadRepository {
         f(&self.records.lock())
     }
 
-    /// Records submitted within `[from, to)`.
-    pub fn records_in_window(&self, from: SimTime, to: SimTime) -> Vec<JobRecord> {
-        self.records
-            .lock()
-            .iter()
-            .filter(|r| r.submitted_at >= from && r.submitted_at < to)
-            .cloned()
-            .collect()
-    }
-
     /// Number of recorded jobs.
     pub fn len(&self) -> usize {
         self.records.lock().len()
@@ -351,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn window_query_filters() {
+    fn clear_drops_records() {
         let (storage, g) = setup();
         let plan = optimize(
             &g,
@@ -370,14 +360,9 @@ mod tests {
         .unwrap();
         let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
         let repo = WorkloadRepository::new();
-        let mut early = identity(1);
-        early.submitted_at = SimTime(100);
-        let mut late = identity(2);
-        late.submitted_at = SimTime(10_000);
-        repo.record(early, &g, &plan, &exec, &sim).unwrap();
-        repo.record(late, &g, &plan, &exec, &sim).unwrap();
-        assert_eq!(repo.records_in_window(SimTime(0), SimTime(1_000)).len(), 1);
-        assert_eq!(repo.records_in_window(SimTime(0), SimTime::MAX).len(), 2);
+        repo.record(identity(1), &g, &plan, &exec, &sim).unwrap();
+        repo.record(identity(2), &g, &plan, &exec, &sim).unwrap();
+        assert_eq!(repo.len(), 2);
         repo.clear();
         assert!(repo.is_empty());
     }

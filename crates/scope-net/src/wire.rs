@@ -87,14 +87,6 @@ impl WireError {
     pub fn is_io(&self) -> bool {
         matches!(self, WireError::Io(_))
     }
-
-    /// True when the underlying I/O error is a read timeout (the server's
-    /// idle poll), as opposed to a disconnect.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, WireError::Io(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut)
-    }
 }
 
 impl fmt::Display for WireError {

@@ -11,7 +11,7 @@
 //! * Every expression can feed itself into a stable hasher in either mode
 //!   via [`Expr::stable_hash_into`].
 
-use scope_common::hash::{sip64, SipHasher24};
+use scope_common::hash::SipHasher24;
 use scope_common::{Result, ScopeError};
 
 use crate::schema::Schema;
@@ -746,11 +746,6 @@ impl AggExpr {
         h.write_str(self.func.name());
         h.write_u64(self.input as u64);
     }
-}
-
-/// Stable 64-bit hash of a string (helper re-exported for workload tags).
-pub fn str_hash(s: &str) -> u64 {
-    sip64(s.as_bytes())
 }
 
 #[cfg(test)]

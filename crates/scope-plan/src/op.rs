@@ -519,7 +519,16 @@ impl Operator {
                 cols.push(Column::new(name, dtype));
                 Schema::new(cols)
             }
-            Operator::Process { udo } | Operator::Combine { udo } => udo.output_schema(one()?),
+            Operator::Process { udo } => udo.output_schema(one()?),
+            // The combiner appends the right child's rows to the left's, so
+            // both must have the left's column types.
+            Operator::Combine { udo } => match inputs {
+                [left, right] if left.types_match(right) => udo.output_schema(left),
+                [left, right] => Err(ScopeError::InvalidPlan(format!(
+                    "Combine type mismatch: {left} vs {right}"
+                ))),
+                _ => Err(ScopeError::InvalidPlan("Combine needs two inputs".into())),
+            },
             Operator::Reduce { udo, keys } | Operator::GbApply { udo, keys } => {
                 let s = one()?;
                 for &k in keys {
@@ -1163,6 +1172,22 @@ mod tests {
         assert!(u.output_schema(&[scan_schema(), scan_schema()]).is_ok());
         let other = Schema::from_pairs(&[("x", DataType::Int)]);
         assert!(u.output_schema(&[scan_schema(), other]).is_err());
+    }
+
+    #[test]
+    fn combine_type_check() {
+        let c = Operator::Combine {
+            udo: Udo::new(crate::udo::UdoKind::MergeStreams, "L", "1"),
+        };
+        assert_eq!(
+            c.output_schema(&[scan_schema(), scan_schema()]).unwrap(),
+            scan_schema()
+        );
+        // A narrower right child would yield rows that do not match the
+        // declared (left) schema.
+        let narrower = Schema::from_pairs(&[("user", DataType::Int)]);
+        assert!(c.output_schema(&[scan_schema(), narrower]).is_err());
+        assert!(c.output_schema(&[scan_schema()]).is_err());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   state after fully applying `wal.1..=N`, so recovery is "load the
 //!   newest valid snapshot, replay every later log generation".
 //! * [`segment`] — a log-structured key-value store (MemTable → WAL →
-//!   sorted, bloom-filtered segment files) for bulk append-mostly data:
-//!   the workload repository's job records and published view files.
+//!   sorted segment files, read back by one scan) for bulk append-mostly
+//!   data: the workload repository's job records and published view files.
 //!
 //! The crate is deliberately value-agnostic: everything stored is `&[u8]`
 //! payloads produced by the hand-rolled codec in `scope_common::codec` /

@@ -3,111 +3,36 @@
 //!
 //! Writes go to an in-memory `BTreeMap` (the MemTable) *after* being
 //! appended to `kv.wal`; when the MemTable exceeds its flush threshold it
-//! is written out as an immutable, sorted, bloom-filtered segment file
-//! `seg.N` (atomically: tmp + checksum + rename) and the WAL is reset.
-//! Deletes are tombstones so a delete in a newer layer shadows a put in
-//! an older one. Reads check the MemTable, then segments newest-first,
-//! each gated by its bloom filter.
+//! is written out as an immutable, sorted segment file `seg.N`
+//! (atomically: tmp + checksum + rename) and the WAL is reset. Deletes are
+//! tombstones so a delete in a newer layer shadows a put in an older one.
+//! The only read is [`SegmentStore::scan`], which recovery issues once per
+//! store: segments oldest-first, then the MemTable, newest layer winning.
+//! Flushed segments are not kept in memory.
 //!
-//! Segment file format (little-endian, `b"SEG1"` magic, `u64` sip64
+//! Segment file format (little-endian, `b"SEG2"` magic, `u64` sip64
 //! checksum of everything after it):
 //!
 //! | field        | encoding                                        |
 //! |--------------|-------------------------------------------------|
-//! | bloom        | `u32` k, `u64` nbits, `u32` words, `u64` × words|
 //! | entry count  | `u32`                                           |
 //! | entries      | `u32` klen, key, `u8` tombstone, `u32` vlen, val|
 //!
-//! Entries are sorted by key. Decoded segments are kept resident (this
-//! simulation's stand-in for the page cache), so `get` is a bloom check
-//! plus a binary search — the on-disk format still matters because it is
-//! what recovery reads and what the checksum guards.
+//! Entries are sorted by key.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use scope_common::hash::{sip128, sip64};
+use scope_common::hash::sip64;
 
 use crate::snapshot::numbered_files;
 use crate::wal::Wal;
 use crate::{Result, StoreError};
 
-const MAGIC: &[u8; 4] = b"SEG1";
-const BITS_PER_KEY: u64 = 10;
-const NUM_HASHES: u32 = 6;
+const MAGIC: &[u8; 4] = b"SEG2";
 
-/// A blocked bloom filter with double hashing: `bit_i = h1 + i*h2`.
-#[derive(Clone, Debug)]
-pub struct Bloom {
-    bits: Vec<u64>,
-    nbits: u64,
-    k: u32,
-}
-
-impl Bloom {
-    /// Sizes the filter at ~10 bits per expected key, 6 probes.
-    pub fn with_capacity(keys: usize) -> Bloom {
-        let nbits = (keys as u64 * BITS_PER_KEY).max(64);
-        let words = nbits.div_ceil(64) as usize;
-        Bloom {
-            bits: vec![0u64; words],
-            nbits: words as u64 * 64,
-            k: NUM_HASHES,
-        }
-    }
-
-    fn probes(&self, key: &[u8]) -> (u64, u64) {
-        let h1 = sip64(key);
-        // An odd second hash guarantees it is coprime with the power-of-two
-        // word span, so the k probes never collapse onto one bit.
-        let h2 = sip128(key).lo | 1;
-        (h1, h2)
-    }
-
-    /// Marks `key` present.
-    pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = self.probes(key);
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
-    }
-
-    /// False means definitely absent; true means probably present.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = self.probes(key);
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
-            if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.nbits.to_le_bytes());
-        out.extend_from_slice(&(self.bits.len() as u32).to_le_bytes());
-        for w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn decode(r: &mut SliceReader<'_>) -> Result<Bloom> {
-        let k = r.u32()?;
-        let nbits = r.u64()?;
-        let words = r.u32()? as usize;
-        if k == 0 || k > 64 || nbits != words as u64 * 64 || words > (1 << 26) {
-            return Err(StoreError::Corrupt("bad bloom header".into()));
-        }
-        let mut bits = Vec::with_capacity(words);
-        for _ in 0..words {
-            bits.push(r.u64()?);
-        }
-        Ok(Bloom { bits, nbits, k })
-    }
-}
+/// Key → value; a `None` value is a tombstone.
+type Entries = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
 
 /// Minimal bounds-checked reader for segment decoding (the generic codec
 /// lives in `scope_common`; this stays dependency-light on purpose).
@@ -131,140 +56,104 @@ impl<'a> SliceReader<'a> {
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
 }
 
-/// One immutable, sorted, bloom-filtered on-disk segment, held resident.
-pub struct Segment {
-    bloom: Bloom,
-    /// Sorted by key; `None` value is a tombstone.
-    entries: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-}
-
-impl Segment {
-    /// Builds and atomically writes a segment from sorted entries.
-    fn write(path: &Path, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Result<Segment> {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut bloom = Bloom::with_capacity(entries.len());
-        for (k, _) in &entries {
-            bloom.insert(k);
-        }
-        let mut payload = Vec::new();
-        bloom.encode(&mut payload);
-        payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (k, v) in &entries {
-            payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            payload.extend_from_slice(k);
-            match v {
-                Some(v) => {
-                    payload.push(0);
-                    payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(v);
-                }
-                None => {
-                    payload.push(1);
-                    payload.extend_from_slice(&0u32.to_le_bytes());
-                }
+/// Atomically writes `entries` as the segment file at `path`.
+fn write_segment(path: &Path, entries: &Entries) -> Result<()> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (k, v) in entries {
+        payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
+        payload.extend_from_slice(k);
+        match v {
+            Some(v) => {
+                payload.push(0);
+                payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                payload.extend_from_slice(v);
+            }
+            None => {
+                payload.push(1);
+                payload.extend_from_slice(&0u32.to_le_bytes());
             }
         }
-        let mut bytes = Vec::with_capacity(12 + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&sip64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(Segment { bloom, entries })
     }
+    let mut bytes = Vec::with_capacity(12 + payload.len());
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&sip64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    let tmp = path.with_extension("tmp");
+    {
+        use std::io::Write;
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
 
-    /// Reads and validates a segment file.
-    fn read(path: &Path) -> Result<Segment> {
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < 12 || &bytes[..4] != MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "{}: bad segment header",
-                path.display()
-            )));
-        }
-        let checksum = u64::from_le_bytes(bytes[4..12].try_into().expect("8"));
-        let payload = &bytes[12..];
-        if sip64(payload) != checksum {
-            return Err(StoreError::Corrupt(format!(
-                "{}: segment checksum mismatch",
-                path.display()
-            )));
-        }
-        let mut r = SliceReader {
-            buf: payload,
-            pos: 0,
-        };
-        let bloom = Bloom::decode(&mut r)?;
-        let count = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let klen = r.u32()? as usize;
-            let key = r.take(klen)?.to_vec();
-            let tomb = r.u8()? != 0;
-            let vlen = r.u32()? as usize;
-            let val = r.take(vlen)?.to_vec();
-            entries.push((key, if tomb { None } else { Some(val) }));
-        }
-        Ok(Segment { bloom, entries })
+/// Reads and validates the segment file at `path`, applying its entries
+/// over `into` (so a newer segment's entry replaces an older one's).
+fn read_segment(path: &Path, into: &mut Entries) -> Result<()> {
+    let bytes = std::fs::read(path)?;
+    if bytes.len() < 12 || &bytes[..4] != MAGIC {
+        return Err(StoreError::Corrupt(format!(
+            "{}: bad segment header",
+            path.display()
+        )));
     }
-
-    /// Point lookup: `None` = key absent here, `Some(None)` = tombstoned.
-    fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        if !self.bloom.may_contain(key) {
-            return None;
-        }
-        self.entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| self.entries[i].1.as_deref())
+    let checksum = u64::from_le_bytes(bytes[4..12].try_into().expect("8"));
+    let payload = &bytes[12..];
+    if sip64(payload) != checksum {
+        return Err(StoreError::Corrupt(format!(
+            "{}: segment checksum mismatch",
+            path.display()
+        )));
     }
+    let mut r = SliceReader {
+        buf: payload,
+        pos: 0,
+    };
+    for _ in 0..r.u32()? {
+        let klen = r.u32()? as usize;
+        let key = r.take(klen)?.to_vec();
+        let tomb = r.u8()? != 0;
+        let vlen = r.u32()? as usize;
+        let val = r.take(vlen)?.to_vec();
+        into.insert(key, if tomb { None } else { Some(val) });
+    }
+    Ok(())
 }
 
 /// The store: MemTable over a WAL over sorted segment files.
 pub struct SegmentStore {
     dir: PathBuf,
     /// MemTable; `None` value is a tombstone awaiting flush.
-    mem: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    mem: Entries,
     mem_bytes: u64,
     wal: Wal,
-    /// Resident segments, ascending by number (oldest first).
-    segments: Vec<(u64, Segment)>,
+    /// Number the next flushed segment gets. Segments are numbered densely
+    /// from 1 (nothing merges or deletes them), so this also counts them.
     next_seg: u64,
     flush_threshold: u64,
 }
 
 impl SegmentStore {
-    /// Opens `dir`, loading every valid segment and replaying `kv.wal`
-    /// into the MemTable. `flush_threshold` bounds MemTable bytes before
-    /// an automatic flush.
+    /// Opens `dir`, replaying `kv.wal` into the MemTable. Segment files
+    /// are only counted here; [`SegmentStore::scan`] reads and validates
+    /// them. `flush_threshold` bounds MemTable bytes before an automatic
+    /// flush.
     pub fn open(dir: &Path, flush_threshold: u64) -> Result<SegmentStore> {
         std::fs::create_dir_all(dir)?;
-        let mut segments = Vec::new();
-        let mut next_seg = 1u64;
-        for (num, path) in numbered_files(dir, "seg")? {
-            // A corrupt segment would have had to tear an atomic rename;
-            // surface it rather than silently dropping committed data.
-            segments.push((num, Segment::read(&path)?));
-            next_seg = num + 1;
-        }
+        let next_seg = numbered_files(dir, "seg")?
+            .last()
+            .map_or(1, |(num, _)| num + 1);
         let (wal, records, _report) = Wal::open(&dir.join("kv.wal"))?;
         let mut store = SegmentStore {
             dir: dir.to_path_buf(),
             mem: BTreeMap::new(),
             mem_bytes: 0,
             wal,
-            segments,
             next_seg,
             flush_threshold,
         };
@@ -300,34 +189,22 @@ impl SegmentStore {
         self.log_and_apply(key, None)
     }
 
-    /// Point lookup across MemTable and segments (newest layer wins).
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(v) = self.mem.get(key) {
-            return v.clone();
-        }
-        for (_, seg) in self.segments.iter().rev() {
-            if let Some(v) = seg.get(key) {
-                return v.map(|v| v.to_vec());
-            }
-        }
-        None
-    }
-
-    /// All live entries, sorted by key, tombstones resolved.
-    pub fn scan(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for (_, seg) in &self.segments {
-            for (k, v) in &seg.entries {
-                merged.insert(k.clone(), v.clone());
-            }
+    /// All live entries, sorted by key, tombstones resolved. Reads and
+    /// checksums every segment file; a corrupt one would have had to tear
+    /// an atomic rename, so it is an error rather than silently dropped
+    /// committed data.
+    pub fn scan(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut merged = Entries::new();
+        for (_, path) in numbered_files(&self.dir, "seg")? {
+            read_segment(&path, &mut merged)?;
         }
         for (k, v) in &self.mem {
             merged.insert(k.clone(), v.clone());
         }
-        merged
+        Ok(merged
             .into_iter()
             .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect()
+            .collect())
     }
 
     /// Writes the MemTable out as the next segment and resets the WAL.
@@ -336,11 +213,9 @@ impl SegmentStore {
         if self.mem.is_empty() {
             return Ok(());
         }
-        let entries: Vec<_> = std::mem::take(&mut self.mem).into_iter().collect();
-        let num = self.next_seg;
-        let seg = Segment::write(&self.dir.join(format!("seg.{num}")), entries)?;
-        self.segments.push((num, seg));
+        write_segment(&self.dir.join(format!("seg.{}", self.next_seg)), &self.mem)?;
         self.next_seg += 1;
+        self.mem.clear();
         self.mem_bytes = 0;
         self.wal.reset()?;
         Ok(())
@@ -348,7 +223,7 @@ impl SegmentStore {
 
     /// Number of on-disk segments (for tests and telemetry).
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
+        (self.next_seg - 1) as usize
     }
 
     /// Entries currently buffered in the MemTable.
@@ -393,33 +268,18 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn bloom_has_no_false_negatives() {
-        let keys: Vec<Vec<u8>> = (0..500u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        let mut b = Bloom::with_capacity(keys.len());
-        for k in &keys {
-            b.insert(k);
-        }
-        for k in &keys {
-            assert!(b.may_contain(k));
-        }
-        // False positives stay rare at 10 bits/key.
-        let fp = (1000..3000u32)
-            .filter(|i| b.may_contain(&i.to_le_bytes()))
-            .count();
-        assert!(fp < 60, "false positive rate too high: {fp}/2000");
+    fn kv(k: &[u8], v: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        (k.to_vec(), v.to_vec())
     }
 
     #[test]
-    fn put_get_delete_round_trip() {
+    fn put_delete_round_trip() {
         let dir = tmp("pgd");
         let mut s = SegmentStore::open(&dir, 1 << 20).unwrap();
         s.put(b"k1", b"v1").unwrap();
         s.put(b"k2", b"v2").unwrap();
         s.delete(b"k1").unwrap();
-        assert_eq!(s.get(b"k1"), None);
-        assert_eq!(s.get(b"k2"), Some(b"v2".to_vec()));
-        assert_eq!(s.scan(), vec![(b"k2".to_vec(), b"v2".to_vec())]);
+        assert_eq!(s.scan().unwrap(), vec![kv(b"k2", b"v2")]);
     }
 
     #[test]
@@ -431,29 +291,29 @@ mod tests {
         drop(s); // never flushed — everything lives in kv.wal
         let s = SegmentStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(s.num_segments(), 0);
-        assert_eq!(s.get(b"a"), Some(b"1".to_vec()));
-        assert_eq!(s.get(b"b"), Some(b"2".to_vec()));
+        assert_eq!(s.scan().unwrap(), vec![kv(b"a", b"1"), kv(b"b", b"2")]);
     }
 
     #[test]
     fn flush_writes_segment_and_resets_wal() {
         let dir = tmp("flush");
         let mut s = SegmentStore::open(&dir, 1 << 20).unwrap();
-        for i in 0..100u32 {
-            s.put(&i.to_le_bytes(), &(i * 2).to_le_bytes()).unwrap();
+        // Big-endian keys, so key order is numeric order.
+        let want: Vec<_> = (0..100u32)
+            .map(|i| kv(&i.to_be_bytes(), &(i * 2).to_le_bytes()))
+            .collect();
+        for (k, v) in &want {
+            s.put(k, v).unwrap();
         }
         s.flush().unwrap();
         assert_eq!(s.num_segments(), 1);
         assert_eq!(s.mem_entries(), 0);
+        assert_eq!(s.scan().unwrap(), want);
         drop(s);
         let s = SegmentStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(s.num_segments(), 1);
-        for i in 0..100u32 {
-            assert_eq!(
-                s.get(&i.to_le_bytes()),
-                Some((i * 2).to_le_bytes().to_vec())
-            );
-        }
+        assert_eq!(s.mem_entries(), 0, "flush must have reset kv.wal");
+        assert_eq!(s.scan().unwrap(), want);
     }
 
     #[test]
@@ -461,30 +321,32 @@ mod tests {
         let dir = tmp("shadow");
         let mut s = SegmentStore::open(&dir, 1 << 20).unwrap();
         s.put(b"doomed", b"old").unwrap();
+        s.put(b"kept", b"v").unwrap();
         s.flush().unwrap();
         s.delete(b"doomed").unwrap();
-        assert_eq!(s.get(b"doomed"), None);
+        assert_eq!(s.scan().unwrap(), vec![kv(b"kept", b"v")]);
         drop(s);
         let mut s = SegmentStore::open(&dir, 1 << 20).unwrap();
-        assert_eq!(s.get(b"doomed"), None);
+        assert_eq!(s.scan().unwrap(), vec![kv(b"kept", b"v")]);
         s.flush().unwrap(); // tombstone flushed into its own segment
         drop(s);
         let s = SegmentStore::open(&dir, 1 << 20).unwrap();
-        assert_eq!(s.get(b"doomed"), None);
-        assert!(s.scan().is_empty());
+        assert_eq!(s.num_segments(), 2);
+        assert_eq!(s.scan().unwrap(), vec![kv(b"kept", b"v")]);
     }
 
     #[test]
     fn auto_flush_past_threshold() {
         let dir = tmp("auto");
         let mut s = SegmentStore::open(&dir, 256).unwrap();
-        for i in 0..64u32 {
-            s.put(&i.to_le_bytes(), &[0u8; 16]).unwrap();
+        let want: Vec<_> = (0..64u32)
+            .map(|i| kv(&i.to_be_bytes(), &[0u8; 16]))
+            .collect();
+        for (k, v) in &want {
+            s.put(k, v).unwrap();
         }
         assert!(s.num_segments() >= 1, "threshold never triggered a flush");
-        for i in 0..64u32 {
-            assert_eq!(s.get(&i.to_le_bytes()), Some(vec![0u8; 16]));
-        }
+        assert_eq!(s.scan().unwrap(), want);
     }
 
     #[test]
@@ -498,7 +360,6 @@ mod tests {
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 1]).unwrap();
         let s = SegmentStore::open(&dir, 1 << 20).unwrap();
-        assert_eq!(s.get(b"safe"), Some(b"1".to_vec()));
-        assert_eq!(s.get(b"torn"), None);
+        assert_eq!(s.scan().unwrap(), vec![kv(b"safe", b"1")]);
     }
 }

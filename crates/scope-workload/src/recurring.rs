@@ -351,15 +351,6 @@ impl RecurringWorkload {
         Ok(jobs)
     }
 
-    /// Business unit of a VC in a cluster.
-    pub fn business_unit_of(&self, cluster_idx: usize, vc: VcId) -> Option<BusinessUnitId> {
-        self.clusters
-            .get(cluster_idx)?
-            .vc_bu
-            .get(vc.index() % self.clusters[cluster_idx].vc_bu.len().max(1))
-            .copied()
-    }
-
     /// Starts a [`RoundDriver`] over one cluster — the multi-round
     /// recurring driver for incremental-analysis experiments.
     pub fn rounds(&self, cluster_idx: usize) -> RoundDriver<'_> {

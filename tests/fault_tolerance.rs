@@ -1158,6 +1158,44 @@ fn crash_recovery_restores_fingerprints_and_stays_live() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Segment files are written atomically, so a damaged one is corruption,
+/// not a torn tail: recovery must refuse it with an `Err` — no panic, no
+/// silently shorter repository — and a file in the previous `SEG1` format
+/// must fail the header check rather than be mis-parsed.
+#[test]
+fn damaged_or_old_format_segment_fails_recovery_loudly() {
+    let dir = temp_store("seg-corrupt");
+    {
+        let cv = durable_service(&dir);
+        let w = workload(7);
+        w.register_instance_data(0, 0, &cv.storage, 1.0).unwrap();
+        cv.run_sequence(&w.jobs_for_instance(0, 0).unwrap(), RunMode::Baseline)
+            .unwrap();
+        // Flushes both segment stores.
+        assert!(cv.snapshot_now(), "explicit snapshot must run");
+    }
+    let recover = || {
+        CloudViews::builder(Arc::new(StorageManager::new()))
+            .incremental_analyzer(analyzer_cfg())
+            .durable(&dir)
+            .try_build()
+    };
+    let seg = dir.join("repo").join("seg.1");
+    let clean = std::fs::read(&seg).unwrap();
+    assert!(recover().is_ok(), "undamaged store must recover");
+
+    let mut flipped = clean.clone();
+    flipped[clean.len() / 2] ^= 0x01;
+    std::fs::write(&seg, &flipped).unwrap();
+    assert!(recover().is_err(), "flipped byte must fail the checksum");
+
+    let mut old_format = clean;
+    old_format[..4].copy_from_slice(b"SEG1");
+    std::fs::write(&seg, &old_format).unwrap();
+    assert!(recover().is_err(), "SEG1 magic must fail the header check");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A build lock held at crash time is re-derived *conservatively*: the
 /// recovered lock keeps its original holder and expiry (never extended),
 /// so a takeover builder can claim the view the moment the mined TTL
