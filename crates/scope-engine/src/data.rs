@@ -14,11 +14,11 @@
 //!   accounting bit for bit, so checksums, hash partitioning, sort orders,
 //!   and `NodeRuntimeStats.out_bytes` are unchanged by the columnar move.
 //! * **Immutability.** Batches are never mutated after construction, which
-//!   is why the per-batch cached byte size needs no invalidation and why
-//!   `gather`/clone/`UnionAll` are `Arc` pointer copies.
+//!   is why the per-batch byte size and row-hash sum need no invalidation
+//!   and why `gather`/clone/`UnionAll` are `Arc` pointer copies.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
 use scope_common::{Result, ScopeError};
@@ -163,6 +163,76 @@ impl<'a> Cell<'a> {
 // ColumnVector
 // ---------------------------------------------------------------------------
 
+/// The values of a string column in one allocation: every value's UTF-8
+/// bytes back to back, value `i` ending at byte `ends[i]` (and starting
+/// where value `i - 1` ended). Gathering and concatenating strings is slice
+/// copying; no cell owns a heap allocation.
+#[derive(Clone, Debug, Default)]
+pub struct StrVec {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+impl StrVec {
+    /// An empty vector with room for `rows` values.
+    pub fn with_capacity(rows: usize) -> StrVec {
+        StrVec {
+            bytes: String::new(),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Value `i` (panics when out of range, like `v[i]`).
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start as usize..self.ends[i] as usize]
+    }
+
+    /// All values in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends one value.
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends
+            .push(u32::try_from(self.bytes.len()).expect("string column exceeds 4 GiB"));
+    }
+
+    /// Appends every value of `other`: one byte copy plus rebased ends.
+    fn extend_from(&mut self, other: &StrVec) {
+        let base = self.bytes.len() as u32;
+        self.bytes.push_str(&other.bytes);
+        assert!(
+            self.bytes.len() <= u32::MAX as usize,
+            "string column exceeds 4 GiB"
+        );
+        self.ends.extend(other.ends.iter().map(|&end| base + end));
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrVec {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrVec {
+        let iter = iter.into_iter();
+        let mut out = StrVec::with_capacity(iter.size_hint().0);
+        for s in iter {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
+
 /// A typed column with an optional null mask; `Mixed` is the untyped
 /// fallback for columns that hold more than one runtime type.
 #[derive(Clone, Debug)]
@@ -198,7 +268,7 @@ pub enum ColumnVector {
     /// UTF-8 strings.
     Str {
         /// Values (empty where masked null).
-        data: Vec<String>,
+        data: StrVec,
         /// Null mask.
         nulls: Option<NullMask>,
     },
@@ -267,7 +337,7 @@ impl ColumnVector {
                 if mask_get(nulls, i) {
                     Cell::Null
                 } else {
-                    Cell::Str(&data[i])
+                    Cell::Str(data.get(i))
                 }
             }
             ColumnVector::Mixed(data) => Cell::of(&data[i]),
@@ -283,11 +353,19 @@ impl ColumnVector {
     pub fn is_null(&self, i: usize) -> bool {
         match self {
             ColumnVector::Mixed(data) => data[i].is_null(),
+            typed => typed.nulls().is_some_and(|m| m[i]),
+        }
+    }
+
+    /// The null mask of a typed column (`Mixed` carries its NULLs inline).
+    fn nulls(&self) -> Option<&NullMask> {
+        match self {
+            ColumnVector::Mixed(_) => None,
             ColumnVector::Int { nulls, .. }
             | ColumnVector::Float { nulls, .. }
             | ColumnVector::Bool { nulls, .. }
             | ColumnVector::Date { nulls, .. }
-            | ColumnVector::Str { nulls, .. } => mask_get(nulls, i),
+            | ColumnVector::Str { nulls, .. } => nulls.as_ref(),
         }
     }
 
@@ -307,17 +385,20 @@ impl ColumnVector {
             ColumnVector::Float { data, nulls } => masked(nulls, 8, data.len()),
             ColumnVector::Bool { data, nulls } => masked(nulls, 1, data.len()),
             ColumnVector::Date { data, nulls } => masked(nulls, 4, data.len()),
-            ColumnVector::Str { data, nulls } => {
-                let mut total = 0u64;
-                for (i, s) in data.iter().enumerate() {
-                    total += if mask_get(nulls, i) {
+            ColumnVector::Str { data, nulls: None } => {
+                8 * data.len() as u64 + data.bytes.len() as u64
+            }
+            ColumnVector::Str { data, nulls } => data
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    if mask_get(nulls, i) {
                         1
                     } else {
                         8 + s.len() as u64
-                    };
-                }
-                total
-            }
+                    }
+                })
+                .sum(),
             ColumnVector::Mixed(data) => data.iter().map(|v| v.byte_size() as u64).sum(),
         }
     }
@@ -364,186 +445,172 @@ impl ColumnVector {
             DataType::Float => build!(Float, 0.0, Value::Float(x) => x),
             DataType::Bool => build!(Bool, false, Value::Bool(x) => x),
             DataType::Date => build!(Date, 0, Value::Date(x) => x),
-            DataType::Str => build!(Str, String::new(), Value::Str(x) => x),
+            DataType::Str => ColumnVector::Str {
+                data: values
+                    .iter()
+                    .map(|v| match v {
+                        Value::Str(s) => s.as_str(),
+                        _ => "",
+                    })
+                    .collect(),
+                nulls,
+            },
         }
     }
 
     /// Gathers rows at `idx` into a new column (panics on out-of-range).
-    pub fn take(&self, idx: &[usize]) -> ColumnVector {
-        fn mask_take(nulls: &Option<NullMask>, idx: &[usize]) -> Option<NullMask> {
-            nulls.as_ref().map(|m| idx.iter().map(|&i| m[i]).collect())
+    pub fn take(&self, idx: &[u32]) -> ColumnVector {
+        ColumnVector::gather(&[(self, Some(idx))])
+    }
+
+    /// Builds one column from `runs` in order: the rows of each source column
+    /// selected by its indices, or the whole column when the indices are
+    /// `None`. Every cell is copied exactly once.
+    ///
+    /// Same-variant sources copy their typed buffers directly, with a mask
+    /// only when some source has one; differing variants fall back to value
+    /// materialization and re-typing.
+    fn gather(runs: &[Run<'_>]) -> ColumnVector {
+        let run_len = |(c, idx): &Run<'_>| idx.map_or(c.len(), <[u32]>::len);
+        let total: usize = runs.iter().map(run_len).sum();
+        let nulls = runs.iter().any(|(c, _)| c.nulls().is_some()).then(|| {
+            let mut mask: NullMask = Vec::with_capacity(total);
+            for run in runs {
+                match (run.0.nulls(), run.1) {
+                    (Some(m), Some(idx)) => mask.extend(idx.iter().map(|&i| m[i as usize])),
+                    (Some(m), None) => mask.extend_from_slice(m),
+                    (None, _) => mask.resize(mask.len() + run_len(run), false),
+                }
+            }
+            mask
+        });
+        macro_rules! typed_gather {
+            ($variant:ident) => {{
+                let mut data = Vec::with_capacity(total);
+                for (c, idx) in runs {
+                    let ColumnVector::$variant { data: d, .. } = c else {
+                        unreachable!("typed_gather on differing variants");
+                    };
+                    match idx {
+                        Some(idx) => data.extend(idx.iter().map(|&i| d[i as usize])),
+                        None => data.extend_from_slice(d),
+                    }
+                }
+                ColumnVector::$variant { data, nulls }
+            }};
         }
-        match self {
-            ColumnVector::Int { data, nulls } => ColumnVector::Int {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: mask_take(nulls, idx),
-            },
-            ColumnVector::Float { data, nulls } => ColumnVector::Float {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: mask_take(nulls, idx),
-            },
-            ColumnVector::Bool { data, nulls } => ColumnVector::Bool {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: mask_take(nulls, idx),
-            },
-            ColumnVector::Date { data, nulls } => ColumnVector::Date {
-                data: idx.iter().map(|&i| data[i]).collect(),
-                nulls: mask_take(nulls, idx),
-            },
-            ColumnVector::Str { data, nulls } => ColumnVector::Str {
-                data: idx.iter().map(|&i| data[i].clone()).collect(),
-                nulls: mask_take(nulls, idx),
-            },
-            ColumnVector::Mixed(data) => {
-                ColumnVector::Mixed(idx.iter().map(|&i| data[i].clone()).collect())
+
+        use ColumnVector::*;
+        let same_variant = runs
+            .windows(2)
+            .all(|w| std::mem::discriminant(w[0].0) == std::mem::discriminant(w[1].0));
+        match runs.first() {
+            Some((Int { .. }, _)) if same_variant => typed_gather!(Int),
+            Some((Float { .. }, _)) if same_variant => typed_gather!(Float),
+            Some((Bool { .. }, _)) if same_variant => typed_gather!(Bool),
+            Some((Date { .. }, _)) if same_variant => typed_gather!(Date),
+            Some((Str { .. }, _)) if same_variant => {
+                let mut data = StrVec::with_capacity(total);
+                for (c, idx) in runs {
+                    let Str { data: d, .. } = c else {
+                        unreachable!("string gather on differing variants");
+                    };
+                    match idx {
+                        Some(idx) => idx.iter().for_each(|&i| data.push(d.get(i as usize))),
+                        None => data.extend_from(d),
+                    }
+                }
+                Str { data, nulls }
+            }
+            _ => {
+                let mut values = Vec::with_capacity(total);
+                for (c, idx) in runs {
+                    match idx {
+                        Some(idx) => values.extend(idx.iter().map(|&i| c.value(i as usize))),
+                        None => values.extend((0..c.len()).map(|i| c.value(i))),
+                    }
+                }
+                ColumnVector::from_values(values)
             }
         }
     }
 
     /// Gathers rows at `idx`, producing NULL where the index is `None`
     /// (used for the unmatched side of left-outer joins).
-    pub fn take_opt(&self, idx: &[Option<usize>]) -> ColumnVector {
-        fn mask(nulls: &Option<NullMask>, idx: &[Option<usize>]) -> Option<NullMask> {
-            if nulls.is_none() && idx.iter().all(Option::is_some) {
-                return None;
-            }
+    pub fn take_opt(&self, idx: &[Option<u32>]) -> ColumnVector {
+        let nulls = if self.nulls().is_none() && idx.iter().all(Option::is_some) {
+            None
+        } else {
             Some(
                 idx.iter()
-                    .map(|i| match i {
-                        None => true,
-                        Some(i) => mask_get(nulls, *i),
-                    })
+                    .map(|i| i.is_none_or(|i| self.is_null(i as usize)))
                     .collect(),
             )
+        };
+        macro_rules! typed_take {
+            ($variant:ident, $data:ident) => {
+                ColumnVector::$variant {
+                    data: idx
+                        .iter()
+                        .map(|i| i.map(|i| $data[i as usize]).unwrap_or_default())
+                        .collect(),
+                    nulls,
+                }
+            };
         }
         match self {
-            ColumnVector::Int { data, nulls } => ColumnVector::Int {
+            ColumnVector::Int { data, .. } => typed_take!(Int, data),
+            ColumnVector::Float { data, .. } => typed_take!(Float, data),
+            ColumnVector::Bool { data, .. } => typed_take!(Bool, data),
+            ColumnVector::Date { data, .. } => typed_take!(Date, data),
+            ColumnVector::Str { data, .. } => ColumnVector::Str {
                 data: idx
                     .iter()
-                    .map(|i| i.map(|i| data[i]).unwrap_or(0))
+                    .map(|i| i.map_or("", |i| data.get(i as usize)))
                     .collect(),
-                nulls: mask(nulls, idx),
-            },
-            ColumnVector::Float { data, nulls } => ColumnVector::Float {
-                data: idx
-                    .iter()
-                    .map(|i| i.map(|i| data[i]).unwrap_or(0.0))
-                    .collect(),
-                nulls: mask(nulls, idx),
-            },
-            ColumnVector::Bool { data, nulls } => ColumnVector::Bool {
-                data: idx
-                    .iter()
-                    .map(|i| i.map(|i| data[i]).unwrap_or(false))
-                    .collect(),
-                nulls: mask(nulls, idx),
-            },
-            ColumnVector::Date { data, nulls } => ColumnVector::Date {
-                data: idx
-                    .iter()
-                    .map(|i| i.map(|i| data[i]).unwrap_or(0))
-                    .collect(),
-                nulls: mask(nulls, idx),
-            },
-            ColumnVector::Str { data, nulls } => ColumnVector::Str {
-                data: idx
-                    .iter()
-                    .map(|i| i.map(|i| data[i].clone()).unwrap_or_default())
-                    .collect(),
-                nulls: mask(nulls, idx),
+                nulls,
             },
             ColumnVector::Mixed(data) => ColumnVector::Mixed(
                 idx.iter()
-                    .map(|i| i.map(|i| data[i].clone()).unwrap_or(Value::Null))
+                    .map(|i| i.map_or(Value::Null, |i| data[i as usize].clone()))
                     .collect(),
             ),
         }
     }
-
-    /// Concatenates columns of the same position across batches.
-    ///
-    /// Same-variant inputs splice their typed buffers directly (the mask is
-    /// kept only when some input row is actually NULL, matching what
-    /// [`ColumnVector::from_values`] would build); mixed variants fall back
-    /// to value materialization and re-typing.
-    fn concat(cols: &[&ColumnVector]) -> ColumnVector {
-        let total: usize = cols.iter().map(|c| c.len()).sum();
-
-        macro_rules! typed_concat {
-            ($variant:ident) => {{
-                let mut data = Vec::with_capacity(total);
-                let mut mask: NullMask = Vec::with_capacity(total);
-                let mut any_null = false;
-                for c in cols {
-                    if let ColumnVector::$variant { data: d, nulls } = c {
-                        data.extend(d.iter().cloned());
-                        match nulls {
-                            Some(m) => {
-                                any_null |= m.iter().any(|&b| b);
-                                mask.extend_from_slice(m);
-                            }
-                            None => mask.extend(std::iter::repeat(false).take(d.len())),
-                        }
-                    } else {
-                        unreachable!("typed_concat on mixed variants");
-                    }
-                }
-                ColumnVector::$variant {
-                    data,
-                    nulls: if any_null { Some(mask) } else { None },
-                }
-            }};
-        }
-
-        use ColumnVector::*;
-        if cols.iter().all(|c| matches!(c, Int { .. })) {
-            return typed_concat!(Int);
-        }
-        if cols.iter().all(|c| matches!(c, Float { .. })) {
-            return typed_concat!(Float);
-        }
-        if cols.iter().all(|c| matches!(c, Bool { .. })) {
-            return typed_concat!(Bool);
-        }
-        if cols.iter().all(|c| matches!(c, Date { .. })) {
-            return typed_concat!(Date);
-        }
-        if cols.iter().all(|c| matches!(c, Str { .. })) {
-            return typed_concat!(Str);
-        }
-
-        let mut values = Vec::with_capacity(total);
-        for c in cols {
-            for i in 0..c.len() {
-                values.push(c.value(i));
-            }
-        }
-        ColumnVector::from_values(values)
-    }
 }
+
+/// One source of a gather: a column and the rows to copy from it, in output
+/// order (`None` = the whole column).
+type Run<'a> = (&'a ColumnVector, Option<&'a [u32]>);
 
 // ---------------------------------------------------------------------------
 // RecordBatch
 // ---------------------------------------------------------------------------
 
-/// An immutable batch of rows stored column-wise, with the byte size cached
-/// at construction (immutability is the cache-invalidation strategy).
+/// An immutable batch of rows stored column-wise. A batch carries its byte
+/// size (fixed at construction) and its row-hash sum (fixed at first use);
+/// immutability is the cache-invalidation strategy for both.
 #[derive(Clone, Debug)]
 pub struct RecordBatch {
     columns: Vec<Arc<ColumnVector>>,
     rows: usize,
     bytes: u64,
+    row_hash_sum: OnceLock<u64>,
 }
 
 impl RecordBatch {
     /// Builds a batch from columns; all columns must share `rows` length.
     pub fn new(columns: Vec<Arc<ColumnVector>>, rows: usize) -> RecordBatch {
         debug_assert!(columns.iter().all(|c| c.len() == rows));
+        // Row indices within a batch are `u32` everywhere (selections,
+        // gathers, join pairs).
+        assert!(rows <= u32::MAX as usize, "batch exceeds u32 row indices");
         let bytes = columns.iter().map(|c| c.byte_total()).sum();
         RecordBatch {
             columns,
             rows,
             bytes,
+            row_hash_sum: OnceLock::new(),
         }
     }
 
@@ -553,7 +620,7 @@ impl RecordBatch {
         let width = rows.first().map(Vec::len).unwrap_or(0);
         let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
         for row in rows {
-            debug_assert_eq!(row.len(), width);
+            assert_eq!(row.len(), width, "ragged rows in one batch");
             for (j, v) in row.into_iter().enumerate() {
                 cols[j].push(v);
             }
@@ -601,24 +668,47 @@ impl RecordBatch {
     }
 
     /// Gathers rows at `idx` into a new batch.
-    pub fn take(&self, idx: &[usize]) -> RecordBatch {
+    pub fn take(&self, idx: &[u32]) -> RecordBatch {
         let columns = self.columns.iter().map(|c| Arc::new(c.take(idx))).collect();
         RecordBatch::new(columns, idx.len())
     }
 
-    /// Concatenates batches of equal width into one.
-    pub fn concat(batches: &[&RecordBatch]) -> RecordBatch {
-        let width = batches.first().map(|b| b.width()).unwrap_or(0);
-        debug_assert!(batches.iter().all(|b| b.width() == width));
-        let rows = batches.iter().map(|b| b.num_rows()).sum();
+    /// Builds one batch from `runs` in order — selected rows of each source
+    /// batch, or all of it when the indices are `None` — copying every cell
+    /// once ([`ColumnVector::gather`] per column position).
+    fn gather(runs: &[(&RecordBatch, Option<&[u32]>)]) -> RecordBatch {
+        let width = runs.first().map_or(0, |(b, _)| b.width());
+        debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
+        let rows = runs
+            .iter()
+            .map(|(b, idx)| idx.map_or(b.num_rows(), <[u32]>::len))
+            .sum();
         let columns = (0..width)
             .map(|j| {
-                let parts: Vec<&ColumnVector> =
-                    batches.iter().map(|b| b.columns[j].as_ref()).collect();
-                Arc::new(ColumnVector::concat(&parts))
+                let cols: Vec<Run<'_>> = runs
+                    .iter()
+                    .map(|(b, idx)| (b.columns[j].as_ref(), *idx))
+                    .collect();
+                Arc::new(ColumnVector::gather(&cols))
             })
             .collect();
         RecordBatch::new(columns, rows)
+    }
+
+    /// Wrapping sum of the per-row stable hashes (each row hashed cell by
+    /// cell with [`Cell::stable_hash_into`]), computed at most once per batch.
+    fn row_hash_sum(&self) -> u64 {
+        *self.row_hash_sum.get_or_init(|| {
+            let mut sum = 0u64;
+            for i in 0..self.rows {
+                let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
+                for col in &self.columns {
+                    col.cell(i).stable_hash_into(&mut h);
+                }
+                sum = sum.wrapping_add(h.finish());
+            }
+            sum
+        })
     }
 }
 
@@ -639,21 +729,12 @@ pub struct Table {
     pub props: PhysicalProps,
 }
 
-/// Splits rows into maximal runs of uniform width, one batch per run.
-/// (Almost every table is uniform — then this is a single batch.)
+/// One batch holding `rows` (none when there are no rows).
 pub(crate) fn batches_from_rows(rows: Vec<Row>) -> Vec<Arc<RecordBatch>> {
-    let mut out = Vec::new();
-    let mut run: Vec<Row> = Vec::new();
-    for row in rows {
-        if run.last().is_some_and(|prev| prev.len() != row.len()) {
-            out.push(Arc::new(RecordBatch::from_rows(std::mem::take(&mut run))));
-        }
-        run.push(row);
+    if rows.is_empty() {
+        return Vec::new();
     }
-    if !run.is_empty() {
-        out.push(Arc::new(RecordBatch::from_rows(run)));
-    }
-    out
+    vec![Arc::new(RecordBatch::from_rows(rows))]
 }
 
 impl Table {
@@ -668,20 +749,13 @@ impl Table {
 
     /// A single-partition table from rows.
     pub fn single(schema: Schema, rows: Vec<Row>) -> Self {
-        Table {
-            schema,
-            partitions: vec![batches_from_rows(rows)],
-            props: PhysicalProps::single(),
-        }
+        Table::from_rows(schema, vec![rows], PhysicalProps::single())
     }
 
     /// A table from per-partition row lists (row bridge).
     pub fn from_rows(schema: Schema, partitions: Vec<Vec<Row>>, props: PhysicalProps) -> Self {
-        Table {
-            schema,
-            partitions: partitions.into_iter().map(batches_from_rows).collect(),
-            props,
-        }
+        let partitions = partitions.into_iter().map(batches_from_rows).collect();
+        Table::from_batches(schema, partitions, props)
     }
 
     /// A single-partition table built directly from columns — the batch-first
@@ -708,6 +782,14 @@ impl Table {
         partitions: Vec<Vec<Arc<RecordBatch>>>,
         props: PhysicalProps,
     ) -> Self {
+        debug_assert!(
+            partitions
+                .iter()
+                .flatten()
+                .all(|b| b.width() == schema.len()),
+            "a batch's width differs from the schema's ({})",
+            schema.len()
+        );
         Table {
             schema,
             partitions,
@@ -749,20 +831,13 @@ impl Table {
     }
 
     /// Partition `p` as one batch: zero-copy when it is already a single
-    /// batch, concatenated otherwise. `None` when the partition is ragged
-    /// (batches of differing widths) — callers fall back to rows.
-    pub(crate) fn partition_as_batch(&self, p: usize) -> Option<Arc<RecordBatch>> {
-        let batches = &self.partitions[p];
-        match batches.len() {
-            0 => Some(Arc::new(RecordBatch::new(Vec::new(), 0))),
-            1 => Some(batches[0].clone()),
-            _ => {
-                let width = batches[0].width();
-                if batches.iter().any(|b| b.width() != width) {
-                    return None;
-                }
-                let refs: Vec<&RecordBatch> = batches.iter().map(|b| b.as_ref()).collect();
-                Some(Arc::new(RecordBatch::concat(&refs)))
+    /// batch, concatenated otherwise.
+    pub(crate) fn partition_as_batch(&self, p: usize) -> Arc<RecordBatch> {
+        match self.partitions[p].as_slice() {
+            [batch] => batch.clone(),
+            batches => {
+                let runs: Vec<_> = batches.iter().map(|b| (b.as_ref(), None)).collect();
+                Arc::new(RecordBatch::gather(&runs))
             }
         }
     }
@@ -803,7 +878,11 @@ impl Table {
         }
         const K0: u64 = 0x9e3779b97f4a7c15;
         const K1: u64 = 0x85ebca6b;
-        let mut out: Vec<Vec<Arc<RecordBatch>>> = vec![Vec::new(); parts];
+        // `h % parts` without the 64-bit division when `parts` is a power of
+        // two, as the optimizer's degrees of parallelism are.
+        let mask = parts.is_power_of_two().then(|| parts as u64 - 1);
+        let part_of = |h: u64| mask.map_or_else(|| h % parts as u64, |m| h & m) as usize;
+        let mut scatter = Scatter::new(parts);
         for batch in self.partitions.iter().flatten() {
             // Typed single-key routing: fuse the tagged-cell byte stream
             // (identical to `Cell::stable_hash_into`) into a one-shot short
@@ -813,48 +892,42 @@ impl Table {
                 _ => None,
             };
             match fast {
-                Some(ColumnVector::Int { data, nulls }) => {
-                    Self::scatter_one(&mut out, batch, |i| {
-                        let h = match nulls {
-                            Some(m) if m[i] => sip24_short(K0, K1, &[0]),
-                            _ => {
-                                let mut msg = [0u8; 9];
-                                msg[0] = 2;
-                                msg[1..].copy_from_slice(&(data[i] as u64).to_le_bytes());
-                                sip24_short(K0, K1, &msg)
-                            }
-                        };
-                        (h % parts as u64) as usize
-                    });
-                }
-                Some(ColumnVector::Date { data, nulls }) => {
-                    Self::scatter_one(&mut out, batch, |i| {
-                        let h = match nulls {
-                            Some(m) if m[i] => sip24_short(K0, K1, &[0]),
-                            _ => {
-                                let mut msg = [0u8; 5];
-                                msg[0] = 5;
-                                msg[1..].copy_from_slice(&(data[i] as u32).to_le_bytes());
-                                sip24_short(K0, K1, &msg)
-                            }
-                        };
-                        (h % parts as u64) as usize
-                    });
-                }
-                _ => {
-                    Self::scatter_one(&mut out, batch, |i| {
-                        let mut h = SipHasher24::new_with_keys(K0, K1);
-                        for &c in cols {
-                            batch.cell(i, c).stable_hash_into(&mut h);
+                Some(ColumnVector::Int { data, nulls }) => scatter.route(batch, |i| {
+                    let h = match nulls {
+                        Some(m) if m[i] => sip24_short(K0, K1, &[0]),
+                        _ => {
+                            let mut msg = [0u8; 9];
+                            msg[0] = 2;
+                            msg[1..].copy_from_slice(&(data[i] as u64).to_le_bytes());
+                            sip24_short(K0, K1, &msg)
                         }
-                        (h.finish() % parts as u64) as usize
-                    });
-                }
+                    };
+                    part_of(h)
+                }),
+                Some(ColumnVector::Date { data, nulls }) => scatter.route(batch, |i| {
+                    let h = match nulls {
+                        Some(m) if m[i] => sip24_short(K0, K1, &[0]),
+                        _ => {
+                            let mut msg = [0u8; 5];
+                            msg[0] = 5;
+                            msg[1..].copy_from_slice(&(data[i] as u32).to_le_bytes());
+                            sip24_short(K0, K1, &msg)
+                        }
+                    };
+                    part_of(h)
+                }),
+                _ => scatter.route(batch, |i| {
+                    let mut h = SipHasher24::new_with_keys(K0, K1);
+                    for &c in cols {
+                        batch.cell(i, c).stable_hash_into(&mut h);
+                    }
+                    part_of(h.finish())
+                }),
             }
         }
         Ok(Table {
             schema: self.schema.clone(),
-            partitions: out,
+            partitions: scatter.finish(),
             props: PhysicalProps {
                 partitioning: Partitioning::Hash {
                     cols: cols.to_vec(),
@@ -883,14 +956,16 @@ impl Table {
                     .unwrap_or(Value::Null)
             })
             .collect();
-        let mut out: Vec<Vec<Arc<RecordBatch>>> = vec![Vec::new(); parts];
-        self.scatter(&mut out, |batch, i| {
-            let cell = batch.cell(i, col);
-            boundaries.partition_point(|b| Cell::of(b).cmp_cell(cell) != Ordering::Greater)
-        });
+        let mut scatter = Scatter::new(parts);
+        for batch in self.partitions.iter().flatten() {
+            scatter.route(batch, |i| {
+                let cell = batch.cell(i, col);
+                boundaries.partition_point(|b| Cell::of(b).cmp_cell(cell) != Ordering::Greater)
+            });
+        }
         Ok(Table {
             schema: self.schema.clone(),
-            partitions: out,
+            partitions: scatter.finish(),
             props: PhysicalProps {
                 partitioning: Partitioning::Range { col, parts },
                 sort: SortOrder::none(),
@@ -903,34 +978,23 @@ impl Table {
         if parts == 0 {
             return Err(ScopeError::Execution("round_robin with 0 parts".into()));
         }
-        let mut out: Vec<Vec<Arc<RecordBatch>>> = vec![Vec::new(); parts];
+        let mut scatter = Scatter::new(parts);
         let mut global = 0usize;
-        self.scatter(&mut out, |_, _| {
-            let p = global % parts;
-            global += 1;
-            p
-        });
+        for batch in self.partitions.iter().flatten() {
+            scatter.route(batch, |_| {
+                let p = global % parts;
+                global += 1;
+                p
+            });
+        }
         Ok(Table {
             schema: self.schema.clone(),
-            partitions: out,
+            partitions: scatter.finish(),
             props: PhysicalProps {
                 partitioning: Partitioning::RoundRobin { parts },
                 sort: SortOrder::none(),
             },
         })
-    }
-
-    /// Routes every row to `route(batch, row_index)`, appending one selection
-    /// sub-batch per (source batch, destination) in scan order — the same row
-    /// order per destination as the row-at-a-time scatter produced.
-    fn scatter(
-        &self,
-        out: &mut [Vec<Arc<RecordBatch>>],
-        mut route: impl FnMut(&RecordBatch, usize) -> usize,
-    ) {
-        for batch in self.partitions.iter().flatten() {
-            Self::scatter_one(out, batch, |i| route(batch, i));
-        }
     }
 
     /// Iterates the cells of column `col` across all partitions.
@@ -939,31 +1003,6 @@ impl Table {
             .iter()
             .flatten()
             .flat_map(move |b| (0..b.num_rows()).map(move |i| b.cell(i, col)))
-    }
-
-    /// Routes every row of one batch to `route(row_index)`, appending one
-    /// selection sub-batch per destination in scan order — the same row
-    /// order per destination as the row-at-a-time scatter produced.
-    fn scatter_one(
-        out: &mut [Vec<Arc<RecordBatch>>],
-        batch: &Arc<RecordBatch>,
-        mut route: impl FnMut(usize) -> usize,
-    ) {
-        let parts = out.len();
-        let mut sel: Vec<Vec<usize>> = vec![Vec::new(); parts];
-        for i in 0..batch.num_rows() {
-            sel[route(i)].push(i);
-        }
-        for (p, idx) in sel.iter().enumerate() {
-            if idx.is_empty() {
-                continue;
-            }
-            if idx.len() == batch.num_rows() {
-                out[p].push(batch.clone());
-            } else {
-                out[p].push(Arc::new(batch.take(idx)));
-            }
-        }
     }
 
     /// Gathers all partitions into one. Zero-copy: the batch buffers are
@@ -980,19 +1019,13 @@ impl Table {
     pub fn sort_partitions(&self, order: &SortOrder) -> Table {
         let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(self.num_partitions());
         for p in 0..self.num_partitions() {
-            match self.partition_as_batch(p) {
-                Some(batch) if batch.num_rows() > 1 => {
-                    let mut idx: Vec<usize> = (0..batch.num_rows()).collect();
-                    idx.sort_by(|&a, &b| compare_batch_rows(&batch, a, b, order));
-                    parts.push(vec![Arc::new(batch.take(&idx))]);
-                }
-                Some(_) => parts.push(self.partitions[p].clone()),
-                None => {
-                    // Ragged partition: sort via the row bridge.
-                    let mut rows = self.partition_rows(p);
-                    sort_rows(&mut rows, order);
-                    parts.push(batches_from_rows(rows));
-                }
+            let batch = self.partition_as_batch(p);
+            if batch.num_rows() > 1 {
+                let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
+                idx.sort_by(|&a, &b| compare_batch_rows(&batch, a as usize, b as usize, order));
+                parts.push(vec![Arc::new(batch.take(&idx))]);
+            } else {
+                parts.push(self.partitions[p].clone());
             }
         }
         Table {
@@ -1003,6 +1036,54 @@ impl Table {
                 sort: order.clone(),
             },
         }
+    }
+}
+
+/// Rows routed to each destination partition of a repartition:
+/// `runs[p]` lists, per source batch in scan order, the rows bound for `p`.
+struct Scatter<'a> {
+    runs: Vec<Vec<(&'a Arc<RecordBatch>, Vec<u32>)>>,
+}
+
+impl<'a> Scatter<'a> {
+    fn new(parts: usize) -> Self {
+        Scatter {
+            runs: vec![Vec::new(); parts],
+        }
+    }
+
+    /// Routes every row of `batch` to partition `route(row_index)`.
+    fn route(&mut self, batch: &'a Arc<RecordBatch>, mut route: impl FnMut(usize) -> usize) {
+        let mut sel: Vec<Vec<u32>> = vec![Vec::new(); self.runs.len()];
+        for i in 0..batch.num_rows() {
+            sel[route(i)].push(i as u32);
+        }
+        for (runs, idx) in self.runs.iter_mut().zip(sel) {
+            if !idx.is_empty() {
+                runs.push((batch, idx));
+            }
+        }
+    }
+
+    /// Builds every destination as one batch with a single gather over all
+    /// its sources — the per-destination row order of a row-at-a-time
+    /// scatter. A destination that received exactly one whole batch shares
+    /// it; one that received nothing has no batch.
+    fn finish(self) -> Vec<Vec<Arc<RecordBatch>>> {
+        self.runs
+            .into_iter()
+            .map(|runs| match runs.as_slice() {
+                [] => Vec::new(),
+                [(batch, idx)] if idx.len() == batch.num_rows() => vec![Arc::clone(batch)],
+                runs => {
+                    let runs: Vec<_> = runs
+                        .iter()
+                        .map(|&(batch, ref idx)| (&**batch, Some(idx.as_slice())))
+                        .collect();
+                    vec![Arc::new(RecordBatch::gather(&runs))]
+                }
+            })
+            .collect()
     }
 }
 
@@ -1073,21 +1154,18 @@ pub fn compare_rows(a: &Row, b: &Row, order: &SortOrder) -> std::cmp::Ordering {
 /// Order- and partition-insensitive checksum of a table's contents: the sum
 /// (wrapping) of per-row stable hashes. Two tables hold the same multiset of
 /// rows iff their checksums and row counts agree (up to hash collisions).
+/// Each batch contributes its memoised row-hash sum, so checksumming a table
+/// whose batches were hashed before costs one addition per batch.
 ///
 /// This is how integration tests assert that CloudViews rewriting "does not
 /// introduce data corruption" (paper requirement 3).
 pub fn multiset_checksum(table: &Table) -> u64 {
-    let mut acc: u64 = sip64(b"multiset") ^ table.num_rows() as u64;
-    for batch in table.partitions.iter().flatten() {
-        for i in 0..batch.num_rows() {
-            let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
-            for col in batch.columns() {
-                col.cell(i).stable_hash_into(&mut h);
-            }
-            acc = acc.wrapping_add(h.finish());
-        }
-    }
-    acc
+    let seed = sip64(b"multiset") ^ table.num_rows() as u64;
+    table
+        .partitions
+        .iter()
+        .flatten()
+        .fold(seed, |acc, batch| acc.wrapping_add(batch.row_hash_sum()))
 }
 
 #[cfg(test)]
@@ -1372,19 +1450,13 @@ mod tests {
     }
 
     #[test]
-    fn ragged_rows_split_into_batches_and_round_trip() {
+    #[should_panic(expected = "ragged rows")]
+    fn ragged_rows_are_rejected() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
-        let rows = vec![
-            vec![Value::Int(1)],
-            vec![Value::Int(2), Value::Int(3)],
-            vec![Value::Int(4), Value::Int(5)],
-            vec![Value::Int(6)],
-        ];
-        let t = Table::single(schema, rows.clone());
-        assert_eq!(t.all_rows(), rows);
-        assert_eq!(t.partition_batches(0).len(), 3);
-        assert!(t.partition_as_batch(0).is_none());
-        assert_eq!(t.num_bytes(), row_bytes(&t));
+        let _ = Table::single(
+            schema,
+            vec![vec![Value::Int(1)], vec![Value::Int(2), Value::Int(3)]],
+        );
     }
 
     #[test]
@@ -1394,5 +1466,250 @@ mod tests {
         assert_eq!(taken.value(0), Value::Int(2));
         assert_eq!(taken.value(1), Value::Null);
         assert_eq!(taken.value(2), Value::Int(1));
+    }
+
+    // -- contracts the one-gather exchange, the flat string layout and the
+    // -- memoised checksum lean on -------------------------------------------
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const STRS: [&str; 5] = [
+        "",
+        "žluťoučký kůň",
+        "日本語",
+        "plain",
+        "a longer ascii string",
+    ];
+
+    /// Schema and random rows with NULLs in every typed column, empty and
+    /// non-ASCII strings, and a last column that mixes runtime types.
+    fn random_rows(rng: &mut SmallRng, n: usize) -> (Schema, Vec<Row>) {
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("d", DataType::Date),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("m", DataType::Int),
+        ]);
+        let rows = (0..n)
+            .map(|_| {
+                let mut row = vec![
+                    Value::Int(rng.gen_range(-4..4)),
+                    Value::Date(rng.gen_range(17_000..17_004)),
+                    Value::Str(STRS[rng.gen_range(0..STRS.len())].into()),
+                    Value::Float(rng.gen_range(-2.0..2.0)),
+                ];
+                for v in &mut row {
+                    if rng.gen_range(0..6) == 0 {
+                        *v = Value::Null;
+                    }
+                }
+                row.push(match rng.gen_range(0..3) {
+                    0 => Value::Int(rng.gen_range(0..3)),
+                    1 => Value::Str("mixed".into()),
+                    _ => Value::Bool(true),
+                });
+                row
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    /// A random multi-partition table whose partitions hold several batches.
+    fn random_table(rng: &mut SmallRng) -> Table {
+        let (schema, _) = random_rows(rng, 0);
+        let partitions = (0..rng.gen_range(1..4))
+            .map(|_| {
+                (0..rng.gen_range(0..4))
+                    .flat_map(|_| {
+                        let n = rng.gen_range(1..40);
+                        batches_from_rows(random_rows(rng, n).1)
+                    })
+                    .collect()
+            })
+            .collect();
+        Table::from_batches(schema, partitions, PhysicalProps::any())
+    }
+
+    /// The checksum as it was first defined: one hasher per materialized row.
+    fn reference_checksum(t: &Table) -> u64 {
+        let mut acc = sip64(b"multiset") ^ t.num_rows() as u64;
+        for row in t.iter_rows() {
+            let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
+            for v in &row {
+                v.stable_hash_into(&mut h);
+            }
+            acc = acc.wrapping_add(h.finish());
+        }
+        acc
+    }
+
+    #[test]
+    fn checksum_matches_row_reference_and_memo_is_stable() {
+        for case in 0..40 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let t = random_table(&mut rng);
+            let want = reference_checksum(&t);
+            assert_eq!(multiset_checksum(&t), want, "case {case}");
+            // Second call reads the per-batch memo; a clone shares it.
+            assert_eq!(multiset_checksum(&t), want, "case {case} (memoised)");
+            assert_eq!(multiset_checksum(&t.clone().gather()), want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn checksum_golden_values_are_pinned() {
+        // Both constants were produced by the row-at-a-time implementation
+        // this digest replaced; they must never change.
+        assert_eq!(multiset_checksum(&table(20)), 0x5e16a07610da9549);
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+            ("b", DataType::Bool),
+            ("d", DataType::Date),
+            ("m", DataType::Int),
+        ]);
+        let strs = ["", "žluťoučký kůň", "日本語", "plain"];
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| {
+                vec![
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i * i - 7)
+                    },
+                    Value::Float(i as f64 / 3.0),
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(strs[i as usize % 4].into())
+                    },
+                    Value::Bool(i % 2 == 0),
+                    Value::Date(17_000 + i as i32),
+                    if i % 3 == 0 {
+                        Value::Str("x".into())
+                    } else {
+                        Value::Int(i)
+                    },
+                ]
+            })
+            .collect();
+        let t = Table::from_rows(
+            schema,
+            vec![rows[..25].to_vec(), rows[25..].to_vec(), Vec::new()],
+            PhysicalProps::any(),
+        );
+        assert_eq!(multiset_checksum(&t), 0x139b0b0c225024f5);
+    }
+
+    /// Row-at-a-time scatter: every row, in scan order, appended to the
+    /// partition its key cells hash to.
+    fn reference_hash_scatter(t: &Table, cols: &[usize], parts: usize) -> Vec<Vec<Row>> {
+        let mut out = vec![Vec::new(); parts];
+        for row in t.iter_rows() {
+            let mut h = SipHasher24::new_with_keys(0x9e3779b97f4a7c15, 0x85ebca6b);
+            for &c in cols {
+                row[c].stable_hash_into(&mut h);
+            }
+            out[(h.finish() % parts as u64) as usize].push(row);
+        }
+        out
+    }
+
+    #[test]
+    fn hash_repartition_matches_row_at_a_time_scatter() {
+        // Int, Date, Str, mixed-type and two-column keys; a power-of-two and
+        // an odd partition count.
+        let key_sets: [&[usize]; 5] = [&[0], &[1], &[2], &[4], &[2, 0]];
+        for case in 0..12 {
+            let mut rng = SmallRng::seed_from_u64(1_000 + case);
+            let t = random_table(&mut rng);
+            for cols in key_sets {
+                for parts in [8, 5] {
+                    let r = t.hash_repartition(cols, parts).unwrap();
+                    let want = reference_hash_scatter(&t, cols, parts);
+                    for (p, want) in want.iter().enumerate() {
+                        assert_eq!(&r.partition_rows(p), want, "case {case} {cols:?} p{p}");
+                        let batches = r.partition_batches(p);
+                        assert_eq!(batches.len(), usize::from(!want.is_empty()));
+                    }
+                    assert_eq!(r.num_bytes(), t.num_bytes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repartition_shares_a_batch_that_moves_whole() {
+        // One key value: the whole batch lands in one destination.
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Str)]);
+        let rows = (0..30)
+            .map(|i| vec![Value::Int(7), Value::Str(format!("r{i}"))])
+            .collect();
+        let t = Table::single(schema, rows);
+        let source = &t.partition_batches(0)[0];
+        let r = t.hash_repartition(&[0], 8).unwrap();
+        let moved: Vec<_> = (0..8).flat_map(|p| r.partition_batches(p)).collect();
+        assert_eq!(moved.len(), 1);
+        assert!(Arc::ptr_eq(moved[0], source));
+        // Range and round-robin go through the same gather.
+        let rr = table(64).round_robin_repartition(3).unwrap();
+        assert!((0..3).all(|p| rr.partition_batches(p).len() == 1));
+        assert_eq!(rr.partition_rows(1)[1], table(64).all_rows()[4]);
+    }
+
+    #[test]
+    fn str_column_operations_match_value_reference() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let values = |rng: &mut SmallRng, n: usize| -> Vec<Value> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..STRS.len() + 1) {
+                    i if i < STRS.len() => Value::Str(STRS[i].into()),
+                    _ => Value::Null,
+                })
+                .collect()
+        };
+        let check = |col: &ColumnVector, want: &[Value]| {
+            assert!(matches!(col, ColumnVector::Str { .. }));
+            assert_eq!(col.len(), want.len());
+            let got: Vec<Value> = (0..col.len()).map(|i| col.value(i)).collect();
+            assert_eq!(got, want);
+            let bytes: usize = want.iter().map(Value::byte_size).sum();
+            assert_eq!(col.byte_total(), bytes as u64);
+        };
+        for _ in 0..20 {
+            let (a, b) = (values(&mut rng, 30), values(&mut rng, 17));
+            let (ca, cb) = (
+                ColumnVector::from_values(a.clone()),
+                ColumnVector::from_values(b.clone()),
+            );
+            check(&ca, &a);
+            let idx: Vec<u32> = (0..12).map(|_| rng.gen_range(0..30)).collect();
+            let want: Vec<Value> = idx.iter().map(|&i| a[i as usize].clone()).collect();
+            check(&ca.take(&idx), &want);
+            let opt: Vec<Option<u32>> = idx.iter().map(|&i| (i % 3 != 0).then_some(i)).collect();
+            let want: Vec<Value> = opt
+                .iter()
+                .map(|i| i.map_or(Value::Null, |i| a[i as usize].clone()))
+                .collect();
+            check(&ca.take_opt(&opt), &want);
+            // Concatenation and a two-source gather.
+            check(
+                &ColumnVector::gather(&[(&ca, None), (&cb, None)]),
+                &[a.clone(), b.clone()].concat(),
+            );
+            let (ia, ib): (&[u32], &[u32]) = (&[29, 0, 3], &[16, 16]);
+            let want: Vec<Value> = ia
+                .iter()
+                .map(|&i| a[i as usize].clone())
+                .chain(ib.iter().map(|&i| b[i as usize].clone()))
+                .collect();
+            check(
+                &ColumnVector::gather(&[(&ca, Some(ia)), (&cb, Some(ib))]),
+                &want,
+            );
+        }
     }
 }

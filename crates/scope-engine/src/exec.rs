@@ -17,9 +17,9 @@
 //! to the seed row executor (preserved in [`crate::rowref`]); the
 //! EXPERIMENTS.md figures and the subsumption byte-identity suite depend on
 //! it. Cases the batch kernels cannot reproduce exactly — user-defined
-//! operators, window functions, loops joins, ragged partitions, mismatched
-//! LeftOuter padding widths, and any vectorized expression error — drop to
-//! the row kernels in [`crate::rowref`], so the two paths cannot disagree.
+//! operators, window functions, loops joins, LeftOuter padding against an
+//! empty right partition, and any vectorized expression error — drop to the
+//! row kernels in [`crate::rowref`], so the two paths cannot disagree.
 //!
 //! The executor trusts the optimizer's property enforcement: group-wise
 //! operators assume their input is co-partitioned (and, for stream variants,
@@ -42,8 +42,8 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    batches_from_rows, compare_batch_rows, compare_batch_rows_full, compare_rows, sort_rows,
-    ColumnVector, RecordBatch, Row, Table,
+    batches_from_rows, compare_batch_rows, compare_batch_rows_full, sort_rows, ColumnVector,
+    RecordBatch, Row, Table,
 };
 use crate::rowref::{self, Acc};
 use crate::storage::StorageManager;
@@ -316,21 +316,11 @@ fn exec_node(
             let input = one()?;
             let mut parts: Vec<Vec<Row>> = Vec::with_capacity(input.num_partitions());
             for p in 0..input.num_partitions() {
-                let rows = match input.partition_as_batch(p) {
-                    Some(batch) => match implementation {
-                        AggImpl::Hash => hash_aggregate_batch(&batch, keys, aggs)?,
-                        AggImpl::Stream => stream_aggregate_batch(&batch, keys, aggs)?,
-                    },
-                    None => {
-                        // Ragged partition: row kernels.
-                        let rows = input.partition_rows(p);
-                        match implementation {
-                            AggImpl::Hash => rowref::hash_aggregate(&rows, keys, aggs)?,
-                            AggImpl::Stream => rowref::stream_aggregate(&rows, keys, aggs)?,
-                        }
-                    }
-                };
-                parts.push(rows);
+                let batch = input.partition_as_batch(p);
+                parts.push(match implementation {
+                    AggImpl::Hash => hash_aggregate_batch(&batch, keys, aggs)?,
+                    AggImpl::Stream => stream_aggregate_batch(&batch, keys, aggs)?,
+                });
             }
             // Global aggregate over an empty input emits exactly one row.
             if keys.is_empty() {
@@ -358,29 +348,20 @@ fn exec_node(
                 partitioning: Partitioning::Single,
                 sort: order.clone(),
             };
-            let table = match gathered.partition_as_batch(0) {
-                Some(batch) => {
-                    let mut idx: Vec<usize> = (0..batch.num_rows()).collect();
-                    idx.sort_by(|&a, &b| {
-                        compare_batch_rows(&batch, a, b, order)
-                            .then_with(|| compare_batch_rows_full(&batch, a, b))
-                    });
-                    idx.truncate(*n);
-                    let out = if idx.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![Arc::new(batch.take(&idx))]
-                    };
-                    Table::from_batches(out_schema.clone(), vec![out], props)
-                }
-                None => {
-                    let mut rows = gathered.all_rows();
-                    rows.sort_by(|a, b| compare_rows(a, b, order).then_with(|| a.cmp(b)));
-                    rows.truncate(*n);
-                    Table::from_rows(out_schema.clone(), vec![rows], props)
-                }
+            let batch = gathered.partition_as_batch(0);
+            let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
+            idx.sort_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                compare_batch_rows(&batch, a, b, order)
+                    .then_with(|| compare_batch_rows_full(&batch, a, b))
+            });
+            idx.truncate(*n);
+            let out = if idx.is_empty() {
+                Vec::new()
+            } else {
+                vec![Arc::new(batch.take(&idx))]
             };
-            Ok((table, 0))
+            Ok((Table::from_batches(out_schema.clone(), vec![out], props), 0))
         }
         Operator::Window {
             func,
@@ -524,18 +505,13 @@ fn null_at(nulls: &Option<crate::data::NullMask>) -> impl Fn(usize) -> bool + '_
     move |i| nulls.as_ref().is_some_and(|m| m[i])
 }
 
-/// Monomorphized single-key grouping over an i64-valued key accessor.
-/// Group ids are assigned in first-seen row order (NULL is its own group),
-/// matching the generic `HashMap<Vec<Value>>` kernel exactly. Small key
-/// ranges get a direct-address table instead of a hash map.
-fn group_typed_ints(
+/// `(lo, hi, span)` of the non-NULL keys; span 0 when there are none. The
+/// span is taken in `i128`: `i64::MIN` and `i64::MAX` may share a column.
+fn key_range(
     rows: usize,
     key_at: impl Fn(usize) -> i64,
     is_null: impl Fn(usize) -> bool,
-    value_at: impl Fn(usize) -> Value,
-) -> (Vec<u32>, Vec<Vec<Value>>) {
-    let mut group_of = Vec::with_capacity(rows);
-    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+) -> (i64, i64, u128) {
     let (mut lo, mut hi, mut any) = (i64::MAX, i64::MIN, false);
     for i in 0..rows {
         if !is_null(i) {
@@ -545,41 +521,69 @@ fn group_typed_ints(
             any = true;
         }
     }
-    let range = if any { (hi - lo) as u128 + 1 } else { 0 };
-    if range <= (rows as u128) * 4 + 1024 && range <= 1 << 21 {
-        let mut table = vec![u32::MAX; range as usize];
-        let mut null_gid = u32::MAX;
-        for i in 0..rows {
-            let gid = if is_null(i) {
-                if null_gid == u32::MAX {
-                    null_gid = key_rows.len() as u32;
-                    key_rows.push(vec![Value::Null]);
-                }
-                null_gid
-            } else {
-                let slot = (key_at(i) - lo) as usize;
-                if table[slot] == u32::MAX {
-                    table[slot] = key_rows.len() as u32;
-                    key_rows.push(vec![value_at(i)]);
-                }
-                table[slot]
-            };
-            group_of.push(gid);
-        }
+    let span = if any {
+        (hi as i128 - lo as i128) as u128 + 1
     } else {
-        let mut map: HashMap<Option<i64>, u32> = HashMap::new();
-        for i in 0..rows {
-            let key = if is_null(i) { None } else { Some(key_at(i)) };
-            let gid = *map.entry(key).or_insert_with(|| {
-                key_rows.push(vec![if key.is_none() {
-                    Value::Null
-                } else {
-                    value_at(i)
-                }]);
-                (key_rows.len() - 1) as u32
-            });
-            group_of.push(gid);
+        0
+    };
+    (lo, hi, span)
+}
+
+/// True when a key span is small enough, relative to the rows that carry
+/// it, for a direct-address table instead of a hash map.
+fn is_dense(span: u128, rows: usize) -> bool {
+    span <= (rows as u128) * 4 + 1024 && span <= 1 << 21
+}
+
+/// Single-key grouping over a hashable key borrowed from the column (`None`
+/// = NULL, its own group). Group ids are assigned in first-seen row order,
+/// matching the generic `HashMap<Vec<Value>>` kernel exactly.
+fn group_by_key<K: std::hash::Hash + Eq>(
+    rows: usize,
+    key_at: impl Fn(usize) -> Option<K>,
+    value_at: impl Fn(usize) -> Value,
+) -> (Vec<u32>, Vec<Vec<Value>>) {
+    let mut group_of = Vec::with_capacity(rows);
+    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+    let mut map: HashMap<Option<K>, u32> = HashMap::new();
+    for i in 0..rows {
+        let gid = *map.entry(key_at(i)).or_insert_with(|| {
+            key_rows.push(vec![value_at(i)]);
+            (key_rows.len() - 1) as u32
+        });
+        group_of.push(gid);
+    }
+    (group_of, key_rows)
+}
+
+/// Monomorphized single-key grouping over an i64-valued key accessor, with
+/// the group-id contract of [`group_by_key`]. Small key ranges get a
+/// direct-address table instead of a hash map.
+fn group_typed_ints(
+    rows: usize,
+    key_at: impl Fn(usize) -> i64,
+    is_null: impl Fn(usize) -> bool,
+    value_at: impl Fn(usize) -> Value,
+) -> (Vec<u32>, Vec<Vec<Value>>) {
+    let (lo, _, span) = key_range(rows, &key_at, &is_null);
+    if !is_dense(span, rows) {
+        return group_by_key(rows, |i| (!is_null(i)).then(|| key_at(i)), value_at);
+    }
+    let mut group_of = Vec::with_capacity(rows);
+    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+    let mut table = vec![u32::MAX; span as usize];
+    let mut null_gid = u32::MAX;
+    for i in 0..rows {
+        let slot = if is_null(i) {
+            &mut null_gid
+        } else {
+            &mut table[(key_at(i) - lo) as usize]
+        };
+        if *slot == u32::MAX {
+            *slot = key_rows.len() as u32;
+            key_rows.push(vec![value_at(i)]);
         }
+        group_of.push(*slot);
     }
     (group_of, key_rows)
 }
@@ -588,21 +592,21 @@ fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<Vec<Value>>
     let rows = batch.num_rows();
 
     if let [k] = keys {
-        // Typed single-key grouping: one i64 (or NULL) per row. Valid
-        // because a typed column never mixes numeric types, so i64 equality
-        // coincides with Value equality.
+        // Typed single-key grouping: one i64 or borrowed `&str` (or NULL)
+        // per row. Valid because a typed column never mixes types, so key
+        // equality coincides with Value equality.
         let kcol = batch.column(*k);
+        let value_at = |i| kcol.value(i);
         match kcol.as_ref() {
             ColumnVector::Int { data, nulls } => {
-                return group_typed_ints(rows, |i| data[i], null_at(nulls), |i| kcol.value(i));
+                return group_typed_ints(rows, |i| data[i], null_at(nulls), value_at);
             }
             ColumnVector::Date { data, nulls } => {
-                return group_typed_ints(
-                    rows,
-                    |i| data[i] as i64,
-                    null_at(nulls),
-                    |i| kcol.value(i),
-                );
+                return group_typed_ints(rows, |i| data[i] as i64, null_at(nulls), value_at);
+            }
+            ColumnVector::Str { data, nulls } => {
+                let is_null = null_at(nulls);
+                return group_by_key(rows, |i| (!is_null(i)).then(|| data.get(i)), value_at);
             }
             _ => {}
         }
@@ -613,10 +617,15 @@ fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<Vec<Value>>
     let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
     for i in 0..rows {
         let key: Vec<Value> = keys.iter().map(|&k| batch.cell(i, k).to_value()).collect();
-        let gid = *map.entry(key.clone()).or_insert_with(|| {
-            key_rows.push(key);
-            (key_rows.len() - 1) as u32
-        });
+        let gid = match map.get(&key) {
+            Some(&gid) => gid,
+            None => {
+                let gid = key_rows.len() as u32;
+                key_rows.push(key.clone());
+                map.insert(key, gid);
+                gid
+            }
+        };
         group_of.push(gid);
     }
     (group_of, key_rows)
@@ -815,7 +824,11 @@ fn exec_join(
 
     let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(left.num_partitions());
     for p in 0..left.num_partitions() {
-        let row_fallback = |parts: &mut Vec<Vec<Arc<RecordBatch>>>| {
+        let (lb, rb) = (left.partition_as_batch(p), right.partition_as_batch(p));
+        // LeftOuter pads unmatched rows to the right *schema* width; an
+        // empty right partition has no columns to pad from (width 0), so
+        // only the row kernel reproduces that padding.
+        if kind == JoinKind::LeftOuter && rb.width() != rwidth {
             let rows = rowref::hash_join_rows(
                 &left.partition_rows(p),
                 &right.partition_rows(p),
@@ -825,16 +838,6 @@ fn exec_join(
                 rwidth,
             );
             parts.push(batches_from_rows(rows));
-        };
-        let (Some(lb), Some(rb)) = (left.partition_as_batch(p), right.partition_as_batch(p)) else {
-            row_fallback(&mut parts); // ragged partition
-            continue;
-        };
-        // LeftOuter pads unmatched rows to the right *schema* width; when the
-        // physical width disagrees (or the right side is empty, width 0),
-        // only the row kernel reproduces that padding.
-        if kind == JoinKind::LeftOuter && rb.width() != rwidth {
-            row_fallback(&mut parts);
             continue;
         }
         parts.push(hash_join_batch(&lb, &rb, kind, left_keys, right_keys));
@@ -886,18 +889,9 @@ fn build_probe_ints(
     lkey: impl Fn(usize) -> i64,
     lnull: impl Fn(usize) -> bool,
 ) -> BuildProbe {
-    let (mut lo, mut hi, mut any) = (i64::MAX, i64::MIN, false);
-    for i in 0..rrows {
-        if !rnull(i) {
-            let v = rkey(i);
-            lo = lo.min(v);
-            hi = hi.max(v);
-            any = true;
-        }
-    }
-    let range = if any { (hi - lo) as u128 + 1 } else { 0 };
-    if range <= (rrows as u128) * 4 + 1024 && range <= 1 << 21 {
-        let mut table = vec![u32::MAX; range as usize];
+    let (lo, hi, span) = key_range(rrows, &rkey, &rnull);
+    if is_dense(span, rrows) {
+        let mut table = vec![u32::MAX; span as usize];
         let mut groups: Vec<Vec<u32>> = Vec::new();
         for i in 0..rrows {
             if rnull(i) {
@@ -988,19 +982,37 @@ fn hash_join_batch(
                 |i| ld[i] as i64,
                 null_at(ln),
             )),
+            // Strings probe on `&str` keys borrowed from the two columns.
+            (
+                ColumnVector::Str {
+                    data: ld,
+                    nulls: ln,
+                },
+                ColumnVector::Str {
+                    data: rd,
+                    nulls: rn,
+                },
+            ) => {
+                let (rnull, lnull) = (null_at(rn), null_at(ln));
+                Some(build_probe(
+                    rrows,
+                    lrows,
+                    |i| (!rnull(i)).then(|| rd.get(i)),
+                    |i| (!lnull(i)).then(|| ld.get(i)),
+                ))
+            }
             _ => None,
         }
     } else {
         None
     };
     let (groups, lgroup) = typed.unwrap_or_else(|| {
+        // NULL keys never join: test before materializing the key.
         let key_of = |b: &RecordBatch, keys: &[usize], i: usize| -> Option<Vec<Value>> {
-            let key: Vec<Value> = keys.iter().map(|&k| b.cell(i, k).to_value()).collect();
-            if key.iter().any(Value::is_null) {
-                None
-            } else {
-                Some(key)
+            if keys.iter().any(|&k| b.column(k).is_null(i)) {
+                return None;
             }
+            Some(keys.iter().map(|&k| b.cell(i, k).to_value()).collect())
         };
         build_probe(
             rrows,
@@ -1013,21 +1025,22 @@ fn hash_join_batch(
     // Emit phase: index pairs, then one gather per side.
     let batch = match kind {
         JoinKind::LeftSemi => {
-            let sel: Vec<usize> = (0..lrows).filter(|&i| lgroup[i].is_some()).collect();
+            let sel: Vec<u32> = (0..lrows as u32)
+                .filter(|&i| lgroup[i as usize].is_some())
+                .collect();
             if sel.is_empty() {
                 return Vec::new();
             }
             lb.take(&sel)
         }
         JoinKind::Inner => {
-            let mut lidx = Vec::new();
-            let mut ridx = Vec::new();
+            let mut lidx: Vec<u32> = Vec::new();
+            let mut ridx: Vec<u32> = Vec::new();
             for (i, g) in lgroup.iter().enumerate() {
                 if let Some(g) = g {
-                    for &r in &groups[*g as usize] {
-                        lidx.push(i);
-                        ridx.push(r as usize);
-                    }
+                    let matches = &groups[*g as usize];
+                    lidx.resize(lidx.len() + matches.len(), i as u32);
+                    ridx.extend_from_slice(matches);
                 }
             }
             if lidx.is_empty() {
@@ -1042,18 +1055,17 @@ fn hash_join_batch(
             RecordBatch::new(cols, lidx.len())
         }
         JoinKind::LeftOuter => {
-            let mut lidx = Vec::new();
-            let mut ridx: Vec<Option<usize>> = Vec::new();
+            let mut lidx: Vec<u32> = Vec::new();
+            let mut ridx: Vec<Option<u32>> = Vec::new();
             for (i, g) in lgroup.iter().enumerate() {
                 match g {
                     Some(g) => {
-                        for &r in &groups[*g as usize] {
-                            lidx.push(i);
-                            ridx.push(Some(r as usize));
-                        }
+                        let matches = &groups[*g as usize];
+                        lidx.resize(lidx.len() + matches.len(), i as u32);
+                        ridx.extend(matches.iter().copied().map(Some));
                     }
                     None => {
-                        lidx.push(i);
+                        lidx.push(i as u32);
                         ridx.push(None);
                     }
                 }
@@ -1280,6 +1292,52 @@ mod tests {
         let j = b.join(l, r, JoinKind::Inner, vec![0], vec![0]);
         let g = b.output(j, "o").build().unwrap();
         assert_eq!(run(&g, &storage).outputs["o"].num_rows(), 0);
+    }
+
+    #[test]
+    fn keys_spanning_the_whole_i64_range_group_and_join() {
+        // `hi - lo` overflows i64 here; the span must be taken wider.
+        let keys = [
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Null,
+            Value::Int(i64::MIN),
+        ];
+        let rows: Vec<Row> = keys
+            .iter()
+            .zip(0..)
+            .map(|(k, i)| vec![k.clone(), Value::Int(i)])
+            .collect();
+        let storage = StorageManager::new();
+        storage.put_dataset(DatasetId::new(1), Table::single(kv_schema(), rows.clone()));
+        storage.put_dataset(DatasetId::new(2), Table::single(kv_schema(), rows));
+
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(DatasetId::new(1), "t", kv_schema());
+        let a = b.aggregate(s, vec![0], vec![AggExpr::new("cnt", AggFunc::Count, 1)]);
+        let g = b.output(a, "o").build().unwrap();
+        let mut groups = run(&g, &storage).outputs["o"].all_rows();
+        groups.sort();
+        assert_eq!(
+            groups,
+            vec![
+                vec![Value::Null, Value::Int(1)],
+                vec![Value::Int(i64::MIN), Value::Int(2)],
+                vec![Value::Int(i64::MAX), Value::Int(1)],
+            ]
+        );
+
+        let mut b = PlanBuilder::new();
+        let l = b.table_scan(DatasetId::new(1), "l", kv_schema());
+        let r = b.table_scan(DatasetId::new(2), "r", kv_schema());
+        let j = b.join(l, r, JoinKind::Inner, vec![0], vec![0]);
+        let g = b.output(j, "o").build().unwrap();
+        let joined = run(&g, &storage).outputs["o"].all_rows();
+        // MIN x MIN = 4 pairs, MAX x MAX = 1, NULL never joins.
+        assert_eq!(joined.len(), 5);
+        assert!(joined
+            .iter()
+            .all(|row| row[0] == row[2] && !row[0].is_null()));
     }
 
     #[test]

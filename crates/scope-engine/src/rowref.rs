@@ -10,7 +10,7 @@
 //!    executor's speedup against this path.
 //! 3. **Fallback kernels** — the columnar executor calls these helpers for
 //!    the cases it deliberately does not vectorize (UDOs, window functions,
-//!    loops joins, ragged partitions), so the two paths cannot drift.
+//!    loops joins), so the two paths cannot drift.
 
 use std::collections::HashMap;
 

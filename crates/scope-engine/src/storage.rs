@@ -15,6 +15,15 @@
 //! ([`StorageManager::corrupt_view`]) surfaces as
 //! [`ScopeError::ViewUnavailable`] and the runtime falls back to
 //! recomputation instead of returning wrong rows.
+//!
+//! Verification is against the memoised digests of the file's batches
+//! ([`multiset_checksum`] sums one row-hash sum per batch, computed the first
+//! time a batch is hashed). That is sound because a batch cannot change
+//! after construction: the only way a stored file's rows can differ from
+//! what was published is that its batches were *replaced*, and a replacement
+//! batch carries no digest yet, so it is hashed from its cells on the next
+//! open. A view is therefore hashed once, when it is written; each read
+//! costs one addition per batch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -209,9 +218,18 @@ impl StorageManager {
     /// signature is idempotent (the second writer lost the build race and
     /// its file is discarded — first-writer-wins keeps provenance stable).
     pub fn publish_view(&self, file: ViewFile) -> Result<()> {
-        let integrity = multiset_checksum(&file.table);
         let bytes = file.meta.bytes;
         let precise = file.meta.precise;
+        {
+            // Lost the build race: the first writer's file stays and this
+            // one is dropped unhashed.
+            let inner = self.inner.read();
+            if inner.views.contains_key(&precise) {
+                self.update_view_gauges(&inner);
+                return Ok(());
+            }
+        }
+        let integrity = multiset_checksum(&file.table);
         let mut inner = self.inner.write();
         let before = inner.views.len();
         inner
@@ -473,6 +491,8 @@ mod tests {
             s.view(sip128(b"v"), SimTime::ZERO).unwrap().meta.producer,
             JobId::new(1)
         );
+        // The loser was dropped unhashed; the winner still verifies.
+        assert!(s.open_view(sip128(b"v"), SimTime::ZERO).is_ok());
     }
 
     #[test]
@@ -549,6 +569,39 @@ mod tests {
         s.publish_view(v).unwrap();
         assert!(s.corrupt_view(sig));
         assert!(s.open_view(sig, SimTime::ZERO).is_err());
+    }
+
+    #[test]
+    fn memoised_digest_never_masks_corruption() {
+        for rows in [2usize, 0] {
+            let telemetry = Telemetry::new();
+            let s = StorageManager::new();
+            s.set_telemetry(Some(telemetry.clone()));
+            let mut v = view(b"memo", SimTime::MAX);
+            if rows == 0 {
+                v.table = Arc::new(Table::empty(v.table.schema.clone()));
+            }
+            let sig = v.meta.precise;
+            s.publish_view(v).unwrap();
+            // Repeated opens verify against the batches' memoised digests.
+            for _ in 0..3 {
+                assert_eq!(
+                    s.open_view(sig, SimTime::ZERO).unwrap().table.num_rows(),
+                    rows
+                );
+            }
+            let failures = || {
+                telemetry
+                    .metrics
+                    .counter_value("cv_storage_checksum_failures_total")
+            };
+            assert_eq!(failures(), 0);
+            assert!(s.corrupt_view(sig));
+            let err = s.open_view(sig, SimTime::ZERO).unwrap_err();
+            assert_eq!(err.kind(), "view_unavailable");
+            assert!(err.message().contains("checksum mismatch"), "{err}");
+            assert_eq!(failures(), 1);
+        }
     }
 
     #[test]

@@ -60,8 +60,8 @@ impl Ev {
 ///
 /// Exactly equivalent to `pred.eval(row)?.is_true()` per row (see the module
 /// docs for the fallback argument).
-pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Result<Vec<usize>> {
-    let rows = batch.num_rows();
+pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Result<Vec<u32>> {
+    let rows = batch.num_rows() as u32;
     if rows == 0 {
         return Ok(Vec::new());
     }
@@ -72,13 +72,13 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Resu
             Vec::new()
         }),
         Ok(Ev::Col(col)) => Ok((0..rows)
-            .filter(|&i| matches!(col.cell(i), Cell::Bool(true)))
+            .filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true)))
             .collect()),
         Err(_) => {
             // Rowwise fallback: reproduces the row executor bit for bit.
             let mut sel = Vec::new();
             for i in 0..rows {
-                if pred.eval(&batch.row(i))?.is_true() {
+                if pred.eval(&batch.row(i as usize))?.is_true() {
                     sel.push(i);
                 }
             }
@@ -360,7 +360,7 @@ fn cmp_col_const(op: BinOp, col: &ColumnVector, k: &Value, rows: usize) -> Optio
             kernel!(data, nulls, k, |v: &i32, k: &i32| v.cmp(k))
         }
         (ColumnVector::Str { data, nulls }, Value::Str(k)) => {
-            kernel!(data, nulls, k, |v: &String, k: &String| v.as_str().cmp(k))
+            kernel!(data, nulls, k, |v: &str, k: &String| v.cmp(k.as_str()))
         }
         (ColumnVector::Float { data, nulls }, Value::Float(k)) => {
             kernel!(data, nulls, k, |v: &f64, k: &f64| v.total_cmp(k))

@@ -23,7 +23,7 @@ use rand::Rng;
 use scope_common::hash::sip64;
 use scope_common::ids::{BusinessUnitId, ClusterId, DatasetId, JobId, TemplateId, UserId, VcId};
 use scope_common::{Result, ScopeError};
-use scope_engine::data::{ColumnVector, Table};
+use scope_engine::data::{ColumnVector, StrVec, Table};
 use scope_engine::job::JobSpec;
 use scope_engine::storage::StorageManager;
 use scope_plan::expr::AggFunc;
@@ -560,18 +560,18 @@ fn generate_stream_table(cluster: ClusterId, stream: usize, instance: u64, rows:
     let n = rows as usize;
     let mut users = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
-    let mut categories = Vec::with_capacity(n);
+    let mut categories = StrVec::with_capacity(n);
     let mut amounts = Vec::with_capacity(n);
-    let mut texts = Vec::with_capacity(n);
+    let mut texts = StrVec::with_capacity(n);
     for _ in 0..rows {
         // Draw order matches the historical row-wise generator exactly.
         users.push((rng.gen_range(0.0_f64..1.0).powi(2) * 500.0) as i64); // skewed
         let w1 = words[rng.gen_range(0..words.len())];
         let w2 = words[rng.gen_range(0..words.len())];
         ids.push(rng.gen_range(0..10_000));
-        categories.push(cats[rng.gen_range(0..cats.len())].to_string());
+        categories.push(cats[rng.gen_range(0..cats.len())]);
         amounts.push((rng.gen_range(0.0_f64..100.0) * 100.0).round() / 100.0);
-        texts.push(format!("{w1} {w2}"));
+        texts.push(&format!("{w1} {w2}"));
     }
     let columns = vec![
         ColumnVector::Int {
