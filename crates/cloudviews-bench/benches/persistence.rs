@@ -115,8 +115,8 @@ fn main() {
     let instances: u64 = if quick { 2 } else { 5 };
     // Analyzer-install / purge churn per instance: each round appends
     // LoadAnnotations + per-shard PurgeShard events, growing the WAL tail
-    // the snapshot later compacts away (job records live in the keyed
-    // store and are replayed on both paths, so the event tail is exactly
+    // the snapshot later compacts away (job records live in their own
+    // log and are replayed on both paths, so the event tail is exactly
     // the state a snapshot saves).
     let churn: usize = if quick { 40 } else { 120 };
     let trials: usize = if quick { 2 } else { 3 };

@@ -412,8 +412,8 @@ impl CloudViewsBuilder {
 
     /// Persists service state under `path` (DESIGN.md §16): metadata
     /// mutations and analyzer-feeding repository appends are logged before
-    /// they are acknowledged, published view files are mirrored to a
-    /// segment store, and a cold start from the same path replays
+    /// they are acknowledged, published view files are mirrored to their
+    /// own log, and a cold start from the same path replays
     /// snapshot + WAL tail into byte-identical in-memory state (see
     /// `MetadataService::fingerprint` / `AnalyzerState::fingerprint`).
     pub fn durable(mut self, path: impl Into<PathBuf>) -> Self {
@@ -505,6 +505,15 @@ impl CloudViewsBuilder {
                     .map_err(|e| ScopeError::Storage(format!("durable store open: {e}")))?;
                 fn corrupt(what: &'static str) -> impl Fn(CodecError) -> ScopeError {
                     move |e| ScopeError::Storage(format!("durable snapshot {what}: {}", e.0))
+                }
+                // What recovery read back, and what a torn tail cost it.
+                for (name, value) in [
+                    ("cv_store_recovery_dropped_bytes", recovered.dropped_bytes),
+                    ("cv_store_recovered_events", recovered.events.len() as u64),
+                    ("cv_store_recovered_records", recovered.records.len() as u64),
+                    ("cv_store_recovered_views", recovered.views.len() as u64),
+                ] {
+                    self.telemetry.metrics.gauge(name).set(value as i64);
                 }
                 // Replay order: snapshot first (state as of `wal.N`), then
                 // the WAL tail, then the bulk stores. The clock advances to

@@ -1,20 +1,26 @@
 //! Durable state for the CloudViews services (DESIGN.md §16).
 //!
-//! Three independent stores live under one root directory:
+//! Three independent [`LogDir`]s live under one root directory — one
+//! on-disk format, read back by one scan each at cold start:
 //!
-//! * `<root>/meta` — a [`LogDir`]: snapshot + WAL of *logical mutation
-//!   events* against the metadata service ([`WalEvent`]). Every
-//!   state-changing call appends its event before the in-memory mutation
-//!   is acknowledged; cold start replays the newest snapshot plus the
-//!   WAL tail and reproduces a byte-identical service (pinned submission
-//!   times ride in the events, so visibility semantics survive restart).
-//! * `<root>/repo` — a [`SegmentStore`] of workload-repository job
-//!   records keyed by append sequence number (big-endian `u64`, so a
-//!   scan yields records in original append order).
-//! * `<root>/views` — a [`SegmentStore`] of published view files keyed
-//!   by precise signature. [`DurableStore`] implements
-//!   [`StorageEventSink`] so the storage manager mirrors publishes and
-//!   deletes here as they happen.
+//! * `<root>/meta` — snapshot + WAL of *logical mutation events* against
+//!   the metadata service ([`WalEvent`]). Every state-changing call
+//!   appends its event before the in-memory mutation is acknowledged;
+//!   cold start replays the newest snapshot plus the WAL tail and
+//!   reproduces a byte-identical service (pinned submission times ride in
+//!   the events, so visibility semantics survive restart).
+//! * `<root>/repo` — workload-repository job records, each payload
+//!   `[u64 seq][job record]`. The record sink runs outside the
+//!   repository's lock, so appends may land out of order; recovery
+//!   stable-sorts by `seq` to restore the original append order.
+//! * `<root>/views` — published view files, each payload `[0][view file]`
+//!   (publish) or `[1][precise sig]` (delete), folded newest-wins at
+//!   recovery. [`DurableStore`] implements [`StorageEventSink`] so the
+//!   storage manager mirrors publishes and deletes here as they happen.
+//!
+//! `repo/` and `views/` never snapshot: their live generation is sealed
+//! (`LogDir::rotate`, which fsyncs it) past [`BULK_ROTATE_THRESHOLD`] and
+//! at every metadata snapshot, and every generation is replayed on open.
 //!
 //! Replay is at-least-once: the snapshot protocol (rotate → export with
 //! no log lock held → seal) may leave events in *both* the snapshot and
@@ -27,7 +33,8 @@
 //! call back into the services. The snapshot export closure runs with no
 //! store lock held for the same reason (the exporter takes service locks).
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -39,7 +46,7 @@ use scope_common::time::SimTime;
 use scope_engine::repo::JobRecord;
 use scope_engine::storage::{StorageEventSink, ViewFile};
 use scope_store::log::LogDir;
-use scope_store::segment::SegmentStore;
+use scope_store::snapshot::numbered_files;
 use scope_store::{Result, StoreError};
 
 use crate::analyzer::SelectedView;
@@ -53,8 +60,14 @@ use crate::codec::{
 /// Default WAL size past which `maybe_snapshot` compacts (4 MiB).
 pub const DEFAULT_SNAPSHOT_THRESHOLD: u64 = 4 << 20;
 
-/// MemTable size past which the key-value stores flush a segment.
-const KV_FLUSH_THRESHOLD: u64 = 4 << 20;
+/// Live-generation size past which the `repo/` and `views/` logs rotate.
+const BULK_ROTATE_THRESHOLD: u64 = 4 << 20;
+
+/// `views/` payload tags: `[VIEW_PUT][view file]`, `[VIEW_DELETE][sig]`.
+/// A view file's encoding leads with its precise signature, so either
+/// payload reads as tag, then the signature it is about.
+const VIEW_PUT: u8 = 0;
+const VIEW_DELETE: u8 = 1;
 
 /// One logical mutation of the metadata service, as logged to the WAL.
 ///
@@ -200,11 +213,12 @@ pub struct RecoveredState {
     pub events: Vec<WalEvent>,
     /// Workload-repository records in original append order.
     pub records: Vec<JobRecord>,
-    /// Published view files that were live at shutdown.
+    /// Published view files that were live at shutdown, sorted by
+    /// precise signature.
     pub views: Vec<ViewFile>,
-    /// Bytes of torn WAL tail dropped during recovery (0 on clean
-    /// shutdown; nonzero means the crash tore the final record and
-    /// recovery truncated to the last clean boundary).
+    /// Bytes of torn tail dropped during recovery, summed over the three
+    /// logs (0 on clean shutdown; nonzero means the crash tore a final
+    /// record and recovery truncated to the last clean boundary).
     pub dropped_bytes: u64,
 }
 
@@ -212,24 +226,41 @@ pub struct RecoveredState {
 /// appends), the storage manager (view mirror), the workload repository
 /// (record mirror), and the runtime (snapshots).
 pub struct DurableStore {
-    root: PathBuf,
     meta_log: Mutex<LogDir>,
-    repo_kv: Mutex<SegmentStore>,
-    views_kv: Mutex<SegmentStore>,
+    repo_log: Mutex<LogDir>,
+    views_log: Mutex<LogDir>,
     /// Guards against concurrent snapshot attempts (the loser skips).
     snapshotting: AtomicBool,
     snapshot_threshold: u64,
 }
 
-fn sig_key(sig: Sig128) -> [u8; 16] {
-    let mut k = [0u8; 16];
-    k[..8].copy_from_slice(&sig.hi.to_be_bytes());
-    k[8..].copy_from_slice(&sig.lo.to_be_bytes());
-    k
-}
-
 fn corrupt(what: &str, e: CodecError) -> StoreError {
     StoreError::Corrupt(format!("{what}: {}", e.0))
+}
+
+/// Refuses a `repo/` or `views/` directory written before both moved onto
+/// [`LogDir`]: its `kv.wal` + `seg.N` files would otherwise open as an
+/// *empty* log. There is no migration reader.
+fn refuse_old_layout(dir: &Path) -> Result<()> {
+    if dir.join("kv.wal").exists() || !numbered_files(dir, "seg")?.is_empty() {
+        return Err(StoreError::Corrupt(format!(
+            "{}: holds the old kv.wal + seg.N segment-store layout; \
+             this build reads only wal.N log generations",
+            dir.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Appends to a bulk log and seals its live generation once that has
+/// outgrown [`BULK_ROTATE_THRESHOLD`].
+fn append_bulk(log: &Mutex<LogDir>, payload: &[u8]) -> Result<()> {
+    let mut log = log.lock();
+    log.append(payload)?;
+    if log.live_bytes() >= BULK_ROTATE_THRESHOLD {
+        log.rotate()?;
+    }
+    Ok(())
 }
 
 impl DurableStore {
@@ -240,46 +271,65 @@ impl DurableStore {
         root: &Path,
         snapshot_threshold: u64,
     ) -> Result<(Arc<DurableStore>, RecoveredState)> {
-        let (meta_log, recovered) = LogDir::open(&root.join("meta"))?;
-        let mut events = Vec::with_capacity(recovered.records.len());
-        for payload in &recovered.records {
+        refuse_old_layout(&root.join("repo"))?;
+        refuse_old_layout(&root.join("views"))?;
+
+        let (meta_log, meta_rec) = LogDir::open(&root.join("meta"))?;
+        let mut events = Vec::with_capacity(meta_rec.records.len());
+        for payload in &meta_rec.records {
             // Checksummed records that fail to decode mean a format
             // mismatch (or bug), not a torn write — surface loudly.
             events.push(WalEvent::decode(payload).map_err(|e| corrupt("wal event", e))?);
         }
 
-        let repo_kv = SegmentStore::open(&root.join("repo"), KV_FLUSH_THRESHOLD)?;
-        let mut records = Vec::new();
-        // Keys are big-endian sequence numbers, so the sorted scan is
-        // append order.
-        for (_, val) in repo_kv.scan()? {
-            let mut d = Dec::new(&val);
+        let (repo_log, repo_rec) = LogDir::open(&root.join("repo"))?;
+        let mut records = Vec::with_capacity(repo_rec.records.len());
+        for payload in &repo_rec.records {
+            let mut d = Dec::new(payload);
+            let seq = d.u64().map_err(|e| corrupt("job record seq", e))?;
             let rec = get_job_record(&mut d).map_err(|e| corrupt("job record", e))?;
-            records.push(rec);
+            records.push((seq, rec));
         }
+        // Log order is sink-call order; `seq` is append order.
+        records.sort_by_key(|(seq, _)| *seq);
 
-        let views_kv = SegmentStore::open(&root.join("views"), KV_FLUSH_THRESHOLD)?;
-        let mut views = Vec::new();
-        for (_, val) in views_kv.scan()? {
-            let mut d = Dec::new(&val);
-            let vf = get_view_file(&mut d).map_err(|e| corrupt("view file", e))?;
-            views.push(vf);
+        let (views_log, views_rec) = LogDir::open(&root.join("views"))?;
+        let mut live = BTreeMap::new();
+        for payload in &views_rec.records {
+            let mut d = Dec::new(payload);
+            let tag = d.u8().map_err(|e| corrupt("view log tag", e))?;
+            let precise = get_sig(&mut d).map_err(|e| corrupt("view log signature", e))?;
+            match tag {
+                VIEW_PUT => live.insert(precise, &payload[1..]),
+                VIEW_DELETE => live.remove(&precise),
+                t => {
+                    return Err(StoreError::Corrupt(format!(
+                        "view log: unknown record tag {t}"
+                    )))
+                }
+            };
         }
+        // Only the survivors are decoded, in precise-signature order.
+        let views = live
+            .into_values()
+            .map(|bytes| get_view_file(&mut Dec::new(bytes)).map_err(|e| corrupt("view file", e)))
+            .collect::<Result<Vec<_>>>()?;
 
         let store = Arc::new(DurableStore {
-            root: root.to_path_buf(),
             meta_log: Mutex::new(meta_log),
-            repo_kv: Mutex::new(repo_kv),
-            views_kv: Mutex::new(views_kv),
+            repo_log: Mutex::new(repo_log),
+            views_log: Mutex::new(views_log),
             snapshotting: AtomicBool::new(false),
             snapshot_threshold,
         });
         let state = RecoveredState {
-            snapshot: recovered.snapshot,
+            snapshot: meta_rec.snapshot,
             events,
-            records,
+            records: records.into_iter().map(|(_, rec)| rec).collect(),
             views,
-            dropped_bytes: recovered.dropped_bytes,
+            dropped_bytes: meta_rec.dropped_bytes
+                + repo_rec.dropped_bytes
+                + views_rec.dropped_bytes,
         };
         Ok((store, state))
     }
@@ -287,11 +337,6 @@ impl DurableStore {
     /// True when `root` already holds durable metadata state.
     pub fn has_state(root: &Path) -> bool {
         scope_store::log::has_state(&root.join("meta"))
-    }
-
-    /// Root directory of the store.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Appends one metadata event to the WAL, before the corresponding
@@ -311,16 +356,10 @@ impl DurableStore {
     /// index in append order). Same panic contract as [`Self::append_event`].
     pub fn record_job(&self, seq: u64, record: &JobRecord) {
         let mut e = Enc::new();
+        e.put_u64(seq);
         put_job_record(&mut e, record);
-        self.repo_kv
-            .lock()
-            .put(&seq.to_be_bytes(), &e.buf)
-            .expect("scope-store: repo put failed; cannot ack unlogged record");
-    }
-
-    /// Current metadata WAL tail size (bytes since the last snapshot).
-    pub fn tail_bytes(&self) -> u64 {
-        self.meta_log.lock().tail_bytes()
+        append_bulk(&self.repo_log, &e.buf)
+            .expect("scope-store: repo append failed; cannot ack unlogged record");
     }
 
     /// Takes a snapshot if the WAL tail has outgrown the threshold.
@@ -353,51 +392,115 @@ impl DurableStore {
             let sealed_gen = self.meta_log.lock().rotate()?;
             let payload = export();
             self.meta_log.lock().seal_snapshot(sealed_gen, &payload)?;
-            // Push bulk stores to segments too, so restart replays less
-            // of their WALs.
-            self.repo_kv.lock().flush()?;
-            self.views_kv.lock().flush()?;
+            // Seal what the bulk logs hold too (`rotate` fsyncs it), so a
+            // snapshot is a durable point for all three logs.
+            for log in [&self.repo_log, &self.views_log] {
+                let mut log = log.lock();
+                if log.live_bytes() > 0 {
+                    log.rotate()?;
+                }
+            }
             Ok(true)
         })();
         self.snapshotting.store(false, Ordering::Release);
         result
-    }
-
-    /// Forces all buffered bytes to the OS (crash-of-process safe without
-    /// this; this is for tests that want a clean boundary).
-    pub fn sync(&self) -> Result<()> {
-        self.meta_log.lock().sync()
     }
 }
 
 impl StorageEventSink for DurableStore {
     fn view_published(&self, view: &ViewFile) {
         let mut e = Enc::new();
+        e.put_u8(VIEW_PUT);
         put_view_file(&mut e, view);
-        self.views_kv
-            .lock()
-            .put(&sig_key(view.meta.precise), &e.buf)
-            .expect("scope-store: view put failed; cannot ack unlogged publish");
+        append_bulk(&self.views_log, &e.buf)
+            .expect("scope-store: view append failed; cannot ack unlogged publish");
     }
 
     fn view_deleted(&self, precise: Sig128) {
-        self.views_kv
-            .lock()
-            .delete(&sig_key(precise))
-            .expect("scope-store: view tombstone failed");
+        let mut e = Enc::new();
+        e.put_u8(VIEW_DELETE);
+        put_sig(&mut e, precise);
+        append_bulk(&self.views_log, &e.buf).expect("scope-store: view delete append failed");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scope_common::ids::{ClusterId, TemplateId, UserId, VcId};
+    use scope_common::time::SimDuration;
+    use scope_engine::data::Table;
     use scope_engine::optimizer::AvailableView;
+    use scope_engine::storage::ViewMeta;
+    use scope_plan::{DataType, PhysicalProps, Schema, Value};
+    use std::path::PathBuf;
 
     fn sig(n: u64) -> Sig128 {
         Sig128 {
             lo: n,
             hi: n ^ 0xabcd,
         }
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cv-store-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn reopen(dir: &Path) -> RecoveredState {
+        DurableStore::open(dir, 1 << 20).expect("reopen").1
+    }
+
+    /// A job record identified by its job id.
+    fn job(n: u64) -> JobRecord {
+        JobRecord {
+            job: JobId::new(n),
+            cluster: ClusterId::new(1),
+            vc: VcId::new(2),
+            user: UserId::new(3),
+            template: TemplateId::new(4),
+            instance: n,
+            submitted_at: SimTime(n),
+            latency: SimDuration::from_micros(10),
+            cpu_time: SimDuration::from_micros(20),
+            tags: Vec::new(),
+            subgraphs: Vec::new(),
+        }
+    }
+
+    /// A one-row view of `precise` whose single cell is `text`.
+    fn view(precise: Sig128, text: &str) -> ViewFile {
+        ViewFile {
+            table: Arc::new(Table::single(
+                Schema::from_pairs(&[("s", DataType::Str)]),
+                vec![vec![Value::Str(text.into())]],
+            )),
+            props: PhysicalProps::single(),
+            meta: ViewMeta {
+                precise,
+                normalized: sig(0),
+                producer: JobId::new(1),
+                created_at: SimTime(5),
+                expires_at: SimTime(500),
+                rows: 1,
+                bytes: text.len() as u64,
+            },
+        }
+    }
+
+    /// `(precise, the one cell)` of every recovered view, in recovered order.
+    fn cells(views: &[ViewFile]) -> Vec<(Sig128, String)> {
+        let cell = |v: &ViewFile| match &v.table.partition_rows(0)[0][0] {
+            Value::Str(s) => s.clone(),
+            other => panic!("not a string cell: {other:?}"),
+        };
+        views.iter().map(|v| (v.meta.precise, cell(v))).collect()
+    }
+
+    fn generations(dir: &Path) -> Vec<u64> {
+        let files = numbered_files(dir, "wal").unwrap();
+        files.into_iter().map(|(gen, _)| gen).collect()
     }
 
     fn sample_events() -> Vec<WalEvent> {
@@ -443,24 +546,91 @@ mod tests {
     }
 
     #[test]
-    fn open_recovers_events_and_records() {
-        let dir = std::env::temp_dir().join(format!("cv-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn open_recovers_events_records_in_seq_order_and_views() {
+        let dir = tmp("reopen");
         let events = sample_events();
         {
             let (store, rec) = DurableStore::open(&dir, 1 << 20).expect("open");
-            assert!(rec.events.is_empty());
-            assert!(rec.records.is_empty());
+            assert!(rec.events.is_empty() && rec.records.is_empty() && rec.views.is_empty());
             for ev in &events {
                 store.append_event(ev);
             }
+            // The record sink runs outside the repository lock, so seq 1
+            // can reach the log before seq 0.
+            store.record_job(1, &job(11));
+            store.record_job(0, &job(10));
+            store.view_published(&view(sig(7), "seven"));
+            // dropped with nothing rotated: all three live generations replay
         }
-        let (_, rec) = DurableStore::open(&dir, 1 << 20).expect("reopen");
+        let rec = reopen(&dir);
         let got: Vec<Vec<u8>> = rec.events.iter().map(WalEvent::encode).collect();
         let want: Vec<Vec<u8>> = events.iter().map(WalEvent::encode).collect();
         assert_eq!(got, want);
+        let jobs: Vec<u64> = rec.records.iter().map(|r| r.job.raw()).collect();
+        assert_eq!(jobs, vec![10, 11]);
+        assert_eq!(cells(&rec.views), vec![(sig(7), "seven".into())]);
         assert_eq!(rec.dropped_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn views_fold_newest_wins_across_generations_sorted_by_signature() {
+        let dir = tmp("fold");
+        // `hi` orders before `lo`, as the old big-endian key did.
+        let (low, high) = (Sig128 { hi: 1, lo: 9 }, Sig128 { hi: 2, lo: 0 });
+        {
+            let (store, _) = DurableStore::open(&dir, 1 << 20).unwrap();
+            store.view_published(&view(high, "first"));
+            store.view_published(&view(sig(3), "doomed"));
+            // A snapshot seals the non-empty views/ log, not the empty repo/.
+            assert!(store.snapshot_now(Vec::new).unwrap());
+            assert_eq!(generations(&dir.join("views")), vec![1, 2]);
+            assert_eq!(generations(&dir.join("repo")), vec![1]);
+            store.view_deleted(sig(3)); // shadows the sealed put
+            store.view_deleted(high);
+            store.view_published(&view(high, "last"));
+            store.view_published(&view(low, "low"));
+        }
+        assert_eq!(
+            cells(&reopen(&dir).views),
+            vec![(low, "low".into()), (high, "last".into())]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bulk_log_rotates_past_threshold_and_replays_every_generation() {
+        let dir = tmp("rotate");
+        let big = "x".repeat(BULK_ROTATE_THRESHOLD as usize / 8);
+        {
+            let (store, _) = DurableStore::open(&dir, 1 << 20).unwrap();
+            for n in 0..10 {
+                store.view_published(&view(sig(n), &big));
+            }
+        }
+        // The eighth publish crossed the threshold and sealed wal.1.
+        assert_eq!(generations(&dir.join("views")), vec![1, 2]);
+        let views = reopen(&dir).views;
+        assert_eq!(views.len(), 10);
+        assert!(views.iter().all(|v| v.meta.bytes == big.len() as u64));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_segment_store_layout_is_refused() {
+        for (sub, file) in [("repo", "kv.wal"), ("views", "seg.3")] {
+            let dir = tmp("old-layout");
+            std::fs::create_dir_all(dir.join(sub)).unwrap();
+            std::fs::write(dir.join(sub).join(file), b"").unwrap();
+            match DurableStore::open(&dir, 1 << 20) {
+                Err(StoreError::Corrupt(m)) => {
+                    assert!(m.contains("old kv.wal + seg.N"), "{sub}/{file}: {m}")
+                }
+                Err(e) => panic!("{sub}/{file}: wrong error {e}"),
+                Ok(_) => panic!("{sub}/{file}: old layout opened as an empty log"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

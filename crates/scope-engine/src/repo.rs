@@ -109,7 +109,7 @@ pub struct JobIdentity {
 
 /// Observer of repository appends, keyed by the record's sequence number
 /// (its index in the append order). The durability layer installs one to
-/// mirror every record into its on-disk segment store; the sequence number
+/// mirror every record into its on-disk log; the sequence number
 /// doubles as the analyzer's replay cursor after a restart.
 pub type RecordSink = Arc<dyn Fn(u64, &JobRecord) + Send + Sync>;
 

@@ -93,7 +93,7 @@ struct StoredView {
 }
 
 /// Observer of durable view-store mutations. The durability layer installs
-/// one to mirror every publish/delete into its on-disk segment store.
+/// one to mirror every publish/delete into its on-disk log.
 ///
 /// Implementations must not call back into the [`StorageManager`]: sinks
 /// are invoked while the manager's internal lock is held, so the sink's own

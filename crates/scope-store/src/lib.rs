@@ -1,6 +1,6 @@
 //! Durable state for the CloudViews services (DESIGN.md §16).
 //!
-//! Three layers, bottom to top:
+//! Two layers, bottom to top:
 //!
 //! * [`wal`] — an append-only write-ahead log of length-prefixed,
 //!   checksummed records (`[u32 len][u64 sip64][payload]`, all
@@ -10,17 +10,16 @@
 //!   checksummed, generation-numbered state snapshots, plus [`log::LogDir`]
 //!   which pairs generational WAL files with snapshots: `snap.N` is the
 //!   state after fully applying `wal.1..=N`, so recovery is "load the
-//!   newest valid snapshot, replay every later log generation".
-//! * [`segment`] — a log-structured key-value store (MemTable → WAL →
-//!   sorted segment files, read back by one scan) for bulk append-mostly
-//!   data: the workload repository's job records and published view files.
+//!   newest valid snapshot, replay every later log generation". A
+//!   directory that never snapshots is a plain rotated log, which is how
+//!   the bulk append-mostly data (the workload repository's job records,
+//!   published view files) is kept: one on-disk log format for everything.
 //!
 //! The crate is deliberately value-agnostic: everything stored is `&[u8]`
 //! payloads produced by the hand-rolled codec in `scope_common::codec` /
 //! `cloudviews::codec`. No serde, no external dependencies.
 
 pub mod log;
-pub mod segment;
 pub mod snapshot;
 pub mod wal;
 
@@ -32,9 +31,10 @@ pub enum StoreError {
     /// Filesystem-level failure.
     Io(std::io::Error),
     /// A file failed structural validation (bad magic, checksum mismatch).
-    /// Torn WAL *tails* are not errors — they are truncated silently and
-    /// reported via [`wal::TailReport`]; `Corrupt` is reserved for files
-    /// that are written atomically and therefore should never be torn.
+    /// A torn tail of the *live* WAL generation is not an error — it is
+    /// truncated and reported via [`wal::TailReport`]; `Corrupt` is
+    /// reserved for files a crash cannot tear: atomically renamed
+    /// snapshots and sealed (fsynced, then rotated away from) generations.
     Corrupt(String),
 }
 

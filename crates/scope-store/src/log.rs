@@ -3,10 +3,16 @@
 //!
 //! Invariant: `snap.N` is the state after fully applying `wal.1..=N`.
 //! Recovery therefore loads the newest valid snapshot (generation `S`)
-//! and replays `wal.(S+1)..` in ascending order. If any replayed
-//! generation ends in a torn tail, replay stops at that clean boundary
-//! and *skips all later generations* — a consistent prefix beats a state
-//! with a hole in its history.
+//! and replays `wal.(S+1)..` in ascending order. Only the newest of those
+//! — the *live* generation, the one appends go to — may end in a torn
+//! record; that tail is truncated to the last clean boundary and counted
+//! in [`Recovered::dropped_bytes`]. Every older generation is *sealed*:
+//! [`LogDir::rotate`] fsyncs `wal.N` before `wal.N+1` exists, so a crash
+//! can never tear one. A sealed generation that does not scan clean to its
+//! last byte is damage to acknowledged history, and [`LogDir::open`]
+//! refuses the directory with [`StoreError::Corrupt`] — without touching a
+//! file — rather than return a history with a hole in it. A directory that
+//! never snapshots (`S` = 0 forever) is a plain rotated append-only log.
 //!
 //! Snapshotting is split into two halves so the caller never exports
 //! state while holding the log lock (services append to the WAL while
@@ -25,23 +31,19 @@
 use std::path::{Path, PathBuf};
 
 use crate::snapshot::{latest_snapshot, numbered_files, write_snapshot};
-use crate::wal::Wal;
-use crate::Result;
+use crate::wal::{scan_records, Wal};
+use crate::{Result, StoreError};
 
 /// What [`LogDir::open`] recovered from disk.
 pub struct Recovered {
     /// Payload of the newest valid snapshot, if any.
     pub snapshot: Option<Vec<u8>>,
-    /// Generation of that snapshot (0 when none).
-    pub snapshot_gen: u64,
     /// WAL record payloads from every generation after the snapshot, in
     /// append order.
     pub records: Vec<Vec<u8>>,
-    /// Bytes dropped from the first torn generation (later generations,
-    /// if any, are skipped entirely and not counted here).
+    /// Bytes of torn tail truncated off the live generation (0 after a
+    /// clean shutdown).
     pub dropped_bytes: u64,
-    /// Number of replayed tail records (equals `records.len()`).
-    pub tail_records: usize,
 }
 
 /// A directory of generational WAL files and snapshots.
@@ -64,35 +66,33 @@ impl LogDir {
             Some((gen, payload)) => (gen, Some(payload)),
             None => (0, None),
         };
-        let wals = numbered_files(dir, "wal")?;
+        let mut wals = numbered_files(dir, "wal")?;
+        // Generations up to the snapshot's are already folded into it.
+        wals.retain(|(gen, _)| *gen > snapshot_gen);
+        // The newest generation is the live one; a fresh directory (or one
+        // whose snapshot covers every log) starts the next.
+        let gen = wals.pop().map_or(snapshot_gen + 1, |(gen, _)| gen);
         let mut records = Vec::new();
-        let mut dropped_bytes = 0u64;
         let mut tail_bytes = 0u64;
-        let mut top_gen = snapshot_gen;
-        for (gen, path) in &wals {
-            if *gen <= snapshot_gen {
-                continue; // already folded into the snapshot
+        for (_, path) in &wals {
+            // Read-only: a refused directory must stay exactly as found.
+            let (recs, report) = scan_records(&std::fs::read(path)?);
+            if report.torn() {
+                return Err(StoreError::Corrupt(format!(
+                    "{}: sealed generation damaged at byte {} (fsynced before \
+                     wal.{gen} existed, so not a torn write)",
+                    path.display(),
+                    report.clean_len
+                )));
             }
-            if dropped_bytes > 0 {
-                // A torn earlier generation: later generations would leave
-                // a hole in history, so they are not replayed.
-                break;
-            }
-            let (_, recs, report) = Wal::open(path)?;
             records.extend(recs);
             tail_bytes += report.clean_len;
-            dropped_bytes += report.dropped_bytes;
-            top_gen = *gen;
         }
-        // Append into the highest replayed generation (already truncated to
-        // its clean boundary by `Wal::open`), or start a fresh one.
-        let gen = if top_gen > snapshot_gen {
-            top_gen
-        } else {
-            snapshot_gen + 1
-        };
-        let (wal, _, _) = Wal::open(&Self::wal_path(dir, gen))?;
-        let tail_records = records.len();
+        // Opening the live generation truncates any torn tail, so appends
+        // resume at its last clean record boundary.
+        let (wal, recs, report) = Wal::open(&Self::wal_path(dir, gen))?;
+        records.extend(recs);
+        tail_bytes += report.clean_len;
         Ok((
             LogDir {
                 dir: dir.to_path_buf(),
@@ -102,10 +102,8 @@ impl LogDir {
             },
             Recovered {
                 snapshot,
-                snapshot_gen,
                 records,
-                dropped_bytes,
-                tail_records,
+                dropped_bytes: report.dropped_bytes,
             },
         ))
     }
@@ -121,6 +119,11 @@ impl LogDir {
     /// generations since the last snapshot). The compaction trigger.
     pub fn tail_bytes(&self) -> u64 {
         self.tail_bytes
+    }
+
+    /// Bytes in the live generation (the file appends go to).
+    pub fn live_bytes(&self) -> u64 {
+        self.wal.len_bytes()
     }
 
     /// Current generation number (the file appends go to).
@@ -157,16 +160,6 @@ impl LogDir {
         // Only the live generation's bytes remain unsnapshotted.
         self.tail_bytes = self.wal.len_bytes();
         Ok(())
-    }
-
-    /// Forces buffered appends to stable storage.
-    pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -229,28 +222,63 @@ mod tests {
         drop(log);
         let (log, rec) = LogDir::open(&dir).unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(b"STATE".as_slice()));
-        assert_eq!(rec.snapshot_gen, 1);
         assert_eq!(rec.records, vec![b"post".to_vec()]);
         assert_eq!(log.gen(), 2);
         // wal.1 was pruned.
         assert!(!LogDir::wal_path(&dir, 1).exists());
     }
 
-    #[test]
-    fn torn_generation_skips_later_generations() {
-        let dir = tmp("torn-gen");
-        let (mut log, _) = LogDir::open(&dir).unwrap();
+    /// A sealed `wal.1` (`one`, `one-b`) and a live `wal.2` (`two`).
+    fn two_generations(dir: &Path) -> Vec<Vec<u8>> {
+        let (mut log, _) = LogDir::open(dir).unwrap();
         log.append(b"one").unwrap();
-        log.rotate().unwrap(); // seals wal.1, opens wal.2; no snapshot sealed
+        log.append(b"one-b").unwrap();
+        log.rotate().unwrap(); // no snapshot sealed
         log.append(b"two").unwrap();
+        vec![b"one".to_vec(), b"one-b".to_vec(), b"two".to_vec()]
+    }
+
+    #[test]
+    fn generations_replay_in_order_and_a_torn_live_tail_drops_one_record() {
+        let dir = tmp("live-torn");
+        let want = two_generations(&dir);
+        let (mut log, rec) = LogDir::open(&dir).unwrap();
+        assert_eq!((&rec.records, rec.dropped_bytes, log.gen()), (&want, 0, 2));
+        log.append(b"torn").unwrap();
         drop(log);
-        // Tear the tail of wal.1: wal.2 must then be skipped entirely.
-        let p1 = LogDir::wal_path(&dir, 1);
-        let bytes = std::fs::read(&p1).unwrap();
-        std::fs::write(&p1, &bytes[..bytes.len() - 1]).unwrap();
-        let (_, rec) = LogDir::open(&dir).unwrap();
-        assert!(rec.records.is_empty());
-        assert!(rec.dropped_bytes > 0);
+        let p2 = LogDir::wal_path(&dir, 2);
+        let bytes = std::fs::read(&p2).unwrap();
+        std::fs::write(&p2, &bytes[..bytes.len() - 1]).unwrap();
+        let (log, rec) = LogDir::open(&dir).unwrap();
+        let header = crate::wal::RECORD_HEADER as u64;
+        assert_eq!((rec.records, rec.dropped_bytes), (want, header + 4 - 1));
+        assert_eq!(log.live_bytes(), header + 3);
+    }
+
+    /// Before the sealed-generation rule a torn `wal.1` was truncated and
+    /// `wal.2` skipped but left on disk, so the next `rotate` reopened it
+    /// and replay spliced `two` back in *after* records appended later.
+    /// Refusing, with every file left as found, leaves no half-recovered
+    /// log to append to.
+    #[test]
+    fn damaged_sealed_generation_fails_open_and_is_left_as_found() {
+        let dir = tmp("sealed");
+        two_generations(&dir);
+        let (p1, p2) = (LogDir::wal_path(&dir, 1), LogDir::wal_path(&dir, 2));
+        let (clean, live) = (std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
+        // A checksum failure with intact records after it, and a torn tail.
+        let mut flipped = clean.clone();
+        flipped[crate::wal::RECORD_HEADER] ^= 0x01;
+        for damaged in [&flipped[..], &clean[..clean.len() - 1]] {
+            std::fs::write(&p1, damaged).unwrap();
+            for _ in 0..2 {
+                assert!(matches!(LogDir::open(&dir), Err(StoreError::Corrupt(_))));
+                assert_eq!(std::fs::read(&p1).unwrap(), damaged);
+                assert_eq!(std::fs::read(&p2).unwrap(), live);
+            }
+        }
+        std::fs::write(&p1, &clean).unwrap();
+        assert!(LogDir::open(&dir).is_ok(), "restored log must open");
     }
 
     #[test]

@@ -19,18 +19,19 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use scope_common::hash::sip64;
 
-use crate::Result;
+use crate::{Result, StoreError};
 
 /// Fixed per-record framing overhead.
 pub const RECORD_HEADER: usize = 12;
 
-/// Hard ceiling on a single record payload (64 MiB). A longer length prefix
-/// is treated as tail corruption, bounding what a damaged file can make
-/// recovery allocate.
+/// Hard ceiling on a single record payload (64 MiB). [`Wal::append`]
+/// refuses anything longer, so on replay a longer length prefix can only be
+/// tail corruption — which bounds what a damaged file can make recovery
+/// allocate.
 pub const MAX_RECORD: u32 = 64 * 1024 * 1024;
 
 /// What scanning a log file found.
@@ -94,7 +95,6 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
 /// An open write-ahead log file positioned for appending.
 pub struct Wal {
     file: File,
-    path: PathBuf,
     bytes: u64,
 }
 
@@ -118,7 +118,6 @@ impl Wal {
         }
         let mut wal = Wal {
             file,
-            path: path.to_path_buf(),
             bytes: report.clean_len,
         };
         // Position at the clean end for appending (no O_APPEND: truncation
@@ -129,7 +128,18 @@ impl Wal {
     }
 
     /// Appends one record (length + checksum + payload) as a single write.
+    /// A payload over [`MAX_RECORD`] is refused: replay would read its length
+    /// prefix as tail corruption and drop it with every record after it.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
+        if payload.len() > MAX_RECORD as usize {
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "record of {} bytes exceeds the {MAX_RECORD}-byte limit",
+                    payload.len()
+                ),
+            )));
+        }
         let frame = frame_record(payload);
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
@@ -149,26 +159,12 @@ impl Wal {
     pub fn len_bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Truncates the log to empty (after its contents were made durable
-    /// elsewhere, e.g. flushed into a segment file).
-    pub fn reset(&mut self) -> Result<()> {
-        use std::io::{Seek, SeekFrom};
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.bytes = 0;
-        Ok(())
-    }
-
-    /// The file path this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -240,6 +236,20 @@ mod tests {
         let (_, recs, report) = Wal::open(&path).unwrap();
         assert_eq!(recs, vec![b"ok".to_vec()]);
         assert!(report.torn());
+    }
+
+    #[test]
+    fn oversized_append_is_refused_and_leaves_the_log_intact() {
+        let path = tmp("oversized");
+        let (mut wal, _, _) = Wal::open(&path).unwrap();
+        wal.append(b"before").unwrap();
+        let too_big = vec![0u8; MAX_RECORD as usize + 1];
+        assert!(matches!(wal.append(&too_big), Err(StoreError::Io(_))));
+        wal.append(b"after").unwrap();
+        drop(wal);
+        let (_, recs, report) = Wal::open(&path).unwrap();
+        assert_eq!(recs, vec![b"before".to_vec(), b"after".to_vec()]);
+        assert!(!report.torn());
     }
 
     #[test]

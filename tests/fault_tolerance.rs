@@ -8,6 +8,7 @@
 //! degradation counters account for every injected fault.
 
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -996,8 +997,8 @@ fn durable_service(dir: &Path) -> CloudViews {
 
 /// Everything recovery must reproduce byte-for-byte: the metadata catalog
 /// fingerprint, the analyzer state fingerprint, the job-record log length,
-/// and the view count.
-fn state_signature(cv: &CloudViews) -> (Sig128, Sig128, usize, usize) {
+/// and the registered and stored view counts.
+fn state_signature(cv: &CloudViews) -> (Sig128, Sig128, usize, usize, usize) {
     (
         cv.metadata.fingerprint(),
         cv.analyzer
@@ -1007,6 +1008,7 @@ fn state_signature(cv: &CloudViews) -> (Sig128, Sig128, usize, usize) {
             .fingerprint(),
         cv.repo.records().len(),
         cv.metadata.num_views(),
+        cv.storage.num_views(),
     )
 }
 
@@ -1023,10 +1025,11 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Path of the highest-generation metadata WAL under `dir`.
-fn meta_wal(dir: &Path) -> PathBuf {
-    let meta = dir.join("meta");
-    std::fs::read_dir(&meta)
+/// Path of the live (highest) generation of the `log` directory —
+/// `meta`, `repo` or `views` — under the store root `dir`.
+fn live_wal(dir: &Path, log: &str) -> PathBuf {
+    let log = dir.join(log);
+    std::fs::read_dir(&log)
         .unwrap()
         .filter_map(|e| {
             let name = e.unwrap().file_name().into_string().unwrap();
@@ -1034,7 +1037,7 @@ fn meta_wal(dir: &Path) -> PathBuf {
                 .and_then(|n| n.parse::<u64>().ok())
         })
         .max()
-        .map(|g| meta.join(format!("wal.{g}")))
+        .map(|g| log.join(format!("wal.{g}")))
         .expect("no WAL generation")
 }
 
@@ -1054,10 +1057,67 @@ fn frame_starts(wal: &[u8]) -> Vec<usize> {
     starts
 }
 
-/// A crash can tear the WAL at *any* byte. Truncating the log at every
-/// offset inside the final record must recover — without panicking — to
-/// exactly the state of the log minus that record (the last clean
-/// boundary), never to garbage and never to a partially applied event.
+/// Recovers a copy of `dir` whose live `log` generation is cut to `len`
+/// bytes; returns the state and the `cv_store_recovery_dropped_bytes` gauge.
+fn recover_truncated(dir: &Path, log: &str, len: usize) -> (impl PartialEq + Debug, i64) {
+    let scratch = temp_store(&format!("torn-{log}-cut"));
+    copy_dir(dir, &scratch);
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(live_wal(&scratch, log))
+        .unwrap();
+    f.set_len(len as u64).unwrap();
+    drop(f);
+    let cv = durable_service(&scratch);
+    let m = &cv.telemetry.metrics;
+    assert_eq!(
+        m.gauge_value("cv_store_recovered_records"),
+        cv.repo.records().len() as i64
+    );
+    assert_eq!(
+        m.gauge_value("cv_store_recovered_views"),
+        cv.storage.num_views() as i64
+    );
+    let got = (
+        state_signature(&cv),
+        m.gauge_value("cv_store_recovered_events"),
+    );
+    let dropped = m.gauge_value("cv_store_recovery_dropped_bytes");
+    drop(cv);
+    let _ = std::fs::remove_dir_all(&scratch);
+    (got, dropped)
+}
+
+/// A crash can tear a live log generation at *any* byte. Truncating the
+/// `log` directory's live generation inside its final record must recover
+/// — without panicking — to exactly the state of the log minus that record
+/// (the last clean boundary), never to garbage and never to a partially
+/// applied write, and must count the torn bytes.
+fn assert_torn_tail_drops_only_last_record(dir: &Path, log: &str) {
+    let wal = std::fs::read(live_wal(dir, log)).unwrap();
+    let starts = frame_starts(&wal);
+    let last = *starts.last().expect("priming wrote records");
+    assert!(starts.len() > 1, "{log}: need at least two frames");
+
+    // Ground truth: the log cleanly cut *before* the last record — which
+    // is not the state with it (so the cut really loses one write).
+    let (expected, dropped) = recover_truncated(dir, log, last);
+    assert_eq!(dropped, 0, "{log}: a clean boundary drops nothing");
+    let (full, _) = recover_truncated(dir, log, wal.len());
+    assert!(expected != full, "{log}: last record must matter");
+
+    for cut in last + 1..wal.len() {
+        let (got, dropped) = recover_truncated(dir, log, cut);
+        assert!(
+            got == expected,
+            "{log}: truncation at byte {cut} (last clean boundary {last}) did \
+             not recover to the last clean record boundary: {got:?} vs {expected:?}"
+        );
+        assert_eq!(dropped, (cut - last) as i64, "{log}: torn bytes at {cut}");
+    }
+}
+
+/// The metadata log: every byte offset of a final `PurgeShard` frame.
 #[test]
 fn torn_wal_tail_recovers_at_every_byte_offset() {
     let dir = temp_store("torn");
@@ -1073,42 +1133,47 @@ fn torn_wal_tail_recovers_at_every_byte_offset() {
         // frame — the per-offset loop stays cheap.
         cv.purge_expired();
     }
+    assert_torn_tail_drops_only_last_record(&dir, "meta");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let wal_path = meta_wal(&dir);
-    let wal = std::fs::read(&wal_path).unwrap();
-    let starts = frame_starts(&wal);
-    let last = *starts.last().expect("priming wrote records");
-    assert!(starts.len() > 1, "need at least two frames");
-
-    // Ground truth: the log cleanly cut *before* the last record.
-    let scratch = temp_store("torn-expected");
-    copy_dir(&dir, &scratch);
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(meta_wal(&scratch))
-        .unwrap();
-    f.set_len(last as u64).unwrap();
-    drop(f);
-    let expected = state_signature(&durable_service(&scratch));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    for cut in last + 1..wal.len() {
-        let scratch = temp_store("torn-cut");
-        copy_dir(&dir, &scratch);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(meta_wal(&scratch))
+/// The `repo/` log's live generation: a torn final job record costs
+/// exactly that record (the analyzer re-folds one record fewer).
+#[test]
+fn torn_wal_tail_of_repo_log_drops_only_the_last_record() {
+    let dir = temp_store("torn-repo");
+    {
+        let w = workload(11);
+        let cv = durable_service(&dir);
+        w.register_instance_data(0, 0, &cv.storage, 1.0).unwrap();
+        cv.run_sequence(&w.jobs_for_instance(0, 0).unwrap(), RunMode::Baseline)
             .unwrap();
-        f.set_len(cut as u64).unwrap();
-        drop(f);
-        let got = state_signature(&durable_service(&scratch));
-        assert_eq!(
-            got, expected,
-            "truncation at byte {cut} (last clean boundary {last}) did not \
-             recover to the last clean record boundary"
-        );
-        let _ = std::fs::remove_dir_all(&scratch);
     }
+    assert_torn_tail_drops_only_last_record(&dir, "repo");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `views/` log's live generation, ending on a delete: a torn delete
+/// leaves the view published, at every byte offset of its small frame.
+#[test]
+fn torn_wal_tail_of_views_log_drops_only_the_last_write() {
+    let dir = temp_store("torn-views");
+    {
+        let w = workload(7);
+        let cv = durable_service(&dir);
+        w.register_instance_data(0, 0, &cv.storage, 1.0).unwrap();
+        cv.run_sequence(&w.jobs_for_instance(0, 0).unwrap(), RunMode::Baseline)
+            .unwrap();
+        let outcome = cv.analyze_round().unwrap();
+        cv.install_analysis(&outcome);
+        w.register_instance_data(0, 1, &cv.storage, 1.0).unwrap();
+        cv.run_sequence(&w.jobs_for_instance(0, 1).unwrap(), RunMode::CloudViews)
+            .unwrap();
+        let built = cv.storage.view_metas();
+        assert!(built.len() > 1, "fixture must publish views");
+        cv.storage.delete_view(built[0].precise).unwrap();
+    }
+    assert_torn_tail_drops_only_last_record(&dir, "views");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1158,10 +1223,11 @@ fn crash_recovery_restores_fingerprints_and_stays_live() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Segment files are written atomically, so a damaged one is corruption,
-/// not a torn tail: recovery must refuse it with an `Err` — no panic, no
-/// silently shorter repository — and a file in the previous `SEG1` format
-/// must fail the header check rather than be mis-parsed.
+/// `rotate` fsyncs a generation before the next one exists, so a damaged
+/// sealed generation is corruption, not a torn tail: recovery must refuse
+/// it with an `Err` — no panic, no silently shorter repository — in any of
+/// the three logs. So must a root still holding the old `kv.wal` + `seg.N`
+/// segment-store layout, which would otherwise open as an empty log.
 #[test]
 fn damaged_or_old_format_segment_fails_recovery_loudly() {
     let dir = temp_store("seg-corrupt");
@@ -1171,8 +1237,14 @@ fn damaged_or_old_format_segment_fails_recovery_loudly() {
         w.register_instance_data(0, 0, &cv.storage, 1.0).unwrap();
         cv.run_sequence(&w.jobs_for_instance(0, 0).unwrap(), RunMode::Baseline)
             .unwrap();
-        // Flushes both segment stores.
+        let outcome = cv.analyze_round().unwrap();
+        cv.install_analysis(&outcome);
+        w.register_instance_data(0, 1, &cv.storage, 1.0).unwrap();
+        cv.run_sequence(&w.jobs_for_instance(0, 1).unwrap(), RunMode::CloudViews)
+            .unwrap();
+        // Seals repo/wal.1 and views/wal.1.
         assert!(cv.snapshot_now(), "explicit snapshot must run");
+        cv.purge_expired();
     }
     let recover = || {
         CloudViews::builder(Arc::new(StorageManager::new()))
@@ -1180,19 +1252,42 @@ fn damaged_or_old_format_segment_fails_recovery_loudly() {
             .durable(&dir)
             .try_build()
     };
-    let seg = dir.join("repo").join("seg.1");
-    let clean = std::fs::read(&seg).unwrap();
+    // meta/ prunes the generations a snapshot seals, so it replays a sealed
+    // one only after a crash between `rotate` and `seal_snapshot` — which
+    // leaves what is planted here: an empty successor to the live file.
+    let meta_sealed = live_wal(&dir, "meta");
+    let gen: u64 = meta_sealed
+        .extension()
+        .unwrap()
+        .to_str()
+        .unwrap()
+        .parse()
+        .unwrap();
+    std::fs::write(meta_sealed.with_extension((gen + 1).to_string()), b"").unwrap();
     assert!(recover().is_ok(), "undamaged store must recover");
 
-    let mut flipped = clean.clone();
-    flipped[clean.len() / 2] ^= 0x01;
-    std::fs::write(&seg, &flipped).unwrap();
-    assert!(recover().is_err(), "flipped byte must fail the checksum");
+    let (repo_sealed, views_sealed) = (dir.join("repo/wal.1"), dir.join("views/wal.1"));
+    assert_ne!(repo_sealed, live_wal(&dir, "repo"));
+    assert_ne!(views_sealed, live_wal(&dir, "views"));
+    for sealed in [meta_sealed, repo_sealed, views_sealed] {
+        let at = sealed.display();
+        let clean = std::fs::read(&sealed).unwrap();
+        let mut flipped = clean.clone();
+        flipped[clean.len() / 2] ^= 0x01;
+        std::fs::write(&sealed, &flipped).unwrap();
+        assert!(recover().is_err(), "{at}: flipped byte must fail recovery");
+        assert!(recover().is_err(), "{at}: and keep failing on a retry");
+        std::fs::write(&sealed, &clean).unwrap();
+        assert!(recover().is_ok(), "{at}: restored bytes must recover");
+    }
 
-    let mut old_format = clean;
-    old_format[..4].copy_from_slice(b"SEG1");
-    std::fs::write(&seg, &old_format).unwrap();
-    assert!(recover().is_err(), "SEG1 magic must fail the header check");
+    let planted = dir.join("repo").join("seg.1");
+    std::fs::write(&planted, b"SEG2").unwrap();
+    assert!(recover().is_err(), "old seg.N layout must be refused");
+    std::fs::remove_file(&planted).unwrap();
+    let planted = dir.join("views").join("kv.wal");
+    std::fs::write(&planted, b"").unwrap();
+    assert!(recover().is_err(), "old kv.wal layout must be refused");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
