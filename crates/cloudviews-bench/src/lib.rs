@@ -26,5 +26,4 @@
 
 pub mod compile_only;
 pub mod experiments;
-pub mod gates;
 pub mod prod32;

@@ -334,11 +334,6 @@ impl DurableStore {
         Ok((store, state))
     }
 
-    /// True when `root` already holds durable metadata state.
-    pub fn has_state(root: &Path) -> bool {
-        scope_store::log::has_state(&root.join("meta"))
-    }
-
     /// Appends one metadata event to the WAL, before the corresponding
     /// in-memory mutation is acknowledged.
     ///

@@ -163,17 +163,6 @@ impl LogDir {
     }
 }
 
-/// True when `dir` holds any snapshot or WAL generation (i.e. a previous
-/// process left durable state to recover).
-pub fn has_state(dir: &Path) -> bool {
-    numbered_files(dir, "snap")
-        .map(|v| !v.is_empty())
-        .unwrap_or(false)
-        || numbered_files(dir, "wal")
-            .map(|v| !v.is_empty())
-            .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,15 +280,5 @@ mod tests {
         let sealed = log.rotate().unwrap();
         log.seal_snapshot(sealed, b"s").unwrap();
         assert_eq!(log.tail_bytes(), 0);
-    }
-
-    #[test]
-    fn has_state_detects_prior_runs() {
-        let dir = tmp("hasstate");
-        assert!(!has_state(&dir));
-        let (mut log, _) = LogDir::open(&dir).unwrap();
-        log.append(b"x").unwrap();
-        drop(log);
-        assert!(has_state(&dir));
     }
 }

@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
-use cloudviews::{AnalysisOutcome, AnalyzerState, CloudViews, PipelineOptions, RunMode};
+use cloudviews::{
+    AnalysisOutcome, AnalyzerState, CloudViews, IncrementalAnalyzer, PipelineOptions, RunMode,
+};
 use scope_engine::repo::JobRecord;
 use scope_engine::storage::StorageManager;
 use scope_workload::dists::LogNormal;
@@ -149,9 +151,12 @@ fn resident_analyzer_round_matches_batch_analysis() {
         .incremental_analyzer(config.clone())
         .build();
     let analyzer = cv.analyzer.as_ref().unwrap().clone();
+    // A second analyzer that sees the repository only at round boundaries.
+    let at_boundary = IncrementalAnalyzer::new(config.clone());
     let mut rounds = w.rounds(0);
     for round in 1..=3u64 {
         let jobs = rounds.next_round(&cv.storage, 1.0).unwrap();
+        let history = cv.repo.len();
         if round == 2 {
             // Concurrent record stages absorb through the analyzer's one
             // lock: nothing lost, nothing duplicated.
@@ -167,6 +172,12 @@ fn resident_analyzer_round_matches_batch_analysis() {
         }
         // The record stage already absorbed this round's records.
         assert_eq!(analyzer.state().jobs_admitted(), cv.repo.len());
+        // A round folds its delta, not the history before it.
+        assert_eq!(
+            at_boundary.absorb(&cv.repo).admitted,
+            cv.repo.len() - history,
+            "round {round}"
+        );
         let incremental = cv.analyze_round().unwrap();
         let batch = cv.analyze(&config).unwrap();
         assert_eq!(

@@ -1201,6 +1201,12 @@ fn crash_recovery_restores_fingerprints_and_stays_live() {
 
     let cv = durable_service(&dir);
     assert_eq!(state_signature(&cv), before, "pure-WAL replay drifted");
+    let recovered_events = |cv: &CloudViews| {
+        cv.telemetry
+            .metrics
+            .gauge_value("cv_store_recovered_events")
+    };
+    let wal_events = recovered_events(&cv);
 
     // The recovered service is live: a further instance runs to completion
     // and its mutations land in the same log.
@@ -1220,6 +1226,12 @@ fn crash_recovery_restores_fingerprints_and_stays_live() {
     drop(cv);
     let cv = durable_service(&dir);
     assert_eq!(state_signature(&cv), after, "snapshot recovery drifted");
+    // ... and it shortens what replay reads, though the log only grew.
+    let snapshot_events = recovered_events(&cv);
+    assert!(
+        snapshot_events < wal_events,
+        "snapshot recovery replayed {snapshot_events} events, pure WAL {wal_events}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

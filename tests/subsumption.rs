@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::SelectedView;
-use cloudviews::{CloudViews, RunMode};
+use cloudviews::{CloudViews, JobRunReport, RunMode};
 use scope_common::ids::{ClusterId, DatasetId, JobId, NodeId, TemplateId, UserId, VcId};
 use scope_common::time::{SimDuration, SimTime};
 use scope_engine::data::Table;
@@ -66,10 +66,11 @@ fn spec(id: u64, template: u64, graph: QueryGraph) -> JobSpec {
     }
 }
 
-/// Annotates `target` in the view graph so the view job materializes it.
-fn annotate(cv: &CloudViews, view_graph: &QueryGraph, target: NodeId) {
+/// The mined annotation that makes a view job over `stream` materialize
+/// `target`.
+fn selected(view_graph: &QueryGraph, target: NodeId, stream: &str) -> SelectedView {
     let signed = sign_graph(view_graph).unwrap();
-    cv.metadata.load_annotations(&[SelectedView {
+    SelectedView {
         annotation: Annotation {
             normalized: signed.of(target).normalized,
             props: PhysicalProps::any(),
@@ -79,11 +80,17 @@ fn annotate(cv: &CloudViews, view_graph: &QueryGraph, target: NodeId) {
             avg_rows: 100,
             avg_bytes: 10_000,
         },
-        input_tags: vec![STREAM.into()],
+        input_tags: vec![stream.into()],
         utility: SimDuration::from_secs(10),
         frequency: 2,
         precise_last_seen: signed.of(target).precise,
-    }]);
+    }
+}
+
+/// Annotates `target` in the view graph so the view job materializes it.
+fn annotate(cv: &CloudViews, view_graph: &QueryGraph, target: NodeId) {
+    cv.metadata
+        .load_annotations(&[selected(view_graph, target, STREAM)]);
 }
 
 /// Runs the full cycle: baseline answer for the query, view job builds,
@@ -280,6 +287,83 @@ fn tier2_filter_equivalence_holds_across_random_bounds() {
         );
         assert_eq!(base.output_checksums, query.output_checksums);
     }
+}
+
+/// What the cascade adds over exact matching, on one multi-family wave:
+/// each family builds a wide view, repeats it once (tier-1 territory) and
+/// submits consumers with tighter bounds that only tier 2 can serve. All
+/// three claims are simulated quantities, so they hold exactly.
+#[test]
+fn cascade_serves_every_consumer_and_keeps_lookup_p99_within_ten_percent() {
+    const FAMILIES: u64 = 4;
+    const CONSUMERS: u64 = 3;
+    let stream = |f: u64| format!("sub/f{f}.ss");
+    let graph = |f: u64, bound: i64, out: &str| {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(DatasetId::new(100 + f), stream(f), schema());
+        let filtered = b.filter(s, Expr::col(2).ge(Expr::lit(bound)));
+        b.output(filtered, out).build().unwrap()
+    };
+    let view_bound = |f: u64| 5 * f as i64;
+    let builders: Vec<JobSpec> = (0..FAMILIES)
+        .map(|f| spec(f, f, graph(f, view_bound(f), "view")))
+        .collect();
+    // Per family: the exact repeat first, then the consumers.
+    let mut wave = Vec::new();
+    for f in 0..FAMILIES {
+        for c in 0..=CONSUMERS {
+            let id = 100 + wave.len() as u64;
+            wave.push(spec(id, id, graph(f, view_bound(f) + 10 * c as i64, "q")));
+        }
+    }
+    let is_consumer = |i: usize| i as u64 % (CONSUMERS + 1) != 0;
+    let annotations: Vec<SelectedView> = (0..FAMILIES)
+        .map(|f| selected(&builders[f as usize].graph, NodeId::new(1), &stream(f)))
+        .collect();
+
+    let run = |subsumption: bool| {
+        let storage = Arc::new(StorageManager::new());
+        for f in 0..FAMILIES {
+            storage.put_dataset(DatasetId::new(100 + f), table(f, 200));
+        }
+        let cv = CloudViews::builder(storage)
+            .subsumption(subsumption)
+            .build();
+        cv.metadata.load_annotations(&annotations);
+        let built = cv.run_sequence(&builders, RunMode::CloudViews).unwrap();
+        assert!(built.iter().all(|r| r.views_built.len() == 1));
+        let reports = cv.run_sequence(&wave, RunMode::CloudViews).unwrap();
+        let mut lookups: Vec<u64> = reports.iter().map(|r| r.lookup_latency.micros()).collect();
+        lookups.sort_unstable();
+        let p99 = lookups[(lookups.len() * 99).div_ceil(100) - 1];
+        (reports, cv.metadata.stats().tier2_hits, p99)
+    };
+    let (exact, exact_tier2, exact_p99) = run(false);
+    let (cascade, cascade_tier2, cascade_p99) = run(true);
+
+    for (i, r) in cascade.iter().enumerate() {
+        assert_eq!(
+            r.optimizer.tier2_reused >= 1,
+            is_consumer(i),
+            "wave job {i}: only consumers take a tier-2 rewrite"
+        );
+        assert_eq!(r.output_checksums, exact[i].output_checksums, "job {i}");
+    }
+    let rewrites: usize = cascade.iter().map(|r| r.optimizer.tier2_reused).sum();
+    assert_eq!(rewrites as u64, FAMILIES * CONSUMERS);
+    // The service offers its family's view to every wave lookup (a repeat's
+    // probe is compatible too; the optimizer then serves it by tier 1).
+    assert_eq!((exact_tier2, cascade_tier2), (0, wave.len() as u64));
+    let hits = |rs: &[JobRunReport]| rs.iter().filter(|r| !r.views_reused.is_empty()).count();
+    assert_eq!(
+        (hits(&exact), hits(&cascade)),
+        (FAMILIES as usize, wave.len()),
+        "exact-only serves the repeats, the cascade every wave job"
+    );
+    assert!(
+        cascade_p99 * 100 <= exact_p99 * 110,
+        "tier-2 scan pushed p99 lookup to {cascade_p99} µs (exact-only {exact_p99} µs)"
+    );
 }
 
 /// The cascade stays sound over the full TPC-DS cycle with subsumption on
