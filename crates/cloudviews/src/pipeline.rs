@@ -349,6 +349,7 @@ impl Stage for ExecuteStage {
         );
         ctx.cursor += sim.latency;
         cv.record_sim_metrics(&sim);
+        cv.record_exec_metrics(&exec);
         ctx.exec = Some(exec);
         ctx.sim = Some(sim);
         Ok(())

@@ -51,6 +51,7 @@ use scope_common::telemetry::{ActiveSpan, Counter, Histogram, MetricUnit, Teleme
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
 use scope_engine::cost::CostModel;
+use scope_engine::exec::ExecOutcome;
 use scope_engine::job::JobSpec;
 use scope_engine::optimizer::OptimizerReport;
 use scope_engine::repo::WorkloadRepository;
@@ -251,6 +252,8 @@ pub(crate) struct RuntimeMetrics {
     vertices: Counter,
     stage_vertices: Histogram,
     token_occupancy: Histogram,
+    exec_rows_in: Counter,
+    exec_cells_gathered: Counter,
     template_hits: Counter,
     template_misses: Counter,
     pub(crate) pipeline_steals: Counter,
@@ -295,6 +298,8 @@ impl RuntimeMetrics {
             vertices: m.counter("cv_sim_vertices_total"),
             stage_vertices: m.histogram("cv_sim_stage_vertices", MetricUnit::Count),
             token_occupancy: m.histogram("cv_sim_token_occupancy_pct", MetricUnit::Count),
+            exec_rows_in: m.counter("cv_exec_rows_in_total"),
+            exec_cells_gathered: m.counter("cv_exec_cells_gathered_total"),
             template_hits: m.counter("cv_template_cache_hits_total"),
             template_misses: m.counter("cv_template_cache_misses_total"),
             pipeline_steals: m.counter("cv_pipeline_steals_total"),
@@ -951,6 +956,19 @@ impl CloudViews {
         {
             m.token_occupancy.record(pct.min(100));
         }
+    }
+
+    /// Records what one plan execution moved: rows into its operators and
+    /// cells copied between columns (`ExecOutcome::cells_gathered`) — their
+    /// ratio is how much of the data the executor's deferred columns let it
+    /// leave where it was.
+    pub(crate) fn record_exec_metrics(&self, exec: &ExecOutcome) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let rows_in = exec.node_stats.iter().map(|s| s.in_rows).sum();
+        self.metrics.exec_rows_in.add(rows_in);
+        self.metrics.exec_cells_gathered.add(exec.cells_gathered);
     }
 
     /// Runs jobs back-to-back (each starts when the previous finishes),

@@ -1314,7 +1314,7 @@ mod tests {
         );
         assert_eq!(obj["d"], json::JsonValue::Null);
         assert_eq!(obj["e"], json::JsonValue::Bool(true));
-        // The accessors the bench gates read `BENCH_*.json` through.
+        // By-key and typed accessors.
         assert_eq!(v.get("e").and_then(json::JsonValue::as_bool), Some(true));
         assert_eq!(v.get("d"), Some(&json::JsonValue::Null));
         assert_eq!(v.get("missing"), None);

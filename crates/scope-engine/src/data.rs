@@ -1,13 +1,27 @@
 //! Partitioned in-memory tables, stored columnar.
 //!
 //! A [`Table`] is a list of partitions; each partition is a list of
-//! immutable, reference-counted [`RecordBatch`]es; each batch holds typed
-//! [`ColumnVector`]s with optional null masks. Rows exist only at the edges:
+//! immutable, reference-counted [`RecordBatch`]es; each batch holds
+//! [`Column`]s: typed [`ColumnVector`]s with optional null masks, either
+//! dense or **deferred**. Rows exist only at the edges:
 //! [`Table::single`]/[`Table::from_rows`] build batches from rows, and
 //! [`Table::iter_rows`]/[`Table::all_rows`] materialize them back for
 //! callers (UDOs, tests) that still think row-at-a-time.
 //!
-//! Two invariants carry the whole CloudViews reproduction:
+//! **Gather on read.** Every operation that moves rows without computing
+//! on them — the three repartitions, partition concatenation,
+//! [`RecordBatch::take`] (filter, sort, top, semi join) and the join emit —
+//! builds its output through `RecordBatch::gather_columns`, which copies no
+//! cell: each column is a recipe, dense source columns plus a vector of
+//! `(source, row)` picks shared by every column picked the same way.
+//! Gathering from an unread recipe composes the two pick vectors (once per
+//! distinct vector, not per column), so sources are always dense and a column
+//! that crosses five shuffles is copied once, by [`Column::dense`], when an
+//! operator first reads it — or never. Byte accounting never forces a column
+//! ([`Deferred`] carries its size). Outputs of under `EAGER_ROWS` rows over
+//! dense sources are copied at once instead: a recipe costs more than they do.
+//!
+//! Three invariants carry the whole CloudViews reproduction:
 //!
 //! * **Logical equivalence with the seed row layout.** A batch is exactly a
 //!   run of rows; [`Cell`] mirrors [`Value`] ordering, hashing, and byte
@@ -15,8 +29,12 @@
 //!   and `NodeRuntimeStats.out_bytes` are unchanged by the columnar move.
 //! * **Immutability.** Batches are never mutated after construction, which
 //!   is why the per-batch byte size and row-hash sum need no invalidation
-//!   and why `gather`/clone/`UnionAll` are `Arc` pointer copies.
+//!   and why `gather`/clone/`UnionAll` are `Arc` pointer copies. Forcing a
+//!   deferred column fills a `OnceLock`: every reader sees one gather.
+//! * **Stored views are dense.** A recipe keeps its sources alive, so
+//!   [`Table::densified`] drops them before a table outlives its job.
 
+use std::cell::Cell as Counter;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -198,6 +216,11 @@ impl StrVec {
         &self.bytes[start as usize..self.ends[i] as usize]
     }
 
+    /// Byte length of value `i`.
+    fn len_of(&self, i: usize) -> u32 {
+        self.ends[i] - if i == 0 { 0 } else { self.ends[i - 1] }
+    }
+
     /// All values in order.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(|i| self.get(i))
@@ -208,17 +231,6 @@ impl StrVec {
         self.bytes.push_str(s);
         self.ends
             .push(u32::try_from(self.bytes.len()).expect("string column exceeds 4 GiB"));
-    }
-
-    /// Appends every value of `other`: one byte copy plus rebased ends.
-    fn extend_from(&mut self, other: &StrVec) {
-        let base = self.bytes.len() as u32;
-        self.bytes.push_str(&other.bytes);
-        assert!(
-            self.bytes.len() <= u32::MAX as usize,
-            "string column exceeds 4 GiB"
-        );
-        self.ends.extend(other.ends.iter().map(|&end| base + end));
     }
 }
 
@@ -371,35 +383,33 @@ impl ColumnVector {
 
     /// Total byte size under the [`Value::byte_size`] accounting.
     pub fn byte_total(&self) -> u64 {
-        let masked = |nulls: &Option<NullMask>, per: u64, n: usize| -> u64 {
-            match nulls {
-                None => per * n as u64,
-                Some(m) => {
-                    let nn = m.iter().filter(|&&x| x).count() as u64;
-                    per * (n as u64 - nn) + nn
-                }
+        let rows = self.len() as u64;
+        match (self, self.fixed_width(), self.nulls()) {
+            (_, Some(width), None) => width * rows,
+            (_, Some(width), Some(mask)) => {
+                let nulls = mask.iter().filter(|&&null| null).count() as u64;
+                width * (rows - nulls) + nulls
             }
-        };
+            (ColumnVector::Str { data, .. }, _, None) => 8 * rows + data.bytes.len() as u64,
+            _ => (0..self.len()).map(|i| self.cell_bytes(i)).sum(),
+        }
+    }
+
+    /// Byte size of every non-NULL cell of a fixed-width column.
+    fn fixed_width(&self) -> Option<u64> {
         match self {
-            ColumnVector::Int { data, nulls } => masked(nulls, 8, data.len()),
-            ColumnVector::Float { data, nulls } => masked(nulls, 8, data.len()),
-            ColumnVector::Bool { data, nulls } => masked(nulls, 1, data.len()),
-            ColumnVector::Date { data, nulls } => masked(nulls, 4, data.len()),
-            ColumnVector::Str { data, nulls: None } => {
-                8 * data.len() as u64 + data.bytes.len() as u64
-            }
-            ColumnVector::Str { data, nulls } => data
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if mask_get(nulls, i) {
-                        1
-                    } else {
-                        8 + s.len() as u64
-                    }
-                })
-                .sum(),
-            ColumnVector::Mixed(data) => data.iter().map(|v| v.byte_size() as u64).sum(),
+            ColumnVector::Int { .. } | ColumnVector::Float { .. } => Some(8),
+            ColumnVector::Date { .. } => Some(4),
+            ColumnVector::Bool { .. } => Some(1),
+            ColumnVector::Str { .. } | ColumnVector::Mixed(_) => None,
+        }
+    }
+
+    /// Byte size of row `i` under the [`Value::byte_size`] accounting.
+    fn cell_bytes(&self, i: usize) -> u64 {
+        match self {
+            ColumnVector::Str { data, nulls } if !mask_get(nulls, i) => 8 + data.len_of(i) as u64,
+            _ => self.cell(i).byte_size() as u64,
         }
     }
 
@@ -458,86 +468,67 @@ impl ColumnVector {
         }
     }
 
-    /// Gathers rows at `idx` into a new column (panics on out-of-range).
-    pub fn take(&self, idx: &[u32]) -> ColumnVector {
-        ColumnVector::gather(&[(self, Some(idx))])
-    }
-
-    /// Builds one column from `runs` in order: the rows of each source column
-    /// selected by its indices, or the whole column when the indices are
-    /// `None`. Every cell is copied exactly once.
+    /// Builds one column from `picks` over `sources` — the only place cells
+    /// are copied between columns, and what [`cells_gathered`] counts.
     ///
     /// Same-variant sources copy their typed buffers directly, with a mask
     /// only when some source has one; differing variants fall back to value
     /// materialization and re-typing.
-    fn gather(runs: &[Run<'_>]) -> ColumnVector {
-        let run_len = |(c, idx): &Run<'_>| idx.map_or(c.len(), <[u32]>::len);
-        let total: usize = runs.iter().map(run_len).sum();
-        let nulls = runs.iter().any(|(c, _)| c.nulls().is_some()).then(|| {
-            let mut mask: NullMask = Vec::with_capacity(total);
-            for run in runs {
-                match (run.0.nulls(), run.1) {
-                    (Some(m), Some(idx)) => mask.extend(idx.iter().map(|&i| m[i as usize])),
-                    (Some(m), None) => mask.extend_from_slice(m),
-                    (None, _) => mask.resize(mask.len() + run_len(run), false),
-                }
-            }
-            mask
+    fn gather(sources: &[&ColumnVector], picks: &[Pick]) -> ColumnVector {
+        CELLS_GATHERED.with(|n| n.set(n.get() + picks.len() as u64));
+        let source = |p: &Pick| sources[p.src as usize];
+        let nulls = sources.iter().any(|c| c.nulls().is_some()).then(|| {
+            picks
+                .iter()
+                .map(|p| source(p).nulls().is_some_and(|m| m[p.row as usize]))
+                .collect()
         });
         macro_rules! typed_gather {
             ($variant:ident) => {{
-                let mut data = Vec::with_capacity(total);
-                for (c, idx) in runs {
-                    let ColumnVector::$variant { data: d, .. } = c else {
-                        unreachable!("typed_gather on differing variants");
-                    };
-                    match idx {
-                        Some(idx) => data.extend(idx.iter().map(|&i| d[i as usize])),
-                        None => data.extend_from_slice(d),
-                    }
-                }
+                let cell = |c: &ColumnVector, p: &Pick| match c {
+                    ColumnVector::$variant { data, .. } => data[p.row as usize],
+                    _ => unreachable!("typed_gather on differing variants"),
+                };
+                let data = match sources {
+                    [one] => picks.iter().map(|p| cell(one, p)).collect(),
+                    _ => picks.iter().map(|p| cell(source(p), p)).collect(),
+                };
                 ColumnVector::$variant { data, nulls }
             }};
         }
 
         use ColumnVector::*;
-        let same_variant = runs
+        let same_variant = sources
             .windows(2)
-            .all(|w| std::mem::discriminant(w[0].0) == std::mem::discriminant(w[1].0));
-        match runs.first() {
-            Some((Int { .. }, _)) if same_variant => typed_gather!(Int),
-            Some((Float { .. }, _)) if same_variant => typed_gather!(Float),
-            Some((Bool { .. }, _)) if same_variant => typed_gather!(Bool),
-            Some((Date { .. }, _)) if same_variant => typed_gather!(Date),
-            Some((Str { .. }, _)) if same_variant => {
-                let mut data = StrVec::with_capacity(total);
-                for (c, idx) in runs {
-                    let Str { data: d, .. } = c else {
+            .all(|w| std::mem::discriminant(w[0]) == std::mem::discriminant(w[1]));
+        match sources.first() {
+            Some(Int { .. }) if same_variant => typed_gather!(Int),
+            Some(Float { .. }) if same_variant => typed_gather!(Float),
+            Some(Bool { .. }) if same_variant => typed_gather!(Bool),
+            Some(Date { .. }) if same_variant => typed_gather!(Date),
+            Some(Str { .. }) if same_variant => {
+                let mut data = StrVec::with_capacity(picks.len());
+                for p in picks {
+                    let Str { data: d, .. } = source(p) else {
                         unreachable!("string gather on differing variants");
                     };
-                    match idx {
-                        Some(idx) => idx.iter().for_each(|&i| data.push(d.get(i as usize))),
-                        None => data.extend_from(d),
-                    }
+                    data.push(d.get(p.row as usize));
                 }
                 Str { data, nulls }
             }
-            _ => {
-                let mut values = Vec::with_capacity(total);
-                for (c, idx) in runs {
-                    match idx {
-                        Some(idx) => values.extend(idx.iter().map(|&i| c.value(i as usize))),
-                        None => values.extend((0..c.len()).map(|i| c.value(i))),
-                    }
-                }
-                ColumnVector::from_values(values)
-            }
+            _ => ColumnVector::from_values(
+                picks
+                    .iter()
+                    .map(|p| source(p).value(p.row as usize))
+                    .collect(),
+            ),
         }
     }
 
     /// Gathers rows at `idx`, producing NULL where the index is `None`
     /// (used for the unmatched side of left-outer joins).
     pub fn take_opt(&self, idx: &[Option<u32>]) -> ColumnVector {
+        CELLS_GATHERED.with(|n| n.set(n.get() + idx.len() as u64));
         let nulls = if self.nulls().is_none() && idx.iter().all(Option::is_some) {
             None
         } else {
@@ -579,9 +570,123 @@ impl ColumnVector {
     }
 }
 
-/// One source of a gather: a column and the rows to copy from it, in output
-/// order (`None` = the whole column).
-type Run<'a> = (&'a ColumnVector, Option<&'a [u32]>);
+// ---------------------------------------------------------------------------
+// Column: dense or deferred
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    static CELLS_GATHERED: Counter<u64> = const { Counter::new(0) };
+}
+
+/// Cells this thread has copied from column to column so far; the executor
+/// reports the difference across one plan.
+pub(crate) fn cells_gathered() -> u64 {
+    CELLS_GATHERED.with(Counter::get)
+}
+
+/// One row of a deferred column: row `row` of the recipe's `src`-th source.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    src: u32,
+    row: u32,
+}
+
+/// A column of a [`RecordBatch`]: dense cells, or a recipe for them that is
+/// gathered at most once, by whoever first reads it.
+#[derive(Clone, Debug)]
+pub enum Column {
+    /// Materialized cells.
+    Dense(Arc<ColumnVector>),
+    /// Cells not copied yet.
+    Deferred(Arc<Deferred>),
+}
+
+/// The recipe of a deferred column: row `i` is row `picks[i].row` of
+/// `sources[picks[i].src]`. Sources are dense and distinct; `picks` is shared
+/// by every column picked the same way (all those of one join side, say), so
+/// a later gather composes it once for all of them.
+#[derive(Debug)]
+pub struct Deferred {
+    sources: Vec<Arc<ColumnVector>>,
+    picks: Arc<Vec<Pick>>,
+    /// [`ColumnVector::byte_total`] of the cells, counted through the picks.
+    bytes: u64,
+    dense: OnceLock<Arc<ColumnVector>>,
+}
+
+impl From<ColumnVector> for Column {
+    fn from(cells: ColumnVector) -> Column {
+        Column::Dense(Arc::new(cells))
+    }
+}
+
+impl Column {
+    /// True when the column holds cells and no recipe.
+    pub fn is_dense(&self) -> bool {
+        matches!(self, Column::Dense(_))
+    }
+
+    /// The cells, gathered now if nobody has read the column before;
+    /// concurrent first readers get the same `Arc` and one gather.
+    pub fn dense(&self) -> &Arc<ColumnVector> {
+        match self {
+            Column::Dense(c) => c,
+            Column::Deferred(d) => d.dense.get_or_init(|| {
+                let sources: Vec<&ColumnVector> = d.sources.iter().map(|c| &**c).collect();
+                Arc::new(ColumnVector::gather(&sources, &d.picks))
+            }),
+        }
+    }
+
+    /// [`ColumnVector::byte_total`] of the cells; never forces the column.
+    fn byte_total(&self) -> u64 {
+        match self {
+            Column::Dense(c) => c.byte_total(),
+            Column::Deferred(d) => d.bytes,
+        }
+    }
+
+    /// What a gather over this column reads: dense sources and the picks
+    /// into them, or (`None`) the cells themselves once they exist.
+    fn recipe(&self) -> (&[Arc<ColumnVector>], Option<&Arc<Vec<Pick>>>) {
+        match self {
+            Column::Dense(c) => (std::slice::from_ref(c), None),
+            Column::Deferred(d) => match d.dense.get() {
+                Some(c) => (std::slice::from_ref(c), None),
+                None => (&d.sources, Some(&d.picks)),
+            },
+        }
+    }
+}
+
+/// [`ColumnVector::byte_total`] of `picks` over `sources` without building
+/// the column: `rows × width` when every source is fixed-width and unmasked,
+/// one pass over the picked masks and string lengths otherwise.
+fn picked_bytes(sources: &[Arc<ColumnVector>], picks: &[Pick]) -> u64 {
+    let width = sources.first().and_then(|c| c.fixed_width());
+    let plain = |c: &Arc<ColumnVector>| c.fixed_width() == width && c.nulls().is_none();
+    match width {
+        Some(w) if sources.iter().all(plain) => w * picks.len() as u64,
+        _ => picks
+            .iter()
+            .map(|p| sources[p.src as usize].cell_bytes(p.row as usize))
+            .sum(),
+    }
+}
+
+/// Batches smaller than this whose sources are all dense are gathered as
+/// they are built: a recipe per column costs more than copying so few cells
+/// (DESIGN §14.2 has the measurement).
+const EAGER_ROWS: usize = 128;
+
+/// One source of a gather: a batch and the rows to take from it, in output
+/// order (`None` = all of it).
+pub(crate) type Rows<'a> = (&'a RecordBatch, Option<&'a [u32]>);
+
+fn total_rows(runs: &[Rows<'_>]) -> usize {
+    let rows = |(b, idx): &Rows<'_>| idx.map_or(b.num_rows(), <[u32]>::len);
+    runs.iter().map(rows).sum()
+}
 
 // ---------------------------------------------------------------------------
 // RecordBatch
@@ -592,7 +697,7 @@ type Run<'a> = (&'a ColumnVector, Option<&'a [u32]>);
 /// immutability is the cache-invalidation strategy for both.
 #[derive(Clone, Debug)]
 pub struct RecordBatch {
-    columns: Vec<Arc<ColumnVector>>,
+    columns: Vec<Column>,
     rows: usize,
     bytes: u64,
     row_hash_sum: OnceLock<u64>,
@@ -600,12 +705,15 @@ pub struct RecordBatch {
 
 impl RecordBatch {
     /// Builds a batch from columns; all columns must share `rows` length.
-    pub fn new(columns: Vec<Arc<ColumnVector>>, rows: usize) -> RecordBatch {
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
+    pub fn new(columns: Vec<Column>, rows: usize) -> RecordBatch {
+        debug_assert!(columns.iter().all(|c| match c {
+            Column::Dense(cells) => cells.len() == rows,
+            Column::Deferred(recipe) => recipe.picks.len() == rows,
+        }));
         // Row indices within a batch are `u32` everywhere (selections,
-        // gathers, join pairs).
+        // picks, join pairs).
         assert!(rows <= u32::MAX as usize, "batch exceeds u32 row indices");
-        let bytes = columns.iter().map(|c| c.byte_total()).sum();
+        let bytes = columns.iter().map(Column::byte_total).sum();
         RecordBatch {
             columns,
             rows,
@@ -627,7 +735,7 @@ impl RecordBatch {
         }
         let columns = cols
             .into_iter()
-            .map(|c| Arc::new(ColumnVector::from_values(c)))
+            .map(|c| ColumnVector::from_values(c).into())
             .collect();
         RecordBatch::new(columns, n)
     }
@@ -647,62 +755,109 @@ impl RecordBatch {
         self.bytes
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[Arc<ColumnVector>] {
+    /// All columns as held, dense or deferred, to hand on without reading.
+    pub fn columns(&self) -> &[Column] {
         &self.columns
     }
 
-    /// Column `i` (panics when out of range, like `row[i]`).
+    /// The cells of column `i`, gathered on first read (panics when out of
+    /// range, like `row[i]`).
     pub fn column(&self, i: usize) -> &Arc<ColumnVector> {
-        &self.columns[i]
+        self.columns[i].dense()
     }
 
     /// Cell at (`row`, `col`); panics like `row[col]` on a bad column.
     pub fn cell(&self, row: usize, col: usize) -> Cell<'_> {
-        self.columns[col].cell(row)
+        self.column(col).cell(row)
     }
 
     /// Materializes row `i`.
     pub fn row(&self, i: usize) -> Row {
-        self.columns.iter().map(|c| c.value(i)).collect()
+        self.columns.iter().map(|c| c.dense().value(i)).collect()
     }
 
-    /// Gathers rows at `idx` into a new batch.
+    /// The rows at `idx` as a new batch.
     pub fn take(&self, idx: &[u32]) -> RecordBatch {
-        let columns = self.columns.iter().map(|c| Arc::new(c.take(idx))).collect();
-        RecordBatch::new(columns, idx.len())
+        RecordBatch::gather(&[(self, Some(idx))])
     }
 
-    /// Builds one batch from `runs` in order — selected rows of each source
-    /// batch, or all of it when the indices are `None` — copying every cell
-    /// once ([`ColumnVector::gather`] per column position).
-    fn gather(runs: &[(&RecordBatch, Option<&[u32]>)]) -> RecordBatch {
+    /// One batch from `runs` in order; see [`RecordBatch::gather_columns`].
+    fn gather(runs: &[Rows<'_>]) -> RecordBatch {
+        RecordBatch::new(RecordBatch::gather_columns(runs), total_rows(runs))
+    }
+
+    /// The columns of `runs` in order as recipes: no cell is copied. A source
+    /// column that is itself an unread recipe is picked *through* (its picks
+    /// composed with the new ones, its sources adopted), never forced, and
+    /// columns whose sources were picked alike share one composed vector.
+    pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
-        let rows = runs
-            .iter()
-            .map(|(b, idx)| idx.map_or(b.num_rows(), <[u32]>::len))
-            .sum();
-        let columns = (0..width)
+        let held_dense = |c: &Column| c.recipe().1.is_none();
+        if total_rows(runs) < EAGER_ROWS
+            && runs.iter().all(|(b, _)| b.columns.iter().all(held_dense))
+        {
+            // Few rows, nothing to pick through: cheaper copied than deferred.
+            let whole: Vec<Through<'_>> = (0..runs.len()).map(|k| Through(None, k)).collect();
+            let each: Vec<u32> = (0..runs.len() as u32).collect();
+            let picks = compose_picks(runs, &whole, &each);
+            let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
+            let mut column = |j| {
+                sources.clear();
+                sources.extend(runs.iter().map(|(b, _)| &**b.column(j)));
+                ColumnVector::gather(&sources, &picks).into()
+            };
+            return (0..width).map(&mut column).collect();
+        }
+        // Pick vectors composed so far, keyed by what they compose: per run
+        // the source column's picks, and where its sources sit in the output
+        // column's deduplicated source list (`remap`, back to back per run).
+        let mut composed: Vec<Composed<'_>> = Vec::new();
+        let (mut parts, mut remap): (Vec<Through<'_>>, Vec<u32>) = (Vec::new(), Vec::new());
+        (0..width)
             .map(|j| {
-                let cols: Vec<Run<'_>> = runs
-                    .iter()
-                    .map(|(b, idx)| (b.columns[j].as_ref(), *idx))
-                    .collect();
-                Arc::new(ColumnVector::gather(&cols))
+                parts.clear();
+                remap.clear();
+                let mut sources: Vec<Arc<ColumnVector>> = Vec::with_capacity(runs.len());
+                for (batch, _) in runs {
+                    let (srcs, picks) = batch.columns[j].recipe();
+                    parts.push(Through(picks, remap.len()));
+                    for s in srcs {
+                        let known = sources.iter().position(|x| Arc::ptr_eq(x, s));
+                        remap.push(known.unwrap_or_else(|| {
+                            sources.push(s.clone());
+                            sources.len() - 1
+                        }) as u32);
+                    }
+                }
+                let hit = composed.iter().find(|(p, r, _)| *p == parts && *r == remap);
+                let picks = match hit {
+                    Some((_, _, picks)) => picks.clone(),
+                    None => {
+                        let picks = Arc::new(compose_picks(runs, &parts, &remap));
+                        composed.push((parts.clone(), remap.clone(), picks.clone()));
+                        picks
+                    }
+                };
+                Column::Deferred(Arc::new(Deferred {
+                    bytes: picked_bytes(&sources, &picks),
+                    sources,
+                    picks,
+                    dense: OnceLock::new(),
+                }))
             })
-            .collect();
-        RecordBatch::new(columns, rows)
+            .collect()
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
     /// cell with [`Cell::stable_hash_into`]), computed at most once per batch.
     fn row_hash_sum(&self) -> u64 {
         *self.row_hash_sum.get_or_init(|| {
+            let columns: Vec<&ColumnVector> = self.columns.iter().map(|c| &**c.dense()).collect();
             let mut sum = 0u64;
             for i in 0..self.rows {
                 let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
-                for col in &self.columns {
+                for col in &columns {
                     col.cell(i).stable_hash_into(&mut h);
                 }
                 sum = sum.wrapping_add(h.finish());
@@ -710,6 +865,48 @@ impl RecordBatch {
             sum
         })
     }
+}
+
+/// How one run's column feeds an output column: the source column's own
+/// picks (`None` = it is dense) and where that run's sources start in
+/// `remap`. Equal when the picks are the same vector, not merely alike.
+#[derive(Clone, Copy)]
+struct Through<'a>(Option<&'a Arc<Vec<Pick>>>, usize);
+
+/// A pick vector composed during one gather, after what it composes.
+type Composed<'a> = (Vec<Through<'a>>, Vec<u32>, Arc<Vec<Pick>>);
+
+impl PartialEq for Through<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.1 == other.1 && self.0.map(Arc::as_ptr) == other.0.map(Arc::as_ptr)
+    }
+}
+
+/// The picks of one output column: per run, the selected rows looked up
+/// through the source column's picks, renumbered onto the output's sources.
+fn compose_picks(runs: &[Rows<'_>], parts: &[Through<'_>], remap: &[u32]) -> Vec<Pick> {
+    let mut out = Vec::with_capacity(total_rows(runs));
+    for ((batch, idx), Through(picks, first)) in runs.iter().zip(parts) {
+        let remap = &remap[*first..];
+        let pick = |i: u32| match picks {
+            None => Pick {
+                src: remap[0],
+                row: i,
+            },
+            Some(picks) => {
+                let through = picks[i as usize];
+                Pick {
+                    src: remap[through.src as usize],
+                    row: through.row,
+                }
+            }
+        };
+        match idx {
+            Some(idx) => out.extend(idx.iter().map(|&i| pick(i))),
+            None => out.extend((0..batch.num_rows() as u32).map(pick)),
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -768,7 +965,7 @@ impl Table {
                 columns[i].len()
             )));
         }
-        let batch = RecordBatch::new(columns.into_iter().map(Arc::new).collect(), rows);
+        let batch = RecordBatch::new(columns.into_iter().map(Column::from).collect(), rows);
         Ok(Table {
             schema,
             partitions: vec![vec![Arc::new(batch)]],
@@ -882,40 +1079,29 @@ impl Table {
         // two, as the optimizer's degrees of parallelism are.
         let mask = parts.is_power_of_two().then(|| parts as u64 - 1);
         let part_of = |h: u64| mask.map_or_else(|| h % parts as u64, |m| h & m) as usize;
+        // One-shot short SipHash of a tagged cell's byte stream (identical to
+        // `Cell::stable_hash_into`), skipping the incremental hasher.
+        let tagged = |tag: u8, le: &[u8]| {
+            let mut msg = [0u8; 9];
+            msg[0] = tag;
+            msg[1..=le.len()].copy_from_slice(le);
+            part_of(sip24_short(K0, K1, &msg[..=le.len()]))
+        };
         let mut scatter = Scatter::new(parts);
         for batch in self.partitions.iter().flatten() {
-            // Typed single-key routing: fuse the tagged-cell byte stream
-            // (identical to `Cell::stable_hash_into`) into a one-shot short
-            // SipHash, skipping the incremental hasher's buffering.
             let fast = match cols {
                 [c] => Some(batch.column(*c).as_ref()),
                 _ => None,
             };
             match fast {
-                Some(ColumnVector::Int { data, nulls }) => scatter.route(batch, |i| {
-                    let h = match nulls {
-                        Some(m) if m[i] => sip24_short(K0, K1, &[0]),
-                        _ => {
-                            let mut msg = [0u8; 9];
-                            msg[0] = 2;
-                            msg[1..].copy_from_slice(&(data[i] as u64).to_le_bytes());
-                            sip24_short(K0, K1, &msg)
-                        }
-                    };
-                    part_of(h)
-                }),
-                Some(ColumnVector::Date { data, nulls }) => scatter.route(batch, |i| {
-                    let h = match nulls {
-                        Some(m) if m[i] => sip24_short(K0, K1, &[0]),
-                        _ => {
-                            let mut msg = [0u8; 5];
-                            msg[0] = 5;
-                            msg[1..].copy_from_slice(&(data[i] as u32).to_le_bytes());
-                            sip24_short(K0, K1, &msg)
-                        }
-                    };
-                    part_of(h)
-                }),
+                Some(ColumnVector::Int { data, nulls }) => {
+                    let part = |k: i64| tagged(2, &(k as u64).to_le_bytes());
+                    scatter.route_ints(batch, nulls, |i| data[i], part, tagged(0, &[]));
+                }
+                Some(ColumnVector::Date { data, nulls }) => {
+                    let part = |k: i64| tagged(5, &(k as u32).to_le_bytes());
+                    scatter.route_ints(batch, nulls, |i| data[i] as i64, part, tagged(0, &[]));
+                }
                 _ => scatter.route(batch, |i| {
                     let mut h = SipHasher24::new_with_keys(K0, K1);
                     for &c in cols {
@@ -1015,6 +1201,26 @@ impl Table {
         }
     }
 
+    /// The same rows with every column dense and no recipe kept: a batch
+    /// holding a deferred column is rebuilt around its gathered cells, so the
+    /// result keeps no source of any recipe alive.
+    pub fn densified(&self) -> Table {
+        let dense = |batch: &Arc<RecordBatch>| {
+            if batch.columns.iter().all(Column::is_dense) {
+                return batch.clone();
+            }
+            let cells = |c: &Column| Column::Dense(c.dense().clone());
+            let columns = batch.columns.iter().map(cells).collect();
+            Arc::new(RecordBatch::new(columns, batch.rows))
+        };
+        let dense_all = |p: &Vec<Arc<RecordBatch>>| p.iter().map(dense).collect();
+        Table {
+            schema: self.schema.clone(),
+            partitions: self.partitions.iter().map(dense_all).collect(),
+            props: self.props.clone(),
+        }
+    }
+
     /// Sorts every partition by `order` (stable).
     pub fn sort_partitions(&self, order: &SortOrder) -> Table {
         let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(self.num_partitions());
@@ -1065,6 +1271,32 @@ impl<'a> Scatter<'a> {
         }
     }
 
+    /// Routes on one integer-like key column, hashing each distinct key of
+    /// the batch about once: `part_of` is memoised in a table direct-mapped
+    /// on the key's low bits, which surrogate keys fill without collisions.
+    fn route_ints(
+        &mut self,
+        batch: &'a Arc<RecordBatch>,
+        nulls: &Option<NullMask>,
+        key_at: impl Fn(usize) -> i64,
+        part_of: impl Fn(i64) -> usize,
+        null_part: usize,
+    ) {
+        let slots = batch.num_rows().next_power_of_two().min(1 << 12);
+        let mut memo = vec![(0i64, usize::MAX); slots];
+        self.route(batch, |i| {
+            if nulls.as_ref().is_some_and(|m| m[i]) {
+                return null_part;
+            }
+            let key = key_at(i);
+            let slot = &mut memo[key as usize & (slots - 1)];
+            if slot.0 != key || slot.1 == usize::MAX {
+                *slot = (key, part_of(key));
+            }
+            slot.1
+        });
+    }
+
     /// Builds every destination as one batch with a single gather over all
     /// its sources — the per-destination row order of a row-at-a-time
     /// scatter. A destination that received exactly one whole batch shares
@@ -1107,7 +1339,8 @@ pub(crate) fn compare_batch_rows(
     order: &SortOrder,
 ) -> Ordering {
     for key in &order.0 {
-        let ord = batch.cell(a, key.col).cmp_cell(batch.cell(b, key.col));
+        let col = batch.column(key.col);
+        let ord = col.cell(a).cmp_cell(col.cell(b));
         let ord = match key.dir {
             scope_plan::SortDir::Asc => ord,
             scope_plan::SortDir::Desc => ord.reverse(),
@@ -1123,7 +1356,8 @@ pub(crate) fn compare_batch_rows(
 /// materialized rows; widths are uniform within a batch).
 pub(crate) fn compare_batch_rows_full(batch: &RecordBatch, a: usize, b: usize) -> Ordering {
     for col in 0..batch.width() {
-        let ord = batch.cell(a, col).cmp_cell(batch.cell(b, col));
+        let col = batch.column(col);
+        let ord = col.cell(a).cmp_cell(col.cell(b));
         if !ord.is_eq() {
             return ord;
         }
@@ -1641,6 +1875,153 @@ mod tests {
         }
     }
 
+    // -- deferred columns -------------------------------------------------
+
+    /// One batch of `n` random rows (NULL-bearing `Int`/`Date`/`Str`/`Float`
+    /// columns and a `Mixed` one) plus a `Str` column without NULLs.
+    fn wide_batch(rng: &mut SmallRng, n: usize) -> (Vec<Row>, RecordBatch) {
+        let mut rows = random_rows(rng, n).1;
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.push(Value::Str(format!("r{}", i % 11)));
+        }
+        (rows.clone(), RecordBatch::from_rows(rows))
+    }
+
+    fn random_picks(rng: &mut SmallRng, from: usize, n: usize) -> Vec<u32> {
+        (0..n).map(|_| rng.gen_range(0..from) as u32).collect()
+    }
+
+    #[test]
+    fn deferred_bytes_match_dense_bytes_without_forcing() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let (_, b) = wide_batch(&mut rng, EAGER_ROWS);
+        let (ia, ib) = (
+            random_picks(&mut rng, a.num_rows(), 300),
+            random_picks(&mut rng, b.num_rows(), 200),
+        );
+        // Two sources, then a take on top: the second recipe picks through
+        // the first.
+        let once = RecordBatch::gather(&[(&a, Some(&ia)), (&b, Some(&ib)), (&a, None)]);
+        let twice = once.take(&random_picks(&mut rng, once.num_rows(), EAGER_ROWS + 9));
+        for batch in [&once, &twice] {
+            let before = cells_gathered();
+            let deferred: Vec<u64> = batch.columns().iter().map(Column::byte_total).collect();
+            assert!(batch.columns().iter().all(|c| !c.is_dense()));
+            assert_eq!(cells_gathered(), before, "byte accounting forced a column");
+            let dense: Vec<u64> = (0..batch.width())
+                .map(|j| batch.column(j).byte_total())
+                .collect();
+            assert_eq!(deferred, dense);
+            assert_eq!(batch.bytes(), dense.iter().sum::<u64>());
+            let by_rows: usize = (0..batch.num_rows())
+                .flat_map(|i| batch.row(i))
+                .map(|v| v.byte_size())
+                .sum();
+            assert_eq!(batch.bytes(), by_rows as u64);
+        }
+        // The columns this test is about are all there.
+        let variants: Vec<_> = (0..once.width()).map(|j| once.column(j).as_ref()).collect();
+        assert!(matches!(
+            variants[0],
+            ColumnVector::Int { nulls: Some(_), .. }
+        ));
+        assert!(matches!(
+            variants[2],
+            ColumnVector::Str { nulls: Some(_), .. }
+        ));
+        assert!(matches!(variants[4], ColumnVector::Mixed(_)));
+        assert!(matches!(variants[5], ColumnVector::Str { nulls: None, .. }));
+    }
+
+    #[test]
+    fn composed_picks_match_row_at_a_time_takes() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        let (rows_a, a) = wide_batch(&mut rng, 3 * EAGER_ROWS);
+        let (rows_b, b) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let mut want: Vec<Row> = [rows_b, rows_a].concat();
+        let mut batch = RecordBatch::gather(&[(&b, None), (&a, None)]);
+        for step in 0..6 {
+            // Read one column now and then: a forced column is picked from
+            // directly, its siblings still through their recipes.
+            if step % 2 == 1 {
+                batch.column(step);
+            }
+            let idx = random_picks(&mut rng, batch.num_rows(), want.len() - 40);
+            want = idx.iter().map(|&i| want[i as usize].clone()).collect();
+            batch = batch.take(&idx);
+        }
+        assert!(want.len() >= EAGER_ROWS);
+        let before = cells_gathered();
+        let got: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
+        assert_eq!(got, want);
+        // Six takes, one copy per cell.
+        assert_eq!(
+            cells_gathered() - before,
+            (batch.width() * want.len()) as u64
+        );
+    }
+
+    #[test]
+    fn small_dense_batches_are_copied_at_once() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (rows, small) = wide_batch(&mut rng, EAGER_ROWS - 1);
+        let taken = small.take(&[3, 0, 3]);
+        assert!(taken.columns().iter().all(Column::is_dense));
+        assert_eq!(taken.row(2), rows[3]);
+        // A few rows of a *deferred* batch are not: forcing the source to
+        // copy them would cost more than it saves.
+        let (_, big) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let idx: Vec<u32> = (0..big.num_rows() as u32).rev().collect();
+        assert!(big
+            .take(&idx)
+            .take(&[1, 2])
+            .columns()
+            .iter()
+            .all(|c| !c.is_dense()));
+    }
+
+    #[test]
+    fn a_column_forced_from_two_threads_is_gathered_once() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let (_, source) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let idx = random_picks(&mut rng, source.num_rows(), EAGER_ROWS);
+        let batch = source.take(&idx);
+        let gate = std::sync::Barrier::new(2);
+        let read = || {
+            gate.wait();
+            let before = cells_gathered();
+            (batch.column(2).clone(), cells_gathered() - before)
+        };
+        let ((c1, g1), (c2, g2)) = std::thread::scope(|s| {
+            let other = s.spawn(read);
+            (read(), other.join().expect("reader thread"))
+        });
+        assert!(Arc::ptr_eq(&c1, &c2), "both readers see the same cells");
+        assert_eq!(g1 + g2, idx.len() as u64, "and one of them gathered");
+    }
+
+    #[test]
+    fn densified_table_keeps_rows_and_drops_recipes() {
+        let t = table(4 * EAGER_ROWS as i64);
+        let sorted = t.sort_partitions(&SortOrder::asc(&[0]));
+        let held_dense = |t: &Table| {
+            t.partition_batches(0)
+                .iter()
+                .all(|b| b.columns().iter().all(Column::is_dense))
+        };
+        assert!(!held_dense(&sorted));
+        let dense = sorted.densified();
+        assert!(held_dense(&dense));
+        assert_eq!(dense, sorted);
+        assert_eq!(dense.num_bytes(), sorted.num_bytes());
+        // Nothing to drop: the batches themselves are shared.
+        assert!(Arc::ptr_eq(
+            &t.densified().partition_batches(0)[0],
+            &t.partition_batches(0)[0]
+        ));
+    }
+
     #[test]
     fn repartition_shares_a_batch_that_moves_whole() {
         // One key value: the whole batch lands in one destination.
@@ -1687,29 +2068,20 @@ mod tests {
             );
             check(&ca, &a);
             let idx: Vec<u32> = (0..12).map(|_| rng.gen_range(0..30)).collect();
-            let want: Vec<Value> = idx.iter().map(|&i| a[i as usize].clone()).collect();
-            check(&ca.take(&idx), &want);
             let opt: Vec<Option<u32>> = idx.iter().map(|&i| (i % 3 != 0).then_some(i)).collect();
             let want: Vec<Value> = opt
                 .iter()
                 .map(|i| i.map_or(Value::Null, |i| a[i as usize].clone()))
                 .collect();
             check(&ca.take_opt(&opt), &want);
-            // Concatenation and a two-source gather.
-            check(
-                &ColumnVector::gather(&[(&ca, None), (&cb, None)]),
-                &[a.clone(), b.clone()].concat(),
-            );
-            let (ia, ib): (&[u32], &[u32]) = (&[29, 0, 3], &[16, 16]);
-            let want: Vec<Value> = ia
-                .iter()
-                .map(|&i| a[i as usize].clone())
-                .chain(ib.iter().map(|&i| b[i as usize].clone()))
-                .collect();
-            check(
-                &ColumnVector::gather(&[(&ca, Some(ia)), (&cb, Some(ib))]),
-                &want,
-            );
+            // A one-source gather, and two sources interleaved.
+            let picks: Vec<Pick> = idx.iter().map(|&row| Pick { src: 0, row }).collect();
+            let want: Vec<Value> = idx.iter().map(|&i| a[i as usize].clone()).collect();
+            check(&ColumnVector::gather(&[&ca], &picks), &want);
+            let pairs = [(0, 29), (1, 16), (0, 0), (1, 16), (0, 3)];
+            let picks = pairs.map(|(src, row)| Pick { src, row });
+            let want = pairs.map(|(src, row)| [&a, &b][src as usize][row as usize].clone());
+            check(&ColumnVector::gather(&[&ca, &cb], &picks), &want);
         }
     }
 }

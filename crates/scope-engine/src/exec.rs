@@ -6,11 +6,15 @@
 //! CloudViews feedback loop: rows, bytes, and exclusive CPU from the
 //! calibrated [`CostModel`].
 //!
-//! Operators process whole [`RecordBatch`]es: filters compute selection
-//! vectors and gather once, projections evaluate expressions column-wise
-//! ([`crate::vexpr`]), joins and aggregates run typed single-key fast paths
-//! over the raw vectors, and column-preserving operators (Remap, Exchange,
-//! UnionAll, Spool, gather) move `Arc`'d buffers without copying data.
+//! Operators process whole [`RecordBatch`]es: projections evaluate
+//! expressions column-wise ([`crate::vexpr`]), joins and aggregates run typed
+//! single-key fast paths over the raw vectors. Operators that only *move*
+//! rows — Filter, Sort, Top, Exchange, the join emit — build recipes, not
+//! cells ([`crate::data`], "gather on read"), and Remap, UnionAll, Spool and
+//! the gathers to one partition hand columns on untouched; a column is
+//! copied when an operator first reads it — a routing, join or group key, an
+//! aggregate input, an expression — and [`ExecOutcome::cells_gathered`]
+//! counts those copies.
 //!
 //! **Pinned semantics.** Every [`NodeRuntimeStats`] field, the cost-model
 //! inputs, partition counts, and per-partition row order are byte-identical
@@ -42,8 +46,8 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    batches_from_rows, compare_batch_rows, compare_batch_rows_full, sort_rows, ColumnVector,
-    RecordBatch, Row, Table,
+    batches_from_rows, cells_gathered, compare_batch_rows, compare_batch_rows_full, sort_rows,
+    ColumnVector, RecordBatch, Row, Table,
 };
 use crate::rowref::{self, Acc};
 use crate::storage::StorageManager;
@@ -71,6 +75,10 @@ pub struct ExecOutcome {
     pub node_stats: Vec<NodeRuntimeStats>,
     /// Terminal outputs by name (gathered single-partition tables).
     pub outputs: HashMap<String, Table>,
+    /// Cells copied from column to column while the plan ran: every
+    /// deferred column some operator read, plus LeftOuter padding. Columns
+    /// forced later (an output checksum, a view publish) are not in it.
+    pub cells_gathered: u64,
 }
 
 impl ExecOutcome {
@@ -105,6 +113,7 @@ pub fn execute_plan(
     let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(graph.len());
     let mut outputs = HashMap::new();
     let schemas = graph.validate()?;
+    let gathered_before = cells_gathered();
 
     for node in graph.nodes() {
         let child_tables: Vec<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
@@ -137,12 +146,12 @@ pub fn execute_plan(
         node_tables: tables,
         node_stats: stats,
         outputs,
+        cells_gathered: cells_gathered() - gathered_before,
     })
 }
 
 /// Applies an optional predicate to every batch of one partition: selection
-/// vector, then a single gather (or a zero-copy pass-through when every row
-/// survives).
+/// vector, then `take` (or a zero-copy pass-through when every row survives).
 fn filter_batches(
     batches: &[Arc<RecordBatch>],
     predicate: Option<&Expr>,
@@ -277,9 +286,8 @@ fn exec_node(
                     if batch.num_rows() == 0 {
                         continue;
                     }
-                    // Pure column shuffle: Arc bumps, no data movement.
-                    let picked: Vec<Arc<ColumnVector>> =
-                        cols.iter().map(|&c| batch.column(c).clone()).collect();
+                    // Pure column shuffle: Arc bumps, deferred columns unread.
+                    let picked = cols.iter().map(|&c| batch.columns()[c].clone()).collect();
                     out.push(Arc::new(RecordBatch::new(picked, batch.num_rows())));
                 }
                 parts.push(out);
@@ -1022,7 +1030,7 @@ fn hash_join_batch(
         )
     });
 
-    // Emit phase: index pairs, then one gather per side.
+    // Emit phase: index pairs, then recipes over both inputs — no copy.
     let batch = match kind {
         JoinKind::LeftSemi => {
             let sel: Vec<u32> = (0..lrows as u32)
@@ -1046,12 +1054,8 @@ fn hash_join_batch(
             if lidx.is_empty() {
                 return Vec::new();
             }
-            let mut cols: Vec<Arc<ColumnVector>> = lb
-                .columns()
-                .iter()
-                .map(|c| Arc::new(c.take(&lidx)))
-                .collect();
-            cols.extend(rb.columns().iter().map(|c| Arc::new(c.take(&ridx))));
+            let mut cols = RecordBatch::gather_columns(&[(lb, Some(&lidx))]);
+            cols.extend(RecordBatch::gather_columns(&[(rb, Some(&ridx))]));
             RecordBatch::new(cols, lidx.len())
         }
         JoinKind::LeftOuter => {
@@ -1070,12 +1074,9 @@ fn hash_join_batch(
                     }
                 }
             }
-            let mut cols: Vec<Arc<ColumnVector>> = lb
-                .columns()
-                .iter()
-                .map(|c| Arc::new(c.take(&lidx)))
-                .collect();
-            cols.extend(rb.columns().iter().map(|c| Arc::new(c.take_opt(&ridx))));
+            // The padded side has holes no pick can name: gathered here.
+            let mut cols = RecordBatch::gather_columns(&[(lb, Some(&lidx))]);
+            cols.extend((0..rb.width()).map(|j| rb.column(j).take_opt(&ridx).into()));
             RecordBatch::new(cols, lidx.len())
         }
     };
@@ -1491,6 +1492,68 @@ mod tests {
         let seq = b.sequence(vec![s1, f]);
         let g = b.output(seq, "o").build().unwrap();
         assert_eq!(run(&g, &storage).outputs["o"].num_rows(), 2);
+    }
+
+    #[test]
+    fn picks_composed_across_exchange_join_exchange_filter_match_row_reference() {
+        // Wide rows (a NULL-bearing Int, a Str with NULLs, a Str without)
+        // that nobody reads until the end: every node above the scans hands
+        // on recipes, each picking through the one below.
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("v", DataType::Int),
+            ("n", DataType::Int),
+            ("s", DataType::Str),
+            ("t", DataType::Str),
+        ]);
+        let rows = |n: i64, keys: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| {
+                    let sparse =
+                        |v: Value, every: i64| if i % every == 0 { Value::Null } else { v };
+                    vec![
+                        Value::Int(i * 7 % keys),
+                        Value::Int(i),
+                        sparse(Value::Int(-i), 5),
+                        sparse(Value::Str(format!("s{}", i % 13)), 7),
+                        Value::Str(format!("t{i}")),
+                    ]
+                })
+                .collect()
+        };
+        let storage = StorageManager::new();
+        storage.put_dataset(
+            DatasetId::new(1),
+            Table::single(schema.clone(), rows(3000, 50)),
+        );
+        storage.put_dataset(
+            DatasetId::new(2),
+            Table::single(schema.clone(), rows(400, 50)),
+        );
+        let hash = |col| Partitioning::Hash {
+            cols: vec![col],
+            parts: 4,
+        };
+        let mut b = PlanBuilder::new();
+        let l = b.table_scan(DatasetId::new(1), "l", schema.clone());
+        let r = b.table_scan(DatasetId::new(2), "r", schema);
+        let (lx, rx) = (b.exchange(l, hash(0)), b.exchange(r, hash(0)));
+        let j = b.join(lx, rx, JoinKind::Inner, vec![0], vec![0]);
+        let jx = b.exchange(j, hash(6));
+        let f = b.filter(jx, Expr::col(1).lt(Expr::lit(1500i64)));
+        let g = b.output(f, "o").build().unwrap();
+
+        let columnar = run(&g, &storage);
+        let rowwise =
+            rowref::execute_plan_rows(&g, &storage, &CostModel::default(), SimTime::ZERO).unwrap();
+        // Routing keys, join keys and the filter column were read; the other
+        // seven columns in ten were not, through four row-moving operators.
+        assert!(columnar.cells_gathered * 4 < rowwise.cells_gathered);
+        assert_eq!(columnar.node_stats, rowwise.node_stats);
+        for (ct, rt) in columnar.node_tables.iter().zip(&rowwise.node_tables) {
+            assert_eq!(*ct, rt.to_table());
+        }
+        assert_eq!(columnar.outputs["o"].num_rows(), 12_000);
     }
 
     #[test]

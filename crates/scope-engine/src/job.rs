@@ -203,7 +203,9 @@ pub fn materialize_marked_views(
         let props = table.props.clone();
         built.push(BuiltView {
             file: ViewFile {
-                table: Arc::new(table),
+                // A stored view outlives the job: it must not keep the
+                // job's intermediates alive through a recipe.
+                table: Arc::new(table.densified()),
                 props,
                 meta: ViewMeta {
                     precise: mark.precise,
@@ -226,12 +228,25 @@ pub fn materialize_marked_views(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{Annotation, AvailableView, ViewServices};
     use scope_common::ids::DatasetId;
+    use scope_common::Sig128;
     use scope_plan::expr::AggFunc;
     use scope_plan::{
-        AggExpr, DataType, Expr, PhysicalProps, PlanBuilder, Schema, SortOrder, Value,
+        AggExpr, DataType, Expr, Operator, PhysicalProps, PlanBuilder, Schema, SortOrder, Value,
     };
     use scope_signature::sign_graph;
+
+    /// View services that hold no view and grant every build lock.
+    struct GrantAll;
+    impl ViewServices for GrantAll {
+        fn view_available(&self, _p: Sig128) -> Option<AvailableView> {
+            None
+        }
+        fn propose_materialize(&self, _: Sig128, _: Sig128, _: JobId, _: SimDuration) -> bool {
+            true
+        }
+    }
 
     fn storage() -> StorageManager {
         let s = StorageManager::new();
@@ -280,25 +295,6 @@ mod tests {
 
     #[test]
     fn materialize_enforces_design_and_charges_cost() {
-        use crate::optimizer::{Annotation, ViewServices};
-        use scope_common::Sig128;
-
-        struct GrantAll;
-        impl ViewServices for GrantAll {
-            fn view_available(&self, _p: Sig128) -> Option<crate::optimizer::AvailableView> {
-                None
-            }
-            fn propose_materialize(
-                &self,
-                _p: Sig128,
-                _n: Sig128,
-                _j: JobId,
-                _t: SimDuration,
-            ) -> bool {
-                true
-            }
-        }
-
         let st = storage();
         let spec = spec();
         let signed = sign_graph(&spec.graph).unwrap();
@@ -352,5 +348,61 @@ mod tests {
         assert_eq!(v.file.meta.precise, signed.of(agg).precise);
         assert_eq!(v.file.meta.rows, 7);
         assert!(v.file.meta.expires_at > v.file.meta.created_at);
+    }
+
+    #[test]
+    fn a_built_view_holds_dense_columns_only() {
+        // Enough rows that the enforced repartition and sort defer their
+        // columns; the view is cut at the filter, 5,000 rows wide.
+        let st = StorageManager::new();
+        let spec = spec();
+        let Operator::Get { schema, .. } = &spec.graph.nodes()[0].op else {
+            panic!("node 0 is the scan");
+        };
+        let rows = (0..5_000)
+            .map(|i| vec![Value::Int(i % 7), Value::Int(i)])
+            .collect();
+        st.put_dataset(DatasetId::new(1), Table::single(schema.clone(), rows));
+        let design = PhysicalProps {
+            partitioning: Partitioning::Hash {
+                cols: vec![0],
+                parts: 4,
+            },
+            sort: SortOrder::asc(&[1]),
+        };
+        let filter = scope_common::ids::NodeId::new(1);
+        let annotation = Annotation {
+            normalized: sign_graph(&spec.graph).unwrap().of(filter).normalized,
+            props: design.clone(),
+            ttl: SimDuration::from_secs(3600),
+            avg_cpu: SimDuration::from_secs(1),
+            avg_rows: 5_000,
+            avg_bytes: 80_000,
+        };
+        let config = OptimizerConfig {
+            max_materialize_per_job: 1,
+            ..Default::default()
+        };
+        let plan = optimize(&spec.graph, &[annotation], &GrantAll, &config, spec.id).unwrap();
+        let model = CostModel::default();
+        let exec = execute_plan(&plan.physical, &st, &model, SimTime::ZERO).unwrap();
+        let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
+        let built =
+            materialize_marked_views(&plan, &exec, &sim, &model, spec.id, SimTime::ZERO).unwrap();
+        let view = &built[0].file.table;
+        assert_eq!(view.num_rows(), 5_000);
+        let recipes = |t: &Table| {
+            (0..t.num_partitions())
+                .flat_map(|p| t.partition_batches(p))
+                .flat_map(|b| b.columns())
+                .filter(|c| !c.is_dense())
+                .count()
+        };
+        assert_eq!(recipes(view), 0, "a stored view pins its producer's tables");
+        // The same enforcement without the densifying step is all recipes.
+        let source = &exec.node_tables[plan.materialize[0].physical_node.index()];
+        let enforced = source.hash_repartition(&[0], 4).unwrap();
+        assert!(recipes(&enforced.sort_partitions(&design.sort)) > 0);
+        assert_eq!(**view, enforced.sort_partitions(&design.sort));
     }
 }

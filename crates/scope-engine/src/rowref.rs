@@ -6,8 +6,9 @@
 //! 1. **Reference semantics** — `tests/properties.rs` runs every operator
 //!    through both the columnar path and [`execute_plan_rows`] and asserts
 //!    identical rows, checksums, and [`NodeRuntimeStats`].
-//! 2. **Benchmark baseline** — `benches/executor.rs` measures the columnar
-//!    executor's speedup against this path.
+//! 2. **Copy baseline** — every kernel here builds its output rows anew, so
+//!    [`RowExecOutcome::cells_gathered`] is what a plan costs when nothing
+//!    is deferred.
 //! 3. **Fallback kernels** — the columnar executor calls these helpers for
 //!    the cases it deliberately does not vectorize (UDOs, window functions,
 //!    loops joins), so the two paths cannot drift.
@@ -552,6 +553,9 @@ pub struct RowExecOutcome {
     pub node_stats: Vec<NodeRuntimeStats>,
     /// Terminal outputs by name (gathered).
     pub outputs: HashMap<String, RowTable>,
+    /// Cells copied: Σ rows × width over all nodes, each built anew — what
+    /// [`crate::exec::ExecOutcome::cells_gathered`] is measured against.
+    pub cells_gathered: u64,
 }
 
 /// Executes `graph` row at a time — the seed executor, preserved as the
@@ -565,6 +569,7 @@ pub fn execute_plan_rows(
     let mut tables: Vec<RowTable> = Vec::with_capacity(graph.len());
     let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(graph.len());
     let mut outputs = HashMap::new();
+    let mut cells_gathered = 0;
     let schemas = graph.validate()?;
 
     for node in graph.nodes() {
@@ -575,6 +580,7 @@ pub fn execute_plan_rows(
         let (table, scanned) = exec_node_rows(&node.op, &child_tables, out_schema, storage, now)?;
         let out_rows = table.num_rows() as u64;
         let out_bytes = table.num_bytes();
+        cells_gathered += out_rows * out_schema.len() as u64;
         let effective_in = if node.children.is_empty() {
             scanned
         } else {
@@ -597,6 +603,7 @@ pub fn execute_plan_rows(
         node_tables: tables,
         node_stats: stats,
         outputs,
+        cells_gathered,
     })
 }
 

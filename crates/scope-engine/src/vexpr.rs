@@ -25,32 +25,37 @@
 //!
 //! Either way, callers observe byte-identical results to the seed executor.
 
-use std::sync::Arc;
-
 use scope_common::{Result, ScopeError};
 use scope_plan::{eval_binary, eval_func, BinOp, Expr, NamedExpr, UnaryOp, Value};
 
-use crate::data::{Cell, ColumnVector, NullMask, RecordBatch};
+use crate::data::{Cell, Column, ColumnVector, NullMask, RecordBatch};
 
 /// An evaluated expression over one batch: a column, or one constant that
 /// stands for every row (literals and recurring parameters stay scalar).
 enum Ev {
-    Col(Arc<ColumnVector>),
+    /// A bare column reference stays as the batch holds it, so a projection
+    /// that only renames hands a deferred column on unread; kernels that
+    /// compute on it read [`Column::dense`].
+    Col(Column),
     Const(Value),
 }
 
 impl Ev {
     fn value_at(&self, i: usize) -> Value {
         match self {
-            Ev::Col(c) => c.value(i),
+            Ev::Col(c) => c.dense().value(i),
             Ev::Const(v) => v.clone(),
         }
     }
 
-    fn into_column(self, rows: usize) -> Arc<ColumnVector> {
+    fn cells(cells: ColumnVector) -> Ev {
+        Ev::Col(cells.into())
+    }
+
+    fn into_column(self, rows: usize) -> Column {
         match self {
             Ev::Col(c) => c,
-            Ev::Const(v) => Arc::new(ColumnVector::from_values(vec![v; rows])),
+            Ev::Const(v) => ColumnVector::from_values(vec![v; rows]).into(),
         }
     }
 }
@@ -71,9 +76,12 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Resu
         } else {
             Vec::new()
         }),
-        Ok(Ev::Col(col)) => Ok((0..rows)
-            .filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true)))
-            .collect()),
+        Ok(Ev::Col(col)) => {
+            let col = col.dense();
+            Ok((0..rows)
+                .filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true)))
+                .collect())
+        }
         Err(_) => {
             // Rowwise fallback: reproduces the row executor bit for bit.
             let mut sel = Vec::new();
@@ -91,15 +99,12 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Resu
 /// expression. Equivalent to evaluating each expression per row in
 /// row-major order (the row executor's error order is preserved via the
 /// fallback).
-pub(crate) fn eval_exprs(
-    exprs: &[NamedExpr],
-    batch: &RecordBatch,
-) -> Result<Vec<Arc<ColumnVector>>> {
+pub(crate) fn eval_exprs(exprs: &[NamedExpr], batch: &RecordBatch) -> Result<Vec<Column>> {
     let rows = batch.num_rows();
     if rows == 0 {
         return Ok(exprs
             .iter()
-            .map(|_| Arc::new(ColumnVector::Mixed(Vec::new())))
+            .map(|_| ColumnVector::Mixed(Vec::new()).into())
             .collect());
     }
     let mut out = Vec::with_capacity(exprs.len());
@@ -126,7 +131,7 @@ pub(crate) fn eval_exprs(
     }
     Ok(cols
         .into_iter()
-        .map(|c| Arc::new(ColumnVector::from_values(c)))
+        .map(|c| ColumnVector::from_values(c).into())
         .collect())
 }
 
@@ -141,7 +146,7 @@ fn eval_ev(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
             if *i >= batch.width() {
                 return Err(col_oob(*i, batch.width()));
             }
-            Ok(Ev::Col(batch.column(*i).clone()))
+            Ok(Ev::Col(batch.columns()[*i].clone()))
         }
         Expr::Lit(v) => Ok(Ev::Const(v.clone())),
         Expr::RecurringParam { value, .. } => Ok(Ev::Const(value.clone())),
@@ -182,7 +187,7 @@ fn eval_ev(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
                 scratch.extend(evs.iter().map(|e| e.value_at(i)));
                 out.push(eval_func(*func, &scratch)?);
             }
-            Ok(Ev::Col(Arc::new(ColumnVector::from_values(out))))
+            Ok(Ev::cells(ColumnVector::from_values(out)))
         }
     }
 }
@@ -192,36 +197,36 @@ fn eval_unary_ev(op: UnaryOp, child: Ev, rows: usize) -> Result<Ev> {
         Ev::Const(v) => Ok(Ev::Const(unary_scalar(op, v)?)),
         Ev::Col(col) => {
             // Typed fast paths.
-            match (op, col.as_ref()) {
+            match (op, col.dense().as_ref()) {
                 (UnaryOp::IsNull, c) => {
                     let data: Vec<bool> = (0..rows).map(|i| c.is_null(i)).collect();
-                    return Ok(Ev::Col(Arc::new(ColumnVector::Bool { data, nulls: None })));
+                    return Ok(Ev::cells(ColumnVector::Bool { data, nulls: None }));
                 }
                 (UnaryOp::Not, ColumnVector::Bool { data, nulls }) => {
-                    return Ok(Ev::Col(Arc::new(ColumnVector::Bool {
+                    return Ok(Ev::cells(ColumnVector::Bool {
                         data: data.iter().map(|b| !b).collect(),
                         nulls: nulls.clone(),
-                    })));
+                    }));
                 }
                 (UnaryOp::Neg, ColumnVector::Int { data, nulls }) => {
-                    return Ok(Ev::Col(Arc::new(ColumnVector::Int {
+                    return Ok(Ev::cells(ColumnVector::Int {
                         data: data.iter().map(|i| i.wrapping_neg()).collect(),
                         nulls: nulls.clone(),
-                    })));
+                    }));
                 }
                 (UnaryOp::Neg, ColumnVector::Float { data, nulls }) => {
-                    return Ok(Ev::Col(Arc::new(ColumnVector::Float {
+                    return Ok(Ev::cells(ColumnVector::Float {
                         data: data.iter().map(|f| -f).collect(),
                         nulls: nulls.clone(),
-                    })));
+                    }));
                 }
                 _ => {}
             }
             let mut out = Vec::with_capacity(rows);
             for i in 0..rows {
-                out.push(unary_scalar(op, col.value(i))?);
+                out.push(unary_scalar(op, col.dense().value(i))?);
             }
-            Ok(Ev::Col(Arc::new(ColumnVector::from_values(out))))
+            Ok(Ev::cells(ColumnVector::from_values(out)))
         }
     }
 }
@@ -286,13 +291,13 @@ fn eval_binary_ev(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
     if is_cmp(op) {
         match (&l, &r) {
             (Ev::Col(c), Ev::Const(k)) => {
-                if let Some(out) = cmp_col_const(op, c, k, rows) {
-                    return Ok(Ev::Col(Arc::new(out)));
+                if let Some(out) = cmp_col_const(op, c.dense(), k, rows) {
+                    return Ok(Ev::cells(out));
                 }
             }
             (Ev::Const(k), Ev::Col(c)) => {
-                if let Some(out) = cmp_col_const(flip_cmp(op), c, k, rows) {
-                    return Ok(Ev::Col(Arc::new(out)));
+                if let Some(out) = cmp_col_const(flip_cmp(op), c.dense(), k, rows) {
+                    return Ok(Ev::cells(out));
                 }
             }
             _ => {}
@@ -303,12 +308,12 @@ fn eval_binary_ev(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
     ) {
         if let Some(out) = int_arith(op, &l, &r, rows) {
-            return Ok(Ev::Col(Arc::new(out)));
+            return Ok(Ev::cells(out));
         }
     }
     if matches!(op, BinOp::And | BinOp::Or) {
         if let Some(out) = bool_logic(op, &l, &r, rows) {
-            return Ok(Ev::Col(Arc::new(out)));
+            return Ok(Ev::cells(out));
         }
     }
 
@@ -330,7 +335,7 @@ fn eval_binary_ev(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
         }
         out.push(eval_binary(op, lv, r.value_at(i))?);
     }
-    Ok(Ev::Col(Arc::new(ColumnVector::from_values(out))))
+    Ok(Ev::cells(ColumnVector::from_values(out)))
 }
 
 /// `col OP const` comparisons on matching concrete types. Returns `None`
@@ -399,7 +404,7 @@ fn int_arith(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
     fn side(e: &Ev) -> Option<Side<'_>> {
         match e {
             Ev::Const(Value::Int(k)) => Some(Side::Const(*k)),
-            Ev::Col(c) => match c.as_ref() {
+            Ev::Col(c) => match c.dense().as_ref() {
                 ColumnVector::Int { data, nulls } => Some(Side::Col(data, nulls)),
                 _ => None,
             },
@@ -464,7 +469,7 @@ fn bool_logic(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
             Ev::Const(Value::Bool(b)) => Some(Some(*b)),
             Ev::Const(Value::Null) => Some(None),
             Ev::Const(_) => None,
-            Ev::Col(c) => match c.as_ref() {
+            Ev::Col(c) => match c.dense().as_ref() {
                 ColumnVector::Bool { data, nulls } => Some(match nulls {
                     Some(m) if m[i] => None,
                     _ => Some(data[i]),
@@ -477,7 +482,7 @@ fn bool_logic(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
     // Mixed columns, so only typed Bool columns and Bool/Null consts pass).
     let ok = |e: &Ev| {
         matches!(e, Ev::Const(Value::Bool(_)) | Ev::Const(Value::Null))
-            || matches!(e, Ev::Col(c) if matches!(c.as_ref(), ColumnVector::Bool { .. }))
+            || matches!(e, Ev::Col(c) if matches!(c.dense().as_ref(), ColumnVector::Bool { .. }))
     };
     if !ok(l) || !ok(r) {
         return None;

@@ -1264,6 +1264,55 @@ fn columnar_stats_match_row_reference_on_tpcds() {
     }
 }
 
+/// The shape the TPC-DS plans share — fact ⋈ dim ⋈ dim → two columns —
+/// over NULL-bearing keys, floats, dates and strings: byte-identical to the
+/// row reference like every other plan, and because no operator between the
+/// scans and the final projection reads the other thirteen columns, the
+/// columnar executor copies under a quarter of the cells the row engine
+/// builds (every node's rows × width).
+#[test]
+fn star_join_matches_row_reference_and_copies_a_quarter_of_its_cells() {
+    use scope_plan::expr::NamedExpr;
+    use scope_plan::JoinKind;
+    let (fact, dim1, dim2) = (DatasetId::new(21), DatasetId::new(22), DatasetId::new(23));
+    let mut rng = SmallRng::seed_from_u64(0x57a2);
+    let storage = StorageManager::new();
+    storage.put_dataset(fact, random_diff_table(&mut rng, 6_000, true));
+    storage.put_dataset(dim1, random_diff_table(&mut rng, 30, true));
+    storage.put_dataset(dim2, random_diff_table(&mut rng, 120, true));
+
+    let mut b = PlanBuilder::new();
+    let f = b.table_scan(fact, "star/fact.ss", diff_schema());
+    let d1 = b.table_scan(dim1, "star/dim1.ss", diff_schema());
+    let d2 = b.table_scan(dim2, "star/dim2.ss", diff_schema());
+    let j1 = b.join(f, d1, JoinKind::Inner, vec![0], vec![0]);
+    let j2 = b.join(j1, d2, JoinKind::Inner, vec![1], vec![1]);
+    let two = b.project(
+        j2,
+        vec![
+            NamedExpr::new("dim_tag", Expr::col(14)),
+            NamedExpr::new("amt", Expr::col(2)),
+        ],
+    );
+    let graph = b.write(two, "star/out.ss").build().unwrap();
+    let cfg = OptimizerConfig::default();
+    let plan = optimize(&graph, &[], &NoViewServices, &cfg, JobId::new(1)).unwrap();
+    assert_executors_agree(&plan.physical, &storage, "star join");
+
+    let model = CostModel::default();
+    let columnar = execute_plan(&plan.physical, &storage, &model, SimTime::ZERO).unwrap();
+    let rowwise =
+        scope_engine::rowref::execute_plan_rows(&plan.physical, &storage, &model, SimTime::ZERO)
+            .unwrap();
+    assert!(columnar.outputs["star/out.ss"].num_rows() > 6_000);
+    assert!(
+        columnar.cells_gathered * 4 < rowwise.cells_gathered,
+        "gathered {} cells of the {} the plan's nodes hold",
+        columnar.cells_gathered,
+        rowwise.cells_gathered
+    );
+}
+
 /// Build locks: under arbitrary interleavings of proposals from many
 /// jobs, exactly one holds the lock at a time.
 #[test]

@@ -268,9 +268,15 @@ fn prometheus_export_is_well_formed() {
         "# TYPE cv_metadata_lookups_total counter",
         "# TYPE cv_storage_views gauge",
         "# TYPE cv_job_latency_sim_micros histogram",
+        "# TYPE cv_exec_rows_in_total counter",
+        "# TYPE cv_exec_cells_gathered_total counter",
     ] {
         assert!(text.contains(series), "missing {series:?}");
     }
+    // The executor's series: rows went into operators and cells were copied.
+    let snap = cv.telemetry.metrics.snapshot();
+    assert!(snap.counter("cv_exec_rows_in_total") > 0);
+    assert!(snap.counter("cv_exec_cells_gathered_total") > 0);
     // Histogram exposition: cumulative buckets, +Inf bound, sum and count.
     assert!(text.contains("cv_job_latency_sim_micros_bucket{le=\""));
     assert!(text.contains("cv_job_latency_sim_micros_bucket{le=\"+Inf\"}"));
