@@ -260,10 +260,9 @@ pub fn fault_dashboard(service: &CloudViews, reports: &[crate::runtime::JobRunRe
     let stats = service.metadata.stats();
     let now = service.clock.now();
     let mut out = format!(
-        "metadata: shards={} lookups={} failed_lookups={} failed_proposals={} \
+        "metadata: lookups={} failed_lookups={} failed_proposals={} \
          failed_reports={} purged_annotations={}\nlocks: granted={} conflicts={} \
          expired_takeovers={} active_now={}\n",
-        service.metadata.num_shards(),
         stats.lookups,
         stats.failed_lookups,
         stats.failed_proposals,
@@ -317,9 +316,8 @@ pub fn telemetry_dashboard(service: &CloudViews) -> String {
         .map(|h| h.mean() / 1e3)
         .unwrap_or(0.0);
     out.push_str(&format!(
-        "metadata: shards={} lookups={} misses={} mean_lookup={:.1}ms \
+        "metadata: lookups={} misses={} mean_lookup={:.1}ms \
          locks_granted={} conflicts={} active_locks={} purged_annotations={}\n",
-        service.metadata.num_shards(),
         snap.counter("cv_metadata_lookups_total"),
         snap.counter("cv_metadata_lookup_misses_total"),
         lookup_ms,
@@ -586,7 +584,6 @@ mod tests {
         let (cv, w) = running_service();
         // Clean service: counters render, no injected section, no drill-down.
         let text = fault_dashboard(&cv, &[]);
-        assert!(text.contains("metadata: shards=16"));
         assert!(text.contains("purged_annotations="));
         assert!(text.contains("expired_takeovers="));
         assert!(!text.contains("injected:"));
@@ -620,7 +617,6 @@ mod tests {
         assert!(text.contains("jobs: total="), "{text}");
         assert!(!text.contains("jobs: total=0"), "jobs ran: {text}");
         assert!(text.contains("mean_lookup="), "{text}");
-        assert!(text.contains("metadata: shards=16"), "{text}");
         assert!(text.contains("purged_annotations="), "{text}");
         assert!(text.contains("cascade: tier2_hits="), "{text}");
         assert!(text.contains("mean_tier1="), "{text}");

@@ -18,33 +18,26 @@
 //! modeled after the paper's measurements (19 ms single-threaded, 14.3 ms
 //! with 5 service threads) via a calibrated base + per-thread service term.
 //!
-//! ## Sharding (DESIGN.md §10)
+//! ## One catalog, one lock (DESIGN.md §10)
 //!
-//! All four hot maps — annotations, the inverted index, registered views,
-//! and build locks — are split over a power-of-two number of
-//! signature-keyed [`Sharded`] shards (16 by default, the same pattern the
-//! metrics registry uses). A lookup takes only *read* locks, each shard's
-//! at most once per request: one probe per tag bucket, then one pass per
-//! annotation shard with the candidate signatures grouped by shard. The
-//! lock protocol is shard-local to the precise signature, so proposals on
-//! different views never contend. Purging is incremental: a janitor sweeps
-//! one shard at a time ([`MetadataService::purge_next_shard`]), dropping
-//! expired views *and* the annotation/inverted-index entries they strand in
-//! one consistent pass; [`MetadataService::purge_expired`] is a full sweep
-//! of every shard. Service counters are plain atomics — the old global
-//! stats mutex serialized every lookup even when the maps themselves were
-//! sharded.
+//! Annotations, the inverted index, registered views and build locks are
+//! four plain maps in one `Catalog` behind one `RwLock`. A lookup holds
+//! the read guard for both tiers; every mutation appends its [`WalEvent`]
+//! and applies it under the write guard, so each operation is atomic and
+//! the WAL's order is the order the catalog changed in. Nothing the
+//! reproduction measures depends on finer locking: the paper's service
+//! latency is modeled, and no workload has more than two threads doing
+//! work. Service counters are relaxed atomics outside the lock.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::intern::Symbol;
-use scope_common::shard::Sharded;
 use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, Telemetry};
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
@@ -61,9 +54,6 @@ use crate::faults::{FaultInjector, FaultSite};
 use crate::store::{DurableStore, WalEvent};
 use scope_common::codec::{CodecError, Dec, Enc};
 use scope_common::hash::sip128;
-
-/// Default shard count, matching the metrics registry's 16-way split.
-const DEFAULT_SHARDS: usize = 16;
 
 /// Result of a materialization proposal (Figure 9, step 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,8 +83,7 @@ pub struct LookupResponse {
     pub hit_count: usize,
 }
 
-/// What one purge pass reclaimed (a single shard for the incremental
-/// janitor, or every shard for [`MetadataService::purge_expired`]).
+/// What one purge reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PurgeSweep {
     /// Expired views dropped.
@@ -102,13 +91,6 @@ pub struct PurgeSweep {
     /// Annotation entries (with their inverted-index postings) swept
     /// because their views died and their GC horizon lapsed.
     pub annotations_purged: usize,
-}
-
-impl PurgeSweep {
-    fn absorb(&mut self, other: PurgeSweep) {
-        self.views_purged += other.views_purged;
-        self.annotations_purged += other.annotations_purged;
-    }
 }
 
 /// Cached telemetry handles for the service's hot paths: resolved once at
@@ -194,7 +176,7 @@ struct RegisteredView {
     descriptor: Option<SubsumeDescriptor>,
 }
 
-/// An installed annotation plus the bookkeeping the janitor needs to sweep
+/// An installed annotation plus the bookkeeping the purge needs to sweep
 /// it consistently with the views it produced.
 #[derive(Clone, Debug)]
 struct AnnotationEntry {
@@ -256,11 +238,9 @@ pub struct MetadataStats {
     pub tier2_rejects: u64,
 }
 
-/// Lock-free service counters. The pre-shard service funneled every lookup
-/// through one `Mutex<MetadataStats>`, which serialized the read path even
-/// after the maps were sharded; each cell here is an independent relaxed
-/// atomic (the snapshot is monotonic per counter, not a consistent cut —
-/// exactly what a stats endpoint needs).
+/// Service counters, kept outside the catalog lock: each cell is an
+/// independent relaxed atomic (the snapshot is monotonic per counter, not
+/// a consistent cut — exactly what a stats endpoint needs).
 #[derive(Default)]
 struct StatCells {
     lookups: AtomicU64,
@@ -298,36 +278,213 @@ impl StatCells {
     }
 }
 
-/// One shard of the service state. The four maps are keyed independently —
-/// annotations by normalized signature, views and locks by precise
-/// signature, the inverted index by tag symbol — so one logical operation
-/// may touch maps in *different* shards; every method acquires at most one
-/// write lock at a time (collect-then-act) except the documented nested
-/// `annotations → views` read in the sweep.
+/// The service state: four plain maps, mutated only through
+/// [`Catalog::apply`] so the live path and WAL replay cannot diverge.
 #[derive(Default)]
-struct MetadataShard {
+struct Catalog {
     /// Annotations by normalized signature.
-    annotations: RwLock<HashMap<Sig128, AnnotationEntry>>,
+    annotations: HashMap<Sig128, AnnotationEntry>,
     /// Inverted index: normalized tag → normalized signatures. Keys are
-    /// interned symbols, so a lookup probe is integer hashing.
-    inverted: RwLock<HashMap<Symbol, HashSet<Sig128>>>,
+    /// interned symbols, so a lookup probe is integer hashing. A pure
+    /// function of the annotations' tags.
+    inverted: HashMap<Symbol, HashSet<Sig128>>,
     /// Registered materialized views by precise signature.
-    views: RwLock<HashMap<Sig128, RegisteredView>>,
+    views: HashMap<Sig128, RegisteredView>,
     /// Exclusive build locks by precise signature.
-    locks: Mutex<HashMap<Sig128, BuildLock>>,
+    locks: HashMap<Sig128, BuildLock>,
+}
+
+impl Catalog {
+    /// Applies one logical mutation. Every arm is idempotent at its pinned
+    /// time (replay is at-least-once): re-granting an identical lock,
+    /// re-registering a view whose live entry already wins, or re-purging
+    /// a clean catalog all converge to the same state.
+    fn apply(&mut self, ev: WalEvent) -> PurgeSweep {
+        match ev {
+            WalEvent::LoadAnnotations { selected, now } => {
+                self.annotations.clear();
+                self.inverted.clear();
+                for s in selected {
+                    self.install(AnnotationEntry {
+                        keep_until: now + s.annotation.ttl,
+                        annotation: s.annotation,
+                        tags: s.input_tags,
+                        precise_views: Vec::new(),
+                    });
+                }
+            }
+            // Conservative lock recovery: a replayed lease keeps its
+            // original expiry, so an in-flight build that died with the
+            // process simply lapses at its mined TTL and the normal
+            // expired-takeover path re-runs the build exactly once.
+            WalEvent::LockGranted {
+                precise,
+                holder,
+                at: _,
+                expires_at,
+            } => {
+                self.locks.insert(precise, BuildLock { holder, expires_at });
+            }
+            WalEvent::Register(req) => self.register(*req),
+            // The index named the shard swept when the catalog had
+            // sixteen; any index now purges everything at the pinned time.
+            WalEvent::PurgeShard { index: _, now } => return self.purge(now),
+            WalEvent::Unregister { precise, now } => return self.unregister(&precise, now),
+        }
+        PurgeSweep::default()
+    }
+
+    /// Adds an annotation entry and its inverted-index postings.
+    fn install(&mut self, entry: AnnotationEntry) {
+        let normalized = entry.annotation.normalized;
+        for &tag in &entry.tags {
+            self.inverted.entry(tag).or_default().insert(normalized);
+        }
+        self.annotations.insert(normalized, entry);
+    }
+
+    /// Whether a registered view is unexpired at `now`. An *existence*
+    /// check, not a visibility check: `created_at` is ignored, because a
+    /// winner registering its view with an `available_at` later than a
+    /// peer's pinned `now` (early materialization offsets always land past
+    /// the submission time) has still built it. Only an *expired* view is
+    /// rebuildable.
+    fn view_live(&self, precise: Sig128, now: SimTime) -> bool {
+        self.views.get(&precise).is_some_and(|v| v.expires_at > now)
+    }
+
+    /// Registers a view, renews its annotation and releases its build lock.
+    fn register(&mut self, req: ReportRequest) {
+        let precise = req.view.precise;
+        // A live entry wins: the duplicate report from a racing builder is
+        // a no-op. But an *expired* entry that has not been purged yet must
+        // not block its rebuild — propose() already treats the signature as
+        // rebuildable, so swallowing the rebuild's report here while still
+        // releasing its lock below would leave the signature with neither a
+        // live view nor a lock, and the next proposer would win a second
+        // build of the same view.
+        let current = self.views.get(&precise);
+        if current.is_none_or(|old| old.expires_at <= req.available_at) {
+            // A successful build proves the annotation still matches the
+            // workload, so it must outlive the view it just produced by one
+            // more TTL (the grace window a recurring template needs to
+            // rebuild next instance).
+            if let Some(entry) = self.annotations.get_mut(&req.normalized) {
+                let ttl = entry.annotation.ttl;
+                entry.keep_until = entry.keep_until.max(req.expires_at + ttl);
+                if !entry.precise_views.contains(&precise) {
+                    entry.precise_views.push(precise);
+                }
+            }
+            self.views.insert(
+                precise,
+                RegisteredView {
+                    view: req.view,
+                    normalized: req.normalized,
+                    producer: req.producer,
+                    created_at: req.available_at,
+                    expires_at: req.expires_at,
+                    descriptor: req.descriptor,
+                },
+            );
+        }
+        self.locks.remove(&precise);
+    }
+
+    /// Drops expired views and lapsed locks and, in the same pass, the
+    /// annotation and inverted-index entries those dead views strand.
+    fn purge(&mut self, now: SimTime) -> PurgeSweep {
+        let mut dead: Vec<(Sig128, Sig128)> = Vec::new();
+        self.views.retain(|p, v| {
+            let keep = v.expires_at > now;
+            if !keep {
+                dead.push((*p, v.normalized));
+            }
+            keep
+        });
+        self.locks.retain(|_, l| l.expires_at > now);
+        self.prune_backrefs(&dead);
+        let lapsed: Vec<Sig128> = self
+            .annotations
+            .iter()
+            .filter(|(_, e)| e.keep_until <= now)
+            .map(|(n, _)| *n)
+            .collect();
+        PurgeSweep {
+            views_purged: dead.len(),
+            annotations_purged: self.sweep_stranded(lapsed, now),
+        }
+    }
+
+    /// Removes the named views and force-sweeps their annotations (GC
+    /// horizon ignored — the view was deliberately removed) unless another
+    /// view live at `now` still needs them.
+    fn unregister(&mut self, precise: &[Sig128], now: SimTime) -> PurgeSweep {
+        let dead: Vec<(Sig128, Sig128)> = precise
+            .iter()
+            .filter_map(|p| self.views.remove(p).map(|v| (*p, v.normalized)))
+            .collect();
+        self.prune_backrefs(&dead);
+        let forced = dead.iter().map(|&(_, normalized)| normalized);
+        PurgeSweep {
+            views_purged: dead.len(),
+            annotations_purged: self.sweep_stranded(forced, now),
+        }
+    }
+
+    /// Removes dead `(precise, normalized)` views from their annotations'
+    /// backref lists.
+    fn prune_backrefs(&mut self, dead: &[(Sig128, Sig128)]) {
+        for (precise, normalized) in dead {
+            if let Some(e) = self.annotations.get_mut(normalized) {
+                e.precise_views.retain(|p| p != precise);
+            }
+        }
+    }
+
+    /// Removes each candidate annotation that has no live registered view
+    /// left, draining its inverted-index buckets. Returns how many went.
+    fn sweep_stranded(
+        &mut self,
+        candidates: impl IntoIterator<Item = Sig128>,
+        now: SimTime,
+    ) -> usize {
+        let mut swept = 0;
+        for normalized in candidates {
+            let stranded = self
+                .annotations
+                .get(&normalized)
+                .is_some_and(|e| !e.precise_views.iter().any(|p| self.view_live(*p, now)));
+            if !stranded {
+                continue;
+            }
+            let entry = self
+                .annotations
+                .remove(&normalized)
+                .expect("entry was just found stranded");
+            for tag in entry.tags {
+                if let Some(bucket) = self.inverted.get_mut(&tag) {
+                    bucket.remove(&normalized);
+                    if bucket.is_empty() {
+                        self.inverted.remove(&tag);
+                    }
+                }
+            }
+            swept += 1;
+        }
+        swept
+    }
 }
 
 /// The metadata service.
 pub struct MetadataService {
-    shards: Sharded<MetadataShard>,
+    catalog: RwLock<Catalog>,
     /// Shared simulated clock.
     clock: Arc<SimClock>,
     /// Number of service threads (affects modeled lookup latency); clamped
     /// to at least 1 at construction — the latency model divides by it.
     service_threads: usize,
     stats: StatCells,
-    /// Round-robin cursor for [`MetadataService::purge_next_shard`].
-    janitor_cursor: AtomicUsize,
     /// Optional fault injector consulted by the fallible entrypoints.
     faults: RwLock<Option<Arc<FaultInjector>>>,
     /// Optional telemetry sink with pre-resolved handles.
@@ -339,21 +496,13 @@ pub struct MetadataService {
 }
 
 impl MetadataService {
-    /// A service with the given clock and thread count and the default
-    /// 16-way sharding.
+    /// A service with the given clock and modeled service-thread count.
     pub fn new(clock: Arc<SimClock>, service_threads: usize) -> Self {
-        MetadataService::with_shards(clock, service_threads, DEFAULT_SHARDS)
-    }
-
-    /// A service with an explicit shard count (clamped to a power of two;
-    /// `1` gives the global-lock layout, useful as a contention baseline).
-    pub fn with_shards(clock: Arc<SimClock>, service_threads: usize, shards: usize) -> Self {
         MetadataService {
-            shards: Sharded::new(shards, |_| MetadataShard::default()),
+            catalog: RwLock::new(Catalog::default()),
             clock,
             service_threads: service_threads.max(1),
             stats: StatCells::default(),
-            janitor_cursor: AtomicUsize::new(0),
             faults: RwLock::new(None),
             telemetry: RwLock::new(None),
             durable: RwLock::new(None),
@@ -368,36 +517,11 @@ impl MetadataService {
         *self.durable.write() = store;
     }
 
-    /// Appends `ev` to the WAL when durability is on. Called *before* the
-    /// corresponding in-memory mutation (write-ahead), sometimes while a
-    /// shard lock is held — the store's log mutex is a leaf, so that is
-    /// safe by the documented lock order.
-    fn log_event(&self, ev: &WalEvent) {
-        if let Some(store) = self.durable.read().as_ref() {
-            store.append_event(ev);
-        }
-    }
-
-    /// Number of shards (a power of two).
+    /// The number of `PurgeShard` events one full purge logs: always 1.
+    /// Kept under this name because `benchmark/`'s tapped `frontdoor_mixed`
+    /// replay appends that many purge events itself (ROADMAP item 10(c)).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard owning a signature-keyed entry (annotations by normalized,
-    /// views/locks by precise). Sip output is uniform, but it still goes
-    /// through the sharder's mixer — harmless, and keeps one code path.
-    fn sig_shard(&self, sig: Sig128) -> &MetadataShard {
-        self.shards.for_key(sig.lo ^ sig.hi)
-    }
-
-    fn sig_shard_index(&self, sig: Sig128) -> usize {
-        self.shards.index_for(sig.lo ^ sig.hi)
-    }
-
-    /// Shard owning a tag's inverted-index bucket. Interned symbols are
-    /// sequential integers; the sharder's mixer spreads them.
-    fn tag_shard_index(&self, tag: Symbol) -> usize {
-        self.shards.index_for(tag.raw() as u64)
+        1
     }
 
     /// Installs (or clears) the fault injector consulted by the fallible
@@ -412,11 +536,64 @@ impl MetadataService {
         *self.telemetry.write() = sink.map(MetadataMetrics::new);
     }
 
+    fn with_metrics(&self, record: impl FnOnce(&MetadataMetrics)) {
+        if let Some(t) = self.telemetry.read().as_ref() {
+            record(t);
+        }
+    }
+
     fn injected_failure(&self, site: FaultSite, job: JobId) -> bool {
         match self.faults.read().as_ref() {
             Some(inj) => inj.should_fail(site, job),
             None => false,
         }
+    }
+
+    /// Appends `ev` to the WAL when durability is on. Called under the
+    /// catalog write guard, *before* [`MetadataService::apply`]
+    /// (write-ahead; the store's log mutex is a leaf), so WAL order is
+    /// apply order.
+    fn log_event(&self, ev: &WalEvent) {
+        if let Some(store) = self.durable.read().as_ref() {
+            store.append_event(ev);
+        }
+    }
+
+    /// The one mutation path, shared by the live entrypoints and replay:
+    /// applies `ev` under the caller's write guard and moves the
+    /// process-local counters ([`MetadataStats`], telemetry). Replayed
+    /// events move them too, so after a recovery they differ from the
+    /// original run's; only catalog state is part of the recovery contract
+    /// and the [`MetadataService::fingerprint`].
+    fn apply(&self, catalog: &mut Catalog, ev: WalEvent) -> PurgeSweep {
+        let registered = matches!(ev, WalEvent::Register(_)) as u64;
+        let sweep = catalog.apply(ev);
+        let swept = sweep.annotations_purged as u64;
+        self.stats
+            .views_registered
+            .fetch_add(registered, Ordering::Relaxed);
+        self.stats
+            .purged_annotations
+            .fetch_add(swept, Ordering::Relaxed);
+        self.with_metrics(|t| {
+            t.views_registered.add(registered);
+            t.purged_annotations.add(swept);
+            t.build_locks.set(catalog.locks.len() as i64);
+            t.registered_views.set(catalog.views.len() as i64);
+        });
+        sweep
+    }
+
+    /// Logs and applies one live mutation atomically.
+    fn commit(&self, ev: WalEvent) -> PurgeSweep {
+        let mut catalog = self.catalog.write();
+        self.log_event(&ev);
+        self.apply(&mut catalog, ev)
+    }
+
+    /// Re-applies one recovered WAL event, without logging.
+    pub fn apply_event(&self, ev: &WalEvent) {
+        self.apply(&mut self.catalog.write(), ev.clone());
     }
 
     /// Loads (replacing) the analyzer's selected views as annotations and
@@ -428,45 +605,13 @@ impl MetadataService {
 
     /// [`MetadataService::load_annotations`] at an explicit pinned time
     /// (the time drives each annotation's `keep_until`, so a WAL replay
-    /// must reuse the recorded instant, not the live clock).
+    /// must reuse the recorded instant, not the live clock). A concurrent
+    /// lookup sees the complete old set or the complete new one.
     pub fn load_annotations_at(&self, selected: &[SelectedView], now: SimTime) {
-        self.log_event(&WalEvent::LoadAnnotations {
+        self.commit(WalEvent::LoadAnnotations {
             selected: selected.to_vec(),
             now,
         });
-        self.apply_load_annotations(selected, now);
-    }
-
-    /// Mutation core of annotation loading; never logs (shared by the live
-    /// path and WAL replay).
-    fn apply_load_annotations(&self, selected: &[SelectedView], now: SimTime) {
-        for shard in &self.shards {
-            shard.annotations.write().clear();
-            shard.inverted.write().clear();
-        }
-        for s in selected {
-            self.sig_shard(s.annotation.normalized)
-                .annotations
-                .write()
-                .insert(
-                    s.annotation.normalized,
-                    AnnotationEntry {
-                        keep_until: now + s.annotation.ttl,
-                        annotation: s.annotation.clone(),
-                        tags: s.input_tags.clone(),
-                        precise_views: Vec::new(),
-                    },
-                );
-            for &tag in &s.input_tags {
-                self.shards
-                    .at(self.tag_shard_index(tag))
-                    .inverted
-                    .write()
-                    .entry(tag)
-                    .or_default()
-                    .insert(s.annotation.normalized);
-            }
-        }
     }
 
     /// Figure 9 steps 1/2: the one cascade lookup per job, attributed to
@@ -475,13 +620,9 @@ impl MetadataService {
     ///
     /// Tier-1 returns every annotation whose tags intersect the job's tags
     /// (an over-approximation the optimizer narrows by matching actual
-    /// signatures), plus the modeled service latency for the request. The
-    /// read path is a single pass over per-shard *read* locks: one
-    /// inverted-bucket probe per tag, then the candidate signatures grouped
-    /// by annotation shard so each shard's lock is taken at most once. No
-    /// two locks are ever held together. Tier-1 does no time filtering
-    /// (annotation GC is the janitor's job, and the optimizer still has to
-    /// rebuild views whose files expired).
+    /// signatures), plus the modeled service latency for the request.
+    /// Tier-1 does no time filtering (annotation GC is the purge's job, and
+    /// the optimizer still has to rebuild views whose files expired).
     ///
     /// Tier-2 walks the matched annotations' registered-view backrefs and
     /// returns each view that (a) is live at `req.at` — **the caller's
@@ -490,7 +631,8 @@ impl MetadataService {
     /// published after it started; (b) carries a subsumption descriptor;
     /// and (c) passes the cheap feature-vector gate against at least one of
     /// the request's `probes`. Everything else is counted as a tier-2
-    /// reject and never reaches plan inspection.
+    /// reject and never reaches plan inspection. Both tiers run under one
+    /// read guard.
     ///
     /// **Fault-injection contract:** when the installed injector fires
     /// [`FaultSite::MetadataLookup`] for `req.job`, the call returns
@@ -498,92 +640,70 @@ impl MetadataService {
     /// retries with backoff and then falls back to the baseline plan
     /// (DESIGN.md "Fault tolerance & degradation").
     pub fn lookup(&self, req: &LookupRequest) -> Result<LookupResponse> {
-        let (job, job_tags, probes, at) = (req.job, &req.tags, &req.probes, req.at);
+        let (job, probes, at) = (req.job, &req.probes, req.at);
         if self.injected_failure(FaultSite::MetadataLookup, job) {
             self.stats.failed_lookups.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.telemetry.read().as_ref() {
-                t.lookup_faults.inc();
-            }
+            self.with_metrics(|t| t.lookup_faults.inc());
             return Err(ScopeError::ServiceUnavailable(format!(
                 "metadata lookup for {job} timed out"
             )));
         }
         let wall_start = Instant::now();
-        // One flat candidate buffer, sorted by owning shard, instead of a
-        // Vec-per-shard: candidate sets are small (a handful of tag hits),
-        // so one allocation + a tiny sort beats up to `shards` inner-Vec
-        // allocations per request on the uncontended path.
-        let mut candidates: Vec<(usize, Sig128)> = Vec::new();
-        let mut seen: HashSet<Sig128> = HashSet::new();
-        let mut hit_count = 0usize;
-        for tag in job_tags {
-            let inverted = self.shards.at(self.tag_shard_index(*tag)).inverted.read();
-            if let Some(set) = inverted.get(tag) {
-                hit_count += 1;
-                for &sig in set {
-                    if seen.insert(sig) {
-                        candidates.push((self.sig_shard_index(sig), sig));
-                    }
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|&(shard, _)| shard);
-        let mut result: Vec<Annotation> = Vec::with_capacity(candidates.len());
-        // Tier-2 raw material, collected under the same annotation guards:
-        // each matched annotation's registered-view backrefs plus its mined
-        // recompute cost. The view shards are probed only after every
-        // annotations guard has dropped (strict one-lock-at-a-time).
-        let mut backrefs: Vec<(Sig128, SimDuration, Vec<Sig128>)> = Vec::new();
-        let mut rest = candidates.as_slice();
-        while let Some(&(index, _)) = rest.first() {
-            let run = rest.partition_point(|&(s, _)| s == index);
-            let annotations = self.shards.at(index).annotations.read();
-            for (_, s) in &rest[..run] {
-                if let Some(e) = annotations.get(s) {
-                    result.push(e.annotation.clone());
-                    if !probes.is_empty() && !e.precise_views.is_empty() {
-                        backrefs.push((
-                            e.annotation.normalized,
-                            e.annotation.avg_cpu,
-                            e.precise_views.clone(),
-                        ));
-                    }
-                }
-            }
-            rest = &rest[run..];
-        }
-        // Tier-2 candidate scan: feature-vector gate only, no plan
-        // inspection. Rejects never leave the service.
+        let mut result: Vec<Annotation> = Vec::new();
         let mut tier2: Vec<SubsumedView> = Vec::new();
-        let mut probed = 0usize;
-        let mut rejects = 0u64;
-        for (normalized, avg_cpu, precise_views) in backrefs {
-            for precise in precise_views {
-                probed += 1;
-                let cand = {
-                    let views = self.sig_shard(precise).views.read();
-                    views
-                        .get(&precise)
-                        .filter(|v| v.created_at <= at && v.expires_at > at)
-                        .and_then(|v| v.descriptor.as_ref().map(|d| (v.view.clone(), d.clone())))
+        let mut seen: HashSet<Sig128> = HashSet::new();
+        let (mut hit_count, mut probed, mut rejects) = (0usize, 0usize, 0u64);
+        let catalog = self.catalog.read();
+        for tag in &req.tags {
+            let Some(bucket) = catalog.inverted.get(tag) else {
+                continue;
+            };
+            hit_count += 1;
+            for normalized in bucket {
+                let Some(e) = catalog.annotations.get(normalized) else {
+                    continue;
                 };
-                match cand {
-                    Some((view, descriptor))
-                        if probes
-                            .iter()
-                            .any(|p| SubsumeDescriptor::quick_compat(p, &descriptor)) =>
-                    {
-                        tier2.push(SubsumedView {
-                            view,
-                            normalized,
-                            descriptor,
-                            avg_cpu,
-                        });
+                if !seen.insert(*normalized) {
+                    continue;
+                }
+                result.push(e.annotation.clone());
+                if probes.is_empty() {
+                    continue;
+                }
+                // Tier-2 candidate scan: liveness, then the feature-vector
+                // gate, no plan inspection. Rejects never leave the service.
+                // A live candidate is cloned *before* the gate, as it always
+                // was: gating on the borrow and cloning survivors only
+                // (ROADMAP 1(b)) makes this loop 8x cheaper, which takes
+                // `subsume_catalog`'s `meta.share + opt.share` under the 0.5
+                // its workload-design check enforces, so it waits for a PR
+                // that may re-cut `benchmark/`.
+                for precise in &e.precise_views {
+                    probed += 1;
+                    let candidate = catalog
+                        .views
+                        .get(precise)
+                        .filter(|v| v.created_at <= at && v.expires_at > at)
+                        .and_then(|v| Some((v.view.clone(), v.descriptor.clone()?)));
+                    match candidate {
+                        Some((view, descriptor))
+                            if probes
+                                .iter()
+                                .any(|p| SubsumeDescriptor::quick_compat(p, &descriptor)) =>
+                        {
+                            tier2.push(SubsumedView {
+                                view,
+                                normalized: *normalized,
+                                descriptor,
+                                avg_cpu: e.annotation.avg_cpu,
+                            })
+                        }
+                        _ => rejects += 1,
                     }
-                    _ => rejects += 1,
                 }
             }
         }
+        drop(catalog);
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         self.stats
             .annotations_returned
@@ -597,7 +717,7 @@ impl MetadataService {
         let tier1_latency = self.lookup_latency();
         let tier2_latency = Self::tier2_scan_latency(probes.len(), probed);
         let latency = tier1_latency + tier2_latency;
-        if let Some(t) = self.telemetry.read().as_ref() {
+        self.with_metrics(|t| {
             t.lookups.inc();
             t.lookup_annotations.add(result.len() as u64);
             t.lookup_tag_hits.add(hit_count as u64);
@@ -613,7 +733,7 @@ impl MetadataService {
                 t.lookup_wall_micros
                     .record(wall_start.elapsed().as_micros() as u64);
             }
-        }
+        });
         Ok(LookupResponse {
             annotations: result,
             tier2,
@@ -645,8 +765,9 @@ impl MetadataService {
     /// Figure 9 steps 3/4: propose to materialize `req.precise`. Grants an
     /// exclusive lock expiring after `req.lock_ttl` (mined from the
     /// subgraph's average runtime) unless the view exists or the lock is
-    /// taken. The protocol is entirely local to the shard owning the
-    /// precise signature.
+    /// taken. The existence check, the lock check and the grant happen
+    /// under one write guard, so concurrent proposers — and a proposer
+    /// racing the builder's report — see exactly one winner.
     ///
     /// The request is judged against its *pinned* clock (`req.at`, the
     /// job's submission time), mirroring [`MetadataService::lookup`].
@@ -664,113 +785,69 @@ impl MetadataService {
     /// simply skips materializing (the view stays buildable by a later
     /// job).
     pub fn propose(&self, req: &ProposeRequest) -> Result<LockOutcome> {
-        let (precise, job, lock_ttl, at) = (req.precise, req.job, req.lock_ttl, req.at);
+        let (precise, job, at) = (req.precise, req.job, req.at);
         if self.injected_failure(FaultSite::Propose, job) {
             self.stats.failed_proposals.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.telemetry.read().as_ref() {
-                t.propose_faults.inc();
-            }
+            self.with_metrics(|t| t.propose_faults.inc());
             return Err(ScopeError::ServiceUnavailable(format!(
                 "propose({precise}) by {job} timed out"
             )));
         }
-        let outcome = self.propose_locked(precise, job, lock_ttl, at);
-        if let Some(t) = self.telemetry.read().as_ref() {
+        let mut catalog = self.catalog.write();
+        let (outcome, takeover) = if catalog.view_live(precise, at) {
+            (LockOutcome::AlreadyMaterialized, false)
+        } else {
+            match catalog.locks.get(&precise) {
+                Some(lock) if lock.expires_at > at && lock.holder != job => {
+                    (LockOutcome::AlreadyLocked, false)
+                }
+                prev => {
+                    // The arm above took every unexpired foreign lock, so
+                    // a foreign `prev` is a lapsed one: a takeover.
+                    let takeover = prev.is_some_and(|lock| lock.holder != job);
+                    let granted = WalEvent::LockGranted {
+                        precise,
+                        holder: job,
+                        at,
+                        expires_at: at + req.lock_ttl,
+                    };
+                    self.log_event(&granted);
+                    self.apply(&mut catalog, granted);
+                    (LockOutcome::Acquired, takeover)
+                }
+            }
+        };
+        drop(catalog);
+        let stats = &self.stats;
+        match outcome {
+            LockOutcome::Acquired => &stats.locks_granted,
+            LockOutcome::AlreadyLocked => &stats.lock_conflicts,
+            LockOutcome::AlreadyMaterialized => &stats.already_materialized,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        stats
+            .expired_takeovers
+            .fetch_add(takeover as u64, Ordering::Relaxed);
+        self.with_metrics(|t| {
             t.proposes.inc();
             match outcome {
-                LockOutcome::Acquired => t.locks_granted.inc(),
-                LockOutcome::AlreadyLocked => t.lock_conflicts.inc(),
-                LockOutcome::AlreadyMaterialized => t.already_materialized.inc(),
+                LockOutcome::Acquired => &t.locks_granted,
+                LockOutcome::AlreadyLocked => &t.lock_conflicts,
+                LockOutcome::AlreadyMaterialized => &t.already_materialized,
             }
-            t.build_locks.set(self.num_locks() as i64);
-        }
+            .inc();
+            t.expired_takeovers.add(takeover as u64);
+        });
         Ok(outcome)
-    }
-
-    /// The lock-protocol core, always infallible (fault checks and
-    /// telemetry happen in [`MetadataService::propose`]).
-    fn propose_locked(
-        &self,
-        precise: Sig128,
-        job: JobId,
-        lock_ttl: SimDuration,
-        now: SimTime,
-    ) -> LockOutcome {
-        // Build dedup is an *existence* check, not a visibility check:
-        // `view_live` ignores `created_at`, because a winner registering its
-        // view with an `available_at` later than this job's pinned `now`
-        // (early materialization offsets always land past the submission
-        // time) has still built it — granting a second lock here would
-        // duplicate the build. Only an *expired* view is rebuildable.
-        if self.view_live(precise, now) {
-            self.stats
-                .already_materialized
-                .fetch_add(1, Ordering::Relaxed);
-            return LockOutcome::AlreadyMaterialized;
-        }
-        let shard = self.sig_shard(precise);
-        let mut locks = shard.locks.lock();
-        // Double-check under the shard's lock-table mutex: a concurrent
-        // report_materialized may have registered the view (and released
-        // its lock) between the unlocked check above and acquiring the
-        // mutex; without the re-check this job would be granted a lock for
-        // a view that already exists and duplicate the build.
-        if self.view_live(precise, now) {
-            self.stats
-                .already_materialized
-                .fetch_add(1, Ordering::Relaxed);
-            return LockOutcome::AlreadyMaterialized;
-        }
-        match locks.get(&precise) {
-            Some(lock) if lock.expires_at > now && lock.holder != job => {
-                self.stats.lock_conflicts.fetch_add(1, Ordering::Relaxed);
-                LockOutcome::AlreadyLocked
-            }
-            prev => {
-                // The mutex serializes this whole block, so when several
-                // jobs observe the same expired lock, exactly one reaches
-                // this arm first and the rest see its fresh lock above.
-                let takeover = matches!(
-                    prev,
-                    Some(lock) if lock.holder != job && lock.expires_at <= now
-                );
-                let expires_at = now + lock_ttl;
-                // Write-ahead: the grant is logged while this shard's lock
-                // mutex is held, so the WAL's grant order is exactly the
-                // serialization order the mutex imposes (the log mutex is a
-                // leaf — see the durable store's lock-ordering contract).
-                self.log_event(&WalEvent::LockGranted {
-                    precise,
-                    holder: job,
-                    at: now,
-                    expires_at,
-                });
-                locks.insert(
-                    precise,
-                    BuildLock {
-                        holder: job,
-                        expires_at,
-                    },
-                );
-                self.stats.locks_granted.fetch_add(1, Ordering::Relaxed);
-                if takeover {
-                    self.stats.expired_takeovers.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = self.telemetry.read().as_ref() {
-                        t.expired_takeovers.inc();
-                    }
-                }
-                LockOutcome::Acquired
-            }
-        }
     }
 
     /// Current holder and expiry of the build lock on `precise`, if any
     /// (expired locks are reported until purged — they are reclaimable, not
     /// gone).
     pub fn lock_holder(&self, precise: Sig128) -> Option<(JobId, SimTime)> {
-        self.sig_shard(precise)
+        let catalog = self.catalog.read();
+        catalog
             .locks
-            .lock()
             .get(&precise)
             .map(|l| (l.holder, l.expires_at))
     }
@@ -780,21 +857,17 @@ impl MetadataService {
     /// finish and the mined TTLs elapse — a crashed builder can never wedge
     /// a view signature forever.
     pub fn num_active_locks(&self, now: SimTime) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.locks
-                    .lock()
-                    .values()
-                    .filter(|l| l.expires_at > now)
-                    .count()
-            })
-            .sum()
+        let catalog = self.catalog.read();
+        catalog
+            .locks
+            .values()
+            .filter(|l| l.expires_at > now)
+            .count()
     }
 
     /// Number of build locks present (active or lapsed-but-unpurged).
     pub fn num_locks(&self) -> usize {
-        self.shards.iter().map(|s| s.locks.lock().len()).sum()
+        self.catalog.read().locks.len()
     }
 
     /// Figure 9 steps 5/6: the job manager reports a successful
@@ -812,9 +885,7 @@ impl MetadataService {
     pub fn report(&self, req: ReportRequest) -> Result<()> {
         if self.injected_failure(FaultSite::ReportMaterialized, req.producer) {
             self.stats.failed_reports.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.telemetry.read().as_ref() {
-                t.report_faults.inc();
-            }
+            self.with_metrics(|t| t.report_faults.inc());
             return Err(ScopeError::ServiceUnavailable(format!(
                 "report({}) by {} timed out",
                 req.view.precise, req.producer
@@ -828,132 +899,33 @@ impl MetadataService {
     /// and by tests that need to seed views without a fault plan in the
     /// way. `req.normalized` links the view to its driving annotation
     /// (pass [`Sig128::ZERO`] when there is none, e.g. in protocol-only
-    /// tests).
-    ///
-    /// The view (precise shard), annotation renewal (normalized shard), and
-    /// lock release (precise shard) are three separate acquisitions; no two
-    /// locks are held together — propose() holds a shard's lock mutex while
-    /// reading that shard's views (its double-check), so overlapping guards
-    /// here would be an ABBA deadlock.
+    /// tests). The view, the annotation renewal and the lock release land
+    /// together: of two racing reports the first in the WAL wins, live and
+    /// on replay alike.
     pub fn register(&self, req: ReportRequest) {
-        self.log_event(&WalEvent::Register(Box::new(req.clone())));
-        self.register_inner(req);
-    }
-
-    /// Mutation core of registration; never logs (shared by the live path
-    /// and WAL replay — replay re-runs registration, which also clears the
-    /// build lock exactly as the live path does).
-    fn register_inner(&self, req: ReportRequest) {
-        let ReportRequest {
-            view,
-            normalized,
-            producer,
-            vc: _,
-            available_at,
-            expires_at,
-            descriptor,
-        } = req;
-        let precise = view.precise;
-        let shard = self.sig_shard(precise);
-        let inserted = {
-            let mut views = shard.views.write();
-            match views.entry(precise) {
-                // A live entry wins: the duplicate report from a racing
-                // builder is a no-op. But an *expired* entry that the
-                // janitor hasn't purged yet must not block its rebuild —
-                // propose() already treats the signature as rebuildable
-                // (view_live is false), so swallowing the rebuild's report
-                // here while still releasing its lock below would leave the
-                // signature with neither a live view nor a lock, and the
-                // next proposer would win a second build of the same view.
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if slot.get().expires_at <= available_at {
-                        slot.insert(RegisteredView {
-                            view,
-                            normalized,
-                            producer,
-                            created_at: available_at,
-                            expires_at,
-                            descriptor,
-                        });
-                        true
-                    } else {
-                        false
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(RegisteredView {
-                        view,
-                        normalized,
-                        producer,
-                        created_at: available_at,
-                        expires_at,
-                        descriptor,
-                    });
-                    true
-                }
-            }
-        };
-        if inserted {
-            // Renew the annotation's GC horizon: a successful build proves
-            // the annotation still matches the workload, so it must outlive
-            // the view it just produced by one more TTL (the grace window a
-            // recurring template needs to rebuild next instance).
-            if let Some(entry) = self
-                .sig_shard(normalized)
-                .annotations
-                .write()
-                .get_mut(&normalized)
-            {
-                let ttl = entry.annotation.ttl;
-                entry.keep_until = entry.keep_until.max(expires_at + ttl);
-                if !entry.precise_views.contains(&precise) {
-                    entry.precise_views.push(precise);
-                }
-            }
-        }
-        shard.locks.lock().remove(&precise);
-        self.stats.views_registered.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.read().as_ref() {
-            t.views_registered.inc();
-            t.build_locks.set(self.num_locks() as i64);
-            t.registered_views.set(self.num_views() as i64);
-        }
+        self.commit(WalEvent::Register(Box::new(req)));
     }
 
     /// View lookup as of an explicit time (used by the runtime to pin a
     /// job's visibility to its submission time under overlapped arrivals).
     pub fn view_available_at(&self, precise: Sig128, now: SimTime) -> Option<AvailableView> {
-        let views = self.sig_shard(precise).views.read();
-        views
+        let catalog = self.catalog.read();
+        catalog
+            .views
             .get(&precise)
             .filter(|v| v.created_at <= now && v.expires_at > now)
             .map(|v| v.view.clone())
     }
 
-    /// Whether a registered view is live (unexpired) at `now`.
-    fn view_live(&self, precise: Sig128, now: SimTime) -> bool {
-        self.sig_shard(precise)
-            .views
-            .read()
-            .get(&precise)
-            .is_some_and(|v| v.expires_at > now)
-    }
-
     /// Producer job of a registered view (provenance, requirement 6).
     pub fn view_producer(&self, precise: Sig128) -> Option<JobId> {
-        self.sig_shard(precise)
-            .views
-            .read()
-            .get(&precise)
-            .map(|v| v.producer)
+        self.catalog.read().views.get(&precise).map(|v| v.producer)
     }
 
-    /// Full sweep: drops expired views and lapsed locks from *every* shard
-    /// — and, in the same pass, the annotation and inverted-index entries
-    /// those dead views strand (the entries used to leak and keep matching
-    /// future lookups forever). The storage manager purges the
-    /// corresponding files.
+    /// Drops expired views and lapsed locks — and, in the same pass, the
+    /// annotation and inverted-index entries those dead views strand (the
+    /// entries used to leak and keep matching future lookups forever). The
+    /// storage manager purges the corresponding files.
     pub fn purge_expired(&self) -> PurgeSweep {
         self.purge_expired_at(self.clock.now())
     }
@@ -962,60 +934,7 @@ impl MetadataService {
     /// [`CloudViews::purge_expired`](crate::CloudViews::purge_expired) can
     /// judge metadata and storage expiry at the same one.
     pub(crate) fn purge_expired_at(&self, now: SimTime) -> PurgeSweep {
-        let mut total = PurgeSweep::default();
-        for index in 0..self.shards.len() {
-            self.log_event(&WalEvent::PurgeShard {
-                index: index as u32,
-                now,
-            });
-            total.absorb(self.purge_shard_at(index, now));
-        }
-        total
-    }
-
-    /// Incremental janitor step: sweeps the next shard in round-robin
-    /// order. `shards` consecutive calls cover the whole service, so the
-    /// run_many pool can amortize purging across jobs instead of stopping
-    /// the world (`PipelineOptions::janitor`).
-    pub fn purge_next_shard(&self) -> PurgeSweep {
-        let index = self.janitor_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let now = self.clock.now();
-        self.log_event(&WalEvent::PurgeShard {
-            index: index as u32,
-            now,
-        });
-        self.purge_shard_at(index, now)
-    }
-
-    /// One shard's janitor pass: expire the shard's views and locks, prune
-    /// the dead views' annotation backrefs (which may live in *other*
-    /// shards), then sweep this shard's annotations past their GC horizon.
-    /// An annotation stranded in another shard is collected when the cursor
-    /// reaches that shard.
-    fn purge_shard_at(&self, index: usize, now: SimTime) -> PurgeSweep {
-        let shard = self.shards.at(index);
-        let mut dead: Vec<(Sig128, Sig128)> = Vec::new();
-        {
-            let mut views = shard.views.write();
-            views.retain(|p, v| {
-                let keep = v.expires_at > now;
-                if !keep {
-                    dead.push((*p, v.normalized));
-                }
-                keep
-            });
-        }
-        shard.locks.lock().retain(|_, l| l.expires_at > now);
-        self.prune_backrefs(&dead);
-        let annotations_purged = self.sweep_annotation_shard(index, &HashSet::new(), now);
-        if let Some(t) = self.telemetry.read().as_ref() {
-            t.build_locks.set(self.num_locks() as i64);
-            t.registered_views.set(self.num_views() as i64);
-        }
-        PurgeSweep {
-            views_purged: dead.len(),
-            annotations_purged,
-        }
+        self.commit(WalEvent::PurgeShard { index: 0, now })
     }
 
     /// Unregisters specific views (admin space reclamation, Section 5.4:
@@ -1031,122 +950,34 @@ impl MetadataService {
     /// live-clock read here would let replay GC annotations that were
     /// still live at the recorded timestamp.
     pub fn unregister_views(&self, precise: &[Sig128], now: SimTime) {
-        self.log_event(&WalEvent::Unregister {
+        self.commit(WalEvent::Unregister {
             precise: precise.to_vec(),
             now,
         });
-        self.apply_unregister(precise, now);
-    }
-
-    /// Mutation core of unregistration; never logs.
-    fn apply_unregister(&self, precise: &[Sig128], now: SimTime) {
-        let mut dead: Vec<(Sig128, Sig128)> = Vec::new();
-        for p in precise {
-            if let Some(v) = self.sig_shard(*p).views.write().remove(p) {
-                dead.push((*p, v.normalized));
-            }
-        }
-        self.prune_backrefs(&dead);
-        // Force-sweep the dead views' annotations (GC horizon ignored —
-        // the view was deliberately removed), grouped by owning shard.
-        let mut forced_by_shard: HashMap<usize, HashSet<Sig128>> = HashMap::new();
-        for &(_, normalized) in &dead {
-            forced_by_shard
-                .entry(self.sig_shard_index(normalized))
-                .or_default()
-                .insert(normalized);
-        }
-        for (index, forced) in forced_by_shard {
-            self.sweep_annotation_shard(index, &forced, now);
-        }
-    }
-
-    /// Re-applies one recovered WAL event, without logging. Replay is
-    /// at-least-once (the snapshot protocol may leave an event in both the
-    /// snapshot and the tail), so every arm is idempotent at its pinned
-    /// time: re-granting an identical lock, re-registering a view whose
-    /// live entry already wins, or re-purging an already-clean shard all
-    /// converge to the same state.
-    ///
-    /// Process-local counters ([`MetadataStats`], telemetry) are *not*
-    /// reconstructed — replay may bump them differently than the original
-    /// run did; only catalog state (annotations, views, locks) is part of
-    /// the recovery contract and the [`MetadataService::fingerprint`].
-    pub fn apply_event(&self, ev: &WalEvent) {
-        match ev {
-            WalEvent::LoadAnnotations { selected, now } => {
-                self.apply_load_annotations(selected, *now);
-            }
-            WalEvent::LockGranted {
-                precise,
-                holder,
-                at: _,
-                expires_at,
-            } => {
-                // Conservative lock recovery: the lease is restored with
-                // its original expiry, so an in-flight build that died with
-                // the process simply lapses at its mined TTL and the normal
-                // expired-takeover path re-runs the build exactly once.
-                self.sig_shard(*precise).locks.lock().insert(
-                    *precise,
-                    BuildLock {
-                        holder: *holder,
-                        expires_at: *expires_at,
-                    },
-                );
-            }
-            WalEvent::Register(req) => self.register_inner((**req).clone()),
-            WalEvent::PurgeShard { index, now } => {
-                // The janitor cursor is deliberately left alone: it is a
-                // scheduling hint recovered from the snapshot, and
-                // re-sweeping a shard an extra time is idempotent.
-                self.purge_shard_at(*index as usize, *now);
-            }
-            WalEvent::Unregister { precise, now } => self.apply_unregister(precise, *now),
-        }
     }
 
     /// Serializes the catalog — annotations, registered views, and build
-    /// locks, each globally sorted by signature so the encoding is
-    /// canonical and independent of shard count — into `e`. This is the
-    /// fingerprinted core; [`MetadataService::export_state`] appends the
-    /// non-semantic extras (janitor cursor).
+    /// locks, each sorted by signature so the encoding is canonical — into
+    /// `e`. This is the fingerprinted core; the inverted index is derived
+    /// and left out.
     fn export_core(&self, e: &mut Enc) {
-        // (normalized sig, annotation, tags, keep_until, precise views).
-        type AnnotationRow = (Sig128, Annotation, Vec<Symbol>, SimTime, Vec<Sig128>);
-        let mut annotations: Vec<AnnotationRow> = Vec::new();
-        let mut views: Vec<(Sig128, RegisteredView)> = Vec::new();
-        let mut locks: Vec<(Sig128, JobId, SimTime)> = Vec::new();
-        for shard in &self.shards {
-            for (n, entry) in shard.annotations.read().iter() {
-                annotations.push((
-                    *n,
-                    entry.annotation.clone(),
-                    entry.tags.clone(),
-                    entry.keep_until,
-                    entry.precise_views.clone(),
-                ));
-            }
-            for (p, v) in shard.views.read().iter() {
-                views.push((*p, v.clone()));
-            }
-            for (p, l) in shard.locks.lock().iter() {
-                locks.push((*p, l.holder, l.expires_at));
-            }
-        }
-        annotations.sort_by_key(|(n, ..)| *n);
-        views.sort_by_key(|(p, _)| *p);
-        locks.sort_by_key(|(p, ..)| *p);
+        let catalog = self.catalog.read();
+        let mut annotations: Vec<&AnnotationEntry> = catalog.annotations.values().collect();
+        annotations.sort_by_key(|a| a.annotation.normalized);
+        let mut views: Vec<&RegisteredView> = catalog.views.values().collect();
+        views.sort_by_key(|v| v.view.precise);
+        let mut locks: Vec<(&Sig128, &BuildLock)> = catalog.locks.iter().collect();
+        locks.sort_by_key(|(p, _)| **p);
 
         e.put_u32(annotations.len() as u32);
-        for (_, annotation, tags, keep_until, precise_views) in &annotations {
-            put_annotation(e, annotation);
-            put_symbols(e, tags);
-            put_time(e, *keep_until);
-            put_sigs(e, precise_views);
+        for a in annotations {
+            put_annotation(e, &a.annotation);
+            put_symbols(e, &a.tags);
+            put_time(e, a.keep_until);
+            put_sigs(e, &a.precise_views);
         }
         e.put_u32(views.len() as u32);
-        for (_, v) in &views {
+        for v in views {
             put_available_view(e, &v.view);
             put_sig(e, v.normalized);
             e.put_u64(v.producer.raw());
@@ -1161,96 +992,63 @@ impl MetadataService {
             }
         }
         e.put_u32(locks.len() as u32);
-        for (p, holder, expires_at) in &locks {
+        for (p, lock) in locks {
             put_sig(e, *p);
-            e.put_u64(holder.raw());
-            put_time(e, *expires_at);
+            e.put_u64(lock.holder.raw());
+            put_time(e, lock.expires_at);
         }
     }
 
     /// Full snapshot payload of the service: the fingerprinted catalog
-    /// core plus the janitor cursor. The inverted index is *not* exported
-    /// — it is a pure function of the annotations' tags and is rebuilt by
-    /// [`MetadataService::import_state`].
+    /// core plus one reserved word (always 0; it held a janitor cursor and
+    /// stays so the `SNP1` layout does not move). The inverted index is
+    /// rebuilt by [`MetadataService::import_state`].
     pub fn export_state(&self) -> Vec<u8> {
         let mut e = Enc::new();
         self.export_core(&mut e);
-        e.put_u64(self.janitor_cursor.load(Ordering::Relaxed) as u64);
+        e.put_u64(0);
         e.buf
     }
 
-    /// Replaces the whole catalog with a previously exported snapshot.
-    /// Counters and telemetry are untouched (they are process-local).
+    /// Replaces the whole catalog with a previously exported snapshot, or
+    /// leaves it untouched when the payload does not decode. Counters and
+    /// telemetry are untouched (they are process-local).
     pub fn import_state(&self, d: &mut Dec) -> std::result::Result<(), CodecError> {
-        for shard in &self.shards {
-            shard.annotations.write().clear();
-            shard.inverted.write().clear();
-            shard.views.write().clear();
-            shard.locks.lock().clear();
+        let mut catalog = Catalog::default();
+        for _ in 0..d.u32()? {
+            catalog.install(AnnotationEntry {
+                annotation: get_annotation(d)?,
+                tags: get_symbols(d)?,
+                keep_until: get_time(d)?,
+                precise_views: get_sigs(d)?,
+            });
         }
-        let n = d.u32()? as usize;
-        for _ in 0..n {
-            let annotation = get_annotation(d)?;
-            let tags = get_symbols(d)?;
-            let keep_until = get_time(d)?;
-            let precise_views = get_sigs(d)?;
-            let normalized = annotation.normalized;
-            for &tag in &tags {
-                self.shards
-                    .at(self.tag_shard_index(tag))
-                    .inverted
-                    .write()
-                    .entry(tag)
-                    .or_default()
-                    .insert(normalized);
-            }
-            self.sig_shard(normalized).annotations.write().insert(
-                normalized,
-                AnnotationEntry {
-                    annotation,
-                    tags,
-                    keep_until,
-                    precise_views,
-                },
-            );
-        }
-        let n = d.u32()? as usize;
-        for _ in 0..n {
+        for _ in 0..d.u32()? {
             let view = get_available_view(d)?;
-            let normalized = get_sig(d)?;
-            let producer = JobId::new(d.u64()?);
-            let created_at = get_time(d)?;
-            let expires_at = get_time(d)?;
-            let descriptor = if d.bool()? {
-                Some(get_descriptor(d)?)
-            } else {
-                None
-            };
-            let precise = view.precise;
-            self.sig_shard(precise).views.write().insert(
-                precise,
-                RegisteredView {
-                    view,
-                    normalized,
-                    producer,
-                    created_at,
-                    expires_at,
-                    descriptor,
+            let registered = RegisteredView {
+                normalized: get_sig(d)?,
+                producer: JobId::new(d.u64()?),
+                created_at: get_time(d)?,
+                expires_at: get_time(d)?,
+                descriptor: if d.bool()? {
+                    Some(get_descriptor(d)?)
+                } else {
+                    None
                 },
-            );
+                view,
+            };
+            catalog.views.insert(registered.view.precise, registered);
         }
-        let n = d.u32()? as usize;
-        for _ in 0..n {
+        for _ in 0..d.u32()? {
             let precise = get_sig(d)?;
             let holder = JobId::new(d.u64()?);
             let expires_at = get_time(d)?;
-            self.sig_shard(precise)
+            catalog
                 .locks
-                .lock()
                 .insert(precise, BuildLock { holder, expires_at });
         }
-        self.janitor_cursor
-            .store(d.u64()? as usize, Ordering::Relaxed);
+        d.u64()?; // the reserved word
+        *self.catalog.write() = catalog;
         Ok(())
     }
 
@@ -1258,122 +1056,33 @@ impl MetadataService {
     /// canonical). Two services with the same fingerprint answer every
     /// lookup/propose identically at any pinned time; the recovery CI gate
     /// asserts a restarted service matches the pre-crash one. Counters,
-    /// telemetry, the inverted index (derived), and the janitor cursor (a
-    /// scheduling hint) are excluded.
+    /// telemetry and the inverted index (derived) are excluded.
     pub fn fingerprint(&self) -> Sig128 {
         let mut e = Enc::new();
         self.export_core(&mut e);
         sip128(&e.buf)
     }
 
-    /// Removes dead views' precise signatures from their annotations'
-    /// backref lists (the annotations may live in any shard; each affected
-    /// shard's write lock is taken once).
-    fn prune_backrefs(&self, dead_views: &[(Sig128, Sig128)]) {
-        let mut by_shard: HashMap<usize, Vec<(Sig128, Sig128)>> = HashMap::new();
-        for &(precise, normalized) in dead_views {
-            by_shard
-                .entry(self.sig_shard_index(normalized))
-                .or_default()
-                .push((precise, normalized));
-        }
-        for (index, pairs) in by_shard {
-            let mut annotations = self.shards.at(index).annotations.write();
-            for (precise, normalized) in pairs {
-                if let Some(e) = annotations.get_mut(&normalized) {
-                    e.precise_views.retain(|p| *p != precise);
-                }
-            }
-        }
-    }
-
-    /// The consistent annotation/inverted sweep shared by the janitor and
-    /// [`MetadataService::unregister_views`]: removes every annotation
-    /// entry in shard `index` past its GC horizon (or named in `forced`)
-    /// that has no live registered view left, then drains the emptied
-    /// inverted-index buckets (which may live in other shards). Returns the
-    /// number of annotation entries swept.
-    ///
-    /// Lock discipline: this holds `annotations[index]` (write) while
-    /// probing view shards (read) for liveness — safe because no path
-    /// acquires an annotations lock while holding a views lock. The
-    /// inverted locks are taken only after the annotations guard drops —
-    /// lookups acquire `inverted` then `annotations`, so holding both here
-    /// in the opposite order would be an ABBA deadlock.
-    fn sweep_annotation_shard(
-        &self,
-        index: usize,
-        forced: &HashSet<Sig128>,
-        now: SimTime,
-    ) -> usize {
-        let removed: Vec<(Sig128, Vec<Symbol>)> = {
-            let mut annotations = self.shards.at(index).annotations.write();
-            let dead_entries: Vec<Sig128> = annotations
-                .iter()
-                .filter(|(n, e)| e.keep_until <= now || forced.contains(n))
-                .filter(|(_, e)| !e.precise_views.iter().any(|p| self.view_live(*p, now)))
-                .map(|(n, _)| *n)
-                .collect();
-            dead_entries
-                .into_iter()
-                .filter_map(|n| annotations.remove(&n).map(|e| (n, e.tags)))
-                .collect()
-        };
-        if removed.is_empty() {
-            return 0;
-        }
-        let mut by_shard: HashMap<usize, Vec<(Sig128, Symbol)>> = HashMap::new();
-        for (normalized, tags) in &removed {
-            for &tag in tags {
-                by_shard
-                    .entry(self.tag_shard_index(tag))
-                    .or_default()
-                    .push((*normalized, tag));
-            }
-        }
-        for (shard_index, entries) in by_shard {
-            let mut inverted = self.shards.at(shard_index).inverted.write();
-            for (normalized, tag) in entries {
-                if let Some(bucket) = inverted.get_mut(&tag) {
-                    bucket.remove(&normalized);
-                    if bucket.is_empty() {
-                        inverted.remove(&tag);
-                    }
-                }
-            }
-        }
-        let swept = removed.len();
-        self.stats
-            .purged_annotations
-            .fetch_add(swept as u64, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.read().as_ref() {
-            t.purged_annotations.add(swept as u64);
-        }
-        swept
-    }
-
-    /// Registered (non-expired) view count.
+    /// Registered view count (expired views included until purged).
     pub fn num_views(&self) -> usize {
-        self.shards.iter().map(|s| s.views.read().len()).sum()
+        self.catalog.read().views.len()
     }
 
     /// Loaded annotation count.
     pub fn num_annotations(&self) -> usize {
-        self.shards.iter().map(|s| s.annotations.read().len()).sum()
+        self.catalog.read().annotations.len()
     }
 
     /// Total inverted-index postings (signature entries summed over every
     /// tag bucket) — the quantity that used to grow without bound.
     pub fn num_inverted_entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inverted.read().values().map(HashSet::len).sum::<usize>())
-            .sum()
+        let catalog = self.catalog.read();
+        catalog.inverted.values().map(HashSet::len).sum()
     }
 
     /// Non-empty tag buckets in the inverted index.
     pub fn num_tag_buckets(&self) -> usize {
-        self.shards.iter().map(|s| s.inverted.read().len()).sum()
+        self.catalog.read().inverted.len()
     }
 
     /// Counter snapshot.
@@ -1647,32 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_layout_serves_the_same_answers() {
-        // shards=1 is the global-lock baseline the scale bench compares
-        // against; it must be behaviorally identical to the sharded layout.
-        for shards in [1usize, 4, 16] {
-            let m = MetadataService::with_shards(Arc::new(SimClock::new()), 1, shards);
-            let now = m.clock().now();
-            assert_eq!(m.num_shards(), shards);
-            let views: Vec<SelectedView> = (0..64)
-                .map(|i| {
-                    selected(
-                        sip128(format!("norm{i}").as_bytes()),
-                        &[&format!("in/s{}.ss", i % 8)],
-                    )
-                })
-                .collect();
-            m.load_annotations(&views);
-            assert_eq!(m.num_annotations(), 64);
-            assert_eq!(m.num_inverted_entries(), 64);
-            assert_eq!(m.num_tag_buckets(), 8);
-            let req = LookupRequest::new(JobId::new(1), &["in/s3.ss".into()], now);
-            let r = m.lookup(&req).unwrap();
-            assert_eq!(r.annotations.len(), 8, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn reload_replaces_annotations() {
         let m = service();
         let now = m.clock().now();
@@ -1916,47 +1599,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_janitor_covers_every_shard() {
-        // purge_next_shard round-robins; num_shards() consecutive calls
-        // must reclaim everything a full purge_expired would.
-        let clock = Arc::new(SimClock::new());
-        let m = MetadataService::with_shards(Arc::clone(&clock), 1, 8);
-        let views: Vec<SelectedView> = (0..40)
-            .map(|i| {
-                selected(
-                    sip128(format!("n{i}").as_bytes()),
-                    &[&format!("in/t{i}.ss")],
-                )
-            })
-            .collect();
-        m.load_annotations(&views);
-        let expiry = SimTime::ZERO + SimDuration::from_secs(10);
-        for i in 0..40u64 {
-            let n = sip128(format!("n{i}").as_bytes());
-            let p = sip128(format!("p{i}").as_bytes());
-            m.register(ReportRequest::new(
-                a_view(p),
-                n,
-                JobId::new(i),
-                SimTime::ZERO,
-                expiry,
-            ));
-        }
-        assert_eq!(m.num_views(), 40);
-        // Everything (views and grace horizons) lapses.
-        clock.advance(SimDuration::from_secs(10 + 3600 + 1));
-        let mut total = PurgeSweep::default();
-        for _ in 0..m.num_shards() {
-            total.absorb(m.purge_next_shard());
-        }
-        assert_eq!(total.views_purged, 40);
-        assert_eq!(total.annotations_purged, 40);
-        assert_eq!(m.num_views(), 0);
-        assert_eq!(m.num_annotations(), 0);
-        assert_eq!(m.num_inverted_entries(), 0);
-    }
-
-    #[test]
     fn lookup_latency_matches_paper_calibration() {
         let single = MetadataService::new(Arc::new(SimClock::new()), 1);
         let five = MetadataService::new(Arc::new(SimClock::new()), 5);
@@ -2006,7 +1648,7 @@ mod tests {
     #[test]
     fn expired_lock_has_exactly_one_takeover_winner() {
         // Satellite of the crashed-builder story: many jobs observe the
-        // same *expired* lock concurrently; the lock-table mutex must admit
+        // same *expired* lock concurrently; the catalog lock must admit
         // exactly one of them as the new builder.
         let clock = Arc::new(SimClock::new());
         let m = Arc::new(MetadataService::new(Arc::clone(&clock), 1));
@@ -2041,11 +1683,11 @@ mod tests {
 
     #[test]
     fn propose_never_grants_after_registration() {
-        // Regression for the propose() double-check race: the view-existence
-        // check used to run before acquiring the lock-table mutex, so a
-        // propose racing with report_materialized could be granted a build
-        // lock for a view that already existed. The only legitimate
-        // Acquired for the contender below is through that race window.
+        // Regression for a propose() race: the view-existence check once ran
+        // outside the lock that guards the lock table, so a propose racing
+        // with a report could be granted a build lock for a view that
+        // already existed. The only legitimate Acquired for the contender
+        // below is through that race window.
         for round in 0..50u64 {
             let m = Arc::new(service());
             let now = m.clock().now();
@@ -2091,6 +1733,164 @@ mod tests {
                 "round {round}: contender was granted a lock for an existing view"
             );
         }
+    }
+
+    #[test]
+    fn lookup_racing_a_reload_sees_one_whole_annotation_set() {
+        // A reload replaces the annotation set under one write guard: a
+        // lookup on the tag both sets share must return all of the old set
+        // or all of the new one, never an empty or mixed catalog.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const N: usize = 32;
+        let set = |base: usize| -> Vec<SelectedView> {
+            (base..base + N)
+                .map(|i| selected(sip128(format!("reload{i}").as_bytes()), &["reload/shared"]))
+                .collect()
+        };
+        let (old, new) = (set(0), set(N));
+        let whole = |loaded: &[SelectedView]| -> HashSet<Sig128> {
+            loaded.iter().map(|s| s.annotation.normalized).collect()
+        };
+        let (old_sigs, new_sigs) = (whole(&old), whole(&new));
+        let m = service();
+        let now = m.clock().now();
+        m.load_annotations(&old);
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    m.load_annotations(&new);
+                    m.load_annotations(&old);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            let req = LookupRequest::new(JobId::new(1), &["reload/shared".into()], now);
+            while !done.load(Ordering::SeqCst) {
+                let got = m.lookup(&req).unwrap();
+                let sigs: HashSet<Sig128> = got.annotations.iter().map(|a| a.normalized).collect();
+                assert!(
+                    sigs == old_sigs || sigs == new_sigs,
+                    "lookup saw a half-loaded catalog: {} annotations",
+                    sigs.len()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn racing_reports_agree_with_their_wal_replay() {
+        // Several builders report the same view at once (eight, not two:
+        // oversubscribing the cores is what used to open the window between
+        // one report's log append and its insert). Whichever the live
+        // service kept as producer, replaying the WAL into a fresh service
+        // must keep the same one: the event is logged and applied under one
+        // guard, so log order is apply order.
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 64;
+        const PRODUCERS: u64 = 8;
+        let dir = std::env::temp_dir().join(format!("cv-meta-report-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = DurableStore::open(&dir, u64::MAX).expect("open store");
+        let m = service();
+        m.set_durable(Some(store));
+        let precise = |round: u64| sip128(format!("report-race{round}").as_bytes());
+        for round in 0..ROUNDS {
+            let start = Barrier::new(PRODUCERS as usize);
+            std::thread::scope(|scope| {
+                for producer in 1..=PRODUCERS {
+                    let (m, start) = (&m, &start);
+                    scope.spawn(move || {
+                        let req = ReportRequest::new(
+                            a_view(precise(round)),
+                            Sig128::ZERO,
+                            JobId::new(producer),
+                            SimTime::ZERO,
+                            SimTime::MAX,
+                        );
+                        start.wait();
+                        m.report(req).unwrap();
+                    });
+                }
+            });
+        }
+        m.set_durable(None);
+        let (_, recovered) = DurableStore::open(&dir, u64::MAX).expect("reopen store");
+        assert_eq!(recovered.events.len() as u64, PRODUCERS * ROUNDS);
+        let replayed = service();
+        for ev in &recovered.events {
+            replayed.apply_event(ev);
+        }
+        for round in 0..ROUNDS {
+            assert_eq!(
+                m.view_producer(precise(round)),
+                replayed.view_producer(precise(round)),
+                "round {round}: live and replayed producers differ"
+            );
+        }
+        assert_eq!(m.fingerprint(), replayed.fingerprint());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn purge_shard_replay_ignores_the_index_and_is_idempotent() {
+        // A log written when the catalog had sixteen shards carries sixteen
+        // `PurgeShard` events per purge, indices 0..16; this build logs one,
+        // index 0. Replaying any one of them — or all sixteen — must land
+        // where a live purge at the same instant does.
+        let m = service();
+        let views: Vec<SelectedView> = (0..24)
+            .map(|i| {
+                selected(
+                    sip128(format!("pn{i}").as_bytes()),
+                    &[&format!("in/p{i}.ss")],
+                )
+            })
+            .collect();
+        m.load_annotations(&views);
+        for (i, s) in views.iter().enumerate() {
+            // A third of the views (and, never renewed past it, their
+            // annotations' horizons) outlive the purge instant.
+            let expires =
+                SimTime::ZERO + SimDuration::from_secs(if i % 3 == 0 { 9_000 } else { 10 });
+            m.register(ReportRequest::new(
+                a_view(sip128(format!("pp{i}").as_bytes())),
+                s.annotation.normalized,
+                JobId::new(i as u64),
+                SimTime::ZERO,
+                expires,
+            ));
+            let ttl = SimDuration::from_secs(if i % 2 == 0 { 5 } else { 9_000 });
+            m.propose(&ProposeRequest::new(
+                sip128(format!("pl{i}").as_bytes()),
+                JobId::new(1),
+                ttl,
+                SimTime::ZERO,
+            ))
+            .unwrap();
+        }
+        let now = SimTime::ZERO + SimDuration::from_secs(10 + 3_600 + 1);
+        let state = m.export_state();
+        let copy = || {
+            let c = service();
+            c.import_state(&mut Dec::new(&state)).unwrap();
+            c
+        };
+        let live = copy();
+        let sweep = live.purge_expired_at(now);
+        assert_eq!((sweep.views_purged, sweep.annotations_purged), (16, 16));
+        assert_ne!(live.fingerprint(), m.fingerprint());
+        let all_sixteen = copy();
+        for index in 0..16 {
+            let ev = WalEvent::PurgeShard { index, now };
+            let one = copy();
+            one.apply_event(&ev);
+            assert_eq!(one.fingerprint(), live.fingerprint(), "index {index}");
+            all_sixteen.apply_event(&ev);
+        }
+        assert_eq!(all_sixteen.fingerprint(), live.fingerprint());
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! with the stage's outcome label. A stage that fails leaves its span
 //! unfinished, exactly like the pre-staged driver's early returns.
 //!
-//! Many jobs run through [`CloudViews::run_many`]: a work-stealing worker
-//! pool with bounded admission. Jobs are dealt round-robin onto per-worker
-//! deques; an idle worker first drains its own deque from the front, then
-//! steals from the back of a victim's. Admission is a counting semaphore
-//! bounding jobs in flight (modeling the job service's admission control),
-//! and each job runs under `catch_unwind` so one pathological job cannot
-//! take down the driver or its siblings.
+//! Many jobs run through [`CloudViews::run_many`]: up to
+//! `min(workers, max_in_flight)` scoped threads, each pulling the next
+//! submission-order slot from one shared counter and running one job at a
+//! time — so the thread count *is* the admission bound (modeling the job
+//! service's admission control). Each job runs under `catch_unwind` so one
+//! pathological job cannot take down the driver or its siblings.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use scope_common::hash::Sig128;
 use scope_common::ids::{JobId, NodeId};
@@ -629,103 +629,33 @@ pub(crate) fn run_attempt(
 
 /// Options for [`CloudViews::run_many`]. The default (all zeros) means one
 /// worker per available core and unbounded admission.
+///
+/// `benchmark/` builds this struct by literal, which pins all three field
+/// names (ROADMAP item 10(c)).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineOptions {
     /// Worker threads. `0` means one per available core (and never more
     /// than the number of jobs).
     pub workers: usize,
-    /// Jobs admitted concurrently (the admission-control bound). `0` means
-    /// unbounded.
+    /// Jobs admitted concurrently (the admission-control bound): no more
+    /// than this many workers are started. `0` means unbounded.
     pub max_in_flight: usize,
-    /// Run the incremental metadata janitor as a background stage of the
-    /// pool: after each job, the finishing worker sweeps one metadata
-    /// shard ([`MetadataService::purge_next_shard`]), so expired views and
-    /// the annotation/inverted-index entries they strand are reclaimed
-    /// continuously instead of in stop-the-world purges.
+    /// Purge expired metadata ([`MetadataService::purge_expired`]) after
+    /// each job, so expired views and the annotation/inverted-index
+    /// entries they strand are reclaimed continuously instead of in
+    /// stop-the-world purges between batches.
     pub janitor: bool,
 }
 
-/// Counting semaphore (permits + condvar) bounding jobs in flight.
-///
-/// Poisoning is *recovered*, never propagated: the permit counter is a bare
-/// `usize` whose guarded sections cannot themselves panic, so a poisoned
-/// mutex (some thread panicked with the lock held — e.g. a pathological job
-/// unwinding through the pool) leaves the count intact. Propagating the
-/// poison instead would panic inside [`Permit::drop`] during that unwind —
-/// aborting the process — or kill every waiter in `acquire`, leaking the
-/// crashed job's permit and silently shrinking the admission bound for the
-/// rest of the batch.
-struct Admission {
-    permits: Mutex<usize>,
-    freed: Condvar,
-}
-
-struct Permit<'a>(&'a Admission);
-
-impl Admission {
-    fn new(permits: usize) -> Admission {
-        Admission {
-            permits: Mutex::new(permits),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free; `waited` reports whether admission
-    /// control actually held the job back.
-    fn acquire(&self) -> (Permit<'_>, bool) {
-        let mut permits = self
-            .permits
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let waited = *permits == 0;
-        while *permits == 0 {
-            permits = self
-                .freed
-                .wait(permits)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        *permits -= 1;
-        (Permit(self), waited)
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        *self
-            .0
-            .permits
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) += 1;
-        self.0.freed.notify_one();
-    }
-}
-
-/// Pops the next job index: own deque from the front, else steal from the
-/// back of the first non-empty victim. Returns `None` when every deque is
-/// drained (no stage re-enqueues, so empty-everywhere means done).
-fn next_job(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<(usize, bool)> {
-    if let Some(idx) = queues[own].lock().expect("queue poisoned").pop_front() {
-        return Some((idx, false));
-    }
-    for offset in 1..queues.len() {
-        let victim = (own + offset) % queues.len();
-        if let Some(idx) = queues[victim].lock().expect("queue poisoned").pop_back() {
-            return Some((idx, true));
-        }
-    }
-    None
-}
-
 impl CloudViews {
-    /// Runs a batch of jobs on a work-stealing worker pool with bounded
-    /// admission — the service-side driver for concurrent arrivals
-    /// (Sections 6.4/6.5 at fleet scale).
+    /// Runs a batch of jobs on a bounded worker pool — the service-side
+    /// driver for concurrent arrivals (Sections 6.4/6.5 at fleet scale).
     ///
     /// Every job is submitted at the same simulated time (the clock's `now`
-    /// when the call is made). Jobs are dealt round-robin onto per-worker
-    /// deques; idle workers steal. At most `max_in_flight` jobs run
-    /// concurrently. Results come back in submission order; a job that
-    /// panics or errors yields its own `Err` without disturbing the others.
+    /// when the call is made). Workers take jobs in submission order; at
+    /// most `max_in_flight` jobs run concurrently. Results come back in
+    /// submission order; a job that panics or errors yields its own `Err`
+    /// without disturbing the others.
     pub fn run_many(
         &self,
         specs: Vec<JobSpec>,
@@ -740,9 +670,9 @@ impl CloudViews {
     /// optional sharing-window coordinator ([`CloudViews::run_windowed`]).
     ///
     /// A window changes only *where the next slot comes from*: its
-    /// readiness gate instead of the stealing deques (a follower is not
-    /// dispatched until every entry it awaits is published or aborted, so a
-    /// blocked follower can never occupy a worker its producer needs).
+    /// readiness gate instead of the submission-order counter (a follower is
+    /// not dispatched until every entry it awaits is published or aborted,
+    /// so a blocked follower can never occupy a worker its producer needs).
     /// Every slot, however scheduled, runs through the one body below.
     pub(crate) fn run_many_inner(
         &self,
@@ -756,12 +686,15 @@ impl CloudViews {
         if n == 0 {
             return Vec::new();
         }
-        let workers = if options.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            options.workers
+        let workers = match options.workers {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            workers => workers,
+        };
+        // A worker runs one job at a time, so admission control is the
+        // number of workers started.
+        let workers = match options.max_in_flight {
+            0 => workers,
+            bound => workers.min(bound),
         }
         .clamp(1, n);
         let results: Vec<Mutex<Option<Result<JobRunReport>>>> =
@@ -788,54 +721,28 @@ impl CloudViews {
             });
             *results[slot].lock().expect("result slot poisoned") = Some(result);
             if options.janitor {
-                // Background janitor stage: whoever just finished a job
-                // sweeps one metadata shard.
-                self.metadata.purge_next_shard();
+                self.metadata.purge_expired();
             }
         };
         if workers == 1 {
-            // One effective worker needs none of the pool machinery — the
-            // queues, the admission semaphore, and the spawned thread only
-            // add overhead (the pooled path used to run ~12% slower than
-            // the serial driver on a single-core host). Submission order
-            // dispatches every producer before its followers (producers
-            // are the earliest job of their group), so the window's
-            // readiness gate is trivially met.
+            // One effective worker needs no spawned thread. Submission
+            // order dispatches every producer before its followers
+            // (producers are the earliest job of their group), so the
+            // window's readiness gate is trivially met.
             (0..n).for_each(run_slot);
         } else {
-            let admission = Admission::new(match options.max_in_flight {
-                0 => n,
-                bound => bound,
-            });
-            // Without a window, jobs are dealt round-robin onto per-worker
-            // stealing deques.
-            let queues: Vec<Mutex<VecDeque<usize>>> = match window {
-                Some(_) => Vec::new(),
-                None => (0..workers)
-                    .map(|worker| Mutex::new((worker..n).step_by(workers).collect()))
-                    .collect(),
-            };
-            let next_slot = |worker: usize| match window {
+            let next = AtomicUsize::new(0);
+            // Relaxed: the counter hands out distinct indices and publishes
+            // nothing else (`specs` was complete before the scope spawned).
+            let next_slot = || match window {
                 Some(w) => w.next_ready(),
-                None => next_job(&queues, worker).map(|(slot, stolen)| {
-                    if stolen {
-                        self.metrics.pipeline_steals.inc();
-                    }
-                    slot
-                }),
+                None => Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&slot| slot < n),
             };
-            let (admission, next_slot, run_slot) = (&admission, &next_slot, &run_slot);
+            let (next_slot, run_slot) = (&next_slot, &run_slot);
             std::thread::scope(|scope| {
-                for worker in 0..workers {
+                for _ in 0..workers {
                     scope.spawn(move || {
-                        // The permit is acquired only *after* a slot is
-                        // claimed, so a worker parked on the readiness gate
-                        // never pins a permit a producer needs.
-                        while let Some(slot) = next_slot(worker) {
-                            let (_permit, waited) = admission.acquire();
-                            if waited {
-                                self.metrics.pipeline_admission_waits.inc();
-                            }
+                        while let Some(slot) = next_slot() {
                             run_slot(slot);
                         }
                     });
@@ -957,9 +864,9 @@ mod tests {
     }
 
     #[test]
-    fn janitor_sweeps_every_shard_inline_and_pooled() {
-        // One shard per finished job, whichever path ran it: a batch of at
-        // least `num_shards` jobs leaves no expired view behind.
+    fn janitor_leaves_no_expired_view_inline_and_pooled() {
+        // `janitor: true` purges after every finished job, whichever path
+        // ran it: a batch leaves no expired view behind.
         for workers in [1, 3] {
             let (cv, workload) = setup();
             let mut jobs = Vec::new();
@@ -969,7 +876,6 @@ mod tests {
                     .unwrap();
                 jobs.extend(workload.jobs_for_instance(0, instance).unwrap());
             }
-            assert!(jobs.len() >= cv.metadata.num_shards());
             for i in 0..64u64 {
                 cv.metadata.register(ReportRequest::new(
                     scope_engine::optimizer::AvailableView {

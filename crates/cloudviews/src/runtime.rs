@@ -256,8 +256,6 @@ pub(crate) struct RuntimeMetrics {
     exec_cells_gathered: Counter,
     template_hits: Counter,
     template_misses: Counter,
-    pub(crate) pipeline_steals: Counter,
-    pub(crate) pipeline_admission_waits: Counter,
     pub(crate) sharing: SharingMetrics,
 }
 
@@ -302,8 +300,6 @@ impl RuntimeMetrics {
             exec_cells_gathered: m.counter("cv_exec_cells_gathered_total"),
             template_hits: m.counter("cv_template_cache_hits_total"),
             template_misses: m.counter("cv_template_cache_misses_total"),
-            pipeline_steals: m.counter("cv_pipeline_steals_total"),
-            pipeline_admission_waits: m.counter("cv_pipeline_admission_waits_total"),
             sharing: SharingMetrics {
                 windows: m.counter("cv_sharing_windows_total"),
                 window_jobs: m.counter("cv_sharing_window_jobs_total"),
@@ -984,9 +980,8 @@ impl CloudViews {
         Ok(reports)
     }
 
-    /// Purges expired views from both the metadata service and storage
-    /// (a full sweep of every metadata shard; the incremental alternative
-    /// is the pipeline janitor, `PipelineOptions::janitor`).
+    /// Purges expired views from both the metadata service and storage,
+    /// judged at one instant.
     pub fn purge_expired(&self) -> PurgeReport {
         let now = self.clock.now();
         let sweep = self.metadata.purge_expired_at(now);

@@ -75,7 +75,7 @@ pub struct SharingConfig {
     /// into windows (same pinned submission times) but never coordinates —
     /// the views-only baseline for apples-to-apples comparison.
     pub enabled: bool,
-    /// Admission window length. Jobs arriving within the same window share
+    /// Length of the admission window. Jobs arriving within the same window share
     /// one pinned submission time: the window's close.
     pub window: SimDuration,
     /// Minimum distinct jobs that must contain a subgraph before it is
@@ -345,10 +345,10 @@ impl WindowContext {
         self.entries.iter()
     }
 
-    /// Entry-state mutex, with the same poison-recovery discipline as the
-    /// pool's admission semaphore: the guarded sections cannot themselves
-    /// panic, so a panicking job unwinding through the pool must not take
-    /// the whole window down with it.
+    /// Entry-state mutex. Poisoning is recovered, never propagated: the
+    /// guarded sections cannot themselves panic, so a panicking job
+    /// unwinding through the pool must not take the whole window down with
+    /// it.
     fn lock_states(&self) -> MutexGuard<'_, HashMap<Sig128, ShareState>> {
         self.states
             .lock()

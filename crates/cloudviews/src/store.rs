@@ -29,7 +29,7 @@
 //! no-op.
 //!
 //! Lock ordering: the WAL mutex is a *leaf*. The metadata service appends
-//! `LockGranted` while holding a shard's lock mutex, so nothing here may
+//! every event while holding its catalog write lock, so nothing here may
 //! call back into the services. The snapshot export closure runs with no
 //! store lock held for the same reason (the exporter takes service locks).
 
@@ -100,9 +100,12 @@ pub enum WalEvent {
     /// is logged; replay re-runs registration, which also clears the
     /// build lock exactly as the live path does.
     Register(Box<ReportRequest>),
-    /// A janitor sweep purged one shard at a pinned time.
+    /// Expired views, locks and stranded annotations were purged at a
+    /// pinned time. The name and the `index` field date from a sixteen-shard
+    /// catalog that logged one event per shard; the bytes are kept so those
+    /// logs still replay (ROADMAP item 10(c)).
     PurgeShard {
-        /// Shard index swept.
+        /// Always 0 when written; ignored on replay.
         index: u32,
         /// Pinned sweep time.
         now: SimTime,

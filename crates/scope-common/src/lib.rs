@@ -18,15 +18,12 @@
 //!   and a hash-consing [`intern::SharedPool`], so recurring templates
 //!   share one allocation for stream names, tags, and physical-property
 //!   shapes instead of cloning them per compiled instance.
-//! * [`shard`] — [`shard::Sharded`], power-of-two lock sharding by mixed
-//!   key hash; the metrics registry and the CloudViews metadata service
-//!   both split their hot maps over it so readers rarely contend.
 //! * [`stats`] — summary statistics and CDF helpers used when regenerating
 //!   the paper's distribution figures (Figures 2–5).
-//! * [`telemetry`] — the observability layer: a lock-sharded metrics
-//!   registry (counters, gauges, log-scale histograms with wall vs
-//!   simulated units kept distinct), structured tracing into a bounded ring
-//!   buffer, and Prometheus/JSON exporters.
+//! * [`telemetry`] — the observability layer: a metrics registry
+//!   (counters, gauges, log-scale histograms with wall vs simulated units
+//!   kept distinct), structured tracing into a bounded ring buffer, and
+//!   Prometheus/JSON exporters.
 //! * [`error`] — the workspace-wide error type.
 
 pub mod codec;
@@ -34,7 +31,6 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod intern;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -42,6 +38,5 @@ pub mod time;
 pub use error::{Result, ScopeError};
 pub use hash::{sip128, sip64, Sig128, SipHasher24};
 pub use intern::{SharedPool, Symbol};
-pub use shard::Sharded;
 pub use telemetry::{MetricUnit, MetricsRegistry, MetricsSnapshot, Telemetry, Tracer};
 pub use time::{SimClock, SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! latencies, hit rates, and storage behaviour. This module is the single
 //! source of truth for those numbers:
 //!
-//! * [`MetricsRegistry`] — a lock-sharded registry of named counters,
+//! * [`MetricsRegistry`] — a registry of named counters,
 //!   gauges, and log-scale histograms. Histograms carry a [`MetricUnit`] so
 //!   **wall-clock** timings (`Instant`-based, real compute cost) and
 //!   **simulated** timings ([`SimClock`](crate::time::SimClock)-based,
@@ -45,13 +45,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::ids::JobId;
 use crate::time::SimTime;
-
-/// Number of independent shards in the registry: name→handle resolution
-/// takes a per-shard lock, so concurrent jobs registering or resolving
-/// different metrics rarely contend.
-const SHARDS: usize = 16;
-
-use crate::shard::Sharded;
 
 /// Ring-buffer capacity of a default [`Tracer`].
 const DEFAULT_SPAN_CAPACITY: usize = 4096;
@@ -286,141 +279,97 @@ fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
+/// The registry's three name → handle maps.
 #[derive(Default)]
-struct Shard {
-    counters: RwLock<HashMap<String, Counter>>,
-    gauges: RwLock<HashMap<String, Gauge>>,
-    histograms: RwLock<HashMap<String, Histogram>>,
+struct Names {
+    counters: HashMap<String, Counter>,
+    gauges: HashMap<String, Gauge>,
+    histograms: HashMap<String, Histogram>,
 }
 
-/// A lock-sharded registry of named metrics.
+/// A registry of named metrics.
 ///
-/// Resolution (`counter`/`gauge`/`histogram`) takes one shard lock; the
-/// returned handles are lock-free. Names should be Prometheus-compatible
-/// (`[a-zA-Z_][a-zA-Z0-9_]*`); the exporters sanitize anything else.
+/// Resolution (`counter`/`gauge`/`histogram`) takes the registry's one
+/// lock — callers resolve each name once at start-up and keep the handle;
+/// the returned handles are lock-free. Names should be
+/// Prometheus-compatible (`[a-zA-Z_][a-zA-Z0-9_]*`); the exporters sanitize
+/// anything else.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    shards: Sharded<Shard>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
+    names: RwLock<Names>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            shards: Sharded::new(SHARDS, |_| Shard::default()),
-        }
-    }
-
-    fn shard(&self, name: &str) -> &Shard {
-        self.shards.for_key(crate::hash::sip64(name.as_bytes()))
+        MetricsRegistry::default()
     }
 
     /// Resolves (creating on first use) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let shard = self.shard(name);
-        if let Some(c) = shard.counters.read().get(name) {
+        if let Some(c) = self.names.read().counters.get(name) {
             return c.clone();
         }
-        shard
-            .counters
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        let mut names = self.names.write();
+        names.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// Resolves (creating on first use) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let shard = self.shard(name);
-        if let Some(g) = shard.gauges.read().get(name) {
+        if let Some(g) = self.names.read().gauges.get(name) {
             return g.clone();
         }
-        shard
-            .gauges
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        let mut names = self.names.write();
+        names.gauges.entry(name.to_string()).or_default().clone()
     }
 
     /// Resolves (creating on first use) the histogram `name` with `unit`.
     /// The unit is fixed at creation; later calls with a different unit get
     /// the original series (units are part of the contract, not a key).
     pub fn histogram(&self, name: &str, unit: MetricUnit) -> Histogram {
-        let shard = self.shard(name);
-        if let Some(h) = shard.histograms.read().get(name) {
+        if let Some(h) = self.names.read().histograms.get(name) {
             return h.clone();
         }
-        shard
-            .histograms
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(unit))
-            .clone()
+        let mut names = self.names.write();
+        let slot = names.histograms.entry(name.to_string());
+        slot.or_insert_with(|| Histogram::new(unit)).clone()
     }
 
     /// Current value of counter `name` (0 when absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.shard(name)
-            .counters
-            .read()
-            .get(name)
-            .map(|c| c.get())
-            .unwrap_or(0)
+        self.names.read().counters.get(name).map_or(0, Counter::get)
     }
 
     /// Current value of gauge `name` (0 when absent).
     pub fn gauge_value(&self, name: &str) -> i64 {
-        self.shard(name)
-            .gauges
-            .read()
-            .get(name)
-            .map(|g| g.get())
-            .unwrap_or(0)
+        self.names.read().gauges.get(name).map_or(0, Gauge::get)
     }
 
     /// Snapshot of histogram `name`, if present.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.shard(name)
-            .histograms
-            .read()
-            .get(name)
-            .map(|h| h.snapshot())
+        let names = self.names.read();
+        names.histograms.get(name).map(Histogram::snapshot)
     }
 
     /// A full, name-sorted snapshot of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        let mut gauges: Vec<(String, i64)> = Vec::new();
-        let mut histograms: Vec<(String, HistogramSnapshot)> = Vec::new();
-        for shard in &self.shards {
-            counters.extend(
-                shard
-                    .counters
-                    .read()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get())),
-            );
-            gauges.extend(
-                shard
-                    .gauges
-                    .read()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get())),
-            );
-            histograms.extend(
-                shard
-                    .histograms
-                    .read()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.snapshot())),
-            );
-        }
+        let names = self.names.read();
+        let mut counters: Vec<(String, u64)> = names
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        let mut gauges: Vec<(String, i64)> = names
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        let mut histograms: Vec<(String, HistogramSnapshot)> = names
+            .histograms
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect();
+        drop(names);
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
         histograms.sort_by(|a, b| a.0.cmp(&b.0));

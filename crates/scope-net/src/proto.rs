@@ -30,7 +30,7 @@ pub enum Request {
     Propose(ProposeRequest),
     /// Materialization report.
     Report(ReportRequest),
-    /// Full expiry sweep across every shard.
+    /// Full expiry sweep of the catalog.
     Purge,
     /// Service-counter snapshot.
     Stats,

@@ -1,8 +1,8 @@
 //! The threaded TCP front door: one acceptor, a fixed worker pool, bounded
 //! admission, and per-VC token-bucket quotas.
 //!
-//! Architecture mirrors the pipeline's `run_many` discipline (bounded
-//! semaphore + condvar, poison-recovering locks) rather than async I/O:
+//! Threads, a bounded semaphore + condvar and poison-recovering locks
+//! rather than async I/O:
 //!
 //! * the **acceptor** thread owns the listener. Accepted connections go
 //!   into a *bounded* pending queue; when the queue is full the connection
@@ -189,8 +189,8 @@ impl Quota {
     }
 }
 
-/// Bounded pending-connection queue (the `Admission` semaphore idiom with
-/// the connection riding along; poison-recovering like the pipeline's).
+/// Bounded pending-connection queue (a counting semaphore with the
+/// connection riding along; a poisoned mutex is recovered, not propagated).
 /// Each entry carries the connection's idle-since instant so the idle
 /// horizon keeps accruing across worker rotations.
 struct ConnQueue {

@@ -16,7 +16,7 @@
 //!
 //! Snapshotting is split into two halves so the caller never exports
 //! state while holding the log lock (services append to the WAL while
-//! holding their own shard locks, so holding the log lock across a state
+//! holding their own state locks, so holding the log lock across a state
 //! export would invert that order and deadlock):
 //!
 //! 1. [`LogDir::rotate`] — under the log lock: seal the current `wal.N`,

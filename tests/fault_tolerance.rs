@@ -506,12 +506,12 @@ fn run_many_under_chaos_preserves_outputs_and_build_once() {
     assert_locks_reclaimable(&cv, "run_many chaos");
 }
 
-/// ISSUE 6 satellite 2 — admission permits survive panicking jobs. Jobs
-/// whose execution genuinely panics inside the worker (a group key past
-/// the physical row width trips an index panic in the aggregate) must
-/// not leak counting-semaphore permits: with `max_in_flight` *below* the
-/// panic count, a single leaked permit per panic would strangle the pool
-/// to zero concurrency and a follow-up wave would deadlock. The pool's
+/// ISSUE 6 satellite 2 — the admission bound survives panicking jobs.
+/// Jobs whose execution genuinely panics inside the worker (a group key
+/// past the physical row width trips an index panic in the aggregate) must
+/// not cost the pool a worker: with `max_in_flight` *below* the panic
+/// count, one worker lost per panic would strangle the pool to zero
+/// concurrency and the rest of the wave would never run. The pool's
 /// throughput — every healthy job admitted, run, and baseline-identical —
 /// must be unchanged after N panics.
 #[test]
@@ -587,10 +587,9 @@ fn run_many_pool_throughput_unchanged_after_panicking_jobs() {
     assert_eq!(reports.len(), day1.len());
     assert_outputs_match_baseline(&reports, &baseline, "panic wave");
 
-    // Wave 2: a full healthy wave through the same pool configuration.
-    // Any permit leaked in wave 1 (PANICS >= max_in_flight) would leave
-    // zero permits and deadlock here; partial leaks would still show up
-    // as missing or failed jobs.
+    // Wave 2: a full healthy wave through the same pool configuration;
+    // anything wave 1's panics left behind would show up as missing or
+    // failed jobs.
     let reports: Vec<_> = cv
         .run_many(day1.clone(), RunMode::CloudViews, options)
         .into_iter()

@@ -463,9 +463,9 @@ fn cost_monotone() {
     });
 }
 
-/// Shared fixture for the metadata-shard properties below: `n` analyzer
+/// Shared fixture for the metadata-catalog properties below: `n` analyzer
 /// annotations, each tagged with its own input plus one shared tag.
-fn shard_test_annotations(n: usize, ttl: SimDuration) -> Vec<cloudviews::analyzer::SelectedView> {
+fn catalog_test_annotations(n: usize, ttl: SimDuration) -> Vec<cloudviews::analyzer::SelectedView> {
     use cloudviews::analyzer::SelectedView;
     use scope_common::Symbol;
     use scope_engine::optimizer::Annotation;
@@ -491,12 +491,11 @@ fn shard_test_annotations(n: usize, ttl: SimDuration) -> Vec<cloudviews::analyze
         .collect()
 }
 
-/// DESIGN.md §10 janitor invariant: after any purge — a full sweep or one
-/// round-robin pass of the incremental per-shard janitor — no lookup
-/// returns an annotation whose views have all expired and whose GC
-/// horizon has lapsed, and the inverted index holds exactly the postings
-/// of the surviving annotations (the dead-view leak, had it survived,
-/// trips the posting-count assert).
+/// DESIGN.md §10 purge invariant: after any purge no lookup returns an
+/// annotation whose views have all expired and whose GC horizon has
+/// lapsed, and the inverted index holds exactly the postings of the
+/// surviving annotations (the dead-view leak, had it survived, trips the
+/// posting-count assert).
 #[test]
 fn purge_never_leaks_dead_annotations() {
     for_cases("purge_never_leaks_dead_annotations", |rng| {
@@ -506,11 +505,10 @@ fn purge_never_leaks_dead_annotations() {
         use scope_engine::optimizer::AvailableView;
         use scope_plan::PhysicalProps;
 
-        let shards = 1usize << rng.gen_range(0u32..5); // 1, 2, 4, 8, 16
         let clock = Arc::new(SimClock::new());
-        let m = MetadataService::with_shards(Arc::clone(&clock), 1, shards);
+        let m = MetadataService::new(Arc::clone(&clock), 1);
         let ttl = SimDuration::from_secs(3_600);
-        let selected = shard_test_annotations(rng.gen_range(4..32), ttl);
+        let selected = catalog_test_annotations(rng.gen_range(4..32), ttl);
         m.load_annotations(&selected);
 
         // One view per annotation, each with its own expiry; registration
@@ -534,13 +532,7 @@ fn purge_never_leaks_dead_annotations() {
         }
 
         let now = clock.advance(SimDuration::from_secs(rng.gen_range(0..6_000)));
-        if rng.gen_bool(0.5) {
-            m.purge_expired();
-        } else {
-            for _ in 0..m.num_shards() {
-                m.purge_next_shard();
-            }
-        }
+        m.purge_expired();
 
         let mut live = 0usize;
         for (i, s) in selected.iter().enumerate() {
@@ -560,13 +552,13 @@ fn purge_never_leaks_dead_annotations() {
                 .any(|a| a.normalized == s.annotation.normalized);
             assert_eq!(
                 returned, expect_live,
-                "annotation {i}: horizon {horizon} vs now {now} (shards {shards})"
+                "annotation {i}: horizon {horizon} vs now {now}"
             );
         }
-        assert_eq!(m.num_annotations(), live, "shards {shards}");
+        assert_eq!(m.num_annotations(), live);
         // Exactly two postings per surviving annotation: its own tag plus
         // the shared one. Any excess is a leaked back-reference.
-        assert_eq!(m.num_inverted_entries(), 2 * live, "shards {shards}");
+        assert_eq!(m.num_inverted_entries(), 2 * live);
         let shared = m
             .lookup(&LookupRequest::new(
                 JobId::new(9_999),
@@ -574,14 +566,14 @@ fn purge_never_leaks_dead_annotations() {
                 now,
             ))
             .unwrap();
-        assert_eq!(shared.annotations.len(), live, "shards {shards}");
+        assert_eq!(shared.annotations.len(), live);
     });
 }
 
 /// ISSUE 6 satellite 1 — clock-skew regression: tier-2 candidate
 /// visibility is decided against the *caller's pinned lookup time* (the
-/// job's submission time), never the service's live clock. A shard whose
-/// local clock has raced ahead (or lagged behind) must return exactly the
+/// job's submission time), never the service's live clock. A service whose
+/// clock has raced ahead (or lagged behind) must return exactly the
 /// views that were live at the pinned instant: nothing before
 /// `view_available_at`, nothing at-or-after expiry.
 #[test]
@@ -615,7 +607,7 @@ fn tier2_lookup_pins_caller_time_under_clock_skew() {
         let (_, _, probe) = descriptor_for(10);
 
         let clock = Arc::new(SimClock::new());
-        let m = MetadataService::with_shards(Arc::clone(&clock), 1, 1 << rng.gen_range(0u32..5));
+        let m = MetadataService::new(Arc::clone(&clock), 1);
         m.load_annotations(&[cloudviews::analyzer::SelectedView {
             annotation: scope_engine::optimizer::Annotation {
                 normalized: view_norm,
@@ -701,10 +693,10 @@ fn thousand_recurring_instances_stay_bounded() {
     use scope_plan::PhysicalProps;
 
     let clock = Arc::new(SimClock::new());
-    let m = MetadataService::with_shards(Arc::clone(&clock), 1, 16);
+    let m = MetadataService::new(Arc::clone(&clock), 1);
     let ttl = SimDuration::from_secs(3_600);
     const K: usize = 4;
-    let selected = shard_test_annotations(K, ttl);
+    let selected = catalog_test_annotations(K, ttl);
     m.load_annotations(&selected);
 
     for instance in 0..1_000u64 {
@@ -726,14 +718,11 @@ fn thousand_recurring_instances_stay_bounded() {
             ));
         }
         clock.advance(SimDuration::from_secs(100));
-        // The background janitor: one shard swept per job-sized step.
-        m.purge_next_shard();
+        // The background janitor: one purge per job-sized step.
+        m.purge_expired();
         if instance % 50 == 49 {
-            // Every shard gets swept at least every 16 steps; the bound
-            // below is deliberately loose (dead views linger at most one
-            // full janitor rotation).
             assert!(
-                m.num_views() <= K * (m.num_shards() + 1),
+                m.num_views() <= K,
                 "instance {instance}: {} live views",
                 m.num_views()
             );
@@ -759,10 +748,10 @@ fn thousand_recurring_instances_stay_bounded() {
     assert!(m.stats().purged_annotations >= K as u64);
 }
 
-/// Concurrent cross-shard stress: many threads mixing lookups, proposals,
-/// registrations, and janitor sweeps against one sharded service, plus the
-/// expired-lock takeover race — exactly one of the contending threads may
-/// win the lapsed lock.
+/// Concurrent stress: many threads mixing lookups, proposals,
+/// registrations, and purges against one service, plus the expired-lock
+/// takeover race — exactly one of the contending threads may win the
+/// lapsed lock.
 #[test]
 fn concurrent_shard_stress_with_single_takeover_winner() {
     use cloudviews::{LockOutcome, LookupRequest, MetadataService, ProposeRequest, ReportRequest};
@@ -775,9 +764,9 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
     const OPS: u64 = 200;
 
     let clock = Arc::new(SimClock::new());
-    let m = MetadataService::with_shards(Arc::clone(&clock), 1, 8);
+    let m = MetadataService::new(Arc::clone(&clock), 1);
     const K: usize = 16;
-    let selected = shard_test_annotations(K, SimDuration::from_secs(3_600));
+    let selected = catalog_test_annotations(K, SimDuration::from_secs(3_600));
     m.load_annotations(&selected);
 
     // Seed a build lock whose TTL lapses before the threads start.
@@ -803,7 +792,7 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
             let takeover_wins = &takeover_wins;
             scope.spawn(move || {
                 // The takeover race: every thread sees the same expired
-                // lock; the shard's lock-table mutex must elect one winner.
+                // lock; the catalog lock must elect one winner.
                 match m
                     .propose(&ProposeRequest::new(
                         contested,
@@ -821,10 +810,10 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                         panic!("contested view was never materialized")
                     }
                 }
-                // Mixed traffic spread across shards: lookups on the
-                // shared annotations, builds of thread-unique views
-                // (half released via registration, half left locked),
-                // and janitor sweeps interleaved throughout.
+                // Mixed traffic: lookups on the shared annotations,
+                // builds of thread-unique views (half released via
+                // registration, half left locked), and purges
+                // interleaved throughout.
                 for i in 0..OPS {
                     let s = &selected[((t + i) % K as u64) as usize];
                     let r = m
@@ -867,7 +856,7 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                         ));
                     }
                     if i % 32 == 0 {
-                        m.purge_next_shard();
+                        m.purge_expired();
                     }
                 }
             });
