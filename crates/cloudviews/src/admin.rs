@@ -674,7 +674,6 @@ mod tests {
         let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
         assert_eq!(cv.max_materialize_per_job, 1);
         assert!(cv.early_materialization);
-        assert!(cv.telemetry.is_enabled());
         assert_eq!(cv.templates.stats().entries, 0);
     }
 

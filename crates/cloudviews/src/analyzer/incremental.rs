@@ -13,7 +13,7 @@
 //! Batch mining is two passes: count occurrences by precise signature, then
 //! fold the occurrences whose precise count is ≥ 2 by normalized signature.
 //! A naive incremental port would have to re-scan history whenever a
-//! signature crosses the threshold. Instead each [`PreciseAcc`] buffers its
+//! signature crosses the threshold. Instead each `PreciseAcc` buffers its
 //! *first* occurrence; when the second arrives (count 1 → 2) the buffered
 //! occurrence is flushed retroactively into the normalized accumulator
 //! together with the new one, and every later occurrence folds directly.

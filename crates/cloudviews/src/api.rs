@@ -14,7 +14,7 @@
 //!
 //! Each request also names the submitting virtual cluster (`vc`). The
 //! in-process facade ignores it; the network front door uses it as the
-//! principal for per-VC admission quotas. [`VcId::new(0)`] is the
+//! principal for per-VC admission quotas. `VcId::new(0)` is the
 //! "unattributed" default for internal callers.
 
 use scope_common::hash::Sig128;

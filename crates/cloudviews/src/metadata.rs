@@ -30,7 +30,6 @@
 //! work. Service counters are relaxed atomics outside the lock.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,7 +37,7 @@ use parking_lot::RwLock;
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::intern::Symbol;
-use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, Telemetry};
+use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, MetricsRegistry};
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
 use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView};
@@ -93,10 +92,12 @@ pub struct PurgeSweep {
     pub annotations_purged: usize,
 }
 
-/// Cached telemetry handles for the service's hot paths: resolved once at
-/// [`MetadataService::set_telemetry`], then one atomic op per event.
+/// The service's counters, gauges and histograms: `cv_metadata_*` handles
+/// resolved once at construction, then one relaxed atomic op per event
+/// outside the catalog lock. They are the only counters the service keeps —
+/// [`MetadataService::stats`] reads [`MetadataStats`] from these same
+/// handles, so the wire `Stats` frame and the metrics export cannot drift.
 struct MetadataMetrics {
-    sink: Arc<Telemetry>,
     lookups: Counter,
     lookup_annotations: Counter,
     lookup_tag_hits: Counter,
@@ -122,8 +123,7 @@ struct MetadataMetrics {
 }
 
 impl MetadataMetrics {
-    fn new(sink: Arc<Telemetry>) -> MetadataMetrics {
-        let m = &sink.metrics;
+    fn new(m: &MetricsRegistry) -> MetadataMetrics {
         MetadataMetrics {
             lookups: m.counter("cv_metadata_lookups_total"),
             lookup_annotations: m.counter("cv_metadata_lookup_annotations_total"),
@@ -150,12 +150,7 @@ impl MetadataMetrics {
             purged_annotations: m.counter("cv_metadata_purged_annotations_total"),
             build_locks: m.gauge("cv_metadata_build_locks"),
             registered_views: m.gauge("cv_metadata_registered_views"),
-            sink,
         }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sink.is_enabled()
     }
 }
 
@@ -203,7 +198,9 @@ struct BuildLock {
     expires_at: SimTime,
 }
 
-/// Service counters (reporting requirement 7 of Section 4).
+/// Service counters (reporting requirement 7 of Section 4): a snapshot of
+/// thirteen `cv_metadata_*_total` counters, each monotonic on its own, not
+/// a consistent cut across them — what a stats endpoint needs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetadataStats {
     /// Per-job annotation lookups served.
@@ -236,46 +233,6 @@ pub struct MetadataStats {
     /// Tier-2 candidate views rejected by the feature-vector gate (or
     /// lacking a descriptor / liveness at the pinned lookup time).
     pub tier2_rejects: u64,
-}
-
-/// Service counters, kept outside the catalog lock: each cell is an
-/// independent relaxed atomic (the snapshot is monotonic per counter, not
-/// a consistent cut — exactly what a stats endpoint needs).
-#[derive(Default)]
-struct StatCells {
-    lookups: AtomicU64,
-    annotations_returned: AtomicU64,
-    locks_granted: AtomicU64,
-    lock_conflicts: AtomicU64,
-    already_materialized: AtomicU64,
-    views_registered: AtomicU64,
-    expired_takeovers: AtomicU64,
-    failed_lookups: AtomicU64,
-    failed_proposals: AtomicU64,
-    failed_reports: AtomicU64,
-    purged_annotations: AtomicU64,
-    tier2_hits: AtomicU64,
-    tier2_rejects: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> MetadataStats {
-        MetadataStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            annotations_returned: self.annotations_returned.load(Ordering::Relaxed),
-            locks_granted: self.locks_granted.load(Ordering::Relaxed),
-            lock_conflicts: self.lock_conflicts.load(Ordering::Relaxed),
-            already_materialized: self.already_materialized.load(Ordering::Relaxed),
-            views_registered: self.views_registered.load(Ordering::Relaxed),
-            expired_takeovers: self.expired_takeovers.load(Ordering::Relaxed),
-            failed_lookups: self.failed_lookups.load(Ordering::Relaxed),
-            failed_proposals: self.failed_proposals.load(Ordering::Relaxed),
-            failed_reports: self.failed_reports.load(Ordering::Relaxed),
-            purged_annotations: self.purged_annotations.load(Ordering::Relaxed),
-            tier2_hits: self.tier2_hits.load(Ordering::Relaxed),
-            tier2_rejects: self.tier2_rejects.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The service state: four plain maps, mutated only through
@@ -484,11 +441,9 @@ pub struct MetadataService {
     /// Number of service threads (affects modeled lookup latency); clamped
     /// to at least 1 at construction — the latency model divides by it.
     service_threads: usize,
-    stats: StatCells,
+    metrics: MetadataMetrics,
     /// Optional fault injector consulted by the fallible entrypoints.
     faults: RwLock<Option<Arc<FaultInjector>>>,
-    /// Optional telemetry sink with pre-resolved handles.
-    telemetry: RwLock<Option<MetadataMetrics>>,
     /// Optional durability hook: every state-changing entrypoint appends
     /// its [`WalEvent`] here *before* mutating in-memory state. `None`
     /// (the default) keeps the service purely in-memory.
@@ -496,15 +451,26 @@ pub struct MetadataService {
 }
 
 impl MetadataService {
-    /// A service with the given clock and modeled service-thread count.
+    /// A service with the given clock and modeled service-thread count,
+    /// counting into a registry of its own (read it through
+    /// [`MetadataService::stats`]).
     pub fn new(clock: Arc<SimClock>, service_threads: usize) -> Self {
+        MetadataService::with_registry(clock, service_threads, &MetricsRegistry::new())
+    }
+
+    /// [`MetadataService::new`] counting into `registry`, so the service's
+    /// `cv_metadata_*` series export with everything else registered there.
+    pub fn with_registry(
+        clock: Arc<SimClock>,
+        service_threads: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
         MetadataService {
             catalog: RwLock::new(Catalog::default()),
             clock,
             service_threads: service_threads.max(1),
-            stats: StatCells::default(),
+            metrics: MetadataMetrics::new(registry),
             faults: RwLock::new(None),
-            telemetry: RwLock::new(None),
             durable: RwLock::new(None),
         }
     }
@@ -530,18 +496,6 @@ impl MetadataService {
         *self.faults.write() = injector;
     }
 
-    /// Installs (or clears) the telemetry sink. Handles are resolved once
-    /// here so per-call recording is a handful of atomic operations.
-    pub fn set_telemetry(&self, sink: Option<Arc<Telemetry>>) {
-        *self.telemetry.write() = sink.map(MetadataMetrics::new);
-    }
-
-    fn with_metrics(&self, record: impl FnOnce(&MetadataMetrics)) {
-        if let Some(t) = self.telemetry.read().as_ref() {
-            record(t);
-        }
-    }
-
     fn injected_failure(&self, site: FaultSite, job: JobId) -> bool {
         match self.faults.read().as_ref() {
             Some(inj) => inj.should_fail(site, job),
@@ -561,26 +515,18 @@ impl MetadataService {
 
     /// The one mutation path, shared by the live entrypoints and replay:
     /// applies `ev` under the caller's write guard and moves the
-    /// process-local counters ([`MetadataStats`], telemetry). Replayed
-    /// events move them too, so after a recovery they differ from the
-    /// original run's; only catalog state is part of the recovery contract
-    /// and the [`MetadataService::fingerprint`].
+    /// process-local counters. Replayed events move them too, so after a
+    /// recovery they differ from the original run's; only catalog state is
+    /// part of the recovery contract and the
+    /// [`MetadataService::fingerprint`].
     fn apply(&self, catalog: &mut Catalog, ev: WalEvent) -> PurgeSweep {
         let registered = matches!(ev, WalEvent::Register(_)) as u64;
         let sweep = catalog.apply(ev);
-        let swept = sweep.annotations_purged as u64;
-        self.stats
-            .views_registered
-            .fetch_add(registered, Ordering::Relaxed);
-        self.stats
-            .purged_annotations
-            .fetch_add(swept, Ordering::Relaxed);
-        self.with_metrics(|t| {
-            t.views_registered.add(registered);
-            t.purged_annotations.add(swept);
-            t.build_locks.set(catalog.locks.len() as i64);
-            t.registered_views.set(catalog.views.len() as i64);
-        });
+        let m = &self.metrics;
+        m.views_registered.add(registered);
+        m.purged_annotations.add(sweep.annotations_purged as u64);
+        m.build_locks.set(catalog.locks.len() as i64);
+        m.registered_views.set(catalog.views.len() as i64);
         sweep
     }
 
@@ -642,8 +588,7 @@ impl MetadataService {
     pub fn lookup(&self, req: &LookupRequest) -> Result<LookupResponse> {
         let (job, probes, at) = (req.job, &req.probes, req.at);
         if self.injected_failure(FaultSite::MetadataLookup, job) {
-            self.stats.failed_lookups.fetch_add(1, Ordering::Relaxed);
-            self.with_metrics(|t| t.lookup_faults.inc());
+            self.metrics.lookup_faults.inc();
             return Err(ScopeError::ServiceUnavailable(format!(
                 "metadata lookup for {job} timed out"
             )));
@@ -704,36 +649,23 @@ impl MetadataService {
             }
         }
         drop(catalog);
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .annotations_returned
-            .fetch_add(result.len() as u64, Ordering::Relaxed);
-        self.stats
-            .tier2_hits
-            .fetch_add(tier2.len() as u64, Ordering::Relaxed);
-        self.stats
-            .tier2_rejects
-            .fetch_add(rejects, Ordering::Relaxed);
         let tier1_latency = self.lookup_latency();
         let tier2_latency = Self::tier2_scan_latency(probes.len(), probed);
         let latency = tier1_latency + tier2_latency;
-        self.with_metrics(|t| {
-            t.lookups.inc();
-            t.lookup_annotations.add(result.len() as u64);
-            t.lookup_tag_hits.add(hit_count as u64);
-            t.tier2_hits.add(tier2.len() as u64);
-            t.tier2_rejects.add(rejects);
-            if result.is_empty() {
-                t.lookup_misses.inc();
-            }
-            if t.enabled() {
-                t.lookup_sim_micros.record(latency.micros());
-                t.lookup_tier1_sim_micros.record(tier1_latency.micros());
-                t.lookup_tier2_sim_micros.record(tier2_latency.micros());
-                t.lookup_wall_micros
-                    .record(wall_start.elapsed().as_micros() as u64);
-            }
-        });
+        let m = &self.metrics;
+        m.lookups.inc();
+        m.lookup_annotations.add(result.len() as u64);
+        m.lookup_tag_hits.add(hit_count as u64);
+        m.tier2_hits.add(tier2.len() as u64);
+        m.tier2_rejects.add(rejects);
+        if result.is_empty() {
+            m.lookup_misses.inc();
+        }
+        m.lookup_sim_micros.record(latency.micros());
+        m.lookup_tier1_sim_micros.record(tier1_latency.micros());
+        m.lookup_tier2_sim_micros.record(tier2_latency.micros());
+        m.lookup_wall_micros
+            .record(wall_start.elapsed().as_micros() as u64);
         Ok(LookupResponse {
             annotations: result,
             tier2,
@@ -787,8 +719,7 @@ impl MetadataService {
     pub fn propose(&self, req: &ProposeRequest) -> Result<LockOutcome> {
         let (precise, job, at) = (req.precise, req.job, req.at);
         if self.injected_failure(FaultSite::Propose, job) {
-            self.stats.failed_proposals.fetch_add(1, Ordering::Relaxed);
-            self.with_metrics(|t| t.propose_faults.inc());
+            self.metrics.propose_faults.inc();
             return Err(ScopeError::ServiceUnavailable(format!(
                 "propose({precise}) by {job} timed out"
             )));
@@ -818,26 +749,15 @@ impl MetadataService {
             }
         };
         drop(catalog);
-        let stats = &self.stats;
+        let m = &self.metrics;
+        m.proposes.inc();
         match outcome {
-            LockOutcome::Acquired => &stats.locks_granted,
-            LockOutcome::AlreadyLocked => &stats.lock_conflicts,
-            LockOutcome::AlreadyMaterialized => &stats.already_materialized,
+            LockOutcome::Acquired => &m.locks_granted,
+            LockOutcome::AlreadyLocked => &m.lock_conflicts,
+            LockOutcome::AlreadyMaterialized => &m.already_materialized,
         }
-        .fetch_add(1, Ordering::Relaxed);
-        stats
-            .expired_takeovers
-            .fetch_add(takeover as u64, Ordering::Relaxed);
-        self.with_metrics(|t| {
-            t.proposes.inc();
-            match outcome {
-                LockOutcome::Acquired => &t.locks_granted,
-                LockOutcome::AlreadyLocked => &t.lock_conflicts,
-                LockOutcome::AlreadyMaterialized => &t.already_materialized,
-            }
-            .inc();
-            t.expired_takeovers.add(takeover as u64);
-        });
+        .inc();
+        m.expired_takeovers.add(takeover as u64);
         Ok(outcome)
     }
 
@@ -884,8 +804,7 @@ impl MetadataService {
     /// released.
     pub fn report(&self, req: ReportRequest) -> Result<()> {
         if self.injected_failure(FaultSite::ReportMaterialized, req.producer) {
-            self.stats.failed_reports.fetch_add(1, Ordering::Relaxed);
-            self.with_metrics(|t| t.report_faults.inc());
+            self.metrics.report_faults.inc();
             return Err(ScopeError::ServiceUnavailable(format!(
                 "report({}) by {} timed out",
                 req.view.precise, req.producer
@@ -1011,8 +930,8 @@ impl MetadataService {
     }
 
     /// Replaces the whole catalog with a previously exported snapshot, or
-    /// leaves it untouched when the payload does not decode. Counters and
-    /// telemetry are untouched (they are process-local).
+    /// leaves it untouched when the payload does not decode. Counters are
+    /// untouched (they are process-local).
     pub fn import_state(&self, d: &mut Dec) -> std::result::Result<(), CodecError> {
         let mut catalog = Catalog::default();
         for _ in 0..d.u32()? {
@@ -1055,8 +974,8 @@ impl MetadataService {
     /// 128-bit digest of the catalog (annotations, views, locks — sorted,
     /// canonical). Two services with the same fingerprint answer every
     /// lookup/propose identically at any pinned time; the recovery CI gate
-    /// asserts a restarted service matches the pre-crash one. Counters,
-    /// telemetry and the inverted index (derived) are excluded.
+    /// asserts a restarted service matches the pre-crash one. Counters and
+    /// the inverted index (derived) are excluded.
     pub fn fingerprint(&self) -> Sig128 {
         let mut e = Enc::new();
         self.export_core(&mut e);
@@ -1085,9 +1004,24 @@ impl MetadataService {
         self.catalog.read().inverted.len()
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, read from the `cv_metadata_*_total` handles.
     pub fn stats(&self) -> MetadataStats {
-        self.stats.snapshot()
+        let m = &self.metrics;
+        MetadataStats {
+            lookups: m.lookups.get(),
+            annotations_returned: m.lookup_annotations.get(),
+            locks_granted: m.locks_granted.get(),
+            lock_conflicts: m.lock_conflicts.get(),
+            already_materialized: m.already_materialized.get(),
+            views_registered: m.views_registered.get(),
+            expired_takeovers: m.expired_takeovers.get(),
+            failed_lookups: m.lookup_faults.get(),
+            failed_proposals: m.propose_faults.get(),
+            failed_reports: m.report_faults.get(),
+            purged_annotations: m.purged_annotations.get(),
+            tier2_hits: m.tier2_hits.get(),
+            tier2_rejects: m.tier2_rejects.get(),
+        }
     }
 
     /// The shared clock (used by the runtime to time operations).

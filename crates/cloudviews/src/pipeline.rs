@@ -1,13 +1,12 @@
 //! The staged per-job pipeline and the multi-job driver.
 //!
-//! One job attempt is a fixed sequence of five [`Stage`]s — metadata lookup
-//! → reuse rewrite (optimize) → execute → publish → record — mirroring the
+//! One job attempt is five functions called in order — metadata lookup →
+//! reuse rewrite (optimize) → execute → publish → record — mirroring the
 //! paper's per-job path (Sections 6.1–6.4) and the span tree of DESIGN.md
-//! §8: the stage driver opens one child span per stage at the attempt's
-//! simulated cursor, runs the stage (which advances the cursor by whatever
-//! simulated latency it charges), and closes the span at the new cursor
-//! with the stage's outcome label. A stage that fails leaves its span
-//! unfinished, exactly like the pre-staged driver's early returns.
+//! §8: `run_attempt` opens one child span per step at the attempt's
+//! simulated cursor, calls the step, advances the cursor by the simulated
+//! latency the step charged and closes the span there. A step that fails
+//! leaves its span unfinished.
 //!
 //! Many jobs run through [`CloudViews::run_many`]: up to
 //! `min(workers, max_in_flight)` scoped threads, each pulling the next
@@ -23,6 +22,7 @@ use std::sync::Mutex;
 
 use scope_common::hash::Sig128;
 use scope_common::ids::{JobId, NodeId};
+use scope_common::telemetry::{ActiveSpan, Tracer};
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
 use scope_engine::data::multiset_checksum;
@@ -113,406 +113,306 @@ impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
     }
 }
 
-/// Everything one attempt accumulates while flowing through the stages.
-///
-/// `cursor` is the attempt's simulated-time position: each stage's span
-/// opens at the cursor it inherits and closes at the cursor it leaves
-/// behind, so span shapes are defined by how stages advance it (the lookup
-/// charges its modeled latency, optimize is zero-width, execute charges the
-/// simulated runtime, publish charges view-write latency, record is
-/// zero-width at job end).
-pub(crate) struct AttemptCtx<'a> {
+/// What every step of one attempt reads and none of them changes.
+struct Attempt<'a> {
+    cv: &'a CloudViews,
     spec: &'a JobSpec,
     mode: RunMode,
     start: SimTime,
-    cursor: SimTime,
     compiled: &'a CompiledJob,
-    faults: &'a mut JobFaultReport,
-    /// Outcome label for the stage currently running (taken by the driver).
-    outcome: Option<&'static str>,
     pinned: PinnedServices<'a>,
     opt_config: OptimizerConfig,
-    annotations: Vec<Annotation>,
-    tier2: Vec<SubsumedView>,
-    lookup_latency: SimDuration,
-    plan: Option<OptimizedPlan>,
-    exec: Option<ExecOutcome>,
-    sim: Option<SimOutcome>,
-    views_built: Vec<Sig128>,
+}
+
+/// The attempt's position in simulated time and the child spans hung off
+/// it: a step's span opens at the cursor it inherits and closes at the
+/// cursor it leaves behind (the lookup charges its modeled latency,
+/// optimize a follower's wait, execute the simulated runtime, publish the
+/// view-write latency; record is zero-width at job end). A step that fails
+/// returns between `open` and `close`, so its span is dropped unfinished —
+/// a crashed builder never reports a publish time.
+struct StepSpans<'a> {
+    tracer: &'a Tracer,
+    root: &'a ActiveSpan,
+    cursor: SimTime,
+}
+
+impl StepSpans<'_> {
+    fn open(&self, name: &'static str) -> ActiveSpan {
+        self.tracer.child(self.root, name, self.cursor)
+    }
+
+    fn close(&mut self, span: ActiveSpan, charged: SimDuration, outcome: Option<&'static str>) {
+        self.cursor += charged;
+        self.tracer.finish_with(span, self.cursor, outcome);
+    }
+}
+
+/// Step 1 — the compiler's one metadata lookup per job (Section 6.1),
+/// retried under the degradation policy; exhausted retries degrade the job
+/// to its baseline plan. Tags come from the template-cache compile, not a
+/// fresh signature pass. Returns the annotations, the tier-2 candidates
+/// and the modeled latency paid.
+fn lookup(
+    att: &Attempt<'_>,
+    faults: &mut JobFaultReport,
+) -> (Vec<Annotation>, Vec<SubsumedView>, SimDuration) {
+    if att.mode == RunMode::Baseline {
+        return (Vec::new(), Vec::new(), SimDuration::ZERO);
+    }
+    // Subsumption probes are per-instance (they embed concrete predicate
+    // and parameter values), so they are computed fresh here and never
+    // cached in the template.
+    let probes = if att.cv.subsumption {
+        subsume_probes(&att.spec.graph, &att.compiled.infos)
+    } else {
+        Vec::new()
+    };
+    let (mut annotations, tier2, latency) =
+        att.cv
+            .lookup_with_retry(att.spec.id, &att.compiled.tags, &probes, att.start, faults);
+    // Window annotations ride along with the metadata lookup's: every
+    // shared entry this job produces or follows gets a synthesized
+    // annotation (unless a genuine analyzer annotation already covers the
+    // template), so the ordinary optimizer hooks drive both the producer's
+    // materialization and the followers' reuse.
+    if let Some(w) = att.pinned.window {
+        w.extend_annotations(att.pinned.slot, &mut annotations);
+    }
+    (annotations, tier2, latency)
+}
+
+/// Step 2 — the reuse rewrite: optimize with the pinned metadata service
+/// as the view oracle (Figure 10's two hooks), reusing the subgraph records
+/// from the template-cache compile instead of re-enumerating. Returns the
+/// plan and how long a window follower waited for its producers.
+fn optimize(
+    att: &Attempt<'_>,
+    annotations: &[Annotation],
+    tier2: &[SubsumedView],
+) -> Result<(OptimizedPlan, SimDuration)> {
+    let plan = optimize_with_cascade(
+        &att.spec.graph,
+        &att.compiled.infos,
+        annotations,
+        tier2,
+        &att.pinned,
+        &att.opt_config,
+        att.spec.id,
+    )?;
+    // Sharing accounting: which awaited entries did this follower actually
+    // reuse (vs. fall back to recompute — abort, or the cost gate honestly
+    // declining the view), and how long did it wait past the shared
+    // submission instant for the producer's publication? The wait is
+    // simulated latency this job really pays.
+    let wait = att.pinned.window.map_or(SimDuration::ZERO, |w| {
+        let reused: Vec<Sig128> = plan.reused.iter().map(|r| r.precise).collect();
+        w.note_optimized(att.pinned.slot, &reused)
+    });
+    Ok((plan, wait))
+}
+
+/// Step 3 — execute and simulate. A matched view that cannot be read back
+/// (lost or corrupted file) is not fatal: unregister it and re-optimize
+/// without reuse — the paper's fallback to recomputation. Returns the plan
+/// that ran (the one it was given, or the re-optimized one).
+fn execute(
+    att: &Attempt<'_>,
+    annotations: &[Annotation],
+    plan: OptimizedPlan,
+    faults: &mut JobFaultReport,
+) -> Result<(OptimizedPlan, ExecOutcome, SimOutcome)> {
+    let cv = att.cv;
+    let (plan, exec) = match execute_plan(&plan.physical, &cv.storage, &cv.cost, att.start) {
+        Ok(exec) => (plan, exec),
+        Err(ScopeError::ViewUnavailable(_)) if !plan.reused.is_empty() => {
+            faults.view_read_fallbacks += 1;
+            for r in &plan.reused {
+                if cv.storage.open_view(r.precise, att.start).is_err() {
+                    // Pin the GC read to the job's submission time: under a
+                    // replayed log the live clock may sit anywhere, and a
+                    // wall-clock read here could GC annotations that were
+                    // live at the recorded instant.
+                    cv.metadata.unregister_views(&[r.precise], att.start);
+                    cv.storage.delete_view(r.precise);
+                    faults.dead_views_unregistered += 1;
+                }
+            }
+            let no_reuse = OptimizerConfig {
+                enable_reuse: false,
+                ..att.opt_config.clone()
+            };
+            let plan = optimize_with_infos(
+                &att.spec.graph,
+                &att.compiled.infos,
+                annotations,
+                &att.pinned,
+                &no_reuse,
+                att.spec.id,
+            )?;
+            let exec = execute_plan(&plan.physical, &cv.storage, &cv.cost, att.start)?;
+            (plan, exec)
+        }
+        Err(e) => return Err(e),
+    };
+    faults.propose_faults += att.pinned.propose_faults.get();
+    let sim = simulate(&plan.physical, &exec, &cv.cluster);
+    cv.record_sim_metrics(&sim);
+    cv.record_exec_metrics(&exec);
+    Ok((plan, exec, sim))
+}
+
+/// What the publish step made: the views it built and what writing them
+/// cost on top of the simulated run.
+struct Published {
+    views: Vec<Sig128>,
     extra_cpu: SimDuration,
     extra_latency: SimDuration,
 }
 
-impl AttemptCtx<'_> {
-    fn into_report(self) -> JobRunReport {
-        let plan = self.plan.expect("optimize stage ran");
-        let exec = self.exec.expect("execute stage ran");
-        let sim = self.sim.expect("execute stage ran");
-        let latency = self.lookup_latency + sim.latency + self.extra_latency;
-        JobRunReport {
-            job: self.spec.id,
-            started_at: self.start,
-            latency,
-            cpu_time: sim.cpu_time + self.extra_cpu,
-            lookup_latency: self.lookup_latency,
-            views_built: self.views_built,
-            views_reused: plan.reused.iter().map(|r| r.precise).collect(),
-            optimizer: plan.report.clone(),
-            output_checksums: exec
-                .outputs
-                .iter()
-                .map(|(name, t)| (name.clone(), multiset_checksum(t)))
-                .collect(),
-            output_rows: exec
-                .outputs
-                .iter()
-                .map(|(name, t)| (name.clone(), t.num_rows()))
-                .collect(),
-            faults: JobFaultReport::default(),
-        }
-    }
-}
-
-/// One unit of the per-job pipeline. Stages are stateless; everything an
-/// attempt owns lives in [`AttemptCtx`].
-pub(crate) trait Stage {
-    /// Span name (DESIGN.md §8's stage-to-span mapping is the identity).
-    fn name(&self) -> &'static str;
-
-    /// Runs the stage, advancing `ctx.cursor` by any simulated latency the
-    /// stage charges and leaving its products in `ctx`.
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure>;
-}
-
-/// Stage 1 — the compiler's one metadata lookup per job (Section 6.1),
-/// retried under the degradation policy; exhausted retries degrade the job
-/// to its baseline plan. Tags come from the template-cache compile, not a
-/// fresh signature pass.
-struct LookupStage;
-
-impl Stage for LookupStage {
-    fn name(&self) -> &'static str {
-        "metadata_lookup"
-    }
-
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure> {
-        let (annotations, tier2, lookup_latency) = match ctx.mode {
-            RunMode::Baseline => (Vec::new(), Vec::new(), SimDuration::ZERO),
-            RunMode::CloudViews => {
-                // Subsumption probes are per-instance (they embed concrete
-                // predicate and parameter values), so they are computed
-                // fresh here and never cached in the template.
-                let probes = if cv.subsumption {
-                    subsume_probes(&ctx.spec.graph, &ctx.compiled.infos)
-                } else {
-                    Vec::new()
-                };
-                cv.lookup_with_retry(
-                    ctx.spec.id,
-                    &ctx.compiled.tags,
-                    &probes,
-                    ctx.start,
-                    ctx.faults,
-                )
-            }
-        };
-        ctx.annotations = annotations;
-        // Window annotations ride along with the metadata lookup's: every
-        // shared entry this job produces or follows gets a synthesized
-        // annotation (unless a genuine analyzer annotation already covers
-        // the template), so the ordinary optimizer hooks drive both the
-        // producer's materialization and the followers' reuse.
-        if ctx.mode == RunMode::CloudViews {
-            if let Some(w) = ctx.pinned.window {
-                w.extend_annotations(ctx.pinned.slot, &mut ctx.annotations);
-            }
-        }
-        ctx.tier2 = tier2;
-        ctx.lookup_latency = lookup_latency;
-        ctx.cursor = ctx.start + lookup_latency;
-        Ok(())
-    }
-}
-
-/// Stage 2 — the reuse rewrite: optimize with the pinned metadata service
-/// as the view oracle (Figure 10's two hooks), reusing the subgraph records
-/// from the template-cache compile instead of re-enumerating.
-struct OptimizeStage;
-
-impl Stage for OptimizeStage {
-    fn name(&self) -> &'static str {
-        "optimize"
-    }
-
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure> {
-        let _ = cv;
-        let plan = optimize_with_cascade(
-            &ctx.spec.graph,
-            &ctx.compiled.infos,
-            &ctx.annotations,
-            &ctx.tier2,
-            &ctx.pinned,
-            &ctx.opt_config,
-            ctx.spec.id,
-        )
-        .map_err(AttemptFailure::Fatal)?;
-        ctx.outcome = (!plan.reused.is_empty()).then_some("reuse");
-        // Sharing accounting: which awaited entries did this follower
-        // actually reuse (vs. fall back to recompute — abort, or the cost
-        // gate honestly declining the view), and how long did it wait past
-        // the shared submission instant for the producer's publication?
-        // The wait is simulated latency this job really pays.
-        if let Some(w) = ctx.pinned.window {
-            let reused: Vec<Sig128> = plan.reused.iter().map(|r| r.precise).collect();
-            let wait = w.note_optimized(ctx.pinned.slot, &reused);
-            if wait > SimDuration::ZERO {
-                ctx.extra_latency += wait;
-                ctx.cursor += wait;
-            }
-        }
-        ctx.plan = Some(plan);
-        Ok(())
-    }
-}
-
-/// Stage 3 — execute and simulate. A matched view that cannot be read back
-/// (lost or corrupted file) is not fatal: unregister it and re-optimize
-/// without reuse — the paper's fallback to recomputation.
-struct ExecuteStage;
-
-impl Stage for ExecuteStage {
-    fn name(&self) -> &'static str {
-        "execute"
-    }
-
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure> {
-        let plan_ref = ctx.plan.as_ref().expect("optimize stage ran");
-        let exec = match execute_plan(&plan_ref.physical, &cv.storage, &cv.cost, ctx.start) {
-            Ok(exec) => exec,
-            Err(ScopeError::ViewUnavailable(_)) if !plan_ref.reused.is_empty() => {
-                ctx.faults.view_read_fallbacks += 1;
-                if cv.degradation.unregister_dead_views {
-                    for r in &plan_ref.reused {
-                        if cv.storage.open_view(r.precise, ctx.start).is_err() {
-                            // Pin the GC read to the job's submission time:
-                            // under a replayed log the live clock may sit
-                            // anywhere, and a wall-clock read here could GC
-                            // annotations that were live at the recorded
-                            // instant.
-                            cv.metadata.unregister_views(&[r.precise], ctx.start);
-                            cv.storage.delete_view(r.precise);
-                            ctx.faults.dead_views_unregistered += 1;
-                        }
-                    }
-                }
-                let no_reuse = OptimizerConfig {
-                    enable_reuse: false,
-                    ..ctx.opt_config.clone()
-                };
-                let plan = optimize_with_infos(
-                    &ctx.spec.graph,
-                    &ctx.compiled.infos,
-                    &ctx.annotations,
-                    &ctx.pinned,
-                    &no_reuse,
-                    ctx.spec.id,
-                )
-                .map_err(AttemptFailure::Fatal)?;
-                let exec = execute_plan(&plan.physical, &cv.storage, &cv.cost, ctx.start)
-                    .map_err(AttemptFailure::Fatal)?;
-                ctx.plan = Some(plan);
-                exec
-            }
-            Err(e) => return Err(AttemptFailure::Fatal(e)),
-        };
-        ctx.faults.propose_faults += ctx.pinned.propose_faults.get();
-        let sim = simulate(
-            &ctx.plan.as_ref().expect("plan set").physical,
-            &exec,
-            &cv.cluster,
-        );
-        ctx.cursor += sim.latency;
-        cv.record_sim_metrics(&sim);
-        cv.record_exec_metrics(&exec);
-        ctx.exec = Some(exec);
-        ctx.sim = Some(sim);
-        Ok(())
-    }
-}
-
-/// Stage 4 — materialize marked views and publish each one (early — at its
+/// Step 4 — materialize marked views and publish each one (early — at its
 /// producing stage's completion time — or at job end, Section 6.4). This is
-/// the stage where an injected builder crash kills the attempt: the error
-/// propagates with the latency already wasted, the stage's span stays
-/// unfinished, and the driver restarts the job.
-struct PublishStage;
-
-impl Stage for PublishStage {
-    fn name(&self) -> &'static str {
-        "publish"
-    }
-
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure> {
-        let plan = ctx.plan.as_ref().expect("optimize stage ran");
-        let exec = ctx.exec.as_ref().expect("execute stage ran");
-        let sim = ctx.sim.as_ref().expect("execute stage ran");
-        let built = materialize_marked_views(plan, exec, sim, &cv.cost, ctx.spec.id, ctx.start)
-            .map_err(AttemptFailure::Fatal)?;
-        let job_end_offset = ctx.lookup_latency
-            + sim.latency
-            + built.iter().map(|b| b.extra_latency).sum::<SimDuration>();
-        for b in built {
-            // The builder may die right here — mid-materialization, after
-            // winning its build lock, before publishing this view.
-            if let Some(inj) = &cv.faults {
-                if inj.should_fail(FaultSite::BuilderCrash, ctx.spec.id) {
-                    return Err(AttemptFailure::BuilderCrash {
-                        wasted_latency: ctx.lookup_latency + sim.latency + ctx.extra_latency,
-                    });
-                }
-            }
-            ctx.extra_cpu += b.extra_cpu;
-            ctx.extra_latency += b.extra_latency;
-            let mut available_at = if cv.early_materialization {
-                ctx.start + ctx.lookup_latency + b.available_offset
-            } else {
-                ctx.start + job_end_offset
-            };
-            if let Some(inj) = &cv.faults {
-                let delay = inj.publication_delay();
-                if delay > SimDuration::ZERO {
-                    available_at += delay;
-                    ctx.faults.delayed_publications += 1;
-                }
-            }
-            let view = scope_engine::optimizer::AvailableView {
-                precise: b.file.meta.precise,
-                rows: b.file.meta.rows,
-                bytes: b.file.meta.bytes,
-                props: b.file.props.clone(),
-            };
-            let expires_at = b.file.meta.expires_at;
-            let normalized = b.file.meta.normalized;
-            let precise = b.file.meta.precise;
-            ctx.views_built.push(precise);
-            cv.storage
-                .publish_view(b.file)
-                .map_err(AttemptFailure::Fatal)?;
-            // Elected producer: hand the view to the window's followers the
-            // moment it is on storage, with the *measured* subgraph CPU as
-            // their recompute proxy (the cost-based reuse gate then makes
-            // an honest read-vs-recompute decision). This channel is
-            // independent of the metadata report below — a lost report
-            // orphans the view for later jobs but not for the window.
-            if let Some(w) = ctx.pinned.window {
-                if w.is_producer(ctx.pinned.slot, precise) {
-                    let recompute_cpu = plan
-                        .materialize
-                        .iter()
-                        .find(|m| m.precise == precise)
-                        .map(|m| exec.subgraph_cpu(&plan.physical, m.physical_node))
-                        .unwrap_or(SimDuration::ZERO);
-                    w.publish(
-                        ctx.pinned.slot,
-                        precise,
-                        view.clone(),
-                        available_at,
-                        recompute_cpu,
-                    );
-                }
-            }
-            // The stored file's fate: the plan may lose or corrupt it right
-            // after publication (readers fall back to recomputation).
-            if let Some(inj) = &cv.faults {
-                inj.apply_view_fate(&cv.storage, precise, ctx.spec.id);
-            }
-            // The view-side descriptor comes from the *original* logical
-            // plan: even when this root was itself compensated by a tier-2
-            // rewrite, the materialized bytes equal the original subgraph's
-            // output, which is exactly what the descriptor describes.
-            let descriptor = view_descriptor(&ctx.spec.graph, &ctx.compiled.infos, precise);
-            if cv
-                .metadata
-                .report(
-                    ReportRequest::new(view, normalized, ctx.spec.id, available_at, expires_at)
-                        .with_descriptor(descriptor)
-                        .for_vc(ctx.spec.vc),
-                )
-                .is_err()
-            {
-                // Lost report: the file is orphaned (never visible) and the
-                // build lock lapses at its mined expiry.
-                ctx.faults.report_faults += 1;
+/// the step where an injected builder crash kills the attempt: the error
+/// carries the latency already wasted (`lookup_latency` and a follower's
+/// `wait` were charged before this step) and the driver restarts the job.
+fn publish(
+    att: &Attempt<'_>,
+    lookup_latency: SimDuration,
+    wait: SimDuration,
+    plan: &OptimizedPlan,
+    exec: &ExecOutcome,
+    sim: &SimOutcome,
+    faults: &mut JobFaultReport,
+) -> std::result::Result<Published, AttemptFailure> {
+    let (cv, spec) = (att.cv, att.spec);
+    let built = materialize_marked_views(plan, exec, sim, &cv.cost, spec.id, att.start)?;
+    let job_end_offset =
+        lookup_latency + sim.latency + built.iter().map(|b| b.extra_latency).sum::<SimDuration>();
+    let mut out = Published {
+        views: Vec::with_capacity(built.len()),
+        extra_cpu: SimDuration::ZERO,
+        extra_latency: SimDuration::ZERO,
+    };
+    for b in built {
+        // The builder may die right here — mid-materialization, after
+        // winning its build lock, before publishing this view.
+        if let Some(inj) = &cv.faults {
+            if inj.should_fail(FaultSite::BuilderCrash, spec.id) {
+                return Err(AttemptFailure::BuilderCrash {
+                    wasted_latency: lookup_latency + sim.latency + wait + out.extra_latency,
+                });
             }
         }
-        ctx.cursor += ctx.extra_latency;
-        Ok(())
+        out.extra_cpu += b.extra_cpu;
+        out.extra_latency += b.extra_latency;
+        let mut available_at = if cv.early_materialization {
+            att.start + lookup_latency + b.available_offset
+        } else {
+            att.start + job_end_offset
+        };
+        if let Some(inj) = &cv.faults {
+            let delay = inj.publication_delay();
+            if delay > SimDuration::ZERO {
+                available_at += delay;
+                faults.delayed_publications += 1;
+            }
+        }
+        let view = scope_engine::optimizer::AvailableView {
+            precise: b.file.meta.precise,
+            rows: b.file.meta.rows,
+            bytes: b.file.meta.bytes,
+            props: b.file.props.clone(),
+        };
+        let expires_at = b.file.meta.expires_at;
+        let normalized = b.file.meta.normalized;
+        let precise = b.file.meta.precise;
+        out.views.push(precise);
+        cv.storage.publish_view(b.file)?;
+        // Elected producer: hand the view to the window's followers the
+        // moment it is on storage, with the *measured* subgraph CPU as
+        // their recompute proxy (the cost-based reuse gate then makes an
+        // honest read-vs-recompute decision). This channel is independent
+        // of the metadata report below — a lost report orphans the view
+        // for later jobs but not for the window.
+        if let Some(w) = att.pinned.window {
+            if w.is_producer(att.pinned.slot, precise) {
+                let recompute_cpu = plan
+                    .materialize
+                    .iter()
+                    .find(|m| m.precise == precise)
+                    .map(|m| exec.subgraph_cpu(&plan.physical, m.physical_node))
+                    .unwrap_or(SimDuration::ZERO);
+                w.publish(
+                    att.pinned.slot,
+                    precise,
+                    view.clone(),
+                    available_at,
+                    recompute_cpu,
+                );
+            }
+        }
+        // The stored file's fate: the plan may lose or corrupt it right
+        // after publication (readers fall back to recomputation).
+        if let Some(inj) = &cv.faults {
+            inj.apply_view_fate(&cv.storage, precise, spec.id);
+        }
+        // The view-side descriptor comes from the *original* logical plan:
+        // even when this root was itself compensated by a tier-2 rewrite,
+        // the materialized bytes equal the original subgraph's output,
+        // which is exactly what the descriptor describes.
+        let descriptor = view_descriptor(&spec.graph, &att.compiled.infos, precise);
+        if cv
+            .metadata
+            .report(
+                ReportRequest::new(view, normalized, spec.id, available_at, expires_at)
+                    .with_descriptor(descriptor)
+                    .for_vc(spec.vc),
+            )
+            .is_err()
+        {
+            // Lost report: the file is orphaned (never visible) and the
+            // build lock lapses at its mined expiry.
+            faults.report_faults += 1;
+        }
     }
+    Ok(out)
 }
 
-/// Stage 5 — close the feedback loop: reconcile the run into the workload
+/// Step 5 — close the feedback loop: reconcile the run into the workload
 /// repository, reusing the template-cache compile's subgraph records and
 /// tags instead of re-enumerating the plan.
-struct RecordStage;
-
-impl Stage for RecordStage {
-    fn name(&self) -> &'static str {
-        "record"
+fn record(
+    att: &Attempt<'_>,
+    plan: &OptimizedPlan,
+    exec: &ExecOutcome,
+    sim: &SimOutcome,
+) -> Result<()> {
+    let (cv, spec) = (att.cv, att.spec);
+    if !cv.record_runs {
+        return Ok(());
     }
-
-    fn run(
-        &self,
-        cv: &CloudViews,
-        ctx: &mut AttemptCtx<'_>,
-    ) -> std::result::Result<(), AttemptFailure> {
-        if cv.record_runs {
-            let spec = ctx.spec;
-            cv.repo
-                .record_compiled(
-                    JobIdentity {
-                        job: spec.id,
-                        cluster: spec.cluster,
-                        vc: spec.vc,
-                        user: spec.user,
-                        template: spec.template,
-                        instance: spec.instance,
-                        submitted_at: ctx.start,
-                    },
-                    &ctx.compiled.infos,
-                    &ctx.compiled.tags,
-                    ctx.plan.as_ref().expect("optimize stage ran"),
-                    ctx.exec.as_ref().expect("execute stage ran"),
-                    ctx.sim.as_ref().expect("execute stage ran"),
-                )
-                .map_err(AttemptFailure::Fatal)?;
-            // Keep the resident analyzer warm: fold the fresh record(s)
-            // into its aggregates now, so an analyze_round only re-selects.
-            if let Some(analyzer) = &cv.analyzer {
-                analyzer.absorb(&cv.repo);
-            }
-        }
-        Ok(())
+    cv.repo.record_compiled(
+        JobIdentity {
+            job: spec.id,
+            cluster: spec.cluster,
+            vc: spec.vc,
+            user: spec.user,
+            template: spec.template,
+            instance: spec.instance,
+            submitted_at: att.start,
+        },
+        &att.compiled.infos,
+        &att.compiled.tags,
+        plan,
+        exec,
+        sim,
+    )?;
+    // Keep the resident analyzer warm: fold the fresh record(s) into its
+    // aggregates now, so an analyze_round only re-selects.
+    if let Some(analyzer) = &cv.analyzer {
+        analyzer.absorb(&cv.repo);
     }
+    Ok(())
 }
 
 /// Query-side subsumption probes: one descriptor per tier-2-eligible unary
@@ -552,23 +452,9 @@ fn view_descriptor(
     SubsumeDescriptor::of(graph, info.root, child_precise)
 }
 
-/// The pipeline, in order. Adding a stage here adds its child span to every
-/// job's trace — keep DESIGN.md §9's stage table in sync.
-const STAGES: [&dyn Stage; 5] = [
-    &LookupStage,
-    &OptimizeStage,
-    &ExecuteStage,
-    &PublishStage,
-    &RecordStage,
-];
-
-/// One attempt at running a job end to end through the stage pipeline.
-///
-/// The driver owns the per-stage telemetry: each stage gets a child span of
-/// `root` opening at the attempt's simulated cursor and closing at the
-/// cursor the stage left behind, labeled with the stage's outcome. A failed
-/// stage's span is deliberately dropped unfinished (a crashed builder never
-/// reports a publish time).
+/// One attempt at running a job end to end: lookup → optimize → execute →
+/// publish → record, each under a child span of `root` (DESIGN.md §8 —
+/// adding a step here adds its span to every job's trace).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_attempt(
     cv: &CloudViews,
@@ -577,7 +463,7 @@ pub(crate) fn run_attempt(
     start: SimTime,
     compiled: &CompiledJob,
     faults: &mut JobFaultReport,
-    root: &scope_common::telemetry::ActiveSpan,
+    root: &ActiveSpan,
     window: Option<(&WindowContext, usize)>,
 ) -> std::result::Result<JobRunReport, AttemptFailure> {
     cv.clock.advance_to(start);
@@ -585,14 +471,12 @@ pub(crate) fn run_attempt(
     // its own analyzer annotations would have triggered, so the per-job
     // materialization cap is raised by the number of entries it owes.
     let window_builds = window.map_or(0, |(w, slot)| w.produces_count(slot));
-    let mut ctx = AttemptCtx {
+    let att = Attempt {
+        cv,
         spec,
         mode,
         start,
-        cursor: start,
         compiled,
-        faults,
-        outcome: None,
         pinned: PinnedServices {
             svc: cv.metadata.as_ref(),
             now: start,
@@ -608,23 +492,54 @@ pub(crate) fn run_attempt(
             enable_subsumption: cv.subsumption,
             ..Default::default()
         },
-        annotations: Vec::new(),
-        tier2: Vec::new(),
-        lookup_latency: SimDuration::ZERO,
-        plan: None,
-        exec: None,
-        sim: None,
-        views_built: Vec::new(),
-        extra_cpu: SimDuration::ZERO,
-        extra_latency: SimDuration::ZERO,
     };
-    let tracer = &cv.telemetry.tracer;
-    for stage in STAGES {
-        let span = tracer.child(root, stage.name(), ctx.cursor);
-        stage.run(cv, &mut ctx)?;
-        tracer.finish_with(span, ctx.cursor, ctx.outcome.take());
-    }
-    Ok(ctx.into_report())
+    let mut spans = StepSpans {
+        tracer: &cv.telemetry.tracer,
+        root,
+        cursor: start,
+    };
+
+    let span = spans.open("metadata_lookup");
+    let (annotations, tier2, lookup_latency) = lookup(&att, faults);
+    spans.close(span, lookup_latency, None);
+
+    let span = spans.open("optimize");
+    let (plan, wait) = optimize(&att, &annotations, &tier2)?;
+    spans.close(span, wait, (!plan.reused.is_empty()).then_some("reuse"));
+
+    let span = spans.open("execute");
+    let (plan, exec, sim) = execute(&att, &annotations, plan, faults)?;
+    spans.close(span, sim.latency, None);
+
+    let span = spans.open("publish");
+    let published = publish(&att, lookup_latency, wait, &plan, &exec, &sim, faults)?;
+    spans.close(span, published.extra_latency, None);
+
+    let span = spans.open("record");
+    record(&att, &plan, &exec, &sim)?;
+    spans.close(span, SimDuration::ZERO, None);
+
+    Ok(JobRunReport {
+        job: spec.id,
+        started_at: start,
+        latency: lookup_latency + sim.latency + wait + published.extra_latency,
+        cpu_time: sim.cpu_time + published.extra_cpu,
+        lookup_latency,
+        views_built: published.views,
+        views_reused: plan.reused.iter().map(|r| r.precise).collect(),
+        optimizer: plan.report,
+        output_checksums: exec
+            .outputs
+            .iter()
+            .map(|(name, t)| (name.clone(), multiset_checksum(t)))
+            .collect(),
+        output_rows: exec
+            .outputs
+            .iter()
+            .map(|(name, t)| (name.clone(), t.num_rows()))
+            .collect(),
+        faults: JobFaultReport::default(),
+    })
 }
 
 /// Options for [`CloudViews::run_many`]. The default (all zeros) means one

@@ -91,9 +91,6 @@ pub struct DegradationPolicy {
     /// Restarts after a builder crash before the job is reported failed
     /// (models the job service's bounded resubmission).
     pub max_restarts: u32,
-    /// On a view-read failure, unregister the dead view from the metadata
-    /// service so later jobs stop matching it.
-    pub unregister_dead_views: bool,
 }
 
 impl Default for DegradationPolicy {
@@ -102,7 +99,6 @@ impl Default for DegradationPolicy {
             lookup_retries: 2,
             retry_backoff: SimDuration::from_secs_f64(0.05),
             max_restarts: 3,
-            unregister_dead_views: true,
         }
     }
 }
@@ -219,6 +215,12 @@ pub(crate) enum AttemptFailure {
     },
     /// A real error: propagated to the caller.
     Fatal(ScopeError),
+}
+
+impl From<ScopeError> for AttemptFailure {
+    fn from(e: ScopeError) -> AttemptFailure {
+        AttemptFailure::Fatal(e)
+    }
 }
 
 /// Typed result of [`CloudViews::purge_expired`] (replaces the old
@@ -378,7 +380,7 @@ pub struct CloudViews {
 /// let cv = CloudViewsBuilder::new(Arc::new(StorageManager::new()))
 ///     .max_materialize_per_job(2)
 ///     .build();
-/// assert!(cv.telemetry.is_enabled());
+/// assert_eq!(cv.metadata.stats().lookups, 0);
 /// ```
 pub struct CloudViewsBuilder {
     storage: Arc<StorageManager>,
@@ -387,7 +389,6 @@ pub struct CloudViewsBuilder {
     early_materialization: bool,
     subsumption: bool,
     record_runs: bool,
-    telemetry: Arc<Telemetry>,
     incremental_analyzer: Option<AnalyzerConfig>,
     durable: Option<PathBuf>,
     snapshot_threshold: u64,
@@ -395,7 +396,7 @@ pub struct CloudViewsBuilder {
 
 impl CloudViewsBuilder {
     /// A builder with the default configuration: fresh clock, 5 metadata
-    /// service threads, early materialization on, telemetry enabled.
+    /// service threads, early materialization on.
     pub fn new(storage: Arc<StorageManager>) -> CloudViewsBuilder {
         CloudViewsBuilder {
             storage,
@@ -404,7 +405,6 @@ impl CloudViewsBuilder {
             early_materialization: true,
             subsumption: true,
             record_runs: true,
-            telemetry: Telemetry::new(),
             incremental_analyzer: None,
             durable: None,
             snapshot_threshold: crate::store::DEFAULT_SNAPSHOT_THRESHOLD,
@@ -459,13 +459,6 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// Shares a telemetry sink (e.g. one registry across services, or a
-    /// disabled sink for overhead baselines).
-    pub fn telemetry(mut self, sink: Arc<Telemetry>) -> Self {
-        self.telemetry = sink;
-        self
-    }
-
     /// Installs a resident incremental analyzer selecting under `config`.
     /// The pipeline's record stage then feeds it every record as it lands,
     /// and [`CloudViews::analyze_round`] re-selects from the maintained
@@ -491,11 +484,14 @@ impl CloudViewsBuilder {
     pub fn try_build(self) -> Result<CloudViews> {
         // 5 service threads is the paper's measured configuration (14.3 ms
         // modeled lookups).
-        let metadata = Arc::new(MetadataService::new(Arc::clone(&self.clock), 5));
-        metadata.set_telemetry(Some(Arc::clone(&self.telemetry)));
-        self.storage
-            .set_telemetry(Some(Arc::clone(&self.telemetry)));
-        let metrics = RuntimeMetrics::new(&self.telemetry);
+        let telemetry = Telemetry::new();
+        let metadata = Arc::new(MetadataService::with_registry(
+            Arc::clone(&self.clock),
+            5,
+            &telemetry.metrics,
+        ));
+        self.storage.set_telemetry(Some(Arc::clone(&telemetry)));
+        let metrics = RuntimeMetrics::new(&telemetry);
         let analyzer = self
             .incremental_analyzer
             .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg)));
@@ -514,7 +510,7 @@ impl CloudViewsBuilder {
                     ("cv_store_recovered_records", recovered.records.len() as u64),
                     ("cv_store_recovered_views", recovered.views.len() as u64),
                 ] {
-                    self.telemetry.metrics.gauge(name).set(value as i64);
+                    telemetry.metrics.gauge(name).set(value as i64);
                 }
                 // Replay order: snapshot first (state as of `wal.N`), then
                 // the WAL tail, then the bulk stores. The clock advances to
@@ -588,7 +584,7 @@ impl CloudViewsBuilder {
             record_runs: self.record_runs,
             degradation: DegradationPolicy::default(),
             faults: None,
-            telemetry: self.telemetry,
+            telemetry,
             templates: Arc::new(TemplateCache::new()),
             analyzer,
             durable,
@@ -671,18 +667,16 @@ impl CloudViews {
             .add(outcome.groups.len() as u64);
         m.counter("cv_analyzer_selected_total")
             .add(outcome.selected.len() as u64);
-        if self.telemetry.is_enabled() {
-            let p = &outcome.phase_times;
-            for (name, d) in [
-                ("cv_analyzer_filter_wall_micros", p.filter),
-                ("cv_analyzer_mining_wall_micros", p.mining),
-                ("cv_analyzer_selection_wall_micros", p.selection),
-                ("cv_analyzer_design_wall_micros", p.design),
-                ("cv_analyzer_total_wall_micros", outcome.wall_time),
-            ] {
-                m.histogram(name, MetricUnit::WallMicros)
-                    .record(d.as_micros() as u64);
-            }
+        let p = &outcome.phase_times;
+        for (name, d) in [
+            ("cv_analyzer_filter_wall_micros", p.filter),
+            ("cv_analyzer_mining_wall_micros", p.mining),
+            ("cv_analyzer_selection_wall_micros", p.selection),
+            ("cv_analyzer_design_wall_micros", p.design),
+            ("cv_analyzer_total_wall_micros", outcome.wall_time),
+        ] {
+            m.histogram(name, MetricUnit::WallMicros)
+                .record(d.as_micros() as u64);
         }
         self.telemetry.tracer.finish(span, self.clock.now());
         Ok(outcome)
@@ -720,18 +714,16 @@ impl CloudViews {
                 .add(delta.newly_selected.len() as u64);
             m.counter("cv_analyzer_round_dropped_total")
                 .add(delta.dropped.len() as u64);
-            if self.telemetry.is_enabled() {
-                m.histogram(
-                    "cv_analyzer_round_ingest_wall_micros",
-                    MetricUnit::WallMicros,
-                )
-                .record(delta.ingest_wall.as_micros() as u64);
-                m.histogram(
-                    "cv_analyzer_round_select_wall_micros",
-                    MetricUnit::WallMicros,
-                )
-                .record(delta.select_wall.as_micros() as u64);
-            }
+            m.histogram(
+                "cv_analyzer_round_ingest_wall_micros",
+                MetricUnit::WallMicros,
+            )
+            .record(delta.ingest_wall.as_micros() as u64);
+            m.histogram(
+                "cv_analyzer_round_select_wall_micros",
+                MetricUnit::WallMicros,
+            )
+            .record(delta.select_wall.as_micros() as u64);
         }
         self.telemetry.tracer.finish(span, self.clock.now());
         Ok(outcome)
@@ -780,7 +772,7 @@ impl CloudViews {
     }
 
     /// Compiles the job once through the template cache, then drives
-    /// attempts through the stage pipeline until one succeeds, the builder
+    /// attempts (`pipeline::run_attempt`) until one succeeds, the builder
     /// crash budget is exhausted, or a fatal error surfaces.
     fn drive_attempts(
         &self,
@@ -869,11 +861,9 @@ impl CloudViews {
                 } else {
                     "baseline"
                 };
-                if self.telemetry.is_enabled() {
-                    m.job_latency.record(report.latency.micros());
-                    m.job_cpu.record(report.cpu_time.micros());
-                    m.job_wall.record(wall_start.elapsed().as_micros() as u64);
-                }
+                m.job_latency.record(report.latency.micros());
+                m.job_cpu.record(report.cpu_time.micros());
+                m.job_wall.record(wall_start.elapsed().as_micros() as u64);
                 self.telemetry
                     .tracer
                     .finish_with(root, start + report.latency, Some(outcome));
@@ -931,9 +921,6 @@ impl CloudViews {
     /// simulation (the paper's token model: occupancy is the fraction of
     /// the VC's token-seconds the job's CPU time actually used).
     pub(crate) fn record_sim_metrics(&self, sim: &SimOutcome) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
         let m = &self.metrics;
         m.stages.add(sim.stages.len() as u64);
         m.vertices.add(sim.vertices as u64);
@@ -959,9 +946,6 @@ impl CloudViews {
     /// ratio is how much of the data the executor's deferred columns let it
     /// leave where it was.
     pub(crate) fn record_exec_metrics(&self, exec: &ExecOutcome) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
         let rows_in = exec.node_stats.iter().map(|s| s.in_rows).sum();
         self.metrics.exec_rows_in.add(rows_in);
         self.metrics.exec_cells_gathered.add(exec.cells_gathered);

@@ -14,8 +14,7 @@
 //!
 //! 1. **groups** every job's enumerated subgraphs by normalized signature
 //!    (the cheap structural filter), then by precise signature (byte-equal
-//!    results) — only groups spanning at least [`SharingConfig::min_group`]
-//!    distinct jobs survive;
+//!    results) — only groups spanning at least two distinct jobs survive;
 //! 2. **elects exactly one producer** per surviving subgraph — always the
 //!    *earliest* job in submission order, so every wait edge points from a
 //!    later follower to an earlier producer and the waits-for graph is
@@ -78,26 +77,25 @@ pub struct SharingConfig {
     /// Length of the admission window. Jobs arriving within the same window share
     /// one pinned submission time: the window's close.
     pub window: SimDuration,
-    /// Minimum distinct jobs that must contain a subgraph before it is
-    /// worth electing a producer (GEqO's survivor threshold).
-    pub min_group: usize,
-    /// TTL stamped on views materialized through window annotations (the
-    /// analyzer's mined TTL is not available for never-before-seen
-    /// templates).
-    pub view_ttl: SimDuration,
-    /// Recompute-cost estimate used in synthesized annotations until the
-    /// producer publishes its measured subgraph CPU.
-    pub assumed_recompute_cpu: SimDuration,
 }
+
+/// Minimum distinct jobs that must contain a subgraph before it is worth
+/// electing a producer (GEqO's survivor threshold).
+const MIN_SHARING_JOBS: usize = 2;
+
+/// TTL stamped on views materialized through window annotations (the
+/// analyzer's mined TTL is not available for never-before-seen templates).
+const WINDOW_VIEW_TTL: SimDuration = SimDuration::from_secs(86_400);
+
+/// Recompute-cost estimate used in synthesized annotations until the
+/// producer publishes its measured subgraph CPU.
+const UNMEASURED_RECOMPUTE_CPU: SimDuration = SimDuration::from_secs(30);
 
 impl Default for SharingConfig {
     fn default() -> SharingConfig {
         SharingConfig {
             enabled: true,
             window: SimDuration::from_secs(30),
-            min_group: 2,
-            view_ttl: SimDuration::from_secs(86_400),
-            assumed_recompute_cpu: SimDuration::from_secs(30),
         }
     }
 }
@@ -158,8 +156,6 @@ pub(crate) enum SharedView {
 /// entry lifecycles behind one mutex.
 pub(crate) struct WindowContext {
     submitted_at: SimTime,
-    view_ttl: SimDuration,
-    assumed_recompute_cpu: SimDuration,
     entries: HashMap<Sig128, SharedEntry>,
     /// Per slot: entries this job awaits (it is a follower).
     follows: Vec<Vec<Sig128>>,
@@ -191,12 +187,10 @@ impl WindowContext {
     pub(crate) fn plan(
         specs: &[JobSpec],
         compiled: &[Option<CompiledJob>],
-        cfg: &SharingConfig,
         max_elect_per_job: usize,
         submitted_at: SimTime,
     ) -> Option<WindowContext> {
         let n = specs.len();
-        let min_group = cfg.min_group.max(2);
 
         // Stage 1 (cheap): group candidate subgraphs by normalized
         // signature; only templates spanning enough distinct jobs survive.
@@ -215,7 +209,7 @@ impl WindowContext {
                 }
             }
         }
-        by_normalized.retain(|_, slots| slots.len() >= min_group);
+        by_normalized.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
         if by_normalized.is_empty() {
             return None;
         }
@@ -238,7 +232,7 @@ impl WindowContext {
                 }
             }
         }
-        by_precise.retain(|_, slots| slots.len() >= min_group);
+        by_precise.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
         if by_precise.is_empty() {
             return None;
         }
@@ -278,7 +272,7 @@ impl WindowContext {
                 groups.entry(*sig).or_default().insert(slot);
             }
         }
-        groups.retain(|_, slots| slots.len() >= min_group);
+        groups.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
         let mut order: Vec<(&Sig128, &BTreeSet<usize>)> = groups.iter().collect();
         order.sort_by_key(|(sig, _)| (std::cmp::Reverse(shape[sig].2), **sig));
 
@@ -319,8 +313,6 @@ impl WindowContext {
             .collect();
         Some(WindowContext {
             submitted_at,
-            view_ttl: cfg.view_ttl,
-            assumed_recompute_cpu: cfg.assumed_recompute_cpu,
             entries,
             follows,
             produces,
@@ -379,12 +371,12 @@ impl WindowContext {
                     recompute_cpu,
                     ..
                 }) => (*recompute_cpu, view.rows, view.bytes),
-                _ => (self.assumed_recompute_cpu, 0, 0),
+                _ => (UNMEASURED_RECOMPUTE_CPU, 0, 0),
             };
             annotations.push(Annotation {
                 normalized: entry.normalized,
                 props: (*entry.props).clone(),
-                ttl: self.view_ttl,
+                ttl: WINDOW_VIEW_TTL,
                 avg_cpu,
                 avg_rows,
                 avg_bytes,
@@ -691,7 +683,7 @@ impl CloudViews {
                     .iter()
                     .map(|s| self.templates.compile(&s.graph).ok())
                     .collect();
-                WindowContext::plan(&specs, &compiled, cfg, self.max_materialize_per_job, submit)
+                WindowContext::plan(&specs, &compiled, self.max_materialize_per_job, submit)
             } else {
                 None
             };
@@ -810,8 +802,7 @@ mod tests {
             shared_job(4, "d"),
         ];
         let compiled = compile_all(&specs);
-        let cfg = SharingConfig::default();
-        let w = WindowContext::plan(&specs, &compiled, &cfg, 1, SimTime::ZERO).expect("shareable");
+        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).expect("shareable");
         // One maximal shared subgraph (the aggregate); producer is slot 1
         // (the earliest shared job), slots 2 and 3 follow.
         assert_eq!(w.num_entries(), 1);
@@ -830,16 +821,14 @@ mod tests {
     fn plan_returns_none_without_overlap() {
         let specs = vec![distinct_job(1), distinct_job(2), distinct_job(3)];
         let compiled = compile_all(&specs);
-        let cfg = SharingConfig::default();
-        assert!(WindowContext::plan(&specs, &compiled, &cfg, 1, SimTime::ZERO).is_none());
+        assert!(WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).is_none());
     }
 
     #[test]
     fn abort_wakes_pending_lookup_and_readiness_gate() {
         let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
         let compiled = compile_all(&specs);
-        let cfg = SharingConfig::default();
-        let w = WindowContext::plan(&specs, &compiled, &cfg, 1, SimTime::ZERO).unwrap();
+        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
         let sig = *w.entries().next().unwrap().0;
         // Producer dispatches immediately; the follower is gated.
         assert_eq!(w.next_ready(), Some(0));
@@ -855,8 +844,7 @@ mod tests {
     fn publish_serves_followers_and_charges_wait() {
         let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
         let compiled = compile_all(&specs);
-        let cfg = SharingConfig::default();
-        let w = WindowContext::plan(&specs, &compiled, &cfg, 1, SimTime::ZERO).unwrap();
+        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
         let sig = *w.entries().next().unwrap().0;
         let view = AvailableView {
             precise: sig,
@@ -893,8 +881,7 @@ mod tests {
     fn propose_denied_for_followers_only() {
         let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
         let compiled = compile_all(&specs);
-        let cfg = SharingConfig::default();
-        let w = WindowContext::plan(&specs, &compiled, &cfg, 1, SimTime::ZERO).unwrap();
+        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
         let sig = *w.entries().next().unwrap().0;
         assert!(!w.deny_propose(0, sig));
         assert!(w.deny_propose(1, sig));

@@ -19,7 +19,7 @@
 //!   storage manager mirrors publishes and deletes here as they happen.
 //!
 //! `repo/` and `views/` never snapshot: their live generation is sealed
-//! (`LogDir::rotate`, which fsyncs it) past [`BULK_ROTATE_THRESHOLD`] and
+//! (`LogDir::rotate`, which fsyncs it) past `BULK_ROTATE_THRESHOLD` and
 //! at every metadata snapshot, and every generation is replayed on open.
 //!
 //! Replay is at-least-once: the snapshot protocol (rotate → export with

@@ -20,8 +20,8 @@
 //!
 //! Handles returned by the registry ([`Counter`], [`Gauge`], [`Histogram`])
 //! are cheap `Arc`-backed clones over atomics: hot paths resolve a name once
-//! and then pay one atomic RMW per event, keeping instrumentation overhead
-//! within the ≤5% budget the benches enforce.
+//! and then pay one relaxed atomic RMW per event, which is why no site is
+//! switchable: there is no "telemetry off" configuration to test or measure.
 //!
 //! ```
 //! use scope_common::telemetry::{MetricUnit, Telemetry};
@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -548,8 +548,7 @@ impl MetricsSnapshot {
     }
 }
 
-/// Identifier of a finished or in-flight span. `0` is reserved for "no
-/// span" (a disabled tracer hands these out).
+/// Identifier of a finished or in-flight span (unique within a tracer).
 pub type SpanId = u64;
 
 /// An in-flight span. Finish it with [`Tracer::finish`] (or
@@ -569,11 +568,6 @@ impl ActiveSpan {
     /// This span's id (use as `parent` for children).
     pub fn id(&self) -> SpanId {
         self.id
-    }
-
-    /// True when this span came from a disabled tracer and will not record.
-    pub fn is_noop(&self) -> bool {
-        self.id == 0
     }
 }
 
@@ -601,14 +595,11 @@ pub struct SpanRecord {
 /// Structured tracing into a bounded in-memory ring buffer.
 ///
 /// When full, the oldest finished spans are dropped — tracing can never
-/// grow without bound under sustained traffic. Disable with
-/// [`Tracer::set_enabled`] to make span creation free (used by the
-/// telemetry-overhead benches).
+/// grow without bound under sustained traffic.
 pub struct Tracer {
     buf: Mutex<std::collections::VecDeque<SpanRecord>>,
     capacity: usize,
     next_id: AtomicU64,
-    enabled: AtomicBool,
     dropped: AtomicU64,
 }
 
@@ -627,19 +618,8 @@ impl Tracer {
             )),
             capacity: capacity.max(1),
             next_id: AtomicU64::new(1),
-            enabled: AtomicBool::new(true),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Turns recording on or off. Off: spans become no-ops.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     fn start(
@@ -649,13 +629,8 @@ impl Tracer {
         job: Option<JobId>,
         sim_start: SimTime,
     ) -> ActiveSpan {
-        let id = if self.is_enabled() {
-            self.next_id.fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
-        };
         ActiveSpan {
-            id,
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
             parent,
             job,
             name,
@@ -671,12 +646,7 @@ impl Tracer {
 
     /// Starts a child of `parent`, inheriting its job attribution.
     pub fn child(&self, parent: &ActiveSpan, name: &'static str, sim_start: SimTime) -> ActiveSpan {
-        self.start(
-            name,
-            (parent.id != 0).then_some(parent.id),
-            parent.job,
-            sim_start,
-        )
+        self.start(name, Some(parent.id), parent.job, sim_start)
     }
 
     /// Finishes a span at simulated time `sim_end`.
@@ -691,9 +661,6 @@ impl Tracer {
         sim_end: SimTime,
         outcome: Option<&'static str>,
     ) -> SpanId {
-        if span.id == 0 {
-            return 0;
-        }
         let record = SpanRecord {
             id: span.id,
             parent: span.parent,
@@ -764,53 +731,20 @@ impl Tracer {
 }
 
 /// The telemetry sink every instrumented component shares: one metrics
-/// registry plus one tracer, with a master enable switch.
-///
-/// Disabling flips the tracer off and makes [`Telemetry::is_enabled`]
-/// false; cached metric handles keep working (atomic increments are cheap
-/// enough to leave unconditional) but instrumentation sites that do real
-/// work (span bookkeeping, per-phase clock reads) consult the switch first.
+/// registry plus one tracer. Always recording: every counter, histogram
+/// and span site is unconditional.
+#[derive(Default)]
 pub struct Telemetry {
     /// Named counters, gauges, histograms.
     pub metrics: MetricsRegistry,
     /// Structured span recording.
     pub tracer: Tracer,
-    enabled: AtomicBool,
-}
-
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry {
-            metrics: MetricsRegistry::new(),
-            tracer: Tracer::default(),
-            enabled: AtomicBool::new(true),
-        }
-    }
 }
 
 impl Telemetry {
-    /// An enabled telemetry sink behind an `Arc` (the shape every component
-    /// stores).
+    /// A telemetry sink behind an `Arc` (the shape every component stores).
     pub fn new() -> Arc<Telemetry> {
         Arc::new(Telemetry::default())
-    }
-
-    /// A sink that records nothing until re-enabled (overhead baselines).
-    pub fn disabled() -> Arc<Telemetry> {
-        let t = Telemetry::new();
-        t.set_enabled(false);
-        t
-    }
-
-    /// Master switch: also toggles the tracer.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        self.tracer.set_enabled(enabled);
-    }
-
-    /// Whether instrumentation sites should record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -1227,29 +1161,6 @@ mod tests {
         assert_eq!(t.dropped(), 6);
         // Oldest evicted: the survivors are jobs 6..=9.
         assert_eq!(t.finished()[0].job, Some(JobId::new(6)));
-    }
-
-    #[test]
-    fn disabled_tracer_is_noop() {
-        let t = Tracer::new(16);
-        t.set_enabled(false);
-        let s = t.root("job", None, SimTime::ZERO);
-        assert!(s.is_noop());
-        let c = t.child(&s, "execute", SimTime::ZERO);
-        t.finish(c, SimTime::ZERO);
-        t.finish(s, SimTime::ZERO);
-        assert!(t.finished().is_empty());
-    }
-
-    #[test]
-    fn telemetry_master_switch() {
-        let t = Telemetry::new();
-        assert!(t.is_enabled());
-        t.set_enabled(false);
-        assert!(!t.is_enabled());
-        assert!(!t.tracer.is_enabled());
-        let d = Telemetry::disabled();
-        assert!(!d.is_enabled());
     }
 
     #[test]

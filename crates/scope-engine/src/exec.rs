@@ -7,7 +7,7 @@
 //! calibrated [`CostModel`].
 //!
 //! Operators process whole [`RecordBatch`]es: projections evaluate
-//! expressions column-wise ([`crate::vexpr`]), joins and aggregates run typed
+//! expressions column-wise (`crate::vexpr`), joins and aggregates run typed
 //! single-key fast paths over the raw vectors. Operators that only *move*
 //! rows — Filter, Sort, Top, Exchange, the join emit — build recipes, not
 //! cells ([`crate::data`], "gather on read"), and Remap, UnionAll, Spool and

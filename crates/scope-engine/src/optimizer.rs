@@ -144,9 +144,6 @@ pub struct OptimizerConfig {
     /// Offline mode (Section 6.2): emit a plan that computes *only* the
     /// marked materializations, for upfront view building.
     pub offline_mode: bool,
-    /// When false, skip the read-vs-recompute cost check and always accept a
-    /// matching view (ablation knob).
-    pub cost_based_reuse: bool,
     /// Enable tier-2 subsumption matching (the cascade's semantic tier).
     /// Tier-1 exact matching is unaffected by this knob.
     pub enable_subsumption: bool,
@@ -160,7 +157,6 @@ impl Default for OptimizerConfig {
             enable_reuse: true,
             enable_materialize: true,
             offline_mode: false,
-            cost_based_reuse: true,
             enable_subsumption: true,
         }
     }
@@ -340,7 +336,7 @@ pub fn optimize_with_cascade(
                     // must be cheaper than recomputing (plus a repartition
                     // penalty when the stored design does not line up with
                     // what the consumer needs).
-                    if !config.cost_based_reuse || view_read_cost(&view) < annotation.avg_cpu {
+                    if view_read_cost(&view) < annotation.avg_cpu {
                         let schema = working.schema_of(info.root)?;
                         let savings = annotation.avg_cpu;
                         working.replace_with_leaf(
@@ -403,9 +399,8 @@ pub fn optimize_with_cascade(
                 // Recompute proxy: prefer the query template's own mined
                 // cost; fall back to the candidate view's mined cost.
                 let recompute = recompute.unwrap_or(cand.avg_cpu);
-                if config.cost_based_reuse
-                    && view_read_cost(&cand.view) + compensation_cost(&comp, cand.view.rows)
-                        >= recompute
+                if view_read_cost(&cand.view) + compensation_cost(&comp, cand.view.rows)
+                    >= recompute
                 {
                     continue;
                 }

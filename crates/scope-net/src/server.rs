@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cloudviews::metadata::MetadataService;
-use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, Telemetry};
+use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, MetricsRegistry, Telemetry};
 use scope_common::{Result, ScopeError};
 
 use crate::proto::{ErrorFrame, ErrorKind, Request, Response};
@@ -67,12 +67,13 @@ pub struct ServerConfig {
     pub idle_poll: Duration,
     /// A connection idle past this horizon is closed, freeing its worker.
     pub idle_timeout: Duration,
-    /// Once a frame has *started* arriving, the peer has this long to
-    /// deliver the rest of it. Bounds how long a slow (or slow-loris) peer
-    /// can hold a worker mid-frame, and keeps the idle poll from ever
-    /// splitting a frame that arrives across TCP segments.
-    pub frame_deadline: Duration,
 }
+
+/// Once a frame has *started* arriving, the peer has this long to deliver
+/// the rest of it. Bounds how long a slow (or slow-loris) peer can hold a
+/// worker mid-frame, and keeps the idle poll from ever splitting a frame
+/// that arrives across TCP segments.
+const FRAME_READ_DEADLINE: Duration = Duration::from_secs(5);
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -83,7 +84,6 @@ impl Default for ServerConfig {
             quota: None,
             idle_poll: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(60),
-            frame_deadline: Duration::from_secs(5),
         }
     }
 }
@@ -91,7 +91,6 @@ impl Default for ServerConfig {
 /// Pre-resolved `cv_net_*` metric handles (the `MetadataMetrics` pattern:
 /// resolve once at startup, never take the registry lock on the hot path).
 struct NetMetrics {
-    sink: Arc<Telemetry>,
     connections: Counter,
     disconnects: Counter,
     shed: Counter,
@@ -113,8 +112,7 @@ struct NetMetrics {
 }
 
 impl NetMetrics {
-    fn new(sink: Arc<Telemetry>) -> NetMetrics {
-        let m = &sink.metrics;
+    fn new(m: &MetricsRegistry) -> NetMetrics {
         NetMetrics {
             connections: m.counter("cv_net_connections_total"),
             disconnects: m.counter("cv_net_disconnects_total"),
@@ -134,12 +132,7 @@ impl NetMetrics {
             lookup_wall: m.histogram("cv_net_lookup_wall_micros", MetricUnit::WallMicros),
             propose_wall: m.histogram("cv_net_propose_wall_micros", MetricUnit::WallMicros),
             report_wall: m.histogram("cv_net_report_wall_micros", MetricUnit::WallMicros),
-            sink,
         }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sink.is_enabled()
     }
 }
 
@@ -287,7 +280,7 @@ impl NetServer {
             .map_err(|e| ScopeError::ServiceUnavailable(format!("local_addr: {e}")))?;
         let shared = Arc::new(Shared {
             service,
-            metrics: NetMetrics::new(telemetry),
+            metrics: NetMetrics::new(&telemetry.metrics),
             quota: config.quota.map(Quota::new),
             queue: ConnQueue::new(config.max_pending.max(1)),
             shutdown: AtomicBool::new(false),
@@ -363,9 +356,7 @@ fn acceptor(listener: TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if shared.metrics.enabled() {
-            shared.metrics.connections.inc();
-        }
+        shared.metrics.connections.inc();
         match shared.queue.push(conn, Instant::now()) {
             Ok(depth) => shared.metrics.queue_depth.set(depth as i64),
             Err((conn, _)) => shed(conn, shared),
@@ -375,9 +366,7 @@ fn acceptor(listener: TcpListener, shared: &Shared) {
 
 /// Answers a connection the queue cannot hold with `Busy` and closes it.
 fn shed(mut conn: TcpStream, shared: &Shared) {
-    if shared.metrics.enabled() {
-        shared.metrics.shed.inc();
-    }
+    shared.metrics.shed.inc();
     let _ = conn.set_write_timeout(Some(Duration::from_secs(1)));
     let busy = Response::Error(ErrorFrame::new(
         ErrorKind::Busy,
@@ -429,9 +418,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
             Ok(1) => first[0],
             Ok(_) => {
                 // Read of zero bytes: orderly disconnect.
-                if shared.metrics.enabled() {
-                    shared.metrics.disconnects.inc();
-                }
+                shared.metrics.disconnects.inc();
                 return;
             }
             Err(e)
@@ -439,9 +426,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if idle_since.elapsed() > shared.config.idle_timeout {
-                    if shared.metrics.enabled() {
-                        shared.metrics.disconnects.inc();
-                    }
+                    shared.metrics.disconnects.inc();
                     return;
                 }
                 if shared.queue.backlog() > 0 {
@@ -457,13 +442,11 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                if shared.metrics.enabled() {
-                    shared.metrics.disconnects.inc();
-                }
+                shared.metrics.disconnects.inc();
                 return;
             }
         };
-        let _ = conn.set_read_timeout(Some(shared.config.frame_deadline));
+        let _ = conn.set_read_timeout(Some(FRAME_READ_DEADLINE));
         let frame = read_frame_continued(&mut conn, first);
         let _ = conn.set_read_timeout(Some(shared.config.idle_poll));
         let (ty, payload) = match frame {
@@ -472,17 +455,13 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
                 // Disconnect or mid-frame stall past the deadline. The
                 // worker simply moves on to the next pending connection —
                 // nothing is wedged.
-                if shared.metrics.enabled() {
-                    shared.metrics.disconnects.inc();
-                }
+                shared.metrics.disconnects.inc();
                 return;
             }
             Err(e) => {
                 // Framing is broken (bad magic/version/type/length): answer
                 // once, then close — the byte stream can't be resynced.
-                if shared.metrics.enabled() {
-                    shared.metrics.malformed.inc();
-                }
+                shared.metrics.malformed.inc();
                 respond(
                     &mut conn,
                     shared,
@@ -492,21 +471,17 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
             }
         };
         idle_since = Instant::now();
-        if shared.metrics.enabled() {
-            shared.metrics.frames.inc();
-            shared
-                .metrics
-                .bytes_read
-                .add((crate::wire::HEADER_LEN + payload.len()) as u64);
-        }
+        shared.metrics.frames.inc();
+        shared
+            .metrics
+            .bytes_read
+            .add((crate::wire::HEADER_LEN + payload.len()) as u64);
         let req = match Request::decode(ty, &payload) {
             Ok(req) => req,
             Err(e) => {
                 // The frame parsed but the payload didn't: the stream is
                 // still framed, so answer and keep serving.
-                if shared.metrics.enabled() {
-                    shared.metrics.malformed.inc();
-                }
+                shared.metrics.malformed.inc();
                 if !respond(
                     &mut conn,
                     shared,
@@ -517,64 +492,63 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
                 continue;
             }
         };
-        let response = process(&req, shared);
+        let response = process(req, shared);
         if !respond(&mut conn, shared, response) {
-            if shared.metrics.enabled() {
-                shared.metrics.disconnects.inc();
-            }
+            shared.metrics.disconnects.inc();
             return;
         }
     }
 }
 
-/// Runs one decoded request: quota first, then the service call.
-fn process(req: &Request, shared: &Shared) -> Response {
+/// Runs one decoded request: quota first, then the service call. The
+/// request is dead afterwards, so a report's view moves into the service.
+fn process(req: Request, shared: &Shared) -> Response {
     let m = &shared.metrics;
-    if m.enabled() {
-        match req {
-            Request::Lookup(_) => m.frames_lookup.inc(),
-            Request::Propose(_) => m.frames_propose.inc(),
-            Request::Report(_) => m.frames_report.inc(),
-            Request::Purge => m.frames_purge.inc(),
-            Request::Stats => m.frames_stats.inc(),
-        }
+    match &req {
+        Request::Lookup(_) => m.frames_lookup.inc(),
+        Request::Propose(_) => m.frames_propose.inc(),
+        Request::Report(_) => m.frames_report.inc(),
+        Request::Purge => m.frames_purge.inc(),
+        Request::Stats => m.frames_stats.inc(),
     }
     if let (Some(quota), Some(vc)) = (&shared.quota, req.vc()) {
         if !quota.admit(vc.raw()) {
-            if m.enabled() {
-                m.quota_rejections.inc();
-            }
+            m.quota_rejections.inc();
             return Response::Error(ErrorFrame::new(
                 ErrorKind::OverQuota,
                 format!("vc {} token bucket empty", vc.raw()),
             ));
         }
     }
+    let failed = |e: ScopeError| Response::Error(ErrorFrame::from_scope_error(&e));
     let start = Instant::now();
-    let response = match req {
-        Request::Lookup(r) => match shared.service.lookup(r) {
-            Ok(resp) => Response::Lookup(resp),
-            Err(e) => Response::Error(ErrorFrame::from_scope_error(&e)),
-        },
-        Request::Propose(r) => match shared.service.propose(r) {
-            Ok(outcome) => Response::Propose(outcome),
-            Err(e) => Response::Error(ErrorFrame::from_scope_error(&e)),
-        },
-        Request::Report(r) => match shared.service.report(r.clone()) {
-            Ok(()) => Response::Report,
-            Err(e) => Response::Error(ErrorFrame::from_scope_error(&e)),
-        },
-        Request::Purge => Response::Purge(shared.service.purge_expired()),
-        Request::Stats => Response::Stats(shared.service.stats()),
+    let (response, wall) = match req {
+        Request::Lookup(r) => (
+            shared
+                .service
+                .lookup(&r)
+                .map_or_else(failed, Response::Lookup),
+            Some(&m.lookup_wall),
+        ),
+        Request::Propose(r) => (
+            shared
+                .service
+                .propose(&r)
+                .map_or_else(failed, Response::Propose),
+            Some(&m.propose_wall),
+        ),
+        Request::Report(r) => (
+            shared
+                .service
+                .report(r)
+                .map_or_else(failed, |()| Response::Report),
+            Some(&m.report_wall),
+        ),
+        Request::Purge => (Response::Purge(shared.service.purge_expired()), None),
+        Request::Stats => (Response::Stats(shared.service.stats()), None),
     };
-    if m.enabled() {
-        let wall = start.elapsed().as_micros() as u64;
-        match req {
-            Request::Lookup(_) => m.lookup_wall.record(wall),
-            Request::Propose(_) => m.propose_wall.record(wall),
-            Request::Report(_) => m.report_wall.record(wall),
-            Request::Purge | Request::Stats => {}
-        }
+    if let Some(wall) = wall {
+        wall.record(start.elapsed().as_micros() as u64);
     }
     response
 }
@@ -582,15 +556,11 @@ fn process(req: &Request, shared: &Shared) -> Response {
 /// Writes a response frame; `false` means the connection is gone.
 fn respond(conn: &mut TcpStream, shared: &Shared, response: Response) -> bool {
     let m = &shared.metrics;
-    if m.enabled() {
-        if let Response::Error(_) = &response {
-            m.error_responses.inc();
-        }
+    if let Response::Error(_) = &response {
+        m.error_responses.inc();
     }
     let (ty, payload) = response.encode();
-    if m.enabled() {
-        m.bytes_written
-            .add((crate::wire::HEADER_LEN + payload.len()) as u64);
-    }
+    m.bytes_written
+        .add((crate::wire::HEADER_LEN + payload.len()) as u64);
     write_frame(conn, ty, &payload).is_ok()
 }

@@ -34,8 +34,8 @@ fn main() -> Result<()> {
         stream_rows: LogNormal::new(6.0, 0.5, 150.0, 1_500.0),
     })?;
 
-    // Telemetry is on by default; `.telemetry(Telemetry::disabled())` is
-    // the zero-overhead opt-out the benches use.
+    // Every service owns a telemetry sink (`service.telemetry`) and always
+    // records into it; there is no switch.
     let mut service = CloudViews::builder(Arc::new(StorageManager::new())).build();
 
     println!("=== day 0: baseline fills the workload repository ===");

@@ -1,18 +1,22 @@
 //! The metadata catalog's fixed point: one scripted sequence through every
-//! state-changing entry point, pinned to golden bytes. A rewrite of the
-//! service's locking or layout must leave this file untouched and green.
+//! state-changing entry point, pinned to golden bytes and golden service
+//! counters. A rewrite of the service's locking or layout must leave this
+//! file untouched and green.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cloudviews::analyzer::SelectedView;
 use cloudviews::api::{LookupRequest, ProposeRequest, ReportRequest};
-use cloudviews::metadata::{LockOutcome, MetadataService, PurgeSweep};
+use cloudviews::faults::{FaultInjector, FaultPlan, FaultSite, ScriptedFault};
+use cloudviews::metadata::{LockOutcome, MetadataService, MetadataStats, PurgeSweep};
+use cloudviews::CloudViewsBuilder;
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::intern::Symbol;
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_engine::optimizer::{Annotation, AvailableView};
+use scope_engine::storage::StorageManager;
 use scope_net::proto::Response;
 use scope_plan::interval::Interval;
 use scope_plan::{Column, DataType, PhysicalProps, Schema, Value};
@@ -91,14 +95,36 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// What the script observed on the way: the wire bytes of its three
+/// lookups and the fingerprint just before the first purge.
+struct Observed {
+    lookups: [Vec<u8>; 3],
+    before_purge: Sig128,
+}
+
+/// What the script leaves in the service counters, whichever way the
+/// service was constructed.
+const GOLDEN_STATS: MetadataStats = MetadataStats {
+    lookups: 3,
+    annotations_returned: 3,
+    locks_granted: 4,
+    lock_conflicts: 1,
+    already_materialized: 1,
+    views_registered: 5,
+    expired_takeovers: 1,
+    failed_lookups: 1,
+    failed_proposals: 1,
+    failed_reports: 1,
+    purged_annotations: 1,
+    tier2_hits: 2,
+    tier2_rejects: 2,
+};
+
 /// Load, lookups with probes, propose / conflicting propose / expired
-/// takeover, report, duplicate report, unregister, purge — then the golden
-/// `fingerprint()` at two points and the wire bytes of three lookups.
+/// takeover, report, duplicate report, unregister, purge, and one injected
+/// failure per fallible call (jobs 900–902, which touch nothing else).
 /// Every lookup matches one annotation, so response order is defined.
-#[test]
-fn scripted_sequence_lands_on_golden_fingerprint_and_lookup_bytes() {
-    let clock = Arc::new(SimClock::new());
-    let m = MetadataService::new(Arc::clone(&clock), 4);
+fn run_script(m: &MetadataService, clock: &SimClock) -> Observed {
     let (na, nb, nc) = (
         Sig128::new(0xA, 1),
         Sig128::new(0xB, 2),
@@ -140,6 +166,27 @@ fn scripted_sequence_lands_on_golden_fingerprint_and_lookup_bytes() {
         SimTime::ZERO,
     );
     let first = lookup(100, "golden/a.ss", 1);
+
+    // One scripted failure per fallible entry point: counted, and nothing
+    // else about the service moves.
+    let fail_first_call = |site, job| ScriptedFault {
+        site,
+        job: Some(JobId::new(job)),
+        call_index: 0,
+    };
+    m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+        scripted: vec![
+            fail_first_call(FaultSite::MetadataLookup, 900),
+            fail_first_call(FaultSite::Propose, 901),
+            fail_first_call(FaultSite::ReportMaterialized, 902),
+        ],
+        ..FaultPlan::default()
+    })));
+    let failing = LookupRequest::new(JobId::new(900), &tag("golden/a.ss"), secs(1));
+    assert!(m.lookup(&failing).is_err());
+    let failing = ProposeRequest::new(pa1, JobId::new(901), SimDuration::from_secs(10), secs(1));
+    assert!(m.propose(&failing).is_err());
+    assert!(m.report(report(pa1, na, 902, 1, 1_000, None)).is_err());
 
     // The lock protocol on one signature: grant, conflict, expired
     // takeover, registration (first report wins), dedup.
@@ -210,7 +257,24 @@ fn scripted_sequence_lands_on_golden_fingerprint_and_lookup_bytes() {
         (m.num_annotations(), m.num_views(), m.num_locks()),
         (2, 0, 1)
     );
+    Observed {
+        lookups: [first, second, third],
+        before_purge,
+    }
+}
 
+/// The golden `fingerprint()` at two points, the wire bytes of the three
+/// lookups, and the golden counters.
+#[test]
+fn scripted_sequence_lands_on_golden_fingerprint_and_lookup_bytes() {
+    let clock = Arc::new(SimClock::new());
+    let m = MetadataService::new(Arc::clone(&clock), 4);
+    let Observed {
+        lookups: [first, second, third],
+        before_purge,
+    } = run_script(&m, &clock);
+
+    assert_eq!(m.stats(), GOLDEN_STATS);
     assert_eq!(
         before_purge.to_string(),
         "d65fec4fd77fe7f3a508d4e1e3800d00",
@@ -256,4 +320,40 @@ fn scripted_sequence_lands_on_golden_fingerprint_and_lookup_bytes() {
         ),
         "lookup on a descriptor-less view"
     );
+}
+
+/// The service statistics *are* the exported counters: on a service built
+/// through `CloudViewsBuilder` the same script leaves the same
+/// `MetadataStats`, and each field is its `cv_metadata_*_total` series in
+/// the service's metrics snapshot.
+#[test]
+fn stats_are_the_exported_counters() {
+    let clock = Arc::new(SimClock::new());
+    let cv = CloudViewsBuilder::new(Arc::new(StorageManager::new()))
+        .clock(Arc::clone(&clock))
+        .build();
+    run_script(&cv.metadata, &clock);
+
+    let stats = cv.metadata.stats();
+    assert_eq!(stats, GOLDEN_STATS);
+    let snap = cv.telemetry.metrics.snapshot();
+    for (value, series) in [
+        (stats.lookups, "lookups"),
+        (stats.annotations_returned, "lookup_annotations"),
+        (stats.locks_granted, "locks_granted"),
+        (stats.lock_conflicts, "lock_conflicts"),
+        (stats.already_materialized, "already_materialized"),
+        (stats.views_registered, "views_registered"),
+        (stats.expired_takeovers, "expired_takeovers"),
+        (stats.failed_lookups, "lookup_faults"),
+        (stats.failed_proposals, "propose_faults"),
+        (stats.failed_reports, "report_faults"),
+        (stats.purged_annotations, "purged_annotations"),
+        (stats.tier2_hits, "tier2_hits"),
+        (stats.tier2_rejects, "tier2_rejects"),
+    ] {
+        let series = format!("cv_metadata_{series}_total");
+        assert!(value > 0, "{series}: the script must move every counter");
+        assert_eq!(snap.counter(&series), value, "{series}");
+    }
 }

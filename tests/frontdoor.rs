@@ -216,6 +216,10 @@ fn concurrent_clients_across_three_vcs() {
     assert_eq!(stats.lookups, total_lookups);
     // +1 for the fixture's own registered view.
     assert_eq!(stats.views_registered, VCS * CLIENTS_PER_VC + 1);
+    // The `Stats` frame a client decodes is the in-process snapshot: both
+    // read the service's one set of counters.
+    let wire_stats = NetClient::connect(addr).unwrap().stats().unwrap();
+    assert_eq!(wire_stats, stats);
     let snap = telemetry.metrics.snapshot();
     assert_eq!(snap.counter("cv_net_frames_lookup_total"), total_lookups);
     assert_eq!(

@@ -151,6 +151,17 @@ fn windowed_sharing_matches_serial_outputs_and_reuses() {
     assert!(reports[1].views_reused.contains(&built[0]));
     assert!(reports[2].views_reused.contains(&built[0]));
     assert!(reports[3].views_reused.is_empty(), "distinct job untouched");
+
+    // A follower's wait for its producer is charged to its trace once: no
+    // step's span ends after the job's own.
+    for follower in &reports[1..3] {
+        let spans = cv.telemetry.tracer.spans_for_job(follower.job);
+        let root = spans.iter().find(|s| s.parent.is_none()).unwrap();
+        assert_eq!(root.sim_end - root.sim_start, follower.latency);
+        for s in &spans {
+            assert!(s.sim_end <= root.sim_end, "{} ends after its job", s.name);
+        }
+    }
 }
 
 #[test]
@@ -199,7 +210,6 @@ fn window_jobs_share_one_pinned_submission_time() {
         let cfg = SharingConfig {
             enabled,
             window: SimDuration::from_secs(30),
-            ..SharingConfig::default()
         };
         let offsets = [0u64, 5, 29, 35];
         let arrivals = specs
