@@ -153,14 +153,6 @@ pub fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// `n` linearly spaced points from `lo` to `hi` inclusive.
-pub fn lin_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "lin_space needs n >= 2");
-    (0..n)
-        .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,12 +224,6 @@ mod tests {
         assert!((xs[3] - 1000.0).abs() < 1e-6);
         assert!((xs[1] - 10.0).abs() < 1e-6);
         assert!(xs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn lin_space_endpoints() {
-        let xs = lin_space(0.0, 1.0, 5);
-        assert_eq!(xs, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
     }
 
     #[test]

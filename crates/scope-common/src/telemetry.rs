@@ -14,7 +14,7 @@
 //!   child spans for each phase of the job path, recorded into a bounded
 //!   in-memory ring buffer with a JSON export.
 //! * Exporters — Prometheus text format ([`MetricsRegistry::prometheus_text`])
-//!   and JSON snapshots ([`MetricsRegistry::json_snapshot`],
+//!   and JSON snapshots ([`MetricsSnapshot::to_json`],
 //!   [`Tracer::json`]), plus a minimal JSON value parser ([`json`]) so
 //!   round-trips can be asserted without external crates.
 //!
@@ -383,11 +383,6 @@ impl MetricsRegistry {
     /// Prometheus text exposition format (type comments + samples).
     pub fn prometheus_text(&self) -> String {
         self.snapshot().prometheus_text()
-    }
-
-    /// JSON snapshot of every metric (see [`MetricsSnapshot::to_json`]).
-    pub fn json_snapshot(&self) -> String {
-        self.snapshot().to_json()
     }
 }
 

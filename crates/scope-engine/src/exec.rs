@@ -18,12 +18,15 @@
 //!
 //! **Pinned semantics.** Every [`NodeRuntimeStats`] field, the cost-model
 //! inputs, partition counts, and per-partition row order are byte-identical
-//! to the seed row executor (preserved in [`crate::rowref`]); the
-//! EXPERIMENTS.md figures and the subsumption byte-identity suite depend on
-//! it. Cases the batch kernels cannot reproduce exactly — user-defined
-//! operators, window functions, loops joins, LeftOuter padding against an
-//! empty right partition, and any vectorized expression error — drop to the
-//! row kernels in [`crate::rowref`], so the two paths cannot disagree.
+//! to the seed row executor, which `tests/properties.rs` keeps as an oracle
+//! sharing no kernel with this module; the EXPERIMENTS.md figures and the
+//! subsumption byte-identity suite depend on it. Every operator runs a batch
+//! kernel, and a loops join is the hash join with each left partition
+//! probing the one gathered right partition. Rows appear only where the
+//! interface takes them: user-defined operators consume and produce rows
+//! (Process, Reduce/GbApply, Combine, Extract scans), and Aggregate still
+//! assembles its output rows. A vectorized expression error re-evaluates row
+//! at a time through `Expr::eval` (see `crate::vexpr`).
 //!
 //! The executor trusts the optimizer's property enforcement: group-wise
 //! operators assume their input is co-partitioned (and, for stream variants,
@@ -31,14 +34,15 @@
 //! correctness property tests cross-check by comparing against
 //! single-partition reference runs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use scope_common::ids::NodeId;
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
 use scope_plan::expr::AggFunc;
-use scope_plan::op::AggImpl;
+use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
     AggExpr, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph, Schema,
     SortOrder, Value,
@@ -47,9 +51,8 @@ use scope_plan::{
 use crate::cost::CostModel;
 use crate::data::{
     batches_from_rows, cells_gathered, compare_batch_rows, compare_batch_rows_full, sort_rows,
-    ColumnVector, RecordBatch, Row, Table,
+    Cell, ColumnVector, RecordBatch, Row, Table,
 };
-use crate::rowref::{self, Acc};
 use crate::storage::StorageManager;
 use crate::vexpr;
 
@@ -326,15 +329,16 @@ fn exec_node(
             for p in 0..input.num_partitions() {
                 let batch = input.partition_as_batch(p);
                 parts.push(match implementation {
-                    AggImpl::Hash => hash_aggregate_batch(&batch, keys, aggs)?,
-                    AggImpl::Stream => stream_aggregate_batch(&batch, keys, aggs)?,
+                    AggImpl::Hash => hash_aggregate_batch(&batch, keys, aggs),
+                    AggImpl::Stream => stream_aggregate_batch(&batch, keys, aggs),
                 });
             }
             // Global aggregate over an empty input emits exactly one row.
             if keys.is_empty() {
                 let total: usize = parts.iter().map(Vec::len).sum();
                 if total == 0 && !parts.is_empty() {
-                    parts[0].push(rowref::empty_global_agg_row(aggs));
+                    let empty = aggs.iter().map(|a| Acc::default().finish(a.func));
+                    parts[0].push(empty.collect());
                 }
             }
             Ok((
@@ -376,20 +380,18 @@ fn exec_node(
             partition,
             order,
         } => {
-            // Window functions are row-ordered by definition; the row kernel
-            // is the semantics.
             let input = one()?;
             let mut parts = Vec::with_capacity(input.num_partitions());
             for p in 0..input.num_partitions() {
-                parts.push(rowref::exec_window(
-                    &input.partition_rows(p),
-                    func,
-                    partition,
-                    order,
-                )?);
+                let batch = input.partition_as_batch(p);
+                parts.push(if batch.num_rows() == 0 {
+                    Vec::new()
+                } else {
+                    vec![Arc::new(window_batch(&batch, func, partition, order))]
+                });
             }
             Ok((
-                Table::from_rows(
+                Table::from_batches(
                     out_schema.clone(),
                     parts,
                     op.delivered_props(std::slice::from_ref(&input.props)),
@@ -420,10 +422,11 @@ fn exec_node(
             let input = one()?;
             let mut parts = Vec::with_capacity(input.num_partitions());
             for p in 0..input.num_partitions() {
-                let rows = input.partition_rows(p);
+                let batch = input.partition_as_batch(p);
+                let rows: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
                 let mut out = Vec::new();
-                for group in rowref::key_runs(&rows, keys) {
-                    udo.reduce_group(group, &mut out)?;
+                for run in key_runs(&batch, keys) {
+                    udo.reduce_group(&rows[run], &mut out)?;
                 }
                 parts.push(out);
             }
@@ -502,12 +505,210 @@ fn exec_node(
 }
 
 // ---------------------------------------------------------------------------
+// Runs and windows
+// ---------------------------------------------------------------------------
+
+/// Maximal runs of adjacent rows with equal `keys` (`cmp_cell`, which
+/// mirrors `Value::cmp`): the groups of the stream aggregate, Window and
+/// Reduce/GbApply. Unsorted input still groups only *adjacent* equal keys;
+/// the optimizer's enforcers sort first.
+fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
+    let rows = batch.num_rows();
+    if rows == 0 {
+        // An empty partition may be a zero-width batch: no key column to read.
+        return Vec::new();
+    }
+    let key_cols: Vec<&Arc<ColumnVector>> = keys.iter().map(|&k| batch.column(k)).collect();
+    let same = |a: usize, b: usize| {
+        key_cols
+            .iter()
+            .all(|c| c.cell(a).cmp_cell(c.cell(b)).is_eq())
+    };
+    let mut runs = Vec::new();
+    let mut start = 0;
+    while start < rows {
+        let mut end = start + 1;
+        while end < rows && same(end, start) {
+            end += 1;
+        }
+        runs.push(start..end);
+        start = end;
+    }
+    runs
+}
+
+/// One window function over a non-empty partition. Each run of equal
+/// `partition` keys is put in `order`, ties broken by the full row (running
+/// sums would otherwise depend on arrival order, as in `Top`); the rows move
+/// in that order and the function's value is appended as one more column.
+fn window_batch(
+    batch: &RecordBatch,
+    func: &WindowFunc,
+    partition: &[usize],
+    order: &SortOrder,
+) -> RecordBatch {
+    let runs = key_runs(batch, partition);
+    let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
+    for run in &runs {
+        idx[run.clone()].sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            compare_batch_rows(batch, a, b, order)
+                .then_with(|| compare_batch_rows_full(batch, a, b))
+        });
+    }
+    let value = match func {
+        WindowFunc::RunningSum(c) => {
+            let col = batch.column(*c);
+            let mut data = Vec::with_capacity(idx.len());
+            for run in &runs {
+                let mut sum = 0.0;
+                for &i in &idx[run.clone()] {
+                    sum += col.cell(i as usize).as_f64().unwrap_or(0.0);
+                    data.push(sum);
+                }
+            }
+            ColumnVector::Float { data, nulls: None }
+        }
+        WindowFunc::RowNumber | WindowFunc::Rank => {
+            let numbers_ties = matches!(func, WindowFunc::RowNumber);
+            let mut data = Vec::with_capacity(idx.len());
+            for run in &runs {
+                let group = &idx[run.clone()];
+                let mut rank = 0;
+                for (n, &i) in group.iter().enumerate() {
+                    let tied = n > 0
+                        && compare_batch_rows(batch, group[n - 1] as usize, i as usize, order)
+                            .is_eq();
+                    if numbers_ties || !tied {
+                        rank = n as i64 + 1;
+                    }
+                    data.push(rank);
+                }
+            }
+            ColumnVector::Int { data, nulls: None }
+        }
+    };
+    // Input already in window order (a sort below enforced it) moves whole.
+    let mut columns = if idx.windows(2).all(|w| w[0] < w[1]) {
+        batch.columns().to_vec()
+    } else {
+        RecordBatch::gather_columns(&[(batch, Some(&idx))])
+    };
+    columns.push(value.into());
+    RecordBatch::new(columns, idx.len())
+}
+
+// ---------------------------------------------------------------------------
 // Vectorized aggregation
 // ---------------------------------------------------------------------------
 
-/// Group index per input row, plus the distinct keys in first-seen order —
-/// the seed hash aggregate's grouping, computed column-wise with a typed
-/// fast path for single integer-like keys.
+/// Aggregate accumulator for one group.
+///
+/// Float sums are accumulated as a value list and added in a *deterministic
+/// order* at finish time: IEEE addition is not associative, so summing in
+/// physical arrival order would make results depend on partitioning — and a
+/// view-fed plan (different partition order) could differ from the baseline
+/// in the last ulp. Integer sums stay incremental.
+#[derive(Default)]
+struct Acc {
+    count: u64,
+    int_sum: i64,
+    float_values: Vec<f64>,
+    sum_is_float: bool,
+    min: Option<Value>,
+    max: Option<Value>,
+    distinct: HashSet<Value>,
+    non_null: u64,
+}
+
+impl Acc {
+    /// Feeds one borrowed cell: only MIN/MAX/COUNT DISTINCT ever
+    /// materialize a [`Value`].
+    fn update_cell(&mut self, func: AggFunc, c: Cell<'_>) {
+        self.count += 1;
+        if c.is_null() {
+            return;
+        }
+        self.non_null += 1;
+        match func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => match c {
+                Cell::Float(f) => self.push_float(f),
+                other => {
+                    if let Some(x) = other.as_i64() {
+                        self.add_int(x);
+                    }
+                }
+            },
+            AggFunc::Min => {
+                if self
+                    .min
+                    .as_ref()
+                    .is_none_or(|m| c.cmp_cell(Cell::of(m)).is_lt())
+                {
+                    self.min = Some(c.to_value());
+                }
+            }
+            AggFunc::Max => {
+                if self
+                    .max
+                    .as_ref()
+                    .is_none_or(|m| c.cmp_cell(Cell::of(m)).is_gt())
+                {
+                    self.max = Some(c.to_value());
+                }
+            }
+            AggFunc::CountDistinct => {
+                self.distinct.insert(c.to_value());
+            }
+        }
+    }
+
+    // Typed bulk helpers for the monomorphized hash-aggregate loops. Each
+    // mirrors a slice of `update_cell`'s effect on the fields that the
+    // corresponding `finish` arm reads; callers must feed every group row
+    // through `bump_rows` exactly once and only non-null values into the
+    // value-carrying updates.
+
+    /// COUNT/SUM/AVG bookkeeping: `rows` cells seen, `non_null` of them non-NULL.
+    fn bump_rows(&mut self, rows: u64, non_null: u64) {
+        self.count += rows;
+        self.non_null += non_null;
+    }
+
+    /// One non-null integer into a SUM/AVG (wrapping).
+    fn add_int(&mut self, x: i64) {
+        self.int_sum = self.int_sum.wrapping_add(x);
+    }
+
+    /// One non-null float into a SUM/AVG. Push order is irrelevant:
+    /// `float_total` sorts by IEEE total order before adding.
+    fn push_float(&mut self, f: f64) {
+        self.sum_is_float = true;
+        self.float_values.push(f);
+    }
+
+    /// Order-insensitive float total: sort by IEEE total order, then add.
+    fn float_total(&self) -> f64 {
+        let mut vals = self.float_values.clone();
+        vals.sort_by(|a, b| a.total_cmp(b));
+        vals.iter().sum::<f64>() + self.int_sum as f64
+    }
+
+    fn finish(&self, func: AggFunc) -> Value {
+        match func {
+            AggFunc::Count => Value::Int(self.count as i64),
+            AggFunc::Sum | AggFunc::Avg if self.non_null == 0 => Value::Null,
+            AggFunc::Sum if self.sum_is_float => Value::Float(self.float_total()),
+            AggFunc::Sum => Value::Int(self.int_sum),
+            AggFunc::Avg => Value::Float(self.float_total() / self.non_null as f64),
+            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
+            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+            AggFunc::CountDistinct => Value::Int(self.distinct.len() as i64),
+        }
+    }
+}
+
 /// Null-test closure over a typed column's optional mask.
 fn null_at(nulls: &Option<crate::data::NullMask>) -> impl Fn(usize) -> bool + '_ {
     move |i| nulls.as_ref().is_some_and(|m| m[i])
@@ -596,6 +797,9 @@ fn group_typed_ints(
     (group_of, key_rows)
 }
 
+/// Group index per input row, plus the distinct keys in first-seen order —
+/// the seed hash aggregate's grouping, computed column-wise with a typed
+/// fast path for single integer-like keys.
 fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<Vec<Value>>) {
     let rows = batch.num_rows();
 
@@ -639,10 +843,10 @@ fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<Vec<Value>>
     (group_of, key_rows)
 }
 
-fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -> Result<Vec<Row>> {
+fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -> Vec<Row> {
     let rows = batch.num_rows();
     if rows == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let width = batch.width();
     let (group_of, key_rows) = group_rows(batch, keys);
@@ -659,7 +863,7 @@ fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -
     let mut acc_cols: Vec<Vec<Acc>> = Vec::with_capacity(aggs.len());
     for a in aggs {
         let col = batch.column(a.input.min(width - 1));
-        let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::new()).collect();
+        let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::default()).collect();
         match (a.func, col.as_ref()) {
             (AggFunc::Count, _) => {
                 // finish(Count) reads only the row count; nulls don't matter.
@@ -685,17 +889,16 @@ fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -
         }
         acc_cols.push(accs);
     }
-    Ok(key_rows
-        .iter()
+    key_rows
+        .into_iter()
         .enumerate()
-        .map(|(g, key)| {
-            let mut row: Row = key.clone();
+        .map(|(g, mut row)| {
             for (j, a) in aggs.iter().enumerate() {
                 row.push(acc_cols[j][g].finish(a.func));
             }
             row
         })
-        .collect())
+        .collect()
 }
 
 /// SUM/AVG inner loop shared by the typed numeric columns: `add` feeds one
@@ -732,56 +935,37 @@ fn accumulate_sums(
     }
 }
 
-fn stream_aggregate_batch(
-    batch: &RecordBatch,
-    keys: &[usize],
-    aggs: &[AggExpr],
-) -> Result<Vec<Row>> {
-    let rows = batch.num_rows();
-    let mut out = Vec::new();
-    if rows == 0 {
-        return Ok(out);
+fn stream_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -> Vec<Row> {
+    let runs = key_runs(batch, keys);
+    if runs.is_empty() {
+        return Vec::new();
     }
     let width = batch.width();
-    let key_cols: Vec<&Arc<ColumnVector>> = keys.iter().map(|&k| batch.column(k)).collect();
     let agg_cols: Vec<&Arc<ColumnVector>> = aggs
         .iter()
         .map(|a| batch.column(a.input.min(width - 1)))
         .collect();
-    let mut start = 0;
-    while start < rows {
-        // Maximal run of adjacent equal keys, like the row kernel.
-        let mut end = start + 1;
-        while end < rows
-            && key_cols
+    runs.into_iter()
+        .map(|run| {
+            let mut row: Row = keys
                 .iter()
-                .all(|c| c.cell(end).cmp_cell(c.cell(start)).is_eq())
-        {
-            end += 1;
-        }
-        let mut accs: Vec<Acc> = aggs.iter().map(|_| Acc::new()).collect();
-        for i in start..end {
-            for (acc, (a, col)) in accs.iter_mut().zip(aggs.iter().zip(&agg_cols)) {
-                acc.update_cell(a.func, col.cell(i));
+                .map(|&k| batch.cell(run.start, k).to_value())
+                .collect();
+            for (a, col) in aggs.iter().zip(&agg_cols) {
+                let mut acc = Acc::default();
+                for i in run.clone() {
+                    acc.update_cell(a.func, col.cell(i));
+                }
+                row.push(acc.finish(a.func));
             }
-        }
-        let key: Vec<Value> = key_cols.iter().map(|c| c.value(start)).collect();
-        out.push(rowref::agg_row(&key, &accs, aggs));
-        start = end;
-    }
-    Ok(out)
+            row
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Vectorized hash join
 // ---------------------------------------------------------------------------
-
-fn join_props(left: &Table) -> PhysicalProps {
-    PhysicalProps {
-        partitioning: left.props.partitioning.clone(),
-        sort: SortOrder::none(),
-    }
-}
 
 fn exec_join(
     left: &Table,
@@ -792,69 +976,41 @@ fn exec_join(
     right_keys: &[usize],
     out_schema: &Schema,
 ) -> Result<Table> {
-    let rwidth = right.schema.len();
-
-    if matches!(implementation, JoinImpl::Loops) {
-        // Loops joins are rare and inherently row-pairwise; the row kernel
-        // is the semantics. Right side gathered single (enforced).
-        if right.num_partitions() == 0 {
-            return Err(ScopeError::Execution(
-                "loops join with no right partition".into(),
-            ));
-        }
-        let rp = right.partition_rows(0);
-        let parts = (0..left.num_partitions())
-            .map(|p| {
-                rowref::loops_join_rows(
-                    &left.partition_rows(p),
-                    &rp,
-                    kind,
-                    left_keys,
-                    right_keys,
-                    rwidth,
-                )
-            })
-            .collect();
-        return Ok(Table::from_rows(
-            out_schema.clone(),
-            parts,
-            join_props(left),
-        ));
-    }
-
-    if left.num_partitions() != right.num_partitions() {
+    // Hash and merge joins pair co-partitions. A loops join's right side is
+    // gathered single (enforced), and every left partition probes it: the
+    // same output, left-row-major with matches in right arrival order.
+    let broadcast = implementation == JoinImpl::Loops;
+    let paired = if broadcast {
+        right.num_partitions() > 0
+    } else {
+        left.num_partitions() == right.num_partitions()
+    };
+    if !paired {
         return Err(ScopeError::Execution(format!(
             "join partition mismatch: {} vs {}",
             left.num_partitions(),
             right.num_partitions()
         )));
     }
-
-    let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(left.num_partitions());
-    for p in 0..left.num_partitions() {
-        let (lb, rb) = (left.partition_as_batch(p), right.partition_as_batch(p));
-        // LeftOuter pads unmatched rows to the right *schema* width; an
-        // empty right partition has no columns to pad from (width 0), so
-        // only the row kernel reproduces that padding.
-        if kind == JoinKind::LeftOuter && rb.width() != rwidth {
-            let rows = rowref::hash_join_rows(
-                &left.partition_rows(p),
-                &right.partition_rows(p),
+    let rwidth = right.schema.len();
+    let parts = (0..left.num_partitions())
+        .map(|p| {
+            let rb = right.partition_as_batch(if broadcast { 0 } else { p });
+            hash_join_batch(
+                &left.partition_as_batch(p),
+                &rb,
                 kind,
                 left_keys,
                 right_keys,
                 rwidth,
-            );
-            parts.push(batches_from_rows(rows));
-            continue;
-        }
-        parts.push(hash_join_batch(&lb, &rb, kind, left_keys, right_keys));
-    }
-    Ok(Table::from_batches(
-        out_schema.clone(),
-        parts,
-        join_props(left),
-    ))
+            )
+        })
+        .collect();
+    let props = PhysicalProps {
+        partitioning: left.props.partitioning.clone(),
+        sort: SortOrder::none(),
+    };
+    Ok(Table::from_batches(out_schema.clone(), parts, props))
 }
 
 /// Right-side groups of row indices plus, per left row, the matching group.
@@ -936,12 +1092,16 @@ fn build_probe_ints(
     }
 }
 
+/// Joins one left partition against one right partition: build on the
+/// right (NULL keys never join), probe the left in arrival order. LeftOuter
+/// pads unmatched rows to `rwidth`, the right *schema* width.
 fn hash_join_batch(
     lb: &RecordBatch,
     rb: &RecordBatch,
     kind: JoinKind,
     left_keys: &[usize],
     right_keys: &[usize],
+    rwidth: usize,
 ) -> Vec<Arc<RecordBatch>> {
     let lrows = lb.num_rows();
     if lrows == 0 {
@@ -1074,9 +1234,14 @@ fn hash_join_batch(
                     }
                 }
             }
-            // The padded side has holes no pick can name: gathered here.
+            // The padded side has holes no pick can name: gathered here. An
+            // empty right partition may have no columns at all; its padding
+            // is all-NULL columns, the shape `from_values` gives them.
             let mut cols = RecordBatch::gather_columns(&[(lb, Some(&lidx))]);
-            cols.extend((0..rb.width()).map(|j| rb.column(j).take_opt(&ridx).into()));
+            cols.extend((0..rwidth).map(|j| match rrows {
+                0 => ColumnVector::Mixed(vec![Value::Null; lidx.len()]).into(),
+                _ => rb.column(j).take_opt(&ridx).into(),
+            }));
             RecordBatch::new(cols, lidx.len())
         }
     };
@@ -1492,68 +1657,6 @@ mod tests {
         let seq = b.sequence(vec![s1, f]);
         let g = b.output(seq, "o").build().unwrap();
         assert_eq!(run(&g, &storage).outputs["o"].num_rows(), 2);
-    }
-
-    #[test]
-    fn picks_composed_across_exchange_join_exchange_filter_match_row_reference() {
-        // Wide rows (a NULL-bearing Int, a Str with NULLs, a Str without)
-        // that nobody reads until the end: every node above the scans hands
-        // on recipes, each picking through the one below.
-        let schema = Schema::from_pairs(&[
-            ("k", DataType::Int),
-            ("v", DataType::Int),
-            ("n", DataType::Int),
-            ("s", DataType::Str),
-            ("t", DataType::Str),
-        ]);
-        let rows = |n: i64, keys: i64| -> Vec<Row> {
-            (0..n)
-                .map(|i| {
-                    let sparse =
-                        |v: Value, every: i64| if i % every == 0 { Value::Null } else { v };
-                    vec![
-                        Value::Int(i * 7 % keys),
-                        Value::Int(i),
-                        sparse(Value::Int(-i), 5),
-                        sparse(Value::Str(format!("s{}", i % 13)), 7),
-                        Value::Str(format!("t{i}")),
-                    ]
-                })
-                .collect()
-        };
-        let storage = StorageManager::new();
-        storage.put_dataset(
-            DatasetId::new(1),
-            Table::single(schema.clone(), rows(3000, 50)),
-        );
-        storage.put_dataset(
-            DatasetId::new(2),
-            Table::single(schema.clone(), rows(400, 50)),
-        );
-        let hash = |col| Partitioning::Hash {
-            cols: vec![col],
-            parts: 4,
-        };
-        let mut b = PlanBuilder::new();
-        let l = b.table_scan(DatasetId::new(1), "l", schema.clone());
-        let r = b.table_scan(DatasetId::new(2), "r", schema);
-        let (lx, rx) = (b.exchange(l, hash(0)), b.exchange(r, hash(0)));
-        let j = b.join(lx, rx, JoinKind::Inner, vec![0], vec![0]);
-        let jx = b.exchange(j, hash(6));
-        let f = b.filter(jx, Expr::col(1).lt(Expr::lit(1500i64)));
-        let g = b.output(f, "o").build().unwrap();
-
-        let columnar = run(&g, &storage);
-        let rowwise =
-            rowref::execute_plan_rows(&g, &storage, &CostModel::default(), SimTime::ZERO).unwrap();
-        // Routing keys, join keys and the filter column were read; the other
-        // seven columns in ten were not, through four row-moving operators.
-        assert!(columnar.cells_gathered * 4 < rowwise.cells_gathered);
-        assert_eq!(columnar.node_stats, rowwise.node_stats);
-        for (ct, rt) in columnar.node_tables.iter().zip(&rowwise.node_tables) {
-            assert_eq!(*ct, rt.to_table());
-        }
-        assert_eq!(columnar.outputs["o"].num_rows(), 12_000);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   view store with expiry-based purging (paper Section 5.4).
 //! * [`exec`] — the columnar batch-at-a-time physical executor for every
 //!   operator kind in the paper's Figure 4(a), with per-node runtime
-//!   statistics byte-identical to the row reference executor in [`rowref`].
+//!   statistics byte-identical to the seed row executor, which the tests
+//!   keep as their oracle.
 //! * [`sim`] — the discrete-event cluster model: plans split into stages at
 //!   exchange boundaries, stages run as waves of parallel vertices under a
 //!   token budget; produces end-to-end latency and total CPU-time, the two
@@ -36,7 +37,6 @@ pub mod exec;
 pub mod job;
 pub mod optimizer;
 pub mod repo;
-pub mod rowref;
 pub mod sim;
 pub mod storage;
 mod vexpr;

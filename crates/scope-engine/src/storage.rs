@@ -199,16 +199,6 @@ impl StorageManager {
             .ok_or_else(|| ScopeError::Storage(format!("unknown dataset {id}")))
     }
 
-    /// Row count of a dataset, if registered (the optimizer's statistics
-    /// oracle for base tables).
-    pub fn dataset_rows(&self, id: DatasetId) -> Option<u64> {
-        self.inner
-            .read()
-            .datasets
-            .get(&id)
-            .map(|t| t.num_rows() as u64)
-    }
-
     /// Number of registered datasets.
     pub fn num_datasets(&self) -> usize {
         self.inner.read().datasets.len()
@@ -350,11 +340,6 @@ impl StorageManager {
         }
     }
 
-    /// True when a non-expired view exists for `precise`.
-    pub fn view_exists(&self, precise: Sig128, now: SimTime) -> bool {
-        self.view(precise, now).is_some()
-    }
-
     /// Removes expired view files; returns the reclaimed bytes.
     pub fn purge_expired(&self, now: SimTime) -> u64 {
         let mut inner = self.inner.write();
@@ -460,7 +445,6 @@ mod tests {
         let s = StorageManager::new();
         s.put_dataset(DatasetId::new(1), tiny_table());
         assert_eq!(s.dataset(DatasetId::new(1)).unwrap().num_rows(), 2);
-        assert_eq!(s.dataset_rows(DatasetId::new(1)), Some(2));
         assert!(s.dataset(DatasetId::new(9)).is_err());
         assert_eq!(s.num_datasets(), 1);
     }
@@ -471,10 +455,9 @@ mod tests {
         let v = view(b"v1", SimTime(1_000_000));
         let sig = v.meta.precise;
         s.publish_view(v).unwrap();
-        assert!(s.view_exists(sig, SimTime::ZERO));
         assert_eq!(s.view(sig, SimTime::ZERO).unwrap().meta.rows, 2);
         // Expired view is not served.
-        assert!(!s.view_exists(sig, SimTime(1_000_000)));
+        assert!(s.view(sig, SimTime(1_000_000)).is_none());
     }
 
     #[test]
@@ -552,7 +535,7 @@ mod tests {
         s.publish_view(v).unwrap();
         assert!(s.corrupt_view(sig));
         // The cheap metadata probe still sees the file...
-        assert!(s.view_exists(sig, SimTime::ZERO));
+        assert!(s.view(sig, SimTime::ZERO).is_some());
         // ...but an execution read detects the damage.
         let err = s.open_view(sig, SimTime::ZERO).unwrap_err();
         assert!(err.message().contains("checksum mismatch"), "{err}");

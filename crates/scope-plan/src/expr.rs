@@ -381,19 +381,6 @@ impl Expr {
         }
     }
 
-    /// True when the expression contains a recurring parameter anywhere.
-    pub fn has_recurring_param(&self) -> bool {
-        match self {
-            Expr::RecurringParam { .. } => true,
-            Expr::Col(_) | Expr::Lit(_) => false,
-            Expr::Unary { child, .. } => child.has_recurring_param(),
-            Expr::Binary { left, right, .. } => {
-                left.has_recurring_param() || right.has_recurring_param()
-            }
-            Expr::Func { args, .. } => args.iter().any(Expr::has_recurring_param),
-        }
-    }
-
     /// Feeds the expression into a stable hasher in the given mode.
     pub fn stable_hash_into(&self, h: &mut SipHasher24, mode: HashMode) {
         match self {
@@ -914,8 +901,6 @@ mod tests {
         // Different parameter names stay distinct even normalized.
         let p3 = Expr::param("@@otherDate", Value::Date(100));
         assert_ne!(h(&p1, HashMode::Normalized), h(&p3, HashMode::Normalized));
-        assert!(p1.has_recurring_param());
-        assert!(!Expr::lit(1i64).has_recurring_param());
     }
 
     #[test]

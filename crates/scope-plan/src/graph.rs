@@ -188,22 +188,6 @@ impl QueryGraph {
             .collect())
     }
 
-    /// Extracts the subgraph rooted at `root` as a standalone graph whose
-    /// single root is the copied `root` node. Node ids are remapped.
-    pub fn extract_subgraph(&self, root: NodeId) -> Result<QueryGraph> {
-        let ids = self.subgraph_nodes(root)?;
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::with_capacity(ids.len());
-        let mut g = QueryGraph::new();
-        for old in &ids {
-            let n = &self.nodes[old.index()];
-            let children: Vec<NodeId> = n.children.iter().map(|c| remap[c]).collect();
-            let new_id = g.add(n.op.clone(), children)?;
-            remap.insert(*old, new_id);
-        }
-        g.add_root(remap[&root])?;
-        Ok(g)
-    }
-
     /// Replaces the subgraph rooted at `root` with a single new operator
     /// (used to swap a computed subgraph for a `ViewGet`). The old nodes
     /// become unreachable; they are *not* removed (ids stay stable), but
@@ -390,18 +374,6 @@ mod tests {
         let parents = g.parents();
         assert_eq!(parents[&spool].len(), 2);
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn subgraph_extraction() {
-        let (g, _, f, _) = simple_graph();
-        let sub = g.extract_subgraph(f).unwrap();
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.roots().len(), 1);
-        sub.validate().unwrap();
-        // The extracted root is the filter.
-        let root = sub.node(sub.roots()[0]).unwrap();
-        assert!(matches!(root.op, Operator::Filter { .. }));
     }
 
     #[test]

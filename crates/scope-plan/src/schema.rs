@@ -91,14 +91,6 @@ impl Schema {
         })
     }
 
-    /// Index of the column named `name`.
-    pub fn index_of(&self, name: &str) -> Result<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| ScopeError::InvalidPlan(format!("unknown column `{name}`")))
-    }
-
     /// True when `other` has the same column types in the same order
     /// (names may differ — SCOPE's RestrRemap renames freely).
     pub fn types_match(&self, other: &Schema) -> bool {
@@ -165,8 +157,6 @@ mod tests {
     fn lookup() {
         let s = abc();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.index_of("b").unwrap(), 1);
-        assert!(s.index_of("z").is_err());
         assert_eq!(s.column(2).unwrap().name, "c");
         assert!(s.column(3).is_err());
     }

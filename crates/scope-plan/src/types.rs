@@ -192,12 +192,17 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Consistent with `Eq`: `Int` and `Float` compare through `f64`, so
+    /// both hash under one numeric tag as the bits of that `f64`.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u8(self.tag());
+        match self {
+            Value::Int(_) | Value::Float(_) => state.write_u8(Value::Int(0).tag()),
+            other => state.write_u8(other.tag()),
+        }
         match self {
             Value::Null => {}
             Value::Bool(b) => state.write_u8(*b as u8),
-            Value::Int(i) => state.write_i64(*i),
+            Value::Int(i) => state.write_u64((*i as f64).to_bits()),
             Value::Float(f) => state.write_u64(f.to_bits()),
             Value::Str(s) => state.write(s.as_bytes()),
             Value::Date(d) => state.write_i32(*d),
@@ -278,6 +283,21 @@ mod tests {
         let mut v = [nan.clone(), Value::Float(1.0), Value::Float(-1.0)];
         v.sort(); // must not panic
         assert_eq!(v[0], Value::Float(-1.0));
+    }
+
+    #[test]
+    fn equal_numerics_hash_alike() {
+        use std::collections::HashSet;
+        let set: HashSet<Value> = [Value::Int(1), Value::Float(1.0)].into_iter().collect();
+        assert_eq!(set.len(), 1);
+        let set: HashSet<Value> = (0..100)
+            .flat_map(|i| [Value::Int(i), Value::Float(i as f64)])
+            .collect();
+        assert_eq!(set.len(), 100);
+        let set: HashSet<Value> = [Value::Int(1), Value::Float(1.5), Value::Date(1)]
+            .into_iter()
+            .collect();
+        assert_eq!(set.len(), 3);
     }
 
     #[test]

@@ -30,6 +30,9 @@ use scope_plan::{
 };
 use scope_signature::sign_graph;
 
+#[path = "support/rowref.rs"]
+mod rowref;
+
 /// Number of random cases per property (mirrors the old proptest config).
 const CASES: usize = 24;
 
@@ -1171,8 +1174,7 @@ fn patch_physical(rng: &mut SmallRng, phys: &mut QueryGraph) {
 fn assert_executors_agree(graph: &QueryGraph, storage: &StorageManager, context: &str) {
     let model = CostModel::default();
     let columnar = execute_plan(graph, storage, &model, SimTime::ZERO).unwrap();
-    let rowwise =
-        scope_engine::rowref::execute_plan_rows(graph, storage, &model, SimTime::ZERO).unwrap();
+    let rowwise = rowref::execute_plan_rows(graph, storage, &model, SimTime::ZERO).unwrap();
     assert_eq!(
         columnar.node_stats, rowwise.node_stats,
         "NodeRuntimeStats diverged ({context})"
@@ -1291,8 +1293,7 @@ fn star_join_matches_row_reference_and_copies_a_quarter_of_its_cells() {
     let model = CostModel::default();
     let columnar = execute_plan(&plan.physical, &storage, &model, SimTime::ZERO).unwrap();
     let rowwise =
-        scope_engine::rowref::execute_plan_rows(&plan.physical, &storage, &model, SimTime::ZERO)
-            .unwrap();
+        rowref::execute_plan_rows(&plan.physical, &storage, &model, SimTime::ZERO).unwrap();
     assert!(columnar.outputs["star/out.ss"].num_rows() > 6_000);
     assert!(
         columnar.cells_gathered * 4 < rowwise.cells_gathered,
@@ -1300,6 +1301,167 @@ fn star_join_matches_row_reference_and_copies_a_quarter_of_its_cells() {
         columnar.cells_gathered,
         rowwise.cells_gathered
     );
+}
+
+fn run(graph: &QueryGraph, storage: &StorageManager) -> scope_engine::ExecOutcome {
+    execute_plan(graph, storage, &CostModel::default(), SimTime::ZERO).unwrap()
+}
+
+/// Recipes composed through four row-moving operators: the columnar
+/// executor copies under a quarter of the cells and matches the row engine.
+#[test]
+fn picks_composed_across_exchange_join_exchange_filter_match_row_reference() {
+    use scope_engine::Row;
+    use scope_plan::JoinKind;
+    // Wide rows (a NULL-bearing Int, a Str with NULLs, a Str without)
+    // that nobody reads until the end: every node above the scans hands
+    // on recipes, each picking through the one below.
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("v", DataType::Int),
+        ("n", DataType::Int),
+        ("s", DataType::Str),
+        ("t", DataType::Str),
+    ]);
+    let rows = |n: i64, keys: i64| -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                let sparse = |v: Value, every: i64| if i % every == 0 { Value::Null } else { v };
+                vec![
+                    Value::Int(i * 7 % keys),
+                    Value::Int(i),
+                    sparse(Value::Int(-i), 5),
+                    sparse(Value::Str(format!("s{}", i % 13)), 7),
+                    Value::Str(format!("t{i}")),
+                ]
+            })
+            .collect()
+    };
+    let storage = StorageManager::new();
+    storage.put_dataset(
+        DatasetId::new(1),
+        Table::single(schema.clone(), rows(3000, 50)),
+    );
+    storage.put_dataset(
+        DatasetId::new(2),
+        Table::single(schema.clone(), rows(400, 50)),
+    );
+    let hash = |col| Partitioning::Hash {
+        cols: vec![col],
+        parts: 4,
+    };
+    let mut b = PlanBuilder::new();
+    let l = b.table_scan(DatasetId::new(1), "l", schema.clone());
+    let r = b.table_scan(DatasetId::new(2), "r", schema);
+    let (lx, rx) = (b.exchange(l, hash(0)), b.exchange(r, hash(0)));
+    let j = b.join(lx, rx, JoinKind::Inner, vec![0], vec![0]);
+    let jx = b.exchange(j, hash(6));
+    let f = b.filter(jx, Expr::col(1).lt(Expr::lit(1500i64)));
+    let g = b.output(f, "o").build().unwrap();
+
+    let columnar = run(&g, &storage);
+    let rowwise =
+        rowref::execute_plan_rows(&g, &storage, &CostModel::default(), SimTime::ZERO).unwrap();
+    // Routing keys, join keys and the filter column were read; the other
+    // seven columns in ten were not, through four row-moving operators.
+    assert!(columnar.cells_gathered * 4 < rowwise.cells_gathered);
+    assert_eq!(columnar.node_stats, rowwise.node_stats);
+    for (ct, rt) in columnar.node_tables.iter().zip(&rowwise.node_tables) {
+        assert_eq!(*ct, rt.to_table());
+    }
+    assert_eq!(columnar.outputs["o"].num_rows(), 12_000);
+}
+
+/// The edge cases the columnar executor once handed to row kernels, fed to
+/// the same differential: LeftOuter against empty right partitions, loops
+/// joins (NULL keys, an Int key against a Float key, a partitioned left
+/// side probing the one right partition), and windows over several
+/// partitions with tied order keys and NULL partition keys.
+#[test]
+fn executors_agree_on_outer_loops_and_window_edges() {
+    use scope_plan::expr::NamedExpr;
+    use scope_plan::op::WindowFunc;
+    use scope_plan::{JoinImpl, JoinKind};
+    let (d1, d2) = (DatasetId::new(31), DatasetId::new(32));
+    let mut rng = SmallRng::seed_from_u64(0xed9e);
+    let storage = StorageManager::new();
+    storage.put_dataset(d1, random_diff_table(&mut rng, 300, true));
+    storage.put_dataset(d2, random_diff_table(&mut rng, 60, true));
+    let hash = |col, parts| Partitioning::Hash {
+        cols: vec![col],
+        parts,
+    };
+
+    // Three distinct right keys hashed into eight partitions: at least five
+    // are empty, and every left row routed there is padded.
+    let mut b = PlanBuilder::new();
+    let l = b.table_scan(d1, "edge/l.ss", diff_schema());
+    let r = b.table_scan(d2, "edge/r.ss", diff_schema());
+    let r = b.filter(r, Expr::col(0).lt(Expr::lit(3i64)));
+    let (lx, rx) = (b.exchange(l, hash(0, 8)), b.exchange(r, hash(0, 8)));
+    let j = b.join(lx, rx, JoinKind::LeftOuter, vec![0], vec![0]);
+    let graph = b.write(j, "edge/outer.ss").build().unwrap();
+    assert_executors_agree(&graph, &storage, "left outer, empty right partitions");
+
+    // Int keys 0..12 against Float keys 0.0, 0.5, .., 5.5, NULLs on both.
+    let loops = |kind, implementation, left_parts: Option<usize>| {
+        let mut b = PlanBuilder::new();
+        let mut l = b.table_scan(d1, "edge/l.ss", diff_schema());
+        if let Some(parts) = left_parts {
+            l = b.exchange(l, hash(1, parts));
+        }
+        let r = b.table_scan(d2, "edge/r.ss", diff_schema());
+        let half = Expr::col(0).mul(Expr::lit(0.5));
+        let r = b.project(
+            r,
+            vec![
+                NamedExpr::new("kf", half),
+                NamedExpr::new("v", Expr::col(1)),
+            ],
+        );
+        let j = b.join(l, r, kind, vec![0], vec![0]);
+        let mut graph = b.write(j, "edge/loops.ss").build().unwrap();
+        if let Operator::Join {
+            implementation: i, ..
+        } = &mut graph.node_mut(j).unwrap().op
+        {
+            *i = implementation;
+        }
+        graph
+    };
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::LeftSemi] {
+        let context = format!("{kind:?} loops join");
+        assert_executors_agree(&loops(kind, JoinImpl::Loops, Some(3)), &storage, &context);
+        let by_loops = run(&loops(kind, JoinImpl::Loops, None), &storage);
+        let by_hash = run(&loops(kind, JoinImpl::Hash, None), &storage);
+        assert_eq!(by_loops.outputs, by_hash.outputs, "{context} vs hash join");
+        if kind == JoinKind::Inner {
+            assert!(
+                by_hash.outputs["edge/loops.ss"].num_rows() > 0,
+                "1 = 1.0 joins"
+            );
+        }
+    }
+
+    // All three window functions stacked over four partitions, ordered by
+    // the tag (five values: ties in every run), partitioned by the
+    // NULL-bearing key; sorted on the key alone (rows move) and in window
+    // order already (rows stay put).
+    for sort in [SortOrder::asc(&[0]), SortOrder::asc(&[0, 4, 1, 2, 3])] {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(d1, "edge/l.ss", diff_schema());
+        let x = b.exchange(s, hash(0, 4));
+        let mut w = b.sort(x, sort.clone());
+        for func in [
+            WindowFunc::RowNumber,
+            WindowFunc::Rank,
+            WindowFunc::RunningSum(2),
+        ] {
+            w = b.window(w, func, vec![0], SortOrder::asc(&[4]));
+        }
+        let graph = b.write(w, "edge/window.ss").build().unwrap();
+        assert_executors_agree(&graph, &storage, &format!("windows sorted by {sort:?}"));
+    }
 }
 
 /// Build locks: under arbitrary interleavings of proposals from many
