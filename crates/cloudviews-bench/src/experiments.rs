@@ -603,7 +603,6 @@ pub fn ablation_feedback(row_scale: f64) -> Result<String> {
     // Estimate-based selection: replace every mined statistic with the
     // compile-time estimator's prediction before selection runs.
     let (_, cv_estimates, _) = run_prod32_with_views_rows(row_scale, skewed, |svc| {
-        let estimator = CostEstimator::default();
         let mut records = svc.repo.records();
         for r in &mut records {
             // Re-estimate each job's plan with no statistics oracle.
@@ -612,7 +611,7 @@ pub fn ablation_feedback(row_scale: f64) -> Result<String> {
                 .find(|s| s.id == r.job)
                 .map(|s| s.graph);
             let Some(graph) = spec_graph else { continue };
-            let est = estimator.estimate(&graph, &|op| {
+            let est = CostEstimator.estimate(&graph, &|op| {
                 // The estimator does not get to see true base-table sizes
                 // for unstructured inputs (the paper's core complaint).
                 let _ = op;
@@ -622,7 +621,7 @@ pub fn ablation_feedback(row_scale: f64) -> Result<String> {
                 let cpu = est.subgraph_cpu_us(&graph, s.root);
                 s.cumulative_cpu = SimDuration::from_micros(cpu as u64);
                 s.out_rows = est.rows[s.root.index()] as u64;
-                s.out_bytes = (est.rows[s.root.index()] * estimator.row_bytes) as u64;
+                s.out_bytes = (est.rows[s.root.index()] * CostEstimator::ROW_BYTES) as u64;
             }
             let total: f64 = est.total_cpu_us();
             r.cpu_time = SimDuration::from_micros(total as u64);

@@ -618,12 +618,8 @@ impl AnalyzerState {
         phase_times.mining = phase.elapsed();
 
         let phase = std::time::Instant::now();
-        let chosen = selection::select_budgeted(
-            &groups,
-            &self.config.policy,
-            &self.config.constraints,
-            self.config.storage_budget_bytes,
-        );
+        let chosen =
+            selection::select_budgeted(&groups, &self.config.policy, &self.config.constraints);
         phase_times.selection = phase.elapsed();
 
         let phase = std::time::Instant::now();

@@ -69,10 +69,6 @@ pub struct AnalyzerConfig {
     pub constraints: SelectionConstraints,
     /// TTL used when lineage gives no answer.
     pub default_ttl: SimDuration,
-    /// Optional storage budget (bytes) applied on top of the top-k
-    /// policies: the ranked candidates are packed under this budget with
-    /// an exchange-improvement pass (Section 5.3). `None` = unbounded.
-    pub storage_budget_bytes: Option<u64>,
 }
 
 impl Default for AnalyzerConfig {
@@ -85,7 +81,6 @@ impl Default for AnalyzerConfig {
             policy: SelectionPolicy::TopKUtility { k: 10 },
             constraints: SelectionConstraints::default(),
             default_ttl: SimDuration::from_secs(86_400),
-            storage_budget_bytes: None,
         }
     }
 }
@@ -170,7 +165,7 @@ pub(crate) mod testutil {
         .unwrap();
         let storage = StorageManager::new();
         let repo = WorkloadRepository::new();
-        let model = CostModel::default();
+        let model = CostModel;
         let cluster = ClusterConfig::default();
         let mut now = SimTime::ZERO;
         for inst in 0..instances {

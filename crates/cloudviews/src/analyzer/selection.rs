@@ -129,17 +129,12 @@ impl SelectionConstraints {
 }
 
 /// Runs the selection policy over mined groups, returning the chosen groups
-/// (cloned) ranked by the policy's objective, with an optional storage
-/// budget layered on top of the top-k policies: the policy ranks, then the
-/// ranked list is packed under `budget` with an exchange-improvement pass.
-/// `None` = unbounded (pure top-k). `Packing` uses its own budget
-/// (intersected with `budget` when both are set); `MinUtility` ranks for
-/// eviction and ignores the budget.
+/// (cloned) ranked by the policy's objective. `Packing` is the one policy
+/// with a storage budget; `MinUtility` ranks for eviction.
 pub fn select_budgeted(
     groups: &[OverlapGroup],
     policy: &SelectionPolicy,
     constraints: &SelectionConstraints,
-    budget: Option<u64>,
 ) -> Vec<OverlapGroup> {
     let mut candidates: Vec<&OverlapGroup> =
         groups.iter().filter(|g| constraints.admits(g)).collect();
@@ -147,10 +142,7 @@ pub fn select_budgeted(
     let picked: Vec<&OverlapGroup> = match policy {
         SelectionPolicy::TopKUtility { k } => {
             candidates.sort_by_key(|g| std::cmp::Reverse(g.utility()));
-            match budget {
-                None => take_with_job_cap(&candidates, *k, constraints.per_job_cap),
-                Some(b) => pack_ranked(&candidates, b, *k, constraints.per_job_cap),
-            }
+            take_with_job_cap(&candidates, *k, constraints.per_job_cap)
         }
         SelectionPolicy::TopKUtilityPerByte { k } => {
             candidates.sort_by(|a, b| {
@@ -158,10 +150,7 @@ pub fn select_budgeted(
                     .partial_cmp(&a.utility_per_byte())
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            match budget {
-                None => take_with_job_cap(&candidates, *k, constraints.per_job_cap),
-                Some(b) => pack_ranked(&candidates, b, *k, constraints.per_job_cap),
-            }
+            take_with_job_cap(&candidates, *k, constraints.per_job_cap)
         }
         SelectionPolicy::MinUtility { k } => {
             candidates.sort_by_key(|a| a.utility());
@@ -175,10 +164,7 @@ pub fn select_budgeted(
                     .partial_cmp(&a.utility_per_byte())
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            let b = budget
-                .map(|outer| outer.min(*storage_budget_bytes))
-                .unwrap_or(*storage_budget_bytes);
-            pack_ranked(&candidates, b, usize::MAX, constraints.per_job_cap)
+            pack_ranked(&candidates, *storage_budget_bytes, constraints.per_job_cap)
         }
     };
     picked.into_iter().cloned().collect()
@@ -213,14 +199,13 @@ fn take_with_job_cap<'a>(
 }
 
 /// Storage-budget packing over an already-ranked candidate list: greedy in
-/// rank order under the byte budget (honoring the per-job cap and the `k`
-/// limit), then a bounded exchange pass swapping one selected view for an
-/// unselected one when the swap raises total utility within budget, and a
-/// final fill of any space the swaps freed.
+/// rank order under the byte budget (honoring the per-job cap), then a
+/// bounded exchange pass swapping one selected view for an unselected one
+/// when the swap raises total utility within budget, and a final fill of any
+/// space the swaps freed.
 fn pack_ranked<'a>(
     ranked: &[&'a OverlapGroup],
     budget: u64,
-    k: usize,
     cap: Option<usize>,
 ) -> Vec<&'a OverlapGroup> {
     fn size(g: &OverlapGroup) -> u64 {
@@ -244,9 +229,6 @@ fn pack_ranked<'a>(
     let mut used: u64 = 0;
     let mut job_use: std::collections::HashMap<JobId, usize> = std::collections::HashMap::new();
     for g in ranked {
-        if selected.len() >= k {
-            break;
-        }
         if used + size(g) > budget || !fits_cap(&job_use, cap, g) {
             continue;
         }
@@ -311,9 +293,6 @@ fn pack_ranked<'a>(
 
     // Fill: swaps may have freed budget another candidate now fits.
     for g in &unselected {
-        if selected.len() >= k {
-            break;
-        }
         if used + size(g) > budget || !fits_cap(&job_use, cap, g) {
             continue;
         }
@@ -376,7 +355,6 @@ mod tests {
             &groups,
             &SelectionPolicy::TopKUtility { k: 2 },
             &SelectionConstraints::default(),
-            None,
         );
         assert_eq!(sel.len(), 2);
         assert_eq!(sel[0].normalized, sip128(b"big"));
@@ -393,7 +371,6 @@ mod tests {
             &groups,
             &SelectionPolicy::TopKUtilityPerByte { k: 1 },
             &SelectionConstraints::default(),
-            None,
         );
         assert_eq!(sel[0].normalized, sip128(b"dense"));
     }
@@ -408,7 +385,7 @@ mod tests {
             min_frequency: 3,
             ..Default::default()
         };
-        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c, None);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c);
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].normalized, sip128(b"frequent"));
     }
@@ -420,7 +397,6 @@ mod tests {
             &groups,
             &SelectionPolicy::TopKUtility { k: 10 },
             &SelectionConstraints::default(),
-            None,
         );
         assert!(sel.is_empty());
         let sel = select_budgeted(
@@ -430,7 +406,6 @@ mod tests {
                 exclude_outputs: false,
                 ..Default::default()
             },
-            None,
         );
         assert_eq!(sel.len(), 1);
     }
@@ -446,7 +421,7 @@ mod tests {
             per_job_cap: Some(1),
             ..Default::default()
         };
-        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 3 }, &c, None);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 3 }, &c);
         let names: Vec<_> = sel.iter().map(|g| g.normalized).collect();
         assert!(names.contains(&sip128(b"a")));
         assert!(!names.contains(&sip128(b"b")), "job 2 already covered");
@@ -466,7 +441,6 @@ mod tests {
                 storage_budget_bytes: 1_300,
             },
             &SelectionConstraints::default(),
-            None,
         );
         assert_eq!(sel.len(), 2);
         let total: u64 = sel.iter().map(|g| g.avg_out_bytes).sum();
@@ -490,7 +464,6 @@ mod tests {
                 storage_budget_bytes: 100,
             },
             &SelectionConstraints::default(),
-            None,
         );
         // Local search should end with the fat one (utility 40 > 4).
         let total_utility: u64 = sel.iter().map(|g| g.utility().micros()).sum();
@@ -507,7 +480,6 @@ mod tests {
             &groups,
             &SelectionPolicy::MinUtility { k: 1 },
             &SelectionConstraints::default(),
-            None,
         );
         assert_eq!(sel[0].normalized, sip128(b"evict"));
     }
@@ -522,7 +494,7 @@ mod tests {
             custom: Some(|g| g.root_kind == OpKind::Sort),
             ..Default::default()
         };
-        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c, None);
+        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c);
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].root_kind, OpKind::Sort);
     }

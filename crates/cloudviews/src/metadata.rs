@@ -1071,7 +1071,7 @@ mod tests {
     fn filter_descriptor(bound: i64) -> (Sig128, Sig128, SubsumeDescriptor) {
         use scope_common::ids::{DatasetId, NodeId};
         use scope_plan::{DataType, Expr, PlanBuilder, Schema};
-        use scope_signature::sign_graph;
+        use scope_signature::enumerate_subgraphs;
         let mut b = PlanBuilder::new();
         let s = b.table_scan(
             DatasetId::new(1),
@@ -1080,10 +1080,9 @@ mod tests {
         );
         let f = b.filter(s, Expr::col(1).ge(Expr::lit(bound)));
         let g = b.output(f, "o").build().unwrap();
-        let signed = sign_graph(&g).unwrap();
-        let root = NodeId::new(1);
-        let desc = SubsumeDescriptor::of(&g, root, signed.of(NodeId::new(0)).precise).unwrap();
-        (signed.of(root).precise, signed.of(root).normalized, desc)
+        let infos = enumerate_subgraphs(&g).unwrap();
+        let desc = SubsumeDescriptor::of_root(&g, &infos, NodeId::new(1)).unwrap();
+        (infos[1].precise, infos[1].normalized, desc)
     }
 
     #[test]
@@ -1187,7 +1186,7 @@ mod tests {
         let probe = {
             use scope_common::ids::{DatasetId, NodeId};
             use scope_plan::{AggExpr, AggFunc, DataType, PlanBuilder, Schema};
-            use scope_signature::sign_graph;
+            use scope_signature::enumerate_subgraphs;
             let mut b = PlanBuilder::new();
             let s = b.table_scan(
                 DatasetId::new(1),
@@ -1196,8 +1195,8 @@ mod tests {
             );
             let a = b.aggregate(s, vec![0], vec![AggExpr::new("n", AggFunc::Count, 1)]);
             let g = b.output(a, "o").build().unwrap();
-            let signed = sign_graph(&g).unwrap();
-            SubsumeDescriptor::of(&g, NodeId::new(1), signed.of(NodeId::new(0)).precise).unwrap()
+            let infos = enumerate_subgraphs(&g).unwrap();
+            SubsumeDescriptor::of_root(&g, &infos, NodeId::new(1)).unwrap()
         };
         let r = m
             .lookup(

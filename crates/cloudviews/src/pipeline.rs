@@ -15,13 +15,12 @@
 //! service's admission control). Each job runs under `catch_unwind` so one
 //! pathological job cannot take down the driver or its siblings.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use scope_common::hash::Sig128;
-use scope_common::ids::{JobId, NodeId};
+use scope_common::ids::JobId;
 use scope_common::telemetry::{ActiveSpan, Tracer};
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
@@ -29,13 +28,11 @@ use scope_engine::data::multiset_checksum;
 use scope_engine::exec::{execute_plan, ExecOutcome};
 use scope_engine::job::{materialize_marked_views, JobSpec};
 use scope_engine::optimizer::{
-    optimize_with_cascade, optimize_with_infos, Annotation, OptimizedPlan, OptimizerConfig,
-    SubsumedView,
+    optimize_with_cascade, Annotation, OptimizedPlan, OptimizerConfig, SubsumedView,
 };
 use scope_engine::repo::JobIdentity;
 use scope_engine::sim::{simulate, SimOutcome};
-use scope_plan::QueryGraph;
-use scope_signature::{CompiledJob, SubgraphInfo, SubsumeDescriptor};
+use scope_signature::{CompiledJob, SubsumeDescriptor};
 
 use crate::api::{ProposeRequest, ReportRequest};
 use crate::faults::FaultSite;
@@ -160,11 +157,15 @@ fn lookup(
     if att.mode == RunMode::Baseline {
         return (Vec::new(), Vec::new(), SimDuration::ZERO);
     }
-    // Subsumption probes are per-instance (they embed concrete predicate
-    // and parameter values), so they are computed fresh here and never
-    // cached in the template.
+    // Subsumption probes, one per tier-2-eligible root, are per-instance
+    // (they embed concrete predicate and parameter values), so they are
+    // computed fresh here and never cached in the template.
     let probes = if att.cv.subsumption {
-        subsume_probes(&att.spec.graph, &att.compiled.infos)
+        let infos = &att.compiled.infos;
+        infos
+            .iter()
+            .filter_map(|info| SubsumeDescriptor::of_root(&att.spec.graph, infos, info.root))
+            .collect()
     } else {
         Vec::new()
     };
@@ -242,10 +243,11 @@ fn execute(
                 enable_reuse: false,
                 ..att.opt_config.clone()
             };
-            let plan = optimize_with_infos(
+            let plan = optimize_with_cascade(
                 &att.spec.graph,
                 &att.compiled.infos,
                 annotations,
+                &[],
                 &att.pinned,
                 &no_reuse,
                 att.spec.id,
@@ -359,8 +361,13 @@ fn publish(
         // The view-side descriptor comes from the *original* logical plan:
         // even when this root was itself compensated by a tier-2 rewrite,
         // the materialized bytes equal the original subgraph's output,
-        // which is exactly what the descriptor describes.
-        let descriptor = view_descriptor(&spec.graph, &att.compiled.infos, precise);
+        // which is exactly what the descriptor describes. An ineligible root
+        // keeps the view tier-1-only.
+        let infos = &att.compiled.infos;
+        let descriptor = infos
+            .iter()
+            .find(|i| i.precise == precise)
+            .and_then(|info| SubsumeDescriptor::of_root(&spec.graph, infos, info.root));
         if cv
             .metadata
             .report(
@@ -413,43 +420,6 @@ fn record(
         analyzer.absorb(&cv.repo);
     }
     Ok(())
-}
-
-/// Query-side subsumption probes: one descriptor per tier-2-eligible unary
-/// root of the job's logical plan. Descriptors embed per-instance values
-/// (predicate constants, parameter bindings), so they are computed per
-/// attempt from the concrete plan — never cached in the template.
-fn subsume_probes(graph: &QueryGraph, infos: &[SubgraphInfo]) -> Vec<SubsumeDescriptor> {
-    let precise_of: HashMap<NodeId, Sig128> = infos.iter().map(|i| (i.root, i.precise)).collect();
-    infos
-        .iter()
-        .filter_map(|info| {
-            let node = graph.node(info.root).ok()?;
-            let child = match node.children.as_slice() {
-                [c] => *c,
-                _ => return None,
-            };
-            SubsumeDescriptor::of(graph, info.root, *precise_of.get(&child)?)
-        })
-        .collect()
-}
-
-/// View-side descriptor for a freshly built view whose subgraph root has
-/// precise signature `precise` in the job's original logical plan. `None`
-/// (non-unary or otherwise ineligible root) keeps the view tier-1-only.
-fn view_descriptor(
-    graph: &QueryGraph,
-    infos: &[SubgraphInfo],
-    precise: Sig128,
-) -> Option<SubsumeDescriptor> {
-    let info = infos.iter().find(|i| i.precise == precise)?;
-    let node = graph.node(info.root).ok()?;
-    let child = match node.children.as_slice() {
-        [c] => *c,
-        _ => return None,
-    };
-    let child_precise = infos.iter().find(|i| i.root == child)?.precise;
-    SubsumeDescriptor::of(graph, info.root, child_precise)
 }
 
 /// One attempt at running a job end to end: lookup → optimize → execute →

@@ -576,7 +576,7 @@ impl CloudViewsBuilder {
             metadata,
             repo,
             clock: self.clock,
-            cost: CostModel::default(),
+            cost: CostModel,
             cluster: ClusterConfig::default(),
             max_materialize_per_job: self.max_materialize_per_job,
             early_materialization: self.early_materialization,

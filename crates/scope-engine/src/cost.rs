@@ -17,51 +17,37 @@
 use scope_common::time::SimDuration;
 use scope_plan::{JoinKind, Operator, QueryGraph, ScanKind};
 
-/// Calibrated per-row/per-byte weights turning observed work into CPU time.
+/// The one price list turning observed work into simulated CPU time: the
+/// executor charges every operator with it, and the optimizer's reuse gate
+/// prices a view read and its compensation with the same methods.
 ///
-/// Units: microseconds of simulated CPU per row (or per KiB where noted).
-/// The defaults are chosen so that operator *ratios* mirror the paper's
+/// The weights are constants in microseconds of simulated CPU per row (or
+/// per KiB where noted), chosen so that operator *ratios* mirror the paper's
 /// observations (sort and exchange dominate; scans and column remaps are
 /// cheap; user code is expensive).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CostModel {
-    /// Per-row cost of a scan.
-    pub scan_row: f64,
-    /// Per-row cost of filter/project/remap/nop-style streaming work.
-    pub stream_row: f64,
-    /// Per-row cost of hash operations (build+probe amortized).
-    pub hash_row: f64,
-    /// Per-row×log(rows) cost of sorting.
-    pub sort_row_log: f64,
-    /// Per-row cost of exchange serialization + routing.
-    pub exchange_row: f64,
-    /// Per-KiB cost of exchange network transfer.
-    pub exchange_kib: f64,
-    /// Per-row base cost of user code (multiplied by the UDO's weight).
-    pub udo_row: f64,
-    /// Per-KiB cost of writing an output or a materialized view.
-    pub write_kib: f64,
-    /// Per-KiB cost of reading a stored stream or view.
-    pub read_kib: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            scan_row: 0.4,
-            stream_row: 0.2,
-            hash_row: 1.2,
-            sort_row_log: 0.35,
-            exchange_row: 1.0,
-            exchange_kib: 6.0,
-            udo_row: 1.0,
-            write_kib: 8.0,
-            read_kib: 2.5,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CostModel;
 
 impl CostModel {
+    /// Per-row cost of a scan.
+    const SCAN_ROW: f64 = 0.4;
+    /// Per-row cost of filter/project/remap/nop-style streaming work.
+    const STREAM_ROW: f64 = 0.2;
+    /// Per-row cost of hash operations (build+probe amortized).
+    const HASH_ROW: f64 = 1.2;
+    /// Per-row×log(rows) cost of sorting.
+    const SORT_ROW_LOG: f64 = 0.35;
+    /// Per-row cost of exchange serialization + routing.
+    const EXCHANGE_ROW: f64 = 1.0;
+    /// Per-KiB cost of exchange network transfer.
+    const EXCHANGE_KIB: f64 = 6.0;
+    /// Per-row base cost of user code (multiplied by the UDO's weight).
+    const UDO_ROW: f64 = 1.0;
+    /// Per-KiB cost of writing an output or a materialized view.
+    const WRITE_KIB: f64 = 8.0;
+    /// Per-KiB cost of reading a stored stream or view.
+    const READ_KIB: f64 = 2.5;
+
     /// CPU cost of one operator instance having consumed `in_rows` (sum over
     /// inputs), produced `out_rows`, and moved `out_bytes`.
     pub fn op_cpu(
@@ -76,50 +62,58 @@ impl CostModel {
         let kib = out_bytes as f64 / 1024.0;
         let us = match op {
             Operator::Get { kind, .. } => {
-                let base = n_out * self.scan_row + kib * self.read_kib;
+                let base = n_out * Self::SCAN_ROW + kib * Self::READ_KIB;
                 match kind {
-                    ScanKind::Extract => base + n_out * self.udo_row * 2.0,
+                    ScanKind::Extract => base + n_out * Self::UDO_ROW * 2.0,
                     _ => base,
                 }
             }
-            Operator::ViewGet { .. } => n_out * self.scan_row * 0.5 + kib * self.read_kib,
+            Operator::ViewGet { .. } => return self.view_read_cpu(out_rows, out_bytes),
             Operator::Filter { .. }
             | Operator::Project { .. }
             | Operator::Remap { .. }
             | Operator::Nop
             | Operator::Spool
-            | Operator::Sequence => n_in * self.stream_row,
-            Operator::Sort { .. } => n_in * self.sort_row_log * log2(n_in),
-            Operator::Top { n, .. } => n_in * self.stream_row + (*n as f64) * self.stream_row,
-            Operator::Exchange { .. } => n_in * self.exchange_row + kib * self.exchange_kib,
+            | Operator::Sequence => n_in * Self::STREAM_ROW,
+            Operator::Sort { .. } => n_in * Self::SORT_ROW_LOG * log2(n_in),
+            Operator::Top { n, .. } => n_in * Self::STREAM_ROW + (*n as f64) * Self::STREAM_ROW,
+            Operator::Exchange { .. } => n_in * Self::EXCHANGE_ROW + kib * Self::EXCHANGE_KIB,
             Operator::Aggregate { implementation, .. } => match implementation {
-                scope_plan::op::AggImpl::Hash => n_in * self.hash_row,
-                scope_plan::op::AggImpl::Stream => n_in * self.stream_row * 1.5,
+                scope_plan::op::AggImpl::Hash => n_in * Self::HASH_ROW,
+                scope_plan::op::AggImpl::Stream => n_in * Self::STREAM_ROW * 1.5,
             },
-            Operator::Window { .. } => n_in * self.stream_row * 2.0,
+            Operator::Window { .. } => n_in * Self::STREAM_ROW * 2.0,
             Operator::Process { udo } | Operator::Combine { udo } => {
-                n_in * self.udo_row * udo.kind.cost_weight()
+                n_in * Self::UDO_ROW * udo.kind.cost_weight()
             }
             Operator::Reduce { udo, keys: _ } | Operator::GbApply { udo, keys: _ } => {
-                n_in * self.udo_row * udo.kind.cost_weight()
+                n_in * Self::UDO_ROW * udo.kind.cost_weight()
             }
             Operator::Join { implementation, .. } => match implementation {
-                scope_plan::JoinImpl::Hash => n_in * self.hash_row,
-                scope_plan::JoinImpl::Merge => n_in * self.stream_row * 2.0,
+                scope_plan::JoinImpl::Hash => n_in * Self::HASH_ROW,
+                scope_plan::JoinImpl::Merge => n_in * Self::STREAM_ROW * 2.0,
                 scope_plan::JoinImpl::Loops => {
                     // quadratic-ish: model as n_in * sqrt(n_in)
-                    n_in * self.stream_row * (1.0 + n_in.sqrt() * 0.05)
+                    n_in * Self::STREAM_ROW * (1.0 + n_in.sqrt() * 0.05)
                 }
             },
-            Operator::UnionAll => n_in * self.stream_row * 0.5,
-            Operator::Output { .. } => kib * self.write_kib + n_in * self.stream_row * 0.5,
+            Operator::UnionAll => n_in * Self::STREAM_ROW * 0.5,
+            Operator::Output { .. } => return self.view_write_cpu(in_rows, out_bytes),
         };
         SimDuration::from_micros(us.max(0.0).round() as u64)
     }
 
-    /// Extra CPU cost of materializing `bytes` of view output.
+    /// CPU cost of reading `rows` rows and `bytes` bytes of a stored view —
+    /// what a `ViewGet` is charged, and what the reuse gate pays for one.
+    pub fn view_read_cpu(&self, rows: u64, bytes: u64) -> SimDuration {
+        let us = rows as f64 * Self::SCAN_ROW * 0.5 + bytes as f64 / 1024.0 * Self::READ_KIB;
+        SimDuration::from_micros(us.round() as u64)
+    }
+
+    /// CPU cost of writing `rows` rows and `bytes` bytes — what an `Output`
+    /// is charged, and the extra cost of materializing a view.
     pub fn view_write_cpu(&self, rows: u64, bytes: u64) -> SimDuration {
-        let us = bytes as f64 / 1024.0 * self.write_kib + rows as f64 * self.stream_row * 0.5;
+        let us = bytes as f64 / 1024.0 * Self::WRITE_KIB + rows as f64 * Self::STREAM_ROW * 0.5;
         SimDuration::from_micros(us.round() as u64)
     }
 }
@@ -136,35 +130,23 @@ fn log2(n: f64) -> f64 {
 ///
 /// Selectivity constants in the grand System-R tradition; user code is a
 /// complete guess. Estimation error against [`CostModel`]-measured truth is
-/// the gap the feedback loop closes.
-#[derive(Clone, Debug)]
-pub struct CostEstimator {
-    /// Assumed filter selectivity.
-    pub filter_selectivity: f64,
-    /// Assumed aggregation output fraction exponent: out = in^exp.
-    pub agg_exponent: f64,
-    /// Assumed join expansion: out = max(l, r) * factor.
-    pub join_factor: f64,
-    /// Assumed rows emitted per input row by user code.
-    pub udo_fanout: f64,
-    /// Assumed average row width in bytes (for byte estimates).
-    pub row_bytes: f64,
-    /// The cost weights (shared with the truth model, so estimation error
-    /// comes from cardinalities — the dominant real-world term).
-    pub weights: CostModel,
-}
+/// the gap the feedback loop closes: costs are priced with the same
+/// [`CostModel`], so the error comes from cardinalities — the dominant
+/// real-world term.
+#[derive(Clone, Copy, Debug)]
+pub struct CostEstimator;
 
-impl Default for CostEstimator {
-    fn default() -> Self {
-        CostEstimator {
-            filter_selectivity: 1.0 / 3.0,
-            agg_exponent: 0.7,
-            join_factor: 1.0,
-            udo_fanout: 1.0,
-            row_bytes: 64.0,
-            weights: CostModel::default(),
-        }
-    }
+impl CostEstimator {
+    /// Assumed filter selectivity.
+    const FILTER_SELECTIVITY: f64 = 1.0 / 3.0;
+    /// Assumed aggregation output fraction exponent: out = in^exp.
+    const AGG_EXPONENT: f64 = 0.7;
+    /// Assumed join expansion: out = max(l, r) * factor.
+    const JOIN_FACTOR: f64 = 1.0;
+    /// Assumed rows emitted per input row by user code.
+    const UDO_FANOUT: f64 = 1.0;
+    /// Assumed average row width in bytes (for byte estimates).
+    pub const ROW_BYTES: f64 = 64.0;
 }
 
 /// Per-node compile-time estimates.
@@ -213,13 +195,13 @@ impl CostEstimator {
                 Operator::Get { kind, .. } => {
                     let base = base_rows(&node.op).unwrap_or(100_000) as f64;
                     match kind {
-                        ScanKind::Range => base * self.filter_selectivity,
-                        ScanKind::Extract => base * self.udo_fanout,
+                        ScanKind::Range => base * Self::FILTER_SELECTIVITY,
+                        ScanKind::Extract => base * Self::UDO_FANOUT,
                         ScanKind::Table => base,
                     }
                 }
                 Operator::ViewGet { .. } => base_rows(&node.op).unwrap_or(100_000) as f64,
-                Operator::Filter { .. } => first_in * self.filter_selectivity,
+                Operator::Filter { .. } => first_in * Self::FILTER_SELECTIVITY,
                 Operator::Project { .. }
                 | Operator::Remap { .. }
                 | Operator::Sort { .. }
@@ -228,26 +210,25 @@ impl CostEstimator {
                 | Operator::Spool
                 | Operator::Nop => first_in,
                 Operator::Sequence => node.children.last().map(|c| rows[c.index()]).unwrap_or(0.0),
-                Operator::Aggregate { .. } => first_in.max(1.0).powf(self.agg_exponent),
+                Operator::Aggregate { .. } => first_in.max(1.0).powf(Self::AGG_EXPONENT),
                 Operator::Top { n, .. } => (*n as f64).min(first_in),
-                Operator::Process { .. } | Operator::Combine { .. } => in_rows * self.udo_fanout,
+                Operator::Process { .. } | Operator::Combine { .. } => in_rows * Self::UDO_FANOUT,
                 Operator::Reduce { .. } | Operator::GbApply { .. } => {
-                    in_rows * self.udo_fanout * 0.5
+                    in_rows * Self::UDO_FANOUT * 0.5
                 }
                 Operator::Join { kind, .. } => {
                     let l = first_in;
                     let r = node.children.get(1).map(|c| rows[c.index()]).unwrap_or(0.0);
                     match kind {
                         JoinKind::LeftSemi => l * 0.5,
-                        _ => l.max(r) * self.join_factor,
+                        _ => l.max(r) * Self::JOIN_FACTOR,
                     }
                 }
                 Operator::UnionAll => in_rows,
                 Operator::Output { .. } => first_in,
             };
-            let bytes = out * self.row_bytes;
-            let c = self
-                .weights
+            let bytes = out * Self::ROW_BYTES;
+            let c = CostModel
                 .op_cpu(
                     &node.op,
                     in_rows.round() as u64,
@@ -283,7 +264,7 @@ mod tests {
 
     #[test]
     fn cost_monotone_in_rows() {
-        let m = CostModel::default();
+        let m = CostModel;
         let op = Operator::Filter {
             predicate: Expr::lit(true),
         };
@@ -294,7 +275,7 @@ mod tests {
 
     #[test]
     fn sort_superlinear() {
-        let m = CostModel::default();
+        let m = CostModel;
         let op = Operator::Sort {
             order: scope_plan::SortOrder::asc(&[0]),
         };
@@ -305,7 +286,7 @@ mod tests {
 
     #[test]
     fn exchange_costs_bytes() {
-        let m = CostModel::default();
+        let m = CostModel;
         let op = Operator::Exchange {
             scheme: scope_plan::Partitioning::Hash {
                 cols: vec![0],
@@ -320,7 +301,7 @@ mod tests {
     #[test]
     fn udo_weight_applies() {
         use scope_plan::{Udo, UdoKind};
-        let m = CostModel::default();
+        let m = CostModel;
         let cheap = Operator::Process {
             udo: Udo::new(
                 UdoKind::ClampOutliers {
@@ -348,7 +329,7 @@ mod tests {
     #[test]
     fn estimator_walks_plan() {
         let g = sample_graph();
-        let est = CostEstimator::default();
+        let est = CostEstimator;
         let e = est.estimate(&g, &|_| Some(90_000));
         assert_eq!(e.rows.len(), g.len());
         // scan -> 90k, filter -> 30k, agg -> 30k^0.7 ≈ 1365
@@ -361,7 +342,7 @@ mod tests {
     #[test]
     fn estimator_subgraph_cost_is_partial_sum() {
         let g = sample_graph();
-        let est = CostEstimator::default();
+        let est = CostEstimator;
         let e = est.estimate(&g, &|_| Some(10_000));
         let agg_id = scope_common::ids::NodeId::new(2);
         let sub = e.subgraph_cpu_us(&g, agg_id);
@@ -376,14 +357,14 @@ mod tests {
     #[test]
     fn unknown_base_defaults() {
         let g = sample_graph();
-        let est = CostEstimator::default();
+        let est = CostEstimator;
         let e = est.estimate(&g, &|_| None);
         assert!((e.rows[0] - 100_000.0).abs() < 1.0);
     }
 
     #[test]
     fn view_write_cost_positive() {
-        let m = CostModel::default();
+        let m = CostModel;
         assert!(m.view_write_cpu(1000, 1 << 20) > SimDuration::ZERO);
     }
 }

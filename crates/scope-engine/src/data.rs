@@ -40,6 +40,7 @@ use std::sync::{Arc, OnceLock};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
 use scope_common::{Result, ScopeError};
+use scope_plan::types::int_float_cmp;
 use scope_plan::{DataType, Partitioning, PhysicalProps, Schema, SortOrder, Value};
 
 /// One row of values (the bridge representation).
@@ -159,8 +160,7 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// Total order identical to [`Value`]'s `Ord` (`f64::total_cmp` is the
-    /// same IEEE total order the value model builds by bit-twiddling).
+    /// Total order identical to [`Value`]'s `Ord`.
     pub fn cmp_cell(self, other: Cell<'_>) -> Ordering {
         use Cell::*;
         match (self, other) {
@@ -168,8 +168,8 @@ impl<'a> Cell<'a> {
             (Bool(a), Bool(b)) => a.cmp(&b),
             (Int(a), Int(b)) => a.cmp(&b),
             (Float(a), Float(b)) => a.total_cmp(&b),
-            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
-            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(a, b),
+            (Float(a), Int(b)) => int_float_cmp(b, a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(&b),
             (a, b) => a.tag().cmp(&b.tag()),
@@ -1517,6 +1517,11 @@ mod tests {
             Value::Int(-3),
             Value::Float(2.5),
             Value::Float(f64::NAN),
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Float((1i64 << 53) as f64),
+            Value::Int(i64::MAX),
+            Value::Float(9_223_372_036_854_775_808.0),
             Value::Str("abc".into()),
             Value::Date(44),
         ];

@@ -1273,7 +1273,7 @@ mod tests {
     }
 
     fn run(graph: &QueryGraph, storage: &StorageManager) -> ExecOutcome {
-        execute_plan(graph, storage, &CostModel::default(), SimTime::ZERO).unwrap()
+        execute_plan(graph, storage, &CostModel, SimTime::ZERO).unwrap()
     }
 
     #[test]
@@ -1617,10 +1617,10 @@ mod tests {
             )
             .unwrap();
         g.add_root(o).unwrap();
-        let out = execute_plan(&g, &storage, &CostModel::default(), SimTime(50)).unwrap();
+        let out = execute_plan(&g, &storage, &CostModel, SimTime(50)).unwrap();
         assert_eq!(out.outputs["o"].num_rows(), 10);
         // Past expiry it errors.
-        let err = execute_plan(&g, &storage, &CostModel::default(), SimTime(100)).unwrap_err();
+        let err = execute_plan(&g, &storage, &CostModel, SimTime(100)).unwrap_err();
         assert_eq!(err.kind(), "view_unavailable");
         assert!(err.is_degradable());
     }

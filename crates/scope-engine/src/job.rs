@@ -282,7 +282,7 @@ mod tests {
         let out = run_job_baseline(
             &spec(),
             &st,
-            &CostModel::default(),
+            &CostModel,
             &ClusterConfig::default(),
             SimTime::ZERO,
         )
@@ -325,17 +325,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.materialize.len(), 1);
-        let exec = execute_plan(&plan.physical, &st, &CostModel::default(), SimTime::ZERO).unwrap();
+        let exec = execute_plan(&plan.physical, &st, &CostModel, SimTime::ZERO).unwrap();
         let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
-        let built = materialize_marked_views(
-            &plan,
-            &exec,
-            &sim,
-            &CostModel::default(),
-            spec.id,
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let built =
+            materialize_marked_views(&plan, &exec, &sim, &CostModel, spec.id, SimTime::ZERO)
+                .unwrap();
         assert_eq!(built.len(), 1);
         let v = &built[0];
         // Stored in the mined design.
@@ -384,7 +378,7 @@ mod tests {
             ..Default::default()
         };
         let plan = optimize(&spec.graph, &[annotation], &GrantAll, &config, spec.id).unwrap();
-        let model = CostModel::default();
+        let model = CostModel;
         let exec = execute_plan(&plan.physical, &st, &model, SimTime::ZERO).unwrap();
         let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
         let built =

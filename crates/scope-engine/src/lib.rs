@@ -46,8 +46,8 @@ pub use data::{multiset_checksum, Cell, ColumnVector, RecordBatch, Row, Table};
 pub use exec::{execute_plan, ExecOutcome, NodeRuntimeStats};
 pub use job::{run_job_baseline, JobOutcome, JobSpec};
 pub use optimizer::{
-    optimize, optimize_with_infos, Annotation, MaterializeDecision, OptimizedPlan, OptimizerConfig,
-    OptimizerReport, ViewServices,
+    optimize, optimize_with_cascade, Annotation, MaterializeDecision, OptimizedPlan,
+    OptimizerConfig, OptimizerReport, ViewServices,
 };
 pub use repo::{JobRecord, SubgraphRun, WorkloadRepository};
 pub use sim::{simulate, ClusterConfig, SimOutcome};

@@ -1,26 +1,29 @@
 //! Cascades-lite optimization with the CloudViews hooks of Figure 10.
 //!
-//! [`optimize`] runs four phases over a *logical* plan:
+//! [`optimize_with_cascade`] takes a *logical* plan together with its
+//! subgraph enumeration — precise + normalized signatures for every subgraph
+//! (Section 3), which the runtime computes once per job through the template
+//! cache and [`optimize`] computes itself. Signatures are always computed on
+//! the logical plan, the same representation the analyzer enumerates, so
+//! runtime matching and offline analysis agree byte-for-byte. It then runs
+//! three phases:
 //!
-//! 1. **Signing** — precise + normalized signatures for every subgraph
-//!    (Section 3). Signatures are always computed on the logical plan, the
-//!    same representation the analyzer enumerates, so runtime matching and
-//!    offline analysis agree byte-for-byte.
-//! 2. **Plan search: view reuse** (upper half of Figure 10) — top-down,
+//! 1. **Plan search: view reuse** (upper half of Figure 10) — top-down,
 //!    largest subgraphs first, match each subgraph's normalized signature
 //!    against the annotations fetched from the metadata service; on a match,
 //!    check the precise signature against the actually-materialized views;
-//!    if available and cheaper to read than to recompute (judged with the
-//!    *mined* runtime statistics, not estimates), replace the subgraph with
-//!    a [`Operator::ViewGet`].
-//! 3. **Follow-up optimization: view materialization** (lower half of
+//!    if available and cheaper to read than to recompute (the read priced
+//!    by [`CostModel`], the price list the executor charges; the recompute
+//!    side is the *mined* runtime statistic, not an estimate), replace the
+//!    subgraph with a [`Operator::ViewGet`].
+//! 2. **Follow-up optimization: view materialization** (lower half of
 //!    Figure 10) — bottom-up (smaller views first, "as they typically have
 //!    more overlaps"), for surviving subgraphs whose normalized signature is
 //!    annotated but whose precise view does not exist yet, propose the build
 //!    to the metadata service (exclusive lock, Step 3/4 of Figure 9); on
 //!    success, mark the node for online materialization, up to the per-job
 //!    cap.
-//! 4. **Lowering** — implementation selection (stream vs hash aggregation,
+//! 3. **Lowering** — implementation selection (stream vs hash aggregation,
 //!    merge vs hash join, based on delivered sort orders) and enforcer
 //!    insertion (Exchange/Sort) so every operator's required physical
 //!    properties are satisfied. A reused view whose stored design already
@@ -38,6 +41,8 @@ use scope_plan::{JoinImpl, Operator, Partitioning, PhysicalProps, QueryGraph, So
 use scope_signature::{
     enumerate_subgraphs, rollup_safe_for_rows, Compensation, SubgraphInfo, SubsumeDescriptor,
 };
+
+use crate::cost::CostModel;
 
 /// A materialized view the metadata service reports as available.
 #[derive(Clone, Debug, PartialEq)]
@@ -244,28 +249,17 @@ pub fn optimize(
     job: JobId,
 ) -> Result<OptimizedPlan> {
     let infos = enumerate_subgraphs(logical)?;
-    optimize_with_infos(logical, &infos, annotations, services, config, job)
+    optimize_with_cascade(logical, &infos, annotations, &[], services, config, job)
 }
 
-/// [`optimize`] with the subgraph enumeration already in hand.
+/// [`optimize`] with the subgraph enumeration already in hand, plus the
+/// tier-2 half of the matching cascade.
 ///
 /// The runtime compiles each job exactly once through the template cache
 /// and threads the resulting [`SubgraphInfo`]s here, so a recurring
 /// instance never re-enumerates inside the optimizer. `infos` must be the
 /// enumeration of `logical` (one record per node, bottom-up) — anything
 /// else yields nonsense rewrites.
-pub fn optimize_with_infos(
-    logical: &QueryGraph,
-    infos: &[SubgraphInfo],
-    annotations: &[Annotation],
-    services: &dyn ViewServices,
-    config: &OptimizerConfig,
-    job: JobId,
-) -> Result<OptimizedPlan> {
-    optimize_with_cascade(logical, infos, annotations, &[], services, config, job)
-}
-
-/// [`optimize_with_infos`] plus the tier-2 half of the matching cascade.
 ///
 /// `tier2` carries the subsumption candidates the metadata service's cascade
 /// lookup returned: live views whose feature vectors survived the cheap
@@ -296,7 +290,7 @@ pub fn optimize_with_cascade(
         ..Default::default()
     };
 
-    // ---- Phase 2: plan search / view reuse (top-down, largest first) ----
+    // ---- Phase 1: plan search / view reuse (top-down, largest first) ----
     let mut working = logical.clone();
     let mut replaced: Vec<bool> = vec![false; logical.len()];
     let mut reuse_sigs: Vec<(NodeId, Sig128, Sig128, SimDuration)> = Vec::new();
@@ -304,11 +298,6 @@ pub fn optimize_with_cascade(
         let use_tier2 = config.enable_subsumption && !tier2.is_empty();
         let parent_map = if use_tier2 {
             logical.parents()
-        } else {
-            HashMap::new()
-        };
-        let precise_of: HashMap<NodeId, Sig128> = if use_tier2 {
-            infos.iter().map(|i| (i.root, i.precise)).collect()
         } else {
             HashMap::new()
         };
@@ -332,11 +321,10 @@ pub fn optimize_with_cascade(
             if let Some(annotation) = by_normalized.get(&info.normalized) {
                 report.normalized_matches += 1;
                 if let Some(view) = services.view_available(info.precise) {
-                    // Cost-based acceptance using mined statistics: reading
-                    // must be cheaper than recomputing (plus a repartition
-                    // penalty when the stored design does not line up with
-                    // what the consumer needs).
-                    if view_read_cost(&view) < annotation.avg_cpu {
+                    // Cost-based acceptance: reading, priced as the
+                    // executor will charge the ViewGet, must be cheaper
+                    // than the mined cost of recomputing.
+                    if CostModel.view_read_cpu(view.rows, view.bytes) < annotation.avg_cpu {
                         let schema = working.schema_of(info.root)?;
                         let savings = annotation.avg_cpu;
                         working.replace_with_leaf(
@@ -362,25 +350,20 @@ pub fn optimize_with_cascade(
             if exact_hit || !use_tier2 {
                 continue;
             }
-            // Tier 2: subsumption. The root must be a unary Filter/Project/
-            // Aggregate whose child subgraph is still intact and feeds no
-            // other consumer (a shared child still has to produce its full
-            // output for the other parents).
-            let children = working.node(info.root)?.children.clone();
-            if children.len() != 1 {
+            // Tier 2: subsumption. The root must be an eligible unary root
+            // whose child subgraph is still intact and feeds no other
+            // consumer (a shared child still has to produce its full output
+            // for the other parents).
+            let &[child] = working.node(info.root)?.children.as_slice() else {
                 continue;
-            }
-            let child = children[0];
+            };
             if replaced[child.index()]
                 || matches!(working.node(child)?.op, Operator::ViewGet { .. })
                 || parent_map.get(&child).map(Vec::len) != Some(1)
             {
                 continue;
             }
-            let Some(&child_precise) = precise_of.get(&child) else {
-                continue;
-            };
-            let Some(qdesc) = SubsumeDescriptor::of(&working, info.root, child_precise) else {
+            let Some(qdesc) = SubsumeDescriptor::of_root(&working, infos, info.root) else {
                 continue;
             };
             let recompute = by_normalized.get(&info.normalized).map(|a| a.avg_cpu);
@@ -399,9 +382,31 @@ pub fn optimize_with_cascade(
                 // Recompute proxy: prefer the query template's own mined
                 // cost; fall back to the candidate view's mined cost.
                 let recompute = recompute.unwrap_or(cand.avg_cpu);
-                if view_read_cost(&cand.view) + compensation_cost(&comp, cand.view.rows)
-                    >= recompute
-                {
+                // The operator the rewrite installs at the root. View rows ⊇
+                // query rows, so a residual keeps the query's own filter,
+                // re-applied verbatim over the view's (identical) schema.
+                let installed = match comp {
+                    Compensation::Residual => None,
+                    Compensation::Reproject { exprs } => Some(Operator::Project { exprs }),
+                    Compensation::Rollup { keys, aggs } => {
+                        let implementation = match &working.node(info.root)?.op {
+                            Operator::Aggregate { implementation, .. } => *implementation,
+                            _ => AggImpl::Hash,
+                        };
+                        Some(Operator::Aggregate {
+                            keys,
+                            aggs,
+                            implementation,
+                        })
+                    }
+                };
+                // Priced as the executor will charge the ViewGet and the
+                // compensation running over the view's rows.
+                let (rows, bytes) = (cand.view.rows, cand.view.bytes);
+                let root_op = installed.as_ref().unwrap_or(&working.node(info.root)?.op);
+                let reuse = CostModel.view_read_cpu(rows, bytes)
+                    + CostModel.op_cpu(root_op, rows, rows, bytes);
+                if reuse >= recompute {
                     continue;
                 }
                 working.replace_with_leaf(
@@ -412,27 +417,11 @@ pub fn optimize_with_cascade(
                         props: cand.view.props.clone(),
                     },
                 )?;
-                match comp {
-                    // View rows ⊇ query rows; the query's own filter
-                    // re-applies verbatim over the view's (identical) schema.
-                    Compensation::Residual => {}
-                    Compensation::Reproject { exprs } => {
-                        working.node_mut(info.root)?.op = Operator::Project { exprs };
-                    }
-                    Compensation::Rollup { keys, aggs } => {
-                        let implementation = match &working.node(info.root)?.op {
-                            Operator::Aggregate { implementation, .. } => *implementation,
-                            _ => AggImpl::Hash,
-                        };
-                        working.node_mut(info.root)?.op = Operator::Aggregate {
-                            keys,
-                            aggs,
-                            implementation,
-                        };
-                    }
+                if let Some(op) = installed {
+                    working.node_mut(info.root)?.op = op;
                 }
                 // The child subtree is gone; the (rewritten) root survives,
-                // so phase 3 may still materialize its exact view from the
+                // so phase 2 may still materialize its exact view from the
                 // compensated — and result-identical — plan.
                 for id in logical.subgraph_nodes(child)? {
                     replaced[id.index()] = true;
@@ -445,7 +434,7 @@ pub fn optimize_with_cascade(
         }
     }
 
-    // ---- Phase 3: follow-up optimization / materialization (bottom-up) ----
+    // ---- Phase 2: follow-up optimization / materialization (bottom-up) ----
     let mut mat_sigs: Vec<(NodeId, Sig128, Sig128, &Annotation)> = Vec::new();
     if config.enable_materialize {
         let mut order: Vec<&SubgraphInfo> = infos.iter().collect();
@@ -518,7 +507,7 @@ pub fn optimize_with_cascade(
         orig_remap = working.compact();
     }
 
-    // ---- Phase 4: lowering (implementation selection + enforcers). ----
+    // ---- Phase 3: lowering (implementation selection + enforcers). ----
     let (physical, lowered_map) = lower(&working, config)?;
     // Figure 10's follow-up optimization: when a materialization was added,
     // the plan (now carrying the extra view output) is re-optimized. The
@@ -579,24 +568,6 @@ pub fn optimize_with_cascade(
         reused,
         report,
     })
-}
-
-/// Estimated CPU cost of reading a materialized view (used against the mined
-/// recompute cost in the reuse decision).
-fn view_read_cost(view: &AvailableView) -> SimDuration {
-    let us = view.rows as f64 * 0.2 + view.bytes as f64 / 1024.0 * 2.5;
-    SimDuration::from_micros(us.round() as u64)
-}
-
-/// Estimated CPU of running a compensation operator over the view's stored
-/// rows: stream weight for residual filters and re-projections, hash-agg
-/// weight for rollups (mirrors `CostModel::op_cpu`).
-fn compensation_cost(comp: &Compensation, view_rows: u64) -> SimDuration {
-    let per_row = match comp {
-        Compensation::Residual | Compensation::Reproject { .. } => 0.2,
-        Compensation::Rollup { .. } => 1.2,
-    };
-    SimDuration::from_micros((view_rows as f64 * per_row).round() as u64)
 }
 
 /// Lowers a logical plan: selects implementations and inserts enforcers.
@@ -1105,17 +1076,16 @@ mod tests {
     /// Builds a tier-2 candidate for the unary root `root` of `view_g`, as
     /// the metadata service's cascade lookup would deliver it.
     fn tier2_candidate(view_g: &QueryGraph, root: NodeId) -> SubsumedView {
-        let signed = sign_graph(view_g).unwrap();
-        let child = view_g.node(root).unwrap().children[0];
-        let descriptor = SubsumeDescriptor::of(view_g, root, signed.of(child).precise).unwrap();
+        let infos = enumerate_subgraphs(view_g).unwrap();
+        let descriptor = SubsumeDescriptor::of_root(view_g, &infos, root).unwrap();
         SubsumedView {
             view: AvailableView {
-                precise: signed.of(root).precise,
+                precise: infos[root.index()].precise,
                 rows: 10,
                 bytes: 100,
                 props: PhysicalProps::any(),
             },
-            normalized: signed.of(root).normalized,
+            normalized: infos[root.index()].normalized,
             descriptor,
             avg_cpu: SimDuration::from_secs(10),
         }

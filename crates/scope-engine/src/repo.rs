@@ -303,13 +303,7 @@ mod tests {
             JobId::new(1),
         )
         .unwrap();
-        let exec = execute_plan(
-            &plan.physical,
-            &storage,
-            &CostModel::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let exec = execute_plan(&plan.physical, &storage, &CostModel, SimTime::ZERO).unwrap();
         let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
         let repo = WorkloadRepository::new();
         repo.record(identity(1), &g, &plan, &exec, &sim).unwrap();
@@ -351,13 +345,7 @@ mod tests {
             JobId::new(1),
         )
         .unwrap();
-        let exec = execute_plan(
-            &plan.physical,
-            &storage,
-            &CostModel::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let exec = execute_plan(&plan.physical, &storage, &CostModel, SimTime::ZERO).unwrap();
         let sim = simulate(&plan.physical, &exec, &ClusterConfig::default());
         let repo = WorkloadRepository::new();
         repo.record(identity(1), &g, &plan, &exec, &sim).unwrap();

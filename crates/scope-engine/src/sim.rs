@@ -242,7 +242,7 @@ mod tests {
     fn run_sim(parts: usize, cfg: &ClusterConfig) -> (SimOutcome, scope_plan::QueryGraph) {
         let st = storage(10_000);
         let g = pipeline(parts);
-        let exec = execute_plan(&g, &st, &CostModel::default(), SimTime::ZERO).unwrap();
+        let exec = execute_plan(&g, &st, &CostModel, SimTime::ZERO).unwrap();
         (simulate(&g, &exec, cfg), g)
     }
 
@@ -338,7 +338,7 @@ mod tests {
         );
         let j = b.join(exl, exr, scope_plan::JoinKind::Inner, vec![0], vec![0]);
         let g = b.output(j, "o").build().unwrap();
-        let exec = execute_plan(&g, &st, &CostModel::default(), SimTime::ZERO).unwrap();
+        let exec = execute_plan(&g, &st, &CostModel, SimTime::ZERO).unwrap();
         let out = simulate(&g, &exec, &ClusterConfig::default());
         // 2 scan stages + 2 exchange stages + 1 join/output stage.
         assert_eq!(out.stages.len(), 5);
@@ -356,7 +356,7 @@ mod tests {
             .collect();
         st.put_dataset(DatasetId::new(1), Table::single(kv_schema(), rows));
         let g = pipeline(8);
-        let exec = execute_plan(&g, &st, &CostModel::default(), SimTime::ZERO).unwrap();
+        let exec = execute_plan(&g, &st, &CostModel, SimTime::ZERO).unwrap();
         let skewed = simulate(&g, &exec, &ClusterConfig::default());
         let (uniform, _) = run_sim(8, &ClusterConfig::default());
         let skew_stage = &skewed.stages[1];

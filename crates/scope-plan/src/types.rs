@@ -172,7 +172,7 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: NULL < Bool < numeric (Int/Float compared numerically
+    /// Total order: NULL < Bool < numeric (Int/Float compared exactly
     /// against each other) < Str < Date. Floats use IEEE total ordering so
     /// NaN is ordered (greatest) instead of poisoning sorts.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -181,9 +181,9 @@ impl Ord for Value {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => total_f64(*a).cmp(&total_f64(*b)),
-            (Int(a), Float(b)) => total_f64(*a as f64).cmp(&total_f64(*b)),
-            (Float(a), Int(b)) => total_f64(*a).cmp(&total_f64(*b as f64)),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             (a, b) => a.tag().cmp(&b.tag()),
@@ -192,8 +192,9 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
-    /// Consistent with `Eq`: `Int` and `Float` compare through `f64`, so
-    /// both hash under one numeric tag as the bits of that `f64`.
+    /// Consistent with `Eq`: an `Int` equals a `Float` only when the float
+    /// holds exactly that integer, so both hash under one numeric tag as
+    /// the bits of the `f64`.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Int(_) | Value::Float(_) => state.write_u8(Value::Int(0).tag()),
@@ -210,10 +211,21 @@ impl std::hash::Hash for Value {
     }
 }
 
-/// Maps an `f64` to a sign-magnitude integer preserving IEEE total order.
-fn total_f64(f: f64) -> i64 {
-    let bits = f.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
+/// Compares an `Int` with a `Float` exactly. Rounding `i` to `f64` is
+/// monotone, so the rounded comparison decides whenever it is not `Equal`;
+/// when it is, `f` is integral and either fits `i64` (compare there) or is
+/// 2^63, above every `i64`. Comparing through `f64` alone would make
+/// `Int(2^53) == Float(2^53) == Int(2^53 + 1)` and break transitivity.
+/// The executor's cell order calls this too, so the two orders agree. Cold:
+/// a column holds one type, so the sort and grouping loops that compare
+/// cells almost never take this path.
+#[cold]
+pub fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match (i as f64).total_cmp(&f) {
+        Ordering::Equal if f == 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        unequal => unequal,
+    }
 }
 
 impl fmt::Display for Value {
@@ -273,6 +285,34 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(1.5) < Value::Int(2));
+    }
+
+    #[test]
+    fn int_float_order_is_exact_and_transitive() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let two_53 = 1i64 << 53;
+        let (a, b, c) = (
+            Value::Int(two_53),
+            Value::Float(two_53 as f64),
+            Value::Int(two_53 + 1),
+        );
+        assert_eq!(a, b);
+        assert!(a < c);
+        assert!(b < c, "Float(2^53) must sort below Int(2^53 + 1)");
+        // i64::MAX rounds to 2^63 as an f64, which no i64 reaches.
+        let (a, b, c) = (
+            Value::Int(i64::MAX - 1),
+            Value::Int(i64::MAX),
+            Value::Float(9_223_372_036_854_775_808.0),
+        );
+        assert!(a < b && b < c && a < c);
+        assert_eq!(c.cmp(&b), Ordering::Greater);
+        let mut v = vec![c.clone(), b.clone(), a.clone()];
+        v.sort();
+        assert_eq!(v, [a, b, c]);
+        // Integral floats still equal their ints; -0.0 still sorts below 0.
+        assert_eq!(Value::Float(-7.0), Value::Int(-7));
+        assert!(Value::Float(-0.0) < Value::Int(0));
     }
 
     #[test]

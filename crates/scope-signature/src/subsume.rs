@@ -49,6 +49,8 @@ use scope_common::ids::NodeId;
 use scope_plan::interval::{column_intervals, implies, ColumnIntervals};
 use scope_plan::{AggExpr, AggFunc, DataType, Expr, NamedExpr, Operator, QueryGraph, Schema};
 
+use crate::SubgraphInfo;
+
 /// Which subsumption rule a descriptor participates in (= its root
 /// operator's kind).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +91,8 @@ pub enum SubsumeDetail {
 ///
 /// Descriptors are computed per job instance from the concrete plan — they
 /// embed instance-specific predicate values, so they are deliberately *not*
-/// part of the instance-invariant [`SubgraphInfo`](crate::SubgraphInfo) the
-/// template cache reuses across instances.
+/// part of the instance-invariant [`SubgraphInfo`] the template cache reuses
+/// across instances.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SubsumeDescriptor {
     /// Which rule this root participates in.
@@ -149,10 +151,27 @@ fn subset(a: u64, b: u64) -> bool {
 }
 
 impl SubsumeDescriptor {
-    /// Builds the descriptor for the subgraph rooted at `root`, or `None`
-    /// when the root is not an eligible unary operator. `child_precise` is
-    /// the precise signature of the root's child, which the caller already
-    /// has from signing the graph.
+    /// The descriptor of the subgraph rooted at `root`, or `None` when the
+    /// root is not an eligible unary operator. `infos` is the enumeration of
+    /// `graph` (one record per node, in node order), so the child's precise
+    /// signature is `infos[child]`. Query probes, view descriptors and the
+    /// optimizer's tier-2 attempt all build descriptors through here, so
+    /// they agree on which roots are eligible.
+    pub fn of_root(
+        graph: &QueryGraph,
+        infos: &[SubgraphInfo],
+        root: NodeId,
+    ) -> Option<SubsumeDescriptor> {
+        let &[child] = graph.node(root).ok()?.children.as_slice() else {
+            return None;
+        };
+        SubsumeDescriptor::of(graph, root, infos.get(child.index())?.precise)
+    }
+
+    /// Builds the descriptor for the subgraph rooted at `root` given the
+    /// precise signature of the root's child, or `None` when the root is not
+    /// an eligible unary operator. [`SubsumeDescriptor::of_root`] looks the
+    /// child's signature up from the graph's enumeration.
     pub fn of(
         graph: &QueryGraph,
         root: NodeId,

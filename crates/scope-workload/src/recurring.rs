@@ -963,7 +963,7 @@ mod tests {
         let out = scope_engine::job::run_job_baseline(
             &jobs[0],
             &storage,
-            &scope_engine::cost::CostModel::default(),
+            &scope_engine::cost::CostModel,
             &scope_engine::sim::ClusterConfig::default(),
             scope_common::time::SimTime::ZERO,
         )

@@ -116,7 +116,7 @@ mod tests {
             let out = run_job_baseline(
                 &spec,
                 &storage,
-                &CostModel::default(),
+                &CostModel,
                 &ClusterConfig::default(),
                 SimTime::ZERO,
             )

@@ -9,8 +9,8 @@
 //!
 //! Plus the service-level wiring: a resident analyzer fed by the pipeline's
 //! record stage — serially or from a worker pool — reaches the same
-//! selection as a full batch replay, and the storage-budget knob packs
-//! under the byte budget.
+//! selection as a full batch replay, and the packing policy stays under its
+//! byte budget.
 
 use std::sync::Arc;
 
@@ -95,8 +95,9 @@ fn configs() -> Vec<AnalyzerConfig> {
             ..Default::default()
         },
         AnalyzerConfig {
-            policy: SelectionPolicy::TopKUtilityPerByte { k: 8 },
-            storage_budget_bytes: Some(50_000),
+            policy: SelectionPolicy::Packing {
+                storage_budget_bytes: 50_000,
+            },
             ..Default::default()
         },
     ]
@@ -227,8 +228,9 @@ fn storage_budget_packs_selection() {
     let packed = cloudviews::analyzer::run_analysis(
         &records,
         &AnalyzerConfig {
-            policy: SelectionPolicy::TopKUtility { k: 20 },
-            storage_budget_bytes: Some(budget),
+            policy: SelectionPolicy::Packing {
+                storage_budget_bytes: budget,
+            },
             ..Default::default()
         },
     )

@@ -33,13 +33,7 @@ fn run(graph: &QueryGraph, storage: &StorageManager) -> scope_engine::exec::Exec
         JobId::new(1),
     )
     .unwrap();
-    execute_plan(
-        &plan.physical,
-        storage,
-        &CostModel::default(),
-        SimTime::ZERO,
-    )
-    .unwrap()
+    execute_plan(&plan.physical, storage, &CostModel, SimTime::ZERO).unwrap()
 }
 
 fn kv_storage(rows: &[(i64, i64)]) -> StorageManager {
@@ -81,13 +75,7 @@ fn loops_join_matches_hash_join() {
             ..Default::default()
         };
         let plan = optimize(g, &[], &NoViewServices, &cfg, JobId::new(1)).unwrap();
-        execute_plan(
-            &plan.physical,
-            &storage,
-            &CostModel::default(),
-            SimTime::ZERO,
-        )
-        .unwrap()
+        execute_plan(&plan.physical, &storage, &CostModel, SimTime::ZERO).unwrap()
     };
     let hash = run_single(&build(JoinImpl::Hash));
     let loops = run_single(&build(JoinImpl::Loops));
@@ -150,13 +138,7 @@ fn merge_join_selected_for_sorted_inputs_and_agrees() {
         "merge join not selected:\n{}",
         plan.physical.explain()
     );
-    let out = execute_plan(
-        &plan.physical,
-        &storage,
-        &CostModel::default(),
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let out = execute_plan(&plan.physical, &storage, &CostModel, SimTime::ZERO).unwrap();
     // k=5 matches 2x2, k=1 matches 2x2, k=3 matches 1: 9 rows.
     assert_eq!(out.outputs["o"].num_rows(), 9);
 }
@@ -339,13 +321,7 @@ fn top_descending_deterministic_under_dop() {
             JobId::new(1),
         )
         .unwrap();
-        let out = execute_plan(
-            &plan.physical,
-            &storage,
-            &CostModel::default(),
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let out = execute_plan(&plan.physical, &storage, &CostModel, SimTime::ZERO).unwrap();
         sums.push(multiset_checksum(&out.outputs["o"]));
     }
     assert_eq!(sums[0], sums[1]);

@@ -163,7 +163,7 @@ fn optimizer_preserves_semantics() {
         let dataset = DatasetId::new(9);
         let graph = random_plan(seed, dataset);
         let storage = storage_with_table(seed, dataset);
-        let model = CostModel::default();
+        let model = CostModel;
         let mut checksums = Vec::new();
         for dop in [2usize, 8] {
             let cfg = OptimizerConfig {
@@ -438,7 +438,7 @@ fn cost_monotone() {
         } else {
             (rows_b, rows_a)
         };
-        let model = CostModel::default();
+        let model = CostModel;
         for op in [
             Operator::Filter {
                 predicate: Expr::lit(true),
@@ -1172,7 +1172,7 @@ fn patch_physical(rng: &mut SmallRng, phys: &mut QueryGraph) {
 /// node's table — schema, physical properties, partition count, and
 /// per-partition row *order*, not just multisets.
 fn assert_executors_agree(graph: &QueryGraph, storage: &StorageManager, context: &str) {
-    let model = CostModel::default();
+    let model = CostModel;
     let columnar = execute_plan(graph, storage, &model, SimTime::ZERO).unwrap();
     let rowwise = rowref::execute_plan_rows(graph, storage, &model, SimTime::ZERO).unwrap();
     assert_eq!(
@@ -1290,7 +1290,7 @@ fn star_join_matches_row_reference_and_copies_a_quarter_of_its_cells() {
     let plan = optimize(&graph, &[], &NoViewServices, &cfg, JobId::new(1)).unwrap();
     assert_executors_agree(&plan.physical, &storage, "star join");
 
-    let model = CostModel::default();
+    let model = CostModel;
     let columnar = execute_plan(&plan.physical, &storage, &model, SimTime::ZERO).unwrap();
     let rowwise =
         rowref::execute_plan_rows(&plan.physical, &storage, &model, SimTime::ZERO).unwrap();
@@ -1304,7 +1304,7 @@ fn star_join_matches_row_reference_and_copies_a_quarter_of_its_cells() {
 }
 
 fn run(graph: &QueryGraph, storage: &StorageManager) -> scope_engine::ExecOutcome {
-    execute_plan(graph, storage, &CostModel::default(), SimTime::ZERO).unwrap()
+    execute_plan(graph, storage, &CostModel, SimTime::ZERO).unwrap()
 }
 
 /// Recipes composed through four row-moving operators: the columnar
@@ -1360,8 +1360,7 @@ fn picks_composed_across_exchange_join_exchange_filter_match_row_reference() {
     let g = b.output(f, "o").build().unwrap();
 
     let columnar = run(&g, &storage);
-    let rowwise =
-        rowref::execute_plan_rows(&g, &storage, &CostModel::default(), SimTime::ZERO).unwrap();
+    let rowwise = rowref::execute_plan_rows(&g, &storage, &CostModel, SimTime::ZERO).unwrap();
     // Routing keys, join keys and the filter column were read; the other
     // seven columns in ten were not, through four row-moving operators.
     assert!(columnar.cells_gathered * 4 < rowwise.cells_gathered);

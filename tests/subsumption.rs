@@ -13,13 +13,15 @@ use cloudviews::analyzer::SelectedView;
 use cloudviews::{CloudViews, JobRunReport, RunMode};
 use scope_common::ids::{ClusterId, DatasetId, JobId, NodeId, TemplateId, UserId, VcId};
 use scope_common::time::{SimDuration, SimTime};
+use scope_engine::cost::CostModel;
 use scope_engine::data::Table;
 use scope_engine::job::JobSpec;
 use scope_engine::optimizer::Annotation;
 use scope_engine::storage::StorageManager;
 use scope_plan::expr::AggFunc;
 use scope_plan::{
-    AggExpr, DataType, Expr, NamedExpr, PhysicalProps, PlanBuilder, QueryGraph, Schema, Value,
+    AggExpr, DataType, Expr, NamedExpr, Operator, PhysicalProps, PlanBuilder, QueryGraph, Schema,
+    Value,
 };
 use scope_signature::sign_graph;
 
@@ -225,6 +227,78 @@ fn tier2_rollup_matches_recompute() {
         b.output(a, "q").build().unwrap()
     };
     assert_tier2_equivalent(view, query, NodeId::new(1), 17, "group-by rollup");
+}
+
+/// The reuse gate prices a rewrite with the executor's own price list: the
+/// executed `ViewGet` is charged exactly `view_read_cpu` of the view's
+/// stored rows and bytes, and a residual filter exactly its `op_cpu` over
+/// those rows — the two terms the gate weighed against recompute.
+#[test]
+fn reuse_gate_pays_what_the_ledger_charges() {
+    let graph = |bound: i64, out: &str| {
+        let mut b = PlanBuilder::new();
+        let s = scan(&mut b);
+        let f = b.filter(s, Expr::col(2).ge(Expr::lit(bound)));
+        b.output(f, out).build().unwrap()
+    };
+    let storage = Arc::new(StorageManager::new());
+    storage.put_dataset(DATASET, table(23, 200));
+    let cv = CloudViews::builder(storage).build();
+    let view_graph = graph(10, "v");
+    annotate(&cv, &view_graph, NodeId::new(1));
+    let build = cv
+        .run_job_at(
+            &spec(1, 0, view_graph.clone()),
+            RunMode::CloudViews,
+            SimTime::ZERO,
+        )
+        .unwrap();
+    let precise = build.views_built[0];
+    let view = cv
+        .metadata
+        .view_available_at(precise, cv.clock.now())
+        .unwrap();
+    let read_price = CostModel.view_read_cpu(view.rows, view.bytes);
+    // What the executor charged logical node `root` of job `job`.
+    let charged = |job: u64, root: u64| {
+        cv.repo.with_records(|records| {
+            let record = records.iter().find(|r| r.job == JobId::new(job)).unwrap();
+            let run = record
+                .subgraphs
+                .iter()
+                .find(|s| s.root == NodeId::new(root));
+            run.unwrap().exclusive_cpu
+        })
+    };
+
+    // Tier 1: the repeat reads the view in place of its filter (node 1).
+    let exact = cv
+        .run_job_at(&spec(2, 0, view_graph), RunMode::CloudViews, cv.clock.now())
+        .unwrap();
+    assert_eq!(exact.views_reused, vec![precise]);
+    assert_eq!(exact.optimizer.tier2_reused, 0);
+    assert_eq!(charged(2, 1), read_price, "tier-1 ViewGet");
+
+    // Tier 2: the scan (node 0) becomes the view read and the query's own
+    // filter (node 1) runs over the view's rows as the residual.
+    let query = cv
+        .run_job_at(
+            &spec(3, 1, graph(40, "q")),
+            RunMode::CloudViews,
+            cv.clock.now(),
+        )
+        .unwrap();
+    assert_eq!(query.views_reused, vec![precise]);
+    assert_eq!(query.optimizer.tier2_reused, 1);
+    assert_eq!(charged(3, 0), read_price, "tier-2 ViewGet");
+    let residual = Operator::Filter {
+        predicate: Expr::col(2).ge(Expr::lit(40i64)),
+    };
+    assert_eq!(
+        charged(3, 1),
+        CostModel.op_cpu(&residual, view.rows, view.rows, view.bytes),
+        "residual filter"
+    );
 }
 
 /// Property sweep: across many seeds and random bound pairs, whenever the
