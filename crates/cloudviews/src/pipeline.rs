@@ -548,7 +548,7 @@ impl CloudViews {
         options: PipelineOptions,
     ) -> Vec<Result<JobRunReport>> {
         let start = self.clock.now();
-        self.run_many_inner(specs, mode, options, start, None)
+        self.run_many_inner(specs, mode, options, start, None, None)
     }
 
     /// [`CloudViews::run_many`] with an explicit submission time and an
@@ -559,6 +559,9 @@ impl CloudViews {
     /// not dispatched until every entry it awaits is published or aborted,
     /// so a blocked follower can never occupy a worker its producer needs).
     /// Every slot, however scheduled, runs through the one body below.
+    /// `compiled`, when given, holds each slot's template compile (`None`
+    /// where compiling failed), and the slot's attempts use it instead of
+    /// compiling again.
     pub(crate) fn run_many_inner(
         &self,
         specs: Vec<JobSpec>,
@@ -566,6 +569,7 @@ impl CloudViews {
         options: PipelineOptions,
         start: SimTime,
         window: Option<&WindowContext>,
+        compiled: Option<&[Option<CompiledJob>]>,
     ) -> Vec<Result<JobRunReport>> {
         let n = specs.len();
         if n == 0 {
@@ -588,7 +592,8 @@ impl CloudViews {
         let run_slot = |slot: usize| {
             let spec = &specs[slot];
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)))
+                let compiled = compiled.and_then(|c| c[slot].as_ref());
+                self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)), compiled)
             }));
             // Publish-or-abort, on *every* exit path — success, error, or
             // caught panic: any entry this job still owes is aborted and

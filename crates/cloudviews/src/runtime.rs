@@ -57,7 +57,7 @@ use scope_engine::optimizer::OptimizerReport;
 use scope_engine::repo::WorkloadRepository;
 use scope_engine::sim::{ClusterConfig, SimOutcome};
 use scope_engine::storage::StorageManager;
-use scope_signature::TemplateCache;
+use scope_signature::{CompiledJob, TemplateCache};
 
 use crate::analyzer::{run_analysis, AnalysisOutcome, AnalyzerConfig, IncrementalAnalyzer};
 use crate::api::LookupRequest;
@@ -746,22 +746,24 @@ impl CloudViews {
         mode: RunMode,
         start: SimTime,
     ) -> Result<JobRunReport> {
-        self.run_job_shared(spec, mode, start, None)
+        self.run_job_shared(spec, mode, start, None, None)
     }
 
     /// [`CloudViews::run_job_at`] with an optional sharing-window
-    /// coordinator and this job's slot in it — the per-job entry point used
-    /// by [`CloudViews::run_windowed`]'s pool.
+    /// coordinator and this job's slot in it, and the job's template compile
+    /// when the window already made it — the per-job entry point used by
+    /// [`CloudViews::run_windowed`]'s pool.
     pub(crate) fn run_job_shared(
         &self,
         spec: &JobSpec,
         mode: RunMode,
         start: SimTime,
         window: Option<(&WindowContext, usize)>,
+        compiled: Option<&CompiledJob>,
     ) -> Result<JobRunReport> {
         let root = self.telemetry.tracer.root("job", Some(spec.id), start);
         let wall_start = std::time::Instant::now();
-        let result = self.drive_attempts(spec, mode, start, &root, window);
+        let result = self.drive_attempts(spec, mode, start, &root, window, compiled);
         self.finish_job(root, start, wall_start, &result);
         result
     }
@@ -771,9 +773,10 @@ impl CloudViews {
         &self.metrics.sharing
     }
 
-    /// Compiles the job once through the template cache, then drives
-    /// attempts (`pipeline::run_attempt`) until one succeeds, the builder
-    /// crash budget is exhausted, or a fatal error surfaces.
+    /// Compiles the job once through the template cache (unless `compiled`
+    /// already holds that compile), then drives attempts
+    /// (`pipeline::run_attempt`) until one succeeds, the builder crash
+    /// budget is exhausted, or a fatal error surfaces.
     fn drive_attempts(
         &self,
         spec: &JobSpec,
@@ -781,10 +784,18 @@ impl CloudViews {
         start: SimTime,
         root: &ActiveSpan,
         window: Option<(&WindowContext, usize)>,
+        compiled: Option<&CompiledJob>,
     ) -> Result<JobRunReport> {
         // One signature/enumeration compile per job — shared by the lookup,
         // optimize, and record stages across every restart.
-        let compiled = self.templates.compile(&spec.graph)?;
+        let own;
+        let compiled = match compiled {
+            Some(compiled) => compiled,
+            None => {
+                own = self.templates.compile(&spec.graph)?;
+                &own
+            }
+        };
         if compiled.template_hit {
             self.metrics.template_hits.inc();
         } else {
@@ -798,7 +809,7 @@ impl CloudViews {
                 spec,
                 mode,
                 start,
-                &compiled,
+                compiled,
                 &mut faults,
                 root,
                 window,

@@ -678,15 +678,16 @@ impl CloudViews {
             let submit = base + SimDuration::from_micros(window_len.micros().saturating_mul(k + 1));
             let (idxs, specs): (Vec<usize>, Vec<JobSpec>) = batch.into_iter().unzip();
 
-            let window = if cfg.enabled && mode == RunMode::CloudViews && specs.len() >= 2 {
-                let compiled: Vec<Option<CompiledJob>> = specs
-                    .iter()
-                    .map(|s| self.templates.compile(&s.graph).ok())
-                    .collect();
-                WindowContext::plan(&specs, &compiled, self.max_materialize_per_job, submit)
-            } else {
-                None
-            };
+            // A sharing window compiles its jobs to plan, and each job's
+            // attempts reuse that compile instead of making their own.
+            let compiled: Option<Vec<Option<CompiledJob>>> =
+                (cfg.enabled && mode == RunMode::CloudViews && specs.len() >= 2).then(|| {
+                    let compile = |s: &JobSpec| self.templates.compile(&s.graph).ok();
+                    specs.iter().map(compile).collect()
+                });
+            let window = compiled.as_ref().and_then(|compiled| {
+                WindowContext::plan(&specs, compiled, self.max_materialize_per_job, submit)
+            });
 
             if let Some(w) = &window {
                 let m = self.sharing_metrics();
@@ -703,7 +704,14 @@ impl CloudViews {
                 summary.shared_subgraphs += w.num_entries();
             }
 
-            let results = self.run_many_inner(specs, mode, options, submit, window.as_ref());
+            let results = self.run_many_inner(
+                specs,
+                mode,
+                options,
+                submit,
+                window.as_ref(),
+                compiled.as_deref(),
+            );
 
             if let Some(w) = &window {
                 let m = self.sharing_metrics();

@@ -6,7 +6,7 @@
 //! dense or **deferred**. Rows exist only at the edges:
 //! [`Table::single`]/[`Table::from_rows`] build batches from rows, and
 //! [`Table::iter_rows`]/[`Table::all_rows`] materialize them back for
-//! callers (UDOs, tests) that still think row-at-a-time.
+//! callers (the view codec, tests) that still think row-at-a-time.
 //!
 //! **Gather on read.** Every operation that moves rows without computing
 //! on them — the three repartitions, partition concatenation,
@@ -782,7 +782,7 @@ impl RecordBatch {
     }
 
     /// One batch from `runs` in order; see [`RecordBatch::gather_columns`].
-    fn gather(runs: &[Rows<'_>]) -> RecordBatch {
+    pub(crate) fn gather(runs: &[Rows<'_>]) -> RecordBatch {
         RecordBatch::new(RecordBatch::gather_columns(runs), total_rows(runs))
     }
 
@@ -926,14 +926,6 @@ pub struct Table {
     pub props: PhysicalProps,
 }
 
-/// One batch holding `rows` (none when there are no rows).
-pub(crate) fn batches_from_rows(rows: Vec<Row>) -> Vec<Arc<RecordBatch>> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    vec![Arc::new(RecordBatch::from_rows(rows))]
-}
-
 impl Table {
     /// An empty single-partition table.
     pub fn empty(schema: Schema) -> Self {
@@ -949,10 +941,15 @@ impl Table {
         Table::from_rows(schema, vec![rows], PhysicalProps::single())
     }
 
-    /// A table from per-partition row lists (row bridge).
+    /// A table from per-partition row lists (row bridge): one batch per
+    /// partition that has rows.
     pub fn from_rows(schema: Schema, partitions: Vec<Vec<Row>>, props: PhysicalProps) -> Self {
-        let partitions = partitions.into_iter().map(batches_from_rows).collect();
-        Table::from_batches(schema, partitions, props)
+        let batch =
+            |rows: Vec<Row>| (!rows.is_empty()).then(|| Arc::new(RecordBatch::from_rows(rows)));
+        let partitions = partitions
+            .into_iter()
+            .map(|rows| batch(rows).into_iter().collect());
+        Table::from_batches(schema, partitions.collect(), props)
     }
 
     /// A single-partition table built directly from columns — the batch-first
@@ -1331,7 +1328,7 @@ impl PartialEq for Table {
 }
 
 /// Compares two batch rows under a sort order (cell-wise; identical to
-/// [`compare_rows`] on the materialized rows).
+/// comparing the materialized rows' [`Value`]s key by key).
 pub(crate) fn compare_batch_rows(
     batch: &RecordBatch,
     a: usize,
@@ -1365,26 +1362,6 @@ pub(crate) fn compare_batch_rows_full(batch: &RecordBatch, a: usize, b: usize) -
     Ordering::Equal
 }
 
-/// Stable in-place sort of rows by a sort order.
-pub fn sort_rows(rows: &mut [Row], order: &SortOrder) {
-    rows.sort_by(|a, b| compare_rows(a, b, order));
-}
-
-/// Compares two rows under a sort order.
-pub fn compare_rows(a: &Row, b: &Row, order: &SortOrder) -> std::cmp::Ordering {
-    for key in &order.0 {
-        let ord = a[key.col].cmp(&b[key.col]);
-        let ord = match key.dir {
-            scope_plan::SortDir::Asc => ord,
-            scope_plan::SortDir::Desc => ord.reverse(),
-        };
-        if !ord.is_eq() {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 /// Order- and partition-insensitive checksum of a table's contents: the sum
 /// (wrapping) of per-row stable hashes. Two tables hold the same multiset of
 /// rows iff their checksums and row counts agree (up to hash collisions).
@@ -1405,7 +1382,7 @@ pub fn multiset_checksum(table: &Table) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_plan::{DataType, SortKey};
+    use scope_plan::DataType;
 
     fn table(n: i64) -> Table {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Str)]);
@@ -1657,17 +1634,9 @@ mod tests {
             .map(|i| vec![Value::Int(i % 3), Value::Int(i)])
             .collect();
         let mut reference = rows.clone();
-        sort_rows(&mut reference, &SortOrder::asc(&[0]));
+        reference.sort_by(|a, b| a[0].cmp(&b[0]));
         let t = Table::single(schema, rows).sort_partitions(&SortOrder::asc(&[0]));
         assert_eq!(t.all_rows(), reference);
-    }
-
-    #[test]
-    fn compare_rows_desc() {
-        let order = SortOrder(vec![SortKey::desc(0)]);
-        let a = vec![Value::Int(1)];
-        let b = vec![Value::Int(2)];
-        assert_eq!(compare_rows(&a, &b, &order), std::cmp::Ordering::Greater);
     }
 
     #[test]
@@ -1763,7 +1732,7 @@ mod tests {
                 (0..rng.gen_range(0..4))
                     .flat_map(|_| {
                         let n = rng.gen_range(1..40);
-                        batches_from_rows(random_rows(rng, n).1)
+                        [Arc::new(RecordBatch::from_rows(random_rows(rng, n).1))]
                     })
                     .collect()
             })

@@ -22,11 +22,14 @@
 //! sharing no kernel with this module; the EXPERIMENTS.md figures and the
 //! subsumption byte-identity suite depend on it. Every operator runs a batch
 //! kernel, and a loops join is the hash join with each left partition
-//! probing the one gathered right partition. Rows appear only where the
-//! interface takes them: user-defined operators consume and produce rows
-//! (Process, Reduce/GbApply, Combine, Extract scans), and Aggregate still
-//! assembles its output rows. A vectorized expression error re-evaluates row
-//! at a time through `Expr::eval` (see `crate::vexpr`).
+//! probing the one gathered right partition. The seven built-in user-defined
+//! operators are batch kernels too: a processor (Process, Extract scans)
+//! emits row indices plus its appended column, a reducer (Reduce/GbApply)
+//! selects rows within each run of equal keys, and the combiner sorts each
+//! side by index; Aggregate emits its key columns taken from each group's
+//! first row beside one column per aggregate. Nothing here builds a row; the
+//! one row-at-a-time path left is a vectorized expression error, re-evaluated
+//! through `Expr::eval` (see `crate::vexpr`).
 //!
 //! The executor trusts the optimizer's property enforcement: group-wise
 //! operators assume their input is co-partitioned (and, for stream variants,
@@ -38,6 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
+use scope_common::hash::SipHasher24;
 use scope_common::ids::NodeId;
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
@@ -45,13 +49,13 @@ use scope_plan::expr::AggFunc;
 use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
     AggExpr, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph, Schema,
-    SortOrder, Value,
+    SortKey, SortOrder, Udo, UdoKind, Value,
 };
 
 use crate::cost::CostModel;
 use crate::data::{
-    batches_from_rows, cells_gathered, compare_batch_rows, compare_batch_rows_full, sort_rows,
-    Cell, ColumnVector, RecordBatch, Row, Table,
+    cells_gathered, compare_batch_rows, compare_batch_rows_full, Cell, ColumnVector, NullMask,
+    RecordBatch, Rows, StrVec, Table,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -153,30 +157,55 @@ pub fn execute_plan(
     })
 }
 
-/// Applies an optional predicate to every batch of one partition: selection
-/// vector, then `take` (or a zero-copy pass-through when every row survives).
-fn filter_batches(
-    batches: &[Arc<RecordBatch>],
+/// Applies an optional predicate to one batch: selection vector, then
+/// `take` (or a zero-copy pass-through when every row survives).
+fn filter_batch(
+    batch: &Arc<RecordBatch>,
     predicate: Option<&Expr>,
-) -> Result<Vec<Arc<RecordBatch>>> {
-    let mut out = Vec::with_capacity(batches.len());
-    for batch in batches {
-        if batch.num_rows() == 0 {
-            continue;
-        }
-        match predicate {
-            None => out.push(batch.clone()),
-            Some(pred) => {
-                let sel = vexpr::eval_predicate_selection(pred, batch)?;
-                if sel.len() == batch.num_rows() {
-                    out.push(batch.clone());
-                } else if !sel.is_empty() {
-                    out.push(Arc::new(batch.take(&sel)));
-                }
+) -> Result<Option<Arc<RecordBatch>>> {
+    let Some(pred) = predicate else {
+        return Ok(Some(batch.clone()));
+    };
+    let (sel, stopped) = vexpr::eval_predicate_selection(pred, batch);
+    stopped?;
+    Ok(match sel.len() {
+        0 => None,
+        n if n == batch.num_rows() => Some(batch.clone()),
+        _ => Some(Arc::new(batch.take(&sel))),
+    })
+}
+
+/// Runs `kernel` over every non-empty batch of `input`, partition by
+/// partition and in order; `None` drops the batch.
+fn map_batches(
+    input: &Table,
+    mut kernel: impl FnMut(&Arc<RecordBatch>) -> Result<Option<Arc<RecordBatch>>>,
+) -> Result<Vec<Vec<Arc<RecordBatch>>>> {
+    let mut parts = Vec::with_capacity(input.num_partitions());
+    for p in 0..input.num_partitions() {
+        let mut out = Vec::new();
+        for batch in input.partition_batches(p) {
+            if batch.num_rows() > 0 {
+                out.extend(kernel(batch)?);
             }
         }
+        parts.push(out);
     }
-    Ok(out)
+    Ok(parts)
+}
+
+/// Runs `kernel` over every partition of `input` as one batch, in partition
+/// order; a kernel that emits no row leaves its partition without a batch.
+fn map_partitions(
+    input: &Table,
+    mut kernel: impl FnMut(&RecordBatch) -> Result<Option<RecordBatch>>,
+) -> Result<Vec<Vec<Arc<RecordBatch>>>> {
+    (0..input.num_partitions())
+        .map(|p| {
+            let out = kernel(&input.partition_as_batch(p))?;
+            Ok(out.map(Arc::new).into_iter().collect())
+        })
+        .collect()
 }
 
 /// Executes one operator. Returns the output table and, for leaves, the
@@ -194,6 +223,12 @@ fn exec_node(
             .copied()
             .ok_or_else(|| ScopeError::Execution(format!("{} executed without input", op.kind())))
     };
+    // The table a per-partition operator emits: its parts under the
+    // properties it delivers over `input`.
+    let delivered = |input: &Table, parts| {
+        let props = op.delivered_props(std::slice::from_ref(&input.props));
+        Table::from_batches(out_schema.clone(), parts, props)
+    };
     match op {
         Operator::Get {
             dataset,
@@ -204,34 +239,16 @@ fn exec_node(
         } => {
             let stored = storage.dataset(*dataset)?;
             let scanned = stored.num_rows() as u64;
-            let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(stored.num_partitions());
-            for p in 0..stored.num_partitions() {
-                if matches!(kind, scope_plan::ScanKind::Extract) {
-                    // Extract scans interleave predicate and UDO per row;
-                    // stay row-at-a-time to keep error order identical.
-                    let udo = extractor.as_ref().ok_or_else(|| {
-                        ScopeError::Execution("extract scan without extractor".into())
-                    })?;
-                    let mut out_part: Vec<Row> = Vec::new();
-                    for batch in stored.partition_batches(p) {
-                        for i in 0..batch.num_rows() {
-                            let row = batch.row(i);
-                            if let Some(pred) = predicate {
-                                if !pred.eval(&row)?.is_true() {
-                                    continue;
-                                }
-                            }
-                            udo.process_row(&row, &mut out_part)?;
-                        }
-                    }
-                    parts.push(batches_from_rows(out_part));
-                } else {
-                    parts.push(filter_batches(
-                        stored.partition_batches(p),
-                        predicate.as_ref(),
-                    )?);
-                }
-            }
+            let parts = if matches!(kind, scope_plan::ScanKind::Extract) {
+                let udo = extractor.as_ref().ok_or_else(|| {
+                    ScopeError::Execution("extract scan without extractor".into())
+                })?;
+                map_batches(&stored, |batch| {
+                    Ok(extract_batch(udo, predicate.as_ref(), batch)?.map(Arc::new))
+                })?
+            } else {
+                map_batches(&stored, |batch| filter_batch(batch, predicate.as_ref()))?
+            };
             Ok((
                 Table::from_batches(out_schema.clone(), parts, stored.props.clone()),
                 scanned,
@@ -248,61 +265,25 @@ fn exec_node(
         }
         Operator::Filter { predicate } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                parts.push(filter_batches(input.partition_batches(p), Some(predicate))?);
-            }
-            Ok((
-                Table::from_batches(out_schema.clone(), parts, input.props.clone()),
-                0,
-            ))
+            let parts = map_batches(input, |batch| filter_batch(batch, Some(predicate)))?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Project { exprs } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let mut out = Vec::new();
-                for batch in input.partition_batches(p) {
-                    if batch.num_rows() == 0 {
-                        continue;
-                    }
-                    let cols = vexpr::eval_exprs(exprs, batch)?;
-                    out.push(Arc::new(RecordBatch::new(cols, batch.num_rows())));
-                }
-                parts.push(out);
-            }
-            Ok((
-                Table::from_batches(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            let parts = map_batches(input, |batch| {
+                let cols = vexpr::eval_exprs(exprs, batch)?;
+                Ok(Some(Arc::new(RecordBatch::new(cols, batch.num_rows()))))
+            })?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Remap { cols, .. } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let mut out = Vec::new();
-                for batch in input.partition_batches(p) {
-                    if batch.num_rows() == 0 {
-                        continue;
-                    }
-                    // Pure column shuffle: Arc bumps, deferred columns unread.
-                    let picked = cols.iter().map(|&c| batch.columns()[c].clone()).collect();
-                    out.push(Arc::new(RecordBatch::new(picked, batch.num_rows())));
-                }
-                parts.push(out);
-            }
-            Ok((
-                Table::from_batches(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            // Pure column shuffle: Arc bumps, deferred columns unread.
+            let parts = map_batches(input, |batch| {
+                let picked = cols.iter().map(|&c| batch.columns()[c].clone()).collect();
+                Ok(Some(Arc::new(RecordBatch::new(picked, batch.num_rows()))))
+            })?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Sort { order } => {
             let input = one()?;
@@ -325,30 +306,22 @@ fn exec_node(
             implementation,
         } => {
             let input = one()?;
-            let mut parts: Vec<Vec<Row>> = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let batch = input.partition_as_batch(p);
-                parts.push(match implementation {
-                    AggImpl::Hash => hash_aggregate_batch(&batch, keys, aggs),
-                    AggImpl::Stream => stream_aggregate_batch(&batch, keys, aggs),
-                });
-            }
+            let mut parts = map_partitions(input, |batch| {
+                Ok(match implementation {
+                    AggImpl::Hash => hash_aggregate_batch(batch, keys, aggs),
+                    AggImpl::Stream => stream_aggregate_batch(batch, keys, aggs),
+                })
+            })?;
             // Global aggregate over an empty input emits exactly one row.
-            if keys.is_empty() {
-                let total: usize = parts.iter().map(Vec::len).sum();
-                if total == 0 && !parts.is_empty() {
-                    let empty = aggs.iter().map(|a| Acc::default().finish(a.func));
-                    parts[0].push(empty.collect());
+            if keys.is_empty() && parts.iter().all(Vec::is_empty) {
+                if let Some(first) = parts.first_mut() {
+                    let empty = aggs.iter().map(|a| {
+                        ColumnVector::from_values(vec![Acc::default().finish(a.func)]).into()
+                    });
+                    first.push(Arc::new(RecordBatch::new(empty.collect(), 1)));
                 }
             }
-            Ok((
-                Table::from_rows(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            Ok((delivered(input, parts), 0))
         }
         Operator::Top { n, order } => {
             let input = one()?;
@@ -362,11 +335,7 @@ fn exec_node(
             };
             let batch = gathered.partition_as_batch(0);
             let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
-            idx.sort_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                compare_batch_rows(&batch, a, b, order)
-                    .then_with(|| compare_batch_rows_full(&batch, a, b))
-            });
+            sort_indices(&batch, &mut idx, order);
             idx.truncate(*n);
             let out = if idx.is_empty() {
                 Vec::new()
@@ -381,63 +350,20 @@ fn exec_node(
             order,
         } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let batch = input.partition_as_batch(p);
-                parts.push(if batch.num_rows() == 0 {
-                    Vec::new()
-                } else {
-                    vec![Arc::new(window_batch(&batch, func, partition, order))]
-                });
-            }
-            Ok((
-                Table::from_batches(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            let parts = map_partitions(input, |batch| {
+                Ok((batch.num_rows() > 0).then(|| window_batch(batch, func, partition, order)))
+            })?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Process { udo } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let mut out = Vec::new();
-                for row in input.partition_rows(p) {
-                    udo.process_row(&row, &mut out)?;
-                }
-                parts.push(out);
-            }
-            Ok((
-                Table::from_rows(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            let parts = map_partitions(input, |batch| process_batch(udo, batch))?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Reduce { udo, keys } | Operator::GbApply { udo, keys } => {
             let input = one()?;
-            let mut parts = Vec::with_capacity(input.num_partitions());
-            for p in 0..input.num_partitions() {
-                let batch = input.partition_as_batch(p);
-                let rows: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
-                let mut out = Vec::new();
-                for run in key_runs(&batch, keys) {
-                    udo.reduce_group(&rows[run], &mut out)?;
-                }
-                parts.push(out);
-            }
-            Ok((
-                Table::from_rows(
-                    out_schema.clone(),
-                    parts,
-                    op.delivered_props(std::slice::from_ref(&input.props)),
-                ),
-                0,
-            ))
+            let parts = map_partitions(input, |batch| reduce_batch(udo, batch, keys))?;
+            Ok((delivered(input, parts), 0))
         }
         Operator::Spool | Operator::Nop => Ok((one()?.clone(), 0)),
         Operator::Sequence => {
@@ -478,22 +404,10 @@ fn exec_node(
             ))
         }
         Operator::Combine { udo } => {
-            // Both sides gathered single (enforced); the toy combiner sorts
-            // both by column 0 and concatenates.
-            let mut left = inputs[0].all_rows();
-            let mut right = inputs[1].all_rows();
-            if !matches!(udo.kind, scope_plan::UdoKind::MergeStreams) {
-                return Err(ScopeError::Execution(format!(
-                    "{} is not a combiner",
-                    udo.kind.name()
-                )));
-            }
-            let order = SortOrder::asc(&[0]);
-            sort_rows(&mut left, &order);
-            sort_rows(&mut right, &order);
-            left.extend(right);
+            // Both sides gathered single (enforced).
+            let merged = merge_streams(udo, inputs[0], inputs[1])?;
             Ok((
-                Table::from_rows(out_schema.clone(), vec![left], PhysicalProps::single()),
+                Table::from_batches(out_schema.clone(), vec![merged], PhysicalProps::single()),
                 0,
             ))
         }
@@ -537,6 +451,16 @@ fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
     runs
 }
 
+/// Sorts row indices of `batch` by `order`, ties broken by the full row: the
+/// deterministic order of Top, Window and TopPerGroup, which no arrival
+/// order (and hence no view reuse) can change.
+fn sort_indices(batch: &RecordBatch, idx: &mut [u32], order: &SortOrder) {
+    idx.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        compare_batch_rows(batch, a, b, order).then_with(|| compare_batch_rows_full(batch, a, b))
+    });
+}
+
 /// One window function over a non-empty partition. Each run of equal
 /// `partition` keys is put in `order`, ties broken by the full row (running
 /// sums would otherwise depend on arrival order, as in `Top`); the rows move
@@ -550,11 +474,7 @@ fn window_batch(
     let runs = key_runs(batch, partition);
     let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
     for run in &runs {
-        idx[run.clone()].sort_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            compare_batch_rows(batch, a, b, order)
-                .then_with(|| compare_batch_rows_full(batch, a, b))
-        });
+        sort_indices(batch, &mut idx[run.clone()], order);
     }
     let value = match func {
         WindowFunc::RunningSum(c) => {
@@ -596,6 +516,184 @@ fn window_batch(
     };
     columns.push(value.into());
     RecordBatch::new(columns, idx.len())
+}
+
+// ---------------------------------------------------------------------------
+// User-defined operators
+// ---------------------------------------------------------------------------
+
+/// An Extract scan over one stored batch: the predicate selects rows and
+/// the extractor processes the selection. As in the row engine, a predicate
+/// error stops the scan at its row only after the extractor has seen every
+/// earlier row, so an extractor error on an earlier row surfaces first.
+fn extract_batch(
+    udo: &Udo,
+    predicate: Option<&Expr>,
+    batch: &RecordBatch,
+) -> Result<Option<RecordBatch>> {
+    let Some(pred) = predicate else {
+        return process_batch(udo, batch);
+    };
+    let (sel, stopped) = vexpr::eval_predicate_selection(pred, batch);
+    let out = if sel.len() == batch.num_rows() {
+        process_batch(udo, batch)?
+    } else {
+        process_batch(udo, &batch.take(&sel))?
+    };
+    stopped.map(|()| out)
+}
+
+/// A processor over one batch: the rows it emits for each input row, in
+/// input order (`None` when it emits none). Tokenize emits its input row
+/// once per whitespace-separated token with the token appended (none for
+/// NULL text); ClampOutliers and ScoreModel emit each row once, clamping
+/// one column or appending the score.
+fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> {
+    let rows = batch.num_rows();
+    if rows == 0 {
+        return Ok(None);
+    }
+    match &udo.kind {
+        UdoKind::Tokenize { col } => {
+            let text = batch.column(*col);
+            let (mut from, mut data) = (Vec::new(), StrVec::with_capacity(rows));
+            for i in 0..rows {
+                match text.cell(i) {
+                    Cell::Str(s) => {
+                        for token in s.split_whitespace() {
+                            from.push(i as u32);
+                            data.push(token);
+                        }
+                    }
+                    Cell::Null => {}
+                    other => {
+                        let other = other.to_value();
+                        return Err(ScopeError::Execution(format!("tokenize on {other}")));
+                    }
+                }
+            }
+            if from.is_empty() {
+                return Ok(None);
+            }
+            let mut columns = RecordBatch::gather_columns(&[(batch, Some(&from))]);
+            columns.push(ColumnVector::Str { data, nulls: None }.into());
+            Ok(Some(RecordBatch::new(columns, from.len())))
+        }
+        UdoKind::ClampOutliers { col, lo, hi } => {
+            // Through `f64`: an `Int` stays `Int`, and a `Float`, `Date` or
+            // `Bool` becomes `Float`; NULLs and strings pass.
+            let (cells, clamp) = (batch.column(*col), |v: f64| v.clamp(*lo as f64, *hi as f64));
+            let clamped = (0..rows).map(|i| match cells.cell(i) {
+                Cell::Int(x) => Value::Int(clamp(x as f64) as i64),
+                c => c
+                    .as_f64()
+                    .map_or_else(|| c.to_value(), |v| Value::Float(clamp(v))),
+            });
+            let mut columns = batch.columns().to_vec();
+            columns[*col] = ColumnVector::from_values(clamped.collect()).into();
+            Ok(Some(RecordBatch::new(columns, rows)))
+        }
+        UdoKind::ScoreModel { cols, seed } => {
+            let features: Vec<&Arc<ColumnVector>> = cols.iter().map(|&c| batch.column(c)).collect();
+            let score = |i| {
+                let mut h = SipHasher24::new_with_keys(*seed, !*seed);
+                for f in &features {
+                    f.cell(i).stable_hash_into(&mut h);
+                }
+                (h.finish() >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let data = (0..rows).map(score).collect();
+            let mut columns = batch.columns().to_vec();
+            columns.push(ColumnVector::Float { data, nulls: None }.into());
+            Ok(Some(RecordBatch::new(columns, rows)))
+        }
+        other => Err(ScopeError::Execution(format!(
+            "{} is not a row processor",
+            other.name()
+        ))),
+    }
+}
+
+/// A reducer or per-group apply over one partition, each run of equal `keys`
+/// one group (`None` when it emits no row). TrimBand keeps the rows whose
+/// numeric cell lies in the group's `[min + gap, max - gap]`; CountRows
+/// emits the group's smallest row (the first of equals) with the group's row
+/// count appended; TopPerGroup keeps the group's first `n` rows by the
+/// column descending, ties broken by the full row.
+fn reduce_batch(udo: &Udo, batch: &RecordBatch, keys: &[usize]) -> Result<Option<RecordBatch>> {
+    let runs = key_runs(batch, keys);
+    if runs.is_empty() {
+        return Ok(None);
+    }
+    let mut keep: Vec<u32> = Vec::new();
+    match &udo.kind {
+        UdoKind::TrimBand { col, gap } => {
+            let value = |i: usize| batch.column(*col).cell(i).as_f64();
+            for run in runs {
+                let (mut min, mut max, mut any) = (f64::INFINITY, f64::NEG_INFINITY, false);
+                for v in run.clone().filter_map(value) {
+                    (min, max, any) = (min.min(v), max.max(v), true);
+                }
+                if any {
+                    let (lo, hi) = (min + *gap as f64, max - *gap as f64);
+                    let inside = |&i: &usize| value(i).is_some_and(|v| v >= lo && v <= hi);
+                    keep.extend(run.filter(inside).map(|i| i as u32));
+                }
+            }
+        }
+        UdoKind::CountRows => {
+            let data = runs.iter().map(|run| run.len() as i64).collect();
+            // `min_by` keeps the first of equal rows.
+            let smallest =
+                |run: Range<usize>| run.min_by(|&a, &b| compare_batch_rows_full(batch, a, b));
+            keep.extend(runs.into_iter().filter_map(smallest).map(|i| i as u32));
+            let mut columns = RecordBatch::gather_columns(&[(batch, Some(&keep))]);
+            columns.push(ColumnVector::Int { data, nulls: None }.into());
+            return Ok(Some(RecordBatch::new(columns, keep.len())));
+        }
+        UdoKind::TopPerGroup { col, n } => {
+            let order = SortOrder(vec![SortKey::desc(*col)]);
+            for run in runs {
+                let mut group: Vec<u32> = run.map(|i| i as u32).collect();
+                sort_indices(batch, &mut group, &order);
+                keep.extend(group.into_iter().take(*n));
+            }
+        }
+        other => {
+            return Err(ScopeError::Execution(format!(
+                "{} is not a group reducer",
+                other.name()
+            )))
+        }
+    }
+    Ok((!keep.is_empty()).then(|| batch.take(&keep)))
+}
+
+/// The MergeStreams combiner: each side gathered and stably sorted on column
+/// 0, then the left side's rows followed by the right's, as one partition.
+fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<RecordBatch>>> {
+    if udo.kind != UdoKind::MergeStreams {
+        return Err(ScopeError::Execution(format!(
+            "{} is not a combiner",
+            udo.kind.name()
+        )));
+    }
+    let order = SortOrder::asc(&[0]);
+    let sorted = |side: &Table| {
+        let batch = side.gather().partition_as_batch(0);
+        let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
+        idx.sort_by(|&a, &b| compare_batch_rows(&batch, a as usize, b as usize, &order));
+        (batch, idx)
+    };
+    // An empty side may be a zero-width batch: it contributes no run.
+    let sides = [sorted(left), sorted(right)];
+    let runs: Vec<Rows<'_>> = sides
+        .iter()
+        .filter(|(_, idx)| !idx.is_empty())
+        .map(|(batch, idx)| (&**batch, Some(idx.as_slice())))
+        .collect();
+    let merged = (!runs.is_empty()).then(|| Arc::new(RecordBatch::gather(&runs)));
+    Ok(merged.into_iter().collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -710,7 +808,7 @@ impl Acc {
 }
 
 /// Null-test closure over a typed column's optional mask.
-fn null_at(nulls: &Option<crate::data::NullMask>) -> impl Fn(usize) -> bool + '_ {
+fn null_at(nulls: &Option<NullMask>) -> impl Fn(usize) -> bool + '_ {
     move |i| nulls.as_ref().is_some_and(|m| m[i])
 }
 
@@ -750,19 +848,18 @@ fn is_dense(span: u128, rows: usize) -> bool {
 fn group_by_key<K: std::hash::Hash + Eq>(
     rows: usize,
     key_at: impl Fn(usize) -> Option<K>,
-    value_at: impl Fn(usize) -> Value,
-) -> (Vec<u32>, Vec<Vec<Value>>) {
+) -> (Vec<u32>, Vec<u32>) {
     let mut group_of = Vec::with_capacity(rows);
-    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+    let mut firsts = Vec::new();
     let mut map: HashMap<Option<K>, u32> = HashMap::new();
     for i in 0..rows {
         let gid = *map.entry(key_at(i)).or_insert_with(|| {
-            key_rows.push(vec![value_at(i)]);
-            (key_rows.len() - 1) as u32
+            firsts.push(i as u32);
+            (firsts.len() - 1) as u32
         });
         group_of.push(gid);
     }
-    (group_of, key_rows)
+    (group_of, firsts)
 }
 
 /// Monomorphized single-key grouping over an i64-valued key accessor, with
@@ -772,14 +869,13 @@ fn group_typed_ints(
     rows: usize,
     key_at: impl Fn(usize) -> i64,
     is_null: impl Fn(usize) -> bool,
-    value_at: impl Fn(usize) -> Value,
-) -> (Vec<u32>, Vec<Vec<Value>>) {
+) -> (Vec<u32>, Vec<u32>) {
     let (lo, _, span) = key_range(rows, &key_at, &is_null);
     if !is_dense(span, rows) {
-        return group_by_key(rows, |i| (!is_null(i)).then(|| key_at(i)), value_at);
+        return group_by_key(rows, |i| (!is_null(i)).then(|| key_at(i)));
     }
     let mut group_of = Vec::with_capacity(rows);
-    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+    let mut firsts = Vec::new();
     let mut table = vec![u32::MAX; span as usize];
     let mut null_gid = u32::MAX;
     for i in 0..rows {
@@ -789,68 +885,83 @@ fn group_typed_ints(
             &mut table[(key_at(i) - lo) as usize]
         };
         if *slot == u32::MAX {
-            *slot = key_rows.len() as u32;
-            key_rows.push(vec![value_at(i)]);
+            *slot = firsts.len() as u32;
+            firsts.push(i as u32);
         }
         group_of.push(*slot);
     }
-    (group_of, key_rows)
+    (group_of, firsts)
 }
 
-/// Group index per input row, plus the distinct keys in first-seen order —
-/// the seed hash aggregate's grouping, computed column-wise with a typed
-/// fast path for single integer-like keys.
-fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<Vec<Value>>) {
+/// Group index per input row, plus each group's first row in first-seen
+/// order — the seed hash aggregate's grouping, computed column-wise with a
+/// typed fast path for single integer-like keys.
+fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<u32>) {
     let rows = batch.num_rows();
 
     if let [k] = keys {
         // Typed single-key grouping: one i64 or borrowed `&str` (or NULL)
         // per row. Valid because a typed column never mixes types, so key
         // equality coincides with Value equality.
-        let kcol = batch.column(*k);
-        let value_at = |i| kcol.value(i);
-        match kcol.as_ref() {
+        match batch.column(*k).as_ref() {
             ColumnVector::Int { data, nulls } => {
-                return group_typed_ints(rows, |i| data[i], null_at(nulls), value_at);
+                return group_typed_ints(rows, |i| data[i], null_at(nulls));
             }
             ColumnVector::Date { data, nulls } => {
-                return group_typed_ints(rows, |i| data[i] as i64, null_at(nulls), value_at);
+                return group_typed_ints(rows, |i| data[i] as i64, null_at(nulls));
             }
             ColumnVector::Str { data, nulls } => {
                 let is_null = null_at(nulls);
-                return group_by_key(rows, |i| (!is_null(i)).then(|| data.get(i)), value_at);
+                return group_by_key(rows, |i| (!is_null(i)).then(|| data.get(i)));
             }
             _ => {}
         }
     }
 
     let mut group_of = Vec::with_capacity(rows);
-    let mut key_rows: Vec<Vec<Value>> = Vec::new();
+    let mut firsts = Vec::new();
     let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
     for i in 0..rows {
         let key: Vec<Value> = keys.iter().map(|&k| batch.cell(i, k).to_value()).collect();
-        let gid = match map.get(&key) {
-            Some(&gid) => gid,
-            None => {
-                let gid = key_rows.len() as u32;
-                key_rows.push(key.clone());
-                map.insert(key, gid);
-                gid
-            }
-        };
+        let gid = *map.entry(key).or_insert_with(|| {
+            firsts.push(i as u32);
+            (firsts.len() - 1) as u32
+        });
         group_of.push(gid);
     }
-    (group_of, key_rows)
+    (group_of, firsts)
 }
 
-fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -> Vec<Row> {
+/// The aggregate's output over one partition: per group, the key cells of
+/// its row `firsts[g]`, then `finished[j][g]` for each aggregate `j`.
+fn aggregate_output(
+    batch: &RecordBatch,
+    keys: &[usize],
+    firsts: &[u32],
+    finished: Vec<Vec<Value>>,
+) -> RecordBatch {
+    let key_columns = keys.iter().map(|&k| batch.columns()[k].clone()).collect();
+    let key_batch = RecordBatch::new(key_columns, batch.num_rows());
+    let mut columns = RecordBatch::gather_columns(&[(&key_batch, Some(firsts))]);
+    let aggregates = finished
+        .into_iter()
+        .map(|v| ColumnVector::from_values(v).into());
+    columns.extend(aggregates);
+    RecordBatch::new(columns, firsts.len())
+}
+
+fn hash_aggregate_batch(
+    batch: &RecordBatch,
+    keys: &[usize],
+    aggs: &[AggExpr],
+) -> Option<RecordBatch> {
     let rows = batch.num_rows();
     if rows == 0 {
-        return Vec::new();
+        return None;
     }
     let width = batch.width();
-    let (group_of, key_rows) = group_rows(batch, keys);
-    let ngroups = key_rows.len();
+    let (group_of, firsts) = group_rows(batch, keys);
+    let ngroups = firsts.len();
     let mut group_sizes = vec![0u64; ngroups];
     for &g in &group_of {
         group_sizes[g as usize] += 1;
@@ -860,7 +971,7 @@ fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -
     // column. COUNT/SUM/AVG over typed numeric columns run monomorphized
     // loops feeding the exact `Acc` fields their `finish` arm reads;
     // everything else falls back to the borrowed-cell update.
-    let mut acc_cols: Vec<Vec<Acc>> = Vec::with_capacity(aggs.len());
+    let mut finished = Vec::with_capacity(aggs.len());
     for a in aggs {
         let col = batch.column(a.input.min(width - 1));
         let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::default()).collect();
@@ -887,18 +998,9 @@ fn hash_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -
                 }
             }
         }
-        acc_cols.push(accs);
+        finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
     }
-    key_rows
-        .into_iter()
-        .enumerate()
-        .map(|(g, mut row)| {
-            for (j, a) in aggs.iter().enumerate() {
-                row.push(acc_cols[j][g].finish(a.func));
-            }
-            row
-        })
-        .collect()
+    Some(aggregate_output(batch, keys, &firsts, finished))
 }
 
 /// SUM/AVG inner loop shared by the typed numeric columns: `add` feeds one
@@ -908,7 +1010,7 @@ fn accumulate_sums(
     accs: &mut [Acc],
     group_of: &[u32],
     group_sizes: &[u64],
-    nulls: &Option<crate::data::NullMask>,
+    nulls: &Option<NullMask>,
     mut add: impl FnMut(&mut Acc, usize),
 ) {
     match nulls {
@@ -935,32 +1037,32 @@ fn accumulate_sums(
     }
 }
 
-fn stream_aggregate_batch(batch: &RecordBatch, keys: &[usize], aggs: &[AggExpr]) -> Vec<Row> {
+fn stream_aggregate_batch(
+    batch: &RecordBatch,
+    keys: &[usize],
+    aggs: &[AggExpr],
+) -> Option<RecordBatch> {
     let runs = key_runs(batch, keys);
     if runs.is_empty() {
-        return Vec::new();
+        return None;
     }
     let width = batch.width();
-    let agg_cols: Vec<&Arc<ColumnVector>> = aggs
+    let finished = aggs
         .iter()
-        .map(|a| batch.column(a.input.min(width - 1)))
-        .collect();
-    runs.into_iter()
-        .map(|run| {
-            let mut row: Row = keys
-                .iter()
-                .map(|&k| batch.cell(run.start, k).to_value())
-                .collect();
-            for (a, col) in aggs.iter().zip(&agg_cols) {
+        .map(|a| {
+            let col = batch.column(a.input.min(width - 1));
+            let finish = |run: &Range<usize>| {
                 let mut acc = Acc::default();
                 for i in run.clone() {
                     acc.update_cell(a.func, col.cell(i));
                 }
-                row.push(acc.finish(a.func));
-            }
-            row
+                acc.finish(a.func)
+            };
+            runs.iter().map(finish).collect()
         })
-        .collect()
+        .collect();
+    let firsts: Vec<u32> = runs.iter().map(|run| run.start as u32).collect();
+    Some(aggregate_output(batch, keys, &firsts, finished))
 }
 
 // ---------------------------------------------------------------------------
@@ -1250,7 +1352,7 @@ fn hash_join_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::multiset_checksum;
+    use crate::data::{multiset_checksum, Row};
     use scope_common::ids::DatasetId;
     use scope_plan::expr::AggFunc;
     use scope_plan::op::WindowFunc;

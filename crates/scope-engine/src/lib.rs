@@ -7,7 +7,7 @@
 //!
 //! * [`data`] — partitioned in-memory tables stored as columnar record
 //!   batches ([`data::RecordBatch`], [`data::ColumnVector`]), with a row
-//!   bridge for tests and UDOs, and multiset checksums used by the
+//!   bridge for tests and the view codec, and multiset checksums used by the
 //!   correctness tests (baseline output must equal CloudViews output
 //!   bit-for-bit).
 //! * [`cost`] — the calibrated cost model translating actual row counts into

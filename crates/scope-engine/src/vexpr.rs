@@ -61,38 +61,42 @@ impl Ev {
 }
 
 /// Evaluates `pred` over the batch and returns the selection vector: the
-/// indices (in order) of rows where the predicate is `Bool(true)`.
+/// indices (in order) of rows where the predicate is `Bool(true)`, up to the
+/// first row whose evaluation errors, and that error (`Ok` when no row
+/// errors and the selection covers the whole batch). An Extract scan runs
+/// its extractor over the rows before the error first, so an extractor
+/// error on an earlier row is the one reported.
 ///
 /// Exactly equivalent to `pred.eval(row)?.is_true()` per row (see the module
 /// docs for the fallback argument).
-pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> Result<Vec<u32>> {
+pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> (Vec<u32>, Result<()>) {
     let rows = batch.num_rows() as u32;
     if rows == 0 {
-        return Ok(Vec::new());
+        return (Vec::new(), Ok(()));
     }
-    match eval_ev(pred, batch) {
-        Ok(Ev::Const(v)) => Ok(if v.is_true() {
-            (0..rows).collect()
-        } else {
-            Vec::new()
-        }),
+    let sel = match eval_ev(pred, batch) {
+        Ok(Ev::Const(v)) if v.is_true() => (0..rows).collect(),
+        Ok(Ev::Const(_)) => Vec::new(),
         Ok(Ev::Col(col)) => {
             let col = col.dense();
-            Ok((0..rows)
+            (0..rows)
                 .filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true)))
-                .collect())
+                .collect()
         }
         Err(_) => {
             // Rowwise fallback: reproduces the row executor bit for bit.
             let mut sel = Vec::new();
             for i in 0..rows {
-                if pred.eval(&batch.row(i as usize))?.is_true() {
-                    sel.push(i);
+                match pred.eval(&batch.row(i as usize)) {
+                    Ok(v) if v.is_true() => sel.push(i),
+                    Ok(_) => {}
+                    Err(e) => return (sel, Err(e)),
                 }
             }
-            Ok(sel)
+            sel
         }
-    }
+    };
+    (sel, Ok(()))
 }
 
 /// Evaluates a projection list over the batch, one output column per

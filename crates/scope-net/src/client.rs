@@ -18,6 +18,7 @@
 //! * every other error frame maps straight back onto the [`ScopeError`]
 //!   taxonomy and returns on the first attempt.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -52,7 +53,8 @@ impl Default for ClientConfig {
 pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,
-    conn: Option<TcpStream>,
+    /// Buffered, so a response frame arrives in one read, not two.
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl NetClient {
@@ -163,11 +165,11 @@ impl NetClient {
                 .map_err(|e| ScopeError::ServiceUnavailable(format!("set deadline: {e}")))?;
             conn.set_write_timeout(Some(self.config.deadline))
                 .map_err(|e| ScopeError::ServiceUnavailable(format!("set deadline: {e}")))?;
-            self.conn = Some(conn);
+            self.conn = Some(BufReader::new(conn));
         }
         let conn = self.conn.as_mut().expect("just connected");
         let (ty, payload) = req.encode();
-        write_frame(conn, ty, &payload)
+        write_frame(conn.get_mut(), ty, &payload)
             .map_err(|e| ScopeError::ServiceUnavailable(format!("send: {e}")))?;
         let (rty, rpayload) = read_frame(conn)
             .map_err(|e| ScopeError::ServiceUnavailable(format!("receive: {e}")))?;

@@ -24,7 +24,7 @@
 //! latency.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -36,7 +36,7 @@ use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, MetricsRegi
 use scope_common::{Result, ScopeError};
 
 use crate::proto::{ErrorFrame, ErrorKind, Request, Response};
-use crate::wire::{read_frame_continued, write_frame, WireError};
+use crate::wire::{read_frame, write_frame, WireError, HEADER_LEN};
 
 /// Per-VC token-bucket parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -390,65 +390,77 @@ fn worker(shared: &Shared) {
 /// or shutdown. Request frames keep arriving on the same socket —
 /// connection reuse is the client's norm, not an optimization.
 ///
+/// Reads go through one buffer: a request that arrived whole is parsed from
+/// it with a single read, and only a frame still partly on the wire gets
+/// the full frame deadline for its rest. Waiting for a frame to *start*
+/// polls at the idle tick (cheap shutdown checks) — never mid-frame, where
+/// the poll timeout would fire between a frame's TCP segments and misframe
+/// a healthy connection.
+///
 /// Fairness: a worker does not camp on an idle connection while other
 /// connections wait. At each idle tick with a non-empty backlog it parks
 /// its connection back into the queue and picks up the next, so the pool
 /// multiplexes arbitrarily many mostly-idle connections at idle-poll
-/// granularity instead of starving everything past `workers`. (A full
-/// queue skips the rotation — the worker keeps what it has rather than
-/// dropping a healthy connection.) Latency-sensitive deployments still
-/// provision `workers` at or above the expected concurrent connections:
-/// a parked connection's next request waits up to one idle tick to be
+/// granularity instead of starving everything past `workers`. Only a
+/// connection with nothing buffered is parked, so no received byte is lost.
+/// (A full queue skips the rotation — the worker keeps what it has rather
+/// than dropping a healthy connection.) Latency-sensitive deployments still
+/// provision `workers` at or above the expected concurrent connections: a
+/// parked connection's next request waits up to one idle tick to be
 /// noticed.
-fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Shared) {
+fn serve_connection(conn: TcpStream, mut idle_since: Instant, shared: &Shared) {
     let _ = conn.set_nodelay(true);
     let _ = conn.set_read_timeout(Some(shared.config.idle_poll));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(1)));
+    let mut conn = BufReader::new(conn);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // Two-phase read: poll one byte at the idle tick (cheap shutdown
-        // checks), and only once a frame has *started* grant the peer the
-        // full frame deadline for the rest. Reading the whole frame at the
-        // idle tick would let the poll timeout fire between a frame's TCP
-        // segments, misframing a perfectly healthy connection.
-        let mut first = [0u8; 1];
-        let first = match conn.read(&mut first) {
-            Ok(1) => first[0],
-            Ok(_) => {
-                // Read of zero bytes: orderly disconnect.
-                shared.metrics.disconnects.inc();
-                return;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if idle_since.elapsed() > shared.config.idle_timeout {
+        if conn.buffer().is_empty() {
+            match conn.fill_buf() {
+                Ok([]) => {
+                    // Read of zero bytes: orderly disconnect.
                     shared.metrics.disconnects.inc();
                     return;
                 }
-                if shared.queue.backlog() > 0 {
-                    match shared.queue.push(conn, idle_since) {
-                        Ok(depth) => {
-                            shared.metrics.queue_depth.set(depth as i64);
-                            return;
-                        }
-                        Err((c, _)) => conn = c,
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if idle_since.elapsed() > shared.config.idle_timeout {
+                        shared.metrics.disconnects.inc();
+                        return;
                     }
+                    if shared.queue.backlog() > 0 {
+                        match shared.queue.push(conn.into_inner(), idle_since) {
+                            Ok(depth) => {
+                                shared.metrics.queue_depth.set(depth as i64);
+                                return;
+                            }
+                            Err((c, _)) => conn = BufReader::new(c),
+                        }
+                    }
+                    continue;
                 }
-                continue;
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    shared.metrics.disconnects.inc();
+                    return;
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                shared.metrics.disconnects.inc();
-                return;
-            }
-        };
-        let _ = conn.set_read_timeout(Some(FRAME_READ_DEADLINE));
-        let frame = read_frame_continued(&mut conn, first);
-        let _ = conn.set_read_timeout(Some(shared.config.idle_poll));
+        }
+        let whole = holds_whole_frame(conn.buffer());
+        if !whole {
+            let _ = conn.get_ref().set_read_timeout(Some(FRAME_READ_DEADLINE));
+        }
+        let frame = read_frame(&mut conn);
+        if !whole {
+            let _ = conn
+                .get_ref()
+                .set_read_timeout(Some(shared.config.idle_poll));
+        }
         let (ty, payload) = match frame {
             Ok(frame) => frame,
             Err(WireError::Io(_)) => {
@@ -463,7 +475,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
                 // once, then close — the byte stream can't be resynced.
                 shared.metrics.malformed.inc();
                 respond(
-                    &mut conn,
+                    conn.get_mut(),
                     shared,
                     Response::Error(ErrorFrame::new(ErrorKind::Malformed, e.to_string())),
                 );
@@ -475,7 +487,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
         shared
             .metrics
             .bytes_read
-            .add((crate::wire::HEADER_LEN + payload.len()) as u64);
+            .add((HEADER_LEN + payload.len()) as u64);
         let req = match Request::decode(ty, &payload) {
             Ok(req) => req,
             Err(e) => {
@@ -483,7 +495,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
                 // still framed, so answer and keep serving.
                 shared.metrics.malformed.inc();
                 if !respond(
-                    &mut conn,
+                    conn.get_mut(),
                     shared,
                     Response::Error(ErrorFrame::new(ErrorKind::Malformed, e.to_string())),
                 ) {
@@ -493,7 +505,7 @@ fn serve_connection(mut conn: TcpStream, mut idle_since: Instant, shared: &Share
             }
         };
         let response = process(req, shared);
-        if !respond(&mut conn, shared, response) {
+        if !respond(conn.get_mut(), shared, response) {
             shared.metrics.disconnects.inc();
             return;
         }
@@ -553,6 +565,16 @@ fn process(req: Request, shared: &Shared) -> Response {
     response
 }
 
+/// True when `buffered` starts with a whole frame: a header and as many
+/// payload bytes as it declares. (A malformed header fails to parse before
+/// any payload byte is read, whatever this says.)
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    buffered.get(8..HEADER_LEN).is_some_and(|len| {
+        let len = u32::from_le_bytes(len.try_into().expect("four length bytes"));
+        buffered.len() - HEADER_LEN >= len as usize
+    })
+}
+
 /// Writes a response frame; `false` means the connection is gone.
 fn respond(conn: &mut TcpStream, shared: &Shared, response: Response) -> bool {
     let m = &shared.metrics;
@@ -560,7 +582,6 @@ fn respond(conn: &mut TcpStream, shared: &Shared, response: Response) -> bool {
         m.error_responses.inc();
     }
     let (ty, payload) = response.encode();
-    m.bytes_written
-        .add((crate::wire::HEADER_LEN + payload.len()) as u64);
+    m.bytes_written.add((HEADER_LEN + payload.len()) as u64);
     write_frame(conn, ty, &payload).is_ok()
 }

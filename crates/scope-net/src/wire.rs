@@ -169,23 +169,6 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), WireError> {
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    read_frame_after_header(r, header)
-}
-
-/// Finishes reading a frame whose first header byte was already consumed
-/// (the server's idle-poll read). The remaining 11 header bytes and the
-/// payload follow under whatever read deadline the caller set.
-pub fn read_frame_continued(r: &mut impl Read, first: u8) -> Result<(u8, Vec<u8>), WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    r.read_exact(&mut header[1..])?;
-    read_frame_after_header(r, header)
-}
-
-fn read_frame_after_header(
-    r: &mut impl Read,
-    header: [u8; HEADER_LEN],
-) -> Result<(u8, Vec<u8>), WireError> {
     let (ty, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;

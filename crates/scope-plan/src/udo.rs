@@ -16,11 +16,15 @@
 //! string that participates in precise signatures. Bumping the version
 //! changes the precise signature without changing behaviour — exactly the
 //! situation where CloudViews must refuse to reuse a stale view.
+//!
+//! This module only *describes* a UDO: its output schema, its cost weight
+//! and what it adds to a signature. The executor in `scope-engine` runs each
+//! kind as a batch kernel.
 
 use scope_common::hash::SipHasher24;
 
 use crate::schema::{Column, Schema};
-use crate::types::{DataType, Value};
+use crate::types::DataType;
 use scope_common::{Result, ScopeError};
 
 /// The behaviour of a user-defined operator.
@@ -204,103 +208,6 @@ impl Udo {
             }
         }
     }
-
-    /// Executes the UDO as a *processor* over one input row, appending
-    /// output rows to `out`. Only valid for processor kinds.
-    pub fn process_row(&self, row: &[Value], out: &mut Vec<Vec<Value>>) -> Result<()> {
-        match &self.kind {
-            UdoKind::Tokenize { col } => {
-                let text = match &row[*col] {
-                    Value::Str(s) => s.clone(),
-                    Value::Null => return Ok(()),
-                    other => {
-                        return Err(ScopeError::Execution(format!("tokenize on {other}")));
-                    }
-                };
-                for token in text.split_whitespace() {
-                    let mut r = row.to_vec();
-                    r.push(Value::Str(token.to_string()));
-                    out.push(r);
-                }
-                Ok(())
-            }
-            UdoKind::ClampOutliers { col, lo, hi } => {
-                let mut r = row.to_vec();
-                if let Some(v) = r[*col].as_f64() {
-                    let clamped = v.clamp(*lo as f64, *hi as f64);
-                    r[*col] = match &r[*col] {
-                        Value::Int(_) => Value::Int(clamped as i64),
-                        _ => Value::Float(clamped),
-                    };
-                }
-                out.push(r);
-                Ok(())
-            }
-            UdoKind::ScoreModel { cols, seed } => {
-                let mut h = SipHasher24::new_with_keys(*seed, !*seed);
-                for c in cols {
-                    row[*c].stable_hash_into(&mut h);
-                }
-                let score = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
-                let mut r = row.to_vec();
-                r.push(Value::Float(score));
-                out.push(r);
-                Ok(())
-            }
-            other => Err(ScopeError::Execution(format!(
-                "{} is not a row processor",
-                other.name()
-            ))),
-        }
-    }
-
-    /// Executes the UDO as a *reducer/apply* over one whole group of rows.
-    /// Only valid for group-wise kinds.
-    pub fn reduce_group(&self, group: &[Vec<Value>], out: &mut Vec<Vec<Value>>) -> Result<()> {
-        match &self.kind {
-            UdoKind::TrimBand { col, gap } => {
-                let vals: Vec<f64> = group.iter().filter_map(|r| r[*col].as_f64()).collect();
-                if vals.is_empty() {
-                    return Ok(());
-                }
-                let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let (lo, hi) = (min + *gap as f64, max - *gap as f64);
-                for r in group {
-                    if let Some(v) = r[*col].as_f64() {
-                        if v >= lo && v <= hi {
-                            out.push(r.clone());
-                        }
-                    }
-                }
-                Ok(())
-            }
-            UdoKind::CountRows => {
-                // Deterministic representative: the lexicographically
-                // smallest row of the group (not "the first", which would
-                // depend on physical arrival order).
-                if let Some(rep) = group.iter().min() {
-                    let mut r = rep.clone();
-                    r.push(Value::Int(group.len() as i64));
-                    out.push(r);
-                }
-                Ok(())
-            }
-            UdoKind::TopPerGroup { col, n } => {
-                let mut rows: Vec<&Vec<Value>> = group.iter().collect();
-                // Ties broken by full-row order for determinism.
-                rows.sort_by(|a, b| b[*col].cmp(&a[*col]).then_with(|| a.cmp(b)));
-                for r in rows.into_iter().take(*n) {
-                    out.push(r.clone());
-                }
-                Ok(())
-            }
-            other => Err(ScopeError::Execution(format!(
-                "{} is not a group reducer",
-                other.name()
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,129 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_schema_and_rows() {
+    fn tokenize_appends_a_token_column() {
         let udo = Udo::new(UdoKind::Tokenize { col: 1 }, "Contoso.Text", "1.0.0");
         let out_schema = udo.output_schema(&text_schema()).unwrap();
         assert_eq!(out_schema.len(), 3);
         assert_eq!(out_schema.column(2).unwrap().name, "token");
-
-        let mut out = Vec::new();
-        udo.process_row(&[Value::Int(1), Value::Str("a b  c".into())], &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[2][2], Value::Str("c".into()));
-        // NULL text produces no rows (and no error).
-        udo.process_row(&[Value::Int(2), Value::Null], &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 3);
     }
 
     #[test]
     fn tokenize_rejects_non_string_column() {
         let udo = Udo::new(UdoKind::Tokenize { col: 0 }, "L", "1");
         assert!(udo.output_schema(&text_schema()).is_err());
-    }
-
-    #[test]
-    fn clamp() {
-        let udo = Udo::new(
-            UdoKind::ClampOutliers {
-                col: 0,
-                lo: 0,
-                hi: 10,
-            },
-            "L",
-            "1",
-        );
-        let mut out = Vec::new();
-        udo.process_row(&[Value::Int(-5)], &mut out).unwrap();
-        udo.process_row(&[Value::Int(5)], &mut out).unwrap();
-        udo.process_row(&[Value::Int(500)], &mut out).unwrap();
-        assert_eq!(out[0][0], Value::Int(0));
-        assert_eq!(out[1][0], Value::Int(5));
-        assert_eq!(out[2][0], Value::Int(10));
-    }
-
-    #[test]
-    fn score_model_is_deterministic_and_seed_sensitive() {
-        let u1 = Udo::new(
-            UdoKind::ScoreModel {
-                cols: vec![0],
-                seed: 1,
-            },
-            "ML",
-            "2.0",
-        );
-        let u2 = Udo::new(
-            UdoKind::ScoreModel {
-                cols: vec![0],
-                seed: 2,
-            },
-            "ML",
-            "2.0",
-        );
-        let row = vec![Value::Int(42)];
-        let mut o1 = Vec::new();
-        let mut o1b = Vec::new();
-        let mut o2 = Vec::new();
-        u1.process_row(&row, &mut o1).unwrap();
-        u1.process_row(&row, &mut o1b).unwrap();
-        u2.process_row(&row, &mut o2).unwrap();
-        assert_eq!(o1, o1b);
-        assert_ne!(o1, o2);
-        let score = o1[0][1].as_f64().unwrap();
-        assert!((0.0..1.0).contains(&score));
-    }
-
-    #[test]
-    fn trim_band_reducer() {
-        let udo = Udo::new(UdoKind::TrimBand { col: 0, gap: 1 }, "L", "1");
-        let group: Vec<Vec<Value>> = (0..=10).map(|i| vec![Value::Int(i)]).collect();
-        let mut out = Vec::new();
-        udo.reduce_group(&group, &mut out).unwrap();
-        // Band is [0+1, 10-1] = [1, 9] -> 9 rows survive.
-        assert_eq!(out.len(), 9);
-    }
-
-    #[test]
-    fn count_rows_reducer() {
-        let udo = Udo::new(UdoKind::CountRows, "L", "1");
-        let group = vec![
-            vec![Value::Int(7)],
-            vec![Value::Int(7)],
-            vec![Value::Int(7)],
-        ];
-        let mut out = Vec::new();
-        udo.reduce_group(&group, &mut out).unwrap();
-        assert_eq!(out, vec![vec![Value::Int(7), Value::Int(3)]]);
-        // Empty group emits nothing.
-        let mut out2 = Vec::new();
-        udo.reduce_group(&[], &mut out2).unwrap();
-        assert!(out2.is_empty());
-    }
-
-    #[test]
-    fn top_per_group() {
-        let udo = Udo::new(UdoKind::TopPerGroup { col: 0, n: 2 }, "L", "1");
-        let group: Vec<Vec<Value>> = [3i64, 1, 4, 1, 5]
-            .iter()
-            .map(|&i| vec![Value::Int(i)])
-            .collect();
-        let mut out = Vec::new();
-        udo.reduce_group(&group, &mut out).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0][0], Value::Int(5));
-        assert_eq!(out[1][0], Value::Int(4));
-    }
-
-    #[test]
-    fn kind_mismatch_errors() {
-        let reducer = Udo::new(UdoKind::CountRows, "L", "1");
-        assert!(reducer
-            .process_row(&[Value::Int(1)], &mut Vec::new())
-            .is_err());
-        let processor = Udo::new(UdoKind::Tokenize { col: 0 }, "L", "1");
-        assert!(processor.reduce_group(&[], &mut Vec::new()).is_err());
     }
 
     #[test]

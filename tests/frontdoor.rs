@@ -452,3 +452,50 @@ fn overflow_connections_are_shed_with_busy() {
     drop(pin);
     server.shutdown();
 }
+
+/// Frames share the server's read buffer without losing a byte: two
+/// requests sent in one write are both answered, in order, and a request
+/// whose second half arrives after several idle ticks (on a pool with a
+/// backlog to rotate to) is still read whole under the frame deadline.
+#[test]
+fn two_frames_in_one_write_are_both_answered() {
+    let service = service_with_view();
+    let telemetry = Telemetry::new();
+    let config = ServerConfig {
+        workers: 1,
+        ..quick_config()
+    };
+    let server = NetServer::spawn(service, Arc::clone(&telemetry), config).unwrap();
+    let addr = server.addr();
+    let frame = |job| {
+        let (ty, payload) = lookup_req(job, 0).encode_as_request();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, ty, &payload).unwrap();
+        bytes
+    };
+    let answered =
+        |conn: &mut TcpStream| match read_frame(conn).map(|(ty, p)| Response::decode(ty, &p)) {
+            Ok(Ok(Response::Lookup(resp))) => resp.annotations.len(),
+            other => panic!("expected a lookup response, got {other:?}"),
+        };
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&[frame(1), frame(2)].concat()).unwrap();
+    assert_eq!(answered(&mut conn), 1);
+    assert_eq!(answered(&mut conn), 1);
+
+    // A second connection waits in the queue while the first stalls
+    // mid-frame: a parked connection would lose the buffered half.
+    let _waiting = TcpStream::connect(addr).unwrap();
+    let split = frame(3);
+    conn.write_all(&split[..5]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    conn.write_all(&split[5..]).unwrap();
+    assert_eq!(answered(&mut conn), 1);
+
+    let snap = telemetry.metrics.snapshot();
+    assert_eq!(snap.counter("cv_net_frames_total"), 3);
+    assert_eq!(snap.counter("cv_net_malformed_total"), 0);
+    server.shutdown();
+}

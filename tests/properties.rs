@@ -1185,11 +1185,21 @@ fn assert_executors_agree(graph: &QueryGraph, storage: &StorageManager, context:
         .zip(&rowwise.node_tables)
         .enumerate()
     {
+        let describe = || graph.node(NodeId::new(i as u64)).unwrap().op.describe();
+        let rt = rt.to_table();
         assert_eq!(
             *ct,
-            rt.to_table(),
+            rt,
             "node {i} table diverged ({context}: {})",
-            graph.node(NodeId::new(i as u64)).unwrap().op.describe()
+            describe()
+        );
+        // `Value` equality holds between `Int(3)` and `Float(3.0)`; the
+        // checksum hashes each cell's type tag, so it pins cell types too.
+        assert_eq!(
+            multiset_checksum(ct),
+            multiset_checksum(&rt),
+            "node {i} cell types diverged ({context}: {})",
+            describe()
         );
     }
     assert_eq!(
@@ -1461,6 +1471,322 @@ fn executors_agree_on_outer_loops_and_window_edges() {
         let graph = b.write(w, "edge/window.ss").build().unwrap();
         assert_executors_agree(&graph, &storage, &format!("windows sorted by {sort:?}"));
     }
+}
+
+/// Schema for the user-defined-operator differential: a NULL-bearing group
+/// key and one column of every other cell type ClampOutliers, ScoreModel and
+/// Tokenize treat differently.
+fn udo_schema() -> Schema {
+    Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("x", DataType::Int),
+        ("d", DataType::Date),
+        ("b", DataType::Bool),
+        ("f", DataType::Float),
+        ("t", DataType::Str),
+    ])
+}
+
+/// Rows over [`udo_schema`], about 15 % NULL per cell. `x` spans sixteen
+/// values, so groups tie on it; group 5 never has an `x` (an all-NULL group
+/// for TrimBand); texts include the empty string and runs of whitespace.
+fn udo_rows(rng: &mut SmallRng, n: usize) -> Vec<Vec<Value>> {
+    let texts = ["", "a", "a b", "  lead and  trail  ", "x\ty\nz z"];
+    let null = |rng: &mut SmallRng, v: Value| if rng.gen_bool(0.15) { Value::Null } else { v };
+    (0..n)
+        .map(|_| {
+            let g = rng.gen_range(0..6);
+            let x = rng.gen_range(-8..8);
+            let (d, b) = (rng.gen_range(-5..40), rng.gen_bool(0.5));
+            let f = rng.gen_range(-40.0..40.0);
+            let t = texts[rng.gen_range(0..texts.len())];
+            vec![
+                null(rng, Value::Int(g)),
+                if g == 5 {
+                    Value::Null
+                } else {
+                    null(rng, Value::Int(x))
+                },
+                null(rng, Value::Date(d)),
+                null(rng, Value::Bool(b)),
+                null(rng, Value::Float(f)),
+                null(rng, Value::Str(t.into())),
+            ]
+        })
+        .collect()
+}
+
+/// Both executors fail on `graph` with the same error; returns it.
+fn errors_agree(graph: &QueryGraph, storage: &StorageManager, context: &str) -> String {
+    let columnar = execute_plan(graph, storage, &CostModel, SimTime::ZERO).unwrap_err();
+    let rowwise = rowref::execute_plan_rows(graph, storage, &CostModel, SimTime::ZERO).unwrap_err();
+    assert_eq!(columnar.to_string(), rowwise.to_string(), "{context}");
+    columnar.to_string()
+}
+
+/// The seven user-defined operators and Aggregate's output run as batch
+/// kernels; the row versions live on only in the oracle. On edge-case data —
+/// NULL and whitespace-only text, `Date`/`Bool`/NULL cells under
+/// ClampOutliers, tied ranking columns, NULL-bearing and all-NULL groups,
+/// unequal and empty combiner sides, a global aggregate over nothing — every
+/// node's table, per-partition row order, cell type and statistics match
+/// the row reference, and an erroring input fails with the same first error.
+#[test]
+fn udo_kernels_match_row_reference_on_edge_cases() {
+    use scope_plan::op::AggImpl;
+    use UdoKind::*;
+    let (data, small, empty) = (DatasetId::new(41), DatasetId::new(42), DatasetId::new(43));
+    let mut rng = SmallRng::seed_from_u64(0x0d0);
+    let storage = StorageManager::new();
+    storage.put_dataset(data, Table::single(udo_schema(), udo_rows(&mut rng, 240)));
+    storage.put_dataset(small, Table::single(udo_schema(), udo_rows(&mut rng, 7)));
+    storage.put_dataset(empty, Table::single(udo_schema(), Vec::new()));
+    let udo = |kind| Udo::new(kind, "EdgeLib", "1.0");
+    let hash = Partitioning::Hash {
+        cols: vec![0],
+        parts: 3,
+    };
+    let clamp = |col| ClampOutliers { col, lo: -5, hi: 5 };
+
+    // Processors over three partitions. ClampOutliers on the Date, Bool and
+    // Float columns turns every non-NULL cell into a Float; on the string
+    // column it changes nothing.
+    let processors = [
+        Tokenize { col: 5 },
+        clamp(1),
+        clamp(2),
+        clamp(3),
+        clamp(4),
+        clamp(5),
+        ScoreModel {
+            cols: vec![0, 2, 5],
+            seed: 9,
+        },
+    ];
+    for kind in processors {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(data, "udo/t.ss", udo_schema());
+        let x = b.exchange(s, hash.clone());
+        let p = b.process(x, udo(kind.clone()));
+        let graph = b.write(p, "udo/process.ss").build().unwrap();
+        assert_executors_agree(&graph, &storage, &format!("process {kind:?}"));
+    }
+
+    // An Extract scan with a predicate over NULL-bearing `x`.
+    let extract = |dataset, predicate: Expr| {
+        let mut b = PlanBuilder::new();
+        let s = b.extract(
+            dataset,
+            "udo/raw.ss",
+            udo_schema(),
+            udo(Tokenize { col: 5 }),
+        );
+        let mut graph = b.write(s, "udo/extract.ss").build().unwrap();
+        if let Operator::Get { predicate: p, .. } = &mut graph.node_mut(s).unwrap().op {
+            *p = Some(predicate);
+        }
+        graph
+    };
+    let nonneg = Expr::col(1).ge(Expr::lit(0i64));
+    assert_executors_agree(&extract(data, nonneg), &storage, "extract with predicate");
+
+    // Reducers over runs of the NULL-bearing key, sorted on the key alone so
+    // each group's rows keep arrival order: CountRows must still pick the
+    // smallest row, TopPerGroup must break ties on the full row.
+    let reducers = [
+        (TrimBand { col: 1, gap: 2 }, false),
+        (CountRows, false),
+        (TopPerGroup { col: 1, n: 3 }, true),
+    ];
+    for (kind, per_group_apply) in reducers {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(data, "udo/t.ss", udo_schema());
+        let x = b.exchange(s, hash.clone());
+        let sorted = b.sort(x, SortOrder::asc(&[0]));
+        let r = if per_group_apply {
+            b.gb_apply(sorted, udo(kind.clone()), vec![0])
+        } else {
+            b.reduce(sorted, udo(kind.clone()), vec![0])
+        };
+        let graph = b.write(r, "udo/reduce.ss").build().unwrap();
+        assert_executors_agree(&graph, &storage, &format!("reduce {kind:?}"));
+    }
+
+    // MergeStreams over unequal sides, and with one or both sides empty.
+    for (left, right) in [
+        (data, small),
+        (small, data),
+        (empty, small),
+        (data, empty),
+        (empty, empty),
+    ] {
+        let mut b = PlanBuilder::new();
+        let l = b.table_scan(left, "udo/l.ss", udo_schema());
+        let r = b.table_scan(right, "udo/r.ss", udo_schema());
+        let c = b.combine(l, r, udo(MergeStreams));
+        let graph = b.write(c, "udo/combine.ss").build().unwrap();
+        assert_executors_agree(&graph, &storage, &format!("combine {left} with {right}"));
+    }
+
+    // A global aggregate over three empty partitions emits exactly one row.
+    for implementation in [AggImpl::Hash, AggImpl::Stream] {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(data, "udo/t.ss", udo_schema());
+        let none = b.filter(s, Expr::col(0).gt(Expr::lit(100i64)));
+        let x = b.exchange(none, hash.clone());
+        let aggs = vec![
+            AggExpr::new("n", AggFunc::Count, 1),
+            AggExpr::new("s", AggFunc::Sum, 1),
+            AggExpr::new("lo", AggFunc::Min, 2),
+        ];
+        let a = b.aggregate(x, vec![], aggs);
+        let mut graph = b.write(a, "udo/global.ss").build().unwrap();
+        if let Operator::Aggregate {
+            implementation: i, ..
+        } = &mut graph.node_mut(a).unwrap().op
+        {
+            *i = implementation;
+        }
+        assert_executors_agree(&graph, &storage, &format!("{implementation:?} global"));
+        let rows = run(&graph, &storage).outputs["udo/global.ss"].all_rows();
+        assert_eq!(rows, vec![vec![Value::Int(0), Value::Null, Value::Null]]);
+    }
+
+    // Erroring inputs: a non-string text cell, an `x` that breaks the
+    // predicate's arithmetic, and UDOs run as the wrong kind. Row at a time,
+    // whichever comes first in row order wins.
+    let failing = Expr::col(1).add(Expr::lit(1i64)).ge(Expr::lit(-1000i64));
+    for (tokenize_row, predicate_row, expect) in [(9, 20, "tokenize on 7"), (20, 9, "arithmetic")] {
+        let bad = DatasetId::new(44);
+        let mut rows = udo_rows(&mut rng, 30);
+        rows[tokenize_row][1] = Value::Int(0);
+        rows[tokenize_row][5] = Value::Int(7);
+        rows[predicate_row][1] = Value::Str("x".into());
+        storage.put_dataset(bad, Table::single(udo_schema(), rows));
+        let err = errors_agree(&extract(bad, failing.clone()), &storage, "extract error");
+        assert!(err.contains(expect), "{err}");
+    }
+    for (kind, expect) in [
+        ("process", "count_rows is not a row processor"),
+        ("reduce", "tokenize is not a group reducer"),
+        ("combine", "trim_band is not a combiner"),
+    ] {
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(data, "udo/t.ss", udo_schema());
+        let n = match kind {
+            "process" => b.process(s, udo(CountRows)),
+            "reduce" => b.reduce(s, udo(Tokenize { col: 5 }), vec![0]),
+            _ => {
+                let other = b.table_scan(small, "udo/r.ss", udo_schema());
+                b.combine(s, other, udo(TrimBand { col: 1, gap: 0 }))
+            }
+        };
+        let graph = b.write(n, "udo/wrong.ss").build().unwrap();
+        let err = errors_agree(&graph, &storage, expect);
+        assert!(err.contains(expect), "{err}");
+    }
+}
+
+/// What each kernel computes, pinned on small hand-made inputs (the values
+/// the row versions were once unit-tested with).
+#[test]
+fn udo_kernels_compute_their_documented_values() {
+    let storage = StorageManager::new();
+    let ints = |values: &[i64]| {
+        let rows = values
+            .iter()
+            .map(|&v| vec![Value::Int(0), Value::Int(v)])
+            .collect();
+        Table::single(
+            Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Int)]),
+            rows,
+        )
+    };
+    let one_op =
+        |dataset: DatasetId, schema: Schema, op: &dyn Fn(&mut PlanBuilder, NodeId) -> NodeId| {
+            let mut b = PlanBuilder::new();
+            let s = b.table_scan(dataset, "udo/small.ss", schema);
+            let n = op(&mut b, s);
+            let graph = b.write(n, "udo/small_out.ss").build().unwrap();
+            assert_executors_agree(&graph, &storage, "documented values");
+            run(&graph, &storage).outputs["udo/small_out.ss"].all_rows()
+        };
+    let kv = || Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Int)]);
+    let udo = |kind| Udo::new(kind, "L", "1");
+
+    let text = Schema::from_pairs(&[("id", DataType::Int), ("text", DataType::Str)]);
+    storage.put_dataset(
+        DatasetId::new(51),
+        Table::single(
+            text.clone(),
+            vec![
+                vec![Value::Int(1), Value::Str("a b  c".into())],
+                vec![Value::Int(2), Value::Null],
+            ],
+        ),
+    );
+    let tokens = one_op(DatasetId::new(51), text, &|b, s| {
+        b.process(s, udo(UdoKind::Tokenize { col: 1 }))
+    });
+    let tokens: Vec<&Value> = tokens.iter().map(|r| &r[2]).collect();
+    assert_eq!(
+        tokens,
+        [&Value::from("a"), &Value::from("b"), &Value::from("c")]
+    );
+
+    storage.put_dataset(DatasetId::new(52), ints(&[-5, 5, 500]));
+    let clamped = one_op(DatasetId::new(52), kv(), &|b, s| {
+        b.process(
+            s,
+            udo(UdoKind::ClampOutliers {
+                col: 1,
+                lo: 0,
+                hi: 10,
+            }),
+        )
+    });
+    let clamped: Vec<&Value> = clamped.iter().map(|r| &r[1]).collect();
+    assert_eq!(clamped, [&Value::Int(0), &Value::Int(5), &Value::Int(10)]);
+
+    storage.put_dataset(DatasetId::new(53), ints(&(0..=10).collect::<Vec<_>>()));
+    let trimmed = one_op(DatasetId::new(53), kv(), &|b, s| {
+        b.reduce(s, udo(UdoKind::TrimBand { col: 1, gap: 1 }), vec![0])
+    });
+    assert_eq!(trimmed.len(), 9, "band [1, 9] of 0..=10");
+
+    storage.put_dataset(DatasetId::new(54), ints(&[7, 7, 7]));
+    let counted = one_op(DatasetId::new(54), kv(), &|b, s| {
+        b.reduce(s, udo(UdoKind::CountRows), vec![0])
+    });
+    assert_eq!(
+        counted,
+        vec![vec![Value::Int(0), Value::Int(7), Value::Int(3)]]
+    );
+
+    storage.put_dataset(DatasetId::new(55), ints(&[3, 1, 4, 1, 5]));
+    let top = one_op(DatasetId::new(55), kv(), &|b, s| {
+        b.gb_apply(s, udo(UdoKind::TopPerGroup { col: 1, n: 2 }), vec![0])
+    });
+    let top: Vec<&Value> = top.iter().map(|r| &r[1]).collect();
+    assert_eq!(top, [&Value::Int(5), &Value::Int(4)]);
+
+    let scores = |seed| {
+        one_op(DatasetId::new(55), kv(), &|b, s| {
+            b.process(
+                s,
+                udo(UdoKind::ScoreModel {
+                    cols: vec![1],
+                    seed,
+                }),
+            )
+        })
+    };
+    let (s1, s2) = (scores(1), scores(2));
+    assert_eq!(s1, scores(1));
+    assert_ne!(s1, s2);
+    assert!(s1
+        .iter()
+        .all(|r| (0.0..1.0).contains(&r[2].as_f64().unwrap())));
 }
 
 /// Build locks: under arbitrary interleavings of proposals from many

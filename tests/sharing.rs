@@ -290,3 +290,23 @@ fn dashboard_reports_sharing_after_windowed_run() {
         "got:\n{after}"
     );
 }
+
+/// A sharing window compiles its jobs to plan them, and each job's attempts
+/// reuse that compile: one template compile per job, whether the window
+/// finds a shared subgraph or plans nothing, and one hit-or-miss count.
+#[test]
+fn windowed_batch_compiles_each_job_once() {
+    let unshared = vec![distinct_job(4), distinct_job(5)];
+    for specs in [wave(), unshared] {
+        let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
+        seed_shared_stream(&cv);
+        let out = run_wave(&cv, &specs, &SharingConfig::default());
+        assert!(out.reports.iter().all(Result::is_ok));
+        let compiles = cv.templates.stats();
+        assert_eq!(compiles.hits + compiles.misses, specs.len() as u64);
+        let snap = cv.telemetry.metrics.snapshot();
+        let counted = snap.counter("cv_template_cache_hits_total")
+            + snap.counter("cv_template_cache_misses_total");
+        assert_eq!(counted, specs.len() as u64);
+    }
+}

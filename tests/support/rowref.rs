@@ -5,22 +5,25 @@
 //! [`NodeRuntimeStats`]. The kernels here are the seed executor's, built on
 //! the engine's public API only: they share no kernel (and no accumulator)
 //! with `scope-engine/src/exec.rs`, so a bug there is something this
-//! differential can catch. Every kernel builds its output rows anew, so
+//! differential can catch. The seven user-defined operators' row code
+//! ([`process_row`], [`reduce_group`]) lives only here: the library runs
+//! them as batch kernels. Every kernel builds its output rows anew, so
 //! [`RowExecOutcome::cells_gathered`] is also what a plan costs when nothing
 //! is deferred.
 
 use std::collections::{HashMap, HashSet};
 
+use scope_common::hash::SipHasher24;
 use scope_common::time::SimTime;
 use scope_common::{Result, ScopeError};
 use scope_engine::cost::CostModel;
-use scope_engine::data::{compare_rows, sort_rows, Row, Table};
+use scope_engine::data::{Row, Table};
 use scope_engine::exec::NodeRuntimeStats;
 use scope_engine::storage::StorageManager;
 use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
     AggExpr, AggFunc, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph,
-    Schema, SortOrder, Value,
+    Schema, SortOrder, Udo, UdoKind, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -91,6 +94,26 @@ impl Acc {
     }
 }
 
+/// Stable in-place sort of rows by a sort order.
+fn sort_rows(rows: &mut [Row], order: &SortOrder) {
+    rows.sort_by(|a, b| compare_rows(a, b, order));
+}
+
+/// Compares two rows under a sort order.
+fn compare_rows(a: &Row, b: &Row, order: &SortOrder) -> std::cmp::Ordering {
+    for key in &order.0 {
+        let ord = a[key.col].cmp(&b[key.col]);
+        let ord = match key.dir {
+            scope_plan::SortDir::Asc => ord,
+            scope_plan::SortDir::Desc => ord.reverse(),
+        };
+        if !ord.is_eq() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 fn agg_row(key: &[Value], accs: &[Acc], aggs: &[AggExpr]) -> Row {
     let mut row: Row = key.to_vec();
     for (acc, a) in accs.iter().zip(aggs) {
@@ -153,6 +176,103 @@ fn key_runs<'a>(rows: &'a [Row], keys: &'a [usize]) -> impl Iterator<Item = &'a 
         start = end;
         Some(run)
     })
+}
+
+/// Executes `udo` as a *processor* over one input row, appending
+/// output rows to `out`. Only valid for processor kinds.
+fn process_row(udo: &Udo, row: &[Value], out: &mut Vec<Vec<Value>>) -> Result<()> {
+    match &udo.kind {
+        UdoKind::Tokenize { col } => {
+            let text = match &row[*col] {
+                Value::Str(s) => s.clone(),
+                Value::Null => return Ok(()),
+                other => {
+                    return Err(ScopeError::Execution(format!("tokenize on {other}")));
+                }
+            };
+            for token in text.split_whitespace() {
+                let mut r = row.to_vec();
+                r.push(Value::Str(token.to_string()));
+                out.push(r);
+            }
+            Ok(())
+        }
+        UdoKind::ClampOutliers { col, lo, hi } => {
+            let mut r = row.to_vec();
+            if let Some(v) = r[*col].as_f64() {
+                let clamped = v.clamp(*lo as f64, *hi as f64);
+                r[*col] = match &r[*col] {
+                    Value::Int(_) => Value::Int(clamped as i64),
+                    _ => Value::Float(clamped),
+                };
+            }
+            out.push(r);
+            Ok(())
+        }
+        UdoKind::ScoreModel { cols, seed } => {
+            let mut h = SipHasher24::new_with_keys(*seed, !*seed);
+            for c in cols {
+                row[*c].stable_hash_into(&mut h);
+            }
+            let score = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
+            let mut r = row.to_vec();
+            r.push(Value::Float(score));
+            out.push(r);
+            Ok(())
+        }
+        other => Err(ScopeError::Execution(format!(
+            "{} is not a row processor",
+            other.name()
+        ))),
+    }
+}
+
+/// Executes `udo` as a *reducer/apply* over one whole group of rows.
+/// Only valid for group-wise kinds.
+fn reduce_group(udo: &Udo, group: &[Vec<Value>], out: &mut Vec<Vec<Value>>) -> Result<()> {
+    match &udo.kind {
+        UdoKind::TrimBand { col, gap } => {
+            let vals: Vec<f64> = group.iter().filter_map(|r| r[*col].as_f64()).collect();
+            if vals.is_empty() {
+                return Ok(());
+            }
+            let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);
+            let max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let (lo, hi) = (min + *gap as f64, max - *gap as f64);
+            for r in group {
+                if let Some(v) = r[*col].as_f64() {
+                    if v >= lo && v <= hi {
+                        out.push(r.clone());
+                    }
+                }
+            }
+            Ok(())
+        }
+        UdoKind::CountRows => {
+            // Deterministic representative: the lexicographically
+            // smallest row of the group (not "the first", which would
+            // depend on physical arrival order).
+            if let Some(rep) = group.iter().min() {
+                let mut r = rep.clone();
+                r.push(Value::Int(group.len() as i64));
+                out.push(r);
+            }
+            Ok(())
+        }
+        UdoKind::TopPerGroup { col, n } => {
+            let mut rows: Vec<&Vec<Value>> = group.iter().collect();
+            // Ties broken by full-row order for determinism.
+            rows.sort_by(|a, b| b[*col].cmp(&a[*col]).then_with(|| a.cmp(b)));
+            for r in rows.into_iter().take(*n) {
+                out.push(r.clone());
+            }
+            Ok(())
+        }
+        other => Err(ScopeError::Execution(format!(
+            "{} is not a group reducer",
+            other.name()
+        ))),
+    }
 }
 
 fn exec_window(
@@ -550,7 +670,7 @@ fn exec_node_rows(
                             let udo = extractor.as_ref().ok_or_else(|| {
                                 ScopeError::Execution("extract scan without extractor".into())
                             })?;
-                            udo.process_row(&row, &mut out_part)?;
+                            process_row(udo, &row, &mut out_part)?;
                         }
                         _ => out_part.push(row),
                     }
@@ -716,7 +836,7 @@ fn exec_node_rows(
             for part in &input.parts {
                 let mut out = Vec::new();
                 for row in part {
-                    udo.process_row(row, &mut out)?;
+                    process_row(udo, row, &mut out)?;
                 }
                 parts.push(out);
             }
@@ -735,7 +855,7 @@ fn exec_node_rows(
             for part in &input.parts {
                 let mut out = Vec::new();
                 for group in key_runs(part, keys) {
-                    udo.reduce_group(group, &mut out)?;
+                    reduce_group(udo, group, &mut out)?;
                 }
                 parts.push(out);
             }
