@@ -57,6 +57,8 @@ use super::{
     coordination, expiry, physical, selection, AnalysisOutcome, AnalysisPhaseTimes, AnalyzerConfig,
     SelectedView,
 };
+use crate::codec::{Codec, Enc};
+use crate::codec_record;
 
 /// The buffered first occurrence of a precise signature — everything needed
 /// to fold it retroactively once the signature proves overlapping.
@@ -155,6 +157,16 @@ struct JobMeta {
     vc: VcId,
     template: TemplateId,
     latency: SimDuration,
+}
+
+// Fingerprint layouts (never decoded, but stated once like every other).
+codec_record! {
+    FirstOcc {
+        seq, record_seq, job, user, vc, template, job_cpu, precise, normalized, root_kind,
+        num_nodes, has_user_code, input_tags, props, cum_cpu, out_rows, out_bytes,
+    }
+    PreciseAcc { count, first }
+    JobMeta { job, user, vc, template, latency }
 }
 
 /// Everything behind the state's one lock.
@@ -341,173 +353,81 @@ impl AnalyzerState {
     /// snapshot aggregates at all: it replays the recovered records from
     /// sequence 0.
     pub fn fingerprint(&self) -> Sig128 {
-        use crate::codec::{put_opkind, put_props, put_symbol};
-        use scope_common::codec::Enc;
+        fn sorted(raws: impl Iterator<Item = u64>) -> Vec<u64> {
+            let mut v: Vec<u64> = raws.collect();
+            v.sort_unstable();
+            v
+        }
 
         let agg = self.agg.lock();
         let mut e = Enc::new();
-
-        e.put_u32(agg.metas.len() as u32);
-        for m in &agg.metas {
-            e.put_u64(m.job.raw());
-            e.put_u64(m.user.raw());
-            e.put_u64(m.vc.raw());
-            e.put_u64(m.template.raw());
-            e.put_u64(m.latency.micros());
-        }
-        e.put_u64(agg.occurrences_total);
-        e.put_u64(agg.skipped);
+        agg.metas.put(&mut e);
+        agg.occurrences_total.put(&mut e);
+        agg.skipped.put(&mut e);
         let mut templates: Vec<_> = agg.template_times.iter().collect();
         templates.sort_by_key(|(t, _)| t.raw());
-        e.put_u32(templates.len() as u32);
+        e.put_seq(templates.len());
         for (t, times) in templates {
-            e.put_u64(t.raw());
-            e.put_u32(times.len() as u32);
-            for (instance, at) in times {
-                e.put_u64(*instance);
-                e.put_u64(at.micros());
-            }
+            t.put(&mut e);
+            times.put(&mut e);
         }
         let mut consumers: Vec<_> = agg.consumers.iter().collect();
         consumers.sort_by_key(|(s, _)| s.as_str());
-        e.put_u32(consumers.len() as u32);
+        e.put_seq(consumers.len());
         for (tag, templates) in consumers {
-            put_symbol(&mut e, *tag);
-            e.put_u32(templates.len() as u32);
-            for t in templates {
-                e.put_u64(t.raw());
-            }
+            tag.put(&mut e);
+            templates.put(&mut e);
+        }
+        let mut precise: Vec<_> = agg.precise.iter().collect();
+        precise.sort_by_key(|(sig, _)| **sig);
+        e.put_seq(precise.len());
+        for (sig, acc) in precise {
+            sig.put(&mut e);
+            acc.put(&mut e);
         }
 
-        let mut precise: Vec<(Sig128, u64, Option<Vec<u8>>)> = Vec::new();
-        for (sig, acc) in &agg.precise {
-            let first = acc.first.as_ref().map(|f| {
-                let mut fe = Enc::new();
-                fe.put_u64(f.seq);
-                fe.put_u64(f.record_seq);
-                fe.put_u64(f.job.raw());
-                fe.put_u64(f.user.raw());
-                fe.put_u64(f.vc.raw());
-                fe.put_u64(f.template.raw());
-                fe.put_u64(f.job_cpu.micros());
-                fe.put_u64(f.precise.hi);
-                fe.put_u64(f.precise.lo);
-                fe.put_u64(f.normalized.hi);
-                fe.put_u64(f.normalized.lo);
-                put_opkind(&mut fe, f.root_kind);
-                fe.put_u64(f.num_nodes as u64);
-                fe.put_bool(f.has_user_code);
-                fe.put_u32(f.input_tags.len() as u32);
-                for &t in &f.input_tags {
-                    put_symbol(&mut fe, t);
-                }
-                put_props(&mut fe, &f.props);
-                fe.put_u64(f.cum_cpu.micros());
-                fe.put_u64(f.out_rows);
-                fe.put_u64(f.out_bytes);
-                fe.buf
-            });
-            precise.push((*sig, acc.count, first));
-        }
-        precise.sort_by_key(|(sig, ..)| *sig);
-        e.put_u32(precise.len() as u32);
-        for (sig, count, first) in &precise {
-            e.put_u64(sig.hi);
-            e.put_u64(sig.lo);
-            e.put_u64(*count);
-            match first {
-                Some(bytes) => {
-                    e.put_bool(true);
-                    e.buf.extend_from_slice(bytes);
-                }
-                None => e.put_bool(false),
-            }
-        }
-
-        let mut norms: Vec<(Sig128, Vec<u8>)> = Vec::new();
-        for (sig, acc) in &agg.norm {
-            let mut ne = Enc::new();
-            ne.put_u64(acc.first_seq);
-            ne.put_u64(acc.last_seq);
-            ne.put_u64(acc.sample_precise.hi);
-            ne.put_u64(acc.sample_precise.lo);
-            put_opkind(&mut ne, acc.root_kind);
-            ne.put_u64(acc.num_nodes as u64);
-            ne.put_bool(acc.has_user_code);
-            ne.put_u32(acc.input_tags.len() as u32);
-            for &t in &acc.input_tags {
-                put_symbol(&mut ne, t);
-            }
-            ne.put_u64(acc.occurrences);
-            ne.put_u64(acc.instances);
-            for set in [
-                {
-                    let mut v: Vec<u64> = acc.jobs.iter().map(|x| x.raw()).collect();
-                    v.sort_unstable();
-                    v
-                },
-                {
-                    let mut v: Vec<u64> = acc.users.iter().map(|x| x.raw()).collect();
-                    v.sort_unstable();
-                    v
-                },
-                {
-                    let mut v: Vec<u64> = acc.vcs.iter().map(|x| x.raw()).collect();
-                    v.sort_unstable();
-                    v
-                },
-                {
-                    let mut v: Vec<u64> = acc.templates.iter().map(|x| x.raw()).collect();
-                    v.sort_unstable();
-                    v
-                },
-            ] {
-                ne.put_u32(set.len() as u32);
-                for raw in set {
-                    ne.put_u64(raw);
-                }
-            }
+        let mut norms: Vec<_> = agg.norm.iter().collect();
+        norms.sort_by_key(|(sig, _)| **sig);
+        e.put_seq(norms.len());
+        for (sig, acc) in norms {
+            sig.put(&mut e);
+            acc.first_seq.put(&mut e);
+            acc.last_seq.put(&mut e);
+            acc.sample_precise.put(&mut e);
+            acc.root_kind.put(&mut e);
+            acc.num_nodes.put(&mut e);
+            acc.has_user_code.put(&mut e);
+            acc.input_tags.put(&mut e);
+            acc.occurrences.put(&mut e);
+            acc.instances.put(&mut e);
+            sorted(acc.jobs.iter().map(|x| x.raw())).put(&mut e);
+            sorted(acc.users.iter().map(|x| x.raw())).put(&mut e);
+            sorted(acc.vcs.iter().map(|x| x.raw())).put(&mut e);
+            sorted(acc.templates.iter().map(|x| x.raw())).put(&mut e);
             for sum in [
                 acc.cum_cpu_sum,
                 acc.rows_sum,
                 acc.bytes_sum,
                 acc.job_cpu_sum,
             ] {
-                ne.put_u64((sum >> 64) as u64);
-                ne.put_u64(sum as u64);
+                ((sum >> 64) as u64).put(&mut e);
+                (sum as u64).put(&mut e);
             }
+            // Designs sort by their encoding, so vote order is canonical.
             let mut votes: Vec<(Vec<u8>, usize, u64)> = acc
                 .props_votes
                 .iter()
-                .map(|(props, vote)| {
-                    let mut pe = Enc::new();
-                    put_props(&mut pe, props);
-                    (pe.buf, vote.count, vote.first_seq)
-                })
+                .map(|(props, vote)| (props.to_bytes(), vote.count, vote.first_seq))
                 .collect();
             votes.sort();
-            ne.put_u32(votes.len() as u32);
+            e.put_seq(votes.len());
             for (props_bytes, count, first_seq) in votes {
-                ne.put_u32(props_bytes.len() as u32);
-                ne.buf.extend_from_slice(&props_bytes);
-                ne.put_u64(count as u64);
-                ne.put_u64(first_seq);
+                props_bytes.put(&mut e);
+                count.put(&mut e);
+                first_seq.put(&mut e);
             }
-            norms.push((*sig, ne.buf));
         }
-        norms.sort_by_key(|(sig, _)| *sig);
-        e.put_u32(norms.len() as u32);
-        for (sig, bytes) in &norms {
-            e.put_u64(sig.hi);
-            e.put_u64(sig.lo);
-            e.buf.extend_from_slice(bytes);
-        }
-
-        e.put_u32(agg.rec_overlaps.len() as u32);
-        for &c in &agg.rec_overlaps {
-            e.put_u64(c);
-        }
-
+        agg.rec_overlaps.put(&mut e);
         scope_common::hash::sip128(&e.buf)
     }
 

@@ -1,47 +1,58 @@
-//! Typed payload encodings for every CloudViews domain type that is
-//! persisted by `scope-store` or shipped over the `scope-net` wire.
+//! One byte layout per type, for everything `scope-store` persists and the
+//! `scope-net` wire carries — the same bytes in both places, so the
+//! loopback acceptance test can compare in-process and over-the-wire
+//! `LookupResponse`s by their encodings, and the durable log replays
+//! `ReportRequest`s recorded verbatim.
 //!
-//! The generic buffer layer ([`Enc`]/[`Dec`]) lives in
-//! `scope_common::codec`; this module adds the domain encoders on top and
-//! is re-exported by `scope-net` so the wire format and the on-disk format
-//! are the *same bytes* — the loopback acceptance test compares in-process
-//! and over-the-wire `LookupResponse`s by their encodings, and the durable
-//! log replays `ReportRequest`s recorded verbatim.
+//! A layout is one [`Codec`] impl: [`Codec::put`] appends the value to an
+//! [`Enc`], [`Codec::get`] reads it back from a bounds-checked [`Dec`]. The
+//! buffer layer and its conventions live in `scope_common::codec`: integers
+//! little-endian, `usize` as `u64`, `f64` as IEEE bits, strings as a `u32`
+//! length plus UTF-8 (at most [`MAX_STR`]), options as a `0`/`1` byte plus
+//! payload, enums as a `u8` tag plus payload.
 //!
-//! Conventions (shared with the wire frame layer):
+//! Most layouts are written once, as a list, by one of two macros:
 //!
-//! * all integers little-endian; `usize` travels as `u64`;
-//! * `f64` as IEEE bits (`to_bits`/`from_bits`) — exact round-trip;
-//! * strings as `u32` length + UTF-8 bytes, capped at [`MAX_STR`];
-//! * sequences as `u32` count + elements, capped at [`MAX_SEQ`] (row
-//!   payloads inside view files use an uncapped `u32` count instead —
-//!   tables are bulk data, not protocol messages);
-//! * options as a `0`/`1` byte + payload;
-//! * enums as a `u8` tag + variant payload;
-//! * [`Symbol`]s travel as their string and are re-interned on decode
-//!   (interning tables are per-process, raw ids do not transfer);
-//! * recursive [`Expr`] trees are depth-limited at [`MAX_EXPR_DEPTH`] on
-//!   decode, so a hostile payload cannot overflow the stack.
+//! * [`codec_record!`](crate::codec_record) — a struct's fields in wire
+//!   order; the decoder builds the struct literal, so a field missing from
+//!   the list does not compile;
+//! * [`codec_tags!`](crate::codec_tags) — a fieldless enum's `u8` tags
+//!   (append-only: a tag, once shipped, keeps its meaning).
 //!
-//! Every decode is bounds-checked and returns [`CodecError`] rather than
-//! panicking: the decoder is the first line of defense against both
-//! hostile network bytes and bit-rotted disk bytes.
+//! Tagged unions with payloads ([`Value`], [`Expr`], [`Partitioning`],
+//! [`SubsumeDetail`], and in their own modules `WalEvent` and the wire
+//! frames) keep hand-written arms, but every field inside an arm goes
+//! through [`Codec`].
+//!
+//! Two count rules:
+//!
+//! * protocol sequences ([`Vec`], [`BTreeMap`]) carry a `u32` count capped
+//!   at [`MAX_SEQ`];
+//! * bulk counts are raw, uncapped `u32`s: a view's partition and row counts
+//!   here, and the catalog snapshot's three section counts (a long-lived
+//!   service registers more than [`MAX_SEQ`] views).
+//!
+//! Every decoder reserves at most 1,024 elements ahead of the bytes that
+//! back them, so a hostile count costs nothing before the payload runs out.
+//! [`Symbol`]s travel as their string and are re-interned on decode, and
+//! [`Expr`] trees are depth-limited at [`MAX_EXPR_DEPTH`]. Every decode
+//! returns [`CodecError`] rather than panicking: the decoder is the first
+//! line of defense against hostile network bytes and bit-rotted disk bytes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use scope_common::codec::malformed;
-pub use scope_common::codec::{CodecError, Dec, Enc, MAX_EXPR_DEPTH, MAX_SEQ, MAX_STR};
+pub use scope_common::codec::{malformed, CodecError, Dec, Enc, MAX_EXPR_DEPTH, MAX_SEQ, MAX_STR};
 use scope_common::hash::Sig128;
 use scope_common::ids::{ClusterId, JobId, NodeId, TemplateId, UserId, VcId};
 use scope_common::intern::Symbol;
 use scope_common::time::{SimDuration, SimTime};
-use scope_engine::data::{Row, Table};
+use scope_engine::data::Table;
 use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView};
 use scope_engine::repo::{JobRecord, SubgraphRun};
 use scope_engine::storage::{ViewFile, ViewMeta};
 use scope_plan::expr::{AggExpr, AggFunc, BinOp, ScalarFunc, UnaryOp};
-use scope_plan::interval::{ColumnIntervals, Interval};
+use scope_plan::interval::Interval;
 use scope_plan::{
     Column, DataType, Expr, NamedExpr, OpKind, Partitioning, PhysicalProps, Schema, SortDir,
     SortKey, SortOrder, Value,
@@ -54,1124 +65,553 @@ use crate::metadata::{LockOutcome, LookupResponse, MetadataStats, PurgeSweep};
 
 type Result<T> = std::result::Result<T, CodecError>;
 
-// ---------------------------------------------------------------------------
-// Scalars and ids
+/// A type's byte layout, stated once for both directions.
+pub trait Codec: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, e: &mut Enc);
 
-/// Encodes a [`Sig128`] as `hi`, `lo`.
-pub fn put_sig(e: &mut Enc, s: Sig128) {
-    e.put_u64(s.hi);
-    e.put_u64(s.lo);
-}
+    /// Reads one value, failing on truncated or malformed bytes.
+    fn get(d: &mut Dec) -> Result<Self>;
 
-/// Decodes a [`Sig128`].
-pub fn get_sig(d: &mut Dec) -> Result<Sig128> {
-    Ok(Sig128::new(d.u64()?, d.u64()?))
-}
+    /// The encoding of `self` as a fresh buffer.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.put(&mut e);
+        e.buf
+    }
 
-/// Encodes a [`Symbol`] as its string (re-interned on decode).
-pub fn put_symbol(e: &mut Enc, s: Symbol) {
-    e.put_str(s.as_str());
-}
-
-/// Decodes a [`Symbol`].
-pub fn get_symbol(d: &mut Dec) -> Result<Symbol> {
-    Ok(Symbol::intern(&d.str()?))
-}
-
-/// Encodes a [`SimTime`] as its microsecond count.
-pub fn put_time(e: &mut Enc, t: SimTime) {
-    e.put_u64(t.micros());
-}
-
-/// Decodes a [`SimTime`].
-pub fn get_time(d: &mut Dec) -> Result<SimTime> {
-    Ok(SimTime(d.u64()?))
-}
-
-/// Encodes a [`SimDuration`] as its microsecond count.
-pub fn put_dur(e: &mut Enc, t: SimDuration) {
-    e.put_u64(t.micros());
-}
-
-/// Decodes a [`SimDuration`].
-pub fn get_dur(d: &mut Dec) -> Result<SimDuration> {
-    Ok(SimDuration::from_micros(d.u64()?))
-}
-
-/// Encodes a sequence of interned symbols.
-pub fn put_symbols(e: &mut Enc, syms: &[Symbol]) {
-    e.put_seq(syms.len());
-    for s in syms {
-        put_symbol(e, *s);
+    /// Decodes a whole payload: bytes left over are malformed.
+    fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let mut d = Dec::new(bytes);
+        let value = Self::get(&mut d)?;
+        d.finish()?;
+        Ok(value)
     }
 }
 
-/// Decodes a sequence of interned symbols.
-pub fn get_symbols(d: &mut Dec) -> Result<Vec<Symbol>> {
-    let n = d.seq()?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_symbol(d)?);
-    }
-    Ok(out)
-}
-
-/// Encodes a sequence of signatures.
-pub fn put_sigs(e: &mut Enc, sigs: &[Sig128]) {
-    e.put_seq(sigs.len());
-    for s in sigs {
-        put_sig(e, *s);
-    }
-}
-
-/// Decodes a sequence of signatures.
-pub fn get_sigs(d: &mut Dec) -> Result<Vec<Sig128>> {
-    let n = d.seq()?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_sig(d)?);
-    }
-    Ok(out)
-}
-
-/// Encodes a [`Value`].
-pub fn put_value(e: &mut Enc, v: &Value) {
-    match v {
-        Value::Null => e.put_u8(0),
-        Value::Bool(b) => {
-            e.put_u8(1);
-            e.put_bool(*b);
-        }
-        Value::Int(i) => {
-            e.put_u8(2);
-            e.put_i64(*i);
-        }
-        Value::Float(f) => {
-            e.put_u8(3);
-            e.put_f64(*f);
-        }
-        Value::Str(s) => {
-            e.put_u8(4);
-            e.put_str(s);
-        }
-        Value::Date(d) => {
-            e.put_u8(5);
-            e.put_i32(*d);
-        }
-    }
-}
-
-/// Decodes a [`Value`].
-pub fn get_value(d: &mut Dec) -> Result<Value> {
-    Ok(match d.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(d.bool()?),
-        2 => Value::Int(d.i64()?),
-        3 => Value::Float(d.f64()?),
-        4 => Value::Str(d.str()?),
-        5 => Value::Date(d.i32()?),
-        t => return Err(malformed(format!("value tag {t}"))),
-    })
-}
-
-/// Encodes a [`DataType`].
-pub fn put_dtype(e: &mut Enc, t: DataType) {
-    e.put_u8(match t {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-        DataType::Date => 4,
-    });
-}
-
-/// Decodes a [`DataType`].
-pub fn get_dtype(d: &mut Dec) -> Result<DataType> {
-    Ok(match d.u8()? {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        3 => DataType::Bool,
-        4 => DataType::Date,
-        t => return Err(malformed(format!("dtype tag {t}"))),
-    })
-}
-
-/// Encodes a [`Schema`].
-pub fn put_schema(e: &mut Enc, s: &Schema) {
-    e.put_seq(s.len());
-    for c in s.columns() {
-        e.put_str(&c.name);
-        put_dtype(e, c.dtype);
-    }
-}
-
-/// Decodes a [`Schema`].
-pub fn get_schema(d: &mut Dec) -> Result<Schema> {
-    let n = d.seq()?;
-    let mut cols = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        let dtype = get_dtype(d)?;
-        cols.push(Column::new(name, dtype));
-    }
-    Schema::new(cols).map_err(|e| malformed(format!("schema: {e}")))
-}
-
-/// Encodes an [`OpKind`] (tag order = declaration order, append-only).
-pub fn put_opkind(e: &mut Enc, k: OpKind) {
-    e.put_u8(match k {
-        OpKind::Sort => 0,
-        OpKind::Exchange => 1,
-        OpKind::Range => 2,
-        OpKind::Scalar => 3,
-        OpKind::RestrRemap => 4,
-        OpKind::Filter => 5,
-        OpKind::HashGbAgg => 6,
-        OpKind::StreamGbAgg => 7,
-        OpKind::Process => 8,
-        OpKind::Spool => 9,
-        OpKind::MergeJoin => 10,
-        OpKind::Sequence => 11,
-        OpKind::HashJoin => 12,
-        OpKind::UnionAll => 13,
-        OpKind::Combine => 14,
-        OpKind::VirtualDataset => 15,
-        OpKind::Reduce => 16,
-        OpKind::Extract => 17,
-        OpKind::GbApply => 18,
-        OpKind::Top => 19,
-        OpKind::LoopsJoin => 20,
-        OpKind::Output => 21,
-        OpKind::TableScan => 22,
-        OpKind::Window => 23,
-        OpKind::Nop => 24,
-        OpKind::Write => 25,
-    });
-}
-
-/// Decodes an [`OpKind`].
-pub fn get_opkind(d: &mut Dec) -> Result<OpKind> {
-    Ok(match d.u8()? {
-        0 => OpKind::Sort,
-        1 => OpKind::Exchange,
-        2 => OpKind::Range,
-        3 => OpKind::Scalar,
-        4 => OpKind::RestrRemap,
-        5 => OpKind::Filter,
-        6 => OpKind::HashGbAgg,
-        7 => OpKind::StreamGbAgg,
-        8 => OpKind::Process,
-        9 => OpKind::Spool,
-        10 => OpKind::MergeJoin,
-        11 => OpKind::Sequence,
-        12 => OpKind::HashJoin,
-        13 => OpKind::UnionAll,
-        14 => OpKind::Combine,
-        15 => OpKind::VirtualDataset,
-        16 => OpKind::Reduce,
-        17 => OpKind::Extract,
-        18 => OpKind::GbApply,
-        19 => OpKind::Top,
-        20 => OpKind::LoopsJoin,
-        21 => OpKind::Output,
-        22 => OpKind::TableScan,
-        23 => OpKind::Window,
-        24 => OpKind::Nop,
-        25 => OpKind::Write,
-        t => return Err(malformed(format!("opkind tag {t}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Expressions
-
-/// Encodes a [`UnaryOp`].
-pub fn put_unary_op(e: &mut Enc, op: UnaryOp) {
-    e.put_u8(match op {
-        UnaryOp::Not => 0,
-        UnaryOp::Neg => 1,
-        UnaryOp::IsNull => 2,
-    });
-}
-
-/// Decodes a [`UnaryOp`].
-pub fn get_unary_op(d: &mut Dec) -> Result<UnaryOp> {
-    Ok(match d.u8()? {
-        0 => UnaryOp::Not,
-        1 => UnaryOp::Neg,
-        2 => UnaryOp::IsNull,
-        t => return Err(malformed(format!("unary op tag {t}"))),
-    })
-}
-
-/// Encodes a [`BinOp`].
-pub fn put_bin_op(e: &mut Enc, op: BinOp) {
-    e.put_u8(match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    });
-}
-
-/// Decodes a [`BinOp`].
-pub fn get_bin_op(d: &mut Dec) -> Result<BinOp> {
-    Ok(match d.u8()? {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        t => return Err(malformed(format!("binary op tag {t}"))),
-    })
-}
-
-/// Encodes a [`ScalarFunc`].
-pub fn put_scalar_func(e: &mut Enc, f: ScalarFunc) {
-    e.put_u8(match f {
-        ScalarFunc::Year => 0,
-        ScalarFunc::Month => 1,
-        ScalarFunc::Len => 2,
-        ScalarFunc::Lower => 3,
-        ScalarFunc::Upper => 4,
-        ScalarFunc::Prefix => 5,
-        ScalarFunc::Abs => 6,
-        ScalarFunc::Hash64 => 7,
-        ScalarFunc::Concat => 8,
-        ScalarFunc::If => 9,
-        ScalarFunc::Least => 10,
-        ScalarFunc::Greatest => 11,
-    });
-}
-
-/// Decodes a [`ScalarFunc`].
-pub fn get_scalar_func(d: &mut Dec) -> Result<ScalarFunc> {
-    Ok(match d.u8()? {
-        0 => ScalarFunc::Year,
-        1 => ScalarFunc::Month,
-        2 => ScalarFunc::Len,
-        3 => ScalarFunc::Lower,
-        4 => ScalarFunc::Upper,
-        5 => ScalarFunc::Prefix,
-        6 => ScalarFunc::Abs,
-        7 => ScalarFunc::Hash64,
-        8 => ScalarFunc::Concat,
-        9 => ScalarFunc::If,
-        10 => ScalarFunc::Least,
-        11 => ScalarFunc::Greatest,
-        t => return Err(malformed(format!("scalar func tag {t}"))),
-    })
-}
-
-/// Encodes an [`Expr`] tree.
-pub fn put_expr(e: &mut Enc, x: &Expr) {
-    match x {
-        Expr::Col(i) => {
-            e.put_u8(0);
-            e.put_usize(*i);
-        }
-        Expr::Lit(v) => {
-            e.put_u8(1);
-            put_value(e, v);
-        }
-        Expr::RecurringParam { name, value } => {
-            e.put_u8(2);
-            e.put_str(name);
-            put_value(e, value);
-        }
-        Expr::Unary { op, child } => {
-            e.put_u8(3);
-            put_unary_op(e, *op);
-            put_expr(e, child);
-        }
-        Expr::Binary { op, left, right } => {
-            e.put_u8(4);
-            put_bin_op(e, *op);
-            put_expr(e, left);
-            put_expr(e, right);
-        }
-        Expr::Func { func, args } => {
-            e.put_u8(5);
-            put_scalar_func(e, *func);
-            e.put_seq(args.len());
-            for a in args {
-                put_expr(e, a);
+/// Implements [`Codec`](crate::codec::Codec) for structs from one field list
+/// each: the fields are written and read in list order.
+#[macro_export]
+macro_rules! codec_record {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::codec::Codec for $ty {
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                $($crate::codec::Codec::put(&self.$field, e);)+
+            }
+            fn get(
+                d: &mut $crate::codec::Dec,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                Ok($ty { $($field: $crate::codec::Codec::get(d)?),+ })
             }
         }
-    }
+    )+};
 }
 
-/// Decodes an [`Expr`] tree, depth-limited at [`MAX_EXPR_DEPTH`].
-pub fn get_expr(d: &mut Dec) -> Result<Expr> {
-    d.descend()?;
-    let x = match d.u8()? {
-        0 => Expr::Col(d.usize_capped(u32::MAX as usize)?),
-        1 => Expr::Lit(get_value(d)?),
-        2 => Expr::RecurringParam {
-            name: d.str()?,
-            value: get_value(d)?,
-        },
-        3 => Expr::Unary {
-            op: get_unary_op(d)?,
-            child: Box::new(get_expr(d)?),
-        },
-        4 => Expr::Binary {
-            op: get_bin_op(d)?,
-            left: Box::new(get_expr(d)?),
-            right: Box::new(get_expr(d)?),
-        },
-        5 => {
-            let func = get_scalar_func(d)?;
-            let n = d.seq()?;
-            let mut args = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                args.push(get_expr(d)?);
+/// Implements [`Codec`](crate::codec::Codec) for fieldless enums from one
+/// `Variant = tag` table each; an unknown tag is malformed.
+#[macro_export]
+macro_rules! codec_tags {
+    ($($ty:ident { $($variant:ident = $tag:literal),+ $(,)? })+) => {$(
+        impl $crate::codec::Codec for $ty {
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                e.put_u8(match self { $($ty::$variant => $tag),+ });
             }
-            Expr::Func { func, args }
-        }
-        t => return Err(malformed(format!("expr tag {t}"))),
-    };
-    d.ascend();
-    Ok(x)
-}
-
-/// Encodes a [`NamedExpr`].
-pub fn put_named_expr(e: &mut Enc, ne: &NamedExpr) {
-    e.put_str(&ne.name);
-    put_expr(e, &ne.expr);
-}
-
-/// Decodes a [`NamedExpr`].
-pub fn get_named_expr(d: &mut Dec) -> Result<NamedExpr> {
-    let name = d.str()?;
-    let expr = get_expr(d)?;
-    Ok(NamedExpr { name, expr })
-}
-
-/// Encodes an [`AggFunc`].
-pub fn put_agg_func(e: &mut Enc, f: AggFunc) {
-    e.put_u8(match f {
-        AggFunc::Count => 0,
-        AggFunc::Sum => 1,
-        AggFunc::Min => 2,
-        AggFunc::Max => 3,
-        AggFunc::Avg => 4,
-        AggFunc::CountDistinct => 5,
-    });
-}
-
-/// Decodes an [`AggFunc`].
-pub fn get_agg_func(d: &mut Dec) -> Result<AggFunc> {
-    Ok(match d.u8()? {
-        0 => AggFunc::Count,
-        1 => AggFunc::Sum,
-        2 => AggFunc::Min,
-        3 => AggFunc::Max,
-        4 => AggFunc::Avg,
-        5 => AggFunc::CountDistinct,
-        t => return Err(malformed(format!("agg func tag {t}"))),
-    })
-}
-
-/// Encodes an [`AggExpr`].
-pub fn put_agg_expr(e: &mut Enc, a: &AggExpr) {
-    e.put_str(&a.name);
-    put_agg_func(e, a.func);
-    e.put_usize(a.input);
-}
-
-/// Decodes an [`AggExpr`].
-pub fn get_agg_expr(d: &mut Dec) -> Result<AggExpr> {
-    let name = d.str()?;
-    let func = get_agg_func(d)?;
-    let input = d.usize_capped(u32::MAX as usize)?;
-    Ok(AggExpr { name, func, input })
-}
-
-// ---------------------------------------------------------------------------
-// Physical properties
-
-/// Encodes a [`SortOrder`].
-pub fn put_sort_order(e: &mut Enc, s: &SortOrder) {
-    e.put_seq(s.0.len());
-    for k in &s.0 {
-        e.put_usize(k.col);
-        e.put_u8(matches!(k.dir, SortDir::Desc) as u8);
-    }
-}
-
-/// Decodes a [`SortOrder`].
-pub fn get_sort_order(d: &mut Dec) -> Result<SortOrder> {
-    let n = d.seq()?;
-    let mut keys = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let col = d.usize_capped(u32::MAX as usize)?;
-        let dir = match d.u8()? {
-            0 => SortDir::Asc,
-            1 => SortDir::Desc,
-            t => return Err(malformed(format!("sort dir tag {t}"))),
-        };
-        keys.push(SortKey { col, dir });
-    }
-    Ok(SortOrder(keys))
-}
-
-/// Encodes a [`Partitioning`].
-pub fn put_partitioning(e: &mut Enc, p: &Partitioning) {
-    match p {
-        Partitioning::Single => e.put_u8(0),
-        Partitioning::Hash { cols, parts } => {
-            e.put_u8(1);
-            e.put_seq(cols.len());
-            for c in cols {
-                e.put_usize(*c);
-            }
-            e.put_usize(*parts);
-        }
-        Partitioning::Range { col, parts } => {
-            e.put_u8(2);
-            e.put_usize(*col);
-            e.put_usize(*parts);
-        }
-        Partitioning::RoundRobin { parts } => {
-            e.put_u8(3);
-            e.put_usize(*parts);
-        }
-        Partitioning::Any => e.put_u8(4),
-    }
-}
-
-/// Decodes a [`Partitioning`].
-pub fn get_partitioning(d: &mut Dec) -> Result<Partitioning> {
-    Ok(match d.u8()? {
-        0 => Partitioning::Single,
-        1 => {
-            let n = d.seq()?;
-            let mut cols = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                cols.push(d.usize_capped(u32::MAX as usize)?);
-            }
-            Partitioning::Hash {
-                cols,
-                parts: d.usize_capped(u32::MAX as usize)?,
-            }
-        }
-        2 => Partitioning::Range {
-            col: d.usize_capped(u32::MAX as usize)?,
-            parts: d.usize_capped(u32::MAX as usize)?,
-        },
-        3 => Partitioning::RoundRobin {
-            parts: d.usize_capped(u32::MAX as usize)?,
-        },
-        4 => Partitioning::Any,
-        t => return Err(malformed(format!("partitioning tag {t}"))),
-    })
-}
-
-/// Encodes a [`PhysicalProps`].
-pub fn put_props(e: &mut Enc, p: &PhysicalProps) {
-    put_partitioning(e, &p.partitioning);
-    put_sort_order(e, &p.sort);
-}
-
-/// Decodes a [`PhysicalProps`].
-pub fn get_props(d: &mut Dec) -> Result<PhysicalProps> {
-    Ok(PhysicalProps {
-        partitioning: get_partitioning(d)?,
-        sort: get_sort_order(d)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Subsumption descriptors
-
-/// Encodes a [`ColumnIntervals`] map.
-pub fn put_intervals(e: &mut Enc, ivs: &ColumnIntervals) {
-    e.put_seq(ivs.len());
-    for (col, iv) in ivs {
-        e.put_usize(*col);
-        for bound in [&iv.lo, &iv.hi] {
-            match bound {
-                None => e.put_u8(0),
-                Some((v, incl)) => {
-                    e.put_u8(1);
-                    put_value(e, v);
-                    e.put_bool(*incl);
+            fn get(
+                d: &mut $crate::codec::Dec,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                match d.u8()? {
+                    $($tag => Ok($ty::$variant),)+
+                    t => Err($crate::codec::malformed(format!(
+                        concat!(stringify!($ty), " tag {}"),
+                        t
+                    ))),
                 }
             }
         }
-    }
-}
-
-/// Decodes a [`ColumnIntervals`] map.
-pub fn get_intervals(d: &mut Dec) -> Result<ColumnIntervals> {
-    let n = d.seq()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let col = d.usize_capped(u32::MAX as usize)?;
-        let mut bounds = [None, None];
-        for b in &mut bounds {
-            *b = match d.u8()? {
-                0 => None,
-                1 => {
-                    let v = get_value(d)?;
-                    let incl = d.bool()?;
-                    Some((v, incl))
-                }
-                t => return Err(malformed(format!("interval bound tag {t}"))),
-            };
-        }
-        let [lo, hi] = bounds;
-        out.insert(col, Interval { lo, hi });
-    }
-    Ok(out)
-}
-
-/// Encodes a [`SubsumeDescriptor`].
-pub fn put_descriptor(e: &mut Enc, desc: &SubsumeDescriptor) {
-    e.put_u8(match desc.kind {
-        SubsumeKind::Filter => 0,
-        SubsumeKind::Project => 1,
-        SubsumeKind::Rollup => 2,
-    });
-    put_sig(e, desc.child_precise);
-    e.put_u64(desc.cols);
-    e.put_u64(desc.keys);
-    put_schema(e, &desc.schema);
-    match &desc.detail {
-        SubsumeDetail::Filter { intervals } => {
-            e.put_u8(0);
-            put_intervals(e, intervals);
-        }
-        SubsumeDetail::Project { exprs } => {
-            e.put_u8(1);
-            e.put_seq(exprs.len());
-            for ne in exprs {
-                put_named_expr(e, ne);
-            }
-        }
-        SubsumeDetail::Rollup { keys, aggs } => {
-            e.put_u8(2);
-            e.put_seq(keys.len());
-            for k in keys {
-                e.put_usize(*k);
-            }
-            e.put_seq(aggs.len());
-            for a in aggs {
-                put_agg_expr(e, a);
-            }
-        }
-    }
-}
-
-/// Decodes a [`SubsumeDescriptor`].
-pub fn get_descriptor(d: &mut Dec) -> Result<SubsumeDescriptor> {
-    let kind = match d.u8()? {
-        0 => SubsumeKind::Filter,
-        1 => SubsumeKind::Project,
-        2 => SubsumeKind::Rollup,
-        t => return Err(malformed(format!("subsume kind tag {t}"))),
-    };
-    let child_precise = get_sig(d)?;
-    let cols = d.u64()?;
-    let keys = d.u64()?;
-    let schema = get_schema(d)?;
-    let detail = match d.u8()? {
-        0 => SubsumeDetail::Filter {
-            intervals: get_intervals(d)?,
-        },
-        1 => {
-            let n = d.seq()?;
-            let mut exprs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                exprs.push(get_named_expr(d)?);
-            }
-            SubsumeDetail::Project { exprs }
-        }
-        2 => {
-            let nk = d.seq()?;
-            let mut rkeys = Vec::with_capacity(nk.min(1024));
-            for _ in 0..nk {
-                rkeys.push(d.usize_capped(u32::MAX as usize)?);
-            }
-            let na = d.seq()?;
-            let mut aggs = Vec::with_capacity(na.min(1024));
-            for _ in 0..na {
-                aggs.push(get_agg_expr(d)?);
-            }
-            SubsumeDetail::Rollup { keys: rkeys, aggs }
-        }
-        t => return Err(malformed(format!("subsume detail tag {t}"))),
-    };
-    Ok(SubsumeDescriptor {
-        kind,
-        child_precise,
-        cols,
-        keys,
-        schema,
-        detail,
-    })
+    )+};
 }
 
 // ---------------------------------------------------------------------------
-// Metadata-service domain types
+// Scalars, ids and containers
 
-/// Encodes an [`AvailableView`].
-pub fn put_available_view(e: &mut Enc, v: &AvailableView) {
-    put_sig(e, v.precise);
-    e.put_u64(v.rows);
-    e.put_u64(v.bytes);
-    put_props(e, &v.props);
+macro_rules! scalars {
+    ($($ty:ty: $put:ident / $get:ident),+) => {$(
+        impl Codec for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.$put(*self);
+            }
+            fn get(d: &mut Dec) -> Result<Self> {
+                d.$get()
+            }
+        }
+    )+};
 }
 
-/// Decodes an [`AvailableView`].
-pub fn get_available_view(d: &mut Dec) -> Result<AvailableView> {
-    Ok(AvailableView {
-        precise: get_sig(d)?,
-        rows: d.u64()?,
-        bytes: d.u64()?,
-        props: get_props(d)?,
-    })
+scalars! {
+    u8: put_u8 / u8, u32: put_u32 / u32, u64: put_u64 / u64, i32: put_i32 / i32,
+    i64: put_i64 / i64, f64: put_f64 / f64, bool: put_bool / bool
 }
 
-/// Encodes an [`Annotation`].
-pub fn put_annotation(e: &mut Enc, a: &Annotation) {
-    put_sig(e, a.normalized);
-    put_props(e, &a.props);
-    e.put_u64(a.ttl.micros());
-    e.put_u64(a.avg_cpu.micros());
-    e.put_u64(a.avg_rows);
-    e.put_u64(a.avg_bytes);
+/// Ids and simulated times travel as their raw `u64`.
+macro_rules! newtypes {
+    ($($ty:ident),+) => {$(
+        impl Codec for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.put_u64(self.0);
+            }
+            fn get(d: &mut Dec) -> Result<Self> {
+                Ok($ty(d.u64()?))
+            }
+        }
+    )+};
 }
 
-/// Decodes an [`Annotation`].
-pub fn get_annotation(d: &mut Dec) -> Result<Annotation> {
-    Ok(Annotation {
-        normalized: get_sig(d)?,
-        props: get_props(d)?,
-        ttl: SimDuration::from_micros(d.u64()?),
-        avg_cpu: SimDuration::from_micros(d.u64()?),
-        avg_rows: d.u64()?,
-        avg_bytes: d.u64()?,
-    })
-}
+newtypes! { JobId, VcId, NodeId, ClusterId, UserId, TemplateId, SimTime, SimDuration }
 
-/// Encodes a [`SubsumedView`].
-pub fn put_subsumed_view(e: &mut Enc, v: &SubsumedView) {
-    put_available_view(e, &v.view);
-    put_sig(e, v.normalized);
-    put_descriptor(e, &v.descriptor);
-    e.put_u64(v.avg_cpu.micros());
-}
-
-/// Decodes a [`SubsumedView`].
-pub fn get_subsumed_view(d: &mut Dec) -> Result<SubsumedView> {
-    Ok(SubsumedView {
-        view: get_available_view(d)?,
-        normalized: get_sig(d)?,
-        descriptor: get_descriptor(d)?,
-        avg_cpu: SimDuration::from_micros(d.u64()?),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-
-/// Encodes a [`LookupRequest`].
-pub fn put_lookup_request(e: &mut Enc, r: &LookupRequest) {
-    e.put_u64(r.job.raw());
-    e.put_u64(r.vc.raw());
-    put_symbols(e, &r.tags);
-    e.put_seq(r.probes.len());
-    for p in &r.probes {
-        put_descriptor(e, p);
+impl Codec for usize {
+    fn put(&self, e: &mut Enc) {
+        e.put_usize(*self);
     }
-    e.put_u64(r.at.micros());
-}
-
-/// Decodes a [`LookupRequest`].
-pub fn get_lookup_request(d: &mut Dec) -> Result<LookupRequest> {
-    let job = JobId::new(d.u64()?);
-    let vc = VcId::new(d.u64()?);
-    let tags = get_symbols(d)?;
-    let np = d.seq()?;
-    let mut probes = Vec::with_capacity(np.min(1024));
-    for _ in 0..np {
-        probes.push(get_descriptor(d)?);
+    fn get(d: &mut Dec) -> Result<Self> {
+        d.usize_capped(u32::MAX as usize)
     }
-    let at = SimTime(d.u64()?);
-    Ok(LookupRequest::new(job, &tags, at)
-        .with_probes(probes)
-        .for_vc(vc))
 }
 
-/// Encodes a [`ProposeRequest`].
-pub fn put_propose_request(e: &mut Enc, r: &ProposeRequest) {
-    put_sig(e, r.precise);
-    e.put_u64(r.job.raw());
-    e.put_u64(r.vc.raw());
-    e.put_u64(r.lock_ttl.micros());
-    e.put_u64(r.at.micros());
+impl Codec for String {
+    fn put(&self, e: &mut Enc) {
+        e.put_str(self);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        d.str()
+    }
 }
 
-/// Decodes a [`ProposeRequest`].
-pub fn get_propose_request(d: &mut Dec) -> Result<ProposeRequest> {
-    let precise = get_sig(d)?;
-    let job = JobId::new(d.u64()?);
-    let vc = VcId::new(d.u64()?);
-    let lock_ttl = SimDuration::from_micros(d.u64()?);
-    let at = SimTime(d.u64()?);
-    Ok(ProposeRequest::new(precise, job, lock_ttl, at).for_vc(vc))
+impl Codec for Symbol {
+    fn put(&self, e: &mut Enc) {
+        e.put_str(self.as_str());
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(Symbol::intern(&d.str()?))
+    }
 }
 
-/// Encodes a [`ReportRequest`].
-pub fn put_report_request(e: &mut Enc, r: &ReportRequest) {
-    put_available_view(e, &r.view);
-    put_sig(e, r.normalized);
-    e.put_u64(r.producer.raw());
-    e.put_u64(r.vc.raw());
-    e.put_u64(r.available_at.micros());
-    e.put_u64(r.expires_at.micros());
-    match &r.descriptor {
-        None => e.put_u8(0),
-        Some(desc) => {
-            e.put_u8(1);
-            put_descriptor(e, desc);
+impl Codec for Sig128 {
+    fn put(&self, e: &mut Enc) {
+        e.put_u64(self.hi);
+        e.put_u64(self.lo);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(Sig128::new(d.u64()?, d.u64()?))
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        e.put_seq(self.len());
+        for x in self {
+            x.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        let n = d.seq()?;
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, e: &mut Enc) {
+        e.put_seq(self.len());
+        for (k, v) in self {
+            k.put(e);
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        let mut out = BTreeMap::new();
+        for _ in 0..d.seq()? {
+            out.insert(K::get(d)?, V::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            None => e.put_u8(0),
+            Some(x) => {
+                e.put_u8(1);
+                x.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            t => Err(malformed(format!("option tag {t}"))),
         }
     }
 }
 
-/// Decodes a [`ReportRequest`].
-pub fn get_report_request(d: &mut Dec) -> Result<ReportRequest> {
-    let view = get_available_view(d)?;
-    let normalized = get_sig(d)?;
-    let producer = JobId::new(d.u64()?);
-    let vc = VcId::new(d.u64()?);
-    let available_at = SimTime(d.u64()?);
-    let expires_at = SimTime(d.u64()?);
-    let descriptor = match d.u8()? {
-        0 => None,
-        1 => Some(get_descriptor(d)?),
-        t => return Err(malformed(format!("descriptor option tag {t}"))),
-    };
-    Ok(
-        ReportRequest::new(view, normalized, producer, available_at, expires_at)
-            .with_descriptor(descriptor)
-            .for_vc(vc),
-    )
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(Box::new(T::get(d)?))
+    }
+}
+
+impl<T: Codec> Codec for Arc<T> {
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(Arc::new(T::get(d)?))
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Responses
+// Fieldless enums
 
-/// Encodes a [`LookupResponse`].
-pub fn put_lookup_response(e: &mut Enc, r: &LookupResponse) {
-    e.put_seq(r.annotations.len());
-    for a in &r.annotations {
-        put_annotation(e, a);
+codec_tags! {
+    DataType { Int = 0, Float = 1, Str = 2, Bool = 3, Date = 4 }
+    OpKind {
+        Sort = 0, Exchange = 1, Range = 2, Scalar = 3, RestrRemap = 4, Filter = 5,
+        HashGbAgg = 6, StreamGbAgg = 7, Process = 8, Spool = 9, MergeJoin = 10,
+        Sequence = 11, HashJoin = 12, UnionAll = 13, Combine = 14, VirtualDataset = 15,
+        Reduce = 16, Extract = 17, GbApply = 18, Top = 19, LoopsJoin = 20, Output = 21,
+        TableScan = 22, Window = 23, Nop = 24, Write = 25,
     }
-    e.put_seq(r.tier2.len());
-    for v in &r.tier2 {
-        put_subsumed_view(e, v);
+    UnaryOp { Not = 0, Neg = 1, IsNull = 2 }
+    BinOp {
+        Add = 0, Sub = 1, Mul = 2, Div = 3, Mod = 4, Eq = 5, Ne = 6, Lt = 7, Le = 8,
+        Gt = 9, Ge = 10, And = 11, Or = 12,
     }
-    e.put_u64(r.latency.micros());
-    e.put_usize(r.hit_count);
-}
-
-/// Decodes a [`LookupResponse`].
-pub fn get_lookup_response(d: &mut Dec) -> Result<LookupResponse> {
-    let na = d.seq()?;
-    let mut annotations = Vec::with_capacity(na.min(1024));
-    for _ in 0..na {
-        annotations.push(get_annotation(d)?);
+    ScalarFunc {
+        Year = 0, Month = 1, Len = 2, Lower = 3, Upper = 4, Prefix = 5, Abs = 6,
+        Hash64 = 7, Concat = 8, If = 9, Least = 10, Greatest = 11,
     }
-    let nv = d.seq()?;
-    let mut tier2 = Vec::with_capacity(nv.min(1024));
-    for _ in 0..nv {
-        tier2.push(get_subsumed_view(d)?);
-    }
-    let latency = SimDuration::from_micros(d.u64()?);
-    let hit_count = d.usize_capped(u32::MAX as usize)?;
-    Ok(LookupResponse {
-        annotations,
-        tier2,
-        latency,
-        hit_count,
-    })
-}
-
-/// Encodes a [`LockOutcome`].
-pub fn put_lock_outcome(e: &mut Enc, o: LockOutcome) {
-    e.put_u8(match o {
-        LockOutcome::Acquired => 0,
-        LockOutcome::AlreadyLocked => 1,
-        LockOutcome::AlreadyMaterialized => 2,
-    });
-}
-
-/// Decodes a [`LockOutcome`].
-pub fn get_lock_outcome(d: &mut Dec) -> Result<LockOutcome> {
-    Ok(match d.u8()? {
-        0 => LockOutcome::Acquired,
-        1 => LockOutcome::AlreadyLocked,
-        2 => LockOutcome::AlreadyMaterialized,
-        t => return Err(malformed(format!("lock outcome tag {t}"))),
-    })
-}
-
-/// Encodes a [`PurgeSweep`].
-pub fn put_purge_sweep(e: &mut Enc, p: &PurgeSweep) {
-    e.put_usize(p.views_purged);
-    e.put_usize(p.annotations_purged);
-}
-
-/// Decodes a [`PurgeSweep`].
-pub fn get_purge_sweep(d: &mut Dec) -> Result<PurgeSweep> {
-    Ok(PurgeSweep {
-        views_purged: d.usize_capped(u32::MAX as usize)?,
-        annotations_purged: d.usize_capped(u32::MAX as usize)?,
-    })
-}
-
-/// Encodes a [`MetadataStats`].
-pub fn put_stats(e: &mut Enc, s: &MetadataStats) {
-    for v in [
-        s.lookups,
-        s.annotations_returned,
-        s.locks_granted,
-        s.lock_conflicts,
-        s.already_materialized,
-        s.views_registered,
-        s.expired_takeovers,
-        s.failed_lookups,
-        s.failed_proposals,
-        s.failed_reports,
-        s.purged_annotations,
-        s.tier2_hits,
-        s.tier2_rejects,
-    ] {
-        e.put_u64(v);
-    }
-}
-
-/// Decodes a [`MetadataStats`].
-pub fn get_stats(d: &mut Dec) -> Result<MetadataStats> {
-    Ok(MetadataStats {
-        lookups: d.u64()?,
-        annotations_returned: d.u64()?,
-        locks_granted: d.u64()?,
-        lock_conflicts: d.u64()?,
-        already_materialized: d.u64()?,
-        views_registered: d.u64()?,
-        expired_takeovers: d.u64()?,
-        failed_lookups: d.u64()?,
-        failed_proposals: d.u64()?,
-        failed_reports: d.u64()?,
-        purged_annotations: d.u64()?,
-        tier2_hits: d.u64()?,
-        tier2_rejects: d.u64()?,
-    })
+    AggFunc { Count = 0, Sum = 1, Min = 2, Max = 3, Avg = 4, CountDistinct = 5 }
+    SortDir { Asc = 0, Desc = 1 }
+    SubsumeKind { Filter = 0, Project = 1, Rollup = 2 }
+    LockOutcome { Acquired = 0, AlreadyLocked = 1, AlreadyMaterialized = 2 }
 }
 
 // ---------------------------------------------------------------------------
-// Durable-state types (scope-store payloads; never on the wire)
+// Records
 
-/// Encodes a [`SubgraphRun`].
-pub fn put_subgraph_run(e: &mut Enc, s: &SubgraphRun) {
-    e.put_u64(s.root.raw());
-    put_sig(e, s.precise);
-    put_sig(e, s.normalized);
-    put_opkind(e, s.root_kind);
-    e.put_usize(s.num_nodes);
-    put_symbols(e, &s.input_tags);
-    put_props(e, &s.props);
-    e.put_bool(s.has_user_code);
-    e.put_u64(s.out_rows);
-    e.put_u64(s.out_bytes);
-    put_dur(e, s.exclusive_cpu);
-    put_dur(e, s.cumulative_cpu);
-    put_dur(e, s.finish_offset);
-}
-
-/// Decodes a [`SubgraphRun`].
-pub fn get_subgraph_run(d: &mut Dec) -> Result<SubgraphRun> {
-    Ok(SubgraphRun {
-        root: NodeId::new(d.u64()?),
-        precise: get_sig(d)?,
-        normalized: get_sig(d)?,
-        root_kind: get_opkind(d)?,
-        num_nodes: d.usize_capped(u32::MAX as usize)?,
-        input_tags: get_symbols(d)?,
-        props: Arc::new(get_props(d)?),
-        has_user_code: d.bool()?,
-        out_rows: d.u64()?,
-        out_bytes: d.u64()?,
-        exclusive_cpu: get_dur(d)?,
-        cumulative_cpu: get_dur(d)?,
-        finish_offset: get_dur(d)?,
-    })
-}
-
-/// Encodes a [`JobRecord`].
-pub fn put_job_record(e: &mut Enc, r: &JobRecord) {
-    e.put_u64(r.job.raw());
-    e.put_u64(r.cluster.raw());
-    e.put_u64(r.vc.raw());
-    e.put_u64(r.user.raw());
-    e.put_u64(r.template.raw());
-    e.put_u64(r.instance);
-    put_time(e, r.submitted_at);
-    put_dur(e, r.latency);
-    put_dur(e, r.cpu_time);
-    put_symbols(e, &r.tags);
-    e.put_seq(r.subgraphs.len());
-    for s in &r.subgraphs {
-        put_subgraph_run(e, s);
+codec_record! {
+    Column { name, dtype }
+    NamedExpr { name, expr }
+    AggExpr { name, func, input }
+    SortKey { col, dir }
+    PhysicalProps { partitioning, sort }
+    Interval { lo, hi }
+    SubsumeDescriptor { kind, child_precise, cols, keys, schema, detail }
+    AvailableView { precise, rows, bytes, props }
+    Annotation { normalized, props, ttl, avg_cpu, avg_rows, avg_bytes }
+    SubsumedView { view, normalized, descriptor, avg_cpu }
+    LookupRequest { job, vc, tags, probes, at }
+    ProposeRequest { precise, job, vc, lock_ttl, at }
+    ReportRequest { view, normalized, producer, vc, available_at, expires_at, descriptor }
+    LookupResponse { annotations, tier2, latency, hit_count }
+    PurgeSweep { views_purged, annotations_purged }
+    MetadataStats {
+        lookups, annotations_returned, locks_granted, lock_conflicts, already_materialized,
+        views_registered, expired_takeovers, failed_lookups, failed_proposals, failed_reports,
+        purged_annotations, tier2_hits, tier2_rejects,
     }
-}
-
-/// Decodes a [`JobRecord`].
-pub fn get_job_record(d: &mut Dec) -> Result<JobRecord> {
-    let job = JobId::new(d.u64()?);
-    let cluster = ClusterId::new(d.u64()?);
-    let vc = VcId::new(d.u64()?);
-    let user = UserId::new(d.u64()?);
-    let template = TemplateId::new(d.u64()?);
-    let instance = d.u64()?;
-    let submitted_at = get_time(d)?;
-    let latency = get_dur(d)?;
-    let cpu_time = get_dur(d)?;
-    let tags = get_symbols(d)?;
-    let n = d.seq()?;
-    let mut subgraphs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        subgraphs.push(get_subgraph_run(d)?);
+    SubgraphRun {
+        root, precise, normalized, root_kind, num_nodes, input_tags, props, has_user_code,
+        out_rows, out_bytes, exclusive_cpu, cumulative_cpu, finish_offset,
     }
-    Ok(JobRecord {
-        job,
-        cluster,
-        vc,
-        user,
-        template,
-        instance,
-        submitted_at,
-        latency,
-        cpu_time,
-        tags,
+    JobRecord {
+        job, cluster, vc, user, template, instance, submitted_at, latency, cpu_time, tags,
         subgraphs,
-    })
+    }
+    SelectedView { annotation, input_tags, utility, frequency, precise_last_seen }
+    ViewMeta { precise, normalized, producer, created_at, expires_at, rows, bytes }
+    ViewFile { meta, props, table }
 }
 
-/// Encodes a [`SelectedView`] (the analyzer's output unit, pinned into the
-/// durable log by `load_annotations` events).
-pub fn put_selected_view(e: &mut Enc, v: &SelectedView) {
-    put_annotation(e, &v.annotation);
-    put_symbols(e, &v.input_tags);
-    put_dur(e, v.utility);
-    e.put_u64(v.frequency);
-    put_sig(e, v.precise_last_seen);
+impl Codec for Schema {
+    fn put(&self, e: &mut Enc) {
+        e.put_seq(self.len());
+        for c in self.columns() {
+            c.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Schema::new(Codec::get(d)?).map_err(|e| malformed(format!("schema: {e}")))
+    }
 }
 
-/// Decodes a [`SelectedView`].
-pub fn get_selected_view(d: &mut Dec) -> Result<SelectedView> {
-    Ok(SelectedView {
-        annotation: get_annotation(d)?,
-        input_tags: get_symbols(d)?,
-        utility: get_dur(d)?,
-        frequency: d.u64()?,
-        precise_last_seen: get_sig(d)?,
-    })
+impl Codec for SortOrder {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(SortOrder(Codec::get(d)?))
+    }
 }
 
-/// Encodes a full materialized [`ViewFile`]: metadata, physical properties,
-/// and the table payload itself (schema + per-partition rows). Row counts
-/// use a raw `u32`, not the [`MAX_SEQ`]-capped sequence prefix: tables are
-/// bulk data and legitimately exceed protocol-message sizes.
-pub fn put_view_file(e: &mut Enc, v: &ViewFile) {
-    put_sig(e, v.meta.precise);
-    put_sig(e, v.meta.normalized);
-    e.put_u64(v.meta.producer.raw());
-    put_time(e, v.meta.created_at);
-    put_time(e, v.meta.expires_at);
-    e.put_u64(v.meta.rows);
-    e.put_u64(v.meta.bytes);
-    put_props(e, &v.props);
-    put_schema(e, &v.table.schema);
-    put_props(e, &v.table.props);
-    e.put_u32(v.table.num_partitions() as u32);
-    for p in 0..v.table.num_partitions() {
-        let rows = v.table.partition_rows(p);
-        e.put_u32(rows.len() as u32);
-        for row in &rows {
-            for val in row {
-                put_value(e, val);
+// ---------------------------------------------------------------------------
+// Tagged unions
+
+impl Codec for Value {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Value::Null => e.put_u8(0),
+            Value::Bool(b) => {
+                e.put_u8(1);
+                b.put(e);
+            }
+            Value::Int(i) => {
+                e.put_u8(2);
+                i.put(e);
+            }
+            Value::Float(f) => {
+                e.put_u8(3);
+                f.put(e);
+            }
+            Value::Str(s) => {
+                e.put_u8(4);
+                s.put(e);
+            }
+            Value::Date(d) => {
+                e.put_u8(5);
+                d.put(e);
             }
         }
     }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(Codec::get(d)?),
+            2 => Value::Int(Codec::get(d)?),
+            3 => Value::Float(Codec::get(d)?),
+            4 => Value::Str(Codec::get(d)?),
+            5 => Value::Date(Codec::get(d)?),
+            t => return Err(malformed(format!("value tag {t}"))),
+        })
+    }
 }
 
-/// Decodes a [`ViewFile`] re-assembled through [`Table::from_rows`].
-pub fn get_view_file(d: &mut Dec) -> Result<ViewFile> {
-    let meta = ViewMeta {
-        precise: get_sig(d)?,
-        normalized: get_sig(d)?,
-        producer: JobId::new(d.u64()?),
-        created_at: get_time(d)?,
-        expires_at: get_time(d)?,
-        rows: d.u64()?,
-        bytes: d.u64()?,
-    };
-    let props = get_props(d)?;
-    let schema = get_schema(d)?;
-    let table_props = get_props(d)?;
-    let nparts = d.u32()? as usize;
-    if nparts > 1 << 16 {
-        return Err(malformed(format!("{nparts} partitions")));
-    }
-    let ncols = schema.len();
-    let mut partitions = Vec::with_capacity(nparts);
-    for _ in 0..nparts {
-        let nrows = d.u32()? as usize;
-        let mut rows: Vec<Row> = Vec::with_capacity(nrows.min(1 << 20));
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(get_value(d)?);
+impl Codec for Expr {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Expr::Col(i) => {
+                e.put_u8(0);
+                i.put(e);
             }
-            rows.push(row);
+            Expr::Lit(v) => {
+                e.put_u8(1);
+                v.put(e);
+            }
+            Expr::RecurringParam { name, value } => {
+                e.put_u8(2);
+                name.put(e);
+                value.put(e);
+            }
+            Expr::Unary { op, child } => {
+                e.put_u8(3);
+                op.put(e);
+                child.put(e);
+            }
+            Expr::Binary { op, left, right } => {
+                e.put_u8(4);
+                op.put(e);
+                left.put(e);
+                right.put(e);
+            }
+            Expr::Func { func, args } => {
+                e.put_u8(5);
+                func.put(e);
+                args.put(e);
+            }
         }
-        partitions.push(rows);
     }
-    let table = Table::from_rows(schema, partitions, table_props);
-    Ok(ViewFile {
-        table: Arc::new(table),
-        props,
-        meta,
-    })
+
+    /// Depth-limited at [`MAX_EXPR_DEPTH`], so a nesting bomb is refused
+    /// instead of overflowing the stack.
+    fn get(d: &mut Dec) -> Result<Self> {
+        d.descend()?;
+        let x = match d.u8()? {
+            0 => Expr::Col(Codec::get(d)?),
+            1 => Expr::Lit(Codec::get(d)?),
+            2 => Expr::RecurringParam {
+                name: Codec::get(d)?,
+                value: Codec::get(d)?,
+            },
+            3 => Expr::Unary {
+                op: Codec::get(d)?,
+                child: Codec::get(d)?,
+            },
+            4 => Expr::Binary {
+                op: Codec::get(d)?,
+                left: Codec::get(d)?,
+                right: Codec::get(d)?,
+            },
+            5 => Expr::Func {
+                func: Codec::get(d)?,
+                args: Codec::get(d)?,
+            },
+            t => return Err(malformed(format!("expr tag {t}"))),
+        };
+        d.ascend();
+        Ok(x)
+    }
+}
+
+impl Codec for Partitioning {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Partitioning::Single => e.put_u8(0),
+            Partitioning::Hash { cols, parts } => {
+                e.put_u8(1);
+                cols.put(e);
+                parts.put(e);
+            }
+            Partitioning::Range { col, parts } => {
+                e.put_u8(2);
+                col.put(e);
+                parts.put(e);
+            }
+            Partitioning::RoundRobin { parts } => {
+                e.put_u8(3);
+                parts.put(e);
+            }
+            Partitioning::Any => e.put_u8(4),
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => Partitioning::Single,
+            1 => Partitioning::Hash {
+                cols: Codec::get(d)?,
+                parts: Codec::get(d)?,
+            },
+            2 => Partitioning::Range {
+                col: Codec::get(d)?,
+                parts: Codec::get(d)?,
+            },
+            3 => Partitioning::RoundRobin {
+                parts: Codec::get(d)?,
+            },
+            4 => Partitioning::Any,
+            t => return Err(malformed(format!("partitioning tag {t}"))),
+        })
+    }
+}
+
+impl Codec for SubsumeDetail {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            SubsumeDetail::Filter { intervals } => {
+                e.put_u8(0);
+                intervals.put(e);
+            }
+            SubsumeDetail::Project { exprs } => {
+                e.put_u8(1);
+                exprs.put(e);
+            }
+            SubsumeDetail::Rollup { keys, aggs } => {
+                e.put_u8(2);
+                keys.put(e);
+                aggs.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => SubsumeDetail::Filter {
+                intervals: Codec::get(d)?,
+            },
+            1 => SubsumeDetail::Project {
+                exprs: Codec::get(d)?,
+            },
+            2 => SubsumeDetail::Rollup {
+                keys: Codec::get(d)?,
+                aggs: Codec::get(d)?,
+            },
+            t => return Err(malformed(format!("subsume detail tag {t}"))),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// View bodies (bulk data)
+
+/// A materialized view's rows: schema, physical properties, then per
+/// partition a raw `u32` row count and every row's cells in column order.
+/// Partition and row counts are bulk counts, not [`MAX_SEQ`]-capped: tables
+/// legitimately exceed protocol-message sizes.
+impl Codec for Table {
+    fn put(&self, e: &mut Enc) {
+        self.schema.put(e);
+        self.props.put(e);
+        e.put_u32(self.num_partitions() as u32);
+        for p in 0..self.num_partitions() {
+            let rows = self.partition_rows(p);
+            e.put_u32(rows.len() as u32);
+            for cell in rows.iter().flatten() {
+                cell.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        let schema = Schema::get(d)?;
+        let props = PhysicalProps::get(d)?;
+        let nparts = d.u32()? as usize;
+        if nparts > 1 << 16 {
+            return Err(malformed(format!("{nparts} partitions")));
+        }
+        let mut partitions = Vec::with_capacity(nparts.min(1024));
+        for _ in 0..nparts {
+            let nrows = d.u32()? as usize;
+            // Rows of no columns take no bytes, so no truncation would stop
+            // a hostile count of them.
+            if schema.is_empty() && nrows > 0 {
+                return Err(malformed(format!("{nrows} rows of no columns")));
+            }
+            let mut rows = Vec::with_capacity(nrows.min(1024));
+            for _ in 0..nrows {
+                let row = (0..schema.len()).map(|_| Value::get(d));
+                rows.push(row.collect::<Result<Vec<_>>>()?);
+            }
+            partitions.push(rows);
+        }
+        Ok(Table::from_rows(schema, partitions, props))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_plan::DataType;
+
+    fn round_trip<T: Codec>(value: &T) -> T {
+        let bytes = value.to_bytes();
+        let back = T::from_bytes(&bytes).expect("decodes");
+        // Byte-stability: encoding the decoded value reproduces the bytes.
+        assert_eq!(back.to_bytes(), bytes);
+        back
+    }
 
     #[test]
     fn job_record_round_trips() {
@@ -1202,11 +642,7 @@ mod tests {
                 finish_offset: SimDuration::from_micros(70),
             }],
         };
-        let mut e = Enc::new();
-        put_job_record(&mut e, &rec);
-        let mut d = Dec::new(&e.buf);
-        let back = get_job_record(&mut d).unwrap();
-        d.finish().unwrap();
+        let back = round_trip(&rec);
         assert_eq!(back.job, rec.job);
         assert_eq!(back.subgraphs.len(), 1);
         assert_eq!(back.subgraphs[0].root_kind, OpKind::HashGbAgg);
@@ -1215,10 +651,6 @@ mod tests {
             rec.subgraphs[0].cumulative_cpu
         );
         assert_eq!(back.tags, rec.tags);
-        // Byte-stability: encoding the decoded value reproduces the bytes.
-        let mut e2 = Enc::new();
-        put_job_record(&mut e2, &back);
-        assert_eq!(e.buf, e2.buf);
     }
 
     #[test]
@@ -1249,11 +681,7 @@ mod tests {
                 bytes: 64,
             },
         };
-        let mut e = Enc::new();
-        put_view_file(&mut e, &vf);
-        let mut d = Dec::new(&e.buf);
-        let back = get_view_file(&mut d).unwrap();
-        d.finish().unwrap();
+        let back = round_trip(&vf);
         assert_eq!(back.meta, vf.meta);
         assert_eq!(back.table.num_partitions(), 2);
         assert_eq!(back.table.num_rows(), 3);
@@ -1271,10 +699,7 @@ mod tests {
                 child: Box::new(x),
             };
         }
-        let mut e = Enc::new();
-        put_expr(&mut e, &x);
-        let mut d = Dec::new(&e.buf);
-        assert!(get_expr(&mut d).is_err());
+        assert!(Expr::from_bytes(&x.to_bytes()).is_err());
     }
 
     #[test]
@@ -1293,14 +718,17 @@ mod tests {
             frequency: 4,
             precise_last_seen: Sig128::new(7, 8),
         };
-        let mut e = Enc::new();
-        put_selected_view(&mut e, &v);
-        let mut d = Dec::new(&e.buf);
-        let back = get_selected_view(&mut d).unwrap();
-        d.finish().unwrap();
+        let back = round_trip(&v);
         assert_eq!(back.annotation.normalized, v.annotation.normalized);
         assert_eq!(back.utility, v.utility);
         assert_eq!(back.frequency, v.frequency);
         assert_eq!(back.precise_last_seen, v.precise_last_seen);
+    }
+
+    #[test]
+    fn unknown_tags_are_malformed() {
+        assert!(OpKind::from_bytes(&[26]).is_err());
+        assert!(Option::<u8>::from_bytes(&[2, 0]).is_err());
+        assert!(Value::from_bytes(&[6]).is_err());
     }
 }

@@ -45,13 +45,10 @@ use scope_signature::SubsumeDescriptor;
 
 use crate::analyzer::SelectedView;
 use crate::api::{LookupRequest, ProposeRequest, ReportRequest};
-use crate::codec::{
-    get_annotation, get_available_view, get_descriptor, get_sig, get_sigs, get_symbols, get_time,
-    put_annotation, put_available_view, put_descriptor, put_sig, put_sigs, put_symbols, put_time,
-};
+use crate::codec::{Codec, CodecError, Dec, Enc};
+use crate::codec_record;
 use crate::faults::{FaultInjector, FaultSite};
 use crate::store::{DurableStore, WalEvent};
-use scope_common::codec::{CodecError, Dec, Enc};
 use scope_common::hash::sip128;
 
 /// Result of a materialization proposal (Figure 9, step 4).
@@ -235,9 +232,16 @@ pub struct MetadataStats {
     pub tier2_rejects: u64,
 }
 
+codec_record! {
+    AnnotationEntry { annotation, tags, keep_until, precise_views }
+    RegisteredView { view, normalized, producer, created_at, expires_at, descriptor }
+    BuildLock { holder, expires_at }
+    CatalogSnapshot { catalog, reserved }
+}
+
 /// The service state: four plain maps, mutated only through
 /// [`Catalog::apply`] so the live path and WAL replay cannot diverge.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Catalog {
     /// Annotations by normalized signature.
     annotations: HashMap<Sig128, AnnotationEntry>,
@@ -249,6 +253,55 @@ struct Catalog {
     views: HashMap<Sig128, RegisteredView>,
     /// Exclusive build locks by precise signature.
     locks: HashMap<Sig128, BuildLock>,
+}
+
+/// The catalog's canonical layout: annotations, registered views and build
+/// locks, each sorted by signature and counted by a raw `u32` — a bulk
+/// count, since a long-lived service registers more than `MAX_SEQ` views.
+/// The inverted index is derived: decoding rebuilds it.
+impl Codec for Catalog {
+    fn put(&self, e: &mut Enc) {
+        let mut annotations: Vec<&AnnotationEntry> = self.annotations.values().collect();
+        annotations.sort_by_key(|a| a.annotation.normalized);
+        let mut views: Vec<&RegisteredView> = self.views.values().collect();
+        views.sort_by_key(|v| v.view.precise);
+        let mut locks: Vec<(&Sig128, &BuildLock)> = self.locks.iter().collect();
+        locks.sort_by_key(|(p, _)| **p);
+
+        e.put_u32(annotations.len() as u32);
+        annotations.iter().for_each(|a| a.put(e));
+        e.put_u32(views.len() as u32);
+        views.iter().for_each(|v| v.put(e));
+        e.put_u32(locks.len() as u32);
+        for (p, lock) in locks {
+            p.put(e);
+            lock.put(e);
+        }
+    }
+
+    fn get(d: &mut Dec) -> std::result::Result<Catalog, CodecError> {
+        let mut catalog = Catalog::default();
+        for _ in 0..d.u32()? {
+            catalog.install(AnnotationEntry::get(d)?);
+        }
+        for _ in 0..d.u32()? {
+            let view = RegisteredView::get(d)?;
+            catalog.views.insert(view.view.precise, view);
+        }
+        for _ in 0..d.u32()? {
+            let (precise, lock) = <(Sig128, BuildLock)>::get(d)?;
+            catalog.locks.insert(precise, lock);
+        }
+        Ok(catalog)
+    }
+}
+
+/// What a snapshot keeps of the service: a copy of the catalog, then one
+/// reserved word (always 0; it held a janitor cursor and stays so the
+/// `SNP1` layout does not move). Counters are process-local and left out.
+pub(crate) struct CatalogSnapshot {
+    catalog: Catalog,
+    reserved: u64,
 }
 
 impl Catalog {
@@ -476,8 +529,8 @@ impl MetadataService {
     }
 
     /// Installs (or clears) the durable store. Attach it *after* replaying
-    /// recovered state — [`MetadataService::apply_event`] and
-    /// [`MetadataService::import_state`] never log, but the live
+    /// recovered state — [`MetadataService::apply_event`] and restoring a
+    /// snapshot never log, but the live
     /// entrypoints do, and re-logging a replay would double the WAL.
     pub fn set_durable(&self, store: Option<Arc<DurableStore>>) {
         *self.durable.write() = store;
@@ -875,100 +928,25 @@ impl MetadataService {
         });
     }
 
-    /// Serializes the catalog — annotations, registered views, and build
-    /// locks, each sorted by signature so the encoding is canonical — into
-    /// `e`. This is the fingerprinted core; the inverted index is derived
-    /// and left out.
-    fn export_core(&self, e: &mut Enc) {
-        let catalog = self.catalog.read();
-        let mut annotations: Vec<&AnnotationEntry> = catalog.annotations.values().collect();
-        annotations.sort_by_key(|a| a.annotation.normalized);
-        let mut views: Vec<&RegisteredView> = catalog.views.values().collect();
-        views.sort_by_key(|v| v.view.precise);
-        let mut locks: Vec<(&Sig128, &BuildLock)> = catalog.locks.iter().collect();
-        locks.sort_by_key(|(p, _)| **p);
-
-        e.put_u32(annotations.len() as u32);
-        for a in annotations {
-            put_annotation(e, &a.annotation);
-            put_symbols(e, &a.tags);
-            put_time(e, a.keep_until);
-            put_sigs(e, &a.precise_views);
-        }
-        e.put_u32(views.len() as u32);
-        for v in views {
-            put_available_view(e, &v.view);
-            put_sig(e, v.normalized);
-            e.put_u64(v.producer.raw());
-            put_time(e, v.created_at);
-            put_time(e, v.expires_at);
-            match &v.descriptor {
-                Some(desc) => {
-                    e.put_bool(true);
-                    put_descriptor(e, desc);
-                }
-                None => e.put_bool(false),
-            }
-        }
-        e.put_u32(locks.len() as u32);
-        for (p, lock) in locks {
-            put_sig(e, *p);
-            e.put_u64(lock.holder.raw());
-            put_time(e, lock.expires_at);
+    /// A copy of the catalog for the durable snapshot; encoding it happens
+    /// after the read guard is released.
+    pub(crate) fn snapshot(&self) -> CatalogSnapshot {
+        CatalogSnapshot {
+            catalog: self.catalog.read().clone(),
+            reserved: 0,
         }
     }
 
-    /// Full snapshot payload of the service: the fingerprinted catalog
-    /// core plus one reserved word (always 0; it held a janitor cursor and
-    /// stays so the `SNP1` layout does not move). The inverted index is
-    /// rebuilt by [`MetadataService::import_state`].
+    /// Replaces the whole catalog with a snapshot's (the inverted index is
+    /// rebuilt as it decodes). Counters are untouched.
+    pub(crate) fn restore(&self, snapshot: CatalogSnapshot) {
+        *self.catalog.write() = snapshot.catalog;
+    }
+
+    /// The service's snapshot payload: the canonical catalog encoding the
+    /// fingerprint digests, then one reserved word (always 0).
     pub fn export_state(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.export_core(&mut e);
-        e.put_u64(0);
-        e.buf
-    }
-
-    /// Replaces the whole catalog with a previously exported snapshot, or
-    /// leaves it untouched when the payload does not decode. Counters are
-    /// untouched (they are process-local).
-    pub fn import_state(&self, d: &mut Dec) -> std::result::Result<(), CodecError> {
-        let mut catalog = Catalog::default();
-        for _ in 0..d.u32()? {
-            catalog.install(AnnotationEntry {
-                annotation: get_annotation(d)?,
-                tags: get_symbols(d)?,
-                keep_until: get_time(d)?,
-                precise_views: get_sigs(d)?,
-            });
-        }
-        for _ in 0..d.u32()? {
-            let view = get_available_view(d)?;
-            let registered = RegisteredView {
-                normalized: get_sig(d)?,
-                producer: JobId::new(d.u64()?),
-                created_at: get_time(d)?,
-                expires_at: get_time(d)?,
-                descriptor: if d.bool()? {
-                    Some(get_descriptor(d)?)
-                } else {
-                    None
-                },
-                view,
-            };
-            catalog.views.insert(registered.view.precise, registered);
-        }
-        for _ in 0..d.u32()? {
-            let precise = get_sig(d)?;
-            let holder = JobId::new(d.u64()?);
-            let expires_at = get_time(d)?;
-            catalog
-                .locks
-                .insert(precise, BuildLock { holder, expires_at });
-        }
-        d.u64()?; // the reserved word
-        *self.catalog.write() = catalog;
-        Ok(())
+        self.snapshot().to_bytes()
     }
 
     /// 128-bit digest of the catalog (annotations, views, locks — sorted,
@@ -977,9 +955,7 @@ impl MetadataService {
     /// asserts a restarted service matches the pre-crash one. Counters and
     /// the inverted index (derived) are excluded.
     pub fn fingerprint(&self) -> Sig128 {
-        let mut e = Enc::new();
-        self.export_core(&mut e);
-        sip128(&e.buf)
+        sip128(&self.catalog.read().to_bytes())
     }
 
     /// Registered view count (expired views included until purged).
@@ -1808,7 +1784,7 @@ mod tests {
         let state = m.export_state();
         let copy = || {
             let c = service();
-            c.import_state(&mut Dec::new(&state)).unwrap();
+            c.restore(CatalogSnapshot::from_bytes(&state).unwrap());
             c
         };
         let live = copy();

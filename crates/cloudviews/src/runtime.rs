@@ -61,14 +61,25 @@ use scope_signature::{CompiledJob, TemplateCache};
 
 use crate::analyzer::{run_analysis, AnalysisOutcome, AnalyzerConfig, IncrementalAnalyzer};
 use crate::api::LookupRequest;
-use crate::codec::{get_sigs, get_time, put_sigs, put_time};
+use crate::codec::Codec;
+use crate::codec_record;
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::metadata::MetadataService;
+use crate::metadata::{CatalogSnapshot, MetadataService};
 use crate::pipeline;
 use crate::sharing::WindowContext;
 use crate::store::{DurableStore, WalEvent};
-use scope_common::codec::{CodecError, Dec, Enc};
 use scope_engine::storage::StorageEventSink;
+
+/// The durable snapshot payload: the pinned clock, the metadata catalog,
+/// and the analyzer's selection baseline. The store keeps it as opaque
+/// bytes; recovery decodes it here.
+pub(crate) struct Snapshot {
+    clock: SimTime,
+    metadata: CatalogSnapshot,
+    prev_selected: Vec<Sig128>,
+}
+
+codec_record! { Snapshot { clock, metadata, prev_selected } }
 
 /// Whether a job runs with CloudViews on or off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -500,9 +511,6 @@ impl CloudViewsBuilder {
             Some(path) => {
                 let (store, recovered) = DurableStore::open(path, self.snapshot_threshold)
                     .map_err(|e| ScopeError::Storage(format!("durable store open: {e}")))?;
-                fn corrupt(what: &'static str) -> impl Fn(CodecError) -> ScopeError {
-                    move |e| ScopeError::Storage(format!("durable snapshot {what}: {}", e.0))
-                }
                 // What recovery read back, and what a torn tail cost it.
                 for (name, value) in [
                     ("cv_store_recovery_dropped_bytes", recovered.dropped_bytes),
@@ -518,16 +526,13 @@ impl CloudViewsBuilder {
                 // never a lease expiry, which would instantly lapse every
                 // recovered lock.
                 let mut max_t = SimTime::ZERO;
-                if let Some(snap) = &recovered.snapshot {
-                    let mut d = Dec::new(snap);
-                    max_t = max_t.max(get_time(&mut d).map_err(corrupt("clock"))?);
-                    metadata
-                        .import_state(&mut d)
-                        .map_err(corrupt("metadata state"))?;
-                    let prev = get_sigs(&mut d).map_err(corrupt("selection baseline"))?;
-                    d.finish().map_err(corrupt("trailing bytes"))?;
+                if let Some(bytes) = &recovered.snapshot {
+                    let snap = Snapshot::from_bytes(bytes)
+                        .map_err(|e| ScopeError::Storage(format!("durable snapshot: {}", e.0)))?;
+                    max_t = max_t.max(snap.clock);
+                    metadata.restore(snap.metadata);
                     if let Some(a) = &analyzer {
-                        a.set_prev_selected(prev);
+                        a.set_prev_selected(snap.prev_selected);
                     }
                 }
                 for ev in &recovered.events {
@@ -599,21 +604,18 @@ impl CloudViews {
         CloudViewsBuilder::new(storage)
     }
 
-    /// Serializes the durable snapshot payload: the pinned clock, the
-    /// metadata catalog, and the analyzer's selection baseline. The layout
-    /// is owned here (the store treats it as opaque bytes) and decoded by
-    /// the builder's recovery path.
+    /// Serializes the durable [`Snapshot`] payload.
     fn snapshot_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        put_time(&mut e, self.clock.now());
-        e.buf.extend_from_slice(&self.metadata.export_state());
-        let prev = self
-            .analyzer
-            .as_ref()
-            .map(|a| a.prev_selected())
-            .unwrap_or_default();
-        put_sigs(&mut e, &prev);
-        e.buf
+        Snapshot {
+            clock: self.clock.now(),
+            metadata: self.metadata.snapshot(),
+            prev_selected: self
+                .analyzer
+                .as_ref()
+                .map(|a| a.prev_selected())
+                .unwrap_or_default(),
+        }
+        .to_bytes()
     }
 
     /// Compacts the durable WAL into a snapshot if it has outgrown the

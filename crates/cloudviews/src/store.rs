@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use scope_common::codec::{CodecError, Dec, Enc};
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::time::SimTime;
@@ -51,11 +50,7 @@ use scope_store::{Result, StoreError};
 
 use crate::analyzer::SelectedView;
 use crate::api::ReportRequest;
-use crate::codec::{
-    get_job_record, get_report_request, get_selected_view, get_sig, get_sigs, get_time,
-    get_view_file, put_job_record, put_report_request, put_selected_view, put_sig, put_sigs,
-    put_time, put_view_file,
-};
+use crate::codec::{malformed, Codec, CodecError, Dec, Enc};
 
 /// Default WAL size past which `maybe_snapshot` compacts (4 MiB).
 pub const DEFAULT_SNAPSHOT_THRESHOLD: u64 = 4 << 20;
@@ -63,9 +58,10 @@ pub const DEFAULT_SNAPSHOT_THRESHOLD: u64 = 4 << 20;
 /// Live-generation size past which the `repo/` and `views/` logs rotate.
 const BULK_ROTATE_THRESHOLD: u64 = 4 << 20;
 
-/// `views/` payload tags: `[VIEW_PUT][view file]`, `[VIEW_DELETE][sig]`.
-/// A view file's encoding leads with its precise signature, so either
-/// payload reads as tag, then the signature it is about.
+/// `views/` payload tags: `(VIEW_PUT, ViewFile)` and `(VIEW_DELETE,
+/// Sig128)`. A view file's encoding leads with its precise signature, so
+/// either payload reads as `(u8, Sig128)`: tag, then the signature it is
+/// about. `repo/` payloads are `(u64, JobRecord)`: sequence, then record.
 const VIEW_PUT: u8 = 0;
 const VIEW_DELETE: u8 = 1;
 
@@ -125,18 +121,13 @@ const TAG_REGISTER: u8 = 3;
 const TAG_PURGE_SHARD: u8 = 4;
 const TAG_UNREGISTER: u8 = 5;
 
-impl WalEvent {
-    /// Serializes the event to a WAL record payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+impl Codec for WalEvent {
+    fn put(&self, e: &mut Enc) {
         match self {
             WalEvent::LoadAnnotations { selected, now } => {
                 e.put_u8(TAG_LOAD_ANNOTATIONS);
-                put_time(&mut e, *now);
-                e.put_seq(selected.len());
-                for s in selected {
-                    put_selected_view(&mut e, s);
-                }
+                now.put(e);
+                selected.put(e);
             }
             WalEvent::LockGranted {
                 precise,
@@ -145,65 +136,63 @@ impl WalEvent {
                 expires_at,
             } => {
                 e.put_u8(TAG_LOCK_GRANTED);
-                put_sig(&mut e, *precise);
-                e.put_u64(holder.raw());
-                put_time(&mut e, *at);
-                put_time(&mut e, *expires_at);
+                precise.put(e);
+                holder.put(e);
+                at.put(e);
+                expires_at.put(e);
             }
             WalEvent::Register(req) => {
                 e.put_u8(TAG_REGISTER);
-                put_report_request(&mut e, req);
+                req.put(e);
             }
             WalEvent::PurgeShard { index, now } => {
                 e.put_u8(TAG_PURGE_SHARD);
-                e.put_u32(*index);
-                put_time(&mut e, *now);
+                index.put(e);
+                now.put(e);
             }
             WalEvent::Unregister { precise, now } => {
                 e.put_u8(TAG_UNREGISTER);
-                put_sigs(&mut e, precise);
-                put_time(&mut e, *now);
+                precise.put(e);
+                now.put(e);
             }
         }
-        e.buf
+    }
+
+    fn get(d: &mut Dec) -> std::result::Result<WalEvent, CodecError> {
+        Ok(match d.u8()? {
+            TAG_LOAD_ANNOTATIONS => WalEvent::LoadAnnotations {
+                now: Codec::get(d)?,
+                selected: Codec::get(d)?,
+            },
+            TAG_LOCK_GRANTED => WalEvent::LockGranted {
+                precise: Codec::get(d)?,
+                holder: Codec::get(d)?,
+                at: Codec::get(d)?,
+                expires_at: Codec::get(d)?,
+            },
+            TAG_REGISTER => WalEvent::Register(Codec::get(d)?),
+            TAG_PURGE_SHARD => WalEvent::PurgeShard {
+                index: Codec::get(d)?,
+                now: Codec::get(d)?,
+            },
+            TAG_UNREGISTER => WalEvent::Unregister {
+                precise: Codec::get(d)?,
+                now: Codec::get(d)?,
+            },
+            t => return Err(malformed(format!("unknown wal event tag {t}"))),
+        })
+    }
+}
+
+impl WalEvent {
+    /// Serializes the event to a WAL record payload.
+    pub fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
     }
 
     /// Decodes an event from a WAL record payload.
     pub fn decode(payload: &[u8]) -> std::result::Result<WalEvent, CodecError> {
-        let mut d = Dec::new(payload);
-        let ev = match d.u8()? {
-            TAG_LOAD_ANNOTATIONS => {
-                let now = get_time(&mut d)?;
-                let n = d.seq()?;
-                let mut selected = Vec::with_capacity(n);
-                for _ in 0..n {
-                    selected.push(get_selected_view(&mut d)?);
-                }
-                WalEvent::LoadAnnotations { selected, now }
-            }
-            TAG_LOCK_GRANTED => WalEvent::LockGranted {
-                precise: get_sig(&mut d)?,
-                holder: JobId::new(d.u64()?),
-                at: get_time(&mut d)?,
-                expires_at: get_time(&mut d)?,
-            },
-            TAG_REGISTER => WalEvent::Register(Box::new(get_report_request(&mut d)?)),
-            TAG_PURGE_SHARD => WalEvent::PurgeShard {
-                index: d.u32()?,
-                now: get_time(&mut d)?,
-            },
-            TAG_UNREGISTER => WalEvent::Unregister {
-                precise: get_sigs(&mut d)?,
-                now: get_time(&mut d)?,
-            },
-            t => {
-                return Err(scope_common::codec::malformed(format!(
-                    "unknown wal event tag {t}"
-                )))
-            }
-        };
-        d.finish()?;
-        Ok(ev)
+        WalEvent::from_bytes(payload)
     }
 }
 
@@ -288,10 +277,9 @@ impl DurableStore {
         let (repo_log, repo_rec) = LogDir::open(&root.join("repo"))?;
         let mut records = Vec::with_capacity(repo_rec.records.len());
         for payload in &repo_rec.records {
-            let mut d = Dec::new(payload);
-            let seq = d.u64().map_err(|e| corrupt("job record seq", e))?;
-            let rec = get_job_record(&mut d).map_err(|e| corrupt("job record", e))?;
-            records.push((seq, rec));
+            records.push(
+                <(u64, JobRecord)>::from_bytes(payload).map_err(|e| corrupt("job record", e))?,
+            );
         }
         // Log order is sink-call order; `seq` is append order.
         records.sort_by_key(|(seq, _)| *seq);
@@ -299,11 +287,10 @@ impl DurableStore {
         let (views_log, views_rec) = LogDir::open(&root.join("views"))?;
         let mut live = BTreeMap::new();
         for payload in &views_rec.records {
-            let mut d = Dec::new(payload);
-            let tag = d.u8().map_err(|e| corrupt("view log tag", e))?;
-            let precise = get_sig(&mut d).map_err(|e| corrupt("view log signature", e))?;
+            let (tag, precise) = <(u8, Sig128)>::get(&mut Dec::new(payload))
+                .map_err(|e| corrupt("view log record", e))?;
             match tag {
-                VIEW_PUT => live.insert(precise, &payload[1..]),
+                VIEW_PUT => live.insert(precise, payload),
                 VIEW_DELETE => live.remove(&precise),
                 t => {
                     return Err(StoreError::Corrupt(format!(
@@ -315,7 +302,11 @@ impl DurableStore {
         // Only the survivors are decoded, in precise-signature order.
         let views = live
             .into_values()
-            .map(|bytes| get_view_file(&mut Dec::new(bytes)).map_err(|e| corrupt("view file", e)))
+            .map(|bytes| {
+                let (_, view) =
+                    <(u8, ViewFile)>::from_bytes(bytes).map_err(|e| corrupt("view file", e))?;
+                Ok(view)
+            })
             .collect::<Result<Vec<_>>>()?;
 
         let store = Arc::new(DurableStore {
@@ -353,9 +344,10 @@ impl DurableStore {
     /// Mirrors one workload-repository append (`seq` is the record's
     /// index in append order). Same panic contract as [`Self::append_event`].
     pub fn record_job(&self, seq: u64, record: &JobRecord) {
+        // The `(u64, JobRecord)` recovery decodes, without cloning the record.
         let mut e = Enc::new();
-        e.put_u64(seq);
-        put_job_record(&mut e, record);
+        seq.put(&mut e);
+        record.put(&mut e);
         append_bulk(&self.repo_log, &e.buf)
             .expect("scope-store: repo append failed; cannot ack unlogged record");
     }
@@ -407,30 +399,34 @@ impl DurableStore {
 
 impl StorageEventSink for DurableStore {
     fn view_published(&self, view: &ViewFile) {
-        let mut e = Enc::new();
-        e.put_u8(VIEW_PUT);
-        put_view_file(&mut e, view);
-        append_bulk(&self.views_log, &e.buf)
+        let payload = (VIEW_PUT, view.clone()).to_bytes();
+        append_bulk(&self.views_log, &payload)
             .expect("scope-store: view append failed; cannot ack unlogged publish");
     }
 
     fn view_deleted(&self, precise: Sig128) {
-        let mut e = Enc::new();
-        e.put_u8(VIEW_DELETE);
-        put_sig(&mut e, precise);
-        append_bulk(&self.views_log, &e.buf).expect("scope-store: view delete append failed");
+        let payload = (VIEW_DELETE, precise).to_bytes();
+        append_bulk(&self.views_log, &payload).expect("scope-store: view delete append failed");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_common::ids::{ClusterId, TemplateId, UserId, VcId};
+    use crate::api::ProposeRequest;
+    use crate::codec::MAX_SEQ;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use scope_common::ids::{ClusterId, NodeId, TemplateId, UserId, VcId};
+    use scope_common::intern::Symbol;
     use scope_common::time::SimDuration;
     use scope_engine::data::Table;
-    use scope_engine::optimizer::AvailableView;
-    use scope_engine::storage::ViewMeta;
-    use scope_plan::{DataType, PhysicalProps, Schema, Value};
+    use scope_engine::optimizer::{Annotation, AvailableView};
+    use scope_engine::repo::SubgraphRun;
+    use scope_engine::storage::{StorageManager, ViewMeta};
+    use scope_plan::interval::Interval;
+    use scope_plan::{DataType, OpKind, PhysicalProps, Schema, Value};
+    use scope_signature::{SubsumeDescriptor, SubsumeDetail, SubsumeKind};
     use std::path::PathBuf;
 
     fn sig(n: u64) -> Sig128 {
@@ -645,5 +641,152 @@ mod tests {
         .encode();
         bytes.push(0);
         assert!(WalEvent::decode(&bytes).is_err());
+    }
+
+    /// One seeded loop over a valid encoding of `T`: it round-trips
+    /// byte-identically, every strict prefix and one trailing byte are
+    /// refused, and no byte flip or seeded multi-byte damage panics — in the
+    /// decoder or in re-encoding what it accepted.
+    fn fuzz<T: Codec>(what: &str, bytes: &[u8], rng: &mut SmallRng) {
+        let back = T::from_bytes(bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(back.to_bytes(), bytes, "{what}: re-encoding moved");
+        for cut in 0..bytes.len() {
+            assert!(
+                T::from_bytes(&bytes[..cut]).is_err(),
+                "{what}: {cut}-byte prefix"
+            );
+        }
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        assert!(T::from_bytes(&longer).is_err(), "{what}: trailing byte");
+        let survive = |damaged: &[u8]| {
+            if let Ok(v) = T::from_bytes(damaged) {
+                v.to_bytes();
+            }
+        };
+        for pos in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut damaged = bytes.to_vec();
+                damaged[pos] ^= flip;
+                survive(&damaged);
+            }
+        }
+        for _ in 0..256 {
+            let mut damaged = bytes.to_vec();
+            for _ in 0..rng.gen_range(2..6) {
+                let pos = rng.gen_range(0..damaged.len());
+                damaged[pos] = rng.gen();
+            }
+            survive(&damaged);
+        }
+    }
+
+    #[test]
+    fn durable_formats_survive_truncation_and_damage() {
+        let mut rng = SmallRng::seed_from_u64(0xD15C);
+        let selected = SelectedView {
+            annotation: Annotation {
+                normalized: sig(5),
+                props: PhysicalProps::hashed(vec![0], 4),
+                ttl: SimDuration::from_secs(3_600),
+                avg_cpu: SimDuration::from_micros(200),
+                avg_rows: 10,
+                avg_bytes: 1_000,
+            },
+            input_tags: vec![Symbol::intern("in/a.ss"), Symbol::intern("in/b.ss")],
+            utility: SimDuration::from_micros(300),
+            frequency: 4,
+            precise_last_seen: sig(6),
+        };
+        let load = WalEvent::LoadAnnotations {
+            selected: vec![selected.clone()],
+            now: SimTime(9),
+        };
+        for ev in sample_events().into_iter().chain([load]) {
+            fuzz::<WalEvent>("wal event", &ev.encode(), &mut rng);
+        }
+
+        let mut record = job(3);
+        record.tags = vec![Symbol::intern("in/a.ss")];
+        record.subgraphs = vec![SubgraphRun {
+            root: NodeId::new(9),
+            precise: sig(1),
+            normalized: sig(2),
+            root_kind: OpKind::HashGbAgg,
+            num_nodes: 11,
+            input_tags: vec![Symbol::intern("in/a.ss")],
+            props: Arc::new(PhysicalProps::single()),
+            has_user_code: true,
+            out_rows: 100,
+            out_bytes: 4_096,
+            exclusive_cpu: SimDuration::from_micros(10),
+            cumulative_cpu: SimDuration::from_micros(90),
+            finish_offset: SimDuration::from_micros(70),
+        }];
+        fuzz::<(u64, JobRecord)>("repo record", &(7u64, record).to_bytes(), &mut rng);
+        let put = (VIEW_PUT, view(sig(7), "seven")).to_bytes();
+        fuzz::<(u8, ViewFile)>("view publish", &put, &mut rng);
+        fuzz::<(u8, Sig128)>("view delete", &(VIEW_DELETE, sig(7)).to_bytes(), &mut rng);
+
+        // A snapshot of a catalog holding an annotation, a view with a
+        // descriptor and a build lock, plus a selection baseline.
+        let dir = tmp("fuzz-snapshot");
+        {
+            let cv = crate::CloudViews::builder(Arc::new(StorageManager::new()))
+                .incremental_analyzer(Default::default())
+                .durable(&dir)
+                .build();
+            cv.metadata.load_annotations_at(&[selected], SimTime(9));
+            let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Str)]);
+            let descriptor = SubsumeDescriptor {
+                kind: SubsumeKind::Filter,
+                child_precise: sig(8),
+                cols: 0b10,
+                keys: 0,
+                schema,
+                detail: SubsumeDetail::Filter {
+                    intervals: [(1, Interval::all())].into_iter().collect(),
+                },
+            };
+            let (at, expires) = (SimTime(10), SimTime(5_000));
+            let view = AvailableView {
+                precise: sig(7),
+                rows: 1,
+                bytes: 5,
+                props: PhysicalProps::single(),
+            };
+            let report = ReportRequest::new(view, sig(5), JobId::new(1), at, expires);
+            cv.metadata
+                .register(report.with_descriptor(Some(descriptor)));
+            let ttl = SimDuration::from_secs(60);
+            let propose = ProposeRequest::new(sig(11), JobId::new(2), ttl, SimTime(12));
+            cv.metadata.propose(&propose).unwrap();
+            let analyzer = cv.analyzer.as_ref().unwrap();
+            analyzer.set_prev_selected(vec![sig(5), sig(6)]);
+            assert!(cv.snapshot_now());
+        }
+        let (_, meta) = LogDir::open(&dir.join("meta")).unwrap();
+        let snapshot = meta.snapshot.expect("snapshot sealed");
+        fuzz::<crate::runtime::Snapshot>("snapshot", &snapshot, &mut rng);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Counts the bytes cannot back are refused, with at most 1,024
+        // elements reserved for them: 65,536 selected views after the
+        // event's pinned time, and 2^32 − 1 rows in a view's only partition
+        // (with one column, and with none — rows that take no bytes).
+        let mut hostile = vec![TAG_LOAD_ANNOTATIONS];
+        hostile.extend_from_slice(&SimTime(9).to_bytes());
+        hostile.extend_from_slice(&MAX_SEQ.to_le_bytes());
+        assert!(WalEvent::decode(&hostile).is_err());
+        for columns in [&[("s", DataType::Str)][..], &[]] {
+            let empty = ViewFile {
+                table: Arc::new(Table::single(Schema::from_pairs(columns), Vec::new())),
+                ..view(sig(7), "")
+            };
+            let mut hostile = (VIEW_PUT, empty).to_bytes();
+            let rows = hostile.len() - 4;
+            hostile[rows..].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(<(u8, ViewFile)>::from_bytes(&hostile).is_err());
+        }
     }
 }

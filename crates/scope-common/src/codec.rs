@@ -1,7 +1,7 @@
 //! Generic hand-rolled little-endian byte codec.
 //!
 //! This is the bottom layer shared by the wire protocol (`scope-net`), the
-//! typed encoders in `cloudviews::codec`, and the durable store
+//! per-type `Codec` layouts in `cloudviews::codec`, and the durable store
 //! (`scope-store`): an infallible append-only encoder plus a bounds-checked
 //! cursor decoder. No serde — the workspace's `serde` is a no-op shim, and
 //! both the front door and the write-ahead log need byte-for-byte stable

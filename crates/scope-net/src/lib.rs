@@ -12,8 +12,8 @@
 //! * [`proto`] — typed [`Request`]/[`Response`] enums for the five
 //!   endpoints (`lookup`, `propose`, `report`, `purge`, `stats`) plus the
 //!   [`ErrorFrame`] mapping the [`ScopeError`](scope_common::ScopeError)
-//!   taxonomy. Payloads are `cloudviews::codec` bytes — the same
-//!   bounds-checked encoders the durable log uses, over the exact
+//!   taxonomy. Payloads are `cloudviews::codec` layouts — the same
+//!   bounds-checked bytes the durable log stores, of the exact
 //!   `cloudviews::api` request structs the in-process facade takes;
 //! * [`server`] — a threaded TCP server (`std::net`): one acceptor, a
 //!   fixed worker pool, a *bounded* pending queue that sheds `Busy` instead

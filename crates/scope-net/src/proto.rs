@@ -1,8 +1,10 @@
 //! Typed request/response messages and their frame-level dispatch.
 //!
 //! The wire carries exactly the `cloudviews::api` request structs the
-//! in-process facade takes — encoding them here is the *only* serialization
-//! in the system, so a remote caller and a local caller cannot drift apart.
+//! in-process facade takes, and a frame's payload is the struct's
+//! `cloudviews::codec` layout — the bytes the durable log stores — so a
+//! remote caller and a local caller cannot drift apart. This module only
+//! maps frame types to payload types.
 //! Every request frame is answered by either its matching response frame or
 //! an [`ErrorFrame`] carrying the service's [`ScopeError`] taxonomy plus
 //! the three wire-level outcomes the in-process path never sees: `Busy`
@@ -10,13 +12,9 @@
 //! (undecodable frame).
 
 use cloudviews::api::{LookupRequest, ProposeRequest, ReportRequest};
-use cloudviews::codec::{
-    get_lock_outcome, get_lookup_request, get_lookup_response, get_propose_request,
-    get_purge_sweep, get_report_request, get_stats, put_lock_outcome, put_lookup_request,
-    put_lookup_response, put_propose_request, put_purge_sweep, put_report_request, put_stats,
-};
+use cloudviews::codec::{Codec, Dec};
 use cloudviews::metadata::{LockOutcome, LookupResponse, MetadataStats, PurgeSweep};
-use scope_common::codec::{Dec, Enc};
+use cloudviews::{codec_record, codec_tags};
 use scope_common::ScopeError;
 
 use crate::wire::{frame_type, WireError};
@@ -50,33 +48,22 @@ impl Request {
 
     /// Frame type tag plus encoded payload.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::new();
-        let ty = match self {
-            Request::Lookup(r) => {
-                put_lookup_request(&mut e, r);
-                frame_type::LOOKUP
-            }
-            Request::Propose(r) => {
-                put_propose_request(&mut e, r);
-                frame_type::PROPOSE
-            }
-            Request::Report(r) => {
-                put_report_request(&mut e, r);
-                frame_type::REPORT
-            }
-            Request::Purge => frame_type::PURGE,
-            Request::Stats => frame_type::STATS,
-        };
-        (ty, e.buf)
+        match self {
+            Request::Lookup(r) => (frame_type::LOOKUP, r.to_bytes()),
+            Request::Propose(r) => (frame_type::PROPOSE, r.to_bytes()),
+            Request::Report(r) => (frame_type::REPORT, r.to_bytes()),
+            Request::Purge => (frame_type::PURGE, Vec::new()),
+            Request::Stats => (frame_type::STATS, Vec::new()),
+        }
     }
 
     /// Decodes the payload of a request frame of type `ty`.
     pub fn decode(ty: u8, payload: &[u8]) -> Result<Request, WireError> {
         let mut d = Dec::new(payload);
         let req = match ty {
-            frame_type::LOOKUP => Request::Lookup(get_lookup_request(&mut d)?),
-            frame_type::PROPOSE => Request::Propose(get_propose_request(&mut d)?),
-            frame_type::REPORT => Request::Report(get_report_request(&mut d)?),
+            frame_type::LOOKUP => Request::Lookup(Codec::get(&mut d)?),
+            frame_type::PROPOSE => Request::Propose(Codec::get(&mut d)?),
+            frame_type::REPORT => Request::Report(Codec::get(&mut d)?),
             frame_type::PURGE => Request::Purge,
             frame_type::STATS => Request::Stats,
             other => return Err(WireError::BadFrameType(other)),
@@ -106,43 +93,26 @@ pub enum Response {
 impl Response {
     /// Frame type tag plus encoded payload.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::new();
-        let ty = match self {
-            Response::Lookup(r) => {
-                put_lookup_response(&mut e, r);
-                frame_type::LOOKUP_OK
-            }
-            Response::Propose(o) => {
-                put_lock_outcome(&mut e, *o);
-                frame_type::PROPOSE_OK
-            }
-            Response::Report => frame_type::REPORT_OK,
-            Response::Purge(p) => {
-                put_purge_sweep(&mut e, p);
-                frame_type::PURGE_OK
-            }
-            Response::Stats(s) => {
-                put_stats(&mut e, s);
-                frame_type::STATS_OK
-            }
-            Response::Error(err) => {
-                err.encode_into(&mut e);
-                frame_type::ERROR
-            }
-        };
-        (ty, e.buf)
+        match self {
+            Response::Lookup(r) => (frame_type::LOOKUP_OK, r.to_bytes()),
+            Response::Propose(o) => (frame_type::PROPOSE_OK, o.to_bytes()),
+            Response::Report => (frame_type::REPORT_OK, Vec::new()),
+            Response::Purge(p) => (frame_type::PURGE_OK, p.to_bytes()),
+            Response::Stats(s) => (frame_type::STATS_OK, s.to_bytes()),
+            Response::Error(err) => (frame_type::ERROR, err.to_bytes()),
+        }
     }
 
     /// Decodes the payload of a response frame of type `ty`.
     pub fn decode(ty: u8, payload: &[u8]) -> Result<Response, WireError> {
         let mut d = Dec::new(payload);
         let resp = match ty {
-            frame_type::LOOKUP_OK => Response::Lookup(get_lookup_response(&mut d)?),
-            frame_type::PROPOSE_OK => Response::Propose(get_lock_outcome(&mut d)?),
+            frame_type::LOOKUP_OK => Response::Lookup(Codec::get(&mut d)?),
+            frame_type::PROPOSE_OK => Response::Propose(Codec::get(&mut d)?),
             frame_type::REPORT_OK => Response::Report,
-            frame_type::PURGE_OK => Response::Purge(get_purge_sweep(&mut d)?),
-            frame_type::STATS_OK => Response::Stats(get_stats(&mut d)?),
-            frame_type::ERROR => Response::Error(ErrorFrame::decode_from(&mut d)?),
+            frame_type::PURGE_OK => Response::Purge(Codec::get(&mut d)?),
+            frame_type::STATS_OK => Response::Stats(Codec::get(&mut d)?),
+            frame_type::ERROR => Response::Error(Codec::get(&mut d)?),
             other => return Err(WireError::BadFrameType(other)),
         };
         d.finish()?;
@@ -182,42 +152,15 @@ pub enum ErrorKind {
     Malformed,
 }
 
+codec_tags! {
+    ErrorKind {
+        InvalidPlan = 0, Expression = 1, Optimizer = 2, Execution = 3, Storage = 4,
+        Metadata = 5, Workload = 6, ServiceUnavailable = 7, ViewUnavailable = 8, Busy = 9,
+        OverQuota = 10, Malformed = 11,
+    }
+}
+
 impl ErrorKind {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorKind::InvalidPlan => 0,
-            ErrorKind::Expression => 1,
-            ErrorKind::Optimizer => 2,
-            ErrorKind::Execution => 3,
-            ErrorKind::Storage => 4,
-            ErrorKind::Metadata => 5,
-            ErrorKind::Workload => 6,
-            ErrorKind::ServiceUnavailable => 7,
-            ErrorKind::ViewUnavailable => 8,
-            ErrorKind::Busy => 9,
-            ErrorKind::OverQuota => 10,
-            ErrorKind::Malformed => 11,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<ErrorKind> {
-        Some(match t {
-            0 => ErrorKind::InvalidPlan,
-            1 => ErrorKind::Expression,
-            2 => ErrorKind::Optimizer,
-            3 => ErrorKind::Execution,
-            4 => ErrorKind::Storage,
-            5 => ErrorKind::Metadata,
-            6 => ErrorKind::Workload,
-            7 => ErrorKind::ServiceUnavailable,
-            8 => ErrorKind::ViewUnavailable,
-            9 => ErrorKind::Busy,
-            10 => ErrorKind::OverQuota,
-            11 => ErrorKind::Malformed,
-            _ => return None,
-        })
-    }
-
     /// True for failures a client should absorb by retrying with backoff
     /// (mirrors [`ScopeError::is_degradable`], plus `Busy`).
     pub fn is_transient(self) -> bool {
@@ -237,6 +180,8 @@ pub struct ErrorFrame {
     pub message: String,
 }
 
+codec_record! { ErrorFrame { kind, message } }
+
 impl ErrorFrame {
     /// Builds an error frame.
     pub fn new(kind: ErrorKind, message: impl Into<String>) -> ErrorFrame {
@@ -244,19 +189,6 @@ impl ErrorFrame {
             kind,
             message: message.into(),
         }
-    }
-
-    fn encode_into(&self, e: &mut Enc) {
-        e.put_u8(self.kind.tag());
-        e.put_str(&self.message);
-    }
-
-    fn decode_from(d: &mut Dec) -> Result<ErrorFrame, WireError> {
-        let tag = d.u8()?;
-        let kind = ErrorKind::from_tag(tag)
-            .ok_or_else(|| WireError::Malformed(format!("error kind tag {tag}")))?;
-        let message = d.str()?;
-        Ok(ErrorFrame { kind, message })
     }
 
     /// Maps a service-side [`ScopeError`] onto the wire taxonomy.
