@@ -20,14 +20,7 @@ pub fn compile_only_record(spec: &JobSpec, submitted_at: SimTime) -> Result<JobR
     let subgraphs = infos
         .into_iter()
         .map(|info| SubgraphRun {
-            root: info.root,
-            precise: info.precise,
-            normalized: info.normalized,
-            root_kind: info.root_kind,
-            num_nodes: info.num_nodes,
-            input_tags: info.input_tags,
-            props: info.props,
-            has_user_code: info.has_user_code,
+            info,
             out_rows: 0,
             out_bytes: 0,
             exclusive_cpu: SimDuration::ZERO,

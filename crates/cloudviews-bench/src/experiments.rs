@@ -116,7 +116,7 @@ pub fn fig2b(seed: u64, vcs: usize) -> Result<String> {
     for r in &records {
         let vc = per_vc.entry(r.vc.raw()).or_default();
         for s in &r.subgraphs {
-            *vc.entry(s.precise).or_default() += 1;
+            *vc.entry(s.info.precise).or_default() += 1;
         }
     }
     let mut avgs: Vec<f64> = per_vc
@@ -618,10 +618,10 @@ pub fn ablation_feedback(row_scale: f64) -> Result<String> {
                 None
             });
             for s in &mut r.subgraphs {
-                let cpu = est.subgraph_cpu_us(&graph, s.root);
+                let cpu = est.subgraph_cpu_us(&graph, s.info.root);
                 s.cumulative_cpu = SimDuration::from_micros(cpu as u64);
-                s.out_rows = est.rows[s.root.index()] as u64;
-                s.out_bytes = (est.rows[s.root.index()] * CostEstimator::ROW_BYTES) as u64;
+                s.out_rows = est.rows[s.info.root.index()] as u64;
+                s.out_bytes = (est.rows[s.info.root.index()] * CostEstimator::ROW_BYTES) as u64;
             }
             let total: f64 = est.total_cpu_us();
             r.cpu_time = SimDuration::from_micros(total as u64);

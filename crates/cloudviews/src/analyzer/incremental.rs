@@ -60,33 +60,13 @@ use super::{
 use crate::codec::{Codec, Enc};
 use crate::codec_record;
 
-/// The buffered first occurrence of a precise signature — everything needed
-/// to fold it retroactively once the signature proves overlapping.
-struct FirstOcc {
-    seq: u64,
-    record_seq: u64,
-    job: JobId,
-    user: UserId,
-    vc: VcId,
-    template: TemplateId,
-    job_cpu: SimDuration,
-    precise: Sig128,
-    normalized: Sig128,
-    root_kind: OpKind,
-    num_nodes: usize,
-    has_user_code: bool,
-    input_tags: Vec<Symbol>,
-    props: Arc<PhysicalProps>,
-    cum_cpu: SimDuration,
-    out_rows: u64,
-    out_bytes: u64,
-}
-
 /// Per-precise-signature accumulator: a count plus the buffered first
-/// occurrence (present only while the count is exactly 1).
+/// occurrence as `(seq, record_seq, run)` — everything needed to fold it
+/// retroactively once the signature proves overlapping (present only while
+/// the count is exactly 1).
 struct PreciseAcc {
     count: u64,
-    first: Option<Box<FirstOcc>>,
+    first: Option<Box<(u64, u64, SubgraphRun)>>,
 }
 
 struct PropsVote {
@@ -149,24 +129,21 @@ impl NormAcc {
     }
 }
 
-/// Per-admitted-record metadata kept for the metrics and coordination
-/// passes (the record itself is never re-read).
+/// Per-admitted-record metadata kept for the fold, the metrics and the
+/// coordination passes (the record itself is never re-read).
 struct JobMeta {
     job: JobId,
     user: UserId,
     vc: VcId,
     template: TemplateId,
     latency: SimDuration,
+    cpu_time: SimDuration,
 }
 
 // Fingerprint layouts (never decoded, but stated once like every other).
 codec_record! {
-    FirstOcc {
-        seq, record_seq, job, user, vc, template, job_cpu, precise, normalized, root_kind,
-        num_nodes, has_user_code, input_tags, props, cum_cpu, out_rows, out_bytes,
-    }
     PreciseAcc { count, first }
-    JobMeta { job, user, vc, template, latency }
+    JobMeta { job, user, vc, template, latency, cpu_time }
 }
 
 /// Everything behind the state's one lock.
@@ -199,97 +176,6 @@ pub struct IngestReport {
     pub filter_wall: Duration,
     /// Wall time of the fold phase.
     pub fold_wall: Duration,
-}
-
-/// One occurrence as seen by the fold, borrowing from the record where
-/// possible (only the buffered first occurrence per precise signature pays
-/// an owned copy).
-struct OccView<'a> {
-    seq: u64,
-    record_seq: u64,
-    job: JobId,
-    user: UserId,
-    vc: VcId,
-    template: TemplateId,
-    job_cpu: SimDuration,
-    precise: Sig128,
-    normalized: Sig128,
-    root_kind: OpKind,
-    num_nodes: usize,
-    has_user_code: bool,
-    input_tags: &'a [Symbol],
-    props: &'a Arc<PhysicalProps>,
-    cum_cpu: SimDuration,
-    out_rows: u64,
-    out_bytes: u64,
-}
-
-impl<'a> OccView<'a> {
-    fn from_sub(meta: &RecordCtx<'_>, seq: u64, sub: &'a SubgraphRun) -> OccView<'a> {
-        OccView {
-            seq,
-            record_seq: meta.record_seq,
-            job: meta.record.job,
-            user: meta.record.user,
-            vc: meta.record.vc,
-            template: meta.record.template,
-            job_cpu: meta.record.cpu_time,
-            precise: sub.precise,
-            normalized: sub.normalized,
-            root_kind: sub.root_kind,
-            num_nodes: sub.num_nodes,
-            has_user_code: sub.has_user_code,
-            input_tags: &sub.input_tags,
-            props: &sub.props,
-            cum_cpu: sub.cumulative_cpu,
-            out_rows: sub.out_rows,
-            out_bytes: sub.out_bytes,
-        }
-    }
-
-    fn from_first(first: &'a FirstOcc) -> OccView<'a> {
-        OccView {
-            seq: first.seq,
-            record_seq: first.record_seq,
-            job: first.job,
-            user: first.user,
-            vc: first.vc,
-            template: first.template,
-            job_cpu: first.job_cpu,
-            precise: first.precise,
-            normalized: first.normalized,
-            root_kind: first.root_kind,
-            num_nodes: first.num_nodes,
-            has_user_code: first.has_user_code,
-            input_tags: &first.input_tags,
-            props: &first.props,
-            cum_cpu: first.cum_cpu,
-            out_rows: first.out_rows,
-            out_bytes: first.out_bytes,
-        }
-    }
-
-    fn to_first(&self) -> FirstOcc {
-        FirstOcc {
-            seq: self.seq,
-            record_seq: self.record_seq,
-            job: self.job,
-            user: self.user,
-            vc: self.vc,
-            template: self.template,
-            job_cpu: self.job_cpu,
-            precise: self.precise,
-            normalized: self.normalized,
-            root_kind: self.root_kind,
-            num_nodes: self.num_nodes,
-            has_user_code: self.has_user_code,
-            input_tags: self.input_tags.to_vec(),
-            props: Arc::clone(self.props),
-            cum_cpu: self.cum_cpu,
-            out_rows: self.out_rows,
-            out_bytes: self.out_bytes,
-        }
-    }
 }
 
 /// An admitted record with the sequence numbers the admit pass gave it.
@@ -466,6 +352,7 @@ impl AnalyzerState {
                 vc: r.vc,
                 template: r.template,
                 latency: r.latency,
+                cpu_time: r.cpu_time,
             });
             agg.rec_overlaps.push(0);
             // Lineage observations: earliest submission per (template,
@@ -496,8 +383,8 @@ impl AnalyzerState {
 
         let t_fold = std::time::Instant::now();
         for ctx in &work {
-            for (i, sub) in ctx.record.subgraphs.iter().enumerate() {
-                agg.fold_occurrence(OccView::from_sub(ctx, ctx.base_seq + i as u64, sub));
+            for (i, run) in ctx.record.subgraphs.iter().enumerate() {
+                agg.fold_occurrence(ctx.base_seq + i as u64, ctx.record_seq, run);
             }
         }
         let fold_wall = t_fold.elapsed();
@@ -584,63 +471,70 @@ impl Aggregates {
     /// One occurrence through the transition-flush accumulator: buffer at
     /// count 1, flush the buffered first plus this one at count 2, fold
     /// directly afterwards.
-    fn fold_occurrence(&mut self, occ: OccView<'_>) {
-        let acc = self.precise.entry(occ.precise).or_insert(PreciseAcc {
+    fn fold_occurrence(&mut self, seq: u64, record_seq: u64, run: &SubgraphRun) {
+        let acc = self.precise.entry(run.info.precise).or_insert(PreciseAcc {
             count: 0,
             first: None,
         });
         acc.count += 1;
         if acc.count == 1 {
-            acc.first = Some(Box::new(occ.to_first()));
+            acc.first = Some(Box::new((seq, record_seq, run.clone())));
             return;
         }
         if let Some(first) = acc.first.take() {
             // This occurrence just proved the signature overlapping: the
             // buffered first occurrence enters the aggregates retroactively
             // and carries the new-instance increment.
-            self.fold_norm(OccView::from_first(&first), true);
+            let (first_seq, first_record_seq, first_run) = *first;
+            self.fold_norm(first_seq, first_record_seq, &first_run, true);
         }
-        self.fold_norm(occ, false);
+        self.fold_norm(seq, record_seq, run, false);
     }
 
-    /// Applies one overlapping occurrence to its normalized accumulator.
-    /// Every update commutes; see the module docs for the merge rules.
-    fn fold_norm(&mut self, occ: OccView<'_>, new_instance: bool) {
-        self.rec_overlaps[occ.record_seq as usize] += 1;
-        let acc = self.norm.entry(occ.normalized).or_insert_with(NormAcc::new);
+    /// Applies one overlapping occurrence to its normalized accumulator;
+    /// job context comes from the occurrence's record meta. Every update
+    /// commutes; see the module docs for the merge rules.
+    fn fold_norm(&mut self, seq: u64, record_seq: u64, run: &SubgraphRun, new_instance: bool) {
+        let meta = &self.metas[record_seq as usize];
+        let info = &run.info;
+        self.rec_overlaps[record_seq as usize] += 1;
+        let acc = self
+            .norm
+            .entry(info.normalized)
+            .or_insert_with(NormAcc::new);
         acc.occurrences += 1;
         if new_instance {
             acc.instances += 1;
         }
-        if occ.seq < acc.first_seq {
-            acc.first_seq = occ.seq;
-            acc.root_kind = occ.root_kind;
-            acc.num_nodes = occ.num_nodes;
-            acc.has_user_code = occ.has_user_code;
-            acc.input_tags = occ.input_tags.to_vec();
+        if seq < acc.first_seq {
+            acc.first_seq = seq;
+            acc.root_kind = info.root_kind;
+            acc.num_nodes = info.num_nodes;
+            acc.has_user_code = info.has_user_code;
+            acc.input_tags = info.input_tags.clone();
         }
-        if acc.occurrences == 1 || occ.seq > acc.last_seq {
-            acc.last_seq = occ.seq;
-            acc.sample_precise = occ.precise;
+        if acc.occurrences == 1 || seq > acc.last_seq {
+            acc.last_seq = seq;
+            acc.sample_precise = info.precise;
         }
-        acc.jobs.insert(occ.job);
-        acc.users.insert(occ.user);
-        acc.vcs.insert(occ.vc);
-        acc.templates.insert(occ.template);
-        acc.cum_cpu_sum += occ.cum_cpu.micros() as u128;
-        acc.rows_sum += occ.out_rows as u128;
-        acc.bytes_sum += occ.out_bytes as u128;
-        acc.job_cpu_sum += occ.job_cpu.micros() as u128;
+        acc.jobs.insert(meta.job);
+        acc.users.insert(meta.user);
+        acc.vcs.insert(meta.vc);
+        acc.templates.insert(meta.template);
+        acc.cum_cpu_sum += run.cumulative_cpu.micros() as u128;
+        acc.rows_sum += run.out_rows as u128;
+        acc.bytes_sum += run.out_bytes as u128;
+        acc.job_cpu_sum += meta.cpu_time.micros() as u128;
         let vote = acc
             .props_votes
-            .entry(Arc::clone(occ.props))
+            .entry(Arc::clone(&info.props))
             .or_insert(PropsVote {
                 count: 0,
-                first_seq: occ.seq,
+                first_seq: seq,
             });
         vote.count += 1;
-        if occ.seq < vote.first_seq {
-            vote.first_seq = occ.seq;
+        if seq < vote.first_seq {
+            vote.first_seq = seq;
         }
     }
 

@@ -8,10 +8,6 @@
 //! 2. **packing** — pick the best set under a storage budget (the
 //!    companion "subexpression packing" work \[24\]): greedy by density plus
 //!    a swap-based local-search improvement pass.
-//!
-//! A `MinUtility` policy inverts the objective for the admin space-
-//! reclamation flow of Section 5.4 ("replacing the max objective function
-//! with a min").
 
 use scope_common::ids::JobId;
 use scope_common::time::SimDuration;
@@ -36,11 +32,6 @@ pub enum SelectionPolicy {
     Packing {
         /// Total bytes the selected views may occupy.
         storage_budget_bytes: u64,
-    },
-    /// k *least* useful views — the eviction objective of Section 5.4.
-    MinUtility {
-        /// Number of views to pick for removal.
-        k: usize,
     },
 }
 
@@ -130,7 +121,7 @@ impl SelectionConstraints {
 
 /// Runs the selection policy over mined groups, returning the chosen groups
 /// (cloned) ranked by the policy's objective. `Packing` is the one policy
-/// with a storage budget; `MinUtility` ranks for eviction.
+/// with a storage budget.
 pub fn select_budgeted(
     groups: &[OverlapGroup],
     policy: &SelectionPolicy,
@@ -151,10 +142,6 @@ pub fn select_budgeted(
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             take_with_job_cap(&candidates, *k, constraints.per_job_cap)
-        }
-        SelectionPolicy::MinUtility { k } => {
-            candidates.sort_by_key(|a| a.utility());
-            candidates.into_iter().take(*k).collect()
         }
         SelectionPolicy::Packing {
             storage_budget_bytes,
@@ -468,20 +455,6 @@ mod tests {
         // Local search should end with the fat one (utility 40 > 4).
         let total_utility: u64 = sel.iter().map(|g| g.utility().micros()).sum();
         assert!(total_utility >= SimDuration::from_secs(40).micros());
-    }
-
-    #[test]
-    fn min_utility_for_eviction() {
-        let groups = vec![
-            group("keep", 5, 10, 100, &[1], OpKind::Sort),
-            group("evict", 2, 1, 100, &[2], OpKind::Sort),
-        ];
-        let sel = select_budgeted(
-            &groups,
-            &SelectionPolicy::MinUtility { k: 1 },
-            &SelectionConstraints::default(),
-        );
-        assert_eq!(sel[0].normalized, sip128(b"evict"));
     }
 
     #[test]

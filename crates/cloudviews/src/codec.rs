@@ -57,7 +57,7 @@ use scope_plan::{
     Column, DataType, Expr, NamedExpr, OpKind, Partitioning, PhysicalProps, Schema, SortDir,
     SortKey, SortOrder, Value,
 };
-use scope_signature::{SubsumeDescriptor, SubsumeDetail, SubsumeKind};
+use scope_signature::{SubgraphInfo, SubsumeDescriptor, SubsumeDetail, SubsumeKind};
 
 use crate::analyzer::SelectedView;
 use crate::api::{LookupRequest, ProposeRequest, ReportRequest};
@@ -258,15 +258,20 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn put(&self, e: &mut Enc) {
-        self.0.put(e);
-        self.1.put(e);
-    }
-    fn get(d: &mut Dec) -> Result<Self> {
-        Ok((A::get(d)?, B::get(d)?))
-    }
+macro_rules! tuples {
+    ($(($($t:ident . $i:tt),+))+) => {$(
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            fn put(&self, e: &mut Enc) {
+                $(self.$i.put(e);)+
+            }
+            fn get(d: &mut Dec) -> Result<Self> {
+                Ok(($($t::get(d)?,)+))
+            }
+        }
+    )+};
 }
+
+tuples! { (A.0, B.1) (A.0, B.1, C.2) }
 
 impl<T: Codec> Codec for Box<T> {
     fn put(&self, e: &mut Enc) {
@@ -337,10 +342,10 @@ codec_record! {
         views_registered, expired_takeovers, failed_lookups, failed_proposals, failed_reports,
         purged_annotations, tier2_hits, tier2_rejects,
     }
-    SubgraphRun {
+    SubgraphInfo {
         root, precise, normalized, root_kind, num_nodes, input_tags, props, has_user_code,
-        out_rows, out_bytes, exclusive_cpu, cumulative_cpu, finish_offset,
     }
+    SubgraphRun { info, out_rows, out_bytes, exclusive_cpu, cumulative_cpu, finish_offset }
     JobRecord {
         job, cluster, vc, user, template, instance, submitted_at, latency, cpu_time, tags,
         subgraphs,
@@ -627,14 +632,16 @@ mod tests {
             cpu_time: SimDuration::from_micros(3000),
             tags: vec![Symbol::intern("in1"), Symbol::intern("in2")],
             subgraphs: vec![SubgraphRun {
-                root: NodeId::new(9),
-                precise: Sig128::new(1, 2),
-                normalized: Sig128::new(3, 4),
-                root_kind: OpKind::HashGbAgg,
-                num_nodes: 11,
-                input_tags: vec![Symbol::intern("in1")],
-                props: Arc::new(PhysicalProps::single()),
-                has_user_code: false,
+                info: SubgraphInfo {
+                    root: NodeId::new(9),
+                    precise: Sig128::new(1, 2),
+                    normalized: Sig128::new(3, 4),
+                    root_kind: OpKind::HashGbAgg,
+                    num_nodes: 11,
+                    input_tags: vec![Symbol::intern("in1")],
+                    props: Arc::new(PhysicalProps::single()),
+                    has_user_code: false,
+                },
                 out_rows: 100,
                 out_bytes: 4096,
                 exclusive_cpu: SimDuration::from_micros(10),
@@ -645,7 +652,7 @@ mod tests {
         let back = round_trip(&rec);
         assert_eq!(back.job, rec.job);
         assert_eq!(back.subgraphs.len(), 1);
-        assert_eq!(back.subgraphs[0].root_kind, OpKind::HashGbAgg);
+        assert_eq!(back.subgraphs[0].info.root_kind, OpKind::HashGbAgg);
         assert_eq!(
             back.subgraphs[0].cumulative_cpu,
             rec.subgraphs[0].cumulative_cpu

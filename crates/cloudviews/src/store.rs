@@ -426,7 +426,7 @@ mod tests {
     use scope_engine::storage::{StorageManager, ViewMeta};
     use scope_plan::interval::Interval;
     use scope_plan::{DataType, OpKind, PhysicalProps, Schema, Value};
-    use scope_signature::{SubsumeDescriptor, SubsumeDetail, SubsumeKind};
+    use scope_signature::{SubgraphInfo, SubsumeDescriptor, SubsumeDetail, SubsumeKind};
     use std::path::PathBuf;
 
     fn sig(n: u64) -> Sig128 {
@@ -709,14 +709,16 @@ mod tests {
         let mut record = job(3);
         record.tags = vec![Symbol::intern("in/a.ss")];
         record.subgraphs = vec![SubgraphRun {
-            root: NodeId::new(9),
-            precise: sig(1),
-            normalized: sig(2),
-            root_kind: OpKind::HashGbAgg,
-            num_nodes: 11,
-            input_tags: vec![Symbol::intern("in/a.ss")],
-            props: Arc::new(PhysicalProps::single()),
-            has_user_code: true,
+            info: SubgraphInfo {
+                root: NodeId::new(9),
+                precise: sig(1),
+                normalized: sig(2),
+                root_kind: OpKind::HashGbAgg,
+                num_nodes: 11,
+                input_tags: vec![Symbol::intern("in/a.ss")],
+                props: Arc::new(PhysicalProps::single()),
+                has_user_code: true,
+            },
             out_rows: 100,
             out_bytes: 4_096,
             exclusive_cpu: SimDuration::from_micros(10),

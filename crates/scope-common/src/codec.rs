@@ -1,13 +1,14 @@
 //! Generic hand-rolled little-endian byte codec.
 //!
-//! This is the bottom layer shared by the wire protocol (`scope-net`), the
-//! per-type `Codec` layouts in `cloudviews::codec`, and the durable store
-//! (`scope-store`): an infallible append-only encoder plus a bounds-checked
-//! cursor decoder. No serde — the workspace's `serde` is a no-op shim, and
-//! both the front door and the write-ahead log need byte-for-byte stable
-//! encodings (the loopback acceptance test compares in-process and
-//! over-the-wire responses by their encoded bytes; recovery compares state
-//! fingerprints over canonical encodings).
+//! This is the bottom layer shared by the wire protocol (`scope-net`) and
+//! the per-type `Codec` layouts in `cloudviews::codec`, which also produce
+//! the opaque `&[u8]` payloads the durable store (`scope-store`) frames: an
+//! infallible append-only encoder plus a bounds-checked cursor decoder. No
+//! serde — the workspace's `serde` is a no-op shim, and both the front door
+//! and the write-ahead log need byte-for-byte stable encodings (the loopback
+//! acceptance test compares in-process and over-the-wire responses by their
+//! encoded bytes; recovery compares state fingerprints over canonical
+//! encodings).
 //!
 //! Conventions:
 //!

@@ -24,9 +24,10 @@
 //! Three invariants carry the whole CloudViews reproduction:
 //!
 //! * **Logical equivalence with the seed row layout.** A batch is exactly a
-//!   run of rows; [`Cell`] mirrors [`Value`] ordering, hashing, and byte
-//!   accounting bit for bit, so checksums, hash partitioning, sort orders,
-//!   and `NodeRuntimeStats.out_bytes` are unchanged by the columnar move.
+//!   run of rows, and its cells are [`Cell`]s, the one definition of a
+//!   [`Value`]'s ordering, hashing, and byte accounting, so checksums, hash
+//!   partitioning, sort orders, and `NodeRuntimeStats.out_bytes` are
+//!   unchanged by the columnar move.
 //! * **Immutability.** Batches are never mutated after construction, which
 //!   is why the per-batch byte size and row-hash sum need no invalidation
 //!   and why `gather`/clone/`UnionAll` are `Arc` pointer copies. Forcing a
@@ -40,142 +41,13 @@ use std::sync::{Arc, OnceLock};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
 use scope_common::{Result, ScopeError};
-use scope_plan::types::int_float_cmp;
-use scope_plan::{DataType, Partitioning, PhysicalProps, Schema, SortOrder, Value};
+use scope_plan::{Cell, DataType, Partitioning, PhysicalProps, Schema, SortOrder, Value};
 
 /// One row of values (the bridge representation).
 pub type Row = Vec<Value>;
 
 /// Null mask: `mask[i]` is true when row `i` of the column is NULL.
 pub type NullMask = Vec<bool>;
-
-// ---------------------------------------------------------------------------
-// Cell: a borrowed scalar
-// ---------------------------------------------------------------------------
-
-/// A borrowed view of one cell, mirroring [`Value`] without owning strings.
-///
-/// Every comparison/hash/size method here must agree exactly with the
-/// corresponding [`Value`] method — the byte-identity of runtime statistics
-/// and checksums across the columnar refactor rests on it.
-#[derive(Clone, Copy, Debug)]
-pub enum Cell<'a> {
-    /// SQL NULL.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// 64-bit integer.
-    Int(i64),
-    /// 64-bit float.
-    Float(f64),
-    /// UTF-8 string.
-    Str(&'a str),
-    /// Days since epoch.
-    Date(i32),
-}
-
-impl<'a> Cell<'a> {
-    /// Borrows a [`Value`] as a cell.
-    pub fn of(v: &'a Value) -> Cell<'a> {
-        match v {
-            Value::Null => Cell::Null,
-            Value::Bool(b) => Cell::Bool(*b),
-            Value::Int(i) => Cell::Int(*i),
-            Value::Float(f) => Cell::Float(*f),
-            Value::Str(s) => Cell::Str(s),
-            Value::Date(d) => Cell::Date(*d),
-        }
-    }
-
-    /// Owned value.
-    pub fn to_value(self) -> Value {
-        match self {
-            Cell::Null => Value::Null,
-            Cell::Bool(b) => Value::Bool(b),
-            Cell::Int(i) => Value::Int(i),
-            Cell::Float(f) => Value::Float(f),
-            Cell::Str(s) => Value::Str(s.to_string()),
-            Cell::Date(d) => Value::Date(d),
-        }
-    }
-
-    /// True when NULL.
-    pub fn is_null(self) -> bool {
-        matches!(self, Cell::Null)
-    }
-
-    /// Byte accounting identical to [`Value::byte_size`].
-    pub fn byte_size(self) -> usize {
-        match self {
-            Cell::Null => 1,
-            Cell::Bool(_) => 1,
-            Cell::Int(_) | Cell::Float(_) => 8,
-            Cell::Date(_) => 4,
-            Cell::Str(s) => 8 + s.len(),
-        }
-    }
-
-    /// Integer coercion identical to [`Value::as_i64`].
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Cell::Int(i) => Some(i),
-            Cell::Date(d) => Some(d as i64),
-            Cell::Bool(b) => Some(b as i64),
-            _ => None,
-        }
-    }
-
-    /// Numeric coercion identical to [`Value::as_f64`].
-    pub fn as_f64(self) -> Option<f64> {
-        match self {
-            Cell::Int(i) => Some(i as f64),
-            Cell::Float(f) => Some(f),
-            Cell::Date(d) => Some(d as f64),
-            Cell::Bool(b) => Some(b as i64 as f64),
-            _ => None,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            Cell::Null => 0,
-            Cell::Bool(_) => 1,
-            Cell::Int(_) => 2,
-            Cell::Float(_) => 3,
-            Cell::Str(_) => 4,
-            Cell::Date(_) => 5,
-        }
-    }
-
-    /// Stable hash identical to [`Value::stable_hash_into`].
-    pub fn stable_hash_into(self, h: &mut SipHasher24) {
-        h.write_u8(self.tag());
-        match self {
-            Cell::Null => {}
-            Cell::Bool(b) => h.write_u8(b as u8),
-            Cell::Int(i) => h.write_u64(i as u64),
-            Cell::Float(f) => h.write_u64(f.to_bits()),
-            Cell::Str(s) => h.write_str(s),
-            Cell::Date(d) => h.write_u32(d as u32),
-        }
-    }
-
-    /// Total order identical to [`Value`]'s `Ord`.
-    pub fn cmp_cell(self, other: Cell<'_>) -> Ordering {
-        use Cell::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(&b),
-            (Int(a), Int(b)) => a.cmp(&b),
-            (Float(a), Float(b)) => a.total_cmp(&b),
-            (Int(a), Float(b)) => int_float_cmp(a, b),
-            (Float(a), Int(b)) => int_float_cmp(b, a).reverse(),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(&b),
-            (a, b) => a.tag().cmp(&b.tag()),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // ColumnVector

@@ -48,13 +48,13 @@ use scope_common::{Result, ScopeError};
 use scope_plan::expr::AggFunc;
 use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
-    AggExpr, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph, Schema,
-    SortKey, SortOrder, Udo, UdoKind, Value,
+    AggExpr, Cell, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph,
+    Schema, SortKey, SortOrder, Udo, UdoKind, Value,
 };
 
 use crate::cost::CostModel;
 use crate::data::{
-    cells_gathered, compare_batch_rows, compare_batch_rows_full, Cell, ColumnVector, NullMask,
+    cells_gathered, compare_batch_rows, compare_batch_rows_full, ColumnVector, NullMask,
     RecordBatch, Rows, StrVec, Table,
 };
 use crate::storage::StorageManager;

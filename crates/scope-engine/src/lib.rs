@@ -42,7 +42,7 @@ pub mod storage;
 mod vexpr;
 
 pub use cost::{CostEstimator, CostModel};
-pub use data::{multiset_checksum, Cell, ColumnVector, RecordBatch, Row, Table};
+pub use data::{multiset_checksum, ColumnVector, RecordBatch, Row, Table};
 pub use exec::{execute_plan, ExecOutcome, NodeRuntimeStats};
 pub use job::{run_job_baseline, JobOutcome, JobSpec};
 pub use optimizer::{

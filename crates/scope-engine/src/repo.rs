@@ -12,12 +12,11 @@
 //! ever touches optimizer *estimates* — that is the point.
 
 use parking_lot::Mutex;
-use scope_common::hash::Sig128;
-use scope_common::ids::{ClusterId, JobId, NodeId, TemplateId, UserId, VcId};
+use scope_common::ids::{ClusterId, JobId, TemplateId, UserId, VcId};
 use scope_common::intern::Symbol;
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::Result;
-use scope_plan::{OpKind, PhysicalProps, QueryGraph};
+use scope_plan::QueryGraph;
 use scope_signature::{enumerate_subgraphs, job_tags, SubgraphInfo};
 
 use std::sync::Arc;
@@ -30,23 +29,9 @@ use crate::sim::SimOutcome;
 /// mines.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct SubgraphRun {
-    /// Root node in the job's *logical* plan.
-    pub root: NodeId,
-    /// Precise signature.
-    pub precise: Sig128,
-    /// Normalized signature.
-    pub normalized: Sig128,
-    /// Root operator kind (Figure 4a).
-    pub root_kind: OpKind,
-    /// Subgraph size in nodes.
-    pub num_nodes: usize,
-    /// Normalized input stream names feeding the subgraph (interned).
-    pub input_tags: Vec<Symbol>,
-    /// Output physical properties observed at the root (Section 5.3),
-    /// shared with the enumeration's property pool.
-    pub props: Arc<PhysicalProps>,
-    /// Whether user code runs anywhere inside.
-    pub has_user_code: bool,
+    /// The compiled subgraph this run measured: root, both signatures and
+    /// the structural features, exactly as enumeration produced them.
+    pub info: SubgraphInfo,
     /// Output rows observed.
     pub out_rows: u64,
     /// Output bytes observed.
@@ -182,14 +167,7 @@ impl WorkloadRepository {
             };
             let stats = exec.node_stats[phys.index()];
             subgraphs.push(SubgraphRun {
-                root: info.root,
-                precise: info.precise,
-                normalized: info.normalized,
-                root_kind: info.root_kind,
-                num_nodes: info.num_nodes,
-                input_tags: info.input_tags.clone(),
-                props: Arc::clone(&info.props),
-                has_user_code: info.has_user_code,
+                info: info.clone(),
                 out_rows: stats.out_rows,
                 out_bytes: stats.out_bytes,
                 exclusive_cpu: stats.exclusive_cpu,
@@ -261,7 +239,7 @@ mod tests {
     use crate::optimizer::{optimize, NoViewServices, OptimizerConfig};
     use crate::sim::{simulate, ClusterConfig};
     use crate::storage::StorageManager;
-    use scope_common::ids::DatasetId;
+    use scope_common::ids::{DatasetId, NodeId};
     use scope_plan::expr::AggFunc;
     use scope_plan::{AggExpr, DataType, Expr, PlanBuilder, Schema, Value};
 
@@ -318,7 +296,7 @@ mod tests {
         let root_run = rec
             .subgraphs
             .iter()
-            .find(|s| s.root == g.roots()[0])
+            .find(|s| s.info.root == g.roots()[0])
             .unwrap();
         // Root cumulative equals total physical CPU (all nodes reachable).
         assert_eq!(root_run.cumulative_cpu, exec.total_cpu());
@@ -327,7 +305,7 @@ mod tests {
         let agg_run = rec
             .subgraphs
             .iter()
-            .find(|s| s.root == NodeId::new(2))
+            .find(|s| s.info.root == NodeId::new(2))
             .unwrap();
         assert_eq!(agg_run.out_rows, 10);
         assert!(rec.tags.contains(&Symbol::intern("in/<date>/t.ss")));

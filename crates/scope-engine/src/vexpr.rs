@@ -5,7 +5,7 @@
 //! comparisons, integer arithmetic, boolean three-valued logic — run as
 //! tight loops over the typed vectors; everything else falls through to a
 //! generic per-element loop that calls the scalar kernels
-//! ([`scope_plan::eval_binary`] / [`scope_plan::eval_func`]) so the scalar
+//! ([`eval_unary`] / [`eval_binary`] / [`eval_func`]) so the scalar
 //! semantics are shared with [`Expr::eval`], not reimplemented.
 //!
 //! # Equivalence contract
@@ -26,9 +26,12 @@
 //! Either way, callers observe byte-identical results to the seed executor.
 
 use scope_common::{Result, ScopeError};
-use scope_plan::{eval_binary, eval_func, BinOp, Expr, NamedExpr, UnaryOp, Value};
+use scope_plan::types::int_float_cmp;
+use scope_plan::{
+    eval_binary, eval_func, eval_unary, BinOp, Cell, Expr, NamedExpr, UnaryOp, Value,
+};
 
-use crate::data::{Cell, Column, ColumnVector, NullMask, RecordBatch};
+use crate::data::{Column, ColumnVector, NullMask, RecordBatch};
 
 /// An evaluated expression over one batch: a column, or one constant that
 /// stands for every row (literals and recurring parameters stay scalar).
@@ -198,7 +201,7 @@ fn eval_ev(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
 
 fn eval_unary_ev(op: UnaryOp, child: Ev, rows: usize) -> Result<Ev> {
     match child {
-        Ev::Const(v) => Ok(Ev::Const(unary_scalar(op, v)?)),
+        Ev::Const(v) => Ok(Ev::Const(eval_unary(op, v)?)),
         Ev::Col(col) => {
             // Typed fast paths.
             match (op, col.dense().as_ref()) {
@@ -228,30 +231,11 @@ fn eval_unary_ev(op: UnaryOp, child: Ev, rows: usize) -> Result<Ev> {
             }
             let mut out = Vec::with_capacity(rows);
             for i in 0..rows {
-                out.push(unary_scalar(op, col.dense().value(i))?);
+                out.push(eval_unary(op, col.dense().value(i))?);
             }
             Ok(Ev::cells(ColumnVector::from_values(out)))
         }
     }
-}
-
-/// One-value unary semantics, identical to the `Expr::Unary` arm of
-/// [`Expr::eval`].
-fn unary_scalar(op: UnaryOp, v: Value) -> Result<Value> {
-    Ok(match op {
-        UnaryOp::Not => match v {
-            Value::Null => Value::Null,
-            Value::Bool(b) => Value::Bool(!b),
-            other => return Err(ScopeError::Expression(format!("NOT on {other}"))),
-        },
-        UnaryOp::Neg => match v {
-            Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(-i),
-            Value::Float(f) => Value::Float(-f),
-            other => return Err(ScopeError::Expression(format!("NEG on {other}"))),
-        },
-        UnaryOp::IsNull => Value::Bool(v.is_null()),
-    })
 }
 
 fn is_cmp(op: BinOp) -> bool {
@@ -375,12 +359,13 @@ fn cmp_col_const(op: BinOp, col: &ColumnVector, k: &Value, rows: usize) -> Optio
             kernel!(data, nulls, k, |v: &f64, k: &f64| v.total_cmp(k))
         }
         // Cross-numeric (Int col vs Float literal and vice versa) follows the
-        // Value total order numerically.
+        // Value total order, which compares the two exactly.
         (ColumnVector::Int { data, nulls }, Value::Float(k)) => {
-            kernel!(data, nulls, k, |v: &i64, k: &f64| (*v as f64).total_cmp(k))
+            kernel!(data, nulls, k, |v: &i64, k: &f64| int_float_cmp(*v, *k))
         }
         (ColumnVector::Float { data, nulls }, Value::Int(k)) => {
-            kernel!(data, nulls, k, |v: &f64, k: &i64| v.total_cmp(&(*k as f64)))
+            kernel!(data, nulls, k, |v: &f64, k: &i64| int_float_cmp(*k, *v)
+                .reverse())
         }
         _ => None,
     }

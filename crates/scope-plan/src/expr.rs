@@ -282,27 +282,7 @@ impl Expr {
             }),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::RecurringParam { value, .. } => Ok(value.clone()),
-            Expr::Unary { op, child } => {
-                let v = child.eval(row)?;
-                Ok(match op {
-                    UnaryOp::Not => match v {
-                        Value::Null => Value::Null,
-                        Value::Bool(b) => Value::Bool(!b),
-                        other => {
-                            return Err(ScopeError::Expression(format!("NOT on {other}")));
-                        }
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Value::Null,
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        other => {
-                            return Err(ScopeError::Expression(format!("NEG on {other}")));
-                        }
-                    },
-                    UnaryOp::IsNull => Value::Bool(v.is_null()),
-                })
-            }
+            Expr::Unary { op, child } => eval_unary(*op, child.eval(row)?),
             Expr::Binary { op, left, right } => {
                 let l = left.eval(row)?;
                 // Short-circuit logic ops for NULL-safety.
@@ -474,6 +454,26 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             }
         }
         _ => unreachable!("arith called with non-arith op"),
+    })
+}
+
+/// Applies a unary operator to an already-evaluated operand: the one
+/// definition [`Expr::eval`] and the vectorized evaluator's per-element
+/// fallback share. `Neg` wraps on `i64::MIN`, like the typed column kernel.
+pub fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
+    Ok(match op {
+        UnaryOp::Not => match v {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(!b),
+            other => return Err(ScopeError::Expression(format!("NOT on {other}"))),
+        },
+        UnaryOp::Neg => match v {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
+            Value::Float(f) => Value::Float(-f),
+            other => return Err(ScopeError::Expression(format!("NEG on {other}"))),
+        },
+        UnaryOp::IsNull => Value::Bool(v.is_null()),
     })
 }
 

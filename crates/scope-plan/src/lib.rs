@@ -36,7 +36,8 @@ pub mod udo;
 
 pub use builder::PlanBuilder;
 pub use expr::{
-    eval_binary, eval_func, AggExpr, AggFunc, BinOp, Expr, NamedExpr, ScalarFunc, UnaryOp,
+    eval_binary, eval_func, eval_unary, AggExpr, AggFunc, BinOp, Expr, NamedExpr, ScalarFunc,
+    UnaryOp,
 };
 pub use graph::{PlanNode, QueryGraph};
 pub use interval::{column_intervals, implies, ColumnIntervals, Interval};
@@ -44,5 +45,5 @@ pub use op::{normalize_stream_name, normalize_stream_symbol};
 pub use op::{JoinImpl, JoinKind, OpKind, Operator, ScanKind};
 pub use props::{shared_props, Partitioning, PhysicalProps, SortDir, SortKey, SortOrder};
 pub use schema::{Column, Schema};
-pub use types::{DataType, Value};
+pub use types::{Cell, DataType, Value};
 pub use udo::{Udo, UdoKind};

@@ -84,23 +84,12 @@ impl Value {
 
     /// Numeric view: ints, floats, dates and bools coerce to `f64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Date(d) => Some(*d as f64),
-            Value::Bool(b) => Some(*b as i64 as f64),
-            _ => None,
-        }
+        Cell::of(self).as_f64()
     }
 
     /// Integer view: ints, dates, bools.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Date(d) => Some(*d as i64),
-            Value::Bool(b) => Some(*b as i64),
-            _ => None,
-        }
+        Cell::of(self).as_i64()
     }
 
     /// String view.
@@ -119,41 +108,13 @@ impl Value {
     /// Approximate in-memory size in bytes, used by the cost model to turn
     /// cardinalities into data sizes.
     pub fn byte_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Date(_) => 4,
-            Value::Str(s) => 8 + s.len(),
-        }
-    }
-
-    /// Type discriminant used for cross-type ordering and hashing.
-    fn tag(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 3,
-            Value::Str(_) => 4,
-            Value::Date(_) => 5,
-        }
+        Cell::of(self).byte_size()
     }
 
     /// Feeds the value into a stable hasher (used for hash-partitioning and
-    /// for data checksums in correctness tests). Int and Float that compare
-    /// equal may hash differently — we never mix numeric types within one
-    /// column, so this is fine.
+    /// for data checksums in correctness tests).
     pub fn stable_hash_into(&self, h: &mut SipHasher24) {
-        h.write_u8(self.tag());
-        match self {
-            Value::Null => {}
-            Value::Bool(b) => h.write_u8(*b as u8),
-            Value::Int(i) => h.write_u64(*i as u64),
-            Value::Float(f) => h.write_u64(f.to_bits()),
-            Value::Str(s) => h.write_str(s),
-            Value::Date(d) => h.write_u32(*d as u32),
-        }
+        Cell::of(self).stable_hash_into(h)
     }
 }
 
@@ -172,22 +133,9 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: NULL < Bool < numeric (Int/Float compared exactly
-    /// against each other) < Str < Date. Floats use IEEE total ordering so
-    /// NaN is ordered (greatest) instead of poisoning sorts.
+    /// The total order of [`Cell::cmp_cell`].
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => int_float_cmp(*a, *b),
-            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (a, b) => a.tag().cmp(&b.tag()),
-        }
+        Cell::of(self).cmp_cell(Cell::of(other))
     }
 }
 
@@ -197,8 +145,8 @@ impl std::hash::Hash for Value {
     /// the bits of the `f64`.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
-            Value::Int(_) | Value::Float(_) => state.write_u8(Value::Int(0).tag()),
-            other => state.write_u8(other.tag()),
+            Value::Float(_) => state.write_u8(Cell::Int(0).tag()),
+            other => state.write_u8(Cell::of(other).tag()),
         }
         match self {
             Value::Null => {}
@@ -211,13 +159,152 @@ impl std::hash::Hash for Value {
     }
 }
 
+/// A borrowed view of one value, without owning strings: the columnar
+/// executor reads its cells as these. A value's order, stable hash, byte
+/// size and numeric coercions are defined here once; [`Value`]'s methods
+/// call through [`Cell::of`], so checksums, hash partitioning, sort orders
+/// and byte accounting agree between rows and columns by construction.
+#[derive(Clone, Copy, Debug)]
+pub enum Cell<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Days since epoch.
+    Date(i32),
+}
+
+// Every method is `#[inline]`: the executor's sort, group and routing
+// loops call them from another crate, and no release profile enables LTO.
+impl<'a> Cell<'a> {
+    /// Borrows a [`Value`] as a cell.
+    #[inline]
+    pub fn of(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Str(s) => Cell::Str(s),
+            Value::Date(d) => Cell::Date(*d),
+        }
+    }
+
+    /// Owned value.
+    #[inline]
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_string()),
+            Cell::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// True when NULL.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// Approximate in-memory size in bytes.
+    #[inline]
+    pub fn byte_size(self) -> usize {
+        match self {
+            Cell::Null => 1,
+            Cell::Bool(_) => 1,
+            Cell::Int(_) | Cell::Float(_) => 8,
+            Cell::Date(_) => 4,
+            Cell::Str(s) => 8 + s.len(),
+        }
+    }
+
+    /// Integer view: ints, dates, bools.
+    #[inline]
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            Cell::Int(i) => Some(i),
+            Cell::Date(d) => Some(d as i64),
+            Cell::Bool(b) => Some(b as i64),
+            _ => None,
+        }
+    }
+
+    /// Numeric view: ints, floats, dates and bools coerce to `f64`.
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::Int(i) => Some(i as f64),
+            Cell::Float(f) => Some(f),
+            Cell::Date(d) => Some(d as f64),
+            Cell::Bool(b) => Some(b as i64 as f64),
+            _ => None,
+        }
+    }
+
+    /// Type discriminant used for cross-type ordering and hashing.
+    #[inline]
+    fn tag(self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Bool(_) => 1,
+            Cell::Int(_) => 2,
+            Cell::Float(_) => 3,
+            Cell::Str(_) => 4,
+            Cell::Date(_) => 5,
+        }
+    }
+
+    /// Feeds the cell into a stable hasher (hash partitioning, data
+    /// checksums). Int and Float that compare equal may hash differently —
+    /// we never mix numeric types within one column, so this is fine.
+    #[inline]
+    pub fn stable_hash_into(self, h: &mut SipHasher24) {
+        h.write_u8(self.tag());
+        match self {
+            Cell::Null => {}
+            Cell::Bool(b) => h.write_u8(b as u8),
+            Cell::Int(i) => h.write_u64(i as u64),
+            Cell::Float(f) => h.write_u64(f.to_bits()),
+            Cell::Str(s) => h.write_str(s),
+            Cell::Date(d) => h.write_u32(d as u32),
+        }
+    }
+
+    /// Total order: NULL < Bool < numeric (Int/Float compared exactly
+    /// against each other) < Str < Date. Floats use IEEE total ordering so
+    /// NaN is ordered (greatest) instead of poisoning sorts.
+    #[inline]
+    pub fn cmp_cell(self, other: Cell<'_>) -> Ordering {
+        use Cell::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => int_float_cmp(a, b),
+            (Float(a), Int(b)) => int_float_cmp(b, a).reverse(),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (a, b) => a.tag().cmp(&b.tag()),
+        }
+    }
+}
+
 /// Compares an `Int` with a `Float` exactly. Rounding `i` to `f64` is
 /// monotone, so the rounded comparison decides whenever it is not `Equal`;
 /// when it is, `f` is integral and either fits `i64` (compare there) or is
 /// 2^63, above every `i64`. Comparing through `f64` alone would make
 /// `Int(2^53) == Float(2^53) == Int(2^53 + 1)` and break transitivity.
-/// The executor's cell order calls this too, so the two orders agree. Cold:
-/// a column holds one type, so the sort and grouping loops that compare
+/// Cold: a column holds one type, so the sort and grouping loops that compare
 /// cells almost never take this path.
 #[cold]
 pub fn int_float_cmp(i: i64, f: f64) -> Ordering {

@@ -25,7 +25,7 @@ use scope_common::ids::NodeId;
 use scope_common::intern::Symbol;
 use scope_common::Result;
 use scope_plan::expr::HashMode;
-use scope_plan::{OpKind, PhysicalProps, QueryGraph};
+use scope_plan::QueryGraph;
 
 use crate::enumerate::{enumerate_with_signed, job_tags, SubgraphInfo};
 use crate::signature::{signature_pass, SignedGraph};
@@ -50,60 +50,25 @@ pub struct CompiledJob {
     pub template_hit: bool,
 }
 
-/// The instance-invariant part of a compiled plan, cached per template.
+/// The instance-invariant part of a compiled plan, cached per template:
+/// the miss's own subgraph records and job tags.
 #[derive(Debug)]
 struct Skeleton {
-    nodes: Vec<SkeletonNode>,
+    infos: Vec<SubgraphInfo>,
     job_tags: Vec<Symbol>,
 }
 
-#[derive(Debug)]
-struct SkeletonNode {
-    root_kind: OpKind,
-    num_nodes: usize,
-    input_tags: Vec<Symbol>,
-    props: Arc<PhysicalProps>,
-    has_user_code: bool,
-}
-
 impl Skeleton {
-    fn from_compiled(infos: &[SubgraphInfo], job_tags: &[Symbol]) -> Skeleton {
-        Skeleton {
-            nodes: infos
-                .iter()
-                .map(|i| SkeletonNode {
-                    root_kind: i.root_kind,
-                    num_nodes: i.num_nodes,
-                    input_tags: i.input_tags.clone(),
-                    props: Arc::clone(&i.props),
-                    has_user_code: i.has_user_code,
-                })
-                .collect(),
-            job_tags: job_tags.to_vec(),
-        }
-    }
-
     /// Rebuilds per-node records for a new instance: structural features
     /// from the skeleton, signatures from the instance's own passes.
     fn instantiate(&self, signed: &SignedGraph) -> Vec<SubgraphInfo> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(idx, n)| {
-                let id = NodeId::new(idx as u64);
-                let sigs = signed.of(id);
-                SubgraphInfo {
-                    root: id,
-                    precise: sigs.precise,
-                    normalized: sigs.normalized,
-                    root_kind: n.root_kind,
-                    num_nodes: n.num_nodes,
-                    input_tags: n.input_tags.clone(),
-                    props: Arc::clone(&n.props),
-                    has_user_code: n.has_user_code,
-                }
-            })
-            .collect()
+        let mut infos = self.infos.clone();
+        for info in &mut infos {
+            let sigs = signed.of(info.root);
+            info.precise = sigs.precise;
+            info.normalized = sigs.normalized;
+        }
+        infos
     }
 }
 
@@ -154,7 +119,7 @@ impl TemplateCache {
             .get(&key)
             .cloned();
         if let Some(skeleton) = cached {
-            if skeleton.nodes.len() == graph.len() {
+            if skeleton.infos.len() == graph.len() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let infos = skeleton.instantiate(&signed);
                 return Ok(CompiledJob {
@@ -169,7 +134,10 @@ impl TemplateCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let infos = enumerate_with_signed(graph, &signed)?;
         let tags = job_tags(graph);
-        let skeleton = Arc::new(Skeleton::from_compiled(&infos, &tags));
+        let skeleton = Arc::new(Skeleton {
+            infos: infos.clone(),
+            job_tags: tags.clone(),
+        });
         self.templates
             .write()
             .expect("template cache poisoned")

@@ -26,6 +26,7 @@ use scope_engine::storage::{StorageEventSink, StorageManager, ViewFile, ViewMeta
 use scope_plan::{
     Column, DataType, OpKind, Partitioning, PhysicalProps, Schema, SortKey, SortOrder, Value,
 };
+use scope_signature::SubgraphInfo;
 use scope_store::log::LogDir;
 
 #[path = "support/catalog_script.rs"]
@@ -169,14 +170,16 @@ fn wal_events() -> Vec<(&'static str, WalEvent)> {
 
 fn subgraph(root: u64, kind: OpKind, user_code: bool, props: PhysicalProps) -> SubgraphRun {
     SubgraphRun {
-        root: NodeId::new(root),
-        precise: Sig128::new(root, 1),
-        normalized: Sig128::new(root, 2),
-        root_kind: kind,
-        num_nodes: root as usize + 3,
-        input_tags: vec![Symbol::intern("golden/x.ss")],
-        props: Arc::new(props),
-        has_user_code: user_code,
+        info: SubgraphInfo {
+            root: NodeId::new(root),
+            precise: Sig128::new(root, 1),
+            normalized: Sig128::new(root, 2),
+            root_kind: kind,
+            num_nodes: root as usize + 3,
+            input_tags: vec![Symbol::intern("golden/x.ss")],
+            props: Arc::new(props),
+            has_user_code: user_code,
+        },
         out_rows: 100 * root,
         out_bytes: 4_096 * root,
         exclusive_cpu: SimDuration::from_micros(10 * root),

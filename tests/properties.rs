@@ -1473,6 +1473,56 @@ fn executors_agree_on_outer_loops_and_window_edges() {
     }
 }
 
+/// Numeric edges where a typed kernel once disagreed with the scalar
+/// semantics: an Int column against a Float literal (and the mirror) just
+/// above 2^53, where rounding through `f64` makes the two compare equal, and
+/// `-col` over `i64::MIN`, which must wrap in both executors.
+#[test]
+fn executors_agree_on_numeric_edges() {
+    use scope_plan::UnaryOp;
+    let two53 = 1i64 << 53;
+    let (ints, floats) = (DatasetId::new(41), DatasetId::new(42));
+    let schema = |t| Schema::from_pairs(&[("x", t)]);
+    let storage = StorageManager::new();
+    let int_rows = [
+        Value::Int(two53 + 1),
+        Value::Int(two53),
+        Value::Int(i64::MIN),
+    ];
+    let float_rows = [Value::Float(two53 as f64), Value::Float(0.5)];
+    for (d, t, rows) in [
+        (ints, DataType::Int, &int_rows[..]),
+        (floats, DataType::Float, &float_rows[..]),
+    ] {
+        let mut rows: Vec<Vec<Value>> = rows.iter().map(|v| vec![v.clone()]).collect();
+        rows.push(vec![Value::Null]);
+        storage.put_dataset(d, Table::single(schema(t), rows));
+    }
+    let plan = |d, t, pred: Option<Expr>, expr: Expr| {
+        let mut b = PlanBuilder::new();
+        let mut cur = b.table_scan(d, "edge/num.ss", schema(t));
+        if let Some(pred) = pred {
+            cur = b.filter(cur, pred);
+        }
+        let p = b.project(cur, vec![scope_plan::NamedExpr::new("y", expr)]);
+        b.write(p, "edge/num_out.ss").build().unwrap()
+    };
+
+    let above = Expr::col(0).gt(Expr::lit(two53 as f64));
+    let graph = plan(ints, DataType::Int, Some(above), Expr::col(0));
+    assert_executors_agree(&graph, &storage, "Int column > 2^53 as Float");
+    let below = Expr::col(0).lt(Expr::lit(two53 + 1));
+    let graph = plan(floats, DataType::Float, Some(below), Expr::col(0));
+    assert_executors_agree(&graph, &storage, "Float column < 2^53 + 1 as Int");
+
+    let neg = Expr::Unary {
+        op: UnaryOp::Neg,
+        child: Box::new(Expr::col(0)),
+    };
+    let graph = plan(ints, DataType::Int, None, neg);
+    assert_executors_agree(&graph, &storage, "-col over i64::MIN");
+}
+
 /// Schema for the user-defined-operator differential: a NULL-bearing group
 /// key and one column of every other cell type ClampOutliers, ScoreModel and
 /// Tokenize treat differently.

@@ -266,7 +266,7 @@ fn reuse_gate_pays_what_the_ledger_charges() {
             let run = record
                 .subgraphs
                 .iter()
-                .find(|s| s.root == NodeId::new(root));
+                .find(|s| s.info.root == NodeId::new(root));
             run.unwrap().exclusive_cpu
         })
     };
