@@ -260,7 +260,7 @@ fn execute(
     faults.propose_faults += att.pinned.propose_faults.get();
     let sim = simulate(&plan.physical, &exec, &cv.cluster);
     cv.record_sim_metrics(&sim);
-    cv.record_exec_metrics(&exec);
+    cv.record_exec_metrics(&plan.physical, &exec);
     Ok((plan, exec, sim))
 }
 

@@ -57,6 +57,7 @@ use scope_engine::optimizer::OptimizerReport;
 use scope_engine::repo::WorkloadRepository;
 use scope_engine::sim::{ClusterConfig, SimOutcome};
 use scope_engine::storage::StorageManager;
+use scope_plan::{OpKind, QueryGraph};
 use scope_signature::{CompiledJob, TemplateCache};
 
 use crate::analyzer::{run_analysis, AnalysisOutcome, AnalyzerConfig, IncrementalAnalyzer};
@@ -247,6 +248,15 @@ pub struct PurgeReport {
     pub bytes_reclaimed: u64,
 }
 
+/// The counter of the kernel wall nanoseconds spent in operators of `kind`,
+/// e.g. `cv_exec_hashjoin_wall_nanos_total`.
+pub fn op_wall_counter(kind: OpKind) -> String {
+    format!(
+        "cv_exec_{}_wall_nanos_total",
+        kind.name().to_ascii_lowercase()
+    )
+}
+
 /// Cached telemetry handles for the per-job path, resolved once at service
 /// construction so each job pays a handful of atomic operations.
 pub(crate) struct RuntimeMetrics {
@@ -267,6 +277,8 @@ pub(crate) struct RuntimeMetrics {
     token_occupancy: Histogram,
     exec_rows_in: Counter,
     exec_cells_gathered: Counter,
+    /// Kernel wall nanoseconds per operator kind, indexed as `OpKind::ALL`.
+    exec_op_wall: [Counter; OpKind::ALL.len()],
     template_hits: Counter,
     template_misses: Counter,
     pub(crate) sharing: SharingMetrics,
@@ -311,6 +323,7 @@ impl RuntimeMetrics {
             token_occupancy: m.histogram("cv_sim_token_occupancy_pct", MetricUnit::Count),
             exec_rows_in: m.counter("cv_exec_rows_in_total"),
             exec_cells_gathered: m.counter("cv_exec_cells_gathered_total"),
+            exec_op_wall: OpKind::ALL.map(|k| m.counter(&op_wall_counter(k))),
             template_hits: m.counter("cv_template_cache_hits_total"),
             template_misses: m.counter("cv_template_cache_misses_total"),
             sharing: SharingMetrics {
@@ -957,11 +970,16 @@ impl CloudViews {
     /// Records what one plan execution moved: rows into its operators and
     /// cells copied between columns (`ExecOutcome::cells_gathered`) — their
     /// ratio is how much of the data the executor's deferred columns let it
-    /// leave where it was.
-    pub(crate) fn record_exec_metrics(&self, exec: &ExecOutcome) {
+    /// leave where it was — and where its wall time went, per operator kind.
+    pub(crate) fn record_exec_metrics(&self, plan: &QueryGraph, exec: &ExecOutcome) {
         let rows_in = exec.node_stats.iter().map(|s| s.in_rows).sum();
         self.metrics.exec_rows_in.add(rows_in);
         self.metrics.exec_cells_gathered.add(exec.cells_gathered);
+        for (node, wall) in plan.nodes().iter().zip(&exec.node_wall) {
+            let kind = node.op.kind();
+            debug_assert_eq!(OpKind::ALL[kind as usize], kind);
+            self.metrics.exec_op_wall[kind as usize].add(wall.as_nanos() as u64);
+        }
     }
 
     /// Runs jobs back-to-back (each starts when the previous finishes),

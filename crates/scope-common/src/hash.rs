@@ -234,19 +234,38 @@ impl SipHasher24 {
         self.ntail = chunks.remainder().len();
     }
 
+    /// Writes the `n` low bytes of `x` (nothing above them set), little
+    /// endian, as `write` would: shifted into the tail word in one go, the
+    /// word processed once full, and the bytes left over carried into the
+    /// next.
+    #[inline]
+    fn write_word(&mut self, x: u64, n: usize) {
+        self.length = self.length.wrapping_add(n);
+        self.tail |= x << (8 * self.ntail);
+        if self.ntail + n < 8 {
+            self.ntail += n;
+            return;
+        }
+        let taken = 8 - self.ntail;
+        let w = self.tail;
+        self.process_word(w);
+        self.tail = if taken == 8 { 0 } else { x >> (8 * taken) };
+        self.ntail = n - taken;
+    }
+
     /// Convenience: writes a little-endian `u64`.
     pub fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
+        self.write_word(x, 8);
     }
 
     /// Convenience: writes a little-endian `u32`.
     pub fn write_u32(&mut self, x: u32) {
-        self.write(&x.to_le_bytes());
+        self.write_word(x as u64, 4);
     }
 
     /// Convenience: writes a single byte.
     pub fn write_u8(&mut self, x: u8) {
-        self.write(&[x]);
+        self.write_word(x as u64, 1);
     }
 
     /// Convenience: writes a length-prefixed string (length prefix prevents
@@ -348,6 +367,51 @@ mod tests {
             parts.write(&data[..split]);
             parts.write(&data[split..]);
             assert_eq!(parts.finish(), whole.finish(), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn word_writes_match_byte_writes() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(36);
+        for case in 0..200 {
+            let mut words = SipHasher24::new_with_keys(case, !case);
+            let mut bytes: Vec<u8> = Vec::new();
+            for _ in 0..rng.gen_range(0..24) {
+                match rng.gen_range(0..5) {
+                    0 => {
+                        let x: u8 = rng.gen();
+                        words.write_u8(x);
+                        bytes.push(x);
+                    }
+                    1 => {
+                        let x: u32 = rng.gen();
+                        words.write_u32(x);
+                        bytes.extend(x.to_le_bytes());
+                    }
+                    2 => {
+                        let x: u64 = rng.gen();
+                        words.write_u64(x);
+                        bytes.extend(x.to_le_bytes());
+                    }
+                    3 => {
+                        let chunk: Vec<u8> = (0..rng.gen_range(0..20)).map(|_| rng.gen()).collect();
+                        words.write(&chunk);
+                        bytes.extend(&chunk);
+                    }
+                    _ => {
+                        let s =
+                            ["", "a", "日本語", "seven77", "a longer string"][rng.gen_range(0..5)];
+                        words.write_str(s);
+                        bytes.extend((s.len() as u64).to_le_bytes());
+                        bytes.extend(s.as_bytes());
+                    }
+                }
+            }
+            let mut whole = SipHasher24::new_with_keys(case, !case);
+            whole.write(&bytes);
+            assert_eq!(words.finish(), whole.finish(), "case {case}");
         }
     }
 

@@ -12,14 +12,21 @@
 //! on them — the three repartitions, partition concatenation,
 //! [`RecordBatch::take`] (filter, sort, top, semi join) and the join emit —
 //! builds its output through `RecordBatch::gather_columns`, which copies no
-//! cell: each column is a recipe, dense source columns plus a vector of
-//! `(source, row)` picks shared by every column picked the same way.
-//! Gathering from an unread recipe composes the two pick vectors (once per
-//! distinct vector, not per column), so sources are always dense and a column
-//! that crosses five shuffles is copied once, by [`Column::dense`], when an
-//! operator first reads it — or never. Byte accounting never forces a column
-//! ([`Deferred`] carries its size). Outputs of under `EAGER_ROWS` rows over
-//! dense sources are copied at once instead: a recipe costs more than they do.
+//! cell: each column is a member of a [`Recipe`], one vector of
+//! `(source, row)` picks shared by every column picked the same way plus each
+//! member's dense source columns. Gathering from an unread recipe composes
+//! the two pick vectors (once per distinct pattern, not per column), so
+//! sources are always dense and a column that crosses five shuffles is copied
+//! once, by [`Column::dense`], when an operator first reads it — or never.
+//! Byte accounting never forces a column (a recipe carries its members'
+//! sizes). Outputs of under `EAGER_ROWS` rows over dense sources are copied
+//! at once instead: a recipe costs more than they do.
+//!
+//! **Route once.** A dense column ([`Cells`]) memoises the partition of each
+//! of its rows under the first single-key hash exchange that routes on it,
+//! and later exchanges route a key column through its recipe's picks into
+//! those maps: a dataset's key column is hashed once per process, and no
+//! exchange forces its key.
 //!
 //! Three invariants carry the whole CloudViews reproduction:
 //!
@@ -37,6 +44,7 @@
 
 use std::cell::Cell as Counter;
 use std::cmp::Ordering;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
@@ -255,15 +263,11 @@ impl ColumnVector {
 
     /// Total byte size under the [`Value::byte_size`] accounting.
     pub fn byte_total(&self) -> u64 {
-        let rows = self.len() as u64;
-        match (self, self.fixed_width(), self.nulls()) {
-            (_, Some(width), None) => width * rows,
-            (_, Some(width), Some(mask)) => {
-                let nulls = mask.iter().filter(|&&null| null).count() as u64;
-                width * (rows - nulls) + nulls
+        match self {
+            ColumnVector::Str { data, nulls: None } => {
+                8 * data.len() as u64 + data.bytes.len() as u64
             }
-            (ColumnVector::Str { data, .. }, _, None) => 8 * rows + data.bytes.len() as u64,
-            _ => (0..self.len()).map(|i| self.cell_bytes(i)).sum(),
+            _ => self.row_bytes().sum(0..self.len()),
         }
     }
 
@@ -277,11 +281,13 @@ impl ColumnVector {
         }
     }
 
-    /// Byte size of row `i` under the [`Value::byte_size`] accounting.
-    fn cell_bytes(&self, i: usize) -> u64 {
+    /// How [`ColumnVector::byte_total`] sizes this column's rows.
+    fn row_bytes(&self) -> RowBytes<'_> {
+        let mask = self.nulls().map(Vec::as_slice);
         match self {
-            ColumnVector::Str { data, nulls } if !mask_get(nulls, i) => 8 + data.len_of(i) as u64,
-            _ => self.cell(i).byte_size() as u64,
+            ColumnVector::Str { data, .. } => RowBytes::Str(data, mask),
+            ColumnVector::Mixed(values) => RowBytes::Mixed(values),
+            fixed => RowBytes::Fixed(fixed.fixed_width().expect("a fixed-width variant"), mask),
         }
     }
 
@@ -456,6 +462,63 @@ pub(crate) fn cells_gathered() -> u64 {
     CELLS_GATHERED.with(Counter::get)
 }
 
+/// The cells of a dense column, and the partition of every row under the
+/// first single-key hash exchange that routed on it: a route map lives and
+/// dies with the cells it was computed from.
+#[derive(Debug)]
+pub struct Cells {
+    vector: ColumnVector,
+    routes: OnceLock<Routes>,
+}
+
+/// A memoised route map: `of_row[i]` is row `i`'s partition among `parts`,
+/// or `None` when the column's type is not routed through a map.
+#[derive(Debug)]
+struct Routes {
+    parts: usize,
+    of_row: Option<Box<[u8]>>,
+}
+
+impl Deref for Cells {
+    type Target = ColumnVector;
+
+    fn deref(&self) -> &ColumnVector {
+        &self.vector
+    }
+}
+
+impl From<ColumnVector> for Cells {
+    fn from(vector: ColumnVector) -> Cells {
+        Cells {
+            vector,
+            routes: OnceLock::new(),
+        }
+    }
+}
+
+impl Cells {
+    /// Every row's partition under `hash` when this column is the only key,
+    /// built by the first caller and kept for its partition count; `None`
+    /// for another count, more than 256 parts, or a key type other than
+    /// `Int`, `Date` or `Str`.
+    fn routes(&self, hash: HashParts) -> Option<&[u8]> {
+        if hash.parts > 256 {
+            return None;
+        }
+        let routes = self.routes.get_or_init(|| {
+            #[cfg(test)]
+            tests::ROUTE_MAPS_BUILT.with(|n| n.set(n.get() + 1));
+            Routes {
+                parts: hash.parts,
+                of_row: hash.route_map(&self.vector),
+            }
+        });
+        (routes.parts == hash.parts)
+            .then_some(routes.of_row.as_deref())
+            .flatten()
+    }
+}
+
 /// One row of a deferred column: row `row` of the recipe's `src`-th source.
 #[derive(Clone, Copy, Debug)]
 struct Pick {
@@ -463,32 +526,47 @@ struct Pick {
     row: u32,
 }
 
-/// A column of a [`RecordBatch`]: dense cells, or a recipe for them that is
-/// gathered at most once, by whoever first reads it.
+/// A column of a [`RecordBatch`]: dense cells, or one member of a recipe
+/// whose cells are gathered at most once, by whoever first reads them.
 #[derive(Clone, Debug)]
 pub enum Column {
     /// Materialized cells.
-    Dense(Arc<ColumnVector>),
-    /// Cells not copied yet.
-    Deferred(Arc<Deferred>),
+    Dense(Arc<Cells>),
+    /// Cells not copied yet: member `.1` of the recipe.
+    Deferred(Arc<Recipe>, u32),
 }
 
-/// The recipe of a deferred column: row `i` is row `picks[i].row` of
-/// `sources[picks[i].src]`. Sources are dense and distinct; `picks` is shared
-/// by every column picked the same way (all those of one join side, say), so
-/// a later gather composes it once for all of them.
+/// The deferred columns of one gather that were picked alike. Member `m`'s
+/// row `i` is row `picks[i].row` of source `picks[i].src` among the member's
+/// `fan_in` dense sources, `sources[m * fan_in..][..fan_in]`. The picks are
+/// composed once for all members, so an output costs one recipe per distinct
+/// pick pattern and each column only its source `Arc`s and an index.
 #[derive(Debug)]
-pub struct Deferred {
-    sources: Vec<Arc<ColumnVector>>,
-    picks: Arc<Vec<Pick>>,
-    /// [`ColumnVector::byte_total`] of the cells, counted through the picks.
+pub struct Recipe {
+    picks: Vec<Pick>,
+    fan_in: usize,
+    sources: Vec<Arc<Cells>>,
+    members: Vec<Member>,
+}
+
+/// One column of a [`Recipe`]: its byte total, counted through the picks,
+/// and its cells once somebody reads them.
+#[derive(Debug)]
+struct Member {
     bytes: u64,
-    dense: OnceLock<Arc<ColumnVector>>,
+    dense: OnceLock<Arc<Cells>>,
+}
+
+impl Recipe {
+    /// The dense sources of member `m`.
+    fn sources(&self, m: u32) -> &[Arc<Cells>] {
+        &self.sources[m as usize * self.fan_in..][..self.fan_in]
+    }
 }
 
 impl From<ColumnVector> for Column {
     fn from(cells: ColumnVector) -> Column {
-        Column::Dense(Arc::new(cells))
+        Column::Dense(Arc::new(cells.into()))
     }
 }
 
@@ -499,13 +577,17 @@ impl Column {
     }
 
     /// The cells, gathered now if nobody has read the column before;
-    /// concurrent first readers get the same `Arc` and one gather.
-    pub fn dense(&self) -> &Arc<ColumnVector> {
+    /// concurrent first readers get the same cells and one gather.
+    pub fn dense(&self) -> &ColumnVector {
+        self.cells()
+    }
+
+    fn cells(&self) -> &Arc<Cells> {
         match self {
             Column::Dense(c) => c,
-            Column::Deferred(d) => d.dense.get_or_init(|| {
-                let sources: Vec<&ColumnVector> = d.sources.iter().map(|c| &**c).collect();
-                Arc::new(ColumnVector::gather(&sources, &d.picks))
+            Column::Deferred(r, m) => r.members[*m as usize].dense.get_or_init(|| {
+                let sources: Vec<&ColumnVector> = r.sources(*m).iter().map(|c| &c.vector).collect();
+                Arc::new(ColumnVector::gather(&sources, &r.picks).into())
             }),
         }
     }
@@ -514,35 +596,71 @@ impl Column {
     fn byte_total(&self) -> u64 {
         match self {
             Column::Dense(c) => c.byte_total(),
-            Column::Deferred(d) => d.bytes,
+            Column::Deferred(r, m) => r.members[*m as usize].bytes,
         }
     }
 
-    /// What a gather over this column reads: dense sources and the picks
-    /// into them, or (`None`) the cells themselves once they exist.
-    fn recipe(&self) -> (&[Arc<ColumnVector>], Option<&Arc<Vec<Pick>>>) {
+    /// What a gather over this column reads: dense sources and the recipe
+    /// picking from them, or (`None`) the cells themselves once they exist.
+    fn recipe(&self) -> (&[Arc<Cells>], Option<&Arc<Recipe>>) {
         match self {
             Column::Dense(c) => (std::slice::from_ref(c), None),
-            Column::Deferred(d) => match d.dense.get() {
+            Column::Deferred(r, m) => match r.members[*m as usize].dense.get() {
                 Some(c) => (std::slice::from_ref(c), None),
-                None => (&d.sources, Some(&d.picks)),
+                None => (r.sources(*m), Some(r)),
             },
+        }
+    }
+}
+
+/// How the byte accounting sizes one row of a column, resolved once per
+/// column: a NULL is 1 byte, a string 8 plus its length.
+#[derive(Clone, Copy)]
+enum RowBytes<'a> {
+    /// `width` bytes a row, with the null mask if there is one.
+    Fixed(u64, Option<&'a [bool]>),
+    Str(&'a StrVec, Option<&'a [bool]>),
+    Mixed(&'a [Value]),
+}
+
+impl RowBytes<'_> {
+    /// The size of row `i`.
+    #[inline]
+    fn of(self, i: usize) -> u64 {
+        match self {
+            RowBytes::Fixed(_, Some(mask)) | RowBytes::Str(_, Some(mask)) if mask[i] => 1,
+            RowBytes::Fixed(width, _) => width,
+            RowBytes::Str(data, _) => 8 + data.len_of(i) as u64,
+            RowBytes::Mixed(values) => values[i].byte_size() as u64,
+        }
+    }
+
+    /// The total size of `rows`: one match, then one tight loop.
+    fn sum(self, rows: impl ExactSizeIterator<Item = usize>) -> u64 {
+        match self {
+            RowBytes::Fixed(width, None) => width * rows.len() as u64,
+            RowBytes::Str(data, None) => rows.map(|i| 8 + data.len_of(i) as u64).sum(),
+            _ => rows.map(|i| self.of(i)).sum(),
         }
     }
 }
 
 /// [`ColumnVector::byte_total`] of `picks` over `sources` without building
 /// the column: `rows × width` when every source is fixed-width and unmasked,
-/// one pass over the picked masks and string lengths otherwise.
-fn picked_bytes(sources: &[Arc<ColumnVector>], picks: &[Pick]) -> u64 {
+/// one typed pass over the picks otherwise.
+fn picked_bytes(sources: &[Arc<Cells>], picks: &[Pick]) -> u64 {
     let width = sources.first().and_then(|c| c.fixed_width());
-    let plain = |c: &Arc<ColumnVector>| c.fixed_width() == width && c.nulls().is_none();
-    match width {
-        Some(w) if sources.iter().all(plain) => w * picks.len() as u64,
-        _ => picks
-            .iter()
-            .map(|p| sources[p.src as usize].cell_bytes(p.row as usize))
-            .sum(),
+    let plain = |c: &Arc<Cells>| c.fixed_width() == width && c.nulls().is_none();
+    match (width, sources) {
+        (Some(w), _) if sources.iter().all(plain) => w * picks.len() as u64,
+        (_, [one]) => one.row_bytes().sum(picks.iter().map(|p| p.row as usize)),
+        _ => {
+            let sizes: Vec<RowBytes<'_>> = sources.iter().map(|c| c.row_bytes()).collect();
+            picks
+                .iter()
+                .map(|p| sizes[p.src as usize].of(p.row as usize))
+                .sum()
+        }
     }
 }
 
@@ -580,7 +698,7 @@ impl RecordBatch {
     pub fn new(columns: Vec<Column>, rows: usize) -> RecordBatch {
         debug_assert!(columns.iter().all(|c| match c {
             Column::Dense(cells) => cells.len() == rows,
-            Column::Deferred(recipe) => recipe.picks.len() == rows,
+            Column::Deferred(recipe, _) => recipe.picks.len() == rows,
         }));
         // Row indices within a batch are `u32` everywhere (selections,
         // picks, join pairs).
@@ -634,7 +752,7 @@ impl RecordBatch {
 
     /// The cells of column `i`, gathered on first read (panics when out of
     /// range, like `row[i]`).
-    pub fn column(&self, i: usize) -> &Arc<ColumnVector> {
+    pub fn column(&self, i: usize) -> &ColumnVector {
         self.columns[i].dense()
     }
 
@@ -661,7 +779,7 @@ impl RecordBatch {
     /// The columns of `runs` in order as recipes: no cell is copied. A source
     /// column that is itself an unread recipe is picked *through* (its picks
     /// composed with the new ones, its sources adopted), never forced, and
-    /// columns whose sources were picked alike share one composed vector.
+    /// the columns whose sources were picked alike share one [`Recipe`].
     pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
@@ -676,56 +794,46 @@ impl RecordBatch {
             let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
             let mut column = |j| {
                 sources.clear();
-                sources.extend(runs.iter().map(|(b, _)| &**b.column(j)));
+                sources.extend(runs.iter().map(|(b, _)| b.column(j)));
                 ColumnVector::gather(&sources, &picks).into()
             };
             return (0..width).map(&mut column).collect();
         }
-        // Pick vectors composed so far, keyed by what they compose: per run
-        // the source column's picks, and where its sources sit in the output
-        // column's deduplicated source list (`remap`, back to back per run).
-        let mut composed: Vec<Composed<'_>> = Vec::new();
-        let (mut parts, mut remap): (Vec<Through<'_>>, Vec<u32>) = (Vec::new(), Vec::new());
-        (0..width)
-            .map(|j| {
-                parts.clear();
-                remap.clear();
-                let mut sources: Vec<Arc<ColumnVector>> = Vec::with_capacity(runs.len());
-                for (batch, _) in runs {
-                    let (srcs, picks) = batch.columns[j].recipe();
-                    parts.push(Through(picks, remap.len()));
-                    for s in srcs {
-                        let known = sources.iter().position(|x| Arc::ptr_eq(x, s));
-                        remap.push(known.unwrap_or_else(|| {
-                            sources.push(s.clone());
-                            sources.len() - 1
-                        }) as u32);
-                    }
-                }
-                let hit = composed.iter().find(|(p, r, _)| *p == parts && *r == remap);
-                let picks = match hit {
-                    Some((_, _, picks)) => picks.clone(),
-                    None => {
-                        let picks = Arc::new(compose_picks(runs, &parts, &remap));
-                        composed.push((parts.clone(), remap.clone(), picks.clone()));
-                        picks
-                    }
-                };
-                Column::Deferred(Arc::new(Deferred {
-                    bytes: picked_bytes(&sources, &picks),
-                    sources,
-                    picks,
-                    dense: OnceLock::new(),
-                }))
-            })
-            .collect()
+        // Per output column its pattern — per run the recipe the source column
+        // is picked through, and which of its sources are one column — and its
+        // member index in that pattern's recipe.
+        let mut patterns: Vec<Pattern<'_>> = Vec::new();
+        let mut members: Vec<(usize, u32)> = Vec::with_capacity(width);
+        let mut parts: Vec<Through<'_>> = Vec::with_capacity(runs.len());
+        let mut flat: Vec<&Arc<Cells>> = Vec::with_capacity(runs.len());
+        for j in 0..width {
+            parts.clear();
+            flat.clear();
+            for (batch, _) in runs {
+                let (sources, through) = batch.columns[j].recipe();
+                parts.push(Through(through, flat.len()));
+                flat.extend(sources);
+            }
+            // Adjacent columns mostly share a pattern: the latest first.
+            let known = patterns
+                .iter()
+                .rposition(|p| p.parts == parts && p.admits(&flat));
+            let k = known.unwrap_or_else(|| {
+                patterns.push(Pattern::new(&parts, &flat));
+                patterns.len() - 1
+            });
+            members.push((k, patterns[k].add_member(&flat)));
+        }
+        let recipes: Vec<Arc<Recipe>> = patterns.into_iter().map(|p| p.recipe(runs)).collect();
+        let member = |(k, m): (usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
+        members.into_iter().map(member).collect()
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
     /// cell with [`Cell::stable_hash_into`]), computed at most once per batch.
     fn row_hash_sum(&self) -> u64 {
         *self.row_hash_sum.get_or_init(|| {
-            let columns: Vec<&ColumnVector> = self.columns.iter().map(|c| &**c.dense()).collect();
+            let columns: Vec<&ColumnVector> = self.columns.iter().map(Column::dense).collect();
             let mut sum = 0u64;
             for i in 0..self.rows {
                 let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
@@ -739,14 +847,11 @@ impl RecordBatch {
     }
 }
 
-/// How one run's column feeds an output column: the source column's own
-/// picks (`None` = it is dense) and where that run's sources start in
-/// `remap`. Equal when the picks are the same vector, not merely alike.
+/// How one run's column feeds an output column: the recipe it is picked
+/// through (`None` = it is dense) and where that run's sources start in
+/// `remap`. Equal when the recipe is the same one, not merely alike.
 #[derive(Clone, Copy)]
-struct Through<'a>(Option<&'a Arc<Vec<Pick>>>, usize);
-
-/// A pick vector composed during one gather, after what it composes.
-type Composed<'a> = (Vec<Through<'a>>, Vec<u32>, Arc<Vec<Pick>>);
+struct Through<'a>(Option<&'a Arc<Recipe>>, usize);
 
 impl PartialEq for Through<'_> {
     fn eq(&self, other: &Self) -> bool {
@@ -754,19 +859,97 @@ impl PartialEq for Through<'_> {
     }
 }
 
+/// The output columns of one gather that share a pick pattern: per run the
+/// recipe picked through, and how the runs' sources (`flat`, back to back
+/// per run) map onto a member's deduplicated sources.
+struct Pattern<'a> {
+    parts: Vec<Through<'a>>,
+    /// Per flat source, its index among the member's sources.
+    remap: Vec<u32>,
+    /// Per member source, the flat position it is first named at.
+    firsts: Vec<u32>,
+    /// Every member's sources, `firsts.len()` of them each.
+    sources: Vec<Arc<Cells>>,
+}
+
+impl<'a> Pattern<'a> {
+    /// The pattern of one column: its flat sources deduplicated by identity,
+    /// so a source batch named by eight runs is one source.
+    fn new(parts: &[Through<'a>], flat: &[&Arc<Cells>]) -> Pattern<'a> {
+        let mut firsts: Vec<u32> = Vec::new();
+        let remap = flat
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let known = firsts
+                    .iter()
+                    .position(|&f| Arc::ptr_eq(flat[f as usize], s));
+                known.unwrap_or_else(|| {
+                    firsts.push(k as u32);
+                    firsts.len() - 1
+                }) as u32
+            })
+            .collect();
+        Pattern {
+            parts: parts.to_vec(),
+            remap,
+            firsts,
+            sources: Vec::new(),
+        }
+    }
+
+    /// True when a column with these parts and flat sources can use the
+    /// pattern's picks: every source the pattern merges with another is that
+    /// other one. (Sources it keeps apart may coincide: a member may then
+    /// list one source twice, which costs nothing but a slot.)
+    fn admits(&self, flat: &[&Arc<Cells>]) -> bool {
+        let first = |r: u32| flat[self.firsts[r as usize] as usize];
+        flat.len() == self.remap.len()
+            && flat
+                .iter()
+                .zip(&self.remap)
+                .all(|(s, &r)| Arc::ptr_eq(first(r), s))
+    }
+
+    /// Adds the column with flat sources `flat` as the next member.
+    fn add_member(&mut self, flat: &[&Arc<Cells>]) -> u32 {
+        let member = self.sources.len() / self.firsts.len();
+        let sources = self.firsts.iter().map(|&f| Arc::clone(flat[f as usize]));
+        self.sources.extend(sources);
+        member as u32
+    }
+
+    /// The shared recipe: picks composed once, each member's bytes counted.
+    fn recipe(self, runs: &[Rows<'_>]) -> Arc<Recipe> {
+        let picks = compose_picks(runs, &self.parts, &self.remap);
+        let fan_in = self.firsts.len();
+        let member = |sources: &[Arc<Cells>]| Member {
+            bytes: picked_bytes(sources, &picks),
+            dense: OnceLock::new(),
+        };
+        let members = self.sources.chunks(fan_in).map(member).collect();
+        Arc::new(Recipe {
+            picks,
+            fan_in,
+            sources: self.sources,
+            members,
+        })
+    }
+}
+
 /// The picks of one output column: per run, the selected rows looked up
 /// through the source column's picks, renumbered onto the output's sources.
 fn compose_picks(runs: &[Rows<'_>], parts: &[Through<'_>], remap: &[u32]) -> Vec<Pick> {
     let mut out = Vec::with_capacity(total_rows(runs));
-    for ((batch, idx), Through(picks, first)) in runs.iter().zip(parts) {
+    for ((batch, idx), Through(through, first)) in runs.iter().zip(parts) {
         let remap = &remap[*first..];
-        let pick = |i: u32| match picks {
+        let pick = |i: u32| match through {
             None => Pick {
                 src: remap[0],
                 row: i,
             },
-            Some(picks) => {
-                let through = picks[i as usize];
+            Some(recipe) => {
+                let through = recipe.picks[i as usize];
                 Pick {
                     src: remap[through.src as usize],
                     row: through.row,
@@ -942,42 +1125,21 @@ impl Table {
         for &c in cols {
             self.schema.column(c)?;
         }
-        const K0: u64 = 0x9e3779b97f4a7c15;
-        const K1: u64 = 0x85ebca6b;
-        // `h % parts` without the 64-bit division when `parts` is a power of
-        // two, as the optimizer's degrees of parallelism are.
-        let mask = parts.is_power_of_two().then(|| parts as u64 - 1);
-        let part_of = |h: u64| mask.map_or_else(|| h % parts as u64, |m| h & m) as usize;
-        // One-shot short SipHash of a tagged cell's byte stream (identical to
-        // `Cell::stable_hash_into`), skipping the incremental hasher.
-        let tagged = |tag: u8, le: &[u8]| {
-            let mut msg = [0u8; 9];
-            msg[0] = tag;
-            msg[1..=le.len()].copy_from_slice(le);
-            part_of(sip24_short(K0, K1, &msg[..=le.len()]))
-        };
+        let hash = HashParts::new(parts);
         let mut scatter = Scatter::new(parts);
         for batch in self.partitions.iter().flatten() {
-            let fast = match cols {
-                [c] => Some(batch.column(*c).as_ref()),
-                _ => None,
+            let routed = match cols {
+                [c] => scatter.route_mapped(batch, &batch.columns[*c], hash),
+                _ => false,
             };
-            match fast {
-                Some(ColumnVector::Int { data, nulls }) => {
-                    let part = |k: i64| tagged(2, &(k as u64).to_le_bytes());
-                    scatter.route_ints(batch, nulls, |i| data[i], part, tagged(0, &[]));
-                }
-                Some(ColumnVector::Date { data, nulls }) => {
-                    let part = |k: i64| tagged(5, &(k as u32).to_le_bytes());
-                    scatter.route_ints(batch, nulls, |i| data[i] as i64, part, tagged(0, &[]));
-                }
-                _ => scatter.route(batch, |i| {
-                    let mut h = SipHasher24::new_with_keys(K0, K1);
+            if !routed {
+                scatter.route(batch, |i| {
+                    let mut h = HashParts::hasher();
                     for &c in cols {
                         batch.cell(i, c).stable_hash_into(&mut h);
                     }
-                    part_of(h.finish())
-                }),
+                    hash.of(h.finish())
+                });
             }
         }
         Ok(Table {
@@ -1078,7 +1240,7 @@ impl Table {
             if batch.columns.iter().all(Column::is_dense) {
                 return batch.clone();
             }
-            let cells = |c: &Column| Column::Dense(c.dense().clone());
+            let cells = |c: &Column| Column::Dense(c.cells().clone());
             let columns = batch.columns.iter().map(cells).collect();
             Arc::new(RecordBatch::new(columns, batch.rows))
         };
@@ -1133,6 +1295,25 @@ impl<'a> Scatter<'a> {
         for i in 0..batch.num_rows() {
             sel[route(i)].push(i as u32);
         }
+        self.add(batch, sel);
+    }
+
+    /// Routes row `i` of `batch` to partition `parts[i]`, each destination's
+    /// selection allocated once at its final size.
+    fn route_parts(&mut self, batch: &'a Arc<RecordBatch>, parts: &[u8]) {
+        let mut counts = vec![0usize; self.runs.len()];
+        for &p in parts {
+            counts[p as usize] += 1;
+        }
+        let mut sel: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, &p) in parts.iter().enumerate() {
+            sel[p as usize].push(i as u32);
+        }
+        self.add(batch, sel);
+    }
+
+    /// Appends each non-empty selection of `batch` to its destination.
+    fn add(&mut self, batch: &'a Arc<RecordBatch>, sel: Vec<Vec<u32>>) {
         for (runs, idx) in self.runs.iter_mut().zip(sel) {
             if !idx.is_empty() {
                 runs.push((batch, idx));
@@ -1140,30 +1321,35 @@ impl<'a> Scatter<'a> {
         }
     }
 
-    /// Routes on one integer-like key column, hashing each distinct key of
-    /// the batch about once: `part_of` is memoised in a table direct-mapped
-    /// on the key's low bits, which surrogate keys fill without collisions.
-    fn route_ints(
-        &mut self,
-        batch: &'a Arc<RecordBatch>,
-        nulls: &Option<NullMask>,
-        key_at: impl Fn(usize) -> i64,
-        part_of: impl Fn(i64) -> usize,
-        null_part: usize,
-    ) {
-        let slots = batch.num_rows().next_power_of_two().min(1 << 12);
-        let mut memo = vec![(0i64, usize::MAX); slots];
-        self.route(batch, |i| {
-            if nulls.as_ref().is_some_and(|m| m[i]) {
-                return null_part;
+    /// Routes every row of `batch` through the route maps of its single key
+    /// column `key`'s dense sources, read through the column's picks: the key
+    /// is neither forced nor hashed again. False, with nothing routed, when a
+    /// source has no map for `hash`.
+    fn route_mapped(&mut self, batch: &'a Arc<RecordBatch>, key: &Column, hash: HashParts) -> bool {
+        let (sources, through) = key.recipe();
+        let Some(maps) = sources
+            .iter()
+            .map(|s| s.routes(hash))
+            .collect::<Option<Vec<&[u8]>>>()
+        else {
+            return false;
+        };
+        let picked: Vec<u8>;
+        let parts = match (through, maps.as_slice()) {
+            (None, &[map]) => map,
+            (Some(recipe), [map]) => {
+                picked = recipe.picks.iter().map(|p| map[p.row as usize]).collect();
+                &picked
             }
-            let key = key_at(i);
-            let slot = &mut memo[key as usize & (slots - 1)];
-            if slot.0 != key || slot.1 == usize::MAX {
-                *slot = (key, part_of(key));
+            (Some(recipe), maps) => {
+                let part = |p: &Pick| maps[p.src as usize][p.row as usize];
+                picked = recipe.picks.iter().map(part).collect();
+                &picked
             }
-            slot.1
-        });
+            (None, _) => unreachable!("a dense column is its one source"),
+        };
+        self.route_parts(batch, parts);
+        true
     }
 
     /// Builds every destination as one batch with a single gather over all
@@ -1183,6 +1369,103 @@ impl<'a> Scatter<'a> {
                         .collect();
                     vec![Arc::new(RecordBatch::gather(&runs))]
                 }
+            })
+            .collect()
+    }
+}
+
+/// Where a hash exchange into `parts` partitions sends a row: SipHash-2-4
+/// under fixed keys over its key cells' stable byte streams
+/// ([`Cell::stable_hash_into`]), modulo `parts`.
+#[derive(Clone, Copy)]
+struct HashParts {
+    parts: usize,
+    /// `parts - 1` when `parts` is a power of two, as the optimizer's degrees
+    /// of parallelism are: `h % parts` without the 64-bit division.
+    mask: Option<u64>,
+}
+
+impl HashParts {
+    const K0: u64 = 0x9e3779b97f4a7c15;
+    const K1: u64 = 0x85ebca6b;
+
+    fn new(parts: usize) -> HashParts {
+        HashParts {
+            parts,
+            mask: parts.is_power_of_two().then(|| parts as u64 - 1),
+        }
+    }
+
+    fn hasher() -> SipHasher24 {
+        SipHasher24::new_with_keys(HashParts::K0, HashParts::K1)
+    }
+
+    /// The partition of a row whose key cells hashed to `h`.
+    fn of(self, h: u64) -> usize {
+        self.mask.map_or_else(|| h % self.parts as u64, |m| h & m) as usize
+    }
+
+    /// The partition of one tagged cell's byte stream, hashed one-shot by
+    /// [`sip24_short`] instead of the incremental hasher.
+    fn tagged(self, tag: u8, le: &[u8]) -> usize {
+        let mut msg = [0u8; 9];
+        msg[0] = tag;
+        msg[1..=le.len()].copy_from_slice(le);
+        self.of(sip24_short(HashParts::K0, HashParts::K1, &msg[..=le.len()]))
+    }
+
+    /// Every row's partition when `cells` is the only key: `Int`, `Date` and
+    /// `Str` columns (`None` for the others), NULLs in the tag-0 partition.
+    fn route_map(self, cells: &ColumnVector) -> Option<Box<[u8]>> {
+        debug_assert!(self.parts <= 256, "a route map holds one byte per row");
+        let null = self.tagged(0, &[]) as u8;
+        Some(match cells {
+            ColumnVector::Int { data, nulls } => {
+                self.int_routes(nulls, data.len(), |i| data[i], 2, 8)
+            }
+            ColumnVector::Date { data, nulls } => {
+                self.int_routes(nulls, data.len(), |i| data[i] as u32 as i64, 5, 4)
+            }
+            ColumnVector::Str { data, nulls } => (0..cells.len())
+                .map(|i| {
+                    if mask_get(nulls, i) {
+                        return null;
+                    }
+                    let mut h = HashParts::hasher();
+                    Cell::Str(data.get(i)).stable_hash_into(&mut h);
+                    self.of(h.finish()) as u8
+                })
+                .collect(),
+            _ => return None,
+        })
+    }
+
+    /// The route map of `rows` integer keys, each hashed as its `tag` and
+    /// `width` low little-endian bytes. A distinct key is hashed about once:
+    /// the partition is memoised in a table direct-mapped on the key's low
+    /// bits, which surrogate keys fill without collisions.
+    fn int_routes(
+        self,
+        nulls: &Option<NullMask>,
+        rows: usize,
+        key_at: impl Fn(usize) -> i64,
+        tag: u8,
+        width: usize,
+    ) -> Box<[u8]> {
+        let null = self.tagged(0, &[]) as u8;
+        let slots = rows.next_power_of_two().min(1 << 12);
+        let mut memo = vec![(0i64, u16::MAX); slots];
+        (0..rows)
+            .map(|i| {
+                if mask_get(nulls, i) {
+                    return null;
+                }
+                let key = key_at(i);
+                let slot = &mut memo[key as usize & (slots - 1)];
+                if slot.0 != key || slot.1 == u16::MAX {
+                    *slot = (key, self.tagged(tag, &key.to_le_bytes()[..width]) as u16);
+                }
+                slot.1 as u8
             })
             .collect()
     }
@@ -1737,37 +2020,94 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..from) as u32).collect()
     }
 
+    /// The columns of `batch` in the order `cols` names them, duplicates
+    /// included, as a Remap hands them on: no column is read.
+    fn remapped(batch: &RecordBatch, cols: &[usize]) -> RecordBatch {
+        let columns = cols.iter().map(|&c| batch.columns()[c].clone()).collect();
+        RecordBatch::new(columns, batch.num_rows())
+    }
+
+    /// Every column of `wide_batch` once, and the `Str` ones twice.
+    const REMAP: [usize; 8] = [0, 1, 2, 3, 4, 5, 2, 5];
+
+    /// 1–8 runs over four sources — a dense batch, a second one, a deferred
+    /// take over the first, and a batch sharing the first's even columns but
+    /// not its odd ones — each named by any number of runs, whole or through
+    /// random picks; every source remapped by [`REMAP`]. Returns the runs'
+    /// sources, their picks, and the rows they name.
+    fn random_runs(rng: &mut SmallRng) -> (Vec<RecordBatch>, Vec<Option<Vec<u32>>>, Vec<Row>) {
+        let (rows_a, a) = wide_batch(rng, 2 * EAGER_ROWS);
+        let (rows_b, b) = wide_batch(rng, EAGER_ROWS);
+        let idx = random_picks(rng, a.num_rows(), EAGER_ROWS + 50);
+        let rows_d: Vec<Row> = idx.iter().map(|&i| rows_a[i as usize].clone()).collect();
+        let d = a.take(&idx);
+        let (rows_x, x) = wide_batch(rng, 2 * EAGER_ROWS);
+        let mix = |j: usize| if j % 2 == 0 { &a } else { &x };
+        let columns = (0..a.width())
+            .map(|j| mix(j).columns()[j].clone())
+            .collect();
+        let m = RecordBatch::new(columns, a.num_rows());
+        let rows_m: Vec<Row> = rows_a
+            .iter()
+            .zip(&rows_x)
+            .map(|(ra, rx)| (0..ra.len()).map(|j| [ra, rx][j % 2][j].clone()).collect())
+            .collect();
+        let sources = [(rows_a, a), (rows_b, b), (rows_d, d), (rows_m, m)];
+        let remap_row = |row: &Row| REMAP.iter().map(|&c| row[c].clone()).collect::<Row>();
+        let (mut batches, mut picks, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..rng.gen_range(1..=8) {
+            let (rows, batch) = &sources[rng.gen_range(0..sources.len())];
+            let n = rng.gen_range(1..100);
+            let idx = (rng.gen_range(0..3) > 0).then(|| random_picks(rng, batch.num_rows(), n));
+            match &idx {
+                Some(idx) => want.extend(idx.iter().map(|&i| remap_row(&rows[i as usize]))),
+                None => want.extend(rows.iter().map(remap_row)),
+            }
+            batches.push(remapped(batch, &REMAP));
+            picks.push(idx);
+        }
+        (batches, picks, want)
+    }
+
+    fn gather_runs(batches: &[RecordBatch], picks: &[Option<Vec<u32>>]) -> RecordBatch {
+        let runs: Vec<Rows<'_>> = batches
+            .iter()
+            .zip(picks)
+            .map(|(b, i)| (b, i.as_deref()))
+            .collect();
+        RecordBatch::gather(&runs)
+    }
+
     #[test]
     fn deferred_bytes_match_dense_bytes_without_forcing() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let (_, b) = wide_batch(&mut rng, EAGER_ROWS);
-        let (ia, ib) = (
-            random_picks(&mut rng, a.num_rows(), 300),
-            random_picks(&mut rng, b.num_rows(), 200),
-        );
-        // Two sources, then a take on top: the second recipe picks through
-        // the first.
-        let once = RecordBatch::gather(&[(&a, Some(&ia)), (&b, Some(&ib)), (&a, None)]);
-        let twice = once.take(&random_picks(&mut rng, once.num_rows(), EAGER_ROWS + 9));
-        for batch in [&once, &twice] {
-            let before = cells_gathered();
-            let deferred: Vec<u64> = batch.columns().iter().map(Column::byte_total).collect();
-            assert!(batch.columns().iter().all(|c| !c.is_dense()));
-            assert_eq!(cells_gathered(), before, "byte accounting forced a column");
-            let dense: Vec<u64> = (0..batch.width())
-                .map(|j| batch.column(j).byte_total())
-                .collect();
-            assert_eq!(deferred, dense);
-            assert_eq!(batch.bytes(), dense.iter().sum::<u64>());
-            let by_rows: usize = (0..batch.num_rows())
-                .flat_map(|i| batch.row(i))
-                .map(|v| v.byte_size())
-                .sum();
-            assert_eq!(batch.bytes(), by_rows as u64);
+        for case in 0..40 {
+            let mut rng = SmallRng::seed_from_u64(21_000 + case);
+            let (batches, picks, want) = random_runs(&mut rng);
+            let once = gather_runs(&batches, &picks);
+            let idx = random_picks(&mut rng, once.num_rows(), EAGER_ROWS + 9);
+            let want_twice: Vec<Row> = idx.iter().map(|&i| want[i as usize].clone()).collect();
+            // A take on top: the second recipe picks through the first.
+            let twice = once.take(&idx);
+            for (batch, want) in [(&once, &want), (&twice, &want_twice)] {
+                let before = cells_gathered();
+                let deferred: Vec<u64> = batch.columns().iter().map(Column::byte_total).collect();
+                assert_eq!(batch.bytes(), deferred.iter().sum::<u64>(), "case {case}");
+                assert_eq!(cells_gathered(), before, "byte accounting forced a column");
+                let dense: Vec<u64> = (0..batch.width())
+                    .map(|j| batch.column(j).byte_total())
+                    .collect();
+                assert_eq!(deferred, dense, "case {case}");
+                let got: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
+                assert_eq!(&got, want, "case {case}");
+                let by_rows: usize = want.iter().flatten().map(Value::byte_size).sum();
+                assert_eq!(batch.bytes(), by_rows as u64, "case {case}");
+            }
+            assert!(twice.columns().iter().all(|c| !c.is_dense()));
         }
         // The columns this test is about are all there.
-        let variants: Vec<_> = (0..once.width()).map(|j| once.column(j).as_ref()).collect();
+        let mut rng = SmallRng::seed_from_u64(21);
+        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let variants: Vec<_> = (0..a.width()).map(|j| a.column(j)).collect();
         assert!(matches!(
             variants[0],
             ColumnVector::Int { nulls: Some(_), .. }
@@ -1782,30 +2122,178 @@ mod tests {
 
     #[test]
     fn composed_picks_match_row_at_a_time_takes() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        let (rows_a, a) = wide_batch(&mut rng, 3 * EAGER_ROWS);
-        let (rows_b, b) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let mut want: Vec<Row> = [rows_b, rows_a].concat();
-        let mut batch = RecordBatch::gather(&[(&b, None), (&a, None)]);
-        for step in 0..6 {
-            // Read one column now and then: a forced column is picked from
-            // directly, its siblings still through their recipes.
-            if step % 2 == 1 {
-                batch.column(step);
+        for case in 0..20 {
+            let mut rng = SmallRng::seed_from_u64(22_000 + case);
+            let (mut batches, mut picks, mut want) = random_runs(&mut rng);
+            // One whole run of the largest source keeps six takes of 40 rows
+            // fewer each above `EAGER_ROWS`.
+            let (rows, big) = wide_batch(&mut rng, 3 * EAGER_ROWS);
+            want.extend(
+                rows.iter()
+                    .map(|r| REMAP.iter().map(|&c| r[c].clone()).collect::<Row>()),
+            );
+            batches.push(remapped(&big, &REMAP));
+            picks.push(None);
+            let mut batch = gather_runs(&batches, &picks);
+            for step in 0..6 {
+                // Read one column now and then: a forced column is picked from
+                // directly, its siblings still through their recipes.
+                if step % 2 == 1 {
+                    batch.column(step);
+                }
+                let idx = random_picks(&mut rng, batch.num_rows(), want.len() - 40);
+                want = idx.iter().map(|&i| want[i as usize].clone()).collect();
+                batch = batch.take(&idx);
             }
-            let idx = random_picks(&mut rng, batch.num_rows(), want.len() - 40);
-            want = idx.iter().map(|&i| want[i as usize].clone()).collect();
-            batch = batch.take(&idx);
+            assert!(want.len() >= EAGER_ROWS);
+            let before = cells_gathered();
+            let got: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
+            assert_eq!(got, want, "case {case}");
+            // Six takes, one copy per cell.
+            assert_eq!(
+                cells_gathered() - before,
+                (batch.width() * want.len()) as u64
+            );
         }
-        assert!(want.len() >= EAGER_ROWS);
+    }
+
+    #[test]
+    fn columns_picked_alike_share_one_recipe() {
+        let mut rng = SmallRng::seed_from_u64(25);
+        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let (_, b) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let idx = random_picks(&mut rng, a.num_rows(), EAGER_ROWS);
+        let batch = RecordBatch::gather(&[(&a, Some(&idx)), (&b, None), (&a, None)]);
+        let recipes: Vec<_> = batch
+            .columns()
+            .iter()
+            .map(|c| match c {
+                Column::Deferred(recipe, m) => (Arc::as_ptr(recipe), *m),
+                Column::Dense(_) => panic!("a dense column in a deferred gather"),
+            })
+            .collect();
+        assert!(recipes.iter().all(|&(r, _)| r == recipes[0].0));
+        let members: Vec<u32> = recipes.iter().map(|&(_, m)| m).collect();
+        assert_eq!(members, (0..batch.width() as u32).collect::<Vec<_>>());
+        // `a` is one source of each column however many runs name it.
+        let Column::Deferred(recipe, _) = &batch.columns()[0] else {
+            unreachable!()
+        };
+        assert_eq!(recipe.fan_in, 2);
+    }
+
+    /// The schema of [`wide_batch`].
+    fn wide_schema() -> Schema {
+        let mut columns = random_rows(&mut SmallRng::seed_from_u64(0), 0)
+            .0
+            .columns()
+            .to_vec();
+        columns.push(scope_plan::Column::new("s2", DataType::Str));
+        Schema::new(columns).expect("distinct names")
+    }
+
+    /// A multi-partition table of deferred batches: takes over a few dense
+    /// sources, some source picked by several batches.
+    fn deferred_table(rng: &mut SmallRng) -> Table {
+        let sources: Vec<RecordBatch> = (0..rng.gen_range(1..4))
+            .map(|_| {
+                let n = rng.gen_range(EAGER_ROWS..3 * EAGER_ROWS);
+                wide_batch(rng, n).1
+            })
+            .collect();
+        let partitions = (0..rng.gen_range(1..4))
+            .map(|_| {
+                (0..rng.gen_range(1..4))
+                    .map(|_| {
+                        let source = &sources[rng.gen_range(0..sources.len())];
+                        let n = rng.gen_range(EAGER_ROWS..2 * EAGER_ROWS);
+                        Arc::new(source.take(&random_picks(rng, source.num_rows(), n)))
+                    })
+                    .collect()
+            })
+            .collect();
+        Table::from_batches(wide_schema(), partitions, PhysicalProps::any())
+    }
+
+    #[test]
+    fn route_maps_match_row_at_a_time_scatter() {
+        // Int, Date and Str keys with NULLs, a Str key without; a
+        // power-of-two and an odd partition count; dense and deferred keys.
+        for case in 0..8 {
+            // The reference reads every row: each deferred routing gets a
+            // table nobody has read.
+            let fresh = || deferred_table(&mut SmallRng::seed_from_u64(3_000 + case));
+            let dense = fresh().densified();
+            for key in [0, 1, 2, 5] {
+                for parts in [8, 5] {
+                    for t in [&fresh(), &dense] {
+                        let r = t.hash_repartition(&[key], parts).unwrap();
+                        let want = reference_hash_scatter(t, &[key], parts);
+                        for (p, want) in want.iter().enumerate() {
+                            assert_eq!(&r.partition_rows(p), want, "case {case} key {key} p{p}");
+                        }
+                        assert_eq!(r.num_bytes(), t.num_bytes());
+                    }
+                }
+            }
+            // Each dense source holds the map of the first partition count it
+            // was routed at.
+            for batch in dense.partitions.iter().flatten() {
+                let routes = batch.columns()[0]
+                    .cells()
+                    .routes
+                    .get()
+                    .expect("a route map");
+                assert_eq!((routes.parts, routes.of_row.is_some()), (8, true));
+            }
+        }
+    }
+
+    #[test]
+    fn a_routed_exchange_forces_no_column() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        let t = deferred_table(&mut rng);
         let before = cells_gathered();
-        let got: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
-        assert_eq!(got, want);
-        // Six takes, one copy per cell.
-        assert_eq!(
-            cells_gathered() - before,
-            (batch.width() * want.len()) as u64
+        let r = t.hash_repartition(&[2], 8).unwrap();
+        let twice = r.hash_repartition(&[0], 8).unwrap();
+        assert_eq!(cells_gathered(), before);
+        let held = |t: &Table| {
+            t.partitions
+                .iter()
+                .flatten()
+                .any(|b| b.columns().iter().any(Column::is_dense))
+        };
+        assert!(!held(&r) && !held(&twice));
+        assert_eq!(twice.num_rows(), t.num_rows());
+    }
+
+    thread_local! {
+        /// Route maps this thread has built.
+        pub(super) static ROUTE_MAPS_BUILT: Counter<u64> = const { Counter::new(0) };
+    }
+
+    #[test]
+    fn a_column_routed_from_two_threads_builds_one_map() {
+        let mut rng = SmallRng::seed_from_u64(27);
+        let (_, source) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let t = Table::from_batches(
+            wide_schema(),
+            vec![vec![Arc::new(source)]],
+            PhysicalProps::any(),
         );
+        let gate = std::sync::Barrier::new(2);
+        let route = || {
+            gate.wait();
+            let before = ROUTE_MAPS_BUILT.with(Counter::get);
+            let r = t.hash_repartition(&[2], 8).unwrap();
+            (r, ROUTE_MAPS_BUILT.with(Counter::get) - before)
+        };
+        let ((r1, b1), (r2, b2)) = std::thread::scope(|s| {
+            let other = s.spawn(route);
+            (route(), other.join().expect("routing thread"))
+        });
+        assert_eq!(b1 + b2, 1, "one of them built the map");
+        assert!(r1 == r2);
     }
 
     #[test]
@@ -1837,7 +2325,10 @@ mod tests {
         let read = || {
             gate.wait();
             let before = cells_gathered();
-            (batch.column(2).clone(), cells_gathered() - before)
+            (
+                batch.columns()[2].cells().clone(),
+                cells_gathered() - before,
+            )
         };
         let ((c1, g1), (c2, g2)) = std::thread::scope(|s| {
             let other = s.spawn(read);

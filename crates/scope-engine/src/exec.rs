@@ -40,6 +40,7 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use scope_common::hash::SipHasher24;
 use scope_common::ids::NodeId;
@@ -86,6 +87,9 @@ pub struct ExecOutcome {
     /// deferred column some operator read, plus LeftOuter padding. Columns
     /// forced later (an output checksum, a view publish) are not in it.
     pub cells_gathered: u64,
+    /// Wall time of each node's kernel (same indexing as the graph arena):
+    /// real time on this host, unlike the simulated `exclusive_cpu`.
+    pub node_wall: Vec<Duration>,
 }
 
 impl ExecOutcome {
@@ -118,6 +122,7 @@ pub fn execute_plan(
 ) -> Result<ExecOutcome> {
     let mut tables: Vec<Table> = Vec::with_capacity(graph.len());
     let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(graph.len());
+    let mut node_wall: Vec<Duration> = Vec::with_capacity(graph.len());
     let mut outputs = HashMap::new();
     let schemas = graph.validate()?;
     let gathered_before = cells_gathered();
@@ -126,7 +131,9 @@ pub fn execute_plan(
         let child_tables: Vec<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
         let in_rows: u64 = child_tables.iter().map(|t| t.num_rows() as u64).sum();
         let out_schema = &schemas[node.id.index()];
+        let started = Instant::now();
         let (table, scanned) = exec_node(&node.op, &child_tables, out_schema, storage, now)?;
+        node_wall.push(started.elapsed());
         let out_rows = table.num_rows() as u64;
         let out_bytes = table.num_bytes();
         let effective_in = if node.children.is_empty() {
@@ -154,6 +161,7 @@ pub fn execute_plan(
         node_stats: stats,
         outputs,
         cells_gathered: cells_gathered() - gathered_before,
+        node_wall,
     })
 }
 
@@ -432,7 +440,7 @@ fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
         // An empty partition may be a zero-width batch: no key column to read.
         return Vec::new();
     }
-    let key_cols: Vec<&Arc<ColumnVector>> = keys.iter().map(|&k| batch.column(k)).collect();
+    let key_cols: Vec<&ColumnVector> = keys.iter().map(|&k| batch.column(k)).collect();
     let same = |a: usize, b: usize| {
         key_cols
             .iter()
@@ -594,7 +602,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> 
             Ok(Some(RecordBatch::new(columns, rows)))
         }
         UdoKind::ScoreModel { cols, seed } => {
-            let features: Vec<&Arc<ColumnVector>> = cols.iter().map(|&c| batch.column(c)).collect();
+            let features: Vec<&ColumnVector> = cols.iter().map(|&c| batch.column(c)).collect();
             let score = |i| {
                 let mut h = SipHasher24::new_with_keys(*seed, !*seed);
                 for f in &features {
@@ -702,16 +710,18 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<Recor
 
 /// Aggregate accumulator for one group.
 ///
-/// Float sums are accumulated as a value list and added in a *deterministic
-/// order* at finish time: IEEE addition is not associative, so summing in
+/// Float inputs are added in a *deterministic order* once all are seen
+/// ([`Acc::settle_floats`]): IEEE addition is not associative, so summing in
 /// physical arrival order would make results depend on partitioning — and a
 /// view-fed plan (different partition order) could differ from the baseline
-/// in the last ulp. Integer sums stay incremental.
+/// in the last ulp. The caller keeps the inputs, one buffer per partition or
+/// run, not one per group. Integer sums stay incremental.
 #[derive(Default)]
 struct Acc {
     count: u64,
     int_sum: i64,
-    float_values: Vec<f64>,
+    /// The float inputs' total in IEEE total order; 0 when there are none.
+    float_sum: f64,
     sum_is_float: bool,
     min: Option<Value>,
     max: Option<Value>,
@@ -721,17 +731,19 @@ struct Acc {
 
 impl Acc {
     /// Feeds one borrowed cell: only MIN/MAX/COUNT DISTINCT ever
-    /// materialize a [`Value`].
-    fn update_cell(&mut self, func: AggFunc, c: Cell<'_>) {
+    /// materialize a [`Value`]. A float input of SUM/AVG is handed back for
+    /// the caller to keep until [`Acc::settle_floats`].
+    #[must_use]
+    fn update_cell(&mut self, func: AggFunc, c: Cell<'_>) -> Option<f64> {
         self.count += 1;
         if c.is_null() {
-            return;
+            return None;
         }
         self.non_null += 1;
         match func {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => match c {
-                Cell::Float(f) => self.push_float(f),
+                Cell::Float(f) => return Some(f),
                 other => {
                     if let Some(x) = other.as_i64() {
                         self.add_int(x);
@@ -760,6 +772,7 @@ impl Acc {
                 self.distinct.insert(c.to_value());
             }
         }
+        None
     }
 
     // Typed bulk helpers for the monomorphized hash-aggregate loops. Each
@@ -779,18 +792,21 @@ impl Acc {
         self.int_sum = self.int_sum.wrapping_add(x);
     }
 
-    /// One non-null float into a SUM/AVG. Push order is irrelevant:
-    /// `float_total` sorts by IEEE total order before adding.
-    fn push_float(&mut self, f: f64) {
+    /// Every non-null float input of the group, in any order: sorted by IEEE
+    /// total order, then added. Floats equal under `total_cmp` are equal bit
+    /// for bit, so an unstable sort adds them in one order too.
+    fn settle_floats(&mut self, floats: &mut [f64]) {
+        if floats.is_empty() {
+            return;
+        }
+        floats.sort_unstable_by(f64::total_cmp);
         self.sum_is_float = true;
-        self.float_values.push(f);
+        self.float_sum = floats.iter().sum();
     }
 
-    /// Order-insensitive float total: sort by IEEE total order, then add.
+    /// Order-insensitive SUM/AVG total.
     fn float_total(&self) -> f64 {
-        let mut vals = self.float_values.clone();
-        vals.sort_by(|a, b| a.total_cmp(b));
-        vals.iter().sum::<f64>() + self.int_sum as f64
+        self.float_sum + self.int_sum as f64
     }
 
     fn finish(&self, func: AggFunc) -> Value {
@@ -804,6 +820,38 @@ impl Acc {
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
             AggFunc::CountDistinct => Value::Int(self.distinct.len() as i64),
         }
+    }
+}
+
+/// `(group, item)` pairs laid out by group in one buffer — counts, prefix
+/// sums, then a fill in input order: group `g`'s items are
+/// `items[start[g]..start[g + 1]]`. Returns `(start, items)`.
+fn by_group<T: Copy + Default>(
+    groups: usize,
+    pairs: impl Iterator<Item = (u32, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut start = vec![0usize; groups + 1];
+    for (g, _) in pairs.clone() {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut items = vec![T::default(); start[groups]];
+    for (g, item) in pairs {
+        items[next[g as usize]] = item;
+        next[g as usize] += 1;
+    }
+    (start, items)
+}
+
+/// Settles the float inputs of every group at once, laid out by group in
+/// one buffer: each group's slice goes to [`Acc::settle_floats`].
+fn settle_group_floats(accs: &mut [Acc], inputs: impl Iterator<Item = (u32, f64)> + Clone) {
+    let (start, mut floats) = by_group(accs.len(), inputs);
+    for (g, acc) in accs.iter_mut().enumerate() {
+        acc.settle_floats(&mut floats[start[g]..start[g + 1]]);
     }
 }
 
@@ -903,7 +951,7 @@ fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<u32>) {
         // Typed single-key grouping: one i64 or borrowed `&str` (or NULL)
         // per row. Valid because a typed column never mixes types, so key
         // equality coincides with Value equality.
-        match batch.column(*k).as_ref() {
+        match batch.column(*k) {
             ColumnVector::Int { data, nulls } => {
                 return group_typed_ints(rows, |i| data[i], null_at(nulls));
             }
@@ -959,7 +1007,6 @@ fn hash_aggregate_batch(
     if rows == 0 {
         return None;
     }
-    let width = batch.width();
     let (group_of, firsts) = group_rows(batch, keys);
     let ngroups = firsts.len();
     let mut group_sizes = vec![0u64; ngroups];
@@ -973,29 +1020,38 @@ fn hash_aggregate_batch(
     // everything else falls back to the borrowed-cell update.
     let mut finished = Vec::with_capacity(aggs.len());
     for a in aggs {
-        let col = batch.column(a.input.min(width - 1));
         let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::default()).collect();
-        match (a.func, col.as_ref()) {
-            (AggFunc::Count, _) => {
-                // finish(Count) reads only the row count; nulls don't matter.
-                for (acc, &n) in accs.iter_mut().zip(&group_sizes) {
-                    acc.bump_rows(n, 0);
-                }
+        if a.func == AggFunc::Count {
+            // finish(Count) reads only the row count: no cell, no column.
+            for (acc, &n) in accs.iter_mut().zip(&group_sizes) {
+                acc.bump_rows(n, 0);
             }
+            finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
+            continue;
+        }
+        let col = batch.column(a.input);
+        match (a.func, col) {
             (AggFunc::Sum | AggFunc::Avg, ColumnVector::Int { data, nulls }) => {
                 accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |acc, i| {
                     acc.add_int(data[i])
                 });
             }
             (AggFunc::Sum | AggFunc::Avg, ColumnVector::Float { data, nulls }) => {
-                accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |acc, i| {
-                    acc.push_float(data[i])
-                });
+                accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |_, _| {});
+                let null = null_at(nulls);
+                let rows = group_of.iter().enumerate().filter(|&(i, _)| !null(i));
+                settle_group_floats(&mut accs, rows.map(|(i, &g)| (g, data[i])));
             }
             _ => {
+                let mut floats = Vec::new();
                 for (i, &g) in group_of.iter().enumerate() {
-                    accs[g as usize].update_cell(a.func, col.cell(i));
+                    floats.extend(
+                        accs[g as usize]
+                            .update_cell(a.func, col.cell(i))
+                            .map(|f| (g, f)),
+                    );
                 }
+                settle_group_floats(&mut accs, floats.iter().copied());
             }
         }
         finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
@@ -1046,19 +1102,28 @@ fn stream_aggregate_batch(
     if runs.is_empty() {
         return None;
     }
-    let width = batch.width();
     let finished = aggs
         .iter()
         .map(|a| {
-            let col = batch.column(a.input.min(width - 1));
-            let finish = |run: &Range<usize>| {
+            if a.func == AggFunc::Count {
+                // A group's row count: no cell, no column.
+                return runs
+                    .iter()
+                    .map(|run| Value::Int(run.len() as i64))
+                    .collect();
+            }
+            let col = batch.column(a.input);
+            let mut floats = Vec::new();
+            let mut finish = |run: &Range<usize>| {
                 let mut acc = Acc::default();
+                floats.clear();
                 for i in run.clone() {
-                    acc.update_cell(a.func, col.cell(i));
+                    floats.extend(acc.update_cell(a.func, col.cell(i)));
                 }
+                acc.settle_floats(&mut floats);
                 acc.finish(a.func)
             };
-            runs.iter().map(finish).collect()
+            runs.iter().map(&mut finish).collect()
         })
         .collect();
     let firsts: Vec<u32> = runs.iter().map(|run| run.start as u32).collect();
@@ -1116,7 +1181,35 @@ fn exec_join(
 }
 
 /// Right-side groups of row indices plus, per left row, the matching group.
-type BuildProbe = (Vec<Vec<u32>>, Vec<Option<u32>>);
+/// Group `g` holds the right rows `rows[start[g]..start[g + 1]]` in arrival
+/// order: one buffer for all groups, not one per distinct key.
+struct BuildProbe {
+    start: Vec<usize>,
+    rows: Vec<u32>,
+    lgroup: Vec<Option<u32>>,
+}
+
+/// A right row whose key joins nothing (NULL).
+const NO_GROUP: u32 = u32::MAX;
+
+impl BuildProbe {
+    /// Lays out the right rows by group from each right row's group id
+    /// among `groups`.
+    fn new(rgroup: &[u32], groups: usize, lgroup: Vec<Option<u32>>) -> BuildProbe {
+        let joining = rgroup.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP);
+        let (start, rows) = by_group(groups, joining.map(|(i, &g)| (g, i as u32)));
+        BuildProbe {
+            start,
+            rows,
+            lgroup,
+        }
+    }
+
+    /// The right rows of group `g`, in arrival order.
+    fn matches(&self, g: u32) -> &[u32] {
+        &self.rows[self.start[g as usize]..self.start[g as usize + 1]]
+    }
+}
 
 /// Build/probe grouping: distinct non-NULL right keys get a group of right
 /// row indices (arrival order); each left row resolves to its group or none.
@@ -1127,20 +1220,19 @@ fn build_probe<K: std::hash::Hash + Eq>(
     lkey: impl Fn(usize) -> Option<K>,
 ) -> BuildProbe {
     let mut map: HashMap<K, u32> = HashMap::new();
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    for i in 0..rrows {
-        if let Some(k) = rkey(i) {
-            let gid = *map.entry(k).or_insert_with(|| {
-                groups.push(Vec::new());
-                (groups.len() - 1) as u32
-            });
-            groups[gid as usize].push(i as u32);
-        }
-    }
+    let rgroup: Vec<u32> = (0..rrows)
+        .map(|i| match rkey(i) {
+            Some(k) => {
+                let next = map.len() as u32;
+                *map.entry(k).or_insert(next)
+            }
+            None => NO_GROUP,
+        })
+        .collect();
     let lgroup = (0..lrows)
         .map(|i| lkey(i).and_then(|k| map.get(&k).copied()))
         .collect();
-    (groups, lgroup)
+    BuildProbe::new(&rgroup, map.len(), lgroup)
 }
 
 /// Monomorphized i64 build/probe with the same group-id contract as
@@ -1158,18 +1250,20 @@ fn build_probe_ints(
     let (lo, hi, span) = key_range(rrows, &rkey, &rnull);
     if is_dense(span, rrows) {
         let mut table = vec![u32::MAX; span as usize];
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        for i in 0..rrows {
-            if rnull(i) {
-                continue;
-            }
-            let slot = (rkey(i) - lo) as usize;
-            if table[slot] == u32::MAX {
-                table[slot] = groups.len() as u32;
-                groups.push(Vec::new());
-            }
-            groups[table[slot] as usize].push(i as u32);
-        }
+        let mut groups = 0;
+        let rgroup: Vec<u32> = (0..rrows)
+            .map(|i| {
+                if rnull(i) {
+                    return NO_GROUP;
+                }
+                let slot = &mut table[(rkey(i) - lo) as usize];
+                if *slot == u32::MAX {
+                    *slot = groups;
+                    groups += 1;
+                }
+                *slot
+            })
+            .collect();
         let lgroup = (0..lrows)
             .map(|i| {
                 if lnull(i) {
@@ -1183,7 +1277,7 @@ fn build_probe_ints(
                 (g != u32::MAX).then_some(g)
             })
             .collect();
-        (groups, lgroup)
+        BuildProbe::new(&rgroup, groups as usize, lgroup)
     } else {
         build_probe(
             rrows,
@@ -1217,7 +1311,7 @@ fn hash_join_batch(
     // right side may be a zero-width batch whose key columns don't exist;
     // the row kernel never touches right keys then, so neither may we.
     let typed: Option<BuildProbe> = if let (true, [lk], [rk]) = (rrows > 0, left_keys, right_keys) {
-        match (lb.column(*lk).as_ref(), rb.column(*rk).as_ref()) {
+        match (lb.column(*lk), rb.column(*rk)) {
             (
                 ColumnVector::Int {
                     data: ld,
@@ -1276,7 +1370,7 @@ fn hash_join_batch(
     } else {
         None
     };
-    let (groups, lgroup) = typed.unwrap_or_else(|| {
+    let built = typed.unwrap_or_else(|| {
         // NULL keys never join: test before materializing the key.
         let key_of = |b: &RecordBatch, keys: &[usize], i: usize| -> Option<Vec<Value>> {
             if keys.iter().any(|&k| b.column(k).is_null(i)) {
@@ -1296,7 +1390,7 @@ fn hash_join_batch(
     let batch = match kind {
         JoinKind::LeftSemi => {
             let sel: Vec<u32> = (0..lrows as u32)
-                .filter(|&i| lgroup[i as usize].is_some())
+                .filter(|&i| built.lgroup[i as usize].is_some())
                 .collect();
             if sel.is_empty() {
                 return Vec::new();
@@ -1306,9 +1400,9 @@ fn hash_join_batch(
         JoinKind::Inner => {
             let mut lidx: Vec<u32> = Vec::new();
             let mut ridx: Vec<u32> = Vec::new();
-            for (i, g) in lgroup.iter().enumerate() {
+            for (i, g) in built.lgroup.iter().enumerate() {
                 if let Some(g) = g {
-                    let matches = &groups[*g as usize];
+                    let matches = built.matches(*g);
                     lidx.resize(lidx.len() + matches.len(), i as u32);
                     ridx.extend_from_slice(matches);
                 }
@@ -1323,10 +1417,10 @@ fn hash_join_batch(
         JoinKind::LeftOuter => {
             let mut lidx: Vec<u32> = Vec::new();
             let mut ridx: Vec<Option<u32>> = Vec::new();
-            for (i, g) in lgroup.iter().enumerate() {
+            for (i, g) in built.lgroup.iter().enumerate() {
                 match g {
                     Some(g) => {
-                        let matches = &groups[*g as usize];
+                        let matches = built.matches(*g);
                         lidx.resize(lidx.len() + matches.len(), i as u32);
                         ridx.extend(matches.iter().copied().map(Some));
                     }
@@ -1390,6 +1484,33 @@ mod tests {
         assert_eq!(out.node_stats[0].in_rows, 100);
         assert_eq!(out.node_stats[1].out_rows, 20);
         assert!(out.total_cpu() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn count_reads_no_column() {
+        // 300 rows through a take: every column a recipe. The second COUNT
+        // names no column of the batch at all.
+        let count = [
+            AggExpr::new("n", AggFunc::Count, 1),
+            AggExpr::new("m", AggFunc::Count, 9),
+        ];
+        let reversed: Vec<u32> = (0..300).rev().collect();
+        let gathered = |kernel: fn(&RecordBatch, &[usize], &[AggExpr]) -> _, aggs| {
+            let batch = RecordBatch::from_rows(kv_rows(300)).take(&reversed);
+            let before = cells_gathered();
+            let out: Option<RecordBatch> = kernel(&batch, &[0], aggs);
+            (out.unwrap(), cells_gathered() - before)
+        };
+        for kernel in [hash_aggregate_batch, stream_aggregate_batch] {
+            // The group key is read either way; neither COUNT reads a cell.
+            let (out, cells) = gathered(kernel, &count);
+            assert_eq!(cells, gathered(kernel, &[]).1);
+            let total: i64 = (0..out.num_rows())
+                .map(|g| out.cell(g, 1).as_i64().unwrap())
+                .sum();
+            assert_eq!(total, 300);
+            assert_eq!(out.row(0)[1], out.row(0)[2]);
+        }
     }
 
     #[test]

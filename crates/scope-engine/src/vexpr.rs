@@ -204,7 +204,7 @@ fn eval_unary_ev(op: UnaryOp, child: Ev, rows: usize) -> Result<Ev> {
         Ev::Const(v) => Ok(Ev::Const(eval_unary(op, v)?)),
         Ev::Col(col) => {
             // Typed fast paths.
-            match (op, col.dense().as_ref()) {
+            match (op, col.dense()) {
                 (UnaryOp::IsNull, c) => {
                     let data: Vec<bool> = (0..rows).map(|i| c.is_null(i)).collect();
                     return Ok(Ev::cells(ColumnVector::Bool { data, nulls: None }));
@@ -393,7 +393,7 @@ fn int_arith(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
     fn side(e: &Ev) -> Option<Side<'_>> {
         match e {
             Ev::Const(Value::Int(k)) => Some(Side::Const(*k)),
-            Ev::Col(c) => match c.dense().as_ref() {
+            Ev::Col(c) => match c.dense() {
                 ColumnVector::Int { data, nulls } => Some(Side::Col(data, nulls)),
                 _ => None,
             },
@@ -458,7 +458,7 @@ fn bool_logic(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
             Ev::Const(Value::Bool(b)) => Some(Some(*b)),
             Ev::Const(Value::Null) => Some(None),
             Ev::Const(_) => None,
-            Ev::Col(c) => match c.dense().as_ref() {
+            Ev::Col(c) => match c.dense() {
                 ColumnVector::Bool { data, nulls } => Some(match nulls {
                     Some(m) if m[i] => None,
                     _ => Some(data[i]),
@@ -471,7 +471,7 @@ fn bool_logic(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
     // Mixed columns, so only typed Bool columns and Bool/Null consts pass).
     let ok = |e: &Ev| {
         matches!(e, Ev::Const(Value::Bool(_)) | Ev::Const(Value::Null))
-            || matches!(e, Ev::Col(c) if matches!(c.dense().as_ref(), ColumnVector::Bool { .. }))
+            || matches!(e, Ev::Col(c) if matches!(c.dense(), ColumnVector::Bool { .. }))
     };
     if !ok(l) || !ok(r) {
         return None;

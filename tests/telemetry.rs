@@ -11,12 +11,13 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
-use cloudviews::runtime::JobRunReport;
+use cloudviews::runtime::{op_wall_counter, JobRunReport};
 use cloudviews::{CloudViews, FaultPlan, FaultSite, RunMode, ScriptedFault};
 use scope_common::ids::JobId;
 use scope_common::telemetry::{json, MetricsSnapshot, SpanRecord};
 use scope_engine::job::JobSpec;
 use scope_engine::storage::StorageManager;
+use scope_plan::OpKind;
 use scope_workload::dists::LogNormal;
 use scope_workload::recurring::{ClusterSpec, RecurringWorkload, WorkloadConfig};
 
@@ -277,6 +278,19 @@ fn prometheus_export_is_well_formed() {
     let snap = cv.telemetry.metrics.snapshot();
     assert!(snap.counter("cv_exec_rows_in_total") > 0);
     assert!(snap.counter("cv_exec_cells_gathered_total") > 0);
+    // Kernel wall time per operator kind: every kind exports a series, and
+    // the kinds the jobs ran add up to a positive total.
+    let mut op_wall = 0;
+    for kind in OpKind::ALL {
+        let name = op_wall_counter(kind);
+        assert!(
+            text.contains(&format!("# TYPE {name} counter")),
+            "missing {name:?}"
+        );
+        op_wall += snap.counter(&name);
+    }
+    assert!(snap.counter(&op_wall_counter(OpKind::TableScan)) > 0);
+    assert!(op_wall > 0);
     // Histogram exposition: cumulative buckets, +Inf bound, sum and count.
     assert!(text.contains("cv_job_latency_sim_micros_bucket{le=\""));
     assert!(text.contains("cv_job_latency_sim_micros_bucket{le=\"+Inf\"}"));
