@@ -223,7 +223,7 @@ mod tests {
             scope_common::time::SimTime::ZERO,
         )
         .unwrap();
-        assert_eq!(out.outputs.len(), 1);
-        assert!(out.outputs.values().next().unwrap().num_rows() > 0);
+        assert_eq!(out.exec.outputs.len(), 1);
+        assert!(out.exec.outputs.values().next().unwrap().num_rows() > 0);
     }
 }

@@ -47,14 +47,14 @@ use scope_common::hash::Sig128;
 use scope_common::ids::{ClusterId, JobId, NodeId, TemplateId, UserId, VcId};
 use scope_common::intern::Symbol;
 use scope_common::time::{SimDuration, SimTime};
-use scope_engine::data::Table;
+use scope_engine::data::{ColumnVector, Table};
 use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView};
 use scope_engine::repo::{JobRecord, SubgraphRun};
 use scope_engine::storage::{ViewFile, ViewMeta};
 use scope_plan::expr::{AggExpr, AggFunc, BinOp, ScalarFunc, UnaryOp};
 use scope_plan::interval::Interval;
 use scope_plan::{
-    Column, DataType, Expr, NamedExpr, OpKind, Partitioning, PhysicalProps, Schema, SortDir,
+    Cell, Column, DataType, Expr, NamedExpr, OpKind, Partitioning, PhysicalProps, Schema, SortDir,
     SortKey, SortOrder, Value,
 };
 use scope_signature::{SubgraphInfo, SubsumeDescriptor, SubsumeDetail, SubsumeKind};
@@ -381,29 +381,7 @@ impl Codec for SortOrder {
 
 impl Codec for Value {
     fn put(&self, e: &mut Enc) {
-        match self {
-            Value::Null => e.put_u8(0),
-            Value::Bool(b) => {
-                e.put_u8(1);
-                b.put(e);
-            }
-            Value::Int(i) => {
-                e.put_u8(2);
-                i.put(e);
-            }
-            Value::Float(f) => {
-                e.put_u8(3);
-                f.put(e);
-            }
-            Value::Str(s) => {
-                e.put_u8(4);
-                s.put(e);
-            }
-            Value::Date(d) => {
-                e.put_u8(5);
-                d.put(e);
-            }
-        }
+        put_cell(Cell::of(self), e);
     }
     fn get(d: &mut Dec) -> Result<Self> {
         Ok(match d.u8()? {
@@ -415,6 +393,34 @@ impl Codec for Value {
             5 => Value::Date(Codec::get(d)?),
             t => return Err(malformed(format!("value tag {t}"))),
         })
+    }
+}
+
+/// A [`Value`]'s layout, written from a borrowed cell so a view's columns
+/// encode without building a `Value` per cell.
+fn put_cell(cell: Cell<'_>, e: &mut Enc) {
+    match cell {
+        Cell::Null => e.put_u8(0),
+        Cell::Bool(b) => {
+            e.put_u8(1);
+            b.put(e);
+        }
+        Cell::Int(i) => {
+            e.put_u8(2);
+            i.put(e);
+        }
+        Cell::Float(f) => {
+            e.put_u8(3);
+            f.put(e);
+        }
+        Cell::Str(s) => {
+            e.put_u8(4);
+            e.put_str(s);
+        }
+        Cell::Date(d) => {
+            e.put_u8(5);
+            d.put(e);
+        }
     }
 }
 
@@ -566,17 +572,17 @@ impl Codec for SubsumeDetail {
 /// A materialized view's rows: schema, physical properties, then per
 /// partition a raw `u32` row count and every row's cells in column order.
 /// Partition and row counts are bulk counts, not [`MAX_SEQ`]-capped: tables
-/// legitimately exceed protocol-message sizes.
+/// legitimately exceed protocol-message sizes. Cells are written straight
+/// from the columns and read back into columns, one batch per partition.
 impl Codec for Table {
     fn put(&self, e: &mut Enc) {
         self.schema.put(e);
         self.props.put(e);
         e.put_u32(self.num_partitions() as u32);
         for p in 0..self.num_partitions() {
-            let rows = self.partition_rows(p);
-            e.put_u32(rows.len() as u32);
-            for cell in rows.iter().flatten() {
-                cell.put(e);
+            e.put_u32(self.partition_num_rows(p) as u32);
+            for cell in self.partition_cells(p) {
+                put_cell(cell, e);
             }
         }
     }
@@ -595,14 +601,18 @@ impl Codec for Table {
             if schema.is_empty() && nrows > 0 {
                 return Err(malformed(format!("{nrows} rows of no columns")));
             }
-            let mut rows = Vec::with_capacity(nrows.min(1024));
+            let reserve = nrows.min(1024 / schema.len().max(1));
+            let mut columns: Vec<Vec<Value>> = (0..schema.len())
+                .map(|_| Vec::with_capacity(reserve))
+                .collect();
             for _ in 0..nrows {
-                let row = (0..schema.len()).map(|_| Value::get(d));
-                rows.push(row.collect::<Result<Vec<_>>>()?);
+                for column in &mut columns {
+                    column.push(Value::get(d)?);
+                }
             }
-            partitions.push(rows);
+            partitions.push(columns.into_iter().map(ColumnVector::from_values).collect());
         }
-        Ok(Table::from_rows(schema, partitions, props))
+        Table::from_columns(schema, partitions, props).map_err(|e| malformed(e.to_string()))
     }
 }
 

@@ -3,10 +3,11 @@
 //! A [`Table`] is a list of partitions; each partition is a list of
 //! immutable, reference-counted [`RecordBatch`]es; each batch holds
 //! [`Column`]s: typed [`ColumnVector`]s with optional null masks, either
-//! dense or **deferred**. Rows exist only at the edges:
-//! [`Table::single`]/[`Table::from_rows`] build batches from rows, and
-//! [`Table::iter_rows`]/[`Table::all_rows`] materialize them back for
-//! callers (the view codec, tests) that still think row-at-a-time.
+//! dense or **deferred**. No shipped path reads a table as rows: the
+//! executor, the view codec and table equality walk cells. Rows exist for
+//! data generators and tests, which build tables with [`Table::from_rows`],
+//! and for tests and the row-engine oracle, which read them back with
+//! [`Table::partition_rows`], [`Table::all_rows`] and [`RecordBatch::row`].
 //!
 //! **Gather on read.** Every operation that moves rows without computing
 //! on them — the three repartitions, partition concatenation,
@@ -712,24 +713,6 @@ impl RecordBatch {
         }
     }
 
-    /// Builds a batch from uniform-width rows (consuming them).
-    pub fn from_rows(rows: Vec<Row>) -> RecordBatch {
-        let n = rows.len();
-        let width = rows.first().map(Vec::len).unwrap_or(0);
-        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
-        for row in rows {
-            assert_eq!(row.len(), width, "ragged rows in one batch");
-            for (j, v) in row.into_iter().enumerate() {
-                cols[j].push(v);
-            }
-        }
-        let columns = cols
-            .into_iter()
-            .map(|c| ColumnVector::from_values(c).into())
-            .collect();
-        RecordBatch::new(columns, n)
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows
@@ -761,7 +744,7 @@ impl RecordBatch {
         self.column(col).cell(row)
     }
 
-    /// Materializes row `i`.
+    /// Materializes row `i` (a test and oracle helper).
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.dense().value(i)).collect()
     }
@@ -996,33 +979,52 @@ impl Table {
         Table::from_rows(schema, vec![rows], PhysicalProps::single())
     }
 
-    /// A table from per-partition row lists (row bridge): one batch per
-    /// partition that has rows.
+    /// A table from per-partition row lists: one batch per partition that
+    /// has rows, its uniform-width rows transposed into columns built by
+    /// [`ColumnVector::from_values`].
     pub fn from_rows(schema: Schema, partitions: Vec<Vec<Row>>, props: PhysicalProps) -> Self {
-        let batch =
-            |rows: Vec<Row>| (!rows.is_empty()).then(|| Arc::new(RecordBatch::from_rows(rows)));
-        let partitions = partitions
-            .into_iter()
-            .map(|rows| batch(rows).into_iter().collect());
-        Table::from_batches(schema, partitions.collect(), props)
+        let mut batches = Vec::with_capacity(partitions.len());
+        for rows in partitions {
+            let (n, width) = (rows.len(), rows.first().map_or(0, Vec::len));
+            let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
+            for row in rows {
+                assert_eq!(row.len(), width, "ragged rows in one partition");
+                for (col, v) in cols.iter_mut().zip(row) {
+                    col.push(v);
+                }
+            }
+            let columns = cols
+                .into_iter()
+                .map(|c| ColumnVector::from_values(c).into());
+            batches.push(match n {
+                0 => Vec::new(),
+                n => vec![Arc::new(RecordBatch::new(columns.collect(), n))],
+            });
+        }
+        Table::from_batches(schema, batches, props)
     }
 
-    /// A single-partition table built directly from columns — the batch-first
-    /// construction path (no row materialization at all).
-    pub fn from_columns(schema: Schema, columns: Vec<ColumnVector>) -> Result<Self> {
-        let rows = columns.first().map(|c| c.len()).unwrap_or(0);
-        if let Some(i) = columns.iter().position(|c| c.len() != rows) {
-            return Err(ScopeError::Execution(format!(
-                "from_columns: column {i} has {} rows, expected {rows}",
-                columns[i].len()
-            )));
+    /// A table from per-partition column lists: one batch per partition that
+    /// has rows. Fails when a partition's columns differ in length.
+    pub fn from_columns(
+        schema: Schema,
+        partitions: Vec<Vec<ColumnVector>>,
+        props: PhysicalProps,
+    ) -> Result<Self> {
+        let mut batches = Vec::with_capacity(partitions.len());
+        for columns in partitions {
+            let rows = columns.first().map_or(0, ColumnVector::len);
+            if columns.iter().any(|c| c.len() != rows) {
+                let msg = "from_columns: a partition's columns differ in length";
+                return Err(ScopeError::Execution(msg.into()));
+            }
+            let columns = columns.into_iter().map(Column::from);
+            batches.push(match rows {
+                0 => Vec::new(),
+                rows => vec![Arc::new(RecordBatch::new(columns.collect(), rows))],
+            });
         }
-        let batch = RecordBatch::new(columns.into_iter().map(Column::from).collect(), rows);
-        Ok(Table {
-            schema,
-            partitions: vec![vec![Arc::new(batch)]],
-            props: PhysicalProps::single(),
-        })
+        Ok(Table::from_batches(schema, batches, props))
     }
 
     /// A table from per-partition batch lists (engine-internal).
@@ -1091,7 +1093,15 @@ impl Table {
         }
     }
 
-    /// Materializes the rows of partition `p`.
+    /// The cells of partition `p`, row by row and in column order within a
+    /// row: the order a view file stores them in.
+    pub fn partition_cells(&self, p: usize) -> impl Iterator<Item = Cell<'_>> {
+        self.partitions[p].iter().flat_map(|b| {
+            (0..b.num_rows()).flat_map(move |i| (0..b.width()).map(move |c| b.cell(i, c)))
+        })
+    }
+
+    /// Materializes the rows of partition `p` (a test and oracle helper).
     pub fn partition_rows(&self, p: usize) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.partition_num_rows(p));
         for batch in &self.partitions[p] {
@@ -1102,17 +1112,11 @@ impl Table {
         out
     }
 
-    /// Iterates all rows across partitions (materializing each).
-    pub fn iter_rows(&self) -> impl Iterator<Item = Row> + '_ {
-        self.partitions
-            .iter()
-            .flatten()
-            .flat_map(|b| (0..b.num_rows()).map(move |i| b.row(i)))
-    }
-
-    /// Collects all rows into a single vector.
+    /// Every row, partition by partition (a test and oracle helper).
     pub fn all_rows(&self) -> Vec<Row> {
-        self.iter_rows().collect()
+        (0..self.num_partitions())
+            .flat_map(|p| self.partition_rows(p))
+            .collect()
     }
 
     /// Repartitions by hash on `cols` into `parts` partitions.
@@ -1473,12 +1477,17 @@ impl HashParts {
 
 impl PartialEq for Table {
     /// Logical equality: same schema, properties, and per-partition row
-    /// sequences — batch boundaries are physical and do not participate.
+    /// sequences compared cell by cell under [`Cell::cmp_cell`] (what `Row`
+    /// equality is) — batch boundaries are physical and do not participate.
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.props == other.props
             && self.num_partitions() == other.num_partitions()
-            && (0..self.num_partitions()).all(|p| self.partition_rows(p) == other.partition_rows(p))
+            && (0..self.num_partitions()).all(|p| {
+                let mut cells = self.partition_cells(p).zip(other.partition_cells(p));
+                self.partition_num_rows(p) == other.partition_num_rows(p)
+                    && cells.all(|(a, b)| a.cmp_cell(b).is_eq())
+            })
     }
 }
 
@@ -1549,7 +1558,8 @@ mod tests {
 
     /// The old row-at-a-time byte accounting, for parity checks.
     fn row_bytes(t: &Table) -> u64 {
-        t.iter_rows()
+        t.all_rows()
+            .iter()
             .map(|r| r.iter().map(Value::byte_size).sum::<usize>() as u64)
             .sum()
     }
@@ -1604,7 +1614,7 @@ mod tests {
         let by_rows = Table::single(schema.clone(), rows);
         let by_cols = Table::from_columns(
             schema,
-            vec![
+            vec![vec![
                 ColumnVector::Int {
                     data: (0..20).collect(),
                     nulls: None,
@@ -1613,7 +1623,8 @@ mod tests {
                     data: (0..20).map(|i| format!("x{i}")).collect(),
                     nulls: None,
                 },
-            ],
+            ]],
+            PhysicalProps::single(),
         )
         .unwrap();
         assert_eq!(by_rows, by_cols);
@@ -1626,7 +1637,7 @@ mod tests {
         let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
         let err = Table::from_columns(
             schema,
-            vec![
+            vec![vec![
                 ColumnVector::Int {
                     data: vec![1, 2],
                     nulls: None,
@@ -1635,7 +1646,8 @@ mod tests {
                     data: vec![1],
                     nulls: None,
                 },
-            ],
+            ]],
+            PhysicalProps::single(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("length") || err.to_string().contains("rows"));
@@ -1847,6 +1859,11 @@ mod tests {
 
     /// Schema and random rows with NULLs in every typed column, empty and
     /// non-ASCII strings, and a last column that mixes runtime types.
+    /// The one batch of a table built from `rows`.
+    fn batch_of((schema, rows): (Schema, Vec<Row>)) -> RecordBatch {
+        RecordBatch::clone(&Table::single(schema, rows).partitions[0][0])
+    }
+
     fn random_rows(rng: &mut SmallRng, n: usize) -> (Schema, Vec<Row>) {
         let schema = Schema::from_pairs(&[
             ("i", DataType::Int),
@@ -1887,7 +1904,7 @@ mod tests {
                 (0..rng.gen_range(0..4))
                     .flat_map(|_| {
                         let n = rng.gen_range(1..40);
-                        [Arc::new(RecordBatch::from_rows(random_rows(rng, n).1))]
+                        [Arc::new(batch_of(random_rows(rng, n)))]
                     })
                     .collect()
             })
@@ -1898,7 +1915,7 @@ mod tests {
     /// The checksum as it was first defined: one hasher per materialized row.
     fn reference_checksum(t: &Table) -> u64 {
         let mut acc = sip64(b"multiset") ^ t.num_rows() as u64;
-        for row in t.iter_rows() {
+        for row in t.all_rows() {
             let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
             for v in &row {
                 v.stable_hash_into(&mut h);
@@ -1971,7 +1988,7 @@ mod tests {
     /// partition its key cells hash to.
     fn reference_hash_scatter(t: &Table, cols: &[usize], parts: usize) -> Vec<Vec<Row>> {
         let mut out = vec![Vec::new(); parts];
-        for row in t.iter_rows() {
+        for row in t.all_rows() {
             let mut h = SipHasher24::new_with_keys(0x9e3779b97f4a7c15, 0x85ebca6b);
             for &c in cols {
                 row[c].stable_hash_into(&mut h);
@@ -2009,11 +2026,12 @@ mod tests {
     /// One batch of `n` random rows (NULL-bearing `Int`/`Date`/`Str`/`Float`
     /// columns and a `Mixed` one) plus a `Str` column without NULLs.
     fn wide_batch(rng: &mut SmallRng, n: usize) -> (Vec<Row>, RecordBatch) {
-        let mut rows = random_rows(rng, n).1;
+        let (schema, mut rows) = random_rows(rng, n);
         for (i, row) in rows.iter_mut().enumerate() {
             row.push(Value::Str(format!("r{}", i % 11)));
         }
-        (rows.clone(), RecordBatch::from_rows(rows))
+        let schema = schema.concat(&Schema::from_pairs(&[("r", DataType::Str)]));
+        (rows.clone(), batch_of((schema, rows)))
     }
 
     fn random_picks(rng: &mut SmallRng, from: usize, n: usize) -> Vec<u32> {

@@ -1496,7 +1496,9 @@ mod tests {
         ];
         let reversed: Vec<u32> = (0..300).rev().collect();
         let gathered = |kernel: fn(&RecordBatch, &[usize], &[AggExpr]) -> _, aggs| {
-            let batch = RecordBatch::from_rows(kv_rows(300)).take(&reversed);
+            let batch = Table::single(kv_schema(), kv_rows(300))
+                .partition_as_batch(0)
+                .take(&reversed);
             let before = cells_gathered();
             let out: Option<RecordBatch> = kernel(&batch, &[0], aggs);
             (out.unwrap(), cells_gathered() - before)
@@ -1531,7 +1533,7 @@ mod tests {
         let out = run(&g, &storage);
         let result = &out.outputs["o"];
         assert_eq!(result.num_rows(), 5);
-        for row in result.iter_rows() {
+        for row in result.all_rows() {
             assert_eq!(row[1], Value::Int(20)); // 20 rows per key
             let k = row[0].as_i64().unwrap();
             // sum of k, k+5, ..., k+95 = 20k + 5*(0+..+19)*? -> compute:
@@ -1613,7 +1615,7 @@ mod tests {
         let out = run(&g, &storage);
         // Co-partitioned: aggregate per-partition is globally correct.
         assert_eq!(out.outputs["o"].num_rows(), 5);
-        for row in out.outputs["o"].iter_rows() {
+        for row in out.outputs["o"].all_rows() {
             assert_eq!(row[1], Value::Int(20));
         }
     }
@@ -1655,7 +1657,8 @@ mod tests {
         let outer = run(&build(JoinKind::LeftOuter), &storage);
         assert_eq!(outer.outputs["o"].num_rows(), 4); // + unmatched k=1
         let padded: Vec<_> = outer.outputs["o"]
-            .iter_rows()
+            .all_rows()
+            .into_iter()
             .filter(|r| r[2].is_null())
             .collect();
         assert_eq!(padded.len(), 1);

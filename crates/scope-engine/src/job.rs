@@ -9,7 +9,6 @@
 //! any missing partitioning/sorting), with the precise signature and
 //! producing job id recorded in the file path.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use scope_common::ids::{ClusterId, JobId, TemplateId, UserId, VcId};
@@ -18,7 +17,6 @@ use scope_common::Result;
 use scope_plan::{Partitioning, QueryGraph};
 
 use crate::cost::CostModel;
-use crate::data::Table;
 use crate::exec::{execute_plan, ExecOutcome};
 use crate::optimizer::{optimize, NoViewServices, OptimizedPlan, OptimizerConfig};
 use crate::sim::{simulate, ClusterConfig, SimOutcome};
@@ -52,16 +50,12 @@ pub struct JobOutcome {
     pub latency: SimDuration,
     /// Total CPU time (including any view-write overhead).
     pub cpu_time: SimDuration,
-    /// Terminal outputs by name.
-    pub outputs: HashMap<String, Table>,
     /// The optimized plan that ran.
     pub plan: OptimizedPlan,
-    /// Execution statistics.
+    /// Execution statistics and the terminal outputs by name.
     pub exec: ExecOutcome,
     /// Simulation breakdown.
     pub sim: SimOutcome,
-    /// Precise signatures of views this job materialized.
-    pub views_built: Vec<scope_common::Sig128>,
 }
 
 /// One materialized view produced by a job, with the simulated time at which
@@ -100,11 +94,9 @@ pub fn run_job_baseline(
         job: spec.id,
         latency: sim.latency,
         cpu_time: sim.cpu_time,
-        outputs: exec.outputs.clone(),
         exec,
         sim,
         plan,
-        views_built: Vec::new(),
     })
 }
 
@@ -228,6 +220,7 @@ pub fn materialize_marked_views(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Table;
     use crate::optimizer::{Annotation, AvailableView, ViewServices};
     use scope_common::ids::DatasetId;
     use scope_common::Sig128;
@@ -287,10 +280,9 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        assert_eq!(out.outputs["out/r.ss"].num_rows(), 7);
+        assert_eq!(out.exec.outputs["out/r.ss"].num_rows(), 7);
         assert!(out.latency > SimDuration::ZERO);
         assert!(out.cpu_time >= out.latency || out.sim.vertices == 1);
-        assert!(out.views_built.is_empty());
     }
 
     #[test]

@@ -322,13 +322,13 @@ impl StorageManager {
         let mut inner = self.inner.write();
         match inner.views.get_mut(&precise) {
             Some(stored) => {
-                let rows = stored.file.table.num_rows();
-                if rows > 0 {
+                let mut table = Table::clone(&stored.file.table);
+                let mut batches = table.partitions.iter_mut().flatten();
+                if let Some(batch) = batches.rfind(|b| b.num_rows() > 0) {
                     // Bit rot: silently drop the last row of the file.
-                    let mut remaining = stored.file.table.all_rows();
-                    remaining.pop();
-                    stored.file.table =
-                        Arc::new(Table::single(stored.file.table.schema.clone(), remaining));
+                    let keep: Vec<u32> = (0..batch.num_rows() as u32 - 1).collect();
+                    *batch = Arc::new(batch.take(&keep));
+                    stored.file.table = Arc::new(table);
                 } else {
                     // Nothing to truncate; damage the recorded checksum so
                     // verification still fails.
@@ -540,6 +540,23 @@ mod tests {
         let err = s.open_view(sig, SimTime::ZERO).unwrap_err();
         assert!(err.message().contains("checksum mismatch"), "{err}");
         assert!(!s.corrupt_view(sip128(b"missing")));
+    }
+
+    #[test]
+    fn corrupt_view_drops_the_last_row_in_place() {
+        let s = StorageManager::new();
+        let mut v = view(b"rot-parts", SimTime::MAX);
+        let schema = v.table.schema.clone();
+        let props = PhysicalProps::any();
+        let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i)]).collect();
+        let parts = vec![rows(0..3), rows(3..5), Vec::new()];
+        v.table = Arc::new(Table::from_rows(schema.clone(), parts, props.clone()));
+        let sig = v.meta.precise;
+        s.publish_view(v).unwrap();
+        assert!(s.corrupt_view(sig));
+        let rotten = s.view(sig, SimTime::ZERO).unwrap().table;
+        let kept = vec![rows(0..3), rows(3..4), Vec::new()];
+        assert_eq!(*rotten, Table::from_rows(schema, kept, props));
     }
 
     #[test]

@@ -10,20 +10,17 @@
 //!
 //! # Equivalence contract
 //!
-//! The row executor evaluated expressions lazily: `AND`/`OR` short-circuit
-//! per row, so the right operand was never evaluated for rows where the left
-//! decided the result. The batch evaluator computes whole columns eagerly —
-//! a *superset* of the elements the row path touched. That superset can hit
-//! errors the row path never would. The entry points therefore fall back to
-//! exact row-at-a-time evaluation whenever the vectorized pass errors:
-//!
-//! * if the row path would have errored, the vectorized pass errors too
-//!   (it evaluates a superset with identical per-element semantics), and the
-//!   fallback then reproduces the row path's exact first error;
-//! * if the vectorized error was spurious (a row the row path skipped), the
-//!   fallback succeeds with the row path's exact values.
-//!
-//! Either way, callers observe byte-identical results to the seed executor.
+//! [`Expr::eval`], the scalar reference, skips an `AND`/`OR` right operand
+//! on each row the left operand decides. The batch evaluator skips it when
+//! the left decides *every* row, so over a one-row slice it *is* the
+//! reference, value for value and error for error. Over a wider batch it
+//! evaluates a superset of the reference's elements with the same kernels:
+//! it fails whenever the reference would, and may also fail on a row the
+//! reference skipped. So when a batch pass fails, the entry points run the
+//! evaluator again on one-row slices ([`RecordBatch::take`]), in row order
+//! and row-major over a projection's expressions. The first slice that
+//! fails gives the reference's first error after the same selection prefix;
+//! when none fails, the slices' values are the reference's.
 
 use scope_common::{Result, ScopeError};
 use scope_plan::types::int_float_cmp;
@@ -70,8 +67,9 @@ impl Ev {
 /// its extractor over the rows before the error first, so an extractor
 /// error on an earlier row is the one reported.
 ///
-/// Exactly equivalent to `pred.eval(row)?.is_true()` per row (see the module
-/// docs for the fallback argument).
+/// Exactly what [`Expr::eval`] row by row gives: the rows where `pred` is
+/// `Bool(true)`, stopping at the first row that fails (see the module docs
+/// for why the one-row re-run is exact).
 pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> (Vec<u32>, Result<()>) {
     let rows = batch.num_rows() as u32;
     if rows == 0 {
@@ -87,11 +85,10 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> (Vec
                 .collect()
         }
         Err(_) => {
-            // Rowwise fallback: reproduces the row executor bit for bit.
             let mut sel = Vec::new();
             for i in 0..rows {
-                match pred.eval(&batch.row(i as usize)) {
-                    Ok(v) if v.is_true() => sel.push(i),
+                match eval_ev(pred, &batch.take(&[i])) {
+                    Ok(ev) if ev.value_at(0).is_true() => sel.push(i),
                     Ok(_) => {}
                     Err(e) => return (sel, Err(e)),
                 }
@@ -104,8 +101,8 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> (Vec
 
 /// Evaluates a projection list over the batch, one output column per
 /// expression. Equivalent to evaluating each expression per row in
-/// row-major order (the row executor's error order is preserved via the
-/// fallback).
+/// row-major order: a failed batch pass is re-run one row at a time, so the
+/// reference's first error is the one reported.
 pub(crate) fn eval_exprs(exprs: &[NamedExpr], batch: &RecordBatch) -> Result<Vec<Column>> {
     let rows = batch.num_rows();
     if rows == 0 {
@@ -114,26 +111,18 @@ pub(crate) fn eval_exprs(exprs: &[NamedExpr], batch: &RecordBatch) -> Result<Vec
             .map(|_| ColumnVector::Mixed(Vec::new()).into())
             .collect());
     }
-    let mut out = Vec::with_capacity(exprs.len());
-    let mut failed = false;
-    for e in exprs {
-        match eval_ev(&e.expr, batch) {
-            Ok(ev) => out.push(ev.into_column(rows)),
-            Err(_) => {
-                failed = true;
-                break;
-            }
-        }
+    let batched: Result<Vec<Column>> = exprs
+        .iter()
+        .map(|e| Ok(eval_ev(&e.expr, batch)?.into_column(rows)))
+        .collect();
+    if batched.is_ok() {
+        return batched;
     }
-    if !failed {
-        return Ok(out);
-    }
-    // Rowwise fallback, row-major like the seed Project kernel.
     let mut cols: Vec<Vec<Value>> = exprs.iter().map(|_| Vec::with_capacity(rows)).collect();
-    for i in 0..rows {
-        let row = batch.row(i);
-        for (j, e) in exprs.iter().enumerate() {
-            cols[j].push(e.expr.eval(&row)?);
+    for i in 0..rows as u32 {
+        let row = batch.take(&[i]);
+        for (col, e) in cols.iter_mut().zip(exprs) {
+            col.push(eval_ev(&e.expr, &row)?.value_at(0));
         }
     }
     Ok(cols
@@ -163,17 +152,13 @@ fn eval_ev(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
         }
         Expr::Binary { op, left, right } => {
             let l = eval_ev(left, batch)?;
-            // Constant short-circuit: when the left operand is the same
-            // decisive constant for every row, the row path never evaluated
-            // the right subtree — neither do we.
-            match (&l, op) {
-                (Ev::Const(v), BinOp::And) if *v == Value::Bool(false) => {
-                    return Ok(Ev::Const(Value::Bool(false)));
+            // The scalar reference skips the right operand on every row the
+            // left decides; when the left decides them all, so do we.
+            if matches!(op, BinOp::And | BinOp::Or) {
+                let decisive = Value::Bool(*op == BinOp::Or);
+                if (0..rows).all(|i| l.value_at(i) == decisive) {
+                    return Ok(Ev::Const(decisive));
                 }
-                (Ev::Const(v), BinOp::Or) if *v == Value::Bool(true) => {
-                    return Ok(Ev::Const(Value::Bool(true)));
-                }
-                _ => {}
             }
             let r = eval_ev(right, batch)?;
             eval_binary_ev(*op, l, r, rows)

@@ -28,8 +28,8 @@ use scope_engine::job::JobSpec;
 use scope_engine::storage::StorageManager;
 use scope_plan::expr::AggFunc;
 use scope_plan::{
-    AggExpr, DataType, Expr, NamedExpr, Partitioning, PlanBuilder, ScalarFunc, Schema, SortKey,
-    SortOrder, Udo, UdoKind, Value,
+    AggExpr, DataType, Expr, NamedExpr, Partitioning, PhysicalProps, PlanBuilder, ScalarFunc,
+    Schema, SortKey, SortOrder, Udo, UdoKind, Value,
 };
 
 use crate::dists::{coin, rng_for, LogNormal, Zipf};
@@ -599,7 +599,8 @@ fn generate_stream_table(cluster: ClusterId, stream: usize, instance: u64, rows:
             nulls: None,
         },
     ];
-    Table::from_columns(stream_schema(), columns).expect("uniform column lengths")
+    Table::from_columns(stream_schema(), vec![columns], PhysicalProps::single())
+        .expect("uniform column lengths")
 }
 
 /// Builds one fragment's sub-plan. Identical calls (same fragment, same
@@ -968,7 +969,7 @@ mod tests {
             scope_common::time::SimTime::ZERO,
         )
         .unwrap();
-        assert!(!out.outputs.is_empty());
+        assert!(!out.exec.outputs.is_empty());
     }
 
     #[test]

@@ -121,7 +121,7 @@ mod tests {
                 SimTime::ZERO,
             )
             .map_err(|e| with_query(q, e))?;
-            assert!(!out.outputs.is_empty(), "q{q} produced no output");
+            assert!(!out.exec.outputs.is_empty(), "q{q} produced no output");
         }
         Ok(())
     }

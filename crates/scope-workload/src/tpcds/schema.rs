@@ -577,7 +577,7 @@ mod tests {
         let ss = generate_table(TpcdsTable::StoreSales, 0.02, 1);
         let n_date = TpcdsTable::DateDim.base_rows() as i64;
         let n_item = TpcdsTable::Item.base_rows() as i64;
-        for row in ss.iter_rows() {
+        for row in ss.all_rows() {
             let d = row[0].as_i64().unwrap();
             let it = row[1].as_i64().unwrap();
             assert!((0..n_date).contains(&d));
@@ -588,11 +588,17 @@ mod tests {
     #[test]
     fn date_dim_years_span_1998_2001() {
         let dd = generate_table(TpcdsTable::DateDim, 1.0, 1);
-        let years: std::collections::HashSet<i64> =
-            dd.iter_rows().map(|r| r[1].as_i64().unwrap()).collect();
+        let years: std::collections::HashSet<i64> = dd
+            .all_rows()
+            .iter()
+            .map(|r| r[1].as_i64().unwrap())
+            .collect();
         assert!(years.contains(&1998) && years.contains(&2001));
-        let moys: std::collections::HashSet<i64> =
-            dd.iter_rows().map(|r| r[2].as_i64().unwrap()).collect();
+        let moys: std::collections::HashSet<i64> = dd
+            .all_rows()
+            .iter()
+            .map(|r| r[2].as_i64().unwrap())
+            .collect();
         assert!(moys.iter().all(|m| (1..=12).contains(m)));
     }
 
@@ -615,7 +621,7 @@ mod tests {
         for t in ALL_TABLES {
             let table = generate_table(t, 0.01, 1);
             let w = table.schema.len();
-            for row in table.iter_rows().take(5) {
+            for row in table.all_rows().into_iter().take(5) {
                 assert_eq!(row.len(), w, "{t:?}");
             }
         }

@@ -1867,3 +1867,185 @@ fn lock_exclusivity() {
         assert_eq!(winners, 1, "{n_jobs} jobs");
     });
 }
+
+/// The batch evaluator computes whole columns; the row reference evaluates
+/// one row at a time and skips an `AND`/`OR` right operand on each row the
+/// left operand decides. Against the reference: a right operand that fails
+/// only on rows the left decides costs nothing, whether the left decides a
+/// whole batch or part of one; two projected expressions failing on
+/// different rows report the earlier row's error (row-major, not
+/// expression by expression); and a filter fails with its first failing
+/// row's error after earlier rows passed.
+#[test]
+fn expression_errors_match_row_reference() {
+    use scope_plan::{NamedExpr, PhysicalProps, ScalarFunc, UnaryOp};
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("m", DataType::Str),
+        ("n", DataType::Int),
+    ]);
+    let len = |col| Expr::func(ScalarFunc::Len, vec![Expr::col(col)]);
+    let neg = |col| Expr::Unary {
+        op: UnaryOp::Neg,
+        child: Box::new(Expr::col(col)),
+    };
+    let scan_into = |storage: &StorageManager, partitions: Vec<Vec<Vec<Value>>>| {
+        let d = DatasetId::new(51);
+        let table = Table::from_rows(schema.clone(), partitions, PhysicalProps::any());
+        storage.put_dataset(d, table);
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(d, "expr/t.ss", schema.clone());
+        (b, s)
+    };
+
+    // `m` is a string where `k >= 0` and an integer where `k < 0`, so
+    // `len(m)` fails on exactly the rows `k >= 0` rejects; the partitions
+    // have the left operand deciding some rows, every row, and none.
+    let row = |k: i64| {
+        let m = if k >= 0 {
+            Value::Str(format!("s{k}"))
+        } else {
+            Value::Int(k)
+        };
+        vec![Value::Int(k), m, Value::Int(3 * k)]
+    };
+    let guarded = vec![
+        (-6..6).map(row).collect(),
+        (-8..-2).map(row).collect(),
+        (0..5).map(row).collect(),
+        Vec::new(),
+    ];
+    let and = Expr::col(0)
+        .ge(Expr::lit(0i64))
+        .and(len(1).gt(Expr::lit(1i64)));
+    let or = Expr::col(0)
+        .lt(Expr::lit(0i64))
+        .or(len(1).gt(Expr::lit(1i64)));
+    let storage = StorageManager::new();
+    let (mut b, s) = scan_into(&storage, guarded.clone());
+    let f = b.filter(s, and.clone());
+    let graph = b.output(f, "expr/filter.ss").build().unwrap();
+    assert_executors_agree(&graph, &storage, "guarded filter");
+    assert_eq!(
+        run(&graph, &storage).outputs["expr/filter.ss"].num_rows(),
+        11
+    );
+    let (mut b, s) = scan_into(&storage, guarded);
+    let exprs = vec![NamedExpr::new("a", and), NamedExpr::new("o", or)];
+    let p = b.project(s, exprs);
+    let graph = b.output(p, "expr/project.ss").build().unwrap();
+    assert_executors_agree(&graph, &storage, "guarded project");
+
+    // `len(m)` fails on the row where `m` is an integer and `-n` on the row
+    // where `n` is a string: the earlier row's error wins.
+    for (len_row, neg_row, expect) in [(6, 3, "NEG on"), (3, 6, "len on")] {
+        let mut rows: Vec<Vec<Value>> = (0..10).map(row).collect();
+        rows[len_row][1] = Value::Int(7);
+        rows[neg_row][2] = Value::Str("x".into());
+        let (mut b, s) = scan_into(&storage, vec![rows]);
+        let exprs = vec![NamedExpr::new("l", len(1)), NamedExpr::new("n", neg(2))];
+        let p = b.project(s, exprs);
+        let graph = b.output(p, "expr/errs.ss").build().unwrap();
+        let err = errors_agree(&graph, &storage, expect);
+        assert!(err.contains(expect), "{err}");
+    }
+
+    // Rows 0..7 pass `len(m) > 1` before row 7 fails it, in the first
+    // partition or after a whole earlier one.
+    for first in [0, 5] {
+        let mut rows: Vec<Vec<Value>> = (0..12).map(row).collect();
+        rows[7][1] = Value::Int(7);
+        let mut partitions = vec![(20..20 + first).map(row).collect::<Vec<_>>(), rows];
+        partitions.retain(|p| !p.is_empty());
+        let (mut b, s) = scan_into(&storage, partitions);
+        let f = b.filter(s, len(1).gt(Expr::lit(1i64)));
+        let graph = b.output(f, "expr/filter_err.ss").build().unwrap();
+        let err = errors_agree(&graph, &storage, "filter error");
+        assert!(err.contains("len on 7"), "{err}");
+    }
+}
+
+/// A view's bytes are its rows, row-major: the codec writes them straight
+/// from each batch's columns, and they equal the rows written one `Value` at
+/// a time. Random tables cover several batches per partition, deferred
+/// columns left by an exchange and a join, all-NULL and mixed-type columns
+/// and empty partitions; each decodes equal to the original, with an equal
+/// checksum.
+#[test]
+fn view_codec_writes_the_row_major_layout_from_columns() {
+    use cloudviews::codec::{Codec, Enc};
+    use scope_plan::{JoinKind, PhysicalProps};
+    let row_major = |t: &Table| {
+        let mut e = Enc::new();
+        t.schema.put(&mut e);
+        t.props.put(&mut e);
+        e.put_u32(t.num_partitions() as u32);
+        for p in 0..t.num_partitions() {
+            let rows = t.partition_rows(p);
+            e.put_u32(rows.len() as u32);
+            for v in rows.iter().flatten() {
+                v.put(&mut e);
+            }
+        }
+        e.buf
+    };
+    let extra = Schema::from_pairs(&[("nil", DataType::Int), ("mix", DataType::Str)]);
+    let schema = diff_schema().concat(&extra);
+    let (mut multi_batch, mut deferred, mut empty) = (0, 0, 0);
+    for_cases(
+        "view_codec_writes_the_row_major_layout_from_columns",
+        |rng| {
+            let storage = StorageManager::new();
+            let (d1, d2) = (DatasetId::new(61), DatasetId::new(62));
+            for (d, n) in [(d1, rng.gen_range(0..300)), (d2, rng.gen_range(0..80))] {
+                let mut rows = random_diff_table(rng, n, true).all_rows();
+                for row in &mut rows {
+                    row.push(Value::Null);
+                    row.push(match rng.gen_range(0..5) {
+                        0 => Value::Null,
+                        1 => Value::Int(rng.gen_range(-3..3)),
+                        2 => Value::Str("m".into()),
+                        3 => Value::Bool(rng.gen_bool(0.5)),
+                        _ => Value::Date(rng.gen_range(0..9)),
+                    });
+                }
+                // The last partition stays empty.
+                let mut partitions = vec![Vec::new(); rng.gen_range(2..5)];
+                let filled = partitions.len() - 1;
+                for row in rows {
+                    partitions[rng.gen_range(0..filled)].push(row);
+                }
+                let table = Table::from_rows(schema.clone(), partitions, PhysicalProps::any());
+                storage.put_dataset(d, table);
+            }
+            let hash = |parts| Partitioning::Hash {
+                cols: vec![0],
+                parts,
+            };
+            let parts = rng.gen_range(1..9);
+            let mut b = PlanBuilder::new();
+            let l = b.table_scan(d1, "codec/l.ss", schema.clone());
+            let r = b.table_scan(d2, "codec/r.ss", schema.clone());
+            let (lx, rx) = (b.exchange(l, hash(parts)), b.exchange(r, hash(parts)));
+            let j = b.join(lx, rx, JoinKind::Inner, vec![0], vec![0]);
+            let f = b.filter(j, Expr::col(1).lt(Expr::lit(50i64)));
+            let g = b.exchange(f, Partitioning::Single);
+            let graph = b.output(g, "codec/o.ss").build().unwrap();
+            for (i, t) in run(&graph, &storage).node_tables.iter().enumerate() {
+                let bytes = t.to_bytes();
+                assert!(bytes == row_major(t), "node {i}: layout differs");
+                let back = Table::from_bytes(&bytes).unwrap();
+                assert_eq!(back, *t, "node {i}");
+                assert_eq!(multiset_checksum(&back), multiset_checksum(t), "node {i}");
+                let batches = || (0..t.num_partitions()).map(|p| t.partition_batches(p));
+                multi_batch += batches().any(|p| p.len() > 1) as usize;
+                empty += batches().any(|p| p.is_empty()) as usize;
+                deferred += batches()
+                    .flatten()
+                    .any(|batch| batch.columns().iter().any(|c| !c.is_dense()))
+                    as usize;
+            }
+        },
+    );
+    assert!(multi_batch > 0 && deferred > 0 && empty > 0);
+}
