@@ -15,6 +15,7 @@
 //! our (non-adversarial) setting.
 
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// A 128-bit stable signature.
 ///
@@ -312,9 +313,107 @@ impl std::hash::Hasher for SipHasher24 {
     }
 }
 
+/// A hasher for in-process hash tables whose hashes are never stored and
+/// decide no order (the executor's grouping and join build tables):
+/// one 64×64→128-bit multiply per word, its halves folded together, so every
+/// input bit reaches the low bits a table indexes by. Each table starts it
+/// from its own random seed ([`WordState`]), so keys cannot be chosen to
+/// collide without knowing it.
+#[derive(Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+/// Builds [`WordHasher`]s from a seed drawn, like `RandomState`'s keys,
+/// once per table.
+#[derive(Clone)]
+pub struct WordState(u64);
+
+impl Default for WordState {
+    fn default() -> Self {
+        WordState(std::collections::hash_map::RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for WordState {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(self.0)
+    }
+}
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub type WordMap<K, V> = std::collections::HashMap<K, V, WordState>;
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0xf135_7aea_2e62_a9c5;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        if let rest @ [_, ..] = words.remainder() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 59));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(x as u64);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_hasher_spreads_aligned_keys_over_the_low_bits() {
+        use std::hash::Hasher;
+        // Keys that differ only above bit 20, and strings that differ only
+        // in their tail: the low bits a table indexes by must still differ.
+        let build = WordState::default();
+        let low = |h: u64| h & 0x3ff;
+        let ints: std::collections::HashSet<u64> =
+            (0..512u64).map(|k| low(build.hash_one(k << 20))).collect();
+        assert!(ints.len() > 300, "{} distinct", ints.len());
+        let strs: std::collections::HashSet<u64> = (0..512)
+            .map(|k| low(build.hash_one(format!("customer#{k:09}"))))
+            .collect();
+        assert!(strs.len() > 300, "{} distinct", strs.len());
+        // A tail shorter than a word is told apart from its zero padding.
+        let hash = |b: &[u8]| {
+            let mut h = WordHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(hash(b"ab"), hash(b"ab\0"));
+        let map: WordMap<&str, u32> = [("a", 1), ("b", 2)].into_iter().collect();
+        assert_eq!(map["b"], 2);
+    }
 
     /// Official SipHash-2-4 test vectors from the reference implementation
     /// (key = 00 01 02 ... 0f, messages = [], [00], [00 01], ...).

@@ -14,14 +14,15 @@
 //! [`RecordBatch::take`] (filter, sort, top, semi join) and the join emit —
 //! builds its output through `RecordBatch::gather_columns`, which copies no
 //! cell: each column is a member of a [`Recipe`], one vector of
-//! `(source, row)` picks shared by every column picked the same way plus each
-//! member's dense source columns. Gathering from an unread recipe composes
-//! the two pick vectors (once per distinct pattern, not per column), so
-//! sources are always dense and a column that crosses five shuffles is copied
-//! once, by [`Column::dense`], when an operator first reads it — or never.
-//! Byte accounting never forces a column (a recipe carries its members'
-//! sizes). Outputs of under `EAGER_ROWS` rows over dense sources are copied
-//! at once instead: a recipe costs more than they do.
+//! `(source, row)` picks and one list of source batches shared by every
+//! column picked the same way, and per member the column it reads in each
+//! source. Gathering from an unread recipe composes the two pick vectors
+//! (once per distinct pattern, not per column), so sources are always dense
+//! and a column that crosses five shuffles is copied once, by
+//! [`Column::dense`], when an operator first reads it — or never. Byte totals
+//! are counted on first use and never force a column. Outputs of under
+//! `EAGER_ROWS` rows over dense sources are copied at once instead: a recipe
+//! costs more than they do.
 //!
 //! **Route once.** A dense column ([`Cells`]) memoises the partition of each
 //! of its rows under the first single-key hash exchange that routes on it,
@@ -39,14 +40,16 @@
 //! * **Immutability.** Batches are never mutated after construction, which
 //!   is why the per-batch byte size and row-hash sum need no invalidation
 //!   and why `gather`/clone/`UnionAll` are `Arc` pointer copies. Forcing a
-//!   deferred column fills a `OnceLock`: every reader sees one gather.
+//!   deferred column fills a `OnceLock`: every reader sees one gather, and a
+//!   column held dense stays so.
 //! * **Stored views are dense.** A recipe keeps its sources alive, so
 //!   [`Table::densified`] drops them before a table outlives its job.
 
 use std::cell::Cell as Counter;
 use std::cmp::Ordering;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
 use scope_common::{Result, ScopeError};
@@ -272,6 +275,29 @@ impl ColumnVector {
         }
     }
 
+    /// Feeds rows `rows` to one hasher each, `states[k]` taking row
+    /// `rows.start + k`, as [`Cell::stable_hash_into`] would: unmasked
+    /// `Int`, `Float` and `Date` columns in typed loops, others cell by cell.
+    fn hash_rows_into(&self, rows: Range<usize>, states: &mut [SipHasher24]) {
+        macro_rules! typed {
+            ($data:expr, $cell:path) => {
+                for (h, &v) in states.iter_mut().zip(&$data[rows]) {
+                    $cell(v).stable_hash_into(h);
+                }
+            };
+        }
+        match self {
+            ColumnVector::Int { data, nulls: None } => typed!(data, Cell::Int),
+            ColumnVector::Float { data, nulls: None } => typed!(data, Cell::Float),
+            ColumnVector::Date { data, nulls: None } => typed!(data, Cell::Date),
+            _ => {
+                for (h, i) in states.iter_mut().zip(rows) {
+                    self.cell(i).stable_hash_into(h);
+                }
+            }
+        }
+    }
+
     /// Byte size of every non-NULL cell of a fixed-width column.
     fn fixed_width(&self) -> Option<u64> {
         match self {
@@ -350,27 +376,36 @@ impl ColumnVector {
     /// Builds one column from `picks` over `sources` — the only place cells
     /// are copied between columns, and what [`cells_gathered`] counts.
     ///
-    /// Same-variant sources copy their typed buffers directly, with a mask
-    /// only when some source has one; differing variants fall back to value
-    /// materialization and re-typing.
+    /// Same-variant sources copy their typed buffers directly, each source's
+    /// buffer and mask resolved once, with a mask only when some source has
+    /// one; differing variants fall back to value materialization and
+    /// re-typing.
     fn gather(sources: &[&ColumnVector], picks: &[Pick]) -> ColumnVector {
         CELLS_GATHERED.with(|n| n.set(n.get() + picks.len() as u64));
         let source = |p: &Pick| sources[p.src as usize];
         let nulls = sources.iter().any(|c| c.nulls().is_some()).then(|| {
-            picks
-                .iter()
-                .map(|p| source(p).nulls().is_some_and(|m| m[p.row as usize]))
-                .collect()
+            let masks: Vec<Option<&NullMask>> = sources.iter().map(|c| c.nulls()).collect();
+            let null = |p: &Pick| masks[p.src as usize].is_some_and(|m| m[p.row as usize]);
+            picks.iter().map(null).collect()
         });
         macro_rules! typed_gather {
-            ($variant:ident) => {{
-                let cell = |c: &ColumnVector, p: &Pick| match c {
-                    ColumnVector::$variant { data, .. } => data[p.row as usize],
-                    _ => unreachable!("typed_gather on differing variants"),
-                };
+            ($variant:ident, $t:ty) => {{
+                fn slice<'c>(c: &&'c ColumnVector) -> &'c [$t] {
+                    match c {
+                        ColumnVector::$variant { data, .. } => data,
+                        _ => unreachable!("typed_gather on differing variants"),
+                    }
+                }
                 let data = match sources {
-                    [one] => picks.iter().map(|p| cell(one, p)).collect(),
-                    _ => picks.iter().map(|p| cell(source(p), p)).collect(),
+                    [one] => {
+                        let one = slice(one);
+                        picks.iter().map(|p| one[p.row as usize]).collect()
+                    }
+                    _ => {
+                        let all: Vec<&[_]> = sources.iter().map(slice).collect();
+                        let cell = |p: &Pick| all[p.src as usize][p.row as usize];
+                        picks.iter().map(cell).collect()
+                    }
                 };
                 ColumnVector::$variant { data, nulls }
             }};
@@ -381,10 +416,10 @@ impl ColumnVector {
             .windows(2)
             .all(|w| std::mem::discriminant(w[0]) == std::mem::discriminant(w[1]));
         match sources.first() {
-            Some(Int { .. }) if same_variant => typed_gather!(Int),
-            Some(Float { .. }) if same_variant => typed_gather!(Float),
-            Some(Bool { .. }) if same_variant => typed_gather!(Bool),
-            Some(Date { .. }) if same_variant => typed_gather!(Date),
+            Some(Int { .. }) if same_variant => typed_gather!(Int, i64),
+            Some(Float { .. }) if same_variant => typed_gather!(Float, f64),
+            Some(Bool { .. }) if same_variant => typed_gather!(Bool, bool),
+            Some(Date { .. }) if same_variant => typed_gather!(Date, i32),
             Some(Str { .. }) if same_variant => {
                 let mut data = StrVec::with_capacity(picks.len());
                 for p in picks {
@@ -455,12 +490,20 @@ impl ColumnVector {
 
 thread_local! {
     static CELLS_GATHERED: Counter<u64> = const { Counter::new(0) };
+    static GATHERS: Counter<(Duration, u64)> = const { Counter::new((Duration::ZERO, 0)) };
 }
 
 /// Cells this thread has copied from column to column so far; the executor
 /// reports the difference across one plan.
 pub(crate) fn cells_gathered() -> u64 {
     CELLS_GATHERED.with(Counter::get)
+}
+
+/// Wall time this thread has spent in `RecordBatch::gather_columns` so far,
+/// eager copies included, and the output columns it built; the executor
+/// reports the difference across one plan.
+pub(crate) fn gathers() -> (Duration, u64) {
+    GATHERS.with(Counter::get)
 }
 
 /// The cells of a dense column, and the partition of every row under the
@@ -537,31 +580,43 @@ pub enum Column {
     Deferred(Arc<Recipe>, u32),
 }
 
-/// The deferred columns of one gather that were picked alike. Member `m`'s
-/// row `i` is row `picks[i].row` of source `picks[i].src` among the member's
-/// `fan_in` dense sources, `sources[m * fan_in..][..fan_in]`. The picks are
-/// composed once for all members, so an output costs one recipe per distinct
-/// pick pattern and each column only its source `Arc`s and an index.
+/// The columns of one batch, shared: what a [`Recipe`] keeps of a source.
+type Columns = Arc<[Column]>;
+
+/// The deferred columns of one gather that were picked alike. The recipe
+/// lists its sources once for all members: each is the columns of a batch,
+/// and member `m` reads column `cols[m * fan_in + s]` of source `s`, a
+/// column held dense when the recipe was built. Member `m`'s row `i` is row
+/// `picks[i].row` of its source `picks[i].src`. The picks are composed and
+/// the sources listed once per distinct pick pattern, so an output column
+/// costs a handle and an index.
 #[derive(Debug)]
 pub struct Recipe {
     picks: Vec<Pick>,
-    fan_in: usize,
-    sources: Vec<Arc<Cells>>,
+    sources: Vec<Columns>,
+    cols: Vec<u32>,
     members: Vec<Member>,
 }
 
-/// One column of a [`Recipe`]: its byte total, counted through the picks,
-/// and its cells once somebody reads them.
-#[derive(Debug)]
+/// One column of a [`Recipe`]: its byte total and its cells, each once
+/// somebody asks for them.
+#[derive(Debug, Default)]
 struct Member {
-    bytes: u64,
+    bytes: OnceLock<u64>,
     dense: OnceLock<Arc<Cells>>,
 }
 
 impl Recipe {
+    /// The column member `m` reads in each source.
+    fn cols(&self, m: u32) -> &[u32] {
+        let fan_in = self.sources.len();
+        &self.cols[m as usize * fan_in..][..fan_in]
+    }
+
     /// The dense sources of member `m`.
-    fn sources(&self, m: u32) -> &[Arc<Cells>] {
-        &self.sources[m as usize * self.fan_in..][..self.fan_in]
+    fn sources(&self, m: u32) -> impl Iterator<Item = &Arc<Cells>> {
+        let sources = self.sources.iter().zip(self.cols(m));
+        sources.map(|(s, &c)| s[c as usize].held().expect("sources are dense"))
     }
 }
 
@@ -587,30 +642,56 @@ impl Column {
         match self {
             Column::Dense(c) => c,
             Column::Deferred(r, m) => r.members[*m as usize].dense.get_or_init(|| {
-                let sources: Vec<&ColumnVector> = r.sources(*m).iter().map(|c| &c.vector).collect();
+                let sources: Vec<&ColumnVector> = r.sources(*m).map(|c| &c.vector).collect();
                 Arc::new(ColumnVector::gather(&sources, &r.picks).into())
             }),
         }
     }
 
-    /// [`ColumnVector::byte_total`] of the cells; never forces the column.
-    fn byte_total(&self) -> u64 {
+    /// The cells if the column holds them already: dense, or read before.
+    fn held(&self) -> Option<&Arc<Cells>> {
         match self {
-            Column::Dense(c) => c.byte_total(),
-            Column::Deferred(r, m) => r.members[*m as usize].bytes,
+            Column::Dense(c) => Some(c),
+            Column::Deferred(r, m) => r.members[*m as usize].dense.get(),
         }
     }
 
-    /// What a gather over this column reads: dense sources and the recipe
-    /// picking from them, or (`None`) the cells themselves once they exist.
-    fn recipe(&self) -> (&[Arc<Cells>], Option<&Arc<Recipe>>) {
+    /// The cells where they lie, without reading the column: its dense
+    /// sources and, for row `i`, the source and row that hold it.
+    pub(crate) fn locate(&self) -> (Vec<&ColumnVector>, impl Fn(usize) -> (usize, usize) + '_) {
+        let (sources, picks) = match self.through() {
+            Some((r, m)) => (r.sources(m).map(|c| &c.vector).collect(), Some(&r.picks)),
+            None => (vec![self.dense()], None),
+        };
+        let at = move |i: usize| {
+            picks.map_or((0, i), |p: &Vec<Pick>| {
+                (p[i].src as usize, p[i].row as usize)
+            })
+        };
+        (sources, at)
+    }
+
+    /// The recipe and member a gather over this column picks through, or
+    /// `None` when the column holds its cells.
+    fn through(&self) -> Option<(&Arc<Recipe>, u32)> {
         match self {
-            Column::Dense(c) => (std::slice::from_ref(c), None),
-            Column::Deferred(r, m) => match r.members[*m as usize].dense.get() {
-                Some(c) => (std::slice::from_ref(c), None),
-                None => (r.sources(*m), Some(r)),
-            },
+            Column::Deferred(r, m) if self.held().is_none() => Some((r, *m)),
+            _ => None,
         }
+    }
+
+    /// [`ColumnVector::byte_total`] of the cells, counted once through the
+    /// picks if the column has not been read; never forces the column.
+    fn byte_total(&self) -> u64 {
+        let Column::Deferred(r, m) = self else {
+            return self.cells().byte_total();
+        };
+        *r.members[*m as usize]
+            .bytes
+            .get_or_init(|| match self.held() {
+                Some(c) => c.byte_total(),
+                None => picked_bytes(r.sources(*m).collect(), &r.picks),
+            })
     }
 }
 
@@ -649,12 +730,16 @@ impl RowBytes<'_> {
 /// [`ColumnVector::byte_total`] of `picks` over `sources` without building
 /// the column: `rows × width` when every source is fixed-width and unmasked,
 /// one typed pass over the picks otherwise.
-fn picked_bytes(sources: &[Arc<Cells>], picks: &[Pick]) -> u64 {
+fn picked_bytes(sources: Vec<&Arc<Cells>>, picks: &[Pick]) -> u64 {
     let width = sources.first().and_then(|c| c.fixed_width());
-    let plain = |c: &Arc<Cells>| c.fixed_width() == width && c.nulls().is_none();
-    match (width, sources) {
-        (Some(w), _) if sources.iter().all(plain) => w * picks.len() as u64,
-        (_, [one]) => one.row_bytes().sum(picks.iter().map(|p| p.row as usize)),
+    let plain = |c: &&Arc<Cells>| c.fixed_width() == width && c.nulls().is_none();
+    if let Some(w) = width.filter(|_| sources.iter().all(plain)) {
+        return w * picks.len() as u64;
+    }
+    #[cfg(test)]
+    tests::PICK_WALKS.with(|n| n.set(n.get() + 1));
+    match sources.as_slice() {
+        [one] => one.row_bytes().sum(picks.iter().map(|p| p.row as usize)),
         _ => {
             let sizes: Vec<RowBytes<'_>> = sources.iter().map(|c| c.row_bytes()).collect();
             picks
@@ -684,13 +769,13 @@ fn total_rows(runs: &[Rows<'_>]) -> usize {
 // ---------------------------------------------------------------------------
 
 /// An immutable batch of rows stored column-wise. A batch carries its byte
-/// size (fixed at construction) and its row-hash sum (fixed at first use);
-/// immutability is the cache-invalidation strategy for both.
+/// size and its row-hash sum, each counted at first use; immutability is the
+/// cache-invalidation strategy for both.
 #[derive(Clone, Debug)]
 pub struct RecordBatch {
-    columns: Vec<Column>,
+    columns: Columns,
     rows: usize,
-    bytes: u64,
+    bytes: OnceLock<u64>,
     row_hash_sum: OnceLock<u64>,
 }
 
@@ -704,11 +789,10 @@ impl RecordBatch {
         // Row indices within a batch are `u32` everywhere (selections,
         // picks, join pairs).
         assert!(rows <= u32::MAX as usize, "batch exceeds u32 row indices");
-        let bytes = columns.iter().map(Column::byte_total).sum();
         RecordBatch {
-            columns,
+            columns: columns.into(),
             rows,
-            bytes,
+            bytes: OnceLock::new(),
             row_hash_sum: OnceLock::new(),
         }
     }
@@ -723,9 +807,12 @@ impl RecordBatch {
         self.columns.len()
     }
 
-    /// Cached byte size (sum of [`Value::byte_size`] over all cells).
+    /// Byte size (sum of [`Value::byte_size`] over all cells), counted on
+    /// first use.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        *self
+            .bytes
+            .get_or_init(|| self.columns.iter().map(Column::byte_total).sum())
     }
 
     /// All columns as held, dense or deferred, to hand on without reading.
@@ -764,14 +851,13 @@ impl RecordBatch {
     /// composed with the new ones, its sources adopted), never forced, and
     /// the columns whose sources were picked alike share one [`Recipe`].
     pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
+        let started = Instant::now();
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
-        let held_dense = |c: &Column| c.recipe().1.is_none();
-        if total_rows(runs) < EAGER_ROWS
-            && runs.iter().all(|(b, _)| b.columns.iter().all(held_dense))
-        {
+        let held = |(b, _): &Rows<'_>| b.columns.iter().all(|c| c.held().is_some());
+        let columns = if total_rows(runs) < EAGER_ROWS && runs.iter().all(held) {
             // Few rows, nothing to pick through: cheaper copied than deferred.
-            let whole: Vec<Through<'_>> = (0..runs.len()).map(|k| Through(None, k)).collect();
+            let whole: Vec<Part<'_>> = runs.iter().map(|(b, _)| Part::held(b)).collect();
             let each: Vec<u32> = (0..runs.len() as u32).collect();
             let picks = compose_picks(runs, &whole, &each);
             let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
@@ -780,32 +866,46 @@ impl RecordBatch {
                 sources.extend(runs.iter().map(|(b, _)| b.column(j)));
                 ColumnVector::gather(&sources, &picks).into()
             };
-            return (0..width).map(&mut column).collect();
-        }
-        // Per output column its pattern — per run the recipe the source column
-        // is picked through, and which of its sources are one column — and its
-        // member index in that pattern's recipe.
+            (0..width).map(&mut column).collect()
+        } else {
+            RecordBatch::defer_columns(runs, width)
+        };
+        let (wall, built) = GATHERS.with(Counter::get);
+        GATHERS.with(|g| g.set((wall + started.elapsed(), built + width as u64)));
+        columns
+    }
+
+    /// The columns of `runs` as recipes, one per pattern: per run the batch
+    /// or recipe a column is picked from, and which of its sources are one.
+    fn defer_columns(runs: &[Rows<'_>], width: usize) -> Vec<Column> {
         let mut patterns: Vec<Pattern<'_>> = Vec::new();
         let mut members: Vec<(usize, u32)> = Vec::with_capacity(width);
-        let mut parts: Vec<Through<'_>> = Vec::with_capacity(runs.len());
-        let mut flat: Vec<&Arc<Cells>> = Vec::with_capacity(runs.len());
+        let mut parts: Vec<Part<'_>> = Vec::with_capacity(runs.len());
+        let mut cols: Vec<u32> = Vec::with_capacity(runs.len());
         for j in 0..width {
             parts.clear();
-            flat.clear();
-            for (batch, _) in runs {
-                let (sources, through) = batch.columns[j].recipe();
-                parts.push(Through(through, flat.len()));
-                flat.extend(sources);
+            cols.clear();
+            for &(batch, _) in runs {
+                match batch.columns[j].through() {
+                    None => {
+                        parts.push(Part::held(batch));
+                        cols.push(j as u32);
+                    }
+                    Some((recipe, m)) => {
+                        parts.push(Part(Some(recipe), &recipe.sources));
+                        cols.extend_from_slice(recipe.cols(m));
+                    }
+                }
             }
             // Adjacent columns mostly share a pattern: the latest first.
             let known = patterns
                 .iter()
-                .rposition(|p| p.parts == parts && p.admits(&flat));
+                .rposition(|p| p.parts == parts && p.admits(&cols));
             let k = known.unwrap_or_else(|| {
-                patterns.push(Pattern::new(&parts, &flat));
+                patterns.push(Pattern::new(&parts, &cols));
                 patterns.len() - 1
             });
-            members.push((k, patterns[k].add_member(&flat)));
+            members.push((k, patterns[k].add_member(&cols)));
         }
         let recipes: Vec<Arc<Recipe>> = patterns.into_iter().map(|p| p.recipe(runs)).collect();
         let member = |(k, m): (usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
@@ -813,135 +913,158 @@ impl RecordBatch {
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
-    /// cell with [`Cell::stable_hash_into`]), computed at most once per batch.
+    /// cell with [`Cell::stable_hash_into`]), computed at most once per batch:
+    /// a block of rows at a time, one hasher per row fed column by column.
     fn row_hash_sum(&self) -> u64 {
+        const BLOCK: usize = 256;
         *self.row_hash_sum.get_or_init(|| {
             let columns: Vec<&ColumnVector> = self.columns.iter().map(Column::dense).collect();
+            let mut states = Vec::with_capacity(self.rows.min(BLOCK));
             let mut sum = 0u64;
-            for i in 0..self.rows {
-                let mut h = SipHasher24::new_with_keys(0xc0ffee, 0xdecaf);
+            for start in (0..self.rows).step_by(BLOCK) {
+                let rows = start..self.rows.min(start + BLOCK);
+                states.clear();
+                states.resize(rows.len(), SipHasher24::new_with_keys(0xc0ffee, 0xdecaf));
                 for col in &columns {
-                    col.cell(i).stable_hash_into(&mut h);
+                    col.hash_rows_into(rows.clone(), &mut states);
                 }
-                sum = sum.wrapping_add(h.finish());
+                sum = states.iter().fold(sum, |s, h| s.wrapping_add(h.finish()));
             }
             sum
         })
     }
 }
 
-/// How one run's column feeds an output column: the recipe it is picked
-/// through (`None` = it is dense) and where that run's sources start in
-/// `remap`. Equal when the recipe is the same one, not merely alike.
+/// Where one run's column comes from in a gather: the run's own columns,
+/// which hold it dense, or the unread recipe it is picked through and whose
+/// sources it adopts. Equal when the batch or recipe is the same one, not
+/// merely alike.
 #[derive(Clone, Copy)]
-struct Through<'a>(Option<&'a Arc<Recipe>>, usize);
+struct Part<'a>(Option<&'a Arc<Recipe>>, &'a [Columns]);
 
-impl PartialEq for Through<'_> {
+impl<'a> Part<'a> {
+    fn held(batch: &'a RecordBatch) -> Part<'a> {
+        Part(None, std::slice::from_ref(&batch.columns))
+    }
+}
+
+impl PartialEq for Part<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.1 == other.1 && self.0.map(Arc::as_ptr) == other.0.map(Arc::as_ptr)
+        std::ptr::eq(self.1, other.1)
     }
 }
 
 /// The output columns of one gather that share a pick pattern: per run the
-/// recipe picked through, and how the runs' sources (`flat`, back to back
-/// per run) map onto a member's deduplicated sources.
+/// batch or recipe picked from, and how the runs' sources (`flat`, back to
+/// back per run) map onto the recipe's deduplicated sources.
 struct Pattern<'a> {
-    parts: Vec<Through<'a>>,
-    /// Per flat source, its index among the member's sources.
+    parts: Vec<Part<'a>>,
+    /// Per flat source, its index among the recipe's sources.
     remap: Vec<u32>,
-    /// Per member source, the flat position it is first named at.
+    /// Per recipe source, the flat position it is first named at.
     firsts: Vec<u32>,
-    /// Every member's sources, `firsts.len()` of them each.
-    sources: Vec<Arc<Cells>>,
+    /// The recipe's sources.
+    sources: Vec<Columns>,
+    /// Every member's column in each source, `firsts.len()` of them each.
+    cols: Vec<u32>,
 }
 
 impl<'a> Pattern<'a> {
-    /// The pattern of one column: its flat sources deduplicated by identity,
-    /// so a source batch named by eight runs is one source.
-    fn new(parts: &[Through<'a>], flat: &[&Arc<Cells>]) -> Pattern<'a> {
-        let mut firsts: Vec<u32> = Vec::new();
+    /// The pattern of one column reading `cols` of its flat sources: a flat
+    /// source is one recipe source per distinct batch and column, so a
+    /// source batch named by eight runs is one source.
+    fn new(parts: &[Part<'a>], cols: &[u32]) -> Pattern<'a> {
+        let flat = parts.iter().flat_map(|p| p.1);
+        let mut firsts: Vec<u32> = Vec::with_capacity(cols.len());
+        let mut sources: Vec<Columns> = Vec::with_capacity(cols.len());
         let remap = flat
-            .iter()
+            .zip(cols)
             .enumerate()
-            .map(|(k, s)| {
-                let known = firsts
+            .map(|(k, (s, &c))| {
+                let same = |(&f, t): (&u32, &Columns)| cols[f as usize] == c && Arc::ptr_eq(t, s);
+                firsts
                     .iter()
-                    .position(|&f| Arc::ptr_eq(flat[f as usize], s));
-                known.unwrap_or_else(|| {
-                    firsts.push(k as u32);
-                    firsts.len() - 1
-                }) as u32
+                    .zip(&sources)
+                    .position(same)
+                    .unwrap_or_else(|| {
+                        firsts.push(k as u32);
+                        sources.push(Arc::clone(s));
+                        firsts.len() - 1
+                    }) as u32
             })
             .collect();
         Pattern {
             parts: parts.to_vec(),
             remap,
             firsts,
-            sources: Vec::new(),
+            cols: Vec::with_capacity(4 * sources.len()),
+            sources,
         }
     }
 
-    /// True when a column with these parts and flat sources can use the
-    /// pattern's picks: every source the pattern merges with another is that
-    /// other one. (Sources it keeps apart may coincide: a member may then
-    /// list one source twice, which costs nothing but a slot.)
-    fn admits(&self, flat: &[&Arc<Cells>]) -> bool {
-        let first = |r: u32| flat[self.firsts[r as usize] as usize];
-        flat.len() == self.remap.len()
-            && flat
-                .iter()
-                .zip(&self.remap)
-                .all(|(s, &r)| Arc::ptr_eq(first(r), s))
+    /// True when a column reading `cols` of the same flat sources can use
+    /// the pattern's picks: every flat source the pattern merges with another
+    /// is read at the same column. (Sources it keeps apart may coincide: a
+    /// member may then list one source twice, which costs nothing but a slot.)
+    fn admits(&self, cols: &[u32]) -> bool {
+        let first = |r: u32| cols[self.firsts[r as usize] as usize];
+        cols.iter().zip(&self.remap).all(|(&c, &r)| first(r) == c)
     }
 
-    /// Adds the column with flat sources `flat` as the next member.
-    fn add_member(&mut self, flat: &[&Arc<Cells>]) -> u32 {
-        let member = self.sources.len() / self.firsts.len();
-        let sources = self.firsts.iter().map(|&f| Arc::clone(flat[f as usize]));
-        self.sources.extend(sources);
+    /// Adds the column reading `cols` of the flat sources as the next member.
+    fn add_member(&mut self, cols: &[u32]) -> u32 {
+        let member = self.cols.len() / self.firsts.len();
+        self.cols
+            .extend(self.firsts.iter().map(|&f| cols[f as usize]));
         member as u32
     }
 
-    /// The shared recipe: picks composed once, each member's bytes counted.
+    /// The shared recipe: picks composed and sources listed once.
     fn recipe(self, runs: &[Rows<'_>]) -> Arc<Recipe> {
         let picks = compose_picks(runs, &self.parts, &self.remap);
-        let fan_in = self.firsts.len();
-        let member = |sources: &[Arc<Cells>]| Member {
-            bytes: picked_bytes(sources, &picks),
-            dense: OnceLock::new(),
-        };
-        let members = self.sources.chunks(fan_in).map(member).collect();
+        let members = (0..self.cols.len() / self.firsts.len())
+            .map(|_| Member::default())
+            .collect();
         Arc::new(Recipe {
             picks,
-            fan_in,
             sources: self.sources,
+            cols: self.cols,
             members,
         })
     }
 }
 
 /// The picks of one output column: per run, the selected rows looked up
-/// through the source column's picks, renumbered onto the output's sources.
-fn compose_picks(runs: &[Rows<'_>], parts: &[Through<'_>], remap: &[u32]) -> Vec<Pick> {
+/// through the recipe the run is picked through, renumbered onto the
+/// output's sources.
+fn compose_picks(runs: &[Rows<'_>], parts: &[Part<'_>], remap: &[u32]) -> Vec<Pick> {
     let mut out = Vec::with_capacity(total_rows(runs));
-    for ((batch, idx), Through(through, first)) in runs.iter().zip(parts) {
-        let remap = &remap[*first..];
-        let pick = |i: u32| match through {
-            None => Pick {
-                src: remap[0],
-                row: i,
-            },
-            Some(recipe) => {
+    let mut first = 0;
+    for (&(batch, idx), part) in runs.iter().zip(parts) {
+        let remap = &remap[first..];
+        first += part.1.len();
+        macro_rules! each_row {
+            ($pick:expr) => {
+                match idx {
+                    Some(idx) => out.extend(idx.iter().map(|&i| $pick(i))),
+                    None => out.extend((0..batch.num_rows() as u32).map($pick)),
+                }
+            };
+        }
+        match part.0 {
+            None => each_row!(|row| Pick { src: remap[0], row }),
+            // Picked from the recipe's sources in their order: its picks as
+            // they are.
+            Some(recipe) if (0..part.1.len()).all(|s| remap[s] as usize == s) => {
+                each_row!(|i: u32| recipe.picks[i as usize])
+            }
+            Some(recipe) => each_row!(|i: u32| {
                 let through = recipe.picks[i as usize];
                 Pick {
                     src: remap[through.src as usize],
                     row: through.row,
                 }
-            }
-        };
-        match idx {
-            Some(idx) => out.extend(idx.iter().map(|&i| pick(i))),
-            None => out.extend((0..batch.num_rows() as u32).map(pick)),
+            }),
         }
     }
     out
@@ -1058,7 +1181,7 @@ impl Table {
         self.partitions.len()
     }
 
-    /// Approximate total byte size (cached per batch at construction).
+    /// Approximate total byte size (counted per batch at first use).
     pub fn num_bytes(&self) -> u64 {
         self.partitions.iter().flatten().map(|b| b.bytes()).sum()
     }
@@ -1330,7 +1453,11 @@ impl<'a> Scatter<'a> {
     /// is neither forced nor hashed again. False, with nothing routed, when a
     /// source has no map for `hash`.
     fn route_mapped(&mut self, batch: &'a Arc<RecordBatch>, key: &Column, hash: HashParts) -> bool {
-        let (sources, through) = key.recipe();
+        let through = key.through();
+        let sources: Vec<&Arc<Cells>> = match through {
+            Some((recipe, m)) => recipe.sources(m).collect(),
+            None => key.held().into_iter().collect(),
+        };
         let Some(maps) = sources
             .iter()
             .map(|s| s.routes(hash))
@@ -1341,11 +1468,11 @@ impl<'a> Scatter<'a> {
         let picked: Vec<u8>;
         let parts = match (through, maps.as_slice()) {
             (None, &[map]) => map,
-            (Some(recipe), [map]) => {
+            (Some((recipe, _)), [map]) => {
                 picked = recipe.picks.iter().map(|p| map[p.row as usize]).collect();
                 &picked
             }
-            (Some(recipe), maps) => {
+            (Some((recipe, _)), maps) => {
                 let part = |p: &Pick| maps[p.src as usize][p.row as usize];
                 picked = recipe.picks.iter().map(part).collect();
                 &picked
@@ -1544,7 +1671,7 @@ pub fn multiset_checksum(table: &Table) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use scope_plan::DataType;
 
@@ -1936,6 +2063,11 @@ mod tests {
             assert_eq!(multiset_checksum(&t), want, "case {case} (memoised)");
             assert_eq!(multiset_checksum(&t.clone().gather()), want, "case {case}");
         }
+        // Batches longer than a block of hashers, dense and deferred.
+        let mut rng = SmallRng::seed_from_u64(29);
+        for t in [deferred_table(&mut rng), table(700)] {
+            assert_eq!(multiset_checksum(&t), reference_checksum(&t));
+        }
     }
 
     #[test]
@@ -2121,6 +2253,15 @@ mod tests {
                 assert_eq!(batch.bytes(), by_rows as u64, "case {case}");
             }
             assert!(twice.columns().iter().all(|c| !c.is_dense()));
+            // Bytes first asked after some members were read: the read ones
+            // count their cells, the others their picks, and the batch sums
+            // both to the same total.
+            let again = gather_runs(&batches, &picks);
+            for j in (0..again.width()).step_by(3) {
+                again.column(j);
+            }
+            let by_rows: usize = want.iter().flatten().map(Value::byte_size).sum();
+            assert_eq!(again.bytes(), by_rows as u64, "case {case} (partly read)");
         }
         // The columns this test is about are all there.
         let mut rng = SmallRng::seed_from_u64(21);
@@ -2136,6 +2277,76 @@ mod tests {
         ));
         assert!(matches!(variants[4], ColumnVector::Mixed(_)));
         assert!(matches!(variants[5], ColumnVector::Str { nulls: None, .. }));
+    }
+
+    /// A `Int` batch of `rows` rows and `width` columns.
+    fn int_batch(rng: &mut SmallRng, rows: usize, width: usize) -> RecordBatch {
+        let column = |_| {
+            let data = (0..rows).map(|_| rng.gen_range(0..1_000)).collect();
+            ColumnVector::Int { data, nulls: None }.into()
+        };
+        RecordBatch::new((0..width).map(column).collect(), rows)
+    }
+
+    /// Every source-column `Arc` and every recipe source slot an 8-way
+    /// exchange of a 3-way star join's output holds, when the fact side has
+    /// `fact` columns and each dimension `dim`: the join emits one gather per
+    /// side, as `exec` does.
+    fn star_exchange_sources(fact: usize, dim: usize) -> (usize, usize) {
+        let mut rng = SmallRng::seed_from_u64(28);
+        let dims: Vec<RecordBatch> = (0..3).map(|_| int_batch(&mut rng, 50, dim)).collect();
+        let facts: Vec<RecordBatch> = (0..8).map(|_| int_batch(&mut rng, 300, fact)).collect();
+        let held = |facts: &[RecordBatch]| -> usize {
+            let cells = facts.iter().chain(&dims).flat_map(|b| b.columns().iter());
+            cells.map(|c| Arc::strong_count(c.cells())).sum()
+        };
+        let partitions = facts
+            .iter()
+            .map(|f| {
+                let rows = 2 * EAGER_ROWS;
+                let mut cols =
+                    RecordBatch::gather_columns(&[(f, Some(&random_picks(&mut rng, 300, rows)))]);
+                for d in &dims {
+                    let idx = random_picks(&mut rng, 50, rows);
+                    cols.extend(RecordBatch::gather_columns(&[(d, Some(&idx))]));
+                }
+                vec![Arc::new(RecordBatch::new(cols, rows))]
+            })
+            .collect();
+        let width = fact + 3 * dim;
+        let names: Vec<(String, DataType)> = (0..width)
+            .map(|j| (format!("c{j}"), DataType::Int))
+            .collect();
+        let names: Vec<(&str, DataType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        let joined =
+            Table::from_batches(Schema::from_pairs(&names), partitions, PhysicalProps::any());
+        let before = held(&facts);
+        let exchanged = joined.hash_repartition(&[0], 8).unwrap();
+        let mut slots = 0;
+        let mut seen: Vec<*const Recipe> = Vec::new();
+        for column in exchanged
+            .partitions
+            .iter()
+            .flatten()
+            .flat_map(|b| b.columns().iter())
+        {
+            let Column::Deferred(recipe, _) = column else {
+                panic!("an exchange of 256-row partitions defers")
+            };
+            if !seen.contains(&Arc::as_ptr(recipe)) {
+                seen.push(Arc::as_ptr(recipe));
+                slots += recipe.sources.len();
+            }
+        }
+        assert_eq!(exchanged.num_rows(), joined.num_rows());
+        (held(&facts) - before, slots)
+    }
+
+    #[test]
+    fn an_exchange_holds_its_sources_once_per_recipe_not_per_column() {
+        // Width 4 and width 24: the same source `Arc`s and the same number of
+        // source slots, whatever the number of columns.
+        assert_eq!(star_exchange_sources(1, 1), star_exchange_sources(3, 7));
     }
 
     #[test]
@@ -2197,7 +2408,7 @@ mod tests {
         let Column::Deferred(recipe, _) = &batch.columns()[0] else {
             unreachable!()
         };
-        assert_eq!(recipe.fan_in, 2);
+        assert_eq!(recipe.sources.len(), 2);
     }
 
     /// The schema of [`wide_batch`].
@@ -2288,6 +2499,8 @@ mod tests {
     thread_local! {
         /// Route maps this thread has built.
         pub(super) static ROUTE_MAPS_BUILT: Counter<u64> = const { Counter::new(0) };
+        /// Byte totals this thread has counted by walking a recipe's picks.
+        pub(crate) static PICK_WALKS: Counter<u64> = const { Counter::new(0) };
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! emits row indices plus its appended column, a reducer (Reduce/GbApply)
 //! selects rows within each run of equal keys, and the combiner sorts each
 //! side by index; Aggregate emits its key columns taken from each group's
-//! first row beside one column per aggregate. Nothing here builds a row; the
-//! one row-at-a-time path left is a vectorized expression error, re-evaluated
-//! through `Expr::eval` (see `crate::vexpr`).
+//! first row beside one column per aggregate. Nothing here builds a row: a
+//! vectorized expression error is re-evaluated by the same evaluator on
+//! one-row slices (see `crate::vexpr`).
 //!
 //! The executor trusts the optimizer's property enforcement: group-wise
 //! operators assume their input is co-partitioned (and, for stream variants,
@@ -42,7 +42,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use scope_common::hash::SipHasher24;
+use scope_common::hash::{SipHasher24, WordMap};
 use scope_common::ids::NodeId;
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
@@ -55,7 +55,7 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    cells_gathered, compare_batch_rows, compare_batch_rows_full, ColumnVector, NullMask,
+    cells_gathered, compare_batch_rows, compare_batch_rows_full, gathers, ColumnVector, NullMask,
     RecordBatch, Rows, StrVec, Table,
 };
 use crate::storage::StorageManager;
@@ -90,6 +90,10 @@ pub struct ExecOutcome {
     /// Wall time of each node's kernel (same indexing as the graph arena):
     /// real time on this host, unlike the simulated `exclusive_cpu`.
     pub node_wall: Vec<Duration>,
+    /// Wall time spent building gathers, eager copies included (in `node_wall`).
+    pub gather_wall: Duration,
+    /// Output columns those gathers built.
+    pub gather_columns: u64,
 }
 
 impl ExecOutcome {
@@ -126,6 +130,7 @@ pub fn execute_plan(
     let mut outputs = HashMap::new();
     let schemas = graph.validate()?;
     let gathered_before = cells_gathered();
+    let (gather_wall_before, gather_columns_before) = gathers();
 
     for node in graph.nodes() {
         let child_tables: Vec<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
@@ -135,7 +140,18 @@ pub fn execute_plan(
         let (table, scanned) = exec_node(&node.op, &child_tables, out_schema, storage, now)?;
         node_wall.push(started.elapsed());
         let out_rows = table.num_rows() as u64;
-        let out_bytes = table.num_bytes();
+        // A node that only moves rows emits the bytes it was given.
+        let child_bytes = |c: &NodeId| stats[c.index()].out_bytes;
+        let out_bytes = match &node.op {
+            Operator::Exchange { .. }
+            | Operator::Sort { .. }
+            | Operator::Spool
+            | Operator::Nop
+            | Operator::Output { .. } => child_bytes(&node.children[0]),
+            Operator::Sequence => node.children.last().map_or(0, child_bytes),
+            Operator::UnionAll => node.children.iter().map(child_bytes).sum(),
+            _ => table.num_bytes(),
+        };
         let effective_in = if node.children.is_empty() {
             scanned
         } else {
@@ -156,12 +172,15 @@ pub fn execute_plan(
         tables.push(table);
     }
 
+    let (gather_wall, gather_columns) = gathers();
     Ok(ExecOutcome {
         node_tables: tables,
         node_stats: stats,
         outputs,
         cells_gathered: cells_gathered() - gathered_before,
         node_wall,
+        gather_wall: gather_wall - gather_wall_before,
+        gather_columns: gather_columns - gather_columns_before,
     })
 }
 
@@ -792,16 +811,20 @@ impl Acc {
         self.int_sum = self.int_sum.wrapping_add(x);
     }
 
-    /// Every non-null float input of the group, in any order: sorted by IEEE
-    /// total order, then added. Floats equal under `total_cmp` are equal bit
-    /// for bit, so an unstable sort adds them in one order too.
-    fn settle_floats(&mut self, floats: &mut [f64]) {
-        if floats.is_empty() {
+    /// Every non-null float input of the group as its [`total_key`], in any
+    /// order: sorted, mapped back, then added — in IEEE total order. Two keys
+    /// are equal only when the floats' bits are, so an unstable sort adds
+    /// them in one order too.
+    fn settle_floats(&mut self, keys: &mut [i64]) {
+        if keys.is_empty() {
             return;
         }
-        floats.sort_unstable_by(f64::total_cmp);
+        keys.sort_unstable();
         self.sum_is_float = true;
-        self.float_sum = floats.iter().sum();
+        self.float_sum = keys
+            .iter()
+            .map(|&k| f64::from_bits(total_key(k) as u64))
+            .sum();
     }
 
     /// Order-insensitive SUM/AVG total.
@@ -846,12 +869,19 @@ fn by_group<T: Copy + Default>(
     (start, items)
 }
 
-/// Settles the float inputs of every group at once, laid out by group in
-/// one buffer: each group's slice goes to [`Acc::settle_floats`].
+/// `f64::total_cmp` as an `i64` order on a float's bits: the magnitude
+/// flipped when the sign is set. The map is its own inverse.
+fn total_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64 >> 1) as i64)
+}
+
+/// Settles the float inputs of every group at once, their keys laid out by
+/// group in one buffer: each group's slice goes to [`Acc::settle_floats`].
 fn settle_group_floats(accs: &mut [Acc], inputs: impl Iterator<Item = (u32, f64)> + Clone) {
-    let (start, mut floats) = by_group(accs.len(), inputs);
+    let keyed = inputs.map(|(g, f)| (g, total_key(f.to_bits() as i64)));
+    let (start, mut keys) = by_group(accs.len(), keyed);
     for (g, acc) in accs.iter_mut().enumerate() {
-        acc.settle_floats(&mut floats[start[g]..start[g + 1]]);
+        acc.settle_floats(&mut keys[start[g]..start[g + 1]]);
     }
 }
 
@@ -899,7 +929,7 @@ fn group_by_key<K: std::hash::Hash + Eq>(
 ) -> (Vec<u32>, Vec<u32>) {
     let mut group_of = Vec::with_capacity(rows);
     let mut firsts = Vec::new();
-    let mut map: HashMap<Option<K>, u32> = HashMap::new();
+    let mut map: WordMap<Option<K>, u32> = WordMap::default();
     for i in 0..rows {
         let gid = *map.entry(key_at(i)).or_insert_with(|| {
             firsts.push(i as u32);
@@ -968,7 +998,7 @@ fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<u32>) {
 
     let mut group_of = Vec::with_capacity(rows);
     let mut firsts = Vec::new();
-    let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
+    let mut map: WordMap<Vec<Value>, u32> = WordMap::default();
     for i in 0..rows {
         let key: Vec<Value> = keys.iter().map(|&k| batch.cell(i, k).to_value()).collect();
         let gid = *map.entry(key).or_insert_with(|| {
@@ -1118,7 +1148,8 @@ fn stream_aggregate_batch(
                 let mut acc = Acc::default();
                 floats.clear();
                 for i in run.clone() {
-                    floats.extend(acc.update_cell(a.func, col.cell(i)));
+                    let float = acc.update_cell(a.func, col.cell(i));
+                    floats.extend(float.map(|f| total_key(f.to_bits() as i64)));
                 }
                 acc.settle_floats(&mut floats);
                 acc.finish(a.func)
@@ -1160,9 +1191,11 @@ fn exec_join(
         )));
     }
     let rwidth = right.schema.len();
+    // The broadcast side is concatenated, and its key read, once.
+    let one = broadcast.then(|| right.partition_as_batch(0));
     let parts = (0..left.num_partitions())
         .map(|p| {
-            let rb = right.partition_as_batch(if broadcast { 0 } else { p });
+            let rb = one.clone().unwrap_or_else(|| right.partition_as_batch(p));
             hash_join_batch(
                 &left.partition_as_batch(p),
                 &rb,
@@ -1219,7 +1252,7 @@ fn build_probe<K: std::hash::Hash + Eq>(
     rkey: impl Fn(usize) -> Option<K>,
     lkey: impl Fn(usize) -> Option<K>,
 ) -> BuildProbe {
-    let mut map: HashMap<K, u32> = HashMap::new();
+    let mut map: WordMap<K, u32> = WordMap::default();
     let rgroup: Vec<u32> = (0..rrows)
         .map(|i| match rkey(i) {
             Some(k) => {
@@ -1244,8 +1277,7 @@ fn build_probe_ints(
     lrows: usize,
     rkey: impl Fn(usize) -> i64,
     rnull: impl Fn(usize) -> bool,
-    lkey: impl Fn(usize) -> i64,
-    lnull: impl Fn(usize) -> bool,
+    lkey: impl Fn(usize) -> Option<i64>,
 ) -> BuildProbe {
     let (lo, hi, span) = key_range(rrows, &rkey, &rnull);
     if is_dense(span, rrows) {
@@ -1266,25 +1298,14 @@ fn build_probe_ints(
             .collect();
         let lgroup = (0..lrows)
             .map(|i| {
-                if lnull(i) {
-                    return None;
-                }
-                let k = lkey(i);
-                if k < lo || k > hi {
-                    return None;
-                }
+                let k = lkey(i).filter(|k| (lo..=hi).contains(k))?;
                 let g = table[(k - lo) as usize];
                 (g != u32::MAX).then_some(g)
             })
             .collect();
         BuildProbe::new(&rgroup, groups as usize, lgroup)
     } else {
-        build_probe(
-            rrows,
-            lrows,
-            |i| (!rnull(i)).then(|| rkey(i)),
-            |i| (!lnull(i)).then(|| lkey(i)),
-        )
+        build_probe(rrows, lrows, |i| (!rnull(i)).then(|| rkey(i)), lkey)
     }
 }
 
@@ -1311,60 +1332,35 @@ fn hash_join_batch(
     // right side may be a zero-width batch whose key columns don't exist;
     // the row kernel never touches right keys then, so neither may we.
     let typed: Option<BuildProbe> = if let (true, [lk], [rk]) = (rrows > 0, left_keys, right_keys) {
-        match (lb.column(*lk), rb.column(*rk)) {
-            (
-                ColumnVector::Int {
-                    data: ld,
-                    nulls: ln,
-                },
-                ColumnVector::Int {
-                    data: rd,
-                    nulls: rn,
-                },
-            ) => Some(build_probe_ints(
-                rrows,
-                lrows,
-                |i| rd[i],
-                null_at(rn),
-                |i| ld[i],
-                null_at(ln),
-            )),
-            (
-                ColumnVector::Date {
-                    data: ld,
-                    nulls: ln,
-                },
-                ColumnVector::Date {
-                    data: rd,
-                    nulls: rn,
-                },
-            ) => Some(build_probe_ints(
-                rrows,
-                lrows,
-                |i| rd[i] as i64,
-                null_at(rn),
-                |i| ld[i] as i64,
-                null_at(ln),
-            )),
+        // The left key is probed where it lies, through its picks: the join
+        // copies no probe key. `lkey` finds a non-NULL key's source and row.
+        let (lsources, at) = lb.columns()[*lk].locate();
+        let lkey = |i| Some(at(i)).filter(|&(s, r)| !lsources[s].is_null(r));
+        macro_rules! left {
+            ($variant:ident) => {
+                lsources
+                    .iter()
+                    .map(|c| match c {
+                        ColumnVector::$variant { data, .. } => Some(data),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<_>>>()
+            };
+        }
+        match rb.column(*rk) {
+            ColumnVector::Int { data: rd, nulls } => left!(Int).map(|ld| {
+                let lkey = |i| lkey(i).map(|(s, r)| ld[s][r]);
+                build_probe_ints(rrows, lrows, |i| rd[i], null_at(nulls), lkey)
+            }),
+            ColumnVector::Date { data: rd, nulls } => left!(Date).map(|ld| {
+                let lkey = |i| lkey(i).map(|(s, r)| ld[s][r] as i64);
+                build_probe_ints(rrows, lrows, |i| rd[i] as i64, null_at(nulls), lkey)
+            }),
             // Strings probe on `&str` keys borrowed from the two columns.
-            (
-                ColumnVector::Str {
-                    data: ld,
-                    nulls: ln,
-                },
-                ColumnVector::Str {
-                    data: rd,
-                    nulls: rn,
-                },
-            ) => {
-                let (rnull, lnull) = (null_at(rn), null_at(ln));
-                Some(build_probe(
-                    rrows,
-                    lrows,
-                    |i| (!rnull(i)).then(|| rd.get(i)),
-                    |i| (!lnull(i)).then(|| ld.get(i)),
-                ))
-            }
+            ColumnVector::Str { data: rd, nulls } => left!(Str).map(|ld| {
+                let (rnull, lkey) = (null_at(nulls), |i| lkey(i).map(|(s, r)| ld[s].get(r)));
+                build_probe(rrows, lrows, |i| (!rnull(i)).then(|| rd.get(i)), lkey)
+            }),
             _ => None,
         }
     } else {
@@ -1398,8 +1394,8 @@ fn hash_join_batch(
             lb.take(&sel)
         }
         JoinKind::Inner => {
-            let mut lidx: Vec<u32> = Vec::new();
-            let mut ridx: Vec<u32> = Vec::new();
+            let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
+            let mut ridx: Vec<u32> = Vec::with_capacity(lrows);
             for (i, g) in built.lgroup.iter().enumerate() {
                 if let Some(g) = g {
                     let matches = built.matches(*g);
@@ -1415,8 +1411,8 @@ fn hash_join_batch(
             RecordBatch::new(cols, lidx.len())
         }
         JoinKind::LeftOuter => {
-            let mut lidx: Vec<u32> = Vec::new();
-            let mut ridx: Vec<Option<u32>> = Vec::new();
+            let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
+            let mut ridx: Vec<Option<u32>> = Vec::with_capacity(lrows);
             for (i, g) in built.lgroup.iter().enumerate() {
                 match g {
                     Some(g) => {
@@ -1451,6 +1447,7 @@ mod tests {
     use scope_plan::expr::AggFunc;
     use scope_plan::op::WindowFunc;
     use scope_plan::{DataType, Expr, PlanBuilder, SortKey, Udo, UdoKind};
+    use std::cell::Cell as Counter;
 
     fn storage_with(rows: Vec<Row>, schema: Schema) -> StorageManager {
         let s = StorageManager::new();
@@ -1883,6 +1880,177 @@ mod tests {
         let seq = b.sequence(vec![s1, f]);
         let g = b.output(seq, "o").build().unwrap();
         assert_eq!(run(&g, &storage).outputs["o"].num_rows(), 2);
+    }
+
+    /// `rows` rows of a key, a string with NULLs and an integer.
+    fn mixed_rows(rows: i64) -> (Schema, Vec<Row>) {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("v", DataType::Int),
+        ]);
+        let row = |i: i64| {
+            let s = match i % 5 {
+                0 => Value::Null,
+                n => Value::Str("x".repeat(n as usize)),
+            };
+            vec![Value::Int(i % 200), s, Value::Int(i)]
+        };
+        (schema, (0..rows).map(row).collect())
+    }
+
+    #[test]
+    fn row_moving_nodes_take_their_bytes_from_their_child() {
+        let (schema, rows) = mixed_rows(600);
+        let storage = storage_with(rows, schema.clone());
+        // Scan, a filter keeping 400 rows (a deferred take), then an
+        // exchange, a sort and the output, or the output alone.
+        let plan = |moves: bool| {
+            let mut b = PlanBuilder::new();
+            let s = b.table_scan(DatasetId::new(1), "t", schema.clone());
+            let mut top = b.filter(s, Expr::col(2).lt(Expr::lit(400i64)));
+            if moves {
+                let parts = Partitioning::Hash {
+                    cols: vec![0],
+                    parts: 4,
+                };
+                top = b.exchange(top, parts);
+                top = b.sort(top, SortOrder::asc(&[2]));
+            }
+            b.output(top, "o").build().unwrap()
+        };
+        let walks = |graph: &QueryGraph| {
+            let before = crate::data::tests::PICK_WALKS.with(Counter::get);
+            let out = run(graph, &storage);
+            (
+                out,
+                crate::data::tests::PICK_WALKS.with(Counter::get) - before,
+            )
+        };
+        let (alone, alone_walks) = walks(&plan(false));
+        let (moved, moved_walks) = walks(&plan(true));
+        // The filter's string column is the one walk; nothing after it walks.
+        assert_eq!((alone_walks, moved_walks), (1, 1));
+        let filtered = moved.node_stats[1].out_bytes;
+        for (i, stats) in moved.node_stats.iter().enumerate().skip(1) {
+            assert_eq!(stats.out_bytes, filtered, "node {i}");
+            assert_eq!(
+                stats.out_bytes,
+                moved.node_tables[i].num_bytes(),
+                "node {i}"
+            );
+        }
+        assert_eq!(alone.node_stats[2].out_bytes, filtered);
+    }
+
+    #[test]
+    fn a_loops_join_gathers_its_right_side_once() {
+        // 1,600 left rows in 1 or 8 partitions, each row matching one of 200
+        // right rows held in four batches of one partition.
+        let (schema, rows) = mixed_rows(1_600);
+        let right_batches = rows[..200]
+            .chunks(50)
+            .map(|chunk| Table::single(schema.clone(), chunk.to_vec()).partitions[0][0].clone())
+            .collect();
+        let right =
+            Table::from_batches(schema.clone(), vec![right_batches], PhysicalProps::single());
+        let gathered = |parts: usize| {
+            let storage = StorageManager::new();
+            let split = rows
+                .chunks(rows.len() / parts)
+                .map(<[Row]>::to_vec)
+                .collect();
+            let props = PhysicalProps::any();
+            storage.put_dataset(
+                DatasetId::new(1),
+                Table::from_rows(schema.clone(), split, props),
+            );
+            storage.put_dataset(DatasetId::new(2), right.clone());
+            let mut b = PlanBuilder::new();
+            let l = b.table_scan(DatasetId::new(1), "l", schema.clone());
+            let r = b.table_scan(DatasetId::new(2), "r", schema.clone());
+            let j = b.join(l, r, JoinKind::Inner, vec![0], vec![0]);
+            let mut g = b.output(j, "o").build().unwrap();
+            let Operator::Join { implementation, .. } = &mut g.node_mut(j).unwrap().op else {
+                unreachable!("a join")
+            };
+            *implementation = JoinImpl::Loops;
+            let out = run(&g, &storage);
+            assert_eq!(out.outputs["o"].num_rows(), 1_600);
+            out.cells_gathered
+        };
+        assert_eq!(gathered(1), gathered(8));
+    }
+
+    #[test]
+    fn float_sums_settle_in_total_order_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let special = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0abc),
+            f64::from_bits(0x7ff4_0000_0000_0000),
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            1e300,
+            -1e-300,
+        ];
+        let mut rng = SmallRng::seed_from_u64(38);
+        for case in 0..50 {
+            let groups = rng.gen_range(1..6);
+            let inputs: Vec<(u32, f64)> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    let f = match rng.gen_range(0..3) {
+                        0 => special[rng.gen_range(0..special.len())],
+                        1 => rng.gen_range(-1e6..1e6),
+                        _ => rng.gen_range(-1.0..1.0) * 1e-310,
+                    };
+                    (rng.gen_range(0..groups), f)
+                })
+                .collect();
+            let mut accs: Vec<Acc> = (0..groups).map(|_| Acc::default()).collect();
+            settle_group_floats(&mut accs, inputs.iter().copied());
+            for (g, acc) in accs.iter().enumerate() {
+                let mut floats: Vec<f64> = inputs
+                    .iter()
+                    .filter(|&&(h, _)| h == g as u32)
+                    .map(|&(_, f)| f)
+                    .collect();
+                floats.sort_unstable_by(f64::total_cmp);
+                let want: f64 = floats.iter().sum();
+                let got = acc.float_sum;
+                assert_eq!(
+                    acc.sum_is_float,
+                    !floats.is_empty(),
+                    "case {case} group {g}"
+                );
+                // Rust leaves the payload of a NaN that arithmetic returns
+                // unspecified: a NaN total is only required to be a NaN.
+                if want.is_nan() {
+                    assert!(got.is_nan(), "case {case} group {g}");
+                } else if acc.sum_is_float {
+                    assert_eq!(got.to_bits(), want.to_bits(), "case {case} group {g}");
+                }
+                // The keys sort as the floats do, and map back to their bits.
+                let mut keys: Vec<i64> = floats
+                    .iter()
+                    .map(|f| total_key(f.to_bits() as i64))
+                    .collect();
+                keys.sort_unstable();
+                let back: Vec<u64> = keys.iter().map(|&k| total_key(k) as u64).collect();
+                let bits: Vec<u64> = floats.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(back, bits, "case {case} group {g}");
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,9 @@ pub fn materialize_marked_views(
     let mut built = Vec::new();
     for mark in &plan.materialize {
         let source = &exec.node_tables[mark.physical_node.index()];
+        // The enforcers below only move rows: the stored copy has the node's
+        // bytes, already counted for its stats.
+        let bytes = exec.node_stats[mark.physical_node.index()].out_bytes;
         // Enforce the mined physical design on the stored copy.
         let mut table = source.clone();
         let mut enforcer_cpu = SimDuration::ZERO;
@@ -135,7 +138,7 @@ pub fn materialize_marked_views(
                         },
                         source.num_rows() as u64,
                         source.num_rows() as u64,
-                        source.num_bytes(),
+                        bytes,
                     );
                 }
             }
@@ -152,7 +155,7 @@ pub fn materialize_marked_views(
                         },
                         source.num_rows() as u64,
                         source.num_rows() as u64,
-                        source.num_bytes(),
+                        bytes,
                     );
                 }
             }
@@ -184,7 +187,6 @@ pub fn materialize_marked_views(
             );
         }
         let rows = table.num_rows() as u64;
-        let bytes = table.num_bytes();
         let write_cpu = model.view_write_cpu(rows, bytes);
         let extra_cpu = enforcer_cpu + write_cpu;
         // Latency impact: the write runs with the view's own parallelism.

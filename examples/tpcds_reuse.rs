@@ -5,18 +5,69 @@
 //! deliberately conservative choice), then reruns the benchmark with
 //! CloudViews enabled — using the analyzer's coordination hints to run one
 //! view-building query before its reusers — and reports per-query runtime
-//! improvements, Figure 13 style.
+//! improvements, Figure 13 style, then where the executor's wall time went
+//! in the CloudViews pass, read from the service's own counters.
 //!
-//! Run with: `cargo run --release --example tpcds_reuse`
+//! Run with: `cargo run --release --example tpcds_reuse [scale]` (default
+//! scale 1.5).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
 use cloudviews::reporting;
+use cloudviews::runtime::op_wall_counter;
 use cloudviews::{CloudViews, RunMode};
 use scope_common::time::SimDuration;
 use scope_engine::storage::StorageManager;
+use scope_plan::OpKind;
 use scope_workload::tpcds::TpcdsWorkload;
+
+/// The executor's counters: per operator kind its kernel wall, then the
+/// gather wall, the columns gathers built and the cells copied.
+fn exec_counters(service: &CloudViews) -> Vec<u64> {
+    let mut names: Vec<String> = OpKind::ALL.into_iter().map(op_wall_counter).collect();
+    names.extend(
+        [
+            "cv_exec_gather_wall_nanos_total",
+            "cv_exec_gather_columns_total",
+            "cv_exec_cells_gathered_total",
+        ]
+        .map(String::from),
+    );
+    let metrics = &service.telemetry.metrics;
+    names.iter().map(|n| metrics.counter_value(n)).collect()
+}
+
+/// Prints the executor breakdown of one pass from the counters' growth
+/// across it and the pass's wall time.
+fn print_exec_breakdown(before: &[u64], after: &[u64], pass_ms: f64) {
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    let (walls, rest) = delta.split_at(OpKind::ALL.len());
+    let [gather_ns, columns, cells] = rest else {
+        unreachable!("three executor counters after the walls")
+    };
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let pct = |ns: u64| 100.0 * ms(ns) / pass_ms;
+    let kernel_ns: u64 = walls.iter().sum();
+    println!(
+        "\nexecutor breakdown (CloudViews pass, {pass_ms:.1} ms): kernels {:.1} ms ({:.1} %)",
+        ms(kernel_ns),
+        pct(kernel_ns)
+    );
+    let mut kinds: Vec<(OpKind, u64)> =
+        OpKind::ALL.into_iter().zip(walls.iter().copied()).collect();
+    kinds.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    for (kind, ns) in kinds.into_iter().filter(|&(_, ns)| ns > 0) {
+        println!("  {:<16}{:>7.1} ms {:>5.1} %", kind.name(), ms(ns), pct(ns));
+    }
+    println!(
+        "  gathers         {:>7.1} ms {:>5.1} %: {columns} columns, {:.0} ns a column; {cells} cells gathered",
+        ms(*gather_ns),
+        pct(*gather_ns),
+        *gather_ns as f64 / (*columns).max(1) as f64
+    );
+}
 
 fn main() -> scope_common::Result<()> {
     let scale = std::env::args()
@@ -56,7 +107,11 @@ fn main() -> scope_common::Result<()> {
         &analysis.order_hints,
         |j| j.template,
     );
+    let counters_before = exec_counters(&service);
+    let started = Instant::now();
     let enabled_unordered = service.run_sequence(&ordered, RunMode::CloudViews)?;
+    let pass_ms = started.elapsed().as_secs_f64() * 1e3;
+    let counters_after = exec_counters(&service);
     // Re-align reports to query order for the per-query table.
     let mut enabled: Vec<_> = enabled_unordered.into_iter().collect();
     enabled.sort_by_key(|r| r.job);
@@ -96,5 +151,6 @@ fn main() -> scope_common::Result<()> {
         cv_total.as_secs_f64()
     );
     println!("(paper: 79 of 99 improved, average 12.5%, total 17%)");
+    print_exec_breakdown(&counters_before, &counters_after, pass_ms);
     Ok(())
 }

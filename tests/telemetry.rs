@@ -271,6 +271,8 @@ fn prometheus_export_is_well_formed() {
         "# TYPE cv_job_latency_sim_micros histogram",
         "# TYPE cv_exec_rows_in_total counter",
         "# TYPE cv_exec_cells_gathered_total counter",
+        "# TYPE cv_exec_gather_wall_nanos_total counter",
+        "# TYPE cv_exec_gather_columns_total counter",
     ] {
         assert!(text.contains(series), "missing {series:?}");
     }
@@ -278,6 +280,9 @@ fn prometheus_export_is_well_formed() {
     let snap = cv.telemetry.metrics.snapshot();
     assert!(snap.counter("cv_exec_rows_in_total") > 0);
     assert!(snap.counter("cv_exec_cells_gathered_total") > 0);
+    // Gathers built columns, and timing them took some of the kernels' wall.
+    assert!(snap.counter("cv_exec_gather_columns_total") > 0);
+    assert!(snap.counter("cv_exec_gather_wall_nanos_total") > 0);
     // Kernel wall time per operator kind: every kind exports a series, and
     // the kinds the jobs ran add up to a positive total.
     let mut op_wall = 0;
