@@ -7,12 +7,17 @@
 //! calibrated [`CostModel`].
 //!
 //! Operators process whole [`RecordBatch`]es: projections evaluate
-//! expressions column-wise (`crate::vexpr`), joins and aggregates run typed
-//! single-key fast paths over the raw vectors. Operators that only *move*
-//! rows — Filter, Sort, Top, Exchange, the join emit — build recipes, not
-//! cells ([`crate::data`], "gather on read"), and Remap, UnionAll, Spool and
-//! the gathers to one partition hand columns on untouched; a column is
-//! copied when an operator first reads it — a routing, join or group key, an
+//! expressions column-wise (`crate::vexpr`). Hash Aggregate and the join's
+//! build and probe assign group ids in one kernel (`group_keys`): it reads
+//! each key where it lies, through a recipe's picks, as a typed `i64` or
+//! `&str` for one typed key column and as values otherwise, into one table —
+//! direct-address for a dense integer range, word-hashed else. Stream
+//! Aggregate takes its groups from runs of equal keys and shares hash
+//! Aggregate's accumulation loop. Operators that only *move* rows — Filter,
+//! Sort, Top, Exchange, the join emit — build recipes, not cells
+//! ([`crate::data`], "gather on read"), and Remap, UnionAll, Spool and the
+//! gathers to one partition hand columns on untouched; a column is copied
+//! when an operator first reads it — a routing, sort or run key, an
 //! aggregate input, an expression — and [`ExecOutcome::cells_gathered`]
 //! counts those copies.
 //!
@@ -334,10 +339,7 @@ fn exec_node(
         } => {
             let input = one()?;
             let mut parts = map_partitions(input, |batch| {
-                Ok(match implementation {
-                    AggImpl::Hash => hash_aggregate_batch(batch, keys, aggs),
-                    AggImpl::Stream => stream_aggregate_batch(batch, keys, aggs),
-                })
+                Ok(aggregate_batch(batch, keys, aggs, *implementation))
             })?;
             // Global aggregate over an empty input emits exactly one row.
             if keys.is_empty() && parts.iter().all(Vec::is_empty) {
@@ -733,8 +735,8 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<Recor
 /// ([`Acc::settle_floats`]): IEEE addition is not associative, so summing in
 /// physical arrival order would make results depend on partitioning — and a
 /// view-fed plan (different partition order) could differ from the baseline
-/// in the last ulp. The caller keeps the inputs, one buffer per partition or
-/// run, not one per group. Integer sums stay incremental.
+/// in the last ulp. The caller keeps the inputs in one buffer per partition,
+/// not one per group. Integer sums stay incremental.
 #[derive(Default)]
 struct Acc {
     count: u64,
@@ -794,7 +796,7 @@ impl Acc {
         None
     }
 
-    // Typed bulk helpers for the monomorphized hash-aggregate loops. Each
+    // Typed bulk helpers for the monomorphized aggregate loops. Each
     // mirrors a slice of `update_cell`'s effect on the fields that the
     // corresponding `finish` arm reads; callers must feed every group row
     // through `bump_rows` exactly once and only non-null values into the
@@ -885,129 +887,231 @@ fn settle_group_floats(accs: &mut [Acc], inputs: impl Iterator<Item = (u32, f64)
     }
 }
 
-/// Null-test closure over a typed column's optional mask.
-fn null_at(nulls: &Option<NullMask>) -> impl Fn(usize) -> bool + '_ {
-    move |i| nulls.as_ref().is_some_and(|m| m[i])
+/// A row without a group: a NULL join key, or a probe key the build lacks.
+const NO_GROUP: u32 = u32::MAX;
+
+/// How a key is read: as one typed column's `i64` (`Int`, `Date`) or
+/// `&str`, or as values — any other type, and every key of two columns.
+#[derive(Clone, Copy, PartialEq)]
+enum KeyKind {
+    Int,
+    Date,
+    Str,
+    Values,
 }
 
-/// `(lo, hi, span)` of the non-NULL keys; span 0 when there are none. The
-/// span is taken in `i128`: `i64::MIN` and `i64::MAX` may share a column.
-fn key_range(
-    rows: usize,
-    key_at: impl Fn(usize) -> i64,
-    is_null: impl Fn(usize) -> bool,
-) -> (i64, i64, u128) {
-    let (mut lo, mut hi, mut any) = (i64::MAX, i64::MIN, false);
-    for i in 0..rows {
-        if !is_null(i) {
-            let v = key_at(i);
-            lo = lo.min(v);
-            hi = hi.max(v);
-            any = true;
+impl KeyKind {
+    /// Typed when `keys` is one column whose sources share a typed variant.
+    fn of((batch, keys): Side<'_>) -> KeyKind {
+        let [k] = keys else {
+            return KeyKind::Values;
+        };
+        let kind = |c: &&ColumnVector| match c {
+            ColumnVector::Int { .. } => KeyKind::Int,
+            ColumnVector::Date { .. } => KeyKind::Date,
+            ColumnVector::Str { .. } => KeyKind::Str,
+            _ => KeyKind::Values,
+        };
+        let (sources, _) = batch.columns()[*k].locate();
+        let first = sources.first().map_or(KeyKind::Values, kind);
+        if sources.iter().all(|c| kind(c) == first) {
+            first
+        } else {
+            KeyKind::Values
         }
     }
-    let span = if any {
-        (hi as i128 - lo as i128) as u128 + 1
-    } else {
-        0
-    };
-    (lo, hi, span)
 }
 
-/// True when a key span is small enough, relative to the rows that carry
-/// it, for a direct-address table instead of a hash map.
-fn is_dense(span: u128, rows: usize) -> bool {
-    span <= (rows as u128) * 4 + 1024 && span <= 1 << 21
+/// A batch and its key columns: one side of a grouping.
+type Side<'a> = (&'a RecordBatch, &'a [usize]);
+
+/// Row `i`'s key in column `k`, read where it lies (`None` when NULL):
+/// `typed` is a source's data, `get` one row of it.
+fn typed_key<'a, D: ?Sized + 'a, K>(
+    batch: &'a RecordBatch,
+    k: usize,
+    typed: impl Fn(&'a ColumnVector) -> Option<&'a D>,
+    get: impl Fn(&'a D, usize) -> K + 'a,
+) -> impl Fn(usize) -> Option<K> + 'a {
+    let (sources, at) = batch.columns()[k].locate();
+    let data: Vec<&D> = sources
+        .iter()
+        .map(|&c| typed(c).expect("a key's sources share its kind"))
+        .collect();
+    move |i| {
+        let (s, r) = at(i);
+        (!sources[s].is_null(r)).then(|| get(data[s], r))
+    }
 }
 
-/// Single-key grouping over a hashable key borrowed from the column (`None`
-/// = NULL, its own group). Group ids are assigned in first-seen row order,
-/// matching the generic `HashMap<Vec<Value>>` kernel exactly.
-fn group_by_key<K: std::hash::Hash + Eq>(
-    rows: usize,
-    key_at: impl Fn(usize) -> Option<K>,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut group_of = Vec::with_capacity(rows);
-    let mut firsts = Vec::new();
-    let mut map: WordMap<Option<K>, u32> = WordMap::default();
-    for i in 0..rows {
-        let gid = *map.entry(key_at(i)).or_insert_with(|| {
-            firsts.push(i as u32);
-            (firsts.len() - 1) as u32
+/// Row `i`'s key as values, read where it lies; `None` when a join key has
+/// a NULL in it (it joins nothing).
+fn value_key<'a>((batch, keys): Side<'a>, join: bool) -> impl Fn(usize) -> Option<Vec<Value>> + 'a {
+    let cols: Vec<_> = keys.iter().map(|&k| batch.columns()[k].locate()).collect();
+    move |i| {
+        let cells = cols.iter().map(|(sources, at)| {
+            let (s, r) = at(i);
+            sources[s].cell(r)
         });
-        group_of.push(gid);
+        if join && cells.clone().any(Cell::is_null) {
+            return None;
+        }
+        Some(cells.map(Cell::to_value).collect())
     }
-    (group_of, firsts)
 }
 
-/// Monomorphized single-key grouping over an i64-valued key accessor, with
-/// the group-id contract of [`group_by_key`]. Small key ranges get a
-/// direct-address table instead of a hash map.
-fn group_typed_ints(
-    rows: usize,
-    key_at: impl Fn(usize) -> i64,
-    is_null: impl Fn(usize) -> bool,
-) -> (Vec<u32>, Vec<u32>) {
-    let (lo, _, span) = key_range(rows, &key_at, &is_null);
-    if !is_dense(span, rows) {
-        return group_by_key(rows, |i| (!is_null(i)).then(|| key_at(i)));
+/// A key the grouping table takes: any is hashed, an `i64` may index.
+trait GroupKey: std::hash::Hash + Eq {
+    /// The key as a direct-address table's index, for `i64` keys.
+    fn int(&self) -> Option<i64> {
+        None
     }
-    let mut group_of = Vec::with_capacity(rows);
-    let mut firsts = Vec::new();
-    let mut table = vec![u32::MAX; span as usize];
-    let mut null_gid = u32::MAX;
-    for i in 0..rows {
-        let slot = if is_null(i) {
-            &mut null_gid
-        } else {
-            &mut table[(key_at(i) - lo) as usize]
+}
+
+impl GroupKey for i64 {
+    fn int(&self) -> Option<i64> {
+        Some(*self)
+    }
+}
+
+impl GroupKey for &str {}
+
+impl GroupKey for Vec<Value> {}
+
+/// Key → group id: a direct-address table over a dense range of integer
+/// keys, or a word-hashed map.
+enum GroupTable<K> {
+    Dense { lo: i64, slots: Vec<u32> },
+    Hashed(WordMap<K, u32>),
+}
+
+impl<K: GroupKey> GroupTable<K> {
+    /// The table for `rows` build keys: direct-address when they are
+    /// integers whose span is small for the rows that carry it.
+    fn for_keys(rows: usize, key: impl Fn(usize) -> Option<K>) -> GroupTable<K> {
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for i in 0..rows {
+            match key(i).map(|k| k.int()) {
+                Some(Some(v)) => (lo, hi) = (lo.min(v), hi.max(v)),
+                Some(None) => return GroupTable::Hashed(WordMap::default()),
+                None => {}
+            }
+        }
+        // In i128: `i64::MIN` and `i64::MAX` may share a column.
+        let span = hi as i128 - lo as i128 + 1;
+        if span > 0 && span <= rows as i128 * 4 + 1024 && span <= 1 << 21 {
+            let slots = vec![NO_GROUP; span as usize];
+            return GroupTable::Dense { lo, slots };
+        }
+        GroupTable::Hashed(WordMap::default())
+    }
+
+    /// `k`'s index in a direct-address table from `lo`, if it has one.
+    fn index(lo: i64, k: &K) -> Option<usize> {
+        usize::try_from(k.int()?.checked_sub(lo)?).ok()
+    }
+
+    /// The group slot of a build key, `NO_GROUP` until it is assigned.
+    fn slot(&mut self, k: K) -> &mut u32 {
+        match self {
+            GroupTable::Dense { lo, slots } => {
+                &mut slots[Self::index(*lo, &k).expect("a build key lies in its range")]
+            }
+            GroupTable::Hashed(map) => map.entry(k).or_insert(NO_GROUP),
+        }
+    }
+
+    /// The group of a probe key, `NO_GROUP` when the build has none.
+    fn get(&self, k: &K) -> u32 {
+        let found = match self {
+            GroupTable::Dense { lo, slots } => Self::index(*lo, k).and_then(|i| slots.get(i)),
+            GroupTable::Hashed(map) => map.get(k),
         };
-        if *slot == u32::MAX {
+        found.copied().unwrap_or(NO_GROUP)
+    }
+}
+
+/// The groups of a batch's keys, and of another batch's keys probed into
+/// them.
+struct Grouping {
+    /// Each row's group, numbered in first-seen order.
+    of_row: Vec<u32>,
+    /// Each group's first row.
+    firsts: Vec<u32>,
+    /// Each probe row's group.
+    probed: Vec<u32>,
+}
+
+/// The one key → group-id table, behind Aggregate and Join. `key(i)` is row
+/// `i`'s key, `None` when NULL: its own group when nothing probes (an
+/// aggregate), no group when something does (a join build, and so no
+/// match). `probe` is another batch's rows and keys, looked up afterwards.
+fn assign_groups<K: GroupKey, F: Fn(usize) -> Option<K>>(
+    rows: usize,
+    key: F,
+    probe: Option<(usize, F)>,
+) -> Grouping {
+    let mut table = GroupTable::for_keys(rows, &key);
+    let mut null_group = NO_GROUP;
+    let mut firsts = Vec::new();
+    let mut of_row = Vec::with_capacity(rows);
+    for i in 0..rows {
+        let slot = match key(i) {
+            Some(k) => table.slot(k),
+            None if probe.is_none() => &mut null_group,
+            None => {
+                of_row.push(NO_GROUP);
+                continue;
+            }
+        };
+        if *slot == NO_GROUP {
             *slot = firsts.len() as u32;
             firsts.push(i as u32);
         }
-        group_of.push(*slot);
+        of_row.push(*slot);
     }
-    (group_of, firsts)
+    let probed = probe.map_or_else(Vec::new, |(rows, key)| {
+        let group = |i| key(i).map_or(NO_GROUP, |k| table.get(&k));
+        (0..rows).map(group).collect()
+    });
+    Grouping {
+        of_row,
+        firsts,
+        probed,
+    }
 }
 
-/// Group index per input row, plus each group's first row in first-seen
-/// order — the seed hash aggregate's grouping, computed column-wise with a
-/// typed fast path for single integer-like keys.
-fn group_rows(batch: &RecordBatch, keys: &[usize]) -> (Vec<u32>, Vec<u32>) {
-    let rows = batch.num_rows();
-
-    if let [k] = keys {
-        // Typed single-key grouping: one i64 or borrowed `&str` (or NULL)
-        // per row. Valid because a typed column never mixes types, so key
-        // equality coincides with Value equality.
-        match batch.column(*k) {
-            ColumnVector::Int { data, nulls } => {
-                return group_typed_ints(rows, |i| data[i], null_at(nulls));
-            }
-            ColumnVector::Date { data, nulls } => {
-                return group_typed_ints(rows, |i| data[i] as i64, null_at(nulls));
-            }
-            ColumnVector::Str { data, nulls } => {
-                let is_null = null_at(nulls);
-                return group_by_key(rows, |i| (!is_null(i)).then(|| data.get(i)));
-            }
-            _ => {}
+/// Groups `build`'s keys and probes `probe`'s into them, reading both where
+/// they lie (`Column::locate`): no key column is copied. Both sides read typed only when their [`KeyKind`]s agree;
+/// otherwise both read values, so `Int(1)` still joins `Float(1.0)` and an
+/// `Int` never joins a `Date`. Both batches have rows.
+fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
+    let kind = match (KeyKind::of(build), probe.map(KeyKind::of)) {
+        (kind, Some(other)) if other != kind => KeyKind::Values,
+        (kind, _) => kind,
+    };
+    let rows = |(batch, _): Side<'_>| batch.num_rows();
+    macro_rules! typed {
+        ($variant:ident, $get:expr) => {{
+            let read = |(batch, keys): Side<'a>| {
+                let data = |c: &'a ColumnVector| match c {
+                    ColumnVector::$variant { data, .. } => Some(data),
+                    _ => None,
+                };
+                typed_key(batch, keys[0], data, $get)
+            };
+            assign_groups(rows(build), read(build), probe.map(|p| (rows(p), read(p))))
+        }};
+    }
+    match kind {
+        KeyKind::Int => typed!(Int, |d: &'a Vec<i64>, r| d[r]),
+        KeyKind::Date => typed!(Date, |d: &'a Vec<i32>, r| d[r] as i64),
+        KeyKind::Str => typed!(Str, |d: &'a StrVec, r| d.get(r)),
+        KeyKind::Values => {
+            let read = |side| value_key(side, probe.is_some());
+            assign_groups(rows(build), read(build), probe.map(|p| (rows(p), read(p))))
         }
     }
-
-    let mut group_of = Vec::with_capacity(rows);
-    let mut firsts = Vec::new();
-    let mut map: WordMap<Vec<Value>, u32> = WordMap::default();
-    for i in 0..rows {
-        let key: Vec<Value> = keys.iter().map(|&k| batch.cell(i, k).to_value()).collect();
-        let gid = *map.entry(key).or_insert_with(|| {
-            firsts.push(i as u32);
-            (firsts.len() - 1) as u32
-        });
-        group_of.push(gid);
-    }
-    (group_of, firsts)
 }
 
 /// The aggregate's output over one partition: per group, the key cells of
@@ -1028,26 +1132,41 @@ fn aggregate_output(
     RecordBatch::new(columns, firsts.len())
 }
 
-fn hash_aggregate_batch(
+/// One partition's aggregate, `None` when it has no row. Hash groups the
+/// rows by key ([`group_keys`]), stream takes each run of equal keys as a
+/// group ([`key_runs`]); then one pass per aggregate over its input column.
+/// COUNT/SUM/AVG over typed numeric columns run monomorphized loops feeding
+/// the exact `Acc` fields their `finish` arm reads; everything else falls
+/// back to the borrowed-cell update.
+fn aggregate_batch(
     batch: &RecordBatch,
     keys: &[usize],
     aggs: &[AggExpr],
+    implementation: AggImpl,
 ) -> Option<RecordBatch> {
-    let rows = batch.num_rows();
-    if rows == 0 {
+    if batch.num_rows() == 0 {
         return None;
     }
-    let (group_of, firsts) = group_rows(batch, keys);
+    let (group_of, firsts) = match implementation {
+        AggImpl::Hash => {
+            let grouping = group_keys((batch, keys), None);
+            (grouping.of_row, grouping.firsts)
+        }
+        AggImpl::Stream => {
+            let runs = key_runs(batch, keys);
+            let group_of = (0..)
+                .zip(&runs)
+                .flat_map(|(g, run)| std::iter::repeat_n(g, run.len()))
+                .collect();
+            (group_of, runs.iter().map(|run| run.start as u32).collect())
+        }
+    };
     let ngroups = firsts.len();
     let mut group_sizes = vec![0u64; ngroups];
     for &g in &group_of {
         group_sizes[g as usize] += 1;
     }
 
-    // Column-wise accumulation: one pass per aggregate over its input
-    // column. COUNT/SUM/AVG over typed numeric columns run monomorphized
-    // loops feeding the exact `Acc` fields their `finish` arm reads;
-    // everything else falls back to the borrowed-cell update.
     let mut finished = Vec::with_capacity(aggs.len());
     for a in aggs {
         let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::default()).collect();
@@ -1068,7 +1187,7 @@ fn hash_aggregate_batch(
             }
             (AggFunc::Sum | AggFunc::Avg, ColumnVector::Float { data, nulls }) => {
                 accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |_, _| {});
-                let null = null_at(nulls);
+                let null = |i: usize| nulls.as_ref().is_some_and(|m| m[i]);
                 let rows = group_of.iter().enumerate().filter(|&(i, _)| !null(i));
                 settle_group_floats(&mut accs, rows.map(|(i, &g)| (g, data[i])));
             }
@@ -1123,44 +1242,6 @@ fn accumulate_sums(
     }
 }
 
-fn stream_aggregate_batch(
-    batch: &RecordBatch,
-    keys: &[usize],
-    aggs: &[AggExpr],
-) -> Option<RecordBatch> {
-    let runs = key_runs(batch, keys);
-    if runs.is_empty() {
-        return None;
-    }
-    let finished = aggs
-        .iter()
-        .map(|a| {
-            if a.func == AggFunc::Count {
-                // A group's row count: no cell, no column.
-                return runs
-                    .iter()
-                    .map(|run| Value::Int(run.len() as i64))
-                    .collect();
-            }
-            let col = batch.column(a.input);
-            let mut floats = Vec::new();
-            let mut finish = |run: &Range<usize>| {
-                let mut acc = Acc::default();
-                floats.clear();
-                for i in run.clone() {
-                    let float = acc.update_cell(a.func, col.cell(i));
-                    floats.extend(float.map(|f| total_key(f.to_bits() as i64)));
-                }
-                acc.settle_floats(&mut floats);
-                acc.finish(a.func)
-            };
-            runs.iter().map(&mut finish).collect()
-        })
-        .collect();
-    let firsts: Vec<u32> = runs.iter().map(|run| run.start as u32).collect();
-    Some(aggregate_output(batch, keys, &firsts, finished))
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized hash join
 // ---------------------------------------------------------------------------
@@ -1191,7 +1272,7 @@ fn exec_join(
         )));
     }
     let rwidth = right.schema.len();
-    // The broadcast side is concatenated, and its key read, once.
+    // The broadcast side is concatenated once; each left partition probes it.
     let one = broadcast.then(|| right.partition_as_batch(0));
     let parts = (0..left.num_partitions())
         .map(|p| {
@@ -1213,102 +1294,6 @@ fn exec_join(
     Ok(Table::from_batches(out_schema.clone(), parts, props))
 }
 
-/// Right-side groups of row indices plus, per left row, the matching group.
-/// Group `g` holds the right rows `rows[start[g]..start[g + 1]]` in arrival
-/// order: one buffer for all groups, not one per distinct key.
-struct BuildProbe {
-    start: Vec<usize>,
-    rows: Vec<u32>,
-    lgroup: Vec<Option<u32>>,
-}
-
-/// A right row whose key joins nothing (NULL).
-const NO_GROUP: u32 = u32::MAX;
-
-impl BuildProbe {
-    /// Lays out the right rows by group from each right row's group id
-    /// among `groups`.
-    fn new(rgroup: &[u32], groups: usize, lgroup: Vec<Option<u32>>) -> BuildProbe {
-        let joining = rgroup.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP);
-        let (start, rows) = by_group(groups, joining.map(|(i, &g)| (g, i as u32)));
-        BuildProbe {
-            start,
-            rows,
-            lgroup,
-        }
-    }
-
-    /// The right rows of group `g`, in arrival order.
-    fn matches(&self, g: u32) -> &[u32] {
-        &self.rows[self.start[g as usize]..self.start[g as usize + 1]]
-    }
-}
-
-/// Build/probe grouping: distinct non-NULL right keys get a group of right
-/// row indices (arrival order); each left row resolves to its group or none.
-fn build_probe<K: std::hash::Hash + Eq>(
-    rrows: usize,
-    lrows: usize,
-    rkey: impl Fn(usize) -> Option<K>,
-    lkey: impl Fn(usize) -> Option<K>,
-) -> BuildProbe {
-    let mut map: WordMap<K, u32> = WordMap::default();
-    let rgroup: Vec<u32> = (0..rrows)
-        .map(|i| match rkey(i) {
-            Some(k) => {
-                let next = map.len() as u32;
-                *map.entry(k).or_insert(next)
-            }
-            None => NO_GROUP,
-        })
-        .collect();
-    let lgroup = (0..lrows)
-        .map(|i| lkey(i).and_then(|k| map.get(&k).copied()))
-        .collect();
-    BuildProbe::new(&rgroup, map.len(), lgroup)
-}
-
-/// Monomorphized i64 build/probe with the same group-id contract as
-/// [`build_probe`] (build groups in right arrival order, NULL keys never
-/// match). Small build-key ranges use a direct-address table so the probe
-/// is an array lookup per left row instead of a hash.
-fn build_probe_ints(
-    rrows: usize,
-    lrows: usize,
-    rkey: impl Fn(usize) -> i64,
-    rnull: impl Fn(usize) -> bool,
-    lkey: impl Fn(usize) -> Option<i64>,
-) -> BuildProbe {
-    let (lo, hi, span) = key_range(rrows, &rkey, &rnull);
-    if is_dense(span, rrows) {
-        let mut table = vec![u32::MAX; span as usize];
-        let mut groups = 0;
-        let rgroup: Vec<u32> = (0..rrows)
-            .map(|i| {
-                if rnull(i) {
-                    return NO_GROUP;
-                }
-                let slot = &mut table[(rkey(i) - lo) as usize];
-                if *slot == u32::MAX {
-                    *slot = groups;
-                    groups += 1;
-                }
-                *slot
-            })
-            .collect();
-        let lgroup = (0..lrows)
-            .map(|i| {
-                let k = lkey(i).filter(|k| (lo..=hi).contains(k))?;
-                let g = table[(k - lo) as usize];
-                (g != u32::MAX).then_some(g)
-            })
-            .collect();
-        BuildProbe::new(&rgroup, groups as usize, lgroup)
-    } else {
-        build_probe(rrows, lrows, |i| (!rnull(i)).then(|| rkey(i)), lkey)
-    }
-}
-
 /// Joins one left partition against one right partition: build on the
 /// right (NULL keys never join), probe the left in arrival order. LeftOuter
 /// pads unmatched rows to `rwidth`, the right *schema* width.
@@ -1326,67 +1311,25 @@ fn hash_join_batch(
     }
     let rrows = rb.num_rows();
 
-    // Typed single-key fast path: both sides must be the *same* concrete
-    // type — Value equality is cross-type for numerics, but a typed column
-    // never mixes types, so same-variant i64 equality is exact. An empty
-    // right side may be a zero-width batch whose key columns don't exist;
-    // the row kernel never touches right keys then, so neither may we.
-    let typed: Option<BuildProbe> = if let (true, [lk], [rk]) = (rrows > 0, left_keys, right_keys) {
-        // The left key is probed where it lies, through its picks: the join
-        // copies no probe key. `lkey` finds a non-NULL key's source and row.
-        let (lsources, at) = lb.columns()[*lk].locate();
-        let lkey = |i| Some(at(i)).filter(|&(s, r)| !lsources[s].is_null(r));
-        macro_rules! left {
-            ($variant:ident) => {
-                lsources
-                    .iter()
-                    .map(|c| match c {
-                        ColumnVector::$variant { data, .. } => Some(data),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<_>>>()
-            };
-        }
-        match rb.column(*rk) {
-            ColumnVector::Int { data: rd, nulls } => left!(Int).map(|ld| {
-                let lkey = |i| lkey(i).map(|(s, r)| ld[s][r]);
-                build_probe_ints(rrows, lrows, |i| rd[i], null_at(nulls), lkey)
-            }),
-            ColumnVector::Date { data: rd, nulls } => left!(Date).map(|ld| {
-                let lkey = |i| lkey(i).map(|(s, r)| ld[s][r] as i64);
-                build_probe_ints(rrows, lrows, |i| rd[i] as i64, null_at(nulls), lkey)
-            }),
-            // Strings probe on `&str` keys borrowed from the two columns.
-            ColumnVector::Str { data: rd, nulls } => left!(Str).map(|ld| {
-                let (rnull, lkey) = (null_at(nulls), |i| lkey(i).map(|(s, r)| ld[s].get(r)));
-                build_probe(rrows, lrows, |i| (!rnull(i)).then(|| rd.get(i)), lkey)
-            }),
-            _ => None,
-        }
+    // Each left row's group of right rows, laid out by group in one buffer:
+    // group `g` holds `rows[start[g]..start[g + 1]]` in arrival order. An
+    // empty right side (maybe a zero-width batch) matches nothing, so
+    // neither side's key is read.
+    let (lgroup, start, rows) = if rrows == 0 {
+        (vec![NO_GROUP; lrows], vec![0], Vec::new())
     } else {
-        None
+        let grouping = group_keys((rb, right_keys), Some((lb, left_keys)));
+        let joining = (0..).zip(grouping.of_row).filter(|&(_, g)| g != NO_GROUP);
+        let (start, rows) = by_group(grouping.firsts.len(), joining.map(|(i, g)| (g, i)));
+        (grouping.probed, start, rows)
     };
-    let built = typed.unwrap_or_else(|| {
-        // NULL keys never join: test before materializing the key.
-        let key_of = |b: &RecordBatch, keys: &[usize], i: usize| -> Option<Vec<Value>> {
-            if keys.iter().any(|&k| b.column(k).is_null(i)) {
-                return None;
-            }
-            Some(keys.iter().map(|&k| b.cell(i, k).to_value()).collect())
-        };
-        build_probe(
-            rrows,
-            lrows,
-            |i| key_of(rb, right_keys, i),
-            |i| key_of(lb, left_keys, i),
-        )
-    });
+    let matches = |g: u32| &rows[start[g as usize]..start[g as usize + 1]];
 
     // Emit phase: index pairs, then recipes over both inputs — no copy.
     let batch = match kind {
         JoinKind::LeftSemi => {
             let sel: Vec<u32> = (0..lrows as u32)
-                .filter(|&i| built.lgroup[i as usize].is_some())
+                .filter(|&i| lgroup[i as usize] != NO_GROUP)
                 .collect();
             if sel.is_empty() {
                 return Vec::new();
@@ -1396,12 +1339,10 @@ fn hash_join_batch(
         JoinKind::Inner => {
             let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
             let mut ridx: Vec<u32> = Vec::with_capacity(lrows);
-            for (i, g) in built.lgroup.iter().enumerate() {
-                if let Some(g) = g {
-                    let matches = built.matches(*g);
-                    lidx.resize(lidx.len() + matches.len(), i as u32);
-                    ridx.extend_from_slice(matches);
-                }
+            for (i, &g) in lgroup.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
+                let matches = matches(g);
+                lidx.resize(lidx.len() + matches.len(), i as u32);
+                ridx.extend_from_slice(matches);
             }
             if lidx.is_empty() {
                 return Vec::new();
@@ -1413,17 +1354,14 @@ fn hash_join_batch(
         JoinKind::LeftOuter => {
             let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
             let mut ridx: Vec<Option<u32>> = Vec::with_capacity(lrows);
-            for (i, g) in built.lgroup.iter().enumerate() {
-                match g {
-                    Some(g) => {
-                        let matches = built.matches(*g);
-                        lidx.resize(lidx.len() + matches.len(), i as u32);
-                        ridx.extend(matches.iter().copied().map(Some));
-                    }
-                    None => {
-                        lidx.push(i as u32);
-                        ridx.push(None);
-                    }
+            for (i, &g) in lgroup.iter().enumerate() {
+                if g == NO_GROUP {
+                    lidx.push(i as u32);
+                    ridx.push(None);
+                } else {
+                    let matches = matches(g);
+                    lidx.resize(lidx.len() + matches.len(), i as u32);
+                    ridx.extend(matches.iter().copied().map(Some));
                 }
             }
             // The padded side has holes no pick can name: gathered here. An
@@ -1439,6 +1377,7 @@ fn hash_join_batch(
     };
     vec![Arc::new(batch)]
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1492,18 +1431,21 @@ mod tests {
             AggExpr::new("m", AggFunc::Count, 9),
         ];
         let reversed: Vec<u32> = (0..300).rev().collect();
-        let gathered = |kernel: fn(&RecordBatch, &[usize], &[AggExpr]) -> _, aggs| {
+        let gathered = |implementation, aggs| {
             let batch = Table::single(kv_schema(), kv_rows(300))
                 .partition_as_batch(0)
                 .take(&reversed);
             let before = cells_gathered();
-            let out: Option<RecordBatch> = kernel(&batch, &[0], aggs);
+            let out = aggregate_batch(&batch, &[0], aggs, implementation);
             (out.unwrap(), cells_gathered() - before)
         };
-        for kernel in [hash_aggregate_batch, stream_aggregate_batch] {
-            // The group key is read either way; neither COUNT reads a cell.
-            let (out, cells) = gathered(kernel, &count);
-            assert_eq!(cells, gathered(kernel, &[]).1);
+        // Hash reads its key where it lies, stream forces it to find runs.
+        let key_cells = [(AggImpl::Hash, 0), (AggImpl::Stream, 300)];
+        for (implementation, key_cells) in key_cells {
+            // Neither COUNT reads a cell.
+            let (out, cells) = gathered(implementation, &count);
+            assert_eq!(cells, key_cells);
+            assert_eq!(gathered(implementation, &[]).1, key_cells);
             let total: i64 = (0..out.num_rows())
                 .map(|g| out.cell(g, 1).as_i64().unwrap())
                 .sum();
@@ -1572,6 +1514,71 @@ mod tests {
             multiset_checksum(&hash_out.outputs["o"]),
             multiset_checksum(&stream_out.outputs["o"])
         );
+
+        // Every function over Int, Float, Date, Str and Mixed inputs, grouped
+        // by Int, Date, Str, Float and two-column keys, all with NULLs: the
+        // two kernels agree cell for cell (floats bit for bit).
+        let floats = [0.0, -0.0, f64::NAN, 2.5, -1e300, 1e-310, f64::INFINITY];
+        let rows: Vec<Row> = (0..120i64)
+            .map(|i| {
+                let or_null = |every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
+                let mixed = match i % 4 {
+                    0 => Value::Int(i),
+                    1 => Value::Float(i as f64 / 2.0),
+                    2 => Value::Str(format!("m{}", i % 3)),
+                    _ => Value::Null,
+                };
+                vec![
+                    or_null(7, Value::Int(i % 5)),
+                    or_null(8, Value::Date((i % 4) as i32 * 1_000)),
+                    or_null(9, Value::Str(format!("s{}", i % 6))),
+                    or_null(10, Value::Float(floats[i as usize % 4])),
+                    or_null(11, Value::Int(i * 7 - 300)),
+                    or_null(6, Value::Float(floats[i as usize % floats.len()])),
+                    or_null(5, Value::Date(i as i32 - 60)),
+                    or_null(4, Value::Str("x".repeat(i as usize % 3))),
+                    mixed,
+                ]
+            })
+            .collect();
+        let names = ["ki", "kd", "ks", "kf", "vi", "vf", "vd", "vs", "vm"];
+        let types = [
+            DataType::Int,
+            DataType::Date,
+            DataType::Str,
+            DataType::Float,
+            DataType::Int,
+            DataType::Float,
+            DataType::Date,
+            DataType::Str,
+            DataType::Str,
+        ];
+        let fields: Vec<(&str, DataType)> = names.into_iter().zip(types).collect();
+        let table = Table::single(Schema::from_pairs(&fields), rows);
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::CountDistinct,
+        ];
+        let aggs: Vec<AggExpr> = (4..9)
+            .flat_map(|input| funcs.map(|f| AggExpr::new("a", f, input)))
+            .collect();
+        for keys in [vec![0], vec![1], vec![2], vec![3], vec![0, 2], vec![3, 1]] {
+            let sorted = table.sort_partitions(&SortOrder::asc(&keys));
+            let batch = sorted.partition_as_batch(0);
+            let rows = |implementation| {
+                let out = aggregate_batch(&batch, &keys, &aggs, implementation).unwrap();
+                (0..out.num_rows())
+                    .map(|g| out.row(g))
+                    .collect::<Vec<Row>>()
+            };
+            let (hash, stream) = (rows(AggImpl::Hash), rows(AggImpl::Stream));
+            assert!(hash.len() > 4, "keys {keys:?}");
+            assert_eq!(hash, stream, "keys {keys:?}");
+        }
     }
 
     #[test]
@@ -1664,51 +1671,103 @@ mod tests {
         assert_eq!(semi.outputs["o"].schema.len(), 2);
     }
 
-    #[test]
-    fn null_keys_never_join() {
+    /// `left ⋈ right` on the same key columns of both sides, through a plan.
+    fn join_rows(kind: JoinKind, left: Vec<Row>, right: Vec<Row>, keys: &[usize]) -> Vec<Row> {
         let storage = StorageManager::new();
-        storage.put_dataset(
-            DatasetId::new(1),
-            Table::single(kv_schema(), vec![vec![Value::Null, Value::Int(1)]]),
-        );
-        storage.put_dataset(
-            DatasetId::new(2),
-            Table::single(kv_schema(), vec![vec![Value::Null, Value::Int(2)]]),
-        );
+        storage.put_dataset(DatasetId::new(1), Table::single(kv_schema(), left));
+        storage.put_dataset(DatasetId::new(2), Table::single(kv_schema(), right));
         let mut b = PlanBuilder::new();
         let l = b.table_scan(DatasetId::new(1), "l", kv_schema());
         let r = b.table_scan(DatasetId::new(2), "r", kv_schema());
-        let j = b.join(l, r, JoinKind::Inner, vec![0], vec![0]);
+        let j = b.join(l, r, kind, keys.to_vec(), keys.to_vec());
         let g = b.output(j, "o").build().unwrap();
-        assert_eq!(run(&g, &storage).outputs["o"].num_rows(), 0);
+        run(&g, &storage).outputs["o"].all_rows()
+    }
+
+    /// The groups of a hash aggregate on `keys`, each with its row count,
+    /// sorted.
+    fn group_counts(rows: Vec<Row>, keys: &[usize]) -> Vec<Row> {
+        let storage = storage_with(rows, kv_schema());
+        let mut b = PlanBuilder::new();
+        let s = b.table_scan(DatasetId::new(1), "t", kv_schema());
+        let count = AggExpr::new("cnt", AggFunc::Count, 1);
+        let a = b.aggregate(s, keys.to_vec(), vec![count]);
+        let g = b.output(a, "o").build().unwrap();
+        let mut groups = run(&g, &storage).outputs["o"].all_rows();
+        groups.sort();
+        groups
+    }
+
+    /// Two-column rows, `None` for NULL.
+    fn int_rows(pairs: &[(Option<i64>, Option<i64>)]) -> Vec<Row> {
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        pairs.iter().map(|&(a, b)| vec![int(a), int(b)]).collect()
+    }
+
+    #[test]
+    fn null_keys_never_join() {
+        let inner = |left, right, keys: &[usize]| join_rows(JoinKind::Inner, left, right, keys);
+        let nulls = int_rows(&[(None, Some(1))]);
+        assert!(inner(nulls.clone(), nulls, &[0]).is_empty());
+
+        // NULLs among the keys of a dense range and of a hashed one.
+        for scale in [1, 1_000_000_000_000] {
+            let keys = |ks: &[Option<i64>]| {
+                let pairs: Vec<_> = ks.iter().map(|k| (k.map(|k| k * scale), Some(0))).collect();
+                int_rows(&pairs)
+            };
+            let left = keys(&[Some(0), Some(1), None, Some(2), None]);
+            let right = keys(&[None, Some(0), Some(1), None, Some(2), Some(3)]);
+            let joined = inner(left, right, &[0]);
+            assert_eq!(joined.len(), 3, "scale {scale}");
+            assert!(joined
+                .iter()
+                .all(|row| row[0] == row[2] && !row[0].is_null()));
+        }
+
+        // A two-column key with one NULL component: its own group in an
+        // aggregate, and no match in a join.
+        let rows = int_rows(&[(Some(1), None), (Some(1), Some(2)), (Some(1), None)]);
+        assert_eq!(inner(rows.clone(), rows.clone(), &[0, 1]).len(), 1);
+        assert_eq!(
+            group_counts(rows, &[0, 1]),
+            vec![
+                vec![Value::Int(1), Value::Null, Value::Int(2)],
+                vec![Value::Int(1), Value::Int(2), Value::Int(1)],
+            ]
+        );
+
+        // Keys of two types join as values: an Int joins the Float that holds
+        // it exactly, and never a Date.
+        let row = |k: Value| vec![k, Value::Int(0)];
+        let ints = || vec![row(Value::Int(1)), row(Value::Int(2))];
+        let floats = || vec![row(Value::Float(1.0)), row(Value::Float(1.5))];
+        let dates = || vec![row(Value::Date(1)), row(Value::Date(2))];
+        let pairs = |rows: Vec<Row>| rows.into_iter().map(|r| (r[0].clone(), r[2].clone()));
+        let one = vec![(Value::Int(1), Value::Float(1.0))];
+        assert_eq!(
+            pairs(inner(ints(), floats(), &[0])).collect::<Vec<_>>(),
+            one
+        );
+        let flipped: Vec<_> = pairs(inner(floats(), ints(), &[0]))
+            .map(|(l, r)| (r, l))
+            .collect();
+        assert_eq!(flipped, one);
+        assert!(inner(ints(), dates(), &[0]).is_empty());
+        assert!(inner(dates(), ints(), &[0]).is_empty());
     }
 
     #[test]
     fn keys_spanning_the_whole_i64_range_group_and_join() {
         // `hi - lo` overflows i64 here; the span must be taken wider.
-        let keys = [
-            Value::Int(i64::MIN),
-            Value::Int(i64::MAX),
-            Value::Null,
-            Value::Int(i64::MIN),
-        ];
-        let rows: Vec<Row> = keys
-            .iter()
-            .zip(0..)
-            .map(|(k, i)| vec![k.clone(), Value::Int(i)])
-            .collect();
-        let storage = StorageManager::new();
-        storage.put_dataset(DatasetId::new(1), Table::single(kv_schema(), rows.clone()));
-        storage.put_dataset(DatasetId::new(2), Table::single(kv_schema(), rows));
-
-        let mut b = PlanBuilder::new();
-        let s = b.table_scan(DatasetId::new(1), "t", kv_schema());
-        let a = b.aggregate(s, vec![0], vec![AggExpr::new("cnt", AggFunc::Count, 1)]);
-        let g = b.output(a, "o").build().unwrap();
-        let mut groups = run(&g, &storage).outputs["o"].all_rows();
-        groups.sort();
+        let rows = int_rows(&[
+            (Some(i64::MIN), Some(0)),
+            (Some(i64::MAX), Some(1)),
+            (None, Some(2)),
+            (Some(i64::MIN), Some(3)),
+        ]);
         assert_eq!(
-            groups,
+            group_counts(rows.clone(), &[0]),
             vec![
                 vec![Value::Null, Value::Int(1)],
                 vec![Value::Int(i64::MIN), Value::Int(2)],
@@ -1716,17 +1775,56 @@ mod tests {
             ]
         );
 
-        let mut b = PlanBuilder::new();
-        let l = b.table_scan(DatasetId::new(1), "l", kv_schema());
-        let r = b.table_scan(DatasetId::new(2), "r", kv_schema());
-        let j = b.join(l, r, JoinKind::Inner, vec![0], vec![0]);
-        let g = b.output(j, "o").build().unwrap();
-        let joined = run(&g, &storage).outputs["o"].all_rows();
+        let joined = join_rows(JoinKind::Inner, rows.clone(), rows, &[0]);
         // MIN x MIN = 4 pairs, MAX x MAX = 1, NULL never joins.
         assert_eq!(joined.len(), 5);
         assert!(joined
             .iter()
             .all(|row| row[0] == row[2] && !row[0].is_null()));
+
+        // The extremes probed into a dense build table below and above zero:
+        // `k - lo` overflows for one of them in each.
+        for lo in [-3, 5] {
+            let build: Vec<_> = (lo..lo + 4).map(|k| (Some(k), Some(k))).collect();
+            let probe = [
+                (Some(i64::MIN), None),
+                (Some(i64::MAX), None),
+                (Some(lo + 1), None),
+            ];
+            let joined = join_rows(JoinKind::Inner, int_rows(&probe), int_rows(&build), &[0]);
+            let hit = Value::Int(lo + 1);
+            let want = vec![hit.clone(), Value::Null, hit.clone(), hit];
+            assert_eq!(joined, vec![want], "lo {lo}");
+        }
+    }
+
+    #[test]
+    fn a_join_against_an_empty_right_side_reads_no_left_key() {
+        let reversed: Vec<u32> = (0..300).rev().collect();
+        let empty = RecordBatch::new(Vec::new(), 0);
+        let padding = format!("{:?}", ColumnVector::from_values(vec![Value::Null; 300]));
+        for keys in [&[0][..], &[0, 1]] {
+            for kind in [JoinKind::Inner, JoinKind::LeftSemi, JoinKind::LeftOuter] {
+                // A fresh take each time: none of its columns has been read.
+                let left = Table::single(kv_schema(), kv_rows(300))
+                    .partition_as_batch(0)
+                    .take(&reversed);
+                let before = cells_gathered();
+                let out = hash_join_batch(&left, &empty, kind, keys, keys, 2);
+                assert_eq!(cells_gathered() - before, 0, "{kind:?} on {keys:?}");
+                if kind != JoinKind::LeftOuter {
+                    assert!(out.is_empty(), "{kind:?}");
+                    continue;
+                }
+                let [padded] = out.as_slice() else {
+                    panic!("one batch")
+                };
+                assert_eq!(padded.num_rows(), 300);
+                for j in 2..4 {
+                    assert_eq!(format!("{:?}", padded.columns()[j].dense()), padding);
+                }
+            }
+        }
     }
 
     #[test]
