@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Deletion guards. Each rule below pins one piece of machinery that was
+# retired on purpose, so that a second copy cannot come back unnoticed.
+# Run from anywhere in the repository:
+#
+#   bash .github/guards.sh
+#
+# Every rule runs; each broken one is named on stderr, and the script exits
+# 1 if any rule is broken, 0 otherwise.
+set -u
+cd "$(dirname "$0")/.."
+
+# The seed row engine is tests/support/rowref.rs and shares no kernel with
+# the executor it checks; no shipped source names it.
+row_engine_oracle_stays_out_of_the_library() {
+  ! grep -rn rowref crates src examples
+}
+
+# scope-plan only describes a user-defined operator and the executor runs
+# each kind as a batch kernel; the row versions of the seven built-ins live
+# on only in the test oracle.
+udos_run_as_batch_kernels() {
+  ! grep -rnE 'process_row|reduce_group' crates/*/src
+}
+
+# Non-test exec.rs and vexpr.rs (everything above their #[cfg(test)]
+# modules) name no Row, call no row bridge, read no batch row and evaluate
+# no expression one row at a time with Expr::eval.
+execute_builds_no_row() {
+  for f in crates/scope-engine/src/exec.rs crates/scope-engine/src/vexpr.rs; do
+    ! sed '/^#\[cfg(test)\]/,$d' "$f" \
+      | grep -nE '\b(Row|from_rows|partition_rows|all_rows|batches_from_rows|sort_rows)\b|\.row\(|\.eval\(' \
+      || { echo "$f builds a row"; return 1; }
+  done
+}
+
+# Hash Aggregate, the join build and the join probe assign group ids in one
+# function of non-test exec.rs, and hash and stream Aggregate share one
+# accumulation loop: no per-operator grouping copy returns.
+one_grouping_kernel() {
+  ! sed '/^#\[cfg(test)\]/,$d' crates/scope-engine/src/exec.rs \
+    | grep -nE '\bfn (group_rows|group_by_key|group_typed_ints|build_probe|build_probe_ints|hash_aggregate_batch|stream_aggregate_batch)\b'
+}
+
+# Outside data.rs, which defines them, no non-test library code
+# materializes a table's rows.
+rows_stay_in_tests() {
+  for f in $(find crates/*/src -name '*.rs' ! -path crates/scope-engine/src/data.rs); do
+    ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nwE 'partition_rows|iter_rows|all_rows' \
+      || { echo "$f materializes rows"; return 1; }
+  done
+}
+
+# Every wire and on-disk layout is one cloudviews::codec::Codec impl; a free
+# put_x/get_x pair would state a layout twice, by hand.
+one_layout_per_type() {
+  ! grep -rnE '^pub fn (put|get)_' crates/*/src
+}
+
+# Probes, view descriptors and the optimizer's tier-2 attempt build
+# subsumption descriptors through SubsumeDescriptor::of_root, so they cannot
+# disagree on which roots are eligible.
+one_descriptor_rule() {
+  ! grep -rn 'SubsumeDescriptor::of(' crates/cloudviews/src crates/scope-engine/src
+}
+
+# A value's order, stable hash and byte size live on scope_plan::types::Cell,
+# which Value calls; unary operators have one scalar definition,
+# scope_plan::eval_unary.
+one_value_semantics() {
+  ! grep -rn 'enum Cell' crates/scope-engine/src && ! grep -rn 'fn unary_scalar' crates
+}
+
+# A compiled subgraph is one SubgraphInfo from enumeration through the
+# template cache, the repository's SubgraphRun and the analyzer.
+one_subgraph_record() {
+  ! grep -rnE 'struct (FirstOcc|OccView|SkeletonNode)' crates
+}
+
+# A sharing window decides each thing once: one exact grouping by precise
+# signature (no normalized pre-pass), one way a follower is ordered behind
+# its producer (the readiness gate, no condvar wait inside a lookup), one
+# lookup answer (an Option, no four-way enum) and one producer predicate.
+one_sharing_decision_each() {
+  ! sed '/^#\[cfg(test)\]/,$d' crates/cloudviews/src/sharing.rs \
+    | grep -nwE 'SharedView|state_changed|by_normalized|deny_propose|is_producer'
+}
+
+status=0
+for rule in \
+  row_engine_oracle_stays_out_of_the_library \
+  udos_run_as_batch_kernels \
+  execute_builds_no_row \
+  one_grouping_kernel \
+  rows_stay_in_tests \
+  one_layout_per_type \
+  one_descriptor_rule \
+  one_value_semantics \
+  one_subgraph_record \
+  one_sharing_decision_each; do
+  if ! "$rule"; then
+    echo "guard broken: $rule" >&2
+    status=1
+  fi
+done
+exit "$status"

@@ -40,7 +40,7 @@ use crate::metadata::MetadataService;
 use crate::runtime::{
     panic_message, AttemptFailure, CloudViews, JobFaultReport, JobRunReport, RunMode,
 };
-use crate::sharing::{SharedView, WindowContext};
+use crate::sharing::WindowContext;
 
 /// A job-start-pinned view of the metadata service: view availability is
 /// judged at the job's submission time, so a job overlapping with the
@@ -64,19 +64,15 @@ struct PinnedServices<'a> {
 
 impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
     fn view_available(&self, precise: Sig128) -> Option<scope_engine::optimizer::AvailableView> {
-        if let Some(w) = self.window {
-            match w.lookup_view(self.slot, precise) {
-                // A follower reads the producer's publication straight from
-                // the window channel: the view's `created_at` is *after*
-                // this job's pinned `now`, which is exactly the visibility
-                // the pinned metadata lookup below must keep refusing.
-                SharedView::Ready { view, .. } => return Some(view),
-                // Producer, aborted entry, or not shared: the ordinary
-                // pinned path decides (a pre-existing view still matches).
-                SharedView::ProducerSelf | SharedView::NotShared | SharedView::Fallback => {}
-            }
-        }
-        self.svc.view_available_at(precise, self.now)
+        // A follower reads the producer's publication straight from the
+        // window channel: the view's `created_at` is *after* this job's
+        // pinned `now`, which is exactly the visibility the pinned metadata
+        // lookup must keep refusing. The producer itself, an unpublished or
+        // aborted entry and an unshared subgraph take the ordinary pinned
+        // path (a pre-existing view still matches).
+        self.window
+            .and_then(|w| w.lookup_view(self.slot, precise))
+            .or_else(|| self.svc.view_available_at(precise, self.now))
     }
 
     fn propose_materialize(
@@ -90,10 +86,9 @@ impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
         // even after an abort (the subgraph can be built in a later window
         // instead). The producer itself falls through to the real propose,
         // keeping the ordinary lock lifecycle (takeover, mined expiry).
-        if let Some(w) = self.window {
-            if w.deny_propose(self.slot, precise) {
-                return false;
-            }
+        let producer = self.window.and_then(|w| w.producer(precise));
+        if producer.is_some_and(|p| p != self.slot) {
+            return false;
         }
         // Pinned like `view_available`: lock expiry is judged at this job's
         // submission time, not the live clock (which peers advance mid-wave).
@@ -336,22 +331,19 @@ fn publish(
         // honest read-vs-recompute decision). This channel is independent
         // of the metadata report below — a lost report orphans the view
         // for later jobs but not for the window.
-        if let Some(w) = att.pinned.window {
-            if w.is_producer(att.pinned.slot, precise) {
-                let recompute_cpu = plan
-                    .materialize
-                    .iter()
-                    .find(|m| m.precise == precise)
-                    .map(|m| exec.subgraph_cpu(&plan.physical, m.physical_node))
-                    .unwrap_or(SimDuration::ZERO);
-                w.publish(
-                    att.pinned.slot,
-                    precise,
-                    view.clone(),
-                    available_at,
-                    recompute_cpu,
-                );
-            }
+        let slot = att.pinned.slot;
+        if let Some(w) = att
+            .pinned
+            .window
+            .filter(|w| w.producer(precise) == Some(slot))
+        {
+            let recompute_cpu = plan
+                .materialize
+                .iter()
+                .find(|m| m.precise == precise)
+                .map(|m| exec.subgraph_cpu(&plan.physical, m.physical_node))
+                .unwrap_or(SimDuration::ZERO);
+            w.publish(precise, view.clone(), available_at, recompute_cpu);
         }
         // The stored file's fate: the plan may lose or corrupt it right
         // after publication (readers fall back to recomputation).
@@ -555,9 +547,11 @@ impl CloudViews {
     /// optional sharing-window coordinator ([`CloudViews::run_windowed`]).
     ///
     /// A window changes only *where the next slot comes from*: its
-    /// readiness gate instead of the submission-order counter (a follower is
-    /// not dispatched until every entry it awaits is published or aborted,
-    /// so a blocked follower can never occupy a worker its producer needs).
+    /// readiness gate instead of the submission-order counter. The gate is
+    /// the one thing that orders a follower behind its producers: a follower
+    /// is not dispatched until every entry it follows is published or
+    /// aborted, so no job waits inside a worker its producer needs. The
+    /// one-worker path meets the gate by running slots in submission order.
     /// Every slot, however scheduled, runs through the one body below.
     /// `compiled`, when given, holds each slot's template compile (`None`
     /// where compiling failed), and the slot's attempts use it instead of
@@ -596,9 +590,9 @@ impl CloudViews {
                 self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)), compiled)
             }));
             // Publish-or-abort, on *every* exit path — success, error, or
-            // caught panic: any entry this job still owes is aborted and
-            // its waiters wake into the recompute fallback instead of
-            // hanging on a dead producer.
+            // caught panic: any entry this job still owes is aborted, and
+            // the gate releases its followers into the recompute fallback
+            // instead of holding them behind a dead producer.
             if let Some(w) = window {
                 w.resolve_job(slot);
             }

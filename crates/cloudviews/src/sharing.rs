@@ -7,18 +7,18 @@
 //! submission time can never see a view published mid-wave). The Oracle
 //! "Real-Time Analytics by Coordinating Reuse and Work Sharing" observation
 //! is that coordinating the *concurrent* jobs themselves captures this
-//! reuse; GEqO's staged-filter discipline keeps the coordination cheap.
+//! reuse.
 //!
 //! [`CloudViews::run_windowed`] batches arrivals into fixed admission
 //! windows. Within one window the coordinator:
 //!
-//! 1. **groups** every job's enumerated subgraphs by normalized signature
-//!    (the cheap structural filter), then by precise signature (byte-equal
-//!    results) — only groups spanning at least two distinct jobs survive;
+//! 1. **groups** every job's enumerated subgraphs by precise signature
+//!    (byte-equal results), keeps the groups spanning at least two distinct
+//!    jobs, and keeps per job only the maximal ones (a shared root inside
+//!    another shared root of the same plan is served by the larger one);
 //! 2. **elects exactly one producer** per surviving subgraph — always the
-//!    *earliest* job in submission order, so every wait edge points from a
-//!    later follower to an earlier producer and the waits-for graph is
-//!    acyclic by construction;
+//!    *earliest* job in submission order, so every follower edge points from
+//!    a later job to an earlier producer;
 //! 3. **synthesizes window annotations** so the ordinary optimizer hooks do
 //!    the rest: the producer's annotation drives a follow-up
 //!    materialization (real metadata propose, pinned at the shared
@@ -27,24 +27,26 @@
 //!    never has to "see into the future";
 //! 4. **publishes or aborts** every entry: a producer that completes
 //!    without publishing (panic, injected crash, degraded fallback, reuse
-//!    of a pre-existing view) aborts its pending entries, waking every
-//!    waiter to fall back to recompute. There are no timeouts anywhere on
-//!    this path.
+//!    of a pre-existing view) aborts its pending entries, and their
+//!    followers recompute. There are no timeouts anywhere on this path.
 //!
 //! All jobs in one window share a single pinned submission time (the
 //! window's close), so the PR-6/PR-7 visibility discipline holds verbatim:
 //! lookups, proposes, and reports are all judged at that one instant.
 //!
-//! Scheduling is readiness-gated: a follower is not dispatched to the pool
-//! until every entry it awaits is resolved (published or aborted), so a
-//! blocked follower can never occupy a worker the producer needs. Progress
-//! is guaranteed because the earliest undispatched job only ever awaits
-//! entries owned by strictly earlier jobs, all of which are already
-//! dispatched.
+//! One mechanism orders a follower behind its producers, the readiness
+//! gate (`WindowContext::next_ready`): a follower is not dispatched until
+//! every entry it follows is resolved (published or aborted), so no job
+//! ever waits inside a worker, and the one-worker path meets the gate by
+//! running slots in submission order. Progress is guaranteed because the
+//! earliest undispatched job only follows entries owned by strictly earlier
+//! jobs, all of which are already dispatched. A lookup never blocks: an
+//! entry that is not published answers "recompute", so were the gate ever
+//! bypassed, outputs would stay byte-identical and only reuse would be lost.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use scope_common::hash::Sig128;
 use scope_common::time::{SimDuration, SimTime};
@@ -52,7 +54,7 @@ use scope_common::Result;
 use scope_engine::job::JobSpec;
 use scope_engine::optimizer::{Annotation, AvailableView};
 use scope_plan::OpKind;
-use scope_signature::CompiledJob;
+use scope_signature::{CompiledJob, SubgraphInfo};
 
 use crate::pipeline::PipelineOptions;
 use crate::runtime::{CloudViews, JobRunReport, RunMode};
@@ -80,7 +82,7 @@ pub struct SharingConfig {
 }
 
 /// Minimum distinct jobs that must contain a subgraph before it is worth
-/// electing a producer (GEqO's survivor threshold).
+/// electing a producer.
 const MIN_SHARING_JOBS: usize = 2;
 
 /// TTL stamped on views materialized through window annotations (the
@@ -102,7 +104,7 @@ impl Default for SharingConfig {
 
 /// Lifecycle of one shared subgraph within a window. Publish-or-abort:
 /// every entry reaches `Published` or `Aborted` before its window's last
-/// job completes — waiters never depend on a timeout.
+/// job completes — followers never depend on a timeout.
 enum ShareState {
     /// Producer elected, output not available yet.
     Pending,
@@ -130,25 +132,6 @@ pub(crate) struct SharedEntry {
     pub props: std::sync::Arc<scope_plan::PhysicalProps>,
     /// Distinct jobs containing the subgraph.
     pub group_jobs: usize,
-    /// Nodes in the subgraph (reporting).
-    pub num_nodes: usize,
-}
-
-/// What the window knows about a precise signature a job is probing.
-pub(crate) enum SharedView {
-    /// Not a window entry (or not visible to this slot): use the pinned
-    /// metadata service as usual.
-    NotShared,
-    /// This slot is the entry's elected producer: fall through to the
-    /// pinned metadata service so the ordinary propose/build path runs.
-    ProducerSelf,
-    /// The producer published; the view is readable now (the simulated
-    /// wait for its availability is charged by
-    /// [`WindowContext::note_optimized`], not here).
-    Ready { view: AvailableView },
-    /// The entry was aborted: recompute (pinned metadata may still serve a
-    /// pre-existing view).
-    Fallback,
 }
 
 /// The per-window coordinator state. Built once per admission window by
@@ -162,9 +145,6 @@ pub(crate) struct WindowContext {
     /// Per slot: entries this job must publish-or-abort (it is producer).
     produces: Vec<Vec<Sig128>>,
     states: Mutex<HashMap<Sig128, ShareState>>,
-    /// Wakes followers blocked on a `Pending` entry (the safety net; the
-    /// readiness gate makes this wait unreachable in the pooled path).
-    state_changed: Condvar,
     /// Undispatched slots, in submission order.
     dispatch: Mutex<Vec<usize>>,
     /// Wakes workers parked in [`WindowContext::next_ready`].
@@ -172,15 +152,22 @@ pub(crate) struct WindowContext {
     /// One accounting pass per slot (builder-crash restarts re-run the
     /// optimize stage; only the first pass counts).
     noted: Vec<AtomicBool>,
-    follower_hits: AtomicU64,
-    follower_fallbacks: AtomicU64,
-    waits: Mutex<Vec<SimDuration>>,
+    /// The window's outcome, counted as it happens and read once by
+    /// [`CloudViews::run_windowed`] after the window's last job.
+    tally: Mutex<SharingSummary>,
+}
+
+/// Locks a window mutex. Poisoning is recovered, never propagated: the
+/// guarded sections cannot themselves panic, so a panicking job unwinding
+/// through the pool must not take the whole window down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl WindowContext {
-    /// Plans one window: group → elect → wire the wait edges. Returns
-    /// `None` when nothing is shareable (the window then runs exactly like
-    /// a plain `run_many` batch).
+    /// Plans one window: group → keep the maximal → elect → wire the
+    /// follower edges. Returns `None` when nothing is shareable (the window
+    /// then runs exactly like a plain `run_many` batch).
     ///
     /// `compiled[slot]` is `None` for jobs whose plan failed to compile;
     /// they run (and fail) normally but never participate in sharing.
@@ -191,58 +178,31 @@ impl WindowContext {
         submitted_at: SimTime,
     ) -> Option<WindowContext> {
         let n = specs.len();
-
-        // Stage 1 (cheap): group candidate subgraphs by normalized
-        // signature; only templates spanning enough distinct jobs survive.
-        let eligible = |kind: OpKind, num_nodes: usize| {
-            num_nodes >= 2 && !matches!(kind, OpKind::Output | OpKind::Write)
+        let jobs = || {
+            let compiled = compiled.iter().enumerate();
+            compiled.filter_map(|(slot, c)| Some((slot, c.as_ref()?)))
         };
-        let mut by_normalized: HashMap<Sig128, BTreeSet<usize>> = HashMap::new();
-        for (slot, c) in compiled.iter().enumerate() {
-            let Some(c) = c else { continue };
-            for info in &c.infos {
-                if eligible(info.root_kind, info.num_nodes) {
-                    by_normalized
-                        .entry(info.normalized)
-                        .or_default()
-                        .insert(slot);
-                }
+
+        // Exact grouping: sharing requires byte-identical results, so
+        // candidate subgraphs group by precise signature, and only those in
+        // at least two distinct jobs survive.
+        let mut by_precise: HashMap<Sig128, (&SubgraphInfo, BTreeSet<usize>)> = HashMap::new();
+        for (slot, c) in jobs() {
+            let eligible = c.infos.iter().filter(|i| {
+                i.num_nodes >= 2 && !matches!(i.root_kind, OpKind::Output | OpKind::Write)
+            });
+            for info in eligible {
+                let group = by_precise.entry(info.precise);
+                group.or_insert((info, BTreeSet::new())).1.insert(slot);
             }
         }
-        by_normalized.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
-        if by_normalized.is_empty() {
-            return None;
-        }
+        by_precise.retain(|_, (_, slots)| slots.len() >= MIN_SHARING_JOBS);
 
-        // Stage 2 (exact): within the surviving templates, group by precise
-        // signature — sharing requires byte-identical results.
-        let mut by_precise: BTreeMap<Sig128, BTreeSet<usize>> = BTreeMap::new();
-        let mut shape: HashMap<Sig128, (Sig128, std::sync::Arc<scope_plan::PhysicalProps>, usize)> =
-            HashMap::new();
-        for (slot, c) in compiled.iter().enumerate() {
-            let Some(c) = c else { continue };
-            for info in &c.infos {
-                if eligible(info.root_kind, info.num_nodes)
-                    && by_normalized.contains_key(&info.normalized)
-                {
-                    by_precise.entry(info.precise).or_default().insert(slot);
-                    shape
-                        .entry(info.precise)
-                        .or_insert_with(|| (info.normalized, info.props.clone(), info.num_nodes));
-                }
-            }
-        }
-        by_precise.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
-        if by_precise.is_empty() {
-            return None;
-        }
-
-        // Per job, keep only *maximal* shared subgraphs: a shared root
-        // contained in another shared root of the same plan is served
-        // transitively by the larger one.
-        let mut candidates: Vec<Vec<Sig128>> = vec![Vec::new(); n];
-        for (slot, c) in compiled.iter().enumerate() {
-            let Some(c) = c else { continue };
+        // Maximality: per job, a shared root contained in another shared
+        // root of the same plan is served transitively by the larger one.
+        // Regrouped over the maximal roots, a subgraph still needs two jobs.
+        let mut groups: BTreeMap<Sig128, BTreeSet<usize>> = BTreeMap::new();
+        for (slot, c) in jobs() {
             let roots: Vec<_> = c
                 .infos
                 .iter()
@@ -255,51 +215,50 @@ impl WindowContext {
                         && specs[slot]
                             .graph
                             .subgraph_nodes(other)
-                            .map(|nodes| nodes.contains(&root))
-                            .unwrap_or(false)
+                            .is_ok_and(|nodes| nodes.contains(&root))
                 });
-                if !contained && !candidates[slot].contains(&precise) {
-                    candidates[slot].push(precise);
+                if !contained {
+                    groups.entry(precise).or_default().insert(slot);
                 }
             }
         }
-
-        // Regroup from the maximal candidates and elect producers, biggest
-        // subgraphs first (deterministic: BTreeMap order breaks ties).
-        let mut groups: BTreeMap<Sig128, BTreeSet<usize>> = BTreeMap::new();
-        for (slot, sigs) in candidates.iter().enumerate() {
-            for sig in sigs {
-                groups.entry(*sig).or_default().insert(slot);
-            }
-        }
         groups.retain(|_, slots| slots.len() >= MIN_SHARING_JOBS);
-        let mut order: Vec<(&Sig128, &BTreeSet<usize>)> = groups.iter().collect();
-        order.sort_by_key(|(sig, _)| (std::cmp::Reverse(shape[sig].2), **sig));
 
+        // Elect producers, biggest subgraphs first (deterministic: BTreeMap
+        // order breaks ties).
+        let mut order: Vec<(&Sig128, &BTreeSet<usize>)> = groups.iter().collect();
+        order.sort_by_key(|(sig, _)| (std::cmp::Reverse(by_precise[sig].0.num_nodes), **sig));
         let cap = max_elect_per_job.max(1);
         let mut entries: HashMap<Sig128, SharedEntry> = HashMap::new();
         let mut follows: Vec<Vec<Sig128>> = vec![Vec::new(); n];
         let mut produces: Vec<Vec<Sig128>> = vec![Vec::new(); n];
+        let mut tally = SharingSummary {
+            windows: 1,
+            jobs: n,
+            ..SharingSummary::default()
+        };
         for (sig, slots) in order {
             // The earliest containing job produces; electing anyone later
-            // would point a wait edge backwards and risk a cycle.
+            // would point a follower edge backwards, and the readiness gate
+            // could then hold every undispatched job at once.
             let producer = *slots.first().expect("non-empty group");
             if produces[producer].len() >= cap {
                 continue;
             }
-            let (normalized, props, num_nodes) = shape[sig].clone();
+            let info = by_precise[sig].0;
             produces[producer].push(*sig);
             for &slot in slots.iter().skip(1) {
                 follows[slot].push(*sig);
             }
+            tally.shared_subgraphs += 1;
+            tally.shared_nodes += info.num_nodes;
             entries.insert(
                 *sig,
                 SharedEntry {
                     producer,
-                    normalized,
-                    props,
+                    normalized: info.normalized,
+                    props: info.props.clone(),
                     group_jobs: slots.len(),
-                    num_nodes,
                 },
             );
         }
@@ -317,40 +276,11 @@ impl WindowContext {
             follows,
             produces,
             states: Mutex::new(states),
-            state_changed: Condvar::new(),
             dispatch: Mutex::new((0..n).collect()),
             dispatch_ready: Condvar::new(),
             noted: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            follower_hits: AtomicU64::new(0),
-            follower_fallbacks: AtomicU64::new(0),
-            waits: Mutex::new(Vec::new()),
+            tally: Mutex::new(tally),
         })
-    }
-
-    /// Number of elected shared subgraphs.
-    pub(crate) fn num_entries(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The elected entries (reporting).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Sig128, &SharedEntry)> {
-        self.entries.iter()
-    }
-
-    /// Entry-state mutex. Poisoning is recovered, never propagated: the
-    /// guarded sections cannot themselves panic, so a panicking job
-    /// unwinding through the pool must not take the whole window down with
-    /// it.
-    fn lock_states(&self) -> MutexGuard<'_, HashMap<Sig128, ShareState>> {
-        self.states
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_dispatch(&self) -> MutexGuard<'_, Vec<usize>> {
-        self.dispatch
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Appends synthesized window annotations for every entry `slot`
@@ -359,7 +289,7 @@ impl WindowContext {
     /// measured recompute CPU and stored size; a pending/aborted one falls
     /// back to the configured estimate.
     pub(crate) fn extend_annotations(&self, slot: usize, annotations: &mut Vec<Annotation>) {
-        let states = self.lock_states();
+        let states = lock(&self.states);
         for sig in self.produces[slot].iter().chain(&self.follows[slot]) {
             let entry = &self.entries[sig];
             if annotations.iter().any(|a| a.normalized == entry.normalized) {
@@ -385,52 +315,26 @@ impl WindowContext {
     }
 
     /// The window-side view oracle consulted before the pinned metadata
-    /// service. A registered follower finding its entry still `Pending`
-    /// blocks on the publish-or-abort signal (never a timeout); any other
-    /// slot gets `Fallback` immediately — only registered followers have
-    /// the readiness guarantee that makes blocking safe.
-    pub(crate) fn lookup_view(&self, slot: usize, precise: Sig128) -> SharedView {
-        let Some(entry) = self.entries.get(&precise) else {
-            return SharedView::NotShared;
-        };
-        if entry.producer == slot {
-            return SharedView::ProducerSelf;
+    /// service: a published entry's view, for every slot but its producer.
+    /// Anything else answers `None` at once, and the caller asks the pinned
+    /// service (recompute, unless a pre-existing view matches). Nothing here
+    /// waits: the readiness gate holds a follower until its entries resolve.
+    pub(crate) fn lookup_view(&self, slot: usize, precise: Sig128) -> Option<AvailableView> {
+        if self.producer(precise)? == slot {
+            return None;
         }
-        let mut states = self.lock_states();
-        loop {
-            match states.get(&precise) {
-                Some(ShareState::Published { view, .. }) => {
-                    return SharedView::Ready { view: view.clone() }
-                }
-                Some(ShareState::Aborted) | None => return SharedView::Fallback,
-                Some(ShareState::Pending) => {
-                    if !self.follows[slot].contains(&precise) {
-                        return SharedView::Fallback;
-                    }
-                    states = self
-                        .state_changed
-                        .wait(states)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-            }
+        match lock(&self.states).get(&precise) {
+            Some(ShareState::Published { view, .. }) => Some(view.clone()),
+            _ => None,
         }
     }
 
-    /// True when `slot` must not propose to build `precise`: the entry has
-    /// an elected producer and it is someone else. Followers never compete
-    /// for the build lock, even after an abort — the subgraph can be built
-    /// in a later window instead.
-    pub(crate) fn deny_propose(&self, slot: usize, precise: Sig128) -> bool {
-        self.entries
-            .get(&precise)
-            .is_some_and(|e| e.producer != slot)
-    }
-
-    /// True when `slot` is the elected producer of `precise`.
-    pub(crate) fn is_producer(&self, slot: usize, precise: Sig128) -> bool {
-        self.entries
-            .get(&precise)
-            .is_some_and(|e| e.producer == slot)
+    /// The slot elected to produce `precise`, when it is a window entry.
+    /// Only that slot proposes to build the subgraph or publishes it; the
+    /// others never compete for its build lock, even after an abort (it can
+    /// be built in a later window instead).
+    pub(crate) fn producer(&self, precise: Sig128) -> Option<usize> {
+        self.entries.get(&precise).map(|e| e.producer)
     }
 
     /// Entries `slot` was elected to produce (the optimizer's
@@ -440,56 +344,43 @@ impl WindowContext {
         self.produces[slot].len()
     }
 
-    /// Producer publish: transitions `Pending → Published` and wakes every
-    /// waiter. Idempotent (a builder-crash restart that already published a
-    /// view before dying must not regress the state).
+    /// The producer's publish of `precise` (the caller is its
+    /// [`producer`](WindowContext::producer)): `Pending → Published`, then
+    /// a poke of the readiness gate. Idempotent (a builder-crash restart
+    /// that already published a view before dying must not regress the
+    /// state).
     pub(crate) fn publish(
         &self,
-        slot: usize,
         precise: Sig128,
         view: AvailableView,
         available_at: SimTime,
         recompute_cpu: SimDuration,
     ) {
-        if !self.is_producer(slot, precise) {
-            return;
-        }
-        {
-            let mut states = self.lock_states();
-            if matches!(states.get(&precise), Some(ShareState::Pending)) {
-                states.insert(
-                    precise,
-                    ShareState::Published {
-                        view,
-                        available_at,
-                        recompute_cpu,
-                    },
-                );
-                self.state_changed.notify_all();
-            }
+        if let Some(state @ ShareState::Pending) = lock(&self.states).get_mut(&precise) {
+            *state = ShareState::Published {
+                view,
+                available_at,
+                recompute_cpu,
+            };
+            lock(&self.tally).published += 1;
         }
         self.poke_dispatch();
     }
 
     /// Job-completion hook — called for *every* terminal outcome (success,
-    /// error, caught panic). Any entry this slot still owes is aborted so
-    /// its waiters wake and fall back to recompute. This is the
-    /// publish-or-abort guarantee: no follower can outlive its producer in
-    /// a blocked state.
+    /// error, caught panic). Any entry this slot still owes is aborted, so
+    /// the gate releases its followers into the recompute fallback. This is
+    /// the publish-or-abort guarantee: no follower is held past its
+    /// producer's end.
     pub(crate) fn resolve_job(&self, slot: usize) {
-        {
-            let mut states = self.lock_states();
-            let mut changed = false;
-            for sig in &self.produces[slot] {
-                if matches!(states.get(sig), Some(ShareState::Pending)) {
-                    states.insert(*sig, ShareState::Aborted);
-                    changed = true;
-                }
-            }
-            if changed {
-                self.state_changed.notify_all();
+        let mut states = lock(&self.states);
+        for sig in &self.produces[slot] {
+            if let Some(state @ ShareState::Pending) = states.get_mut(sig) {
+                *state = ShareState::Aborted;
+                lock(&self.tally).aborted += 1;
             }
         }
+        drop(states);
         self.poke_dispatch();
     }
 
@@ -497,13 +388,13 @@ impl WindowContext {
     /// (lock, drop, notify), so a state change can never slip between a
     /// parked worker's readiness scan and its wait.
     fn poke_dispatch(&self) {
-        drop(self.lock_dispatch());
+        drop(lock(&self.dispatch));
         self.dispatch_ready.notify_all();
     }
 
-    /// Pops the next dispatchable slot, blocking while every undispatched
-    /// job still awaits a pending entry. Returns `None` when the window is
-    /// fully dispatched.
+    /// The readiness gate: pops the next dispatchable slot, blocking while
+    /// every undispatched job still follows a pending entry. Returns `None`
+    /// when the window is fully dispatched.
     ///
     /// Deadlock-freedom: the earliest undispatched slot only follows
     /// entries produced by strictly earlier slots (producers are always the
@@ -511,13 +402,13 @@ impl WindowContext {
     /// dispatched job terminates (panic-isolated) and resolves its entries,
     /// which pokes this condvar.
     pub(crate) fn next_ready(&self) -> Option<usize> {
-        let mut queue = self.lock_dispatch();
+        let mut queue = lock(&self.dispatch);
         loop {
             if queue.is_empty() {
                 return None;
             }
             let pos = {
-                let states = self.lock_states();
+                let states = lock(&self.states);
                 queue.iter().position(|&slot| {
                     self.follows[slot]
                         .iter()
@@ -530,61 +421,45 @@ impl WindowContext {
             queue = self
                 .dispatch_ready
                 .wait(queue)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Accounting after a slot's optimize stage: counts follower reuse hits
     /// vs. fallbacks and returns the simulated wait to charge this attempt
     /// (time from the shared submission instant until the last reused entry
-    /// became available). Hit/fallback counters and the wait histogram are
-    /// recorded once per slot; the latency charge applies to every attempt
-    /// (a restarted follower re-waits in simulated time).
+    /// became available). Hit/fallback counts and the wait are tallied
+    /// once per slot; the latency charge applies to every attempt (a
+    /// restarted follower re-waits in simulated time).
     pub(crate) fn note_optimized(&self, slot: usize, reused: &[Sig128]) -> SimDuration {
-        let first = !self.noted[slot].swap(true, Ordering::Relaxed);
+        let follows = &self.follows[slot];
         let mut wait_total = SimDuration::ZERO;
-        let states = self.lock_states();
-        for sig in &self.follows[slot] {
-            if reused.contains(sig) {
-                if let Some(ShareState::Published { available_at, .. }) = states.get(sig) {
-                    if *available_at > self.submitted_at {
-                        wait_total = wait_total.max(*available_at - self.submitted_at);
-                    }
+        let mut hits = 0;
+        let states = lock(&self.states);
+        for sig in follows.iter().filter(|sig| reused.contains(sig)) {
+            hits += 1;
+            if let Some(ShareState::Published { available_at, .. }) = states.get(sig) {
+                if *available_at > self.submitted_at {
+                    wait_total = wait_total.max(*available_at - self.submitted_at);
                 }
-                if first {
-                    self.follower_hits.fetch_add(1, Ordering::Relaxed);
-                }
-            } else if first {
-                self.follower_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
         }
         drop(states);
-        if first && wait_total > SimDuration::ZERO {
-            self.waits
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .push(wait_total);
+        if !self.noted[slot].swap(true, Ordering::Relaxed) {
+            let mut tally = lock(&self.tally);
+            tally.follower_reuses += hits;
+            tally.follower_fallbacks += follows.len() as u64 - hits;
+            if wait_total > SimDuration::ZERO {
+                tally.waits.push(wait_total);
+            }
         }
         wait_total
-    }
-
-    /// Terminal tallies: (published, aborted) entry counts.
-    fn final_counts(&self) -> (usize, usize) {
-        let states = self.lock_states();
-        let published = states
-            .values()
-            .filter(|s| matches!(s, ShareState::Published { .. }))
-            .count();
-        let aborted = states
-            .values()
-            .filter(|s| matches!(s, ShareState::Aborted))
-            .count();
-        (published, aborted)
     }
 }
 
 /// Aggregate coordinator outcome across every window of one
-/// [`CloudViews::run_windowed`] call.
+/// [`CloudViews::run_windowed`] call. Each coordinated window counts its own
+/// as its jobs run, and the call folds it in once the window is done.
 #[derive(Clone, Debug, Default)]
 pub struct SharingSummary {
     /// Windows in which the coordinator was active (elected ≥ 1 entry).
@@ -689,21 +564,6 @@ impl CloudViews {
                 WindowContext::plan(&specs, compiled, self.max_materialize_per_job, submit)
             });
 
-            if let Some(w) = &window {
-                let m = self.sharing_metrics();
-                m.windows.inc();
-                m.window_jobs.add(specs.len() as u64);
-                m.window_size.record(specs.len() as u64);
-                m.shared_subgraphs.add(w.num_entries() as u64);
-                for (_, entry) in w.entries() {
-                    m.group_size.record(entry.group_jobs as u64);
-                    summary.shared_nodes += entry.num_nodes;
-                }
-                summary.windows += 1;
-                summary.jobs += specs.len();
-                summary.shared_subgraphs += w.num_entries();
-            }
-
             let results = self.run_many_inner(
                 specs,
                 mode,
@@ -714,26 +574,7 @@ impl CloudViews {
             );
 
             if let Some(w) = &window {
-                let m = self.sharing_metrics();
-                let (published, aborted) = w.final_counts();
-                m.published.add(published as u64);
-                m.aborts.add(aborted as u64);
-                let hits = w.follower_hits.load(Ordering::Relaxed);
-                let fallbacks = w.follower_fallbacks.load(Ordering::Relaxed);
-                m.follower_reuses.add(hits);
-                m.follower_fallbacks.add(fallbacks);
-                summary.published += published;
-                summary.aborted += aborted;
-                summary.follower_reuses += hits;
-                summary.follower_fallbacks += fallbacks;
-                let waits = w
-                    .waits
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                for wait in waits.iter() {
-                    m.wait.record(wait.micros());
-                }
-                summary.waits.extend(waits.iter().copied());
+                self.tally_window(w, &mut summary);
             }
 
             for (idx, result) in idxs.into_iter().zip(results) {
@@ -749,15 +590,46 @@ impl CloudViews {
             sharing: summary,
         }
     }
+
+    /// Reads a finished window's tally once: records it on the
+    /// `cv_sharing_*` series and folds it into the run's summary.
+    fn tally_window(&self, w: &WindowContext, run: &mut SharingSummary) {
+        let s = lock(&w.tally);
+        let m = self.sharing_metrics();
+        m.windows.add(s.windows as u64);
+        m.window_jobs.add(s.jobs as u64);
+        m.window_size.record(s.jobs as u64);
+        m.shared_subgraphs.add(s.shared_subgraphs as u64);
+        m.published.add(s.published as u64);
+        m.aborts.add(s.aborted as u64);
+        m.follower_reuses.add(s.follower_reuses);
+        m.follower_fallbacks.add(s.follower_fallbacks);
+        for entry in w.entries.values() {
+            m.group_size.record(entry.group_jobs as u64);
+        }
+        for wait in &s.waits {
+            m.wait.record(wait.micros());
+        }
+        run.windows += s.windows;
+        run.jobs += s.jobs;
+        run.shared_subgraphs += s.shared_subgraphs;
+        run.shared_nodes += s.shared_nodes;
+        run.published += s.published;
+        run.aborted += s.aborted;
+        run.follower_reuses += s.follower_reuses;
+        run.follower_fallbacks += s.follower_fallbacks;
+        run.waits.extend_from_slice(&s.waits);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_common::ids::{ClusterId, DatasetId, JobId, TemplateId, UserId, VcId};
+    use scope_common::ids::{ClusterId, DatasetId, JobId, NodeId, TemplateId, UserId, VcId};
     use scope_plan::expr::AggFunc;
     use scope_plan::{AggExpr, DataType, Expr, PlanBuilder, Schema};
     use scope_signature::TemplateCache;
+    use std::time::Duration;
 
     fn kv_schema() -> Schema {
         Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
@@ -775,14 +647,30 @@ mod tests {
         }
     }
 
-    /// scan → filter → agg → output over one shared stream; identical
-    /// across calls, so the precise signatures match job to job.
-    fn shared_job(id: u64, out: &str) -> JobSpec {
+    /// scan → filter(v >= @min) → `agg` per k over dataset `ds`. The
+    /// dataset and `@min` are recurring deltas: one template per `agg`, and
+    /// a precise signature per `(ds, min, agg)`.
+    type Subgraph = (u64, i64, AggFunc);
+
+    fn aggregated(b: &mut PlanBuilder, (ds, min, agg): Subgraph) -> NodeId {
+        let s = b.table_scan(DatasetId::new(ds), "shared/2024-01-01/x.ss", kv_schema());
+        let f = b.filter(s, Expr::col(1).ge(Expr::param("@min", min)));
+        b.aggregate(f, vec![0], vec![AggExpr::new("n", agg, 1)])
+    }
+
+    /// A job with one output per subgraph.
+    fn job_of(id: u64, subgraphs: &[Subgraph]) -> JobSpec {
         let mut b = PlanBuilder::new();
-        let s = b.table_scan(DatasetId::new(7), "shared/2024-01-01/x.ss", kv_schema());
-        let f = b.filter(s, Expr::col(1).ge(Expr::lit(5i64)));
-        let a = b.aggregate(f, vec![0], vec![AggExpr::new("n", AggFunc::Count, 1)]);
-        spec(id, b.output(a, out).build().unwrap())
+        for (i, &subgraph) in subgraphs.iter().enumerate() {
+            let a = aggregated(&mut b, subgraph);
+            b.output(a, format!("out-{id}-{i}"));
+        }
+        spec(id, b.build().unwrap())
+    }
+
+    /// Identical across calls, so the precise signatures match job to job.
+    fn shared_job(id: u64, _out: &str) -> JobSpec {
+        job_of(id, &[(7, 5, AggFunc::Count)])
     }
 
     fn distinct_job(id: u64) -> JobSpec {
@@ -801,6 +689,21 @@ mod tests {
         specs.iter().map(|s| cache.compile(&s.graph).ok()).collect()
     }
 
+    fn plan(specs: &[JobSpec]) -> Option<WindowContext> {
+        WindowContext::plan(specs, &compile_all(specs), 1, SimTime::ZERO)
+    }
+
+    /// `(precise, normalized)` of a one-subgraph `job_of`'s aggregate.
+    fn aggregate_root(compiled: &Option<CompiledJob>) -> (Sig128, Sig128) {
+        let infos = &compiled.as_ref().unwrap().infos;
+        let mut aggs = infos
+            .iter()
+            .filter(|i| matches!(i.root_kind, OpKind::HashGbAgg | OpKind::StreamGbAgg));
+        let agg = aggs.next().expect("one aggregate");
+        assert!(aggs.next().is_none(), "exactly one aggregate");
+        (agg.precise, agg.normalized)
+    }
+
     #[test]
     fn plan_elects_earliest_producer_per_shared_subgraph() {
         let specs = vec![
@@ -809,12 +712,11 @@ mod tests {
             shared_job(3, "c"),
             shared_job(4, "d"),
         ];
-        let compiled = compile_all(&specs);
-        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).expect("shareable");
+        let w = plan(&specs).expect("shareable");
         // One maximal shared subgraph (the aggregate); producer is slot 1
         // (the earliest shared job), slots 2 and 3 follow.
-        assert_eq!(w.num_entries(), 1);
-        let (sig, entry) = w.entries().next().unwrap();
+        assert_eq!(w.entries.len(), 1);
+        let (sig, entry) = w.entries.iter().next().unwrap();
         assert_eq!(entry.producer, 1);
         assert_eq!(entry.group_jobs, 3);
         assert!(w.produces[1].contains(sig));
@@ -822,77 +724,134 @@ mod tests {
         assert!(w.follows[0].is_empty() && w.produces[0].is_empty());
         // The entry is the *maximal* shared root: its subgraph spans scan +
         // filter + aggregate, not the smaller filter subgraph.
-        assert_eq!(entry.num_nodes, 3);
+        assert_eq!(lock(&w.tally).shared_nodes, 3);
+
+        // One template with different constants: equal normalized, different
+        // precise signatures, and nothing to share.
+        let (count_5, count_6) = ((7, 5, AggFunc::Count), (7, 6, AggFunc::Count));
+        let specs = vec![job_of(1, &[count_5]), job_of(2, &[count_6])];
+        let compiled = compile_all(&specs);
+        let roots: Vec<_> = compiled.iter().map(aggregate_root).collect();
+        assert_eq!(roots[0].1, roots[1].1, "one template");
+        assert_ne!(roots[0].0, roots[1].0, "different constants");
+        assert!(plan(&specs).is_none());
+
+        // Three jobs, two of which share a precise subgraph (the third is
+        // the same template with another constant): one entry of two jobs.
+        let specs = vec![
+            job_of(1, &[count_5]),
+            job_of(2, &[count_6]),
+            job_of(3, &[count_5]),
+        ];
+        let w = plan(&specs).expect("slots 0 and 2 share");
+        assert_eq!(w.entries.len(), 1);
+        let (sig, entry) = w.entries.iter().next().unwrap();
+        assert_eq!((entry.producer, entry.group_jobs), (0, 2));
+        assert_eq!(w.follows, vec![vec![], vec![], vec![*sig]]);
+
+        // A chain: slot 0 produces A; slot 1 follows A and produces C, a
+        // disjoint second subgraph; slot 2 follows C.
+        let (a, c) = (count_5, (8, 500, AggFunc::Sum));
+        let specs = vec![job_of(1, &[a]), job_of(2, &[a, c]), job_of(3, &[c])];
+        let compiled = compile_all(&specs);
+        let (sig_a, sig_c) = (
+            aggregate_root(&compiled[0]).0,
+            aggregate_root(&compiled[2]).0,
+        );
+        let w = plan(&specs).expect("two entries");
+        assert_eq!(w.entries.len(), 2);
+        assert_eq!((w.producer(sig_a), w.producer(sig_c)), (Some(0), Some(1)));
+        assert_eq!(w.produces, vec![vec![sig_a], vec![sig_c], vec![]]);
+        assert_eq!(w.follows, vec![vec![], vec![sig_a], vec![sig_c]]);
+        assert!(w.entries.values().all(|e| e.group_jobs == 2));
     }
 
     #[test]
     fn plan_returns_none_without_overlap() {
         let specs = vec![distinct_job(1), distinct_job(2), distinct_job(3)];
-        let compiled = compile_all(&specs);
-        assert!(WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).is_none());
+        assert!(plan(&specs).is_none());
+    }
+
+    fn published_view(precise: Sig128) -> AvailableView {
+        AvailableView {
+            precise,
+            rows: 10,
+            bytes: 100,
+            props: scope_plan::PhysicalProps::any(),
+        }
     }
 
     #[test]
-    fn abort_wakes_pending_lookup_and_readiness_gate() {
-        let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
-        let compiled = compile_all(&specs);
-        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
-        let sig = *w.entries().next().unwrap().0;
-        // Producer dispatches immediately; the follower is gated.
-        assert_eq!(w.next_ready(), Some(0));
-        // Abort (producer "dies"); the follower becomes ready and its view
-        // lookup reports the fallback instead of blocking.
-        w.resolve_job(0);
-        assert_eq!(w.next_ready(), Some(1));
-        assert!(matches!(w.lookup_view(1, sig), SharedView::Fallback));
-        assert!(w.next_ready().is_none());
+    fn a_pending_entry_answers_none_and_the_gate_holds_its_followers() {
+        for publish in [true, false] {
+            let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
+            let w = plan(&specs).unwrap();
+            let sig = *w.entries.keys().next().unwrap();
+            // The producer dispatches at once; the follower's lookup of the
+            // still-pending entry answers "recompute" without blocking.
+            assert_eq!(w.next_ready(), Some(0));
+            assert!(w.lookup_view(1, sig).is_none());
+            // The gate holds the follower until the producer resolves the
+            // entry, by publishing or by aborting.
+            std::thread::scope(|scope| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let gate = &w;
+                scope.spawn(move || tx.send(gate.next_ready()).unwrap());
+                let early = rx.recv_timeout(Duration::from_millis(50));
+                assert!(early.is_err(), "the gate let a follower pass early");
+                if publish {
+                    let at = SimTime::ZERO + SimDuration::from_secs(3);
+                    w.publish(sig, published_view(sig), at, SimDuration::from_secs(9));
+                } else {
+                    w.resolve_job(0);
+                }
+                assert_eq!(rx.recv().unwrap(), Some(1));
+            });
+            assert_eq!(w.lookup_view(1, sig).is_some(), publish);
+            // The producer never reads its own entry from the window.
+            assert!(w.lookup_view(0, sig).is_none());
+            assert!(w.next_ready().is_none());
+            let tally = lock(&w.tally);
+            assert_eq!(
+                (tally.published, tally.aborted),
+                (publish as usize, !publish as usize)
+            );
+        }
     }
 
     #[test]
     fn publish_serves_followers_and_charges_wait() {
         let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
-        let compiled = compile_all(&specs);
-        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
-        let sig = *w.entries().next().unwrap().0;
-        let view = AvailableView {
-            precise: sig,
-            rows: 10,
-            bytes: 100,
-            props: scope_plan::PhysicalProps::any(),
-        };
+        let w = plan(&specs).unwrap();
+        let sig = *w.entries.keys().next().unwrap();
         let at = SimTime::ZERO + SimDuration::from_secs(3);
-        // A non-producer publish is ignored (the producer check rejects
-        // it); the producer's own publish lands.
-        w.publish(1, sig, view.clone(), at, SimDuration::from_secs(9));
-        w.publish(0, sig, view, at, SimDuration::from_secs(9));
-        match w.lookup_view(1, sig) {
-            SharedView::Ready { view } => assert_eq!(view.rows, 10),
-            _ => panic!("published entry must be ready"),
-        }
+        w.publish(sig, published_view(sig), at, SimDuration::from_secs(9));
+        assert_eq!(w.lookup_view(1, sig).map(|v| v.rows), Some(10));
+        // A second publish (a restarted producer) leaves the first in place.
+        w.publish(sig, published_view(sig), at, SimDuration::from_secs(1));
+        assert_eq!(lock(&w.tally).published, 1);
         // The synthesized annotation now carries the measured recompute.
         let mut annotations = Vec::new();
         w.extend_annotations(1, &mut annotations);
         assert_eq!(annotations.len(), 1);
         assert_eq!(annotations[0].avg_cpu, SimDuration::from_secs(9));
         // Reusing the entry charges the publish wait exactly once in the
-        // histogram but on every accounting call.
+        // tally but on every accounting call.
         let wait = w.note_optimized(1, &[sig]);
         assert_eq!(wait, SimDuration::from_secs(3));
-        assert_eq!(w.follower_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(lock(&w.tally).follower_reuses, 1);
         let again = w.note_optimized(1, &[sig]);
         assert_eq!(again, wait);
-        assert_eq!(w.follower_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(w.waits.lock().unwrap().len(), 1);
+        assert_eq!(lock(&w.tally).follower_reuses, 1);
+        assert_eq!(lock(&w.tally).waits.len(), 1);
     }
 
     #[test]
-    fn propose_denied_for_followers_only() {
+    fn only_window_entries_have_a_producer() {
         let specs = vec![shared_job(1, "a"), shared_job(2, "b")];
-        let compiled = compile_all(&specs);
-        let w = WindowContext::plan(&specs, &compiled, 1, SimTime::ZERO).unwrap();
-        let sig = *w.entries().next().unwrap().0;
-        assert!(!w.deny_propose(0, sig));
-        assert!(w.deny_propose(1, sig));
-        assert!(!w.deny_propose(1, Sig128::new(1, 2)));
+        let w = plan(&specs).unwrap();
+        let sig = *w.entries.keys().next().unwrap();
+        assert_eq!(w.producer(sig), Some(0));
+        assert_eq!(w.producer(Sig128::new(1, 2)), None);
     }
 }

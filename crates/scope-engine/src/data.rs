@@ -1359,6 +1359,18 @@ impl Table {
         }
     }
 
+    /// The table under `scheme`: Hash, Range and RoundRobin repartition,
+    /// Single gathers, Any keeps the partitions as they are.
+    pub(crate) fn exchange(&self, scheme: &Partitioning) -> Result<Table> {
+        Ok(match scheme {
+            Partitioning::Hash { cols, parts } => self.hash_repartition(cols, *parts)?,
+            Partitioning::Range { col, parts } => self.range_repartition(*col, *parts)?,
+            Partitioning::RoundRobin { parts } => self.round_robin_repartition(*parts)?,
+            Partitioning::Single => self.gather(),
+            Partitioning::Any => self.clone(),
+        })
+    }
+
     /// The same rows with every column dense and no recipe kept: a batch
     /// holding a deferred column is rebuilt around its gathered cells, so the
     /// result keeps no source of any recipe alive.

@@ -321,17 +321,7 @@ fn exec_node(
             let input = one()?;
             Ok((input.sort_partitions(order), 0))
         }
-        Operator::Exchange { scheme } => {
-            let input = one()?;
-            let out = match scheme {
-                Partitioning::Hash { cols, parts } => input.hash_repartition(cols, *parts)?,
-                Partitioning::Range { col, parts } => input.range_repartition(*col, *parts)?,
-                Partitioning::RoundRobin { parts } => input.round_robin_repartition(*parts)?,
-                Partitioning::Single => input.gather(),
-                Partitioning::Any => input.clone(),
-            };
-            Ok((out, 0))
-        }
+        Operator::Exchange { scheme } => Ok((one()?.exchange(scheme)?, 0)),
         Operator::Aggregate {
             keys,
             aggs,
@@ -925,7 +915,7 @@ impl KeyKind {
 /// A batch and its key columns: one side of a grouping.
 type Side<'a> = (&'a RecordBatch, &'a [usize]);
 
-/// Row `i`'s key in column `k`, read where it lies (`None` when NULL):
+/// The key in column `k` of row `i`, read where it lies (`None` when NULL):
 /// `typed` is a source's data, `get` one row of it.
 fn typed_key<'a, D: ?Sized + 'a, K>(
     batch: &'a RecordBatch,
@@ -944,7 +934,7 @@ fn typed_key<'a, D: ?Sized + 'a, K>(
     }
 }
 
-/// Row `i`'s key as values, read where it lies; `None` when a join key has
+/// The key of row `i` as values, read where it lies; `None` when a join key has
 /// a NULL in it (it joins nothing).
 fn value_key<'a>((batch, keys): Side<'a>, join: bool) -> impl Fn(usize) -> Option<Vec<Value>> + 'a {
     let cols: Vec<_> = keys.iter().map(|&k| batch.columns()[k].locate()).collect();

@@ -121,59 +121,31 @@ pub fn materialize_marked_views(
         // The enforcers below only move rows: the stored copy has the node's
         // bytes, already counted for its stats.
         let bytes = exec.node_stats[mark.physical_node.index()].out_bytes;
-        // Enforce the mined physical design on the stored copy.
-        let mut table = source.clone();
+        // Enforce the mined physical design on the stored copy: repartition
+        // unless the node already delivers the scheme (for Single: unless it
+        // is one partition), charging an Exchange for Hash and Range only.
+        let scheme = &mark.props.partitioning;
+        let repartition = match scheme {
+            Partitioning::Any => false,
+            Partitioning::Single => source.num_partitions() != 1,
+            _ => !scheme.satisfied_by(&source.props.partitioning),
+        };
+        let mut table = if repartition {
+            source.exchange(scheme)?
+        } else {
+            source.clone()
+        };
         let mut enforcer_cpu = SimDuration::ZERO;
-        match &mark.props.partitioning {
-            Partitioning::Hash { cols, parts } => {
-                if !mark
-                    .props
-                    .partitioning
-                    .satisfied_by(&table.props.partitioning)
-                {
-                    table = table.hash_repartition(cols, *parts)?;
-                    enforcer_cpu += model.op_cpu(
-                        &scope_plan::Operator::Exchange {
-                            scheme: mark.props.partitioning.clone(),
-                        },
-                        source.num_rows() as u64,
-                        source.num_rows() as u64,
-                        bytes,
-                    );
-                }
-            }
-            Partitioning::Range { col, parts } => {
-                if !mark
-                    .props
-                    .partitioning
-                    .satisfied_by(&table.props.partitioning)
-                {
-                    table = table.range_repartition(*col, *parts)?;
-                    enforcer_cpu += model.op_cpu(
-                        &scope_plan::Operator::Exchange {
-                            scheme: mark.props.partitioning.clone(),
-                        },
-                        source.num_rows() as u64,
-                        source.num_rows() as u64,
-                        bytes,
-                    );
-                }
-            }
-            Partitioning::Single => {
-                if table.num_partitions() != 1 {
-                    table = table.gather();
-                }
-            }
-            Partitioning::RoundRobin { parts } => {
-                if !mark
-                    .props
-                    .partitioning
-                    .satisfied_by(&table.props.partitioning)
-                {
-                    table = table.round_robin_repartition(*parts)?;
-                }
-            }
-            Partitioning::Any => {}
+        let charged = matches!(
+            scheme,
+            Partitioning::Hash { .. } | Partitioning::Range { .. }
+        );
+        if repartition && charged {
+            let exchange = scope_plan::Operator::Exchange {
+                scheme: scheme.clone(),
+            };
+            let rows = source.num_rows() as u64;
+            enforcer_cpu += model.op_cpu(&exchange, rows, rows, bytes);
         }
         if !mark.props.sort.is_none() && !mark.props.sort.satisfied_by(&table.props.sort) {
             table = table.sort_partitions(&mark.props.sort);

@@ -310,3 +310,66 @@ fn windowed_batch_compiles_each_job_once() {
         assert_eq!(counted, specs.len() as u64);
     }
 }
+
+/// A three-job chain in one window: slot 0 produces `shared_job`'s
+/// aggregate A; slot 1 follows A and produces C, a second subgraph disjoint
+/// from A; slot 2 follows C.
+fn chain() -> Vec<JobSpec> {
+    let counted = |b: &mut PlanBuilder| {
+        let s = b.table_scan(DatasetId::new(SHARED_STREAM), "shared/x.ss", kv_schema());
+        let f = b.filter(s, Expr::col(1).ge(Expr::lit(5i64)));
+        b.aggregate(f, vec![0], vec![AggExpr::new("n", AggFunc::Count, 1)])
+    };
+    let summed = |b: &mut PlanBuilder| {
+        let s = b.table_scan(DatasetId::new(SHARED_STREAM), "shared/x.ss", kv_schema());
+        let f = b.filter(s, Expr::col(1).ge(Expr::lit(500i64)));
+        b.aggregate(f, vec![0], vec![AggExpr::new("total", AggFunc::Sum, 1)])
+    };
+    let mut middle = PlanBuilder::new();
+    let (a, c) = (counted(&mut middle), summed(&mut middle));
+    middle.output(a, "middle-a").output(c, "middle-c");
+    let mut last = PlanBuilder::new();
+    let c = summed(&mut last);
+    vec![
+        shared_job(1, "a"),
+        spec(2, middle.build().unwrap()),
+        spec(3, last.output(c, "last-c").build().unwrap()),
+    ]
+}
+
+/// The readiness gate alone orders every follower behind its producer,
+/// down a chain whose middle job both follows and produces: inline (one
+/// worker, submission order) and pooled (two workers through the gate)
+/// agree with Baseline and with each other.
+#[test]
+fn readiness_gate_orders_a_producer_chain() {
+    let specs = chain();
+    let baseline = baseline_checksums(&specs);
+    let mut reuses = Vec::new();
+    for workers in [1, 2] {
+        let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
+        seed_shared_stream(&cv);
+        let arrivals = specs
+            .iter()
+            .cloned()
+            .map(|spec| JobArrival {
+                spec,
+                offset: SimDuration::ZERO,
+            })
+            .collect();
+        let cfg = SharingConfig::default();
+        let out = cv.run_windowed(arrivals, RunMode::CloudViews, options(workers), &cfg);
+        for ((i, r), want) in out.reports.iter().enumerate().zip(&baseline) {
+            let r = r
+                .as_ref()
+                .unwrap_or_else(|e| panic!("workers={workers}, job {i}: {e}"));
+            assert_eq!(&r.output_checksums, want, "workers={workers}, job {i}");
+        }
+        let s = &out.sharing;
+        assert_eq!(s.shared_subgraphs, 2, "workers={workers}");
+        assert_eq!((s.published, s.aborted), (2, 0), "workers={workers}");
+        reuses.push(s.follower_reuses);
+    }
+    assert_eq!(reuses[0], reuses[1], "follower reuses by worker count");
+    assert_eq!(reuses[0], 2, "both followers reuse");
+}
