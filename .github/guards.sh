@@ -86,6 +86,23 @@ one_sharing_decision_each() {
     | grep -nwE 'SharedView|state_changed|by_normalized|deny_propose|is_producer'
 }
 
+# One job path states each fact once: the attempt is its own view oracle,
+# the lookup step does its own retries, one function is the per-job entry,
+# and availability is read off the attempt's one simulated-time cursor.
+one_job_path() {
+  for f in crates/cloudviews/src/pipeline.rs crates/cloudviews/src/runtime.rs; do
+    ! sed '/^#\[cfg(test)\]/,$d' "$f" \
+      | grep -nwE 'PinnedServices|run_job_shared|drive_attempts|lookup_with_retry|job_end_offset' \
+      || { echo "$f states a job-path fact twice"; return 1; }
+  done
+}
+
+# Nothing serializes through serde: the workspace derives no serde trait
+# (the serde shim stays only as a locked dependency).
+no_serde_derive() {
+  ! grep -rn 'serde::' crates/*/src src
+}
+
 status=0
 for rule in \
   row_engine_oracle_stays_out_of_the_library \
@@ -97,7 +114,9 @@ for rule in \
   one_descriptor_rule \
   one_value_semantics \
   one_subgraph_record \
-  one_sharing_decision_each; do
+  one_sharing_decision_each \
+  one_job_path \
+  no_serde_derive; do
   if ! "$rule"; then
     echo "guard broken: $rule" >&2
     status=1

@@ -3,18 +3,24 @@
 //! One job attempt is five functions called in order — metadata lookup →
 //! reuse rewrite (optimize) → execute → publish → record — mirroring the
 //! paper's per-job path (Sections 6.1–6.4) and the span tree of DESIGN.md
-//! §8: `run_attempt` opens one child span per step at the attempt's
-//! simulated cursor, calls the step, advances the cursor by the simulated
-//! latency the step charged and closes the span there. A step that fails
-//! leaves its span unfinished.
+//! §8. Each per-attempt fact is stated once, where it is first known: the
+//! `Attempt` is the optimizer's job-start-pinned view oracle, the
+//! attempt's simulated time is one cursor (`run_attempt` opens one child
+//! span per step at the cursor, calls the step, advances the cursor by the
+//! simulated latency the step charged and closes the span there; a step
+//! that fails leaves its span unfinished), and each root's subsumption
+//! descriptor is built at most once, for the lookup's probes or for the
+//! publish of a view.
 //!
 //! Many jobs run through [`CloudViews::run_many`]: up to
-//! `min(workers, max_in_flight)` scoped threads, each pulling the next
-//! submission-order slot from one shared counter and running one job at a
-//! time — so the thread count *is* the admission bound (modeling the job
-//! service's admission control). Each job runs under `catch_unwind` so one
+//! `min(workers, max_in_flight)` workers (the caller and scoped threads),
+//! each pulling the next slot (from a submission-order counter, or a
+//! sharing window's readiness gate) and running one job at a time — so the
+//! worker count *is* the admission bound (modeling the job service's
+//! admission control). Each job runs under `catch_unwind` so one
 //! pathological job cannot take down the driver or its siblings.
 
+use std::cell::{Cell, OnceCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,51 +34,72 @@ use scope_engine::data::multiset_checksum;
 use scope_engine::exec::{execute_plan, ExecOutcome};
 use scope_engine::job::{materialize_marked_views, JobSpec};
 use scope_engine::optimizer::{
-    optimize_with_cascade, Annotation, OptimizedPlan, OptimizerConfig, SubsumedView,
+    optimize_with_cascade, Annotation, AvailableView, OptimizedPlan, OptimizerConfig, ViewServices,
 };
 use scope_engine::repo::JobIdentity;
 use scope_engine::sim::{simulate, SimOutcome};
 use scope_signature::{CompiledJob, SubsumeDescriptor};
 
-use crate::api::{ProposeRequest, ReportRequest};
+use crate::api::{LookupRequest, ProposeRequest, ReportRequest};
 use crate::faults::FaultSite;
-use crate::metadata::MetadataService;
+use crate::metadata::{LockOutcome, LookupResponse};
 use crate::runtime::{
     panic_message, AttemptFailure, CloudViews, JobFaultReport, JobRunReport, RunMode,
 };
 use crate::sharing::WindowContext;
 
-/// A job-start-pinned view of the metadata service: view availability is
-/// judged at the job's submission time, so a job overlapping with the
-/// builder does not see a view that was published after this job started.
-///
-/// Materialization proposals go through the fault-aware
-/// [`MetadataService::propose`]; an injected propose failure is counted
-/// here and the optimizer simply skips that materialization.
-struct PinnedServices<'a> {
-    svc: &'a MetadataService,
-    now: SimTime,
-    propose_faults: std::cell::Cell<u64>,
-    /// The sharing-window coordinator, when this job runs inside one
-    /// ([`CloudViews::run_windowed`]); consulted before the pinned metadata
-    /// service so a follower can see its producer's mid-window publication
-    /// without the metadata service ever looking past `now`.
-    window: Option<&'a WindowContext>,
-    /// This job's submission-order index within its window.
-    slot: usize,
+/// One attempt at a job: what every step reads, and the optimizer's view
+/// oracle. The oracle is pinned to the job's submission time `start`: view
+/// availability is judged there, so a job overlapping with the builder does
+/// not see a view that was published after this job started.
+struct Attempt<'a> {
+    cv: &'a CloudViews,
+    spec: &'a JobSpec,
+    mode: RunMode,
+    start: SimTime,
+    compiled: &'a CompiledJob,
+    opt_config: OptimizerConfig,
+    /// The sharing-window coordinator and this job's submission-order slot
+    /// in it, when the job runs inside one ([`CloudViews::run_windowed`]);
+    /// consulted before the pinned metadata service so a follower can see
+    /// its producer's mid-window publication without the metadata service
+    /// ever looking past `start`.
+    window: Option<(&'a WindowContext, usize)>,
+    /// Materialization proposals go through the fault-aware
+    /// [`crate::MetadataService::propose`]; an injected propose failure is
+    /// counted here (folded into the job's fault report after execute) and
+    /// the optimizer simply skips that materialization.
+    propose_faults: Cell<u64>,
+    /// One cell per compiled root: its subsumption descriptor (`None` when
+    /// the root is not tier-2 eligible), built on first use.
+    descriptors: Vec<OnceCell<Option<SubsumeDescriptor>>>,
 }
 
-impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
-    fn view_available(&self, precise: Sig128) -> Option<scope_engine::optimizer::AvailableView> {
+impl Attempt<'_> {
+    /// The descriptor of compiled root `i`. Probes and view descriptors both
+    /// come from the *original* logical plan: even when a root was itself
+    /// compensated by a tier-2 rewrite, a view's materialized bytes equal
+    /// the original subgraph's output, which is what the descriptor
+    /// describes.
+    fn descriptor(&self, i: usize) -> Option<&SubsumeDescriptor> {
+        let infos = &self.compiled.infos;
+        self.descriptors[i]
+            .get_or_init(|| SubsumeDescriptor::of_root(&self.spec.graph, infos, infos[i].root))
+            .as_ref()
+    }
+}
+
+impl ViewServices for Attempt<'_> {
+    fn view_available(&self, precise: Sig128) -> Option<AvailableView> {
         // A follower reads the producer's publication straight from the
         // window channel: the view's `created_at` is *after* this job's
-        // pinned `now`, which is exactly the visibility the pinned metadata
+        // pinned `start`, which is exactly the visibility the pinned metadata
         // lookup must keep refusing. The producer itself, an unpublished or
         // aborted entry and an unshared subgraph take the ordinary pinned
         // path (a pre-existing view still matches).
         self.window
-            .and_then(|w| w.lookup_view(self.slot, precise))
-            .or_else(|| self.svc.view_available_at(precise, self.now))
+            .and_then(|(w, slot)| w.lookup_view(slot, precise))
+            .or_else(|| self.cv.metadata.view_available_at(precise, self.start))
     }
 
     fn propose_materialize(
@@ -86,17 +113,16 @@ impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
         // even after an abort (the subgraph can be built in a later window
         // instead). The producer itself falls through to the real propose,
         // keeping the ordinary lock lifecycle (takeover, mined expiry).
-        let producer = self.window.and_then(|w| w.producer(precise));
-        if producer.is_some_and(|p| p != self.slot) {
-            return false;
+        if let Some((w, slot)) = self.window {
+            if w.producer(precise).is_some_and(|p| p != slot) {
+                return false;
+            }
         }
         // Pinned like `view_available`: lock expiry is judged at this job's
         // submission time, not the live clock (which peers advance mid-wave).
-        match self
-            .svc
-            .propose(&ProposeRequest::new(precise, job, lock_ttl, self.now))
-        {
-            Ok(outcome) => outcome == crate::metadata::LockOutcome::Acquired,
+        let req = ProposeRequest::new(precise, job, lock_ttl, self.start);
+        match self.cv.metadata.propose(&req) {
+            Ok(outcome) => outcome == LockOutcome::Acquired,
             Err(_) => {
                 self.propose_faults.set(self.propose_faults.get() + 1);
                 false
@@ -105,24 +131,13 @@ impl scope_engine::optimizer::ViewServices for PinnedServices<'_> {
     }
 }
 
-/// What every step of one attempt reads and none of them changes.
-struct Attempt<'a> {
-    cv: &'a CloudViews,
-    spec: &'a JobSpec,
-    mode: RunMode,
-    start: SimTime,
-    compiled: &'a CompiledJob,
-    pinned: PinnedServices<'a>,
-    opt_config: OptimizerConfig,
-}
-
-/// The attempt's position in simulated time and the child spans hung off
-/// it: a step's span opens at the cursor it inherits and closes at the
-/// cursor it leaves behind (the lookup charges its modeled latency,
-/// optimize a follower's wait, execute the simulated runtime, publish the
-/// view-write latency; record is zero-width at job end). A step that fails
-/// returns between `open` and `close`, so its span is dropped unfinished —
-/// a crashed builder never reports a publish time.
+/// The attempt's position in simulated time — its one running sum — and
+/// the child spans hung off it: a step's span opens at the cursor it
+/// inherits and closes at the cursor it leaves behind (the lookup charges
+/// its modeled latency, optimize a follower's wait, execute the simulated
+/// runtime, publish the view-write latency; record is zero-width at job
+/// end). A step that fails returns between `open` and `close`, so its span
+/// is dropped unfinished — a crashed builder never reports a publish time.
 struct StepSpans<'a> {
     tracer: &'a Tracer,
     root: &'a ActiveSpan,
@@ -141,58 +156,69 @@ impl StepSpans<'_> {
 }
 
 /// Step 1 — the compiler's one metadata lookup per job (Section 6.1),
-/// retried under the degradation policy; exhausted retries degrade the job
-/// to its baseline plan. Tags come from the template-cache compile, not a
-/// fresh signature pass. Returns the annotations, the tier-2 candidates
-/// and the modeled latency paid.
-fn lookup(
-    att: &Attempt<'_>,
-    faults: &mut JobFaultReport,
-) -> (Vec<Annotation>, Vec<SubsumedView>, SimDuration) {
+/// pinned to the job's submission time and retried under the degradation
+/// policy: a timed-out call still pays the modeled lookup latency, plus
+/// backoff before each retry, and exhausted retries degrade the job to its
+/// baseline plan (no annotations, no tier-2 candidates). Tags come from the
+/// template-cache compile, not a fresh signature pass. The response's
+/// `latency` is everything the step paid.
+fn lookup(att: &Attempt<'_>, faults: &mut JobFaultReport) -> LookupResponse {
     if att.mode == RunMode::Baseline {
-        return (Vec::new(), Vec::new(), SimDuration::ZERO);
+        return LookupResponse::default();
     }
+    let cv = att.cv;
     // Subsumption probes, one per tier-2-eligible root, are per-instance
     // (they embed concrete predicate and parameter values), so they are
     // computed fresh here and never cached in the template.
-    let probes = if att.cv.subsumption {
-        let infos = &att.compiled.infos;
-        infos
-            .iter()
-            .filter_map(|info| SubsumeDescriptor::of_root(&att.spec.graph, infos, info.root))
-            .collect()
+    let probes = if cv.subsumption {
+        let roots = 0..att.compiled.infos.len();
+        roots.filter_map(|i| att.descriptor(i).cloned()).collect()
     } else {
         Vec::new()
     };
-    let (mut annotations, tier2, latency) =
-        att.cv
-            .lookup_with_retry(att.spec.id, &att.compiled.tags, &probes, att.start, faults);
+    let req = LookupRequest::new(att.spec.id, &att.compiled.tags, att.start).with_probes(probes);
+    let (mut retries_left, mut timed_out) = (cv.degradation.lookup_retries, SimDuration::ZERO);
+    let mut resp = loop {
+        match cv.metadata.lookup(&req) {
+            Ok(resp) => break resp,
+            Err(_) => {
+                faults.lookup_faults += 1;
+                timed_out += cv.metadata.lookup_latency();
+                if retries_left == 0 {
+                    faults.fell_back_to_baseline = true;
+                    break LookupResponse::default();
+                }
+                retries_left -= 1;
+                faults.lookup_retries += 1;
+                // Backoff is charged once, via degraded_latency, when the
+                // final report is assembled.
+                faults.degraded_latency += cv.degradation.retry_backoff;
+            }
+        }
+    };
+    resp.latency += timed_out;
     // Window annotations ride along with the metadata lookup's: every
     // shared entry this job produces or follows gets a synthesized
     // annotation (unless a genuine analyzer annotation already covers the
     // template), so the ordinary optimizer hooks drive both the producer's
     // materialization and the followers' reuse.
-    if let Some(w) = att.pinned.window {
-        w.extend_annotations(att.pinned.slot, &mut annotations);
+    if let Some((w, slot)) = att.window {
+        w.extend_annotations(slot, &mut resp.annotations);
     }
-    (annotations, tier2, latency)
+    resp
 }
 
-/// Step 2 — the reuse rewrite: optimize with the pinned metadata service
-/// as the view oracle (Figure 10's two hooks), reusing the subgraph records
-/// from the template-cache compile instead of re-enumerating. Returns the
-/// plan and how long a window follower waited for its producers.
-fn optimize(
-    att: &Attempt<'_>,
-    annotations: &[Annotation],
-    tier2: &[SubsumedView],
-) -> Result<(OptimizedPlan, SimDuration)> {
+/// Step 2 — the reuse rewrite: optimize with the attempt as the view oracle
+/// (Figure 10's two hooks), reusing the subgraph records from the
+/// template-cache compile instead of re-enumerating. Returns the plan and
+/// how long a window follower waited for its producers.
+fn optimize(att: &Attempt<'_>, looked_up: &LookupResponse) -> Result<(OptimizedPlan, SimDuration)> {
     let plan = optimize_with_cascade(
         &att.spec.graph,
         &att.compiled.infos,
-        annotations,
-        tier2,
-        &att.pinned,
+        &looked_up.annotations,
+        &looked_up.tier2,
+        att,
         &att.opt_config,
         att.spec.id,
     )?;
@@ -201,9 +227,9 @@ fn optimize(
     // declining the view), and how long did it wait past the shared
     // submission instant for the producer's publication? The wait is
     // simulated latency this job really pays.
-    let wait = att.pinned.window.map_or(SimDuration::ZERO, |w| {
+    let wait = att.window.map_or(SimDuration::ZERO, |(w, slot)| {
         let reused: Vec<Sig128> = plan.reused.iter().map(|r| r.precise).collect();
-        w.note_optimized(att.pinned.slot, &reused)
+        w.note_optimized(slot, &reused)
     });
     Ok((plan, wait))
 }
@@ -243,7 +269,7 @@ fn execute(
                 &att.compiled.infos,
                 annotations,
                 &[],
-                &att.pinned,
+                att,
                 &no_reuse,
                 att.spec.id,
             )?;
@@ -252,7 +278,7 @@ fn execute(
         }
         Err(e) => return Err(e),
     };
-    faults.propose_faults += att.pinned.propose_faults.get();
+    faults.propose_faults += att.propose_faults.get();
     let sim = simulate(&plan.physical, &exec, &cv.cluster);
     cv.record_sim_metrics(&sim);
     cv.record_exec_metrics(&plan.physical, &exec);
@@ -267,24 +293,25 @@ struct Published {
     extra_latency: SimDuration,
 }
 
-/// Step 4 — materialize marked views and publish each one (early — at its
-/// producing stage's completion time — or at job end, Section 6.4). This is
-/// the step where an injected builder crash kills the attempt: the error
-/// carries the latency already wasted (`lookup_latency` and a follower's
-/// `wait` were charged before this step) and the driver restarts the job.
+/// Step 4 — materialize marked views and publish each one (Section 6.4):
+/// early, at its producing stage's finish (`executed_at`, the execute
+/// span's start, plus the stage's offset), or at job end (the instant this
+/// step's span, opened at `cursor`, will close). This is the step where an
+/// injected builder crash kills the attempt: the error carries the latency
+/// already wasted (the cursor at the crash) and the driver restarts the
+/// job.
 fn publish(
     att: &Attempt<'_>,
-    lookup_latency: SimDuration,
-    wait: SimDuration,
     plan: &OptimizedPlan,
     exec: &ExecOutcome,
     sim: &SimOutcome,
+    executed_at: SimTime,
+    cursor: SimTime,
     faults: &mut JobFaultReport,
 ) -> std::result::Result<Published, AttemptFailure> {
     let (cv, spec) = (att.cv, att.spec);
     let built = materialize_marked_views(plan, exec, sim, &cv.cost, spec.id, att.start)?;
-    let job_end_offset =
-        lookup_latency + sim.latency + built.iter().map(|b| b.extra_latency).sum::<SimDuration>();
+    let job_end = cursor + built.iter().map(|b| b.extra_latency).sum::<SimDuration>();
     let mut out = Published {
         views: Vec::with_capacity(built.len()),
         extra_cpu: SimDuration::ZERO,
@@ -296,16 +323,16 @@ fn publish(
         if let Some(inj) = &cv.faults {
             if inj.should_fail(FaultSite::BuilderCrash, spec.id) {
                 return Err(AttemptFailure::BuilderCrash {
-                    wasted_latency: lookup_latency + sim.latency + wait + out.extra_latency,
+                    wasted_latency: cursor + out.extra_latency - att.start,
                 });
             }
         }
         out.extra_cpu += b.extra_cpu;
         out.extra_latency += b.extra_latency;
         let mut available_at = if cv.early_materialization {
-            att.start + lookup_latency + b.available_offset
+            executed_at + b.available_offset
         } else {
-            att.start + job_end_offset
+            job_end
         };
         if let Some(inj) = &cv.faults {
             let delay = inj.publication_delay();
@@ -314,7 +341,7 @@ fn publish(
                 faults.delayed_publications += 1;
             }
         }
-        let view = scope_engine::optimizer::AvailableView {
+        let view = AvailableView {
             precise: b.file.meta.precise,
             rows: b.file.meta.rows,
             bytes: b.file.meta.bytes,
@@ -331,11 +358,9 @@ fn publish(
         // honest read-vs-recompute decision). This channel is independent
         // of the metadata report below — a lost report orphans the view
         // for later jobs but not for the window.
-        let slot = att.pinned.slot;
-        if let Some(w) = att
-            .pinned
+        if let Some((w, _)) = att
             .window
-            .filter(|w| w.producer(precise) == Some(slot))
+            .filter(|&(w, slot)| w.producer(precise) == Some(slot))
         {
             let recompute_cpu = plan
                 .materialize
@@ -350,16 +375,11 @@ fn publish(
         if let Some(inj) = &cv.faults {
             inj.apply_view_fate(&cv.storage, precise, spec.id);
         }
-        // The view-side descriptor comes from the *original* logical plan:
-        // even when this root was itself compensated by a tier-2 rewrite,
-        // the materialized bytes equal the original subgraph's output,
-        // which is exactly what the descriptor describes. An ineligible root
-        // keeps the view tier-1-only.
+        // The view-side descriptor is the first root with the view's
+        // signature; an ineligible root keeps the view tier-1-only.
         let infos = &att.compiled.infos;
-        let descriptor = infos
-            .iter()
-            .find(|i| i.precise == precise)
-            .and_then(|info| SubsumeDescriptor::of_root(&spec.graph, infos, info.root));
+        let root = infos.iter().position(|i| i.precise == precise);
+        let descriptor = root.and_then(|i| att.descriptor(i).cloned());
         if cv
             .metadata
             .report(
@@ -439,13 +459,6 @@ pub(crate) fn run_attempt(
         mode,
         start,
         compiled,
-        pinned: PinnedServices {
-            svc: cv.metadata.as_ref(),
-            now: start,
-            propose_faults: std::cell::Cell::new(0),
-            window: window.map(|(w, _)| w),
-            slot: window.map_or(0, |(_, slot)| slot),
-        },
         opt_config: OptimizerConfig {
             default_dop: cv.cluster.default_dop,
             max_materialize_per_job: cv.max_materialize_per_job + window_builds,
@@ -454,6 +467,9 @@ pub(crate) fn run_attempt(
             enable_subsumption: cv.subsumption,
             ..Default::default()
         },
+        window,
+        propose_faults: Cell::new(0),
+        descriptors: compiled.infos.iter().map(|_| OnceCell::new()).collect(),
     };
     let mut spans = StepSpans {
         tracer: &cv.telemetry.tracer,
@@ -462,19 +478,20 @@ pub(crate) fn run_attempt(
     };
 
     let span = spans.open("metadata_lookup");
-    let (annotations, tier2, lookup_latency) = lookup(&att, faults);
-    spans.close(span, lookup_latency, None);
+    let looked_up = lookup(&att, faults);
+    spans.close(span, looked_up.latency, None);
 
     let span = spans.open("optimize");
-    let (plan, wait) = optimize(&att, &annotations, &tier2)?;
+    let (plan, wait) = optimize(&att, &looked_up)?;
     spans.close(span, wait, (!plan.reused.is_empty()).then_some("reuse"));
 
+    let executed_at = spans.cursor;
     let span = spans.open("execute");
-    let (plan, exec, sim) = execute(&att, &annotations, plan, faults)?;
+    let (plan, exec, sim) = execute(&att, &looked_up.annotations, plan, faults)?;
     spans.close(span, sim.latency, None);
 
     let span = spans.open("publish");
-    let published = publish(&att, lookup_latency, wait, &plan, &exec, &sim, faults)?;
+    let published = publish(&att, &plan, &exec, &sim, executed_at, spans.cursor, faults)?;
     spans.close(span, published.extra_latency, None);
 
     let span = spans.open("record");
@@ -484,9 +501,9 @@ pub(crate) fn run_attempt(
     Ok(JobRunReport {
         job: spec.id,
         started_at: start,
-        latency: lookup_latency + sim.latency + wait + published.extra_latency,
+        latency: spans.cursor - start,
         cpu_time: sim.cpu_time + published.extra_cpu,
-        lookup_latency,
+        lookup_latency: looked_up.latency,
         views_built: published.views,
         views_reused: plan.reused.iter().map(|r| r.precise).collect(),
         optimizer: plan.report,
@@ -517,7 +534,7 @@ pub struct PipelineOptions {
     /// Jobs admitted concurrently (the admission-control bound): no more
     /// than this many workers are started. `0` means unbounded.
     pub max_in_flight: usize,
-    /// Purge expired metadata ([`MetadataService::purge_expired`]) after
+    /// Purge expired metadata ([`crate::MetadataService::purge_expired`]) after
     /// each job, so expired views and the annotation/inverted-index
     /// entries they strand are reclaimed continuously instead of in
     /// stop-the-world purges between batches.
@@ -546,16 +563,18 @@ impl CloudViews {
     /// [`CloudViews::run_many`] with an explicit submission time and an
     /// optional sharing-window coordinator ([`CloudViews::run_windowed`]).
     ///
-    /// A window changes only *where the next slot comes from*: its
-    /// readiness gate instead of the submission-order counter. The gate is
-    /// the one thing that orders a follower behind its producers: a follower
-    /// is not dispatched until every entry it follows is published or
-    /// aborted, so no job waits inside a worker its producer needs. The
-    /// one-worker path meets the gate by running slots in submission order.
-    /// Every slot, however scheduled, runs through the one body below.
-    /// `compiled`, when given, holds each slot's template compile (`None`
-    /// where compiling failed), and the slot's attempts use it instead of
-    /// compiling again.
+    /// One dispatch loop: every effective worker — the caller and one
+    /// scoped thread per further worker — pulls slots until none is left
+    /// and runs each through the one per-job body below. A window changes
+    /// only *where the next slot comes from*: its readiness gate instead of
+    /// the submission-order counter. The gate is the one thing that orders
+    /// a follower behind its producers: a follower is not dispatched until
+    /// every entry it follows is published or aborted, so no job waits
+    /// inside a worker its producer needs. With one worker the gate hands
+    /// out slots in submission order, as the counter does, because every
+    /// earlier producer has resolved by then. `compiled`, when given, holds
+    /// each slot's template compile (`None` where compiling failed), and
+    /// the slot's attempts use it instead of compiling again.
     pub(crate) fn run_many_inner(
         &self,
         specs: Vec<JobSpec>,
@@ -587,7 +606,7 @@ impl CloudViews {
             let spec = &specs[slot];
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let compiled = compiled.and_then(|c| c[slot].as_ref());
-                self.run_job_shared(spec, mode, start, window.map(|w| (w, slot)), compiled)
+                self.run_job(spec, mode, start, window.map(|w| (w, slot)), compiled)
             }));
             // Publish-or-abort, on *every* exit path — success, error, or
             // caught panic: any entry this job still owes is aborted, and
@@ -608,31 +627,26 @@ impl CloudViews {
                 self.metadata.purge_expired();
             }
         };
-        if workers == 1 {
-            // One effective worker needs no spawned thread. Submission
-            // order dispatches every producer before its followers
-            // (producers are the earliest job of their group), so the
-            // window's readiness gate is trivially met.
-            (0..n).for_each(run_slot);
-        } else {
-            let next = AtomicUsize::new(0);
-            // Relaxed: the counter hands out distinct indices and publishes
-            // nothing else (`specs` was complete before the scope spawned).
-            let next_slot = || match window {
-                Some(w) => w.next_ready(),
-                None => Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&slot| slot < n),
-            };
-            let (next_slot, run_slot) = (&next_slot, &run_slot);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move || {
-                        while let Some(slot) = next_slot() {
-                            run_slot(slot);
-                        }
-                    });
-                }
-            });
-        }
+        let next = AtomicUsize::new(0);
+        // Relaxed: the counter hands out distinct indices and publishes
+        // nothing else (`specs` was complete before the scope spawned).
+        let next_slot = || match window {
+            Some(w) => w.next_ready(),
+            None => Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&slot| slot < n),
+        };
+        // The one dispatch loop. The caller is one of the workers, so a
+        // lone worker spawns no thread.
+        let worker = || {
+            while let Some(slot) = next_slot() {
+                run_slot(slot);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
+            worker();
+        });
         results
             .into_iter()
             .map(|slot| {
@@ -748,8 +762,8 @@ mod tests {
     }
 
     #[test]
-    fn janitor_leaves_no_expired_view_inline_and_pooled() {
-        // `janitor: true` purges after every finished job, whichever path
+    fn janitor_leaves_no_expired_view_at_any_worker_count() {
+        // `janitor: true` purges after every finished job, whichever worker
         // ran it: a batch leaves no expired view behind.
         for workers in [1, 3] {
             let (cv, workload) = setup();

@@ -40,13 +40,13 @@
 //!
 //! Every degradation is counted per job in [`JobFaultReport`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
-use scope_common::intern::Symbol;
 use scope_common::telemetry::{ActiveSpan, Counter, Histogram, MetricUnit, Telemetry};
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
@@ -61,7 +61,6 @@ use scope_plan::{OpKind, QueryGraph};
 use scope_signature::{CompiledJob, TemplateCache};
 
 use crate::analyzer::{run_analysis, AnalysisOutcome, AnalyzerConfig, IncrementalAnalyzer};
-use crate::api::LookupRequest;
 use crate::codec::Codec;
 use crate::codec_record;
 use crate::faults::{FaultInjector, FaultPlan};
@@ -677,7 +676,9 @@ impl CloudViews {
             .telemetry
             .tracer
             .root("analysis", None, self.clock.now());
-        let outcome = run_analysis(&self.repo.records(), config)?;
+        let outcome = self
+            .repo
+            .with_records(|records| run_analysis(records, config))?;
         let m = &self.telemetry.metrics;
         m.counter("cv_analyzer_runs_total").inc();
         m.counter("cv_analyzer_jobs_analyzed_total")
@@ -765,14 +766,22 @@ impl CloudViews {
         mode: RunMode,
         start: SimTime,
     ) -> Result<JobRunReport> {
-        self.run_job_shared(spec, mode, start, None, None)
+        self.run_job(spec, mode, start, None, None)
     }
 
-    /// [`CloudViews::run_job_at`] with an optional sharing-window
-    /// coordinator and this job's slot in it, and the job's template compile
-    /// when the window already made it — the per-job entry point used by
-    /// [`CloudViews::run_windowed`]'s pool.
-    pub(crate) fn run_job_shared(
+    /// The pre-resolved `cv_sharing_*` handles (for the window driver).
+    pub(crate) fn sharing_metrics(&self) -> &SharingMetrics {
+        &self.metrics.sharing
+    }
+
+    /// The one per-job entry, for [`CloudViews::run_job_at`] and the batch
+    /// driver: under the job's root span, compiles the job once through the
+    /// template cache (unless `compiled` already holds that compile, as a
+    /// sharing window's does), then drives attempts
+    /// (`pipeline::run_attempt`) until one succeeds, the builder crash
+    /// budget is exhausted, or a fatal error surfaces. `window` is the
+    /// sharing-window coordinator and this job's slot in it.
+    pub(crate) fn run_job(
         &self,
         spec: &JobSpec,
         mode: RunMode,
@@ -782,79 +791,57 @@ impl CloudViews {
     ) -> Result<JobRunReport> {
         let root = self.telemetry.tracer.root("job", Some(spec.id), start);
         let wall_start = std::time::Instant::now();
-        let result = self.drive_attempts(spec, mode, start, &root, window, compiled);
-        self.finish_job(root, start, wall_start, &result);
-        result
-    }
-
-    /// The pre-resolved `cv_sharing_*` handles (for the window driver).
-    pub(crate) fn sharing_metrics(&self) -> &SharingMetrics {
-        &self.metrics.sharing
-    }
-
-    /// Compiles the job once through the template cache (unless `compiled`
-    /// already holds that compile), then drives attempts
-    /// (`pipeline::run_attempt`) until one succeeds, the builder crash
-    /// budget is exhausted, or a fatal error surfaces.
-    fn drive_attempts(
-        &self,
-        spec: &JobSpec,
-        mode: RunMode,
-        start: SimTime,
-        root: &ActiveSpan,
-        window: Option<(&WindowContext, usize)>,
-        compiled: Option<&CompiledJob>,
-    ) -> Result<JobRunReport> {
         // One signature/enumeration compile per job — shared by the lookup,
         // optimize, and record stages across every restart.
-        let own;
         let compiled = match compiled {
-            Some(compiled) => compiled,
-            None => {
-                own = self.templates.compile(&spec.graph)?;
-                &own
-            }
+            Some(compiled) => Ok(Cow::Borrowed(compiled)),
+            None => self.templates.compile(&spec.graph).map(Cow::Owned),
         };
-        if compiled.template_hit {
-            self.metrics.template_hits.inc();
-        } else {
-            self.metrics.template_misses.inc();
-        }
-        let mut faults = JobFaultReport::default();
-        let mut restarts = 0u32;
-        loop {
-            match pipeline::run_attempt(
-                self,
-                spec,
-                mode,
-                start,
-                compiled,
-                &mut faults,
-                root,
-                window,
-            ) {
-                Ok(mut report) => {
-                    report.latency += faults.degraded_latency;
-                    report.faults = faults;
-                    self.clock.advance_to(start + report.latency);
-                    return Ok(report);
-                }
-                Err(AttemptFailure::BuilderCrash { wasted_latency }) => {
-                    faults.builder_crashes += 1;
-                    faults.degraded_latency += wasted_latency;
-                    self.metrics.job_restarts.inc();
-                    restarts += 1;
-                    if restarts > self.degradation.max_restarts {
-                        return Err(ScopeError::Execution(format!(
-                            "job {} failed: builder crashed {restarts} times \
-                             (max_restarts={})",
-                            spec.id, self.degradation.max_restarts
-                        )));
-                    }
-                }
-                Err(AttemptFailure::Fatal(e)) => return Err(e),
+        let result = compiled.and_then(|compiled| {
+            if compiled.template_hit {
+                self.metrics.template_hits.inc();
+            } else {
+                self.metrics.template_misses.inc();
             }
-        }
+            let mut faults = JobFaultReport::default();
+            let mut restarts = 0u32;
+            loop {
+                let attempt = pipeline::run_attempt(
+                    self,
+                    spec,
+                    mode,
+                    start,
+                    &compiled,
+                    &mut faults,
+                    &root,
+                    window,
+                );
+                match attempt {
+                    Ok(mut report) => {
+                        report.latency += faults.degraded_latency;
+                        report.faults = faults;
+                        self.clock.advance_to(start + report.latency);
+                        return Ok(report);
+                    }
+                    Err(AttemptFailure::BuilderCrash { wasted_latency }) => {
+                        faults.builder_crashes += 1;
+                        faults.degraded_latency += wasted_latency;
+                        self.metrics.job_restarts.inc();
+                        restarts += 1;
+                        if restarts > self.degradation.max_restarts {
+                            return Err(ScopeError::Execution(format!(
+                                "job {} failed: builder crashed {restarts} times \
+                                 (max_restarts={})",
+                                spec.id, self.degradation.max_restarts
+                            )));
+                        }
+                    }
+                    Err(AttemptFailure::Fatal(e)) => return Err(e),
+                }
+            }
+        });
+        self.finish_job(root, start, wall_start, &result);
+        result
     }
 
     /// Closes the job's root span and updates the per-job outcome counters.
@@ -908,43 +895,6 @@ impl CloudViews {
         // Durable mode: compact the WAL once it outgrows the threshold.
         // Cheap when it hasn't (one tail-size read), a no-op in-memory.
         self.maybe_snapshot();
-    }
-
-    /// The per-job cascade lookup with bounded retry, pinned to the job's
-    /// submission time `at`. A timed-out call still pays the modeled lookup
-    /// latency, plus backoff before each retry; exhausted retries degrade to
-    /// the baseline plan (no annotations, no tier-2 candidates).
-    pub(crate) fn lookup_with_retry(
-        &self,
-        job: JobId,
-        tags: &[Symbol],
-        probes: &[scope_signature::SubsumeDescriptor],
-        at: SimTime,
-        faults: &mut JobFaultReport,
-    ) -> (
-        Vec<scope_engine::optimizer::Annotation>,
-        Vec<scope_engine::optimizer::SubsumedView>,
-        SimDuration,
-    ) {
-        let mut latency = SimDuration::ZERO;
-        let req = LookupRequest::new(job, tags, at).with_probes(probes.to_vec());
-        for attempt in 0..=self.degradation.lookup_retries {
-            match self.metadata.lookup(&req) {
-                Ok(resp) => return (resp.annotations, resp.tier2, latency + resp.latency),
-                Err(_) => {
-                    faults.lookup_faults += 1;
-                    latency += self.metadata.lookup_latency();
-                    if attempt < self.degradation.lookup_retries {
-                        faults.lookup_retries += 1;
-                        // Backoff is charged once, via degraded_latency,
-                        // when the final report is assembled.
-                        faults.degraded_latency += self.degradation.retry_backoff;
-                    }
-                }
-            }
-        }
-        faults.fell_back_to_baseline = true;
-        (Vec::new(), Vec::new(), latency)
     }
 
     /// Records per-stage vertex counts and token occupancy from one job's

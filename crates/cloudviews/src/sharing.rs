@@ -27,8 +27,10 @@
 //!    never has to "see into the future";
 //! 4. **publishes or aborts** every entry: a producer that completes
 //!    without publishing (panic, injected crash, degraded fallback, reuse
-//!    of a pre-existing view) aborts its pending entries, and their
-//!    followers recompute. There are no timeouts anywhere on this path.
+//!    of a view covering the entry) aborts its pending entries, and their
+//!    followers recompute. An entry whose view already exists at the
+//!    window's submission time starts published with that view. There are
+//!    no timeouts anywhere on this path.
 //!
 //! All jobs in one window share a single pinned submission time (the
 //! window's close), so the PR-6/PR-7 visibility discipline holds verbatim:
@@ -37,10 +39,10 @@
 //! One mechanism orders a follower behind its producers, the readiness
 //! gate (`WindowContext::next_ready`): a follower is not dispatched until
 //! every entry it follows is resolved (published or aborted), so no job
-//! ever waits inside a worker, and the one-worker path meets the gate by
-//! running slots in submission order. Progress is guaranteed because the
-//! earliest undispatched job only follows entries owned by strictly earlier
-//! jobs, all of which are already dispatched. A lookup never blocks: an
+//! ever waits inside a worker; with one worker it dispatches in
+//! submission order. Progress is guaranteed because the earliest
+//! undispatched job only follows entries owned by strictly earlier jobs,
+//! all of which are already dispatched. A lookup never blocks: an
 //! entry that is not published answers "recompute", so were the gate ever
 //! bypassed, outputs would stay byte-identical and only reuse would be lost.
 
@@ -56,6 +58,7 @@ use scope_engine::optimizer::{Annotation, AvailableView};
 use scope_plan::OpKind;
 use scope_signature::{CompiledJob, SubgraphInfo};
 
+use crate::metadata::MetadataService;
 use crate::pipeline::PipelineOptions;
 use crate::runtime::{CloudViews, JobRunReport, RunMode};
 
@@ -104,11 +107,13 @@ impl Default for SharingConfig {
 
 /// Lifecycle of one shared subgraph within a window. Publish-or-abort:
 /// every entry reaches `Published` or `Aborted` before its window's last
-/// job completes — followers never depend on a timeout.
+/// job completes — followers never depend on a timeout. An entry whose
+/// view already exists when the window is planned starts `Published`.
 enum ShareState {
     /// Producer elected, output not available yet.
     Pending,
-    /// The producer's early-materialized view is readable.
+    /// The producer's early-materialized view, or a view that already
+    /// existed when the window was planned, is readable.
     Published {
         view: AvailableView,
         available_at: SimTime,
@@ -117,7 +122,7 @@ enum ShareState {
         recompute_cpu: SimDuration,
     },
     /// The producer finished without publishing (crash, fallback, reuse of
-    /// a pre-existing view); followers recompute.
+    /// a view covering the entry); followers recompute.
     Aborted,
 }
 
@@ -171,11 +176,18 @@ impl WindowContext {
     ///
     /// `compiled[slot]` is `None` for jobs whose plan failed to compile;
     /// they run (and fail) normally but never participate in sharing.
+    ///
+    /// An entry whose view `metadata` already serves at `submitted_at`
+    /// (built by an earlier window or job) starts `Published` with that
+    /// view, available at once: its followers are held for nothing and
+    /// charged no wait, and read the very view the pinned metadata service
+    /// would give them.
     pub(crate) fn plan(
         specs: &[JobSpec],
         compiled: &[Option<CompiledJob>],
         max_elect_per_job: usize,
         submitted_at: SimTime,
+        metadata: &MetadataService,
     ) -> Option<WindowContext> {
         let n = specs.len();
         let jobs = || {
@@ -268,7 +280,17 @@ impl WindowContext {
 
         let states = entries
             .keys()
-            .map(|sig| (*sig, ShareState::Pending))
+            .map(|&sig| {
+                let state = match metadata.view_available_at(sig, submitted_at) {
+                    Some(view) => ShareState::Published {
+                        view,
+                        available_at: submitted_at,
+                        recompute_cpu: UNMEASURED_RECOMPUTE_CPU,
+                    },
+                    None => ShareState::Pending,
+                };
+                (sig, state)
+            })
             .collect();
         Some(WindowContext {
             submitted_at,
@@ -473,8 +495,12 @@ pub struct SharingSummary {
     /// three 2-node filters).
     pub shared_nodes: usize,
     /// Entries whose producer published an early-materialized view.
+    /// Like `aborted`, this counts producer outcomes only: an entry whose
+    /// view already existed when its window was planned starts published
+    /// and is counted in neither.
     pub published: usize,
-    /// Entries aborted (producer crashed, degraded, or reused elsewhere).
+    /// Entries whose producer finished without publishing (crashed,
+    /// degraded, or built nothing for the entry).
     pub aborted: usize,
     /// Follower attempts that reused a window entry.
     pub follower_reuses: u64,
@@ -561,7 +587,8 @@ impl CloudViews {
                     specs.iter().map(compile).collect()
                 });
             let window = compiled.as_ref().and_then(|compiled| {
-                WindowContext::plan(&specs, compiled, self.max_materialize_per_job, submit)
+                let cap = self.max_materialize_per_job;
+                WindowContext::plan(&specs, compiled, cap, submit, &self.metadata)
             });
 
             let results = self.run_many_inner(
@@ -690,7 +717,8 @@ mod tests {
     }
 
     fn plan(specs: &[JobSpec]) -> Option<WindowContext> {
-        WindowContext::plan(specs, &compile_all(specs), 1, SimTime::ZERO)
+        let metadata = MetadataService::new(Default::default(), 1);
+        WindowContext::plan(specs, &compile_all(specs), 1, SimTime::ZERO, &metadata)
     }
 
     /// `(precise, normalized)` of a one-subgraph `job_of`'s aggregate.

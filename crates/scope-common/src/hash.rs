@@ -22,9 +22,7 @@ use std::hash::BuildHasher;
 /// Used both as the *precise* and the *normalized* signature of a plan
 /// subgraph. Formats as 32 lowercase hex digits, e.g. in materialized-view
 /// file paths (`.../views/0123…cdef.ss`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sig128 {
     /// High 64 bits of the digest.
     pub hi: u64,

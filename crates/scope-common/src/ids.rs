@@ -11,10 +11,7 @@ use std::fmt;
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug,
-            serde::Serialize, serde::Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
         pub struct $name(pub u64);
 
         impl $name {

@@ -33,9 +33,7 @@ use parking_lot::RwLock;
 ///
 /// `Ord` compares interner ids (insertion order), **not** lexicographic
 /// order — use it only where any stable total order will do.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
 struct Interner {

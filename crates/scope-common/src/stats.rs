@@ -110,7 +110,7 @@ impl Distribution {
 }
 
 /// Percentile summary of a [`Distribution`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistSummary {
     /// Number of samples.
     pub count: usize,

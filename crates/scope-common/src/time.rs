@@ -10,35 +10,11 @@ use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point in simulated time (microseconds since simulation start).
-#[derive(
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Debug,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time (microseconds).
-#[derive(
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Debug,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

@@ -67,7 +67,7 @@ use crate::storage::StorageManager;
 use crate::vexpr;
 
 /// Observed execution statistics of one plan node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeRuntimeStats {
     /// Rows consumed (sum over inputs; scanned rows for leaves).
     pub in_rows: u64,

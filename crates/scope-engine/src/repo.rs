@@ -27,7 +27,7 @@ use crate::sim::SimOutcome;
 
 /// Observed execution of one subgraph of one job: the unit the analyzer
 /// mines.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SubgraphRun {
     /// The compiled subgraph this run measured: root, both signatures and
     /// the structural features, exactly as enumeration produced them.
@@ -188,16 +188,20 @@ impl WorkloadRepository {
             tags: tags.to_vec(),
             subgraphs,
         };
-        let seq = {
-            let mut records = self.records.lock();
-            records.push(record.clone());
-            (records.len() - 1) as u64
-        };
-        // Notify outside the records lock: the sink may do IO, and the
-        // sequence number captured above keeps concurrent appends distinct
+        let sink = self.sink.lock().clone();
+        let mut records = self.records.lock();
+        let seq = records.len() as u64;
+        // Without a sink the record moves in; with one, the sink is
+        // notified outside the records lock: it may do IO, and the sequence
+        // number captured under the lock keeps concurrent appends distinct
         // even if notifications land out of order.
-        if let Some(sink) = self.sink.lock().clone() {
-            sink(seq, &record);
+        match sink {
+            None => records.push(record),
+            Some(sink) => {
+                records.push(record.clone());
+                drop(records);
+                sink(seq, &record);
+            }
         }
         Ok(())
     }

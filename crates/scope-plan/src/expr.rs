@@ -28,7 +28,7 @@ pub enum HashMode {
 }
 
 /// Unary scalar operators.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnaryOp {
     /// Logical negation.
     Not,
@@ -39,7 +39,7 @@ pub enum UnaryOp {
 }
 
 /// Binary scalar operators.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BinOp {
     /// Addition (numeric).
     Add,
@@ -70,7 +70,7 @@ pub enum BinOp {
 }
 
 /// Built-in scalar functions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ScalarFunc {
     /// Year component of a date (epoch-day / 365 for the synthetic calendar).
     Year,
@@ -118,7 +118,7 @@ impl ScalarFunc {
 }
 
 /// A scalar expression tree.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// Reference to input column by position.
     Col(usize),
@@ -647,7 +647,7 @@ pub fn eval_func(func: ScalarFunc, args: &[Value]) -> Result<Value> {
 }
 
 /// A named output expression (one column of a `Project`).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NamedExpr {
     /// Output column name.
     pub name: String,
@@ -666,7 +666,7 @@ impl NamedExpr {
 }
 
 /// Aggregate functions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AggFunc {
     /// Row count (argument ignored).
     Count,
@@ -707,7 +707,7 @@ impl AggFunc {
 }
 
 /// One aggregate output column: `name = func(col)`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct AggExpr {
     /// Output column name.
     pub name: String,

@@ -15,7 +15,7 @@ use crate::op::Operator;
 use crate::schema::Schema;
 
 /// One node of the plan DAG.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanNode {
     /// This node's id (its index in the arena).
     pub id: NodeId,
@@ -26,7 +26,7 @@ pub struct PlanNode {
 }
 
 /// A query plan DAG.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryGraph {
     nodes: Vec<PlanNode>,
     roots: Vec<NodeId>,

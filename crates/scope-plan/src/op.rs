@@ -18,9 +18,7 @@ use crate::udo::Udo;
 
 /// The 26 operator kinds of the paper's Figure 4(a), used for the
 /// operator-wise overlap breakdown.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum OpKind {
     /// Physical sort.
     Sort,
@@ -147,7 +145,7 @@ impl std::fmt::Display for OpKind {
 }
 
 /// How a leaf reads its data.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ScanKind {
     /// Plain structured-stream scan.
     Table,
@@ -158,7 +156,7 @@ pub enum ScanKind {
 }
 
 /// Join semantics.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum JoinKind {
     /// Inner join.
     Inner,
@@ -169,7 +167,7 @@ pub enum JoinKind {
 }
 
 /// Join implementation chosen by the optimizer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum JoinImpl {
     /// Build/probe hash join.
     Hash,
@@ -180,7 +178,7 @@ pub enum JoinImpl {
 }
 
 /// Aggregate implementation chosen by the optimizer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AggImpl {
     /// Hash aggregation.
     Hash,
@@ -189,7 +187,7 @@ pub enum AggImpl {
 }
 
 /// Window functions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WindowFunc {
     /// 1-based dense position within the partition by the order.
     RowNumber,
@@ -211,7 +209,7 @@ impl WindowFunc {
 
 /// A plan operator. Children live in the owning [`crate::graph::PlanNode`];
 /// the operator defines its expected arity.
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Operator {
     /// Leaf: scan of a stored dataset.
     ///

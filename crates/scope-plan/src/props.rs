@@ -12,7 +12,7 @@ use scope_common::hash::SipHasher24;
 use scope_common::intern::SharedPool;
 
 /// Sort direction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SortDir {
     /// Ascending.
     Asc,
@@ -21,7 +21,7 @@ pub enum SortDir {
 }
 
 /// One sort key: a column position and a direction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SortKey {
     /// Column position in the operator's output schema.
     pub col: usize,
@@ -48,7 +48,7 @@ impl SortKey {
 }
 
 /// A (possibly empty) ordered list of sort keys.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct SortOrder(pub Vec<SortKey>);
 
 impl SortOrder {
@@ -89,7 +89,7 @@ impl SortOrder {
 }
 
 /// How rows are distributed across partitions.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Partitioning {
     /// All rows in a single partition.
     Single,
@@ -179,7 +179,7 @@ impl Partitioning {
 }
 
 /// Combined output physical properties of an operator or view.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PhysicalProps {
     /// Row distribution across partitions.
     pub partitioning: Partitioning,

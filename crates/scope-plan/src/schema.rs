@@ -8,7 +8,7 @@ use scope_common::{Result, ScopeError};
 use crate::types::DataType;
 
 /// A single named, typed column.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Column {
     /// Column name (unique within a schema).
     pub name: String,
@@ -33,7 +33,7 @@ impl fmt::Display for Column {
 }
 
 /// An ordered list of columns.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Schema {
     columns: Vec<Column>,
 }

@@ -12,7 +12,7 @@ use std::fmt;
 use scope_common::hash::SipHasher24;
 
 /// The type of a column.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -48,7 +48,7 @@ impl fmt::Display for DataType {
 /// A single cell value.
 ///
 /// `Null` is a member of every type (SQL-style), and sorts lowest.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -28,7 +28,7 @@ use crate::types::DataType;
 use scope_common::{Result, ScopeError};
 
 /// The behaviour of a user-defined operator.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum UdoKind {
     /// Processor: splits the string in `col` on whitespace, emitting one
     /// output row per token (all original columns + a `token` column).
@@ -115,7 +115,7 @@ impl UdoKind {
 /// in; both are part of the precise signature (paper Section 3: "we extended
 /// the precise signature to further include ... any user code, as well as any
 /// external libraries used for custom code").
-#[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Udo {
     /// The operator behaviour.
     pub kind: UdoKind,

@@ -28,7 +28,7 @@ use scope_plan::{shared_props, OpKind, Operator, PhysicalProps, QueryGraph};
 use crate::signature::{sign_graph, SignedGraph};
 
 /// One enumerated subgraph: the analyzer's unit of candidate selection.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubgraphInfo {
     /// Root node of the subgraph within its job's plan.
     pub root: NodeId,

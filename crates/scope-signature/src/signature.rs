@@ -7,7 +7,7 @@ use scope_plan::expr::HashMode;
 use scope_plan::QueryGraph;
 
 /// The two signatures of one plan node's subgraph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeSignatures {
     /// Exact identity (input GUIDs, parameter values, user-code versions).
     pub precise: Sig128,

@@ -687,9 +687,9 @@ fn windowed_follower_survives_producer_panic() {
             .collect()
     };
 
-    // Both drivers must survive: the inline single-worker path and the
-    // readiness-gated pool (a worker parks in next_ready while the
-    // producer runs — only the abort wakes it).
+    // One worker and two must both survive the readiness gate (a second
+    // worker parks in next_ready while the producer runs — only the abort
+    // wakes it).
     for workers in [1usize, 2] {
         let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
         seed_datasets(&cv);

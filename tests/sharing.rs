@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use cloudviews::{CloudViews, JobArrival, PipelineOptions, RunMode, SharingConfig, WindowOutcome};
 use scope_common::ids::{ClusterId, DatasetId, JobId, TemplateId, UserId, VcId};
-use scope_common::time::SimDuration;
+use scope_common::time::{SimDuration, SimTime};
 use scope_engine::data::Table;
 use scope_engine::job::JobSpec;
 use scope_engine::storage::StorageManager;
@@ -338,9 +338,12 @@ fn chain() -> Vec<JobSpec> {
 }
 
 /// The readiness gate alone orders every follower behind its producer,
-/// down a chain whose middle job both follows and produces: inline (one
-/// worker, submission order) and pooled (two workers through the gate)
-/// agree with Baseline and with each other.
+/// down a chain whose middle job both follows and produces: one worker
+/// (submission order) and two agree with Baseline and with each other.
+/// The middle job waits for A, so the view C it builds is published no
+/// earlier than its own execution start (the shared submission instant
+/// plus its lookup latency and its wait), although C's producing stage
+/// finishes sooner than the wait lasted.
 #[test]
 fn readiness_gate_orders_a_producer_chain() {
     let specs = chain();
@@ -365,6 +368,19 @@ fn readiness_gate_orders_a_producer_chain() {
                 .unwrap_or_else(|e| panic!("workers={workers}, job {i}: {e}"));
             assert_eq!(&r.output_checksums, want, "workers={workers}, job {i}");
         }
+        let middle = out.reports[1].as_ref().unwrap();
+        let [c] = middle.views_built[..] else {
+            panic!("workers={workers}: the middle job builds C alone");
+        };
+        let spans = cv.telemetry.tracer.spans_for_job(middle.job);
+        let execute = spans.iter().find(|s| s.name == "execute").unwrap();
+        let waited = execute.sim_start - (middle.started_at + middle.lookup_latency);
+        assert!(waited > SimDuration::ZERO, "workers={workers}: it waited");
+        let just_before = SimTime(execute.sim_start.0 - 1);
+        assert!(
+            cv.metadata.view_available_at(c, just_before).is_none(),
+            "workers={workers}: C is visible before its builder executes"
+        );
         let s = &out.sharing;
         assert_eq!(s.shared_subgraphs, 2, "workers={workers}");
         assert_eq!((s.published, s.aborted), (2, 0), "workers={workers}");
@@ -372,4 +388,49 @@ fn readiness_gate_orders_a_producer_chain() {
     }
     assert_eq!(reuses[0], reuses[1], "follower reuses by worker count");
     assert_eq!(reuses[0], 2, "both followers reuse");
+}
+
+/// The shared pair in two windows: the second window's entry already has
+/// its view (the first window built it), so it starts published — nothing
+/// aborts, the second pair reuses the view and matches Baseline.
+#[test]
+fn an_entry_whose_view_exists_starts_published() {
+    let specs = vec![
+        shared_job(1, "a"),
+        shared_job(2, "b"),
+        shared_job(3, "c"),
+        shared_job(4, "d"),
+    ];
+    let baseline = baseline_checksums(&specs);
+    let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
+    seed_shared_stream(&cv);
+    let arrivals = specs
+        .iter()
+        .cloned()
+        .zip([0u64, 0, 40, 40])
+        .map(|(spec, secs)| JobArrival {
+            spec,
+            offset: SimDuration::from_secs(secs),
+        })
+        .collect();
+    let out = cv.run_windowed(
+        arrivals,
+        RunMode::CloudViews,
+        options(2),
+        &SharingConfig::default(),
+    );
+    for ((i, r), want) in out.reports.iter().enumerate().zip(&baseline) {
+        let r = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
+        assert_eq!(&r.output_checksums, want, "job {i} output diverged");
+    }
+    let s = &out.sharing;
+    assert_eq!((s.windows, s.shared_subgraphs), (2, 2));
+    assert_eq!((s.published, s.aborted), (1, 0), "producer outcomes only");
+    assert_eq!((s.follower_reuses, s.follower_fallbacks), (2, 0));
+    let built = &out.reports[0].as_ref().unwrap().views_built;
+    for r in &out.reports[2..] {
+        let r = r.as_ref().unwrap();
+        assert!(r.views_built.is_empty(), "the second window builds nothing");
+        assert_eq!(&r.views_reused, built, "and reuses the first's view");
+    }
 }
