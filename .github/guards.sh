@@ -97,6 +97,21 @@ one_job_path() {
   done
 }
 
+# The analyzer states each selection rule once: select and explain read one
+# admission table, one JobCap ledger keeps the per-job cap, and the recovery
+# fingerprint is the aggregates' codec layout, never a sequence written by
+# hand.
+analyzer_rules_once() {
+  ! sed '/^#\[cfg(test)\]/,$d' crates/cloudviews/src/analyzer/selection.rs \
+    | grep -nwE 'take_with_job_cap|fits_cap|custom' \
+    || { echo "selection.rs states a rule twice"; return 1; }
+  ! sed '/^#\[cfg(test)\]/,$d' crates/cloudviews/src/admin.rs \
+    | grep -nwE 'min_frequency|min_cost_ratio|min_cpu|max_bytes|min_nodes|exclude_outputs' \
+    || { echo "admin.rs restates an admission check"; return 1; }
+  ! grep -nw put_seq crates/cloudviews/src/analyzer/incremental.rs \
+    || { echo "incremental.rs writes a layout by hand"; return 1; }
+}
+
 # Nothing serializes through serde: the workspace derives no serde trait
 # (the serde shim stays only as a locked dependency).
 no_serde_derive() {
@@ -116,6 +131,7 @@ for rule in \
   one_subgraph_record \
   one_sharing_decision_each \
   one_job_path \
+  analyzer_rules_once \
   no_serde_derive; do
   if ! "$rule"; then
     echo "guard broken: $rule" >&2

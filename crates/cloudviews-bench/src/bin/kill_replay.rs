@@ -137,7 +137,7 @@ fn main() {
             .expect("analyzer installed")
             .state()
             .fingerprint();
-        let records = cv.repo.records().len();
+        let records = cv.repo.len();
         let views = cv.metadata.num_views();
         let now = cv.clock.now();
         assert!(
@@ -163,7 +163,7 @@ fn main() {
             (
                 cv2.metadata.fingerprint(),
                 cv2.analyzer.as_ref().unwrap().state().fingerprint(),
-                cv2.repo.records().len(),
+                cv2.repo.len(),
             ),
             "iter {iter}: double recovery disagreed (non-deterministic replay)"
         );

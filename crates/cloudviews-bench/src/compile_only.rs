@@ -85,8 +85,7 @@ mod tests {
             assert!(!r.tags.is_empty());
         }
         // Overlap mining works on compile-only records.
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let groups = cloudviews::analyzer::mine_overlaps(&refs);
+        let groups = cloudviews::analyzer::mine_overlaps(&records);
         assert!(!groups.is_empty());
     }
 }

@@ -30,10 +30,6 @@ use scope_workload::tpcds::TpcdsWorkload;
 use crate::compile_only::cluster_records;
 use crate::prod32;
 
-fn refs(records: &[JobRecord]) -> Vec<&JobRecord> {
-    records.iter().collect()
-}
-
 /// Renders a CDF as `x<TAB>F(x)` lines over a log-spaced support.
 fn cdf_lines(label: &str, d: &Distribution, lo: f64, hi: f64, points: usize) -> String {
     let mut out = format!("# {label}: {}\n", d.summary());
@@ -62,7 +58,7 @@ pub fn fig1(seed: u64) -> Result<String> {
     let mut user_pcts = Vec::new();
     for (ci, cw) in workload.clusters.iter().enumerate() {
         let records = cluster_records(&workload, ci, 1)?;
-        let m = overlap_metrics(&refs(&records));
+        let m = overlap_metrics(&records);
         out.push_str(&format!("{}\n", overlap_summary(&cw.spec.name, &m)));
         all_jobs += m.jobs_total;
         all_overlapping += m.jobs_overlapping;
@@ -90,7 +86,7 @@ fn large_cluster_metrics(seed: u64, vcs: usize) -> Result<(Vec<JobRecord>, Strin
 /// (paper: some VCs at 0%, 54% of VCs above 50%, a few at 100%).
 pub fn fig2a(seed: u64, vcs: usize) -> Result<String> {
     let (records, label) = large_cluster_metrics(seed, vcs)?;
-    let m = overlap_metrics(&refs(&records));
+    let m = overlap_metrics(&records);
     let mut pcts: Vec<f64> = m.vc_overlap_pct().values().copied().collect();
     pcts.sort_by(|a, b| b.partial_cmp(a).unwrap());
     let mut out = format!("# Figure 2a — % overlapping jobs per VC ({label}), sorted\n");
@@ -153,7 +149,7 @@ pub fn fig2b(seed: u64, vcs: usize) -> Result<String> {
 pub fn fig3(seed: u64) -> Result<String> {
     let workload = RecurringWorkload::generate(WorkloadConfig::paper_business_unit(seed))?;
     let records = cluster_records(&workload, 0, 1)?;
-    let m = overlap_metrics(&refs(&records));
+    let m = overlap_metrics(&records);
     let per_job: Vec<f64> = m
         .per_job
         .values()
@@ -215,7 +211,7 @@ pub fn fig3(seed: u64) -> Result<String> {
 pub fn fig4a(seed: u64) -> Result<String> {
     let workload = RecurringWorkload::generate(WorkloadConfig::paper_business_unit(seed))?;
     let records = cluster_records(&workload, 0, 1)?;
-    let groups = mine_overlaps(&refs(&records));
+    let groups = mine_overlaps(&records);
     let mut out = String::from("# Figure 4a — operator-wise share of overlapping subgraphs (%)\n");
     for (kind, pct) in operator_breakdown(&groups) {
         out.push_str(&format!("{kind}\t{pct:.3}\n"));
@@ -228,7 +224,7 @@ pub fn fig4a(seed: u64) -> Result<String> {
 pub fn fig4bcd(seed: u64) -> Result<String> {
     let workload = RecurringWorkload::generate(WorkloadConfig::paper_business_unit(seed))?;
     let records = cluster_records(&workload, 0, 1)?;
-    let groups = mine_overlaps(&refs(&records));
+    let groups = mine_overlaps(&records);
     let freq_of = |kind: OpKind| -> Vec<f64> {
         groups
             .iter()
@@ -281,7 +277,7 @@ pub fn fig5(seed: u64, row_scale: f64) -> Result<String> {
     let jobs = workload.jobs_for_instance(0, 0)?;
     service.run_sequence(&jobs, RunMode::Baseline)?;
     let records = service.repo.records();
-    let groups = mine_overlaps(&refs(&records));
+    let groups = mine_overlaps(&records);
 
     let freq: Vec<f64> = groups.iter().map(|g| g.occurrences as f64).collect();
     let runtime: Vec<f64> = groups

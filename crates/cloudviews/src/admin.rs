@@ -15,12 +15,15 @@
 //!   selection verdict of any mined computation against the configured
 //!   constraints; [`trace_view`] follows a stored view back to its producer.
 
+use std::collections::HashMap;
+
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::time::SimDuration;
 use scope_common::Result;
 
-use crate::analyzer::{selection::SelectionConstraints, AnalyzerConfig, OverlapGroup};
+use crate::analyzer::selection::{SelectionConstraints, ADMISSION};
+use crate::analyzer::{mine_overlaps, AnalyzerConfig, OverlapGroup};
 use crate::runtime::CloudViews;
 
 /// Outcome of a storage-reclamation pass.
@@ -42,19 +45,14 @@ pub fn reclaim_storage(service: &CloudViews, bytes_needed: u64) -> Result<Reclai
     // Rank stored views by the utility of their mined overlap groups; views
     // with no surviving group stats rank lowest (nothing is known to want
     // them).
-    let records = service.repo.records();
-    let refs: Vec<_> = records.iter().collect();
-    let groups = crate::analyzer::mine_overlaps(&refs);
-    let utility_of = |normalized: Sig128| -> SimDuration {
-        groups
-            .iter()
-            .find(|g| g.normalized == normalized)
-            .map(|g| g.utility())
-            .unwrap_or(SimDuration::ZERO)
-    };
-
+    let utility: HashMap<Sig128, SimDuration> = service
+        .repo
+        .with_records(|records| mine_overlaps(records))
+        .iter()
+        .map(|g| (g.normalized, g.utility()))
+        .collect();
     let mut stored = service.storage.view_metas();
-    stored.sort_by_key(|m| utility_of(m.normalized));
+    stored.sort_by_key(|m| utility.get(&m.normalized).copied().unwrap_or_default());
 
     let mut to_remove: Vec<Sig128> = Vec::new();
     let mut reclaiming = 0u64;
@@ -135,61 +133,18 @@ pub fn explain_selection(
     group: &OverlapGroup,
     constraints: &SelectionConstraints,
 ) -> SelectionExplanation {
-    let mut steps = Vec::new();
-    let freq = group.per_instance_frequency();
-    steps.push(VerdictStep {
-        check: "min_frequency",
-        detail: format!("observed {freq}, required >= {}", constraints.min_frequency),
-        passed: freq >= constraints.min_frequency,
-    });
-    steps.push(VerdictStep {
-        check: "min_cost_ratio",
-        detail: format!(
-            "observed {:.3}, required >= {:.3}",
-            group.cost_ratio(),
-            constraints.min_cost_ratio
-        ),
-        passed: group.cost_ratio() >= constraints.min_cost_ratio,
-    });
-    steps.push(VerdictStep {
-        check: "min_cpu",
-        detail: format!(
-            "observed {}, required >= {}",
-            group.avg_cumulative_cpu, constraints.min_cpu
-        ),
-        passed: group.avg_cumulative_cpu >= constraints.min_cpu,
-    });
-    steps.push(VerdictStep {
-        check: "max_bytes",
-        detail: format!(
-            "observed {} B, allowed <= {} B",
-            group.avg_out_bytes, constraints.max_bytes
-        ),
-        passed: group.avg_out_bytes <= constraints.max_bytes,
-    });
-    steps.push(VerdictStep {
-        check: "min_nodes",
-        detail: format!(
-            "subgraph has {} nodes, required >= {}",
-            group.num_nodes, constraints.min_nodes
-        ),
-        passed: group.num_nodes >= constraints.min_nodes,
-    });
-    let output_ok = !(constraints.exclude_outputs
-        && matches!(
-            group.root_kind,
-            scope_plan::OpKind::Output | scope_plan::OpKind::Write
-        ));
-    steps.push(VerdictStep {
-        check: "exclude_outputs",
-        detail: format!("root operator is {}", group.root_kind),
-        passed: output_ok,
-    });
-    let admitted = steps.iter().all(|s| s.passed);
+    let steps: Vec<VerdictStep> = ADMISSION
+        .iter()
+        .map(|check| VerdictStep {
+            check: check.name,
+            detail: (check.detail)(group, constraints),
+            passed: (check.passes)(group, constraints),
+        })
+        .collect();
     SelectionExplanation {
         normalized: group.normalized,
+        admitted: steps.iter().all(|s| s.passed),
         steps,
-        admitted,
         utility: group.utility(),
     }
 }
@@ -215,13 +170,12 @@ pub struct ViewTrace {
 pub fn trace_view(service: &CloudViews, precise: Sig128) -> Option<ViewTrace> {
     let now = service.clock.now();
     let file = service.storage.view(precise, now)?;
-    let records = service.repo.records();
-    let refs: Vec<_> = records.iter().collect();
-    let groups = crate::analyzer::mine_overlaps(&refs);
-    let historical_jobs = groups
-        .iter()
+    let historical_jobs = service
+        .repo
+        .with_records(|records| mine_overlaps(records))
+        .into_iter()
         .find(|g| g.normalized == file.meta.normalized)
-        .map(|g| g.jobs.clone())
+        .map(|g| g.jobs)
         .unwrap_or_default();
     Some(ViewTrace {
         precise,
@@ -302,6 +256,8 @@ pub fn fault_dashboard(service: &CloudViews, reports: &[crate::runtime::JobRunRe
 pub fn telemetry_dashboard(service: &CloudViews) -> String {
     let t = &service.telemetry;
     let snap = t.metrics.snapshot();
+    // A histogram's mean in milliseconds (0 when nothing was observed).
+    let mean_ms = |name: &str| snap.histogram(name).map(|h| h.mean() / 1e3).unwrap_or(0.0);
     let mut out = format!(
         "jobs: total={} reuse_hit={} build={} baseline_fallback={} failed={} restarts={}\n",
         snap.counter("cv_jobs_total"),
@@ -311,28 +267,23 @@ pub fn telemetry_dashboard(service: &CloudViews) -> String {
         snap.counter("cv_jobs_failed_total"),
         snap.counter("cv_jobs_restarts_total"),
     );
-    let lookup_ms = snap
-        .histogram("cv_metadata_lookup_sim_micros")
-        .map(|h| h.mean() / 1e3)
-        .unwrap_or(0.0);
     out.push_str(&format!(
         "metadata: lookups={} misses={} mean_lookup={:.1}ms \
          locks_granted={} conflicts={} active_locks={} purged_annotations={}\n",
         snap.counter("cv_metadata_lookups_total"),
         snap.counter("cv_metadata_lookup_misses_total"),
-        lookup_ms,
+        mean_ms("cv_metadata_lookup_sim_micros"),
         snap.counter("cv_metadata_locks_granted_total"),
         snap.counter("cv_metadata_lock_conflicts_total"),
         snap.gauge("cv_metadata_build_locks"),
         snap.counter("cv_metadata_purged_annotations_total"),
     ));
-    let tier_ms = |name: &str| snap.histogram(name).map(|h| h.mean() / 1e3).unwrap_or(0.0);
     out.push_str(&format!(
         "cascade: tier2_hits={} tier2_rejects={} mean_tier1={:.1}ms mean_tier2={:.1}ms\n",
         snap.counter("cv_metadata_tier2_hits_total"),
         snap.counter("cv_metadata_tier2_rejects_total"),
-        tier_ms("cv_metadata_lookup_tier1_sim_micros"),
-        tier_ms("cv_metadata_lookup_tier2_sim_micros"),
+        mean_ms("cv_metadata_lookup_tier1_sim_micros"),
+        mean_ms("cv_metadata_lookup_tier2_sim_micros"),
     ));
     out.push_str(&format!(
         "storage: published={} written={}B read={}B checksum_failures={} \
@@ -348,7 +299,6 @@ pub fn telemetry_dashboard(service: &CloudViews) -> String {
     // against this telemetry sink; skip the section for in-process-only
     // deployments rather than printing a row of zeros.
     if snap.counter("cv_net_connections_total") > 0 || snap.counter("cv_net_frames_total") > 0 {
-        let wall_ms = |name: &str| snap.histogram(name).map(|h| h.mean() / 1e3).unwrap_or(0.0);
         out.push_str(&format!(
             "net: connections={} disconnects={} frames={} \
              (lookup={} propose={} report={} purge={} stats={})\n",
@@ -375,9 +325,9 @@ pub fn telemetry_dashboard(service: &CloudViews) -> String {
              mean_report={:.1}ms\n",
             snap.counter("cv_net_bytes_read_total"),
             snap.counter("cv_net_bytes_written_total"),
-            wall_ms("cv_net_lookup_wall_micros"),
-            wall_ms("cv_net_propose_wall_micros"),
-            wall_ms("cv_net_report_wall_micros"),
+            mean_ms("cv_net_lookup_wall_micros"),
+            mean_ms("cv_net_propose_wall_micros"),
+            mean_ms("cv_net_report_wall_micros"),
         ));
     }
     // The sharing series only exists once run_windowed has coordinated at
@@ -393,15 +343,11 @@ pub fn telemetry_dashboard(service: &CloudViews) -> String {
             snap.counter("cv_sharing_producer_publishes_total"),
             snap.counter("cv_sharing_producer_aborts_total"),
         ));
-        let wait_ms = snap
-            .histogram("cv_sharing_wait_sim_micros")
-            .map(|h| h.mean() / 1e3)
-            .unwrap_or(0.0);
         out.push_str(&format!(
             "sharing followers: reuses={} fallbacks={} mean_wait={:.1}ms\n",
             snap.counter("cv_sharing_follower_reuses_total"),
             snap.counter("cv_sharing_follower_fallbacks_total"),
-            wait_ms,
+            mean_ms("cv_sharing_wait_sim_micros"),
         ));
     }
     out.push_str(&format!(
@@ -512,9 +458,7 @@ mod tests {
     #[test]
     fn reclaim_evicts_least_useful_first() {
         let (cv, _) = running_service();
-        let records = cv.repo.records();
-        let refs: Vec<_> = records.iter().collect();
-        let groups = crate::analyzer::mine_overlaps(&refs);
+        let groups = cv.repo.with_records(|records| mine_overlaps(records));
         // Reclaim a single byte: exactly one (least useful) view goes.
         let report = reclaim_storage(&cv, 1).unwrap();
         assert_eq!(report.views_removed, 1);
@@ -563,6 +507,51 @@ mod tests {
         };
         let explanation = explain_selection(&groups[0], &lax);
         assert!(explanation.render().contains("ok"));
+    }
+
+    #[test]
+    fn explain_admits_exactly_what_select_admits() {
+        use crate::analyzer::selection::select_budgeted;
+        use std::collections::HashSet;
+
+        let (cv, _) = running_service();
+        let groups = cv.repo.with_records(|records| mine_overlaps(records));
+        // Admits two of the mined groups and rejects the others on
+        // frequency, cost ratio, CPU or size.
+        let strict = SelectionConstraints {
+            min_frequency: 3,
+            min_cost_ratio: 0.005,
+            min_cpu: SimDuration::from_millis(1),
+            max_bytes: 48_000,
+            min_nodes: 3,
+            ..Default::default()
+        };
+        let presets = [
+            SelectionConstraints::default(),
+            SelectionConstraints {
+                per_job_cap: None,
+                ..SelectionConstraints::paper_production()
+            },
+            strict,
+        ];
+        let (mut admitted, mut rejected) = (0, 0);
+        for c in &presets {
+            let all = SelectionPolicy::TopKUtility { k: usize::MAX };
+            let selected: HashSet<Sig128> = select_budgeted(&groups, &all, c)
+                .iter()
+                .map(|g| g.normalized)
+                .collect();
+            for g in &groups {
+                let explained = explain_selection(g, c).admitted;
+                assert_eq!(explained, selected.contains(&g.normalized), "{c:?}");
+                if explained {
+                    admitted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(admitted > 0 && rejected > 0, "{admitted} / {rejected}");
     }
 
     #[test]

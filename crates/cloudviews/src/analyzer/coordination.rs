@@ -24,7 +24,7 @@ use super::overlap::OverlapGroup;
 /// record instead of the records themselves. Duplicate job ids resolve
 /// last-wins, matching record iteration order.
 pub fn order_hints_from_jobs(
-    selected: &[OverlapGroup],
+    selected: &[&OverlapGroup],
     jobs: impl IntoIterator<Item = (JobId, TemplateId, SimDuration)>,
 ) -> Vec<TemplateId> {
     let mut latency: HashMap<JobId, SimDuration> = HashMap::new();
@@ -41,35 +41,25 @@ pub fn order_hints_from_jobs(
             *overlaps_per_job.entry(*j).or_default() += 1;
         }
     }
+    // The builder order: shortest first, then least overlapping, then id
+    // for determinism.
+    let key = |j: &JobId| {
+        let lat = latency.get(j).copied().unwrap_or(SimDuration::ZERO);
+        (lat, overlaps_per_job[j], *j)
+    };
 
-    // Group jobs by overlap count; pick the shortest (tie: least
-    // overlapping, then id for determinism) from each group.
+    // Group jobs by overlap count and pick the first builder of each group.
     let mut by_count: HashMap<usize, Vec<JobId>> = HashMap::new();
     for (job, count) in &overlaps_per_job {
         by_count.entry(*count).or_default().push(*job);
     }
-    let mut builders: Vec<JobId> = Vec::new();
-    for jobs in by_count.values() {
-        let best = jobs.iter().copied().min_by(|a, b| {
-            let la = latency.get(a).copied().unwrap_or(SimDuration::ZERO);
-            let lb = latency.get(b).copied().unwrap_or(SimDuration::ZERO);
-            la.cmp(&lb)
-                .then_with(|| overlaps_per_job[a].cmp(&overlaps_per_job[b]))
-                .then_with(|| a.cmp(b))
-        });
-        if let Some(j) = best {
-            builders.push(j);
-        }
-    }
+    let mut builders: Vec<JobId> = by_count
+        .values()
+        .filter_map(|jobs| jobs.iter().copied().min_by_key(key))
+        .collect();
 
-    // Dedup and order by runtime, ties by overlap count.
-    builders.sort_by(|a, b| {
-        let la = latency.get(a).copied().unwrap_or(SimDuration::ZERO);
-        let lb = latency.get(b).copied().unwrap_or(SimDuration::ZERO);
-        la.cmp(&lb)
-            .then_with(|| overlaps_per_job[a].cmp(&overlaps_per_job[b]))
-            .then_with(|| a.cmp(b))
-    });
+    // Dedup and order the builders by the same key.
+    builders.sort_by_key(key);
     builders.dedup();
 
     let mut templates: Vec<TemplateId> = Vec::new();
@@ -143,7 +133,7 @@ mod tests {
         // Jobs 1 (slow) and 2 (fast) share one overlap; the fast one should
         // be hinted to build.
         let jobs = [job(1, 10, 100), job(2, 20, 5)];
-        let hints = order_hints_from_jobs(&[grp("v", &[1, 2])], jobs);
+        let hints = order_hints_from_jobs(&[&grp("v", &[1, 2])], jobs);
         assert_eq!(hints, vec![TemplateId::new(20)]);
     }
 
@@ -152,7 +142,7 @@ mod tests {
         // Group with 1 overlap: jobs 1,2 (fastest 2). Group with 2
         // overlaps: job 3 alone (in both groups).
         let jobs = [job(1, 10, 50), job(2, 20, 5), job(3, 30, 20)];
-        let hints = order_hints_from_jobs(&[grp("a", &[1, 2, 3]), grp("b", &[3])], jobs);
+        let hints = order_hints_from_jobs(&[&grp("a", &[1, 2, 3]), &grp("b", &[3])], jobs);
         // Job 2 (1 overlap, 5s) and job 3 (2 overlaps, 20s): runtime order.
         assert_eq!(hints, vec![TemplateId::new(20), TemplateId::new(30)]);
     }

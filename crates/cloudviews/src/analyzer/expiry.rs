@@ -22,23 +22,23 @@ use scope_common::time::{SimDuration, SimTime};
 const SAFETY_FACTOR: f64 = 2.0;
 
 /// Input-tag lineage: who consumes each input, and how often they recur.
-#[derive(Debug, Default)]
-pub struct LineageTracker {
+#[derive(Debug)]
+pub struct LineageTracker<'a> {
     /// Per-template observed recurrence period.
     template_period: HashMap<TemplateId, SimDuration>,
-    /// Input tag → consuming templates.
-    consumers: HashMap<Symbol, Vec<TemplateId>>,
+    /// Input tag → consuming templates, borrowed from the analyzer state.
+    consumers: &'a HashMap<Symbol, Vec<TemplateId>>,
 }
 
-impl LineageTracker {
+impl<'a> LineageTracker<'a> {
     /// Builds lineage from already-maintained observations: per-template
     /// instance→submission maps plus the tag→consumers index. This is what
     /// the incremental analyzer accumulates at ingest, so no record replay
     /// is needed at selection time.
     pub fn from_observations(
         times: &HashMap<TemplateId, BTreeMap<u64, SimTime>>,
-        consumers: HashMap<Symbol, Vec<TemplateId>>,
-    ) -> LineageTracker {
+        consumers: &'a HashMap<Symbol, Vec<TemplateId>>,
+    ) -> LineageTracker<'a> {
         let mut template_period = HashMap::new();
         for (template, observed) in times {
             // Max gap between consecutive instances, normalized by the
@@ -99,7 +99,7 @@ mod tests {
 
     /// Lineage over `(template, instance, submitted-at seconds, tags)`
     /// observations.
-    fn lineage(observed: &[(u64, u64, u64, &[&str])]) -> LineageTracker {
+    fn lineage(observed: &[(u64, u64, u64, &[&str])]) -> LineageTracker<'static> {
         let mut times: HashMap<TemplateId, BTreeMap<u64, SimTime>> = HashMap::new();
         let mut consumers: HashMap<Symbol, Vec<TemplateId>> = HashMap::new();
         for &(template, instance, at_secs, tags) in observed {
@@ -115,7 +115,9 @@ mod tests {
                     .push(template);
             }
         }
-        LineageTracker::from_observations(&times, consumers)
+        // The tracker borrows its consumer index; a test's lives as long
+        // as the process.
+        LineageTracker::from_observations(&times, Box::leak(Box::new(consumers)))
     }
 
     const HOUR: u64 = 3_600;

@@ -37,6 +37,7 @@
 //! the stream is partitioned into ingest calls — property-tested in
 //! `tests/analyzer_incremental.rs`.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +58,7 @@ use super::{
     coordination, expiry, physical, selection, AnalysisOutcome, AnalysisPhaseTimes, AnalyzerConfig,
     SelectedView,
 };
-use crate::codec::{Codec, Enc};
+use crate::codec::Codec;
 use crate::codec_record;
 
 /// Per-precise-signature accumulator: a count plus the buffered first
@@ -140,12 +141,6 @@ struct JobMeta {
     cpu_time: SimDuration,
 }
 
-// Fingerprint layouts (never decoded, but stated once like every other).
-codec_record! {
-    PreciseAcc { count, first }
-    JobMeta { job, user, vc, template, latency, cpu_time }
-}
-
 /// Everything behind the state's one lock.
 #[derive(Default)]
 struct Aggregates {
@@ -161,6 +156,22 @@ struct Aggregates {
     consumers: HashMap<Symbol, Vec<TemplateId>>,
     precise: HashMap<Sig128, PreciseAcc>,
     norm: HashMap<Sig128, NormAcc>,
+}
+
+// The fingerprint's layout (never decoded, but stated once like every
+// other): a field missing from a list does not compile.
+codec_record! {
+    PreciseAcc { count, first }
+    PropsVote { count, first_seq }
+    NormAcc {
+        first_seq, last_seq, sample_precise, root_kind, num_nodes, has_user_code, input_tags,
+        occurrences, instances, jobs, users, vcs, templates, cum_cpu_sum, rows_sum, bytes_sum,
+        job_cpu_sum, props_votes,
+    }
+    JobMeta { job, user, vc, template, latency, cpu_time }
+    Aggregates {
+        metas, rec_overlaps, occurrences_total, skipped, template_times, consumers, precise, norm
+    }
 }
 
 /// What one [`AnalyzerState::ingest`] call did.
@@ -228,93 +239,17 @@ impl AnalyzerState {
         self.agg.lock().norm.len()
     }
 
-    /// 128-bit digest of the mining aggregates, canonical (maps globally
-    /// sorted, symbols hashed by string so interning order is irrelevant,
-    /// property votes sorted by encoded design). Two states with the same
-    /// fingerprint select identical views under the same config; the
-    /// recovery CI gate asserts that re-folding the recovered repository
-    /// reproduces the pre-crash analyzer exactly. Because ingest is a
-    /// deterministic fold over the record stream (bit-identical however
-    /// the stream is partitioned — see the module docs), recovery does not
-    /// snapshot aggregates at all: it replays the recovered records from
-    /// sequence 0.
+    /// 128-bit digest of the mining aggregates: the sip128 of their codec
+    /// layout (hash maps and sets sorted by encoding, so neither iteration
+    /// nor interning order moves it). Two states with the same fingerprint
+    /// select identical views under the same config; the recovery CI gate
+    /// asserts that re-folding the recovered repository reproduces the
+    /// pre-crash analyzer exactly. Because ingest is a deterministic fold over
+    /// the record stream (bit-identical however the stream is partitioned —
+    /// see the module docs), recovery does not snapshot aggregates at all: it
+    /// replays the recovered records from sequence 0.
     pub fn fingerprint(&self) -> Sig128 {
-        fn sorted(raws: impl Iterator<Item = u64>) -> Vec<u64> {
-            let mut v: Vec<u64> = raws.collect();
-            v.sort_unstable();
-            v
-        }
-
-        let agg = self.agg.lock();
-        let mut e = Enc::new();
-        agg.metas.put(&mut e);
-        agg.occurrences_total.put(&mut e);
-        agg.skipped.put(&mut e);
-        let mut templates: Vec<_> = agg.template_times.iter().collect();
-        templates.sort_by_key(|(t, _)| t.raw());
-        e.put_seq(templates.len());
-        for (t, times) in templates {
-            t.put(&mut e);
-            times.put(&mut e);
-        }
-        let mut consumers: Vec<_> = agg.consumers.iter().collect();
-        consumers.sort_by_key(|(s, _)| s.as_str());
-        e.put_seq(consumers.len());
-        for (tag, templates) in consumers {
-            tag.put(&mut e);
-            templates.put(&mut e);
-        }
-        let mut precise: Vec<_> = agg.precise.iter().collect();
-        precise.sort_by_key(|(sig, _)| **sig);
-        e.put_seq(precise.len());
-        for (sig, acc) in precise {
-            sig.put(&mut e);
-            acc.put(&mut e);
-        }
-
-        let mut norms: Vec<_> = agg.norm.iter().collect();
-        norms.sort_by_key(|(sig, _)| **sig);
-        e.put_seq(norms.len());
-        for (sig, acc) in norms {
-            sig.put(&mut e);
-            acc.first_seq.put(&mut e);
-            acc.last_seq.put(&mut e);
-            acc.sample_precise.put(&mut e);
-            acc.root_kind.put(&mut e);
-            acc.num_nodes.put(&mut e);
-            acc.has_user_code.put(&mut e);
-            acc.input_tags.put(&mut e);
-            acc.occurrences.put(&mut e);
-            acc.instances.put(&mut e);
-            sorted(acc.jobs.iter().map(|x| x.raw())).put(&mut e);
-            sorted(acc.users.iter().map(|x| x.raw())).put(&mut e);
-            sorted(acc.vcs.iter().map(|x| x.raw())).put(&mut e);
-            sorted(acc.templates.iter().map(|x| x.raw())).put(&mut e);
-            for sum in [
-                acc.cum_cpu_sum,
-                acc.rows_sum,
-                acc.bytes_sum,
-                acc.job_cpu_sum,
-            ] {
-                ((sum >> 64) as u64).put(&mut e);
-                (sum as u64).put(&mut e);
-            }
-            // Designs sort by their encoding, so vote order is canonical.
-            let mut votes: Vec<(Vec<u8>, usize, u64)> = acc
-                .props_votes
-                .iter()
-                .map(|(props, vote)| (props.to_bytes(), vote.count, vote.first_seq))
-                .collect();
-            votes.sort();
-            e.put_seq(votes.len());
-            for (props_bytes, count, first_seq) in votes {
-                props_bytes.put(&mut e);
-                count.put(&mut e);
-                first_seq.put(&mut e);
-            }
-        }
-        agg.rec_overlaps.put(&mut e);
-        scope_common::hash::sip128(&e.buf)
+        scope_common::hash::sip128(&self.agg.lock().to_bytes())
     }
 
     fn admits(&self, r: &JobRecord) -> bool {
@@ -330,14 +265,19 @@ impl AnalyzerState {
     }
 
     /// Folds a delta of new records into the state. Only the delta is
-    /// touched; history lives entirely in the aggregates.
-    pub fn ingest<'a>(&self, records: impl IntoIterator<Item = &'a JobRecord>) -> IngestReport {
+    /// touched; history lives entirely in the aggregates. Records are read
+    /// where they lie: a slice, a filtered iterator, or references.
+    pub fn ingest<'a, R: Borrow<JobRecord> + 'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a R>,
+    ) -> IngestReport {
         let mut guard = self.agg.lock();
         let agg = &mut *guard;
         let t_admit = std::time::Instant::now();
         let mut work: Vec<RecordCtx<'a>> = Vec::new();
         let mut skipped = 0usize;
         for r in records {
+            let r: &JobRecord = r.borrow();
             if !self.admits(r) {
                 agg.skipped += 1;
                 skipped += 1;
@@ -421,7 +361,7 @@ impl AnalyzerState {
         let groups = agg.groups();
         let metrics = agg.metrics();
         let lineage =
-            expiry::LineageTracker::from_observations(&agg.template_times, agg.consumers.clone());
+            expiry::LineageTracker::from_observations(&agg.template_times, &agg.consumers);
         phase_times.mining = phase.elapsed();
 
         let phase = std::time::Instant::now();
@@ -539,6 +479,11 @@ impl Aggregates {
     }
 
     fn groups(&self) -> Vec<OverlapGroup> {
+        fn sorted<T: Ord + Copy>(set: &HashSet<T>) -> Vec<T> {
+            let mut v: Vec<T> = set.iter().copied().collect();
+            v.sort_unstable();
+            v
+        }
         let mut groups: Vec<OverlapGroup> = Vec::new();
         for (&normalized, acc) in &self.norm {
             let n = acc.occurrences.max(1) as u128;
@@ -549,23 +494,15 @@ impl Aggregates {
                 .collect();
             props_votes
                 .sort_by_key(|(_, count, first_seq)| (std::cmp::Reverse(*count), *first_seq));
-            let mut jobs: Vec<JobId> = acc.jobs.iter().copied().collect();
-            jobs.sort_unstable();
-            let mut users: Vec<UserId> = acc.users.iter().copied().collect();
-            users.sort_unstable();
-            let mut vcs: Vec<VcId> = acc.vcs.iter().copied().collect();
-            vcs.sort_unstable();
-            let mut templates: Vec<TemplateId> = acc.templates.iter().copied().collect();
-            templates.sort_unstable();
             groups.push(OverlapGroup {
                 normalized,
                 sample_precise: acc.sample_precise,
                 occurrences: acc.occurrences,
                 instances: acc.instances,
-                jobs,
-                users,
-                vcs,
-                templates,
+                jobs: sorted(&acc.jobs),
+                users: sorted(&acc.users),
+                vcs: sorted(&acc.vcs),
+                templates: sorted(&acc.templates),
                 root_kind: acc.root_kind,
                 num_nodes: acc.num_nodes,
                 has_user_code: acc.has_user_code,

@@ -64,8 +64,8 @@ pub struct AnalyzerConfig {
     pub exclude_vcs: Vec<VcId>,
     /// Selection policy.
     pub policy: SelectionPolicy,
-    /// Selection constraints (frequency, cost-ratio, per-job caps, custom
-    /// filters).
+    /// Selection constraints (frequency, cost ratio, CPU, bytes, size,
+    /// outputs, per-job cap).
     pub constraints: SelectionConstraints,
     /// TTL used when lineage gives no answer.
     pub default_ttl: SimDuration,

@@ -8,6 +8,7 @@
 //! dashboards need is aggregated here from the repository's reconciled
 //! runtime statistics — never from optimizer estimates.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -96,10 +97,13 @@ impl OverlapGroup {
 /// One-shot wrapper over [`AnalyzerState`](super::AnalyzerState): a fresh
 /// state folds the records and materializes the groups. The
 /// incremental fold is the single mining implementation — batch and
-/// round-based callers see identical aggregates by construction.
-pub fn mine_overlaps(records: &[&JobRecord]) -> Vec<OverlapGroup> {
+/// round-based callers see identical aggregates by construction. Records
+/// are read where they lie: a slice, a filtered iterator, or references.
+pub fn mine_overlaps<'a, R: Borrow<JobRecord> + 'a>(
+    records: impl IntoIterator<Item = &'a R>,
+) -> Vec<OverlapGroup> {
     let state = super::AnalyzerState::new(super::AnalyzerConfig::default());
-    state.ingest(records.iter().copied());
+    state.ingest(records);
     state.groups()
 }
 
@@ -171,9 +175,11 @@ impl OverlapMetrics {
 ///
 /// Like [`mine_overlaps`], a one-shot wrapper over the incremental
 /// [`AnalyzerState`](super::AnalyzerState).
-pub fn overlap_metrics(records: &[&JobRecord]) -> OverlapMetrics {
+pub fn overlap_metrics<'a, R: Borrow<JobRecord> + 'a>(
+    records: impl IntoIterator<Item = &'a R>,
+) -> OverlapMetrics {
     let state = super::AnalyzerState::new(super::AnalyzerConfig::default());
-    state.ingest(records.iter().copied());
+    state.ingest(records);
     state.metrics()
 }
 
@@ -184,11 +190,9 @@ mod tests {
 
     fn mined() -> (Vec<OverlapGroup>, OverlapMetrics, usize) {
         let (repo, ..) = baseline_run(2, 3);
-        let records = repo.records();
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let groups = mine_overlaps(&refs);
-        let metrics = overlap_metrics(&refs);
-        (groups, metrics, records.len())
+        let (groups, metrics) =
+            repo.with_records(|records| (mine_overlaps(records), overlap_metrics(records)));
+        (groups, metrics, repo.len())
     }
 
     #[test]
@@ -259,9 +263,9 @@ mod tests {
 
     #[test]
     fn empty_records_yield_empty() {
-        let groups = mine_overlaps(&[]);
-        assert!(groups.is_empty());
-        let m = overlap_metrics(&[]);
+        let none: &[JobRecord] = &[];
+        assert!(mine_overlaps(none).is_empty());
+        let m = overlap_metrics(none);
         assert_eq!(m.jobs_total, 0);
         assert_eq!(m.pct_jobs_overlapping(), 0.0);
     }

@@ -3,15 +3,20 @@
 //! Two families of approaches, both over the mined [`OverlapGroup`]s:
 //!
 //! 1. **top-k heuristics** — rank by total utility or utility normalized by
-//!    storage cost, optionally limiting to one subgraph per job; custom
-//!    filters can be plugged in through [`SelectionConstraints::custom`];
+//!    storage cost, optionally limiting to one subgraph per job;
 //! 2. **packing** — pick the best set under a storage budget (the
 //!    companion "subexpression packing" work \[24\]): greedy by density plus
 //!    a swap-based local-search improvement pass.
+//!
+//! Each rule is stated once: the pre-selection checks are the rows of
+//! `ADMISSION`, which `admin::explain_selection` prints as its verdict, and
+//! the per-job cap is one `JobCap` ledger in every pass.
 
 use scope_common::ids::JobId;
 use scope_common::time::SimDuration;
-use std::collections::HashSet;
+use scope_plan::OpKind;
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 use super::overlap::OverlapGroup;
 
@@ -35,10 +40,9 @@ pub enum SelectionPolicy {
     },
 }
 
-/// Pre-selection filters — the knobs of the admin CLI (Section 5.5:
-/// "users can provide custom constraints, e.g. storage costs, latency,
-/// CPU hours, or frequency").
-#[derive(Clone)]
+/// Pre-selection filters — the knobs of the admin CLI (Section 5.5 lets
+/// users constrain "storage costs, latency, CPU hours, or frequency").
+#[derive(Clone, Debug)]
 pub struct SelectionConstraints {
     /// Minimum per-instance occurrence count (the paper's production
     /// experiment used "appearing at least thrice").
@@ -58,8 +62,6 @@ pub struct SelectionConstraints {
     pub per_job_cap: Option<usize>,
     /// Skip subgraphs rooted at terminal outputs.
     pub exclude_outputs: bool,
-    /// Extra user-supplied predicate.
-    pub custom: Option<fn(&OverlapGroup) -> bool>,
 }
 
 impl Default for SelectionConstraints {
@@ -72,23 +74,7 @@ impl Default for SelectionConstraints {
             min_nodes: 2,
             per_job_cap: None,
             exclude_outputs: true,
-            custom: None,
         }
-    }
-}
-
-impl std::fmt::Debug for SelectionConstraints {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SelectionConstraints")
-            .field("min_frequency", &self.min_frequency)
-            .field("min_cost_ratio", &self.min_cost_ratio)
-            .field("min_cpu", &self.min_cpu)
-            .field("max_bytes", &self.max_bytes)
-            .field("min_nodes", &self.min_nodes)
-            .field("per_job_cap", &self.per_job_cap)
-            .field("exclude_outputs", &self.exclude_outputs)
-            .field("custom", &self.custom.map(|_| "fn"))
-            .finish()
     }
 }
 
@@ -105,84 +91,134 @@ impl SelectionConstraints {
     }
 
     fn admits(&self, g: &OverlapGroup) -> bool {
-        g.per_instance_frequency() >= self.min_frequency
-            && g.cost_ratio() >= self.min_cost_ratio
-            && g.avg_cumulative_cpu >= self.min_cpu
-            && g.avg_out_bytes <= self.max_bytes
-            && g.num_nodes >= self.min_nodes
-            && !(self.exclude_outputs
-                && matches!(
-                    g.root_kind,
-                    scope_plan::OpKind::Output | scope_plan::OpKind::Write
-                ))
-            && self.custom.map(|f| f(g)).unwrap_or(true)
+        ADMISSION.iter().all(|check| (check.passes)(g, self))
+    }
+}
+
+/// One pre-selection check: the constraint it reads, whether a group
+/// passes it, and the observed-vs-required line the drill-down prints.
+pub(crate) struct AdmissionCheck {
+    pub(crate) name: &'static str,
+    pub(crate) passes: fn(&OverlapGroup, &SelectionConstraints) -> bool,
+    pub(crate) detail: fn(&OverlapGroup, &SelectionConstraints) -> String,
+}
+
+/// Every check a group must pass to become a candidate, in report order.
+pub(crate) const ADMISSION: [AdmissionCheck; 6] = [
+    AdmissionCheck {
+        name: "min_frequency",
+        passes: |g, c| g.per_instance_frequency() >= c.min_frequency,
+        detail: |g, c| {
+            let freq = g.per_instance_frequency();
+            format!("observed {freq}, required >= {}", c.min_frequency)
+        },
+    },
+    AdmissionCheck {
+        name: "min_cost_ratio",
+        passes: |g, c| g.cost_ratio() >= c.min_cost_ratio,
+        detail: |g, c| {
+            let ratio = g.cost_ratio();
+            format!("observed {ratio:.3}, required >= {:.3}", c.min_cost_ratio)
+        },
+    },
+    AdmissionCheck {
+        name: "min_cpu",
+        passes: |g, c| g.avg_cumulative_cpu >= c.min_cpu,
+        detail: |g, c| {
+            format!(
+                "observed {}, required >= {}",
+                g.avg_cumulative_cpu, c.min_cpu
+            )
+        },
+    },
+    AdmissionCheck {
+        name: "max_bytes",
+        passes: |g, c| g.avg_out_bytes <= c.max_bytes,
+        detail: |g, c| {
+            format!(
+                "observed {} B, allowed <= {} B",
+                g.avg_out_bytes, c.max_bytes
+            )
+        },
+    },
+    AdmissionCheck {
+        name: "min_nodes",
+        passes: |g, c| g.num_nodes >= c.min_nodes,
+        detail: |g, c| {
+            let nodes = g.num_nodes;
+            format!("subgraph has {nodes} nodes, required >= {}", c.min_nodes)
+        },
+    },
+    AdmissionCheck {
+        name: "exclude_outputs",
+        passes: |g, c| !c.exclude_outputs || !matches!(g.root_kind, OpKind::Output | OpKind::Write),
+        detail: |g, _| format!("root operator is {}", g.root_kind),
+    },
+];
+
+/// The per-job cap: how many chosen views contain each job. A group fits
+/// while none of its jobs is at the cap (always, when there is none).
+struct JobCap {
+    cap: Option<usize>,
+    used: HashMap<JobId, usize>,
+}
+
+impl JobCap {
+    fn fits(&self, g: &OverlapGroup) -> bool {
+        let used = |j: &JobId| self.used.get(j).copied().unwrap_or(0);
+        self.cap
+            .is_none_or(|cap| g.jobs.iter().all(|j| used(j) < cap))
+    }
+
+    /// Takes one slot of each of `g`'s jobs if `g` fits; says whether it did.
+    fn take(&mut self, g: &OverlapGroup) -> bool {
+        if !self.fits(g) {
+            return false;
+        }
+        for j in &g.jobs {
+            *self.used.entry(*j).or_default() += 1;
+        }
+        true
+    }
+
+    /// Gives back the slots of a group taken earlier.
+    fn release(&mut self, g: &OverlapGroup) {
+        for j in &g.jobs {
+            *self.used.get_mut(j).expect("released groups were taken") -= 1;
+        }
     }
 }
 
 /// Runs the selection policy over mined groups, returning the chosen groups
-/// (cloned) ranked by the policy's objective. `Packing` is the one policy
-/// with a storage budget.
-pub fn select_budgeted(
-    groups: &[OverlapGroup],
+/// ranked by the policy's objective. `Packing` is the one policy with a
+/// storage budget.
+pub fn select_budgeted<'a>(
+    groups: &'a [OverlapGroup],
     policy: &SelectionPolicy,
     constraints: &SelectionConstraints,
-) -> Vec<OverlapGroup> {
-    let mut candidates: Vec<&OverlapGroup> =
-        groups.iter().filter(|g| constraints.admits(g)).collect();
-
-    let picked: Vec<&OverlapGroup> = match policy {
-        SelectionPolicy::TopKUtility { k } => {
-            candidates.sort_by_key(|g| std::cmp::Reverse(g.utility()));
-            take_with_job_cap(&candidates, *k, constraints.per_job_cap)
-        }
-        SelectionPolicy::TopKUtilityPerByte { k } => {
-            candidates.sort_by(|a, b| {
-                b.utility_per_byte()
-                    .partial_cmp(&a.utility_per_byte())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            take_with_job_cap(&candidates, *k, constraints.per_job_cap)
-        }
+) -> Vec<&'a OverlapGroup> {
+    let mut ranked: Vec<&OverlapGroup> = groups.iter().filter(|g| constraints.admits(g)).collect();
+    // Top-k by utility ranks by utility; the other two rank by density.
+    if let SelectionPolicy::TopKUtility { .. } = policy {
+        ranked.sort_by_key(|g| Reverse(g.utility()));
+    } else {
+        ranked.sort_by(|a, b| b.utility_per_byte().total_cmp(&a.utility_per_byte()));
+    }
+    let mut cap = JobCap {
+        cap: constraints.per_job_cap,
+        used: HashMap::new(),
+    };
+    match policy {
+        // `take(k)` stops pulling at the k-th pick: no slot is taken past it.
+        SelectionPolicy::TopKUtility { k } | SelectionPolicy::TopKUtilityPerByte { k } => ranked
+            .into_iter()
+            .filter(|g| cap.take(g))
+            .take(*k)
+            .collect(),
         SelectionPolicy::Packing {
             storage_budget_bytes,
-        } => {
-            candidates.sort_by(|a, b| {
-                b.utility_per_byte()
-                    .partial_cmp(&a.utility_per_byte())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            pack_ranked(&candidates, *storage_budget_bytes, constraints.per_job_cap)
-        }
-    };
-    picked.into_iter().cloned().collect()
-}
-
-/// Greedy take honoring an optional per-job cap.
-fn take_with_job_cap<'a>(
-    ranked: &[&'a OverlapGroup],
-    k: usize,
-    cap: Option<usize>,
-) -> Vec<&'a OverlapGroup> {
-    let mut out = Vec::new();
-    let mut job_use: std::collections::HashMap<JobId, usize> = std::collections::HashMap::new();
-    for g in ranked {
-        if out.len() >= k {
-            break;
-        }
-        if let Some(cap) = cap {
-            if g.jobs
-                .iter()
-                .any(|j| job_use.get(j).copied().unwrap_or(0) >= cap)
-            {
-                continue;
-            }
-        }
-        for j in &g.jobs {
-            *job_use.entry(*j).or_default() += 1;
-        }
-        out.push(*g);
+        } => pack_ranked(ranked, *storage_budget_bytes, cap),
     }
-    out
 }
 
 /// Storage-budget packing over an already-ranked candidate list: greedy in
@@ -190,54 +226,33 @@ fn take_with_job_cap<'a>(
 /// bounded exchange pass swapping one selected view for an unselected one
 /// when the swap raises total utility within budget, and a final fill of any
 /// space the swaps freed.
-fn pack_ranked<'a>(
-    ranked: &[&'a OverlapGroup],
-    budget: u64,
-    cap: Option<usize>,
-) -> Vec<&'a OverlapGroup> {
+fn pack_ranked(ranked: Vec<&OverlapGroup>, budget: u64, mut cap: JobCap) -> Vec<&OverlapGroup> {
     fn size(g: &OverlapGroup) -> u64 {
         g.avg_out_bytes.max(1)
     }
-    fn fits_cap(
-        job_use: &std::collections::HashMap<JobId, usize>,
-        cap: Option<usize>,
-        g: &OverlapGroup,
-    ) -> bool {
-        match cap {
-            Some(cap) => !g
-                .jobs
-                .iter()
-                .any(|j| job_use.get(j).copied().unwrap_or(0) >= cap),
-            None => true,
+    // Packs each candidate, in order, that fits the budget and the cap, and
+    // returns the ones left out.
+    let fill = |from, selected: &mut Vec<_>, used: &mut u64, cap: &mut JobCap| {
+        let mut rest = Vec::new();
+        for g in from {
+            if *used + size(g) <= budget && cap.take(g) {
+                *used += size(g);
+                selected.push(g);
+            } else {
+                rest.push(g);
+            }
         }
-    }
+        rest
+    };
 
-    let mut selected: Vec<&OverlapGroup> = Vec::new();
+    let mut selected = Vec::new();
     let mut used: u64 = 0;
-    let mut job_use: std::collections::HashMap<JobId, usize> = std::collections::HashMap::new();
-    for g in ranked {
-        if used + size(g) > budget || !fits_cap(&job_use, cap, g) {
-            continue;
-        }
-        for j in &g.jobs {
-            *job_use.entry(*j).or_default() += 1;
-        }
-        used += size(g);
-        selected.push(*g);
-    }
+    let mut unselected = fill(ranked, &mut selected, &mut used, &mut cap);
 
     // Exchange improvement: replace a selected view with the best-utility
     // unselected one that fits in the freed space (greedy packs by the
     // policy objective, which can strand one large high-utility view).
-    let selected_set: HashSet<scope_common::Sig128> =
-        selected.iter().map(|g| g.normalized).collect();
-    let mut unselected: Vec<&OverlapGroup> = ranked
-        .iter()
-        .filter(|g| !selected_set.contains(&g.normalized))
-        .copied()
-        .collect();
-    unselected.sort_by_key(|g| std::cmp::Reverse(g.utility()));
-
+    unselected.sort_by_key(|g| Reverse(g.utility()));
     let mut improved = true;
     let mut passes = 0;
     while improved && passes < 3 {
@@ -246,51 +261,29 @@ fn pack_ranked<'a>(
         for slot in selected.iter_mut() {
             let outgoing = *slot;
             let freed = used - size(outgoing);
-            // Release the outgoing view's job slots while probing the cap.
-            for j in &outgoing.jobs {
-                if let Some(u) = job_use.get_mut(j) {
-                    *u -= 1;
-                }
-            }
+            // Release the outgoing view's job slots while probing the cap;
+            // whichever view keeps the slot then fits again.
+            cap.release(outgoing);
             let pos = unselected.iter().position(|c| {
-                freed + size(c) <= budget
-                    && c.utility() > outgoing.utility()
-                    && fits_cap(&job_use, cap, c)
+                freed + size(c) <= budget && c.utility() > outgoing.utility() && cap.fits(c)
             });
-            match pos {
-                Some(pos) => {
-                    let incoming = unselected.remove(pos);
-                    for j in &incoming.jobs {
-                        *job_use.entry(*j).or_default() += 1;
-                    }
-                    used = freed + size(incoming);
-                    *slot = incoming;
-                    unselected.push(outgoing);
-                    unselected.sort_by_key(|g| std::cmp::Reverse(g.utility()));
-                    improved = true;
-                }
-                None => {
-                    for j in &outgoing.jobs {
-                        *job_use.entry(*j).or_default() += 1;
-                    }
-                }
-            }
+            let Some(pos) = pos else {
+                cap.take(outgoing);
+                continue;
+            };
+            let incoming = unselected.remove(pos);
+            cap.take(incoming);
+            used = freed + size(incoming);
+            *slot = incoming;
+            unselected.push(outgoing);
+            unselected.sort_by_key(|g| Reverse(g.utility()));
+            improved = true;
         }
     }
 
     // Fill: swaps may have freed budget another candidate now fits.
-    for g in &unselected {
-        if used + size(g) > budget || !fits_cap(&job_use, cap, g) {
-            continue;
-        }
-        for j in &g.jobs {
-            *job_use.entry(*j).or_default() += 1;
-        }
-        used += size(g);
-        selected.push(*g);
-    }
-
-    selected.sort_by_key(|g| std::cmp::Reverse(g.utility()));
+    fill(unselected, &mut selected, &mut used, &mut cap);
+    selected.sort_by_key(|g| Reverse(g.utility()));
     selected
 }
 
@@ -458,18 +451,35 @@ mod tests {
     }
 
     #[test]
-    fn custom_filter_applies() {
+    fn packing_exchange_releases_job_slots_under_cap() {
+        // Density ranks a (jobs 1, 2), c, b. Greedy packs a and c; b fits
+        // the budget but shares job 1 with a. The exchange pass releases
+        // a's job slots, swaps in b (utility 20s > 2s), and a cannot come
+        // back in the fill pass because b now holds job 1.
         let groups = vec![
-            group("sortish", 4, 10, 100, &[1], OpKind::Sort),
-            group("filterish", 4, 10, 100, &[2], OpKind::Filter),
+            group("a", 3, 1, 10, &[1, 2], OpKind::Sort), // 2s, 0.2 s/B
+            group("b", 3, 10, 500, &[1, 4], OpKind::Sort), // 20s, 0.04 s/B
+            group("c", 3, 5, 100, &[3], OpKind::Sort),   // 10s, 0.1 s/B
         ];
-        let c = SelectionConstraints {
-            custom: Some(|g| g.root_kind == OpKind::Sort),
+        let packing = SelectionPolicy::Packing {
+            storage_budget_bytes: 1_000,
+        };
+        let names = |c: &SelectionConstraints| -> Vec<_> {
+            select_budgeted(&groups, &packing, c)
+                .iter()
+                .map(|g| g.normalized)
+                .collect()
+        };
+        let capped = SelectionConstraints {
+            per_job_cap: Some(1),
             ..Default::default()
         };
-        let sel = select_budgeted(&groups, &SelectionPolicy::TopKUtility { k: 10 }, &c);
-        assert_eq!(sel.len(), 1);
-        assert_eq!(sel[0].root_kind, OpKind::Sort);
+        assert_eq!(names(&capped), vec![sip128(b"b"), sip128(b"c")]);
+        // Uncapped, all three fit the budget.
+        assert_eq!(
+            names(&SelectionConstraints::default()),
+            vec![sip128(b"b"), sip128(b"c"), sip128(b"a")]
+        );
     }
 
     #[test]

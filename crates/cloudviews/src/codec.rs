@@ -26,7 +26,8 @@
 //!
 //! Two count rules:
 //!
-//! * protocol sequences ([`Vec`], [`BTreeMap`]) carry a `u32` count capped
+//! * protocol sequences ([`Vec`], [`BTreeMap`], and [`HashMap`]/[`HashSet`]
+//!   with their entries sorted by encoded key) carry a `u32` count capped
 //!   at [`MAX_SEQ`];
 //! * bulk counts are raw, uncapped `u32`s: a view's partition and row counts
 //!   here, and the catalog snapshot's three section counts (a long-lived
@@ -39,7 +40,8 @@
 //! returns [`CodecError`] rather than panicking: the decoder is the first
 //! line of defense against hostile network bytes and bit-rotted disk bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 pub use scope_common::codec::{malformed, CodecError, Dec, Enc, MAX_EXPR_DEPTH, MAX_SEQ, MAX_STR};
@@ -168,6 +170,15 @@ macro_rules! newtypes {
 
 newtypes! { JobId, VcId, NodeId, ClusterId, UserId, TemplateId, SimTime, SimDuration }
 
+impl Codec for u128 {
+    fn put(&self, e: &mut Enc) {
+        (*self as u64, (*self >> 64) as u64).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(d.u64()? as u128 | (d.u64()? as u128) << 64)
+    }
+}
+
 impl Codec for usize {
     fn put(&self, e: &mut Enc) {
         e.put_usize(*self);
@@ -236,6 +247,50 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
             out.insert(K::get(d)?, V::get(d)?);
         }
         Ok(out)
+    }
+}
+
+/// Orders values by their encodings (reusing two buffers): hashed collections
+/// write in this order, so neither iteration nor interning order moves them.
+fn by_encoding<T: Codec>() -> impl FnMut(&T, &T) -> std::cmp::Ordering {
+    let (mut a, mut b) = (Enc::new(), Enc::new());
+    move |x, y| {
+        a.buf.clear();
+        b.buf.clear();
+        x.put(&mut a);
+        y.put(&mut b);
+        a.buf.cmp(&b.buf)
+    }
+}
+
+/// A hashed map's entries, sorted by their keys' encodings.
+impl<K: Codec + Eq + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn put(&self, e: &mut Enc) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        let mut order = by_encoding();
+        entries.sort_unstable_by(|x, y| order(x.0, y.0));
+        e.put_seq(entries.len());
+        for (k, v) in entries {
+            k.put(e);
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        (0..d.seq()?).map(|_| <(K, V)>::get(d)).collect()
+    }
+}
+
+/// A hashed set's elements, sorted by their encodings.
+impl<T: Codec + Eq + Hash> Codec for HashSet<T> {
+    fn put(&self, e: &mut Enc) {
+        let mut elements: Vec<&T> = self.iter().collect();
+        let mut order = by_encoding();
+        elements.sort_unstable_by(|x, y| order(*x, *y));
+        e.put_seq(elements.len());
+        elements.iter().for_each(|x| x.put(e));
+    }
+    fn get(d: &mut Dec) -> Result<Self> {
+        (0..d.seq()?).map(|_| T::get(d)).collect()
     }
 }
 

@@ -266,11 +266,10 @@ mod tests {
     #[test]
     fn summary_and_drilldown_render() {
         use crate::analyzer::testutil::baseline_run;
+        use crate::analyzer::{mine_overlaps, overlap_metrics};
         let (repo, ..) = baseline_run(1, 5);
-        let records = repo.records();
-        let refs: Vec<_> = records.iter().collect();
-        let groups = crate::analyzer::mine_overlaps(&refs);
-        let metrics = crate::analyzer::overlap_metrics(&refs);
+        let (groups, metrics) =
+            repo.with_records(|records| (mine_overlaps(records), overlap_metrics(records)));
         let line = overlap_summary("cluster1", &metrics);
         assert!(line.starts_with("cluster1\t"));
         assert!(line.contains('%'));

@@ -61,9 +61,7 @@ fn main() -> scope_common::Result<()> {
     // --- Figure-1-style summary per cluster. ------------------------------
     println!("=== overlap per cluster (cf. paper Figure 1) ===");
     for c in 0..5u64 {
-        let cluster_records: Vec<&JobRecord> =
-            records.iter().filter(|r| r.cluster.raw() == c).collect();
-        let metrics = overlap::overlap_metrics(&cluster_records);
+        let metrics = overlap::overlap_metrics(records.iter().filter(|r| r.cluster.raw() == c));
         println!(
             "{}",
             reporting::overlap_summary(&format!("cluster{}", c + 1), &metrics)
@@ -72,7 +70,11 @@ fn main() -> scope_common::Result<()> {
 
     // --- Largest cluster drill-down. --------------------------------------
     println!("\n=== cluster1 per-VC breakdown (cf. Figure 2) ===");
-    let c1: Vec<&JobRecord> = records.iter().filter(|r| r.cluster.raw() == 0).collect();
+    let c1: Vec<JobRecord> = records
+        .iter()
+        .filter(|r| r.cluster.raw() == 0)
+        .cloned()
+        .collect();
     let m1 = overlap::overlap_metrics(&c1);
     let mut vcs: Vec<_> = m1.vc_overlap_pct().into_iter().collect();
     vcs.sort_by_key(|(vc, _)| *vc);
@@ -117,9 +119,8 @@ fn main() -> scope_common::Result<()> {
             },
         ),
     ] {
-        let cluster_records: Vec<JobRecord> = c1.iter().map(|r| (*r).clone()).collect();
         let outcome = run_analysis(
-            &cluster_records,
+            &c1,
             &AnalyzerConfig {
                 policy,
                 constraints: constraints.clone(),
@@ -154,11 +155,7 @@ fn main() -> scope_common::Result<()> {
     // Enable CloudViews on cluster1's next instance so views actually exist,
     // then reclaim half the store with the min-objective eviction.
     let outcome = run_analysis(
-        &records
-            .iter()
-            .filter(|r| r.cluster.raw() == 0)
-            .cloned()
-            .collect::<Vec<_>>(),
+        &c1,
         &AnalyzerConfig {
             policy: SelectionPolicy::TopKUtility { k: 5 },
             constraints: constraints.clone(),

@@ -250,3 +250,20 @@ fn storage_budget_packs_selection() {
     );
     assert!(packed.selected.len() <= unbounded.selected.len());
 }
+
+#[test]
+fn state_fingerprint_is_partition_invariant_and_sees_one_more_record() {
+    let records = history(2, 23);
+    let (last, earlier) = records.split_last().expect("a recorded history");
+    let whole = AnalyzerState::new(AnalyzerConfig::default());
+    whole.ingest(earlier);
+    let chunked = AnalyzerState::new(AnalyzerConfig::default());
+    for piece in earlier.chunks(3) {
+        chunked.ingest(piece);
+    }
+    assert_eq!(whole.fingerprint(), chunked.fingerprint());
+    // One more record moves the digest.
+    let before = whole.fingerprint();
+    whole.ingest(std::slice::from_ref(last));
+    assert_ne!(whole.fingerprint(), before);
+}

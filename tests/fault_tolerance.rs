@@ -1005,7 +1005,7 @@ fn state_signature(cv: &CloudViews) -> (Sig128, Sig128, usize, usize, usize) {
             .expect("analyzer installed")
             .state()
             .fingerprint(),
-        cv.repo.records().len(),
+        cv.repo.len(),
         cv.metadata.num_views(),
         cv.storage.num_views(),
     )
@@ -1071,7 +1071,7 @@ fn recover_truncated(dir: &Path, log: &str, len: usize) -> (impl PartialEq + Deb
     let m = &cv.telemetry.metrics;
     assert_eq!(
         m.gauge_value("cv_store_recovered_records"),
-        cv.repo.records().len() as i64
+        cv.repo.len() as i64
     );
     assert_eq!(
         m.gauge_value("cv_store_recovered_views"),
@@ -1214,10 +1214,7 @@ fn crash_recovery_restores_fingerprints_and_stays_live() {
         .run_sequence(&w.jobs_for_instance(0, 2).unwrap(), RunMode::CloudViews)
         .unwrap();
     assert!(!reports.is_empty());
-    assert!(
-        cv.repo.records().len() > before.2,
-        "new runs must be recorded"
-    );
+    assert!(cv.repo.len() > before.2, "new runs must be recorded");
 
     // Snapshot compaction must not change what recovery reconstructs.
     assert!(cv.snapshot_now(), "explicit snapshot must run");
