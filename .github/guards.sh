@@ -39,7 +39,7 @@ execute_builds_no_row() {
 # accumulation loop: no per-operator grouping copy returns.
 one_grouping_kernel() {
   ! sed '/^#\[cfg(test)\]/,$d' crates/scope-engine/src/exec.rs \
-    | grep -nE '\bfn (group_rows|group_by_key|group_typed_ints|build_probe|build_probe_ints|hash_aggregate_batch|stream_aggregate_batch)\b'
+    | grep -nE '\bfn (group_rows|group_by_key|group_typed_ints|build_probe|build_probe_ints|hash_aggregate_batch|stream_aggregate_batch|typed_key|value_key)\b|\benum KeyKind\b'
 }
 
 # Outside data.rs, which defines them, no non-test library code

@@ -44,6 +44,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
@@ -275,8 +276,10 @@ pub(crate) struct RuntimeMetrics {
     stage_vertices: Histogram,
     token_occupancy: Histogram,
     exec_rows_in: Counter,
+    exec_wall: Counter,
     exec_cells_gathered: Counter,
-    exec_gather_wall: Counter,
+    exec_copy_wall: Counter,
+    exec_build_wall: Counter,
     exec_gather_columns: Counter,
     /// Kernel wall nanoseconds per operator kind, indexed as `OpKind::ALL`.
     exec_op_wall: [Counter; OpKind::ALL.len()],
@@ -323,8 +326,10 @@ impl RuntimeMetrics {
             stage_vertices: m.histogram("cv_sim_stage_vertices", MetricUnit::Count),
             token_occupancy: m.histogram("cv_sim_token_occupancy_pct", MetricUnit::Count),
             exec_rows_in: m.counter("cv_exec_rows_in_total"),
+            exec_wall: m.counter("cv_exec_wall_nanos_total"),
             exec_cells_gathered: m.counter("cv_exec_cells_gathered_total"),
-            exec_gather_wall: m.counter("cv_exec_gather_wall_nanos_total"),
+            exec_copy_wall: m.counter("cv_exec_copy_wall_nanos_total"),
+            exec_build_wall: m.counter("cv_exec_build_wall_nanos_total"),
             exec_gather_columns: m.counter("cv_exec_gather_columns_total"),
             exec_op_wall: OpKind::ALL.map(|k| m.counter(&op_wall_counter(k))),
             template_hits: m.counter("cv_template_cache_hits_total"),
@@ -924,19 +929,23 @@ impl CloudViews {
     /// Records what one plan execution moved: rows into its operators and
     /// cells copied between columns (`ExecOutcome::cells_gathered`) — their
     /// ratio is how much of the data the executor's deferred columns let it
-    /// leave where it was — and where its wall time went, per operator kind
-    /// and, across kinds, in building gathers.
+    /// leave where it was — and where its wall time went: in all, per
+    /// operator kind and, across kinds, in building recipes and in copying
+    /// cells.
     pub(crate) fn record_exec_metrics(&self, plan: &QueryGraph, exec: &ExecOutcome) {
-        let rows_in = exec.node_stats.iter().map(|s| s.in_rows).sum();
-        self.metrics.exec_rows_in.add(rows_in);
-        self.metrics.exec_cells_gathered.add(exec.cells_gathered);
-        let gather_wall = exec.gather_wall.as_nanos() as u64;
-        self.metrics.exec_gather_wall.add(gather_wall);
-        self.metrics.exec_gather_columns.add(exec.gather_columns);
+        let m = &self.metrics;
+        let nanos = |wall: Duration| wall.as_nanos() as u64;
+        m.exec_rows_in
+            .add(exec.node_stats.iter().map(|s| s.in_rows).sum());
+        m.exec_wall.add(nanos(exec.wall));
+        m.exec_cells_gathered.add(exec.cells_gathered);
+        m.exec_copy_wall.add(nanos(exec.copy_wall));
+        m.exec_build_wall.add(nanos(exec.build_wall));
+        m.exec_gather_columns.add(exec.gather_columns);
         for (node, wall) in plan.nodes().iter().zip(&exec.node_wall) {
             let kind = node.op.kind();
             debug_assert_eq!(OpKind::ALL[kind as usize], kind);
-            self.metrics.exec_op_wall[kind as usize].add(wall.as_nanos() as u64);
+            m.exec_op_wall[kind as usize].add(nanos(*wall));
         }
     }
 

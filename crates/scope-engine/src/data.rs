@@ -172,6 +172,19 @@ pub enum ColumnVector {
     Mixed(Vec<Value>),
 }
 
+/// Typed accessors: `$name` is the values of a `$variant` column.
+macro_rules! lanes {
+    ($($name:ident: $variant:ident => $t:ty),*) => {$(
+        /// The values of a column of this variant, NULL rows included.
+        pub(crate) fn $name(&self) -> Option<&$t> {
+            match self {
+                ColumnVector::$variant { data, .. } => Some(data),
+                _ => None,
+            }
+        }
+    )*};
+}
+
 fn mask_get(nulls: &Option<NullMask>, i: usize) -> bool {
     nulls.as_ref().map(|m| m[i]).unwrap_or(false)
 }
@@ -267,11 +280,16 @@ impl ColumnVector {
 
     /// Total byte size under the [`Value::byte_size`] accounting.
     pub fn byte_total(&self) -> u64 {
-        match self {
-            ColumnVector::Str { data, nulls: None } => {
+        match (self, self.plain_width()) {
+            (ColumnVector::Str { data, nulls: None }, _) => {
                 8 * data.len() as u64 + data.bytes.len() as u64
             }
-            _ => self.row_bytes().sum(0..self.len()),
+            (_, Some(width)) => width * self.len() as u64,
+            _ => Located {
+                sources: vec![self],
+                picks: None,
+            }
+            .byte_total(),
         }
     }
 
@@ -308,15 +326,12 @@ impl ColumnVector {
         }
     }
 
-    /// How [`ColumnVector::byte_total`] sizes this column's rows.
-    fn row_bytes(&self) -> RowBytes<'_> {
-        let mask = self.nulls().map(Vec::as_slice);
-        match self {
-            ColumnVector::Str { data, .. } => RowBytes::Str(data, mask),
-            ColumnVector::Mixed(values) => RowBytes::Mixed(values),
-            fixed => RowBytes::Fixed(fixed.fixed_width().expect("a fixed-width variant"), mask),
-        }
+    /// The byte size of every cell of a fixed-width column without NULLs.
+    fn plain_width(&self) -> Option<u64> {
+        self.fixed_width().filter(|_| self.nulls().is_none())
     }
+
+    lanes!(ints: Int => [i64], floats: Float => [f64], dates: Date => [i32], strs: Str => StrVec);
 
     /// Builds a column from owned values: single-typed columns get a typed
     /// vector (with a null mask when needed); anything else stays `Mixed`.
@@ -373,15 +388,14 @@ impl ColumnVector {
         }
     }
 
-    /// Builds one column from `picks` over `sources` — the only place cells
-    /// are copied between columns, and what [`cells_gathered`] counts.
+    /// Builds one column from `picks` over `sources` — with `take_opt`, the
+    /// only place cells are copied between columns.
     ///
     /// Same-variant sources copy their typed buffers directly, each source's
     /// buffer and mask resolved once, with a mask only when some source has
     /// one; differing variants fall back to value materialization and
     /// re-typing.
     fn gather(sources: &[&ColumnVector], picks: &[Pick]) -> ColumnVector {
-        CELLS_GATHERED.with(|n| n.set(n.get() + picks.len() as u64));
         let source = |p: &Pick| sources[p.src as usize];
         let nulls = sources.iter().any(|c| c.nulls().is_some()).then(|| {
             let masks: Vec<Option<&NullMask>> = sources.iter().map(|c| c.nulls()).collect();
@@ -442,7 +456,10 @@ impl ColumnVector {
     /// Gathers rows at `idx`, producing NULL where the index is `None`
     /// (used for the unmatched side of left-outer joins).
     pub fn take_opt(&self, idx: &[Option<u32>]) -> ColumnVector {
-        CELLS_GATHERED.with(|n| n.set(n.get() + idx.len() as u64));
+        timed(COPY, idx.len(), || self.take_opt_uncounted(idx))
+    }
+
+    fn take_opt_uncounted(&self, idx: &[Option<u32>]) -> ColumnVector {
         let nulls = if self.nulls().is_none() && idx.iter().all(Option::is_some) {
             None
         } else {
@@ -489,21 +506,31 @@ impl ColumnVector {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static CELLS_GATHERED: Counter<u64> = const { Counter::new(0) };
-    static GATHERS: Counter<(Duration, u64)> = const { Counter::new((Duration::ZERO, 0)) };
+    static GATHERS: Counter<[(Duration, u64); 2]> = const { Counter::new([(Duration::ZERO, 0); 2]) };
 }
 
-/// Cells this thread has copied from column to column so far; the executor
-/// reports the difference across one plan.
-pub(crate) fn cells_gathered() -> u64 {
-    CELLS_GATHERED.with(Counter::get)
-}
+/// Building recipes for deferred outputs: the wall time and the output
+/// columns built.
+pub(crate) const BUILD: usize = 0;
 
-/// Wall time this thread has spent in `RecordBatch::gather_columns` so far,
-/// eager copies included, and the output columns it built; the executor
+/// Copying cells between columns (small outputs copied at once, forced
+/// columns, LeftOuter padding): the wall time and the cells copied.
+pub(crate) const COPY: usize = 1;
+
+/// This thread's [`BUILD`] and [`COPY`] counters so far; the executor
 /// reports the difference across one plan.
-pub(crate) fn gathers() -> (Duration, u64) {
+pub(crate) fn gathers() -> [(Duration, u64); 2] {
     GATHERS.with(Counter::get)
+}
+
+/// Runs `work`, which builds or copies (`kind`) `n` columns or cells.
+fn timed<T>(kind: usize, n: usize, work: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = work();
+    let mut all = gathers();
+    all[kind] = (all[kind].0 + started.elapsed(), all[kind].1 + n as u64);
+    GATHERS.with(|g| g.set(all));
+    out
 }
 
 /// The cells of a dense column, and the partition of every row under the
@@ -643,7 +670,9 @@ impl Column {
             Column::Dense(c) => c,
             Column::Deferred(r, m) => r.members[*m as usize].dense.get_or_init(|| {
                 let sources: Vec<&ColumnVector> = r.sources(*m).map(|c| &c.vector).collect();
-                Arc::new(ColumnVector::gather(&sources, &r.picks).into())
+                timed(COPY, r.picks.len(), || {
+                    Arc::new(ColumnVector::gather(&sources, &r.picks).into())
+                })
             }),
         }
     }
@@ -656,19 +685,18 @@ impl Column {
         }
     }
 
-    /// The cells where they lie, without reading the column: its dense
-    /// sources and, for row `i`, the source and row that hold it.
-    pub(crate) fn locate(&self) -> (Vec<&ColumnVector>, impl Fn(usize) -> (usize, usize) + '_) {
-        let (sources, picks) = match self.through() {
-            Some((r, m)) => (r.sources(m).map(|c| &c.vector).collect(), Some(&r.picks)),
-            None => (vec![self.dense()], None),
-        };
-        let at = move |i: usize| {
-            picks.map_or((0, i), |p: &Vec<Pick>| {
-                (p[i].src as usize, p[i].row as usize)
-            })
-        };
-        (sources, at)
+    /// The cells where they lie, without reading the column.
+    pub(crate) fn locate(&self) -> Located<'_> {
+        match self.through() {
+            Some((r, m)) => Located {
+                sources: r.sources(m).map(|c| &c.vector).collect(),
+                picks: Some(&r.picks),
+            },
+            None => Located {
+                sources: vec![self.dense()],
+                picks: None,
+            },
+        }
     }
 
     /// The recipe and member a gather over this column picks through, or
@@ -686,66 +714,133 @@ impl Column {
         let Column::Deferred(r, m) = self else {
             return self.cells().byte_total();
         };
-        *r.members[*m as usize]
-            .bytes
-            .get_or_init(|| match self.held() {
-                Some(c) => c.byte_total(),
-                None => picked_bytes(r.sources(*m).collect(), &r.picks),
-            })
+        *r.members[*m as usize].bytes.get_or_init(|| {
+            if let Some(c) = self.held() {
+                return c.byte_total();
+            }
+            // Every source fixed-width alike and without NULLs: no walk.
+            let mut widths = r.sources(*m).map(|c| c.plain_width());
+            let width = widths
+                .next()
+                .flatten()
+                .filter(|&w| widths.all(|v| v == Some(w)));
+            width.map_or_else(|| self.locate().byte_total(), |w| w * r.picks.len() as u64)
+        })
     }
 }
 
-/// How the byte accounting sizes one row of a column, resolved once per
-/// column: a NULL is 1 byte, a string 8 plus its length.
-#[derive(Clone, Copy)]
-enum RowBytes<'a> {
-    /// `width` bytes a row, with the null mask if there is one.
-    Fixed(u64, Option<&'a [bool]>),
-    Str(&'a StrVec, Option<&'a [bool]>),
-    Mixed(&'a [Value]),
+/// A column's cells where they lie, resolved once: its dense sources and,
+/// for an unread recipe member, the picks naming each row's source and row
+/// (`None`: the one source, row for row).
+pub(crate) struct Located<'a> {
+    sources: Vec<&'a ColumnVector>,
+    picks: Option<&'a [Pick]>,
 }
 
-impl RowBytes<'_> {
-    /// The size of row `i`.
-    #[inline]
-    fn of(self, i: usize) -> u64 {
-        match self {
-            RowBytes::Fixed(_, Some(mask)) | RowBytes::Str(_, Some(mask)) if mask[i] => 1,
-            RowBytes::Fixed(width, _) => width,
-            RowBytes::Str(data, _) => 8 + data.len_of(i) as u64,
-            RowBytes::Mixed(values) => values[i].byte_size() as u64,
+impl<'a> Located<'a> {
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.picks
+            .map_or_else(|| self.sources[0].len(), <[Pick]>::len)
+    }
+
+    /// The cell of row `i`, looked up on its own: the untyped path.
+    pub(crate) fn cell(&self, i: usize) -> Cell<'a> {
+        match self.picks {
+            Some(p) => self.sources[p[i].src as usize].cell(p[i].row as usize),
+            None => self.sources[0].cell(i),
         }
     }
 
-    /// The total size of `rows`: one match, then one tight loop.
-    fn sum(self, rows: impl ExactSizeIterator<Item = usize>) -> u64 {
-        match self {
-            RowBytes::Fixed(width, None) => width * rows.len() as u64,
-            RowBytes::Str(data, None) => rows.map(|i| 8 + data.len_of(i) as u64).sum(),
-            _ => rows.map(|i| self.of(i)).sum(),
-        }
-    }
-}
-
-/// [`ColumnVector::byte_total`] of `picks` over `sources` without building
-/// the column: `rows × width` when every source is fixed-width and unmasked,
-/// one typed pass over the picks otherwise.
-fn picked_bytes(sources: Vec<&Arc<Cells>>, picks: &[Pick]) -> u64 {
-    let width = sources.first().and_then(|c| c.fixed_width());
-    let plain = |c: &&Arc<Cells>| c.fixed_width() == width && c.nulls().is_none();
-    if let Some(w) = width.filter(|_| sources.iter().all(plain)) {
-        return w * picks.len() as u64;
-    }
-    #[cfg(test)]
-    tests::PICK_WALKS.with(|n| n.set(n.get() + 1));
-    match sources.as_slice() {
-        [one] => one.row_bytes().sum(picks.iter().map(|p| p.row as usize)),
-        _ => {
-            let sizes: Vec<RowBytes<'_>> = sources.iter().map(|c| c.row_bytes()).collect();
-            picks
+    /// The column as typed lanes when `lane` reads every source: each
+    /// source's values and, only when some source has one, its null mask.
+    pub(crate) fn lanes<D: ?Sized>(
+        &self,
+        lane: impl Fn(&'a ColumnVector) -> Option<&'a D>,
+    ) -> Option<Lanes<'a, D>> {
+        let data = self
+            .sources
+            .iter()
+            .map(|&c| lane(c))
+            .collect::<Option<_>>()?;
+        let masks = || {
+            self.sources
                 .iter()
-                .map(|p| sizes[p.src as usize].of(p.row as usize))
-                .sum()
+                .map(|c| c.nulls().map(Vec::as_slice))
+                .collect()
+        };
+        Some(Lanes {
+            data,
+            nulls: self.sources.iter().any(|c| c.nulls().is_some()).then(masks),
+            picks: self.picks,
+            rows: self.rows(),
+        })
+    }
+
+    /// [`ColumnVector::byte_total`] of the cells without building them, in
+    /// one typed loop over the rows (a NULL is 1 byte, a string 8 plus its
+    /// length).
+    fn byte_total(&self) -> u64 {
+        let width = self.sources[0].fixed_width();
+        let fixed = |c: &'a ColumnVector| (c.fixed_width() == width).then_some(c);
+        let fixed = width.zip(self.lanes(fixed));
+        #[cfg(test)]
+        if self.picks.is_some() {
+            tests::PICK_WALKS.with(|n| n.set(n.get() + 1));
+        }
+        let mut total = 0;
+        let add = |_, bytes: Option<u64>| total += bytes.unwrap_or(1);
+        if let Some((w, cells)) = fixed {
+            cells.each(|_, _| w, add);
+        } else if let Some(strs) = self.lanes(ColumnVector::strs) {
+            strs.each(|d, r| 8 + d.len_of(r) as u64, add);
+        } else {
+            return (0..self.rows())
+                .map(|i| self.cell(i).byte_size() as u64)
+                .sum();
+        }
+        total
+    }
+}
+
+/// A column's typed values where they lie: per source its values and, when
+/// some source has one, its null mask; the picks, or `None` for one source
+/// read row for row.
+pub(crate) struct Lanes<'a, D: ?Sized> {
+    data: Vec<&'a D>,
+    nulls: Option<Vec<Option<&'a [bool]>>>,
+    picks: Option<&'a [Pick]>,
+    /// Number of rows.
+    pub(crate) rows: usize,
+}
+
+impl<'a, D: ?Sized> Lanes<'a, D> {
+    /// Calls `f(i, value)` for every row `i` in order, `value` read by `get`
+    /// from the row's source and row (`None` where NULL). The case — picks
+    /// or not, one source or several, masks or none — is matched once, and
+    /// one loop runs per case.
+    #[inline]
+    pub(crate) fn each<T>(
+        &self,
+        get: impl Fn(&'a D, usize) -> T,
+        mut f: impl FnMut(usize, Option<T>),
+    ) {
+        let null = |m: Option<&[bool]>, r: usize| m.is_some_and(|m| m[r]);
+        let picked = self.picks.unwrap_or_default().iter().enumerate();
+        match (self.picks, self.nulls.as_deref(), self.data.as_slice()) {
+            (None, None, &[d]) => (0..self.rows).for_each(|i| f(i, Some(get(d, i)))),
+            (None, Some(&[m]), &[d]) => {
+                (0..self.rows).for_each(|i| f(i, (!null(m, i)).then(|| get(d, i))))
+            }
+            (Some(_), None, &[d]) => picked.for_each(|(i, p)| f(i, Some(get(d, p.row as usize)))),
+            (Some(_), None, ds) => {
+                picked.for_each(|(i, p)| f(i, Some(get(ds[p.src as usize], p.row as usize))))
+            }
+            (Some(_), Some(ms), ds) => picked.for_each(|(i, p)| {
+                let (s, r) = (p.src as usize, p.row as usize);
+                f(i, (!null(ms[s], r)).then(|| get(ds[s], r)))
+            }),
+            (None, ..) => unreachable!("a column read row for row is its one source"),
         }
     }
 }
@@ -851,65 +946,41 @@ impl RecordBatch {
     /// composed with the new ones, its sources adopted), never forced, and
     /// the columns whose sources were picked alike share one [`Recipe`].
     pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
-        let started = Instant::now();
+        RecordBatch::gather_columns_in(runs, &mut Vec::new())
+    }
+
+    /// [`RecordBatch::gather_columns`], reusing the layout of an earlier
+    /// gather in `layouts` that named the same batches.
+    fn gather_columns_in<'a>(runs: &[Rows<'a>], layouts: &mut Vec<Layout<'a>>) -> Vec<Column> {
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
         let held = |(b, _): &Rows<'_>| b.columns.iter().all(|c| c.held().is_some());
-        let columns = if total_rows(runs) < EAGER_ROWS && runs.iter().all(held) {
+        let rows = total_rows(runs);
+        if rows < EAGER_ROWS && runs.iter().all(held) {
             // Few rows, nothing to pick through: cheaper copied than deferred.
-            let whole: Vec<Part<'_>> = runs.iter().map(|(b, _)| Part::held(b)).collect();
-            let each: Vec<u32> = (0..runs.len() as u32).collect();
-            let picks = compose_picks(runs, &whole, &each);
-            let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
-            let mut column = |j| {
-                sources.clear();
-                sources.extend(runs.iter().map(|(b, _)| b.column(j)));
-                ColumnVector::gather(&sources, &picks).into()
-            };
-            (0..width).map(&mut column).collect()
-        } else {
-            RecordBatch::defer_columns(runs, width)
-        };
-        let (wall, built) = GATHERS.with(Counter::get);
-        GATHERS.with(|g| g.set((wall + started.elapsed(), built + width as u64)));
-        columns
-    }
-
-    /// The columns of `runs` as recipes, one per pattern: per run the batch
-    /// or recipe a column is picked from, and which of its sources are one.
-    fn defer_columns(runs: &[Rows<'_>], width: usize) -> Vec<Column> {
-        let mut patterns: Vec<Pattern<'_>> = Vec::new();
-        let mut members: Vec<(usize, u32)> = Vec::with_capacity(width);
-        let mut parts: Vec<Part<'_>> = Vec::with_capacity(runs.len());
-        let mut cols: Vec<u32> = Vec::with_capacity(runs.len());
-        for j in 0..width {
-            parts.clear();
-            cols.clear();
-            for &(batch, _) in runs {
-                match batch.columns[j].through() {
-                    None => {
-                        parts.push(Part::held(batch));
-                        cols.push(j as u32);
-                    }
-                    Some((recipe, m)) => {
-                        parts.push(Part(Some(recipe), &recipe.sources));
-                        cols.extend_from_slice(recipe.cols(m));
-                    }
-                }
-            }
-            // Adjacent columns mostly share a pattern: the latest first.
-            let known = patterns
-                .iter()
-                .rposition(|p| p.parts == parts && p.admits(&cols));
-            let k = known.unwrap_or_else(|| {
-                patterns.push(Pattern::new(&parts, &cols));
-                patterns.len() - 1
+            return timed(COPY, rows * width, || {
+                let whole: Vec<Part<'_>> = runs.iter().map(|(b, _)| Part::held(b)).collect();
+                let each: Vec<u32> = (0..runs.len() as u32).collect();
+                let picks = compose_picks(runs, &whole, &each);
+                let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
+                let mut column = |j| {
+                    sources.clear();
+                    sources.extend(runs.iter().map(|(b, _)| b.column(j)));
+                    ColumnVector::gather(&sources, &picks).into()
+                };
+                (0..width).map(&mut column).collect()
             });
-            members.push((k, patterns[k].add_member(&cols)));
         }
-        let recipes: Vec<Arc<Recipe>> = patterns.into_iter().map(|p| p.recipe(runs)).collect();
-        let member = |(k, m): (usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
-        members.into_iter().map(member).collect()
+        timed(BUILD, width, || {
+            let batches: Vec<*const RecordBatch> =
+                runs.iter().map(|&(b, _)| b as *const _).collect();
+            let known = layouts.iter().position(|l| l.batches == batches);
+            let k = known.unwrap_or_else(|| {
+                layouts.push(Layout::of(runs, width));
+                layouts.len() - 1
+            });
+            layouts[k].columns(runs)
+        })
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
@@ -932,6 +1003,73 @@ impl RecordBatch {
             }
             sum
         })
+    }
+}
+
+/// How a gather's columns are picked, whatever rows its runs take: the
+/// patterns and each column's pattern and member. It depends only on the
+/// batches the runs name, so an exchange's destinations that receive rows
+/// from the same batches build one.
+struct Layout<'a> {
+    batches: Vec<*const RecordBatch>,
+    patterns: Vec<(usize, Pattern<'a>)>,
+    members: Vec<(usize, u32)>,
+}
+
+impl<'a> Layout<'a> {
+    /// The layout of `runs`, one pattern per set of columns picked alike.
+    /// Each run's columns are classified once by the batch or recipe that
+    /// holds them; a column is then tried only against the patterns of
+    /// columns held alike in every run.
+    fn of(runs: &[Rows<'a>], width: usize) -> Layout<'a> {
+        // Per run and column: the batch or recipe that holds it, and the
+        // column (held) or recipe member it is.
+        let classify = |&(batch, _): &Rows<'a>| {
+            let holder = move |(j, column): (usize, &'a Column)| match column.through() {
+                None => (Part::held(batch), j as u32),
+                Some((recipe, m)) => (Part(Some(recipe), &recipe.sources), m),
+            };
+            batch.columns.iter().enumerate().map(holder)
+        };
+        let class: Vec<(Part<'a>, u32)> = runs.iter().flat_map(classify).collect();
+        let at = |r: usize, j: usize| class[r * width + j];
+        let mut patterns: Vec<(usize, Pattern<'_>)> = Vec::new();
+        let mut members: Vec<(usize, u32)> = Vec::with_capacity(width);
+        let mut cols: Vec<u32> = Vec::new();
+        for j in 0..width {
+            cols.clear();
+            for r in 0..runs.len() {
+                let (part, m) = at(r, j);
+                match part.0 {
+                    None => cols.push(m),
+                    Some(recipe) => cols.extend_from_slice(recipe.cols(m)),
+                }
+            }
+            let alike = |j0: usize| (0..runs.len()).all(|r| at(r, j).0 == at(r, j0).0);
+            // Adjacent columns mostly share a pattern: the latest first.
+            let known = patterns
+                .iter()
+                .rposition(|(j0, p)| alike(*j0) && p.admits(&cols));
+            let k = known.unwrap_or_else(|| {
+                let parts = (0..runs.len()).map(|r| at(r, j).0);
+                patterns.push((j, Pattern::new(parts.collect(), &cols)));
+                patterns.len() - 1
+            });
+            members.push((k, patterns[k].1.add_member(&cols)));
+        }
+        Layout {
+            batches: runs.iter().map(|&(b, _)| b as *const _).collect(),
+            patterns,
+            members,
+        }
+    }
+
+    /// The columns of `runs`, which name this layout's batches: one recipe
+    /// per pattern, its picks composed from the runs' rows.
+    fn columns(&self, runs: &[Rows<'_>]) -> Vec<Column> {
+        let recipes: Vec<Arc<Recipe>> = self.patterns.iter().map(|(_, p)| p.recipe(runs)).collect();
+        let member = |&(k, m): &(usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
+        self.members.iter().map(member).collect()
     }
 }
 
@@ -973,28 +1111,29 @@ impl<'a> Pattern<'a> {
     /// The pattern of one column reading `cols` of its flat sources: a flat
     /// source is one recipe source per distinct batch and column, so a
     /// source batch named by eight runs is one source.
-    fn new(parts: &[Part<'a>], cols: &[u32]) -> Pattern<'a> {
+    fn new(parts: Vec<Part<'a>>, cols: &[u32]) -> Pattern<'a> {
         let flat = parts.iter().flat_map(|p| p.1);
-        let mut firsts: Vec<u32> = Vec::with_capacity(cols.len());
-        let mut sources: Vec<Columns> = Vec::with_capacity(cols.len());
-        let remap = flat
-            .zip(cols)
-            .enumerate()
-            .map(|(k, (s, &c))| {
-                let same = |(&f, t): (&u32, &Columns)| cols[f as usize] == c && Arc::ptr_eq(t, s);
-                firsts
-                    .iter()
-                    .zip(&sources)
-                    .position(same)
-                    .unwrap_or_else(|| {
-                        firsts.push(k as u32);
-                        sources.push(Arc::clone(s));
-                        firsts.len() - 1
-                    }) as u32
-            })
-            .collect();
+        let mut firsts: Vec<u32> = Vec::new();
+        let mut sources: Vec<Columns> = Vec::new();
+        // Runs mostly name their sources in one order: the one after the
+        // last match is tried first.
+        let mut next = 0;
+        let mut remap = Vec::with_capacity(cols.len());
+        for (k, (s, &c)) in flat.zip(cols).enumerate() {
+            let same = |f: usize| cols[firsts[f] as usize] == c && Arc::ptr_eq(&sources[f], s);
+            let known = (next < firsts.len() && same(next))
+                .then_some(next)
+                .or_else(|| (0..firsts.len()).position(same));
+            let f = known.unwrap_or_else(|| {
+                firsts.push(k as u32);
+                sources.push(Arc::clone(s));
+                firsts.len() - 1
+            });
+            remap.push(f as u32);
+            next = f + 1;
+        }
         Pattern {
-            parts: parts.to_vec(),
+            parts,
             remap,
             firsts,
             cols: Vec::with_capacity(4 * sources.len()),
@@ -1020,15 +1159,15 @@ impl<'a> Pattern<'a> {
     }
 
     /// The shared recipe: picks composed and sources listed once.
-    fn recipe(self, runs: &[Rows<'_>]) -> Arc<Recipe> {
+    fn recipe(&self, runs: &[Rows<'_>]) -> Arc<Recipe> {
         let picks = compose_picks(runs, &self.parts, &self.remap);
         let members = (0..self.cols.len() / self.firsts.len())
             .map(|_| Member::default())
             .collect();
         Arc::new(Recipe {
             picks,
-            sources: self.sources,
-            cols: self.cols,
+            sources: self.sources.clone(),
+            cols: self.cols.clone(),
             members,
         })
     }
@@ -1470,28 +1609,26 @@ impl<'a> Scatter<'a> {
             Some((recipe, m)) => recipe.sources(m).collect(),
             None => key.held().into_iter().collect(),
         };
-        let Some(maps) = sources
-            .iter()
-            .map(|s| s.routes(hash))
-            .collect::<Option<Vec<&[u8]>>>()
-        else {
+        let Some(data) = sources.iter().map(|s| s.routes(hash)).collect() else {
             return false;
         };
-        let picked: Vec<u8>;
-        let parts = match (through, maps.as_slice()) {
-            (None, &[map]) => map,
-            (Some((recipe, _)), [map]) => {
-                picked = recipe.picks.iter().map(|p| map[p.row as usize]).collect();
-                &picked
-            }
-            (Some((recipe, _)), maps) => {
-                let part = |p: &Pick| maps[p.src as usize][p.row as usize];
-                picked = recipe.picks.iter().map(part).collect();
-                &picked
-            }
-            (None, _) => unreachable!("a dense column is its one source"),
+        // A map holds the partition of a NULL row too: no mask to read.
+        let maps = Lanes {
+            data,
+            nulls: None,
+            picks: through.map(|(recipe, _)| recipe.picks.as_slice()),
+            rows: batch.num_rows(),
         };
-        self.route_parts(batch, parts);
+        if let (None, &[map]) = (maps.picks, maps.data.as_slice()) {
+            self.route_parts(batch, map);
+            return true;
+        }
+        let mut parts = Vec::with_capacity(maps.rows);
+        maps.each(
+            |map: &[u8], r| map[r],
+            |_, p| parts.push(p.unwrap_or_default()),
+        );
+        self.route_parts(batch, &parts);
         true
     }
 
@@ -1500,20 +1637,20 @@ impl<'a> Scatter<'a> {
     /// scatter. A destination that received exactly one whole batch shares
     /// it; one that received nothing has no batch.
     fn finish(self) -> Vec<Vec<Arc<RecordBatch>>> {
-        self.runs
-            .into_iter()
-            .map(|runs| match runs.as_slice() {
-                [] => Vec::new(),
-                [(batch, idx)] if idx.len() == batch.num_rows() => vec![Arc::clone(batch)],
-                runs => {
-                    let runs: Vec<_> = runs
-                        .iter()
-                        .map(|&(batch, ref idx)| (&**batch, Some(idx.as_slice())))
-                        .collect();
-                    vec![Arc::new(RecordBatch::gather(&runs))]
-                }
-            })
-            .collect()
+        let mut layouts = Vec::new();
+        let runs = self.runs.iter().map(|runs| match runs.as_slice() {
+            [] => Vec::new(),
+            [(batch, idx)] if idx.len() == batch.num_rows() => vec![Arc::clone(batch)],
+            runs => {
+                let runs: Vec<Rows<'_>> = runs
+                    .iter()
+                    .map(|&(batch, ref idx)| (&**batch, Some(idx.as_slice())))
+                    .collect();
+                let columns = RecordBatch::gather_columns_in(&runs, &mut layouts);
+                vec![Arc::new(RecordBatch::new(columns, total_rows(&runs)))]
+            }
+        });
+        runs.collect()
     }
 }
 
@@ -2398,6 +2535,167 @@ pub(crate) mod tests {
         }
     }
 
+    /// Per column its recipe (numbered by first use) and member, and per
+    /// recipe its picks, sources and member columns.
+    type Shape = (
+        Vec<(usize, u32)>,
+        Vec<(Vec<(u32, u32)>, Vec<*const [Column]>, Vec<u32>)>,
+    );
+
+    /// The shape of `runs` gathered column by column, as before runs were
+    /// classified: each column's parts and source columns collected on their
+    /// own, then the latest pattern with the same parts whose merged sources
+    /// it reads alike, or a new pattern deduplicating its sources by search.
+    fn per_column_shape(runs: &[Rows<'_>], width: usize) -> Shape {
+        struct Ref<'a> {
+            parts: Vec<Part<'a>>,
+            remap: Vec<u32>,
+            firsts: Vec<u32>,
+            sources: Vec<&'a Columns>,
+            cols: Vec<u32>,
+        }
+        let (mut patterns, mut members): (Vec<Ref<'_>>, Vec<(usize, u32)>) = (vec![], vec![]);
+        for j in 0..width {
+            let (mut parts, mut cols) = (Vec::new(), Vec::new());
+            for &(batch, _) in runs {
+                match batch.columns[j].through() {
+                    None => (parts.push(Part::held(batch)), cols.push(j as u32)),
+                    Some((r, m)) => (
+                        parts.push(Part(Some(r), &r.sources)),
+                        cols.extend(r.cols(m)),
+                    ),
+                };
+            }
+            let first = |p: &Ref<'_>, r: u32| cols[p.firsts[r as usize] as usize];
+            let admits = |p: &Ref<'_>| cols.iter().zip(&p.remap).all(|(&c, &r)| first(p, r) == c);
+            let known = patterns.iter().rposition(|p| p.parts == parts && admits(p));
+            let k = known.unwrap_or_else(|| {
+                let flat: Vec<&Columns> = parts.iter().flat_map(|p| p.1).collect();
+                let (mut firsts, mut remap) = (Vec::<u32>::new(), Vec::new());
+                for (k, s) in flat.iter().enumerate() {
+                    let same =
+                        |&f: &u32| cols[f as usize] == cols[k] && Arc::ptr_eq(flat[f as usize], s);
+                    let known = firsts.iter().position(same);
+                    remap.push(
+                        known.unwrap_or_else(|| (firsts.push(k as u32), firsts.len() - 1).1) as u32,
+                    );
+                }
+                let sources = firsts.iter().map(|&f| flat[f as usize]).collect();
+                patterns.push(Ref {
+                    parts,
+                    remap,
+                    firsts,
+                    sources,
+                    cols: Vec::new(),
+                });
+                patterns.len() - 1
+            });
+            let p = &mut patterns[k];
+            members.push((k, (p.cols.len() / p.firsts.len()) as u32));
+            p.cols.extend(p.firsts.iter().map(|&f| cols[f as usize]));
+        }
+        let recipe = |p: &Ref<'_>| {
+            let picks = compose_picks(runs, &p.parts, &p.remap);
+            let sources = p.sources.iter().map(|s| Arc::as_ptr(s)).collect();
+            (
+                picks.iter().map(|p| (p.src, p.row)).collect(),
+                sources,
+                p.cols.clone(),
+            )
+        };
+        (members, patterns.iter().map(recipe).collect())
+    }
+
+    /// The shape of gathered columns, all deferred.
+    fn shape(columns: &[Column]) -> Shape {
+        let mut recipes: Vec<&Arc<Recipe>> = Vec::new();
+        let mut member = |c| {
+            let c: &Column = c;
+            let Column::Deferred(r, m) = c else {
+                panic!("a dense column")
+            };
+            let known = recipes.iter().position(|x| Arc::ptr_eq(x, r));
+            (
+                known.unwrap_or_else(|| (recipes.push(r), recipes.len() - 1).1),
+                *m,
+            )
+        };
+        let members = columns.iter().map(&mut member).collect();
+        let recipe = |r: &&Arc<Recipe>| {
+            let sources = r.sources.iter().map(Arc::as_ptr).collect();
+            (
+                r.picks.iter().map(|p| (p.src, p.row)).collect(),
+                sources,
+                r.cols.clone(),
+            )
+        };
+        (members, recipes.iter().map(recipe).collect())
+    }
+
+    #[test]
+    fn classified_gathers_match_the_per_column_path() {
+        let mut deferred = 0;
+        for case in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(45_000 + case);
+            let (mut batches, mut picks, _) = random_runs(&mut rng);
+            // A join's output: alternate columns picked through two recipes.
+            let rows = EAGER_ROWS + 20;
+            let take = |rng: &mut SmallRng| {
+                let (_, b) = wide_batch(rng, 2 * EAGER_ROWS);
+                b.take(&random_picks(rng, b.num_rows(), rows))
+            };
+            let (left, right) = (take(&mut rng), take(&mut rng));
+            let side = |j: usize| [&left, &right][j % 2].columns()[j].clone();
+            let joined = RecordBatch::new((0..left.width()).map(side).collect(), rows);
+            for _ in 0..rng.gen_range(0..3) {
+                let at = rng.gen_range(0..=batches.len());
+                batches.insert(at, remapped(&joined, &REMAP));
+                picks.insert(at, Some(random_picks(&mut rng, rows, 60)));
+            }
+            // A second gather over the same batches with other rows: an
+            // exchange's next destination, which reuses the layout.
+            let other: Vec<Option<Vec<u32>>> = (batches.iter().zip(&picks))
+                .map(|(b, p)| {
+                    p.as_ref()
+                        .map(|_| random_picks(&mut rng, b.num_rows(), 150))
+                })
+                .collect();
+            let mut layouts = Vec::new();
+            fn runs_of<'a>(
+                batches: &'a [RecordBatch],
+                picks: &'a [Option<Vec<u32>>],
+            ) -> Vec<Rows<'a>> {
+                batches
+                    .iter()
+                    .zip(picks)
+                    .map(|(b, i)| (b, i.as_deref()))
+                    .collect()
+            }
+            // And the runs in reverse: other batches, another layout.
+            let mut reversed = runs_of(&batches, &other);
+            reversed.reverse();
+            for runs in [
+                runs_of(&batches, &picks),
+                runs_of(&batches, &other),
+                reversed,
+            ] {
+                let columns = RecordBatch::gather_columns_in(&runs, &mut layouts);
+                if columns.iter().any(Column::is_dense) {
+                    continue;
+                }
+                deferred += 1;
+                let want = per_column_shape(&runs, REMAP.len());
+                assert!(shape(&columns) == want, "case {case}");
+            }
+            let two = usize::from(batches.len() > 1) + 1;
+            assert!(
+                layouts.len() <= two,
+                "case {case}: one layout per list of batches"
+            );
+        }
+        assert!(deferred > 300, "{deferred}");
+    }
+
     #[test]
     fn columns_picked_alike_share_one_recipe() {
         let mut rng = SmallRng::seed_from_u64(25);
@@ -2506,6 +2804,11 @@ pub(crate) mod tests {
         };
         assert!(!held(&r) && !held(&twice));
         assert_eq!(twice.num_rows(), t.num_rows());
+    }
+
+    /// Cells this thread has copied between columns so far.
+    pub(crate) fn cells_gathered() -> u64 {
+        gathers()[COPY].1
     }
 
     thread_local! {

@@ -60,8 +60,8 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    cells_gathered, compare_batch_rows, compare_batch_rows_full, gathers, ColumnVector, NullMask,
-    RecordBatch, Rows, StrVec, Table,
+    compare_batch_rows, compare_batch_rows_full, gathers, ColumnVector, Lanes, Located,
+    RecordBatch, Rows, StrVec, Table, BUILD, COPY,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -88,17 +88,23 @@ pub struct ExecOutcome {
     pub node_stats: Vec<NodeRuntimeStats>,
     /// Terminal outputs by name (gathered single-partition tables).
     pub outputs: HashMap<String, Table>,
-    /// Cells copied from column to column while the plan ran: every
-    /// deferred column some operator read, plus LeftOuter padding. Columns
-    /// forced later (an output checksum, a view publish) are not in it.
+    /// Cells copied from column to column while the plan ran: small
+    /// outputs copied at once, every deferred column some operator read,
+    /// and LeftOuter padding. Columns forced later (an output checksum, a
+    /// view publish) are not in it.
     pub cells_gathered: u64,
+    /// Wall time spent copying those cells (in `node_wall`).
+    pub copy_wall: Duration,
     /// Wall time of each node's kernel (same indexing as the graph arena):
     /// real time on this host, unlike the simulated `exclusive_cpu`.
     pub node_wall: Vec<Duration>,
-    /// Wall time spent building gathers, eager copies included (in `node_wall`).
-    pub gather_wall: Duration,
-    /// Output columns those gathers built.
+    /// Wall time spent building recipes for deferred outputs (in `node_wall`).
+    pub build_wall: Duration,
+    /// Output columns those recipes hold.
     pub gather_columns: u64,
+    /// Wall time of the whole plan: the kernels plus what runs between
+    /// them (validation, byte accounting, costing).
+    pub wall: Duration,
 }
 
 impl ExecOutcome {
@@ -133,9 +139,9 @@ pub fn execute_plan(
     let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(graph.len());
     let mut node_wall: Vec<Duration> = Vec::with_capacity(graph.len());
     let mut outputs = HashMap::new();
+    let started = Instant::now();
+    let before = gathers();
     let schemas = graph.validate()?;
-    let gathered_before = cells_gathered();
-    let (gather_wall_before, gather_columns_before) = gathers();
 
     for node in graph.nodes() {
         let child_tables: Vec<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
@@ -177,15 +183,19 @@ pub fn execute_plan(
         tables.push(table);
     }
 
-    let (gather_wall, gather_columns) = gathers();
+    let after = gathers();
+    let [(build_wall, gather_columns), (copy_wall, cells_gathered)] =
+        [BUILD, COPY].map(|k| (after[k].0 - before[k].0, after[k].1 - before[k].1));
     Ok(ExecOutcome {
         node_tables: tables,
         node_stats: stats,
         outputs,
-        cells_gathered: cells_gathered() - gathered_before,
+        cells_gathered,
+        copy_wall,
         node_wall,
-        gather_wall: gather_wall - gather_wall_before,
-        gather_columns: gather_columns - gather_columns_before,
+        build_wall,
+        gather_columns,
+        wall: started.elapsed(),
     })
 }
 
@@ -880,78 +890,63 @@ fn settle_group_floats(accs: &mut [Acc], inputs: impl Iterator<Item = (u32, f64)
 /// A row without a group: a NULL join key, or a probe key the build lacks.
 const NO_GROUP: u32 = u32::MAX;
 
-/// How a key is read: as one typed column's `i64` (`Int`, `Date`) or
-/// `&str`, or as values — any other type, and every key of two columns.
-#[derive(Clone, Copy, PartialEq)]
-enum KeyKind {
-    Int,
-    Date,
-    Str,
-    Values,
-}
-
-impl KeyKind {
-    /// Typed when `keys` is one column whose sources share a typed variant.
-    fn of((batch, keys): Side<'_>) -> KeyKind {
-        let [k] = keys else {
-            return KeyKind::Values;
-        };
-        let kind = |c: &&ColumnVector| match c {
-            ColumnVector::Int { .. } => KeyKind::Int,
-            ColumnVector::Date { .. } => KeyKind::Date,
-            ColumnVector::Str { .. } => KeyKind::Str,
-            _ => KeyKind::Values,
-        };
-        let (sources, _) = batch.columns()[*k].locate();
-        let first = sources.first().map_or(KeyKind::Values, kind);
-        if sources.iter().all(|c| kind(c) == first) {
-            first
-        } else {
-            KeyKind::Values
-        }
-    }
-}
-
 /// A batch and its key columns: one side of a grouping.
 type Side<'a> = (&'a RecordBatch, &'a [usize]);
 
-/// The key in column `k` of row `i`, read where it lies (`None` when NULL):
-/// `typed` is a source's data, `get` one row of it.
-fn typed_key<'a, D: ?Sized + 'a, K>(
-    batch: &'a RecordBatch,
-    k: usize,
-    typed: impl Fn(&'a ColumnVector) -> Option<&'a D>,
-    get: impl Fn(&'a D, usize) -> K + 'a,
-) -> impl Fn(usize) -> Option<K> + 'a {
-    let (sources, at) = batch.columns()[k].locate();
-    let data: Vec<&D> = sources
-        .iter()
-        .map(|&c| typed(c).expect("a key's sources share its kind"))
-        .collect();
-    move |i| {
-        let (s, r) = at(i);
-        (!sources[s].is_null(r)).then(|| get(data[s], r))
+/// One side's keys, read in one loop: `each(f)` calls `f(i, key)` for every
+/// row `i` in order, `None` for a key that is its own group in an aggregate
+/// and joins nothing.
+trait Keys {
+    type K: GroupKey;
+    fn rows(&self) -> usize;
+    fn each(&self, f: impl FnMut(usize, Option<Self::K>));
+}
+
+/// One typed key column: its lanes, and how a key is read from a lane.
+struct Typed<'a, D: ?Sized, G>(Lanes<'a, D>, G);
+
+impl<'a, D: ?Sized, K: GroupKey, G: Fn(&'a D, usize) -> K + Copy> Keys for Typed<'a, D, G> {
+    type K = K;
+
+    fn rows(&self) -> usize {
+        self.0.rows
+    }
+
+    fn each(&self, f: impl FnMut(usize, Option<K>)) {
+        self.0.each(self.1, f)
     }
 }
 
-/// The key of row `i` as values, read where it lies; `None` when a join key has
-/// a NULL in it (it joins nothing).
-fn value_key<'a>((batch, keys): Side<'a>, join: bool) -> impl Fn(usize) -> Option<Vec<Value>> + 'a {
-    let cols: Vec<_> = keys.iter().map(|&k| batch.columns()[k].locate()).collect();
-    move |i| {
-        let cells = cols.iter().map(|(sources, at)| {
-            let (s, r) = at(i);
-            sources[s].cell(r)
-        });
-        if join && cells.clone().any(Cell::is_null) {
-            return None;
+/// Keys read as values, cell by cell: a column of any other type, and
+/// every key of two or more columns. A join key with a NULL in it joins
+/// nothing.
+struct ValueKeys<'a> {
+    cols: Vec<Located<'a>>,
+    rows: usize,
+    join: bool,
+}
+
+impl Keys for ValueKeys<'_> {
+    type K = Vec<Value>;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn each(&self, mut f: impl FnMut(usize, Option<Vec<Value>>)) {
+        for i in 0..self.rows {
+            let cells = self.cols.iter().map(|c| c.cell(i));
+            let joins = !(self.join && cells.clone().any(Cell::is_null));
+            f(i, joins.then(|| cells.map(Cell::to_value).collect()));
         }
-        Some(cells.map(Cell::to_value).collect())
     }
 }
 
 /// A key the grouping table takes: any is hashed, an `i64` may index.
 trait GroupKey: std::hash::Hash + Eq {
+    /// True for `i64`: a direct-address table may hold it.
+    const INT: bool = false;
+
     /// The key as a direct-address table's index, for `i64` keys.
     fn int(&self) -> Option<i64> {
         None
@@ -959,6 +954,8 @@ trait GroupKey: std::hash::Hash + Eq {
 }
 
 impl GroupKey for i64 {
+    const INT: bool = true;
+
     fn int(&self) -> Option<i64> {
         Some(*self)
     }
@@ -975,49 +972,30 @@ enum GroupTable<K> {
     Hashed(WordMap<K, u32>),
 }
 
+/// Key `k`'s index in a direct-address table from `lo`, if it has one.
+fn direct<K: GroupKey>(lo: i64, k: &K) -> Option<usize> {
+    usize::try_from(k.int()?.checked_sub(lo)?).ok()
+}
+
 impl<K: GroupKey> GroupTable<K> {
-    /// The table for `rows` build keys: direct-address when they are
+    /// The table for a build side's keys: direct-address when they are
     /// integers whose span is small for the rows that carry it.
-    fn for_keys(rows: usize, key: impl Fn(usize) -> Option<K>) -> GroupTable<K> {
+    fn for_keys(keys: &impl Keys<K = K>) -> GroupTable<K> {
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for i in 0..rows {
-            match key(i).map(|k| k.int()) {
-                Some(Some(v)) => (lo, hi) = (lo.min(v), hi.max(v)),
-                Some(None) => return GroupTable::Hashed(WordMap::default()),
-                None => {}
-            }
+        if K::INT {
+            keys.each(|_, k| {
+                if let Some(v) = k.and_then(|k| k.int()) {
+                    (lo, hi) = (lo.min(v), hi.max(v));
+                }
+            });
         }
         // In i128: `i64::MIN` and `i64::MAX` may share a column.
         let span = hi as i128 - lo as i128 + 1;
-        if span > 0 && span <= rows as i128 * 4 + 1024 && span <= 1 << 21 {
+        if span > 0 && span <= keys.rows() as i128 * 4 + 1024 && span <= 1 << 21 {
             let slots = vec![NO_GROUP; span as usize];
             return GroupTable::Dense { lo, slots };
         }
         GroupTable::Hashed(WordMap::default())
-    }
-
-    /// `k`'s index in a direct-address table from `lo`, if it has one.
-    fn index(lo: i64, k: &K) -> Option<usize> {
-        usize::try_from(k.int()?.checked_sub(lo)?).ok()
-    }
-
-    /// The group slot of a build key, `NO_GROUP` until it is assigned.
-    fn slot(&mut self, k: K) -> &mut u32 {
-        match self {
-            GroupTable::Dense { lo, slots } => {
-                &mut slots[Self::index(*lo, &k).expect("a build key lies in its range")]
-            }
-            GroupTable::Hashed(map) => map.entry(k).or_insert(NO_GROUP),
-        }
-    }
-
-    /// The group of a probe key, `NO_GROUP` when the build has none.
-    fn get(&self, k: &K) -> u32 {
-        let found = match self {
-            GroupTable::Dense { lo, slots } => Self::index(*lo, k).and_then(|i| slots.get(i)),
-            GroupTable::Hashed(map) => map.get(k),
-        };
-        found.copied().unwrap_or(NO_GROUP)
     }
 }
 
@@ -1032,37 +1010,47 @@ struct Grouping {
     probed: Vec<u32>,
 }
 
-/// The one key → group-id table, behind Aggregate and Join. `key(i)` is row
-/// `i`'s key, `None` when NULL: its own group when nothing probes (an
-/// aggregate), no group when something does (a join build, and so no
-/// match). `probe` is another batch's rows and keys, looked up afterwards.
-fn assign_groups<K: GroupKey, F: Fn(usize) -> Option<K>>(
-    rows: usize,
-    key: F,
-    probe: Option<(usize, F)>,
-) -> Grouping {
-    let mut table = GroupTable::for_keys(rows, &key);
-    let mut null_group = NO_GROUP;
+/// The one key → group-id table, behind Aggregate and Join: `build`'s keys
+/// get groups — a NULL key its own when nothing probes (an aggregate), none
+/// when something does (a join build, and so no match) — and `probe`'s are
+/// looked up afterwards. The table's kind is matched once per side, so each
+/// of its loops is one of the keys' typed loops.
+fn assign_groups<B: Keys>(build: B, probe: Option<B>) -> Grouping {
+    let mut table = GroupTable::for_keys(&build);
+    let (joins, mut null_group) = (probe.is_some(), NO_GROUP);
     let mut firsts = Vec::new();
-    let mut of_row = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let slot = match key(i) {
-            Some(k) => table.slot(k),
-            None if probe.is_none() => &mut null_group,
-            None => {
-                of_row.push(NO_GROUP);
-                continue;
-            }
+    let mut of_row = Vec::with_capacity(build.rows());
+    let mut assign = |i: usize, slot: Option<&mut u32>| {
+        let slot = match slot {
+            Some(slot) => slot,
+            None if !joins => &mut null_group,
+            None => return of_row.push(NO_GROUP),
         };
         if *slot == NO_GROUP {
             *slot = firsts.len() as u32;
             firsts.push(i as u32);
         }
         of_row.push(*slot);
+    };
+    match &mut table {
+        GroupTable::Dense { lo, slots } => build.each(|i, k| {
+            let index = |k| direct(*lo, &k).expect("a build key lies in its range");
+            assign(i, k.map(|k| &mut slots[index(k)]))
+        }),
+        GroupTable::Hashed(map) => {
+            build.each(|i, k| assign(i, k.map(|k| map.entry(k).or_insert(NO_GROUP))))
+        }
     }
-    let probed = probe.map_or_else(Vec::new, |(rows, key)| {
-        let group = |i| key(i).map_or(NO_GROUP, |k| table.get(&k));
-        (0..rows).map(group).collect()
+    let probed = probe.map_or_else(Vec::new, |probe| {
+        let mut probed = Vec::with_capacity(probe.rows());
+        let mut push = |g: Option<&u32>| probed.push(g.copied().unwrap_or(NO_GROUP));
+        match &table {
+            GroupTable::Dense { lo, slots } => {
+                probe.each(|_, k| push(k.and_then(|k| slots.get(direct(*lo, &k)?))))
+            }
+            GroupTable::Hashed(map) => probe.each(|_, k| push(k.and_then(|k| map.get(&k)))),
+        }
+        probed
     });
     Grouping {
         of_row,
@@ -1072,36 +1060,39 @@ fn assign_groups<K: GroupKey, F: Fn(usize) -> Option<K>>(
 }
 
 /// Groups `build`'s keys and probes `probe`'s into them, reading both where
-/// they lie (`Column::locate`): no key column is copied. Both sides read typed only when their [`KeyKind`]s agree;
-/// otherwise both read values, so `Int(1)` still joins `Float(1.0)` and an
-/// `Int` never joins a `Date`. Both batches have rows.
+/// they lie (`Column::locate`): no key column is copied. A single key
+/// column reads typed — an `i64` from `Int` and `Date`, a `&str` from
+/// `Str` — when every source of both sides has that variant; otherwise
+/// both read values, so `Int(1)` still joins `Float(1.0)` and an `Int`
+/// never joins a `Date`. Both batches have rows.
 fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
-    let kind = match (KeyKind::of(build), probe.map(KeyKind::of)) {
-        (kind, Some(other)) if other != kind => KeyKind::Values,
-        (kind, _) => kind,
+    let one = |(batch, keys): Side<'a>| match keys {
+        [k] => Some(batch.columns()[*k].locate()),
+        _ => None,
     };
-    let rows = |(batch, _): Side<'_>| batch.num_rows();
+    let (b, p) = (one(build), probe.map(one));
     macro_rules! typed {
-        ($variant:ident, $get:expr) => {{
-            let read = |(batch, keys): Side<'a>| {
-                let data = |c: &'a ColumnVector| match c {
-                    ColumnVector::$variant { data, .. } => Some(data),
-                    _ => None,
-                };
-                typed_key(batch, keys[0], data, $get)
-            };
-            assign_groups(rows(build), read(build), probe.map(|p| (rows(p), read(p))))
-        }};
+        ($lane:expr, $get:expr) => {
+            let lanes = |l: &Option<Located<'a>>| l.as_ref().and_then(|l| l.lanes($lane));
+            if let Some(build) = lanes(&b) {
+                let get = $get;
+                // No probe, or a probe read the same way.
+                if let Some(probe) = p.as_ref().map_or(Some(None), |p| lanes(p).map(Some)) {
+                    return assign_groups(Typed(build, get), probe.map(|p| Typed(p, get)));
+                }
+            }
+        };
     }
-    match kind {
-        KeyKind::Int => typed!(Int, |d: &'a Vec<i64>, r| d[r]),
-        KeyKind::Date => typed!(Date, |d: &'a Vec<i32>, r| d[r] as i64),
-        KeyKind::Str => typed!(Str, |d: &'a StrVec, r| d.get(r)),
-        KeyKind::Values => {
-            let read = |side| value_key(side, probe.is_some());
-            assign_groups(rows(build), read(build), probe.map(|p| (rows(p), read(p))))
-        }
-    }
+    typed!(ColumnVector::ints, |d: &[i64], r: usize| d[r]);
+    typed!(ColumnVector::dates, |d: &[i32], r: usize| d[r] as i64);
+    typed!(ColumnVector::strs, StrVec::get);
+    let join = probe.is_some();
+    let values = |(batch, keys): Side<'a>| ValueKeys {
+        cols: keys.iter().map(|&k| batch.columns()[k].locate()).collect(),
+        rows: batch.num_rows(),
+        join,
+    };
+    assign_groups(values(build), probe.map(values))
 }
 
 /// The aggregate's output over one partition: per group, the key cells of
@@ -1124,10 +1115,11 @@ fn aggregate_output(
 
 /// One partition's aggregate, `None` when it has no row. Hash groups the
 /// rows by key ([`group_keys`]), stream takes each run of equal keys as a
-/// group ([`key_runs`]); then one pass per aggregate over its input column.
-/// COUNT/SUM/AVG over typed numeric columns run monomorphized loops feeding
-/// the exact `Acc` fields their `finish` arm reads; everything else falls
-/// back to the borrowed-cell update.
+/// group ([`key_runs`]); then one pass per aggregate over its input column,
+/// read where it lies. COUNT reads no column; SUM/AVG over `Int` and
+/// `Float` columns run typed loops feeding the exact `Acc` fields their
+/// `finish` arm reads; everything else falls back to the borrowed-cell
+/// update.
 fn aggregate_batch(
     batch: &RecordBatch,
     keys: &[usize],
@@ -1158,7 +1150,15 @@ fn aggregate_batch(
     }
 
     let mut finished = Vec::with_capacity(aggs.len());
+    // SUM and AVG of one column fill the same accumulator fields: one pass
+    // serves both.
+    let mut summed: Vec<(usize, Vec<Acc>)> = Vec::new();
     for a in aggs {
+        let sums = matches!(a.func, AggFunc::Sum | AggFunc::Avg);
+        if let Some((_, accs)) = summed.iter().find(|(input, _)| sums && *input == a.input) {
+            finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
+            continue;
+        }
         let mut accs: Vec<Acc> = (0..ngroups).map(|_| Acc::default()).collect();
         if a.func == AggFunc::Count {
             // finish(Count) reads only the row count: no cell, no column.
@@ -1168,67 +1168,69 @@ fn aggregate_batch(
             finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
             continue;
         }
-        let col = batch.column(a.input);
-        match (a.func, col) {
-            (AggFunc::Sum | AggFunc::Avg, ColumnVector::Int { data, nulls }) => {
-                accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |acc, i| {
-                    acc.add_int(data[i])
-                });
+        let col = batch.columns()[a.input].locate();
+        if let Some(ints) = col.lanes(ColumnVector::ints).filter(|_| sums) {
+            int_sums(&mut accs, &group_of, &group_sizes, ints);
+        } else if let Some(floats) = col.lanes(ColumnVector::floats).filter(|_| sums) {
+            float_sums(&mut accs, &group_of, &group_sizes, floats);
+        } else {
+            let mut floats = Vec::new();
+            for (i, &g) in group_of.iter().enumerate() {
+                let float = accs[g as usize].update_cell(a.func, col.cell(i));
+                floats.extend(float.map(|f| (g, f)));
             }
-            (AggFunc::Sum | AggFunc::Avg, ColumnVector::Float { data, nulls }) => {
-                accumulate_sums(&mut accs, &group_of, &group_sizes, nulls, |_, _| {});
-                let null = |i: usize| nulls.as_ref().is_some_and(|m| m[i]);
-                let rows = group_of.iter().enumerate().filter(|&(i, _)| !null(i));
-                settle_group_floats(&mut accs, rows.map(|(i, &g)| (g, data[i])));
-            }
-            _ => {
-                let mut floats = Vec::new();
-                for (i, &g) in group_of.iter().enumerate() {
-                    floats.extend(
-                        accs[g as usize]
-                            .update_cell(a.func, col.cell(i))
-                            .map(|f| (g, f)),
-                    );
-                }
-                settle_group_floats(&mut accs, floats.iter().copied());
-            }
+            settle_group_floats(&mut accs, floats.iter().copied());
         }
         finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
+        if sums {
+            summed.push((a.input, accs));
+        }
     }
     Some(aggregate_output(batch, keys, &firsts, finished))
 }
 
-/// SUM/AVG inner loop shared by the typed numeric columns: `add` feeds one
-/// non-null value into its group's accumulator; row/non-null counts are
-/// bulk-applied afterwards so the per-row work is a single indexed update.
-fn accumulate_sums(
-    accs: &mut [Acc],
-    group_of: &[u32],
-    group_sizes: &[u64],
-    nulls: &Option<NullMask>,
-    mut add: impl FnMut(&mut Acc, usize),
-) {
-    match nulls {
-        None => {
-            for (i, &g) in group_of.iter().enumerate() {
-                add(&mut accs[g as usize], i);
+/// SUM/AVG over an `Int` column: each non-NULL value added to its group's
+/// accumulator; row and non-NULL counts are applied per group afterwards.
+fn int_sums(accs: &mut [Acc], group_of: &[u32], group_sizes: &[u64], input: Lanes<'_, [i64]>) {
+    let mut non_null = vec![0u64; accs.len()];
+    input.each(
+        |d, r| d[r],
+        |i, x| {
+            if let Some(x) = x {
+                let g = group_of[i] as usize;
+                non_null[g] += 1;
+                accs[g].add_int(x);
             }
-            for (acc, &n) in accs.iter_mut().zip(group_sizes) {
-                acc.bump_rows(n, n);
+        },
+    );
+    for ((acc, &n), &nn) in accs.iter_mut().zip(group_sizes).zip(&non_null) {
+        acc.bump_rows(n, nn);
+    }
+}
+
+/// SUM/AVG over a `Float` column: each non-NULL value written as its
+/// [`total_key`] straight into its group's slice of one buffer, laid out by
+/// the groups' row counts, and each slice settled.
+fn float_sums(accs: &mut [Acc], group_of: &[u32], group_sizes: &[u64], input: Lanes<'_, [f64]>) {
+    let mut start = vec![0usize; accs.len() + 1];
+    for (g, &n) in group_sizes.iter().enumerate() {
+        start[g + 1] = start[g] + n as usize;
+    }
+    let (mut next, mut keys) = (start.clone(), vec![0i64; group_of.len()]);
+    input.each(
+        |d, r| d[r],
+        |i, f| {
+            if let Some(f) = f {
+                let g = group_of[i] as usize;
+                keys[next[g]] = total_key(f.to_bits() as i64);
+                next[g] += 1;
             }
-        }
-        Some(mask) => {
-            let mut non_null = vec![0u64; accs.len()];
-            for (i, &g) in group_of.iter().enumerate() {
-                if !mask[i] {
-                    non_null[g as usize] += 1;
-                    add(&mut accs[g as usize], i);
-                }
-            }
-            for ((acc, &n), &nn) in accs.iter_mut().zip(group_sizes).zip(&non_null) {
-                acc.bump_rows(n, nn);
-            }
-        }
+        },
+    );
+    for (g, acc) in accs.iter_mut().enumerate() {
+        let inputs = &mut keys[start[g]..next[g]];
+        acc.bump_rows(group_sizes[g], inputs.len() as u64);
+        acc.settle_floats(inputs);
     }
 }
 
@@ -1314,6 +1316,15 @@ fn hash_join_batch(
         (grouping.probed, start, rows)
     };
     let matches = |g: u32| &rows[start[g as usize]..start[g as usize + 1]];
+    // The left columns at `lidx`: handed on whole when every left row is
+    // there once, in order, as when each probe key meets one build row.
+    let left = |lidx: &[u32]| {
+        if lidx.len() == lrows && lidx.iter().enumerate().all(|(k, &i)| k == i as usize) {
+            lb.columns().to_vec()
+        } else {
+            RecordBatch::gather_columns(&[(lb, Some(lidx))])
+        }
+    };
 
     // Emit phase: index pairs, then recipes over both inputs — no copy.
     let batch = match kind {
@@ -1330,14 +1341,15 @@ fn hash_join_batch(
             let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
             let mut ridx: Vec<u32> = Vec::with_capacity(lrows);
             for (i, &g) in lgroup.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
-                let matches = matches(g);
-                lidx.resize(lidx.len() + matches.len(), i as u32);
-                ridx.extend_from_slice(matches);
+                for &r in matches(g) {
+                    lidx.push(i as u32);
+                    ridx.push(r);
+                }
             }
             if lidx.is_empty() {
                 return Vec::new();
             }
-            let mut cols = RecordBatch::gather_columns(&[(lb, Some(&lidx))]);
+            let mut cols = left(&lidx);
             cols.extend(RecordBatch::gather_columns(&[(rb, Some(&ridx))]));
             RecordBatch::new(cols, lidx.len())
         }
@@ -1349,15 +1361,16 @@ fn hash_join_batch(
                     lidx.push(i as u32);
                     ridx.push(None);
                 } else {
-                    let matches = matches(g);
-                    lidx.resize(lidx.len() + matches.len(), i as u32);
-                    ridx.extend(matches.iter().copied().map(Some));
+                    for &r in matches(g) {
+                        lidx.push(i as u32);
+                        ridx.push(Some(r));
+                    }
                 }
             }
             // The padded side has holes no pick can name: gathered here. An
             // empty right partition may have no columns at all; its padding
             // is all-NULL columns, the shape `from_values` gives them.
-            let mut cols = RecordBatch::gather_columns(&[(lb, Some(&lidx))]);
+            let mut cols = left(&lidx);
             cols.extend((0..rwidth).map(|j| match rrows {
                 0 => ColumnVector::Mixed(vec![Value::Null; lidx.len()]).into(),
                 _ => rb.column(j).take_opt(&ridx).into(),
@@ -1371,6 +1384,7 @@ fn hash_join_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::tests::cells_gathered;
     use crate::data::{multiset_checksum, Row};
     use scope_common::ids::DatasetId;
     use scope_plan::expr::AggFunc;
@@ -1786,6 +1800,103 @@ mod tests {
             let want = vec![hit.clone(), Value::Null, hit.clone(), hit];
             assert_eq!(joined, vec![want], "lo {lo}");
         }
+    }
+
+    /// One key column of `rows` random keys of `kind` (`Int`, `Date` or
+    /// `Str`, with NULLs), spread over 1–3 source batches: dense (a batch of
+    /// its own, or a gather read once) or picked through a gather's recipe.
+    /// `Int` keys are dense in a small range or spread wide, with
+    /// `i64::MIN` and `i64::MAX` now and then.
+    fn random_keys(rng: &mut rand::rngs::SmallRng, kind: DataType, rows: usize) -> RecordBatch {
+        use rand::Rng;
+        let (wide, extremes) = (rng.gen_bool(0.5), rng.gen_bool(0.3));
+        let key = |rng: &mut rand::rngs::SmallRng| match (kind, rng.gen_range(0..40)) {
+            (_, 0..=2) => Value::Null,
+            (DataType::Int, 3) if extremes => Value::Int(i64::MIN),
+            (DataType::Int, 4) if extremes => Value::Int(i64::MAX),
+            (DataType::Int, _) if wide => Value::Int(rng.gen_range(-50..50) << 40),
+            (DataType::Int, _) => Value::Int(rng.gen_range(-50..50)),
+            (DataType::Date, 3) if extremes => Value::Date(i32::MIN),
+            (DataType::Date, _) => Value::Date(rng.gen_range(17_000..17_060)),
+            _ => Value::Str(["", "a", "bb", "日本", "a longer key"][rng.gen_range(0..5)].into()),
+        };
+        let schema = Schema::from_pairs(&[("k", kind)]);
+        let sources: Vec<RecordBatch> = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let n = rng.gen_range(1..2 * rows);
+                let keys = (0..n).map(|_| vec![key(rng)]).collect();
+                RecordBatch::clone(&Table::single(schema.clone(), keys).partitions[0][0])
+            })
+            .collect();
+        if sources.len() == 1 && rng.gen_bool(0.3) {
+            return sources[0].clone();
+        }
+        let picks: Vec<(usize, Vec<u32>)> = (0..rows.div_ceil(40))
+            .map(|_| {
+                let s = rng.gen_range(0..sources.len());
+                let n = sources[s].num_rows() as u32;
+                (s, (0..40).map(|_| rng.gen_range(0..n)).collect())
+            })
+            .collect();
+        let runs: Vec<Rows<'_>> = picks
+            .iter()
+            .map(|(s, idx)| (&sources[*s], Some(&idx[..])))
+            .collect();
+        let batch = RecordBatch::gather(&runs);
+        if rng.gen_bool(0.3) {
+            batch.column(0);
+        }
+        batch
+    }
+
+    #[test]
+    fn typed_key_loops_match_the_value_path() {
+        use rand::SeedableRng;
+        let (mut typed, mut dense, mut hashed) = (0, 0, 0);
+        for case in 0..300 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(45_000 + case);
+            let kind = [DataType::Int, DataType::Date, DataType::Str][case as usize % 3];
+            let build = random_keys(&mut rng, kind, 200);
+            let probe = random_keys(&mut rng, kind, 300);
+            let key: &[usize] = &[0];
+            let before = cells_gathered();
+            let aggregate = group_keys((&build, key), None);
+            let join = group_keys((&build, key), Some((&probe, key)));
+            assert_eq!(cells_gathered(), before, "case {case}: a key was copied");
+            fn values<'a>((batch, keys): Side<'a>, join: bool) -> ValueKeys<'a> {
+                let cols = keys.iter().map(|&k| batch.columns()[k].locate()).collect();
+                let rows = batch.num_rows();
+                ValueKeys { cols, rows, join }
+            }
+            let by_value = assign_groups(values((&build, key), false), None);
+            let joined = assign_groups(
+                values((&build, key), true),
+                Some(values((&probe, key), true)),
+            );
+            for (got, want) in [(&aggregate, &by_value), (&join, &joined)] {
+                assert_eq!(got.of_row, want.of_row, "case {case}");
+                assert_eq!(got.firsts, want.firsts, "case {case}");
+                assert_eq!(got.probed, want.probed, "case {case}");
+            }
+            // The typed loops ran, on both kinds of table.
+            let located = build.columns()[0].locate();
+            if let Some(ints) = located.lanes(ColumnVector::ints) {
+                match GroupTable::for_keys(&Typed(ints, |d: &[i64], r: usize| d[r])) {
+                    GroupTable::Dense { .. } => dense += 1,
+                    GroupTable::Hashed(_) => hashed += 1,
+                }
+            }
+            let lanes = [
+                located.lanes(ColumnVector::ints).is_some(),
+                located.lanes(ColumnVector::dates).is_some(),
+                located.lanes(ColumnVector::strs).is_some(),
+            ];
+            typed += usize::from(lanes.contains(&true));
+        }
+        assert!(
+            typed > 250 && dense > 10 && hashed > 10,
+            "{typed} {dense} {hashed}"
+        );
     }
 
     #[test]

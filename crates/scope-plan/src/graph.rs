@@ -139,9 +139,13 @@ impl QueryGraph {
     }
 
     /// The output schema of one node.
+    ///
+    /// Runs the full bottom-up schema pass, O(nodes) with a `String` clone
+    /// per column of every node, and keeps one schema of it. A caller that
+    /// asks once per root, as `SubsumeDescriptor::of` does once per unary
+    /// root, pays O(nodes × roots); call [`QueryGraph::schemas`] once instead
+    /// where that matters.
     pub fn schema_of(&self, id: NodeId) -> Result<Schema> {
-        // Compute only the ancestors-of-id subset? Simpler and still O(n):
-        // full bottom-up pass (plans are small).
         let schemas = self.schemas()?;
         schemas
             .get(id.index())

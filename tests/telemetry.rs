@@ -270,8 +270,10 @@ fn prometheus_export_is_well_formed() {
         "# TYPE cv_storage_views gauge",
         "# TYPE cv_job_latency_sim_micros histogram",
         "# TYPE cv_exec_rows_in_total counter",
+        "# TYPE cv_exec_wall_nanos_total counter",
         "# TYPE cv_exec_cells_gathered_total counter",
-        "# TYPE cv_exec_gather_wall_nanos_total counter",
+        "# TYPE cv_exec_copy_wall_nanos_total counter",
+        "# TYPE cv_exec_build_wall_nanos_total counter",
         "# TYPE cv_exec_gather_columns_total counter",
     ] {
         assert!(text.contains(series), "missing {series:?}");
@@ -280,9 +282,12 @@ fn prometheus_export_is_well_formed() {
     let snap = cv.telemetry.metrics.snapshot();
     assert!(snap.counter("cv_exec_rows_in_total") > 0);
     assert!(snap.counter("cv_exec_cells_gathered_total") > 0);
-    // Gathers built columns, and timing them took some of the kernels' wall.
+    // Gathers built columns and copied cells, and timing each took some of
+    // the kernels' wall, which Execute's whole wall holds.
     assert!(snap.counter("cv_exec_gather_columns_total") > 0);
-    assert!(snap.counter("cv_exec_gather_wall_nanos_total") > 0);
+    assert!(snap.counter("cv_exec_build_wall_nanos_total") > 0);
+    assert!(snap.counter("cv_exec_copy_wall_nanos_total") > 0);
+    assert!(snap.counter("cv_exec_wall_nanos_total") > 0);
     // Kernel wall time per operator kind: every kind exports a series, and
     // the kinds the jobs ran add up to a positive total.
     let mut op_wall = 0;
