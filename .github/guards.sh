@@ -42,6 +42,18 @@ one_grouping_kernel() {
     | grep -nE '\bfn (group_rows|group_by_key|group_typed_ints|build_probe|build_probe_ints|hash_aggregate_batch|stream_aggregate_batch|typed_key|value_key)\b|\benum KeyKind\b'
 }
 
+# A Schema's columns are shared (`Arc<[Column]>`): a clone is a
+# reference-count bump, so schema.rs stores no `Vec<Column>`.
+schema_columns_shared() {
+  ! grep -nE '^\s+columns: Vec<Column>,' crates/scope-plan/src/schema.rs
+}
+
+# Each node's partitions are cut from one build: no per-partition copy path
+# (EAGER_ROWS) comes back into non-test data.rs.
+one_build_per_node() {
+  ! sed '/^#\[cfg(test)\]/,$d' crates/scope-engine/src/data.rs | grep -nw 'EAGER_ROWS'
+}
+
 # Outside data.rs, which defines them, no non-test library code
 # materializes a table's rows.
 rows_stay_in_tests() {
@@ -124,6 +136,8 @@ for rule in \
   udos_run_as_batch_kernels \
   execute_builds_no_row \
   one_grouping_kernel \
+  schema_columns_shared \
+  one_build_per_node \
   rows_stay_in_tests \
   one_layout_per_type \
   one_descriptor_rule \

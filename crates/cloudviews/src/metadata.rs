@@ -671,11 +671,16 @@ impl MetadataService {
                 // Tier-2 candidate scan: liveness, then the feature-vector
                 // gate, no plan inspection. Rejects never leave the service.
                 // A live candidate is cloned *before* the gate, as it always
-                // was: gating on the borrow and cloning survivors only
-                // (ROADMAP 1(b)) makes this loop 8x cheaper, which takes
-                // `subsume_catalog`'s `meta.share + opt.share` under the 0.5
-                // its workload-design check enforces, so it waits for a PR
-                // that may re-cut `benchmark/`.
+                // was. Schemas are shared, so that clone bumps reference
+                // counts instead of copying column names; traced
+                // `subsume_catalog` runs (seeds 1–3) read `meta.share +
+                // opt.share` 0.626–0.634 since, against 0.660–0.672 before
+                // (0.566–0.599 with shared schemas alone, whose Execute cost
+                // more).
+                // Gating on the borrow and cloning survivors only (ROADMAP
+                // 4(b)) makes this loop 8x cheaper, which takes that sum
+                // under the 0.5 its workload-design check enforces, so it
+                // still waits for ROADMAP item 1(c) to restate that check.
                 for precise in &e.precise_views {
                     probed += 1;
                     let candidate = catalog

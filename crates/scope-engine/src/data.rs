@@ -9,20 +9,21 @@
 //! and for tests and the row-engine oracle, which read them back with
 //! [`Table::partition_rows`], [`Table::all_rows`] and [`RecordBatch::row`].
 //!
-//! **Gather on read.** Every operation that moves rows without computing
-//! on them — the three repartitions, partition concatenation,
-//! [`RecordBatch::take`] (filter, sort, top, semi join) and the join emit —
-//! builds its output through `RecordBatch::gather_columns`, which copies no
-//! cell: each column is a member of a [`Recipe`], one vector of
-//! `(source, row)` picks and one list of source batches shared by every
-//! column picked the same way, and per member the column it reads in each
-//! source. Gathering from an unread recipe composes the two pick vectors
-//! (once per distinct pattern, not per column), so sources are always dense
-//! and a column that crosses five shuffles is copied once, by
-//! [`Column::dense`], when an operator first reads it — or never. Byte totals
-//! are counted on first use and never force a column. Outputs of under
-//! `EAGER_ROWS` rows over dense sources are copied at once instead: a recipe
-//! costs more than they do.
+//! **Gather on read, once per node.** Every operation that moves rows
+//! without computing on them — the three repartitions, sort, filter, the
+//! aggregate's key columns and the join emit — builds its whole output
+//! through `RecordBatch::gather_columns` in one call and cuts each partition
+//! from it as a **window** (a batch whose rows are a range of the build's
+//! columns); `Table::views` reads a node's partitions back as rows of that
+//! one build, so the next kernel also runs once per build, not once per
+//! partition. The gather copies no cell: each column is a member of a
+//! [`Recipe`], one vector of `(source, row)` picks and one list of source
+//! batches shared by every column picked the same way, and per member the
+//! column it reads in each source. Gathering from an unread recipe composes
+//! the two pick vectors (once per distinct pattern, not per column), so
+//! sources are always dense and a column that crosses five shuffles is
+//! copied once, by [`Column::dense`], when an operator first reads it — or
+//! never. Byte totals are counted on first use and never force a column.
 //!
 //! **Route once.** A dense column ([`Cells`]) memoises the partition of each
 //! of its rows under the first single-key hash exchange that routes on it,
@@ -47,13 +48,13 @@
 
 use std::cell::Cell as Counter;
 use std::cmp::Ordering;
-use std::ops::{Deref, Range};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use scope_common::hash::{sip24_short, sip64, SipHasher24};
 use scope_common::{Result, ScopeError};
-use scope_plan::{Cell, DataType, Partitioning, PhysicalProps, Schema, SortOrder, Value};
+use scope_plan::{Cell, DataType, Partitioning, PhysicalProps, Schema, SortDir, SortOrder, Value};
 
 /// One row of values (the bridge representation).
 pub type Row = Vec<Value>;
@@ -280,14 +281,22 @@ impl ColumnVector {
 
     /// Total byte size under the [`Value::byte_size`] accounting.
     pub fn byte_total(&self) -> u64 {
+        self.bytes_of(0..self.len())
+    }
+
+    /// [`ColumnVector::byte_total`] of rows `rows`.
+    fn bytes_of(&self, rows: Range<usize>) -> u64 {
         match (self, self.plain_width()) {
             (ColumnVector::Str { data, nulls: None }, _) => {
-                8 * data.len() as u64 + data.bytes.len() as u64
+                let end = |i: usize| if i == 0 { 0 } else { data.ends[i - 1] as u64 };
+                8 * rows.len() as u64 + end(rows.end) - end(rows.start)
             }
-            (_, Some(width)) => width * self.len() as u64,
+            (_, Some(width)) => width * rows.len() as u64,
             _ => Located {
                 sources: vec![self],
                 picks: None,
+                start: rows.start,
+                rows: rows.len(),
             }
             .byte_total(),
         }
@@ -451,6 +460,15 @@ impl ColumnVector {
                     .collect(),
             ),
         }
+    }
+
+    /// The columns `parts` one after another.
+    pub(crate) fn concat(parts: &[ColumnVector]) -> ColumnVector {
+        let sources: Vec<&ColumnVector> = parts.iter().collect();
+        let picks: Vec<Pick> = (0..parts.len() as u32)
+            .flat_map(|src| (0..parts[src as usize].len() as u32).map(move |row| Pick { src, row }))
+            .collect();
+        timed(COPY, picks.len(), || ColumnVector::gather(&sources, &picks))
     }
 
     /// Gathers rows at `idx`, producing NULL where the index is `None`
@@ -659,6 +677,14 @@ impl Column {
         matches!(self, Column::Dense(_))
     }
 
+    /// Number of rows.
+    fn len(&self) -> usize {
+        match self {
+            Column::Dense(c) => c.len(),
+            Column::Deferred(r, _) => r.picks.len(),
+        }
+    }
+
     /// The cells, gathered now if nobody has read the column before;
     /// concurrent first readers get the same cells and one gather.
     pub fn dense(&self) -> &ColumnVector {
@@ -685,16 +711,20 @@ impl Column {
         }
     }
 
-    /// The cells where they lie, without reading the column.
-    pub(crate) fn locate(&self) -> Located<'_> {
+    /// The cells of rows `rows` where they lie, without reading the column.
+    pub(crate) fn locate(&self, rows: Range<usize>) -> Located<'_> {
         match self.through() {
             Some((r, m)) => Located {
                 sources: r.sources(m).map(|c| &c.vector).collect(),
-                picks: Some(&r.picks),
+                picks: Some(&r.picks[rows.clone()]),
+                start: 0,
+                rows: rows.len(),
             },
             None => Located {
                 sources: vec![self.dense()],
                 picks: None,
+                start: rows.start,
+                rows: rows.len(),
             },
         }
     }
@@ -708,47 +738,56 @@ impl Column {
         }
     }
 
-    /// [`ColumnVector::byte_total`] of the cells, counted once through the
-    /// picks if the column has not been read; never forces the column.
-    fn byte_total(&self) -> u64 {
-        let Column::Deferred(r, m) = self else {
-            return self.cells().byte_total();
-        };
-        *r.members[*m as usize].bytes.get_or_init(|| {
-            if let Some(c) = self.held() {
-                return c.byte_total();
+    /// [`ColumnVector::byte_total`] of rows `rows`, counted through the
+    /// picks if the column has not been read; never forces the column. The
+    /// whole column's total is counted once.
+    fn byte_total(&self, rows: Range<usize>) -> u64 {
+        let count = || match (self.held(), self) {
+            (Some(c), _) => c.bytes_of(rows.clone()),
+            (None, Column::Deferred(r, m)) => {
+                // Every source fixed-width alike and without NULLs: no walk.
+                let mut widths = r.sources(*m).map(|c| c.plain_width());
+                let width = widths
+                    .next()
+                    .flatten()
+                    .filter(|&w| widths.all(|v| v == Some(w)));
+                width.map_or_else(
+                    || self.locate(rows.clone()).byte_total(),
+                    |w| w * rows.len() as u64,
+                )
             }
-            // Every source fixed-width alike and without NULLs: no walk.
-            let mut widths = r.sources(*m).map(|c| c.plain_width());
-            let width = widths
-                .next()
-                .flatten()
-                .filter(|&w| widths.all(|v| v == Some(w)));
-            width.map_or_else(|| self.locate().byte_total(), |w| w * r.picks.len() as u64)
-        })
+            (None, Column::Dense(_)) => unreachable!("a dense column holds its cells"),
+        };
+        match self {
+            Column::Deferred(r, m) if rows.len() == r.picks.len() => {
+                *r.members[*m as usize].bytes.get_or_init(count)
+            }
+            _ => count(),
+        }
     }
 }
 
-/// A column's cells where they lie, resolved once: its dense sources and,
-/// for an unread recipe member, the picks naming each row's source and row
-/// (`None`: the one source, row for row).
+/// Some rows of a column where they lie, resolved once: its dense sources
+/// and, for an unread recipe member, the picks naming each row's source and
+/// row (`None`: the one source, row for row from row `start`).
 pub(crate) struct Located<'a> {
     sources: Vec<&'a ColumnVector>,
     picks: Option<&'a [Pick]>,
+    start: usize,
+    rows: usize,
 }
 
 impl<'a> Located<'a> {
     /// Number of rows.
     pub(crate) fn rows(&self) -> usize {
-        self.picks
-            .map_or_else(|| self.sources[0].len(), <[Pick]>::len)
+        self.rows
     }
 
     /// The cell of row `i`, looked up on its own: the untyped path.
     pub(crate) fn cell(&self, i: usize) -> Cell<'a> {
         match self.picks {
             Some(p) => self.sources[p[i].src as usize].cell(p[i].row as usize),
-            None => self.sources[0].cell(i),
+            None => self.sources[0].cell(self.start + i),
         }
     }
 
@@ -773,7 +812,8 @@ impl<'a> Located<'a> {
             data,
             nulls: self.sources.iter().any(|c| c.nulls().is_some()).then(masks),
             picks: self.picks,
-            rows: self.rows(),
+            start: self.start,
+            rows: self.rows,
         })
     }
 
@@ -805,11 +845,12 @@ impl<'a> Located<'a> {
 
 /// A column's typed values where they lie: per source its values and, when
 /// some source has one, its null mask; the picks, or `None` for one source
-/// read row for row.
+/// read row for row from row `start`.
 pub(crate) struct Lanes<'a, D: ?Sized> {
     data: Vec<&'a D>,
     nulls: Option<Vec<Option<&'a [bool]>>>,
     picks: Option<&'a [Pick]>,
+    start: usize,
     /// Number of rows.
     pub(crate) rows: usize,
 }
@@ -827,10 +868,11 @@ impl<'a, D: ?Sized> Lanes<'a, D> {
     ) {
         let null = |m: Option<&[bool]>, r: usize| m.is_some_and(|m| m[r]);
         let picked = self.picks.unwrap_or_default().iter().enumerate();
+        let rows = (0..self.rows).map(|i| (i, self.start + i));
         match (self.picks, self.nulls.as_deref(), self.data.as_slice()) {
-            (None, None, &[d]) => (0..self.rows).for_each(|i| f(i, Some(get(d, i)))),
+            (None, None, &[d]) => rows.for_each(|(i, r)| f(i, Some(get(d, r)))),
             (None, Some(&[m]), &[d]) => {
-                (0..self.rows).for_each(|i| f(i, (!null(m, i)).then(|| get(d, i))))
+                rows.for_each(|(i, r)| f(i, (!null(m, r)).then(|| get(d, r))))
             }
             (Some(_), None, &[d]) => picked.for_each(|(i, p)| f(i, Some(get(d, p.row as usize)))),
             (Some(_), None, ds) => {
@@ -844,11 +886,6 @@ impl<'a, D: ?Sized> Lanes<'a, D> {
         }
     }
 }
-
-/// Batches smaller than this whose sources are all dense are gathered as
-/// they are built: a recipe per column costs more than copying so few cells
-/// (DESIGN §14.2 has the measurement).
-const EAGER_ROWS: usize = 128;
 
 /// One source of a gather: a batch and the rows to take from it, in output
 /// order (`None` = all of it).
@@ -866,9 +903,15 @@ fn total_rows(runs: &[Rows<'_>]) -> usize {
 /// An immutable batch of rows stored column-wise. A batch carries its byte
 /// size and its row-hash sum, each counted at first use; immutability is the
 /// cache-invalidation strategy for both.
+///
+/// A batch may be a **window** of its columns: its rows are rows
+/// `start..start + rows` of them. A node builds its output once and cuts
+/// each partition from it as a window; kernels read a node's partitions
+/// back as rows of that one build.
 #[derive(Clone, Debug)]
 pub struct RecordBatch {
     columns: Columns,
+    start: usize,
     rows: usize,
     bytes: OnceLock<u64>,
     row_hash_sum: OnceLock<u64>,
@@ -877,19 +920,46 @@ pub struct RecordBatch {
 impl RecordBatch {
     /// Builds a batch from columns; all columns must share `rows` length.
     pub fn new(columns: Vec<Column>, rows: usize) -> RecordBatch {
-        debug_assert!(columns.iter().all(|c| match c {
-            Column::Dense(cells) => cells.len() == rows,
-            Column::Deferred(recipe, _) => recipe.picks.len() == rows,
-        }));
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
         // Row indices within a batch are `u32` everywhere (selections,
         // picks, join pairs).
         assert!(rows <= u32::MAX as usize, "batch exceeds u32 row indices");
+        RecordBatch::window_of(columns.into(), 0..rows)
+    }
+
+    fn window_of(columns: Columns, rows: Range<usize>) -> RecordBatch {
         RecordBatch {
-            columns: columns.into(),
-            rows,
+            columns,
+            start: rows.start,
+            rows: rows.len(),
             bytes: OnceLock::new(),
             row_hash_sum: OnceLock::new(),
         }
+    }
+
+    /// Rows `rows` of a whole batch, sharing its columns.
+    pub(crate) fn window(&self, rows: Range<usize>) -> RecordBatch {
+        debug_assert!(self.is_whole() && rows.end <= self.rows);
+        RecordBatch::window_of(Arc::clone(&self.columns), rows)
+    }
+
+    /// The whole batch this one is a window of.
+    fn whole(&self) -> RecordBatch {
+        let rows = self
+            .columns
+            .first()
+            .map_or(self.start + self.rows, Column::len);
+        RecordBatch::window_of(Arc::clone(&self.columns), 0..rows)
+    }
+
+    /// True when the batch holds every row of its columns.
+    pub(crate) fn is_whole(&self) -> bool {
+        self.start == 0 && self.columns.first().is_none_or(|c| c.len() == self.rows)
+    }
+
+    /// The batch's rows in its columns.
+    fn span(&self) -> Range<usize> {
+        self.start..self.start + self.rows
     }
 
     /// Number of rows.
@@ -905,30 +975,41 @@ impl RecordBatch {
     /// Byte size (sum of [`Value::byte_size`] over all cells), counted on
     /// first use.
     pub fn bytes(&self) -> u64 {
-        *self
-            .bytes
-            .get_or_init(|| self.columns.iter().map(Column::byte_total).sum())
+        *self.bytes.get_or_init(|| {
+            let bytes = |c: &Column| c.byte_total(self.span());
+            self.columns.iter().map(bytes).sum()
+        })
     }
 
     /// All columns as held, dense or deferred, to hand on without reading.
+    /// A window's rows are rows `start..start + rows` of them.
     pub fn columns(&self) -> &[Column] {
         &self.columns
     }
 
-    /// The cells of column `i`, gathered on first read (panics when out of
-    /// range, like `row[i]`).
+    /// The cells of column `i` of a whole batch, gathered on first read
+    /// (panics when out of range, like `row[i]`).
     pub fn column(&self, i: usize) -> &ColumnVector {
+        debug_assert!(self.is_whole(), "a window reads its cells through `cell`");
         self.columns[i].dense()
+    }
+
+    /// Rows `rows` of column `i` where they lie.
+    pub(crate) fn locate(&self, i: usize, rows: Range<usize>) -> Located<'_> {
+        let at = self.start + rows.start..self.start + rows.end;
+        self.columns[i].locate(at)
     }
 
     /// Cell at (`row`, `col`); panics like `row[col]` on a bad column.
     pub fn cell(&self, row: usize, col: usize) -> Cell<'_> {
-        self.column(col).cell(row)
+        self.columns[col].dense().cell(self.start + row)
     }
 
     /// Materializes row `i` (a test and oracle helper).
     pub fn row(&self, i: usize) -> Row {
-        self.columns.iter().map(|c| c.dense().value(i)).collect()
+        (0..self.width())
+            .map(|c| self.cell(i, c).to_value())
+            .collect()
     }
 
     /// The rows at `idx` as a new batch.
@@ -945,42 +1026,12 @@ impl RecordBatch {
     /// column that is itself an unread recipe is picked *through* (its picks
     /// composed with the new ones, its sources adopted), never forced, and
     /// the columns whose sources were picked alike share one [`Recipe`].
+    /// This is the one way rows move: a node gathers its whole output in one
+    /// call and cuts its partitions from it.
     pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
-        RecordBatch::gather_columns_in(runs, &mut Vec::new())
-    }
-
-    /// [`RecordBatch::gather_columns`], reusing the layout of an earlier
-    /// gather in `layouts` that named the same batches.
-    fn gather_columns_in<'a>(runs: &[Rows<'a>], layouts: &mut Vec<Layout<'a>>) -> Vec<Column> {
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
-        let held = |(b, _): &Rows<'_>| b.columns.iter().all(|c| c.held().is_some());
-        let rows = total_rows(runs);
-        if rows < EAGER_ROWS && runs.iter().all(held) {
-            // Few rows, nothing to pick through: cheaper copied than deferred.
-            return timed(COPY, rows * width, || {
-                let whole: Vec<Part<'_>> = runs.iter().map(|(b, _)| Part::held(b)).collect();
-                let each: Vec<u32> = (0..runs.len() as u32).collect();
-                let picks = compose_picks(runs, &whole, &each);
-                let mut sources: Vec<&ColumnVector> = Vec::with_capacity(runs.len());
-                let mut column = |j| {
-                    sources.clear();
-                    sources.extend(runs.iter().map(|(b, _)| b.column(j)));
-                    ColumnVector::gather(&sources, &picks).into()
-                };
-                (0..width).map(&mut column).collect()
-            });
-        }
-        timed(BUILD, width, || {
-            let batches: Vec<*const RecordBatch> =
-                runs.iter().map(|&(b, _)| b as *const _).collect();
-            let known = layouts.iter().position(|l| l.batches == batches);
-            let k = known.unwrap_or_else(|| {
-                layouts.push(Layout::of(runs, width));
-                layouts.len() - 1
-            });
-            layouts[k].columns(runs)
-        })
+        timed(BUILD, width, || Layout::of(runs, width).columns(runs))
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
@@ -992,8 +1043,9 @@ impl RecordBatch {
             let columns: Vec<&ColumnVector> = self.columns.iter().map(Column::dense).collect();
             let mut states = Vec::with_capacity(self.rows.min(BLOCK));
             let mut sum = 0u64;
-            for start in (0..self.rows).step_by(BLOCK) {
-                let rows = start..self.rows.min(start + BLOCK);
+            let end = self.start + self.rows;
+            for start in self.span().step_by(BLOCK) {
+                let rows = start..end.min(start + BLOCK);
                 states.clear();
                 states.resize(rows.len(), SipHasher24::new_with_keys(0xc0ffee, 0xdecaf));
                 for col in &columns {
@@ -1006,14 +1058,18 @@ impl RecordBatch {
     }
 }
 
-/// How a gather's columns are picked, whatever rows its runs take: the
-/// patterns and each column's pattern and member. It depends only on the
-/// batches the runs name, so an exchange's destinations that receive rows
-/// from the same batches build one.
+/// How a gather's columns are picked, whatever rows its runs take: per run
+/// and column the batch or recipe that holds it, the patterns, each
+/// column's pattern and member, and the patterns' source maps back to back
+/// (one scratch set for all of them).
 struct Layout<'a> {
-    batches: Vec<*const RecordBatch>,
-    patterns: Vec<(usize, Pattern<'a>)>,
+    class: Vec<(Part<'a>, u32)>,
+    patterns: Vec<Pattern>,
     members: Vec<(usize, u32)>,
+    /// Per pattern, per flat source, its index among the recipe's sources.
+    remap: Vec<u32>,
+    /// Per pattern, per recipe source, the flat position it is first named at.
+    firsts: Vec<u32>,
 }
 
 impl<'a> Layout<'a> {
@@ -1031,43 +1087,65 @@ impl<'a> Layout<'a> {
             };
             batch.columns.iter().enumerate().map(holder)
         };
-        let class: Vec<(Part<'a>, u32)> = runs.iter().flat_map(classify).collect();
-        let at = |r: usize, j: usize| class[r * width + j];
-        let mut patterns: Vec<(usize, Pattern<'_>)> = Vec::new();
-        let mut members: Vec<(usize, u32)> = Vec::with_capacity(width);
+        let mut layout = Layout {
+            class: runs.iter().flat_map(classify).collect(),
+            patterns: Vec::new(),
+            members: Vec::with_capacity(width),
+            remap: Vec::new(),
+            firsts: Vec::new(),
+        };
+        let at = |class: &[(Part<'a>, u32)], r: usize, j: usize| class[r * width + j];
         let mut cols: Vec<u32> = Vec::new();
         for j in 0..width {
             cols.clear();
             for r in 0..runs.len() {
-                let (part, m) = at(r, j);
+                let (part, m) = at(&layout.class, r, j);
                 match part.0 {
                     None => cols.push(m),
                     Some(recipe) => cols.extend_from_slice(recipe.cols(m)),
                 }
             }
-            let alike = |j0: usize| (0..runs.len()).all(|r| at(r, j).0 == at(r, j0).0);
+            let class = &layout.class;
+            let alike =
+                |j0: usize| (0..runs.len()).all(|r| at(class, r, j).0 == at(class, r, j0).0);
             // Adjacent columns mostly share a pattern: the latest first.
-            let known = patterns
-                .iter()
-                .rposition(|(j0, p)| alike(*j0) && p.admits(&cols));
-            let k = known.unwrap_or_else(|| {
-                let parts = (0..runs.len()).map(|r| at(r, j).0);
-                patterns.push((j, Pattern::new(parts.collect(), &cols)));
-                patterns.len() - 1
+            let (remap, firsts) = (&layout.remap, &layout.firsts);
+            let known = (layout.patterns.iter()).rposition(|p| {
+                alike(p.column)
+                    && p.admits(&remap[p.flat.clone()], &firsts[p.firsts.clone()], &cols)
             });
-            members.push((k, patterns[k].1.add_member(&cols)));
+            let k = known.unwrap_or_else(|| {
+                let flat = (0..runs.len()).flat_map(|r| at(&layout.class, r, j).0 .1);
+                let pattern = Pattern::new(j, flat, &cols, &mut layout.remap, &mut layout.firsts);
+                layout.patterns.push(pattern);
+                layout.patterns.len() - 1
+            });
+            let firsts = &layout.firsts[layout.patterns[k].firsts.clone()];
+            let m = layout.patterns[k].add_member(firsts, &cols);
+            layout.members.push((k, m));
         }
-        Layout {
-            batches: runs.iter().map(|&(b, _)| b as *const _).collect(),
-            patterns,
-            members,
-        }
+        layout
     }
 
     /// The columns of `runs`, which name this layout's batches: one recipe
     /// per pattern, its picks composed from the runs' rows.
-    fn columns(&self, runs: &[Rows<'_>]) -> Vec<Column> {
-        let recipes: Vec<Arc<Recipe>> = self.patterns.iter().map(|(_, p)| p.recipe(runs)).collect();
+    fn columns(self, runs: &[Rows<'_>]) -> Vec<Column> {
+        let width = self.members.len();
+        let recipes: Vec<Arc<Recipe>> = (self.patterns.into_iter())
+            .map(|p| {
+                let parts = (0..runs.len()).map(|r| self.class[r * width + p.column].0);
+                let picks = compose_picks(runs, parts, &self.remap[p.flat]);
+                let members = (0..p.cols.len() / p.sources.len())
+                    .map(|_| Member::default())
+                    .collect();
+                Arc::new(Recipe {
+                    picks,
+                    sources: p.sources,
+                    cols: p.cols,
+                    members,
+                })
+            })
+            .collect();
         let member = |&(k, m): &(usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
         self.members.iter().map(member).collect()
     }
@@ -1092,50 +1170,53 @@ impl PartialEq for Part<'_> {
     }
 }
 
-/// The output columns of one gather that share a pick pattern: per run the
-/// batch or recipe picked from, and how the runs' sources (`flat`, back to
-/// back per run) map onto the recipe's deduplicated sources.
-struct Pattern<'a> {
-    parts: Vec<Part<'a>>,
-    /// Per flat source, its index among the recipe's sources.
-    remap: Vec<u32>,
-    /// Per recipe source, the flat position it is first named at.
-    firsts: Vec<u32>,
-    /// The recipe's sources.
+/// The output columns of one gather that share a pick pattern: the first
+/// column that has it (whose runs' batches or recipes it is picked from),
+/// its source maps in the layout's scratch, and the recipe's sources and
+/// every member's column in each.
+struct Pattern {
+    column: usize,
+    flat: Range<usize>,
+    firsts: Range<usize>,
     sources: Vec<Columns>,
-    /// Every member's column in each source, `firsts.len()` of them each.
     cols: Vec<u32>,
 }
 
-impl<'a> Pattern<'a> {
-    /// The pattern of one column reading `cols` of its flat sources: a flat
-    /// source is one recipe source per distinct batch and column, so a
-    /// source batch named by eight runs is one source.
-    fn new(parts: Vec<Part<'a>>, cols: &[u32]) -> Pattern<'a> {
-        let flat = parts.iter().flat_map(|p| p.1);
-        let mut firsts: Vec<u32> = Vec::new();
+impl Pattern {
+    /// The pattern of column `column` reading `cols` of its flat sources: a
+    /// flat source is one recipe source per distinct batch and column, so a
+    /// source batch named by eight runs is one source. Its source maps are
+    /// appended to `remap` and `firsts`.
+    fn new<'s>(
+        column: usize,
+        flat: impl Iterator<Item = &'s Columns>,
+        cols: &[u32],
+        remap: &mut Vec<u32>,
+        firsts: &mut Vec<u32>,
+    ) -> Pattern {
+        let (flat_at, firsts_at) = (remap.len(), firsts.len());
         let mut sources: Vec<Columns> = Vec::new();
         // Runs mostly name their sources in one order: the one after the
         // last match is tried first.
         let mut next = 0;
-        let mut remap = Vec::with_capacity(cols.len());
         for (k, (s, &c)) in flat.zip(cols).enumerate() {
-            let same = |f: usize| cols[firsts[f] as usize] == c && Arc::ptr_eq(&sources[f], s);
-            let known = (next < firsts.len() && same(next))
+            let mine = &firsts[firsts_at..];
+            let same = |f: usize| cols[mine[f] as usize] == c && Arc::ptr_eq(&sources[f], s);
+            let known = (next < mine.len() && same(next))
                 .then_some(next)
-                .or_else(|| (0..firsts.len()).position(same));
+                .or_else(|| (0..mine.len()).position(same));
             let f = known.unwrap_or_else(|| {
                 firsts.push(k as u32);
                 sources.push(Arc::clone(s));
-                firsts.len() - 1
+                sources.len() - 1
             });
             remap.push(f as u32);
             next = f + 1;
         }
         Pattern {
-            parts,
-            remap,
-            firsts,
+            column,
+            flat: flat_at..remap.len(),
+            firsts: firsts_at..firsts.len(),
             cols: Vec::with_capacity(4 * sources.len()),
             sources,
         }
@@ -1145,48 +1226,39 @@ impl<'a> Pattern<'a> {
     /// the pattern's picks: every flat source the pattern merges with another
     /// is read at the same column. (Sources it keeps apart may coincide: a
     /// member may then list one source twice, which costs nothing but a slot.)
-    fn admits(&self, cols: &[u32]) -> bool {
-        let first = |r: u32| cols[self.firsts[r as usize] as usize];
-        cols.iter().zip(&self.remap).all(|(&c, &r)| first(r) == c)
+    fn admits(&self, remap: &[u32], firsts: &[u32], cols: &[u32]) -> bool {
+        let first = |r: u32| cols[firsts[r as usize] as usize];
+        cols.iter().zip(remap).all(|(&c, &r)| first(r) == c)
     }
 
     /// Adds the column reading `cols` of the flat sources as the next member.
-    fn add_member(&mut self, cols: &[u32]) -> u32 {
-        let member = self.cols.len() / self.firsts.len();
-        self.cols
-            .extend(self.firsts.iter().map(|&f| cols[f as usize]));
+    fn add_member(&mut self, firsts: &[u32], cols: &[u32]) -> u32 {
+        let member = self.cols.len() / firsts.len();
+        self.cols.extend(firsts.iter().map(|&f| cols[f as usize]));
         member as u32
-    }
-
-    /// The shared recipe: picks composed and sources listed once.
-    fn recipe(&self, runs: &[Rows<'_>]) -> Arc<Recipe> {
-        let picks = compose_picks(runs, &self.parts, &self.remap);
-        let members = (0..self.cols.len() / self.firsts.len())
-            .map(|_| Member::default())
-            .collect();
-        Arc::new(Recipe {
-            picks,
-            sources: self.sources.clone(),
-            cols: self.cols.clone(),
-            members,
-        })
     }
 }
 
 /// The picks of one output column: per run, the selected rows looked up
 /// through the recipe the run is picked through, renumbered onto the
 /// output's sources.
-fn compose_picks(runs: &[Rows<'_>], parts: &[Part<'_>], remap: &[u32]) -> Vec<Pick> {
+fn compose_picks<'p>(
+    runs: &[Rows<'_>],
+    parts: impl Iterator<Item = Part<'p>>,
+    remap: &[u32],
+) -> Vec<Pick> {
     let mut out = Vec::with_capacity(total_rows(runs));
     let mut first = 0;
     for (&(batch, idx), part) in runs.iter().zip(parts) {
         let remap = &remap[first..];
         first += part.1.len();
+        // A window's rows are rows `start..` of its columns.
+        let start = batch.start as u32;
         macro_rules! each_row {
             ($pick:expr) => {
                 match idx {
-                    Some(idx) => out.extend(idx.iter().map(|&i| $pick(i))),
-                    None => out.extend((0..batch.num_rows() as u32).map($pick)),
+                    Some(idx) => out.extend(idx.iter().map(|&i| $pick(start + i))),
+                    None => out.extend((start..start + batch.rows as u32).map($pick)),
                 }
             };
         }
@@ -1213,6 +1285,64 @@ fn compose_picks(runs: &[Rows<'_>], parts: &[Part<'_>], remap: &[u32]) -> Vec<Pi
 // Table
 // ---------------------------------------------------------------------------
 
+/// The batches of one partition: most hold one (a window of their node's
+/// build) or none, which costs no allocation.
+#[derive(Clone, Debug)]
+pub(crate) enum Partition {
+    One(RecordBatch),
+    Many(Vec<RecordBatch>),
+}
+
+impl Default for Partition {
+    fn default() -> Self {
+        Partition::Many(Vec::new())
+    }
+}
+
+impl Deref for Partition {
+    type Target = [RecordBatch];
+
+    fn deref(&self) -> &[RecordBatch] {
+        match self {
+            Partition::One(b) => std::slice::from_ref(b),
+            Partition::Many(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Partition {
+    fn deref_mut(&mut self) -> &mut [RecordBatch] {
+        match self {
+            Partition::One(b) => std::slice::from_mut(b),
+            Partition::Many(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Partition {
+    type Item = &'a RecordBatch;
+    type IntoIter = std::slice::Iter<'a, RecordBatch>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<RecordBatch>> for Partition {
+    fn from(mut batches: Vec<RecordBatch>) -> Partition {
+        match batches.len() {
+            1 => Partition::One(batches.pop().expect("one batch")),
+            _ => Partition::Many(batches),
+        }
+    }
+}
+
+impl From<Option<RecordBatch>> for Partition {
+    fn from(batch: Option<RecordBatch>) -> Partition {
+        batch.map_or_else(Partition::default, Partition::One)
+    }
+}
+
 /// A partitioned table: the unit flowing between operators and stored in
 /// the storage manager. Each partition is an ordered list of batches.
 #[derive(Clone, Debug)]
@@ -1221,7 +1351,7 @@ pub struct Table {
     pub schema: Schema,
     /// Batches per partition. Private to the engine: external callers go
     /// through the batch/row APIs so the physical layout can evolve.
-    pub(crate) partitions: Vec<Vec<Arc<RecordBatch>>>,
+    pub(crate) partitions: Vec<Partition>,
     /// Physical properties the data actually satisfies.
     pub props: PhysicalProps,
 }
@@ -1231,7 +1361,7 @@ impl Table {
     pub fn empty(schema: Schema) -> Self {
         Table {
             schema,
-            partitions: vec![Vec::new()],
+            partitions: vec![Partition::default()],
             props: PhysicalProps::single(),
         }
     }
@@ -1259,8 +1389,8 @@ impl Table {
                 .into_iter()
                 .map(|c| ColumnVector::from_values(c).into());
             batches.push(match n {
-                0 => Vec::new(),
-                n => vec![Arc::new(RecordBatch::new(columns.collect(), n))],
+                0 => Partition::default(),
+                n => Partition::One(RecordBatch::new(columns.collect(), n)),
             });
         }
         Table::from_batches(schema, batches, props)
@@ -1282,8 +1412,8 @@ impl Table {
             }
             let columns = columns.into_iter().map(Column::from);
             batches.push(match rows {
-                0 => Vec::new(),
-                rows => vec![Arc::new(RecordBatch::new(columns.collect(), rows))],
+                0 => Partition::default(),
+                rows => Partition::One(RecordBatch::new(columns.collect(), rows)),
             });
         }
         Ok(Table::from_batches(schema, batches, props))
@@ -1292,7 +1422,7 @@ impl Table {
     /// A table from per-partition batch lists (engine-internal).
     pub(crate) fn from_batches(
         schema: Schema,
-        partitions: Vec<Vec<Arc<RecordBatch>>>,
+        partitions: Vec<Partition>,
         props: PhysicalProps,
     ) -> Self {
         debug_assert!(
@@ -1322,7 +1452,28 @@ impl Table {
 
     /// Approximate total byte size (counted per batch at first use).
     pub fn num_bytes(&self) -> u64 {
-        self.partitions.iter().flatten().map(|b| b.bytes()).sum()
+        self.spans().iter().map(RecordBatch::bytes).sum()
+    }
+
+    /// The table's batches in order, adjacent windows of one build merged
+    /// into one window: what a repartition or byte count reads.
+    fn spans(&self) -> Vec<RecordBatch> {
+        let mut spans: Vec<RecordBatch> = Vec::new();
+        for batch in self.partitions.iter().flatten() {
+            match spans.last_mut() {
+                Some(last)
+                    if Arc::ptr_eq(&last.columns, &batch.columns)
+                        && last.span().end == batch.start =>
+                {
+                    *last = RecordBatch::window_of(
+                        Arc::clone(&batch.columns),
+                        last.start..batch.span().end,
+                    );
+                }
+                _ => spans.push(batch.clone()),
+            }
+        }
+        spans
     }
 
     /// Row count of partition `p`.
@@ -1339,20 +1490,45 @@ impl Table {
     }
 
     /// Batches of partition `p`.
-    pub fn partition_batches(&self, p: usize) -> &[Arc<RecordBatch>] {
+    pub fn partition_batches(&self, p: usize) -> &[RecordBatch] {
         &self.partitions[p]
     }
 
-    /// Partition `p` as one batch: zero-copy when it is already a single
-    /// batch, concatenated otherwise.
-    pub(crate) fn partition_as_batch(&self, p: usize) -> Arc<RecordBatch> {
-        match self.partitions[p].as_slice() {
-            [batch] => batch.clone(),
-            batches => {
-                let runs: Vec<_> = batches.iter().map(|b| (b.as_ref(), None)).collect();
-                Arc::new(RecordBatch::gather(&runs))
+    /// Every partition as rows of a whole batch, so that a kernel reads a
+    /// node's output where it was built: consecutive partitions cut from one
+    /// build share it as their base, and a partition of batches from several
+    /// builds is gathered into a base of its own.
+    pub(crate) fn views(&self) -> Views {
+        let mut bases: Vec<RecordBatch> = Vec::new();
+        let mut parts = Vec::with_capacity(self.partitions.len());
+        let mut end = 0;
+        for batches in &self.partitions {
+            let (Some(first), Some(last)) = (batches.first(), batches.last()) else {
+                parts.push(None);
+                continue;
+            };
+            let one_build = batches.windows(2).all(|w| {
+                Arc::ptr_eq(&w[0].columns, &w[1].columns) && w[0].span().end == w[1].start
+            });
+            let rows = first.start..last.span().end;
+            if rows.is_empty() {
+                parts.push(None);
+            } else if !one_build {
+                let runs: Vec<_> = batches.iter().map(|b| (b, None)).collect();
+                bases.push(RecordBatch::gather(&runs));
+                parts.push(Some((bases.len() - 1, 0..bases[bases.len() - 1].rows)));
+            } else {
+                let shared = bases
+                    .last()
+                    .is_some_and(|b| Arc::ptr_eq(&b.columns, &first.columns) && end == rows.start);
+                if !shared {
+                    bases.push(first.whole());
+                }
+                end = rows.end;
+                parts.push(Some((bases.len() - 1, rows)));
             }
         }
+        Views { bases, parts }
     }
 
     /// The cells of partition `p`, row by row and in column order within a
@@ -1393,7 +1569,8 @@ impl Table {
         }
         let hash = HashParts::new(parts);
         let mut scatter = Scatter::new(parts);
-        for batch in self.partitions.iter().flatten() {
+        let spans = self.spans();
+        for batch in &spans {
             let routed = match cols {
                 [c] => scatter.route_mapped(batch, &batch.columns[*c], hash),
                 _ => false,
@@ -1440,7 +1617,8 @@ impl Table {
             })
             .collect();
         let mut scatter = Scatter::new(parts);
-        for batch in self.partitions.iter().flatten() {
+        let spans = self.spans();
+        for batch in &spans {
             scatter.route(batch, |i| {
                 let cell = batch.cell(i, col);
                 boundaries.partition_point(|b| Cell::of(b).cmp_cell(cell) != Ordering::Greater)
@@ -1463,7 +1641,8 @@ impl Table {
         }
         let mut scatter = Scatter::new(parts);
         let mut global = 0usize;
-        for batch in self.partitions.iter().flatten() {
+        let spans = self.spans();
+        for batch in &spans {
             scatter.route(batch, |_| {
                 let p = global % parts;
                 global += 1;
@@ -1493,7 +1672,13 @@ impl Table {
     pub fn gather(&self) -> Table {
         Table {
             schema: self.schema.clone(),
-            partitions: vec![self.partitions.iter().flatten().cloned().collect()],
+            partitions: vec![Partition::from(
+                self.partitions
+                    .iter()
+                    .flatten()
+                    .cloned()
+                    .collect::<Vec<_>>(),
+            )],
             props: PhysicalProps::single(),
         }
     }
@@ -1511,41 +1696,60 @@ impl Table {
     }
 
     /// The same rows with every column dense and no recipe kept: a batch
-    /// holding a deferred column is rebuilt around its gathered cells, so the
-    /// result keeps no source of any recipe alive.
+    /// holding a deferred column is rebuilt around its gathered cells (once
+    /// for all windows of one build), so the result keeps no source of any
+    /// recipe alive.
     pub fn densified(&self) -> Table {
-        let dense = |batch: &Arc<RecordBatch>| {
+        let mut last: Option<(Columns, Columns)> = None;
+        let mut dense = |batch: &RecordBatch| {
             if batch.columns.iter().all(Column::is_dense) {
                 return batch.clone();
             }
-            let cells = |c: &Column| Column::Dense(c.cells().clone());
-            let columns = batch.columns.iter().map(cells).collect();
-            Arc::new(RecordBatch::new(columns, batch.rows))
+            let columns = match &last {
+                Some((from, to)) if Arc::ptr_eq(from, &batch.columns) => Arc::clone(to),
+                _ => {
+                    let cells = |c: &Column| Column::Dense(c.cells().clone());
+                    let to: Columns = batch.columns.iter().map(cells).collect();
+                    last = Some((Arc::clone(&batch.columns), Arc::clone(&to)));
+                    to
+                }
+            };
+            RecordBatch::window_of(columns, batch.span())
         };
-        let dense_all = |p: &Vec<Arc<RecordBatch>>| p.iter().map(dense).collect();
+        let partitions = (self.partitions.iter())
+            .map(|p| Partition::from(p.iter().map(&mut dense).collect::<Vec<_>>()));
         Table {
             schema: self.schema.clone(),
-            partitions: self.partitions.iter().map(dense_all).collect(),
+            partitions: partitions.collect(),
             props: self.props.clone(),
         }
     }
 
-    /// Sorts every partition by `order` (stable).
+    /// Sorts every partition by `order` (stable), all in one gather; input
+    /// already in order moves whole.
     pub fn sort_partitions(&self, order: &SortOrder) -> Table {
-        let mut parts: Vec<Vec<Arc<RecordBatch>>> = Vec::with_capacity(self.num_partitions());
-        for p in 0..self.num_partitions() {
-            let batch = self.partition_as_batch(p);
-            if batch.num_rows() > 1 {
-                let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
-                idx.sort_by(|&a, &b| compare_batch_rows(&batch, a as usize, b as usize, order));
-                parts.push(vec![Arc::new(batch.take(&idx))]);
-            } else {
-                parts.push(self.partitions[p].clone());
+        let views = self.views();
+        let mut runs: Vec<(usize, Vec<u32>)> = Vec::with_capacity(views.bases.len());
+        let mut sorted = true;
+        for (b, all, parts) in views.by_base() {
+            let base = &views.bases[b];
+            let mut idx: Vec<u32> = (all.start as u32..all.end as u32).collect();
+            let cmp = row_order(base, keys_of(order));
+            for (_, rows) in parts {
+                let mine = &mut idx[rows.start - all.start..rows.end - all.start];
+                mine.sort_by(|&x, &y| cmp(x as usize, y as usize));
             }
+            sorted &= idx.windows(2).all(|w| w[0] < w[1]);
+            runs.push((b, idx));
         }
+        let partitions = if sorted {
+            self.partitions.clone()
+        } else {
+            views.gather(&runs, views.rows(), None)
+        };
         Table {
             schema: self.schema.clone(),
-            partitions: parts,
+            partitions,
             props: PhysicalProps {
                 partitioning: self.props.partitioning.clone(),
                 sort: order.clone(),
@@ -1554,56 +1758,114 @@ impl Table {
     }
 }
 
-/// Rows routed to each destination partition of a repartition:
-/// `runs[p]` lists, per source batch in scan order, the rows bound for `p`.
+/// A base, the rows of all partitions read from it, and each of those
+/// partitions and its rows ([`Views::by_base`]).
+pub(crate) type BaseParts = (usize, Range<usize>, Vec<(usize, Range<usize>)>);
+
+/// A table's partitions as rows of whole batches ([`Table::views`]).
+pub(crate) struct Views {
+    /// The whole batches the partitions are read from.
+    pub(crate) bases: Vec<RecordBatch>,
+    /// Per partition, its base and its rows there; `None` when it has none.
+    /// The partitions of one base are consecutive, their rows adjacent.
+    pub(crate) parts: Vec<Option<(usize, Range<usize>)>>,
+}
+
+impl Views {
+    /// True when base `b`'s rows are exactly those of its partitions.
+    pub(crate) fn tiled(&self, b: usize) -> bool {
+        let mut rows = self.parts.iter().flatten().filter(|(k, _)| *k == b);
+        let first = rows.next().map(|(_, r)| r);
+        let end = rows.next_back().map(|(_, r)| r).or(first).map(|r| r.end);
+        first.is_some_and(|r| r.start == 0) && end == Some(self.bases[b].rows)
+    }
+
+    /// Each base with the rows of all partitions read from it, and each of
+    /// those partitions and its rows.
+    pub(crate) fn by_base(&self) -> impl Iterator<Item = BaseParts> + '_ {
+        (0..self.bases.len()).map(|b| {
+            let parts: Vec<(usize, Range<usize>)> = (self.parts.iter().enumerate())
+                .filter_map(|(p, v)| {
+                    v.as_ref()
+                        .filter(|(k, _)| *k == b)
+                        .map(|(_, r)| (p, r.clone()))
+                })
+                .collect();
+            let all = parts[0].1.start..parts[parts.len() - 1].1.end;
+            (b, all, parts)
+        })
+    }
+
+    /// Each partition's row count.
+    pub(crate) fn rows(&self) -> Vec<usize> {
+        let rows = |p: &Option<(usize, Range<usize>)>| p.as_ref().map_or(0, |(_, r)| r.len());
+        self.parts.iter().map(rows).collect()
+    }
+
+    /// The node output that holds rows `runs[k].1` of base `runs[k].0` for
+    /// each `k` in order, then the `appended` column: gathered in one pass,
+    /// partition `p` cut from it as its next `counts[p]` rows.
+    pub(crate) fn gather(
+        &self,
+        runs: &[(usize, Vec<u32>)],
+        counts: Vec<usize>,
+        appended: Option<Column>,
+    ) -> Vec<Partition> {
+        let rows: Vec<Rows<'_>> = runs
+            .iter()
+            .map(|(b, idx)| (&self.bases[*b], Some(idx.as_slice())))
+            .collect();
+        let mut columns = RecordBatch::gather_columns(&rows);
+        columns.extend(appended);
+        cut(&RecordBatch::new(columns, total_rows(&rows)), counts)
+    }
+}
+
+/// Partitions cut from one whole batch: partition `p` holds its next
+/// `counts[p]` rows, or no batch when that is 0.
+pub(crate) fn cut(base: &RecordBatch, counts: impl IntoIterator<Item = usize>) -> Vec<Partition> {
+    let mut start = 0;
+    let window = |n: usize| {
+        let rows = start..start + n;
+        start += n;
+        match n {
+            0 => Partition::default(),
+            _ if rows.len() == base.rows => Partition::One(base.clone()),
+            _ => Partition::One(base.window(rows)),
+        }
+    };
+    counts.into_iter().map(window).collect()
+}
+
+/// Rows routed to the destination partitions of a repartition: the source
+/// batches in scan order and each of their rows' destination.
 struct Scatter<'a> {
-    runs: Vec<Vec<(&'a Arc<RecordBatch>, Vec<u32>)>>,
+    parts: usize,
+    batches: Vec<&'a RecordBatch>,
+    dest: Vec<u32>,
 }
 
 impl<'a> Scatter<'a> {
     fn new(parts: usize) -> Self {
         Scatter {
-            runs: vec![Vec::new(); parts],
+            parts,
+            batches: Vec::new(),
+            dest: Vec::new(),
         }
     }
 
     /// Routes every row of `batch` to partition `route(row_index)`.
-    fn route(&mut self, batch: &'a Arc<RecordBatch>, mut route: impl FnMut(usize) -> usize) {
-        let mut sel: Vec<Vec<u32>> = vec![Vec::new(); self.runs.len()];
-        for i in 0..batch.num_rows() {
-            sel[route(i)].push(i as u32);
-        }
-        self.add(batch, sel);
-    }
-
-    /// Routes row `i` of `batch` to partition `parts[i]`, each destination's
-    /// selection allocated once at its final size.
-    fn route_parts(&mut self, batch: &'a Arc<RecordBatch>, parts: &[u8]) {
-        let mut counts = vec![0usize; self.runs.len()];
-        for &p in parts {
-            counts[p as usize] += 1;
-        }
-        let mut sel: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (i, &p) in parts.iter().enumerate() {
-            sel[p as usize].push(i as u32);
-        }
-        self.add(batch, sel);
-    }
-
-    /// Appends each non-empty selection of `batch` to its destination.
-    fn add(&mut self, batch: &'a Arc<RecordBatch>, sel: Vec<Vec<u32>>) {
-        for (runs, idx) in self.runs.iter_mut().zip(sel) {
-            if !idx.is_empty() {
-                runs.push((batch, idx));
-            }
-        }
+    fn route(&mut self, batch: &'a RecordBatch, mut route: impl FnMut(usize) -> usize) {
+        self.batches.push(batch);
+        self.dest
+            .extend((0..batch.num_rows()).map(|i| route(i) as u32));
     }
 
     /// Routes every row of `batch` through the route maps of its single key
     /// column `key`'s dense sources, read through the column's picks: the key
     /// is neither forced nor hashed again. False, with nothing routed, when a
     /// source has no map for `hash`.
-    fn route_mapped(&mut self, batch: &'a Arc<RecordBatch>, key: &Column, hash: HashParts) -> bool {
+    fn route_mapped(&mut self, batch: &'a RecordBatch, key: &Column, hash: HashParts) -> bool {
         let through = key.through();
         let sources: Vec<&Arc<Cells>> = match through {
             Some((recipe, m)) => recipe.sources(m).collect(),
@@ -1613,44 +1875,79 @@ impl<'a> Scatter<'a> {
             return false;
         };
         // A map holds the partition of a NULL row too: no mask to read.
+        let span = batch.span();
         let maps = Lanes {
             data,
             nulls: None,
-            picks: through.map(|(recipe, _)| recipe.picks.as_slice()),
-            rows: batch.num_rows(),
+            picks: through.map(|(recipe, _)| &recipe.picks[span.clone()]),
+            start: span.start,
+            rows: span.len(),
         };
-        if let (None, &[map]) = (maps.picks, maps.data.as_slice()) {
-            self.route_parts(batch, map);
-            return true;
-        }
-        let mut parts = Vec::with_capacity(maps.rows);
+        self.batches.push(batch);
         maps.each(
             |map: &[u8], r| map[r],
-            |_, p| parts.push(p.unwrap_or_default()),
+            |_, p| self.dest.push(p.unwrap_or_default() as u32),
         );
-        self.route_parts(batch, &parts);
         true
     }
 
-    /// Builds every destination as one batch with a single gather over all
-    /// its sources — the per-destination row order of a row-at-a-time
-    /// scatter. A destination that received exactly one whole batch shares
-    /// it; one that received nothing has no batch.
-    fn finish(self) -> Vec<Vec<Arc<RecordBatch>>> {
-        let mut layouts = Vec::new();
-        let runs = self.runs.iter().map(|runs| match runs.as_slice() {
-            [] => Vec::new(),
-            [(batch, idx)] if idx.len() == batch.num_rows() => vec![Arc::clone(batch)],
-            runs => {
-                let runs: Vec<Rows<'_>> = runs
-                    .iter()
-                    .map(|&(batch, ref idx)| (&**batch, Some(idx.as_slice())))
-                    .collect();
-                let columns = RecordBatch::gather_columns_in(&runs, &mut layouts);
-                vec![Arc::new(RecordBatch::new(columns, total_rows(&runs)))]
+    /// Builds every destination with a single gather over all of them, each
+    /// destination's rows in a row-at-a-time scatter's order, and cuts each
+    /// destination from it. A destination that received exactly one whole
+    /// batch shares it; one that received nothing has no batch.
+    fn finish(self) -> Vec<Partition> {
+        let (parts, batches) = (self.parts, &self.batches);
+        // `count[b * parts + d]`: the rows of batch `b` bound for `d`.
+        let mut count = vec![0usize; batches.len() * parts];
+        let mut dests = self.dest.iter();
+        for (b, batch) in batches.iter().enumerate() {
+            for &d in dests.by_ref().take(batch.num_rows()) {
+                count[b * parts + d as usize] += 1;
             }
-        });
-        runs.collect()
+        }
+        let whole = |d: usize| {
+            let mut from = (0..batches.len()).filter(|&b| count[b * parts + d] > 0);
+            let b = from.next()?;
+            let all = count[b * parts + d] == batches[b].num_rows();
+            (all && from.next().is_none()).then_some(b)
+        };
+        let shared: Vec<Option<usize>> = (0..parts).map(whole).collect();
+        // Each gathered (batch, destination) pair's rows, destination-major.
+        let (mut at, mut spans) = (vec![0usize; count.len()], Vec::new());
+        let mut total = 0;
+        for d in (0..parts).filter(|&d| shared[d].is_none()) {
+            for b in (0..batches.len()).filter(|&b| count[b * parts + d] > 0) {
+                at[b * parts + d] = total;
+                total += count[b * parts + d];
+                spans.push((b, total - count[b * parts + d]..total));
+            }
+        }
+        let mut idx = vec![0u32; total];
+        let mut dests = self.dest.iter();
+        for (b, batch) in batches.iter().enumerate() {
+            for (i, &d) in dests.by_ref().take(batch.num_rows()).enumerate() {
+                if shared[d as usize].is_none() {
+                    let at = &mut at[b * parts + d as usize];
+                    idx[*at] = i as u32;
+                    *at += 1;
+                }
+            }
+        }
+        let runs: Vec<Rows<'_>> = spans
+            .iter()
+            .map(|(b, rows)| (batches[*b], Some(&idx[rows.clone()])))
+            .collect();
+        let gathered = (!runs.is_empty()).then(|| RecordBatch::gather(&runs));
+        let rows = |d: usize| (0..batches.len()).map(|b| count[b * parts + d]).sum();
+        let counts = (0..parts).map(|d| if shared[d].is_some() { 0 } else { rows(d) });
+        let mut out =
+            gathered.map_or_else(|| vec![Partition::default(); parts], |g| cut(&g, counts));
+        for (d, b) in shared.iter().enumerate() {
+            if let Some(b) = b {
+                out[d] = Partition::One(batches[*b].clone());
+            }
+        }
+        out
     }
 }
 
@@ -1767,30 +2064,39 @@ impl PartialEq for Table {
     }
 }
 
-/// Compares two batch rows under a sort order (cell-wise; identical to
-/// comparing the materialized rows' [`Value`]s key by key).
-pub(crate) fn compare_batch_rows(
-    batch: &RecordBatch,
-    a: usize,
-    b: usize,
-    order: &SortOrder,
-) -> Ordering {
-    for key in &order.0 {
-        let col = batch.column(key.col);
-        let ord = col.cell(a).cmp_cell(col.cell(b));
-        let ord = match key.dir {
-            scope_plan::SortDir::Asc => ord,
-            scope_plan::SortDir::Desc => ord.reverse(),
-        };
-        if !ord.is_eq() {
-            return ord;
+/// Compares two rows of a whole batch by the columns `keys`, each in its
+/// direction, cell-wise: identical to comparing the materialized rows'
+/// [`Value`]s key by key. Each key column is located once and read where it
+/// lies, never forced.
+pub(crate) fn row_order<'a>(
+    batch: &'a RecordBatch,
+    keys: impl IntoIterator<Item = (usize, SortDir)>,
+) -> impl Fn(usize, usize) -> Ordering + 'a {
+    let keys: Vec<(Located<'a>, SortDir)> = (keys.into_iter())
+        .map(|(col, dir)| (batch.locate(col, 0..batch.rows), dir))
+        .collect();
+    move |a, b| {
+        for (col, dir) in &keys {
+            let ord = col.cell(a).cmp_cell(col.cell(b));
+            let ord = match dir {
+                SortDir::Asc => ord,
+                SortDir::Desc => ord.reverse(),
+            };
+            if !ord.is_eq() {
+                return ord;
+            }
         }
+        Ordering::Equal
     }
-    Ordering::Equal
 }
 
-/// Full-row lexicographic comparison of two batch rows (`Row::cmp` on the
-/// materialized rows; widths are uniform within a batch).
+/// The keys of a sort order, for [`row_order`].
+pub(crate) fn keys_of(order: &SortOrder) -> impl Iterator<Item = (usize, SortDir)> + '_ {
+    order.0.iter().map(|k| (k.col, k.dir))
+}
+
+/// Full-row lexicographic comparison of two rows of a whole batch
+/// (`Row::cmp` on the materialized rows; widths are uniform within a batch).
 pub(crate) fn compare_batch_rows_full(batch: &RecordBatch, a: usize, b: usize) -> Ordering {
     for col in 0..batch.width() {
         let col = batch.column(col);
@@ -1822,6 +2128,15 @@ pub fn multiset_checksum(table: &Table) -> u64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// Partition `p` of `t` as one whole batch: shared when it is already
+    /// one, gathered otherwise.
+    pub(crate) fn partition_as_batch(t: &Table, p: usize) -> RecordBatch {
+        match &*t.partitions[p] {
+            [batch] if batch.is_whole() => batch.clone(),
+            batches => RecordBatch::gather(&batches.iter().map(|b| (b, None)).collect::<Vec<_>>()),
+        }
+    }
     use scope_plan::DataType;
 
     fn table(n: i64) -> Table {
@@ -2040,12 +2355,12 @@ pub(crate) mod tests {
         assert_eq!(g.num_partitions(), 1);
         assert_eq!(g.num_rows(), 50);
         assert_eq!(multiset_checksum(&g), multiset_checksum(&t));
-        // Zero-copy: gathered batches are the same allocations.
-        let originals: Vec<*const RecordBatch> = (0..t.num_partitions())
-            .flat_map(|p| t.partition_batches(p).iter().map(Arc::as_ptr))
+        // Zero-copy: gathered batches are the same windows of one build.
+        let originals: Vec<&RecordBatch> = (0..t.num_partitions())
+            .flat_map(|p| t.partition_batches(p))
             .collect();
         for b in g.partition_batches(0) {
-            assert!(originals.contains(&Arc::as_ptr(b)));
+            assert!(originals.iter().any(|o| shares(o, b)));
         }
     }
 
@@ -2180,12 +2495,18 @@ pub(crate) mod tests {
                 (0..rng.gen_range(0..4))
                     .flat_map(|_| {
                         let n = rng.gen_range(1..40);
-                        [Arc::new(batch_of(random_rows(rng, n)))]
+                        [batch_of(random_rows(rng, n))]
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
+                    .into()
             })
             .collect();
         Table::from_batches(schema, partitions, PhysicalProps::any())
+    }
+
+    /// True when two batches are the same rows of one build.
+    fn shares(a: &RecordBatch, b: &RecordBatch) -> bool {
+        Arc::ptr_eq(&a.columns, &b.columns) && a.span() == b.span()
     }
 
     /// The checksum as it was first defined: one hasher per materialized row.
@@ -2335,12 +2656,12 @@ pub(crate) mod tests {
     /// random picks; every source remapped by [`REMAP`]. Returns the runs'
     /// sources, their picks, and the rows they name.
     fn random_runs(rng: &mut SmallRng) -> (Vec<RecordBatch>, Vec<Option<Vec<u32>>>, Vec<Row>) {
-        let (rows_a, a) = wide_batch(rng, 2 * EAGER_ROWS);
-        let (rows_b, b) = wide_batch(rng, EAGER_ROWS);
-        let idx = random_picks(rng, a.num_rows(), EAGER_ROWS + 50);
+        let (rows_a, a) = wide_batch(rng, 2 * 128);
+        let (rows_b, b) = wide_batch(rng, 128);
+        let idx = random_picks(rng, a.num_rows(), 128 + 50);
         let rows_d: Vec<Row> = idx.iter().map(|&i| rows_a[i as usize].clone()).collect();
         let d = a.take(&idx);
-        let (rows_x, x) = wide_batch(rng, 2 * EAGER_ROWS);
+        let (rows_x, x) = wide_batch(rng, 2 * 128);
         let mix = |j: usize| if j % 2 == 0 { &a } else { &x };
         let columns = (0..a.width())
             .map(|j| mix(j).columns()[j].clone())
@@ -2383,13 +2704,14 @@ pub(crate) mod tests {
             let mut rng = SmallRng::seed_from_u64(21_000 + case);
             let (batches, picks, want) = random_runs(&mut rng);
             let once = gather_runs(&batches, &picks);
-            let idx = random_picks(&mut rng, once.num_rows(), EAGER_ROWS + 9);
+            let idx = random_picks(&mut rng, once.num_rows(), 128 + 9);
             let want_twice: Vec<Row> = idx.iter().map(|&i| want[i as usize].clone()).collect();
             // A take on top: the second recipe picks through the first.
             let twice = once.take(&idx);
             for (batch, want) in [(&once, &want), (&twice, &want_twice)] {
                 let before = cells_gathered();
-                let deferred: Vec<u64> = batch.columns().iter().map(Column::byte_total).collect();
+                let whole = |c: &Column| c.byte_total(0..batch.num_rows());
+                let deferred: Vec<u64> = batch.columns().iter().map(whole).collect();
                 assert_eq!(batch.bytes(), deferred.iter().sum::<u64>(), "case {case}");
                 assert_eq!(cells_gathered(), before, "byte accounting forced a column");
                 let dense: Vec<u64> = (0..batch.width())
@@ -2414,7 +2736,7 @@ pub(crate) mod tests {
         }
         // The columns this test is about are all there.
         let mut rng = SmallRng::seed_from_u64(21);
-        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let (_, a) = wide_batch(&mut rng, 2 * 128);
         let variants: Vec<_> = (0..a.width()).map(|j| a.column(j)).collect();
         assert!(matches!(
             variants[0],
@@ -2452,14 +2774,14 @@ pub(crate) mod tests {
         let partitions = facts
             .iter()
             .map(|f| {
-                let rows = 2 * EAGER_ROWS;
+                let rows = 2 * 128;
                 let mut cols =
                     RecordBatch::gather_columns(&[(f, Some(&random_picks(&mut rng, 300, rows)))]);
                 for d in &dims {
                     let idx = random_picks(&mut rng, 50, rows);
                     cols.extend(RecordBatch::gather_columns(&[(d, Some(&idx))]));
                 }
-                vec![Arc::new(RecordBatch::new(cols, rows))]
+                Partition::One(RecordBatch::new(cols, rows))
             })
             .collect();
         let width = fact + 3 * dim;
@@ -2504,8 +2826,8 @@ pub(crate) mod tests {
             let mut rng = SmallRng::seed_from_u64(22_000 + case);
             let (mut batches, mut picks, mut want) = random_runs(&mut rng);
             // One whole run of the largest source keeps six takes of 40 rows
-            // fewer each above `EAGER_ROWS`.
-            let (rows, big) = wide_batch(&mut rng, 3 * EAGER_ROWS);
+            // fewer each above `128`.
+            let (rows, big) = wide_batch(&mut rng, 3 * 128);
             want.extend(
                 rows.iter()
                     .map(|r| REMAP.iter().map(|&c| r[c].clone()).collect::<Row>()),
@@ -2523,7 +2845,7 @@ pub(crate) mod tests {
                 want = idx.iter().map(|&i| want[i as usize].clone()).collect();
                 batch = batch.take(&idx);
             }
-            assert!(want.len() >= EAGER_ROWS);
+            assert!(want.len() >= 128);
             let before = cells_gathered();
             let got: Vec<Row> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
             assert_eq!(got, want, "case {case}");
@@ -2595,7 +2917,7 @@ pub(crate) mod tests {
             p.cols.extend(p.firsts.iter().map(|&f| cols[f as usize]));
         }
         let recipe = |p: &Ref<'_>| {
-            let picks = compose_picks(runs, &p.parts, &p.remap);
+            let picks = compose_picks(runs, p.parts.iter().copied(), &p.remap);
             let sources = p.sources.iter().map(|s| Arc::as_ptr(s)).collect();
             (
                 picks.iter().map(|p| (p.src, p.row)).collect(),
@@ -2639,9 +2961,9 @@ pub(crate) mod tests {
             let mut rng = SmallRng::seed_from_u64(45_000 + case);
             let (mut batches, mut picks, _) = random_runs(&mut rng);
             // A join's output: alternate columns picked through two recipes.
-            let rows = EAGER_ROWS + 20;
+            let rows = 128 + 20;
             let take = |rng: &mut SmallRng| {
-                let (_, b) = wide_batch(rng, 2 * EAGER_ROWS);
+                let (_, b) = wide_batch(rng, 2 * 128);
                 b.take(&random_picks(rng, b.num_rows(), rows))
             };
             let (left, right) = (take(&mut rng), take(&mut rng));
@@ -2652,15 +2974,13 @@ pub(crate) mod tests {
                 batches.insert(at, remapped(&joined, &REMAP));
                 picks.insert(at, Some(random_picks(&mut rng, rows, 60)));
             }
-            // A second gather over the same batches with other rows: an
-            // exchange's next destination, which reuses the layout.
+            // A second gather over the same batches with other rows.
             let other: Vec<Option<Vec<u32>>> = (batches.iter().zip(&picks))
                 .map(|(b, p)| {
                     p.as_ref()
                         .map(|_| random_picks(&mut rng, b.num_rows(), 150))
                 })
                 .collect();
-            let mut layouts = Vec::new();
             fn runs_of<'a>(
                 batches: &'a [RecordBatch],
                 picks: &'a [Option<Vec<u32>>],
@@ -2671,7 +2991,7 @@ pub(crate) mod tests {
                     .map(|(b, i)| (b, i.as_deref()))
                     .collect()
             }
-            // And the runs in reverse: other batches, another layout.
+            // And the runs in reverse.
             let mut reversed = runs_of(&batches, &other);
             reversed.reverse();
             for runs in [
@@ -2679,7 +2999,7 @@ pub(crate) mod tests {
                 runs_of(&batches, &other),
                 reversed,
             ] {
-                let columns = RecordBatch::gather_columns_in(&runs, &mut layouts);
+                let columns = RecordBatch::gather_columns(&runs);
                 if columns.iter().any(Column::is_dense) {
                     continue;
                 }
@@ -2687,11 +3007,6 @@ pub(crate) mod tests {
                 let want = per_column_shape(&runs, REMAP.len());
                 assert!(shape(&columns) == want, "case {case}");
             }
-            let two = usize::from(batches.len() > 1) + 1;
-            assert!(
-                layouts.len() <= two,
-                "case {case}: one layout per list of batches"
-            );
         }
         assert!(deferred > 300, "{deferred}");
     }
@@ -2699,9 +3014,9 @@ pub(crate) mod tests {
     #[test]
     fn columns_picked_alike_share_one_recipe() {
         let mut rng = SmallRng::seed_from_u64(25);
-        let (_, a) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let (_, b) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let idx = random_picks(&mut rng, a.num_rows(), EAGER_ROWS);
+        let (_, a) = wide_batch(&mut rng, 2 * 128);
+        let (_, b) = wide_batch(&mut rng, 2 * 128);
+        let idx = random_picks(&mut rng, a.num_rows(), 128);
         let batch = RecordBatch::gather(&[(&a, Some(&idx)), (&b, None), (&a, None)]);
         let recipes: Vec<_> = batch
             .columns()
@@ -2736,7 +3051,7 @@ pub(crate) mod tests {
     fn deferred_table(rng: &mut SmallRng) -> Table {
         let sources: Vec<RecordBatch> = (0..rng.gen_range(1..4))
             .map(|_| {
-                let n = rng.gen_range(EAGER_ROWS..3 * EAGER_ROWS);
+                let n = rng.gen_range(128..3 * 128);
                 wide_batch(rng, n).1
             })
             .collect();
@@ -2745,10 +3060,11 @@ pub(crate) mod tests {
                 (0..rng.gen_range(1..4))
                     .map(|_| {
                         let source = &sources[rng.gen_range(0..sources.len())];
-                        let n = rng.gen_range(EAGER_ROWS..2 * EAGER_ROWS);
-                        Arc::new(source.take(&random_picks(rng, source.num_rows(), n)))
+                        let n = rng.gen_range(128..2 * 128);
+                        source.take(&random_picks(rng, source.num_rows(), n))
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
+                    .into()
             })
             .collect();
         Table::from_batches(wide_schema(), partitions, PhysicalProps::any())
@@ -2821,10 +3137,10 @@ pub(crate) mod tests {
     #[test]
     fn a_column_routed_from_two_threads_builds_one_map() {
         let mut rng = SmallRng::seed_from_u64(27);
-        let (_, source) = wide_batch(&mut rng, 2 * EAGER_ROWS);
+        let (_, source) = wide_batch(&mut rng, 2 * 128);
         let t = Table::from_batches(
             wide_schema(),
-            vec![vec![Arc::new(source)]],
+            vec![vec![source].into()],
             PhysicalProps::any(),
         );
         let gate = std::sync::Barrier::new(2);
@@ -2843,29 +3159,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn small_dense_batches_are_copied_at_once() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let (rows, small) = wide_batch(&mut rng, EAGER_ROWS - 1);
-        let taken = small.take(&[3, 0, 3]);
-        assert!(taken.columns().iter().all(Column::is_dense));
-        assert_eq!(taken.row(2), rows[3]);
-        // A few rows of a *deferred* batch are not: forcing the source to
-        // copy them would cost more than it saves.
-        let (_, big) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let idx: Vec<u32> = (0..big.num_rows() as u32).rev().collect();
-        assert!(big
-            .take(&idx)
-            .take(&[1, 2])
-            .columns()
-            .iter()
-            .all(|c| !c.is_dense()));
-    }
-
-    #[test]
     fn a_column_forced_from_two_threads_is_gathered_once() {
         let mut rng = SmallRng::seed_from_u64(24);
-        let (_, source) = wide_batch(&mut rng, 2 * EAGER_ROWS);
-        let idx = random_picks(&mut rng, source.num_rows(), EAGER_ROWS);
+        let (_, source) = wide_batch(&mut rng, 2 * 128);
+        let idx = random_picks(&mut rng, source.num_rows(), 128);
         let batch = source.take(&idx);
         let gate = std::sync::Barrier::new(2);
         let read = || {
@@ -2886,7 +3183,7 @@ pub(crate) mod tests {
 
     #[test]
     fn densified_table_keeps_rows_and_drops_recipes() {
-        let t = table(4 * EAGER_ROWS as i64);
+        let t = table(4 * 128);
         let sorted = t.sort_partitions(&SortOrder::asc(&[0]));
         let held_dense = |t: &Table| {
             t.partition_batches(0)
@@ -2899,7 +3196,7 @@ pub(crate) mod tests {
         assert_eq!(dense, sorted);
         assert_eq!(dense.num_bytes(), sorted.num_bytes());
         // Nothing to drop: the batches themselves are shared.
-        assert!(Arc::ptr_eq(
+        assert!(shares(
             &t.densified().partition_batches(0)[0],
             &t.partition_batches(0)[0]
         ));
@@ -2917,7 +3214,7 @@ pub(crate) mod tests {
         let r = t.hash_repartition(&[0], 8).unwrap();
         let moved: Vec<_> = (0..8).flat_map(|p| r.partition_batches(p)).collect();
         assert_eq!(moved.len(), 1);
-        assert!(Arc::ptr_eq(moved[0], source));
+        assert!(shares(moved[0], source));
         // Range and round-robin go through the same gather.
         let rr = table(64).round_robin_repartition(3).unwrap();
         assert!((0..3).all(|p| rr.partition_batches(p).len() == 1));

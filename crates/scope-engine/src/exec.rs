@@ -44,7 +44,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scope_common::hash::{SipHasher24, WordMap};
@@ -60,8 +59,8 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    compare_batch_rows, compare_batch_rows_full, gathers, ColumnVector, Lanes, Located,
-    RecordBatch, Rows, StrVec, Table, BUILD, COPY,
+    compare_batch_rows_full, cut, gathers, keys_of, row_order, ColumnVector, Lanes, Located,
+    Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -199,55 +198,89 @@ pub fn execute_plan(
     })
 }
 
-/// Applies an optional predicate to one batch: selection vector, then
-/// `take` (or a zero-copy pass-through when every row survives).
-fn filter_batch(
-    batch: &Arc<RecordBatch>,
-    predicate: Option<&Expr>,
-) -> Result<Option<Arc<RecordBatch>>> {
+/// What a row-wise kernel makes of a whole batch: its output and, unless
+/// each output row is the input row at its position, the input row each
+/// output row came from (ascending). `None`: no row.
+type RowsOut = Option<(RecordBatch, Option<Vec<u32>>)>;
+
+/// The rows of a whole batch where `predicate` holds (all of them without
+/// one).
+fn filter_rows(batch: &RecordBatch, predicate: Option<&Expr>) -> Result<RowsOut> {
     let Some(pred) = predicate else {
-        return Ok(Some(batch.clone()));
+        return Ok(Some((batch.clone(), None)));
     };
     let (sel, stopped) = vexpr::eval_predicate_selection(pred, batch);
     stopped?;
     Ok(match sel.len() {
         0 => None,
-        n if n == batch.num_rows() => Some(batch.clone()),
-        _ => Some(Arc::new(batch.take(&sel))),
+        n if n == batch.num_rows() => Some((batch.clone(), None)),
+        _ => Some((batch.take(&sel), Some(sel))),
     })
 }
 
-/// Runs `kernel` over every non-empty batch of `input`, partition by
-/// partition and in order; `None` drops the batch.
-fn map_batches(
+/// Runs a row-wise `kernel` once per build the partitions of `input` are
+/// cut from, in partition order, and cuts each partition's rows from its
+/// output. A partition that holds only some rows of its build is gathered
+/// whole and run alone, so no row outside `input` is evaluated.
+fn map_rows(
     input: &Table,
-    mut kernel: impl FnMut(&Arc<RecordBatch>) -> Result<Option<Arc<RecordBatch>>>,
-) -> Result<Vec<Vec<Arc<RecordBatch>>>> {
-    let mut parts = Vec::with_capacity(input.num_partitions());
-    for p in 0..input.num_partitions() {
-        let mut out = Vec::new();
-        for batch in input.partition_batches(p) {
-            if batch.num_rows() > 0 {
-                out.extend(kernel(batch)?);
+    mut kernel: impl FnMut(&RecordBatch) -> Result<RowsOut>,
+) -> Result<Vec<Partition>> {
+    let views = input.views();
+    let mut parts = vec![Partition::default(); input.num_partitions()];
+    for (b, base) in views.bases.iter().enumerate() {
+        let mine = (0..parts.len()).filter_map(|p| match &views.parts[p] {
+            Some((k, rows)) if *k == b => Some((p, rows.clone())),
+            _ => None,
+        });
+        if views.tiled(b) {
+            let Some((out, from)) = kernel(base)? else {
+                continue;
+            };
+            let mut end = 0;
+            let counts = mine.map(|(p, rows)| {
+                let start = end;
+                end = from.as_ref().map_or(rows.end, |f| {
+                    f.partition_point(|&i| (i as usize) < rows.end)
+                });
+                (p, end - start)
+            });
+            let counts: Vec<(usize, usize)> = counts.collect();
+            let cuts = cut(&out, counts.iter().map(|&(_, n)| n));
+            for ((p, _), batches) in counts.into_iter().zip(cuts) {
+                parts[p] = batches;
+            }
+        } else {
+            for (p, rows) in mine.collect::<Vec<_>>() {
+                let alone = RecordBatch::gather(&[(&base.window(rows), None)]);
+                parts[p] = kernel(&alone)?.map(|(out, _)| out).into();
             }
         }
-        parts.push(out);
     }
     Ok(parts)
 }
 
-/// Runs `kernel` over every partition of `input` as one batch, in partition
-/// order; a kernel that emits no row leaves its partition without a batch.
-fn map_partitions(
+/// Runs a per-partition `kernel` over every partition of `input` as rows of
+/// its base, in partition order: each returns the base rows its output
+/// takes, in order, and the column it appends, if any. The output is
+/// gathered once and each partition cut from it.
+fn map_views(
     input: &Table,
-    mut kernel: impl FnMut(&RecordBatch) -> Result<Option<RecordBatch>>,
-) -> Result<Vec<Vec<Arc<RecordBatch>>>> {
-    (0..input.num_partitions())
-        .map(|p| {
-            let out = kernel(&input.partition_as_batch(p))?;
-            Ok(out.map(Arc::new).into_iter().collect())
-        })
-        .collect()
+    mut kernel: impl FnMut(&RecordBatch, Range<usize>) -> Result<(Vec<u32>, Option<ColumnVector>)>,
+) -> Result<Vec<Partition>> {
+    let views = input.views();
+    let (mut runs, mut appended) = (Vec::new(), Vec::new());
+    let mut counts = vec![0; views.parts.len()];
+    for (p, (b, rows)) in
+        (views.parts.iter().enumerate()).filter_map(|(p, v)| Some((p, v.as_ref()?)))
+    {
+        let (idx, column) = kernel(&views.bases[*b], rows.clone())?;
+        counts[p] = idx.len();
+        runs.push((*b, idx));
+        appended.extend(column);
+    }
+    let appended = (!appended.is_empty()).then(|| ColumnVector::concat(&appended).into());
+    Ok(views.gather(&runs, counts, appended))
 }
 
 /// Executes one operator. Returns the output table and, for leaves, the
@@ -285,11 +318,13 @@ fn exec_node(
                 let udo = extractor.as_ref().ok_or_else(|| {
                     ScopeError::Execution("extract scan without extractor".into())
                 })?;
-                map_batches(&stored, |batch| {
-                    Ok(extract_batch(udo, predicate.as_ref(), batch)?.map(Arc::new))
+                map_rows(&stored, |batch| {
+                    extract_batch(udo, predicate.as_ref(), batch)
                 })?
+            } else if predicate.is_some() {
+                map_rows(&stored, |batch| filter_rows(batch, predicate.as_ref()))?
             } else {
-                map_batches(&stored, |batch| filter_batch(batch, predicate.as_ref()))?
+                stored.partitions.clone()
             };
             Ok((
                 Table::from_batches(out_schema.clone(), parts, stored.props.clone()),
@@ -307,23 +342,23 @@ fn exec_node(
         }
         Operator::Filter { predicate } => {
             let input = one()?;
-            let parts = map_batches(input, |batch| filter_batch(batch, Some(predicate)))?;
+            let parts = map_rows(input, |batch| filter_rows(batch, Some(predicate)))?;
             Ok((delivered(input, parts), 0))
         }
         Operator::Project { exprs } => {
             let input = one()?;
-            let parts = map_batches(input, |batch| {
+            let parts = map_rows(input, |batch| {
                 let cols = vexpr::eval_exprs(exprs, batch)?;
-                Ok(Some(Arc::new(RecordBatch::new(cols, batch.num_rows()))))
+                Ok(Some((RecordBatch::new(cols, batch.num_rows()), None)))
             })?;
             Ok((delivered(input, parts), 0))
         }
         Operator::Remap { cols, .. } => {
             let input = one()?;
             // Pure column shuffle: Arc bumps, deferred columns unread.
-            let parts = map_batches(input, |batch| {
+            let parts = map_rows(input, |batch| {
                 let picked = cols.iter().map(|&c| batch.columns()[c].clone()).collect();
-                Ok(Some(Arc::new(RecordBatch::new(picked, batch.num_rows()))))
+                Ok(Some((RecordBatch::new(picked, batch.num_rows()), None)))
             })?;
             Ok((delivered(input, parts), 0))
         }
@@ -338,23 +373,11 @@ fn exec_node(
             implementation,
         } => {
             let input = one()?;
-            let mut parts = map_partitions(input, |batch| {
-                Ok(aggregate_batch(batch, keys, aggs, *implementation))
-            })?;
-            // Global aggregate over an empty input emits exactly one row.
-            if keys.is_empty() && parts.iter().all(Vec::is_empty) {
-                if let Some(first) = parts.first_mut() {
-                    let empty = aggs.iter().map(|a| {
-                        ColumnVector::from_values(vec![Acc::default().finish(a.func)]).into()
-                    });
-                    first.push(Arc::new(RecordBatch::new(empty.collect(), 1)));
-                }
-            }
+            let parts = aggregate(&input.views(), keys, aggs, *implementation);
             Ok((delivered(input, parts), 0))
         }
         Operator::Top { n, order } => {
             let input = one()?;
-            let gathered = input.gather();
             // Deterministic top-N: ties under the requested order are broken
             // by full-row comparison, so the result is independent of the
             // physical arrival order (and hence of view reuse).
@@ -362,16 +385,20 @@ fn exec_node(
                 partitioning: Partitioning::Single,
                 sort: order.clone(),
             };
-            let batch = gathered.partition_as_batch(0);
-            let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
-            sort_indices(&batch, &mut idx, order);
+            let (batch, mut idx) = gathered(input);
+            if idx.len() > 1 {
+                idx.sort_by(deterministic(&batch, order));
+            }
             idx.truncate(*n);
             let out = if idx.is_empty() {
                 Vec::new()
             } else {
-                vec![Arc::new(batch.take(&idx))]
+                vec![batch.take(&idx)]
             };
-            Ok((Table::from_batches(out_schema.clone(), vec![out], props), 0))
+            Ok((
+                Table::from_batches(out_schema.clone(), vec![out.into()], props),
+                0,
+            ))
         }
         Operator::Window {
             func,
@@ -379,19 +406,20 @@ fn exec_node(
             order,
         } => {
             let input = one()?;
-            let parts = map_partitions(input, |batch| {
-                Ok((batch.num_rows() > 0).then(|| window_batch(batch, func, partition, order)))
+            let parts = map_views(input, |batch, rows| {
+                let (idx, value) = window_rows(batch, rows, func, partition, order);
+                Ok((idx, Some(value)))
             })?;
             Ok((delivered(input, parts), 0))
         }
         Operator::Process { udo } => {
             let input = one()?;
-            let parts = map_partitions(input, |batch| process_batch(udo, batch))?;
+            let parts = map_rows(input, |batch| process_batch(udo, batch))?;
             Ok((delivered(input, parts), 0))
         }
         Operator::Reduce { udo, keys } | Operator::GbApply { udo, keys } => {
             let input = one()?;
-            let parts = map_partitions(input, |batch| reduce_batch(udo, batch, keys))?;
+            let parts = map_views(input, |batch, rows| reduce_rows(udo, batch, rows, keys))?;
             Ok((delivered(input, parts), 0))
         }
         Operator::Spool | Operator::Nop => Ok((one()?.clone(), 0)),
@@ -424,7 +452,7 @@ fn exec_node(
             let mut parts = Vec::new();
             for t in inputs {
                 for p in 0..t.num_partitions() {
-                    parts.push(t.partition_batches(p).to_vec());
+                    parts.push(t.partitions[p].clone());
                 }
             }
             Ok((
@@ -436,7 +464,11 @@ fn exec_node(
             // Both sides gathered single (enforced).
             let merged = merge_streams(udo, inputs[0], inputs[1])?;
             Ok((
-                Table::from_batches(out_schema.clone(), vec![merged], PhysicalProps::single()),
+                Table::from_batches(
+                    out_schema.clone(),
+                    vec![merged.into()],
+                    PhysicalProps::single(),
+                ),
                 0,
             ))
         }
@@ -455,9 +487,8 @@ fn exec_node(
 /// mirrors `Value::cmp`): the groups of the stream aggregate, Window and
 /// Reduce/GbApply. Unsorted input still groups only *adjacent* equal keys;
 /// the optimizer's enforcers sort first.
-fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
-    let rows = batch.num_rows();
-    if rows == 0 {
+fn key_runs(batch: &RecordBatch, keys: &[usize], rows: Range<usize>) -> Vec<Range<usize>> {
+    if rows.is_empty() {
         // An empty partition may be a zero-width batch: no key column to read.
         return Vec::new();
     }
@@ -468,7 +499,7 @@ fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
             .all(|c| c.cell(a).cmp_cell(c.cell(b)).is_eq())
     };
     let mut runs = Vec::new();
-    let mut start = 0;
+    let (mut start, rows) = (rows.start, rows.end);
     while start < rows {
         let mut end = start + 1;
         while end < rows && same(end, start) {
@@ -480,30 +511,51 @@ fn key_runs(batch: &RecordBatch, keys: &[usize]) -> Vec<Range<usize>> {
     runs
 }
 
-/// Sorts row indices of `batch` by `order`, ties broken by the full row: the
-/// deterministic order of Top, Window and TopPerGroup, which no arrival
-/// order (and hence no view reuse) can change.
-fn sort_indices(batch: &RecordBatch, idx: &mut [u32], order: &SortOrder) {
-    idx.sort_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        compare_batch_rows(batch, a, b, order).then_with(|| compare_batch_rows_full(batch, a, b))
-    });
+/// Every row of `input` as rows `idx` of one whole batch, partition after
+/// partition: no copy when its partitions are cut from one build.
+fn gathered(input: &Table) -> (RecordBatch, Vec<u32>) {
+    let mut views = input.gather().views();
+    match views.parts.pop().flatten() {
+        Some((b, rows)) => (
+            views.bases.swap_remove(b),
+            (rows.start as u32..rows.end as u32).collect(),
+        ),
+        None => (RecordBatch::new(Vec::new(), 0), Vec::new()),
+    }
 }
 
-/// One window function over a non-empty partition. Each run of equal
-/// `partition` keys is put in `order`, ties broken by the full row (running
-/// sums would otherwise depend on arrival order, as in `Top`); the rows move
-/// in that order and the function's value is appended as one more column.
-fn window_batch(
+/// The order of `batch`'s row indices under `order`, ties broken by the full
+/// row: the deterministic order of Top, Window and TopPerGroup, which no
+/// arrival order (and hence no view reuse) can change.
+fn deterministic<'a>(
+    batch: &'a RecordBatch,
+    order: &'a SortOrder,
+) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + 'a {
+    let by = row_order(batch, keys_of(order));
+    move |&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        by(a, b).then_with(|| compare_batch_rows_full(batch, a, b))
+    }
+}
+
+/// One window function over rows `rows` of `batch`, a non-empty partition.
+/// Each run of equal `partition` keys is put in `order`, ties broken by the
+/// full row (running sums would otherwise depend on arrival order, as in
+/// `Top`); the rows move in that order (returned as rows of `batch`) and the
+/// function's value is appended as one more column.
+fn window_rows(
     batch: &RecordBatch,
+    rows: Range<usize>,
     func: &WindowFunc,
     partition: &[usize],
     order: &SortOrder,
-) -> RecordBatch {
-    let runs = key_runs(batch, partition);
-    let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
+) -> (Vec<u32>, ColumnVector) {
+    let runs = key_runs(batch, partition, rows.clone());
+    let mut idx: Vec<u32> = (rows.start as u32..rows.end as u32).collect();
+    let local = |run: &Range<usize>| run.start - rows.start..run.end - rows.start;
+    let cmp = deterministic(batch, order);
     for run in &runs {
-        sort_indices(batch, &mut idx[run.clone()], order);
+        idx[local(run)].sort_by(&cmp);
     }
     let value = match func {
         WindowFunc::RunningSum(c) => {
@@ -511,7 +563,7 @@ fn window_batch(
             let mut data = Vec::with_capacity(idx.len());
             for run in &runs {
                 let mut sum = 0.0;
-                for &i in &idx[run.clone()] {
+                for &i in &idx[local(run)] {
                     sum += col.cell(i as usize).as_f64().unwrap_or(0.0);
                     data.push(sum);
                 }
@@ -520,14 +572,13 @@ fn window_batch(
         }
         WindowFunc::RowNumber | WindowFunc::Rank => {
             let numbers_ties = matches!(func, WindowFunc::RowNumber);
+            let cmp = row_order(batch, keys_of(order));
             let mut data = Vec::with_capacity(idx.len());
             for run in &runs {
-                let group = &idx[run.clone()];
+                let group = &idx[local(run)];
                 let mut rank = 0;
                 for (n, &i) in group.iter().enumerate() {
-                    let tied = n > 0
-                        && compare_batch_rows(batch, group[n - 1] as usize, i as usize, order)
-                            .is_eq();
+                    let tied = n > 0 && cmp(group[n - 1] as usize, i as usize).is_eq();
                     if numbers_ties || !tied {
                         rank = n as i64 + 1;
                     }
@@ -537,14 +588,7 @@ fn window_batch(
             ColumnVector::Int { data, nulls: None }
         }
     };
-    // Input already in window order (a sort below enforced it) moves whole.
-    let mut columns = if idx.windows(2).all(|w| w[0] < w[1]) {
-        batch.columns().to_vec()
-    } else {
-        RecordBatch::gather_columns(&[(batch, Some(&idx))])
-    };
-    columns.push(value.into());
-    RecordBatch::new(columns, idx.len())
+    (idx, value)
 }
 
 // ---------------------------------------------------------------------------
@@ -555,11 +599,7 @@ fn window_batch(
 /// the extractor processes the selection. As in the row engine, a predicate
 /// error stops the scan at its row only after the extractor has seen every
 /// earlier row, so an extractor error on an earlier row surfaces first.
-fn extract_batch(
-    udo: &Udo,
-    predicate: Option<&Expr>,
-    batch: &RecordBatch,
-) -> Result<Option<RecordBatch>> {
+fn extract_batch(udo: &Udo, predicate: Option<&Expr>, batch: &RecordBatch) -> Result<RowsOut> {
     let Some(pred) = predicate else {
         return process_batch(udo, batch);
     };
@@ -567,7 +607,15 @@ fn extract_batch(
     let out = if sel.len() == batch.num_rows() {
         process_batch(udo, batch)?
     } else {
-        process_batch(udo, &batch.take(&sel))?
+        // Each output row's input row, through the selection.
+        let through = |(out, from): (RecordBatch, Option<Vec<u32>>)| {
+            let from = from.map_or_else(
+                || sel.clone(),
+                |f| f.iter().map(|&i| sel[i as usize]).collect(),
+            );
+            (out, Some(from))
+        };
+        process_batch(udo, &batch.take(&sel))?.map(through)
     };
     stopped.map(|()| out)
 }
@@ -577,7 +625,7 @@ fn extract_batch(
 /// once per whitespace-separated token with the token appended (none for
 /// NULL text); ClampOutliers and ScoreModel emit each row once, clamping
 /// one column or appending the score.
-fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> {
+fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<RowsOut> {
     let rows = batch.num_rows();
     if rows == 0 {
         return Ok(None);
@@ -606,7 +654,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> 
             }
             let mut columns = RecordBatch::gather_columns(&[(batch, Some(&from))]);
             columns.push(ColumnVector::Str { data, nulls: None }.into());
-            Ok(Some(RecordBatch::new(columns, from.len())))
+            Ok(Some((RecordBatch::new(columns, from.len()), Some(from))))
         }
         UdoKind::ClampOutliers { col, lo, hi } => {
             // Through `f64`: an `Int` stays `Int`, and a `Float`, `Date` or
@@ -620,7 +668,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> 
             });
             let mut columns = batch.columns().to_vec();
             columns[*col] = ColumnVector::from_values(clamped.collect()).into();
-            Ok(Some(RecordBatch::new(columns, rows)))
+            Ok(Some((RecordBatch::new(columns, rows), None)))
         }
         UdoKind::ScoreModel { cols, seed } => {
             let features: Vec<&ColumnVector> = cols.iter().map(|&c| batch.column(c)).collect();
@@ -634,7 +682,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> 
             let data = (0..rows).map(score).collect();
             let mut columns = batch.columns().to_vec();
             columns.push(ColumnVector::Float { data, nulls: None }.into());
-            Ok(Some(RecordBatch::new(columns, rows)))
+            Ok(Some((RecordBatch::new(columns, rows), None)))
         }
         other => Err(ScopeError::Execution(format!(
             "{} is not a row processor",
@@ -643,17 +691,20 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<Option<RecordBatch>> 
     }
 }
 
-/// A reducer or per-group apply over one partition, each run of equal `keys`
-/// one group (`None` when it emits no row). TrimBand keeps the rows whose
+/// A reducer or per-group apply over rows `rows` of `batch`, one partition,
+/// each run of equal `keys` one group: the rows it emits, as rows of `batch`,
+/// and the column it appends, if any. TrimBand keeps the rows whose
 /// numeric cell lies in the group's `[min + gap, max - gap]`; CountRows
 /// emits the group's smallest row (the first of equals) with the group's row
 /// count appended; TopPerGroup keeps the group's first `n` rows by the
 /// column descending, ties broken by the full row.
-fn reduce_batch(udo: &Udo, batch: &RecordBatch, keys: &[usize]) -> Result<Option<RecordBatch>> {
-    let runs = key_runs(batch, keys);
-    if runs.is_empty() {
-        return Ok(None);
-    }
+fn reduce_rows(
+    udo: &Udo,
+    batch: &RecordBatch,
+    rows: Range<usize>,
+    keys: &[usize],
+) -> Result<(Vec<u32>, Option<ColumnVector>)> {
+    let runs = key_runs(batch, keys, rows);
     let mut keep: Vec<u32> = Vec::new();
     match &udo.kind {
         UdoKind::TrimBand { col, gap } => {
@@ -673,18 +724,17 @@ fn reduce_batch(udo: &Udo, batch: &RecordBatch, keys: &[usize]) -> Result<Option
         UdoKind::CountRows => {
             let data = runs.iter().map(|run| run.len() as i64).collect();
             // `min_by` keeps the first of equal rows.
-            let smallest =
-                |run: Range<usize>| run.min_by(|&a, &b| compare_batch_rows_full(batch, a, b));
+            let full = |&a: &usize, &b: &usize| compare_batch_rows_full(batch, a, b);
+            let smallest = |run: Range<usize>| run.min_by(full);
             keep.extend(runs.into_iter().filter_map(smallest).map(|i| i as u32));
-            let mut columns = RecordBatch::gather_columns(&[(batch, Some(&keep))]);
-            columns.push(ColumnVector::Int { data, nulls: None }.into());
-            return Ok(Some(RecordBatch::new(columns, keep.len())));
+            return Ok((keep, Some(ColumnVector::Int { data, nulls: None })));
         }
         UdoKind::TopPerGroup { col, n } => {
             let order = SortOrder(vec![SortKey::desc(*col)]);
+            let cmp = deterministic(batch, &order);
             for run in runs {
                 let mut group: Vec<u32> = run.map(|i| i as u32).collect();
-                sort_indices(batch, &mut group, &order);
+                group.sort_by(&cmp);
                 keep.extend(group.into_iter().take(*n));
             }
         }
@@ -695,12 +745,12 @@ fn reduce_batch(udo: &Udo, batch: &RecordBatch, keys: &[usize]) -> Result<Option
             )))
         }
     }
-    Ok((!keep.is_empty()).then(|| batch.take(&keep)))
+    Ok((keep, None))
 }
 
 /// The MergeStreams combiner: each side gathered and stably sorted on column
 /// 0, then the left side's rows followed by the right's, as one partition.
-fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<RecordBatch>>> {
+fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<RecordBatch>> {
     if udo.kind != UdoKind::MergeStreams {
         return Err(ScopeError::Execution(format!(
             "{} is not a combiner",
@@ -709,9 +759,11 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<Recor
     }
     let order = SortOrder::asc(&[0]);
     let sorted = |side: &Table| {
-        let batch = side.gather().partition_as_batch(0);
-        let mut idx: Vec<u32> = (0..batch.num_rows() as u32).collect();
-        idx.sort_by(|&a, &b| compare_batch_rows(&batch, a as usize, b as usize, &order));
+        let (batch, mut idx) = gathered(side);
+        if !idx.is_empty() {
+            let cmp = row_order(&batch, keys_of(&order));
+            idx.sort_by(|&a, &b| cmp(a as usize, b as usize));
+        }
         (batch, idx)
     };
     // An empty side may be a zero-width batch: it contributes no run.
@@ -719,9 +771,9 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<Arc<Recor
     let runs: Vec<Rows<'_>> = sides
         .iter()
         .filter(|(_, idx)| !idx.is_empty())
-        .map(|(batch, idx)| (&**batch, Some(idx.as_slice())))
+        .map(|(batch, idx)| (batch, Some(idx.as_slice())))
         .collect();
-    let merged = (!runs.is_empty()).then(|| Arc::new(RecordBatch::gather(&runs)));
+    let merged = (!runs.is_empty()).then(|| RecordBatch::gather(&runs));
     Ok(merged.into_iter().collect())
 }
 
@@ -890,8 +942,8 @@ fn settle_group_floats(accs: &mut [Acc], inputs: impl Iterator<Item = (u32, f64)
 /// A row without a group: a NULL join key, or a probe key the build lacks.
 const NO_GROUP: u32 = u32::MAX;
 
-/// A batch and its key columns: one side of a grouping.
-type Side<'a> = (&'a RecordBatch, &'a [usize]);
+/// A batch, its key columns and the rows grouped: one side of a grouping.
+type Side<'a> = (&'a RecordBatch, &'a [usize], Range<usize>);
 
 /// One side's keys, read in one loop: `each(f)` calls `f(i, key)` for every
 /// row `i` in order, `None` for a key that is its own group in an aggregate
@@ -1066,11 +1118,11 @@ fn assign_groups<B: Keys>(build: B, probe: Option<B>) -> Grouping {
 /// both read values, so `Int(1)` still joins `Float(1.0)` and an `Int`
 /// never joins a `Date`. Both batches have rows.
 fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
-    let one = |(batch, keys): Side<'a>| match keys {
-        [k] => Some(batch.columns()[*k].locate()),
+    let one = |(batch, keys, rows): &Side<'a>| match keys {
+        [k] => Some(batch.locate(*k, rows.clone())),
         _ => None,
     };
-    let (b, p) = (one(build), probe.map(one));
+    let (b, p) = (one(&build), probe.as_ref().map(one));
     macro_rules! typed {
         ($lane:expr, $get:expr) => {
             let lanes = |l: &Option<Located<'a>>| l.as_ref().and_then(|l| l.lanes($lane));
@@ -1087,65 +1139,128 @@ fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
     typed!(ColumnVector::dates, |d: &[i32], r: usize| d[r] as i64);
     typed!(ColumnVector::strs, StrVec::get);
     let join = probe.is_some();
-    let values = |(batch, keys): Side<'a>| ValueKeys {
-        cols: keys.iter().map(|&k| batch.columns()[k].locate()).collect(),
-        rows: batch.num_rows(),
+    let values = |(batch, keys, rows): Side<'a>| ValueKeys {
+        cols: keys
+            .iter()
+            .map(|&k| batch.locate(k, rows.clone()))
+            .collect(),
+        rows: rows.len(),
         join,
     };
     assign_groups(values(build), probe.map(values))
 }
 
-/// The aggregate's output over one partition: per group, the key cells of
-/// its row `firsts[g]`, then `finished[j][g]` for each aggregate `j`.
-fn aggregate_output(
-    batch: &RecordBatch,
+/// The aggregate over every partition, built once: the key columns taken
+/// from each group's first row in one gather, then one column per
+/// aggregate; each partition's groups are cut from it. Groups are formed
+/// and accumulated once per base, over the rows of all its partitions.
+fn aggregate(
+    views: &Views,
     keys: &[usize],
-    firsts: &[u32],
-    finished: Vec<Vec<Value>>,
-) -> RecordBatch {
-    let key_columns = keys.iter().map(|&k| batch.columns()[k].clone()).collect();
-    let key_batch = RecordBatch::new(key_columns, batch.num_rows());
-    let mut columns = RecordBatch::gather_columns(&[(&key_batch, Some(firsts))]);
+    aggs: &[AggExpr],
+    implementation: AggImpl,
+) -> Vec<Partition> {
+    let mut counts = vec![0usize; views.parts.len()];
+    let (mut key_bases, mut firsts) = (Vec::new(), Vec::new());
+    let mut finished: Vec<Vec<Value>> = vec![Vec::new(); aggs.len()];
+    for (b, all, parts) in views.by_base() {
+        let base = &views.bases[b];
+        let (group_of, mine) = groups_of(base, all.clone(), &parts, keys, implementation);
+        for (p, rows) in &parts {
+            let before = |end: usize| mine.partition_point(|&f| (f as usize) < end);
+            counts[*p] = before(rows.end) - before(rows.start);
+        }
+        let values = accumulate(base, all, &group_of, mine.len(), aggs);
+        finished
+            .iter_mut()
+            .zip(values)
+            .for_each(|(all, v)| all.extend(v));
+        let key_columns = keys.iter().map(|&k| base.columns()[k].clone()).collect();
+        key_bases.push(RecordBatch::new(key_columns, base.num_rows()));
+        firsts.push(mine);
+    }
+    // A global aggregate over an empty input emits exactly one row.
+    if keys.is_empty() && firsts.is_empty() && !counts.is_empty() {
+        counts[0] = 1;
+        finished = aggs
+            .iter()
+            .map(|a| vec![Acc::default().finish(a.func)])
+            .collect();
+    }
+    let runs: Vec<Rows<'_>> = (key_bases.iter().zip(&firsts))
+        .map(|(b, f)| (b, Some(f.as_slice())))
+        .collect();
+    let mut columns = RecordBatch::gather_columns(&runs);
     let aggregates = finished
         .into_iter()
         .map(|v| ColumnVector::from_values(v).into());
     columns.extend(aggregates);
-    RecordBatch::new(columns, firsts.len())
+    cut(&RecordBatch::new(columns, counts.iter().sum()), counts)
 }
 
-/// One partition's aggregate, `None` when it has no row. Hash groups the
-/// rows by key ([`group_keys`]), stream takes each run of equal keys as a
-/// group ([`key_runs`]); then one pass per aggregate over its input column,
+/// The groups of rows `all` of `batch`, which `parts` (each partition and
+/// its rows) divide: each row's group, numbered partition by partition in
+/// first-seen order, and each group's first row. Hash groups by key
+/// ([`group_keys`]) over all the rows at once when no key is in two
+/// partitions, as after an exchange on the keys, and partition by partition
+/// otherwise; stream takes each run of equal keys within a partition as a
+/// group ([`key_runs`]).
+fn groups_of(
+    batch: &RecordBatch,
+    all: Range<usize>,
+    parts: &[(usize, Range<usize>)],
+    keys: &[usize],
+    implementation: AggImpl,
+) -> (Vec<u32>, Vec<u32>) {
+    let at = |rows: &Range<usize>| {
+        let start = rows.start as u32;
+        move |f: u32| f + start
+    };
+    if implementation == AggImpl::Hash {
+        let grouping = group_keys((batch, keys, all.clone()), None);
+        let firsts: Vec<u32> = grouping.firsts.into_iter().map(at(&all)).collect();
+        let own = |(_, rows): &(usize, Range<usize>)| {
+            let groups = &grouping.of_row[rows.start - all.start..rows.end - all.start];
+            groups
+                .iter()
+                .all(|&g| rows.contains(&(firsts[g as usize] as usize)))
+        };
+        if parts.iter().all(own) {
+            return (grouping.of_row, firsts);
+        }
+    }
+    let (mut group_of, mut firsts) = (Vec::with_capacity(all.len()), Vec::new());
+    for (_, rows) in parts {
+        let offset = firsts.len() as u32;
+        if implementation == AggImpl::Hash {
+            let grouping = group_keys((batch, keys, rows.clone()), None);
+            group_of.extend(grouping.of_row.iter().map(|g| g + offset));
+            firsts.extend(grouping.firsts.into_iter().map(at(rows)));
+        } else {
+            for (g, run) in (offset..).zip(key_runs(batch, keys, rows.clone())) {
+                group_of.extend(std::iter::repeat_n(g, run.len()));
+                firsts.push(run.start as u32);
+            }
+        }
+    }
+    (group_of, firsts)
+}
+
+/// Each aggregate's value per group over rows `rows` of `batch`, whose
+/// groups `group_of` gives: one pass per aggregate over its input column,
 /// read where it lies. COUNT reads no column; SUM/AVG over `Int` and
 /// `Float` columns run typed loops feeding the exact `Acc` fields their
 /// `finish` arm reads; everything else falls back to the borrowed-cell
 /// update.
-fn aggregate_batch(
+fn accumulate(
     batch: &RecordBatch,
-    keys: &[usize],
+    rows: Range<usize>,
+    group_of: &[u32],
+    ngroups: usize,
     aggs: &[AggExpr],
-    implementation: AggImpl,
-) -> Option<RecordBatch> {
-    if batch.num_rows() == 0 {
-        return None;
-    }
-    let (group_of, firsts) = match implementation {
-        AggImpl::Hash => {
-            let grouping = group_keys((batch, keys), None);
-            (grouping.of_row, grouping.firsts)
-        }
-        AggImpl::Stream => {
-            let runs = key_runs(batch, keys);
-            let group_of = (0..)
-                .zip(&runs)
-                .flat_map(|(g, run)| std::iter::repeat_n(g, run.len()))
-                .collect();
-            (group_of, runs.iter().map(|run| run.start as u32).collect())
-        }
-    };
-    let ngroups = firsts.len();
+) -> Vec<Vec<Value>> {
     let mut group_sizes = vec![0u64; ngroups];
-    for &g in &group_of {
+    for &g in group_of {
         group_sizes[g as usize] += 1;
     }
 
@@ -1168,11 +1283,11 @@ fn aggregate_batch(
             finished.push(accs.iter().map(|acc| acc.finish(a.func)).collect());
             continue;
         }
-        let col = batch.columns()[a.input].locate();
+        let col = batch.locate(a.input, rows.clone());
         if let Some(ints) = col.lanes(ColumnVector::ints).filter(|_| sums) {
-            int_sums(&mut accs, &group_of, &group_sizes, ints);
+            int_sums(&mut accs, group_of, &group_sizes, ints);
         } else if let Some(floats) = col.lanes(ColumnVector::floats).filter(|_| sums) {
-            float_sums(&mut accs, &group_of, &group_sizes, floats);
+            float_sums(&mut accs, group_of, &group_sizes, floats);
         } else {
             let mut floats = Vec::new();
             for (i, &g) in group_of.iter().enumerate() {
@@ -1186,7 +1301,7 @@ fn aggregate_batch(
             summed.push((a.input, accs));
         }
     }
-    Some(aggregate_output(batch, keys, &firsts, finished))
+    finished
 }
 
 /// SUM/AVG over an `Int` column: each non-NULL value added to its group's
@@ -1263,134 +1378,203 @@ fn exec_join(
             right.num_partitions()
         )));
     }
-    let rwidth = right.schema.len();
-    // The broadcast side is concatenated once; each left partition probes it.
-    let one = broadcast.then(|| right.partition_as_batch(0));
-    let parts = (0..left.num_partitions())
-        .map(|p| {
-            let rb = one.clone().unwrap_or_else(|| right.partition_as_batch(p));
-            hash_join_batch(
-                &left.partition_as_batch(p),
-                &rb,
-                kind,
-                left_keys,
-                right_keys,
-                rwidth,
-            )
-        })
-        .collect();
+    let (lv, rv) = (left.views(), right.views());
+    // LeftOuter pads from one right base: holes are no pick.
+    let rv = match kind {
+        JoinKind::LeftOuter if rv.bases.len() > 1 => one_base(&rv),
+        _ => rv,
+    };
+    let mut pairs = Vec::with_capacity(lv.parts.len());
+    for (p, part) in lv.parts.iter().enumerate() {
+        let Some((lb, lrows)) = part else { continue };
+        let r = &rv.parts[if broadcast { 0 } else { p }];
+        let r = r
+            .as_ref()
+            .map(|(rb, rrows)| (&rv.bases[*rb], right_keys, rrows.clone()));
+        let left = (&lv.bases[*lb], left_keys, lrows.clone());
+        let rb = r.as_ref().map(|(rb, _, _)| *rb);
+        pairs.push((*lb, rb, join_rows(kind, left, r)));
+    }
     let props = PhysicalProps {
         partitioning: left.props.partitioning.clone(),
         sort: SortOrder::none(),
     };
+    let parts = join_output(&lv, &rv, kind, &pairs, right.schema.len());
     Ok(Table::from_batches(out_schema.clone(), parts, props))
 }
 
-/// Joins one left partition against one right partition: build on the
-/// right (NULL keys never join), probe the left in arrival order. LeftOuter
-/// pads unmatched rows to `rwidth`, the right *schema* width.
-fn hash_join_batch(
-    lb: &RecordBatch,
-    rb: &RecordBatch,
-    kind: JoinKind,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    rwidth: usize,
-) -> Vec<Arc<RecordBatch>> {
-    let lrows = lb.num_rows();
-    if lrows == 0 {
-        return Vec::new();
+/// A table's views gathered into one base, partition after partition.
+fn one_base(views: &Views) -> Views {
+    let windows: Vec<(usize, RecordBatch)> = (views.parts.iter().enumerate())
+        .filter_map(|(p, v)| {
+            let (b, rows) = v.as_ref()?;
+            Some((p, views.bases[*b].window(rows.clone())))
+        })
+        .collect();
+    let runs: Vec<Rows<'_>> = windows.iter().map(|(_, w)| (w, None)).collect();
+    let (mut parts, mut end) = (vec![None; views.parts.len()], 0);
+    for (p, w) in &windows {
+        parts[*p] = Some((0, end..end + w.num_rows()));
+        end += w.num_rows();
     }
-    let rrows = rb.num_rows();
+    Views {
+        bases: vec![RecordBatch::gather(&runs)],
+        parts,
+    }
+}
 
+/// The rows one left partition's join emits, as rows of the two bases: the
+/// left rows, and each one's right row (`None`: LeftOuter padding; empty
+/// for LeftSemi).
+type Emitted = (Vec<u32>, Vec<Option<u32>>);
+
+/// Joins one left partition against one right partition: build on the
+/// right (NULL keys never join), probe the left in arrival order.
+fn join_rows(kind: JoinKind, left: Side<'_>, right: Option<Side<'_>>) -> Emitted {
+    let (lstart, lrows) = (left.2.start as u32, left.2.len());
     // Each left row's group of right rows, laid out by group in one buffer:
     // group `g` holds `rows[start[g]..start[g + 1]]` in arrival order. An
-    // empty right side (maybe a zero-width batch) matches nothing, so
-    // neither side's key is read.
-    let (lgroup, start, rows) = if rrows == 0 {
-        (vec![NO_GROUP; lrows], vec![0], Vec::new())
-    } else {
-        let grouping = group_keys((rb, right_keys), Some((lb, left_keys)));
-        let joining = (0..).zip(grouping.of_row).filter(|&(_, g)| g != NO_GROUP);
-        let (start, rows) = by_group(grouping.firsts.len(), joining.map(|(i, g)| (g, i)));
-        (grouping.probed, start, rows)
+    // empty right side matches nothing, so neither side's key is read.
+    let (lgroup, start, rows) = match right {
+        None => (vec![NO_GROUP; lrows], vec![0], Vec::new()),
+        Some(right) => {
+            let rstart = right.2.start as u32;
+            let grouping = group_keys(right, Some(left));
+            let joining = (rstart..)
+                .zip(grouping.of_row)
+                .filter(|&(_, g)| g != NO_GROUP);
+            let (start, rows) = by_group(grouping.firsts.len(), joining.map(|(i, g)| (g, i)));
+            (grouping.probed, start, rows)
+        }
     };
     let matches = |g: u32| &rows[start[g as usize]..start[g as usize + 1]];
-    // The left columns at `lidx`: handed on whole when every left row is
-    // there once, in order, as when each probe key meets one build row.
-    let left = |lidx: &[u32]| {
-        if lidx.len() == lrows && lidx.iter().enumerate().all(|(k, &i)| k == i as usize) {
-            lb.columns().to_vec()
-        } else {
-            RecordBatch::gather_columns(&[(lb, Some(lidx))])
-        }
-    };
-
-    // Emit phase: index pairs, then recipes over both inputs — no copy.
-    let batch = match kind {
-        JoinKind::LeftSemi => {
-            let sel: Vec<u32> = (0..lrows as u32)
-                .filter(|&i| lgroup[i as usize] != NO_GROUP)
-                .collect();
-            if sel.is_empty() {
-                return Vec::new();
+    let (mut lidx, mut ridx) = (Vec::with_capacity(lrows), Vec::new());
+    for (i, &g) in (lstart..).zip(&lgroup) {
+        match kind {
+            JoinKind::LeftSemi if g != NO_GROUP => lidx.push(i),
+            JoinKind::LeftOuter if g == NO_GROUP => {
+                lidx.push(i);
+                ridx.push(None);
             }
-            lb.take(&sel)
-        }
-        JoinKind::Inner => {
-            let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
-            let mut ridx: Vec<u32> = Vec::with_capacity(lrows);
-            for (i, &g) in lgroup.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
+            JoinKind::LeftSemi => {}
+            _ if g == NO_GROUP => {}
+            _ => {
                 for &r in matches(g) {
-                    lidx.push(i as u32);
-                    ridx.push(r);
+                    lidx.push(i);
+                    ridx.push(Some(r));
                 }
             }
-            if lidx.is_empty() {
-                return Vec::new();
-            }
-            let mut cols = left(&lidx);
-            cols.extend(RecordBatch::gather_columns(&[(rb, Some(&ridx))]));
-            RecordBatch::new(cols, lidx.len())
         }
-        JoinKind::LeftOuter => {
-            let mut lidx: Vec<u32> = Vec::with_capacity(lrows);
-            let mut ridx: Vec<Option<u32>> = Vec::with_capacity(lrows);
-            for (i, &g) in lgroup.iter().enumerate() {
-                if g == NO_GROUP {
-                    lidx.push(i as u32);
-                    ridx.push(None);
-                } else {
-                    for &r in matches(g) {
-                        lidx.push(i as u32);
-                        ridx.push(Some(r));
-                    }
-                }
-            }
-            // The padded side has holes no pick can name: gathered here. An
-            // empty right partition may have no columns at all; its padding
-            // is all-NULL columns, the shape `from_values` gives them.
-            let mut cols = left(&lidx);
-            cols.extend((0..rwidth).map(|j| match rrows {
-                0 => ColumnVector::Mixed(vec![Value::Null; lidx.len()]).into(),
-                _ => rb.column(j).take_opt(&ridx).into(),
-            }));
-            RecordBatch::new(cols, lidx.len())
+    }
+    (lidx, ridx)
+}
+
+/// The join's output over every partition, built once: the left columns
+/// at all left rows in one gather (handed on whole when that is every left
+/// row in order, as when each probe key meets one build row), then the right
+/// columns in one gather — or, for LeftOuter, taken from the one right base
+/// with NULL padding — and each partition cut from it. `pairs` holds each
+/// non-empty left partition's base, right base and emitted rows.
+fn join_output(
+    lv: &Views,
+    rv: &Views,
+    kind: JoinKind,
+    pairs: &[(usize, Option<&RecordBatch>, Emitted)],
+    rwidth: usize,
+) -> Vec<Partition> {
+    let left: Vec<Rows<'_>> = pairs
+        .iter()
+        .map(|(b, _, (lidx, _))| (&lv.bases[*b], Some(lidx.as_slice())))
+        .collect();
+    let total = pairs.iter().map(|(_, _, (lidx, _))| lidx.len()).sum();
+    let lrows = pairs.iter().flat_map(|(_, _, (lidx, _))| lidx);
+    let mut cols = match lv.bases.as_slice() {
+        [one] if one.num_rows() == total && lrows.enumerate().all(|(k, &i)| k == i as usize) => {
+            one.columns().to_vec()
         }
+        _ => RecordBatch::gather_columns(&left),
     };
-    vec![Arc::new(batch)]
+    match (kind, rv.bases.first()) {
+        (JoinKind::LeftSemi, _) => {}
+        (JoinKind::LeftOuter, Some(rb)) => {
+            let ridx: Vec<Option<u32>> = pairs.iter().flat_map(|(.., (_, r))| r.clone()).collect();
+            cols.extend((0..rwidth).map(|j| rb.column(j).take_opt(&ridx).into()));
+        }
+        // No right row at all: all-NULL columns, the shape `from_values`
+        // gives them.
+        (JoinKind::LeftOuter, None) => {
+            let nulls = || ColumnVector::Mixed(vec![Value::Null; total]).into();
+            cols.extend((0..rwidth).map(|_| nulls()));
+        }
+        (JoinKind::Inner, _) => {
+            let ridx: Vec<Vec<u32>> = pairs
+                .iter()
+                .map(|(.., (_, r))| r.iter().map(|r| r.expect("an inner pair")).collect())
+                .collect();
+            let runs: Vec<Rows<'_>> = (pairs.iter().zip(&ridx))
+                .filter_map(|((_, rb, _), idx)| Some(((*rb)?, Some(idx.as_slice()))))
+                .collect();
+            cols.extend(RecordBatch::gather_columns(&runs));
+        }
+    }
+    let mut emitted = pairs.iter().map(|(_, _, (lidx, _))| lidx.len());
+    let counts = lv
+        .parts
+        .iter()
+        .map(|p| p.as_ref().map_or(0, |_| emitted.next().unwrap_or(0)));
+    cut(&RecordBatch::new(cols, total), counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::tests::cells_gathered;
+    use crate::data::tests::{cells_gathered, partition_as_batch};
     use crate::data::{multiset_checksum, Row};
     use scope_common::ids::DatasetId;
     use scope_plan::expr::AggFunc;
     use scope_plan::op::WindowFunc;
     use scope_plan::{DataType, Expr, PlanBuilder, SortKey, Udo, UdoKind};
     use std::cell::Cell as Counter;
+
+    /// One partition's aggregate, as the node computes it.
+    fn aggregate_batch(
+        batch: &RecordBatch,
+        keys: &[usize],
+        aggs: &[AggExpr],
+        implementation: AggImpl,
+    ) -> Option<RecordBatch> {
+        let parts = aggregate(&view(batch), keys, aggs, implementation);
+        parts[0].first().cloned()
+    }
+
+    /// One batch as a one-partition node input.
+    fn view(batch: &RecordBatch) -> Views {
+        let rows = batch.num_rows();
+        Views {
+            bases: (rows > 0).then(|| batch.clone()).into_iter().collect(),
+            parts: vec![(rows > 0).then_some((0, 0..rows))],
+        }
+    }
+
+    /// One left partition joined against one right partition, as the node
+    /// joins them.
+    fn hash_join_batch(
+        lb: &RecordBatch,
+        rb: &RecordBatch,
+        kind: JoinKind,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        rwidth: usize,
+    ) -> Vec<RecordBatch> {
+        let (lv, rv) = (view(lb), view(rb));
+        let right = rv.parts[0]
+            .clone()
+            .map(|(b, rows)| (&rv.bases[b], right_keys, rows));
+        let rbase = right.as_ref().map(|(b, ..)| *b);
+        let emitted = super::join_rows(kind, (lb, left_keys, 0..lb.num_rows()), right);
+        let parts = join_output(&lv, &rv, kind, &[(0, rbase, emitted)], rwidth);
+        parts.iter().flat_map(|p| p.to_vec()).collect()
+    }
 
     fn storage_with(rows: Vec<Row>, schema: Schema) -> StorageManager {
         let s = StorageManager::new();
@@ -1406,6 +1590,154 @@ mod tests {
         (0..n)
             .map(|i| vec![Value::Int(i % 5), Value::Int(i)])
             .collect()
+    }
+
+    /// `t` with every partition rebuilt as a batch of its own: the layout
+    /// a per-partition executor builds, with no window shared.
+    fn per_partition(t: &Table) -> Table {
+        let rows = (0..t.num_partitions())
+            .map(|p| t.partition_rows(p))
+            .collect();
+        Table::from_rows(t.schema.clone(), rows, t.props.clone())
+    }
+
+    /// Partition `p` of `t` as a one-partition table.
+    fn part(t: &Table, p: usize) -> Table {
+        let one = vec![t.partitions[p].clone()];
+        Table::from_batches(t.schema.clone(), one, PhysicalProps::any())
+    }
+
+    #[test]
+    fn windowed_outputs_match_a_per_partition_reference() {
+        use rand::{Rng, SeedableRng};
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("d", DataType::Date),
+        ]);
+        let ops = |keys: Vec<usize>| {
+            let dop = Partitioning::Hash {
+                cols: keys.clone(),
+                parts: 4,
+            };
+            let sum = AggExpr::new("f", AggFunc::Sum, 2);
+            let count = AggExpr::new("n", AggFunc::Count, 1);
+            let project = vec![
+                scope_plan::NamedExpr::new("k2", Expr::col(0).add(Expr::col(0))),
+                scope_plan::NamedExpr::new("s", Expr::col(1)),
+            ];
+            vec![
+                Operator::Exchange { scheme: dop },
+                Operator::Exchange {
+                    scheme: Partitioning::RoundRobin { parts: 3 },
+                },
+                Operator::Exchange {
+                    scheme: Partitioning::Single,
+                },
+                Operator::Sort {
+                    order: SortOrder(vec![SortKey::asc(1), SortKey::desc(2)]),
+                },
+                Operator::Filter {
+                    predicate: Expr::col(2).gt(Expr::lit(0.5)),
+                },
+                Operator::Project { exprs: project },
+                Operator::Aggregate {
+                    keys: keys.clone(),
+                    aggs: vec![sum, count],
+                    implementation: AggImpl::Hash,
+                },
+                Operator::Aggregate {
+                    keys: vec![],
+                    aggs: vec![AggExpr::new("n", AggFunc::Count, 0)],
+                    implementation: AggImpl::Hash,
+                },
+            ]
+        };
+        let joins =
+            [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::LeftSemi].map(|kind| Operator::Join {
+                kind,
+                implementation: JoinImpl::Hash,
+                left_keys: vec![0],
+                right_keys: vec![0],
+            });
+        let mut checked = 0;
+        for (case, n) in [0usize, 1, 7, 127, 128, 1_000].into_iter().enumerate() {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(47_000 + case as u64);
+            let mut rows = |n: usize| -> Vec<Row> {
+                (0..n)
+                    .map(|_| {
+                        let k = rng.gen_range(0..(n as i64 / 3).max(1));
+                        let null = rng.gen_range(0..10) == 0;
+                        vec![
+                            Value::Int(k),
+                            Value::Str(format!("s{}", rng.gen_range(0..9))),
+                            if null {
+                                Value::Null
+                            } else {
+                                Value::Float(rng.gen_range(0.0..1.0))
+                            },
+                            Value::Date(rng.gen_range(18_000..18_010)),
+                        ]
+                    })
+                    .collect()
+            };
+            // Inputs cut from one build, as a node hands them on, and the
+            // same rows with a batch per partition.
+            let windowed = |rows| {
+                let t = Table::single(schema.clone(), rows).hash_repartition(&[0], 4);
+                t.unwrap().sort_partitions(&SortOrder::asc(&[0]))
+            };
+            let (left, right) = (windowed(rows(n)), windowed(rows(n / 2 + 1)));
+            // And windows that no longer tile their build: partition 1 is
+            // replaced by a batch of its own, as when an exchange hands a
+            // destination a whole batch from elsewhere.
+            let partial = |t: &Table, rows: Vec<Row>| {
+                let mut t = t.clone();
+                t.partitions[1] = Table::single(schema.clone(), rows).partitions[0].clone();
+                t
+            };
+            let (pl, pr) = (partial(&left, rows(n % 5)), partial(&right, rows(3)));
+            let unary = (ops(vec![0]).into_iter())
+                .flat_map(|op| [(op.clone(), vec![&left]), (op, vec![&pl])]);
+            let binary = (joins.iter().cloned())
+                .flat_map(|op| [(op.clone(), vec![&left, &right]), (op, vec![&pl, &pr])]);
+            for (op, inputs) in unary.chain(binary) {
+                let split: Vec<Table> = inputs.iter().map(|t| per_partition(t)).collect();
+                let schemas: Vec<Schema> = inputs.iter().map(|t| t.schema.clone()).collect();
+                let out_schema = op.output_schema(&schemas).unwrap();
+                let storage = StorageManager::new();
+                let exec = |inputs: &[&Table]| {
+                    let (t, _) =
+                        exec_node(&op, inputs, &out_schema, &storage, SimTime::ZERO).unwrap();
+                    let in_rows = inputs.iter().map(|t| t.num_rows() as u64).sum();
+                    let (out_rows, out_bytes) = (t.num_rows() as u64, t.num_bytes());
+                    let stats = NodeRuntimeStats {
+                        in_rows,
+                        out_rows,
+                        out_bytes,
+                        exclusive_cpu: CostModel.op_cpu(&op, in_rows, out_rows, out_bytes),
+                    };
+                    (t, stats)
+                };
+                let (got, got_stats) = exec(&inputs);
+                let (want, want_stats) = exec(&split.iter().collect::<Vec<_>>());
+                let what = format!("{} on {n} rows", op.describe());
+                assert_eq!(got_stats, want_stats, "{what}");
+                assert_eq!(got.num_partitions(), want.num_partitions(), "{what}");
+                for p in 0..got.num_partitions() {
+                    assert_eq!(
+                        got.partition_rows(p),
+                        want.partition_rows(p),
+                        "{what}: partition {p}"
+                    );
+                    let sums = [&got, &want].map(|t| multiset_checksum(&part(t, p)));
+                    assert_eq!(sums[0], sums[1], "{what}: partition {p}");
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 6 * 2 * 11);
     }
 
     fn run(graph: &QueryGraph, storage: &StorageManager) -> ExecOutcome {
@@ -1436,9 +1768,8 @@ mod tests {
         ];
         let reversed: Vec<u32> = (0..300).rev().collect();
         let gathered = |implementation, aggs| {
-            let batch = Table::single(kv_schema(), kv_rows(300))
-                .partition_as_batch(0)
-                .take(&reversed);
+            let batch =
+                partition_as_batch(&Table::single(kv_schema(), kv_rows(300)), 0).take(&reversed);
             let before = cells_gathered();
             let out = aggregate_batch(&batch, &[0], aggs, implementation);
             (out.unwrap(), cells_gathered() - before)
@@ -1572,7 +1903,7 @@ mod tests {
             .collect();
         for keys in [vec![0], vec![1], vec![2], vec![3], vec![0, 2], vec![3, 1]] {
             let sorted = table.sort_partitions(&SortOrder::asc(&keys));
-            let batch = sorted.partition_as_batch(0);
+            let batch = partition_as_batch(&sorted, 0);
             let rows = |implementation| {
                 let out = aggregate_batch(&batch, &keys, &aggs, implementation).unwrap();
                 (0..out.num_rows())
@@ -1860,18 +2191,22 @@ mod tests {
             let probe = random_keys(&mut rng, kind, 300);
             let key: &[usize] = &[0];
             let before = cells_gathered();
-            let aggregate = group_keys((&build, key), None);
-            let join = group_keys((&build, key), Some((&probe, key)));
+            let (b, p) = (0..build.num_rows(), 0..probe.num_rows());
+            let aggregate = group_keys((&build, key, b.clone()), None);
+            let join = group_keys((&build, key, b.clone()), Some((&probe, key, p.clone())));
             assert_eq!(cells_gathered(), before, "case {case}: a key was copied");
-            fn values<'a>((batch, keys): Side<'a>, join: bool) -> ValueKeys<'a> {
-                let cols = keys.iter().map(|&k| batch.columns()[k].locate()).collect();
-                let rows = batch.num_rows();
+            fn values<'a>((batch, keys, rows): Side<'a>, join: bool) -> ValueKeys<'a> {
+                let cols = keys
+                    .iter()
+                    .map(|&k| batch.locate(k, rows.clone()))
+                    .collect();
+                let rows = rows.len();
                 ValueKeys { cols, rows, join }
             }
-            let by_value = assign_groups(values((&build, key), false), None);
+            let by_value = assign_groups(values((&build, key, b.clone()), false), None);
             let joined = assign_groups(
-                values((&build, key), true),
-                Some(values((&probe, key), true)),
+                values((&build, key, b.clone()), true),
+                Some(values((&probe, key, p), true)),
             );
             for (got, want) in [(&aggregate, &by_value), (&join, &joined)] {
                 assert_eq!(got.of_row, want.of_row, "case {case}");
@@ -1879,7 +2214,7 @@ mod tests {
                 assert_eq!(got.probed, want.probed, "case {case}");
             }
             // The typed loops ran, on both kinds of table.
-            let located = build.columns()[0].locate();
+            let located = build.locate(0, b);
             if let Some(ints) = located.lanes(ColumnVector::ints) {
                 match GroupTable::for_keys(&Typed(ints, |d: &[i64], r: usize| d[r])) {
                     GroupTable::Dense { .. } => dense += 1,
@@ -1907,8 +2242,7 @@ mod tests {
         for keys in [&[0][..], &[0, 1]] {
             for kind in [JoinKind::Inner, JoinKind::LeftSemi, JoinKind::LeftOuter] {
                 // A fresh take each time: none of its columns has been read.
-                let left = Table::single(kv_schema(), kv_rows(300))
-                    .partition_as_batch(0)
+                let left = partition_as_batch(&Table::single(kv_schema(), kv_rows(300)), 0)
                     .take(&reversed);
                 let before = cells_gathered();
                 let out = hash_join_batch(&left, &empty, kind, keys, keys, 2);
@@ -2150,9 +2484,12 @@ mod tests {
         let right_batches = rows[..200]
             .chunks(50)
             .map(|chunk| Table::single(schema.clone(), chunk.to_vec()).partitions[0][0].clone())
-            .collect();
-        let right =
-            Table::from_batches(schema.clone(), vec![right_batches], PhysicalProps::single());
+            .collect::<Vec<_>>();
+        let right = Table::from_batches(
+            schema.clone(),
+            vec![right_batches.into()],
+            PhysicalProps::single(),
+        );
         let gathered = |parts: usize| {
             let storage = StorageManager::new();
             let split = rows

@@ -323,11 +323,11 @@ impl StorageManager {
         match inner.views.get_mut(&precise) {
             Some(stored) => {
                 let mut table = Table::clone(&stored.file.table);
-                let mut batches = table.partitions.iter_mut().flatten();
+                let mut batches = table.partitions.iter_mut().flat_map(|p| p.iter_mut());
                 if let Some(batch) = batches.rfind(|b| b.num_rows() > 0) {
                     // Bit rot: silently drop the last row of the file.
                     let keep: Vec<u32> = (0..batch.num_rows() as u32 - 1).collect();
-                    *batch = Arc::new(batch.take(&keep));
+                    *batch = batch.take(&keep);
                     stored.file.table = Arc::new(table);
                 } else {
                     // Nothing to truncate; damage the recorded checksum so

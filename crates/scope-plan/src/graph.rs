@@ -140,8 +140,10 @@ impl QueryGraph {
 
     /// The output schema of one node.
     ///
-    /// Runs the full bottom-up schema pass, O(nodes) with a `String` clone
-    /// per column of every node, and keeps one schema of it. A caller that
+    /// Runs the full bottom-up schema pass, O(nodes), and keeps one schema
+    /// of it. Schemas share their columns, so passing one on costs a
+    /// reference count, but an operator that derives new columns (a
+    /// projection, an aggregate, a join) still builds them. A caller that
     /// asks once per root, as `SubsumeDescriptor::of` does once per unary
     /// root, pays O(nodes × roots); call [`QueryGraph::schemas`] once instead
     /// where that matters.

@@ -1,6 +1,7 @@
 //! Schemas: ordered lists of named, typed columns.
 
 use std::fmt;
+use std::sync::Arc;
 
 use scope_common::hash::SipHasher24;
 use scope_common::{Result, ScopeError};
@@ -32,10 +33,11 @@ impl fmt::Display for Column {
     }
 }
 
-/// An ordered list of columns.
+/// An ordered list of columns, shared: a clone is a reference-count bump,
+/// so a plan's schemas, descriptors and tables hold one copy of each name.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
@@ -43,7 +45,7 @@ impl Schema {
     /// `Output`).
     pub fn empty() -> Self {
         Schema {
-            columns: Vec::new(),
+            columns: Arc::new([]),
         }
     }
 
@@ -57,7 +59,9 @@ impl Schema {
                 )));
             }
         }
-        Ok(Schema { columns })
+        Ok(Schema {
+            columns: columns.into(),
+        })
     }
 
     /// Convenience constructor from `(name, type)` pairs.
@@ -98,15 +102,15 @@ impl Schema {
             && self
                 .columns
                 .iter()
-                .zip(&other.columns)
+                .zip(other.columns.iter())
                 .all(|(a, b)| a.dtype == b.dtype)
     }
 
     /// Concatenates two schemas (join output), disambiguating duplicate
     /// names with a `r_` prefix.
     pub fn concat(&self, right: &Schema) -> Schema {
-        let mut cols = self.columns.clone();
-        for c in &right.columns {
+        let mut cols = self.columns.to_vec();
+        for c in right.columns.iter() {
             let name = if cols.iter().any(|p| p.name == c.name) {
                 format!("r_{}", c.name)
             } else {
@@ -114,14 +118,16 @@ impl Schema {
             };
             cols.push(Column::new(name, c.dtype));
         }
-        Schema { columns: cols }
+        Schema {
+            columns: cols.into(),
+        }
     }
 
     /// Feeds the schema into a stable hasher; part of every signature so
     /// that a view's stored schema is pinned by its signature.
     pub fn stable_hash_into(&self, h: &mut SipHasher24) {
         h.write_u64(self.columns.len() as u64);
-        for c in &self.columns {
+        for c in self.columns.iter() {
             h.write_str(&c.name);
             h.write_str(c.dtype.name());
         }
