@@ -54,6 +54,13 @@ one_build_per_node() {
   ! sed '/^#\[cfg(test)\]/,$d' crates/scope-engine/src/data.rs | grep -nw 'EAGER_ROWS'
 }
 
+# A plan's schemas are derived once per graph version (the QueryGraph
+# memo, filled when the optimizer validates the plan): non-test exec.rs reads
+# them and never re-validates the plan it executes.
+execute_reads_memoized_schemas() {
+  ! sed '/^#\[cfg(test)\]/,$d' crates/scope-engine/src/exec.rs | grep -n 'validate()'
+}
+
 # Outside data.rs, which defines them, no non-test library code
 # materializes a table's rows.
 rows_stay_in_tests() {
@@ -138,6 +145,7 @@ for rule in \
   one_grouping_kernel \
   schema_columns_shared \
   one_build_per_node \
+  execute_reads_memoized_schemas \
   rows_stay_in_tests \
   one_layout_per_type \
   one_descriptor_rule \

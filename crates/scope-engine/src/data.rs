@@ -46,6 +46,7 @@
 //! * **Stored views are dense.** A recipe keeps its sources alive, so
 //!   [`Table::densified`] drops them before a table outlives its job.
 
+use std::borrow::Cow;
 use std::cell::Cell as Counter;
 use std::cmp::Ordering;
 use std::ops::{Deref, DerefMut, Range};
@@ -293,7 +294,7 @@ impl ColumnVector {
             }
             (_, Some(width)) => width * rows.len() as u64,
             _ => Located {
-                sources: vec![self],
+                sources: Few::One(self),
                 picks: None,
                 start: rows.start,
                 rows: rows.len(),
@@ -638,7 +639,7 @@ type Columns = Arc<[Column]>;
 #[derive(Debug)]
 pub struct Recipe {
     picks: Vec<Pick>,
-    sources: Vec<Columns>,
+    sources: Few<Columns>,
     cols: Vec<u32>,
     members: Vec<Member>,
 }
@@ -652,6 +653,20 @@ struct Member {
 }
 
 impl Recipe {
+    /// The recipe of `picks` over `sources`, member `m` reading columns
+    /// `cols[m * sources.len()..][..sources.len()]`.
+    fn new(picks: Vec<Pick>, sources: Few<Columns>, cols: Vec<u32>) -> Arc<Recipe> {
+        let members = (0..cols.len() / sources.len())
+            .map(|_| Member::default())
+            .collect();
+        Arc::new(Recipe {
+            picks,
+            sources,
+            cols,
+            members,
+        })
+    }
+
     /// The column member `m` reads in each source.
     fn cols(&self, m: u32) -> &[u32] {
         let fan_in = self.sources.len();
@@ -695,7 +710,7 @@ impl Column {
         match self {
             Column::Dense(c) => c,
             Column::Deferred(r, m) => r.members[*m as usize].dense.get_or_init(|| {
-                let sources: Vec<&ColumnVector> = r.sources(*m).map(|c| &c.vector).collect();
+                let sources: Few<&ColumnVector> = r.sources(*m).map(|c| &c.vector).collect();
                 timed(COPY, r.picks.len(), || {
                     Arc::new(ColumnVector::gather(&sources, &r.picks).into())
                 })
@@ -721,7 +736,7 @@ impl Column {
                 rows: rows.len(),
             },
             None => Located {
-                sources: vec![self.dense()],
+                sources: Few::One(self.dense()),
                 picks: None,
                 start: rows.start,
                 rows: rows.len(),
@@ -771,7 +786,7 @@ impl Column {
 /// and, for an unread recipe member, the picks naming each row's source and
 /// row (`None`: the one source, row for row from row `start`).
 pub(crate) struct Located<'a> {
-    sources: Vec<&'a ColumnVector>,
+    sources: Few<&'a ColumnVector>,
     picks: Option<&'a [Pick]>,
     start: usize,
     rows: usize,
@@ -847,8 +862,8 @@ impl<'a> Located<'a> {
 /// some source has one, its null mask; the picks, or `None` for one source
 /// read row for row from row `start`.
 pub(crate) struct Lanes<'a, D: ?Sized> {
-    data: Vec<&'a D>,
-    nulls: Option<Vec<Option<&'a [bool]>>>,
+    data: Few<&'a D>,
+    nulls: Option<Few<Option<&'a [bool]>>>,
     picks: Option<&'a [Pick]>,
     start: usize,
     /// Number of rows.
@@ -869,7 +884,7 @@ impl<'a, D: ?Sized> Lanes<'a, D> {
         let null = |m: Option<&[bool]>, r: usize| m.is_some_and(|m| m[r]);
         let picked = self.picks.unwrap_or_default().iter().enumerate();
         let rows = (0..self.rows).map(|i| (i, self.start + i));
-        match (self.picks, self.nulls.as_deref(), self.data.as_slice()) {
+        match (self.picks, self.nulls.as_deref(), &*self.data) {
             (None, None, &[d]) => rows.for_each(|(i, r)| f(i, Some(get(d, r)))),
             (None, Some(&[m]), &[d]) => {
                 rows.for_each(|(i, r)| f(i, (!null(m, r)).then(|| get(d, r))))
@@ -1019,7 +1034,8 @@ impl RecordBatch {
 
     /// One batch from `runs` in order; see [`RecordBatch::gather_columns`].
     pub(crate) fn gather(runs: &[Rows<'_>]) -> RecordBatch {
-        RecordBatch::new(RecordBatch::gather_columns(runs), total_rows(runs))
+        // Gathered straight into shared columns; picks are `u32` rows.
+        RecordBatch::window_of(RecordBatch::gather_columns(runs), 0..total_rows(runs))
     }
 
     /// The columns of `runs` in order as recipes: no cell is copied. A source
@@ -1028,10 +1044,15 @@ impl RecordBatch {
     /// the columns whose sources were picked alike share one [`Recipe`].
     /// This is the one way rows move: a node gathers its whole output in one
     /// call and cuts its partitions from it.
-    pub(crate) fn gather_columns(runs: &[Rows<'_>]) -> Vec<Column> {
+    pub(crate) fn gather_columns<C: FromIterator<Column>>(runs: &[Rows<'_>]) -> C {
         let width = runs.first().map_or(0, |(b, _)| b.width());
         debug_assert!(runs.iter().all(|(b, _)| b.width() == width));
-        timed(BUILD, width, || Layout::of(runs, width).columns(runs))
+        timed(BUILD, width, || match one_holder(runs) {
+            Some(r) => (0..r.members.len() as u32)
+                .map(|m| Column::Deferred(Arc::clone(&r), m))
+                .collect(),
+            None => Layout::of(runs, width).columns(runs),
+        })
     }
 
     /// Wrapping sum of the per-row stable hashes (each row hashed cell by
@@ -1083,7 +1104,7 @@ impl<'a> Layout<'a> {
         let classify = |&(batch, _): &Rows<'a>| {
             let holder = move |(j, column): (usize, &'a Column)| match column.through() {
                 None => (Part::held(batch), j as u32),
-                Some((recipe, m)) => (Part(Some(recipe), &recipe.sources), m),
+                Some((recipe, m)) => (Part(Some(recipe), &recipe.sources[..]), m),
             };
             batch.columns.iter().enumerate().map(holder)
         };
@@ -1129,21 +1150,18 @@ impl<'a> Layout<'a> {
 
     /// The columns of `runs`, which name this layout's batches: one recipe
     /// per pattern, its picks composed from the runs' rows.
-    fn columns(self, runs: &[Rows<'_>]) -> Vec<Column> {
+    fn columns<C: FromIterator<Column>>(self, runs: &[Rows<'_>]) -> C {
         let width = self.members.len();
         let recipes: Vec<Arc<Recipe>> = (self.patterns.into_iter())
             .map(|p| {
-                let parts = (0..runs.len()).map(|r| self.class[r * width + p.column].0);
-                let picks = compose_picks(runs, parts, &self.remap[p.flat]);
-                let members = (0..p.cols.len() / p.sources.len())
-                    .map(|_| Member::default())
-                    .collect();
-                Arc::new(Recipe {
-                    picks,
-                    sources: p.sources,
-                    cols: p.cols,
-                    members,
-                })
+                let mut remap = &self.remap[p.flat];
+                let parts = (0..runs.len()).map(|r| {
+                    let (part, mine) = (self.class[r * width + p.column].0, remap);
+                    remap = &remap[part.1.len()..];
+                    (part, Some(mine))
+                });
+                let picks = compose_picks(runs, parts);
+                Recipe::new(picks, p.sources, p.cols)
             })
             .collect();
         let member = |&(k, m): &(usize, u32)| Column::Deferred(Arc::clone(&recipes[k]), m);
@@ -1178,7 +1196,7 @@ struct Pattern {
     column: usize,
     flat: Range<usize>,
     firsts: Range<usize>,
-    sources: Vec<Columns>,
+    sources: Few<Columns>,
     cols: Vec<u32>,
 }
 
@@ -1195,7 +1213,7 @@ impl Pattern {
         firsts: &mut Vec<u32>,
     ) -> Pattern {
         let (flat_at, firsts_at) = (remap.len(), firsts.len());
-        let mut sources: Vec<Columns> = Vec::new();
+        let mut sources: Few<Columns> = Few::default();
         // Runs mostly name their sources in one order: the one after the
         // last match is tried first.
         let mut next = 0;
@@ -1241,17 +1259,14 @@ impl Pattern {
 
 /// The picks of one output column: per run, the selected rows looked up
 /// through the recipe the run is picked through, renumbered onto the
-/// output's sources.
+/// output's sources by the run's map (`None`: a held run is the first
+/// source, a recipe's sources keep their numbers).
 fn compose_picks<'p>(
     runs: &[Rows<'_>],
-    parts: impl Iterator<Item = Part<'p>>,
-    remap: &[u32],
+    parts: impl Iterator<Item = (Part<'p>, Option<&'p [u32]>)>,
 ) -> Vec<Pick> {
     let mut out = Vec::with_capacity(total_rows(runs));
-    let mut first = 0;
-    for (&(batch, idx), part) in runs.iter().zip(parts) {
-        let remap = &remap[first..];
-        first += part.1.len();
+    for (&(batch, idx), (part, remap)) in runs.iter().zip(parts) {
         // A window's rows are rows `start..` of its columns.
         let start = batch.start as u32;
         macro_rules! each_row {
@@ -1262,84 +1277,129 @@ fn compose_picks<'p>(
                 }
             };
         }
-        match part.0 {
-            None => each_row!(|row| Pick { src: remap[0], row }),
-            // Picked from the recipe's sources in their order: its picks as
-            // they are.
-            Some(recipe) if (0..part.1.len()).all(|s| remap[s] as usize == s) => {
-                each_row!(|i: u32| recipe.picks[i as usize])
+        let same = |r: &[u32]| (0..part.1.len()).all(|s| r[s] as usize == s);
+        match (part.0, remap) {
+            (None, remap) => {
+                let src = remap.map_or(0, |r| r[0]);
+                each_row!(|row| Pick { src, row })
             }
-            Some(recipe) => each_row!(|i: u32| {
+            (Some(recipe), Some(remap)) if !same(remap) => each_row!(|i: u32| {
                 let through = recipe.picks[i as usize];
                 Pick {
                     src: remap[through.src as usize],
                     row: through.row,
                 }
             }),
+            // Picked from the recipe's sources in their order: its picks as
+            // they are.
+            (Some(recipe), _) => each_row!(|i: u32| recipe.picks[i as usize]),
         }
     }
     out
 }
 
-// ---------------------------------------------------------------------------
-// Table
-// ---------------------------------------------------------------------------
+/// The recipe of a gather whose runs are windows of one build and whose
+/// columns are all held alike: dense in that build, or unread members of
+/// one recipe that names no source twice. It is what [`Layout::of`] finds
+/// for such runs — one pattern over the holder's sources in their order —
+/// built without classifying each run's columns.
+fn one_holder(runs: &[Rows<'_>]) -> Option<Arc<Recipe>> {
+    let (first, _) = runs.first()?;
+    let recipe = first.columns.first()?.through().map(|(r, _)| r);
+    let sources = recipe.map_or(std::slice::from_ref(&first.columns), |r| &r.sources[..]);
+    let twice = |(k, s): (usize, &Columns)| sources[..k].iter().any(|t| Arc::ptr_eq(s, t));
+    let one_build = |(b, _): &Rows<'_>| Arc::ptr_eq(&b.columns, &first.columns);
+    if sources.iter().enumerate().any(twice) || !runs.iter().all(one_build) {
+        return None;
+    }
+    let mut cols = Vec::with_capacity(first.width() * sources.len());
+    for (j, column) in first.columns.iter().enumerate() {
+        match (column.through(), recipe) {
+            (None, None) => cols.push(j as u32),
+            (Some((r, m)), Some(recipe)) if Arc::ptr_eq(r, recipe) => cols.extend(r.cols(m)),
+            _ => return None,
+        }
+    }
+    let part = Part(recipe, sources);
+    let picks = compose_picks(runs, runs.iter().map(|_| (part, None)));
+    Some(Recipe::new(picks, sources.iter().cloned().collect(), cols))
+}
+
+/// One item held in place, or any number in a vector: most lists the
+/// engine keeps per column or per partition hold one, which then costs no
+/// allocation.
+#[derive(Clone, Debug)]
+pub(crate) enum Few<T> {
+    One(T),
+    Many(Vec<T>),
+}
 
 /// The batches of one partition: most hold one (a window of their node's
-/// build) or none, which costs no allocation.
-#[derive(Clone, Debug)]
-pub(crate) enum Partition {
-    One(RecordBatch),
-    Many(Vec<RecordBatch>),
+/// build) or none.
+pub(crate) type Partition = Few<RecordBatch>;
+
+impl<T> Few<T> {
+    /// Appends `item`: a second one moves both into a vector.
+    pub(crate) fn push(&mut self, item: T) {
+        *self = match std::mem::take(self) {
+            Few::Many(mut items) if !items.is_empty() => {
+                items.push(item);
+                Few::Many(items)
+            }
+            Few::Many(_) => Few::One(item),
+            Few::One(first) => Few::Many(vec![first, item]),
+        };
+    }
 }
 
-impl Default for Partition {
+impl<T> Default for Few<T> {
     fn default() -> Self {
-        Partition::Many(Vec::new())
+        Few::Many(Vec::new())
     }
 }
 
-impl Deref for Partition {
-    type Target = [RecordBatch];
+impl<T> Deref for Few<T> {
+    type Target = [T];
 
-    fn deref(&self) -> &[RecordBatch] {
+    fn deref(&self) -> &[T] {
         match self {
-            Partition::One(b) => std::slice::from_ref(b),
-            Partition::Many(v) => v,
+            Few::One(b) => std::slice::from_ref(b),
+            Few::Many(v) => v,
         }
     }
 }
 
-impl DerefMut for Partition {
-    fn deref_mut(&mut self) -> &mut [RecordBatch] {
+impl<T> DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
         match self {
-            Partition::One(b) => std::slice::from_mut(b),
-            Partition::Many(v) => v,
+            Few::One(b) => std::slice::from_mut(b),
+            Few::Many(v) => v,
         }
     }
 }
 
-impl<'a> IntoIterator for &'a Partition {
-    type Item = &'a RecordBatch;
-    type IntoIter = std::slice::Iter<'a, RecordBatch>;
+impl<'a, T> IntoIterator for &'a Few<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-impl From<Vec<RecordBatch>> for Partition {
-    fn from(mut batches: Vec<RecordBatch>) -> Partition {
-        match batches.len() {
-            1 => Partition::One(batches.pop().expect("one batch")),
-            _ => Partition::Many(batches),
+impl<T> FromIterator<T> for Few<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Few<T> {
+        let mut items = items.into_iter();
+        match (items.next(), items.next()) {
+            (Some(one), None) => Few::One(one),
+            (first, second) => Few::Many(first.into_iter().chain(second).chain(items).collect()),
         }
     }
 }
 
-impl From<Option<RecordBatch>> for Partition {
-    fn from(batch: Option<RecordBatch>) -> Partition {
-        batch.map_or_else(Partition::default, Partition::One)
+impl<T> From<Option<T>> for Few<T> {
+    fn from(item: Option<T>) -> Few<T> {
+        item.map_or_else(Few::default, Few::One)
     }
 }
 
@@ -1452,28 +1512,29 @@ impl Table {
 
     /// Approximate total byte size (counted per batch at first use).
     pub fn num_bytes(&self) -> u64 {
-        self.spans().iter().map(RecordBatch::bytes).sum()
+        self.spans().map(|b| b.bytes()).sum()
     }
 
     /// The table's batches in order, adjacent windows of one build merged
-    /// into one window: what a repartition or byte count reads.
-    fn spans(&self) -> Vec<RecordBatch> {
-        let mut spans: Vec<RecordBatch> = Vec::new();
-        for batch in self.partitions.iter().flatten() {
-            match spans.last_mut() {
-                Some(last)
-                    if Arc::ptr_eq(&last.columns, &batch.columns)
-                        && last.span().end == batch.start =>
-                {
-                    *last = RecordBatch::window_of(
-                        Arc::clone(&batch.columns),
-                        last.start..batch.span().end,
-                    );
-                }
-                _ => spans.push(batch.clone()),
+    /// into one window: what a repartition or byte count reads. A batch
+    /// merged with none is lent as it is, so its memoised counts stay on it.
+    fn spans(&self) -> impl Iterator<Item = Cow<'_, RecordBatch>> {
+        let mut batches = self.partitions.iter().flatten().peekable();
+        std::iter::from_fn(move || {
+            let first = batches.next()?;
+            let mut end = first.span().end;
+            let same = |b: &RecordBatch| Arc::ptr_eq(&first.columns, &b.columns);
+            while let Some(next) = batches.next_if(|b| same(b) && b.start == end) {
+                end = next.span().end;
             }
-        }
-        spans
+            Some(match end == first.span().end {
+                true => Cow::Borrowed(first),
+                false => Cow::Owned(RecordBatch::window_of(
+                    Arc::clone(&first.columns),
+                    first.start..end,
+                )),
+            })
+        })
     }
 
     /// Row count of partition `p`.
@@ -1499,7 +1560,7 @@ impl Table {
     /// build share it as their base, and a partition of batches from several
     /// builds is gathered into a base of its own.
     pub(crate) fn views(&self) -> Views {
-        let mut bases: Vec<RecordBatch> = Vec::new();
+        let mut bases: Few<RecordBatch> = Few::default();
         let mut parts = Vec::with_capacity(self.partitions.len());
         let mut end = 0;
         for batches in &self.partitions {
@@ -1568,8 +1629,8 @@ impl Table {
             self.schema.column(c)?;
         }
         let hash = HashParts::new(parts);
-        let mut scatter = Scatter::new(parts);
-        let spans = self.spans();
+        let mut scatter = Scatter::new(parts, self.num_rows());
+        let spans: Vec<_> = self.spans().collect();
         for batch in &spans {
             let routed = match cols {
                 [c] => scatter.route_mapped(batch, &batch.columns[*c], hash),
@@ -1616,8 +1677,8 @@ impl Table {
                     .unwrap_or(Value::Null)
             })
             .collect();
-        let mut scatter = Scatter::new(parts);
-        let spans = self.spans();
+        let mut scatter = Scatter::new(parts, self.num_rows());
+        let spans: Vec<_> = self.spans().collect();
         for batch in &spans {
             scatter.route(batch, |i| {
                 let cell = batch.cell(i, col);
@@ -1639,9 +1700,9 @@ impl Table {
         if parts == 0 {
             return Err(ScopeError::Execution("round_robin with 0 parts".into()));
         }
-        let mut scatter = Scatter::new(parts);
+        let mut scatter = Scatter::new(parts, self.num_rows());
         let mut global = 0usize;
-        let spans = self.spans();
+        let spans: Vec<_> = self.spans().collect();
         for batch in &spans {
             scatter.route(batch, |_| {
                 let p = global % parts;
@@ -1672,13 +1733,7 @@ impl Table {
     pub fn gather(&self) -> Table {
         Table {
             schema: self.schema.clone(),
-            partitions: vec![Partition::from(
-                self.partitions
-                    .iter()
-                    .flatten()
-                    .cloned()
-                    .collect::<Vec<_>>(),
-            )],
+            partitions: vec![self.partitions.iter().flatten().cloned().collect()],
             props: PhysicalProps::single(),
         }
     }
@@ -1716,8 +1771,8 @@ impl Table {
             };
             RecordBatch::window_of(columns, batch.span())
         };
-        let partitions = (self.partitions.iter())
-            .map(|p| Partition::from(p.iter().map(&mut dense).collect::<Vec<_>>()));
+        let partitions =
+            (self.partitions.iter()).map(|p| p.iter().map(&mut dense).collect::<Partition>());
         Table {
             schema: self.schema.clone(),
             partitions: partitions.collect(),
@@ -1729,13 +1784,13 @@ impl Table {
     /// already in order moves whole.
     pub fn sort_partitions(&self, order: &SortOrder) -> Table {
         let views = self.views();
-        let mut runs: Vec<(usize, Vec<u32>)> = Vec::with_capacity(views.bases.len());
+        let mut runs: Few<(usize, Vec<u32>)> = Few::default();
         let mut sorted = true;
-        for (b, all, parts) in views.by_base() {
-            let base = &views.bases[b];
+        for (b, base) in views.bases.iter().enumerate() {
+            let all = views.span(b);
             let mut idx: Vec<u32> = (all.start as u32..all.end as u32).collect();
-            let cmp = row_order(base, keys_of(order));
-            for (_, rows) in parts {
+            let cmp = row_order(base, keys_of(order), all.clone());
+            for (_, rows) in views.of_base(b) {
                 let mine = &mut idx[rows.start - all.start..rows.end - all.start];
                 mine.sort_by(|&x, &y| cmp(x as usize, y as usize));
             }
@@ -1745,7 +1800,8 @@ impl Table {
         let partitions = if sorted {
             self.partitions.clone()
         } else {
-            views.gather(&runs, views.rows(), None)
+            let rows = |p: &Option<(usize, Range<usize>)>| p.as_ref().map_or(0, |(_, r)| r.len());
+            views.gather(&runs, views.parts.iter().map(rows), None)
         };
         Table {
             schema: self.schema.clone(),
@@ -1758,14 +1814,10 @@ impl Table {
     }
 }
 
-/// A base, the rows of all partitions read from it, and each of those
-/// partitions and its rows ([`Views::by_base`]).
-pub(crate) type BaseParts = (usize, Range<usize>, Vec<(usize, Range<usize>)>);
-
 /// A table's partitions as rows of whole batches ([`Table::views`]).
 pub(crate) struct Views {
     /// The whole batches the partitions are read from.
-    pub(crate) bases: Vec<RecordBatch>,
+    pub(crate) bases: Few<RecordBatch>,
     /// Per partition, its base and its rows there; `None` when it has none.
     /// The partitions of one base are consecutive, their rows adjacent.
     pub(crate) parts: Vec<Option<(usize, Range<usize>)>>,
@@ -1774,32 +1826,26 @@ pub(crate) struct Views {
 impl Views {
     /// True when base `b`'s rows are exactly those of its partitions.
     pub(crate) fn tiled(&self, b: usize) -> bool {
+        self.span(b) == (0..self.bases[b].rows)
+    }
+
+    /// The rows of base `b` from its first partition's to its last's.
+    pub(crate) fn span(&self, b: usize) -> Range<usize> {
         let mut rows = self.parts.iter().flatten().filter(|(k, _)| *k == b);
-        let first = rows.next().map(|(_, r)| r);
-        let end = rows.next_back().map(|(_, r)| r).or(first).map(|r| r.end);
-        first.is_some_and(|r| r.start == 0) && end == Some(self.bases[b].rows)
+        let first = rows.next().map_or(0..0, |(_, r)| r.clone());
+        first.start..rows.next_back().map_or(first.end, |(_, r)| r.end)
     }
 
-    /// Each base with the rows of all partitions read from it, and each of
-    /// those partitions and its rows.
-    pub(crate) fn by_base(&self) -> impl Iterator<Item = BaseParts> + '_ {
-        (0..self.bases.len()).map(|b| {
-            let parts: Vec<(usize, Range<usize>)> = (self.parts.iter().enumerate())
-                .filter_map(|(p, v)| {
-                    v.as_ref()
-                        .filter(|(k, _)| *k == b)
-                        .map(|(_, r)| (p, r.clone()))
-                })
-                .collect();
-            let all = parts[0].1.start..parts[parts.len() - 1].1.end;
-            (b, all, parts)
-        })
-    }
-
-    /// Each partition's row count.
-    pub(crate) fn rows(&self) -> Vec<usize> {
-        let rows = |p: &Option<(usize, Range<usize>)>| p.as_ref().map_or(0, |(_, r)| r.len());
-        self.parts.iter().map(rows).collect()
+    /// Each partition read from base `b` and its rows there, in order.
+    pub(crate) fn of_base(
+        &self,
+        b: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + Clone + '_ {
+        let mine = move |(p, v): (usize, &Option<(usize, Range<usize>)>)| match v {
+            Some((k, rows)) if *k == b => Some((p, rows.clone())),
+            _ => None,
+        };
+        self.parts.iter().enumerate().filter_map(mine)
     }
 
     /// The node output that holds rows `runs[k].1` of base `runs[k].0` for
@@ -1808,14 +1854,14 @@ impl Views {
     pub(crate) fn gather(
         &self,
         runs: &[(usize, Vec<u32>)],
-        counts: Vec<usize>,
+        counts: impl IntoIterator<Item = usize>,
         appended: Option<Column>,
     ) -> Vec<Partition> {
         let rows: Vec<Rows<'_>> = runs
             .iter()
             .map(|(b, idx)| (&self.bases[*b], Some(idx.as_slice())))
             .collect();
-        let mut columns = RecordBatch::gather_columns(&rows);
+        let mut columns: Vec<Column> = RecordBatch::gather_columns(&rows);
         columns.extend(appended);
         cut(&RecordBatch::new(columns, total_rows(&rows)), counts)
     }
@@ -1846,11 +1892,12 @@ struct Scatter<'a> {
 }
 
 impl<'a> Scatter<'a> {
-    fn new(parts: usize) -> Self {
+    /// A scatter into `parts` destinations of `rows` rows in all.
+    fn new(parts: usize, rows: usize) -> Self {
         Scatter {
             parts,
             batches: Vec::new(),
-            dest: Vec::new(),
+            dest: Vec::with_capacity(rows),
         }
     }
 
@@ -1867,7 +1914,7 @@ impl<'a> Scatter<'a> {
     /// source has no map for `hash`.
     fn route_mapped(&mut self, batch: &'a RecordBatch, key: &Column, hash: HashParts) -> bool {
         let through = key.through();
-        let sources: Vec<&Arc<Cells>> = match through {
+        let sources: Few<&Arc<Cells>> = match through {
             Some((recipe, m)) => recipe.sources(m).collect(),
             None => key.held().into_iter().collect(),
         };
@@ -1913,7 +1960,7 @@ impl<'a> Scatter<'a> {
         };
         let shared: Vec<Option<usize>> = (0..parts).map(whole).collect();
         // Each gathered (batch, destination) pair's rows, destination-major.
-        let (mut at, mut spans) = (vec![0usize; count.len()], Vec::new());
+        let (mut at, mut spans) = (vec![0usize; count.len()], Vec::with_capacity(parts));
         let mut total = 0;
         for d in (0..parts).filter(|&d| shared[d].is_none()) {
             for b in (0..batches.len()).filter(|&b| count[b * parts + d] > 0) {
@@ -2064,20 +2111,45 @@ impl PartialEq for Table {
     }
 }
 
-/// Compares two rows of a whole batch by the columns `keys`, each in its
-/// direction, cell-wise: identical to comparing the materialized rows'
-/// [`Value`]s key by key. Each key column is located once and read where it
-/// lies, never forced.
+/// Compares two of the rows `rows` of a whole batch by the columns `keys`,
+/// each in its direction, cell-wise: identical to comparing the materialized
+/// rows' [`Value`]s key by key. Each key column is located once and read
+/// where it lies, never forced; an `Int`, `Date` or `Float` first key is
+/// read once per row, as a `u64` in its order (NULL, `None`, first).
 pub(crate) fn row_order<'a>(
     batch: &'a RecordBatch,
     keys: impl IntoIterator<Item = (usize, SortDir)>,
+    rows: Range<usize>,
 ) -> impl Fn(usize, usize) -> Ordering + 'a {
-    let keys: Vec<(Located<'a>, SortDir)> = (keys.into_iter())
-        .map(|(col, dir)| (batch.locate(col, 0..batch.rows), dir))
+    const SIGN: u64 = 1 << 63;
+    let start = rows.start;
+    let keys: Few<(Located<'a>, SortDir)> = (keys.into_iter())
+        .map(|(col, dir)| (batch.locate(col, rows.clone()), dir))
         .collect();
+    let first = keys.first().and_then(|(col, _)| {
+        let mut ordered = Vec::with_capacity(col.rows());
+        let push = |_, k| ordered.push(k);
+        // `f64::total_cmp`: a negative float's bits inverted, a positive
+        // one's sign set.
+        let float =
+            |d: &[f64], r: usize| d[r].to_bits() ^ (((d[r].to_bits() >> 63) * !SIGN) | SIGN);
+        match (
+            col.lanes(ColumnVector::ints),
+            col.lanes(ColumnVector::dates),
+        ) {
+            (Some(ints), _) => ints.each(|d, r| d[r] as u64 ^ SIGN, push),
+            (_, Some(dates)) => dates.each(|d, r| d[r] as i64 as u64 ^ SIGN, push),
+            _ => col.lanes(ColumnVector::floats)?.each(float, push),
+        }
+        Some(ordered)
+    });
     move |a, b| {
-        for (col, dir) in &keys {
-            let ord = col.cell(a).cmp_cell(col.cell(b));
+        let (a, b) = (a - start, b - start);
+        for (k, (col, dir)) in keys.iter().enumerate() {
+            let ord = match (&first, k) {
+                (Some(first), 0) => first[a].cmp(&first[b]),
+                _ => col.cell(a).cmp_cell(col.cell(b)),
+            };
             let ord = match dir {
                 SortDir::Asc => ord,
                 SortDir::Desc => ord.reverse(),
@@ -2386,6 +2458,53 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn row_order_on_ordered_keys_matches_cell_order() {
+        let column = |values: Vec<Value>, ty| {
+            let rows = values.into_iter().map(|v| vec![v]).collect();
+            batch_of((Schema::from_pairs(&[("c", ty)]), rows))
+        };
+        let floats = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            1.5,
+        ];
+        let mut floats: Vec<Value> = floats.into_iter().map(Value::Float).collect();
+        floats.push(Value::Null);
+        let ints = [i64::MIN, i64::MAX, -1, 0].map(Value::Int);
+        let edges = [
+            column(floats, DataType::Float),
+            column([&ints[..], &[Value::Null]].concat(), DataType::Int),
+        ];
+        let mut rng = SmallRng::seed_from_u64(48);
+        for _ in 0..20 {
+            // Every other row through an unread recipe.
+            let idx: Vec<u32> = (0..48).step_by(2).collect();
+            let batch = batch_of(random_rows(&mut rng, 48)).take(&idx);
+            for b in [&batch, &edges[0], &edges[1]] {
+                let keys = (0..b.width()).flat_map(|c| [(c, SortDir::Asc), (c, SortDir::Desc)]);
+                for (col, dir) in keys {
+                    let rows = 1..b.num_rows();
+                    let got = row_order(b, [(col, dir)], rows.clone());
+                    let cells = b.columns()[col].dense();
+                    for (x, y) in rows.clone().flat_map(|x| rows.clone().map(move |y| (x, y))) {
+                        let want = cells.cell(x).cmp_cell(cells.cell(y));
+                        let want = if dir == SortDir::Asc {
+                            want
+                        } else {
+                            want.reverse()
+                        };
+                        assert_eq!(got(x, y), want, "column {col}, rows {x} and {y}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sort_is_stable_like_row_sort() {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("seq", DataType::Int)]);
         let rows: Vec<Row> = (0..40)
@@ -2451,11 +2570,11 @@ pub(crate) mod tests {
     /// Schema and random rows with NULLs in every typed column, empty and
     /// non-ASCII strings, and a last column that mixes runtime types.
     /// The one batch of a table built from `rows`.
-    fn batch_of((schema, rows): (Schema, Vec<Row>)) -> RecordBatch {
+    pub(crate) fn batch_of((schema, rows): (Schema, Vec<Row>)) -> RecordBatch {
         RecordBatch::clone(&Table::single(schema, rows).partitions[0][0])
     }
 
-    fn random_rows(rng: &mut SmallRng, n: usize) -> (Schema, Vec<Row>) {
+    pub(crate) fn random_rows(rng: &mut SmallRng, n: usize) -> (Schema, Vec<Row>) {
         let schema = Schema::from_pairs(&[
             ("i", DataType::Int),
             ("d", DataType::Date),
@@ -2497,8 +2616,7 @@ pub(crate) mod tests {
                         let n = rng.gen_range(1..40);
                         [batch_of(random_rows(rng, n))]
                     })
-                    .collect::<Vec<_>>()
-                    .into()
+                    .collect::<Partition>()
             })
             .collect();
         Table::from_batches(schema, partitions, PhysicalProps::any())
@@ -2775,11 +2893,11 @@ pub(crate) mod tests {
             .iter()
             .map(|f| {
                 let rows = 2 * 128;
-                let mut cols =
+                let mut cols: Vec<Column> =
                     RecordBatch::gather_columns(&[(f, Some(&random_picks(&mut rng, 300, rows)))]);
                 for d in &dims {
                     let idx = random_picks(&mut rng, 50, rows);
-                    cols.extend(RecordBatch::gather_columns(&[(d, Some(&idx))]));
+                    cols.extend(RecordBatch::gather_columns::<Vec<_>>(&[(d, Some(&idx))]));
                 }
                 Partition::One(RecordBatch::new(cols, rows))
             })
@@ -2917,7 +3035,13 @@ pub(crate) mod tests {
             p.cols.extend(p.firsts.iter().map(|&f| cols[f as usize]));
         }
         let recipe = |p: &Ref<'_>| {
-            let picks = compose_picks(runs, p.parts.iter().copied(), &p.remap);
+            let mut remap = p.remap.as_slice();
+            let parts = p.parts.iter().map(|&part| {
+                let mine;
+                (mine, remap) = remap.split_at(part.1.len());
+                (part, Some(mine))
+            });
+            let picks = compose_picks(runs, parts);
             let sources = p.sources.iter().map(|s| Arc::as_ptr(s)).collect();
             (
                 picks.iter().map(|p| (p.src, p.row)).collect(),
@@ -2956,7 +3080,7 @@ pub(crate) mod tests {
 
     #[test]
     fn classified_gathers_match_the_per_column_path() {
-        let mut deferred = 0;
+        let (mut deferred, mut one_holders) = (0, 0);
         for case in 0..200 {
             let mut rng = SmallRng::seed_from_u64(45_000 + case);
             let (mut batches, mut picks, _) = random_runs(&mut rng);
@@ -2994,12 +3118,21 @@ pub(crate) mod tests {
             // And the runs in reverse.
             let mut reversed = runs_of(&batches, &other);
             reversed.reverse();
-            for runs in [
+            // And runs that all read one build, which `one_holder` takes.
+            let one_build = (0..batches.len()).map(|b| {
+                vec![
+                    (&batches[b], other[b].as_deref()),
+                    (&batches[b], picks[b].as_deref()),
+                ]
+            });
+            let runs = [
                 runs_of(&batches, &picks),
                 runs_of(&batches, &other),
                 reversed,
-            ] {
-                let columns = RecordBatch::gather_columns(&runs);
+            ];
+            for runs in runs.into_iter().chain(one_build) {
+                one_holders += one_holder(&runs).is_some() as usize;
+                let columns: Vec<Column> = RecordBatch::gather_columns(&runs);
                 if columns.iter().any(Column::is_dense) {
                     continue;
                 }
@@ -3009,6 +3142,7 @@ pub(crate) mod tests {
             }
         }
         assert!(deferred > 300, "{deferred}");
+        assert!(one_holders > 300, "{one_holders}");
     }
 
     #[test]
@@ -3063,8 +3197,7 @@ pub(crate) mod tests {
                         let n = rng.gen_range(128..2 * 128);
                         source.take(&random_picks(rng, source.num_rows(), n))
                     })
-                    .collect::<Vec<_>>()
-                    .into()
+                    .collect::<Partition>()
             })
             .collect();
         Table::from_batches(wide_schema(), partitions, PhysicalProps::any())
@@ -3140,7 +3273,7 @@ pub(crate) mod tests {
         let (_, source) = wide_batch(&mut rng, 2 * 128);
         let t = Table::from_batches(
             wide_schema(),
-            vec![vec![source].into()],
+            vec![Partition::One(source)],
             PhysicalProps::any(),
         );
         let gate = std::sync::Barrier::new(2);

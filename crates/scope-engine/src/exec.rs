@@ -54,13 +54,13 @@ use scope_plan::expr::AggFunc;
 use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
     AggExpr, Cell, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph,
-    Schema, SortKey, SortOrder, Udo, UdoKind, Value,
+    Schema, SortDir, SortKey, SortOrder, Udo, UdoKind, Value,
 };
 
 use crate::cost::CostModel;
 use crate::data::{
-    compare_batch_rows_full, cut, gathers, keys_of, row_order, ColumnVector, Lanes, Located,
-    Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
+    compare_batch_rows_full, cut, gathers, keys_of, row_order, Column, ColumnVector, Few, Lanes,
+    Located, Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -102,7 +102,7 @@ pub struct ExecOutcome {
     /// Output columns those recipes hold.
     pub gather_columns: u64,
     /// Wall time of the whole plan: the kernels plus what runs between
-    /// them (validation, byte accounting, costing).
+    /// them (schema lookup, byte accounting, costing).
     pub wall: Duration,
 }
 
@@ -140,14 +140,17 @@ pub fn execute_plan(
     let mut outputs = HashMap::new();
     let started = Instant::now();
     let before = gathers();
-    let schemas = graph.validate()?;
+    // The plan's memoized schemas: the optimizer derived them when it
+    // validated the plan, so this is a lookup.
+    let schemas = graph.schemas()?;
 
     for node in graph.nodes() {
-        let child_tables: Vec<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
-        let in_rows: u64 = child_tables.iter().map(|t| t.num_rows() as u64).sum();
+        // Most operators have one input, listed in place.
+        let inputs: Few<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
+        let in_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
         let out_schema = &schemas[node.id.index()];
         let started = Instant::now();
-        let (table, scanned) = exec_node(&node.op, &child_tables, out_schema, storage, now)?;
+        let (table, scanned) = exec_node(&node.op, &inputs, out_schema, storage, now)?;
         node_wall.push(started.elapsed());
         let out_rows = table.num_rows() as u64;
         // A node that only moves rows emits the bytes it was given.
@@ -227,36 +230,46 @@ fn map_rows(
     mut kernel: impl FnMut(&RecordBatch) -> Result<RowsOut>,
 ) -> Result<Vec<Partition>> {
     let views = input.views();
-    let mut parts = vec![Partition::default(); input.num_partitions()];
+    let mut parts: Vec<Partition> = Vec::new();
     for (b, base) in views.bases.iter().enumerate() {
-        let mine = (0..parts.len()).filter_map(|p| match &views.parts[p] {
-            Some((k, rows)) if *k == b => Some((p, rows.clone())),
+        let rows_of = |p: usize| match &views.parts[p] {
+            Some((k, rows)) if *k == b => Some(rows.clone()),
             _ => None,
-        });
-        if views.tiled(b) {
+        };
+        // Every partition, those of other bases empty.
+        let mut cuts = if views.tiled(b) {
             let Some((out, from)) = kernel(base)? else {
                 continue;
             };
             let mut end = 0;
-            let counts = mine.map(|(p, rows)| {
-                let start = end;
-                end = from.as_ref().map_or(rows.end, |f| {
-                    f.partition_point(|&i| (i as usize) < rows.end)
-                });
-                (p, end - start)
+            let counts = (0..views.parts.len()).map(|p| {
+                rows_of(p).map_or(0, |rows| {
+                    let start = end;
+                    end = from.as_ref().map_or(rows.end, |f| {
+                        f.partition_point(|&i| (i as usize) < rows.end)
+                    });
+                    end - start
+                })
             });
-            let counts: Vec<(usize, usize)> = counts.collect();
-            let cuts = cut(&out, counts.iter().map(|&(_, n)| n));
-            for ((p, _), batches) in counts.into_iter().zip(cuts) {
-                parts[p] = batches;
-            }
+            cut(&out, counts)
         } else {
-            for (p, rows) in mine.collect::<Vec<_>>() {
+            let mut alone = |rows| {
                 let alone = RecordBatch::gather(&[(&base.window(rows), None)]);
-                parts[p] = kernel(&alone)?.map(|(out, _)| out).into();
+                Ok(kernel(&alone)?.map(|(out, _)| out).into())
+            };
+            let each = (0..views.parts.len())
+                .map(|p| rows_of(p).map_or(Ok(Partition::default()), &mut alone));
+            each.collect::<Result<Vec<_>>>()?
+        };
+        if parts.is_empty() {
+            parts = cuts;
+        } else {
+            for p in (0..parts.len()).filter(|&p| rows_of(p).is_some()) {
+                parts[p] = std::mem::take(&mut cuts[p]);
             }
         }
     }
+    parts.resize(views.parts.len(), Partition::default());
     Ok(parts)
 }
 
@@ -387,14 +400,10 @@ fn exec_node(
             };
             let (batch, mut idx) = gathered(input);
             if idx.len() > 1 {
-                idx.sort_by(deterministic(&batch, order));
+                idx.sort_by(deterministic(&batch, order, 0..batch.num_rows()));
             }
             idx.truncate(*n);
-            let out = if idx.is_empty() {
-                Vec::new()
-            } else {
-                vec![batch.take(&idx)]
-            };
+            let out = (!idx.is_empty()).then(|| batch.take(&idx));
             Ok((
                 Table::from_batches(out_schema.clone(), vec![out.into()], props),
                 0,
@@ -484,20 +493,17 @@ fn exec_node(
 // ---------------------------------------------------------------------------
 
 /// Maximal runs of adjacent rows with equal `keys` (`cmp_cell`, which
-/// mirrors `Value::cmp`): the groups of the stream aggregate, Window and
-/// Reduce/GbApply. Unsorted input still groups only *adjacent* equal keys;
-/// the optimizer's enforcers sort first.
+/// mirrors `Value::cmp`, read where the keys lie): the groups of the stream
+/// aggregate, Window and Reduce/GbApply. Unsorted input still groups only
+/// *adjacent* equal keys; the optimizer's enforcers sort first.
 fn key_runs(batch: &RecordBatch, keys: &[usize], rows: Range<usize>) -> Vec<Range<usize>> {
     if rows.is_empty() {
         // An empty partition may be a zero-width batch: no key column to read.
         return Vec::new();
     }
-    let key_cols: Vec<&ColumnVector> = keys.iter().map(|&k| batch.column(k)).collect();
-    let same = |a: usize, b: usize| {
-        key_cols
-            .iter()
-            .all(|c| c.cell(a).cmp_cell(c.cell(b)).is_eq())
-    };
+    let keys = keys.iter().map(|&k| (k, SortDir::Asc));
+    let order = row_order(batch, keys, rows.clone());
+    let same = |a: usize, b: usize| order(a, b).is_eq();
     let mut runs = Vec::new();
     let (mut start, rows) = (rows.start, rows.end);
     while start < rows {
@@ -517,21 +523,22 @@ fn gathered(input: &Table) -> (RecordBatch, Vec<u32>) {
     let mut views = input.gather().views();
     match views.parts.pop().flatten() {
         Some((b, rows)) => (
-            views.bases.swap_remove(b),
+            views.bases[b].clone(),
             (rows.start as u32..rows.end as u32).collect(),
         ),
         None => (RecordBatch::new(Vec::new(), 0), Vec::new()),
     }
 }
 
-/// The order of `batch`'s row indices under `order`, ties broken by the full
-/// row: the deterministic order of Top, Window and TopPerGroup, which no
-/// arrival order (and hence no view reuse) can change.
+/// The order of the indices of `batch`'s rows `rows` under `order`, ties
+/// broken by the full row: the deterministic order of Top, Window and
+/// TopPerGroup, which no arrival order (and hence no view reuse) can change.
 fn deterministic<'a>(
     batch: &'a RecordBatch,
     order: &'a SortOrder,
+    rows: Range<usize>,
 ) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + 'a {
-    let by = row_order(batch, keys_of(order));
+    let by = row_order(batch, keys_of(order), rows);
     move |&a, &b| {
         let (a, b) = (a as usize, b as usize);
         by(a, b).then_with(|| compare_batch_rows_full(batch, a, b))
@@ -553,7 +560,7 @@ fn window_rows(
     let runs = key_runs(batch, partition, rows.clone());
     let mut idx: Vec<u32> = (rows.start as u32..rows.end as u32).collect();
     let local = |run: &Range<usize>| run.start - rows.start..run.end - rows.start;
-    let cmp = deterministic(batch, order);
+    let cmp = deterministic(batch, order, rows.clone());
     for run in &runs {
         idx[local(run)].sort_by(&cmp);
     }
@@ -572,7 +579,7 @@ fn window_rows(
         }
         WindowFunc::RowNumber | WindowFunc::Rank => {
             let numbers_ties = matches!(func, WindowFunc::RowNumber);
-            let cmp = row_order(batch, keys_of(order));
+            let cmp = row_order(batch, keys_of(order), rows.clone());
             let mut data = Vec::with_capacity(idx.len());
             for run in &runs {
                 let group = &idx[local(run)];
@@ -652,7 +659,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<RowsOut> {
             if from.is_empty() {
                 return Ok(None);
             }
-            let mut columns = RecordBatch::gather_columns(&[(batch, Some(&from))]);
+            let mut columns: Vec<Column> = RecordBatch::gather_columns(&[(batch, Some(&from))]);
             columns.push(ColumnVector::Str { data, nulls: None }.into());
             Ok(Some((RecordBatch::new(columns, from.len()), Some(from))))
         }
@@ -704,7 +711,7 @@ fn reduce_rows(
     rows: Range<usize>,
     keys: &[usize],
 ) -> Result<(Vec<u32>, Option<ColumnVector>)> {
-    let runs = key_runs(batch, keys, rows);
+    let runs = key_runs(batch, keys, rows.clone());
     let mut keep: Vec<u32> = Vec::new();
     match &udo.kind {
         UdoKind::TrimBand { col, gap } => {
@@ -731,7 +738,7 @@ fn reduce_rows(
         }
         UdoKind::TopPerGroup { col, n } => {
             let order = SortOrder(vec![SortKey::desc(*col)]);
-            let cmp = deterministic(batch, &order);
+            let cmp = deterministic(batch, &order, rows);
             for run in runs {
                 let mut group: Vec<u32> = run.map(|i| i as u32).collect();
                 group.sort_by(&cmp);
@@ -750,7 +757,7 @@ fn reduce_rows(
 
 /// The MergeStreams combiner: each side gathered and stably sorted on column
 /// 0, then the left side's rows followed by the right's, as one partition.
-fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<RecordBatch>> {
+fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Option<RecordBatch>> {
     if udo.kind != UdoKind::MergeStreams {
         return Err(ScopeError::Execution(format!(
             "{} is not a combiner",
@@ -761,7 +768,7 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<RecordBat
     let sorted = |side: &Table| {
         let (batch, mut idx) = gathered(side);
         if !idx.is_empty() {
-            let cmp = row_order(&batch, keys_of(&order));
+            let cmp = row_order(&batch, keys_of(&order), 0..batch.num_rows());
             idx.sort_by(|&a, &b| cmp(a as usize, b as usize));
         }
         (batch, idx)
@@ -773,8 +780,7 @@ fn merge_streams(udo: &Udo, left: &Table, right: &Table) -> Result<Vec<RecordBat
         .filter(|(_, idx)| !idx.is_empty())
         .map(|(batch, idx)| (batch, Some(idx.as_slice())))
         .collect();
-    let merged = (!runs.is_empty()).then(|| RecordBatch::gather(&runs));
-    Ok(merged.into_iter().collect())
+    Ok((!runs.is_empty()).then(|| RecordBatch::gather(&runs)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1070,7 +1076,7 @@ struct Grouping {
 fn assign_groups<B: Keys>(build: B, probe: Option<B>) -> Grouping {
     let mut table = GroupTable::for_keys(&build);
     let (joins, mut null_group) = (probe.is_some(), NO_GROUP);
-    let mut firsts = Vec::new();
+    let mut firsts = Vec::with_capacity(build.rows());
     let mut of_row = Vec::with_capacity(build.rows());
     let mut assign = |i: usize, slot: Option<&mut u32>| {
         let slot = match slot {
@@ -1163,12 +1169,12 @@ fn aggregate(
     let mut counts = vec![0usize; views.parts.len()];
     let (mut key_bases, mut firsts) = (Vec::new(), Vec::new());
     let mut finished: Vec<Vec<Value>> = vec![Vec::new(); aggs.len()];
-    for (b, all, parts) in views.by_base() {
-        let base = &views.bases[b];
-        let (group_of, mine) = groups_of(base, all.clone(), &parts, keys, implementation);
-        for (p, rows) in &parts {
+    for (b, base) in views.bases.iter().enumerate() {
+        let (all, parts) = (views.span(b), views.of_base(b));
+        let (group_of, mine) = groups_of(base, all.clone(), parts.clone(), keys, implementation);
+        for (p, rows) in parts {
             let before = |end: usize| mine.partition_point(|&f| (f as usize) < end);
-            counts[*p] = before(rows.end) - before(rows.start);
+            counts[p] = before(rows.end) - before(rows.start);
         }
         let values = accumulate(base, all, &group_of, mine.len(), aggs);
         finished
@@ -1190,7 +1196,7 @@ fn aggregate(
     let runs: Vec<Rows<'_>> = (key_bases.iter().zip(&firsts))
         .map(|(b, f)| (b, Some(f.as_slice())))
         .collect();
-    let mut columns = RecordBatch::gather_columns(&runs);
+    let mut columns: Vec<Column> = RecordBatch::gather_columns(&runs);
     let aggregates = finished
         .into_iter()
         .map(|v| ColumnVector::from_values(v).into());
@@ -1208,7 +1214,7 @@ fn aggregate(
 fn groups_of(
     batch: &RecordBatch,
     all: Range<usize>,
-    parts: &[(usize, Range<usize>)],
+    parts: impl Iterator<Item = (usize, Range<usize>)> + Clone,
     keys: &[usize],
     implementation: AggImpl,
 ) -> (Vec<u32>, Vec<u32>) {
@@ -1219,13 +1225,13 @@ fn groups_of(
     if implementation == AggImpl::Hash {
         let grouping = group_keys((batch, keys, all.clone()), None);
         let firsts: Vec<u32> = grouping.firsts.into_iter().map(at(&all)).collect();
-        let own = |(_, rows): &(usize, Range<usize>)| {
+        let own = |(_, rows): (usize, Range<usize>)| {
             let groups = &grouping.of_row[rows.start - all.start..rows.end - all.start];
             groups
                 .iter()
                 .all(|&g| rows.contains(&(firsts[g as usize] as usize)))
         };
-        if parts.iter().all(own) {
+        if parts.clone().all(own) {
             return (grouping.of_row, firsts);
         }
     }
@@ -1235,7 +1241,7 @@ fn groups_of(
         if implementation == AggImpl::Hash {
             let grouping = group_keys((batch, keys, rows.clone()), None);
             group_of.extend(grouping.of_row.iter().map(|g| g + offset));
-            firsts.extend(grouping.firsts.into_iter().map(at(rows)));
+            firsts.extend(grouping.firsts.into_iter().map(at(&rows)));
         } else {
             for (g, run) in (offset..).zip(key_runs(batch, keys, rows.clone())) {
                 group_of.extend(std::iter::repeat_n(g, run.len()));
@@ -1384,23 +1390,111 @@ fn exec_join(
         JoinKind::LeftOuter if rv.bases.len() > 1 => one_base(&rv),
         _ => rv,
     };
-    let mut pairs = Vec::with_capacity(lv.parts.len());
-    for (p, part) in lv.parts.iter().enumerate() {
-        let Some((lb, lrows)) = part else { continue };
-        let r = &rv.parts[if broadcast { 0 } else { p }];
-        let r = r
-            .as_ref()
-            .map(|(rb, rrows)| (&rv.bases[*rb], right_keys, rrows.clone()));
-        let left = (&lv.bases[*lb], left_keys, lrows.clone());
-        let rb = r.as_ref().map(|(rb, _, _)| *rb);
-        pairs.push((*lb, rb, join_rows(kind, left, r)));
-    }
     let props = PhysicalProps {
         partitioning: left.props.partitioning.clone(),
         sort: SortOrder::none(),
     };
-    let parts = join_output(&lv, &rv, kind, &pairs, right.schema.len());
+    let parts = join_views(
+        &lv,
+        &rv,
+        kind,
+        broadcast,
+        [left_keys, right_keys],
+        right.schema.len(),
+    );
     Ok(Table::from_batches(out_schema.clone(), parts, props))
+}
+
+/// Joins each left partition against its right partition (the one right
+/// partition when `broadcast`), left row by left row in arrival order, and
+/// builds the output ([`join_output`]). The right rows of a base are grouped
+/// once and every left row of a base probes them ([`Matches`]); a pair
+/// reads its matches within its right partition, so equal keys in two
+/// partitions never meet.
+fn join_views(
+    lv: &Views,
+    rv: &Views,
+    kind: JoinKind,
+    broadcast: bool,
+    [left_keys, right_keys]: [&[usize]; 2],
+    rwidth: usize,
+) -> Vec<Partition> {
+    let mut matches: Vec<((usize, usize), Matches)> = Vec::new();
+    let mut pairs = Vec::with_capacity(lv.parts.len());
+    for (p, part) in lv.parts.iter().enumerate() {
+        let Some((lb, lrows)) = part else { continue };
+        let right = rv.parts[if broadcast { 0 } else { p }].as_ref();
+        let bases = right.map(|(rb, _)| (*lb, *rb));
+        if let Some((lb, rb)) = bases.filter(|b| matches.iter().all(|(k, _)| k != b)) {
+            let build = (&rv.bases[rb], right_keys, rv.span(rb));
+            let probe = (&lv.bases[lb], left_keys, lv.span(lb));
+            matches.push(((lb, rb), Matches::of(build, probe)));
+        }
+        let grouped = matches.iter().find(|(k, _)| Some(*k) == bases);
+        let (mut lidx, mut ridx) = (Vec::with_capacity(lrows.len()), Vec::new());
+        for i in lrows.clone() {
+            let matched = grouped
+                .zip(right)
+                .map_or(&[][..], |((_, m), (_, r))| m.within(i, r));
+            let i = i as u32;
+            match kind {
+                JoinKind::LeftSemi if !matched.is_empty() => lidx.push(i),
+                JoinKind::LeftOuter if matched.is_empty() => {
+                    lidx.push(i);
+                    ridx.push(None);
+                }
+                JoinKind::LeftSemi => {}
+                _ => {
+                    for &r in matched {
+                        lidx.push(i);
+                        ridx.push(Some(r));
+                    }
+                }
+            }
+        }
+        pairs.push((*lb, right.map(|(rb, _)| &rv.bases[*rb]), (lidx, ridx)));
+    }
+    join_output(lv, rv, kind, &pairs, rwidth)
+}
+
+/// One right base's rows grouped by key and one left base's rows probed
+/// into them: each left row's group, and each group's right rows in arrival
+/// order, laid out by group in one buffer (group `g` holds
+/// `rows[start[g]..start[g + 1]]`).
+struct Matches {
+    lstart: usize,
+    probed: Vec<u32>,
+    start: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl Matches {
+    /// Builds on `build` (NULL keys never join) and probes `probe`.
+    fn of(build: Side<'_>, probe: Side<'_>) -> Matches {
+        let (rstart, lstart) = (build.2.start as u32, probe.2.start);
+        let grouping = group_keys(build, Some(probe));
+        let joining = (rstart..)
+            .zip(grouping.of_row)
+            .filter(|&(_, g)| g != NO_GROUP);
+        let (start, rows) = by_group(grouping.firsts.len(), joining.map(|(i, g)| (g, i)));
+        Matches {
+            lstart,
+            probed: grouping.probed,
+            start,
+            rows,
+        }
+    }
+
+    /// The right rows among `rrows` that left row `i` matches, in order.
+    fn within(&self, i: usize, rrows: &Range<usize>) -> &[u32] {
+        let g = self.probed[i - self.lstart];
+        if g == NO_GROUP {
+            return &[];
+        }
+        let rows = &self.rows[self.start[g as usize]..self.start[g as usize + 1]];
+        let at = |end: usize| rows.partition_point(|&r| (r as usize) < end);
+        &rows[at(rrows.start)..at(rrows.end)]
+    }
 }
 
 /// A table's views gathered into one base, partition after partition.
@@ -1418,7 +1512,7 @@ fn one_base(views: &Views) -> Views {
         end += w.num_rows();
     }
     Views {
-        bases: vec![RecordBatch::gather(&runs)],
+        bases: Few::One(RecordBatch::gather(&runs)),
         parts,
     }
 }
@@ -1427,47 +1521,6 @@ fn one_base(views: &Views) -> Views {
 /// left rows, and each one's right row (`None`: LeftOuter padding; empty
 /// for LeftSemi).
 type Emitted = (Vec<u32>, Vec<Option<u32>>);
-
-/// Joins one left partition against one right partition: build on the
-/// right (NULL keys never join), probe the left in arrival order.
-fn join_rows(kind: JoinKind, left: Side<'_>, right: Option<Side<'_>>) -> Emitted {
-    let (lstart, lrows) = (left.2.start as u32, left.2.len());
-    // Each left row's group of right rows, laid out by group in one buffer:
-    // group `g` holds `rows[start[g]..start[g + 1]]` in arrival order. An
-    // empty right side matches nothing, so neither side's key is read.
-    let (lgroup, start, rows) = match right {
-        None => (vec![NO_GROUP; lrows], vec![0], Vec::new()),
-        Some(right) => {
-            let rstart = right.2.start as u32;
-            let grouping = group_keys(right, Some(left));
-            let joining = (rstart..)
-                .zip(grouping.of_row)
-                .filter(|&(_, g)| g != NO_GROUP);
-            let (start, rows) = by_group(grouping.firsts.len(), joining.map(|(i, g)| (g, i)));
-            (grouping.probed, start, rows)
-        }
-    };
-    let matches = |g: u32| &rows[start[g as usize]..start[g as usize + 1]];
-    let (mut lidx, mut ridx) = (Vec::with_capacity(lrows), Vec::new());
-    for (i, &g) in (lstart..).zip(&lgroup) {
-        match kind {
-            JoinKind::LeftSemi if g != NO_GROUP => lidx.push(i),
-            JoinKind::LeftOuter if g == NO_GROUP => {
-                lidx.push(i);
-                ridx.push(None);
-            }
-            JoinKind::LeftSemi => {}
-            _ if g == NO_GROUP => {}
-            _ => {
-                for &r in matches(g) {
-                    lidx.push(i);
-                    ridx.push(Some(r));
-                }
-            }
-        }
-    }
-    (lidx, ridx)
-}
 
 /// The join's output over every partition, built once: the left columns
 /// at all left rows in one gather (handed on whole when that is every left
@@ -1488,7 +1541,7 @@ fn join_output(
         .collect();
     let total = pairs.iter().map(|(_, _, (lidx, _))| lidx.len()).sum();
     let lrows = pairs.iter().flat_map(|(_, _, (lidx, _))| lidx);
-    let mut cols = match lv.bases.as_slice() {
+    let mut cols: Vec<Column> = match &*lv.bases {
         [one] if one.num_rows() == total && lrows.enumerate().all(|(k, &i)| k == i as usize) => {
             one.columns().to_vec()
         }
@@ -1514,7 +1567,7 @@ fn join_output(
             let runs: Vec<Rows<'_>> = (pairs.iter().zip(&ridx))
                 .filter_map(|((_, rb, _), idx)| Some(((*rb)?, Some(idx.as_slice()))))
                 .collect();
-            cols.extend(RecordBatch::gather_columns(&runs));
+            cols.extend(RecordBatch::gather_columns::<Vec<_>>(&runs));
         }
     }
     let mut emitted = pairs.iter().map(|(_, _, (lidx, _))| lidx.len());
@@ -1567,12 +1620,7 @@ mod tests {
         rwidth: usize,
     ) -> Vec<RecordBatch> {
         let (lv, rv) = (view(lb), view(rb));
-        let right = rv.parts[0]
-            .clone()
-            .map(|(b, rows)| (&rv.bases[b], right_keys, rows));
-        let rbase = right.as_ref().map(|(b, ..)| *b);
-        let emitted = super::join_rows(kind, (lb, left_keys, 0..lb.num_rows()), right);
-        let parts = join_output(&lv, &rv, kind, &[(0, rbase, emitted)], rwidth);
+        let parts = join_views(&lv, &rv, kind, false, [left_keys, right_keys], rwidth);
         parts.iter().flat_map(|p| p.to_vec()).collect()
     }
 
@@ -1605,6 +1653,47 @@ mod tests {
     fn part(t: &Table, p: usize) -> Table {
         let one = vec![t.partitions[p].clone()];
         Table::from_batches(t.schema.clone(), one, PhysicalProps::any())
+    }
+
+    #[test]
+    fn a_join_grouped_per_base_meets_no_key_of_another_partition() {
+        // `Int(k)` joins `Float(k)`, but the two hash apart: a pair of
+        // co-partitions joins only the keys that landed in both.
+        let keyed = |key: fn(i64) -> Value, ty| {
+            let rows = (0..64).map(|k| vec![key(k % 40), Value::Int(k)]).collect();
+            let schema = Schema::from_pairs(&[("k", ty), ("v", DataType::Int)]);
+            Table::single(schema, rows)
+                .hash_repartition(&[0], 4)
+                .unwrap()
+        };
+        let left = keyed(Value::Int, DataType::Int);
+        let right = keyed(|k| Value::Float(k as f64), DataType::Float);
+        let matched = |t: &Table| t.num_rows();
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::LeftSemi] {
+            let op = Operator::Join {
+                kind,
+                implementation: JoinImpl::Hash,
+                left_keys: vec![0],
+                right_keys: vec![0],
+            };
+            let out_schema = op
+                .output_schema(&[left.schema.clone(), right.schema.clone()])
+                .unwrap();
+            let storage = StorageManager::new();
+            let join = |l: &Table, r: &Table| {
+                exec_node(&op, &[l, r], &out_schema, &storage, SimTime::ZERO)
+                    .unwrap()
+                    .0
+            };
+            let got = join(&left, &right);
+            let want = join(&per_partition(&left), &per_partition(&right));
+            assert!(got == want, "{kind:?}");
+            if kind == JoinKind::Inner {
+                // Some keys met in their partition, and some did not.
+                let global = join(&left.gather(), &right.gather());
+                assert!(0 < matched(&got) && matched(&got) < matched(&global));
+            }
+        }
     }
 
     #[test]
@@ -1774,13 +1863,13 @@ mod tests {
             let out = aggregate_batch(&batch, &[0], aggs, implementation);
             (out.unwrap(), cells_gathered() - before)
         };
-        // Hash reads its key where it lies, stream forces it to find runs.
-        let key_cells = [(AggImpl::Hash, 0), (AggImpl::Stream, 300)];
-        for (implementation, key_cells) in key_cells {
+        // Hash and stream both read the key where it lies: stream finds its
+        // runs through the recipe's picks.
+        for implementation in [AggImpl::Hash, AggImpl::Stream] {
             // Neither COUNT reads a cell.
             let (out, cells) = gathered(implementation, &count);
-            assert_eq!(cells, key_cells);
-            assert_eq!(gathered(implementation, &[]).1, key_cells);
+            assert_eq!(cells, 0);
+            assert_eq!(gathered(implementation, &[]).1, 0);
             let total: i64 = (0..out.num_rows())
                 .map(|g| out.cell(g, 1).as_i64().unwrap())
                 .sum();
@@ -2487,7 +2576,7 @@ mod tests {
             .collect::<Vec<_>>();
         let right = Table::from_batches(
             schema.clone(),
-            vec![right_batches.into()],
+            vec![right_batches.into_iter().collect()],
             PhysicalProps::single(),
         );
         let gathered = |parts: usize| {

@@ -25,7 +25,7 @@
 use scope_common::{Result, ScopeError};
 use scope_plan::types::int_float_cmp;
 use scope_plan::{
-    eval_binary, eval_func, eval_unary, BinOp, Cell, Expr, NamedExpr, UnaryOp, Value,
+    eval_binary, eval_func, eval_unary, BinOp, Cell, Expr, NamedExpr, ScalarFunc, UnaryOp, Value,
 };
 
 use crate::data::{Column, ColumnVector, NullMask, RecordBatch};
@@ -75,14 +75,23 @@ pub(crate) fn eval_predicate_selection(pred: &Expr, batch: &RecordBatch) -> (Vec
     if rows == 0 {
         return (Vec::new(), Ok(()));
     }
+    if let Some((col, op, k)) = col_cmp_const(pred, batch.width()) {
+        // Read where the column lies: no cell copied, no boolean column
+        // built. A comparison with NULL holds nowhere and never fails.
+        let (col, k) = (batch.locate(col, 0..rows as usize), Cell::of(k));
+        let holds = |c: Cell<'_>| !c.is_null() && !k.is_null() && cmp_holds(op, c.cmp_cell(k));
+        let mut sel = Vec::with_capacity(rows as usize);
+        sel.extend((0..rows).filter(|&i| holds(col.cell(i as usize))));
+        return (sel, Ok(()));
+    }
     let sel = match eval_ev(pred, batch) {
         Ok(Ev::Const(v)) if v.is_true() => (0..rows).collect(),
         Ok(Ev::Const(_)) => Vec::new(),
         Ok(Ev::Col(col)) => {
             let col = col.dense();
-            (0..rows)
-                .filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true)))
-                .collect()
+            let mut sel = Vec::with_capacity(rows as usize);
+            sel.extend((0..rows).filter(|&i| matches!(col.cell(i as usize), Cell::Bool(true))));
+            sel
         }
         Err(_) => {
             let mut sel = Vec::new();
@@ -131,6 +140,25 @@ pub(crate) fn eval_exprs(exprs: &[NamedExpr], batch: &RecordBatch) -> Result<Vec
         .collect())
 }
 
+/// `pred` as `col OP const` over a column the batch has, the constant on
+/// the right.
+fn col_cmp_const(pred: &Expr, width: usize) -> Option<(usize, BinOp, &Value)> {
+    let Expr::Binary { op, left, right } = pred else {
+        return None;
+    };
+    let (col, op, k) = match (&**left, &**right) {
+        (Expr::Col(i), k) => (*i, *op, k),
+        (k, Expr::Col(i)) => (*i, flip_cmp(*op), k),
+        _ => return None,
+    };
+    match k {
+        Expr::Lit(k) | Expr::RecurringParam { value: k, .. } if is_cmp(op) && col < width => {
+            Some((col, op, k))
+        }
+        _ => None,
+    }
+}
+
 fn col_oob(i: usize, width: usize) -> ScopeError {
     ScopeError::Expression(format!("column {i} out of range (row width {width})"))
 }
@@ -171,6 +199,12 @@ fn eval_ev(expr: &Expr, batch: &RecordBatch) -> Result<Ev> {
             if evs.iter().all(|e| matches!(e, Ev::Const(_))) {
                 let vals: Vec<Value> = evs.iter().map(|e| e.value_at(0)).collect();
                 return Ok(Ev::Const(eval_func(*func, &vals)?));
+            }
+            if let (ScalarFunc::Least | ScalarFunc::Greatest, [a, b]) = (func, &evs[..]) {
+                let least = *func == ScalarFunc::Least;
+                if let Some(out) = float_pick(least, a, b, rows) {
+                    return Ok(Ev::cells(out));
+                }
             }
             let mut out = Vec::with_capacity(rows);
             let mut scratch: Vec<Value> = Vec::with_capacity(evs.len());
@@ -280,7 +314,7 @@ fn eval_binary_ev(op: BinOp, l: Ev, r: Ev, rows: usize) -> Result<Ev> {
         op,
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
     ) {
-        if let Some(out) = int_arith(op, &l, &r, rows) {
+        if let Some(out) = num_arith(op, &l, &r, rows) {
             return Ok(Ev::cells(out));
         }
     }
@@ -356,83 +390,134 @@ fn cmp_col_const(op: BinOp, col: &ColumnVector, k: &Value, rows: usize) -> Optio
     }
 }
 
-/// Integer arithmetic kernels for `Int col ⊗ Int {col,const}` (and the
-/// mirrored const-col forms). Div yields Float (x/0 → NULL), Mod stays Int
-/// (x%0 → NULL) — exactly the scalar `arith` integer fast path.
-fn int_arith(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
-    enum Side<'a> {
-        Col(&'a [i64], &'a Option<NullMask>),
-        Const(i64),
-    }
-    impl Side<'_> {
-        fn get(&self, i: usize) -> Option<i64> {
-            match self {
-                Side::Const(k) => Some(*k),
-                Side::Col(data, nulls) => match nulls {
-                    Some(m) if m[i] => None,
-                    _ => Some(data[i]),
-                },
-            }
-        }
-    }
-    fn side(e: &Ev) -> Option<Side<'_>> {
-        match e {
-            Ev::Const(Value::Int(k)) => Some(Side::Const(*k)),
+/// A number of a typed numeric operand.
+#[derive(Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+/// An `Int` or `Float` column, or a constant of either type: an operand the
+/// numeric kernels read row by row.
+enum NumSide<'a> {
+    Ints(&'a [i64], &'a Option<NullMask>),
+    Floats(&'a [f64], &'a Option<NullMask>),
+    Const(Num),
+}
+
+impl NumSide<'_> {
+    fn of(e: &Ev) -> Option<NumSide<'_>> {
+        Some(match e {
+            Ev::Const(Value::Int(k)) => NumSide::Const(Num::Int(*k)),
+            Ev::Const(Value::Float(k)) => NumSide::Const(Num::Float(*k)),
             Ev::Col(c) => match c.dense() {
-                ColumnVector::Int { data, nulls } => Some(Side::Col(data, nulls)),
-                _ => None,
+                ColumnVector::Int { data, nulls } => NumSide::Ints(data, nulls),
+                ColumnVector::Float { data, nulls } => NumSide::Floats(data, nulls),
+                _ => return None,
             },
-            _ => None,
-        }
-    }
-    let (a, b) = (side(l)?, side(r)?);
-
-    if op == BinOp::Div {
-        // Int/Int division produces floats (or NULL on /0).
-        let mut data = Vec::with_capacity(rows);
-        let mut nulls: NullMask = Vec::with_capacity(rows);
-        let mut any_null = false;
-        for i in 0..rows {
-            match (a.get(i), b.get(i)) {
-                (Some(x), Some(y)) if y != 0 => {
-                    data.push(x as f64 / y as f64);
-                    nulls.push(false);
-                }
-                _ => {
-                    data.push(0.0);
-                    nulls.push(true);
-                    any_null = true;
-                }
-            }
-        }
-        return Some(ColumnVector::Float {
-            data,
-            nulls: if any_null { Some(nulls) } else { None },
-        });
+            Ev::Const(_) => return None,
+        })
     }
 
-    let mut data = Vec::with_capacity(rows);
+    fn get(&self, i: usize) -> Option<Num> {
+        let null = |n: &Option<NullMask>| n.as_ref().is_some_and(|m| m[i]);
+        match self {
+            NumSide::Const(k) => Some(*k),
+            NumSide::Ints(d, n) => (!null(n)).then(|| Num::Int(d[i])),
+            NumSide::Floats(d, n) => (!null(n)).then(|| Num::Float(d[i])),
+        }
+    }
+
+    fn is_int(&self) -> bool {
+        matches!(self, NumSide::Ints(..) | NumSide::Const(Num::Int(_)))
+    }
+}
+
+/// Arithmetic over numeric operands, exactly the scalar `arith`: `Int ⊗
+/// Int` stays `Int` (Div yields `Float`), every other pair computes in
+/// `f64`; x/0 and x%0 are NULL, as is any NULL operand.
+fn num_arith(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
+    let (a, b) = (NumSide::of(l)?, NumSide::of(r)?);
+    let ints = a.is_int() && b.is_int() && op != BinOp::Div;
+    let (mut int_data, mut float_data) = (Vec::new(), Vec::new());
     let mut nulls: NullMask = Vec::with_capacity(rows);
-    let mut any_null = false;
     for i in 0..rows {
         let out = match (a.get(i), b.get(i)) {
-            (Some(x), Some(y)) => match op {
+            (Some(Num::Int(x)), Some(Num::Int(y))) if ints => match op {
                 BinOp::Add => Some(x.wrapping_add(y)),
                 BinOp::Sub => Some(x.wrapping_sub(y)),
                 BinOp::Mul => Some(x.wrapping_mul(y)),
                 BinOp::Mod => (y != 0).then(|| x.rem_euclid(y)),
-                _ => unreachable!("int_arith on non-arith op"),
-            },
+                _ => unreachable!("num_arith on non-arith op"),
+            }
+            .map(Num::Int),
+            (Some(Num::Int(x)), Some(Num::Int(y))) => {
+                (y != 0).then(|| Num::Float(x as f64 / y as f64))
+            }
+            (Some(x), Some(y)) => {
+                let f = |n| match n {
+                    Num::Int(i) => i as f64,
+                    Num::Float(f) => f,
+                };
+                let (x, y) = (f(x), f(y));
+                match op {
+                    BinOp::Add => Some(x + y),
+                    BinOp::Sub => Some(x - y),
+                    BinOp::Mul => Some(x * y),
+                    BinOp::Div => (y != 0.0).then(|| x / y),
+                    BinOp::Mod => (y != 0.0).then(|| x.rem_euclid(y)),
+                    _ => unreachable!("num_arith on non-arith op"),
+                }
+                .map(Num::Float)
+            }
             _ => None,
         };
-        data.push(out.unwrap_or(0));
         nulls.push(out.is_none());
-        any_null |= out.is_none();
+        match out {
+            Some(Num::Int(x)) => int_data.push(x),
+            Some(Num::Float(x)) => float_data.push(x),
+            None if ints => int_data.push(0),
+            None => float_data.push(0.0),
+        }
     }
-    Some(ColumnVector::Int {
-        data,
-        nulls: if any_null { Some(nulls) } else { None },
+    let nulls = nulls.contains(&true).then_some(nulls);
+    Some(match ints {
+        true => ColumnVector::Int {
+            data: int_data,
+            nulls,
+        },
+        false => ColumnVector::Float {
+            data: float_data,
+            nulls,
+        },
     })
+}
+
+/// LEAST (`least`) or GREATEST of two `Float` operands, exactly the
+/// scalar: NULL when either is NULL, else the first when it is `<=` the
+/// second (in total order) for LEAST, when it is not for GREATEST.
+fn float_pick(least: bool, a: &Ev, b: &Ev, rows: usize) -> Option<ColumnVector> {
+    let (a, b) = (NumSide::of(a)?, NumSide::of(b)?);
+    if a.is_int() || b.is_int() {
+        return None;
+    }
+    let (mut data, mut nulls) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    for i in 0..rows {
+        let out = match (a.get(i), b.get(i)) {
+            (Some(Num::Float(x)), Some(Num::Float(y))) => {
+                Some(if x.total_cmp(&y).is_le() == least {
+                    x
+                } else {
+                    y
+                })
+            }
+            _ => None,
+        };
+        data.push(out.unwrap_or(0.0));
+        nulls.push(out.is_none());
+    }
+    let nulls = nulls.contains(&true).then_some(nulls);
+    Some(ColumnVector::Float { data, nulls })
 }
 
 /// Three-valued AND/OR over boolean columns/constants. Returns `None` when
@@ -481,4 +566,107 @@ fn bool_logic(op: BinOp, l: &Ev, r: &Ev, rows: usize) -> Option<ColumnVector> {
         data,
         nulls: if any_null { Some(nulls) } else { None },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data::tests::{batch_of, cells_gathered, random_rows};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn numeric_kernels_match_the_scalar_evaluator() {
+        let mut rng = SmallRng::seed_from_u64(49);
+        let (i, f) = (Expr::col(0), Expr::col(3));
+        let operands = [
+            i.clone(),
+            f.clone(),
+            Expr::lit(0i64),
+            Expr::lit(3i64),
+            Expr::lit(0.0),
+            Expr::lit(-1.5),
+        ];
+        let mut exprs = Vec::new();
+        for a in &operands[..2] {
+            for b in &operands {
+                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod] {
+                    let (left, right) = (Box::new(a.clone()), Box::new(b.clone()));
+                    exprs.push(Expr::Binary { op, left, right });
+                }
+            }
+            for func in [ScalarFunc::Least, ScalarFunc::Greatest] {
+                for b in [&f, &operands[4], &operands[5]] {
+                    exprs.push(Expr::func(func, vec![a.clone(), b.clone()]));
+                    exprs.push(Expr::func(func, vec![b.clone(), a.clone()]));
+                }
+            }
+        }
+        let named: Vec<NamedExpr> = exprs
+            .iter()
+            .map(|e| NamedExpr::new("x", e.clone()))
+            .collect();
+        for _ in 0..20 {
+            let (schema, rows) = random_rows(&mut rng, 64);
+            let columns = eval_exprs(&named, &batch_of((schema, rows.clone()))).unwrap();
+            for (e, column) in exprs.iter().zip(&columns) {
+                for (r, row) in rows.iter().enumerate() {
+                    let want = e.eval(row).unwrap();
+                    let got = column.dense().value(r);
+                    let same = got.cmp(&want).is_eq() && got.data_type() == want.data_type();
+                    assert!(same, "{e:?} on {row:?}: {got:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_compared_with_a_constant_is_read_where_it_lies() {
+        let mut rng = SmallRng::seed_from_u64(48);
+        let constants = [
+            Value::Null,
+            Value::Int(0),
+            Value::Float(0.5),
+            Value::Date(17_002),
+            Value::Str("b".into()),
+            Value::Bool(true),
+        ];
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        for _ in 0..20 {
+            let (schema, rows) = random_rows(&mut rng, 64);
+            // Every other row, picked through an unread recipe.
+            let idx: Vec<u32> = (0..64).step_by(2).collect();
+            let batch = batch_of((schema, rows.clone())).take(&idx);
+            for col in 0..batch.width() {
+                for k in &constants {
+                    for op in ops {
+                        let (c, k) = (Expr::col(col), Expr::lit(k.clone()));
+                        let binary = |left: &Expr, right: &Expr| Expr::Binary {
+                            op,
+                            left: Box::new(left.clone()),
+                            right: Box::new(right.clone()),
+                        };
+                        for pred in [binary(&c, &k), binary(&k, &c)] {
+                            let before = cells_gathered();
+                            let (sel, stopped) = eval_predicate_selection(&pred, &batch);
+                            assert_eq!(cells_gathered(), before, "{pred:?} copied cells");
+                            stopped.unwrap();
+                            let holds = |i: &u32| pred.eval(&rows[*i as usize]).unwrap().is_true();
+                            let want: Vec<u32> = (0..idx.len() as u32)
+                                .filter(|&i| holds(&idx[i as usize]))
+                                .collect();
+                            assert_eq!(sel, want, "{pred:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -7,6 +7,7 @@
 //! [`PlanNode`]s with child edges by [`NodeId`]; roots are the sink nodes.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use scope_common::ids::NodeId;
 use scope_common::{Result, ScopeError};
@@ -30,6 +31,26 @@ pub struct PlanNode {
 pub struct QueryGraph {
     nodes: Vec<PlanNode>,
     roots: Vec<NodeId>,
+    schemas: SchemaMemo,
+}
+
+/// Every node's output schema, derived on first use and dropped by every
+/// [`QueryGraph`] method that adds or changes a node (`add`, `node_mut` and
+/// so `replace_with_leaf`, `compact`): one schema pass per graph version.
+/// A derived fact, so it takes no part in equality and prints as `..`.
+#[derive(Clone, Default)]
+struct SchemaMemo(OnceLock<Vec<Schema>>);
+
+impl PartialEq for SchemaMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for SchemaMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl QueryGraph {
@@ -62,6 +83,7 @@ impl QueryGraph {
             }
         }
         let id = NodeId::new(self.nodes.len() as u64);
+        self.schemas = SchemaMemo::default();
         self.nodes.push(PlanNode { id, op, children });
         Ok(id)
     }
@@ -108,6 +130,7 @@ impl QueryGraph {
     /// Mutable access to a node's operator (used by the optimizer's
     /// rewriting steps).
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut PlanNode> {
+        self.schemas = SchemaMemo::default();
         self.nodes
             .get_mut(id.index())
             .ok_or_else(|| ScopeError::InvalidPlan(format!("unknown node {id}")))
@@ -124,41 +147,48 @@ impl QueryGraph {
         map
     }
 
-    /// Derives the output schema of every node, bottom-up. Fails on the
-    /// first schema error, naming the offending node.
-    pub fn schemas(&self) -> Result<Vec<Schema>> {
+    /// The output schema of every node (indexed like the arena), derived
+    /// bottom-up on first use and kept until the graph next changes. Fails
+    /// on the first schema error, naming the offending node; a failed
+    /// derivation is not kept, so a graph fixed afterwards derives anew.
+    pub fn schemas(&self) -> Result<&[Schema]> {
+        if let Some(schemas) = self.schemas.0.get() {
+            return Ok(schemas);
+        }
         let mut out: Vec<Schema> = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
-            let inputs: Vec<Schema> = n.children.iter().map(|c| out[c.index()].clone()).collect();
+            // A child not derived yet is a forward edge, which `validate`
+            // names; `node_mut` is the only way to make one.
+            let at = |c: &NodeId| out.get(c.index()).cloned();
+            let Some(inputs) = n.children.iter().map(at).collect::<Option<Vec<_>>>() else {
+                return Err(ScopeError::InvalidPlan(format!(
+                    "node {} has a forward edge (not a DAG ordering)",
+                    n.id
+                )));
+            };
             let s = n.op.output_schema(&inputs).map_err(|e| {
                 ScopeError::InvalidPlan(format!("node {} ({}): {e}", n.id, n.op.describe()))
             })?;
             out.push(s);
         }
-        Ok(out)
+        Ok(self.schemas.0.get_or_init(|| out))
     }
 
-    /// The output schema of one node.
-    ///
-    /// Runs the full bottom-up schema pass, O(nodes), and keeps one schema
-    /// of it. Schemas share their columns, so passing one on costs a
-    /// reference count, but an operator that derives new columns (a
-    /// projection, an aggregate, a join) still builds them. A caller that
-    /// asks once per root, as `SubsumeDescriptor::of` does once per unary
-    /// root, pays O(nodes × roots); call [`QueryGraph::schemas`] once instead
-    /// where that matters.
+    /// The output schema of one node: one entry of [`QueryGraph::schemas`],
+    /// so every call on an unchanged graph after the first costs a lookup and
+    /// a reference count. A caller may ask once per root (as
+    /// `SubsumeDescriptor::of` does) without paying O(nodes × roots).
     pub fn schema_of(&self, id: NodeId) -> Result<Schema> {
-        let schemas = self.schemas()?;
-        schemas
+        self.schemas()?
             .get(id.index())
             .cloned()
             .ok_or_else(|| ScopeError::InvalidPlan(format!("unknown node {id}")))
     }
 
     /// Validates the whole graph: child ordering (DAG by construction),
-    /// arity, schemas, and that every root exists. Returns the schemas as a
-    /// by-product.
-    pub fn validate(&self) -> Result<Vec<Schema>> {
+    /// arity, schemas, and that every root exists. Returns the schemas
+    /// ([`QueryGraph::schemas`]) as a by-product.
+    pub fn validate(&self) -> Result<&[Schema]> {
         if self.roots.is_empty() && !self.nodes.is_empty() {
             return Err(ScopeError::InvalidPlan("graph has no roots".into()));
         }
@@ -225,6 +255,7 @@ impl QueryGraph {
         }
         let mut remap = HashMap::new();
         let mut nodes = Vec::new();
+        self.schemas = SchemaMemo::default();
         for (i, keep) in reachable.iter().enumerate() {
             if *keep {
                 let old = &self.nodes[i];
@@ -439,6 +470,81 @@ mod tests {
         let mut g = QueryGraph::new();
         g.add(scan("t"), vec![]).unwrap();
         assert!(g.validate().is_err());
+    }
+
+    /// `g` rebuilt node by node: the same graph with no schema derived yet.
+    fn fresh(g: &QueryGraph) -> QueryGraph {
+        let mut copy = QueryGraph::new();
+        for n in g.nodes() {
+            copy.add(n.op.clone(), n.children.clone()).unwrap();
+        }
+        for &r in g.roots() {
+            copy.add_root(r).unwrap();
+        }
+        copy
+    }
+
+    /// Every schema read of `g` equals the same read of a fresh copy.
+    fn reads_as_fresh(g: &QueryGraph) {
+        let copy = fresh(g);
+        assert_eq!(g.schemas().unwrap(), copy.schemas().unwrap());
+        assert_eq!(g.validate().unwrap(), copy.validate().unwrap());
+        for n in g.nodes() {
+            assert_eq!(g.schema_of(n.id).unwrap(), copy.schema_of(n.id).unwrap());
+        }
+        assert!(g.schemas.0.get().is_some(), "the reads filled the memo");
+    }
+
+    #[test]
+    fn the_schema_memo_follows_every_change() {
+        let (mut g, s, f, o) = simple_graph();
+        reads_as_fresh(&g);
+        let project = Operator::Project {
+            exprs: vec![crate::expr::NamedExpr::new("a2", Expr::col(0))],
+        };
+        let p = g.add(project, vec![f]).unwrap();
+        g.add_root(p).unwrap();
+        reads_as_fresh(&g);
+        assert_eq!(g.schema_of(p).unwrap().len(), 1);
+        let narrow = Schema::from_pairs(&[("a", DataType::Int)]);
+        let Operator::Get { schema, .. } = &mut g.node_mut(s).unwrap().op else {
+            unreachable!("node {s} is a scan")
+        };
+        *schema = narrow;
+        reads_as_fresh(&g);
+        assert_eq!(g.schema_of(o).unwrap().len(), 1);
+        let view = Operator::ViewGet {
+            view_sig: scope_common::sip128(b"v"),
+            schema: Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Float)]),
+            props: Default::default(),
+        };
+        g.replace_with_leaf(f, view).unwrap();
+        reads_as_fresh(&g);
+        assert_eq!(g.schema_of(o).unwrap().len(), 2);
+        g.compact();
+        reads_as_fresh(&g);
+        assert_eq!(g.len(), 3);
+        // The memo takes no part in a clone's contents, equality or print.
+        let (copy, clone) = (fresh(&g), g.clone());
+        assert!(g == copy && clone == copy);
+        assert_eq!(format!("{g:?}"), format!("{copy:?}"));
+        assert_eq!(clone.schemas().unwrap(), copy.schemas().unwrap());
+    }
+
+    #[test]
+    fn a_failed_derivation_is_not_kept() {
+        let mut g = QueryGraph::new();
+        let a = g.add(scan("t"), vec![]).unwrap();
+        let b = g.add(Operator::Nop, vec![a]).unwrap();
+        let u = g.add(Operator::UnionAll, vec![a, b]).unwrap();
+        g.add_root(u).unwrap();
+        g.node_mut(b).unwrap().op = Operator::Project {
+            exprs: vec![crate::expr::NamedExpr::new("x", Expr::col(0))],
+        };
+        assert!(g.validate().is_err() && g.schemas().is_err());
+        assert!(g.schemas.0.get().is_none());
+        g.node_mut(b).unwrap().op = Operator::Nop;
+        reads_as_fresh(&g);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! pays per job should track the plan, not its columns or partitions. These
 //! budgets pin that: a `Schema` clone is a reference-count bump, an 8-way
 //! hash exchange of a few dozen rows builds its partitions from one gather,
-//! and one recurring instance job stays under a fixed count.
+//! one recurring instance job stays under a fixed count, and so does
+//! executing its plan.
 //!
 //! The counter is thread-local: `cargo test` runs these tests in parallel,
 //! and each counts only what its own thread allocates.
@@ -16,7 +17,10 @@ use std::sync::Arc;
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
 use cloudviews::{CloudViews, RunMode};
 use scope_common::time::SimTime;
+use scope_engine::cost::CostModel;
 use scope_engine::data::Table;
+use scope_engine::exec::execute_plan;
+use scope_engine::optimizer::{optimize, NoViewServices, OptimizerConfig};
 use scope_engine::storage::StorageManager;
 use scope_plan::{PhysicalProps, Value};
 use scope_workload::dists::LogNormal;
@@ -102,11 +106,10 @@ fn an_eight_way_hash_exchange_of_46_rows_allocates_at_most_80_times() {
     assert!(n <= 80, "an 8-way exchange of 46 rows allocated {n} times");
 }
 
-#[test]
-fn a_recurring_instance_job_allocates_at_most_2500_times() {
-    // The full-size recurring cluster, rows drawn as the benchmark draws
-    // them (tens of rows per stream).
-    let w = RecurringWorkload::generate(WorkloadConfig {
+/// The full-size recurring cluster, rows drawn as the benchmark draws them
+/// (tens of rows per stream).
+fn recurring_workload() -> RecurringWorkload {
+    RecurringWorkload::generate(WorkloadConfig {
         clusters: vec![ClusterSpec {
             name: "recurring".into(),
             num_vcs: 8,
@@ -123,7 +126,12 @@ fn a_recurring_instance_job_allocates_at_most_2500_times() {
         seed: 2018,
         stream_rows: LogNormal::new(3.7, 0.5, 20.0, 400.0),
     })
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn a_recurring_instance_job_allocates_at_most_1100_times() {
+    let w = recurring_workload();
     let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
     w.register_instance_data(0, 0, &cv.storage, 1.0).unwrap();
     let day0 = w.jobs_for_instance(0, 0).unwrap();
@@ -149,9 +157,36 @@ fn a_recurring_instance_job_allocates_at_most_2500_times() {
         assert!(reports.iter().all(Result::is_ok));
         let per_job = n / jobs.len() as u64;
         assert!(
-            instance == 1 || per_job <= 2_500,
+            instance == 1 || per_job <= 1_100,
             "a recurring instance job allocated {per_job} times (mean of {})",
             jobs.len()
+        );
+    }
+}
+
+#[test]
+fn a_recurring_instance_plan_executes_in_at_most_250_allocations() {
+    // Each instance job's plan, optimized once; its schemas were derived
+    // when the optimizer validated it, so executing it derives none.
+    let w = recurring_workload();
+    let storage = StorageManager::new();
+    w.register_instance_data(0, 1, &storage, 1.0).unwrap();
+    let config = OptimizerConfig::default();
+    let plans: Vec<_> = (w.jobs_for_instance(0, 1).unwrap().iter())
+        .map(|job| optimize(&job.graph, &[], &NoViewServices, &config, job.id).unwrap())
+        .map(|plan| plan.physical)
+        .collect();
+    // The first run builds what the stored streams keep (route maps); the
+    // second is counted.
+    for pass in 0..2 {
+        let run = |plan| execute_plan(plan, &storage, &CostModel, SimTime::ZERO).unwrap();
+        let (outcomes, n) = counted(|| plans.iter().map(run).collect::<Vec<_>>());
+        assert!(outcomes.iter().all(|o| o.node_stats.len() > 1));
+        let per_job = n / plans.len() as u64;
+        assert!(
+            pass == 0 || per_job <= 250,
+            "executing a recurring instance plan allocated {per_job} times (mean of {})",
+            plans.len()
         );
     }
 }
