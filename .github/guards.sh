@@ -137,6 +137,18 @@ no_serde_derive() {
   ! grep -rn 'serde::' crates/*/src src
 }
 
+# A stored view is verified by identity: the store keeps the published
+# table beside each view and records no digest of it (StoredView has no
+# `integrity: u64`), and non-test publish_view hashes no row.
+views_verified_by_identity() {
+  local f=crates/scope-engine/src/storage.rs
+  ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '^\s+integrity: u64,' \
+    || { echo "$f records a digest per view"; return 1; }
+  ! sed '/^#\[cfg(test)\]/,$d' "$f" | sed -n '/pub fn publish_view/,/^    }$/p' \
+    | grep -n multiset_checksum \
+    || { echo "$f hashes a view when it is published"; return 1; }
+}
+
 status=0
 for rule in \
   row_engine_oracle_stays_out_of_the_library \
@@ -154,6 +166,7 @@ for rule in \
   one_sharing_decision_each \
   one_job_path \
   analyzer_rules_once \
+  views_verified_by_identity \
   no_serde_derive; do
   if ! "$rule"; then
     echo "guard broken: $rule" >&2

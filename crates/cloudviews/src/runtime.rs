@@ -281,6 +281,8 @@ pub(crate) struct RuntimeMetrics {
     exec_copy_wall: Counter,
     exec_build_wall: Counter,
     exec_gather_columns: Counter,
+    exec_exchange_memo_hits: Counter,
+    exec_coded_key_rows: Counter,
     /// Kernel wall nanoseconds per operator kind, indexed as `OpKind::ALL`.
     exec_op_wall: [Counter; OpKind::ALL.len()],
     template_hits: Counter,
@@ -331,6 +333,8 @@ impl RuntimeMetrics {
             exec_copy_wall: m.counter("cv_exec_copy_wall_nanos_total"),
             exec_build_wall: m.counter("cv_exec_build_wall_nanos_total"),
             exec_gather_columns: m.counter("cv_exec_gather_columns_total"),
+            exec_exchange_memo_hits: m.counter("cv_exec_exchange_memo_hits_total"),
+            exec_coded_key_rows: m.counter("cv_exec_coded_key_rows_total"),
             exec_op_wall: OpKind::ALL.map(|k| m.counter(&op_wall_counter(k))),
             template_hits: m.counter("cv_template_cache_hits_total"),
             template_misses: m.counter("cv_template_cache_misses_total"),
@@ -929,9 +933,10 @@ impl CloudViews {
     /// Records what one plan execution moved: rows into its operators and
     /// cells copied between columns (`ExecOutcome::cells_gathered`) — their
     /// ratio is how much of the data the executor's deferred columns let it
-    /// leave where it was — and where its wall time went: in all, per
-    /// operator kind and, across kinds, in building recipes and in copying
-    /// cells.
+    /// leave where it was — what it took from work done once per stored
+    /// input (dataset exchanges kept, `Str` key rows read as codes), and
+    /// where its wall time went: in all, per operator kind and, across
+    /// kinds, in building recipes and in copying cells.
     pub(crate) fn record_exec_metrics(&self, plan: &QueryGraph, exec: &ExecOutcome) {
         let m = &self.metrics;
         let nanos = |wall: Duration| wall.as_nanos() as u64;
@@ -942,6 +947,8 @@ impl CloudViews {
         m.exec_copy_wall.add(nanos(exec.copy_wall));
         m.exec_build_wall.add(nanos(exec.build_wall));
         m.exec_gather_columns.add(exec.gather_columns);
+        m.exec_exchange_memo_hits.add(exec.exchange_memo_hits);
+        m.exec_coded_key_rows.add(exec.coded_key_rows);
         for (node, wall) in plan.nodes().iter().zip(&exec.node_wall) {
             let kind = node.op.kind();
             debug_assert_eq!(OpKind::ALL[kind as usize], kind);

@@ -53,7 +53,7 @@ use std::ops::{Deref, DerefMut, Range};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use scope_common::hash::{sip24_short, sip64, SipHasher24};
+use scope_common::hash::{sip24_short, sip64, SipHasher24, WordMap};
 use scope_common::{Result, ScopeError};
 use scope_plan::{Cell, DataType, Partitioning, PhysicalProps, Schema, SortDir, SortOrder, Value};
 
@@ -280,27 +280,12 @@ impl ColumnVector {
         }
     }
 
-    /// Total byte size under the [`Value::byte_size`] accounting.
+    /// Total byte size under the [`Value::byte_size`] accounting, cell by
+    /// cell: the reference the executor's byte totals are held to.
     pub fn byte_total(&self) -> u64 {
-        self.bytes_of(0..self.len())
-    }
-
-    /// [`ColumnVector::byte_total`] of rows `rows`.
-    fn bytes_of(&self, rows: Range<usize>) -> u64 {
-        match (self, self.plain_width()) {
-            (ColumnVector::Str { data, nulls: None }, _) => {
-                let end = |i: usize| if i == 0 { 0 } else { data.ends[i - 1] as u64 };
-                8 * rows.len() as u64 + end(rows.end) - end(rows.start)
-            }
-            (_, Some(width)) => width * rows.len() as u64,
-            _ => Located {
-                sources: Few::One(self),
-                picks: None,
-                start: rows.start,
-                rows: rows.len(),
-            }
-            .byte_total(),
-        }
+        (0..self.len())
+            .map(|i| self.cell(i).byte_size() as u64)
+            .sum()
     }
 
     /// Feeds rows `rows` to one hasher each, `states[k]` taking row
@@ -552,13 +537,24 @@ fn timed<T>(kind: usize, n: usize, work: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The cells of a dense column, and the partition of every row under the
-/// first single-key hash exchange that routed on it: a route map lives and
-/// dies with the cells it was computed from.
+/// The cells of a dense column, the partition of every row under the
+/// first single-key hash exchange that routed on it and, for a `Str` key,
+/// every row's code: both live and die with the cells they describe.
 #[derive(Debug)]
 pub struct Cells {
     vector: ColumnVector,
     routes: OnceLock<Routes>,
+    /// Boxed: most columns are never coded.
+    codes: OnceLock<Box<Codes>>,
+}
+
+/// A `Str` column as codes: `of_row[i]` is the first-seen index of row
+/// `i`'s value among the distinct values (0 where NULL), `firsts[c]` the
+/// first row holding code `c`.
+#[derive(Debug)]
+struct Codes {
+    of_row: Box<[u32]>,
+    firsts: Box<[u32]>,
 }
 
 /// A memoised route map: `of_row[i]` is row `i`'s partition among `parts`,
@@ -582,6 +578,7 @@ impl From<ColumnVector> for Cells {
         Cells {
             vector,
             routes: OnceLock::new(),
+            codes: OnceLock::new(),
         }
     }
 }
@@ -607,6 +604,103 @@ impl Cells {
             .then_some(routes.of_row.as_deref())
             .flatten()
     }
+
+    /// [`ColumnVector::byte_total`] of rows `rows`.
+    fn bytes_of(&self, rows: Range<usize>) -> u64 {
+        match (&self.vector, self.plain_width()) {
+            (ColumnVector::Str { data, nulls: None }, _) => {
+                let end = |i: usize| if i == 0 { 0 } else { data.ends[i - 1] as u64 };
+                8 * rows.len() as u64 + end(rows.end) - end(rows.start)
+            }
+            (_, Some(width)) => width * rows.len() as u64,
+            _ => Located {
+                sources: Few::One(self),
+                picks: None,
+                start: rows.start,
+                rows: rows.len(),
+            }
+            .byte_total(),
+        }
+    }
+
+    /// Every row's code and every code's first row, built by the first
+    /// caller; `None` unless this is a `Str` column.
+    fn codes(&self) -> Option<&Codes> {
+        let ColumnVector::Str { data, nulls } = &self.vector else {
+            return None;
+        };
+        Some(self.codes.get_or_init(|| {
+            let (mut code, mut firsts) = (WordMap::<&str, u32>::default(), Vec::new());
+            let mut of = |i: usize| {
+                let next = firsts.len() as u32;
+                *code.entry(data.get(i)).or_insert_with(|| {
+                    firsts.push(i as u32);
+                    next
+                })
+            };
+            let of_row = (0..data.len()).map(|i| if mask_get(nulls, i) { 0 } else { of(i) });
+            let of_row = of_row.collect();
+            Box::new(Codes {
+                of_row,
+                firsts: firsts.into(),
+            })
+        }))
+    }
+}
+
+/// One source of a `Str` key read as codes: its codes and, when it was
+/// coded apart from the key's first source, each of its codes' code there.
+pub(crate) struct Coded<'a> {
+    codes: &'a [u32],
+    to: Option<Box<[u32]>>,
+}
+
+impl Coded<'_> {
+    /// The code of row `r`, in the first source's codes.
+    #[inline]
+    pub(crate) fn get(&self, r: usize) -> i64 {
+        let c = self.codes[r];
+        self.to.as_ref().map_or(c, |to| to[c as usize]) as i64
+    }
+}
+
+/// The sources of each of `sides` (a `Str` key column each), read as codes
+/// of one space: two rows get one code exactly when their values are
+/// equal. A source is coded once in its life; one that is not the first
+/// side's first is mapped into that one's codes at O(distinct) per call.
+/// `None` unless every source is a `Str` column, or when coding or mapping
+/// would walk more than `budget` rows or values.
+pub(crate) fn coded<'a>(sides: &[&Located<'a>], budget: usize) -> Option<Vec<Few<Coded<'a>>>> {
+    let sources = || sides.iter().flat_map(|l| l.sources.iter().copied());
+    let uncoded = |c: &Cells| c.strs().map(|_| c.codes.get().map_or(c.len(), |_| 0));
+    let first = *sides.first()?.sources.first()?;
+    let apart = |c: &Cells| !std::ptr::eq(c, first);
+    let distinct = || sources().map(|c| c.codes().map_or(0, |k| k.firsts.len()));
+    if sources().map(uncoded).sum::<Option<usize>>()? > budget
+        || sources().any(apart) && distinct().sum::<usize>() > budget
+    {
+        return None;
+    }
+    // The first source's values keyed to its codes, and every value met in
+    // a source coded apart keyed to a new one.
+    let mut space: WordMap<&'a str, u32> = WordMap::default();
+    let values = |c: &'a Cells| {
+        let (strs, codes) = c.strs().zip(c.codes()).expect("a coded `Str` column");
+        codes.firsts.iter().map(move |&r| strs.get(r as usize))
+    };
+    let mut code = |v: &'a str| {
+        if space.is_empty() {
+            space.extend(values(first).zip(0..));
+        }
+        let next = space.len() as u32;
+        *space.entry(v).or_insert(next)
+    };
+    let mut coded = |c: &'a Cells| Coded {
+        codes: &c.codes().expect("coded above").of_row,
+        to: apart(c).then(|| values(c).map(&mut code).collect()),
+    };
+    let side = |l: &&Located<'a>| l.sources.iter().map(|&c| coded(c)).collect();
+    Some(sides.iter().map(side).collect())
 }
 
 /// One row of a deferred column: row `row` of the recipe's `src`-th source.
@@ -730,13 +824,13 @@ impl Column {
     pub(crate) fn locate(&self, rows: Range<usize>) -> Located<'_> {
         match self.through() {
             Some((r, m)) => Located {
-                sources: r.sources(m).map(|c| &c.vector).collect(),
+                sources: r.sources(m).map(|c| &**c).collect(),
                 picks: Some(&r.picks[rows.clone()]),
                 start: 0,
                 rows: rows.len(),
             },
             None => Located {
-                sources: Few::One(self.dense()),
+                sources: Few::One(self.cells()),
                 picks: None,
                 start: rows.start,
                 rows: rows.len(),
@@ -786,7 +880,7 @@ impl Column {
 /// and, for an unread recipe member, the picks naming each row's source and
 /// row (`None`: the one source, row for row from row `start`).
 pub(crate) struct Located<'a> {
-    sources: Few<&'a ColumnVector>,
+    sources: Few<&'a Cells>,
     picks: Option<&'a [Pick]>,
     start: usize,
     rows: usize,
@@ -817,19 +911,27 @@ impl<'a> Located<'a> {
             .iter()
             .map(|&c| lane(c))
             .collect::<Option<_>>()?;
+        Some(self.lanes_of(data))
+    }
+
+    /// The column as lanes of `data`, one per source, under its null masks.
+    pub(crate) fn lanes_of<'b, D: ?Sized>(&self, data: Few<&'b D>) -> Lanes<'b, D>
+    where
+        'a: 'b,
+    {
         let masks = || {
             self.sources
                 .iter()
                 .map(|c| c.nulls().map(Vec::as_slice))
                 .collect()
         };
-        Some(Lanes {
+        Lanes {
             data,
             nulls: self.sources.iter().any(|c| c.nulls().is_some()).then(masks),
             picks: self.picks,
             start: self.start,
             rows: self.rows,
-        })
+        }
     }
 
     /// [`ColumnVector::byte_total`] of the cells without building them, in
@@ -1537,6 +1639,18 @@ impl Table {
         })
     }
 
+    /// True when `self` holds `other`'s batches: a clone or unfiltered scan.
+    pub(crate) fn holds_batches_of(&self, other: &Table) -> bool {
+        let same = |(a, b): (&RecordBatch, &RecordBatch)| {
+            Arc::ptr_eq(&a.columns, &b.columns) && a.span() == b.span()
+        };
+        let (mine, theirs) = (self.partitions.iter(), other.partitions.iter());
+        mine.clone()
+            .map(|p| p.len())
+            .eq(theirs.clone().map(|p| p.len()))
+            && mine.flatten().zip(theirs.flatten()).all(same)
+    }
+
     /// Row count of partition `p`.
     pub fn partition_num_rows(&self, p: usize) -> usize {
         self.partitions[p].iter().map(|b| b.num_rows()).sum()
@@ -2200,6 +2314,28 @@ pub fn multiset_checksum(table: &Table) -> u64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// True once `batch`'s row-hash sum was computed.
+    pub(crate) fn is_hashed(batch: &RecordBatch) -> bool {
+        batch.row_hash_sum.get().is_some()
+    }
+
+    /// The number of sources `l` reads.
+    pub(crate) fn fan_in(l: &Located<'_>) -> usize {
+        l.sources.len()
+    }
+
+    /// True when the two columns read cells from a common source.
+    pub(crate) fn shares_cells(a: &Column, b: &Column) -> bool {
+        let sources = |c: &Column| {
+            let l = c.locate(0..c.len());
+            l.sources
+                .iter()
+                .map(|&c| c as *const Cells)
+                .collect::<Vec<_>>()
+        };
+        sources(a).iter().any(|p| sources(b).contains(p))
+    }
 
     /// Partition `p` of `t` as one whole batch: shared when it is already
     /// one, gathered otherwise.

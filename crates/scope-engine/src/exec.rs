@@ -47,20 +47,20 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use scope_common::hash::{SipHasher24, WordMap};
-use scope_common::ids::NodeId;
+use scope_common::ids::{DatasetId, NodeId};
 use scope_common::time::{SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
 use scope_plan::expr::AggFunc;
 use scope_plan::op::{AggImpl, WindowFunc};
 use scope_plan::{
-    AggExpr, Cell, Expr, JoinImpl, JoinKind, Operator, Partitioning, PhysicalProps, QueryGraph,
-    Schema, SortDir, SortKey, SortOrder, Udo, UdoKind, Value,
+    AggExpr, Cell, Expr, JoinImpl, JoinKind, OpKind, Operator, Partitioning, PhysicalProps,
+    PlanNode, QueryGraph, ScanKind, Schema, SortDir, SortKey, SortOrder, Udo, UdoKind, Value,
 };
 
 use crate::cost::CostModel;
 use crate::data::{
-    compare_batch_rows_full, cut, gathers, keys_of, row_order, Column, ColumnVector, Few, Lanes,
-    Located, Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
+    coded, compare_batch_rows_full, cut, gathers, keys_of, row_order, Coded, Column, ColumnVector,
+    Few, Lanes, Located, Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -101,9 +101,18 @@ pub struct ExecOutcome {
     pub build_wall: Duration,
     /// Output columns those recipes hold.
     pub gather_columns: u64,
-    /// Wall time of the whole plan: the kernels plus what runs between
+    /// Wall time of the whole plan: the kernels plus what runs around
     /// them (schema lookup, byte accounting, costing).
     pub wall: Duration,
+    /// Hash exchanges of a dataset scan kept from an earlier plan.
+    pub exchange_memo_hits: u64,
+    /// Rows of single `Str` keys grouped, built or probed through codes.
+    pub coded_key_rows: u64,
+}
+
+thread_local! {
+    /// `Str` key rows grouped through codes on this thread.
+    static CODED_KEY_ROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl ExecOutcome {
@@ -128,30 +137,56 @@ impl ExecOutcome {
 /// Executes `graph` against `storage`, charging costs with `model`.
 ///
 /// `now` is the simulated time at which view reads are checked for expiry.
+/// The kernels run first, the clock read once per node boundary (a kernel
+/// starts when the one before ended); byte accounting and costing follow.
 pub fn execute_plan(
     graph: &QueryGraph,
     storage: &StorageManager,
     model: &CostModel,
     now: SimTime,
 ) -> Result<ExecOutcome> {
-    let mut tables: Vec<Table> = Vec::with_capacity(graph.len());
-    let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(graph.len());
-    let mut node_wall: Vec<Duration> = Vec::with_capacity(graph.len());
+    let nodes = graph.nodes();
+    let mut tables: Vec<Table> = Vec::with_capacity(nodes.len());
+    let mut stats: Vec<NodeRuntimeStats> = Vec::with_capacity(nodes.len());
+    let mut node_wall: Vec<Duration> = Vec::with_capacity(nodes.len());
     let mut outputs = HashMap::new();
     let started = Instant::now();
-    let before = gathers();
+    let (before, coded_before) = (gathers(), CODED_KEY_ROWS.get());
     // The plan's memoized schemas: the optimizer derived them when it
     // validated the plan, so this is a lookup.
     let schemas = graph.schemas()?;
-
-    for node in graph.nodes() {
+    let mut exchange_memo_hits = 0;
+    let mut mark = Instant::now();
+    for node in nodes {
         // Most operators have one input, listed in place.
         let inputs: Few<&Table> = node.children.iter().map(|c| &tables[c.index()]).collect();
-        let in_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-        let out_schema = &schemas[node.id.index()];
-        let started = Instant::now();
-        let (table, scanned) = exec_node(&node.op, &inputs, out_schema, storage, now)?;
-        node_wall.push(started.elapsed());
+        let (table, scanned) = match stored_exchange(graph, node) {
+            Some((dataset, scheme)) => {
+                let (table, hit) = storage.dataset_exchange(dataset, inputs[0], scheme)?;
+                exchange_memo_hits += u64::from(hit);
+                (table, 0)
+            }
+            None => exec_node(&node.op, &inputs, &schemas[node.id.index()], storage, now)?,
+        };
+        let end = Instant::now();
+        node_wall.push(end - mark);
+        mark = end;
+        tables.push(table);
+        stats.push(NodeRuntimeStats {
+            in_rows: scanned,
+            ..NodeRuntimeStats::default()
+        });
+    }
+
+    for (node, table) in nodes.iter().zip(&tables) {
+        // A leaf's rows in are the rows it scanned.
+        let in_rows = match &node.children[..] {
+            [] => stats[node.id.index()].in_rows,
+            children => children
+                .iter()
+                .map(|c| tables[c.index()].num_rows() as u64)
+                .sum(),
+        };
         let out_rows = table.num_rows() as u64;
         // A node that only moves rows emits the bytes it was given.
         let child_bytes = |c: &NodeId| stats[c.index()].out_bytes;
@@ -165,24 +200,17 @@ pub fn execute_plan(
             Operator::UnionAll => node.children.iter().map(child_bytes).sum(),
             _ => table.num_bytes(),
         };
-        let effective_in = if node.children.is_empty() {
-            scanned
-        } else {
-            in_rows
-        };
-        let cpu = model.op_cpu(&node.op, effective_in, out_rows, out_bytes);
         if let Operator::Output { name, .. } = &node.op {
             // The Output kernel already gathered; a clone shares the batch
             // buffers instead of re-materializing the table.
             outputs.insert(name.as_str().to_string(), table.clone());
         }
-        stats.push(NodeRuntimeStats {
-            in_rows: effective_in,
+        stats[node.id.index()] = NodeRuntimeStats {
+            in_rows,
             out_rows,
             out_bytes,
-            exclusive_cpu: cpu,
-        });
-        tables.push(table);
+            exclusive_cpu: model.op_cpu(&node.op, in_rows, out_rows, out_bytes),
+        };
     }
 
     let after = gathers();
@@ -198,7 +226,31 @@ pub fn execute_plan(
         build_wall,
         gather_columns,
         wall: started.elapsed(),
+        exchange_memo_hits,
+        coded_key_rows: CODED_KEY_ROWS.get() - coded_before,
     })
+}
+
+/// The dataset and scheme of a hash Exchange whose one input is an
+/// unfiltered `Table` scan, which [`StorageManager::dataset_exchange`] keeps.
+fn stored_exchange<'g>(
+    graph: &'g QueryGraph,
+    node: &'g PlanNode,
+) -> Option<(DatasetId, &'g Partitioning)> {
+    let (Operator::Exchange { scheme }, [c]) = (&node.op, &node.children[..]) else {
+        return None;
+    };
+    match (scheme, &graph.nodes()[c.index()].op) {
+        (
+            Partitioning::Hash { .. },
+            scan @ Operator::Get {
+                dataset,
+                predicate: None,
+                ..
+            },
+        ) if scan.kind() == OpKind::TableScan => Some((*dataset, scheme)),
+        _ => None,
+    }
 }
 
 /// What a row-wise kernel makes of a whole batch: its output and, unless
@@ -327,7 +379,7 @@ fn exec_node(
         } => {
             let stored = storage.dataset(*dataset)?;
             let scanned = stored.num_rows() as u64;
-            let parts = if matches!(kind, scope_plan::ScanKind::Extract) {
+            let parts = if matches!(kind, ScanKind::Extract) {
                 let udo = extractor.as_ref().ok_or_else(|| {
                     ScopeError::Execution("extract scan without extractor".into())
                 })?;
@@ -1143,6 +1195,12 @@ fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
     }
     typed!(ColumnVector::ints, |d: &[i64], r: usize| d[r]);
     typed!(ColumnVector::dates, |d: &[i32], r: usize| d[r] as i64);
+    // A `Str` key reads codes when coding costs no more than hashing would.
+    if let (Some(b), Some(p)) = (&b, p.as_ref().map_or(Some(None), |p| p.as_ref().map(Some))) {
+        if let Some(grouping) = coded_groups(b, p, b.rows() + p.map_or(0, Located::rows)) {
+            return grouping;
+        }
+    }
     typed!(ColumnVector::strs, StrVec::get);
     let join = probe.is_some();
     let values = |(batch, keys, rows): Side<'a>| ValueKeys {
@@ -1154,6 +1212,18 @@ fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
         join,
     };
     assign_groups(values(build), probe.map(values))
+}
+
+/// The groups of a single `Str` key read as its sources' codes ([`coded`]),
+/// or `None` when coding them would walk more than `budget` rows.
+fn coded_groups<'a>(b: &Located<'a>, p: Option<&Located<'a>>, budget: usize) -> Option<Grouping> {
+    let sides: Few<&Located<'a>> = [Some(b), p].into_iter().flatten().collect();
+    let codes = coded(&sides, budget)?;
+    let rows: usize = sides.iter().map(|l| l.rows()).sum();
+    CODED_KEY_ROWS.set(CODED_KEY_ROWS.get() + rows as u64);
+    let mut keys =
+        (sides.iter().zip(&codes)).map(|(l, c)| Typed(l.lanes_of(c.iter().collect()), Coded::get));
+    Some(assign_groups(keys.next()?, keys.next()))
 }
 
 /// The aggregate over every partition, built once: the key columns taken
@@ -1581,7 +1651,7 @@ fn join_output(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::tests::{cells_gathered, partition_as_batch};
+    use crate::data::tests::{cells_gathered, fan_in, partition_as_batch, shares_cells};
     use crate::data::{multiset_checksum, Row};
     use scope_common::ids::DatasetId;
     use scope_plan::expr::AggFunc;
@@ -2321,6 +2391,89 @@ mod tests {
             typed > 250 && dense > 10 && hashed > 10,
             "{typed} {dense} {hashed}"
         );
+    }
+
+    /// The groups of a single `Str` key read as `&str`s from its sources.
+    fn str_groups<'a>(build: &Located<'a>, probe: Option<&Located<'a>>) -> Grouping {
+        fn strs<'a>(l: &Located<'a>) -> Lanes<'a, StrVec> {
+            l.lanes(ColumnVector::strs).expect("a Str key")
+        }
+        let probe = probe.map(|p| Typed(strs(p), StrVec::get));
+        assign_groups(Typed(strs(build), StrVec::get), probe)
+    }
+
+    #[test]
+    fn coded_str_keys_group_like_their_strings() {
+        use rand::SeedableRng;
+        let (mut several, mut same, mut apart) = (0, 0, 0);
+        for case in 0..240 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(49_000 + case);
+            let build = random_keys(&mut rng, DataType::Str, 200);
+            let other = random_keys(&mut rng, DataType::Str, 300);
+            let n = build.num_rows();
+            // Build and probe from one column (two halves of its rows), or
+            // from two columns; an aggregate over the build alone.
+            let (b, half) = (build.locate(0, 0..n), build.locate(0, n / 2..n));
+            let p = other.locate(0, 0..other.num_rows());
+            for probe in [None, Some(&half), Some(&p)] {
+                let got = coded_groups(&b, probe, usize::MAX).expect("a Str key");
+                let want = str_groups(&b, probe);
+                assert_eq!(got.of_row, want.of_row, "case {case}");
+                assert_eq!(got.firsts, want.firsts, "case {case}");
+                assert_eq!(got.probed, want.probed, "case {case}");
+            }
+            several += usize::from(fan_in(&b) > 1);
+            same += usize::from(fan_in(&b) == 1);
+            apart += usize::from(!shares_cells(&build.columns()[0], &other.columns()[0]));
+        }
+        assert!(
+            several > 50 && same > 50 && apart > 200,
+            "{several} {same} {apart}"
+        );
+    }
+
+    #[test]
+    fn a_dataset_exchange_is_built_once_and_dropped_with_its_rows() {
+        let plan = || {
+            let mut b = PlanBuilder::new();
+            let s = b.table_scan(DatasetId::new(1), "t", kv_schema());
+            let ex = b.exchange(
+                s,
+                Partitioning::Hash {
+                    cols: vec![0],
+                    parts: 4,
+                },
+            );
+            b.output(ex, "o").build().unwrap()
+        };
+        let storage = storage_with(kv_rows(100), kv_schema());
+        let (first, second) = (run(&plan(), &storage), run(&plan(), &storage));
+        assert_eq!(
+            (first.exchange_memo_hits, second.exchange_memo_hits),
+            (0, 1)
+        );
+        // The second run's exchange is the first's batches, not a rebuild.
+        assert!(second.node_tables[1].holds_batches_of(&first.node_tables[1]));
+        assert_eq!(first.node_tables, second.node_tables);
+        assert_eq!(first.node_stats, second.node_stats);
+        let sum = |o: &ExecOutcome| multiset_checksum(&o.outputs["o"]);
+        assert_eq!(sum(&first), sum(&second));
+        // New rows under the same id get their own exchange.
+        let rows: Vec<Row> = kv_rows(60).into_iter().rev().collect();
+        storage.put_dataset(DatasetId::new(1), Table::single(kv_schema(), rows.clone()));
+        let (third, fourth) = (run(&plan(), &storage), run(&plan(), &storage));
+        assert_eq!(
+            (third.exchange_memo_hits, fourth.exchange_memo_hits),
+            (0, 1)
+        );
+        let want = Table::single(kv_schema(), rows)
+            .hash_repartition(&[0], 4)
+            .unwrap();
+        for out in [&third, &fourth] {
+            for p in 0..4 {
+                assert_eq!(out.node_tables[1].partition_rows(p), want.partition_rows(p));
+            }
+        }
     }
 
     #[test]

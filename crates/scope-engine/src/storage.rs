@@ -9,32 +9,30 @@
 //! Thread-safe: concurrent jobs read datasets and publish views in parallel
 //! in the synchronization experiments.
 //!
-//! Every published view records a content checksum at publish time;
-//! [`StorageManager::open_view`] re-verifies it on read, so a file that was
+//! [`StorageManager::open_view`] verifies every read, so a file that was
 //! lost ([`StorageManager::lose_view`]) or corrupted in place
 //! ([`StorageManager::corrupt_view`]) surfaces as
 //! [`ScopeError::ViewUnavailable`] and the runtime falls back to
 //! recomputation instead of returning wrong rows.
 //!
-//! Verification is against the memoised digests of the file's batches
-//! ([`multiset_checksum`] sums one row-hash sum per batch, computed the first
-//! time a batch is hashed). That is sound because a batch cannot change
-//! after construction: the only way a stored file's rows can differ from
-//! what was published is that its batches were *replaced*, and a replacement
-//! batch carries no digest yet, so it is hashed from its cells on the next
-//! open. A view is therefore hashed once, when it is written; each read
-//! costs one addition per batch.
+//! Verification is by identity. A batch cannot change after construction,
+//! so a stored file's rows can differ from what was published only if its
+//! table was *replaced*. The store keeps the published `Arc<Table>` beside
+//! each view (a second handle, no copy): while the file holds that table,
+//! no row is hashed. Once it was replaced, the open compares the
+//! [`multiset_checksum`] of the stored and the published batches. A healthy
+//! view is never hashed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use scope_common::hash::Sig128;
 use scope_common::ids::{DatasetId, JobId};
 use scope_common::telemetry::{Counter, Gauge, Telemetry};
 use scope_common::time::SimTime;
 use scope_common::{Result, ScopeError};
-use scope_plan::PhysicalProps;
+use scope_plan::{Partitioning, PhysicalProps};
 
 use crate::data::{multiset_checksum, Table};
 
@@ -85,11 +83,13 @@ enum OpenFailure {
     Corrupt,
 }
 
-/// A stored view plus the content checksum recorded when it was published.
+/// A stored view plus the table it was published with.
 struct StoredView {
     file: ViewFile,
-    /// `multiset_checksum` of the rows at publish time; verified on read.
-    integrity: u64,
+    /// `file.table` until the file is damaged; then what it is checked against.
+    published: Arc<Table>,
+    /// Damage that left the rows as they were (an empty file): opens fail.
+    damaged: bool,
 }
 
 /// Observer of durable view-store mutations. The durability layer installs
@@ -108,9 +108,16 @@ pub trait StorageEventSink: Send + Sync {
     fn view_deleted(&self, precise: Sig128);
 }
 
+/// A registered dataset and the hash exchanges kept with it, per scheme:
+/// recipes over its columns (eight bytes a row) and any column read since.
+struct Dataset {
+    table: Arc<Table>,
+    exchanges: Mutex<Vec<(Partitioning, Table)>>,
+}
+
 #[derive(Default)]
 struct Inner {
-    datasets: HashMap<DatasetId, Arc<Table>>,
+    datasets: HashMap<DatasetId, Arc<Dataset>>,
     views: HashMap<Sig128, StoredView>,
 }
 
@@ -184,9 +191,14 @@ impl StorageManager {
         }
     }
 
-    /// Registers (or replaces) a base dataset.
+    /// Registers (or replaces) a base dataset; replacing drops the
+    /// exchanges kept with the old table.
     pub fn put_dataset(&self, id: DatasetId, table: Table) {
-        self.inner.write().datasets.insert(id, Arc::new(table));
+        let dataset = Dataset {
+            table: Arc::new(table),
+            exchanges: Mutex::default(),
+        };
+        self.inner.write().datasets.insert(id, Arc::new(dataset));
     }
 
     /// Fetches a base dataset.
@@ -195,8 +207,38 @@ impl StorageManager {
             .read()
             .datasets
             .get(&id)
-            .cloned()
+            .map(|d| Arc::clone(&d.table))
             .ok_or_else(|| ScopeError::Storage(format!("unknown dataset {id}")))
+    }
+
+    /// `input`, an unfiltered scan of dataset `id`, under the hash exchange
+    /// `scheme`, and whether it was kept from an earlier call: the first call
+    /// per scheme keeps it with the dataset, unless `input` is no longer the
+    /// dataset's table (replaced since the scan).
+    pub(crate) fn dataset_exchange(
+        &self,
+        id: DatasetId,
+        input: &Table,
+        scheme: &Partitioning,
+    ) -> Result<(Table, bool)> {
+        let dataset = self.inner.read().datasets.get(&id).cloned();
+        let Some(dataset) = dataset.filter(|d| input.holds_batches_of(&d.table)) else {
+            return Ok((input.exchange(scheme)?, false));
+        };
+        // Held while building: a second caller waits for the one exchange.
+        let mut kept = dataset.exchanges.lock();
+        let hit = kept.iter().position(|(s, _)| s == scheme);
+        let out = match hit {
+            Some(i) => kept[i].1.clone(),
+            None => {
+                let out = input.exchange(scheme)?;
+                kept.push((scheme.clone(), out.clone()));
+                out
+            }
+        };
+        // A scan names the dataset's columns in its own schema.
+        let schema = input.schema.clone();
+        Ok((Table { schema, ..out }, hit.is_some()))
     }
 
     /// Number of registered datasets.
@@ -212,20 +254,20 @@ impl StorageManager {
         let precise = file.meta.precise;
         {
             // Lost the build race: the first writer's file stays and this
-            // one is dropped unhashed.
+            // one is dropped.
             let inner = self.inner.read();
             if inner.views.contains_key(&precise) {
                 self.update_view_gauges(&inner);
                 return Ok(());
             }
         }
-        let integrity = multiset_checksum(&file.table);
         let mut inner = self.inner.write();
         let before = inner.views.len();
-        inner
-            .views
-            .entry(precise)
-            .or_insert(StoredView { file, integrity });
+        inner.views.entry(precise).or_insert(StoredView {
+            published: Arc::clone(&file.table),
+            file,
+            damaged: false,
+        });
         let written = inner.views.len() > before;
         if written {
             if let Some(sink) = self.sink.read().as_ref() {
@@ -255,8 +297,8 @@ impl StorageManager {
             .map(|v| v.file.clone())
     }
 
-    /// Opens a view for reading, verifying the content checksum recorded at
-    /// publish time. A missing, expired, or corrupted file is reported as
+    /// Opens a view for reading, verifying that its rows are the published
+    /// ones. A missing, expired, or corrupted file is reported as
     /// [`ScopeError::ViewUnavailable`] so the caller can fall back to
     /// recomputation.
     pub fn open_view(&self, precise: Sig128, now: SimTime) -> Result<ViewFile> {
@@ -295,7 +337,11 @@ impl StorageManager {
         if stored.file.meta.expires_at <= now {
             return Err(OpenFailure::Expired(stored.file.meta.expires_at));
         }
-        if multiset_checksum(&stored.file.table) != stored.integrity {
+        let replaced = !Arc::ptr_eq(&stored.file.table, &stored.published);
+        if stored.damaged
+            || replaced
+                && multiset_checksum(&stored.file.table) != multiset_checksum(&stored.published)
+        {
             return Err(OpenFailure::Corrupt);
         }
         Ok(stored.file.clone())
@@ -315,7 +361,7 @@ impl StorageManager {
     }
 
     /// Simulates in-place corruption of a view file: the stored rows no
-    /// longer match the checksum recorded at publish time, so a subsequent
+    /// longer match the published ones, so a subsequent
     /// [`StorageManager::open_view`] fails. Returns true when a file was
     /// present to corrupt.
     pub fn corrupt_view(&self, precise: Sig128) -> bool {
@@ -330,9 +376,9 @@ impl StorageManager {
                     *batch = batch.take(&keep);
                     stored.file.table = Arc::new(table);
                 } else {
-                    // Nothing to truncate; damage the recorded checksum so
+                    // Nothing to truncate: mark the file damaged so
                     // verification still fails.
-                    stored.integrity ^= 0xDEAD_BEEF;
+                    stored.damaged = true;
                 }
                 true
             }
@@ -413,6 +459,7 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::tests::is_hashed;
     use scope_common::sip128;
     use scope_common::time::SimDuration;
     use scope_plan::{DataType, Schema, Value};
@@ -572,7 +619,22 @@ mod tests {
     }
 
     #[test]
-    fn memoised_digest_never_masks_corruption() {
+    fn a_healthy_view_is_verified_by_identity_without_hashing() {
+        let s = StorageManager::new();
+        let v = view(b"intact", SimTime::MAX);
+        let (sig, published) = (v.meta.precise, Arc::clone(&v.table));
+        s.publish_view(v).unwrap();
+        for _ in 0..3 {
+            let file = s.open_view(sig, SimTime::ZERO).unwrap();
+            assert!(Arc::ptr_eq(&file.table, &published));
+        }
+        let batches = || published.partitions.iter().flatten();
+        assert!(batches().count() > 0);
+        assert!(!batches().any(is_hashed), "a row was hashed");
+    }
+
+    #[test]
+    fn truncation_and_empty_view_damage_are_refused_and_counted() {
         for rows in [2usize, 0] {
             let telemetry = Telemetry::new();
             let s = StorageManager::new();
@@ -583,7 +645,6 @@ mod tests {
             }
             let sig = v.meta.precise;
             s.publish_view(v).unwrap();
-            // Repeated opens verify against the batches' memoised digests.
             for _ in 0..3 {
                 assert_eq!(
                     s.open_view(sig, SimTime::ZERO).unwrap().table.num_rows(),
@@ -597,10 +658,12 @@ mod tests {
             };
             assert_eq!(failures(), 0);
             assert!(s.corrupt_view(sig));
-            let err = s.open_view(sig, SimTime::ZERO).unwrap_err();
-            assert_eq!(err.kind(), "view_unavailable");
-            assert!(err.message().contains("checksum mismatch"), "{err}");
-            assert_eq!(failures(), 1);
+            for opened in 1..=2 {
+                let err = s.open_view(sig, SimTime::ZERO).unwrap_err();
+                assert_eq!(err.kind(), "view_unavailable");
+                assert!(err.message().contains("checksum mismatch"), "{err}");
+                assert_eq!(failures(), opened);
+            }
         }
     }
 

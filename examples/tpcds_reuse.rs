@@ -24,8 +24,9 @@ use scope_plan::OpKind;
 use scope_workload::tpcds::TpcdsWorkload;
 
 /// The executor's counters: per operator kind its kernel wall, then
-/// Execute's whole wall, the wall and output columns of recipe building, and
-/// the wall and cells of copying.
+/// Execute's whole wall, the wall and output columns of recipe building, the
+/// wall and cells of copying, dataset exchanges taken from their memo and
+/// `Str` key rows read as codes.
 fn exec_counters(service: &CloudViews) -> Vec<u64> {
     let mut names: Vec<String> = OpKind::ALL.into_iter().map(op_wall_counter).collect();
     names.extend(
@@ -35,6 +36,8 @@ fn exec_counters(service: &CloudViews) -> Vec<u64> {
             "cv_exec_gather_columns_total",
             "cv_exec_copy_wall_nanos_total",
             "cv_exec_cells_gathered_total",
+            "cv_exec_exchange_memo_hits_total",
+            "cv_exec_coded_key_rows_total",
         ]
         .map(String::from),
     );
@@ -47,8 +50,8 @@ fn exec_counters(service: &CloudViews) -> Vec<u64> {
 fn print_exec_breakdown(before: &[u64], after: &[u64], pass_ms: f64) {
     let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
     let (walls, rest) = delta.split_at(OpKind::ALL.len());
-    let [exec_ns, build_ns, columns, copy_ns, cells] = rest else {
-        unreachable!("five executor counters after the walls")
+    let [exec_ns, build_ns, columns, copy_ns, cells, memo_hits, coded_rows] = rest else {
+        unreachable!("seven executor counters after the walls")
     };
     let ms = |ns: u64| ns as f64 / 1e6;
     let pct = |ns: u64| 100.0 * ms(ns) / pass_ms;
@@ -56,7 +59,7 @@ fn print_exec_breakdown(before: &[u64], after: &[u64], pass_ms: f64) {
     let outside_ns = exec_ns.saturating_sub(kernel_ns);
     println!(
         "\nexecutor breakdown (CloudViews pass, {pass_ms:.1} ms): Execute {:.1} ms ({:.1} %): \
-         kernels {:.1} ms ({:.1} %), outside kernels (byte accounting, validate) {:.1} ms ({:.1} %)",
+         kernels {:.1} ms ({:.1} %), outside kernels (byte accounting) {:.1} ms ({:.1} %)",
         ms(*exec_ns),
         pct(*exec_ns),
         ms(kernel_ns),
@@ -83,6 +86,7 @@ fn print_exec_breakdown(before: &[u64], after: &[u64], pass_ms: f64) {
         pct(*copy_ns),
         *copy_ns as f64 / (*cells).max(1) as f64
     );
+    println!("  once per stored input: {memo_hits} dataset exchanges kept, {coded_rows} Str key rows read as codes");
 }
 
 fn main() -> scope_common::Result<()> {

@@ -275,6 +275,8 @@ fn prometheus_export_is_well_formed() {
         "# TYPE cv_exec_copy_wall_nanos_total counter",
         "# TYPE cv_exec_build_wall_nanos_total counter",
         "# TYPE cv_exec_gather_columns_total counter",
+        "# TYPE cv_exec_exchange_memo_hits_total counter",
+        "# TYPE cv_exec_coded_key_rows_total counter",
     ] {
         assert!(text.contains(series), "missing {series:?}");
     }
@@ -288,6 +290,9 @@ fn prometheus_export_is_well_formed() {
     assert!(snap.counter("cv_exec_build_wall_nanos_total") > 0);
     assert!(snap.counter("cv_exec_copy_wall_nanos_total") > 0);
     assert!(snap.counter("cv_exec_wall_nanos_total") > 0);
+    // Jobs of one instance scan the same streams: a later job takes the
+    // hash exchange an earlier one built.
+    assert!(snap.counter("cv_exec_exchange_memo_hits_total") > 0);
     // Kernel wall time per operator kind: every kind exports a series, and
     // the kinds the jobs ran add up to a positive total.
     let mut op_wall = 0;
