@@ -149,6 +149,17 @@ views_verified_by_identity() {
     || { echo "$f hashes a view when it is published"; return 1; }
 }
 
+# A `Str` column is a dictionary and its codes, and that is its only
+# representation: non-test data.rs and exec.rs keep no code memo beside the
+# column, no cost gate choosing codes, and no `&str` group-key path.
+str_is_dictionary_codes() {
+  for f in crates/scope-engine/src/data.rs crates/scope-engine/src/exec.rs; do
+    ! sed '/^#\[cfg(test)\]/,$d' "$f" \
+      | grep -nE '\bstruct Codes\b|\bfn (coded|coded_groups)\b|\bimpl GroupKey for &str\b' \
+      || { echo "$f codes strings beside the column"; return 1; }
+  done
+}
+
 status=0
 for rule in \
   row_engine_oracle_stays_out_of_the_library \
@@ -167,6 +178,7 @@ for rule in \
   one_job_path \
   analyzer_rules_once \
   views_verified_by_identity \
+  str_is_dictionary_codes \
   no_serde_derive; do
   if ! "$rule"; then
     echo "guard broken: $rule" >&2

@@ -3,11 +3,13 @@
 //! A [`Table`] is a list of partitions; each partition is a list of
 //! immutable, reference-counted [`RecordBatch`]es; each batch holds
 //! [`Column`]s: typed [`ColumnVector`]s with optional null masks, either
-//! dense or **deferred**. No shipped path reads a table as rows: the
-//! executor, the view codec and table equality walk cells. Rows exist for
-//! data generators and tests, which build tables with [`Table::from_rows`],
-//! and for tests and the row-engine oracle, which read them back with
-//! [`Table::partition_rows`], [`Table::all_rows`] and [`RecordBatch::row`].
+//! dense or **deferred**; a string column is a dictionary of distinct
+//! values and one code per row ([`Strs`]). No shipped path reads a table
+//! as rows: the executor, the view codec and table equality walk cells.
+//! Rows exist for data generators and tests, which build tables with
+//! [`Table::from_rows`], and for tests and the row-engine oracle, which
+//! read them back with [`Table::partition_rows`], [`Table::all_rows`] and
+//! [`RecordBatch::row`].
 //!
 //! **Gather on read, once per node.** Every operation that moves rows
 //! without computing on them — the three repartitions, sort, filter, the
@@ -67,10 +69,10 @@ pub type NullMask = Vec<bool>;
 // ColumnVector
 // ---------------------------------------------------------------------------
 
-/// The values of a string column in one allocation: every value's UTF-8
-/// bytes back to back, value `i` ending at byte `ends[i]` (and starting
-/// where value `i - 1` ended). Gathering and concatenating strings is slice
-/// copying; no cell owns a heap allocation.
+/// Strings in one allocation: every value's UTF-8 bytes back to back,
+/// value `i` ending at byte `ends[i]` (and starting where value `i - 1`
+/// ended). A string column's dictionary ([`Strs`]); no value owns a heap
+/// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct StrVec {
     bytes: String,
@@ -78,14 +80,6 @@ pub struct StrVec {
 }
 
 impl StrVec {
-    /// An empty vector with room for `rows` values.
-    pub fn with_capacity(rows: usize) -> StrVec {
-        StrVec {
-            bytes: String::new(),
-            ends: Vec::with_capacity(rows),
-        }
-    }
-
     /// Number of values.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -122,13 +116,68 @@ impl StrVec {
 
 impl<S: AsRef<str>> FromIterator<S> for StrVec {
     fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrVec {
-        let iter = iter.into_iter();
-        let mut out = StrVec::with_capacity(iter.size_hint().0);
+        let mut out = StrVec::default();
         for s in iter {
             out.push(s.as_ref());
         }
         out
     }
+}
+
+/// The values of a string column: a dictionary of distinct values, shared
+/// by every column gathered from this one, and each row's code in it (0
+/// where masked NULL). The dictionary is empty only when there are no rows.
+/// Gathering strings copies codes; a computation on strings runs once per
+/// dictionary entry and reaches the rows through the codes.
+#[derive(Clone, Debug)]
+pub struct Strs {
+    pub(crate) dict: Arc<StrVec>,
+    pub(crate) codes: Vec<u32>,
+}
+
+/// A dictionary under construction: each value not met before gets the
+/// next code. The one way to build a [`Strs`].
+#[derive(Default)]
+pub struct Interner<'a> {
+    dict: StrVec,
+    index: WordMap<&'a str, u32>,
+}
+
+impl<'a> Interner<'a> {
+    /// The code of `value`.
+    pub fn code(&mut self, value: &'a str) -> u32 {
+        let dict = &mut self.dict;
+        *self.index.entry(value).or_insert_with(|| {
+            dict.push(value);
+            dict.len() as u32 - 1
+        })
+    }
+
+    /// A column of `codes` in the dictionary built.
+    pub fn strs(self, codes: Vec<u32>) -> Strs {
+        let dict = Arc::new(self.dict);
+        Strs { dict, codes }
+    }
+}
+
+/// A dictionary's codes in another space, by code (`None`: the same).
+pub(crate) type Recode = Option<Box<[u32]>>;
+
+/// One code space over the dictionaries `dicts`: the first when all are
+/// one, else a new dictionary holding the first's values at their codes and
+/// every other value after them; and each dictionary's codes there.
+/// O(distinct values), once per call.
+pub(crate) fn one_space<'a>(dicts: &[&'a Arc<StrVec>]) -> (Arc<StrVec>, Few<Recode>) {
+    let first = dicts[0];
+    let apart = |d: &&Arc<StrVec>| !Arc::ptr_eq(d, first);
+    if !dicts.iter().any(apart) {
+        return (first.clone(), dicts.iter().map(|_| None).collect());
+    }
+    let mut space = Interner::default();
+    first.iter().for_each(|v| _ = space.code(v));
+    let mut to = |d: &&'a Arc<StrVec>| apart(d).then(|| d.iter().map(|v| space.code(v)).collect());
+    let to = dicts.iter().map(&mut to).collect();
+    (Arc::new(space.dict), to)
 }
 
 /// A typed column with an optional null mask; `Mixed` is the untyped
@@ -165,8 +214,8 @@ pub enum ColumnVector {
     },
     /// UTF-8 strings.
     Str {
-        /// Values (empty where masked null).
-        data: StrVec,
+        /// Values (code 0 where masked null).
+        data: Strs,
         /// Null mask.
         nulls: Option<NullMask>,
     },
@@ -199,7 +248,7 @@ impl ColumnVector {
             ColumnVector::Float { data, .. } => data.len(),
             ColumnVector::Bool { data, .. } => data.len(),
             ColumnVector::Date { data, .. } => data.len(),
-            ColumnVector::Str { data, .. } => data.len(),
+            ColumnVector::Str { data, .. } => data.codes.len(),
             ColumnVector::Mixed(data) => data.len(),
         }
     }
@@ -248,7 +297,7 @@ impl ColumnVector {
                 if mask_get(nulls, i) {
                     Cell::Null
                 } else {
-                    Cell::Str(data.get(i))
+                    Cell::Str(data.dict.get(data.codes[i] as usize))
                 }
             }
             ColumnVector::Mixed(data) => Cell::of(&data[i]),
@@ -326,7 +375,7 @@ impl ColumnVector {
         self.fixed_width().filter(|_| self.nulls().is_none())
     }
 
-    lanes!(ints: Int => [i64], floats: Float => [f64], dates: Date => [i32], strs: Str => StrVec);
+    lanes!(ints: Int => [i64], floats: Float => [f64], dates: Date => [i32], strs: Str => Strs);
 
     /// Builds a column from owned values: single-typed columns get a typed
     /// vector (with a null mask when needed); anything else stays `Mixed`.
@@ -370,16 +419,15 @@ impl ColumnVector {
             DataType::Float => build!(Float, 0.0, Value::Float(x) => x),
             DataType::Bool => build!(Bool, false, Value::Bool(x) => x),
             DataType::Date => build!(Date, 0, Value::Date(x) => x),
-            DataType::Str => ColumnVector::Str {
-                data: values
+            DataType::Str => {
+                let mut dict = Interner::default();
+                let codes = values
                     .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s.as_str(),
-                        _ => "",
-                    })
-                    .collect(),
-                nulls,
-            },
+                    .map(|v| v.as_str().map_or(0, |s| dict.code(s)));
+                let codes = codes.collect();
+                let data = dict.strs(codes);
+                ColumnVector::Str { data, nulls }
+            }
         }
     }
 
@@ -430,13 +478,16 @@ impl ColumnVector {
             Some(Bool { .. }) if same_variant => typed_gather!(Bool, bool),
             Some(Date { .. }) if same_variant => typed_gather!(Date, i32),
             Some(Str { .. }) if same_variant => {
-                let mut data = StrVec::with_capacity(picks.len());
-                for p in picks {
-                    let Str { data: d, .. } = source(p) else {
-                        unreachable!("string gather on differing variants");
-                    };
-                    data.push(d.get(p.row as usize));
-                }
+                // Codes copied, each mapped into one space when the
+                // sources' dictionaries differ.
+                let strs: Few<&Strs> = sources.iter().filter_map(|c| c.strs()).collect();
+                let (dict, to) = one_space(&strs.iter().map(|s| &s.dict).collect::<Few<_>>());
+                let code = |p: &Pick| {
+                    let c = strs[p.src as usize].codes[p.row as usize];
+                    to[p.src as usize].as_ref().map_or(c, |to| to[c as usize])
+                };
+                let codes = picks.iter().map(code).collect();
+                let data = Strs { dict, codes };
                 Str { data, nulls }
             }
             _ => ColumnVector::from_values(
@@ -489,13 +540,16 @@ impl ColumnVector {
             ColumnVector::Float { data, .. } => typed_take!(Float, data),
             ColumnVector::Bool { data, .. } => typed_take!(Bool, data),
             ColumnVector::Date { data, .. } => typed_take!(Date, data),
-            ColumnVector::Str { data, .. } => ColumnVector::Str {
-                data: idx
-                    .iter()
-                    .map(|i| i.map_or("", |i| data.get(i as usize)))
-                    .collect(),
-                nulls,
-            },
+            // Nothing to take: every row is NULL, which `Mixed` holds.
+            ColumnVector::Str { .. } if self.is_empty() => {
+                ColumnVector::Mixed(vec![Value::Null; idx.len()])
+            }
+            ColumnVector::Str { data, .. } => {
+                let code = |i: &Option<u32>| i.map_or(0, |i| data.codes[i as usize]);
+                let (dict, codes) = (data.dict.clone(), idx.iter().map(code).collect());
+                let data = Strs { dict, codes };
+                ColumnVector::Str { data, nulls }
+            }
             ColumnVector::Mixed(data) => ColumnVector::Mixed(
                 idx.iter()
                     .map(|i| i.map_or(Value::Null, |i| data[i as usize].clone()))
@@ -537,24 +591,13 @@ fn timed<T>(kind: usize, n: usize, work: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The cells of a dense column, the partition of every row under the
-/// first single-key hash exchange that routed on it and, for a `Str` key,
-/// every row's code: both live and die with the cells they describe.
+/// The cells of a dense column and the partition of every row under the
+/// first single-key hash exchange that routed on it, which lives and dies
+/// with the cells it describes.
 #[derive(Debug)]
 pub struct Cells {
     vector: ColumnVector,
     routes: OnceLock<Routes>,
-    /// Boxed: most columns are never coded.
-    codes: OnceLock<Box<Codes>>,
-}
-
-/// A `Str` column as codes: `of_row[i]` is the first-seen index of row
-/// `i`'s value among the distinct values (0 where NULL), `firsts[c]` the
-/// first row holding code `c`.
-#[derive(Debug)]
-struct Codes {
-    of_row: Box<[u32]>,
-    firsts: Box<[u32]>,
 }
 
 /// A memoised route map: `of_row[i]` is row `i`'s partition among `parts`,
@@ -578,7 +621,6 @@ impl From<ColumnVector> for Cells {
         Cells {
             vector,
             routes: OnceLock::new(),
-            codes: OnceLock::new(),
         }
     }
 }
@@ -608,10 +650,6 @@ impl Cells {
     /// [`ColumnVector::byte_total`] of rows `rows`.
     fn bytes_of(&self, rows: Range<usize>) -> u64 {
         match (&self.vector, self.plain_width()) {
-            (ColumnVector::Str { data, nulls: None }, _) => {
-                let end = |i: usize| if i == 0 { 0 } else { data.ends[i - 1] as u64 };
-                8 * rows.len() as u64 + end(rows.end) - end(rows.start)
-            }
             (_, Some(width)) => width * rows.len() as u64,
             _ => Located {
                 sources: Few::One(self),
@@ -622,85 +660,6 @@ impl Cells {
             .byte_total(),
         }
     }
-
-    /// Every row's code and every code's first row, built by the first
-    /// caller; `None` unless this is a `Str` column.
-    fn codes(&self) -> Option<&Codes> {
-        let ColumnVector::Str { data, nulls } = &self.vector else {
-            return None;
-        };
-        Some(self.codes.get_or_init(|| {
-            let (mut code, mut firsts) = (WordMap::<&str, u32>::default(), Vec::new());
-            let mut of = |i: usize| {
-                let next = firsts.len() as u32;
-                *code.entry(data.get(i)).or_insert_with(|| {
-                    firsts.push(i as u32);
-                    next
-                })
-            };
-            let of_row = (0..data.len()).map(|i| if mask_get(nulls, i) { 0 } else { of(i) });
-            let of_row = of_row.collect();
-            Box::new(Codes {
-                of_row,
-                firsts: firsts.into(),
-            })
-        }))
-    }
-}
-
-/// One source of a `Str` key read as codes: its codes and, when it was
-/// coded apart from the key's first source, each of its codes' code there.
-pub(crate) struct Coded<'a> {
-    codes: &'a [u32],
-    to: Option<Box<[u32]>>,
-}
-
-impl Coded<'_> {
-    /// The code of row `r`, in the first source's codes.
-    #[inline]
-    pub(crate) fn get(&self, r: usize) -> i64 {
-        let c = self.codes[r];
-        self.to.as_ref().map_or(c, |to| to[c as usize]) as i64
-    }
-}
-
-/// The sources of each of `sides` (a `Str` key column each), read as codes
-/// of one space: two rows get one code exactly when their values are
-/// equal. A source is coded once in its life; one that is not the first
-/// side's first is mapped into that one's codes at O(distinct) per call.
-/// `None` unless every source is a `Str` column, or when coding or mapping
-/// would walk more than `budget` rows or values.
-pub(crate) fn coded<'a>(sides: &[&Located<'a>], budget: usize) -> Option<Vec<Few<Coded<'a>>>> {
-    let sources = || sides.iter().flat_map(|l| l.sources.iter().copied());
-    let uncoded = |c: &Cells| c.strs().map(|_| c.codes.get().map_or(c.len(), |_| 0));
-    let first = *sides.first()?.sources.first()?;
-    let apart = |c: &Cells| !std::ptr::eq(c, first);
-    let distinct = || sources().map(|c| c.codes().map_or(0, |k| k.firsts.len()));
-    if sources().map(uncoded).sum::<Option<usize>>()? > budget
-        || sources().any(apart) && distinct().sum::<usize>() > budget
-    {
-        return None;
-    }
-    // The first source's values keyed to its codes, and every value met in
-    // a source coded apart keyed to a new one.
-    let mut space: WordMap<&'a str, u32> = WordMap::default();
-    let values = |c: &'a Cells| {
-        let (strs, codes) = c.strs().zip(c.codes()).expect("a coded `Str` column");
-        codes.firsts.iter().map(move |&r| strs.get(r as usize))
-    };
-    let mut code = |v: &'a str| {
-        if space.is_empty() {
-            space.extend(values(first).zip(0..));
-        }
-        let next = space.len() as u32;
-        *space.entry(v).or_insert(next)
-    };
-    let mut coded = |c: &'a Cells| Coded {
-        codes: &c.codes().expect("coded above").of_row,
-        to: apart(c).then(|| values(c).map(&mut code).collect()),
-    };
-    let side = |l: &&Located<'a>| l.sources.iter().map(|&c| coded(c)).collect();
-    Some(sides.iter().map(side).collect())
 }
 
 /// One row of a deferred column: row `row` of the recipe's `src`-th source.
@@ -950,7 +909,19 @@ impl<'a> Located<'a> {
         if let Some((w, cells)) = fixed {
             cells.each(|_, _| w, add);
         } else if let Some(strs) = self.lanes(ColumnVector::strs) {
-            strs.each(|d, r| 8 + d.len_of(r) as u64, add);
+            // A row reads its code's size from a table of them where the
+            // dictionary is no longer than the rows (two offsets a row read
+            // ~3x slower), from its offsets else.
+            let table = |d: &StrVec| (0..d.len()).map(|c| 8 + d.len_of(c) as u64).collect();
+            let sized: Few<_> = (strs.data.iter())
+                .map(|&s| (s, (s.dict.len() <= self.rows).then(|| table(&s.dict))))
+                .collect();
+            let size = |(s, t): &(&Strs, Option<Box<[u64]>>), r: usize| {
+                let c = s.codes[r] as usize;
+                t.as_ref()
+                    .map_or_else(|| 8 + s.dict.len_of(c) as u64, |t| t[c])
+            };
+            self.lanes_of(sized.iter().collect()).each(size, add);
         } else {
             return (0..self.rows())
                 .map(|i| self.cell(i).byte_size() as u64)
@@ -964,7 +935,8 @@ impl<'a> Located<'a> {
 /// some source has one, its null mask; the picks, or `None` for one source
 /// read row for row from row `start`.
 pub(crate) struct Lanes<'a, D: ?Sized> {
-    data: Few<&'a D>,
+    /// Each source's values.
+    pub(crate) data: Few<&'a D>,
     nulls: Option<Few<Option<&'a [bool]>>>,
     picks: Option<&'a [Pick]>,
     start: usize,
@@ -2164,16 +2136,20 @@ impl HashParts {
             ColumnVector::Date { data, nulls } => {
                 self.int_routes(nulls, data.len(), |i| data[i] as u32 as i64, 5, 4)
             }
-            ColumnVector::Str { data, nulls } => (0..cells.len())
-                .map(|i| {
-                    if mask_get(nulls, i) {
-                        return null;
-                    }
+            ColumnVector::Str { data, nulls } => {
+                // Each dictionary entry hashed once, each row mapped through.
+                let of = |v: &str| {
                     let mut h = HashParts::hasher();
-                    Cell::Str(data.get(i)).stable_hash_into(&mut h);
+                    Cell::Str(v).stable_hash_into(&mut h);
                     self.of(h.finish()) as u8
-                })
-                .collect(),
+                };
+                let parts: Vec<u8> = data.dict.iter().map(of).collect();
+                let part = |(i, &c): (usize, &u32)| match mask_get(nulls, i) {
+                    true => null,
+                    false => parts[c as usize],
+                };
+                data.codes.iter().enumerate().map(part).collect()
+            }
             _ => return None,
         })
     }
@@ -2320,23 +2296,6 @@ pub(crate) mod tests {
         batch.row_hash_sum.get().is_some()
     }
 
-    /// The number of sources `l` reads.
-    pub(crate) fn fan_in(l: &Located<'_>) -> usize {
-        l.sources.len()
-    }
-
-    /// True when the two columns read cells from a common source.
-    pub(crate) fn shares_cells(a: &Column, b: &Column) -> bool {
-        let sources = |c: &Column| {
-            let l = c.locate(0..c.len());
-            l.sources
-                .iter()
-                .map(|&c| c as *const Cells)
-                .collect::<Vec<_>>()
-        };
-        sources(a).iter().any(|p| sources(b).contains(p))
-    }
-
     /// Partition `p` of `t` as one whole batch: shared when it is already
     /// one, gathered otherwise.
     pub(crate) fn partition_as_batch(t: &Table, p: usize) -> RecordBatch {
@@ -2419,7 +2378,12 @@ pub(crate) mod tests {
                     nulls: None,
                 },
                 ColumnVector::Str {
-                    data: (0..20).map(|i| format!("x{i}")).collect(),
+                    data: {
+                        let values: Vec<String> = (0..20).map(|i| format!("x{i}")).collect();
+                        let mut dict = Interner::default();
+                        let codes = values.iter().map(|v| dict.code(v)).collect();
+                        dict.strs(codes)
+                    },
                     nulls: None,
                 },
             ]],
@@ -2689,7 +2653,7 @@ pub(crate) mod tests {
         assert_eq!(taken.value(2), Value::Int(1));
     }
 
-    // -- contracts the one-gather exchange, the flat string layout and the
+    // -- contracts the one-gather exchange, the string dictionaries and the
     // -- memoised checksum lean on -------------------------------------------
 
     use rand::rngs::SmallRng;
@@ -2842,7 +2806,7 @@ pub(crate) mod tests {
 
     /// Row-at-a-time scatter: every row, in scan order, appended to the
     /// partition its key cells hash to.
-    fn reference_hash_scatter(t: &Table, cols: &[usize], parts: usize) -> Vec<Vec<Row>> {
+    pub(crate) fn reference_hash_scatter(t: &Table, cols: &[usize], parts: usize) -> Vec<Vec<Row>> {
         let mut out = vec![Vec::new(); parts];
         for row in t.all_rows() {
             let mut h = SipHasher24::new_with_keys(0x9e3779b97f4a7c15, 0x85ebca6b);
@@ -3490,47 +3454,45 @@ pub(crate) mod tests {
         assert_eq!(rr.partition_rows(1)[1], table(64).all_rows()[4]);
     }
 
+    /// A `Str` column's dictionary and codes.
+    pub(crate) fn dict_of(col: &ColumnVector) -> (&Arc<StrVec>, &[u32]) {
+        let strs = col.strs().expect("a Str column");
+        (&strs.dict, &strs.codes)
+    }
+
+    /// True when no value of `dict` repeats.
+    pub(crate) fn distinct(dict: &StrVec) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        dict.iter().all(|v| seen.insert(v))
+    }
+
     #[test]
-    fn str_column_operations_match_value_reference() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let values = |rng: &mut SmallRng, n: usize| -> Vec<Value> {
-            (0..n)
-                .map(|_| match rng.gen_range(0..STRS.len() + 1) {
-                    i if i < STRS.len() => Value::Str(STRS[i].into()),
-                    _ => Value::Null,
-                })
-                .collect()
+    fn a_str_gather_shares_one_dictionary_and_merges_two() {
+        let column = |values: &[&str]| {
+            ColumnVector::from_values(values.iter().map(|&v| Value::Str(v.into())).collect())
         };
-        let check = |col: &ColumnVector, want: &[Value]| {
-            assert!(matches!(col, ColumnVector::Str { .. }));
-            assert_eq!(col.len(), want.len());
-            let got: Vec<Value> = (0..col.len()).map(|i| col.value(i)).collect();
+        let (a, b) = (column(&["x", "y", "x", "z"]), column(&["z", "w", "y"]));
+        let picks = |pairs: &[(u32, u32)]| -> Vec<Pick> {
+            pairs.iter().map(|&(src, row)| Pick { src, row }).collect()
+        };
+        // One dictionary, here read twice: the gather shares it and copies
+        // one code per row.
+        let one = ColumnVector::gather(&[&a, &a], &picks(&[(0, 3), (1, 0), (0, 2)]));
+        assert!(Arc::ptr_eq(dict_of(&one).0, dict_of(&a).0));
+        assert_eq!(dict_of(&one).1, [2, 0, 0]);
+        // Two dictionaries: one holding each value once, the first's
+        // values keeping their codes.
+        let two = ColumnVector::gather(&[&a, &b], &picks(&[(1, 1), (0, 1), (1, 0)]));
+        let concat = ColumnVector::concat(&[a.clone(), b.clone()]);
+        for (col, want) in [
+            (&two, &["w", "y", "z"][..]),
+            (&concat, &["x", "y", "x", "z", "z", "w", "y"]),
+        ] {
+            let (dict, codes) = dict_of(col);
+            assert!(distinct(dict), "{:?}", dict.iter().collect::<Vec<_>>());
+            assert_eq!(dict.iter().take(3).collect::<Vec<_>>(), ["x", "y", "z"]);
+            let got: Vec<&str> = codes.iter().map(|&c| dict.get(c as usize)).collect();
             assert_eq!(got, want);
-            let bytes: usize = want.iter().map(Value::byte_size).sum();
-            assert_eq!(col.byte_total(), bytes as u64);
-        };
-        for _ in 0..20 {
-            let (a, b) = (values(&mut rng, 30), values(&mut rng, 17));
-            let (ca, cb) = (
-                ColumnVector::from_values(a.clone()),
-                ColumnVector::from_values(b.clone()),
-            );
-            check(&ca, &a);
-            let idx: Vec<u32> = (0..12).map(|_| rng.gen_range(0..30)).collect();
-            let opt: Vec<Option<u32>> = idx.iter().map(|&i| (i % 3 != 0).then_some(i)).collect();
-            let want: Vec<Value> = opt
-                .iter()
-                .map(|i| i.map_or(Value::Null, |i| a[i as usize].clone()))
-                .collect();
-            check(&ca.take_opt(&opt), &want);
-            // A one-source gather, and two sources interleaved.
-            let picks: Vec<Pick> = idx.iter().map(|&row| Pick { src: 0, row }).collect();
-            let want: Vec<Value> = idx.iter().map(|&i| a[i as usize].clone()).collect();
-            check(&ColumnVector::gather(&[&ca], &picks), &want);
-            let pairs = [(0, 29), (1, 16), (0, 0), (1, 16), (0, 3)];
-            let picks = pairs.map(|(src, row)| Pick { src, row });
-            let want = pairs.map(|(src, row)| [&a, &b][src as usize][row as usize].clone());
-            check(&ColumnVector::gather(&[&ca, &cb], &picks), &want);
         }
     }
 }

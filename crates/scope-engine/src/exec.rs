@@ -9,9 +9,10 @@
 //! Operators process whole [`RecordBatch`]es: projections evaluate
 //! expressions column-wise (`crate::vexpr`). Hash Aggregate and the join's
 //! build and probe assign group ids in one kernel (`group_keys`): it reads
-//! each key where it lies, through a recipe's picks, as a typed `i64` or
-//! `&str` for one typed key column and as values otherwise, into one table —
-//! direct-address for a dense integer range, word-hashed else. Stream
+//! each key where it lies, through a recipe's picks, as an `i64` for one
+//! `Int`, `Date` or `Str` key column (a `Str` column's codes) and as values
+//! otherwise, into one table — direct-address for a dense integer range,
+//! word-hashed else. Stream
 //! Aggregate takes its groups from runs of equal keys and shares hash
 //! Aggregate's accumulation loop. Operators that only *move* rows — Filter,
 //! Sort, Top, Exchange, the join emit — build recipes, not cells
@@ -59,8 +60,8 @@ use scope_plan::{
 
 use crate::cost::CostModel;
 use crate::data::{
-    coded, compare_batch_rows_full, cut, gathers, keys_of, row_order, Coded, Column, ColumnVector,
-    Few, Lanes, Located, Partition, RecordBatch, Rows, StrVec, Table, Views, BUILD, COPY,
+    compare_batch_rows_full, cut, gathers, keys_of, one_space, row_order, Column, ColumnVector,
+    Few, Interner, Lanes, Located, Partition, RecordBatch, Rows, Strs, Table, Views, BUILD, COPY,
 };
 use crate::storage::StorageManager;
 use crate::vexpr;
@@ -106,12 +107,12 @@ pub struct ExecOutcome {
     pub wall: Duration,
     /// Hash exchanges of a dataset scan kept from an earlier plan.
     pub exchange_memo_hits: u64,
-    /// Rows of single `Str` keys grouped, built or probed through codes.
+    /// Rows of single `Str` keys grouped, built or probed, all as codes.
     pub coded_key_rows: u64,
 }
 
 thread_local! {
-    /// `Str` key rows grouped through codes on this thread.
+    /// Single-`Str`-key rows grouped on this thread.
     static CODED_KEY_ROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -692,13 +693,13 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<RowsOut> {
     match &udo.kind {
         UdoKind::Tokenize { col } => {
             let text = batch.column(*col);
-            let (mut from, mut data) = (Vec::new(), StrVec::with_capacity(rows));
+            let (mut from, mut tokens, mut codes) = (Vec::new(), Interner::default(), Vec::new());
             for i in 0..rows {
                 match text.cell(i) {
                     Cell::Str(s) => {
                         for token in s.split_whitespace() {
                             from.push(i as u32);
-                            data.push(token);
+                            codes.push(tokens.code(token));
                         }
                     }
                     Cell::Null => {}
@@ -712,6 +713,7 @@ fn process_batch(udo: &Udo, batch: &RecordBatch) -> Result<RowsOut> {
                 return Ok(None);
             }
             let mut columns: Vec<Column> = RecordBatch::gather_columns(&[(batch, Some(&from))]);
+            let data = tokens.strs(codes);
             columns.push(ColumnVector::Str { data, nulls: None }.into());
             Ok(Some((RecordBatch::new(columns, from.len()), Some(from))))
         }
@@ -1071,8 +1073,6 @@ impl GroupKey for i64 {
     }
 }
 
-impl GroupKey for &str {}
-
 impl GroupKey for Vec<Value> {}
 
 /// Key → group id: a direct-address table over a dense range of integer
@@ -1171,37 +1171,31 @@ fn assign_groups<B: Keys>(build: B, probe: Option<B>) -> Grouping {
 
 /// Groups `build`'s keys and probes `probe`'s into them, reading both where
 /// they lie (`Column::locate`): no key column is copied. A single key
-/// column reads typed — an `i64` from `Int` and `Date`, a `&str` from
-/// `Str` — when every source of both sides has that variant; otherwise
-/// both read values, so `Int(1)` still joins `Float(1.0)` and an `Int`
-/// never joins a `Date`. Both batches have rows.
+/// column reads an `i64` — an `Int` or `Date` value, a `Str` code — when
+/// every source of both sides has that variant; otherwise both read
+/// values, so `Int(1)` still joins `Float(1.0)` and an `Int` never joins a
+/// `Date`. Both batches have rows.
 fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
     let one = |(batch, keys, rows): &Side<'a>| match keys {
         [k] => Some(batch.locate(*k, rows.clone())),
         _ => None,
     };
-    let (b, p) = (one(&build), probe.as_ref().map(one));
-    macro_rules! typed {
-        ($lane:expr, $get:expr) => {
-            let lanes = |l: &Option<Located<'a>>| l.as_ref().and_then(|l| l.lanes($lane));
-            if let Some(build) = lanes(&b) {
-                let get = $get;
-                // No probe, or a probe read the same way.
-                if let Some(probe) = p.as_ref().map_or(Some(None), |p| lanes(p).map(Some)) {
+    // One key column on each side: no probe, or a probe with one.
+    if let Some((b, p)) = one(&build).zip(probe.as_ref().map_or(Some(None), |p| one(p).map(Some))) {
+        macro_rules! typed {
+            ($lane:expr, $get:expr) => {
+                let probe = p.as_ref().map_or(Some(None), |p| p.lanes($lane).map(Some));
+                if let (Some(build), Some(probe), get) = (b.lanes($lane), probe, $get) {
                     return assign_groups(Typed(build, get), probe.map(|p| Typed(p, get)));
                 }
-            }
-        };
-    }
-    typed!(ColumnVector::ints, |d: &[i64], r: usize| d[r]);
-    typed!(ColumnVector::dates, |d: &[i32], r: usize| d[r] as i64);
-    // A `Str` key reads codes when coding costs no more than hashing would.
-    if let (Some(b), Some(p)) = (&b, p.as_ref().map_or(Some(None), |p| p.as_ref().map(Some))) {
-        if let Some(grouping) = coded_groups(b, p, b.rows() + p.map_or(0, Located::rows)) {
+            };
+        }
+        typed!(ColumnVector::ints, |d: &[i64], r: usize| d[r]);
+        typed!(ColumnVector::dates, |d: &[i32], r: usize| d[r] as i64);
+        if let Some(grouping) = str_groups(&b, p.as_ref()) {
             return grouping;
         }
     }
-    typed!(ColumnVector::strs, StrVec::get);
     let join = probe.is_some();
     let values = |(batch, keys, rows): Side<'a>| ValueKeys {
         cols: keys
@@ -1214,16 +1208,30 @@ fn group_keys<'a>(build: Side<'a>, probe: Option<Side<'a>>) -> Grouping {
     assign_groups(values(build), probe.map(values))
 }
 
-/// The groups of a single `Str` key read as its sources' codes ([`coded`]),
-/// or `None` when coding them would walk more than `budget` rows.
-fn coded_groups<'a>(b: &Located<'a>, p: Option<&Located<'a>>, budget: usize) -> Option<Grouping> {
-    let sides: Few<&Located<'a>> = [Some(b), p].into_iter().flatten().collect();
-    let codes = coded(&sides, budget)?;
-    let rows: usize = sides.iter().map(|l| l.rows()).sum();
+/// The groups of a single `Str` key read as its codes, every source's
+/// mapped into one code space ([`one_space`]); `None` unless every source
+/// of both sides is a `Str` column.
+fn str_groups<'a>(b: &Located<'a>, p: Option<&Located<'a>>) -> Option<Grouping> {
+    let strs = [Some(b), p]
+        .into_iter()
+        .flatten()
+        .map(|l| l.lanes(ColumnVector::strs));
+    let strs: Few<Lanes<'a, Strs>> = strs.collect::<Option<_>>()?;
+    let sources = || strs.iter().flat_map(|l| l.data.iter());
+    let (_, to) = one_space(&sources().map(|s| &s.dict).collect::<Few<_>>());
+    let coded: Few<_> = (sources().zip(&*to))
+        .map(|(s, to)| (&s.codes[..], to.as_deref()))
+        .collect();
+    let code = |&(codes, to): &(&[u32], Option<&[u32]>), r: usize| {
+        let c = codes[r];
+        to.map_or(c, |to| to[c as usize]) as i64
+    };
+    let rows: usize = strs.iter().map(|l| l.rows).sum();
     CODED_KEY_ROWS.set(CODED_KEY_ROWS.get() + rows as u64);
-    let mut keys =
-        (sides.iter().zip(&codes)).map(|(l, c)| Typed(l.lanes_of(c.iter().collect()), Coded::get));
-    Some(assign_groups(keys.next()?, keys.next()))
+    let (build, probe) = coded.split_at(strs[0].data.len());
+    let build = Typed(b.lanes_of(build.iter().collect()), code);
+    let probe = p.map(|p| Typed(p.lanes_of(probe.iter().collect()), code));
+    Some(assign_groups(build, probe))
 }
 
 /// The aggregate over every partition, built once: the key columns taken
@@ -1651,12 +1659,12 @@ fn join_output(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::tests::{cells_gathered, fan_in, partition_as_batch, shares_cells};
+    use crate::data::tests::{cells_gathered, partition_as_batch};
     use crate::data::{multiset_checksum, Row};
     use scope_common::ids::DatasetId;
     use scope_plan::expr::AggFunc;
     use scope_plan::op::WindowFunc;
-    use scope_plan::{DataType, Expr, PlanBuilder, SortKey, Udo, UdoKind};
+    use scope_plan::{BinOp, DataType, Expr, NamedExpr, PlanBuilder, SortKey, Udo, UdoKind};
     use std::cell::Cell as Counter;
 
     /// One partition's aggregate, as the node computes it.
@@ -2393,42 +2401,214 @@ mod tests {
         );
     }
 
-    /// The groups of a single `Str` key read as `&str`s from its sources.
-    fn str_groups<'a>(build: &Located<'a>, probe: Option<&Located<'a>>) -> Grouping {
-        fn strs<'a>(l: &Located<'a>) -> Lanes<'a, StrVec> {
-            l.lanes(ColumnVector::strs).expect("a Str key")
+    /// A `Str` column of `n` rows: values drawn from a few words with
+    /// NULLs, coded in a dictionary of its own; or, now and then, every row
+    /// NULL (a `Str` column still). Its values beside it.
+    fn str_column(rng: &mut rand::rngs::SmallRng, n: usize) -> (ColumnVector, Vec<Value>) {
+        use rand::Rng;
+        const WORDS: [&str; 6] = ["", "a", "bb", "日本", "a longer key", "zz"];
+        let words = rng.gen_range(1..=WORDS.len());
+        if rng.gen_bool(0.1) {
+            let seed = ColumnVector::from_values(vec![Value::Str("seed".into())]);
+            return (seed.take_opt(&vec![None; n]), vec![Value::Null; n]);
         }
-        let probe = probe.map(|p| Typed(strs(p), StrVec::get));
-        assign_groups(Typed(strs(build), StrVec::get), probe)
+        let mut values: Vec<Value> = (0..n)
+            .map(|_| match rng.gen_range(0..=words) {
+                0 => Value::Null,
+                w => Value::Str(WORDS[w - 1].into()),
+            })
+            .collect();
+        // One value at least: an all-NULL list builds a `Mixed` column.
+        values.push(Value::Str(WORDS[rng.gen_range(0..words)].into()));
+        let col = ColumnVector::from_values(values.clone());
+        let (col, values) = (
+            col.take_opt(&(0..n as u32).map(Some).collect::<Vec<_>>()),
+            values[..n].to_vec(),
+        );
+        (col, values)
     }
 
     #[test]
-    fn coded_str_keys_group_like_their_strings() {
-        use rand::SeedableRng;
-        let (mut several, mut same, mut apart) = (0, 0, 0);
-        for case in 0..240 {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(49_000 + case);
-            let build = random_keys(&mut rng, DataType::Str, 200);
-            let other = random_keys(&mut rng, DataType::Str, 300);
-            let n = build.num_rows();
-            // Build and probe from one column (two halves of its rows), or
-            // from two columns; an aggregate over the build alone.
-            let (b, half) = (build.locate(0, 0..n), build.locate(0, n / 2..n));
-            let p = other.locate(0, 0..other.num_rows());
-            for probe in [None, Some(&half), Some(&p)] {
-                let got = coded_groups(&b, probe, usize::MAX).expect("a Str key");
-                let want = str_groups(&b, probe);
+    fn str_column_operations_match_value_reference() {
+        use crate::data::tests::{dict_of, distinct, reference_hash_scatter};
+        use rand::{Rng, SeedableRng};
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let (mut one_dict, mut two_dicts, mut empty, mut all_null) = (0, 0, 0, 0);
+        for case in 0..200 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(50_000 + case);
+            // 1–3 sources, each coded apart; empty ones now and then.
+            let sources: Vec<(ColumnVector, Vec<Value>)> = (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let n = if rng.gen_bool(0.15) {
+                        0
+                    } else {
+                        rng.gen_range(1..60)
+                    };
+                    str_column(&mut rng, n)
+                })
+                .collect();
+            empty += sources.iter().filter(|(c, _)| c.is_empty()).count();
+            all_null += sources
+                .iter()
+                .filter(|(c, v)| !c.is_empty() && v.iter().all(Value::is_null))
+                .count();
+            let check = |col: &ColumnVector, want: &[Value], what: &str| {
+                assert!(
+                    matches!(col, ColumnVector::Str { .. }),
+                    "case {case} {what}"
+                );
+                let got: Vec<Value> = (0..col.len()).map(|i| col.value(i)).collect();
+                assert_eq!(got, want, "case {case} {what}");
+                let bytes: usize = want.iter().map(Value::byte_size).sum();
+                assert_eq!(col.byte_total(), bytes as u64, "case {case} {what}");
+                assert!(distinct(dict_of(col).0), "case {case} {what}");
+            };
+            for (col, values) in &sources {
+                check(col, values, "source");
+            }
+            // Concat, and a take with NULL padding from it.
+            let values: Vec<Value> = sources.iter().flat_map(|(_, v)| v.clone()).collect();
+            let parts: Vec<ColumnVector> = sources.iter().map(|(c, _)| c.clone()).collect();
+            let all = ColumnVector::concat(&parts);
+            check(&all, &values, "concat");
+            if !values.is_empty() {
+                let idx: Vec<Option<u32>> = (0..40)
+                    .map(|_| {
+                        rng.gen_bool(0.8)
+                            .then(|| rng.gen_range(0..values.len() as u32))
+                    })
+                    .collect();
+                let want: Vec<Value> = (idx.iter())
+                    .map(|i| i.map_or(Value::Null, |i| values[i as usize].clone()))
+                    .collect();
+                check(&all.take_opt(&idx), &want, "take_opt");
+            }
+            // A gather over the sources, its bytes counted through the picks
+            // and then its cells.
+            let batches: Vec<RecordBatch> = (sources.iter())
+                .map(|(c, _)| RecordBatch::new(vec![c.clone().into()], c.len()))
+                .collect();
+            let filled: Vec<usize> = (0..batches.len())
+                .filter(|&b| batches[b].num_rows() > 0)
+                .collect();
+            if filled.is_empty() {
+                continue;
+            }
+            let picks: Vec<(usize, Vec<u32>)> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    let b = filled[rng.gen_range(0..filled.len())];
+                    let n = batches[b].num_rows() as u32;
+                    (
+                        b,
+                        (0..rng.gen_range(1..30))
+                            .map(|_| rng.gen_range(0..n))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let runs: Vec<Rows<'_>> = (picks.iter())
+                .map(|(b, idx)| (&batches[*b], Some(&idx[..])))
+                .collect();
+            let gathered = RecordBatch::gather(&runs);
+            let want: Vec<Value> = (picks.iter())
+                .flat_map(|(b, idx)| idx.iter().map(|&i| sources[*b].1[i as usize].clone()))
+                .collect();
+            let bytes: usize = want.iter().map(Value::byte_size).sum();
+            assert_eq!(gathered.bytes(), bytes as u64, "case {case} gathered bytes");
+            check(gathered.column(0), &want, "gather");
+            // Routed as the only key, from dense sources and through picks.
+            let whole = |b: &RecordBatch| Partition::One(b.clone());
+            let dense = Table::from_batches(
+                schema.clone(),
+                filled.iter().map(|&b| whole(&batches[b])).collect(),
+                PhysicalProps::any(),
+            );
+            let deferred = RecordBatch::gather(&runs);
+            let deferred =
+                Table::from_batches(schema.clone(), vec![whole(&deferred)], PhysicalProps::any());
+            for t in [&dense, &deferred] {
+                for parts in [8, 5] {
+                    let routed = t.hash_repartition(&[0], parts).unwrap();
+                    let want = reference_hash_scatter(t, &[0], parts);
+                    for (p, want) in want.iter().enumerate() {
+                        assert_eq!(&routed.partition_rows(p), want, "case {case} p{p}");
+                    }
+                }
+            }
+            // Compared with a constant held, absent, empty or NULL.
+            let dense_all = RecordBatch::new(vec![all.clone().into()], all.len());
+            for k in ["bb", "b", "", "zzz"]
+                .map(|k| Value::Str(k.into()))
+                .into_iter()
+                .chain([Value::Null])
+            {
+                for op in [
+                    BinOp::Eq,
+                    BinOp::Ne,
+                    BinOp::Lt,
+                    BinOp::Le,
+                    BinOp::Gt,
+                    BinOp::Ge,
+                ] {
+                    let (left, right) = (Box::new(Expr::col(0)), Box::new(Expr::lit(k.clone())));
+                    let pred = Expr::Binary { op, left, right };
+                    let got = vexpr::eval_exprs(&[NamedExpr::new("p", pred.clone())], &dense_all)
+                        .unwrap();
+                    let (sel, _) = vexpr::eval_predicate_selection(&pred, &gathered);
+                    let holds = |v: &Value| pred.eval(std::slice::from_ref(v)).unwrap();
+                    for (i, v) in values.iter().enumerate() {
+                        assert_eq!(
+                            got[0].dense().value(i),
+                            holds(v),
+                            "case {case} {pred:?} row {i}"
+                        );
+                    }
+                    let want: Vec<u32> = (0..want.len() as u32)
+                        .filter(|&i| holds(&want[i as usize]).is_true())
+                        .collect();
+                    assert_eq!(sel, want, "case {case} {pred:?}");
+                }
+            }
+            // Grouped alone, and built and probed over one dictionary (two
+            // gathers from one source) and over two (two sources).
+            let mut from = |b: usize| {
+                let n = batches[b].num_rows() as u32;
+                let idx: Vec<u32> = (0..rng.gen_range(1..50))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                RecordBatch::gather(&[(&batches[b], Some(&idx[..]))])
+            };
+            let (b0, b1) = (filled[0], *filled.last().unwrap());
+            let (build, same, other) = (from(b0), from(b0), from(b1));
+            fn side(b: &RecordBatch) -> Side<'_> {
+                (b, &[0], 0..b.num_rows())
+            }
+            fn by_value(b: &RecordBatch, join: bool) -> ValueKeys<'_> {
+                let cols = vec![b.locate(0, 0..b.num_rows())];
+                let rows = b.num_rows();
+                ValueKeys { cols, rows, join }
+            }
+            for (build, probe) in [
+                (&gathered, None),
+                (&build, Some(&same)),
+                (&build, Some(&other)),
+                (&gathered, Some(&build)),
+            ] {
+                let got = group_keys(side(build), probe.map(side));
+                let join = probe.is_some();
+                let want = assign_groups(by_value(build, join), probe.map(|p| by_value(p, join)));
                 assert_eq!(got.of_row, want.of_row, "case {case}");
                 assert_eq!(got.firsts, want.firsts, "case {case}");
                 assert_eq!(got.probed, want.probed, "case {case}");
             }
-            several += usize::from(fan_in(&b) > 1);
-            same += usize::from(fan_in(&b) == 1);
-            apart += usize::from(!shares_cells(&build.columns()[0], &other.columns()[0]));
+            match b0 == b1 {
+                true => one_dict += 1,
+                false => two_dicts += 1,
+            }
         }
         assert!(
-            several > 50 && same > 50 && apart > 200,
-            "{several} {same} {apart}"
+            one_dict > 30 && two_dicts > 30 && empty > 10 && all_null > 10,
+            "{one_dict} {two_dicts} {empty} {all_null}"
         );
     }
 

@@ -372,7 +372,9 @@ fn cmp_col_const(op: BinOp, col: &ColumnVector, k: &Value, rows: usize) -> Optio
             kernel!(data, nulls, k, |v: &i32, k: &i32| v.cmp(k))
         }
         (ColumnVector::Str { data, nulls }, Value::Str(k)) => {
-            kernel!(data, nulls, k, |v: &str, k: &String| v.cmp(k.as_str()))
+            // Each dictionary entry compared once, each row mapped through.
+            let o: Vec<_> = data.dict.iter().map(|v| v.cmp(k)).collect();
+            kernel!(data.codes, nulls, &o, |&c: &u32, o: &Vec<_>| o[c as usize])
         }
         (ColumnVector::Float { data, nulls }, Value::Float(k)) => {
             kernel!(data, nulls, k, |v: &f64, k: &f64| v.total_cmp(k))

@@ -23,7 +23,7 @@ use rand::Rng;
 use scope_common::hash::sip64;
 use scope_common::ids::{BusinessUnitId, ClusterId, DatasetId, JobId, TemplateId, UserId, VcId};
 use scope_common::{Result, ScopeError};
-use scope_engine::data::{ColumnVector, StrVec, Table};
+use scope_engine::data::{ColumnVector, Interner, Table};
 use scope_engine::job::JobSpec;
 use scope_engine::storage::StorageManager;
 use scope_plan::expr::AggFunc;
@@ -560,18 +560,20 @@ fn generate_stream_table(cluster: ClusterId, stream: usize, instance: u64, rows:
     let n = rows as usize;
     let mut users = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
-    let mut categories = StrVec::with_capacity(n);
+    let mut categories = (Interner::default(), Vec::with_capacity(n));
     let mut amounts = Vec::with_capacity(n);
-    let mut texts = StrVec::with_capacity(n);
+    let mut texts = (Interner::default(), Vec::with_capacity(n));
+    let all_texts = words.map(|a| words.map(|b| format!("{a} {b}")));
     for _ in 0..rows {
         // Draw order matches the historical row-wise generator exactly.
         users.push((rng.gen_range(0.0_f64..1.0).powi(2) * 500.0) as i64); // skewed
-        let w1 = words[rng.gen_range(0..words.len())];
-        let w2 = words[rng.gen_range(0..words.len())];
+        let w1 = rng.gen_range(0..words.len());
+        let w2 = rng.gen_range(0..words.len());
         ids.push(rng.gen_range(0..10_000));
-        categories.push(cats[rng.gen_range(0..cats.len())]);
+        let category = categories.0.code(cats[rng.gen_range(0..cats.len())]);
+        categories.1.push(category);
         amounts.push((rng.gen_range(0.0_f64..100.0) * 100.0).round() / 100.0);
-        texts.push(&format!("{w1} {w2}"));
+        texts.1.push(texts.0.code(&all_texts[w1][w2]));
     }
     let columns = vec![
         ColumnVector::Int {
@@ -583,7 +585,7 @@ fn generate_stream_table(cluster: ClusterId, stream: usize, instance: u64, rows:
             nulls: None,
         },
         ColumnVector::Str {
-            data: categories,
+            data: categories.0.strs(categories.1),
             nulls: None,
         },
         ColumnVector::Float {
@@ -595,7 +597,7 @@ fn generate_stream_table(cluster: ClusterId, stream: usize, instance: u64, rows:
             nulls: None,
         },
         ColumnVector::Str {
-            data: texts,
+            data: texts.0.strs(texts.1),
             nulls: None,
         },
     ];

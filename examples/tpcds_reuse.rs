@@ -26,7 +26,7 @@ use scope_workload::tpcds::TpcdsWorkload;
 /// The executor's counters: per operator kind its kernel wall, then
 /// Execute's whole wall, the wall and output columns of recipe building, the
 /// wall and cells of copying, dataset exchanges taken from their memo and
-/// `Str` key rows read as codes.
+/// single-`Str`-key rows grouped, built or probed (every one on codes).
 fn exec_counters(service: &CloudViews) -> Vec<u64> {
     let mut names: Vec<String> = OpKind::ALL.into_iter().map(op_wall_counter).collect();
     names.extend(
@@ -86,7 +86,7 @@ fn print_exec_breakdown(before: &[u64], after: &[u64], pass_ms: f64) {
         pct(*copy_ns),
         *copy_ns as f64 / (*cells).max(1) as f64
     );
-    println!("  once per stored input: {memo_hits} dataset exchanges kept, {coded_rows} Str key rows read as codes");
+    println!("  once per stored input: {memo_hits} dataset exchanges kept; single-Str-key rows (all read as codes): {coded_rows}");
 }
 
 fn main() -> scope_common::Result<()> {
