@@ -70,57 +70,45 @@ pub type NullMask = Vec<bool>;
 // ---------------------------------------------------------------------------
 
 /// Strings in one allocation: every value's UTF-8 bytes back to back,
-/// value `i` ending at byte `ends[i]` (and starting where value `i - 1`
-/// ended). A string column's dictionary ([`Strs`]); no value owns a heap
+/// value `i` the bytes from `offsets[i]` to `offsets[i + 1]` (`offsets`
+/// starts at 0 once there is a value). A string column's dictionary
+/// ([`Strs`]), built only by an [`Interner`]; no value owns a heap
 /// allocation.
 #[derive(Clone, Debug, Default)]
-pub struct StrVec {
+pub(crate) struct StrVec {
     bytes: String,
-    ends: Vec<u32>,
+    offsets: Vec<u32>,
 }
 
 impl StrVec {
     /// Number of values.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// True when there are no values.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Value `i` (panics when out of range, like `v[i]`).
-    pub fn get(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start as usize..self.ends[i] as usize]
+    pub(crate) fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Byte length of value `i`.
     fn len_of(&self, i: usize) -> u32 {
-        self.ends[i] - if i == 0 { 0 } else { self.ends[i - 1] }
+        self.offsets[i + 1] - self.offsets[i]
     }
 
     /// All values in order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
     /// Appends one value.
-    pub fn push(&mut self, s: &str) {
-        self.bytes.push_str(s);
-        self.ends
-            .push(u32::try_from(self.bytes.len()).expect("string column exceeds 4 GiB"));
-    }
-}
-
-impl<S: AsRef<str>> FromIterator<S> for StrVec {
-    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrVec {
-        let mut out = StrVec::default();
-        for s in iter {
-            out.push(s.as_ref());
+    fn push(&mut self, s: &str) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
         }
-        out
+        self.bytes.push_str(s);
+        self.offsets
+            .push(u32::try_from(self.bytes.len()).expect("string column exceeds 4 GiB"));
     }
 }
 
@@ -540,9 +528,13 @@ impl ColumnVector {
             ColumnVector::Float { data, .. } => typed_take!(Float, data),
             ColumnVector::Bool { data, .. } => typed_take!(Bool, data),
             ColumnVector::Date { data, .. } => typed_take!(Date, data),
-            // Nothing to take: every row is NULL, which `Mixed` holds.
+            // Nothing to take: every row is NULL, at code 0 of a one-entry
+            // dictionary.
             ColumnVector::Str { .. } if self.is_empty() => {
-                ColumnVector::Mixed(vec![Value::Null; idx.len()])
+                let mut one = Interner::default();
+                let codes = vec![one.code(""); idx.len()];
+                let data = one.strs(codes);
+                ColumnVector::Str { data, nulls }
             }
             ColumnVector::Str { data, .. } => {
                 let code = |i: &Option<u32>| i.map_or(0, |i| data.codes[i as usize]);
@@ -909,19 +901,8 @@ impl<'a> Located<'a> {
         if let Some((w, cells)) = fixed {
             cells.each(|_, _| w, add);
         } else if let Some(strs) = self.lanes(ColumnVector::strs) {
-            // A row reads its code's size from a table of them where the
-            // dictionary is no longer than the rows (two offsets a row read
-            // ~3x slower), from its offsets else.
-            let table = |d: &StrVec| (0..d.len()).map(|c| 8 + d.len_of(c) as u64).collect();
-            let sized: Few<_> = (strs.data.iter())
-                .map(|&s| (s, (s.dict.len() <= self.rows).then(|| table(&s.dict))))
-                .collect();
-            let size = |(s, t): &(&Strs, Option<Box<[u64]>>), r: usize| {
-                let c = s.codes[r] as usize;
-                t.as_ref()
-                    .map_or_else(|| 8 + s.dict.len_of(c) as u64, |t| t[c])
-            };
-            self.lanes_of(sized.iter().collect()).each(size, add);
+            let size = |s: &Strs, r: usize| 8 + s.dict.len_of(s.codes[r] as usize) as u64;
+            strs.each(size, add);
         } else {
             return (0..self.rows())
                 .map(|i| self.cell(i).byte_size() as u64)

@@ -2483,6 +2483,14 @@ mod tests {
                     .collect();
                 check(&all.take_opt(&idx), &want, "take_opt");
             }
+            // A take from an empty column (a LeftOuter join's empty right
+            // side) pads with NULLs and stays `Str`.
+            for (col, _) in sources.iter().filter(|(c, _)| c.is_empty()) {
+                for n in [0, 3] {
+                    let nulls = vec![Value::Null; n];
+                    check(&col.take_opt(&vec![None; n]), &nulls, "take_opt of none");
+                }
+            }
             // A gather over the sources, its bytes counted through the picks
             // and then its cells.
             let batches: Vec<RecordBatch> = (sources.iter())
